@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check trace chaos diag
+.PHONY: all build vet lint test race bench bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check golden loc trace chaos diag
 
 all: check
 
@@ -35,9 +35,9 @@ bench:
 bench-detshard:
 	$(GO) run ./cmd/ftbench -exp detshard -gate goldens/bench-baselines.json -json BENCH_detshard.json
 
-# Shared-memory fabric sweep (DESIGN.md §14): locked-copy vs lock-free
-# reservation vs adaptive batching across producer counts and workload
-# regimes, regenerating the checked-in BENCH_fabric.json.
+# Shared-memory fabric sweep (DESIGN.md §14): lock-free reservation with
+# static vs adaptive batching across producer counts and workload regimes,
+# regenerating the checked-in BENCH_fabric.json.
 bench-fabric:
 	$(GO) run ./cmd/ftbench -exp fabric -gate goldens/bench-baselines.json -json BENCH_fabric.json
 
@@ -64,7 +64,23 @@ bench-nway:
 bench-epoch:
 	$(GO) run ./cmd/ftbench -exp epoch -gate goldens/bench-baselines.json -json BENCH_epoch.json
 
-check: vet lint build race bench
+check: vet lint build race bench golden
+
+# The one golden-trace check: a small failover run at the degenerate
+# settings — one det shard, two replicas, epochs off, static batching —
+# must reproduce the trace pinned in goldens/ftsim-trace.sha256 byte for
+# byte. Every mode added since the trace was pinned has to leave it alone.
+golden:
+	$(GO) run ./cmd/ftsim -size 8388608 -fail 2s -shards 1 -replicas 2 -trace golden-check.json -flight flight-golden.txt
+	sha256sum --check goldens/ftsim-trace.sha256
+
+# Non-test Go lines in the four packages the ROADMAP's "collapse the mode
+# matrix" item is measured by.
+loc:
+	@total=0; for d in core replication tcprep shm; do \
+		n=$$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+		total=$$((total + n)); printf '%-12s %5d\n' $$d $$n; \
+	done; printf '%-12s %5d\n' total $$total
 
 # A small failover run with full tracing: writes trace.json (open it at
 # https://ui.perfetto.dev) and prints the flight-recorder dump.

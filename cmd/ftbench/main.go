@@ -14,7 +14,7 @@
 //	ftbench -exp ablations      # design-choice ablations
 //	ftbench -exp batching       # log batching sweep (-batches 1,8,32 -json out.json)
 //	ftbench -exp detshard       # per-object sequencing sweep (-shards 4 -threads 1,2,4,8,16)
-//	ftbench -exp fabric         # shm sender models + adaptive batching (-threads 1,2,4,8 -batches 1,4,16,32)
+//	ftbench -exp fabric         # shm lock-free fabric + adaptive batching (-threads 1,2,4,8 -batches 1,4,16,32)
 //	ftbench -exp nway           # replica-set sweep: commit wait vs quorum rule (-json BENCH_nway.json)
 //	ftbench -exp epoch          # epoch checkpoints: rejoin time + log retention vs uptime (-json BENCH_epoch.json)
 package main
@@ -578,7 +578,7 @@ func critpath(seed int64, quick bool) error {
 }
 
 func fabric(seed int64, quick bool) error {
-	fmt.Println("== Shared-memory fabric: sender models and adaptive batching ==")
+	fmt.Println("== Shared-memory fabric: lock-free reservation and adaptive batching ==")
 	opts := bench.DefaultFabricOpts()
 	opts.Seed = seed
 	// -threads and -batches override the fabric defaults only when given
@@ -623,7 +623,7 @@ func fabric(seed int64, quick bool) error {
 			fmt.Sprintf("%d", p.Tuples),
 			fmt.Sprintf("%d", p.Messages),
 			bench.F1(p.SendWaitMS),
-			fmt.Sprintf("%d/%d", p.LockWaits, p.ReserveWaits),
+			fmt.Sprintf("%d", p.ReserveWaits),
 			fmt.Sprintf("%dus", p.CommitWaitP50/1000),
 			fmt.Sprintf("%d", p.EffBatchEnd),
 			bench.F1(p.SimMS),
@@ -631,10 +631,8 @@ func fabric(seed int64, quick bool) error {
 		})
 	}
 	bench.Table(os.Stdout,
-		[]string{"workload", "mode", "threads", "batch", "tuples", "messages", "wait ms", "lk/rsv waits", "commit p50", "eff", "sim ms", "div"},
+		[]string{"workload", "mode", "threads", "batch", "tuples", "messages", "wait ms", "rsv waits", "commit p50", "eff", "sim ms", "div"},
 		table)
-	fmt.Printf("at %d threads: lock-free cuts sender blocking %.1fx (raw ring) / %.1fx (sustained) vs the locked-copy baseline\n",
-		report.MeasuredAt, report.SenderWaitReductionRaw, report.SenderWaitReductionSustained)
 	fmt.Printf("adaptive vs best static batch: %.2fx completion (sustained), %.2fx transfers (burst), %.1fx fewer transfers than its starting batch\n",
 		report.AdaptiveVsBestStaticSustained, report.AdaptiveVsBestStaticBurst, report.AdaptiveMsgSavingsBurst)
 	if *gatePath != "" {

@@ -107,7 +107,7 @@ func batchPoint(batch int, opts BatchSweepOpts) (BatchPoint, error) {
 	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
 	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
 	acks := fabric.NewRing("acks", 1, 256<<10)
-	pns := replication.NewPrimary("ftns", pk, cfg, log, acks)
+	pns := replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
 	sns := replication.NewSecondary("ftns", sk, cfg, log, acks)
 
 	// Metrics only, no event stream: nil scopes keep the hot path at one

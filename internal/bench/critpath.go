@@ -115,7 +115,7 @@ func critPathPoint(workload string, threads, shards, batch int, opts CritPathOpt
 	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
 	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
 	acks := fabric.NewRing("acks", 1, 256<<10)
-	pns := replication.NewPrimary("ftns", pk, cfg, log, acks)
+	pns := replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
 	sns := replication.NewSecondary("ftns", sk, cfg, log, acks)
 
 	tr := obs.New(s, obs.Config{Trace: true})

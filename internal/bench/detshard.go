@@ -224,7 +224,7 @@ func detShardPoint(threads, shards int, workload string, opts DetShardOpts) (Det
 	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
 	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
 	acks := fabric.NewRing("acks", 1, 256<<10)
-	pns := replication.NewPrimary("ftns", pk, cfg, log, acks)
+	pns := replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
 	sns := replication.NewSecondary("ftns", sk, cfg, log, acks)
 
 	reg := obs.NewRegistry()

@@ -14,23 +14,21 @@ import (
 )
 
 // FabricPoint is one (mode, workload, threads, batch) cell of the
-// shared-memory fabric sweep. Three sender modes are compared:
+// shared-memory fabric sweep. Two batch policies are compared on the
+// reserve/commit MPSC path (claims are FIFO tickets, publication is one
+// release-store, senders only ever block on ring capacity):
 //
-//   - "locked":   the pre-optimization baseline — every blocking transfer
-//     serializes on a per-ring sender mutex and pays a modeled copy cost
-//     while holding it (shm.SenderLockedCopy).
-//   - "lockfree": the reserve/commit MPSC path with the static BatchTuples
-//     policy — claims are FIFO tickets, publication is one release-store,
-//     senders only ever block on ring capacity.
-//   - "adaptive": lock-free plus the AIMD batching controller
-//     (Config.AdaptiveBatching) governing the effective batch size.
+//   - "lockfree": the static BatchTuples policy.
+//   - "adaptive": the AIMD batching controller (Config.AdaptiveBatching)
+//     governing the effective batch size.
 //
 // Three workloads isolate the claims. "raw" hammers one ring with N
-// producer processes directly — no recorder in the way — so the sender
-// blocking the two fabric models cost is measured alone: the locked-copy
-// mutex serializes producers while the reservation path admits them
-// concurrently. "burst" records an application emitting at tight spacing
-// through an ample ring with no output commits: acks keep pace with
+// producer processes directly — no recorder in the way — so sender
+// blocking is measured alone: the reservation path admits concurrent
+// producers without parking (the locked-copy sender it replaced blocked
+// 69 ms over 1599 parks on this cell; see EXPERIMENTS.md). "burst" records
+// an application emitting at tight spacing through an ample ring with no
+// output commits: acks keep pace with
 // delivery, every flush observes low lag, and the controller should grow
 // toward MaxBatchTuples (fewer, fuller transfers). "sustained" records
 // through a bounded ring at one det shard — replay dispatch cannot keep
@@ -39,7 +37,7 @@ import (
 // backlog; the controller should shrink toward the floor, because a big
 // static batch only deepens (in tuples) the backlog every commit drains.
 type FabricPoint struct {
-	Mode        string `json:"mode"`     // "locked", "lockfree", "adaptive"
+	Mode        string `json:"mode"`     // "lockfree", "adaptive"
 	Workload    string `json:"workload"` // "raw", "burst", "sustained"
 	Threads     int    `json:"threads"`
 	BatchTuples int    `json:"batch_tuples"` // static batch (adaptive: starting batch)
@@ -53,13 +51,10 @@ type FabricPoint struct {
 	Bytes       int64   `json:"bytes"`
 	MsgPerTuple float64 `json:"msg_per_tuple"`
 
-	// Sender blocking on the measured ring — the signal the lock-free
-	// reservation exists to remove. SendWaitMS is total virtual time
-	// senders spent parked (on the baseline's sender mutex, or on
-	// capacity backpressure); LockWaits and ReserveWaits count the parks
-	// by kind.
+	// Sender blocking on the measured ring: SendWaitMS is total virtual
+	// time senders spent parked on capacity backpressure, ReserveWaits
+	// counts the parks.
 	SendWaitMS   float64 `json:"send_wait_ms"`
-	LockWaits    int64   `json:"lock_waits"`
 	ReserveWaits int64   `json:"reserve_waits"`
 
 	// Output-commit latency and the sequencer-lock wait on the record
@@ -84,13 +79,6 @@ type FabricPoint struct {
 // plus the headline ratios the acceptance gates read, all taken at
 // MeasuredAt threads.
 //
-// SenderWaitReduction* compare total sender blocking, locked over
-// lock-free (>1 means the reservation path blocks less). The raw ratio is
-// the structural one: with an ample ring the reservation path never
-// blocks at all, while the baseline's producers queue on the sender
-// mutex. On sustained both modes share the capacity backpressure wait, so
-// that ratio isolates what the mutex and copy hold add on top.
-//
 // AdaptiveVsBestStatic* compare the adaptive controller against the best
 // static BatchTuples found by the batch sweep: on sustained by completion
 // time (best static SimMS over adaptive SimMS; ~1 means adaptive matched
@@ -101,9 +89,6 @@ type FabricPoint struct {
 type FabricReport struct {
 	MeasuredAt int           `json:"measured_at_threads"`
 	Points     []FabricPoint `json:"points"`
-
-	SenderWaitReductionRaw       float64 `json:"sender_wait_reduction_raw"`
-	SenderWaitReductionSustained float64 `json:"sender_wait_reduction_sustained"`
 
 	AdaptiveVsBestStaticSustained float64 `json:"adaptive_vs_best_static_sustained"`
 	AdaptiveVsBestStaticBurst     float64 `json:"adaptive_vs_best_static_burst"`
@@ -138,10 +123,10 @@ func DefaultFabricOpts() FabricOpts {
 	}
 }
 
-// Fabric runs the sender-model and batching sweep: the raw producer scaling
-// curve for both fabric models, the three modes across the thread counts on
-// both replicated workloads, then the static batch sweep at MeasuredAt
-// threads that the adaptive headline ratios are computed against.
+// Fabric runs the fabric and batching sweep: the raw producer scaling
+// curve, both batch policies across the thread counts on both replicated
+// workloads, then the static batch sweep at MeasuredAt threads that the
+// adaptive headline ratios are computed against.
 func Fabric(opts FabricOpts) (FabricReport, error) {
 	var report FabricReport
 	for _, threads := range opts.Threads {
@@ -150,17 +135,15 @@ func Fabric(opts FabricOpts) (FabricReport, error) {
 		}
 	}
 	for _, threads := range opts.Threads {
-		for _, mode := range []string{"locked", "lockfree"} {
-			p, err := fabricRawPoint(mode, threads, opts)
-			if err != nil {
-				return report, fmt.Errorf("bench: fabric %s/raw %dt: %w", mode, threads, err)
-			}
-			report.Points = append(report.Points, p)
+		p, err := fabricRawPoint(threads, opts)
+		if err != nil {
+			return report, fmt.Errorf("bench: fabric raw %dt: %w", threads, err)
 		}
+		report.Points = append(report.Points, p)
 	}
 	for _, workload := range []string{"burst", "sustained"} {
 		for _, threads := range opts.Threads {
-			for _, mode := range []string{"locked", "lockfree", "adaptive"} {
+			for _, mode := range []string{"lockfree", "adaptive"} {
 				p, err := fabricPoint(mode, workload, threads, opts.BatchTuples, opts)
 				if err != nil {
 					return report, fmt.Errorf("bench: fabric %s/%s %dt: %w", mode, workload, threads, err)
@@ -178,17 +161,6 @@ func Fabric(opts FabricOpts) (FabricReport, error) {
 			}
 			report.Points = append(report.Points, p)
 		}
-	}
-
-	lockedR := report.Find("locked", "raw", report.MeasuredAt, opts.BatchTuples)
-	freeR := report.Find("lockfree", "raw", report.MeasuredAt, opts.BatchTuples)
-	lockedS := report.Find("locked", "sustained", report.MeasuredAt, opts.BatchTuples)
-	freeS := report.Find("lockfree", "sustained", report.MeasuredAt, opts.BatchTuples)
-	if lockedR != nil && freeR != nil {
-		report.SenderWaitReductionRaw = waitRatio(lockedR.SendWaitMS, freeR.SendWaitMS)
-	}
-	if lockedS != nil && freeS != nil {
-		report.SenderWaitReductionSustained = waitRatio(lockedS.SendWaitMS, freeS.SendWaitMS)
 	}
 
 	if ad := report.Find("adaptive", "sustained", report.MeasuredAt, opts.BatchTuples); ad != nil {
@@ -232,26 +204,13 @@ func (r *FabricReport) bestStatic(workload string, opts FabricOpts, cost func(*F
 	return best
 }
 
-// waitRatio guards the division: a lock-free run can legitimately record
-// zero sender blocking, in which case the reduction is reported against
-// one microsecond rather than infinity.
-func waitRatio(locked, free float64) float64 {
-	if free < 1e-3 {
-		free = 1e-3
-	}
-	return locked / free
-}
-
 // fabricRawPoint measures the fabric alone: threads producer processes
 // each push RawBatches batches of BatchTuples 64-byte payloads into one
 // ample ring on a fixed cadence while a drain process consumes at ring
-// speed. The cadence is chosen so the locked-copy baseline's critical
-// section (≈1us of slot accounting per payload plus the modeled memcpy)
-// saturates the sender mutex at 8 producers, while the reservation path —
-// which pays nothing on an uncontended, uncapped ring — admits every
-// producer without parking.
-func fabricRawPoint(mode string, threads int, opts FabricOpts) (FabricPoint, error) {
-	point := FabricPoint{Mode: mode, Workload: "raw", Threads: threads, BatchTuples: opts.BatchTuples}
+// speed. The reservation path pays nothing on an uncontended, uncapped
+// ring, so every producer must be admitted without parking.
+func fabricRawPoint(threads int, opts FabricOpts) (FabricPoint, error) {
+	point := FabricPoint{Mode: "lockfree", Workload: "raw", Threads: threads, BatchTuples: opts.BatchTuples}
 	start := time.Now()
 
 	s := sim.New(opts.Seed)
@@ -265,9 +224,6 @@ func fabricRawPoint(mode string, threads int, opts FabricOpts) (FabricPoint, err
 		return point, err
 	}
 	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
-	if mode == "locked" {
-		fabric.SetSenderModel(shm.SenderLockedCopy, shm.LockedCopyCost{})
-	}
 	ring := fabric.NewRing("raw", 0, 1<<20)
 
 	const gap = 20 * time.Microsecond
@@ -305,7 +261,6 @@ func fabricRawPoint(mode string, threads int, opts FabricOpts) (FabricPoint, err
 		point.MsgPerTuple = float64(st.Messages) / float64(st.Payloads)
 	}
 	point.SendWaitMS = float64(st.SendWaitNs) / float64(time.Millisecond)
-	point.LockWaits = st.LockWaits
 	point.ReserveWaits = st.ReserveWaits
 	point.SimMS = float64(s.Now()) / float64(time.Millisecond)
 	point.WallClockMS = float64(time.Since(start)) / float64(time.Millisecond)
@@ -425,12 +380,9 @@ func fabricPoint(mode, workload string, threads, batch int, opts FabricOpts) (Fa
 		cfg.AdaptiveBatching = true
 	}
 	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
-	if mode == "locked" {
-		fabric.SetSenderModel(shm.SenderLockedCopy, shm.LockedCopyCost{})
-	}
 	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
 	acks := fabric.NewRing("acks", 1, 256<<10)
-	pns := replication.NewPrimary("ftns", pk, cfg, log, acks)
+	pns := replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
 	sns := replication.NewSecondary("ftns", sk, cfg, log, acks)
 
 	reg := obs.NewRegistry()
@@ -456,7 +408,6 @@ func fabricPoint(mode, workload string, threads, batch int, opts FabricOpts) (Fa
 		point.MsgPerTuple = float64(st.Messages) / float64(st.Payloads)
 	}
 	point.SendWaitMS = float64(st.SendWaitNs) / float64(time.Millisecond)
-	point.LockWaits = st.LockWaits
 	point.ReserveWaits = st.ReserveWaits
 	point.Divergences = sns.Stats().Divergences
 	point.SimMS = float64(sst.FinishedAt) / float64(time.Millisecond)

@@ -26,8 +26,6 @@ type Baselines struct {
 	} `json:"detshard"`
 
 	Fabric struct {
-		SenderWaitReductionRaw        float64 `json:"sender_wait_reduction_raw"`
-		SenderWaitReductionSustained  float64 `json:"sender_wait_reduction_sustained"`
 		AdaptiveVsBestStaticSustained float64 `json:"adaptive_vs_best_static_sustained"`
 		AdaptiveVsBestStaticBurst     float64 `json:"adaptive_vs_best_static_burst"`
 		AdaptiveMsgSavingsBurst       float64 `json:"adaptive_msg_savings_burst"`
@@ -92,8 +90,6 @@ func (b *Baselines) GateDetShard(r DetShardReport) []string {
 // GateFabric checks a fabric report against the pinned baselines.
 func (b *Baselines) GateFabric(r FabricReport) []string {
 	var v []string
-	v = b.check(v, "fabric.sender_wait_reduction_raw", r.SenderWaitReductionRaw, b.Fabric.SenderWaitReductionRaw)
-	v = b.check(v, "fabric.sender_wait_reduction_sustained", r.SenderWaitReductionSustained, b.Fabric.SenderWaitReductionSustained)
 	v = b.check(v, "fabric.adaptive_vs_best_static_sustained", r.AdaptiveVsBestStaticSustained, b.Fabric.AdaptiveVsBestStaticSustained)
 	v = b.check(v, "fabric.adaptive_vs_best_static_burst", r.AdaptiveVsBestStaticBurst, b.Fabric.AdaptiveVsBestStaticBurst)
 	v = b.check(v, "fabric.adaptive_msg_savings_burst", r.AdaptiveMsgSavingsBurst, b.Fabric.AdaptiveMsgSavingsBurst)

@@ -12,7 +12,6 @@ func testBaselines() Baselines {
 	b.Tolerance = 0.2
 	b.DetShard.CommitWaitSpeedup = 100
 	b.DetShard.ReplayLagSpeedup = 5
-	b.Fabric.SenderWaitReductionRaw = 1000
 	b.Fabric.AdaptiveMsgSavingsBurst = 1.5
 	b.NWay.CommitWaitSpeedupN3 = 100
 	b.Epoch.RejoinSpeedup = 50
@@ -69,13 +68,13 @@ func TestGateSkipsUnpinnedRatios(t *testing.T) {
 	b := testBaselines()
 	// Sustained/burst fabric ratios are unpinned (zero) in testBaselines:
 	// a zero observed value must not trip them.
-	r := FabricReport{SenderWaitReductionRaw: 900, AdaptiveMsgSavingsBurst: 1.3}
+	r := FabricReport{AdaptiveMsgSavingsBurst: 1.3}
 	if v := b.GateFabric(r); len(v) != 0 {
 		t.Fatalf("unpinned ratios tripped the gate: %v", v)
 	}
-	r.SenderWaitReductionRaw = 700 // below the 800 floor
+	r.AdaptiveMsgSavingsBurst = 1.1 // below the 1.2 floor
 	if v := b.GateFabric(r); len(v) != 1 {
-		t.Fatalf("violations = %v, want exactly the raw-reduction slip", v)
+		t.Fatalf("violations = %v, want exactly the burst-savings slip", v)
 	}
 }
 
@@ -111,8 +110,6 @@ func TestRepoBaselinesLoad(t *testing.T) {
 	for name, v := range map[string]float64{
 		"detshard.commit_wait":       b.DetShard.CommitWaitSpeedup,
 		"detshard.replay_lag":        b.DetShard.ReplayLagSpeedup,
-		"fabric.raw":                 b.Fabric.SenderWaitReductionRaw,
-		"fabric.sustained":           b.Fabric.SenderWaitReductionSustained,
 		"fabric.adaptive_sustained":  b.Fabric.AdaptiveVsBestStaticSustained,
 		"fabric.adaptive_burst":      b.Fabric.AdaptiveVsBestStaticBurst,
 		"fabric.adaptive_msg_saving": b.Fabric.AdaptiveMsgSavingsBurst,

@@ -363,7 +363,7 @@ func build(cfg Config) (*System, error) {
 		hbIn[i-1] = fabric.NewRing("hb.s2p"+sfx, i, 16<<10)
 	}
 
-	pns := replication.NewPrimaryN("ftns", kerns[0], cfg.Replication, logs, acks)
+	pns := replication.NewPrimary("ftns", kerns[0], cfg.Replication, logs, acks)
 	snss := make([]*replication.Namespace, n-1)
 	for i := 1; i < n; i++ {
 		// Slot 1 keeps the bare name (and so the legacy metric prefixes);
@@ -396,7 +396,7 @@ func build(cfg Config) (*System, error) {
 	}
 
 	pStack := tcpstack.New(kerns[0], "server", cfg.TCP)
-	prim := tcprep.NewPrimaryMulti(pns, pStack, syncs, tcprep.DefaultGateConfig(), cfg.TCPSync)
+	prim := tcprep.NewPrimary(pns, pStack, tcprep.PrimaryConfig{Syncs: syncs, Sync: cfg.TCPSync})
 	prim.Instrument(tr.Scope("primary/tcprep"), tr.Registry())
 	if cfg.Rejoin {
 		// Retention on both sides: the primary keeps the full logical TCP
@@ -406,14 +406,10 @@ func build(cfg Config) (*System, error) {
 	}
 	secs := make([]*tcprep.Secondary, n-1)
 	for i := 1; i < n; i++ {
-		if cfg.Rejoin {
-			secs[i-1] = tcprep.NewSecondaryOpts(kerns[i], syncs[i-1], tcprep.SecondaryConfig{
-				Cost:   tcprep.DefaultSecondaryCost,
-				Retain: true,
-			})
-		} else {
-			secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1])
-		}
+		secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1], tcprep.SecondaryConfig{
+			Cost:   tcprep.DefaultSecondaryCost,
+			Retain: cfg.Rejoin,
+		})
 	}
 
 	reps := make([]*Replica, n)
@@ -827,8 +823,8 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 			// seeded with the promoted logical history, so a rejoining
 			// backup can be checkpointed later. Same sim instant as
 			// Promote's restore — no segment can slip between them.
-			dp := tcprep.NewDetachedPrimary(surv.NS, stack, tcprep.DefaultGateConfig(),
-				sys.Cfg.TCPSync, surv.TCPSync.HistoryLog())
+			dp := tcprep.NewPrimary(surv.NS, stack, tcprep.PrimaryConfig{
+				Sync: sys.Cfg.TCPSync, History: surv.TCPSync.HistoryLog()})
 			dp.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/tcprep", sys.generation+1)), nil)
 			surv.TCPPrim = dp
 			surv.Sockets.AdoptPrimary(dp)

@@ -145,7 +145,7 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	})
 	// DeferPull: the backup must seed the checkpoint before consuming
 	// deltas; the sync ring buffers them meanwhile.
-	bsec := tcprep.NewSecondaryOpts(bk, tcpSync, tcprep.SecondaryConfig{
+	bsec := tcprep.NewSecondary(bk, tcpSync, tcprep.SecondaryConfig{
 		Cost:      tcprep.DefaultSecondaryCost,
 		Retain:    true,
 		DeferPull: true,

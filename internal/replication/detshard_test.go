@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pthread"
 	"repro/internal/replication"
 	"repro/internal/shm"
@@ -72,34 +73,84 @@ func independentLocksApp(out []*[]int, nIters int) func(*replication.Thread) {
 	}
 }
 
+// TestShardedIndependentLocksReplay runs the independent-locks workload
+// under both sequencing-domain mappings and pins what each one means for
+// the replay grants: with one det shard the whole log is one domain and
+// grants follow the paper's total order, one at a time; with four, every
+// lock is its own domain and grants on different locks are outstanding at
+// the same virtual time.
 func TestShardedIndependentLocksReplay(t *testing.T) {
 	const nThreads, nIters = 8, 40
-	for seed := int64(1); seed <= 3; seed++ {
-		d := newDuo(t, seed, shardedConfig(4), true)
-		pOut := make([]*[]int, nThreads)
-		sOut := make([]*[]int, nThreads)
-		for i := range pOut {
-			pOut[i] = new([]int)
-			sOut[i] = new([]int)
-		}
-		d.pns.Start("app", nil, independentLocksApp(pOut, nIters))
-		d.sns.Start("app", nil, independentLocksApp(sOut, nIters))
-		if err := d.sim.Run(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for i := range pOut {
-			if len(*pOut[i]) != nIters || len(*sOut[i]) != nIters {
-				t.Fatalf("seed %d: lock %d saw %d/%d acquisitions, want %d",
-					seed, i, len(*pOut[i]), len(*sOut[i]), nIters)
+	for _, tc := range []struct {
+		shards  int
+		overlap bool
+	}{
+		{shards: 1, overlap: false},
+		{shards: 4, overlap: true},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			// Near-free dispatch: the shadow threads' side-local pauses, not
+			// the lane owners, decide when a tuple could be granted, so the
+			// grant order is the domain mapping's doing.
+			cfg := shardedConfig(tc.shards)
+			cfg.ReplayDispatchCost = time.Microsecond
+			d := newDuo(t, seed, cfg, true)
+			tr := obs.New(d.sim, obs.Config{Trace: true})
+			d.sns.Instrument(tr.Scope("backup"), nil)
+			pOut := make([]*[]int, nThreads)
+			sOut := make([]*[]int, nThreads)
+			for i := range pOut {
+				pOut[i] = new([]int)
+				sOut[i] = new([]int)
 			}
-			for j := range *pOut[i] {
-				if (*pOut[i])[j] != (*sOut[i])[j] {
-					t.Fatalf("seed %d: lock %d order diverged at %d", seed, i, j)
+			d.pns.Start("app", nil, independentLocksApp(pOut, nIters))
+			d.sns.Start("app", nil, independentLocksApp(sOut, nIters))
+			if err := d.sim.Run(); err != nil {
+				t.Fatalf("shards %d seed %d: %v", tc.shards, seed, err)
+			}
+			for i := range pOut {
+				if len(*pOut[i]) != nIters || len(*sOut[i]) != nIters {
+					t.Fatalf("shards %d seed %d: lock %d saw %d/%d acquisitions, want %d",
+						tc.shards, seed, i, len(*pOut[i]), len(*sOut[i]), nIters)
+				}
+				for j := range *pOut[i] {
+					if (*pOut[i])[j] != (*sOut[i])[j] {
+						t.Fatalf("shards %d seed %d: lock %d order diverged at %d", tc.shards, seed, i, j)
+					}
 				}
 			}
-		}
-		if div := d.sns.Stats().Divergences; div != 0 {
-			t.Errorf("seed %d: %d divergences detected", seed, div)
+			if div := d.sns.Stats().Divergences; div != 0 {
+				t.Errorf("shards %d seed %d: %d divergences detected", tc.shards, seed, div)
+			}
+
+			// A granted section runs for at least ReplaySectionCost before
+			// its domain can grant again, so two grants closer than that
+			// are outstanding together.
+			var grants []obs.Event
+			for _, e := range tr.Events() {
+				if e.Kind == obs.Replay {
+					grants = append(grants, e)
+				}
+			}
+			if len(grants) == 0 {
+				t.Fatalf("shards %d seed %d: no replay grants traced", tc.shards, seed)
+			}
+			overlaps := 0
+			for i := 1; i < len(grants); i++ {
+				if tc.shards == 1 && grants[i].Seq <= grants[i-1].Seq {
+					t.Fatalf("shards 1 seed %d: grant %d has Seq_global %d after %d: not the recorded total order",
+						seed, i, grants[i].Seq, grants[i-1].Seq)
+				}
+				if grants[i].At.Sub(grants[i-1].At) < cfg.ReplaySectionCost {
+					overlaps++
+				}
+			}
+			if tc.overlap && overlaps == 0 {
+				t.Errorf("shards %d seed %d: no two grants overlap in virtual time: independent locks replayed serially", tc.shards, seed)
+			}
+			if !tc.overlap && overlaps != 0 {
+				t.Errorf("shards %d seed %d: %d grants overlap in virtual time: one domain must grant one section at a time", tc.shards, seed, overlaps)
+			}
 		}
 	}
 }

@@ -71,17 +71,11 @@ func (th *Thread) NS() *Namespace { return th.ns }
 // Lib returns the namespace's interposed Pthreads library.
 func (th *Thread) Lib() *pthread.Lib { return th.ns.lib }
 
-// NewPrimary creates the primary side of an FT-Namespace. log and acks are
-// the shared-memory rings to/from the secondary.
-func NewPrimary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Namespace {
-	return NewPrimaryN(name, k, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
-}
-
-// NewPrimaryN creates a primary that streams its log to N backup replicas
-// (one log+ack ring pair each) — the §6 extension beyond the paper's
-// two-replica prototype. Output commit waits for receipt by every live
-// backup.
-func NewPrimaryN(name string, k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring) *Namespace {
+// NewPrimary creates the primary side of an FT-Namespace, streaming its log
+// to one backup replica per log+ack ring pair: one pair is the paper's
+// two-replica prototype, more the §6 extension. Output commit follows
+// Config.CommitQuorum.
+func NewPrimary(name string, k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring) *Namespace {
 	ns := newNamespace(name, RolePrimary, k, cfg)
 	ns.rec = newRecorder(k, cfg, logs, acks)
 	return ns

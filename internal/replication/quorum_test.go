@@ -49,7 +49,7 @@ func quorumTrio(t *testing.T, seed int64, commitQuorum int, lag time.Duration) *
 	}
 	return &trio{
 		sim: s, pk: pk, s1: s1, s2: s2,
-		pns:  replication.NewPrimaryN("ftns", pk, cfg, []*shm.Ring{log1, log2}, []*shm.Ring{ack1, ack2}),
+		pns:  replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log1, log2}, []*shm.Ring{ack1, ack2}),
 		sns1: replication.NewSecondary("ftns", s1, cfg, log1, ack1),
 		sns2: replication.NewSecondary("ftns", s2, cfg, log2, ack2),
 		logs: []*shm.Ring{log1, log2},

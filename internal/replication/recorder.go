@@ -65,8 +65,7 @@ type replicaLink struct {
 	// written straight into the ring's reserved slots and published in one
 	// Commit when the batch fills (or a deadline/output commit forces it).
 	// pending is the spill path — tuples buffered off-ring when no
-	// reservation could be claimed (ring full, or the locked-copy baseline
-	// model, which has no reservation to write into). While pending is
+	// reservation could be claimed (ring full). While pending is
 	// non-empty new tuples must append behind it, never to a fresh span:
 	// the spill was reserved later than nothing, so writing around it
 	// would reorder the log.
@@ -453,10 +452,10 @@ func (link *replicaLink) buffered() bool {
 // emit streams one log message to every live backup. Unbatched, it sends
 // immediately; batched, it writes the tuple in place into the link's open
 // ring reservation (zero-copy) and publishes when the effective batch
-// fills. When no reservation can be claimed — ring full, or the
-// locked-copy baseline model — tuples spill to the link's pending buffer
-// and a blocking vectored flush throttles the primary to the slowest
-// backup's drain rate. stream tags the message with its det shard,
+// fills. When no reservation can be claimed (ring full) tuples spill to
+// the link's pending buffer and a blocking vectored flush throttles the
+// primary to the slowest backup's drain rate. stream tags the message with
+// its det shard,
 // multiplexing the per-shard log streams over the one vectored ring.
 func (r *Recorder) emit(t *kernel.Task, kind int, payload any, size, stream int) {
 	m := shm.Message{Kind: kind, Payload: payload, Size: size, Stream: stream}
@@ -482,7 +481,7 @@ func (r *Recorder) emit(t *kernel.Task, kind int, payload any, size, stream int)
 		if r.emitSpan(link, m, eff) {
 			continue
 		}
-		// Spill path: no reservation available (or the baseline model).
+		// Spill path: no reservation available.
 		if len(link.pending) == 0 {
 			link.deadline = r.kern.Sim().Now().Add(r.cfg.FlushInterval)
 			r.flushQ.WakeAll(0)
@@ -499,11 +498,11 @@ func (r *Recorder) emit(t *kernel.Task, kind int, payload any, size, stream int)
 // emitSpan tries the zero-copy path: write m into the link's open span,
 // claiming a fresh reservation when none is open, and publish once the
 // effective batch fills. It reports false when the tuple must spill
-// instead — the ring has no room, earlier work is already queued (spilled
-// tuples or a blocked reservation, which writing around would reorder), or
-// the fabric runs the locked-copy baseline, which has no reservation API.
+// instead — the ring has no room, or earlier work is already queued
+// (spilled tuples or a blocked reservation, which writing around would
+// reorder).
 func (r *Recorder) emitSpan(link *replicaLink, m shm.Message, eff int) bool {
-	if link.log.SenderModel() == shm.SenderLockedCopy || len(link.pending) > 0 {
+	if len(link.pending) > 0 {
 		return false
 	}
 	if link.span == nil || !link.span.Open() {

@@ -12,10 +12,10 @@ import (
 )
 
 // headSub is one callback armed to fire when the replay head reaches a
-// global sequence number. While any sub is armed on a sharded replayer,
-// grants at or past the earliest armed watermark are withheld so the
-// replayed set at fire time is exactly the prefix below it — the property
-// the rejoin checkpoint verifier compares cursor vectors under.
+// global sequence number. While any sub is armed, grants at or past the
+// earliest armed watermark are withheld so the replayed set at fire time
+// is exactly the prefix below it — the property the rejoin checkpoint
+// verifier compares cursor vectors under.
 type headSub struct {
 	seq uint64
 	fn  func()
@@ -26,58 +26,53 @@ type headSub struct {
 }
 
 // replWaiter is a shadow thread parked in a deterministic section, waiting
-// for its tuple to be grantable: at the head of the log with one det
-// shard, at the head of its object's queue with more.
+// for its tuple to reach the head of its sequencing domain's queue.
 type replWaiter struct {
 	th        *Thread
 	key       uint64
-	obj       uint64   // sequencing-object key the thread parked on
 	parkedAt  sim.Time // when the thread parked, for grant-wait attribution
 	granted   bool
 	liveFlush bool // granted by promotion to live execution, no tuple
 	tuple     Tuple
 }
 
-// shardIngress is one det shard's dispatch queue on the secondary: the
-// pull loop routes tuples here in ring order and the shard's grant task
-// pays the per-tuple dispatch cost — in parallel across shards.
-type shardIngress struct {
+// lane is one dispatch queue on the secondary: the pull task routes
+// messages here in ring order and the lane's owner pays the per-message
+// dispatch cost — in parallel across lanes.
+type lane struct {
 	q  []shm.Message
 	wq *sim.WaitQueue
 }
 
 // Replayer is the secondary-side engine: it pulls the primary's log off the
 // shared-memory ring and delivers deterministic-section turns to shadow
-// threads. With one det shard turns follow the recorded global order
-// through a single cursor; with more, a per-object grant table lets shadow
-// threads on independent objects replay concurrently, and the scalar
-// replay head becomes the Lamport frontier (every GlobalSeq below it has
-// been replayed).
+// threads from one grant table keyed by sequencing domain (see domain).
+// With DetShards > 1 every sequencing object is its own domain, so shadow
+// threads on independent objects replay concurrently; with one shard the
+// whole log is a single domain ordered by Seq_global — the paper's total
+// order. Either way the scalar replay head is the Lamport frontier (every
+// GlobalSeq below it has been replayed).
 type Replayer struct {
 	kern *kernel.Kernel
 	cfg  Config
 	log  *shm.Ring
 	acks *shm.Ring
 
-	// Unsharded (DetShards <= 1) grant state: the recorded total order.
-	pending     []Tuple
-	headGranted bool
-	nextGlobal  uint64
-
-	// Sharded (DetShards > 1) grant state: the per-object grant table.
-	objSeen    map[uint64]uint64  // next ObjSeq expected off the ring (duplicate filter)
-	objPending map[uint64][]Tuple // arrived, unreplayed tuples per object
-	objGranted map[uint64]bool    // object currently executing a granted section
-	objKnown   map[uint64]bool
-	objOrder   []uint64        // object keys in first-arrival order: the deterministic rescan order
-	unreplayed int             // total tuples across objPending
+	// The grant table, keyed by sequencing domain.
+	domSeen    map[uint64]uint64  // next domain seq expected off the ring (duplicate filter, gap check)
+	domQueue   map[uint64][]Tuple // arrived, unreplayed tuples per domain
+	domGranted map[uint64]bool    // domain currently executing a granted section
+	domKnown   map[uint64]bool
+	domOrder   []uint64        // domain keys in first-arrival order: the deterministic rescan order
+	unreplayed int             // total tuples across domQueue
 	frontier   uint64          // Lamport replay head: every GlobalSeq < frontier is replayed
 	ahead      map[uint64]bool // replayed GlobalSeqs at or past the frontier
-	shardQ     []*shardIngress
-	granters   []*kernel.Task
+	lanes      []*lane
+	granters   []*kernel.Task // lane owners; none with one shard, where the pull task drains lane 0
 
-	// objDone is maintained in both modes: the per-object cursor vector
-	// checkpoints compare and forks continue from.
+	// objDone is keyed by the real sequencing object whatever the domain:
+	// the per-object cursor vector checkpoints compare and forks continue
+	// from.
 	objDone map[uint64]uint64
 
 	waiting   map[int]*replWaiter
@@ -85,7 +80,8 @@ type Replayer struct {
 	processed uint64
 
 	env      map[string]string
-	envReady bool
+	envSeen  bool // env message routed (duplicate filter)
+	envReady bool // env delivered: visible to the application
 	envQ     *sim.WaitQueue
 
 	live        bool
@@ -131,68 +127,65 @@ type Replayer struct {
 
 func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 	r := &Replayer{
-		kern:     k,
-		cfg:      cfg.withBatchDefaults(),
-		log:      log,
-		acks:     acks,
-		waiting:  make(map[int]*replWaiter),
-		objDone:  make(map[uint64]uint64),
-		envQ:     sim.NewWaitQueue(k.Sim()),
-		promoted: sim.NewWaitQueue(k.Sim()),
+		kern:       k,
+		cfg:        cfg.withBatchDefaults(),
+		log:        log,
+		acks:       acks,
+		domSeen:    make(map[uint64]uint64),
+		domQueue:   make(map[uint64][]Tuple),
+		domGranted: make(map[uint64]bool),
+		domKnown:   make(map[uint64]bool),
+		ahead:      make(map[uint64]bool),
+		waiting:    make(map[int]*replWaiter),
+		objDone:    make(map[uint64]uint64),
+		envQ:       sim.NewWaitQueue(k.Sim()),
+		promoted:   sim.NewWaitQueue(k.Sim()),
 	}
-	if !r.sharded() {
-		r.puller = k.Spawn("ft-replay", r.pullLoop)
-		return r
+	r.lanes = make([]*lane, r.cfg.DetShards)
+	for i := range r.lanes {
+		r.lanes[i] = &lane{wq: sim.NewWaitQueue(k.Sim())}
 	}
-	r.objSeen = make(map[uint64]uint64)
-	r.objPending = make(map[uint64][]Tuple)
-	r.objGranted = make(map[uint64]bool)
-	r.objKnown = make(map[uint64]bool)
-	r.ahead = make(map[uint64]bool)
-	r.shardQ = make([]*shardIngress, r.cfg.DetShards)
-	for i := range r.shardQ {
-		r.shardQ[i] = &shardIngress{wq: sim.NewWaitQueue(k.Sim())}
-	}
-	r.puller = k.Spawn("ft-replay", r.pullLoopSharded)
-	for i := range r.shardQ {
-		i := i
-		r.granters = append(r.granters,
-			k.Spawn(fmt.Sprintf("ft-grant.%d", i), func(t *kernel.Task) { r.grantLoop(t, i) }))
+	r.puller = k.Spawn("ft-replay", r.pullLoop)
+	// Lane ownership: with more than one shard each lane gets a grant task
+	// and dispatch runs in parallel; with one, the pull task drains lane 0
+	// itself (see pullLoop).
+	if r.cfg.DetShards > 1 {
+		for i, ln := range r.lanes {
+			ln := ln
+			r.granters = append(r.granters,
+				k.Spawn(fmt.Sprintf("ft-grant.%d", i), func(t *kernel.Task) { r.grantLoop(t, ln) }))
+		}
 	}
 	return r
 }
 
-// sharded reports whether the per-object grant table is in effect.
-func (r *Replayer) sharded() bool { return r.cfg.DetShards > 1 }
-
-// head is the scalar replay watermark: the recorded-order cursor
-// unsharded, the Lamport frontier sharded.
-func (r *Replayer) head() uint64 {
-	if r.sharded() {
-		return r.frontier
+// domain maps a tuple to its sequencing domain and its rank there: its
+// object and Seq_obj with DetShards > 1, the single domain 0 and Seq_global
+// with one shard — which makes the paper's total order the grant table
+// with one key.
+func (r *Replayer) domain(tu Tuple) (key, seq uint64) {
+	if r.cfg.DetShards > 1 {
+		return objKey(tu.Op, tu.Obj), tu.ObjSeq
 	}
-	return r.nextGlobal
+	return 0, tu.GlobalSeq
 }
 
-// outstanding is the number of arrived, unreplayed tuples.
-func (r *Replayer) outstanding() int {
-	if r.sharded() {
-		return r.unreplayed
-	}
-	return len(r.pending)
-}
+// head is the scalar replay watermark, the Lamport frontier.
+func (r *Replayer) head() uint64 { return r.frontier }
 
-// pullLoop is the serial log-dispatch path whose per-tuple cost (riding
+// pullLoop is the receive path: it acknowledges receipt and routes each
+// message to its lane WITHOUT paying the dispatch cost — the lane owners
+// pay it. With one shard this task owns lane 0 and drains it before its
+// next RecvBatch, so receipt waits for dispatch, the log ring
+// backpressures the primary, and the per-tuple cost (riding
 // wake_up_process to hand turns to shadow threads) bounds the secondary's
-// replay rate — the §4.1 bottleneck.
+// replay rate — the §4.1 serial-dispatch bottleneck. With more shards the
+// grant tasks pay it concurrently, lifting that ceiling by the shard
+// count.
 func (r *Replayer) pullLoop(t *kernel.Task) {
-	max := r.cfg.BatchTuples
-	if max < 1 {
-		max = 1
-	}
 	var lastAcked uint64
 	for {
-		batch := r.log.RecvBatch(t.Proc(), max)
+		batch := r.log.RecvBatch(t.Proc(), r.cfg.BatchTuples)
 		r.hRecvBatch.Observe(int64(len(batch)))
 		// Acknowledge at receipt (§3.5): the whole batch is already safe in
 		// this replica's memory for subsequent live replay, so one
@@ -211,81 +204,47 @@ func (r *Replayer) pullLoop(t *kernel.Task) {
 		}
 		r.retryEpochAck()
 		for _, m := range batch {
-			if r.cfg.ReplayDispatchCost > 0 {
-				t.Compute(r.cfg.ReplayDispatchCost)
-			}
-			r.ingest(m)
-		}
-	}
-}
-
-// pullLoopSharded is the sharded receive path: it acknowledges receipt and
-// routes each tuple to its det shard's ingress queue WITHOUT paying the
-// dispatch cost — the shard grant tasks pay it concurrently, which is what
-// lifts the §4.1 serial-dispatch ceiling by the shard count.
-func (r *Replayer) pullLoopSharded(t *kernel.Task) {
-	max := r.cfg.BatchTuples
-	if max < 1 {
-		max = 1
-	}
-	var lastAcked uint64
-	for {
-		batch := r.log.RecvBatch(t.Proc(), max)
-		r.hRecvBatch.Observe(int64(len(batch)))
-		r.processed += uint64(len(batch))
-		if len(batch) > 1 {
-			r.stats.LogBatches++
-		}
-		if r.cfg.AckEvery > 0 && r.processed-lastAcked >= uint64(r.cfg.AckEvery) {
-			if r.acks.TrySend(shm.Message{Kind: msgTuple, Payload: r.processed, Size: 16}) {
-				lastAcked = r.processed
-				r.stats.AckMessages++
-				r.cAcks.Inc()
-				r.sc.Emit(obs.AckSend, 0, int64(r.processed), 0)
-			}
-		}
-		r.retryEpochAck()
-		for _, m := range batch {
 			r.route(m)
 		}
+		if len(r.granters) == 0 {
+			r.dispatch(t, r.lanes[0])
+		}
 	}
 }
 
-// route performs the sharded receive-side bookkeeping for one message, in
-// ring order: duplicate filtering, history retention (the retained order
-// must respect every per-thread and per-object order, which ring order
-// does and per-shard completion order would not), then hand-off to the
-// shard ingress queue.
+// route performs the receive-side bookkeeping for one message, in ring
+// order: duplicate filtering, the gap check, history retention (the
+// retained order must respect every per-thread and per-object order, which
+// ring order does and per-lane completion order would not), then hand-off
+// to a lane. Tuples go to their object's lane; the environment rides lane 0
+// (it pays one dispatch like any message); epoch markers need no dispatch.
 func (r *Replayer) route(m shm.Message) {
 	switch m.Kind {
 	case msgEnv:
-		if env, ok := m.Payload.(map[string]string); ok {
-			if r.envReady {
+		if _, ok := m.Payload.(map[string]string); ok {
+			if r.envSeen {
 				r.stats.Duplicates++
 				return
 			}
-			r.env = env
-			r.envReady = true
-			r.envQ.WakeAll(0)
+			r.envSeen = true
+			r.enqueue(r.lanes[0], m)
 		}
 	case msgTuple:
 		if tu, ok := m.Payload.(Tuple); ok {
-			key := objKey(tu.Op, tu.Obj)
-			if tu.ObjSeq < r.objSeen[key] {
-				// Behind the object's ring cursor: a stale duplicate
+			key, seq := r.domain(tu)
+			if seq < r.domSeen[key] {
+				// Behind the domain's ring cursor: a stale duplicate
 				// (injected duplication, or promotion-drain overlap).
 				r.stats.Duplicates++
 				return
 			}
-			if tu.ObjSeq > r.objSeen[key] {
+			if seq > r.domSeen[key] {
 				// The mailbox is FIFO and coherency loss only truncates a
-				// suffix, so a per-object gap cannot occur on this path.
-				panic(fmt.Sprintf("replication: per-object log gap: %v expected obj-seq %d", tu, r.objSeen[key]))
+				// suffix, so a gap cannot occur — dead primary or not.
+				panic(fmt.Sprintf("replication: log gap: %v expected seq %d in domain %d", tu, r.domSeen[key], key))
 			}
-			r.objSeen[key] = tu.ObjSeq + 1
-			sh := r.shardQ[pthread.ShardOf(key, r.cfg.DetShards)]
-			sh.q = append(sh.q, m)
-			sh.wq.WakeAll(0)
+			r.domSeen[key] = seq + 1
+			r.enqueue(r.lanes[pthread.ShardOf(objKey(tu.Op, tu.Obj), len(r.lanes))], m)
 		}
 	case msgEpoch:
 		if mark, ok := m.Payload.(EpochMark); ok && !r.noteEpoch(mark) {
@@ -299,81 +258,60 @@ func (r *Replayer) route(m shm.Message) {
 	r.stats.LogMessages++
 }
 
-// grantLoop is one det shard's dispatch task: it pays the per-tuple
-// dispatch cost for its shard's tuples and admits them into the grant
-// table. Shards progress independently — the replay-side analogue of the
-// recorder's sharded det locks.
-func (r *Replayer) grantLoop(t *kernel.Task, shard int) {
-	sh := r.shardQ[shard]
+func (r *Replayer) enqueue(ln *lane, m shm.Message) {
+	ln.q = append(ln.q, m)
+	ln.wq.WakeAll(0)
+}
+
+// grantLoop is one lane's dispatch task. Lanes progress independently —
+// the replay-side analogue of the recorder's sharded det locks.
+func (r *Replayer) grantLoop(t *kernel.Task, ln *lane) {
 	for {
-		for len(sh.q) == 0 {
-			sh.wq.Wait(t.Proc())
+		for len(ln.q) == 0 {
+			ln.wq.Wait(t.Proc())
 		}
-		// Pay the dispatch cost BEFORE popping: if promotion kills this
-		// task mid-dispatch, the tuple is still queued and the promotion
-		// drain admits it — popping first would lose it and strand its
-		// object's queue behind a permanent gap. This task is the queue's
-		// only consumer, so the head cannot change across the yield.
-		if r.cfg.ReplayDispatchCost > 0 {
-			t.Compute(r.cfg.ReplayDispatchCost)
-		}
-		m := sh.q[0]
-		sh.q = sh.q[1:]
-		r.admit(m)
+		r.dispatch(t, ln)
 	}
 }
 
-// admit enters one routed tuple into the per-object grant table.
-func (r *Replayer) admit(m shm.Message) {
-	tu, ok := m.Payload.(Tuple)
-	if !ok {
-		return
+// dispatch drains one lane, paying the per-message dispatch cost BEFORE
+// popping: if promotion kills the calling task mid-dispatch, the message
+// is still queued and the promotion drain delivers it — popping first
+// would lose a message this replica already acknowledged (§3.5). The
+// caller is the lane's only consumer, so the head cannot change across
+// the yield.
+func (r *Replayer) dispatch(t *kernel.Task, ln *lane) {
+	for len(ln.q) > 0 {
+		t.Compute(r.cfg.ReplayDispatchCost)
+		r.deliver(ln)
 	}
-	key := objKey(tu.Op, tu.Obj)
-	if !r.objKnown[key] {
-		r.objKnown[key] = true
-		r.objOrder = append(r.objOrder, key)
-	}
-	r.objPending[key] = append(r.objPending[key], tu)
-	r.unreplayed++
-	r.tryGrantObj(key)
 }
 
-func (r *Replayer) ingest(m shm.Message) {
-	switch m.Kind {
-	case msgEnv:
-		if env, ok := m.Payload.(map[string]string); ok {
-			if r.envReady {
-				r.stats.Duplicates++
-				return
-			}
-			r.env = env
-			r.envReady = true
-			r.envQ.WakeAll(0)
-		}
-	case msgTuple:
-		if tu, ok := m.Payload.(Tuple); ok {
-			// A tuple below the pending horizon is a stale duplicate (an
-			// injected mailbox duplication, or overlap between a promotion
-			// drain and in-flight delivery); the log is cumulative, so it
-			// is discarded rather than treated as a gap.
-			if tu.GlobalSeq < r.nextGlobal+uint64(len(r.pending)) {
-				r.stats.Duplicates++
-				return
-			}
-			r.pending = append(r.pending, tu)
-			r.tryGrant()
-		}
-	case msgEpoch:
-		if mark, ok := m.Payload.(EpochMark); ok && !r.noteEpoch(mark) {
-			r.stats.Duplicates++
-			return
-		}
+// deliver pops one lane's head message and applies it: the environment
+// becomes visible to the application, a tuple enters the grant table.
+func (r *Replayer) deliver(ln *lane) {
+	m := ln.q[0]
+	ln.q = ln.q[1:]
+	switch p := m.Payload.(type) {
+	case map[string]string:
+		r.env = p
+		r.envReady = true
+		r.envQ.WakeAll(0)
+	case Tuple:
+		key, _ := r.domain(p)
+		r.track(key)
+		r.domQueue[key] = append(r.domQueue[key], p)
+		r.unreplayed++
+		r.tryGrant(key)
 	}
-	if r.cfg.Rejoinable {
-		r.history = append(r.history, m)
+}
+
+// track enters a domain into the deterministic rescan order on first sight.
+func (r *Replayer) track(key uint64) {
+	if !r.domKnown[key] {
+		r.domKnown[key] = true
+		r.domOrder = append(r.domOrder, key)
 	}
-	r.stats.LogMessages++
 }
 
 // SeedCheckpoint initializes a fresh replayer from an epoch checkpoint
@@ -386,7 +324,6 @@ func (r *Replayer) ingest(m shm.Message) {
 // attaches the link). epoch is the checkpoint's epoch number; its marker
 // is retained without re-verification.
 func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCursor, env map[string]string) {
-	r.nextGlobal = seqGlobal
 	r.frontier = seqGlobal
 	r.baseSeqGlobal = seqGlobal
 	r.processed = sent
@@ -394,16 +331,15 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 	r.epochBase = epoch
 	for _, c := range objs {
 		r.objDone[c.Obj] = c.Seq
-		if r.sharded() {
-			r.objSeen[c.Obj] = c.Seq
-			if !r.objKnown[c.Obj] {
-				r.objKnown[c.Obj] = true
-				r.objOrder = append(r.objOrder, c.Obj)
-			}
-		}
+		// The next tuple each domain expects is the one that would carry
+		// this cursor (any Seq_global > 0 implies at least one cursor).
+		key, seq := r.domain(Tuple{Obj: c.Obj, ObjSeq: c.Seq, GlobalSeq: seqGlobal})
+		r.domSeen[key] = seq
+		r.track(key)
 	}
 	if env != nil {
 		r.env = env
+		r.envSeen = true
 		r.envReady = true
 		r.envQ.WakeAll(0)
 	}
@@ -532,38 +468,6 @@ func (r *Replayer) waitEnv(t *kernel.Task) map[string]string {
 	return r.env
 }
 
-// tryGrant hands the head tuple's turn to its shadow thread, if it has
-// arrived at its deterministic section (unsharded discipline).
-func (r *Replayer) tryGrant() {
-	if r.headGranted || r.live || len(r.pending) == 0 {
-		return
-	}
-	tu := r.pending[0]
-	if tu.GlobalSeq != r.nextGlobal {
-		if r.primaryDead {
-			// Coherency fault lost part of the log: everything past the gap
-			// is beyond the stable point and is discarded (§3.5).
-			r.sc.Emit(obs.LogDrop, 0, int64(r.nextGlobal), int64(len(r.pending)))
-			r.stats.Dropped += uint64(len(r.pending))
-			r.pending = nil
-			r.finishPromotion()
-			return
-		}
-		panic(fmt.Sprintf("replication: log gap with live primary: head=%v next=%d", tu, r.nextGlobal))
-	}
-	w, ok := r.waiting[tu.FTPid]
-	if !ok {
-		return // the shadow thread has not reached this section yet
-	}
-	delete(r.waiting, tu.FTPid)
-	r.dropWaitOrder(tu.FTPid)
-	r.headGranted = true
-	w.tuple = tu
-	w.granted = true
-	r.noteGrant(w, tu)
-	r.kern.FutexWakeRaw(w.key, 1)
-}
-
 // noteGrant records a replay grant with the tuple's alignment identity
 // <obj, Seq_obj> (matching the primary's TupleEmit of the same section)
 // and the time the shadow thread spent parked before the grant — the
@@ -589,17 +493,17 @@ func (r *Replayer) grantBarrier() uint64 {
 	return min
 }
 
-// tryGrantObj hands the head of one object's queue to its shadow thread if
-// the thread has arrived at the matching point in its program order
-// (sharded discipline). Thread-order matching happens here — the thread
+// tryGrant hands the head of one domain's queue to its shadow thread if
+// the thread has arrived at the matching point in its program order.
+// Thread-order matching happens here — with per-object domains the thread
 // may legitimately still be short of this tuple while its earlier sections
-// on other objects replay; op/object divergence is still detected by
-// verify after the grant, as in the unsharded engine.
-func (r *Replayer) tryGrantObj(key uint64) {
-	if r.live || r.objGranted[key] {
+// on other objects replay; op/object divergence is detected by verify
+// after the grant.
+func (r *Replayer) tryGrant(key uint64) {
+	if r.live || r.domGranted[key] {
 		return
 	}
-	q := r.objPending[key]
+	q := r.domQueue[key]
 	if len(q) == 0 {
 		return
 	}
@@ -613,19 +517,19 @@ func (r *Replayer) tryGrantObj(key uint64) {
 	}
 	delete(r.waiting, tu.FTPid)
 	r.dropWaitOrder(tu.FTPid)
-	r.objGranted[key] = true
+	r.domGranted[key] = true
 	w.tuple = tu
 	w.granted = true
 	r.noteGrant(w, tu)
 	r.kern.FutexWakeRaw(w.key, 1)
 }
 
-// tryGrantAll rescans every object's queue in first-arrival order — a
+// tryGrantAll rescans every domain's queue in first-arrival order — a
 // deterministic order, unlike a map walk — after an event that can unblock
-// more than one object (a park, a completed section, a lifted barrier).
+// more than one domain (a park, a completed section, a lifted barrier).
 func (r *Replayer) tryGrantAll() {
-	for _, key := range r.objOrder {
-		r.tryGrantObj(key)
+	for _, key := range r.domOrder {
+		r.tryGrant(key)
 	}
 }
 
@@ -639,21 +543,16 @@ func (r *Replayer) dropWaitOrder(ftpid int) {
 }
 
 // park registers the calling shadow thread and blocks until its turn (or
-// until promotion flushes it into live execution). key is the sequencing
-// object of the section the thread is entering.
-func (r *Replayer) park(th *Thread, key uint64) *replWaiter {
+// until promotion flushes it into live execution).
+func (r *Replayer) park(th *Thread) *replWaiter {
 	if _, dup := r.waiting[th.ftpid]; dup {
 		panic(fmt.Sprintf("replication: ft_pid %d parked twice", th.ftpid))
 	}
 	start := th.task.Now()
-	w := &replWaiter{th: th, key: r.kern.NewFutexKey(), obj: key, parkedAt: start}
+	w := &replWaiter{th: th, key: r.kern.NewFutexKey(), parkedAt: start}
 	r.waiting[th.ftpid] = w
 	r.waitOrder = append(r.waitOrder, th.ftpid)
-	if r.sharded() {
-		r.tryGrantAll()
-	} else {
-		r.tryGrant()
-	}
+	r.tryGrantAll()
 	for !w.granted {
 		th.task.FutexWait(w.key, -1)
 	}
@@ -661,33 +560,15 @@ func (r *Replayer) park(th *Thread, key uint64) *replWaiter {
 	return w
 }
 
-// sectionDone advances the replay cursors after the granted shadow thread
-// finished executing its section.
-func (r *Replayer) sectionDone(w *replWaiter) {
-	if r.sharded() {
-		r.sectionDoneSharded(w.tuple)
-		return
-	}
-	tu := r.pending[0]
-	r.objDone[objKey(tu.Op, tu.Obj)] = tu.ObjSeq + 1
-	r.headGranted = false
-	r.pending = r.pending[1:]
-	r.nextGlobal++
-	r.stats.Sections++
-	r.fireHeadSubs()
-	r.tryGrant()
-	if r.primaryDead && len(r.pending) == 0 {
-		r.finishPromotion()
-	}
-}
-
-// sectionDoneSharded releases the object, advances its cursor and folds
+// sectionDone runs after the granted shadow thread finished executing its
+// section: it releases the domain, advances the object's cursor and folds
 // the completed GlobalSeq into the Lamport frontier.
-func (r *Replayer) sectionDoneSharded(tu Tuple) {
-	key := objKey(tu.Op, tu.Obj)
-	r.objGranted[key] = false
-	r.objPending[key] = r.objPending[key][1:]
-	r.objDone[key] = tu.ObjSeq + 1
+func (r *Replayer) sectionDone(w *replWaiter) {
+	tu := w.tuple
+	key, _ := r.domain(tu)
+	r.domGranted[key] = false
+	r.domQueue[key] = r.domQueue[key][1:]
+	r.objDone[objKey(tu.Op, tu.Obj)] = tu.ObjSeq + 1
 	r.unreplayed--
 	r.stats.Sections++
 	r.ahead[tu.GlobalSeq] = true
@@ -754,7 +635,7 @@ func (r *Replayer) section(th *Thread, op pthread.Op, obj uint64, fn func()) {
 		fn()
 		return
 	}
-	w := r.park(th, objKey(op, obj))
+	w := r.park(th)
 	if w.liveFlush {
 		if r.fork != nil {
 			// Promotion forked the namespace into a recording primary:
@@ -784,7 +665,7 @@ func (r *Replayer) resolve(th *Thread, op pthread.Op, obj uint64, block func(), 
 		block()
 		return settle()
 	}
-	w := r.park(th, objKey(op, obj))
+	w := r.park(th)
 	if w.liveFlush {
 		if r.fork != nil {
 			return r.fork.resolve(th, op, obj, block, settle)
@@ -812,7 +693,7 @@ func (r *Replayer) replayed(th *Thread, op pthread.Op, obj uint64) (uint64, []by
 	if r.live {
 		return 0, nil, false, r.fork
 	}
-	w := r.park(th, objKey(op, obj))
+	w := r.park(th)
 	if w.liveFlush {
 		return 0, nil, false, r.fork
 	}
@@ -848,35 +729,24 @@ func (r *Replayer) Promote() {
 	r.headSubs = subs
 	// Drain what the dead primary left in shared memory (§3.5: messages in
 	// the mailbox survive the sender's death).
-	drained := 0
-	if r.sharded() {
-		for _, m := range r.log.Drain() {
-			r.processed++
-			drained++
-			r.route(m)
-		}
-		// The grant tasks are dead: admit everything routed (including
-		// tuples they left queued) directly, without dispatch cost.
-		for _, sh := range r.shardQ {
-			for len(sh.q) > 0 {
-				m := sh.q[0]
-				sh.q = sh.q[1:]
-				r.admit(m)
-			}
-		}
-	} else {
-		for _, m := range r.log.Drain() {
-			r.processed++
-			drained++
-			r.ingest(m)
+	drained := r.log.Drain()
+	r.processed += uint64(len(drained))
+	for _, m := range drained {
+		r.route(m)
+	}
+	// The lane owners are dead: deliver everything routed (including what
+	// they left queued mid-dispatch) directly, without dispatch cost.
+	for _, ln := range r.lanes {
+		for len(ln.q) > 0 {
+			r.deliver(ln)
 		}
 	}
-	r.sc.Emit(obs.Promote, 0, int64(r.head()), int64(drained))
-	if r.outstanding() == 0 {
+	r.sc.Emit(obs.Promote, 0, int64(r.head()), int64(len(drained)))
+	if r.unreplayed == 0 {
 		r.finishPromotion()
 	}
 	// Otherwise replay continues as shadow threads arrive; the last
-	// sectionDone (or a detected log gap) completes the promotion.
+	// sectionDone completes the promotion.
 }
 
 func (r *Replayer) finishPromotion() {
@@ -923,13 +793,14 @@ func (r *Replayer) objSeqSnapshot() map[uint64]uint64 {
 // replayedHistory returns the executed subset of the retained log — every
 // environment message plus exactly the tuples whose sections replayed —
 // with GlobalSeq renumbered densely in retained (ring) order from the
-// retention window's base. Unsharded with a zero base, the replayed set
-// is the first nextGlobal tuples and the renumbering is the identity.
-// Sharded, sections completed past a promotion gap would leave holes
-// below the Lamport maximum; dropping unreplayed tuples and renumbering
-// restores a dense, causally consistent order (ring order respects every
-// per-thread and per-object order), so a backup rejoining the fork can
-// replay the history under either discipline. Epoch markers are dropped:
+// retention window's base. With one sequencing domain and a zero base the
+// replayed set is a prefix and the renumbering is the identity. With
+// per-object domains, sections completed ahead of the frontier would leave
+// holes below the Lamport maximum; dropping unreplayed tuples and
+// renumbering restores a dense, causally consistent order (ring order
+// respects every per-thread and per-object order), so a backup rejoining
+// the fork can replay the history under either domain mapping. Epoch
+// markers are dropped:
 // their digests describe the dead primary's numbering, and the fork's
 // cutter starts a fresh boundary sequence over the renumbered space. It
 // returns the history and the fork's starting GlobalSeq.

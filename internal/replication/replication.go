@@ -244,10 +244,11 @@ type Config struct {
 	CommitQuorum int
 	// DetShards is the number of det-section locks the namespace global
 	// mutex is sharded across (<= 1 selects the paper's single global
-	// mutex and is byte-identical to the unsharded engine). With more
-	// shards, sections on different sequencing objects record and replay
-	// concurrently; per-object FIFO hand-off and per-thread program order
-	// are preserved, so race-free applications replay deterministically.
+	// mutex: one lock on the recorder, one sequencing domain and one
+	// inline dispatch lane on the replayer). With more shards, sections
+	// on different sequencing objects record and replay concurrently;
+	// per-object FIFO hand-off and per-thread program order are
+	// preserved, so race-free applications replay deterministically.
 	DetShards int
 	// Rejoinable retains the full log history on both sides so a fresh
 	// backup can be re-integrated after a failure: the recorder keeps
@@ -315,7 +316,6 @@ type Stats struct {
 	LogBatches   uint64 // vectored ring transfers: flushes (primary) or multi-tuple deliveries drained (secondary)
 	AckMessages  uint64 // cumulative acknowledgements sent (secondary)
 	Divergences  uint64 // replay mismatches detected (secondary)
-	Dropped      uint64 // log tuples discarded at promotion (gap after fault)
 	Duplicates   uint64 // stale log messages discarded by the replayer (injected duplicates)
 	EpochCuts    uint64 // epoch checkpoint markers emitted (primary)
 	LogTruncated uint64 // retained log messages dropped at verified epoch boundaries

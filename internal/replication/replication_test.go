@@ -56,7 +56,7 @@ func newDuo(t *testing.T, seed int64, cfg replication.Config, fifo bool) *duo {
 	acks := fabric.NewRing("ftns.acks", 1, 64<<10)
 	return &duo{
 		sim: s, mach: m, fabric: fabric, pk: pk, sk: sk,
-		pns: replication.NewPrimary("ftns", pk, cfg, log, acks),
+		pns: replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks}),
 		sns: replication.NewSecondary("ftns", sk, cfg, log, acks),
 		log: log, acks: acks,
 	}
@@ -371,7 +371,7 @@ func TestOutputCommitWaitsForAck(t *testing.T) {
 	cfg.StrictOutputCommit = true
 	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
 	acks := fabric.NewRing("acks", 1, 64<<10)
-	pns := replication.NewPrimary("ftns", pk, cfg, log, acks)
+	pns := replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
 	sns := replication.NewSecondary("ftns", sk, cfg, log, acks)
 
 	var releasedAt, requestedAt sim.Time
@@ -494,6 +494,39 @@ func TestPromotionAfterPrimaryDeath(t *testing.T) {
 	}
 	if pCount == 4*200 {
 		t.Skip("primary finished before the injected failure; timing too fast to exercise failover")
+	}
+}
+
+// TestPromotionReplaysAcknowledgedTail promotes while the pull task is
+// mid-batch: it has acknowledged a batch at receipt (§3.5) and is still
+// paying the per-tuple dispatch cost. Every tuple behind the receipt
+// watermark, and every one the dead primary left delivered in the ring,
+// must be replayed before the replica goes live — the primary may already
+// have released output that depends on them.
+func TestPromotionReplaysAcknowledgedTail(t *testing.T) {
+	d := newDuo(t, 11, replication.DefaultConfig(), true)
+	var pCount, sCount int
+	d.pns.Start("app", nil, lockCounterApp(&pCount, 4, 200))
+	d.sns.Start("app", nil, lockCounterApp(&sCount, 4, 200))
+	var want, headAtKill uint64
+	d.sim.Schedule(40*time.Millisecond, func() {
+		d.pk.Panic("injected failure", nil)
+		// Received plus delivered-but-unpulled messages, less the env one.
+		want = d.sns.Processed() + uint64(d.log.Len()) - 1
+		headAtKill = d.sns.ReplayHead()
+		d.sns.Replayer().Promote()
+	})
+	if err := d.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if headAtKill >= want {
+		t.Fatalf("replay head %d had no backlog behind %d received tuples: the kill must land mid-batch", headAtKill, want)
+	}
+	if got := d.sns.Stats().Sections; got != want {
+		t.Errorf("replayed %d sections, want all %d tuples received or left in the ring", got, want)
+	}
+	if sCount != 4*200 {
+		t.Errorf("secondary finished %d increments, want %d (live continuation)", sCount, 4*200)
 	}
 }
 

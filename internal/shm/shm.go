@@ -17,10 +17,8 @@
 // cursor plus FIFO capacity admission), writes payloads in place with
 // Span.Put, and publishes the whole span with one Commit — the single
 // release-store the consumer's acquire-load pairs with. Send and
-// SendBatch are thin wrappers over that path. The pre-optimization
-// baseline — a global sender mutex protecting a copy-in — is preserved
-// as a switchable model (SetSenderModel) so benchmarks can quantify the
-// win; see DESIGN.md §14 for the memory-model argument.
+// SendBatch are thin wrappers over that path; see DESIGN.md §14 for the
+// memory-model argument.
 //
 // Because the rings live in shared memory, messages survive the death of
 // the sending kernel: only a cache-coherency-disrupting fault can lose the
@@ -68,13 +66,9 @@ type Stats struct {
 	Dropped  int64 // payloads lost to coherency faults
 
 	// ReserveWaits counts reservations that had to park for capacity
-	// (drain-rate backpressure events); LockWaits counts parks on the
-	// sender mutex of the locked-copy baseline model. SendWaitNs is the
-	// total virtual time senders spent blocked in either state — the
-	// "sender blocking" signal the fabric benchmark compares across
-	// models.
+	// (drain-rate backpressure events); SendWaitNs is the total virtual
+	// time senders spent parked there.
 	ReserveWaits int64
-	LockWaits    int64
 	SendWaitNs   int64
 
 	// HighWaterBytes is the peak occupancy (delivered + in flight) the
@@ -96,7 +90,6 @@ func (s Stats) add(o Stats) Stats {
 		Bytes:          s.Bytes + o.Bytes,
 		Dropped:        s.Dropped + o.Dropped,
 		ReserveWaits:   s.ReserveWaits + o.ReserveWaits,
-		LockWaits:      s.LockWaits + o.LockWaits,
 		SendWaitNs:     s.SendWaitNs + o.SendWaitNs,
 		HighWaterBytes: hw,
 	}
@@ -133,36 +126,6 @@ type slot struct {
 	bytes int64
 }
 
-// SenderModel selects how the sending side of a ring is modelled.
-type SenderModel int
-
-const (
-	// SenderLockFree is the reserve/commit MPSC path: claim order is
-	// publication order, producers never serialize on a mutex, and
-	// payloads are written in place (no copy cost).
-	SenderLockFree SenderModel = iota
-
-	// SenderLockedCopy is the pre-optimization baseline: every blocking
-	// send takes a global per-ring mutex and pays a modelled copy-in cost
-	// while holding it. Kept switchable so `ftbench -exp fabric` can
-	// measure what the lock-free reservation buys.
-	SenderLockedCopy
-)
-
-// LockedCopyCost is the modelled cost of the locked-copy baseline's
-// critical section: slot bookkeeping per payload plus the memcpy into the
-// ring, both paid while the sender mutex is held.
-type LockedCopyCost struct {
-	PerPayload time.Duration
-	PerByte    time.Duration
-}
-
-// DefaultLockedCopyCost models a contended cache line plus memcpy:
-// ~1µs of slot accounting per payload and 2ns/byte of copy bandwidth.
-func DefaultLockedCopyCost() LockedCopyCost {
-	return LockedCopyCost{PerPayload: time.Microsecond, PerByte: 2 * time.Nanosecond}
-}
-
 // Ring is a bounded unidirectional mailbox. It is identified by the sending
 // partition so that a coherency fault on that partition can drop its
 // in-flight messages.
@@ -187,11 +150,6 @@ type Ring struct {
 	resQ  []*resTicket // reservations waiting for capacity, claim order
 	spans []*Span      // admitted spans not yet published, claim order
 
-	model    SenderModel
-	copyCost LockedCopyCost
-	lockQ    *sim.WaitQueue // locked-copy baseline: parked lock waiters
-	locked   bool           // locked-copy baseline: sender mutex state
-
 	chaos       func(msgs []Message) ChaosVerdict
 	lastDeliver sim.Time // latest scheduled delivery instant, FIFO clamp
 
@@ -208,11 +166,9 @@ type StreamStats struct {
 
 // Fabric owns every ring of a deployment.
 type Fabric struct {
-	sim      *sim.Simulation
-	latency  time.Duration
-	rings    []*Ring
-	model    SenderModel
-	copyCost LockedCopyCost
+	sim     *sim.Simulation
+	latency time.Duration
+	rings   []*Ring
 }
 
 // NewFabric creates a fabric whose rings propagate messages with the given
@@ -235,31 +191,10 @@ func (f *Fabric) NewRing(name string, src int, capBytes int64) *Ring {
 		latency:  f.latency,
 		sendQ:    sim.NewWaitQueue(f.sim),
 		recvQ:    sim.NewWaitQueue(f.sim),
-		lockQ:    sim.NewWaitQueue(f.sim),
-		model:    f.model,
-		copyCost: f.copyCost,
 	}
 	f.rings = append(f.rings, r)
 	return r
 }
-
-// SetSenderModel switches every ring of the fabric (existing and future)
-// between the lock-free reserve/commit path and the locked-copy baseline.
-// The zero-valued cost means "use DefaultLockedCopyCost".
-func (f *Fabric) SetSenderModel(m SenderModel, cost LockedCopyCost) {
-	if m == SenderLockedCopy && cost == (LockedCopyCost{}) {
-		cost = DefaultLockedCopyCost()
-	}
-	f.model = m
-	f.copyCost = cost
-	for _, r := range f.rings {
-		r.model = m
-		r.copyCost = cost
-	}
-}
-
-// SenderModel reports which sending-side model the ring runs.
-func (r *Ring) SenderModel() SenderModel { return r.model }
 
 // Stats aggregates traffic across all rings of the fabric.
 func (f *Fabric) Stats() Stats {
@@ -422,15 +357,11 @@ func (r *Ring) TrySend(m Message) bool {
 
 // TrySendBatch attempts a non-blocking vectored send of all msgs as one
 // transfer. It reports false (sending nothing) if the ring lacks space for
-// the whole batch, if earlier reservations are queued (claiming now would
-// publish out of order), or — under the locked-copy baseline — if the
-// sender mutex is held. An empty batch trivially succeeds.
+// the whole batch or if earlier reservations are queued (claiming now
+// would publish out of order). An empty batch trivially succeeds.
 func (r *Ring) TrySendBatch(msgs []Message) bool {
 	if len(msgs) == 0 {
 		return true
-	}
-	if r.model == SenderLockedCopy && r.locked {
-		return false
 	}
 	sp := r.TryReserve(len(msgs), payloadBytes(msgs))
 	if sp == nil {
@@ -456,9 +387,7 @@ func (r *Ring) Send(p *sim.Proc, m Message) {
 // a single slot header and a single propagation event, blocking while the
 // batch does not fit. The batch is delivered atomically: receivers observe
 // its members contiguously and in order. It is a wrapper over the
-// reserve/commit path — under the locked-copy baseline model it first
-// takes the ring's sender mutex and pays the modelled copy-in cost while
-// holding it.
+// reserve/commit path.
 func (r *Ring) SendBatch(p *sim.Proc, msgs []Message) {
 	if len(msgs) == 0 {
 		return
@@ -467,46 +396,11 @@ func (r *Ring) SendBatch(p *sim.Proc, msgs []Message) {
 	if fp > r.capBytes {
 		panic(fmt.Sprintf("shm: batch of %d bytes exceeds ring %q capacity %d", fp, r.name, r.capBytes))
 	}
-	if r.model == SenderLockedCopy {
-		r.lockSender(p)
-		// Deferred so a sender killed mid-copy (or mid-admission) releases
-		// the mutex as its process unwinds instead of jamming the ring.
-		defer r.unlockSender()
-		if hold := r.copyHold(msgs); hold > 0 {
-			p.Sleep(hold)
-		}
-	}
 	sp := r.Reserve(p, len(msgs), payloadBytes(msgs))
 	for _, m := range msgs {
 		sp.Put(m)
 	}
 	sp.Commit()
-}
-
-// copyHold is the modelled duration of the locked-copy critical section.
-func (r *Ring) copyHold(msgs []Message) time.Duration {
-	return time.Duration(len(msgs))*r.copyCost.PerPayload +
-		time.Duration(payloadBytes(msgs))*r.copyCost.PerByte
-}
-
-// lockSender takes the locked-copy baseline's per-ring sender mutex.
-func (r *Ring) lockSender(p *sim.Proc) {
-	start := r.sim.Now()
-	waited := false
-	for r.locked {
-		waited = true
-		r.lockQ.Wait(p)
-	}
-	r.locked = true
-	if waited {
-		r.stats.LockWaits++
-		r.stats.SendWaitNs += int64(r.sim.Now().Sub(start))
-	}
-}
-
-func (r *Ring) unlockSender() {
-	r.locked = false
-	r.lockQ.WakeAll(0)
 }
 
 // SetChaosHook installs a fault-injection hook consulted once per

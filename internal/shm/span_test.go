@@ -377,70 +377,6 @@ func TestTryReserveRefusesToJumpQueue(t *testing.T) {
 	}
 }
 
-// TestLockedCopyBaselineSerializes: under the locked-copy model,
-// concurrent batch sends contend on the per-ring sender mutex and the
-// wait shows up in LockWaits/SendWaitNs; the lock-free default never
-// touches those counters.
-func TestLockedCopyBaselineSerializes(t *testing.T) {
-	s := sim.New(1)
-	f := NewFabric(s, time.Microsecond)
-	f.SetSenderModel(SenderLockedCopy, LockedCopyCost{})
-	r := f.NewRing("x", 0, 1<<20)
-	if r.SenderModel() != SenderLockedCopy {
-		t.Fatal("SetSenderModel did not apply to an existing ring")
-	}
-	batch := func(kind int) []Message {
-		return []Message{{Kind: kind, Size: 4096}, {Kind: kind, Size: 4096}}
-	}
-	for i := 0; i < 2; i++ {
-		kind := i + 1
-		s.Spawn("sender", func(p *sim.Proc) {
-			r.SendBatch(p, batch(kind))
-		})
-	}
-	s.Spawn("receiver", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			r.Recv(p)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	st := r.Stats()
-	if st.LockWaits == 0 || st.SendWaitNs == 0 {
-		t.Errorf("LockWaits=%d SendWaitNs=%d, want contention on the sender mutex", st.LockWaits, st.SendWaitNs)
-	}
-	if st.Payloads != 4 || st.Messages != 2 {
-		t.Errorf("stats = %+v, want both batches through", st)
-	}
-}
-
-// TestTrySendFailsWhileCopyHoldsLock: the locked-copy baseline rejects
-// non-blocking sends while another sender holds the mutex mid-copy.
-func TestTrySendFailsWhileCopyHoldsLock(t *testing.T) {
-	s := sim.New(1)
-	f := NewFabric(s, time.Microsecond)
-	f.SetSenderModel(SenderLockedCopy, LockedCopyCost{PerPayload: time.Millisecond})
-	r := f.NewRing("x", 0, 1<<20)
-	var refused bool
-	s.Spawn("copier", func(p *sim.Proc) {
-		r.SendBatch(p, []Message{{Kind: 1, Size: 8}})
-	})
-	s.Spawn("trier", func(p *sim.Proc) {
-		p.Sleep(100 * time.Microsecond) // mid-copy: the mutex is held
-		refused = !r.TrySend(Message{Kind: 2, Size: 8})
-	})
-	s.Spawn("receiver", func(p *sim.Proc) {
-		r.Recv(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !refused {
-		t.Error("TrySend succeeded while the locked-copy sender mutex was held")
-	}
-}
-
 // TestKilledReserverUnjamsQueue: a process killed while parked in
 // Reserve must have its ticket removed, or the claim queue stalls every
 // later sender behind a dead process.

@@ -126,69 +126,56 @@ func DefaultGateConfig() GateConfig {
 	return GateConfig{PerSegment: 20 * time.Microsecond, PerByte: 9 * time.Nanosecond}
 }
 
-// NewPrimary attaches replication to the given stack with the default
-// egress cost model and sync batching policy. sync is the shared-memory
-// ring to the (single) secondary.
-func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, sync *shm.Ring) *Primary {
-	return NewPrimaryMulti(ns, stack, []*shm.Ring{sync}, DefaultGateConfig(), DefaultSyncConfig())
+// PrimaryConfig wires the primary side of TCP-stack replication.
+type PrimaryConfig struct {
+	// Syncs is one sync ring per backup, in the same link order as the
+	// det-log fan-out (replica-set slot order), so link indices agree with
+	// the recorder's and DropRing can be driven from the same failure
+	// notification. With no rings the primary is detached — a promoted or
+	// degraded kernel recording without a backup: callbacks maintain the
+	// retained connection log but nothing is streamed and output is
+	// released at native speed, until AttachRing flips it into streaming
+	// mode when a rejoining backup is ready.
+	Syncs []*shm.Ring
+	// Gate is the egress cost model; zero selects DefaultGateConfig.
+	Gate GateConfig
+	// Sync is the delta batching policy; zero selects DefaultSyncConfig.
+	Sync SyncConfig
+	// History is the retained connection log to continue (a promoted
+	// secondary's HistoryLog). A detached primary always retains, starting
+	// an empty log when History is nil; an attached one retains only from
+	// EnableRetention.
+	History *ConnLog
 }
 
-// NewPrimaryGate is NewPrimary with an explicit egress cost model.
-func NewPrimaryGate(ns *replication.Namespace, stack *tcpstack.Stack, sync *shm.Ring, gate GateConfig) *Primary {
-	return NewPrimaryMulti(ns, stack, []*shm.Ring{sync}, gate, DefaultSyncConfig())
-}
-
-// NewPrimaryFull is NewPrimary with explicit egress and sync policies.
-func NewPrimaryFull(ns *replication.Namespace, stack *tcpstack.Stack, sync *shm.Ring, gate GateConfig, syncCfg SyncConfig) *Primary {
-	return NewPrimaryMulti(ns, stack, []*shm.Ring{sync}, gate, syncCfg)
-}
-
-// NewPrimaryMulti attaches replication with one sync ring per backup, in
-// the same link order as the det-log fan-out (replica-set slot order), so
-// link indices agree with the recorder's and DropRing can be driven from
-// the same failure notification.
-func NewPrimaryMulti(ns *replication.Namespace, stack *tcpstack.Stack, syncs []*shm.Ring, gate GateConfig, syncCfg SyncConfig) *Primary {
-	if syncCfg.BatchUpdates > 1 && syncCfg.FlushInterval <= 0 {
-		syncCfg.FlushInterval = DefaultSyncConfig().FlushInterval
+// NewPrimary attaches replication to the given stack.
+func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryConfig) *Primary {
+	if cfg.Gate == (GateConfig{}) {
+		cfg.Gate = DefaultGateConfig()
+	}
+	if cfg.Sync == (SyncConfig{}) {
+		cfg.Sync = DefaultSyncConfig()
+	}
+	if cfg.Sync.BatchUpdates > 1 && cfg.Sync.FlushInterval <= 0 {
+		cfg.Sync.FlushInterval = DefaultSyncConfig().FlushInterval
 	}
 	p := &Primary{
 		ns:     ns,
 		stack:  stack,
-		cfg:    syncCfg,
+		cfg:    cfg.Sync,
+		clog:   cfg.History,
 		flushQ: sim.NewWaitQueue(ns.Kernel().Sim()),
 	}
-	for _, sync := range syncs {
+	for _, sync := range cfg.Syncs {
 		p.links = append(p.links, &syncLink{ring: sync})
 	}
-	p.hook(gate)
-	if syncCfg.BatchUpdates > 1 {
+	p.hook(cfg.Gate)
+	if len(p.links) == 0 {
+		p.EnableRetention()
+	} else if cfg.Sync.BatchUpdates > 1 {
 		p.flusherUp = true
 		ns.Kernel().Spawn("tcprep-flush", p.flushLoop)
 	}
-	return p
-}
-
-// NewDetachedPrimary wires a promoted (or degraded) kernel's stack for
-// recording without a backup: callbacks maintain the retained connection
-// log but nothing is streamed and output is released at native speed. clog
-// carries the history up to this point (a promoted secondary's HistoryLog,
-// or nil to start empty). AttachRing later flips the primary into
-// streaming mode when a rejoining backup is ready.
-func NewDetachedPrimary(ns *replication.Namespace, stack *tcpstack.Stack, gate GateConfig, syncCfg SyncConfig, clog *ConnLog) *Primary {
-	if syncCfg.BatchUpdates > 1 && syncCfg.FlushInterval <= 0 {
-		syncCfg.FlushInterval = DefaultSyncConfig().FlushInterval
-	}
-	if clog == nil {
-		clog = NewConnLog()
-	}
-	p := &Primary{
-		ns:     ns,
-		stack:  stack,
-		cfg:    syncCfg,
-		clog:   clog,
-		flushQ: sim.NewWaitQueue(ns.Kernel().Sim()),
-	}
-	p.hook(gate)
 	return p
 }
 

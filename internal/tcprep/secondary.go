@@ -101,19 +101,9 @@ type SecondaryConfig struct {
 // cost (§4.2).
 const DefaultSecondaryCost = 25 * time.Microsecond
 
-// NewSecondary starts the sync-state maintainer on the secondary kernel
-// with the default per-update processing cost.
-func NewSecondary(k *kernel.Kernel, sync *shm.Ring) *Secondary {
-	return NewSecondaryOpts(k, sync, SecondaryConfig{Cost: DefaultSecondaryCost})
-}
-
-// NewSecondaryCost is NewSecondary with an explicit per-update CPU cost.
-func NewSecondaryCost(k *kernel.Kernel, sync *shm.Ring, cost time.Duration) *Secondary {
-	return NewSecondaryOpts(k, sync, SecondaryConfig{Cost: cost})
-}
-
-// NewSecondaryOpts creates the sync-state maintainer with explicit policy.
-func NewSecondaryOpts(k *kernel.Kernel, sync *shm.Ring, cfg SecondaryConfig) *Secondary {
+// NewSecondary creates the sync-state maintainer on the secondary kernel
+// and, unless cfg.DeferPull, starts it.
+func NewSecondary(k *kernel.Kernel, sync *shm.Ring, cfg SecondaryConfig) *Secondary {
 	s := &Secondary{
 		kern:     k,
 		sync:     sync,
