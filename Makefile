@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check golden loc trace chaos diag
+.PHONY: all build vet lint test race bench bench-sim bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check golden loc trace chaos diag
 
 all: check
 
@@ -26,6 +26,12 @@ race:
 # smoke test rather than a measurement run.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# The sim layer's micro-benchmarks: host ns/op and allocs/op of a process
+# switch, a wake-up, a one-shot callback fired or cancelled, and a re-armed
+# event (DESIGN.md §19). Blocking, waking and re-arming read 0 allocs/op.
+bench-sim:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim
 
 # Per-object sequencing sweep (DESIGN.md §13): thread counts x {shared,
 # independent} locks x det shards {1, 4}, regenerating the checked-in

@@ -141,6 +141,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	defer sys.Sim.Shutdown()
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		return err

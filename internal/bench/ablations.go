@@ -21,6 +21,7 @@ func ftPBZIPRate(cfg core.Config, blockKB int, window time.Duration) (sustained 
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
+	defer sys.Sim.Shutdown()
 	var fst, sst pbzip2.Stats
 	pcfg := pbzipCfg(blockKB, window)
 	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, pcfg, &fst) })
@@ -43,6 +44,7 @@ func ftMongooseLatency(cfg core.Config, window time.Duration) (float64, time.Dur
 	if err != nil {
 		return 0, 0, err
 	}
+	defer sys.Sim.Shutdown()
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		return 0, 0, err

@@ -82,6 +82,7 @@ func batchPoint(batch int, opts BatchSweepOpts) (BatchPoint, error) {
 	start := time.Now()
 
 	s := sim.New(opts.Seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.Opteron6376x4())
 	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
 	if err != nil {

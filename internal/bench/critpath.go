@@ -86,6 +86,7 @@ func critPathPoint(workload string, threads, shards, batch int, opts CritPathOpt
 	start := time.Now()
 
 	s := sim.New(opts.Seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.Opteron6376x4())
 	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
 	if err != nil {

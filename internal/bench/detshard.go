@@ -192,6 +192,7 @@ func detShardPoint(threads, shards int, workload string, opts DetShardOpts) (Det
 	start := time.Now()
 
 	s := sim.New(opts.Seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.Opteron6376x4())
 	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
 	if err != nil {

@@ -155,6 +155,7 @@ func epochPoint(uptime time.Duration, epochs bool, opts EpochOpts) (EpochPoint, 
 	if err != nil {
 		return point, err
 	}
+	defer sys.Sim.Shutdown()
 	client, err := sys.AttachNetwork(simnet.LinkConfig{BitsPerSec: 100e6, Latency: 100 * time.Microsecond})
 	if err != nil {
 		return point, err

@@ -214,6 +214,7 @@ func fabricRawPoint(threads int, opts FabricOpts) (FabricPoint, error) {
 	start := time.Now()
 
 	s := sim.New(opts.Seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.Opteron6376x4())
 	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
 	if err != nil {
@@ -352,6 +353,7 @@ func fabricPoint(mode, workload string, threads, batch int, opts FabricOpts) (Fa
 	wl := fabricWorkloadFor(workload, opts)
 
 	s := sim.New(opts.Seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.Opteron6376x4())
 	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
 	if err != nil {

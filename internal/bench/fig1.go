@@ -29,30 +29,39 @@ func Fig1Multipliers() []int { return []int{3, 30, 60, 90, 120, 150, 180} }
 func Fig1(multipliers []int) ([]Fig1Row, error) {
 	var rows []Fig1Row
 	for _, mult := range multipliers {
-		s := sim.New(1)
-		m := hw.New(s, hw.MemDumpMachine())
-		part, err := m.NewPartition("linux", 0, 1, 2, 3, 4, 5, 6, 7)
+		row, err := fig1Row(mult)
 		if err != nil {
 			return nil, err
 		}
-		k, err := kernel.Boot(part, kernel.Config{Name: "linux"})
-		if err != nil {
-			return nil, err
-		}
-		snap, err := memcached.ApplyLoad(k.Mem(), memcached.DefaultLoadModel(), mult)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fig1 at %dx: %w", mult, err)
-		}
-		pct := func(b int64) float64 { return 100 * float64(b) / float64(snap.Total) }
-		rows = append(rows, Fig1Row{
-			Multiplier: mult,
-			Ignored:    pct(snap.Ignored),
-			Delayed:    pct(snap.Delayed),
-			User:       pct(snap.User),
-			Free:       pct(snap.Free),
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+func fig1Row(mult int) (Fig1Row, error) {
+	s := sim.New(1)
+	defer s.Shutdown()
+	m := hw.New(s, hw.MemDumpMachine())
+	part, err := m.NewPartition("linux", 0, 1, 2, 3, 4, 5, 6, 7)
+	if err != nil {
+		return Fig1Row{}, err
+	}
+	k, err := kernel.Boot(part, kernel.Config{Name: "linux"})
+	if err != nil {
+		return Fig1Row{}, err
+	}
+	snap, err := memcached.ApplyLoad(k.Mem(), memcached.DefaultLoadModel(), mult)
+	if err != nil {
+		return Fig1Row{}, fmt.Errorf("bench: fig1 at %dx: %w", mult, err)
+	}
+	pct := func(b int64) float64 { return 100 * float64(b) / float64(snap.Total) }
+	return Fig1Row{
+		Multiplier: mult,
+		Ignored:    pct(snap.Ignored),
+		Delayed:    pct(snap.Delayed),
+		User:       pct(snap.User),
+		Free:       pct(snap.Free),
+	}, nil
 }
 
 // FaultOutcomeRow is one row of the §2.2 fault-model sweep: the fate of a
@@ -72,6 +81,7 @@ type FaultOutcomeRow struct {
 func FaultOutcomes(multiplier, n int, corrected bool, seed int64) (FaultOutcomeRow, error) {
 	row := FaultOutcomeRow{Multiplier: multiplier, Corrected: corrected}
 	s := sim.New(seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.MemDumpMachine())
 	part, err := m.NewPartition("linux", 0, 1, 2, 3, 4, 5, 6, 7)
 	if err != nil {

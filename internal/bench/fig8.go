@@ -77,6 +77,7 @@ func Fig8(opts Fig8Opts) (Fig8Result, error) {
 			if err != nil {
 				return nil, nil, err
 			}
+			defer base.Sim.Shutdown()
 			client, err := base.AttachNetwork(simnet.GigabitEthernet())
 			if err != nil {
 				return nil, nil, err
@@ -95,6 +96,7 @@ func Fig8(opts Fig8Opts) (Fig8Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		defer sys.Sim.Shutdown()
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 		if err != nil {
 			return nil, nil, err

@@ -26,6 +26,7 @@ func IntraVsInterLatency(seed int64, rounds int) (LatencyResult, error) {
 
 	// Intra-machine: mailbox between the two partitions.
 	s := sim.New(seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.Opteron6376x4())
 	p0, err := m.NewPartition("p0", 0, 1, 2, 3)
 	if err != nil {
@@ -57,6 +58,7 @@ func IntraVsInterLatency(seed int64, rounds int) (LatencyResult, error) {
 
 	// Inter-machine: one-way delay of a small frame over the LAN link.
 	s2 := sim.New(seed)
+	defer s2.Shutdown()
 	a := simnet.NewNIC("a", nil)
 	b := simnet.NewNIC("b", nil)
 	if _, err := simnet.Connect(s2, a, b, simnet.LAN135us()); err != nil {
@@ -101,6 +103,7 @@ type WakeLatencyResult struct {
 func WakeLatency(seed int64, rounds int) (WakeLatencyResult, error) {
 	var res WakeLatencyResult
 	s := sim.New(seed)
+	defer s.Shutdown()
 	m := hw.New(s, hw.Opteron6376x4())
 	part, err := m.NewPartition("p", 0, 1, 2, 3)
 	if err != nil {

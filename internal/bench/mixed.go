@@ -66,6 +66,7 @@ func Mixed(opts MixedOpts) (MixedResult, error) {
 	if err != nil {
 		return res, err
 	}
+	defer base.Sim.Shutdown()
 	bclient, err := base.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		return res, err
@@ -91,6 +92,7 @@ func Mixed(opts MixedOpts) (MixedResult, error) {
 	if err != nil {
 		return res, err
 	}
+	defer sys.Sim.Shutdown()
 	fclient, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		return res, err

@@ -72,6 +72,7 @@ func mongoosePoint(step int, opts MongooseOpts) (MongoosePoint, error) {
 	if err != nil {
 		return point, err
 	}
+	defer base.Sim.Shutdown()
 	bclient, err := base.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		return point, err
@@ -96,6 +97,7 @@ func mongoosePoint(step int, opts MongooseOpts) (MongoosePoint, error) {
 	if err != nil {
 		return point, err
 	}
+	defer sys.Sim.Shutdown()
 	fclient, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		return point, err

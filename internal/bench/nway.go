@@ -191,6 +191,7 @@ func nwayPoint(n, q int, opts NWayOpts) (NWayPoint, error) {
 	if err != nil {
 		return point, err
 	}
+	defer sys.Sim.Shutdown()
 
 	lagged := laggedLogRing(n)
 	found := false

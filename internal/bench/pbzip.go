@@ -76,6 +76,7 @@ func pbzipPoint(kb int, opts PBZIPOpts) (PBZIPPoint, error) {
 	if err != nil {
 		return point, err
 	}
+	defer base.Sim.Shutdown()
 	var bst pbzip2.Stats
 	bcfg := pbzipCfg(kb, opts.Window/2)
 	base.Launch("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, bcfg, &bst) })
@@ -97,6 +98,7 @@ func pbzipPoint(kb int, opts PBZIPOpts) (PBZIPPoint, error) {
 	if err != nil {
 		return point, err
 	}
+	defer sys.Sim.Shutdown()
 	var fst, sst pbzip2.Stats
 	fcfg := pbzipCfg(kb, opts.Window)
 	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, fcfg, &fst) })

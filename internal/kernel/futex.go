@@ -14,7 +14,8 @@ import (
 // — the ablation benchmarks quantify this.
 type futexTable struct {
 	k       *Kernel
-	queues  map[uint64]*sim.WaitQueue
+	queues  map[uint64]*sim.WaitQueue // keys with parked tasks only
+	free    []*sim.WaitQueue          // emptied queues, for the next key that needs one
 	nextKey uint64
 }
 
@@ -29,19 +30,27 @@ func (k *Kernel) NewFutexKey() uint64 {
 	return k.futex.nextKey
 }
 
-func (f *futexTable) queue(key uint64) *sim.WaitQueue {
-	q, ok := f.queues[key]
-	if !ok {
-		q = sim.NewWaitQueue(f.k.sim)
-		f.queues[key] = q
-	}
-	return q
-}
-
 // FutexWait parks the task on the futex key. A negative timeout waits
 // forever. It reports true when woken by FutexWake and false on timeout.
 func (t *Task) FutexWait(key uint64, timeout time.Duration) bool {
-	q := t.kernel.futex.queue(key)
+	f := t.kernel.futex
+	q := f.queues[key]
+	if q == nil {
+		if n := len(f.free); n > 0 {
+			q, f.free = f.free[n-1], f.free[:n-1]
+		} else {
+			q = new(sim.WaitQueue)
+		}
+		f.queues[key] = q
+	}
+	// Keys are per waiter and never reused, so a queue is kept only while
+	// tasks are parked on it. Deferred: a killed task unwinds through here.
+	defer func() {
+		if q.Len() == 0 && f.queues[key] == q {
+			delete(f.queues, key)
+			f.free = append(f.free, q)
+		}
+	}()
 	if timeout < 0 {
 		q.Wait(t.proc)
 		return true
@@ -60,9 +69,9 @@ func (t *Task) FutexWake(key uint64, n int) int {
 // FutexWakeRaw is FutexWake callable from scheduler context (e.g. a timer
 // event) rather than from a task.
 func (k *Kernel) FutexWakeRaw(key uint64, n int) int {
-	q := k.futex.queue(key)
+	q := k.futex.queues[key]
 	woken := 0
-	for woken < n && q.Len() > 0 {
+	for q != nil && woken < n && q.Len() > 0 {
 		if k.params.FutexFIFO {
 			q.WakeOne(k.params.WakeBase)
 		} else {

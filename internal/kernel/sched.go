@@ -16,10 +16,16 @@ type Task struct {
 	tid    int
 	name   string
 
-	wakeQ    *sim.WaitQueue // personal queue for core hand-off
-	core     int            // core assigned by a releasing task, -1 otherwise
-	doneQ    *sim.WaitQueue // joiners
+	wakeQ    sim.WaitQueue // personal queue for core hand-off
+	core     int           // core assigned by a releasing task, -1 otherwise
+	doneQ    sim.WaitQueue // joiners
 	finished bool
+
+	// A task computes on at most one core at a time, so its timeslice and
+	// the timer that ends it live in the task and are reused slice after
+	// slice.
+	slice      runSlice
+	sliceTimer sim.Event
 }
 
 // scheduler multiplexes tasks over the kernel's cores.
@@ -44,7 +50,6 @@ type runSlice struct {
 	core      int
 	batch     bool
 	start     sim.Time
-	timer     *sim.Event
 	finished  bool
 	preempted bool
 }
@@ -71,9 +76,8 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 		tid:    k.nextTID,
 		name:   name,
 		core:   -1,
-		wakeQ:  sim.NewWaitQueue(k.sim),
-		doneQ:  sim.NewWaitQueue(k.sim),
 	}
+	t.sliceTimer.Init(k.sim, t.sliceExpired)
 	t.proc = k.group.Spawn(fmt.Sprintf("%s/%s.%d", k.name, name, t.tid), func(p *sim.Proc) {
 		defer func() {
 			t.finished = true
@@ -163,8 +167,8 @@ func (t *Task) Compute(d time.Duration) {
 // actually run: a batch slice ends early when a freshly woken task preempts
 // it.
 func (s *scheduler) runSliceFor(t *Task, core int, q time.Duration, batch bool) time.Duration {
-	slice := &runSlice{t: t, core: core, batch: batch, start: s.k.sim.Now()}
-	s.running[core] = slice
+	t.slice = runSlice{t: t, core: core, batch: batch, start: s.k.sim.Now()}
+	s.running[core] = &t.slice
 	defer func() {
 		delete(s.running, core)
 		if r := recover(); r != nil {
@@ -173,15 +177,18 @@ func (s *scheduler) runSliceFor(t *Task, core int, q time.Duration, batch bool) 
 			panic(r)
 		}
 	}()
-	slice.timer = s.k.sim.Schedule(q, func() {
-		if slice.finished {
-			return
-		}
-		slice.finished = true
-		t.wakeQ.WakeOne(0)
-	})
+	t.sliceTimer.Reset(q)
 	t.wakeQ.Wait(t.proc)
-	return s.k.sim.Now().Sub(slice.start)
+	return s.k.sim.Now().Sub(t.slice.start)
+}
+
+// sliceExpired ends the task's timeslice when its quantum runs out.
+func (t *Task) sliceExpired() {
+	if t.slice.finished {
+		return
+	}
+	t.slice.finished = true
+	t.wakeQ.WakeOne(0)
 }
 
 // preemptBatch interrupts the longest-running batch slice, if any,
@@ -199,7 +206,7 @@ func (s *scheduler) preemptBatch() bool {
 	}
 	victim.preempted = true
 	victim.finished = true
-	victim.timer.Cancel()
+	victim.t.sliceTimer.Cancel()
 	victim.t.wakeQ.WakeOne(s.k.params.ContextSwitch)
 	return true
 }

@@ -4,13 +4,25 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/sim"
 )
 
 // cvWaiter is one task blocked in cond_wait/cond_timedwait.
 type cvWaiter struct {
-	w          *waiter
+	w          waiter
 	state      uint64 // 0 while waiting, then OutcomeSignaled / OutcomeTimedOut
+	timer      sim.Event
 	timerFired bool
+}
+
+// onTimer is cond_timedwait's deadline: it grants the waiter so that it
+// wakes and settles the timeout-versus-signal race in a det section.
+func (cw *cvWaiter) onTimer() {
+	if cw.state != 0 || cw.timerFired {
+		return
+	}
+	cw.timerFired = true
+	cw.w.grant(cw.w.task.Kernel(), nil)
 }
 
 // Cond is an interposed pthread_cond_t. Per §3.3, the accesses to the
@@ -60,22 +72,14 @@ func (c *Cond) wait(t *kernel.Task, m *Mutex, d time.Duration) uint64 {
 		c.waiters = append(c.waiters, cw)
 	})
 	m.Unlock(t)
-	var timer interface{ Cancel() }
 	if d >= 0 {
-		timer = c.lib.kern.Sim().Schedule(d, func() {
-			if cw.state != 0 || cw.timerFired {
-				return
-			}
-			cw.timerFired = true
-			cw.w.grant(c.lib.kern, nil)
-		})
+		cw.timer.Init(c.lib.kern.Sim(), cw.onTimer)
+		cw.timer.Reset(d)
 	}
 	out := c.lib.det.Resolve(t, OpCondResolve, c.id,
 		func() { cw.w.parkUntilGranted() },
 		func() uint64 { return c.settle(cw) })
-	if timer != nil {
-		timer.Cancel()
-	}
+	cw.timer.Cancel()
 	m.Lock(t)
 	return out
 }

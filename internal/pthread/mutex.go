@@ -42,7 +42,8 @@ func (m *Mutex) Lock(t *kernel.Task) {
 			m.owner = t
 			return
 		}
-		w = m.lib.newWaiter(t)
+		nw := m.lib.newWaiter(t)
+		w = &nw
 		m.waiters = append(m.waiters, w)
 	})
 	if w != nil {

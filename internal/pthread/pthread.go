@@ -179,8 +179,8 @@ type waiter struct {
 	granted bool
 }
 
-func (l *Lib) newWaiter(t *kernel.Task) *waiter {
-	return &waiter{task: t, key: l.kern.NewFutexKey()}
+func (l *Lib) newWaiter(t *kernel.Task) waiter {
+	return waiter{task: t, key: l.kern.NewFutexKey()}
 }
 
 // parkUntilGranted parks the calling task until the waiter is granted.

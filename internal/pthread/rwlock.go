@@ -8,7 +8,7 @@ import (
 
 // rwWaiter is one task queued on an RWLock.
 type rwWaiter struct {
-	w     *waiter
+	w     waiter
 	write bool
 }
 

@@ -146,7 +146,7 @@ type Recorder struct {
 	marks      map[int]ReplicaWatermark
 	ackScratch []uint64
 
-	flushQ *sim.WaitQueue // wakes the flusher task when work or deadlines change
+	flushQ sim.WaitQueue // wakes the flusher task when work or deadlines change
 	ctrl   *batchController
 
 	sc          *obs.Scope
@@ -181,7 +181,6 @@ func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring) *Recorder
 		cfg:       cfg,
 		mus:       newShardLocks(k, cfg.DetShards),
 		objSeq:    make(map[uint64]uint64),
-		flushQ:    sim.NewWaitQueue(k.Sim()),
 		marks:     make(map[int]ReplicaWatermark),
 		epochCuts: make(map[uint64]uint64),
 	}
@@ -219,7 +218,6 @@ func newForkRecorder(k *kernel.Kernel, cfg Config, hist []shm.Message, histBase,
 		cfg:       cfg,
 		mus:       newShardLocks(k, cfg.DetShards),
 		objSeq:    objSeq,
-		flushQ:    sim.NewWaitQueue(k.Sim()),
 		seqGlobal: seqGlobal,
 		sent:      histBase + uint64(len(hist)),
 		history:   hist,

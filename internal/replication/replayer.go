@@ -41,7 +41,7 @@ type replWaiter struct {
 // dispatch cost — in parallel across lanes.
 type lane struct {
 	q  []shm.Message
-	wq *sim.WaitQueue
+	wq sim.WaitQueue
 }
 
 // Replayer is the secondary-side engine: it pulls the primary's log off the
@@ -82,11 +82,11 @@ type Replayer struct {
 	env      map[string]string
 	envSeen  bool // env message routed (duplicate filter)
 	envReady bool // env delivered: visible to the application
-	envQ     *sim.WaitQueue
+	envQ     sim.WaitQueue
 
 	live        bool
 	primaryDead bool
-	promoted    *sim.WaitQueue
+	promoted    sim.WaitQueue
 	puller      *kernel.Task
 	stats       Stats
 
@@ -138,12 +138,10 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 		ahead:      make(map[uint64]bool),
 		waiting:    make(map[int]*replWaiter),
 		objDone:    make(map[uint64]uint64),
-		envQ:       sim.NewWaitQueue(k.Sim()),
-		promoted:   sim.NewWaitQueue(k.Sim()),
 	}
 	r.lanes = make([]*lane, r.cfg.DetShards)
 	for i := range r.lanes {
-		r.lanes[i] = &lane{wq: sim.NewWaitQueue(k.Sim())}
+		r.lanes[i] = &lane{}
 	}
 	r.puller = k.Spawn("ft-replay", r.pullLoop)
 	// Lane ownership: with more than one shard each lane gets a grant task

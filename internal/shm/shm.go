@@ -100,9 +100,12 @@ func (s Stats) add(o Stats) Stats {
 // transfer propagates — and is lost to a coherency fault — as a unit.
 // A doomed transfer is one a chaos hook condemned: it occupies ring
 // capacity while propagating and then vanishes instead of delivering.
+// Once delivered or dropped, the record — message slice, event and
+// callback — goes back to its ring for the next transfer.
 type inflight struct {
+	ring   *Ring
 	msgs   []Message
-	ev     *sim.Event
+	ev     sim.Event
 	bytes  int64
 	doomed bool
 }
@@ -142,8 +145,9 @@ type Ring struct {
 	onDeliver []func()
 	buf       []slot
 	inflight  []*inflight
-	sendQ     *sim.WaitQueue
-	recvQ     *sim.WaitQueue
+	spare     []*inflight // delivered or dropped records, reused by enqueue
+	sendQ     sim.WaitQueue
+	recvQ     sim.WaitQueue
 	stats     Stats
 	sc        *obs.Scope
 
@@ -189,8 +193,6 @@ func (f *Fabric) NewRing(name string, src int, capBytes int64) *Ring {
 		fabric:   f,
 		capBytes: capBytes,
 		latency:  f.latency,
-		sendQ:    sim.NewWaitQueue(f.sim),
-		recvQ:    sim.NewWaitQueue(f.sim),
 	}
 	f.rings = append(f.rings, r)
 	return r
@@ -247,8 +249,9 @@ func (f *Fabric) DropInflight(src int) int {
 			r.stats.Dropped += int64(len(in.msgs))
 			lost += len(in.msgs)
 			freed = true
+			r.recycle(in)
 		}
-		r.inflight = nil
+		r.inflight = r.inflight[:0]
 		// Reserved spans — open or committed-but-unpublished — are lost
 		// too: their slots sit on the failed partition's side of the
 		// coherency boundary and the consumer can never advance over them.
@@ -440,10 +443,17 @@ func (r *Ring) publish(sp *Span) {
 // additional capacity of its own.
 func (r *Ring) enqueue(sp *Span, dupCopy bool, extra time.Duration, doomed bool) {
 	now := r.sim.Now()
-	in := &inflight{msgs: make([]Message, len(sp.msgs)), bytes: sp.reserved, doomed: doomed}
-	for i, m := range sp.msgs {
+	var in *inflight
+	if n := len(r.spare); n > 0 {
+		in, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		in = &inflight{ring: r}
+		in.ev.Init(r.sim, in.arrive)
+	}
+	in.bytes, in.doomed = sp.reserved, doomed
+	for _, m := range sp.msgs {
 		m.SentAt = now
-		in.msgs[i] = m
+		in.msgs = append(in.msgs, m)
 	}
 	if dupCopy {
 		r.used += in.bytes
@@ -477,8 +487,20 @@ func (r *Ring) enqueue(sp *Span, dupCopy bool, extra time.Duration, doomed bool)
 		at = r.lastDeliver
 	}
 	r.lastDeliver = at
-	in.ev = r.sim.Schedule(at.Sub(now), func() { r.deliver(in) })
+	in.ev.Reset(at.Sub(now))
 	r.inflight = append(r.inflight, in)
+}
+
+func (in *inflight) arrive() {
+	in.ring.deliver(in)
+	in.ring.recycle(in)
+}
+
+// recycle keeps a finished transfer's record, dropping what it carried.
+func (r *Ring) recycle(in *inflight) {
+	clear(in.msgs)
+	in.msgs = in.msgs[:0]
+	r.spare = append(r.spare, in)
 }
 
 func (r *Ring) deliver(in *inflight) {

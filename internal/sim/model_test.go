@@ -1,0 +1,544 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+)
+
+// The model test runs seeded random programs — processes that sleep, wait
+// and wake each other, callbacks that schedule, cancel, re-arm and kill, a
+// driver that advances the clock in steps — on the engine and on refQueue,
+// a reference written for obviousness instead of speed: one slice sorted by
+// (at, seq), cancellation by deletion, processes as program counters. The
+// two must produce the same log line for line: every callback firing, every
+// context switch, the result of every wait and wake, and Pending() at every
+// callback.
+
+type opKind int
+
+const (
+	opSleep       opKind = iota // process only
+	opWait                      // process only: wait on queue a
+	opWaitTimeout               // process only: wait on queue a for d
+	opWakeOne                   // queue a, delay d
+	opWakeIndex                 // queue a, index b, delay d
+	opWakeAll                   // queue a, delay d
+	opSchedule                  // a one-shot callback after d
+	opCancelShot                // cancel one-shot number a (mod how many exist)
+	opReset                     // re-arm timer a to fire after d
+	opCancel                    // cancel timer a
+	opKill                      // kill process a
+	opBurst                     // schedule a one-shots far out, cancel most at once
+	numOps
+)
+
+type op struct {
+	kind opKind
+	a, b int
+	d    time.Duration
+}
+
+func (o op) blocking() bool { return o.kind <= opWaitTimeout }
+
+// fireBudget is how many callbacks may act on firing; later ones only log,
+// so timers that re-arm each other run out and every program ends.
+const fireBudget = 400
+
+type program struct {
+	procs  [][]op          // one script per process
+	starts []time.Duration // SpawnAfter delays
+	queues int
+	timers int
+	onFire [][]op          // what callback number i (mod len) does after logging
+	steps  []time.Duration // the driver's RunFor steps
+	driver [][]op          // what the driver does before each step
+}
+
+func genProgram(rng *rand.Rand) program {
+	durations := []time.Duration{0, 0, time.Microsecond, time.Microsecond, 10 * time.Microsecond, time.Millisecond}
+	pg := program{queues: 3, timers: 4}
+	nprocs := 4 + rng.Intn(5)
+	genOp := func(blockingOK bool) op {
+		for {
+			o := op{kind: opKind(rng.Intn(int(numOps))), a: rng.Intn(8), b: rng.Intn(3),
+				d: durations[rng.Intn(len(durations))]}
+			if o.blocking() && !blockingOK {
+				continue
+			}
+			switch o.kind {
+			case opKill, opBurst:
+				if rng.Intn(4) != 0 { // keep these rare
+					continue
+				}
+				if o.kind == opBurst {
+					o.a = 40 + rng.Intn(100)
+				}
+			case opSleep, opWaitTimeout:
+				o.d += time.Duration(rng.Intn(3)) * time.Microsecond
+			}
+			return o
+		}
+	}
+	genOps := func(n int, blockingOK bool) []op {
+		ops := make([]op, n)
+		for i := range ops {
+			ops[i] = genOp(blockingOK)
+		}
+		return ops
+	}
+	for i := 0; i < nprocs; i++ {
+		pg.procs = append(pg.procs, genOps(10+rng.Intn(30), true))
+		pg.starts = append(pg.starts, durations[rng.Intn(len(durations))])
+	}
+	for i := 0; i < 16; i++ {
+		pg.onFire = append(pg.onFire, genOps(rng.Intn(3), false))
+	}
+	for i := 0; i < 12; i++ {
+		pg.steps = append(pg.steps, durations[rng.Intn(len(durations))]+time.Duration(rng.Intn(20))*time.Microsecond)
+		pg.driver = append(pg.driver, genOps(rng.Intn(4), false))
+	}
+	return pg
+}
+
+// world is what a non-blocking op needs; engineWorld and refQueue both
+// implement it, and apply is the one interpreter they share.
+type world interface {
+	logf(format string, args ...any)
+	wake(q, index int, all bool, d time.Duration) string
+	schedule(d time.Duration)
+	cancelShot(i int)
+	reset(timer int, d time.Duration)
+	cancel(timer int)
+	kill(proc int)
+}
+
+func apply(w world, pg *program, o op) {
+	switch o.kind {
+	case opWakeOne:
+		w.logf("wakeone q%d -> %s", o.a%pg.queues, w.wake(o.a%pg.queues, 0, false, o.d))
+	case opWakeIndex:
+		w.logf("wakeindex q%d[%d] -> %s", o.a%pg.queues, o.b, w.wake(o.a%pg.queues, o.b, false, o.d))
+	case opWakeAll:
+		w.logf("wakeall q%d -> %s", o.a%pg.queues, w.wake(o.a%pg.queues, 0, true, o.d))
+	case opSchedule:
+		w.schedule(o.d)
+	case opCancelShot:
+		w.cancelShot(o.a)
+	case opReset:
+		w.reset(o.a%pg.timers, o.d)
+	case opCancel:
+		w.cancel(o.a % pg.timers)
+	case opKill:
+		w.kill(o.a % len(pg.procs))
+	case opBurst:
+		for i := 0; i < o.a; i++ {
+			w.schedule(time.Second + time.Duration(i%7)*time.Millisecond)
+		}
+		for i := 0; i < o.a; i++ {
+			if i%5 != 0 {
+				w.cancelShot(-1 - i) // counted back from the newest
+			}
+		}
+	}
+}
+
+// engineWorld runs a program on the real engine.
+type engineWorld struct {
+	t           *testing.T
+	pg          *program
+	s           *Simulation
+	log         []string
+	procs       []*Proc
+	queues      []WaitQueue
+	timers      []Event
+	shots       []*Event
+	fires       int
+	compactions int
+}
+
+func (w *engineWorld) logf(format string, args ...any) {
+	w.log = append(w.log, fmt.Sprintf("%d ", w.s.now)+fmt.Sprintf(format, args...))
+}
+
+// fired is the body of every callback.
+func (w *engineWorld) fired(id int) {
+	w.logf("fire %d pending %d", id, w.s.Pending())
+	if w.fires++; w.fires%8 == 0 { // the reference checks every one; the scan is the slow second opinion
+		brute := 0
+		for i := range w.s.queue {
+			if w.s.queue[i].live() {
+				brute++
+			}
+		}
+		if got := w.s.Pending(); got != brute {
+			w.t.Fatalf("Pending() = %d, a scan of the queue finds %d live", got, brute)
+		}
+	}
+	if w.fires > fireBudget {
+		return
+	}
+	for _, o := range w.pg.onFire[id%len(w.pg.onFire)] {
+		apply(w, w.pg, o)
+	}
+}
+
+func (w *engineWorld) wake(q, index int, all bool, d time.Duration) string {
+	if all {
+		return fmt.Sprint(w.queues[q].WakeAll(d))
+	}
+	if p := w.queues[q].WakeIndex(index, d); p != nil {
+		return p.Name()
+	}
+	return "nobody"
+}
+
+func (w *engineWorld) schedule(d time.Duration) {
+	id := 100 + len(w.shots)
+	w.shots = append(w.shots, w.s.Schedule(d, func() { w.fired(id) }))
+}
+
+// cancelled wraps every cancelling call: only compaction shrinks the queue
+// outside the run loop.
+func (w *engineWorld) cancelled(cancel func()) {
+	before := len(w.s.queue)
+	cancel()
+	if len(w.s.queue) < before {
+		w.compactions++
+	}
+}
+
+func (w *engineWorld) cancelShot(i int) {
+	if n := len(w.shots); n > 0 {
+		w.cancelled(w.shots[((i%n)+n)%n].Cancel)
+	}
+}
+
+func (w *engineWorld) reset(timer int, d time.Duration) {
+	w.cancelled(func() { w.timers[timer].Reset(d) })
+}
+
+func (w *engineWorld) cancel(timer int) { w.cancelled(w.timers[timer].Cancel) }
+
+func (w *engineWorld) kill(proc int) { w.cancelled(w.procs[proc].Kill) }
+
+func runOnEngine(t *testing.T, pg *program) *engineWorld {
+	s := New(1)
+	defer s.Shutdown()
+	w := &engineWorld{t: t, pg: pg, s: s, queues: make([]WaitQueue, pg.queues), timers: make([]Event, pg.timers)}
+	s.OnSwitch = func(_ Time, name string) { w.logf("switch %s", name) }
+	for i := range w.timers {
+		i := i
+		w.timers[i].Init(s, func() { w.fired(i) })
+	}
+	for i, script := range pg.procs {
+		i, script := i, script
+		w.procs = append(w.procs, s.SpawnAfter(fmt.Sprintf("p%d", i), pg.starts[i], func(p *Proc) {
+			for pc, o := range script {
+				switch o.kind {
+				case opSleep:
+					p.Sleep(o.d)
+					w.logf("p%d@%d slept", i, pc)
+				case opWait:
+					w.queues[o.a%pg.queues].Wait(p)
+					w.logf("p%d@%d woken", i, pc)
+				case opWaitTimeout:
+					w.logf("p%d@%d woken=%v", i, pc, w.queues[o.a%pg.queues].WaitTimeout(p, o.d))
+				default:
+					apply(w, pg, o)
+				}
+			}
+		}))
+	}
+	for i, step := range pg.steps {
+		for _, o := range pg.driver[i] {
+			apply(w, pg, o)
+		}
+		if err := s.RunFor(step); err != nil {
+			t.Fatalf("RunFor: %v", err)
+		}
+		w.logf("step %d pending %d live %d", i, s.Pending(), s.Live())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	w.logf("done pending %d live %d", s.Pending(), s.Live())
+	return w
+}
+
+// refQueue is the reference: the same program on a sorted slice.
+type refQueue struct {
+	pg      *program
+	now     Time
+	seq     uint64
+	entries []refEntry // sorted by (at, seq); cancelling deletes
+	log     []string
+	procs   []refProc
+	queues  [][]int  // process numbers, longest waiting first
+	timers  []uint64 // seq of the pending firing, 0 if none
+	shots   []uint64
+	fires   int
+}
+
+type refEntry struct {
+	at   Time
+	seq  uint64
+	kind string // "timer", "shot", "resume", "timeout"
+	id   int
+}
+
+type refProc struct {
+	pc         int
+	state      string // "runnable" (or running), "sleeping", "queued", "finished"
+	started    bool
+	killed     bool
+	resumeSeq  uint64
+	timeoutSeq uint64
+	queue      int
+	timedOut   bool
+}
+
+func (r *refQueue) logf(format string, args ...any) {
+	r.log = append(r.log, fmt.Sprintf("%d ", r.now)+fmt.Sprintf(format, args...))
+}
+
+func (r *refQueue) insert(d time.Duration, kind string, id int) uint64 {
+	r.seq++
+	e := refEntry{at: r.now.Add(d), seq: r.seq, kind: kind, id: id}
+	// The newest entry has the highest seq: it goes after all with at <= its own.
+	i := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].at > e.at })
+	r.entries = append(r.entries, refEntry{})
+	copy(r.entries[i+1:], r.entries[i:])
+	r.entries[i] = e
+	return r.seq
+}
+
+// remove deletes the entry numbered *seq, if any, and zeroes the number.
+func (r *refQueue) remove(seq *uint64) {
+	for i, e := range r.entries {
+		if e.seq == *seq {
+			r.entries = append(r.entries[:i], r.entries[i+1:]...)
+			break
+		}
+	}
+	*seq = 0
+}
+
+func (r *refQueue) makeRunnable(i int, d time.Duration) {
+	p := &r.procs[i]
+	p.state = "runnable"
+	p.resumeSeq = r.insert(d, "resume", i)
+}
+
+func (r *refQueue) leaveQueue(i int) {
+	p := &r.procs[i]
+	q := r.queues[p.queue]
+	for k, x := range q {
+		if x == i {
+			r.queues[p.queue] = append(q[:k:k], q[k+1:]...)
+			break
+		}
+	}
+	r.remove(&p.timeoutSeq)
+}
+
+func (r *refQueue) wake(q, index int, all bool, d time.Duration) string {
+	if all {
+		n := len(r.queues[q])
+		for len(r.queues[q]) > 0 {
+			r.wake(q, 0, false, d)
+		}
+		return fmt.Sprint(n)
+	}
+	if index >= len(r.queues[q]) {
+		return "nobody"
+	}
+	i := r.queues[q][index]
+	r.leaveQueue(i)
+	r.makeRunnable(i, d)
+	return fmt.Sprintf("p%d", i)
+}
+
+func (r *refQueue) schedule(d time.Duration) {
+	r.shots = append(r.shots, 0)
+	id := len(r.shots) - 1
+	r.shots[id] = r.insert(d, "shot", id)
+}
+
+func (r *refQueue) cancelShot(i int) {
+	if n := len(r.shots); n > 0 {
+		r.remove(&r.shots[((i%n)+n)%n])
+	}
+}
+
+func (r *refQueue) reset(timer int, d time.Duration) {
+	r.remove(&r.timers[timer])
+	r.timers[timer] = r.insert(d, "timer", timer)
+}
+
+func (r *refQueue) cancel(timer int) { r.remove(&r.timers[timer]) }
+
+func (r *refQueue) kill(i int) {
+	p := &r.procs[i]
+	if p.killed || p.state == "finished" {
+		return
+	}
+	p.killed = true
+	switch p.state {
+	case "sleeping":
+		r.remove(&p.resumeSeq)
+		r.makeRunnable(i, 0)
+	case "queued":
+		r.leaveQueue(i)
+		r.makeRunnable(i, 0)
+	}
+}
+
+func (r *refQueue) fired(id int) {
+	r.logf("fire %d pending %d", id, len(r.entries))
+	if r.fires++; r.fires > fireBudget {
+		return
+	}
+	for _, o := range r.pg.onFire[id%len(r.pg.onFire)] {
+		apply(r, r.pg, o)
+	}
+}
+
+// resume runs process i from where it blocked until it blocks again.
+func (r *refQueue) resume(i int) {
+	p := &r.procs[i]
+	p.resumeSeq = 0
+	if p.state == "finished" {
+		return
+	}
+	r.logf("switch p%d", i)
+	p.state = "runnable"
+	if p.killed {
+		p.state = "finished"
+		return
+	}
+	script := r.pg.procs[i]
+	if p.started {
+		switch o := script[p.pc]; o.kind {
+		case opSleep:
+			r.logf("p%d@%d slept", i, p.pc)
+		case opWait:
+			r.logf("p%d@%d woken", i, p.pc)
+		case opWaitTimeout:
+			r.logf("p%d@%d woken=%v", i, p.pc, !p.timedOut)
+		}
+		p.pc++
+	}
+	p.started = true
+	for ; p.pc < len(script); p.pc++ {
+		o := script[p.pc]
+		switch o.kind {
+		case opSleep:
+			p.state = "sleeping"
+			p.resumeSeq = r.insert(o.d, "resume", i)
+			return
+		case opWait, opWaitTimeout:
+			p.state, p.queue, p.timedOut = "queued", o.a%r.pg.queues, false
+			if o.kind == opWaitTimeout {
+				p.timeoutSeq = r.insert(o.d, "timeout", i)
+			}
+			r.queues[p.queue] = append(r.queues[p.queue], i)
+			return
+		default:
+			apply(r, r.pg, o)
+		}
+	}
+	p.state = "finished"
+}
+
+func (r *refQueue) run(until Time) {
+	for len(r.entries) > 0 && r.entries[0].at <= until {
+		e := r.entries[0]
+		r.entries = r.entries[1:]
+		r.now = e.at
+		switch e.kind {
+		case "timer":
+			r.timers[e.id] = 0
+			r.fired(e.id)
+		case "shot":
+			r.shots[e.id] = 0
+			r.fired(100 + e.id)
+		case "resume":
+			r.resume(e.id)
+		case "timeout":
+			r.procs[e.id].timeoutSeq = 0
+			r.leaveQueue(e.id)
+			r.procs[e.id].timedOut = true
+			r.makeRunnable(e.id, 0)
+		}
+	}
+	if until != never && r.now < until {
+		r.now = until
+	}
+}
+
+func (r *refQueue) live() int {
+	n := 0
+	for _, p := range r.procs {
+		if p.state != "finished" {
+			n++
+		}
+	}
+	return n
+}
+
+func runOnReference(pg *program) *refQueue {
+	r := &refQueue{pg: pg, procs: make([]refProc, len(pg.procs)), queues: make([][]int, pg.queues),
+		timers: make([]uint64, pg.timers)}
+	for i := range pg.procs {
+		r.makeRunnable(i, pg.starts[i])
+	}
+	for i, step := range pg.steps {
+		for _, o := range pg.driver[i] {
+			apply(r, pg, o)
+		}
+		r.run(r.now.Add(step))
+		r.logf("step %d pending %d live %d", i, len(r.entries), r.live())
+	}
+	r.run(never)
+	r.logf("done pending %d live %d", len(r.entries), r.live())
+	return r
+}
+
+func TestEngineMatchesReferenceQueue(t *testing.T) {
+	compactions, switches := 0, 0
+	for seed := int64(1); seed <= 120; seed++ {
+		pg := genProgram(rand.New(rand.NewSource(seed)))
+		got, want := runOnEngine(t, &pg), runOnReference(&pg)
+		for i := range want.log {
+			if i >= len(got.log) || got.log[i] != want.log[i] {
+				from := i - 5
+				if from < 0 {
+					from = 0
+				}
+				t.Fatalf("seed %d: engine and reference part at line %d\nreference: %s\nengine:    %s\nbefore that:\n%s",
+					seed, i, want.log[i], strings.Join(got.log[i:min(i+1, len(got.log))], ""), strings.Join(want.log[from:i], "\n"))
+			}
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: engine logged %d lines, reference %d", seed, len(got.log), len(want.log))
+		}
+		if got.s.seq != want.seq {
+			t.Fatalf("seed %d: engine drew %d sequence numbers, reference %d", seed, got.s.seq, want.seq)
+		}
+		compactions += got.compactions
+		for _, l := range got.log {
+			if strings.Contains(l, " switch ") {
+				switches++
+			}
+		}
+	}
+	// The comparison means little unless the programs reach the machinery.
+	t.Logf("%d compactions, %d switches", compactions, switches)
+	if compactions == 0 || switches < 1000 {
+		t.Errorf("120 programs compacted the queue %d times and switched %d times: not a test of either", compactions, switches)
+	}
+}

@@ -22,6 +22,16 @@ func (p procPanic) String() string {
 	return fmt.Sprintf("sim: process %q panicked: %v\n%s", p.proc, p.value, p.stack)
 }
 
+// parkKind says what a blocked process is parked on, which is what Kill
+// has to undo to make it runnable.
+type parkKind uint8
+
+const (
+	parkNone  parkKind = iota // running, runnable, or not yet started
+	parkSleep                 // in Sleep: its pending resume is the wake-up
+	parkQueue                 // on p.queue, with or without a timeout
+)
+
 // Proc is a simulated process: a goroutine that runs under the simulation
 // scheduler. At most one Proc executes at any moment; a Proc advances virtual
 // time only by blocking (Sleep, WaitQueue.Wait, ...). All Proc methods must
@@ -34,10 +44,19 @@ type Proc struct {
 	killed   bool
 	finished bool
 
-	// unblock, when non-nil, makes a blocked process runnable immediately:
-	// it removes the process from whatever structure it is parked on and
-	// schedules a resume. It is used by Kill to unwind blocked processes.
-	unblock func()
+	// A process has at most one resume and one wait timeout in the event
+	// queue. Each field holds the sequence number of that entry, 0 when
+	// there is none; zeroing it is how the entry is cancelled.
+	resumeSeq  uint64
+	timeoutSeq uint64
+
+	parked   parkKind
+	timedOut bool       // the last wait ended by its timeout
+	queue    *WaitQueue // the queue it is parked on, with its links
+	qprev    *Proc
+	qnext    *Proc
+
+	liveprev, livenext *Proc // Simulation's list of unfinished processes
 }
 
 // Spawn starts fn as a new simulated process that begins running at the
@@ -51,10 +70,17 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 // delay d.
 func (s *Simulation) SpawnAfter(name string, d time.Duration, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
+		sim:      s,
+		name:     name,
+		resume:   make(chan struct{}),
+		liveprev: s.liveTail,
 	}
+	if s.liveTail != nil {
+		s.liveTail.livenext = p
+	} else {
+		s.liveHead = p
+	}
+	s.liveTail = p
 	s.liveProc++
 	go p.main(fn)
 	p.makeRunnable(d)
@@ -79,11 +105,26 @@ func (p *Proc) main(fn func(p *Proc)) {
 		}
 	}()
 	p.finished = true
-	p.sim.liveProc--
+	p.sim.procDone(p)
 	if p.group != nil {
 		p.group.procDone(p)
 	}
 	p.sim.yield <- struct{}{}
+}
+
+func (s *Simulation) procDone(p *Proc) {
+	if p.liveprev != nil {
+		p.liveprev.livenext = p.livenext
+	} else {
+		s.liveHead = p.livenext
+	}
+	if p.livenext != nil {
+		p.livenext.liveprev = p.liveprev
+	} else {
+		s.liveTail = p.liveprev
+	}
+	p.liveprev, p.livenext = nil, nil
+	s.liveProc--
 }
 
 // Sim returns the simulation the process belongs to.
@@ -112,23 +153,34 @@ func (p *Proc) yield() {
 	}
 }
 
-// makeRunnable schedules the process to resume after delay d and clears its
-// blocked state. Called from scheduler or another process context.
+// makeRunnable queues the process's resume after delay d. Called from
+// scheduler or another process context, on a process that is parked (and
+// already detached from what it was parked on) or not yet started. A
+// process with a resume already pending is either runnable or asleep;
+// queueing a second one would run it twice, so that is a bug in the caller.
 func (p *Proc) makeRunnable(d time.Duration) {
-	p.unblock = nil
-	p.sim.Schedule(d, func() {
-		if p.finished {
-			return
-		}
-		p.sim.switchTo(p)
-	})
+	if p.resumeSeq != 0 {
+		panic(fmt.Sprintf("sim: process %q made runnable while a resume is already pending", p.name))
+	}
+	p.parked = parkNone
+	p.resumeSeq = p.sim.push(p.sim.now.Add(d), kindResume, p, nil)
 }
 
-// park blocks the process. unblock must make the process runnable again and
-// is invoked by Kill if the process is killed while parked.
-func (p *Proc) park(unblock func()) {
-	p.unblock = unblock
-	p.yield()
+// unpark detaches a blocked process from what it is parked on, cancelling
+// the sleep or the wait timeout, and reports whether it was parked. The
+// caller makes it runnable.
+func (p *Proc) unpark() bool {
+	switch p.parked {
+	case parkSleep:
+		p.sim.disown(&p.resumeSeq)
+	case parkQueue:
+		p.queue.unlink(p)
+		p.sim.disown(&p.timeoutSeq)
+	default:
+		return false
+	}
+	p.parked = parkNone
+	return true
 }
 
 // Sleep blocks the process for duration d of virtual time.
@@ -136,18 +188,9 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in process %q", d, p.name))
 	}
-	done := false
-	e := p.sim.Schedule(d, func() {
-		done = true
-		p.sim.switchTo(p)
-	})
-	p.park(func() {
-		if !done {
-			e.Cancel()
-			p.makeRunnable(0)
-		}
-	})
-	p.unblock = nil
+	p.resumeSeq = p.sim.push(p.sim.now.Add(d), kindResume, p, nil)
+	p.parked = parkSleep
+	p.yield()
 }
 
 // Kill marks the process as killed and, if it is parked, unparks it so the
@@ -160,10 +203,8 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	if p.unblock != nil {
-		ub := p.unblock
-		p.unblock = nil
-		ub()
+	if p.unpark() {
+		p.makeRunnable(0)
 	}
 }
 

@@ -12,9 +12,9 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -37,57 +37,94 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. It can be cancelled before it fires.
+// Event is a callback scheduled on the simulation. Schedule returns a
+// one-shot event; an owner that re-arms — a retransmission timer, a
+// timeslice — keeps one Event (embedded by value if it likes), calls Init
+// once, and arms it with Reset as often as it needs without allocating.
 type Event struct {
-	at        Time
-	seq       uint64
+	sim       *Simulation
 	fn        func()
+	at        Time
+	seq       uint64 // sequence number of the pending queue entry, 0 if none
 	cancelled bool
-	index     int // heap index, -1 once popped or cancelled-and-removed
 }
 
-// At reports the virtual time at which the event fires.
+// Init binds a zero Event to the simulation and to the callback that runs
+// each time it fires. The event starts unarmed.
+func (e *Event) Init(s *Simulation, fn func()) {
+	e.sim = s
+	e.fn = fn
+}
+
+// At reports the virtual time at which the event fires (or last fired).
 func (e *Event) At() Time { return e.at }
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
+// Armed reports whether the event is scheduled and has not yet fired.
+func (e *Event) Armed() bool { return e.seq != 0 }
 
-// Cancelled reports whether Cancel was called on the event.
+// Cancel prevents the event from firing. Cancelling an event that already
+// fired, was already cancelled or was never armed (or even initialised) is
+// a no-op.
+func (e *Event) Cancel() {
+	e.cancelled = true
+	e.sim.disown(&e.seq)
+}
+
+// Cancelled reports whether Cancel was called on the event since it was
+// last armed.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-type eventHeap []*Event
+// Reset arms the event to fire at now+d, replacing any firing still
+// pending. Like Schedule it draws exactly one sequence number, so an
+// owner that cancels and re-schedules can call Reset instead without
+// moving anything in the event order.
+func (e *Event) Reset(d time.Duration) {
+	e.sim.disown(&e.seq)
+	e.cancelled = false
+	e.at = e.sim.now.Add(d)
+	e.seq = e.sim.push(e.at, kindCallback, nil, e)
+}
 
-func (h eventHeap) Len() int { return len(h) }
+// entryKind says what firing a queue entry does.
+type entryKind uint8
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+const (
+	kindCallback entryKind = iota // run ev.fn on the scheduler goroutine
+	kindResume                    // switch to process p
+	kindTimeout                   // p's WaitTimeout expired: take it off its queue
+)
+
+// entry is one slot of the event queue. Entries are values and are never
+// removed from the middle: the owner (an Event, or a Proc for its one
+// pending resume and its one pending timeout) remembers the sequence
+// number of its pending entry, and an entry whose number no longer matches
+// is dead and is skipped when it surfaces.
+type entry struct {
+	at   Time
+	seq  uint64
+	kind entryKind
+	p    *Proc
+	ev   *Event
+}
+
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+func (e *entry) live() bool {
+	switch e.kind {
+	case kindCallback:
+		return e.ev.seq == e.seq
+	case kindResume:
+		return e.p.resumeSeq == e.seq
+	default:
+		return e.p.timeoutSeq == e.seq
 	}
-	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
+// compactMin is the queue length below which dead entries are left to
+// surface on their own.
+const compactMin = 64
 
 // ErrStopped is returned by Run when the simulation was halted by Stop.
 var ErrStopped = errors.New("sim: stopped")
@@ -96,15 +133,18 @@ var ErrStopped = errors.New("sim: stopped")
 // A Simulation must be created with New and is not safe for concurrent use;
 // it is driven from a single goroutine by Run or RunUntil.
 type Simulation struct {
-	now      Time
-	events   eventHeap
-	seq      uint64
-	rng      *rand.Rand
-	yield    chan struct{}
-	current  *Proc
-	stopped  bool
-	failure  any // panic value propagated from a proc
-	liveProc int
+	now     Time
+	queue   []entry // 4-ary min-heap on (at, seq)
+	dead    int     // entries in queue that are no longer live
+	seq     uint64
+	rng     *rand.Rand
+	yield   chan struct{}
+	stopped bool
+	failure any // panic value propagated from a proc
+
+	// Unfinished processes in spawn order, linked through Proc.
+	liveHead, liveTail *Proc
+	liveProc           int
 
 	// OnSwitch, if non-nil, is invoked on every context switch to a process
 	// with the current virtual time and the process name. It exists so tests
@@ -127,15 +167,7 @@ func (s *Simulation) Now() Time { return s.now }
 func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // Pending reports the number of scheduled (uncancelled) events.
-func (s *Simulation) Pending() int {
-	n := 0
-	for _, e := range s.events {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Simulation) Pending() int { return len(s.queue) - s.dead }
 
 // Live reports the number of processes that have been spawned and have not
 // yet finished.
@@ -150,31 +182,123 @@ func (s *Simulation) Schedule(d time.Duration, fn func()) *Event {
 // ScheduleAt is like Schedule but takes an absolute instant. Scheduling in
 // the past panics: it would violate causality.
 func (s *Simulation) ScheduleAt(at Time, fn func()) *Event {
+	e := &Event{sim: s, fn: fn, at: at}
+	e.seq = s.push(at, kindCallback, nil, e)
+	return e
+}
+
+// push draws the next sequence number and queues an entry under it. Every
+// ordering decision of the engine is a call to push; nothing else draws a
+// number, and cancelling never does.
+func (s *Simulation) push(at Time, kind entryKind, p *Proc, ev *Event) uint64 {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: at=%v now=%v", at, s.now))
 	}
 	s.seq++
-	e := &Event{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.events, e)
-	return e
+	s.queue = append(s.queue, entry{at: at, seq: s.seq, kind: kind, p: p, ev: ev})
+	s.siftUp(len(s.queue) - 1)
+	return s.seq
+}
+
+func (s *Simulation) pop() entry {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = entry{}
+	s.queue = q[:n]
+	if n > 1 {
+		s.siftDown(0)
+	}
+	return top
+}
+
+func (s *Simulation) siftUp(i int) {
+	q := s.queue
+	e := q[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+func (s *Simulation) siftDown(i int) {
+	q := s.queue
+	e := q[i]
+	for {
+		first := 4*i + 1
+		if first >= len(q) {
+			break
+		}
+		last := first + 4
+		if last > len(q) {
+			last = len(q)
+		}
+		min := first
+		for c := first + 1; c < last; c++ {
+			if q[c].before(&q[min]) {
+				min = c
+			}
+		}
+		if !q[min].before(&e) {
+			break
+		}
+		q[i] = q[min]
+		i = min
+	}
+	q[i] = e
+}
+
+// disown cancels the pending entry whose number the owner keeps in *seq, if
+// there is one: the number is zeroed, the entry left in the queue is dead,
+// and the queue is compacted once more than half of it is. The order is
+// total on (at, seq), so which entries the heap still holds cannot change
+// what fires next.
+func (s *Simulation) disown(seq *uint64) {
+	if *seq == 0 {
+		return
+	}
+	*seq = 0
+	s.dead++
+	if s.dead*2 <= len(s.queue) || len(s.queue) < compactMin {
+		return
+	}
+	q := s.queue
+	kept := q[:0]
+	for i := range q {
+		if q[i].live() {
+			kept = append(kept, q[i])
+		}
+	}
+	clear(q[len(kept):])
+	s.queue, s.dead = kept, 0
+	for i := (len(kept) - 2) / 4; i >= 0 && len(kept) > 1; i-- {
+		s.siftDown(i)
+	}
 }
 
 // Stop halts the simulation: Run returns ErrStopped once the currently
 // running process blocks or finishes.
 func (s *Simulation) Stop() { s.stopped = true }
 
+// never is later than every instant an entry can carry.
+const never = Time(math.MaxInt64)
+
 // Run processes events until the event queue is empty, Stop is called, or a
 // process panics (in which case Run re-panics with the original value and a
 // note naming the process). Processes blocked on wait queues with no pending
 // wake-up are left parked; callers can detect that via Live.
-func (s *Simulation) Run() error {
-	return s.run(func() bool { return false })
-}
+func (s *Simulation) Run() error { return s.run(never) }
 
 // RunUntil processes events with firing time <= t, then advances the clock
 // to exactly t and returns. Events scheduled after t remain pending.
 func (s *Simulation) RunUntil(t Time) error {
-	err := s.run(func() bool { return len(s.events) > 0 && s.events[0].at > t })
+	err := s.run(t)
 	if err == nil && s.now < t && !s.stopped {
 		s.now = t
 	}
@@ -184,23 +308,39 @@ func (s *Simulation) RunUntil(t Time) error {
 // RunFor is shorthand for RunUntil(Now()+d).
 func (s *Simulation) RunFor(d time.Duration) error { return s.RunUntil(s.now.Add(d)) }
 
-func (s *Simulation) run(stop func() bool) error {
-	for len(s.events) > 0 {
+func (s *Simulation) run(until Time) error {
+	for len(s.queue) > 0 {
 		if s.stopped {
 			return ErrStopped
 		}
-		if stop() {
+		if s.queue[0].at > until {
 			return nil
 		}
-		e := heap.Pop(&s.events).(*Event)
-		if e.cancelled {
+		e := s.pop()
+		if !e.live() {
+			s.dead--
 			continue
 		}
 		if e.at < s.now {
 			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", e.at, s.now))
 		}
 		s.now = e.at
-		e.fn()
+		switch p := e.p; e.kind {
+		case kindCallback:
+			e.ev.seq = 0
+			e.ev.fn()
+		case kindResume:
+			p.resumeSeq = 0
+			p.parked = parkNone
+			if !p.finished {
+				s.switchTo(p)
+			}
+		case kindTimeout:
+			p.timeoutSeq = 0
+			p.queue.unlink(p)
+			p.timedOut = true
+			p.makeRunnable(0)
+		}
 		if s.failure != nil {
 			f := s.failure
 			s.failure = nil
@@ -214,14 +354,33 @@ func (s *Simulation) run(stop func() bool) error {
 }
 
 // switchTo transfers control to p and waits for it to block or finish.
-// It must only be called from the scheduler goroutine (inside an event).
+// It must only be called from the scheduler goroutine.
 func (s *Simulation) switchTo(p *Proc) {
-	prev := s.current
-	s.current = p
 	if s.OnSwitch != nil {
 		s.OnSwitch(s.now, p.name)
 	}
 	p.resume <- struct{}{}
 	<-s.yield
-	s.current = prev
+}
+
+// Shutdown ends the simulation: every unfinished process is killed and its
+// goroutine unwound (deferred functions run), in spawn order, and whatever
+// is still queued is dropped. Without it a finished run leaves one parked
+// goroutine per blocked process behind for as long as the program lives.
+// It must be called from outside Run, and the simulation cannot run again.
+func (s *Simulation) Shutdown() {
+	s.stopped = true
+	for p := s.liveHead; p != nil; p = s.liveHead {
+		// A deferred function that blocks parks p again; it stays at the
+		// head and unwinds a little further each time round.
+		p.killed = true
+		p.unpark()
+		p.resume <- struct{}{}
+		<-s.yield
+	}
+	s.queue, s.dead = nil, 0
+	if f := s.failure; f != nil {
+		s.failure = nil
+		panic(f)
+	}
 }

@@ -173,7 +173,7 @@ func TestProcPanicPropagates(t *testing.T) {
 
 func TestKillParkedProc(t *testing.T) {
 	s := New(1)
-	q := NewWaitQueue(s)
+	q := new(WaitQueue)
 	reached := false
 	p := s.Spawn("victim", func(p *Proc) {
 		q.Wait(p)

@@ -2,30 +2,20 @@ package sim
 
 import "time"
 
-// waiter tracks one parked process on a WaitQueue, together with its
-// optional timeout timer.
-type waiter struct {
-	p        *Proc
-	timer    *Event
-	timedOut bool
-}
-
 // WaitQueue is a FIFO queue of parked processes — the simulation analogue of
 // a kernel wait queue. Wake-ups can carry a delay, which models the cost of
 // wake_up_process (scheduler latency, idle-state exit) without the waker
-// having to block.
+// having to block. The zero value is an empty queue, so owners embed it by
+// value; it must not be copied once a process has parked on it. A process
+// parks on at most one queue at a time, so the queue is a list linked
+// through the processes themselves and parking allocates nothing.
 type WaitQueue struct {
-	sim     *Simulation
-	waiters []*waiter
-}
-
-// NewWaitQueue returns an empty wait queue.
-func NewWaitQueue(s *Simulation) *WaitQueue {
-	return &WaitQueue{sim: s}
+	head, tail *Proc
+	n          int
 }
 
 // Len reports the number of parked processes.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return q.n }
 
 // Wait parks p until a WakeOne or WakeAll releases it.
 func (q *WaitQueue) Wait(p *Proc) {
@@ -35,44 +25,31 @@ func (q *WaitQueue) Wait(p *Proc) {
 // WaitTimeout parks p until it is woken or until d elapses. It reports true
 // if the process was woken and false if the wait timed out.
 func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) bool {
-	w := q.wait(p, d)
-	return !w.timedOut
+	return q.wait(p, d)
 }
 
-func (q *WaitQueue) wait(p *Proc, d time.Duration) *waiter {
-	w := &waiter{p: p}
+func (q *WaitQueue) wait(p *Proc, d time.Duration) (woken bool) {
 	if d >= 0 {
-		w.timer = q.sim.Schedule(d, func() {
-			if !q.remove(w) {
-				return
-			}
-			w.timedOut = true
-			p.makeRunnable(0)
-		})
+		p.timeoutSeq = p.sim.push(p.sim.now.Add(d), kindTimeout, p, nil)
 	}
-	q.waiters = append(q.waiters, w)
-	p.park(func() {
-		// Killed while parked: leave the queue and cancel the timer so the
-		// goroutine can unwind.
-		q.remove(w)
-		if w.timer != nil {
-			w.timer.Cancel()
-		}
-		p.makeRunnable(0)
-	})
-	return w
+	p.queue, p.qprev = q, q.tail
+	if q.tail != nil {
+		q.tail.qnext = p
+	} else {
+		q.head = p
+	}
+	q.tail = p
+	q.n++
+	p.parked = parkQueue
+	p.timedOut = false
+	p.yield()
+	return !p.timedOut
 }
 
 // WakeOne releases the longest-waiting process, scheduling it to resume
 // after delay. It returns the woken process, or nil if the queue was empty.
 func (q *WaitQueue) WakeOne(delay time.Duration) *Proc {
-	if len(q.waiters) == 0 {
-		return nil
-	}
-	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	q.release(w, delay)
-	return w.p
+	return q.WakeIndex(0, delay)
 }
 
 // WakeIndex releases the i-th parked process (0 = longest waiting),
@@ -81,40 +58,41 @@ func (q *WaitQueue) WakeOne(delay time.Duration) *Proc {
 // that are NOT first-in-first-out (e.g. the stock futex behaviour that the
 // paper's FIFO modification replaces).
 func (q *WaitQueue) WakeIndex(i int, delay time.Duration) *Proc {
-	if i < 0 || i >= len(q.waiters) {
+	if i < 0 || i >= q.n {
 		return nil
 	}
-	w := q.waiters[i]
-	q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-	q.release(w, delay)
-	return w.p
+	p := q.head
+	for ; i > 0; i-- {
+		p = p.qnext
+	}
+	q.unlink(p)
+	p.sim.disown(&p.timeoutSeq)
+	p.makeRunnable(delay)
+	return p
 }
 
 // WakeAll releases every parked process, each scheduled to resume after
 // delay, in FIFO order. It reports how many processes were woken.
 func (q *WaitQueue) WakeAll(delay time.Duration) int {
-	ws := q.waiters
-	q.waiters = nil
-	for _, w := range ws {
-		q.release(w, delay)
+	n := q.n
+	for q.n > 0 {
+		q.WakeIndex(0, delay)
 	}
-	return len(ws)
+	return n
 }
 
-func (q *WaitQueue) release(w *waiter, delay time.Duration) {
-	if w.timer != nil {
-		w.timer.Cancel()
+// unlink takes p, which is parked on q, off the queue.
+func (q *WaitQueue) unlink(p *Proc) {
+	if p.qprev != nil {
+		p.qprev.qnext = p.qnext
+	} else {
+		q.head = p.qnext
 	}
-	w.p.makeRunnable(delay)
-}
-
-// remove deletes w from the queue, reporting whether it was present.
-func (q *WaitQueue) remove(w *waiter) bool {
-	for i, x := range q.waiters {
-		if x == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return true
-		}
+	if p.qnext != nil {
+		p.qnext.qprev = p.qprev
+	} else {
+		q.tail = p.qprev
 	}
-	return false
+	p.queue, p.qprev, p.qnext = nil, nil, nil
+	q.n--
 }

@@ -9,7 +9,7 @@ import (
 
 func TestWaitQueueFIFO(t *testing.T) {
 	s := New(1)
-	q := NewWaitQueue(s)
+	q := new(WaitQueue)
 	var woken []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -34,7 +34,7 @@ func TestWaitQueueFIFO(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	s := New(1)
-	q := NewWaitQueue(s)
+	q := new(WaitQueue)
 	var timedOut, wokenAt Time
 	var wokenOK bool
 	s.Spawn("timeout", func(p *Proc) {
@@ -64,7 +64,7 @@ func TestWaitTimeout(t *testing.T) {
 
 func TestWakeDelay(t *testing.T) {
 	s := New(1)
-	q := NewWaitQueue(s)
+	q := new(WaitQueue)
 	var wokeAt Time
 	s.Spawn("w", func(p *Proc) {
 		q.Wait(p)
@@ -81,7 +81,7 @@ func TestWakeDelay(t *testing.T) {
 
 func TestWakeAll(t *testing.T) {
 	s := New(1)
-	q := NewWaitQueue(s)
+	q := new(WaitQueue)
 	woken := 0
 	for i := 0; i < 7; i++ {
 		s.Spawn("w", func(p *Proc) {
@@ -103,8 +103,7 @@ func TestWakeAll(t *testing.T) {
 }
 
 func TestWakeOneEmptyQueue(t *testing.T) {
-	s := New(1)
-	q := NewWaitQueue(s)
+	q := new(WaitQueue)
 	if p := q.WakeOne(0); p != nil {
 		t.Errorf("WakeOne on empty queue = %v, want nil", p)
 	}
@@ -119,7 +118,7 @@ func TestDeterminism(t *testing.T) {
 		s.OnSwitch = func(at Time, name string) {
 			trace = append(trace, at.String()+"/"+name)
 		}
-		q := NewWaitQueue(s)
+		q := new(WaitQueue)
 		for i := 0; i < 8; i++ {
 			name := string(rune('a' + i))
 			s.Spawn(name, func(p *Proc) {
@@ -164,7 +163,7 @@ func TestWaitQueueQuick(t *testing.T) {
 	f := func(seed int64, nWaiters uint8) bool {
 		n := int(nWaiters%16) + 1
 		s := New(seed)
-		q := NewWaitQueue(s)
+		q := new(WaitQueue)
 		resumed := make(map[int]int)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {

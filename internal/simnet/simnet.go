@@ -91,6 +91,24 @@ func (n *NIC) receive(p Packet) {
 type direction struct {
 	nextFree sim.Time // when the transmitter finishes its current backlog
 	stats    LinkStats
+	spare    []*frame // arrived frames, reused by transmit
+}
+
+// frame is one packet propagating along a direction. Every packet arms its
+// own event at transmit, so its place in the event order is its own; only
+// the record is reused once the packet has arrived.
+type frame struct {
+	dir *direction
+	dst *NIC
+	p   Packet
+	ev  sim.Event
+}
+
+func (f *frame) arrive() {
+	p := f.p
+	f.p = Packet{}
+	f.dir.spare = append(f.dir.spare, f)
+	f.dst.receive(p)
 }
 
 // Link is a full-duplex point-to-point link.
@@ -173,6 +191,13 @@ func (l *Link) transmit(end int, p Packet) {
 	d.nextFree = txDone
 	d.stats.Packets++
 	d.stats.Bytes += int64(p.Size)
-	dst := l.nics[1-end]
-	l.sim.ScheduleAt(txDone.Add(l.latency), func() { dst.receive(p) })
+	var f *frame
+	if n := len(d.spare); n > 0 {
+		f, d.spare = d.spare[n-1], d.spare[:n-1]
+	} else {
+		f = &frame{dir: d, dst: l.nics[1-end]}
+		f.ev.Init(l.sim, f.arrive)
+	}
+	f.p = p
+	f.ev.Reset(txDone.Add(l.latency).Sub(now))
 }

@@ -24,7 +24,7 @@ type Sockets struct {
 
 	nextID    uint64
 	listeners []*Listener
-	liveQ     *sim.WaitQueue
+	liveQ     sim.WaitQueue
 
 	// sent tracks each replicated connection's cumulative output-stream
 	// bytes, incremented in section-settle order (atomically with the Send
@@ -44,7 +44,6 @@ func NewSockets(ns *replication.Namespace, stack *tcpstack.Stack, prim *Primary,
 		stack: stack,
 		prim:  prim,
 		sec:   sec,
-		liveQ: sim.NewWaitQueue(ns.Kernel().Sim()),
 		sent:  make(map[uint64]uint64),
 	}
 }

@@ -47,7 +47,7 @@ type Primary struct {
 	clog      *ConnLog
 	flusherUp bool // the background flusher task has been spawned
 
-	flushQ *sim.WaitQueue
+	flushQ sim.WaitQueue
 
 	enqueued uint64 // logical updates accepted for syncing
 	barrierQ []syncWaiter
@@ -160,11 +160,10 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 		cfg.Sync.FlushInterval = DefaultSyncConfig().FlushInterval
 	}
 	p := &Primary{
-		ns:     ns,
-		stack:  stack,
-		cfg:    cfg.Sync,
-		clog:   cfg.History,
-		flushQ: sim.NewWaitQueue(ns.Kernel().Sim()),
+		ns:    ns,
+		stack: stack,
+		cfg:   cfg.Sync,
+		clog:  cfg.History,
 	}
 	for _, sync := range cfg.Syncs {
 		p.links = append(p.links, &syncLink{ring: sync})

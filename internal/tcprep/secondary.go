@@ -39,7 +39,7 @@ type LogicalConn struct {
 	appClosed bool
 	gone      bool
 
-	dataQ *sim.WaitQueue
+	dataQ sim.WaitQueue
 
 	// live is the real connection after promotion.
 	live *tcpstack.Conn
@@ -70,7 +70,7 @@ type Secondary struct {
 	order     []ConnKey // insertion order, for deterministic promotion
 	binds     map[uint64]ConnKey
 	bindOrder []uint64 // announcement order, for deterministic history
-	bindQ     *sim.WaitQueue
+	bindQ     sim.WaitQueue
 	puller    *kernel.Task
 	promoted  bool
 
@@ -111,7 +111,6 @@ func NewSecondary(k *kernel.Kernel, sync *shm.Ring, cfg SecondaryConfig) *Second
 		retain:   cfg.Retain,
 		conns:    make(map[ConnKey]*LogicalConn),
 		binds:    make(map[uint64]ConnKey),
-		bindQ:    sim.NewWaitQueue(k.Sim()),
 	}
 	if !cfg.DeferPull {
 		s.StartPull()
@@ -149,7 +148,7 @@ func (s *Secondary) pullLoop(t *kernel.Task) {
 func (s *Secondary) logical(key ConnKey) *LogicalConn {
 	lc, ok := s.conns[key]
 	if !ok {
-		lc = &LogicalConn{key: key, dataQ: sim.NewWaitQueue(s.kern.Sim())}
+		lc = &LogicalConn{key: key}
 		s.conns[key] = lc
 		s.order = append(s.order, key)
 	}

@@ -68,30 +68,30 @@ type Conn struct {
 	rcvBuf  []byte
 	peerFin bool
 
-	// Retransmission.
+	// Retransmission. One timer per connection, re-armed in place; in
+	// TIME_WAIT nothing is left to retransmit and it times the linger.
 	rto      time.Duration
-	rtoTimer *sim.Event
+	timer    sim.Event
 	synTries int
 
 	listener *Listener // set while pending accept (server side)
 
-	connectQ *sim.WaitQueue
-	sendQ    *sim.WaitQueue
-	recvQ    *sim.WaitQueue
+	connectQ sim.WaitQueue
+	sendQ    sim.WaitQueue
+	recvQ    sim.WaitQueue
 	pollFns  []func()
 }
 
 func newConn(s *Stack, key connKey, st connState) *Conn {
-	return &Conn{
-		stack:    s,
-		key:      key,
-		state:    st,
-		sndWnd:   s.params.RecvBuf,
-		rto:      s.params.RTOMin,
-		connectQ: sim.NewWaitQueue(s.kern.Sim()),
-		sendQ:    sim.NewWaitQueue(s.kern.Sim()),
-		recvQ:    sim.NewWaitQueue(s.kern.Sim()),
+	c := &Conn{
+		stack:  s,
+		key:    key,
+		state:  st,
+		sndWnd: s.params.RecvBuf,
+		rto:    s.params.RTOMin,
 	}
+	c.timer.Init(s.kern.Sim(), c.onTimer)
+	return c
 }
 
 // LocalAddr returns the connection's local address.
@@ -170,26 +170,25 @@ func (c *Conn) trySend() {
 }
 
 func (c *Conn) armRTO() {
-	if c.rtoTimer != nil {
-		return
+	if !c.timer.Armed() {
+		c.timer.Reset(c.rto)
 	}
-	c.rtoTimer = c.stack.kern.Sim().Schedule(c.rto, c.onRTO)
 }
 
 func (c *Conn) resetRTO() {
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
 	if c.sndUna < c.sndNxt {
-		c.armRTO()
+		c.timer.Reset(c.rto)
+	} else {
+		c.timer.Cancel()
 	}
 }
 
-func (c *Conn) onRTO() {
-	c.rtoTimer = nil
+func (c *Conn) onTimer() {
 	switch c.state {
-	case stateClosed, stateTimeWait:
+	case stateClosed:
+		return
+	case stateTimeWait:
+		c.reap()
 		return
 	case stateSynSent:
 		c.synTries++
@@ -372,21 +371,14 @@ func (c *Conn) establish() {
 
 func (c *Conn) enterTimeWait() {
 	c.state = stateTimeWait
-	c.stack.kern.Sim().Schedule(c.stack.params.TimeWait, func() {
-		if c.state == stateTimeWait {
-			c.reap()
-		}
-	})
+	c.timer.Reset(c.stack.params.TimeWait)
 }
 
 // reap finishes the connection without error.
 func (c *Conn) reap() {
 	c.state = stateClosed
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
-	delete(c.stack.conns, c.key)
+	c.timer.Cancel()
+	c.stack.removeConn(c)
 	if c.stack.OnReaped != nil {
 		c.stack.OnReaped(c)
 	}

@@ -13,7 +13,7 @@ type Listener struct {
 	port    int
 	backlog int
 	ready   []*Conn // established, waiting for Accept
-	acceptQ *sim.WaitQueue
+	acceptQ sim.WaitQueue
 	closed  bool
 	pollFns []func()
 }
@@ -30,7 +30,6 @@ func (s *Stack) Listen(port, backlog int) (*Listener, error) {
 		stack:   s,
 		port:    port,
 		backlog: backlog,
-		acceptQ: sim.NewWaitQueue(s.kern.Sim()),
 	}
 	s.listeners[port] = l
 	return l, nil
@@ -57,7 +56,7 @@ func (l *Listener) handleSYN(seg *Segment) {
 	c.rcvNxt = c.irs + 1
 	c.sndWnd = seg.Window
 	c.listener = l
-	l.stack.conns[key] = c
+	l.stack.addConn(c)
 	c.sendSegment(FlagSYN|FlagACK, c.iss, nil, false)
 	c.armRTO()
 }

@@ -62,12 +62,12 @@ func (l *Listener) notifyPoll() {
 type Poller struct {
 	kern  *kernel.Kernel
 	items []Pollable
-	q     *sim.WaitQueue
+	q     sim.WaitQueue
 }
 
 // NewPoller creates an empty poller.
 func NewPoller(k *kernel.Kernel) *Poller {
-	return &Poller{kern: k, q: sim.NewWaitQueue(k.Sim())}
+	return &Poller{kern: k}
 }
 
 // Add registers a socket in the interest set.

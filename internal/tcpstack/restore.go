@@ -74,6 +74,6 @@ func (s *Stack) Restore(cs ConnSnapshot) (*Conn, error) {
 	if c.sndWnd <= 0 {
 		c.sndWnd = s.params.RecvBuf
 	}
-	s.conns[key] = c
+	s.addConn(c)
 	return c, nil
 }

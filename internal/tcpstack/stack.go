@@ -34,6 +34,10 @@ var (
 	ErrPortInUse    = errors.New("tcpstack: port in use")
 	ErrInterposed   = errors.New("tcpstack: socket is interposed (secondary replica)")
 	errProtoViolate = errors.New("tcpstack: protocol violation")
+
+	// ErrPortsExhausted is returned by Connect when every ephemeral port
+	// has a listener or a connection (TIME_WAIT included) on it.
+	ErrPortsExhausted = errors.New("tcpstack: ephemeral ports exhausted")
 )
 
 // EOF is io.EOF re-exported so callers need not import io for the
@@ -105,8 +109,11 @@ type Stack struct {
 
 	listeners map[int]*Listener
 	conns     map[connKey]*Conn
-	nextPort  int
+	portConns map[int]int // connections per local port, so allocPort need not scan conns
 	nextISS   uint64
+
+	// Ephemeral ports are handed out round-robin from [portLo, portHi].
+	portLo, portHi, nextPort int
 
 	// SegsIn/SegsOut count segments processed, for diagnostics.
 	SegsIn, SegsOut int64
@@ -141,6 +148,9 @@ func New(k *kernel.Kernel, host string, params Params) *Stack {
 		egress:    DirectGate{},
 		listeners: make(map[int]*Listener),
 		conns:     make(map[connKey]*Conn),
+		portConns: make(map[int]int),
+		portLo:    32768,
+		portHi:    60999,
 		nextPort:  32768,
 		nextISS:   1 << 20,
 	}
@@ -219,26 +229,38 @@ func (s *Stack) transmit(seg *Segment) {
 	})
 }
 
-func (s *Stack) allocPort() int {
-	for {
+// addConn and removeConn are the only writers of conns.
+func (s *Stack) addConn(c *Conn) {
+	s.conns[c.key] = c
+	s.portConns[c.key.localPort]++
+}
+
+func (s *Stack) removeConn(c *Conn) {
+	if s.conns[c.key] != c {
+		return
+	}
+	delete(s.conns, c.key)
+	if s.portConns[c.key.localPort]--; s.portConns[c.key.localPort] == 0 {
+		delete(s.portConns, c.key.localPort)
+	}
+}
+
+// allocPort returns the next ephemeral port after the last one handed out
+// that has neither a listener nor a connection on it.
+func (s *Stack) allocPort() (int, error) {
+	for tries := s.portHi - s.portLo + 1; tries > 0; tries-- {
 		s.nextPort++
-		if s.nextPort > 60999 {
-			s.nextPort = 32768
+		if s.nextPort > s.portHi {
+			s.nextPort = s.portLo
 		}
 		if _, used := s.listeners[s.nextPort]; used {
 			continue
 		}
-		free := true
-		for k := range s.conns {
-			if k.localPort == s.nextPort {
-				free = false
-				break
-			}
-		}
-		if free {
-			return s.nextPort
+		if s.portConns[s.nextPort] == 0 {
+			return s.nextPort, nil
 		}
 	}
+	return 0, ErrPortsExhausted
 }
 
 func (s *Stack) allocISS() uint64 {
@@ -250,18 +272,21 @@ func (s *Stack) allocISS() uint64 {
 // handshake completes or times out.
 func (s *Stack) Connect(t *kernel.Task, dst Addr) (*Conn, error) {
 	t.Syscall()
-	key := connKey{localPort: s.allocPort(), remoteHost: dst.Host, remotePort: dst.Port}
+	port, err := s.allocPort()
+	if err != nil {
+		return nil, fmt.Errorf("connect %v: %w", dst, err)
+	}
+	key := connKey{localPort: port, remoteHost: dst.Host, remotePort: dst.Port}
 	c := newConn(s, key, stateSynSent)
 	c.iss = s.allocISS()
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
-	s.conns[key] = c
+	s.addConn(c)
 	c.sendSegment(FlagSYN, c.iss, nil, false)
 	c.armRTO()
 	for c.state == stateSynSent {
 		c.connectQ.Wait(t.Proc())
 	}
 	if c.err != nil {
-		delete(s.conns, key)
 		return nil, fmt.Errorf("connect %v: %w", dst, c.err)
 	}
 	return c, nil

@@ -538,3 +538,85 @@ func TestDeterministicSegments(t *testing.T) {
 		t.Errorf("nondeterministic segment counts: %d/%d vs %d/%d", in1, out1, in2, out2)
 	}
 }
+
+// TestEphemeralPortsExhausted narrows the client's ephemeral range to four
+// ports, one of them taken by a listener. Connect hands out the other three
+// in the old scan order, fails with ErrPortsExhausted instead of spinning
+// while all are in use — a connection in TIME_WAIT still holds its port —
+// and succeeds again once one has been reaped.
+func TestEphemeralPortsExhausted(t *testing.T) {
+	p := newPair(t, 5, DefaultParams())
+	p.client.portLo, p.client.portHi, p.client.nextPort = 40000, 40003, 40000
+	if _, err := p.client.Listen(40002, 1); err != nil {
+		t.Fatal(err)
+	}
+	l, err := p.server.Listen(80, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.serverK.Spawn("server", func(tk *kernel.Task) {
+		for {
+			c, err := l.Accept(tk)
+			if err != nil {
+				return
+			}
+			p.serverK.Spawn("conn", func(tk *kernel.Task) {
+				for {
+					if _, err := c.Recv(tk, 1); err != nil {
+						_ = c.Close(tk)
+						return
+					}
+				}
+			})
+		}
+	})
+	var ports []int
+	var errFull, errTimeWait, errAfter error
+	p.clientK.Spawn("client", func(tk *kernel.Task) {
+		dst := Addr{Host: "server", Port: 80}
+		var conns []*Conn
+		for i := 0; i < 3; i++ {
+			c, err := p.client.Connect(tk, dst)
+			if err != nil {
+				t.Errorf("Connect %d: %v", i, err)
+				return
+			}
+			conns = append(conns, c)
+			ports = append(ports, c.LocalAddr().Port)
+		}
+		_, errFull = p.client.Connect(tk, dst)
+		_ = conns[1].Close(tk)
+		tk.Sleep(p.client.params.TimeWait / 2)
+		_, errTimeWait = p.client.Connect(tk, dst)
+		tk.Sleep(p.client.params.TimeWait)
+		c, err := p.client.Connect(tk, dst)
+		if errAfter = err; err == nil {
+			ports = append(ports, c.LocalAddr().Port)
+		}
+		l.Close()
+	})
+	if err := p.sim.RunUntil(sim.Time(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(errFull, ErrPortsExhausted) || !errors.Is(errTimeWait, ErrPortsExhausted) {
+		t.Errorf("Connect with every port in use: %v; with one in TIME_WAIT: %v; want ErrPortsExhausted twice", errFull, errTimeWait)
+	}
+	if errAfter != nil {
+		t.Errorf("Connect after the TIME_WAIT connection was reaped: %v", errAfter)
+	}
+	if want := []int{40001, 40003, 40000, 40003}; !equalInts(ports, want) {
+		t.Errorf("ports handed out %v, want %v", ports, want)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
