@@ -28,7 +28,7 @@ func run() error {
 	cfg.BlockSize = 50 << 10
 	cfg.MaxBlocks = 4000 // a 200 MB slice of the 1 GB file keeps this demo quick
 
-	sys, err := core.NewSystem(core.DefaultConfig(1))
+	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false))
 	if err != nil {
 		return err
 	}

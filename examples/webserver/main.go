@@ -58,7 +58,7 @@ func run() error {
 	}
 
 	// FT-Linux with full-software-stack replication.
-	sys, err := core.NewSystem(core.DefaultConfig(1))
+	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false))
 	if err != nil {
 		return err
 	}
@@ -67,9 +67,9 @@ func run() error {
 		return err
 	}
 	var fst mongoose.Stats
-	sys.LaunchApp("mongoose", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		mongoose.Run(th, socks, mcfg, &fst)
-	})
+	}})
 	var fab clients.ABStats
 	clients.RunAB(fclient, abcfg, &fab)
 	if err := sys.Sim.RunUntil(sim.Time(abcfg.Duration + time.Second)); err != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcprep"
+	"repro/internal/tcpstack"
 )
 
 func verify(t *testing.T) func(int64, []byte) bool {
@@ -29,9 +30,9 @@ func verify(t *testing.T) func(int64, []byte) bool {
 }
 
 func TestTransferIntact(t *testing.T) {
-	cfg := core.DefaultConfig(1)
-	cfg.TCP.MSS = 32 << 10
-	sys, err := core.NewSystem(cfg)
+	tcp := tcpstack.DefaultParams()
+	tcp.MSS = 32 << 10
+	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false), core.WithTCP(tcp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +42,9 @@ func TestTransferIntact(t *testing.T) {
 	}
 	fcfg := fileserver.Config{Port: 80, FileSize: 64 << 20, ChunkBytes: 256 << 10}
 	var fst fileserver.Stats
-	sys.LaunchApp("fileserver", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "fileserver", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		fileserver.Run(th, socks, fcfg, &fst)
-	})
+	}})
 	var dl clients.DownloadStats
 	clients.Download(client, fcfg.Port, fcfg.FileSize, time.Second, verify(t), &dl)
 	if err := sys.Sim.RunUntil(sim.Time(30 * time.Second)); err != nil {
@@ -60,9 +61,9 @@ func TestTransferIntact(t *testing.T) {
 }
 
 func TestTransferSurvivesCoherencyLossFailover(t *testing.T) {
-	cfg := core.DefaultConfig(2)
-	cfg.TCP.MSS = 32 << 10
-	sys, err := core.NewSystem(cfg)
+	tcp := tcpstack.DefaultParams()
+	tcp.MSS = 32 << 10
+	sys, err := core.New(core.WithSeed(2), core.WithRejoin(false), core.WithTCP(tcp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +73,9 @@ func TestTransferSurvivesCoherencyLossFailover(t *testing.T) {
 	}
 	fcfg := fileserver.Config{Port: 80, FileSize: 96 << 20, ChunkBytes: 256 << 10}
 	var fst fileserver.Stats
-	sys.LaunchApp("fileserver", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "fileserver", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		fileserver.Run(th, socks, fcfg, &fst)
-	})
+	}})
 	var dl clients.DownloadStats
 	clients.Download(client, fcfg.Port, fcfg.FileSize, time.Second, verify(t), &dl)
 	// The worst §3.5 case: the fault also loses in-flight log messages.

@@ -125,7 +125,7 @@ func TestReplicatedFSStateIdentical(t *testing.T) {
 	// The §6 claim: a user-space POSIX file system replicates with plain
 	// SMR — mutations are deterministic under the replicated lock order
 	// and short-read lengths are recorded/replayed.
-	sys, err := core.NewSystem(core.DefaultConfig(2))
+	sys, err := core.New(core.WithSeed(2), core.WithRejoin(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestReplicatedFSStateIdentical(t *testing.T) {
 }
 
 func TestReplicatedFSSurvivesFailover(t *testing.T) {
-	sys, err := core.NewSystem(core.DefaultConfig(3))
+	sys, err := core.New(core.WithSeed(3), core.WithRejoin(false))
 	if err != nil {
 		t.Fatal(err)
 	}

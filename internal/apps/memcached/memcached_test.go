@@ -66,7 +66,7 @@ func TestLoadModelMatchesPaperAt180x(t *testing.T) {
 }
 
 func TestReplicatedKVServer(t *testing.T) {
-	sys, err := core.NewSystem(core.DefaultConfig(4))
+	sys, err := core.New(core.WithSeed(4), core.WithRejoin(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestReplicatedKVServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st memcached.ServerStats
-	sys.LaunchApp("memcached", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "memcached", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		memcached.RunServer(th, socks, memcached.ServerConfig{Port: 11211, Workers: 4}, &st)
-	})
+	}})
 	var replies []string
 	client.Kernel.Spawn("client", func(tk *kernel.Task) {
 		c, err := client.Stack.Connect(tk, client.ServerAddr(11211))

@@ -15,7 +15,7 @@ import (
 )
 
 func TestServesUnderLoadReplicated(t *testing.T) {
-	sys, err := core.NewSystem(core.DefaultConfig(1))
+	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +26,9 @@ func TestServesUnderLoadReplicated(t *testing.T) {
 	mcfg := mongoose.DefaultConfig()
 	mcfg.Workers = 8
 	var st mongoose.Stats
-	sys.LaunchApp("mongoose", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		mongoose.Run(th, socks, mcfg, &st)
-	})
+	}})
 	var ab clients.ABStats
 	clients.RunAB(client, clients.ABConfig{
 		Port: mcfg.Port, Concurrency: 10, ResponseBytes: mongoose.PageSize(mcfg),
@@ -52,7 +52,7 @@ func TestServesUnderLoadReplicated(t *testing.T) {
 }
 
 func TestServiceSurvivesFailover(t *testing.T) {
-	sys, err := core.NewSystem(core.DefaultConfig(2))
+	sys, err := core.New(core.WithSeed(2), core.WithRejoin(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,9 @@ func TestServiceSurvivesFailover(t *testing.T) {
 	mcfg := mongoose.DefaultConfig()
 	mcfg.Workers = 8
 	var st mongoose.Stats
-	sys.LaunchApp("mongoose", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		mongoose.Run(th, socks, mcfg, &st)
-	})
+	}})
 	var ab clients.ABStats
 	clients.RunAB(client, clients.ABConfig{
 		Port: mcfg.Port, Concurrency: 5, ResponseBytes: mongoose.PageSize(mcfg),

@@ -16,8 +16,8 @@ import (
 
 // ftPBZIPRate runs the FT configuration of the PBZIP2 workload at one block
 // size and reports sustained blocks/s plus replay health.
-func ftPBZIPRate(cfg core.Config, blockKB int, window time.Duration) (sustained float64, primaryBlocks, secondaryBlocks int, divergences uint64, err error) {
-	sys, err := core.NewSystem(cfg)
+func ftPBZIPRate(seed int64, tune core.Option, blockKB int, window time.Duration) (sustained float64, primaryBlocks, secondaryBlocks int, divergences uint64, err error) {
+	sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false), tune)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -39,8 +39,8 @@ func ftPBZIPRate(cfg core.Config, blockKB int, window time.Duration) (sustained 
 
 // ftMongooseLatency measures mean request latency at a moderate load under
 // the given replication config.
-func ftMongooseLatency(cfg core.Config, window time.Duration) (float64, time.Duration, error) {
-	sys, err := core.NewSystem(cfg)
+func ftMongooseLatency(seed int64, tune core.Option, window time.Duration) (float64, time.Duration, error) {
+	sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false), tune)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -52,9 +52,9 @@ func ftMongooseLatency(cfg core.Config, window time.Duration) (float64, time.Dur
 	mcfg := mongoose.DefaultConfig()
 	mcfg.CPULoad = time.Millisecond
 	var mst mongoose.Stats
-	sys.LaunchApp("mongoose", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		mongoose.Run(th, socks, mcfg, &mst)
-	})
+	}})
 	var ab clients.ABStats
 	clients.RunAB(client, clients.ABConfig{
 		Port: mcfg.Port, Concurrency: 10, ResponseBytes: mongoose.PageSize(mcfg),
@@ -78,9 +78,7 @@ func Ablations(seed int64, quick bool) ([][]string, error) {
 	// 1. Output-commit strictness (§3.5): strict waits for secondary acks
 	// before releasing network output; relaxed releases immediately.
 	for _, strict := range []bool{true, false} {
-		cfg := core.DefaultConfig(seed)
-		cfg.Replication.StrictOutputCommit = strict
-		rps, lat, err := ftMongooseLatency(cfg, window)
+		rps, lat, err := ftMongooseLatency(seed, core.WithStrictOutputCommit(strict), window)
 		if err != nil {
 			return nil, err
 		}
@@ -96,10 +94,10 @@ func Ablations(seed int64, quick bool) ([][]string, error) {
 	// paper's stated scalability limit; quadrupling the in-section cost
 	// shows how strongly PBZIP2 sustained throughput depends on it.
 	for _, mult := range []int{1, 4} {
-		cfg := core.DefaultConfig(seed)
-		cfg.Replication.SectionCost *= time.Duration(mult)
-		cfg.Replication.ReplayDispatchCost *= time.Duration(mult)
-		rate, _, _, _, err := ftPBZIPRate(cfg, 50, window)
+		rate, _, _, _, err := ftPBZIPRate(seed, func(c *core.Config) {
+			c.Replication.SectionCost *= time.Duration(mult)
+			c.Replication.ReplayDispatchCost *= time.Duration(mult)
+		}, 50, window)
 		if err != nil {
 			return nil, err
 		}
@@ -110,10 +108,10 @@ func Ablations(seed int64, quick bool) ([][]string, error) {
 
 	// 3. FIFO futex (§3.3): stock unordered wake-up breaks replay.
 	for _, fifo := range []bool{true, false} {
-		cfg := core.DefaultConfig(seed)
-		cfg.Kernel.FutexFIFO = fifo
-		cfg.Replication.PanicOnDivergence = false
-		_, p, s, div, err := ftPBZIPRate(cfg, 100, window/2)
+		_, p, s, div, err := ftPBZIPRate(seed, func(c *core.Config) {
+			c.Kernel.FutexFIFO = fifo
+			c.Replication.PanicOnDivergence = false
+		}, 100, window/2)
 		if err != nil {
 			return nil, err
 		}
@@ -128,9 +126,7 @@ func Ablations(seed int64, quick bool) ([][]string, error) {
 	// 4. In-flight log buffer: the ring is what separates burst from
 	// sustained throughput.
 	for _, ring := range []int64{64 << 10, 4 << 20, 32 << 20} {
-		cfg := core.DefaultConfig(seed)
-		cfg.Replication.LogRingBytes = ring
-		rate, _, _, _, err := ftPBZIPRate(cfg, 50, window)
+		rate, _, _, _, err := ftPBZIPRate(seed, func(c *core.Config) { c.Replication.LogRingBytes = ring }, 50, window)
 		if err != nil {
 			return nil, err
 		}
@@ -141,13 +137,12 @@ func Ablations(seed int64, quick bool) ([][]string, error) {
 
 	// 5. Idle-wake (wake_up_process) latency sensitivity (§4.1).
 	for _, max := range []time.Duration{0, 15 * time.Millisecond, 50 * time.Millisecond} {
-		cfg := core.DefaultConfig(seed)
-		if max == 0 {
-			cfg.Kernel.IdleWakeMin, cfg.Kernel.IdleWakeMax = 0, 0
-		} else {
-			cfg.Kernel.IdleWakeMax = max
-		}
-		rate, _, _, _, err := ftPBZIPRate(cfg, 25, window)
+		rate, _, _, _, err := ftPBZIPRate(seed, func(c *core.Config) {
+			c.Kernel.IdleWakeMax = max
+			if max == 0 {
+				c.Kernel.IdleWakeMin = 0
+			}
+		}, 25, window)
 		if err != nil {
 			return nil, err
 		}

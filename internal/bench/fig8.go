@@ -92,7 +92,7 @@ func Fig8(opts Fig8Opts) (Fig8Result, error) {
 			}
 			return st, nil, nil
 		}
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.New(core.WithSeed(opts.Seed), core.WithRejoin(false), core.WithTCP(cfg.TCP))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -102,9 +102,9 @@ func Fig8(opts Fig8Opts) (Fig8Result, error) {
 			return nil, nil, err
 		}
 		var fst fileserver.Stats
-		sys.LaunchApp("fileserver", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+		sys.Run(core.App{Name: "fileserver", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 			fileserver.Run(th, socks, fcfg, &fst)
-		})
+		}})
 		clients.Download(client, fcfg.Port, opts.FileSize, time.Second, fig8Verify, st)
 		if failAt > 0 {
 			sys.InjectPrimaryFailure(failAt, hw.CoreFailStop)

@@ -85,10 +85,8 @@ func Mixed(opts MixedOpts) (MixedResult, error) {
 	res.UbuntuLat = bab.MeanLatency()
 
 	// FT-Linux: 32-core primary, single-core secondary partition (§4.3).
-	cfg := core.DefaultConfig(opts.Seed)
-	cfg.SecondaryNodes = []int{4}
-	cfg.SecondaryCores = 1
-	sys, err := core.NewSystem(cfg)
+	sys, err := core.New(core.WithSeed(opts.Seed), core.WithRejoin(false),
+		core.WithPlacement([][]int{{0, 1, 2, 3}, {4}}), core.WithCores(0, 1))
 	if err != nil {
 		return res, err
 	}
@@ -98,9 +96,9 @@ func Mixed(opts MixedOpts) (MixedResult, error) {
 		return res, err
 	}
 	var fst mongoose.Stats
-	sys.LaunchApp("mongoose", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		mongoose.Run(th, socks, mcfg, &fst)
-	})
+	}})
 	// The CPU hog runs OUTSIDE the FT-Namespace on the primary only.
 	cpuHog(sys.Primary.Kernel)
 	var fab clients.ABStats

@@ -90,10 +90,11 @@ func mongoosePoint(step int, opts MongooseOpts) (MongoosePoint, error) {
 
 	// FT-Linux. Per-update streaming, as in the paper's prototype: Figure
 	// 7's traffic counts are only comparable without log/sync batching.
-	ftCfg := core.DefaultConfig(opts.Seed)
-	ftCfg.Replication.BatchTuples = 1
-	ftCfg.TCPSync.BatchUpdates = 1
-	sys, err := core.NewSystem(ftCfg)
+	sys, err := core.New(core.WithSeed(opts.Seed), core.WithRejoin(false),
+		func(c *core.Config) {
+			c.Replication.BatchTuples = 1
+			c.TCPSync.BatchUpdates = 1
+		})
 	if err != nil {
 		return point, err
 	}
@@ -103,9 +104,9 @@ func mongoosePoint(step int, opts MongooseOpts) (MongoosePoint, error) {
 		return point, err
 	}
 	var fst mongoose.Stats
-	sys.LaunchApp("mongoose", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
+	sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		mongoose.Run(th, socks, mcfg, &fst)
-	})
+	}})
 	// Burst: a short separate counter over the first quarter window.
 	burstCfg := abcfg
 	var fab clients.ABStats

@@ -92,9 +92,8 @@ func pbzipPoint(kb int, opts PBZIPOpts) (PBZIPPoint, error) {
 	// mailbox message, so Figure 5's absolute message/byte rates are only
 	// comparable in that configuration; batched traffic is measured by
 	// BatchSweep (ftbench -exp batching).
-	ftCfg := core.DefaultConfig(opts.Seed)
-	ftCfg.Replication.BatchTuples = 1
-	sys, err := core.NewSystem(ftCfg)
+	sys, err := core.New(core.WithSeed(opts.Seed), core.WithRejoin(false),
+		func(c *core.Config) { c.Replication.BatchTuples = 1 })
 	if err != nil {
 		return point, err
 	}

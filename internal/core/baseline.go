@@ -36,8 +36,9 @@ func NewBaseline(cfg Config) (*Baseline, error) {
 	if cfg.Profile.Sockets == 0 {
 		cfg.Profile = hw.Opteron6376x4()
 	}
-	if len(cfg.PrimaryNodes) == 0 {
-		cfg.PrimaryNodes = []int{0, 1, 2, 3}
+	nodes := []int{0, 1, 2, 3}
+	if len(cfg.Placement) > 0 {
+		nodes = cfg.Placement[0]
 	}
 	if cfg.Kernel == (kernel.Params{}) {
 		cfg.Kernel = kernel.DefaultParams()
@@ -47,7 +48,7 @@ func NewBaseline(cfg Config) (*Baseline, error) {
 	}
 	s := sim.New(cfg.Seed)
 	m := hw.New(s, cfg.Profile)
-	part, err := m.NewPartition("ubuntu", cfg.PrimaryNodes...)
+	part, err := m.NewPartition("ubuntu", nodes...)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -14,12 +14,18 @@
 //	sys.Run(core.App{Name: "app", Main: func(th *replication.Thread, _ *tcprep.Sockets) { ... }})
 //	sys.Sim.Run()
 //
+// New and Run are the one way in; an Option is a func(*Config), so a caller
+// that needs a field no With* helper exposes passes a func literal.
+//
 // With rejoin enabled (the New default), a failover is not the end of the
 // story: the survivor keeps recording into a retained history, a fresh
-// backup kernel boots on the freed partition, receives a checkpoint over a
-// bulk ring, replays the catch-up log, and the pair flips back to
-// replicated mode — repeatedly, across injected crash cycles
-// (internal/chaos).
+// backup kernel boots on the freed partition, is seeded over a bulk ring
+// from the survivor's latest checkpoint — the genesis checkpoint every
+// replica boots with, or the last verified epoch cut under
+// WithEpochCheckpoints — replays the log retained after it, and the pair
+// flips back to replicated mode — repeatedly, across injected crash cycles
+// (internal/chaos). WithRejoin(false) is the paper's single-failure
+// deployment: no retention, no re-integration.
 //
 // NewBaseline builds the unreplicated "stock Ubuntu" configuration used as
 // the comparison baseline in every experiment.
@@ -52,8 +58,7 @@ type Config struct {
 	Profile hw.Profile
 	// Replicas is the replica-set size: one recording primary plus
 	// Replicas-1 replaying backups, each on its own NUMA fault domain
-	// (0 selects the legacy two-replica deployment described by
-	// PrimaryNodes/SecondaryNodes).
+	// (0 selects the paper's two-replica deployment).
 	Replicas int
 	// Quorum is the output-commit quorum, counted over the whole replica
 	// set including the primary: output is released once Quorum replicas
@@ -65,13 +70,6 @@ type Config struct {
 	// replica with slot 0 the primary (empty derives balanced fault
 	// domains from the profile, hw.Profile.FaultDomains).
 	Placement [][]int
-	// PrimaryNodes/SecondaryNodes are the NUMA nodes per partition
-	// (default: symmetric 4+4, the paper's standard configuration).
-	//
-	// Deprecated: the pair describes the two-replica deployment; Replicas/
-	// Placement generalize it. validate keeps them mirroring Placement's
-	// first two slots.
-	PrimaryNodes, SecondaryNodes []int
 	// PrimaryCores/SecondaryCores restrict usable cores (0 = all in the
 	// partition); §4.3 uses a single-core secondary.
 	PrimaryCores, SecondaryCores int
@@ -97,7 +95,7 @@ type Config struct {
 	// Rejoin enables backup re-integration: the recording side retains
 	// its full history so that, after a failure, a fresh backup kernel on
 	// the freed partition can be checkpointed, caught up, and returned to
-	// replicated mode. New enables it by default; NewSystem leaves it off.
+	// replicated mode. New enables it by default.
 	Rejoin bool
 	// RejoinDelay is how long a freed partition stays down after a
 	// failure before the replacement backup boots (repair/reboot time;
@@ -115,9 +113,10 @@ type Config struct {
 
 // EpochConfig tunes epoch checkpointing: the recording side cuts an
 // incremental checkpoint every epoch, backups verify the boundary digest
-// at their replay frontier and truncate their retained log there, and
-// rejoin becomes latest-checkpoint transfer plus a short delta replay —
-// flat in uptime — instead of a full-history replay.
+// at their replay frontier and truncate their retained log there, and a
+// rejoin's seed advances from genesis to the latest verified cut — its
+// delta replay one epoch long, flat in uptime, instead of the whole
+// history.
 type EpochConfig struct {
 	// Enabled turns the cutter on (WithEpochCheckpoints sets it).
 	Enabled bool
@@ -144,8 +143,6 @@ func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:              seed,
 		Profile:           hw.Opteron6376x4(),
-		PrimaryNodes:      []int{0, 1, 2, 3},
-		SecondaryNodes:    []int{4, 5, 6, 7},
 		Kernel:            kernel.DefaultParams(),
 		Replication:       replication.DefaultConfig(),
 		TCPSync:           tcprep.DefaultSyncConfig(),
@@ -184,11 +181,14 @@ type Replica struct {
 	// apps holds this replica's restorable app instances in launch
 	// order (epoch checkpoints only).
 	apps []appInst
-	// lastCP is the latest epoch checkpoint this replica holds: on a
-	// backup the last digest-verified marker payload, on the recording
-	// side the last quorum-acknowledged cut. Rejoin seeds fresh backups
-	// from it instead of replaying history from the first tuple.
-	lastCP *rejoin.EpochCheckpoint
+	// lastCP is the latest checkpoint this replica holds, never nil: the
+	// genesis checkpoint from boot, then on a backup the last
+	// digest-verified marker payload (or the checkpoint a rejoin seeded it
+	// from), on the recording side the last quorum-acknowledged cut. The
+	// replica's retained history begins at lastCP.Sent, so a rejoin seeds a
+	// fresh backup from lastCP and replays that history as the delta — the
+	// whole history while lastCP is still genesis.
+	lastCP *rejoin.Checkpoint
 }
 
 // Slot returns the replica's partition slot in the replica set (0 is the
@@ -247,7 +247,7 @@ type System struct {
 	// Epoch checkpointing (see epoch.go): the monotone epoch counter,
 	// cuts awaiting their ack quorum, and the cutter's instrumentation.
 	epoch       uint64
-	pendingCuts map[uint64]*rejoin.EpochCheckpoint
+	pendingCuts map[uint64]*rejoin.Checkpoint
 	scEpoch     *obs.Scope
 	hPause      *obs.Histogram
 
@@ -278,17 +278,7 @@ func ringSuffix(i int) string {
 	return fmt.Sprintf(".r%d", i)
 }
 
-// NewSystem boots a replicated deployment from a Config.
-//
-// Deprecated: use New with functional options; it also enables backup
-// rejoin by default. NewSystem remains for the paper's single-failure
-// experiments and keeps their exact semantics (no retention, no rejoin
-// unless cfg.Rejoin is set).
-func NewSystem(cfg Config) (*System, error) {
-	return build(cfg)
-}
-
-// build is the one construction path behind New and NewSystem.
+// build is the one construction path behind New.
 func build(cfg Config) (*System, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
@@ -412,6 +402,7 @@ func build(cfg Config) (*System, error) {
 		})
 	}
 
+	genesis := rejoin.Genesis()
 	reps := make([]*Replica, n)
 	reps[0] = &Replica{
 		Kernel:  kerns[0],
@@ -422,6 +413,7 @@ func build(cfg Config) (*System, error) {
 		partIdx: 0,
 		linkIdx: -1,
 		scope:   "primary/ftns",
+		lastCP:  genesis,
 	}
 	for i := 1; i < n; i++ {
 		reps[i] = &Replica{
@@ -432,6 +424,7 @@ func build(cfg Config) (*System, error) {
 			partIdx: i,
 			linkIdx: i - 1,
 			scope:   slotName(i) + "/ftns",
+			lastCP:  genesis,
 		}
 	}
 
@@ -457,7 +450,7 @@ func build(cfg Config) (*System, error) {
 	// With epochs off none of this exists and the engine's execution —
 	// and its trace — is byte-identical to the previous one.
 	if cfg.Epochs.Enabled {
-		sys.pendingCuts = make(map[uint64]*rejoin.EpochCheckpoint)
+		sys.pendingCuts = make(map[uint64]*rejoin.Checkpoint)
 		sys.scEpoch = tr.Scope("epoch")
 		sys.hPause = tr.Registry().Histogram("ftns.epoch.pause", "ns")
 		sys.wireEpochQuorum(reps[0])
@@ -604,26 +597,23 @@ type appInst struct {
 	state AppState
 }
 
-func (sys *System) startOn(rep *Replica, l appLaunch) *replication.Thread {
+// startOn starts a recorded launch on a replica. A restorable app gets a
+// fresh instance, restored from its snapshot in snaps when there is one;
+// no snapshot (and no App.State at all) means start from scratch.
+func (sys *System) startOn(rep *Replica, l appLaunch, snaps []rejoin.AppSnap) {
 	run := l.run
 	if l.state != nil {
 		inst := l.state()
+		for _, a := range snaps {
+			if a.Name == l.name {
+				inst.Restore(a.Data)
+				break
+			}
+		}
 		rep.apps = append(rep.apps, appInst{name: l.name, state: inst})
 		run = inst.Main
 	}
-	return rep.NS.Start(l.name, l.env, func(th *replication.Thread) { run(th, rep.Sockets) })
-}
-
-// startRestored instantiates a restorable app from its epoch snapshot and
-// starts it; the thread adopts its checkpointed identity through the
-// namespace's ResumeFrom pins.
-func (sys *System) startRestored(rep *Replica, l appLaunch, data []byte, found bool) {
-	inst := l.state()
-	if found {
-		inst.Restore(data)
-	}
-	rep.apps = append(rep.apps, appInst{name: l.name, state: inst})
-	rep.NS.Start(l.name, l.env, func(th *replication.Thread) { inst.Main(th, rep.Sockets) })
+	rep.NS.Start(l.name, l.env, func(th *replication.Thread) { run(th, rep.Sockets) })
 }
 
 // Run starts an application on every current replica and records the
@@ -640,30 +630,10 @@ func (sys *System) Run(app App) {
 	}
 	l := appLaunch{name: app.Name, env: app.Env, run: app.Main, state: app.State}
 	sys.launches = append(sys.launches, l)
-	sys.startOn(sys.active, l)
+	sys.startOn(sys.active, l, nil)
 	for _, p := range sys.passives {
-		sys.startOn(p, l)
+		sys.startOn(p, l, nil)
 	}
-}
-
-// Launch starts the same application function on both replicas inside the
-// FT-Namespace.
-//
-// Deprecated: use Run; Launch remains for callers that need the two
-// boot-time thread handles.
-func (sys *System) Launch(name string, env map[string]string, app func(*replication.Thread)) (p, s *replication.Thread) {
-	l := appLaunch{name: name, env: env, run: func(th *replication.Thread, _ *tcprep.Sockets) { app(th) }}
-	sys.launches = append(sys.launches, l)
-	p = sys.startOn(sys.Primary, l)
-	s = sys.startOn(sys.Secondary, l)
-	return p, s
-}
-
-// LaunchApp is Launch for applications that use the network.
-//
-// Deprecated: use Run.
-func (sys *System) LaunchApp(name string, env map[string]string, app func(*replication.Thread, *tcprep.Sockets)) {
-	sys.Run(App{Name: name, Env: env, Main: app})
 }
 
 // peerFailed is the one detector callback: surv's detector declared peer
@@ -683,14 +653,8 @@ func (sys *System) peerFailed(surv, dead *Replica) {
 	}
 }
 
-// backupDied handles one backup's death on the recording side. Losing the
-// last backup degrades exactly as the two-replica engine did: the
-// namespace goes live (or, with rejoin, keeps recording into the retained
-// history with vacuous output stability), the TCP sync stream stops, and
-// parked output is released. With other backups still live only the dead
-// slot's links are dropped; falling below the commit quorum is surfaced
-// (QuorumLost event, Healthy returning ErrQuorumLost) while the recorder
-// degrades to its all-of-the-living release rule.
+// backupDied handles one backup's death on the recording side: drop it
+// from the set and, with rejoin, schedule its partition's re-integration.
 func (sys *System) backupDied(surv, dead *Replica) {
 	if !sys.removePassive(dead) {
 		return
@@ -699,27 +663,40 @@ func (sys *System) backupDied(surv, dead *Replica) {
 		sys.resync = nil
 	}
 	sys.lastDead = dead
+	sys.dropBackup(surv, dead)
+	sys.scheduleRejoin(surv, dead)
+}
+
+// dropBackup detaches a backup that just left the passive list — dead or
+// retired — from the recording side act. Losing the last backup degrades
+// exactly as the two-replica engine did: the namespace goes live (or, with
+// rejoin, keeps recording into the retained history with vacuous output
+// stability), the TCP sync stream stops, and parked output is released.
+// With other backups still live only the departed slot's links are
+// dropped; falling below the commit quorum is surfaced (QuorumLost event,
+// Healthy returning ErrQuorumLost) while the recorder degrades to its
+// all-of-the-living release rule.
+func (sys *System) dropBackup(act, gone *Replica) {
 	live := sys.livePassives()
 	if len(live) == 0 {
-		surv.NS.GoLive()
-		if surv.TCPPrim != nil {
-			surv.TCPPrim.GoLive()
+		act.NS.GoLive()
+		if act.TCPPrim != nil {
+			act.TCPPrim.GoLive()
 		}
 		sys.setState(StateDegraded)
-	} else {
-		surv.NS.DropReplica(dead.linkIdx)
-		if surv.TCPPrim != nil {
-			surv.TCPPrim.DropRing(dead.linkIdx)
-		}
-		if len(live) < sys.Cfg.Quorum-1 {
-			sys.scLife.EmitNote(obs.QuorumLost, 0, int64(len(live)), int64(sys.Cfg.Quorum),
-				fmt.Sprintf("%d live backups below commit quorum %d", len(live), sys.Cfg.Quorum))
-		}
-		if sys.resync == nil {
-			sys.setState(StateDegraded)
-		}
+		return
 	}
-	sys.scheduleRejoin(surv, dead)
+	act.NS.DropReplica(gone.linkIdx)
+	if act.TCPPrim != nil {
+		act.TCPPrim.DropRing(gone.linkIdx)
+	}
+	if len(live) < sys.Cfg.Quorum-1 {
+		sys.scLife.EmitNote(obs.QuorumLost, 0, int64(len(live)), int64(sys.Cfg.Quorum),
+			fmt.Sprintf("%d live backups below commit quorum %d", len(live), sys.Cfg.Quorum))
+	}
+	if sys.resync == nil {
+		sys.setState(StateDegraded)
+	}
 }
 
 // failover runs the active side's death on the first surviving backup
@@ -836,7 +813,7 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 			// that checkpoint forward for the rejoins scheduled below.
 			// The old primary's unacknowledged cuts die with it.
 			surv.NS.SeedEpochs(sys.epoch)
-			sys.pendingCuts = make(map[uint64]*rejoin.EpochCheckpoint)
+			sys.pendingCuts = make(map[uint64]*rejoin.Checkpoint)
 			sys.wireEpochQuorum(surv)
 			sys.startCutter(surv)
 		}
@@ -852,6 +829,6 @@ func (sys *System) InjectPrimaryFailure(d time.Duration, kind hw.FaultKind) {
 	if kind == 0 {
 		kind = hw.CoreFailStop
 	}
-	node := sys.Cfg.PrimaryNodes[0]
+	node := sys.Cfg.Placement[0][0]
 	sys.Machine.InjectAfter(d, hw.Fault{Kind: kind, Node: node, Core: -1, Addr: -1})
 }

@@ -17,12 +17,26 @@ import (
 	"repro/internal/tcpstack"
 )
 
-// quietKernel disables the random deep-idle wake penalty so tests can make
-// exact assertions; benchmarks keep it on.
-func quietConfig(seed int64) core.Config {
-	cfg := core.DefaultConfig(seed)
-	cfg.Kernel.IdleWakeMin, cfg.Kernel.IdleWakeMax = 0, 0
-	return cfg
+// quietSystem boots the paper's single-failure deployment: rejoin off, and
+// the random deep-idle wake penalty disabled so tests can make exact
+// assertions (benchmarks keep it on).
+func quietSystem(t *testing.T, seed int64, opts ...core.Option) *core.System {
+	t.Helper()
+	sys, err := core.New(append([]core.Option{
+		core.WithSeed(seed), core.WithKernelParams(quietParams()), core.WithRejoin(false),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// withMSS sets both replicas' TCP segment size (GSO-style large segments
+// for bulk transfers).
+func withMSS(mss int) core.Option {
+	tcp := tcpstack.DefaultParams()
+	tcp.MSS = mss
+	return core.WithTCP(tcp)
 }
 
 // echoApp accepts connections and echoes each request prefixed with "re:".
@@ -51,10 +65,7 @@ func echoApp(port, nRequests int, done *int) func(*replication.Thread, *tcprep.S
 }
 
 func TestReplicatedEchoService(t *testing.T) {
-	sys, err := core.NewSystem(quietConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := quietSystem(t, 1)
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
@@ -188,18 +199,13 @@ func download(t *testing.T, client *core.Client, port int, got *[]byte, doneAt *
 }
 
 func TestFailoverTransparentToClient(t *testing.T) {
-	cfg := quietConfig(2)
-	cfg.TCP.MSS = 16 << 10 // GSO-style large segments for bulk transfer
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := quietSystem(t, 2, withMSS(16<<10))
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 64 << 20 // 64 MiB ~= 0.6s on the wire at 1 Gb/s
-	sys.LaunchApp("stream", nil, streamApp(80, 64<<10, total))
+	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
 
 	var got []byte
 	var doneAt sim.Time
@@ -240,19 +246,13 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 	// The §3.5 case: the fault disrupts cache coherency, losing the
 	// primary's in-flight log messages. Strict output commit guarantees
 	// the client still observes a consistent stream.
-	cfg := quietConfig(3)
-	cfg.TCP.MSS = 16 << 10
-	cfg.Replication.StrictOutputCommit = true
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := quietSystem(t, 3, withMSS(16<<10), core.WithStrictOutputCommit(true))
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 16 << 20
-	sys.LaunchApp("stream", nil, streamApp(80, 64<<10, total))
+	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
 	var got []byte
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
@@ -267,17 +267,13 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 }
 
 func TestSecondaryFailurePrimaryContinues(t *testing.T) {
-	cfg := quietConfig(4)
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := quietSystem(t, 4)
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 8 << 20
-	sys.LaunchApp("stream", nil, streamApp(80, 64<<10, total))
+	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
 	var got []byte
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
@@ -299,7 +295,9 @@ func TestSecondaryFailurePrimaryContinues(t *testing.T) {
 }
 
 func TestBaselineEcho(t *testing.T) {
-	b, err := core.NewBaseline(quietConfig(5))
+	cfg := core.DefaultConfig(5)
+	cfg.Kernel = quietParams()
+	b, err := core.NewBaseline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +331,7 @@ func TestBaselineEcho(t *testing.T) {
 }
 
 func TestMemFaultInUserSpaceDoesNotKillKernel(t *testing.T) {
-	sys, err := core.NewSystem(quietConfig(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := quietSystem(t, 6)
 	// Allocate user memory on the primary, then hit it with a DUE.
 	if err := sys.Primary.Kernel.Mem().Alloc(kernelUserClass(), 4<<30); err != nil {
 		t.Fatal(err)
@@ -356,16 +351,13 @@ func TestMemFaultInUserSpaceDoesNotKillKernel(t *testing.T) {
 
 func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() (int64, int64) {
-		sys, err := core.NewSystem(quietConfig(42))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := quietSystem(t, 42)
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var done int
-		sys.LaunchApp("echo", nil, echoApp(80, 3, &done))
+		sys.Run(core.App{Name: "echo", Main: echoApp(80, 3, &done)})
 		client.Kernel.Spawn("client", func(tk *kernel.Task) {
 			for i := 0; i < 3; i++ {
 				c, err := client.Stack.Connect(tk, client.ServerAddr(80))
@@ -396,10 +388,7 @@ func kernelUserClass() kmem.PageClass    { return kmem.User }
 func kernelIgnoredClass() kmem.PageClass { return kmem.KernelIgnored }
 
 func TestReplicatedPoll(t *testing.T) {
-	sys, err := core.NewSystem(quietConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := quietSystem(t, 7)
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
@@ -503,18 +492,13 @@ func TestReplicatedPoll(t *testing.T) {
 func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 	kinds := []hw.FaultKind{hw.CoreFailStop, hw.BusError, hw.CoherencyLoss}
 	for seed := int64(1); seed <= 5; seed++ {
-		cfg := quietConfig(seed)
-		cfg.TCP.MSS = 32 << 10
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := quietSystem(t, seed, withMSS(32<<10))
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 		if err != nil {
 			t.Fatal(err)
 		}
 		const total = 16 << 20
-		sys.LaunchApp("stream", nil, streamApp(80, 64<<10, total))
+		sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
 		var got []byte
 		var doneAt sim.Time
 		download(t, client, 80, &got, &doneAt)
@@ -542,12 +526,9 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 // some of them as vectored deliveries.
 func TestTCPSyncBatchingCoalesces(t *testing.T) {
 	run := func(batch int) (*core.System, int, []string) {
-		cfg := quietConfig(8)
-		cfg.TCPSync = tcprep.SyncConfig{BatchUpdates: batch, FlushInterval: 50 * time.Microsecond}
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := quietSystem(t, 8, func(c *core.Config) {
+			c.TCPSync = tcprep.SyncConfig{BatchUpdates: batch, FlushInterval: 50 * time.Microsecond}
+		})
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 		if err != nil {
 			t.Fatal(err)

@@ -9,57 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// TestShardedRejoinRoundTrip is the sharded re-integration acceptance run:
-// with the det-section mutex sharded, kill the primary mid-stream, let the
-// freed partition rejoin, and require the checkpoint's per-object cursor
-// vector to replay-verify at the Lamport watermark (any mismatch surfaces
-// through RejoinErr as ErrChecksumMismatch). The client stream must match
-// the deterministic pattern byte for byte throughout.
-func TestShardedRejoinRoundTrip(t *testing.T) {
-	sys, h, states := rejoinRun(t, "kill primary @2s", 7, 60*time.Second,
-		core.WithDetShards(4))
-	if err := sys.RejoinErr(); err != nil {
-		t.Errorf("rejoin error: %v", err)
-	}
-	if err := sys.Healthy(); err != nil {
-		t.Errorf("end state not healthy: %v", err)
-	}
-	if g := sys.Generation(); g != 1 {
-		t.Errorf("generation = %d, want 1", g)
-	}
-	wantStates := []core.LifecycleState{
-		core.StateReplicated,
-		core.StateDegraded, core.StateResyncing, core.StateReplicated,
-	}
-	if len(states) != len(wantStates) {
-		t.Fatalf("lifecycle states = %v, want %v", states, wantStates)
-	}
-	for i := range states {
-		if states[i] != wantStates[i] {
-			t.Fatalf("lifecycle states = %v, want %v", states, wantStates)
-		}
-	}
-	if d := sys.Active().NS.Stats().Divergences; d != 0 {
-		t.Errorf("active replica recorded %d divergences", d)
-	}
-	if d := sys.Standby().NS.Stats().Divergences; d != 0 {
-		t.Errorf("standby replica recorded %d divergences", d)
-	}
-	// The byte stream is seed-deterministic and independent of sharding:
-	// an unsharded same-seed run must hash identically.
-	_, base, _ := rejoinRun(t, "kill primary @2s", 7, 60*time.Second)
-	if h != base {
-		t.Errorf("sharded stream hash %x != unsharded same-seed hash %x", h, base)
-	}
-}
-
 // TestShardedRejoinUnderChaos re-runs the double-kill resync under the
 // dup-delay chaos preset with sharded det sections: duplicated acks and
 // delayed log delivery must be absorbed by the per-object duplicate filter
 // and the ring's FIFO delay clamp.
 func TestShardedRejoinUnderChaos(t *testing.T) {
 	spec := "dup acks x2 0s..8s; delay log 150us 1s..3s; delay sync 100us 1s..3s; kill primary @2500ms; kill primary @10s"
-	sys, h, _ := rejoinRun(t, spec, 11, 60*time.Second, core.WithDetShards(4))
+	sys, h, _ := rejoinRun(t, spec, 11, 60*time.Second, plainStream, rejoinStreamTotal, core.WithDetShards(4))
 	if err := sys.RejoinErr(); err != nil {
 		t.Errorf("rejoin error: %v", err)
 	}
@@ -69,7 +25,7 @@ func TestShardedRejoinUnderChaos(t *testing.T) {
 	if g := sys.Generation(); g < 2 {
 		t.Errorf("generation = %d, want >= 2", g)
 	}
-	_, base, _ := rejoinRun(t, "", 11, 60*time.Second, core.WithDetShards(4))
+	_, base, _ := rejoinRun(t, "", 11, 60*time.Second, plainStream, rejoinStreamTotal, core.WithDetShards(4))
 	if h != base {
 		t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
 	}
@@ -81,14 +37,8 @@ func TestShardedRejoinUnderChaos(t *testing.T) {
 // and replay concurrently.
 func TestShardedTraceIdenticalAcrossRuns(t *testing.T) {
 	run := func() []byte {
-		cfg := quietConfig(11)
-		cfg.Obs.Trace = true
-		cfg.Replication.DetShards = 4
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Launch("locker", nil, lockApp(200))
+		sys := quietSystem(t, 11, core.WithTrace(), core.WithDetShards(4))
+		sys.Run(core.App{Name: "locker", Main: lockMain(200)})
 		sys.Sim.Schedule(150*time.Millisecond, func() {
 			sys.Primary.Kernel.Panic("test kill", nil)
 		})

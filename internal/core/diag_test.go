@@ -23,12 +23,7 @@ import (
 // primary kernel at killAt (0 = never), returning the finished system.
 func tracedRun(t *testing.T, seed int64, killAt time.Duration) *core.System {
 	t.Helper()
-	cfg := quietConfig(seed)
-	cfg.Obs.Trace = true
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := quietSystem(t, seed, core.WithTrace())
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rejoin"
 	"repro/internal/replication"
-	"repro/internal/shm"
 )
 
 // startCutter spawns the epoch cutter on a recording replica's kernel.
@@ -94,26 +93,16 @@ func (sys *System) cutEpoch(t *kernel.Task, rep *Replica) {
 	t0 := t.Now()
 	t.Busy(time.Duration(finalDirty) * ec.PerByteCopyCost)
 	sys.epoch++
-	epoch := sys.epoch
-	ecp := &rejoin.EpochCheckpoint{
-		Checkpoint: *rejoin.Cut(0, rep.NS, nil),
-		Epoch:      epoch,
-	}
 	_, sent := rep.NS.LogWatermark()
-	ecp.Sent = sent
-	for _, a := range rep.apps {
-		ecp.Apps = append(ecp.Apps, rejoin.AppSnap{Name: a.name, Data: a.state.Snapshot()})
-	}
-	ecp.Sends = rep.Sockets.SendCursors()
-	ecp.Seal()
-	sys.pendingCuts[epoch] = ecp
+	cp := cutReplica(rep, sys.epoch, sent)
+	sys.pendingCuts[cp.Epoch] = cp
 	rep.NS.EmitEpoch(t, replication.EpochMark{
-		Epoch:     epoch,
-		SeqGlobal: ecp.SeqGlobal,
-		Sent:      sent,
-		Digest:    ecp.Digest(),
-		Payload:   ecp,
-	}, ecp.Bytes())
+		Epoch:     cp.Epoch,
+		SeqGlobal: cp.SeqGlobal,
+		Sent:      cp.Sent,
+		Digest:    cp.Sum,
+		Payload:   cp,
+	}, epochMarkBytes+cp.Bytes())
 	pause := t.Now().Sub(t0)
 	release()
 
@@ -123,7 +112,28 @@ func (sys *System) cutEpoch(t *kernel.Task, rep *Replica) {
 		note += fmt.Sprintf("p%d %dB>%dB; ", ps.Pass, ps.Copied, ps.Dirtied)
 	}
 	note += fmt.Sprintf("stw %dB", finalDirty)
-	sys.scEpoch.EmitNote(obs.EpochCut, 0, int64(epoch), int64(pause), note)
+	sys.scEpoch.EmitNote(obs.EpochCut, 0, int64(cp.Epoch), int64(pause), note)
+}
+
+// epochMarkBytes is the marker's own four words (epoch, Seq_global, log
+// index, digest), accounted on top of the checkpoint it carries.
+const epochMarkBytes = 32
+
+// cutReplica captures a replica's replay-verifiable state as the sealed
+// checkpoint of the given epoch boundary: namespace cursors and env,
+// application snapshots in launch order, and the send cursors. The TCP
+// history stays empty; a rejoin snapshots it fresh. The recording side
+// cuts with it and every backup recomputes it from its own replayed
+// state, so the two digests agree exactly when replay has not diverged.
+func cutReplica(rep *Replica, epoch, sent uint64) *rejoin.Checkpoint {
+	cp := rejoin.Cut(rep.NS)
+	cp.Epoch, cp.Sent = epoch, sent
+	for _, a := range rep.apps {
+		cp.Apps = append(cp.Apps, rejoin.AppSnap{Name: a.name, Data: a.state.Snapshot()})
+	}
+	cp.Sends = rep.Sockets.SendCursors()
+	cp.Seal()
+	return cp
 }
 
 // precopySources enumerates the recording replica's state components for
@@ -133,7 +143,7 @@ func (sys *System) cutEpoch(t *kernel.Task, rep *Replica) {
 func (sys *System) precopySources(rep *Replica) []rejoin.Source {
 	srcs := []rejoin.Source{rejoin.FuncSource{
 		SourceName: "ftns",
-		Total:      func() int { return rejoin.Cut(0, rep.NS, nil).Bytes() },
+		Total:      func() int { return rejoin.Cut(rep.NS).Bytes() },
 		Dirty:      func() uint64 { return rep.NS.SeqGlobal() * 32 },
 	}}
 	if rep.TCPPrim != nil {
@@ -162,24 +172,11 @@ func (sys *System) precopySources(rep *Replica) []rejoin.Source {
 // service; a mismatch is divergence and aborts the replica.
 func (sys *System) epochVerifier(rep *Replica) func(replication.EpochMark) bool {
 	return func(mark replication.EpochMark) bool {
-		ecp, ok := mark.Payload.(*rejoin.EpochCheckpoint)
-		if !ok {
+		cp, ok := mark.Payload.(*rejoin.Checkpoint)
+		if !ok || cutReplica(rep, mark.Epoch, mark.Sent).Sum != mark.Digest {
 			return false
 		}
-		local := rejoin.EpochCheckpoint{
-			Checkpoint: *rejoin.Cut(0, rep.NS, nil),
-			Epoch:      mark.Epoch,
-			Sent:       mark.Sent,
-		}
-		for _, a := range rep.apps {
-			local.Apps = append(local.Apps, rejoin.AppSnap{Name: a.name, Data: a.state.Snapshot()})
-		}
-		local.Sends = rep.Sockets.SendCursors()
-		local.Seal()
-		if local.Digest() != mark.Digest {
-			return false
-		}
-		rep.lastCP = ecp
+		rep.lastCP = cp
 		return true
 	}
 }
@@ -199,83 +196,4 @@ func (sys *System) wireEpochQuorum(rep *Replica) {
 			}
 		}
 	})
-}
-
-// startEpochRejoin is the checkpoint-seeded rejoin path: instead of
-// replaying the retained history from the first tuple, the fresh backup
-// is seeded at the survivor's latest quorum-verified epoch checkpoint and
-// replays only the delta since. Rejoin time is then bounded by one epoch
-// of history — flat in uptime.
-func (sys *System) startEpochRejoin(surv, rep *Replica, gen int, sfx string, bulk, tcpSync, log, acks *shm.Ring) {
-	cp := surv.lastCP
-	// --- the atomic cut -------------------------------------------------
-	// The seed coordinates, the fresh TCP snapshot plus delta-ring attach,
-	// and the catch-up link creation all land in this one scheduler
-	// instant: the TCP snapshot pairs gaplessly with the delta stream, and
-	// the catch-up stream starts exactly at the checkpoint's log index
-	// (the recorder's retained history begins at the checkpoint's own
-	// marker). The TCP state is snapshotted fresh — input bytes never
-	// enter the det log, so the epoch cut carries none and the transfer
-	// copy is re-sealed over the filled snapshot.
-	tx := *cp
-	if surv.TCPPrim != nil {
-		tx.TCP = surv.TCPPrim.SnapshotState()
-		surv.TCPPrim.AttachRing(tcpSync)
-	}
-	tx.Seal()
-	rep.NS.SeedCheckpoint(cp.Epoch, cp.SeqGlobal, cp.Sent, cp.Objs, envMap(cp.Env))
-	rep.NS.ResumeFrom(cp.Threads, cp.NextFTPid)
-	rep.linkIdx = surv.NS.AddReplica(log, acks, func() { sys.resyncComplete(gen, rep) })
-	// --------------------------------------------------------------------
-	sys.scLife.EmitNote(obs.CheckpointCut, 0, int64(cp.SeqGlobal), int64(tx.Bytes()),
-		fmt.Sprintf("g%d: epoch %d seed, %d apps, %d conns", gen, cp.Epoch, len(tx.Apps), len(tx.TCP.Conns)))
-
-	surv.Kernel.Spawn("rejoin-send"+sfx, func(t *kernel.Task) {
-		rejoin.SendEpoch(t, bulk, &tx)
-	})
-	bk, bsec := rep.Kernel, rep.TCPSync
-	bk.Spawn("rejoin-recv"+sfx, func(t *kernel.Task) {
-		rcp, err := rejoin.RecvEpoch(t, bulk)
-		if err != nil {
-			sys.abortRejoin(gen, bk, fmt.Errorf("core: rejoin bulk transfer: %w", err))
-			return
-		}
-		bsec.Seed(rcp.TCP)
-		// Delta replay regenerates output starting at the epoch cut, not at
-		// byte zero: align the logical out-buffer bases and this replica's
-		// own send cursors with the checkpoint before any section replays.
-		bsec.SeedOutBase(rcp.Sends)
-		rep.Sockets.SeedSent(rcp.Sends)
-		bsec.StartPull()
-		// Resume every recorded launch from its snapshot. Each thread
-		// adopts its checkpointed identity through the ResumeFrom pins,
-		// and the delta replay carries it from the epoch boundary to the
-		// live frontier. The transfer was digest-verified on reassembly;
-		// the replayed continuation is digest-verified at the next epoch
-		// boundary, quiesced at that exact frontier.
-		for _, l := range sys.launches {
-			data, found := appSnap(rcp.Apps, l.name)
-			sys.startRestored(rep, l, data, found)
-		}
-	})
-}
-
-// envMap converts a checkpoint's sorted env entries back to the map form
-// the namespace seeds from.
-func envMap(entries []rejoin.EnvEntry) map[string]string {
-	m := make(map[string]string, len(entries))
-	for _, e := range entries {
-		m[e.Key] = e.Value
-	}
-	return m
-}
-
-// appSnap finds one app's snapshot in a received epoch checkpoint.
-func appSnap(apps []rejoin.AppSnap, name string) ([]byte, bool) {
-	for _, a := range apps {
-		if a.Name == name {
-			return a.Data, true
-		}
-	}
-	return nil, false
 }

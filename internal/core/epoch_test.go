@@ -1,102 +1,11 @@
 package core_test
 
 import (
-	"bytes"
-	"errors"
-	"hash/fnv"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/apps/restream"
-	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/kernel"
-	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/tcpstack"
 )
-
-// epochRun is rejoinRun's epoch-enabled twin: it boots a deployment with
-// the restorable stream server (required once epoch checkpoints truncate
-// the log a from-the-start replay would need), streams total patterned
-// bytes to a verifying client under the given chaos schedule, and returns
-// the system, the FNV-1a stream hash, and the distinct lifecycle states a
-// 5 ms poller observed. Callers pass WithEpochCheckpoints (and tuning)
-// through extra.
-func epochRun(t *testing.T, spec string, seed int64, until time.Duration, total int, extra ...core.Option) (*core.System, uint64, []core.LifecycleState) {
-	t.Helper()
-	tcp := tcpstack.DefaultParams()
-	tcp.MSS = 16 << 10
-	opts := []core.Option{
-		core.WithSeed(seed),
-		core.WithKernelParams(quietParams()),
-		core.WithTCP(tcp),
-		core.WithNICDriverLoadTime(time.Second),
-		core.WithRejoinDelay(3 * time.Second),
-	}
-	opts = append(opts, extra...)
-	if spec != "" {
-		opts = append(opts, core.WithChaos(chaos.MustParse(spec), 42))
-	}
-	sys, err := core.New(opts...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	client, err := sys.AttachNetwork(slowLAN())
-	if err != nil {
-		t.Fatalf("attach network: %v", err)
-	}
-	sys.Run(core.App{Name: "stream", State: func() core.AppState {
-		return restream.New(restream.Config{Port: 80, Chunk: 64 << 10, Total: total})
-	}})
-
-	states := []core.LifecycleState{sys.State()}
-	var poll func()
-	poll = func() {
-		if st := sys.State(); st != states[len(states)-1] {
-			states = append(states, st)
-		}
-		sys.Sim.Schedule(5*time.Millisecond, poll)
-	}
-	sys.Sim.Schedule(5*time.Millisecond, poll)
-
-	h := fnv.New64a()
-	got := 0
-	client.Kernel.Spawn("wget", func(tk *kernel.Task) {
-		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		want := make([]byte, 256<<10)
-		for {
-			data, err := c.Recv(tk, 256<<10)
-			if errors.Is(err, tcpstack.EOF) {
-				return
-			}
-			if err != nil {
-				t.Errorf("recv after %d bytes: %v", got, err)
-				return
-			}
-			restream.Fill(want[:len(data)], got)
-			if !bytes.Equal(data, want[:len(data)]) {
-				t.Errorf("stream diverged from never-failed pattern at offset %d", got)
-				return
-			}
-			h.Write(data)
-			got += len(data)
-		}
-	})
-	if err := sys.Sim.RunUntil(sim.Time(until)); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if got != total {
-		t.Fatalf("client received %d of %d bytes by %v (state %v, rejoinErr %v)",
-			got, total, until, sys.State(), sys.RejoinErr())
-	}
-	return sys, h.Sum64(), states
-}
 
 // TestEpochBoundsRetention is the tentpole's retention claim at the
 // deployment level: with epoch checkpoints on, both sides truncate their
@@ -104,9 +13,9 @@ func epochRun(t *testing.T, spec string, seed int64, until time.Duration, total 
 // bounded tail; the identical epochs-off run retains the entire history.
 func TestEpochBoundsRetention(t *testing.T) {
 	const total = 16 << 20
-	on, hOn, _ := epochRun(t, "", 5, 30*time.Second, total,
+	on, hOn, _ := rejoinRun(t, "", 5, 30*time.Second, restorableStream, total,
 		core.WithEpochCheckpoints(300*time.Millisecond, 0))
-	off, hOff, _ := epochRun(t, "", 5, 30*time.Second, total)
+	off, hOff, _ := rejoinRun(t, "", 5, 30*time.Second, restorableStream, total)
 	if hOn != hOff {
 		t.Errorf("epochs-on stream hash %x != epochs-off hash %x", hOn, hOff)
 	}
@@ -144,59 +53,6 @@ func TestEpochBoundsRetention(t *testing.T) {
 	}
 }
 
-// TestEpochRejoinSecondFailure is the acceptance scenario on the
-// checkpoint-seeded path: kill the primary mid-stream, let the freed
-// partition rejoin from the survivor's latest verified epoch checkpoint,
-// then kill the new primary too. The client must observe the exact byte
-// stream of a never-failed same-seed run, and the rejoin must provably
-// have been seeded from an epoch checkpoint rather than a from-the-start
-// replay.
-func TestEpochRejoinSecondFailure(t *testing.T) {
-	epochOpts := []core.Option{
-		core.WithEpochCheckpoints(500*time.Millisecond, 0),
-		core.WithTrace(),
-	}
-	sys, h, states := epochRun(t, "kill primary @2s; kill primary @10s", 7,
-		60*time.Second, rejoinStreamTotal, epochOpts...)
-	_, base, _ := epochRun(t, "", 7, 60*time.Second, rejoinStreamTotal, epochOpts...)
-	if h != base {
-		t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
-	}
-	if g := sys.Generation(); g != 2 {
-		t.Errorf("generation = %d, want 2 (one rejoin per kill)", g)
-	}
-	if err := sys.RejoinErr(); err != nil {
-		t.Errorf("rejoin error: %v", err)
-	}
-	if err := sys.Healthy(); err != nil {
-		t.Errorf("end state not healthy: %v", err)
-	}
-	if st := states[len(states)-1]; st != core.StateReplicated {
-		t.Errorf("end state = %v, want replicated (states %v)", st, states)
-	}
-	// Neither survivor may have seen a replay mismatch — including at the
-	// epoch boundaries, where the digest check would have killed the
-	// replica on any deviation from the recorded state.
-	if d := sys.Active().NS.Stats().Divergences; d != 0 {
-		t.Errorf("active replica recorded %d divergences", d)
-	}
-	if d := sys.Standby().NS.Stats().Divergences; d != 0 {
-		t.Errorf("standby replica recorded %d divergences", d)
-	}
-	// The rejoins must have taken the checkpoint-seeded path: the trace
-	// carries a checkpoint event annotated with the seed epoch.
-	seeded := 0
-	for _, ev := range sys.Obs.Events() {
-		if ev.Kind == obs.CheckpointCut && strings.Contains(ev.Note, "epoch") &&
-			strings.Contains(ev.Note, "seed") {
-			seeded++
-		}
-	}
-	if seeded == 0 {
-		t.Error("no epoch-seeded checkpoint event in trace; rejoin used the legacy full-replay path")
-	}
-}
-
 // TestEpochRejoinRacesConcurrentCut shortens the epoch interval to 50 ms
 // so cuts keep landing while the rejoined backup is still seeding and
 // catching up: markers cross the resync window and must verify on the
@@ -210,8 +66,8 @@ func TestEpochRejoinRacesConcurrentCut(t *testing.T) {
 	// the fresh backup) still finishes well inside the deadline.
 	const total = 48 << 20
 	opts := []core.Option{core.WithEpochCheckpoints(50*time.Millisecond, 0)}
-	sys, h, _ := epochRun(t, "kill primary @2s", 9, 40*time.Second, total, opts...)
-	_, base, _ := epochRun(t, "", 9, 40*time.Second, total, opts...)
+	sys, h, _ := rejoinRun(t, "kill primary @2s", 9, 40*time.Second, restorableStream, total, opts...)
+	_, base, _ := rejoinRun(t, "", 9, 40*time.Second, restorableStream, total, opts...)
 	if h != base {
 		t.Errorf("stream hash %x != never-failed baseline %x", h, base)
 	}
@@ -245,8 +101,8 @@ func TestEpochKillDuringPreCopy(t *testing.T) {
 		core.WithEpochCheckpoints(time.Second, 0),
 		core.WithEpochTuning(time.Microsecond, 4, 4<<10),
 	}
-	sys, h, _ := epochRun(t, "kill primary @2500ms", 13, 40*time.Second, total, opts...)
-	_, base, _ := epochRun(t, "", 13, 40*time.Second, total, opts...)
+	sys, h, _ := rejoinRun(t, "kill primary @2500ms", 13, 40*time.Second, restorableStream, total, opts...)
+	_, base, _ := rejoinRun(t, "", 13, 40*time.Second, restorableStream, total, opts...)
 	if h != base {
 		t.Errorf("stream hash %x != never-failed baseline %x", h, base)
 	}

@@ -20,12 +20,10 @@ import (
 
 // nwayOpts is the common quiet deployment for replica-set tests.
 func nwayOpts(seed int64, n, q int, extra ...core.Option) []core.Option {
-	tcp := tcpstack.DefaultParams()
-	tcp.MSS = 16 << 10
 	opts := []core.Option{
 		core.WithSeed(seed),
 		core.WithKernelParams(quietParams()),
-		core.WithTCP(tcp),
+		withMSS(16 << 10),
 		core.WithNICDriverLoadTime(time.Second),
 		core.WithReplicaSet(n),
 		core.WithQuorum(q),
@@ -344,6 +342,38 @@ func TestNWayRetireErrors(t *testing.T) {
 	}
 }
 
+// TestRejoinRefusesDeadActive calls Rejoin in the instant the recording
+// side dies silently (a kernel panic no detector has noticed yet) while a
+// backup slot is already down: there is nothing to resync against, so
+// Rejoin must refuse with ErrDegraded and start nothing — no generation,
+// no resyncing state — and leave the failover to the detectors.
+func TestRejoinRefusesDeadActive(t *testing.T) {
+	sys, err := core.New(nwayOpts(33, 3, 2,
+		core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42))...)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	done := 0
+	sys.Run(core.App{Name: "echo", Main: echoApp(80, 1, &done)})
+	var rerr error
+	sys.Sim.Schedule(2*time.Second, func() {
+		sys.Active().Kernel.Panic("silent death", nil)
+		rerr = sys.Rejoin()
+	})
+	if err := sys.Sim.RunUntil(sim.Time(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rerr, core.ErrDegraded) {
+		t.Errorf("Rejoin against a dead recording side = %v, want ErrDegraded", rerr)
+	}
+	if g := sys.Generation(); g != 0 {
+		t.Errorf("generation = %d, want 0: a resync started with nobody recording", g)
+	}
+	if st := sys.State(); st != core.StateDegraded {
+		t.Errorf("state = %v, want degraded", st)
+	}
+}
+
 // TestShardsAcrossReplicaSets crosses det-section sharding with replica-
 // set sizes: every backup of every combination must replay the stream
 // without a single divergence.
@@ -405,16 +435,13 @@ func TestReplicaSetValidation(t *testing.T) {
 				n, len(sys.Cfg.Placement), len(sys.ReplicaSet))
 		}
 	}
-	// The deprecated pair options still desugar to a two-slot placement.
+	// An explicit placement implies the replica-set size.
 	sys, err := core.New(
-		core.WithPartitions([]int{0, 1}, []int{4, 5}),
+		core.WithPlacement([][]int{{0, 1}, {4, 5}}),
 		core.WithCores(4, 1),
 	)
 	if err != nil {
-		t.Fatalf("WithPartitions: %v", err)
-	}
-	if len(sys.Cfg.Placement) != 2 || sys.Cfg.Placement[0][0] != 0 || sys.Cfg.Placement[1][0] != 4 {
-		t.Errorf("placement = %v, want mirror of the partition pair", sys.Cfg.Placement)
+		t.Fatalf("WithPlacement: %v", err)
 	}
 	if sys.Cfg.Replicas != 2 || sys.Cfg.Quorum != 2 {
 		t.Errorf("replicas/quorum = %d/%d, want 2/2", sys.Cfg.Replicas, sys.Cfg.Quorum)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/tcprep"
 )
 
 // lockApp generates deterministic-section traffic: a mutex lock/unlock
@@ -24,19 +25,19 @@ func lockApp(rounds int) func(*replication.Thread) {
 	}
 }
 
+// lockMain is lockApp as an App body (it never touches the network).
+func lockMain(rounds int) func(*replication.Thread, *tcprep.Sockets) {
+	return func(th *replication.Thread, _ *tcprep.Sockets) { lockApp(rounds)(th) }
+}
+
 // killPrimarySystem boots a traced deployment, runs lockApp on both
 // replicas, and kills the primary kernel directly at 150ms — NOT via an
 // MCA fault report, so the secondary learns of the death only through
 // missing heart-beats and the full detection sequence runs.
 func killPrimarySystem(t *testing.T, seed int64) *core.System {
 	t.Helper()
-	cfg := quietConfig(seed)
-	cfg.Obs.Trace = true
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Launch("locker", nil, lockApp(200))
+	sys := quietSystem(t, seed, core.WithTrace())
+	sys.Run(core.App{Name: "locker", Main: lockMain(200)})
 	sys.Sim.Schedule(150*time.Millisecond, func() {
 		sys.Primary.Kernel.Panic("test kill", nil)
 	})

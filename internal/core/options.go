@@ -21,11 +21,6 @@ func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
 }
 
-// WithProfile selects the machine model.
-func WithProfile(p hw.Profile) Option {
-	return func(c *Config) { c.Profile = p }
-}
-
 // WithReplicaSet sets the replica-set size: one recording primary plus
 // n-1 replaying backups, each on its own NUMA fault domain. n must be at
 // least 2; the output-commit quorum defaults to a majority of the set
@@ -53,15 +48,6 @@ func WithQuorum(q int) Option {
 // must agree.
 func WithPlacement(domains [][]int) Option {
 	return func(c *Config) { c.Placement = domains }
-}
-
-// WithPartitions assigns the NUMA nodes of each side.
-//
-// Deprecated: WithPartitions describes the two-replica deployment; use
-// WithPlacement, which generalizes it to any replica-set size. It remains
-// as a shim desugaring to a two-slot placement.
-func WithPartitions(primary, secondary []int) Option {
-	return func(c *Config) { c.PrimaryNodes, c.SecondaryNodes = primary, secondary }
 }
 
 // WithCores restricts each side's usable cores (0 = all in the partition);
@@ -107,18 +93,6 @@ func WithAdaptiveBatching(max int) Option {
 // single global mutex and reproduces the unsharded engine byte for byte.
 func WithDetShards(n int) Option {
 	return func(c *Config) { c.Replication.DetShards = n }
-}
-
-// WithTCPSync overrides the TCP logical-state sync batching separately
-// from the det-log policy (rarely needed; WithBatching sets both).
-func WithTCPSync(cfg tcprep.SyncConfig) Option {
-	return func(c *Config) { c.TCPSync = cfg }
-}
-
-// WithHeartbeat sets the failure detector's beat interval and declare
-// timeout (timeout 0 derives 5x the interval).
-func WithHeartbeat(interval, timeout time.Duration) Option {
-	return func(c *Config) { c.Failure = failure.Config{Interval: interval, Timeout: timeout} }
 }
 
 // WithStrictOutputCommit selects waiting for backup acknowledgements
@@ -217,8 +191,7 @@ func New(opts ...Option) (*System, error) {
 }
 
 // validate is the single normalization and cross-check point for every
-// deployment knob; both New and the deprecated NewSystem funnel through
-// it. The batch/flush/heartbeat knobs that used to be defaulted
+// deployment knob. The batch/flush/heartbeat knobs that used to be defaulted
 // independently inside replication, tcprep and failure are derived here
 // and nowhere else.
 //
@@ -229,10 +202,7 @@ func (cfg Config) validate() (Config, error) {
 	if cfg.Profile.Sockets == 0 {
 		cfg.Profile = hw.Opteron6376x4()
 	}
-	// Replica-set topology: size, quorum, placement. The deprecated
-	// PrimaryNodes/SecondaryNodes pair desugars to a two-slot placement and
-	// keeps mirroring the first two slots afterwards, so existing callers
-	// reading either view stay coherent.
+	// Replica-set topology: size, quorum, placement.
 	n := cfg.Replicas
 	if n == 0 && len(cfg.Placement) > 0 {
 		n = len(cfg.Placement)
@@ -244,28 +214,17 @@ func (cfg Config) validate() (Config, error) {
 		return cfg, fmt.Errorf("core: replica set needs at least 2 replicas, got %d", n)
 	}
 	if len(cfg.Placement) == 0 {
-		if n == 2 {
-			if len(cfg.PrimaryNodes) == 0 {
-				cfg.PrimaryNodes = []int{0, 1, 2, 3}
-			}
-			if len(cfg.SecondaryNodes) == 0 {
-				cfg.SecondaryNodes = []int{4, 5, 6, 7}
-			}
-			cfg.Placement = [][]int{cfg.PrimaryNodes, cfg.SecondaryNodes}
-		} else {
-			doms, err := cfg.Profile.FaultDomains(n)
-			if err != nil {
-				return cfg, fmt.Errorf("core: %w", err)
-			}
-			cfg.Placement = doms
+		doms, err := cfg.Profile.FaultDomains(n)
+		if err != nil {
+			return cfg, fmt.Errorf("core: %w", err)
 		}
+		cfg.Placement = doms
 	}
 	if len(cfg.Placement) != n {
 		return cfg, fmt.Errorf("core: placement has %d domains for %d replicas",
 			len(cfg.Placement), n)
 	}
 	cfg.Replicas = n
-	cfg.PrimaryNodes, cfg.SecondaryNodes = cfg.Placement[0], cfg.Placement[1]
 	if cfg.Quorum == 0 {
 		cfg.Quorum = (n + 2) / 2 // majority of the set, primary included
 	}

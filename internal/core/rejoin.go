@@ -39,27 +39,41 @@ func (sys *System) scheduleRejoin(surv, dead *Replica) {
 // so a multi-slot outage (a contested election retires several backups
 // at once) refills the set one replica per cycle.
 func (sys *System) pumpRejoin() {
-	if sys.resync != nil {
-		return
+	if sys.resync == nil {
+		sys.startNextRejoin(nil)
 	}
+}
+
+// startNextRejoin starts re-integrating the first queued partition that
+// still needs a backup — or fallback when none is queued — and reports
+// whether it started one. A dead recording side (possibly not yet
+// detected) is nothing to resync against: the queue is left for the
+// failover that follows.
+func (sys *System) startNextRejoin(fallback *Replica) bool {
 	if sys.active == nil || !sys.active.Kernel.Alive() {
-		return
+		return false
 	}
+	next := fallback
 	for len(sys.rejoinQ) > 0 {
 		dead := sys.rejoinQ[0]
 		sys.rejoinQ = sys.rejoinQ[1:]
-		if sys.slotFilled(dead.partIdx) {
-			continue
+		if !sys.slotFilled(dead.partIdx) {
+			next = dead
+			break
 		}
-		sys.startRejoin(sys.active, dead)
-		return
 	}
+	if next == nil || sys.slotFilled(next.partIdx) {
+		return false
+	}
+	sys.startRejoin(sys.active, next)
+	return true
 }
 
 // Rejoin triggers backup re-integration immediately instead of waiting
 // for the scheduled attempt. It returns ErrResyncInProgress while a
-// resync is running, nil when already replicated, and ErrFailed when
-// nothing is left to rejoin to.
+// resync is running, nil when already replicated, ErrFailed when nothing
+// is left to rejoin to, and an ErrDegraded-wrapped error when there is
+// nothing to re-integrate or the recording side is dead.
 func (sys *System) Rejoin() error {
 	switch sys.State() {
 	case StateReplicated:
@@ -75,32 +89,24 @@ func (sys *System) Rejoin() error {
 	if len(sys.launches) == 0 {
 		return fmt.Errorf("%w: nothing recorded to re-integrate", ErrDegraded)
 	}
-	for len(sys.rejoinQ) > 0 {
-		dead := sys.rejoinQ[0]
-		sys.rejoinQ = sys.rejoinQ[1:]
-		if sys.slotFilled(dead.partIdx) {
-			continue
-		}
-		sys.startRejoin(sys.active, dead)
-		return nil
+	if !sys.startNextRejoin(sys.lastDead) {
+		return fmt.Errorf("%w: no freed partition to re-integrate, or the recording side is dead", ErrDegraded)
 	}
-	if sys.lastDead != nil && !sys.slotFilled(sys.lastDead.partIdx) {
-		sys.startRejoin(sys.active, sys.lastDead)
-		return nil
-	}
-	return fmt.Errorf("%w: nothing recorded to re-integrate", ErrDegraded)
+	return nil
 }
 
 // startRejoin re-integrates a fresh backup on the dead replica's freed
 // partition (the tentpole §3.7 extension): boot a replacement kernel,
-// create a generation-suffixed ring set, cut a checkpoint of the
-// FT-namespace and logical TCP state atomically with attaching the delta
-// and catch-up streams (that atomicity is what makes snapshot-plus-deltas
-// gapless), bulk-transfer the checkpoint, replay the retained log as
-// catch-up while the survivor keeps recording, verify the replay against
-// the checkpoint at its Seq_global watermark, and flip back to replicated
-// mode when the backup has caught up. Runs in scheduler context; every
-// step here is non-blocking, so the cut is one atomic instant.
+// create a generation-suffixed ring set, seed the new namespace from the
+// survivor's latest checkpoint — the last verified epoch cut, or the
+// genesis checkpoint when none was ever cut — atomically with snapshotting
+// the logical TCP state and attaching the delta and catch-up streams (that
+// atomicity is what makes snapshot-plus-deltas gapless), bulk-transfer the
+// checkpoint, replay the log retained after it as catch-up while the
+// survivor keeps recording, verify the replay against the survivor's
+// cursors at the attach frontier, and flip back to replicated mode when
+// the backup has caught up. Runs in scheduler context; every step here is
+// non-blocking, so the cut is one atomic instant.
 func (sys *System) startRejoin(surv, dead *Replica) {
 	sys.generation++
 	gen := sys.generation
@@ -150,6 +156,9 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 		Retain:    true,
 		DeferPull: true,
 	})
+	// The seed: the survivor's latest checkpoint, which is also the latest
+	// one the new backup holds until it verifies a later boundary itself.
+	cp := surv.lastCP
 	rep := &Replica{
 		Kernel:  bk,
 		NS:      bns,
@@ -158,64 +167,73 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 		partIdx: dead.partIdx,
 		scope:   fmt.Sprintf("gen%d/ftns", gen),
 		linkIdx: -1,
+		lastCP:  cp,
 	}
 	sys.resync = rep
 	sys.passives = append(sys.passives, rep)
 
 	if sys.Cfg.Epochs.Enabled {
-		// Every path must verify future epoch boundaries — including a
-		// backup still replaying full history when the next cut lands
-		// mid-resync (the marker reaches it through the catch-up stream).
+		// The new backup verifies every epoch boundary cut from here on,
+		// including one that lands mid-resync (its marker reaches it
+		// through the catch-up stream).
 		bns.OnEpoch(sys.epochVerifier(rep))
 	}
 
-	var seedSeq uint64
-	if sys.Cfg.Epochs.Enabled && surv.lastCP != nil {
-		// Checkpoint-seeded path: flat in uptime. Seed from the latest
-		// verified epoch cut plus a short delta replay instead of
-		// replaying the whole retained history (which the epoch
-		// machinery has been truncating anyway).
-		seedSeq = surv.lastCP.SeqGlobal
-		sys.startEpochRejoin(surv, rep, gen, sfx, bulk, tcpSync, log, acks)
-	} else {
-		// --- the atomic cut ---------------------------------------------
-		// Checkpoint, delta-ring attach, and catch-up link creation happen
-		// in this one scheduler instant: no byte and no tuple can land in
-		// both the snapshot and a stream, or in neither.
-		cp := rejoin.Cut(gen, surv.NS, surv.TCPPrim)
-		seedSeq = cp.SeqGlobal
-		if surv.TCPPrim != nil {
-			surv.TCPPrim.AttachRing(tcpSync)
-		}
-		rep.linkIdx = surv.NS.AddReplica(log, acks, func() { sys.resyncComplete(gen, rep) })
-		// ----------------------------------------------------------------
-		sys.scLife.EmitNote(obs.CheckpointCut, 0, int64(cp.SeqGlobal), int64(cp.Bytes()),
-			fmt.Sprintf("g%d: %d conns, %d threads", gen, len(cp.TCP.Conns), len(cp.Threads)))
-
-		surv.Kernel.Spawn("rejoin-send"+sfx, func(t *kernel.Task) {
-			rejoin.Send(t, bulk, cp)
-		})
-		bk.Spawn("rejoin-recv"+sfx, func(t *kernel.Task) {
-			rcp, err := rejoin.Recv(t, bulk)
-			if err != nil {
-				sys.abortRejoin(gen, bk, fmt.Errorf("core: rejoin bulk transfer: %w", err))
-				return
-			}
-			bsec.Seed(rcp.TCP)
-			bsec.StartPull()
-			// Cross-check the catch-up replay against the checkpoint exactly
-			// when the replay head reaches the cut watermark.
-			bns.OnReplayHead(rcp.SeqGlobal, func() {
-				if verr := rcp.VerifyReplay(bns); verr != nil {
-					sys.abortRejoin(gen, bk, verr)
-				}
-			})
-			// Replay every recorded launch from the first tuple.
-			for _, l := range sys.launches {
-				sys.startOn(rep, l)
-			}
-		})
+	// --- the atomic cut -------------------------------------------------
+	// The seed coordinates, the fresh TCP snapshot plus delta-ring attach,
+	// the frontier cut and the catch-up link creation all land in this one
+	// scheduler instant: no byte and no tuple can land in both a snapshot
+	// and a stream, or in neither, and the catch-up stream starts exactly
+	// at the checkpoint's log index (the recorder's retained history
+	// begins at the checkpoint's own marker — at index 0 for genesis). The
+	// TCP state is snapshotted fresh — input bytes never enter the det
+	// log, so the seed carries none — and the transfer copy is sealed over
+	// the filled snapshot.
+	tx := *cp
+	if surv.TCPPrim != nil {
+		tx.TCP = surv.TCPPrim.SnapshotState()
+		surv.TCPPrim.AttachRing(tcpSync)
 	}
+	tx.Seal()
+	frontier := rejoin.Cut(surv.NS)
+	bns.SeedCheckpoint(cp.Epoch, cp.SeqGlobal, cp.Sent, cp.Objs, envMap(cp.Env))
+	bns.ResumeFrom(cp.Threads, cp.NextFTPid)
+	rep.linkIdx = surv.NS.AddReplica(log, acks, func() { sys.resyncComplete(gen, rep) })
+	// --------------------------------------------------------------------
+	sys.scLife.EmitNote(obs.CheckpointCut, 0, int64(cp.SeqGlobal), int64(tx.Bytes()),
+		fmt.Sprintf("g%d: epoch %d seed, %d apps, %d conns", gen, cp.Epoch, len(tx.Apps), len(tx.TCP.Conns)))
+
+	surv.Kernel.Spawn("rejoin-send"+sfx, func(t *kernel.Task) {
+		rejoin.Send(t, bulk, &tx)
+	})
+	bk.Spawn("rejoin-recv"+sfx, func(t *kernel.Task) {
+		rcp, err := rejoin.Recv(t, bulk)
+		if err != nil {
+			sys.abortRejoin(gen, bk, fmt.Errorf("core: rejoin bulk transfer: %w", err))
+			return
+		}
+		bsec.Seed(rcp.TCP)
+		// Replay regenerates output starting at the seed, not at byte zero:
+		// align the logical out-buffer bases and this replica's own send
+		// cursors with the checkpoint before any section replays.
+		bsec.SeedOutBase(rcp.Sends)
+		rep.Sockets.SeedSent(rcp.Sends)
+		bsec.StartPull()
+		// Cross-check the catch-up replay against the survivor's cursors
+		// exactly when the replay head reaches the attach frontier.
+		bns.OnReplayHead(frontier.SeqGlobal, func() {
+			if verr := frontier.VerifyReplay(bns); verr != nil {
+				sys.abortRejoin(gen, bk, verr)
+			}
+		})
+		// Start every recorded launch from its snapshot (from scratch when
+		// the seed has none). Each thread adopts its checkpointed identity
+		// through the ResumeFrom pins, and the replay carries it from the
+		// seed to the live frontier.
+		for _, l := range sys.launches {
+			sys.startOn(rep, l, rcp.Apps)
+		}
+	})
 
 	// Failure detection for the new pairing, armed before catch-up so a
 	// mid-resync death on either side is handled: survivor death promotes
@@ -232,8 +250,18 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	ds.Start()
 
 	sys.setState(StateResyncing)
-	sys.scLife.EmitNote(obs.ResyncStart, 0, int64(gen), int64(seedSeq),
+	sys.scLife.EmitNote(obs.ResyncStart, 0, int64(gen), int64(frontier.SeqGlobal),
 		fmt.Sprintf("g%d: backup on partition %d", gen, dead.partIdx))
+}
+
+// envMap converts a checkpoint's sorted env entries back to the map form
+// the namespace seeds from.
+func envMap(entries []rejoin.EnvEntry) map[string]string {
+	m := make(map[string]string, len(entries))
+	for _, e := range entries {
+		m[e.Key] = e.Value
+	}
+	return m
 }
 
 // abortRejoin records a failed re-integration and kills the half-built

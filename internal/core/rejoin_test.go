@@ -3,14 +3,18 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/apps/restream"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcpstack"
@@ -33,20 +37,33 @@ func slowLAN() simnet.LinkConfig {
 // at t=15s while finishing well inside the run window.
 const rejoinStreamTotal = 64 << 20
 
+// plainStream and restorableStream are the two forms of the same patterned
+// stream server: a plain Main that a rejoined backup replays from its first
+// section, and the restorable restream app epoch checkpoints require (a
+// backup seeded from a cut resumes it from its snapshot).
+func plainStream(total int) core.App {
+	return core.App{Name: "stream", Main: streamApp(80, 64<<10, total)}
+}
+
+func restorableStream(total int) core.App {
+	return core.App{Name: "stream", State: func() core.AppState {
+		return restream.New(restream.Config{Port: 80, Chunk: 64 << 10, Total: total})
+	}}
+}
+
 // rejoinRun boots a rejoin-enabled deployment via the functional-options
-// API, streams rejoinStreamTotal patterned bytes to a client under the
-// given chaos schedule (empty = fault-free baseline), verifies every
-// received chunk against the deterministic pattern as it arrives, and
-// returns the system, the FNV-1a hash of the received stream, and the
-// sequence of distinct lifecycle states observed by a 5 ms poller.
-func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, extra ...core.Option) (*core.System, uint64, []core.LifecycleState) {
+// API, streams total patterned bytes from app to a client under the given
+// chaos schedule (empty = fault-free baseline), verifies every received
+// chunk against the deterministic pattern as it arrives, and returns the
+// system, the FNV-1a hash of the received stream, and the sequence of
+// distinct lifecycle states observed by a 5 ms poller. Callers pass
+// WithEpochCheckpoints, WithDetShards and the like through extra.
+func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, app func(total int) core.App, total int, extra ...core.Option) (*core.System, uint64, []core.LifecycleState) {
 	t.Helper()
-	tcp := tcpstack.DefaultParams()
-	tcp.MSS = 16 << 10
 	opts := []core.Option{
 		core.WithSeed(seed),
 		core.WithKernelParams(quietParams()),
-		core.WithTCP(tcp),
+		withMSS(16 << 10),
 		core.WithNICDriverLoadTime(time.Second),
 		core.WithRejoinDelay(3 * time.Second),
 	}
@@ -62,7 +79,7 @@ func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, extra
 	if err != nil {
 		t.Fatalf("attach network: %v", err)
 	}
-	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, rejoinStreamTotal)})
+	sys.Run(app(total))
 
 	// Record every distinct lifecycle state, in order.
 	states := []core.LifecycleState{sys.State()}
@@ -105,58 +122,105 @@ func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, extra
 	if err := sys.Sim.RunUntil(sim.Time(until)); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if got != rejoinStreamTotal {
+	if got != total {
 		t.Fatalf("client received %d of %d bytes by %v (state %v, rejoinErr %v)",
-			got, rejoinStreamTotal, until, sys.State(), sys.RejoinErr())
+			got, total, until, sys.State(), sys.RejoinErr())
 	}
 	return sys, h.Sum64(), states
 }
 
+// seedEpochs returns the epoch each rejoin of a run was seeded from, in
+// generation order (0 = the genesis checkpoint: full-history replay), read
+// off the lifecycle scope's flight ring.
+func seedEpochs(sys *core.System) []uint64 {
+	var epochs []uint64
+	for _, ev := range sys.Obs.FlightDump().Events {
+		var gen int
+		var epoch uint64
+		if ev.Kind != obs.CheckpointCut {
+			continue
+		}
+		if _, err := fmt.Sscanf(ev.Note, "g%d: epoch %d seed", &gen, &epoch); err == nil {
+			epochs = append(epochs, epoch)
+		}
+	}
+	return epochs
+}
+
 // TestRejoinSecondFailureAfterResync is the acceptance scenario: kill the
 // primary mid-stream, let the freed partition rejoin and resync, then kill
-// the new primary too. The client must observe the exact byte stream of a
-// never-failed run and the system must end up fully replicated again.
+// the new primary too. The client must observe the exact byte stream of
+// the row's never-failed run — whatever the det-shard count — and the
+// system must end up fully replicated again. Every cell drives the same
+// seeding path; what differs is the checkpoint each rejoin finds: genesis
+// with epochs off (the whole history is the delta), a verified cut with
+// epochs on, and — when the first kill lands before any cut was verified —
+// genesis first and a verified cut second, so one run starts a restorable
+// app fresh and later resumes it from a snapshot.
 func TestRejoinSecondFailureAfterResync(t *testing.T) {
-	sys, h, states := rejoinRun(t, "kill primary @2s; kill primary @10s", 7, 60*time.Second)
-	_, base, _ := rejoinRun(t, "", 7, 60*time.Second)
-	if h != base {
-		t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
+	const until = 30 * time.Second // every cell's stream ends by 26s
+	epochs := func(every time.Duration) []core.Option {
+		return []core.Option{core.WithEpochCheckpoints(every, 0)}
 	}
-	if g := sys.Generation(); g != 2 {
-		t.Errorf("generation = %d, want 2 (one rejoin per kill)", g)
-	}
-	if err := sys.RejoinErr(); err != nil {
-		t.Errorf("rejoin error: %v", err)
-	}
-	if err := sys.Healthy(); err != nil {
-		t.Errorf("end state not healthy: %v", err)
+	rows := []struct {
+		name   string
+		app    func(int) core.App
+		opts   []core.Option
+		shards []int
+		seeded [2]bool // whether each rejoin must seed from an epoch > 0
+	}{
+		{"epochs-off", plainStream, nil, []int{1, 4}, [2]bool{false, false}},
+		{"epochs-on", restorableStream, epochs(500 * time.Millisecond), []int{1, 4}, [2]bool{true, true}},
+		{"first-kill-before-first-cut", restorableStream, epochs(3 * time.Second), []int{1}, [2]bool{false, true}},
 	}
 	wantStates := []core.LifecycleState{
 		core.StateReplicated,
 		core.StateDegraded, core.StateResyncing, core.StateReplicated,
 		core.StateDegraded, core.StateResyncing, core.StateReplicated,
 	}
-	if len(states) != len(wantStates) {
-		t.Fatalf("lifecycle states = %v, want %v", states, wantStates)
-	}
-	for i := range states {
-		if states[i] != wantStates[i] {
-			t.Fatalf("lifecycle states = %v, want %v", states, wantStates)
-		}
-	}
-	if sys.Active() == nil || !sys.Active().Kernel.Alive() {
-		t.Error("no live active replica at end")
-	}
-	if sys.Standby() == nil || !sys.Standby().Kernel.Alive() {
-		t.Error("no live standby replica at end")
-	}
-	// Both survivors spent time replaying as a secondary; neither may have
-	// seen a single replay mismatch.
-	if d := sys.Active().NS.Stats().Divergences; d != 0 {
-		t.Errorf("active replica recorded %d divergences", d)
-	}
-	if d := sys.Standby().NS.Stats().Divergences; d != 0 {
-		t.Errorf("standby replica recorded %d divergences", d)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			_, base, _ := rejoinRun(t, "", 7, until, row.app, rejoinStreamTotal, row.opts...)
+			for _, shards := range row.shards {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					sys, h, states := rejoinRun(t, "kill primary @2s; kill primary @10s", 7, until,
+						row.app, rejoinStreamTotal, append(row.opts[:len(row.opts):len(row.opts)], core.WithDetShards(shards))...)
+					if h != base {
+						t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
+					}
+					if err := sys.RejoinErr(); err != nil {
+						t.Errorf("rejoin error: %v", err)
+					}
+					if err := sys.Healthy(); err != nil {
+						t.Errorf("end state not healthy: %v", err)
+					}
+					if !reflect.DeepEqual(states, wantStates) {
+						t.Errorf("lifecycle states = %v, want %v", states, wantStates)
+					}
+					seeds := seedEpochs(sys)
+					if len(seeds) != 2 || sys.Generation() != 2 {
+						t.Fatalf("generation = %d with seed epochs %v, want one rejoin per kill", sys.Generation(), seeds)
+					}
+					for i, epoch := range seeds {
+						if (epoch > 0) != row.seeded[i] {
+							t.Errorf("rejoin %d seeded from epoch %d, want epoch>0 = %v", i+1, epoch, row.seeded[i])
+						}
+					}
+					// Both survivors spent time replaying as a secondary; neither
+					// may have seen a single replay mismatch — including at the
+					// epoch boundaries, where the digest check would have killed
+					// the replica on any deviation from the recorded state.
+					for _, rep := range []*core.Replica{sys.Active(), sys.Standby()} {
+						if rep == nil || !rep.Kernel.Alive() {
+							t.Fatal("active or standby replica missing at end")
+						}
+						if d := rep.NS.Stats().Divergences; d != 0 {
+							t.Errorf("slot %d recorded %d divergences", rep.Slot(), d)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -166,7 +230,7 @@ func TestRejoinSecondFailureAfterResync(t *testing.T) {
 // and duplicated acks plus delayed log/sync delivery around the first kill
 // — and checks each against the same never-failed same-seed baseline.
 func TestRejoinChaosSchedules(t *testing.T) {
-	_, base, _ := rejoinRun(t, "", 11, 60*time.Second)
+	_, base, _ := rejoinRun(t, "", 11, 60*time.Second, plainStream, rejoinStreamTotal)
 	schedules := map[string]string{
 		"double-kill": "kill primary @2s; kill primary @10s",
 		"hb-storm":    "drop hb p0.5 500ms..800ms; kill primary @6s; kill primary @15s",
@@ -174,7 +238,7 @@ func TestRejoinChaosSchedules(t *testing.T) {
 	}
 	for name, spec := range schedules {
 		t.Run(name, func(t *testing.T) {
-			sys, h, states := rejoinRun(t, spec, 11, 60*time.Second)
+			sys, h, states := rejoinRun(t, spec, 11, 60*time.Second, plainStream, rejoinStreamTotal)
 			if h != base {
 				t.Errorf("stream hash %x != never-failed baseline %x", h, base)
 			}
@@ -199,12 +263,10 @@ func TestRejoinChaosSchedules(t *testing.T) {
 // from the retained log it already holds, promote, and serve the rest of
 // the stream unchanged; the freed partition then rejoins again.
 func TestRejoinMidResyncActiveKill(t *testing.T) {
-	tcp := tcpstack.DefaultParams()
-	tcp.MSS = 16 << 10
 	sys, err := core.New(
 		core.WithSeed(3),
 		core.WithKernelParams(quietParams()),
-		core.WithTCP(tcp),
+		withMSS(16<<10),
 		core.WithNICDriverLoadTime(time.Second),
 		core.WithRejoinDelay(3*time.Second),
 	)
@@ -285,11 +347,7 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 // re-integration is disabled: after the backup dies the system reports
 // degraded via State and Healthy, and Rejoin refuses with ErrDegraded.
 func TestLifecycleErrorsWithoutRejoin(t *testing.T) {
-	cfg := quietConfig(5)
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
+	sys := quietSystem(t, 5)
 	if st := sys.State(); st != core.StateReplicated {
 		t.Fatalf("boot state = %v, want replicated", st)
 	}
@@ -297,7 +355,7 @@ func TestLifecycleErrorsWithoutRejoin(t *testing.T) {
 		t.Fatalf("healthy at boot: %v", err)
 	}
 	done := 0
-	sys.LaunchApp("echo", nil, echoApp(80, 1, &done))
+	sys.Run(core.App{Name: "echo", Main: echoApp(80, 1, &done)})
 	// Kill the secondary partition's first node.
 	node := sys.Secondary.Kernel.Partition().Nodes()[0].ID
 	sys.Machine.InjectAfter(100*time.Millisecond, hw.Fault{

@@ -130,30 +130,10 @@ func (sys *System) Retire(rep *Replica) error {
 	sys.lastDead = rep
 	sys.scLife.EmitNote(obs.ReplicaRetire, 0, int64(rep.partIdx), int64(rep.NS.Processed()),
 		"rolling replacement")
-	act := sys.active
-	live := sys.livePassives()
-	if len(live) == 0 {
-		act.NS.GoLive()
-		if act.TCPPrim != nil {
-			act.TCPPrim.GoLive()
-		}
-		sys.setState(StateDegraded)
-	} else {
-		act.NS.DropReplica(rep.linkIdx)
-		if act.TCPPrim != nil {
-			act.TCPPrim.DropRing(rep.linkIdx)
-		}
-		if len(live) < sys.Cfg.Quorum-1 {
-			sys.scLife.EmitNote(obs.QuorumLost, 0, int64(len(live)), int64(sys.Cfg.Quorum),
-				fmt.Sprintf("%d live backups below commit quorum %d", len(live), sys.Cfg.Quorum))
-		}
-		if sys.resync == nil {
-			sys.setState(StateDegraded)
-		}
-	}
+	sys.dropBackup(sys.active, rep)
 	if rep.Kernel.Alive() {
 		rep.Kernel.Panic("retired: rolling replacement", nil)
 	}
-	sys.scheduleRejoin(act, rep)
+	sys.scheduleRejoin(sys.active, rep)
 	return nil
 }

@@ -101,11 +101,14 @@ const (
 	// core.LifecycleState, Note = "old->new").
 	StateChange
 	// ResyncStart marks backup re-integration beginning: a fresh kernel
-	// booted on the freed partition (Seq = rejoin generation).
+	// booted on the freed partition (Seq = rejoin generation, Arg = the
+	// attach frontier, the Seq_global watermark the catch-up replay is
+	// verified at).
 	ResyncStart
-	// CheckpointCut is the atomic FT-namespace checkpoint taken at the
-	// quiesced boundary (Seq = Seq_global watermark, Arg = bytes shipped
-	// over the bulk ring).
+	// CheckpointCut is the seed checkpoint of a rejoin, sealed with the
+	// TCP snapshot at the attach instant (Seq = the seed's Seq_global
+	// watermark — 0 for genesis — Arg = bytes shipped over the bulk
+	// ring, Note = generation, seed epoch, apps, connections).
 	CheckpointCut
 	// CatchupDone is the catch-up backlog draining empty: the new backup
 	// has replayed to the recorder's watermark and the link flips into

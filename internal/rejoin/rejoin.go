@@ -1,14 +1,17 @@
 // Package rejoin implements backup re-integration after a failure (§3.7):
-// the recording side cuts a consistent checkpoint of the FT-namespace
-// (environment mirror, ft_pid assignment, per-thread Seq_thread and the
-// Seq_global cursor) together with the logical TCP connection history, and
-// streams it to a freshly booted backup kernel over a dedicated
-// shared-memory bulk ring. The backup seeds its TCP sync state from the
-// checkpoint, replays the retained deterministic-section log as catch-up
-// while the primary keeps recording, and verifies at the checkpoint's
-// Seq_global watermark that the replay-reconstructed namespace matches the
-// cut exactly — any divergence surfaces as ErrChecksumMismatch instead of
-// silently re-entering replicated mode with skewed state.
+// a checkpoint of the replicated state — FT-namespace cursors (environment
+// mirror, ft_pid assignment, per-thread Seq_thread, per-object Seq_obj and
+// the Seq_global watermark), application snapshots, send cursors and the
+// logical TCP connection history — is streamed to a freshly booted backup
+// kernel over a dedicated shared-memory bulk ring. The backup seeds itself
+// from the checkpoint and replays the deterministic-section log retained
+// after it as catch-up while the primary keeps recording. Every replica
+// boots holding the genesis checkpoint (epoch 0, nothing recorded), so
+// "no epoch cut yet" is the same path with the whole history as its delta.
+// A transfer is digest-verified on reassembly, and the catch-up replay is
+// checked against the recording side's cursors at the attach frontier —
+// any divergence surfaces as ErrChecksumMismatch instead of silently
+// re-entering replicated mode with skewed state.
 package rejoin
 
 import (
@@ -49,15 +52,31 @@ type EnvEntry struct {
 	Key, Value string
 }
 
+// AppSnap is one application's opaque state snapshot inside a checkpoint.
+// The replication layer never interprets Data; the owning application's
+// Restore hook does.
+type AppSnap struct {
+	Name string
+	Data []byte
+}
+
 // Checkpoint is a consistent cut of the replicated full-software-stack
-// state at a deterministic-section boundary.
+// state at a deterministic-section boundary: what a fresh backup is seeded
+// from before it replays the retained log after it. Everything but TCP is
+// a deterministic function of the recorded log prefix, so a backup can
+// recompute the same content from its own replayed state; an epoch cut
+// therefore leaves TCP empty (input bytes never enter the det log) and the
+// rejoin fills it with a snapshot taken at the attach instant.
 type Checkpoint struct {
-	// Generation counts rejoin cycles (1 = first re-integration).
-	Generation int
-	// SeqGlobal is the cut's global sequence watermark: the rejoined
-	// backup's replay must reconstruct exactly this cursor state when its
-	// head reaches it.
+	// Epoch numbers the cut within the primary's incarnation lineage;
+	// epoch 0 is the genesis checkpoint every replica boots with.
+	Epoch uint64
+	// SeqGlobal is the cut's global sequence watermark.
 	SeqGlobal uint64
+	// Sent is the recording-side log watermark at the cut: the marker
+	// message carrying this checkpoint occupies log index Sent, and
+	// truncation on both sides keeps it as the first retained entry.
+	Sent uint64
 	// NextFTPid is the next replica-identity the namespace would assign.
 	NextFTPid int
 	// Threads holds the per-thread sequence cursors, sorted by ft_pid.
@@ -70,35 +89,45 @@ type Checkpoint struct {
 	Objs []replication.ObjCursor
 	// Env is the replicated environment mirror in sorted-key order.
 	Env []EnvEntry
+	// Apps holds the application snapshots, in launch order.
+	Apps []AppSnap
+	// Sends holds every replicated connection's cumulative output-stream
+	// byte count at the cut, sorted by socket ID. A seeded backup replays
+	// the log from the cut, so its regenerated output resumes at these
+	// offsets; seeding them as the logical out-buffer bases keeps the
+	// retransmission accounting aligned (tcprep.Secondary.SeedOutBase).
+	Sends []tcprep.SendCursor
 	// TCP is the logical connection history the backup seeds its sync
-	// state from (it is not replay-verified: input bytes never enter the
-	// deterministic-section log).
+	// state from.
 	TCP tcprep.StateSnap
-	// Sum is the FNV-1a digest of everything above; the receiver
-	// recomputes it after reassembly.
+	// Sum is the FNV-1a digest of everything above, set by Seal: carried
+	// in the epoch marker for backups to compare against their replayed
+	// state, and in the transfer header for the receiver to recompute
+	// after reassembly.
 	Sum uint64
 }
 
-// Cut captures a checkpoint. It must run in scheduler context with the
-// namespace quiesced at a section boundary (no yields between reading the
-// cursors and snapshotting the TCP history), atomically with attaching the
-// delta ring — that is what makes snapshot-plus-deltas gapless. prim may
-// be nil when the workload has no replicated sockets.
-func Cut(gen int, ns *replication.Namespace, prim *tcprep.Primary) *Checkpoint {
-	seqGlobal, threads := ns.Cursors()
-	cp := &Checkpoint{
-		Generation: gen,
-		SeqGlobal:  seqGlobal,
-		NextFTPid:  ns.NextFTPid(),
-		Threads:    threads,
-		Objs:       ns.ObjCursors(),
-		Env:        sortedEnv(ns.Env()),
-	}
-	if prim != nil {
-		cp.TCP = prim.SnapshotState()
-	}
-	cp.Sum = cp.digest()
+// Genesis returns the epoch-0 checkpoint of a namespace that has recorded
+// nothing. Seeding from it is the identity, so a rejoin from genesis
+// replays the whole retained history.
+func Genesis() *Checkpoint {
+	cp := &Checkpoint{NextFTPid: 1}
+	cp.Seal()
 	return cp
+}
+
+// Cut captures the namespace's cursor and environment state. It must run
+// with the namespace at a section boundary and without yielding; the
+// caller fills in whatever else the cut carries and Seals it.
+func Cut(ns *replication.Namespace) *Checkpoint {
+	seqGlobal, threads := ns.Cursors()
+	return &Checkpoint{
+		SeqGlobal: seqGlobal,
+		NextFTPid: ns.NextFTPid(),
+		Threads:   threads,
+		Objs:      ns.ObjCursors(),
+		Env:       sortedEnv(ns.Env()),
+	}
 }
 
 func sortedEnv(m map[string]string) []EnvEntry {
@@ -115,10 +144,13 @@ func sortedEnv(m map[string]string) []EnvEntry {
 	return env
 }
 
+// Seal computes the digest once the checkpoint's fields are final.
+func (cp *Checkpoint) Seal() { cp.Sum = cp.digest() }
+
 // digest is the FNV-1a checksum over the checkpoint's logical content.
 func (cp *Checkpoint) digest() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "g%d|s%d|p%d", cp.Generation, cp.SeqGlobal, cp.NextFTPid)
+	fmt.Fprintf(h, "e%d|s%d|w%d|p%d", cp.Epoch, cp.SeqGlobal, cp.Sent, cp.NextFTPid)
 	for _, t := range cp.Threads {
 		fmt.Fprintf(h, "|t%d:%d", t.FTPid, t.Seq)
 	}
@@ -127,6 +159,13 @@ func (cp *Checkpoint) digest() uint64 {
 	}
 	for _, e := range cp.Env {
 		fmt.Fprintf(h, "|e%s=%s", e.Key, e.Value)
+	}
+	for _, a := range cp.Apps {
+		fmt.Fprintf(h, "|a%s:%d:", a.Name, len(a.Data))
+		h.Write(a.Data)
+	}
+	for _, c := range cp.Sends {
+		fmt.Fprintf(h, "|u%d:%d", c.ID, c.Sent)
 	}
 	for _, c := range cp.TCP.Conns {
 		fmt.Fprintf(h, "|c%d/%s:%d i%d r%d a%d f%v g%v ", c.Key.LocalPort,
@@ -141,17 +180,20 @@ func (cp *Checkpoint) digest() uint64 {
 
 // Bytes is the checkpoint's accounted bulk-transfer footprint.
 func (cp *Checkpoint) Bytes() int {
-	n := 64 + 16*len(cp.Threads) + 16*len(cp.Objs)
+	n := 64 + 16*len(cp.Threads) + 16*len(cp.Objs) + 16*len(cp.Sends)
 	for _, e := range cp.Env {
 		n += 16 + len(e.Key) + len(e.Value)
+	}
+	for _, a := range cp.Apps {
+		n += 16 + len(a.Name) + len(a.Data)
 	}
 	return n + cp.TCP.Bytes()
 }
 
-// VerifyReplay checks the rejoined backup's replay-reconstructed namespace
-// against the checkpoint. Arm it at the watermark — via
-// ns.OnReplayHead(cp.SeqGlobal, ...) before replay starts — so the cursor
-// comparison happens exactly at the cut boundary.
+// VerifyReplay checks a rejoined backup's replay-reconstructed namespace
+// against a cut of the recording side's cursors. Arm it at the cut's
+// watermark — via ns.OnReplayHead(cp.SeqGlobal, ...) — so the comparison
+// happens exactly at the cut boundary.
 func (cp *Checkpoint) VerifyReplay(ns *replication.Namespace) error {
 	seqGlobal, threads := ns.Cursors()
 	if seqGlobal != cp.SeqGlobal {
@@ -197,84 +239,11 @@ func (cp *Checkpoint) VerifyReplay(ns *replication.Namespace) error {
 	return nil
 }
 
-// AppSnap is one application's opaque state snapshot inside an epoch
-// checkpoint. The replication layer never interprets Data; the owning
-// application's Restore hook does.
-type AppSnap struct {
-	Name string
-	Data []byte
-}
-
-// EpochCheckpoint is an incremental epoch cut (§3.7 extended): the base
-// Checkpoint plus opaque per-application snapshots. The embedded
-// Checkpoint always carries an empty TCP snapshot — input bytes never
-// enter the deterministic-section log, so TCP state is snapshotted fresh
-// at the rejoin instant rather than at the epoch boundary — and uses
-// Generation 0, which is what lets a backup recompute the identical
-// digest from its own replay-reconstructed namespace.
-type EpochCheckpoint struct {
-	Checkpoint
-	// Epoch numbers the cut within the primary's incarnation lineage.
-	Epoch uint64
-	// Sent is the recording-side log watermark at the cut: the marker
-	// message carrying this checkpoint occupies log index Sent, and
-	// truncation on both sides keeps it as the first retained entry.
-	Sent uint64
-	// Apps holds the application snapshots, in launch order.
-	Apps []AppSnap
-	// Sends holds every replicated connection's cumulative output-stream
-	// byte count at the cut, sorted by socket ID. A seeded backup replays
-	// the delta log from the cut, so its regenerated output resumes at
-	// these offsets; seeding them as the logical out-buffer bases keeps
-	// the retransmission accounting aligned (tcprep.Secondary.SeedOutBase).
-	Sends []tcprep.SendCursor
-	// AppSum is the FNV-1a digest over Epoch, Sent, Apps and Sends; the
-	// receiver recomputes it after reassembly.
-	AppSum uint64
-}
-
-// appDigest is the FNV-1a checksum over the epoch-specific content.
-func (ecp *EpochCheckpoint) appDigest() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "e%d|w%d", ecp.Epoch, ecp.Sent)
-	for _, a := range ecp.Apps {
-		fmt.Fprintf(h, "|a%s:%d:", a.Name, len(a.Data))
-		h.Write(a.Data)
-	}
-	for _, c := range ecp.Sends {
-		fmt.Fprintf(h, "|c%d:%d", c.ID, c.Sent)
-	}
-	return h.Sum64()
-}
-
-// Seal computes both digests after the cut's fields are final.
-func (ecp *EpochCheckpoint) Seal() {
-	ecp.Sum = ecp.Checkpoint.digest()
-	ecp.AppSum = ecp.appDigest()
-}
-
-// Digest is the combined checksum carried in the epoch marker message and
-// compared by each backup against its replay-reconstructed state.
-func (ecp *EpochCheckpoint) Digest() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%#x|%#x", ecp.Sum, ecp.AppSum)
-	return h.Sum64()
-}
-
-// Bytes is the epoch checkpoint's accounted bulk-transfer footprint.
-func (ecp *EpochCheckpoint) Bytes() int {
-	n := ecp.Checkpoint.Bytes() + 32 + 16*len(ecp.Sends)
-	for _, a := range ecp.Apps {
-		n += 16 + len(a.Name) + len(a.Data)
-	}
-	return n
-}
-
 // Bulk-ring message kinds. The ring is dedicated to one transfer, FIFO and
 // reliable (fault injection never targets bulk rings), so the protocol is
-// a plain framed stream: header, cursor tables, per-connection meta plus
-// input-stream chunks, bindings, done. Epoch transfers splice an epoch
-// header and per-application frames between the header and the body.
+// a plain framed stream: header, epoch header, per-application meta plus
+// snapshot chunks, cursor tables, per-connection meta plus input-stream
+// chunks, bindings, done.
 const (
 	bulkHeader = iota + 1
 	bulkThreads
@@ -294,29 +263,17 @@ const (
 const chunkBytes = 64 << 10
 
 type bulkHdr struct {
-	Generation int
-	SeqGlobal  uint64
-	NextFTPid  int
-	Conns      int
-	Sum        uint64
-}
-
-type bulkConnMeta struct {
-	Snap  tcprep.ConnSnap // In nil; streamed separately in chunks
-	InLen int
-}
-
-type bulkConnChunk struct {
-	Conn int // index into the checkpoint's connection order
-	Data []byte
+	SeqGlobal uint64
+	NextFTPid int
+	Conns     int
+	Sum       uint64
 }
 
 type bulkEpochHdr struct {
-	Epoch  uint64
-	Sent   uint64
-	Apps   int
-	Sends  []tcprep.SendCursor
-	AppSum uint64
+	Epoch uint64
+	Sent  uint64
+	Apps  int
+	Sends []tcprep.SendCursor
 }
 
 type bulkAppMeta struct {
@@ -324,9 +281,29 @@ type bulkAppMeta struct {
 	Len  int
 }
 
-type bulkAppData struct {
-	App  int // index into the epoch checkpoint's app order
+type bulkConnMeta struct {
+	Snap  tcprep.ConnSnap // In nil; streamed separately in chunks
+	InLen int
+}
+
+// bulkData is one chunk of an application snapshot (bulkAppChunk) or a
+// connection's input stream (bulkChunk); Of indexes the checkpoint's app
+// or connection order.
+type bulkData struct {
+	Of   int
 	Data []byte
+}
+
+// sendChunks streams data as kind frames of at most chunkBytes each.
+func sendChunks(p *sim.Proc, ring *shm.Ring, kind, of int, data []byte) {
+	for off := 0; off < len(data); off += chunkBytes {
+		end := off + chunkBytes
+		if end > len(data) {
+			end = len(data)
+		}
+		ring.Send(p, shm.Message{Kind: kind, Size: 16 + end - off,
+			Payload: bulkData{Of: of, Data: data[off:end]}})
+	}
 }
 
 // Send streams the checkpoint over the bulk ring, blocking as the ring
@@ -334,48 +311,23 @@ type bulkAppData struct {
 // checkpoint was already cut, so recording continues concurrently.
 func Send(t *kernel.Task, ring *shm.Ring, cp *Checkpoint) {
 	p := t.Proc()
-	sendHeader(p, ring, cp)
-	sendBody(p, ring, cp)
-}
-
-// SendEpoch streams an epoch checkpoint: the base frames plus the epoch
-// header and per-application snapshots.
-func SendEpoch(t *kernel.Task, ring *shm.Ring, ecp *EpochCheckpoint) {
-	p := t.Proc()
-	sendHeader(p, ring, &ecp.Checkpoint)
-	ring.Send(p, shm.Message{Kind: bulkEpoch, Size: 48 + 16*len(ecp.Sends), Payload: bulkEpochHdr{
-		Epoch:  ecp.Epoch,
-		Sent:   ecp.Sent,
-		Apps:   len(ecp.Apps),
-		Sends:  ecp.Sends,
-		AppSum: ecp.AppSum,
+	ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{
+		SeqGlobal: cp.SeqGlobal,
+		NextFTPid: cp.NextFTPid,
+		Conns:     len(cp.TCP.Conns),
+		Sum:       cp.Sum,
 	}})
-	for i, a := range ecp.Apps {
+	ring.Send(p, shm.Message{Kind: bulkEpoch, Size: 48 + 16*len(cp.Sends), Payload: bulkEpochHdr{
+		Epoch: cp.Epoch,
+		Sent:  cp.Sent,
+		Apps:  len(cp.Apps),
+		Sends: cp.Sends,
+	}})
+	for i, a := range cp.Apps {
 		ring.Send(p, shm.Message{Kind: bulkApp, Size: 32 + len(a.Name),
 			Payload: bulkAppMeta{Name: a.Name, Len: len(a.Data)}})
-		for off := 0; off < len(a.Data); off += chunkBytes {
-			end := off + chunkBytes
-			if end > len(a.Data) {
-				end = len(a.Data)
-			}
-			ring.Send(p, shm.Message{Kind: bulkAppChunk, Size: 16 + end - off,
-				Payload: bulkAppData{App: i, Data: a.Data[off:end]}})
-		}
+		sendChunks(p, ring, bulkAppChunk, i, a.Data)
 	}
-	sendBody(p, ring, &ecp.Checkpoint)
-}
-
-func sendHeader(p *sim.Proc, ring *shm.Ring, cp *Checkpoint) {
-	ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{
-		Generation: cp.Generation,
-		SeqGlobal:  cp.SeqGlobal,
-		NextFTPid:  cp.NextFTPid,
-		Conns:      len(cp.TCP.Conns),
-		Sum:        cp.Sum,
-	}})
-}
-
-func sendBody(p *sim.Proc, ring *shm.Ring, cp *Checkpoint) {
 	ring.Send(p, shm.Message{Kind: bulkThreads, Size: 16 + 16*len(cp.Threads), Payload: cp.Threads})
 	ring.Send(p, shm.Message{Kind: bulkObjs, Size: 16 + 16*len(cp.Objs), Payload: cp.Objs})
 	envSize := 16
@@ -387,14 +339,7 @@ func sendBody(p *sim.Proc, ring *shm.Ring, cp *Checkpoint) {
 		meta := cs
 		meta.In = nil
 		ring.Send(p, shm.Message{Kind: bulkConn, Size: 64, Payload: bulkConnMeta{Snap: meta, InLen: len(cs.In)}})
-		for off := 0; off < len(cs.In); off += chunkBytes {
-			end := off + chunkBytes
-			if end > len(cs.In) {
-				end = len(cs.In)
-			}
-			ring.Send(p, shm.Message{Kind: bulkChunk, Size: 16 + end - off,
-				Payload: bulkConnChunk{Conn: i, Data: cs.In[off:end]}})
-		}
+		sendChunks(p, ring, bulkChunk, i, cs.In)
 	}
 	ring.Send(p, shm.Message{Kind: bulkBinds, Size: 16 + 24*len(cp.TCP.Binds), Payload: cp.TCP.Binds})
 	ring.Send(p, shm.Message{Kind: bulkDone, Size: 16})
@@ -406,45 +351,43 @@ func sendBody(p *sim.Proc, ring *shm.Ring, cp *Checkpoint) {
 // ErrTruncatedCheckpoint after RecvFrameTimeout of ring silence rather
 // than blocking forever.
 func Recv(t *kernel.Task, ring *shm.Ring) (*Checkpoint, error) {
-	cp := &Checkpoint{}
-	if err := recvFrames(t, ring, cp, nil); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// RecvEpoch reassembles an epoch checkpoint, verifying both the base and
-// the application digests over the reassembled content.
-func RecvEpoch(t *kernel.Task, ring *shm.Ring) (*EpochCheckpoint, error) {
-	ecp := &EpochCheckpoint{}
-	if err := recvFrames(t, ring, &ecp.Checkpoint, ecp); err != nil {
-		return nil, err
-	}
-	return ecp, nil
-}
-
-// recvFrames is the shared reassembly loop. ecp is nil for a base
-// transfer; non-nil enables (and requires) the epoch frames.
-func recvFrames(t *kernel.Task, ring *shm.Ring, cp *Checkpoint, ecp *EpochCheckpoint) error {
 	p := t.Proc()
+	cp := &Checkpoint{}
 	var want uint64
 	sawEpoch := false
 	frames := 0
 	for {
 		m, ok := ring.RecvTimeout(p, RecvFrameTimeout)
 		if !ok {
-			return fmt.Errorf("%w: ring silent for %v after %d frames",
+			return nil, fmt.Errorf("%w: ring silent for %v after %d frames",
 				ErrTruncatedCheckpoint, RecvFrameTimeout, frames)
 		}
 		frames++
 		switch m.Kind {
 		case bulkHeader:
 			h := m.Payload.(bulkHdr)
-			cp.Generation = h.Generation
 			cp.SeqGlobal = h.SeqGlobal
 			cp.NextFTPid = h.NextFTPid
 			cp.TCP.Conns = make([]tcprep.ConnSnap, 0, h.Conns)
 			want = h.Sum
+		case bulkEpoch:
+			h := m.Payload.(bulkEpochHdr)
+			cp.Epoch = h.Epoch
+			cp.Sent = h.Sent
+			cp.Sends = append([]tcprep.SendCursor(nil), h.Sends...)
+			cp.Apps = make([]AppSnap, 0, h.Apps)
+			sawEpoch = true
+		case bulkApp:
+			meta := m.Payload.(bulkAppMeta)
+			cp.Apps = append(cp.Apps, AppSnap{Name: meta.Name, Data: make([]byte, 0, meta.Len)})
+		case bulkAppChunk:
+			c := m.Payload.(bulkData)
+			if c.Of >= len(cp.Apps) {
+				return nil, fmt.Errorf("%w: chunk for app snapshot %d of %d",
+					ErrChecksumMismatch, c.Of, len(cp.Apps))
+			}
+			a := &cp.Apps[c.Of]
+			a.Data = append(a.Data, c.Data...)
 		case bulkThreads:
 			cp.Threads = m.Payload.([]replication.SeqCursor)
 		case bulkObjs:
@@ -457,60 +400,27 @@ func recvFrames(t *kernel.Task, ring *shm.Ring, cp *Checkpoint, ecp *EpochCheckp
 			cs.In = make([]byte, 0, meta.InLen)
 			cp.TCP.Conns = append(cp.TCP.Conns, cs)
 		case bulkChunk:
-			c := m.Payload.(bulkConnChunk)
-			if c.Conn >= len(cp.TCP.Conns) {
-				return fmt.Errorf("%w: chunk for connection %d of %d",
-					ErrChecksumMismatch, c.Conn, len(cp.TCP.Conns))
+			c := m.Payload.(bulkData)
+			if c.Of >= len(cp.TCP.Conns) {
+				return nil, fmt.Errorf("%w: chunk for connection %d of %d",
+					ErrChecksumMismatch, c.Of, len(cp.TCP.Conns))
 			}
-			cs := &cp.TCP.Conns[c.Conn]
+			cs := &cp.TCP.Conns[c.Of]
 			cs.In = append(cs.In, c.Data...)
 		case bulkBinds:
 			cp.TCP.Binds = m.Payload.([]tcprep.BindSnap)
-		case bulkEpoch:
-			if ecp == nil {
-				return fmt.Errorf("%w: epoch frame in a base checkpoint transfer",
-					ErrChecksumMismatch)
-			}
-			h := m.Payload.(bulkEpochHdr)
-			ecp.Epoch = h.Epoch
-			ecp.Sent = h.Sent
-			ecp.Sends = append([]tcprep.SendCursor(nil), h.Sends...)
-			ecp.AppSum = h.AppSum
-			ecp.Apps = make([]AppSnap, 0, h.Apps)
-			sawEpoch = true
-		case bulkApp:
-			if ecp == nil {
-				return fmt.Errorf("%w: app frame in a base checkpoint transfer",
-					ErrChecksumMismatch)
-			}
-			meta := m.Payload.(bulkAppMeta)
-			ecp.Apps = append(ecp.Apps, AppSnap{Name: meta.Name, Data: make([]byte, 0, meta.Len)})
-		case bulkAppChunk:
-			c := m.Payload.(bulkAppData)
-			if ecp == nil || c.App >= len(ecp.Apps) {
-				return fmt.Errorf("%w: chunk for app snapshot %d", ErrChecksumMismatch, c.App)
-			}
-			a := &ecp.Apps[c.App]
-			a.Data = append(a.Data, c.Data...)
 		case bulkDone:
-			cp.Sum = cp.digest()
+			if !sawEpoch {
+				return nil, fmt.Errorf("%w: transfer carried no epoch frame", ErrChecksumMismatch)
+			}
+			cp.Seal()
 			if cp.Sum != want {
-				return fmt.Errorf("%w: reassembled digest %#x, header %#x",
+				return nil, fmt.Errorf("%w: reassembled digest %#x, header %#x",
 					ErrChecksumMismatch, cp.Sum, want)
 			}
-			if ecp != nil {
-				if !sawEpoch {
-					return fmt.Errorf("%w: epoch transfer carried no epoch frame",
-						ErrChecksumMismatch)
-				}
-				if got := ecp.appDigest(); got != ecp.AppSum {
-					return fmt.Errorf("%w: reassembled app digest %#x, header %#x",
-						ErrChecksumMismatch, got, ecp.AppSum)
-				}
-			}
-			return nil
+			return cp, nil
 		default:
-			return fmt.Errorf("%w: unknown bulk frame kind %d", ErrChecksumMismatch, m.Kind)
+			return nil, fmt.Errorf("%w: unknown bulk frame kind %d", ErrChecksumMismatch, m.Kind)
 		}
 	}
 }

@@ -42,10 +42,15 @@ func testCheckpoint() *Checkpoint {
 	for i := range in {
 		in[i] = byte(i * 7)
 	}
+	snap := make([]byte, 150<<10)
+	for i := range snap {
+		snap[i] = byte(i*13 + 5)
+	}
 	cp := &Checkpoint{
-		Generation: 2,
-		SeqGlobal:  12345,
-		NextFTPid:  7,
+		Epoch:     9,
+		SeqGlobal: 12345,
+		Sent:      777,
+		NextFTPid: 7,
 		Threads: []replication.SeqCursor{
 			{FTPid: 1, Seq: 4000}, {FTPid: 2, Seq: 8345},
 		},
@@ -53,6 +58,11 @@ func testCheckpoint() *Checkpoint {
 			{Obj: 1, Seq: 7000}, {Obj: 2, Seq: 5345},
 		},
 		Env: []EnvEntry{{Key: "FT_MODE", Value: "replicated"}, {Key: "HOME", Value: "/"}},
+		Apps: []AppSnap{
+			{Name: "counter", Data: []byte{1, 2, 3, 4}},
+			{Name: "stream", Data: snap},
+		},
+		Sends: []tcprep.SendCursor{{ID: 3, Sent: 1 << 20}},
 		TCP: tcprep.StateSnap{
 			Conns: []tcprep.ConnSnap{{
 				Key:   tcprep.ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 9999},
@@ -67,25 +77,40 @@ func testCheckpoint() *Checkpoint {
 			}},
 		},
 	}
-	cp.Sum = cp.digest()
+	cp.Seal()
 	return cp
 }
 
-func TestBulkTransferRoundTrip(t *testing.T) {
+// transfer runs send on the primary kernel against Recv on the backup and
+// returns what Recv returned.
+func transfer(t *testing.T, send func(*kernel.Task, *shm.Ring)) (*Checkpoint, error) {
+	t.Helper()
 	s, pk, bk, ring := bulkPair(t)
-	cp := testCheckpoint()
 	var got *Checkpoint
 	var rerr error
-	pk.Spawn("send", func(tk *kernel.Task) { Send(tk, ring, cp) })
-	bk.Spawn("recv", func(tk *kernel.Task) { got, rerr = Recv(tk, ring) })
-	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+	done := false
+	pk.Spawn("send", func(tk *kernel.Task) { send(tk, ring) })
+	bk.Spawn("recv", func(tk *kernel.Task) { got, rerr = Recv(tk, ring); done = true })
+	if err := s.RunUntil(sim.Time(2 * time.Second)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rerr != nil {
-		t.Fatalf("Recv: %v", rerr)
+	if !done {
+		t.Fatal("Recv still blocked after 2s")
 	}
-	if got.Generation != cp.Generation || got.SeqGlobal != cp.SeqGlobal ||
-		got.NextFTPid != cp.NextFTPid || got.Sum != cp.Sum {
+	return got, rerr
+}
+
+func sendAll(cp *Checkpoint) func(*kernel.Task, *shm.Ring) {
+	return func(tk *kernel.Task, ring *shm.Ring) { Send(tk, ring, cp) }
+}
+
+func TestBulkTransferRoundTrip(t *testing.T) {
+	cp := testCheckpoint()
+	got, err := transfer(t, sendAll(cp))
+	if err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	if got.SeqGlobal != cp.SeqGlobal || got.NextFTPid != cp.NextFTPid || got.Sum != cp.Sum {
 		t.Errorf("header fields differ: got %+v", got)
 	}
 	if len(got.Threads) != 2 || got.Threads[1] != cp.Threads[1] {
@@ -105,18 +130,49 @@ func TestBulkTransferRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEpochTransferRoundTrip covers the epoch frame and the chunked
+// application snapshots of the same transfer.
+func TestEpochTransferRoundTrip(t *testing.T) {
+	cp := testCheckpoint()
+	got, err := transfer(t, sendAll(cp))
+	if err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	if got.Epoch != cp.Epoch || got.Sent != cp.Sent {
+		t.Errorf("epoch header differs: epoch=%d sent=%d", got.Epoch, got.Sent)
+	}
+	if len(got.Sends) != 1 || got.Sends[0] != cp.Sends[0] {
+		t.Errorf("send cursors differ: %+v", got.Sends)
+	}
+	if len(got.Apps) != 2 || got.Apps[0].Name != "counter" || got.Apps[1].Name != "stream" {
+		t.Fatalf("apps differ: %+v", got.Apps)
+	}
+	if !bytes.Equal(got.Apps[1].Data, cp.Apps[1].Data) {
+		t.Error("chunked app snapshot not reassembled byte-identically")
+	}
+}
+
+// TestGenesisTransferRoundTrip sends the checkpoint every epochs-off rejoin
+// seeds from: all-zero cursors, no apps, and still one epoch frame.
+func TestGenesisTransferRoundTrip(t *testing.T) {
+	cp := Genesis()
+	got, err := transfer(t, sendAll(cp))
+	if err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	if got.Sum != cp.Sum || got.Epoch != 0 || got.SeqGlobal != 0 || got.Sent != 0 || got.NextFTPid != 1 {
+		t.Errorf("genesis changed in transfer: %+v", got)
+	}
+	if n := len(got.Threads) + len(got.Objs) + len(got.Env) + len(got.Apps) + len(got.Sends) + len(got.TCP.Conns); n != 0 {
+		t.Errorf("genesis carries %d entries, want none: %+v", n, got)
+	}
+}
+
 func TestBulkTransferDetectsCorruption(t *testing.T) {
-	s, pk, bk, ring := bulkPair(t)
 	cp := testCheckpoint()
 	cp.Sum++ // simulate content skew between cut and transfer
-	var rerr error
-	pk.Spawn("send", func(tk *kernel.Task) { Send(tk, ring, cp) })
-	bk.Spawn("recv", func(tk *kernel.Task) { _, rerr = Recv(tk, ring) })
-	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !errors.Is(rerr, ErrChecksumMismatch) {
-		t.Fatalf("Recv = %v, want ErrChecksumMismatch", rerr)
+	if _, err := transfer(t, sendAll(cp)); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("Recv = %v, want ErrChecksumMismatch", err)
 	}
 }
 
@@ -124,31 +180,37 @@ func TestBulkTransferDetectsCorruption(t *testing.T) {
 // AFTER the digest was computed — the skew a buggy sharded cut would
 // produce — and requires the reassembly digest check to reject it.
 func TestBulkTransferDetectsCursorCorruption(t *testing.T) {
-	s, pk, bk, ring := bulkPair(t)
 	cp := testCheckpoint()
 	cp.Objs[1].Seq += 3 // post-digest corruption of a Seq_obj cursor
-	var rerr error
-	pk.Spawn("send", func(tk *kernel.Task) { Send(tk, ring, cp) })
-	bk.Spawn("recv", func(tk *kernel.Task) { _, rerr = Recv(tk, ring) })
-	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
+	if _, err := transfer(t, sendAll(cp)); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("Recv = %v, want ErrChecksumMismatch", err)
 	}
-	if !errors.Is(rerr, ErrChecksumMismatch) {
-		t.Fatalf("Recv = %v, want ErrChecksumMismatch", rerr)
+}
+
+func TestEpochTransferDetectsAppCorruption(t *testing.T) {
+	cp := testCheckpoint()
+	cp.Apps[1].Data[99] ^= 0xff // post-Seal corruption of an app snapshot
+	if _, err := transfer(t, sendAll(cp)); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("Recv = %v, want ErrChecksumMismatch", err)
 	}
 }
 
 func TestDigestCoversContent(t *testing.T) {
 	base := testCheckpoint()
 	mutations := map[string]func(*Checkpoint){
-		"seq":    func(c *Checkpoint) { c.SeqGlobal++ },
-		"ftpid":  func(c *Checkpoint) { c.NextFTPid++ },
-		"cursor": func(c *Checkpoint) { c.Threads[0].Seq++ },
-		"objs":   func(c *Checkpoint) { c.Objs[1].Seq++ },
-		"env":    func(c *Checkpoint) { c.Env[0].Value = "degraded" },
-		"input":  func(c *Checkpoint) { c.TCP.Conns[0].In[0]++ },
-		"acked":  func(c *Checkpoint) { c.TCP.Conns[0].Acked++ },
-		"bind":   func(c *Checkpoint) { c.TCP.Binds[0].ID++ },
+		"epoch":   func(c *Checkpoint) { c.Epoch++ },
+		"seq":     func(c *Checkpoint) { c.SeqGlobal++ },
+		"sent":    func(c *Checkpoint) { c.Sent++ },
+		"ftpid":   func(c *Checkpoint) { c.NextFTPid++ },
+		"cursor":  func(c *Checkpoint) { c.Threads[0].Seq++ },
+		"objs":    func(c *Checkpoint) { c.Objs[1].Seq++ },
+		"env":     func(c *Checkpoint) { c.Env[0].Value = "degraded" },
+		"app":     func(c *Checkpoint) { c.Apps[0].Data[0]++ },
+		"appname": func(c *Checkpoint) { c.Apps[0].Name = "other" },
+		"sends":   func(c *Checkpoint) { c.Sends[0].Sent++ },
+		"input":   func(c *Checkpoint) { c.TCP.Conns[0].In[0]++ },
+		"acked":   func(c *Checkpoint) { c.TCP.Conns[0].Acked++ },
+		"bind":    func(c *Checkpoint) { c.TCP.Binds[0].ID++ },
 	}
 	for name, mutate := range mutations {
 		cp := testCheckpoint()
@@ -156,5 +218,79 @@ func TestDigestCoversContent(t *testing.T) {
 		if cp.digest() == base.Sum {
 			t.Errorf("digest blind to %s mutation", name)
 		}
+	}
+}
+
+// shortTimeout shrinks RecvFrameTimeout for tests of a sender that stops.
+func shortTimeout(t *testing.T) {
+	old := RecvFrameTimeout
+	RecvFrameTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { RecvFrameTimeout = old })
+}
+
+// TestRecvFailsFastOnTruncatedTransfer kills the transfer after the first
+// frames: the receiver must fail with ErrTruncatedCheckpoint once the ring
+// goes silent instead of blocking forever on a stream nobody will finish.
+func TestRecvFailsFastOnTruncatedTransfer(t *testing.T) {
+	shortTimeout(t)
+	cp := testCheckpoint()
+	_, err := transfer(t, func(tk *kernel.Task, ring *shm.Ring) {
+		p := tk.Proc()
+		ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{Sum: cp.Sum}})
+		ring.Send(p, shm.Message{Kind: bulkThreads, Size: 16, Payload: cp.Threads})
+		// Sender dies here: no more frames, no bulkDone.
+	})
+	if !errors.Is(err, ErrTruncatedCheckpoint) {
+		t.Fatalf("Recv = %v, want ErrTruncatedCheckpoint", err)
+	}
+}
+
+// TestRecvEpochFailsFastMidAppChunks: the sender dies between application
+// snapshot chunks.
+func TestRecvEpochFailsFastMidAppChunks(t *testing.T) {
+	shortTimeout(t)
+	cp := testCheckpoint()
+	_, err := transfer(t, func(tk *kernel.Task, ring *shm.Ring) {
+		p := tk.Proc()
+		ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{Sum: cp.Sum}})
+		ring.Send(p, shm.Message{Kind: bulkEpoch, Size: 48, Payload: bulkEpochHdr{
+			Epoch: cp.Epoch, Sent: cp.Sent, Apps: len(cp.Apps),
+		}})
+		ring.Send(p, shm.Message{Kind: bulkApp, Size: 32,
+			Payload: bulkAppMeta{Name: "stream", Len: len(cp.Apps[1].Data)}})
+		ring.Send(p, shm.Message{Kind: bulkAppChunk, Size: 16 + chunkBytes,
+			Payload: bulkData{Of: 0, Data: cp.Apps[1].Data[:chunkBytes]}})
+		// Sender dies mid-snapshot.
+	})
+	if !errors.Is(err, ErrTruncatedCheckpoint) {
+		t.Fatalf("Recv = %v, want ErrTruncatedCheckpoint", err)
+	}
+}
+
+// TestRecvRejectsMalformedStream feeds Recv frame sequences no Send
+// produces; each must fail with ErrChecksumMismatch, never panic or hang.
+func TestRecvRejectsMalformedStream(t *testing.T) {
+	done := shm.Message{Kind: bulkDone, Size: 16}
+	hdr := shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{Sum: Genesis().Sum, NextFTPid: 1}}
+	streams := map[string][]shm.Message{
+		"no epoch frame": {hdr, done},
+		"unknown kind":   {hdr, {Kind: 99, Size: 16}},
+		"app chunk out of range": {hdr,
+			{Kind: bulkEpoch, Size: 48, Payload: bulkEpochHdr{}},
+			{Kind: bulkAppChunk, Size: 17, Payload: bulkData{Of: 0, Data: []byte{1}}}},
+		"conn chunk out of range": {hdr,
+			{Kind: bulkChunk, Size: 17, Payload: bulkData{Of: 2, Data: []byte{1}}}},
+	}
+	for name, frames := range streams {
+		t.Run(name, func(t *testing.T) {
+			_, err := transfer(t, func(tk *kernel.Task, ring *shm.Ring) {
+				for _, m := range frames {
+					ring.Send(tk.Proc(), m)
+				}
+			})
+			if !errors.Is(err, ErrChecksumMismatch) {
+				t.Fatalf("Recv = %v, want ErrChecksumMismatch", err)
+			}
+		})
 	}
 }

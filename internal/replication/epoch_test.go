@@ -3,11 +3,13 @@ package replication_test
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/replication"
+	"repro/internal/sim"
 )
 
 // stateDigest summarizes a namespace's replicated progress — Seq_global
@@ -189,5 +191,56 @@ func TestEpochQuorumGatesPrimaryTruncation(t *testing.T) {
 	}
 	if d.sns.Stats().Divergences != 0 {
 		t.Errorf("unexpected divergence")
+	}
+}
+
+// TestZeroCheckpointSeedIsIdentity seeds a fresh secondary from the all-zero
+// (genesis) checkpoint — the seed of every epochs-off rejoin — and requires
+// it to behave exactly as an unseeded one: same grants in the same order at
+// the same virtual instants, and the application still waits for the env
+// message off the ring instead of starting on the seed's empty env.
+func TestZeroCheckpointSeedIsIdentity(t *testing.T) {
+	type grant struct {
+		id int
+		at sim.Time
+	}
+	run := func(seed bool) (order []grant, env string, st replication.Stats) {
+		d := newDuo(t, 3, replication.DefaultConfig(), true)
+		if seed {
+			d.sns.SeedCheckpoint(0, 0, 0, nil, map[string]string{})
+			d.sns.ResumeFrom(nil, 1)
+		}
+		var pOrder, sOrder []int
+		d.pns.Start("app", map[string]string{"MODE": "replicated"}, lockOrderApp(&pOrder, 4, 10))
+		d.sns.Start("app", nil, func(root *replication.Thread) {
+			env = root.NS().Getenv("MODE")
+			lockOrderApp(&sOrder, 4, 10)(root)
+		})
+		d.sk.Spawn("observer", func(tk *kernel.Task) {
+			for len(order) < 4*10 {
+				for _, id := range sOrder[len(order):] {
+					order = append(order, grant{id, tk.Now()})
+				}
+				tk.Sleep(10 * time.Microsecond)
+			}
+		})
+		if err := d.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return order, env, d.sns.Stats()
+	}
+	plain, plainEnv, plainStats := run(false)
+	seeded, seededEnv, seededStats := run(true)
+	if plainEnv != "replicated" || seededEnv != "replicated" {
+		t.Errorf("secondary env MODE = %q unseeded / %q seeded, want the primary's value on both", plainEnv, seededEnv)
+	}
+	if !reflect.DeepEqual(plain, seeded) {
+		t.Errorf("zero-seeded replay differs from unseeded replay:\n%v\n%v", plain, seeded)
+	}
+	if plainStats != seededStats {
+		t.Errorf("stats differ: unseeded %+v, zero-seeded %+v", plainStats, seededStats)
+	}
+	if plainStats.Divergences != 0 || plainStats.Sections == 0 {
+		t.Errorf("control run invalid: %+v", plainStats)
 	}
 }

@@ -318,7 +318,12 @@ func (ns *Namespace) OnReplayHead(seq uint64, fn func()) {
 // their checkpointed ft_pid and Seq_thread instead of assigning fresh
 // identity through an OpThreadCreate section. nextFTPid is the
 // checkpoint's assignment high-water mark, restored once the pins drain.
+// A checkpoint without threads (genesis) installs nothing: every thread is
+// then created afresh, through its recorded section.
 func (ns *Namespace) ResumeFrom(threads []SeqCursor, nextFTPid int) {
+	if len(threads) == 0 {
+		return
+	}
 	pins := append([]SeqCursor(nil), threads...)
 	sort.Slice(pins, func(i, j int) bool { return pins[i].FTPid < pins[j].FTPid })
 	ns.resume = &resumeState{pins: pins, finalNext: nextFTPid}

@@ -320,7 +320,10 @@ func (r *Replayer) track(key uint64) {
 // index. Must run before any log message arrives (the core rejoin path
 // calls it in the same atomic instant that cuts the checkpoint and
 // attaches the link). epoch is the checkpoint's epoch number; its marker
-// is retained without re-verification.
+// is retained without re-verification. The env message is the log's first
+// entry, so the env mirror is seeded exactly when the checkpoint's prefix
+// is non-empty: seeding from the all-zero genesis checkpoint leaves the
+// replayer as constructed, waiting for the env off the ring.
 func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCursor, env map[string]string) {
 	r.frontier = seqGlobal
 	r.baseSeqGlobal = seqGlobal
@@ -335,7 +338,7 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 		r.domSeen[key] = seq
 		r.track(key)
 	}
-	if env != nil {
+	if sent > 0 {
 		r.env = env
 		r.envSeen = true
 		r.envReady = true
