@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-sim bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check golden loc trace chaos diag
+.PHONY: all build vet lint test race bench bench-sim bench-tcpstack bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check golden loc trace chaos diag
 
 all: check
 
@@ -32,6 +32,14 @@ bench:
 # event (DESIGN.md §19). Blocking, waking and re-arming read 0 allocs/op.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim
+
+# The tcpstack layer's micro-benchmarks: host ns/op, MB/s and allocs/op of
+# a 1 MiB bulk transfer, a short connection and a segment through a holding
+# gate (DESIGN.md §20). The steady-state count — one allocation per
+# MSS-sized write, the receiver's copy-out — is pinned by
+# TestEstablishedTransferAllocs.
+bench-tcpstack:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/tcpstack
 
 # Per-object sequencing sweep (DESIGN.md §13): thread counts x {shared,
 # independent} locks x det shards {1, 4}, regenerating the checked-in

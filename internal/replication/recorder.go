@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"sort"
-
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/pthread"
@@ -110,15 +108,16 @@ type Recorder struct {
 	cfg      Config
 	replicas []*replicaLink
 
-	mus       []*pthread.Mutex  // det-section locks; one = the global mutex of Figure 3
-	objSeq    map[uint64]uint64 // next Seq_obj per sequencing object
-	seqGlobal uint64
-	sent      uint64
-	stableQ   []stableWaiter
-	live      bool
-	degraded  bool // recording with no caught-up backup (Config.Rejoinable)
-	history   []shm.Message
-	stats     Stats
+	mus        []*pthread.Mutex  // det-section locks; one = the global mutex of Figure 3
+	objSeq     map[uint64]uint64 // next Seq_obj per sequencing object
+	seqGlobal  uint64
+	sent       uint64
+	stableQ    []stableWaiter // stableQ[stableHead:] wait for output commit, oldest first
+	stableHead int
+	live       bool
+	degraded   bool // recording with no caught-up backup (Config.Rejoinable)
+	history    []shm.Message
+	stats      Stats
 
 	// histBase is the absolute log index of history[0]: zero until epoch
 	// truncation starts dropping verified prefixes, after which
@@ -369,7 +368,18 @@ func (r *Recorder) ackedAll() uint64 {
 	if k <= 0 || k > len(marks) {
 		k = len(marks)
 	}
-	sort.Slice(marks, func(i, j int) bool { return marks[i] > marks[j] })
+	return kthHighest(marks, k)
+}
+
+// kthHighest sorts marks in descending order in place and returns the k-th
+// (1-based). Insertion sort: there are at most N−1 marks, and sort.Slice
+// costs a closure and a reflect swapper on every output-commit check.
+func kthHighest(marks []uint64, k int) uint64 {
+	for i := 1; i < len(marks); i++ {
+		for j := i; j > 0 && marks[j] > marks[j-1]; j-- {
+			marks[j], marks[j-1] = marks[j-1], marks[j]
+		}
+	}
 	return marks[k-1]
 }
 
@@ -688,8 +698,7 @@ func (r *Recorder) epochAckedAll() uint64 {
 	if k <= 0 || k > len(marks) {
 		k = len(marks)
 	}
-	sort.Slice(marks, func(i, j int) bool { return marks[i] > marks[j] })
-	return marks[k-1]
+	return kthHighest(marks, k)
 }
 
 // maybeTruncateEpochs advances the primary's truncation to the highest
@@ -906,9 +915,9 @@ func (r *Recorder) onStable(fn func()) {
 
 func (r *Recorder) fireStable() {
 	acked := r.ackedAll()
-	for len(r.stableQ) > 0 && r.stableQ[0].watermark <= acked {
-		w := r.stableQ[0]
-		r.stableQ = r.stableQ[1:]
+	for r.stableHead < len(r.stableQ) && r.stableQ[r.stableHead].watermark <= acked {
+		w := r.stableQ[r.stableHead]
+		r.stableQ, r.stableHead = sim.PopFront(r.stableQ, r.stableHead)
 		wait := int64(r.kern.Sim().Now().Sub(w.heldAt))
 		r.sc.Emit(obs.OutputReleased, 0, int64(w.watermark), wait)
 		r.hCommitWait.Observe(wait)

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -85,5 +86,61 @@ func TestAcksRingNeverFillsUnderBacklog(t *testing.T) {
 	}
 	if got := rec.replicas[0].acked; got != 200 {
 		t.Errorf("final acked watermark = %d, want 200", got)
+	}
+}
+
+// TestAckedAllSelectsWithoutAllocating runs the output-commit rule over
+// every live/dead/syncing mix of N = 2 and N = 3 deployments, with the
+// all-backups rule and with a quorum, and compares the watermark with a
+// sort-based reference (the previous implementation). The check runs on
+// every output commit, so it must not allocate.
+func TestAckedAllSelectsWithoutAllocating(t *testing.T) {
+	reference := func(r *Recorder) uint64 {
+		var marks []uint64
+		for _, link := range r.replicas {
+			if !link.dead && !link.syncing {
+				marks = append(marks, link.acked)
+			}
+		}
+		if len(marks) == 0 {
+			return r.sent
+		}
+		k := r.cfg.CommitQuorum
+		if k <= 0 || k > len(marks) {
+			k = len(marks)
+		}
+		sort.Slice(marks, func(i, j int) bool { return marks[i] > marks[j] })
+		return marks[k-1]
+	}
+	acked := [][]uint64{{70, 30, 50}, {30, 70, 50}, {50, 50, 10}, {10, 20, 30}, {30, 20, 10}}
+	for backups := 1; backups <= 3; backups++ {
+		for quorum := 0; quorum <= backups; quorum++ {
+			cfg := DefaultConfig()
+			cfg.CommitQuorum = quorum
+			_, log, acks, rec := newRecorderHarness(t, cfg, 64<<10)
+			for len(rec.replicas) < backups {
+				rec.addLink(&replicaLink{log: log, acks: acks})
+			}
+			rec.sent = 100
+			for _, marks := range acked {
+				for state := 0; state < 1<<(2*backups); state++ { // 2 bits per link: dead, syncing
+					for i, link := range rec.replicas {
+						link.acked = marks[i]
+						link.dead = state>>(2*i)&1 != 0
+						link.syncing = state>>(2*i)&2 != 0
+					}
+					if got, want := rec.ackedAll(), reference(rec); got != want {
+						t.Fatalf("%d backups, quorum %d, acked %v, state %b: ackedAll = %d, want %d",
+							backups, quorum, marks[:backups], state, got, want)
+					}
+				}
+			}
+			for _, link := range rec.replicas {
+				link.dead, link.syncing = false, false
+			}
+			if n := testing.AllocsPerRun(100, func() { rec.ackedAll() }); n != 0 {
+				t.Errorf("%d backups, quorum %d: ackedAll allocates %v per call, want 0", backups, quorum, n)
+			}
+		}
 	}
 }

@@ -130,7 +130,7 @@ func (r *Ring) admitWaiters() {
 		if headerBytes+tk.bytes > r.capBytes-r.used {
 			break
 		}
-		r.resQ = r.resQ[1:]
+		r.resQ = append(r.resQ[:0], r.resQ[1:]...) // slide down: q[1:] would lose the array's front
 		tk.span = r.admit(tk.n, tk.bytes)
 		admitted = true
 	}

@@ -65,16 +65,19 @@ func (n *NIC) Up() bool {
 	return n.link != nil && (n.dev == nil || n.dev.Loaded())
 }
 
-// Send transmits a packet. Frames sent while the NIC is down are dropped.
-func (n *NIC) Send(p Packet) {
+// Send transmits a packet and reports whether the link took it. A frame
+// sent while the NIC is down, or into a full transmit queue, is dropped:
+// the network keeps nothing of it, so a sender that pools its payloads may
+// reuse this one.
+func (n *NIC) Send(p Packet) bool {
 	if !n.Up() {
 		if n.link != nil {
 			n.link.dirs[n.end].stats.Drops++
 		}
-		return
+		return false
 	}
 	p.SrcHost = n.host
-	n.link.transmit(n.end, p)
+	return n.link.transmit(n.end, p)
 }
 
 func (n *NIC) receive(p Packet) {
@@ -176,7 +179,7 @@ func (l *Link) serialization(size int) time.Duration {
 	return time.Duration(int64(size) * 8 * int64(time.Second) / l.bitsPerSec)
 }
 
-func (l *Link) transmit(end int, p Packet) {
+func (l *Link) transmit(end int, p Packet) bool {
 	d := l.dirs[end]
 	now := l.sim.Now()
 	start := now
@@ -185,7 +188,7 @@ func (l *Link) transmit(end int, p Packet) {
 	}
 	if start.Sub(now) > l.maxQueue {
 		d.stats.Drops++
-		return
+		return false
 	}
 	txDone := start.Add(l.serialization(p.Size))
 	d.nextFree = txDone
@@ -200,4 +203,5 @@ func (l *Link) transmit(end int, p Packet) {
 	}
 	f.p = p
 	f.ev.Reset(txDone.Add(l.latency).Sub(now))
+	return true
 }

@@ -198,8 +198,8 @@ func (s *Sockets) AdoptConn(t *kernel.Task, id uint64, consumed int) *Conn {
 	}
 	if s.sec != nil {
 		c.logical = s.sec.bindWait(t, id)
-		if consumed > len(c.logical.in) {
-			consumed = len(c.logical.in)
+		if buffered := c.logical.in.Len(); consumed > buffered {
+			consumed = buffered
 		}
 		if consumed > c.logical.inRead {
 			c.logical.inRead = consumed

@@ -50,8 +50,11 @@ type Primary struct {
 	flushQ sim.WaitQueue
 
 	enqueued uint64 // logical updates accepted for syncing
-	barrierQ []syncWaiter
-	live     bool // no live backup link: native-speed release
+	// barrierQ[barrierHead:] are the output segments waiting for the sync
+	// watermark, oldest first.
+	barrierQ    []syncWaiter
+	barrierHead int
+	live        bool // no live backup link: native-speed release
 
 	// Aborted counts connections reset because a mandatory state update
 	// could not be synced (sync ring exhausted despite backpressure).
@@ -346,34 +349,70 @@ type stabilityGate struct {
 	cfg      GateConfig
 	sim      *sim.Simulation
 	nextFree sim.Time
+	free     []*heldSeg // records whose segment has been sent
+}
+
+// heldSeg is one segment on its way through the gate: through the sync
+// barrier, then output commit, then the paced release. The record is reused
+// for later segments; its callbacks are bound when it is first allocated and
+// every held segment arms its own release event, at the program point where
+// a one-shot event used to be scheduled, so its place in the event order is
+// its own (DESIGN.md §20). The records of a kernel that dies with segments
+// held are never recycled.
+type heldSeg struct {
+	g    *stabilityGate
+	seg  *tcpstack.Segment
+	cost time.Duration
+	ev   sim.Event
+
+	synced, stable func() // h.onSynced, h.onStable
 }
 
 var _ tcpstack.EgressGate = (*stabilityGate)(nil)
 
 // Transmit implements tcpstack.EgressGate.
-func (g *stabilityGate) Transmit(seg *tcpstack.Segment, send func()) {
+func (g *stabilityGate) Transmit(seg *tcpstack.Segment) {
 	if !g.ns.Recording() || !g.prim.Streaming() {
 		// Not replicating (or recording detached, with no backup to
 		// outrun): native-speed release, no bookkeeping cost.
-		send()
+		seg.Send()
 		return
 	}
-	cost := g.cfg.PerSegment + time.Duration(seg.WireSize())*g.cfg.PerByte
-	g.prim.syncBarrier(func() {
-		g.ns.OnStable(func() {
-			now := g.sim.Now()
-			release := now
-			if g.nextFree > release {
-				release = g.nextFree
-			}
-			g.nextFree = release.Add(cost)
-			if release == now {
-				send()
-				return
-			}
-			g.sim.ScheduleAt(release, send)
-		})
-	})
+	var h *heldSeg
+	if n := len(g.free); n > 0 {
+		h, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		h = &heldSeg{g: g}
+		h.synced, h.stable = h.onSynced, h.onStable
+		h.ev.Init(g.sim, h.send)
+	}
+	h.seg = seg
+	h.cost = g.cfg.PerSegment + time.Duration(seg.WireSize())*g.cfg.PerByte
+	g.prim.syncBarrier(h.synced)
+}
+
+func (h *heldSeg) onSynced() { h.g.ns.OnStable(h.stable) }
+
+func (h *heldSeg) onStable() {
+	g := h.g
+	now := g.sim.Now()
+	release := now
+	if g.nextFree > release {
+		release = g.nextFree
+	}
+	g.nextFree = release.Add(h.cost)
+	if release == now {
+		h.send()
+		return
+	}
+	h.ev.Reset(release.Sub(now))
+}
+
+func (h *heldSeg) send() {
+	seg := h.seg
+	h.seg = nil
+	h.g.free = append(h.g.free, h)
+	seg.Send()
 }
 
 // ingress is the Netfilter-style backpressure hook: data segments that the
@@ -417,9 +456,9 @@ func (p *Primary) syncBarrier(fn func()) {
 
 func (p *Primary) fireBarrier() {
 	synced := p.minSynced()
-	for len(p.barrierQ) > 0 && p.barrierQ[0].watermark <= synced {
-		fn := p.barrierQ[0].fn
-		p.barrierQ = p.barrierQ[1:]
+	for p.barrierHead < len(p.barrierQ) && p.barrierQ[p.barrierHead].watermark <= synced {
+		fn := p.barrierQ[p.barrierHead].fn
+		p.barrierQ, p.barrierHead = sim.PopFront(p.barrierQ, p.barrierHead)
 		fn()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/shm"
 	"repro/internal/sim"
+	"repro/internal/streambuf"
 	"repro/internal/tcpstack"
 )
 
@@ -17,21 +18,21 @@ type LogicalConn struct {
 	key      ConnKey
 	iss, irs uint64
 
-	// in holds input bytes [inBase, inBase+len): streamed from the primary
+	// in holds input bytes [inBase, inBase+Len): streamed from the primary
 	// but not yet consumed by the replica's replayed reads. In retention
 	// mode inBase stays 0 and consumed bytes are kept — inRead marks how
 	// far the replayed application has read.
-	in     []byte
+	in     streambuf.Window
 	inBase uint64
 	inRead int
 
-	// out holds replica-regenerated output bytes [outBase, outBase+len):
+	// out holds replica-regenerated output bytes [outBase, outBase+Len):
 	// everything the client has not acknowledged, retransmittable after
 	// failover. outBase advances with ackOut updates, but never past what
 	// the replica has regenerated: ackTarget remembers the highest
 	// watermark so output produced later is trimmed on arrival instead of
 	// being retransmitted to a client that already acknowledged it.
-	out       []byte
+	out       streambuf.Window
 	outBase   uint64
 	ackTarget uint64
 
@@ -49,11 +50,11 @@ type LogicalConn struct {
 func (lc *LogicalConn) Key() ConnKey { return lc.key }
 
 // InBuffered reports synced input bytes not yet consumed by replay.
-func (lc *LogicalConn) InBuffered() int { return len(lc.in) - lc.inRead }
+func (lc *LogicalConn) InBuffered() int { return lc.in.Len() - lc.inRead }
 
 // OutBuffered reports replica output bytes not yet acknowledged by the
 // client.
-func (lc *LogicalConn) OutBuffered() int { return len(lc.out) }
+func (lc *LogicalConn) OutBuffered() int { return lc.out.Len() }
 
 // Live returns the promoted real connection, or nil before failover.
 func (lc *LogicalConn) Live() *tcpstack.Conn { return lc.live }
@@ -73,6 +74,7 @@ type Secondary struct {
 	bindQ     sim.WaitQueue
 	puller    *kernel.Task
 	promoted  bool
+	bufs      streambuf.Pool // backing arrays of the logical connections' in/out windows
 
 	// Stats.
 	DataBytes int64 // input bytes synced
@@ -149,6 +151,8 @@ func (s *Secondary) logical(key ConnKey) *LogicalConn {
 	lc, ok := s.conns[key]
 	if !ok {
 		lc = &LogicalConn{key: key}
+		lc.in.Init(&s.bufs)
+		lc.out.Init(&s.bufs)
 		s.conns[key] = lc
 		s.order = append(s.order, key)
 	}
@@ -166,7 +170,7 @@ func (s *Secondary) apply(m shm.Message) {
 	case syncDataIn:
 		d := m.Payload.(dataIn)
 		lc := s.logical(d.Key)
-		lc.in = append(lc.in, d.Data...)
+		lc.in.Append(d.Data)
 		s.DataBytes += int64(len(d.Data))
 		lc.dataQ.WakeAll(0)
 	case syncAckOut:
@@ -211,10 +215,10 @@ func (lc *LogicalConn) applyTrim() {
 		return
 	}
 	n := lc.ackTarget - lc.outBase
-	if n > uint64(len(lc.out)) {
-		n = uint64(len(lc.out))
+	if queued := uint64(lc.out.Len()); n > queued {
+		n = queued
 	}
-	lc.out = lc.out[n:]
+	lc.out.Discard(int(n))
 	lc.outBase += n
 }
 
@@ -249,15 +253,15 @@ func (s *Secondary) bindWait(t *kernel.Task, id uint64) *LogicalConn {
 // stream has delivered them (they are guaranteed to arrive: the primary
 // recorded the read only after its stack delivered the bytes).
 func (s *Secondary) readReplay(t *kernel.Task, lc *LogicalConn, n int) []byte {
-	for len(lc.in)-lc.inRead < n {
+	for lc.InBuffered() < n {
 		lc.dataQ.Wait(t.Proc())
 	}
 	out := make([]byte, n)
-	copy(out, lc.in[lc.inRead:lc.inRead+n])
+	copy(out, lc.in.Bytes()[lc.inRead:])
 	if s.retain {
 		lc.inRead += n
 	} else {
-		lc.in = lc.in[n:]
+		lc.in.Discard(n)
 		lc.inBase += uint64(n)
 	}
 	return out
@@ -266,7 +270,7 @@ func (s *Secondary) readReplay(t *kernel.Task, lc *LogicalConn, n int) []byte {
 // appendOut accumulates replica-regenerated output bytes, discarding any
 // prefix the client has already acknowledged.
 func (s *Secondary) appendOut(lc *LogicalConn, data []byte) {
-	lc.out = append(lc.out, data...)
+	lc.out.Append(data)
 	lc.applyTrim()
 }
 
@@ -303,9 +307,9 @@ func (s *Secondary) Promote(stack *tcpstack.Stack) ([]*tcpstack.Conn, error) {
 			ISS:       lc.iss,
 			IRS:       lc.irs,
 			SndUna:    lc.iss + 1 + lc.outBase,
-			SndData:   lc.out,
-			RcvNxt:    lc.irs + 1 + lc.inBase + uint64(len(lc.in)),
-			RcvData:   lc.in[lc.inRead:],
+			SndData:   lc.out.Bytes(), // Restore copies both
+			RcvNxt:    lc.irs + 1 + lc.inBase + uint64(lc.in.Len()),
+			RcvData:   lc.in.Bytes()[lc.inRead:],
 			PeerFin:   lc.peerFin,
 		}
 		if lc.peerFin {
@@ -330,7 +334,7 @@ func (s *Secondary) Seed(snap StateSnap) {
 	for _, cs := range snap.Conns {
 		lc := s.logical(cs.Key)
 		lc.iss, lc.irs = cs.ISS, cs.IRS
-		lc.in = append([]byte(nil), cs.In...)
+		lc.in.Set(cs.In)
 		s.DataBytes += int64(len(cs.In))
 		lc.ackTarget = cs.Acked
 		lc.peerFin = cs.PeerFin
@@ -380,7 +384,7 @@ func (s *Secondary) HistoryLog() *ConnLog {
 		lc := s.conns[key]
 		h := cl.hist(key)
 		h.iss, h.irs = lc.iss, lc.irs
-		h.in = append([]byte(nil), lc.in...)
+		h.in = append([]byte(nil), lc.in.Bytes()...)
 		h.acked = lc.ackTarget
 		h.peerFin = lc.peerFin
 		h.gone = lc.gone

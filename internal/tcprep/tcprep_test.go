@@ -1,10 +1,15 @@
 package tcprep
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/shm"
+	"repro/internal/sim"
 	"repro/internal/tcpstack"
 )
 
@@ -42,18 +47,18 @@ func TestResultEncoding(t *testing.T) {
 
 func TestLogicalConnTrim(t *testing.T) {
 	lc := &LogicalConn{}
-	lc.out = append(lc.out, make([]byte, 1000)...)
+	lc.out.Append(make([]byte, 1000))
 	lc.trimOut(400)
-	if len(lc.out) != 600 || lc.outBase != 400 {
-		t.Errorf("after trim(400): len=%d base=%d", len(lc.out), lc.outBase)
+	if lc.out.Len() != 600 || lc.outBase != 400 {
+		t.Errorf("after trim(400): len=%d base=%d", lc.out.Len(), lc.outBase)
 	}
 	lc.trimOut(300) // stale ack: no effect
-	if len(lc.out) != 600 || lc.outBase != 400 {
+	if lc.out.Len() != 600 || lc.outBase != 400 {
 		t.Error("stale ack changed state")
 	}
 	lc.trimOut(5000) // beyond buffered: clamp
-	if len(lc.out) != 0 || lc.outBase != 1000 {
-		t.Errorf("after over-trim: len=%d base=%d", len(lc.out), lc.outBase)
+	if lc.out.Len() != 0 || lc.outBase != 1000 {
+		t.Errorf("after over-trim: len=%d base=%d", lc.out.Len(), lc.outBase)
 	}
 }
 
@@ -120,5 +125,51 @@ func TestCoalesceMergesTailOnly(t *testing.T) {
 	link.pending = append(link.pending, syncPending{msg: shm.Message{Kind: syncPeerFin, Payload: peerFin{Key: k1}, Size: 32}, reps: 1})
 	if p.coalesce(link, syncAckOut, ackOut{Key: k1, Acked: 300}) {
 		t.Error("ack-out merged past an interleaved update, breaking order")
+	}
+}
+
+// TestPromoteCopiesLogicalBuffers: Promote hands Restore views of the
+// logical connection's windows, and Restore must copy them — the restored
+// connection's stream may not change when the backup's windows are later
+// rewritten (or recycled through the Secondary's free list).
+func TestPromoteCopiesLogicalBuffers(t *testing.T) {
+	s := sim.New(1)
+	m := hw.New(s, hw.Opteron6376x4())
+	part, err := m.NewPartition("backup", 0, 1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernel.Boot(part, kernel.Config{Name: "backup", Params: kernel.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := shm.NewFabric(s, time.Microsecond).NewRing("sync", 0, 1<<20)
+	sec := NewSecondary(k, ring, SecondaryConfig{DeferPull: true})
+
+	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 40000}
+	in, out := []byte("unread input the client was acked for"), []byte("regenerated output the client has not acked")
+	sec.apply(shm.Message{Kind: syncConnMeta, Payload: connMeta{Key: key, ISS: 1000, IRS: 2000}})
+	sec.apply(shm.Message{Kind: syncDataIn, Payload: dataIn{Key: key, Data: in}})
+	lc := sec.logical(key)
+	sec.appendOut(lc, out)
+
+	conns, err := sec.Promote(tcpstack.New(k, "server", tcpstack.DefaultParams()))
+	if err != nil || len(conns) != 1 {
+		t.Fatalf("Promote = %d conns, %v", len(conns), err)
+	}
+	for _, view := range [][]byte{lc.in.Bytes(), lc.out.Bytes()} {
+		for i := range view {
+			view[i] = 0xee
+		}
+	}
+	lc.in.Discard(lc.in.Len()) // the arrays go back to the Secondary's free list …
+	lc.out.Discard(lc.out.Len())
+	lc.out.Append(bytes.Repeat([]byte{0xdd}, 256)) // … and are rewritten by another window
+	snap := conns[0].Snapshot()
+	if !bytes.Equal(snap.RcvData, in) || !bytes.Equal(snap.SndData, out) {
+		t.Errorf("restored connection aliases the logical buffers: rcv=%q snd=%q", snap.RcvData, snap.SndData)
+	}
+	if snap.SndUna != 1001 || snap.RcvNxt != 2001+uint64(len(in)) {
+		t.Errorf("restored cursors SndUna=%d RcvNxt=%d", snap.SndUna, snap.RcvNxt)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
+	"repro/internal/streambuf"
 )
 
 // connState is the TCP connection state.
@@ -45,13 +46,13 @@ type Conn struct {
 	state connState
 	err   error
 
-	// Send side. sndBuf holds the stream bytes [sndBase, sndBase+len);
+	// Send side. sndBuf holds the stream bytes [sndBase, sndBase+Len);
 	// bytes below sndUna are acknowledged and trimmed.
 	iss     uint64
 	sndUna  uint64
 	sndNxt  uint64
 	sndBase uint64
-	sndBuf  []byte
+	sndBuf  streambuf.Window
 	sndWnd  int
 	dupAcks int
 
@@ -65,7 +66,7 @@ type Conn struct {
 	// read yet, ending at rcvNxt.
 	irs     uint64
 	rcvNxt  uint64
-	rcvBuf  []byte
+	rcvBuf  streambuf.Window
 	peerFin bool
 
 	// Retransmission. One timer per connection, re-armed in place; in
@@ -91,6 +92,8 @@ func newConn(s *Stack, key connKey, st connState) *Conn {
 		rto:    s.params.RTOMin,
 	}
 	c.timer.Init(s.kern.Sim(), c.onTimer)
+	c.sndBuf.Init(&s.bufs)
+	c.rcvBuf.Init(&s.bufs)
 	return c
 }
 
@@ -110,26 +113,32 @@ func (c *Conn) Established() bool { return c.state == stateEstablished }
 func (c *Conn) Err() error { return c.err }
 
 // BufferedIn reports bytes received but not yet read by the application.
-func (c *Conn) BufferedIn() int { return len(c.rcvBuf) }
+func (c *Conn) BufferedIn() int { return c.rcvBuf.Len() }
 
 // BufferedOut reports stream bytes not yet acknowledged by the peer.
-func (c *Conn) BufferedOut() int { return len(c.sndBuf) }
+func (c *Conn) BufferedOut() int { return c.sndBuf.Len() }
 
-func (c *Conn) recvWindow() int { return c.stack.params.RecvBuf - len(c.rcvBuf) }
+// recvWindow is the free receive buffer, the window advertised to the peer.
+// A restored connection can hold more than RecvBuf; it advertises zero.
+func (c *Conn) recvWindow() int { return max(0, c.stack.params.RecvBuf-c.rcvBuf.Len()) }
 
-func (c *Conn) dataEnd() uint64 { return c.sndBase + uint64(len(c.sndBuf)) }
+// sendRoom is the free send buffer; zero on a restored connection that
+// holds more than SendBuf.
+func (c *Conn) sendRoom() int { return max(0, c.stack.params.SendBuf-c.sndBuf.Len()) }
 
-// sendSegment emits one segment through the egress gate.
+func (c *Conn) dataEnd() uint64 { return c.sndBase + uint64(c.sndBuf.Len()) }
+
+// sendSegment emits one segment through the egress gate. data is copied
+// into the segment: it may be a view of the send window.
 func (c *Conn) sendSegment(flags Flags, seq uint64, data []byte, probe bool) {
-	seg := &Segment{
-		Src:    c.LocalAddr(),
-		Dst:    c.RemoteAddr(),
-		Seq:    seq,
-		Flags:  flags,
-		Window: c.recvWindow(),
-		Probe:  probe,
-		Data:   data,
-	}
+	seg := c.stack.newSegment()
+	seg.Src = c.LocalAddr()
+	seg.Dst = c.RemoteAddr()
+	seg.Seq = seq
+	seg.Flags = flags
+	seg.Window = c.recvWindow()
+	seg.Probe = probe
+	seg.setData(data)
 	if flags.Has(FlagACK) {
 		seg.Ack = c.rcvNxt
 	}
@@ -153,9 +162,7 @@ func (c *Conn) trySend() {
 				n = room
 			}
 			off := c.sndNxt - c.sndBase
-			data := make([]byte, n)
-			copy(data, c.sndBuf[off:off+n])
-			c.sendSegment(FlagACK, c.sndNxt, data, false)
+			c.sendSegment(FlagACK, c.sndNxt, c.sndBuf.Bytes()[off:off+n], false)
 			c.sndNxt += n
 			c.armRTO()
 			continue
@@ -204,7 +211,7 @@ func (c *Conn) onTimer() {
 			// Go-back-N: rewind and retransmit the window.
 			c.sndNxt = c.sndUna
 			c.trySend()
-		} else if c.sndWnd == 0 && (len(c.sndBuf) > 0 || c.finQueued) {
+		} else if c.sndWnd == 0 && (c.sndBuf.Len() > 0 || c.finQueued) {
 			// Zero-window probe.
 			c.sendSegment(FlagACK, c.sndNxt, nil, true)
 		} else {
@@ -269,10 +276,10 @@ func (c *Conn) handleAck(seg *Segment) {
 		}
 		if seg.Ack > c.sndBase {
 			n := seg.Ack - c.sndBase
-			if n > uint64(len(c.sndBuf)) {
-				n = uint64(len(c.sndBuf))
+			if queued := uint64(c.sndBuf.Len()); n > queued {
+				n = queued
 			}
-			c.sndBuf = c.sndBuf[n:]
+			c.sndBuf.Discard(int(n))
 			c.sndBase += n
 		}
 		c.sndUna = seg.Ack
@@ -309,7 +316,7 @@ func (c *Conn) handleData(seg *Segment) {
 			data = data[:free]
 		}
 		if len(data) > 0 {
-			c.rcvBuf = append(c.rcvBuf, data...)
+			c.rcvBuf.Append(data)
 			c.rcvNxt += uint64(len(data))
 			if c.stack.OnDataIn != nil {
 				c.stack.OnDataIn(c, data)
@@ -409,7 +416,7 @@ func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
 		if c.closed || c.state == stateClosed {
 			return written, ErrClosed
 		}
-		free := c.stack.params.SendBuf - len(c.sndBuf)
+		free := c.sendRoom()
 		if free == 0 {
 			c.sendQ.Wait(t.Proc())
 			continue
@@ -418,7 +425,7 @@ func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
 		if n > free {
 			n = free
 		}
-		c.sndBuf = append(c.sndBuf, data[written:written+n]...)
+		c.sndBuf.Append(data[written : written+n])
 		written += n
 		if cost := c.stack.params.SegmentCPU; cost > 0 {
 			segs := (n + c.stack.params.MSS - 1) / c.stack.params.MSS
@@ -433,7 +440,7 @@ func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
 // EOF once the peer has closed and all data has been consumed.
 func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 	t.Syscall()
-	for len(c.rcvBuf) == 0 {
+	for c.rcvBuf.Len() == 0 {
 		if c.err != nil {
 			return nil, c.err
 		}
@@ -445,14 +452,14 @@ func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 		}
 		c.recvQ.Wait(t.Proc())
 	}
-	n := len(c.rcvBuf)
+	n := c.rcvBuf.Len()
 	if n > max {
 		n = max
 	}
 	out := make([]byte, n)
-	copy(out, c.rcvBuf[:n])
+	copy(out, c.rcvBuf.Bytes())
 	wasFull := c.recvWindow() == 0
-	c.rcvBuf = c.rcvBuf[n:]
+	c.rcvBuf.Discard(n)
 	if cost := c.stack.params.SegmentCPU; cost > 0 {
 		segs := (n + c.stack.params.MSS - 1) / c.stack.params.MSS
 		t.Busy(time.Duration(segs) * cost)

@@ -26,12 +26,12 @@ var (
 
 // PollReadable reports readable data, a pending EOF, or a terminal error.
 func (c *Conn) PollReadable() bool {
-	return len(c.rcvBuf) > 0 || c.peerFin || c.err != nil || c.state == stateClosed
+	return c.rcvBuf.Len() > 0 || c.peerFin || c.err != nil || c.state == stateClosed
 }
 
 // PollWritable reports available send-buffer space on a live connection.
 func (c *Conn) PollWritable() bool {
-	return c.state == stateEstablished && len(c.sndBuf) < c.stack.params.SendBuf
+	return c.state == stateEstablished && c.sendRoom() > 0
 }
 
 // OnPollChange registers a readiness callback.

@@ -28,10 +28,8 @@ type ConnSnapshot struct {
 
 // Snapshot captures the connection's logical state. Buffers are copied.
 func (c *Conn) Snapshot() ConnSnapshot {
-	snd := make([]byte, len(c.sndBuf))
-	copy(snd, c.sndBuf)
-	rcv := make([]byte, len(c.rcvBuf))
-	copy(rcv, c.rcvBuf)
+	snd := append([]byte(nil), c.sndBuf.Bytes()...)
+	rcv := append([]byte(nil), c.rcvBuf.Bytes()...)
 	return ConnSnapshot{
 		LocalPort: c.key.localPort,
 		Remote:    c.RemoteAddr(),
@@ -63,9 +61,9 @@ func (s *Stack) Restore(cs ConnSnapshot) (*Conn, error) {
 	c.sndUna = cs.SndUna
 	c.sndNxt = cs.SndUna
 	c.sndBase = cs.SndUna
-	c.sndBuf = append([]byte(nil), cs.SndData...)
+	c.sndBuf.Set(cs.SndData)
 	c.rcvNxt = cs.RcvNxt
-	c.rcvBuf = append([]byte(nil), cs.RcvData...)
+	c.rcvBuf.Set(cs.RcvData)
 	c.peerFin = cs.PeerFin
 	if c.peerFin {
 		c.state = stateCloseWait

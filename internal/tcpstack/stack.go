@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/simnet"
+	"repro/internal/streambuf"
 )
 
 // Stack errors.
@@ -81,13 +82,14 @@ func DefaultParams() Params {
 	}
 }
 
-// EgressGate intercepts every outgoing segment before the IP layer. send
-// transmits the segment on the wire; a gate may call it immediately
-// (DirectGate) or hold it until the output is stable (the replication
-// layer's output-commit gate). Gates must release segments of a connection
-// in the order they were submitted.
+// EgressGate intercepts every outgoing segment before the IP layer. The
+// gate ends by calling seg.Send, which puts the segment on the wire: at once
+// (DirectGate) or after holding it until the output is stable (the
+// replication layer's output-commit gate). Gates must send segments of a
+// connection in the order they were submitted, and must not touch a segment
+// after sending it.
 type EgressGate interface {
-	Transmit(seg *Segment, send func())
+	Transmit(seg *Segment)
 }
 
 // DirectGate transmits immediately — the unreplicated baseline.
@@ -96,7 +98,7 @@ type DirectGate struct{}
 var _ EgressGate = DirectGate{}
 
 // Transmit sends the segment at once.
-func (DirectGate) Transmit(_ *Segment, send func()) { send() }
+func (DirectGate) Transmit(seg *Segment) { seg.Send() }
 
 // Stack is one kernel's TCP stack.
 type Stack struct {
@@ -111,6 +113,12 @@ type Stack struct {
 	conns     map[connKey]*Conn
 	portConns map[int]int // connections per local port, so allocPort need not scan conns
 	nextISS   uint64
+
+	// Free lists (DESIGN.md §20): segment records, and the backing arrays
+	// of the connections' send and receive windows. They belong to this
+	// stack, so simulations sharing a process share nothing.
+	segFree []*Segment
+	bufs    streambuf.Pool
 
 	// Ephemeral ports are handed out round-robin from [portLo, portHi].
 	portLo, portHi, nextPort int
@@ -190,6 +198,13 @@ func (s *Stack) rxPacket(p simnet.Packet) {
 		return
 	}
 	s.SegsIn++
+	s.input(seg)
+	seg.release()
+}
+
+// input runs one received segment through the ingress hook and the TCP
+// layer. Nothing it calls keeps the segment: rxPacket releases it next.
+func (s *Stack) input(seg *Segment) {
 	if s.ingress != nil && !s.ingress(seg) {
 		return
 	}
@@ -204,29 +219,20 @@ func (s *Stack) rxPacket(p simnet.Packet) {
 	}
 	// No socket: answer with RST (unless this already is one).
 	if !seg.Flags.Has(FlagRST) {
-		s.transmit(&Segment{
-			Src:   Addr{Host: s.host, Port: seg.Dst.Port},
-			Dst:   seg.Src,
-			Seq:   seg.Ack,
-			Ack:   seg.Seq + uint64(len(seg.Data)),
-			Flags: FlagRST | FlagACK,
-		})
+		rst := s.newSegment()
+		rst.Src = Addr{Host: s.host, Port: seg.Dst.Port}
+		rst.Dst = seg.Src
+		rst.Seq = seg.Ack
+		rst.Ack = seg.Seq + uint64(len(seg.Data))
+		rst.Flags = FlagRST | FlagACK
+		s.transmit(rst)
 	}
 }
 
 // transmit pushes a segment through the egress gate onto the wire.
 func (s *Stack) transmit(seg *Segment) {
 	s.SegsOut++
-	s.egress.Transmit(seg, func() {
-		if s.nic == nil {
-			return
-		}
-		s.nic.Send(simnet.Packet{
-			DstHost: seg.Dst.Host,
-			Size:    seg.WireSize(),
-			Payload: seg,
-		})
-	})
+	s.egress.Transmit(seg)
 }
 
 // addConn and removeConn are the only writers of conns.

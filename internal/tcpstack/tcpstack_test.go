@@ -23,7 +23,12 @@ type pair struct {
 	link           *simnet.Link
 }
 
-func newPair(t *testing.T, seed int64, params Params) *pair {
+func newPair(t testing.TB, seed int64, params Params) *pair {
+	t.Helper()
+	return newPairOn(t, seed, params, simnet.GigabitEthernet())
+}
+
+func newPairOn(t testing.TB, seed int64, params Params, wire simnet.LinkConfig) *pair {
 	t.Helper()
 	s := sim.New(seed)
 	m := hw.New(s, hw.Opteron6376x4())
@@ -47,7 +52,7 @@ func newPair(t *testing.T, seed int64, params Params) *pair {
 	}
 	snic := simnet.NewNIC("server", nil)
 	cnic := simnet.NewNIC("client", nil)
-	link, err := simnet.Connect(s, cnic, snic, simnet.GigabitEthernet())
+	link, err := simnet.Connect(s, cnic, snic, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,9 +384,10 @@ func TestRestoreMidTransfer(t *testing.T) {
 		if _, err := c.Send(tk, payload[:half]); err != nil {
 			return
 		}
-		// Wait for everything to be acked, then snapshot and "die".
-		for c.BufferedOut() > 0 {
-			tk.Sleep(time.Millisecond)
+		// Snapshot with the tail of the first half still unacknowledged,
+		// and "die": the restored stack has to retransmit it.
+		if c.BufferedOut() == 0 {
+			t.Error("nothing unacknowledged at the snapshot: the restore would not be mid-transfer")
 		}
 		snap = c.Snapshot()
 		snapped = true
@@ -411,13 +417,19 @@ func TestRestoreMidTransfer(t *testing.T) {
 			pr.Sleep(time.Millisecond)
 		}
 		p.serverK.Panic("injected failure", nil)
-		_ = served // dead with its kernel
+		p.server.nic = nil // dead with its kernel: nothing it still
+		served.Abort()     // holds reaches the wire, no timer stays armed
 		newStack := New(p.clientK, "server", DefaultParams())
 		newStack.Attach(p.serverNIC)
 		c2, err := newStack.Restore(snap)
 		if err != nil {
 			t.Errorf("Restore: %v", err)
 			return
+		}
+		// Restore copied: the snapshot outlives the connection's windows
+		// and scribbling on it must not reach the stream.
+		for i := range snap.SndData {
+			snap.SndData[i] = 0xee
 		}
 		c2.Kick()
 		p.clientK.Spawn("server2", func(tk *kernel.Task) {
