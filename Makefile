@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-sim bench-tcpstack bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check golden loc trace chaos diag
+.PHONY: all build vet lint test race bench bench-sim bench-tcpstack bench-shm bench-replication bench-detshard bench-fabric bench-critpath bench-nway bench-epoch check golden loc trace chaos diag
 
 all: check
 
@@ -40,6 +40,20 @@ bench-sim:
 # TestEstablishedTransferAllocs.
 bench-tcpstack:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/tcpstack
+
+# The replication fabric's micro-benchmarks (DESIGN.md §21): host ns/op and
+# allocs/op of a reserve → put → commit → receive cycle at batch 1/4/32 and
+# of a send that finds the ring full (bench-shm); of a recorded section, a
+# replayed one and the two with the ring between them, and of a tcprep sync
+# update (bench-replication). Everything reads 0 allocs/op but the sync
+# update's 1 — the payload copy; the counts are pinned by
+# TestRingCycleAllocatesNothing, TestBlockedSendAllocatesNothing,
+# TestSectionsAllocateNothing and TestSyncUpdatesAllocateNothing.
+bench-shm:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/shm
+
+bench-replication:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/replication ./internal/tcprep
 
 # Per-object sequencing sweep (DESIGN.md §13): thread counts x {shared,
 # independent} locks x det shards {1, 4}, regenerating the checked-in

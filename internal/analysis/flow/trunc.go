@@ -7,15 +7,16 @@ import (
 )
 
 // Retained-log truncation detection (the epoch-checkpoint idiom of
-// DESIGN.md §18): dropping a prefix of a retained history slice —
-// `x.history = x.history[keep:]` — is only safe below a boundary a
+// DESIGN.md §18): dropping a prefix of a retained history —
+// `x.history.DropFront(keep)` on a chunked log, `x.history =
+// x.history[keep:]` on a slice — is only safe below a boundary a
 // quorum of replicas has digest-verified; truncating an unverified
 // prefix discards the only local copy of the catch-up state a promotion
-// or rejoin may still need. The structural shape is a self-reslice of a
-// field or variable named "history" with a low bound; the sanction is a
-// preceding guard whose condition names the verified watermark (the
-// `if verifiedSent < r.histBase { return }` clamp both the recorder and
-// the replayer carry).
+// or rejoin may still need. The structural shape is a DropFront call on,
+// or a self-reslice with a low bound of, a field or variable named
+// "history"; the sanction is a preceding guard whose condition names the
+// verified watermark (the `if verifiedSent < r.histBase { return }` clamp
+// both the recorder and the replayer carry).
 
 // TruncSite is one retained-history truncation in a function body.
 type TruncSite struct {
@@ -66,7 +67,25 @@ func (g *Graph) scanTrunc(n *Node) []TruncSite {
 		return true
 	})
 	var sites []TruncSite
+	add := func(pos token.Pos) {
+		site := TruncSite{Pos: pos}
+		for _, gp := range guards {
+			if gp < pos {
+				site.Sanctioned = true
+				break
+			}
+		}
+		sites = append(sites, site)
+	}
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "DropFront" {
+				if name, ok := retainedName(sel.X); ok && strings.Contains(strings.ToLower(name), "history") {
+					add(call.Pos())
+				}
+			}
+			return true
+		}
 		as, ok := x.(*ast.AssignStmt)
 		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 			return true
@@ -81,14 +100,7 @@ func (g *Graph) scanTrunc(n *Node) []TruncSite {
 		if !lok || !rok || lname != rname || !strings.Contains(strings.ToLower(lname), "history") {
 			return true
 		}
-		site := TruncSite{Pos: as.Pos()}
-		for _, gp := range guards {
-			if gp < as.Pos() {
-				site.Sanctioned = true
-				break
-			}
-		}
-		sites = append(sites, site)
+		add(as.Pos())
 		return true
 	})
 	return sites

@@ -52,7 +52,7 @@ func commitTuple(v int) {}
 // fabric: the zero-copy span is an ordered sink too — a Put writes its
 // argument at the span's reserved ring position, so map order becomes
 // the publication order the other replica replays.
-func fabric(m map[string]int, sp *shm.Span) {
+func fabric(m map[string]int, sp shm.Span) {
 	for k, v := range m { // want "via Put"
 		sp.Put(shm.Message{Kind: v, Size: len(k)})
 	}

@@ -1,7 +1,7 @@
 // Package dethelper is the golden fixture for detsection's
 // interprocedural layer: forbidden operations hidden behind helper
-// calls (or a named function used as the section body). The old check
-// only saw constructs syntactically inside the literal.
+// calls made inside a section. A purely syntactic check would only see
+// constructs written between Enter and Exit themselves.
 package dethelper
 
 import (
@@ -34,23 +34,25 @@ func (s *state) forward(m shm.Message) { s.ring.TrySend(m) }
 func (s *state) bump() { s.n++ }
 
 func (s *state) bad(t *kernel.Task) {
-	s.det.Section(t, pthread.OpMutexLock, 1, func() {
-		s.spawnWorker()          // want "can reach a goroutine spawn"
-		s.forward(shm.Message{}) // want "can reach a call into the shared-memory mailbox"
-	})
+	s.det.Enter(t, pthread.OpMutexLock, 1)
+	s.spawnWorker()          // want "can reach a goroutine spawn"
+	s.forward(shm.Message{}) // want "can reach a call into the shared-memory mailbox"
+	s.det.Exit(t, 0)
 }
 
-// badNamed passes a named method as the section body: judged by its
+// badNamed makes a named method the whole section body: judged by its
 // summary, not its syntax.
 func (s *state) badNamed(t *kernel.Task) {
-	s.det.Section(t, pthread.OpMutexLock, 2, s.notify) // want "used as a deterministic-section body can reach a channel operation"
+	s.det.Enter(t, pthread.OpMutexLock, 2)
+	s.notify() // want "call to notify inside a deterministic section can reach a channel operation"
+	s.det.Exit(t, 0)
 }
 
 // good: helpers that only update local state are fine at any depth.
 func (s *state) good(t *kernel.Task) {
-	s.det.Section(t, pthread.OpMutexLock, 3, func() {
-		s.bump()
-	})
+	s.det.Enter(t, pthread.OpMutexLock, 3)
+	s.bump()
+	s.det.Exit(t, 0)
 	// Outside the section every helper is unrestricted.
 	s.spawnWorker()
 	s.notify()
@@ -59,7 +61,9 @@ func (s *state) good(t *kernel.Task) {
 
 // goodNamed: a named body with a clean summary.
 func (s *state) goodNamed(t *kernel.Task) {
-	s.det.Section(t, pthread.OpMutexLock, 4, s.bump)
+	s.det.Enter(t, pthread.OpMutexLock, 4)
+	s.bump()
+	s.det.Exit(t, 0)
 }
 
 // deferred builds a closure around a channel send without running it:

@@ -1,9 +1,44 @@
 // Package epochtrunc exercises the retained-log truncation rule: a
-// prefix drop of a history slice (`x.history = x.history[keep:]`) must
-// sit behind a guard naming the verified epoch boundary, or the replica
-// may discard catch-up state a promotion or rejoin still needs
+// prefix drop of a retained history (`x.history.DropFront(keep)` on a
+// chunked log, `x.history = x.history[keep:]` on a slice) must sit
+// behind a guard naming the verified epoch boundary, or the replica may
+// discard catch-up state a promotion or rejoin still needs
 // (DESIGN.md §18).
 package epochtrunc
+
+// chunked stands in for sim.Log.
+type chunked struct{ n int }
+
+func (l *chunked) DropFront(n int) { l.n -= n }
+func (l *chunked) Len() int        { return l.n }
+
+type logRec struct {
+	history  chunked
+	backlog  chunked
+	histBase int
+}
+
+// goodDrop is the recorder/replayer idiom over a chunked log. Sanctioned.
+func goodDrop(r *logRec, verifiedSent int) {
+	if verifiedSent < r.histBase {
+		return
+	}
+	keep := verifiedSent - r.histBase
+	r.history.DropFront(keep)
+	r.histBase = verifiedSent
+}
+
+// badDrop truncates the chunked log with no verified-boundary guard.
+func badDrop(r *logRec, keep int) {
+	r.histBase += keep
+	r.history.DropFront(keep) // want "verified-boundary guard"
+}
+
+// otherDrop pops something that is not a retained history.
+func otherDrop(r *logRec, n int) {
+	r.backlog.DropFront(n)
+	_ = r.history.Len()
+}
 
 type rec struct {
 	history  []int

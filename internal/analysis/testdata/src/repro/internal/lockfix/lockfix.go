@@ -111,10 +111,10 @@ func (p *P) leak(proc *sim.Proc, m shm.Message) {
 	sp.Put(m)
 }
 
-// tryLeak leaks a nonblocking claim the same way; the nil check does
+// tryLeak leaks a nonblocking claim the same way; the Open check does
 // not settle anything.
 func (p *P) tryLeak(m shm.Message) {
-	if sp := p.ring.TryReserve(1, int64(m.Size)); sp != nil { // want "never committed or aborted"
+	if sp := p.ring.TryReserve(1, int64(m.Size)); sp.Open() { // want "never committed or aborted"
 		sp.Put(m)
 	}
 }
@@ -130,14 +130,14 @@ func (p *P) settled(proc *sim.Proc, m shm.Message) {
 	}
 }
 
-type holder struct{ span *shm.Span }
+type holder struct{ span shm.Span }
 
 // handoff parks the open span in a field for a flush loop to settle
 // later — the recorder's pattern. The escape transfers responsibility,
 // so the leak check stays silent.
 func (h *holder) handoff(r *shm.Ring, m shm.Message) {
 	sp := r.TryReserve(1, int64(m.Size))
-	if sp != nil {
+	if sp.Open() {
 		sp.Put(m)
 		h.span = sp
 	}

@@ -17,10 +17,13 @@ const (
 	OpSyscall
 )
 
-// Det is the deterministic-section protocol (see the real package).
+// Det is the deterministic-section protocol (see the real package): the
+// statements between Enter (or a Replay that reported true) and Exit are
+// the section.
 type Det interface {
-	Section(t *kernel.Task, op Op, obj uint64, fn func())
-	Resolve(t *kernel.Task, op Op, obj uint64, block func(), settle func() uint64) uint64
+	Enter(t *kernel.Task, op Op, obj uint64)
+	Replay(t *kernel.Task, op Op, obj uint64) bool
+	Exit(t *kernel.Task, outcome uint64) uint64
 }
 
 // Mutex mirrors the interposed pthread_mutex_t.

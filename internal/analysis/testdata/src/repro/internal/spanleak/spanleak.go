@@ -12,7 +12,7 @@ import (
 
 // fill commits unless the put fails, returning early with the span
 // still open: SpanLeaks.
-func fill(sp *shm.Span, m shm.Message) bool {
+func fill(sp shm.Span, m shm.Message) bool {
 	if !sp.Put(m) {
 		return false // the early-return leak: no Commit, no Abort
 	}
@@ -21,7 +21,7 @@ func fill(sp *shm.Span, m shm.Message) bool {
 }
 
 // commitAll settles on every path: SpanSettles.
-func commitAll(sp *shm.Span, m shm.Message) {
+func commitAll(sp shm.Span, m shm.Message) {
 	if sp.Put(m) {
 		sp.Commit()
 	} else {
@@ -31,7 +31,7 @@ func commitAll(sp *shm.Span, m shm.Message) {
 
 // use only writes into the span: SpanPassThrough, responsibility stays
 // with the caller.
-func use(sp *shm.Span, m shm.Message) { sp.Put(m) }
+func use(sp shm.Span, m shm.Message) { sp.Put(m) }
 
 type W struct{ ring *shm.Ring }
 

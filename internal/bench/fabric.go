@@ -231,8 +231,10 @@ func fabricRawPoint(threads int, opts FabricOpts) (FabricPoint, error) {
 	total := threads * opts.RawBatches * opts.BatchTuples
 	got := 0
 	s.Spawn("drain", func(p *sim.Proc) {
+		var buf []shm.Message
 		for got < total {
-			got += len(ring.RecvBatch(p, 0))
+			buf = ring.RecvBatchInto(p, buf[:0], 0)
+			got += len(buf)
 		}
 	})
 	for i := 0; i < threads; i++ {

@@ -41,14 +41,14 @@ func IntraVsInterLatency(seed int64, rounds int) (LatencyResult, error) {
 	var total time.Duration
 	s.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < rounds; i++ {
-			ring.Send(p, shm.Message{Kind: 1, Payload: uint64(s.Now()), Size: 8})
+			ring.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{uint64(s.Now())}})
 			p.Sleep(10 * time.Microsecond)
 		}
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < rounds; i++ {
 			msg := ring.Recv(p)
-			total += s.Now().Sub(sim.Time(msg.Payload.(uint64)))
+			total += s.Now().Sub(sim.Time(msg.W[0]))
 		}
 	})
 	if err := s.Run(); err != nil {

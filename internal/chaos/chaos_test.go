@@ -151,12 +151,12 @@ func TestInjectorDupDelivers(t *testing.T) {
 	r := f.NewRing("ftns.acks", 0, 1<<20)
 	inj.ArmRing(r)
 	s.Spawn("sender", func(p *sim.Proc) {
-		r.Send(p, shm.Message{Kind: 1, Payload: 7, Size: 8})
+		r.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{7}})
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			if m := r.Recv(p); m.Payload.(int) != 7 {
-				t.Errorf("copy %d payload = %v", i, m.Payload)
+			if m := r.Recv(p); m.W[0] != 7 {
+				t.Errorf("copy %d payload = %v", i, m.W[0])
 			}
 		}
 	})
@@ -174,12 +174,12 @@ func TestInjectorDropWindow(t *testing.T) {
 	inj.ArmRing(r)
 	var got []int
 	s.Spawn("sender", func(p *sim.Proc) {
-		r.Send(p, shm.Message{Kind: 1, Payload: 1, Size: 8}) // in window: dropped
+		r.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{1}}) // in window: dropped
 		p.Sleep(2 * time.Second)
-		r.Send(p, shm.Message{Kind: 1, Payload: 2, Size: 8}) // after window
+		r.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{2}}) // after window
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
-		got = append(got, r.Recv(p).Payload.(int))
+		got = append(got, int(r.Recv(p).W[0]))
 	})
 	if err := s.RunUntil(sim.Time(5 * time.Second)); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -199,13 +199,13 @@ func TestInjectorDelayKeepsFIFO(t *testing.T) {
 	var payloads []int
 	var times []sim.Time
 	s.Spawn("sender", func(p *sim.Proc) {
-		r.Send(p, shm.Message{Kind: 1, Payload: 1, Size: 8}) // t=0, +200us chaos delay
-		p.Sleep(50 * time.Microsecond)                       // outside the window
-		r.Send(p, shm.Message{Kind: 1, Payload: 2, Size: 8})
+		r.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{1}}) // t=0, +200us chaos delay
+		p.Sleep(50 * time.Microsecond)                            // outside the window
+		r.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{2}})
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			payloads = append(payloads, r.Recv(p).Payload.(int))
+			payloads = append(payloads, int(r.Recv(p).W[0]))
 			times = append(times, p.Now())
 		}
 	})

@@ -126,6 +126,86 @@ func TestReplicatedEchoService(t *testing.T) {
 	}
 }
 
+// TestAcceptAfterClientReset: the stack still hands the application a
+// connection the client reset — and the stack reaped — before the accept.
+// The primary has forgotten the connection's sync id by then, so the socket
+// binding must name it by four-tuple, or the backup's replayed accept waits
+// for a binding that never arrives and replay stops for good.
+func TestAcceptAfterClientReset(t *testing.T) {
+	sys := quietSystem(t, 1)
+	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pDone, sDone, pReset, sReset int
+	app := func(done, reset *int, socks *tcprep.Sockets) func(*replication.Thread) {
+		return func(th *replication.Thread) {
+			l, err := socks.Listen(th, 80, 64)
+			if err != nil {
+				return
+			}
+			th.Task().Sleep(20 * time.Millisecond) // both connections are queued, the first already reset
+			for i := 0; i < 2; i++ {
+				c, err := l.Accept(th)
+				if err != nil {
+					return
+				}
+				data, err := c.Recv(th, 4096)
+				if err != nil {
+					*reset++
+					_ = c.Close(th)
+					continue
+				}
+				_, _ = c.Send(th, append([]byte("re:"), data...))
+				_ = c.Close(th)
+				*done++
+			}
+		}
+	}
+	sys.Primary.NS.Start("echo", nil, app(&pDone, &pReset, sys.Primary.Sockets))
+	sys.Secondary.NS.Start("echo", nil, app(&sDone, &sReset, sys.Secondary.Sockets))
+
+	var reply string
+	client.Kernel.Spawn("client", func(tk *kernel.Task) {
+		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		c.Abort()
+		if c, err = client.Stack.Connect(tk, client.ServerAddr(80)); err != nil {
+			t.Errorf("second connect: %v", err)
+			return
+		}
+		if _, err := c.Send(tk, []byte("x")); err != nil {
+			t.Errorf("send: %v", err)
+			return
+		}
+		data, err := c.Recv(tk, 4096)
+		if err != nil {
+			t.Errorf("recv: %v", err)
+			return
+		}
+		reply = string(data)
+		_ = c.Close(tk)
+	})
+	if err := sys.Sim.RunUntil(sim.Time(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if reply != "re:x" {
+		t.Errorf("reply %q, want re:x", reply)
+	}
+	if pReset != 1 || pDone != 1 {
+		t.Fatalf("primary: %d reset, %d served; want the reset connection accepted, then one served", pReset, pDone)
+	}
+	if sReset != 1 || sDone != 1 {
+		t.Errorf("backup replayed %d reset, %d served; want 1 and 1 (replay stuck in accept?)", sReset, sDone)
+	}
+	if div := sys.Secondary.NS.Stats().Divergences; div != 0 {
+		t.Errorf("replay divergences: %d", div)
+	}
+}
+
 // streamApp serves one connection with total bytes of deterministic data
 // in chunk-sized writes, then closes.
 func streamApp(port, chunk, total int) func(*replication.Thread, *tcprep.Sockets) {

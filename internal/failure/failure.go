@@ -90,7 +90,7 @@ func (d *Detector) Start() {
 
 func (d *Detector) sendLoop(t *kernel.Task) {
 	for d.kern.Alive() {
-		d.out.TrySend(shm.Message{Kind: 1, Payload: uint64(t.Now()), Size: 16})
+		d.out.TrySend(shm.Message{Kind: 1, Size: 16, W: [7]uint64{uint64(t.Now())}})
 		t.Sleep(d.cfg.Interval)
 	}
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -89,3 +90,64 @@ func (k *Kernel) FutexWaiters(key uint64) int {
 	}
 	return 0
 }
+
+// Waiter is one futex wait record: a private futex key plus a granted flag,
+// the usual futex-word protocol — a grant that lands before the park is not
+// lost. A task parks on at most one lock-like object at a time, so every
+// task embeds one (Task.Waiter) and blocking on a contended lock allocates
+// nothing; an owner whose wait outlives other parks of the same task (a
+// condition-variable wait stays queued while the task takes the det-section
+// lock that settles it) embeds its own.
+//
+// The key is drawn fresh at every Arm, never kept per task: with a
+// permanent key a grant issued late for a previous wait would wake the task
+// wherever it is parked now.
+type Waiter struct {
+	task    *Task
+	key     uint64
+	granted bool
+	armed   bool
+}
+
+// Waiter arms and returns the task's embedded wait record. It panics if
+// the record is still armed: a task queued on two objects at once would
+// let either grant release it.
+func (t *Task) Waiter() *Waiter {
+	t.wait.Arm(t)
+	return &t.wait
+}
+
+// Arm readies the record for one wait by t: a fresh futex key, not granted.
+func (w *Waiter) Arm(t *Task) {
+	if w.armed {
+		panic(fmt.Sprintf("kernel: wait record of task %q armed twice", t.name))
+	}
+	w.task, w.key, w.granted, w.armed = t, t.kernel.NewFutexKey(), false, true
+}
+
+// Task returns the task the record is armed for.
+func (w *Waiter) Task() *Task { return w.task }
+
+// Park blocks the armed task until the record is granted, which ends the
+// wait: the record is free for the task's next one.
+func (w *Waiter) Park() {
+	for !w.granted {
+		w.task.FutexWait(w.key, -1)
+	}
+	w.armed = false
+}
+
+// Grant marks the waiter runnable and wakes it through the futex. waker
+// pays the wake cost; a nil waker wakes from scheduler context.
+func (w *Waiter) Grant(waker *Task) {
+	w.granted = true
+	if waker != nil {
+		waker.FutexWake(w.key, 1)
+	} else {
+		w.task.kernel.FutexWakeRaw(w.key, 1)
+	}
+}
+
+// Disarm ends a wait that was never parked on (a replayed condition wait
+// skips its blocking part).
+func (w *Waiter) Disarm() { w.armed = false }

@@ -26,6 +26,8 @@ type Task struct {
 	// slice.
 	slice      runSlice
 	sliceTimer sim.Event
+
+	wait Waiter // the task's futex wait record, see Task.Waiter
 }
 
 // scheduler multiplexes tasks over the kernel's cores.

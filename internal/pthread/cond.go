@@ -7,22 +7,37 @@ import (
 	"repro/internal/sim"
 )
 
-// cvWaiter is one task blocked in cond_wait/cond_timedwait.
+// cvWaiter is one task blocked in cond_wait/cond_timedwait. Its wait
+// record is its own rather than the task's: the waiter stays queued on the
+// condition variable while the task takes the det-section lock that settles
+// the wait (and may have to park for it). Records are recycled per library.
 type cvWaiter struct {
-	w          waiter
-	state      uint64 // 0 while waiting, then OutcomeSignaled / OutcomeTimedOut
-	timer      sim.Event
-	timerFired bool
+	w     kernel.Waiter
+	state uint64 // 0 while waiting, then OutcomeSignaled / OutcomeTimedOut
+	timer sim.Event
+}
+
+// newCVWaiter takes a condition-wait record from the library's free list
+// and arms it for t.
+func (l *Lib) newCVWaiter(t *kernel.Task) *cvWaiter {
+	var cw *cvWaiter
+	if n := len(l.cvFree); n > 0 {
+		cw, l.cvFree = l.cvFree[n-1], l.cvFree[:n-1]
+	} else {
+		cw = new(cvWaiter)
+		cw.timer.Init(l.kern.Sim(), cw.onTimer)
+	}
+	cw.state = 0
+	cw.w.Arm(t)
+	return cw
 }
 
 // onTimer is cond_timedwait's deadline: it grants the waiter so that it
 // wakes and settles the timeout-versus-signal race in a det section.
 func (cw *cvWaiter) onTimer() {
-	if cw.state != 0 || cw.timerFired {
-		return
+	if cw.state == 0 {
+		cw.w.Grant(nil)
 	}
-	cw.timerFired = true
-	cw.w.grant(cw.w.task.Kernel(), nil)
 }
 
 // Cond is an interposed pthread_cond_t. Per §3.3, the accesses to the
@@ -63,23 +78,27 @@ func (c *Cond) TimedWait(t *kernel.Task, m *Mutex, d time.Duration) bool {
 
 func (c *Cond) wait(t *kernel.Task, m *Mutex, d time.Duration) uint64 {
 	c.lib.charge(t)
-	cw := &cvWaiter{w: c.lib.newWaiter(t)}
 	op := OpCondWait
 	if d >= 0 {
 		op = OpCondTimedwait
 	}
-	c.lib.det.Section(t, op, c.id, func() {
-		c.waiters = append(c.waiters, cw)
-	})
+	det := c.lib.det
+	cw := c.lib.newCVWaiter(t)
+	det.Enter(t, op, c.id)
+	c.waiters = append(c.waiters, cw)
+	det.Exit(t, 0)
 	m.Unlock(t)
 	if d >= 0 {
-		cw.timer.Init(c.lib.kern.Sim(), cw.onTimer)
 		cw.timer.Reset(d)
 	}
-	out := c.lib.det.Resolve(t, OpCondResolve, c.id,
-		func() { cw.w.parkUntilGranted() },
-		func() uint64 { return c.settle(cw) })
+	if !det.Replay(t, OpCondResolve, c.id) {
+		cw.w.Park()
+		det.Enter(t, OpCondResolve, c.id)
+	}
+	out := det.Exit(t, c.settle(cw))
 	cw.timer.Cancel()
+	cw.w.Disarm()
+	c.lib.cvFree = append(c.lib.cvFree, cw)
 	m.Lock(t)
 	return out
 }
@@ -107,27 +126,26 @@ func (c *Cond) settle(cw *cvWaiter) uint64 {
 // ordering, an arbitrary waiter under the stock-futex ablation.
 func (c *Cond) Signal(t *kernel.Task) {
 	c.lib.charge(t)
-	c.lib.det.Section(t, OpCondSignal, c.id, func() {
-		if len(c.waiters) == 0 {
-			return
-		}
+	c.lib.det.Enter(t, OpCondSignal, c.id)
+	if len(c.waiters) > 0 {
 		i := c.lib.pickWaiter(len(c.waiters))
 		cw := c.waiters[i]
 		c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 		cw.state = OutcomeSignaled
-		cw.w.grant(c.lib.kern, t)
-	})
+		cw.w.Grant(t)
+	}
+	c.lib.det.Exit(t, 0)
 }
 
 // Broadcast wakes every waiter in queue order (pthread_cond_broadcast).
 func (c *Cond) Broadcast(t *kernel.Task) {
 	c.lib.charge(t)
-	c.lib.det.Section(t, OpCondBroadcast, c.id, func() {
-		ws := c.waiters
-		c.waiters = nil
-		for _, cw := range ws {
-			cw.state = OutcomeSignaled
-			cw.w.grant(c.lib.kern, t)
-		}
-	})
+	c.lib.det.Enter(t, OpCondBroadcast, c.id)
+	for _, cw := range c.waiters {
+		cw.state = OutcomeSignaled
+		cw.w.Grant(t)
+	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
+	c.lib.det.Exit(t, 0)
 }

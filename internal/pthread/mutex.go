@@ -15,7 +15,7 @@ type Mutex struct {
 	id      uint64
 	locked  bool
 	owner   *kernel.Task
-	waiters []*waiter
+	waiters []*kernel.Waiter
 }
 
 // NewMutex creates a mutex.
@@ -35,19 +35,18 @@ func (m *Mutex) Owner() *kernel.Task { return m.owner }
 // Lock acquires the mutex for t (pthread_mutex_lock).
 func (m *Mutex) Lock(t *kernel.Task) {
 	m.lib.charge(t)
-	var w *waiter
-	m.lib.det.Section(t, OpMutexLock, m.id, func() {
-		if !m.locked {
-			m.locked = true
-			m.owner = t
-			return
-		}
-		nw := m.lib.newWaiter(t)
-		w = &nw
+	var w *kernel.Waiter
+	m.lib.det.Enter(t, OpMutexLock, m.id)
+	if !m.locked {
+		m.locked = true
+		m.owner = t
+	} else {
+		w = t.Waiter()
 		m.waiters = append(m.waiters, w)
-	})
+	}
+	m.lib.det.Exit(t, 0)
 	if w != nil {
-		w.parkUntilGranted()
+		w.Park()
 	}
 }
 
@@ -55,14 +54,13 @@ func (m *Mutex) Lock(t *kernel.Task) {
 // reporting whether it was acquired.
 func (m *Mutex) TryLock(t *kernel.Task) bool {
 	m.lib.charge(t)
-	ok := false
-	m.lib.det.Section(t, OpMutexTrylock, m.id, func() {
-		if !m.locked {
-			m.locked = true
-			m.owner = t
-			ok = true
-		}
-	})
+	m.lib.det.Enter(t, OpMutexTrylock, m.id)
+	ok := !m.locked
+	if ok {
+		m.locked = true
+		m.owner = t
+	}
+	m.lib.det.Exit(t, 0)
 	return ok
 }
 
@@ -83,6 +81,6 @@ func (m *Mutex) Unlock(t *kernel.Task) {
 	i := m.lib.pickWaiter(len(m.waiters))
 	w := m.waiters[i]
 	m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-	m.owner = w.task
-	w.grant(m.lib.kern, t)
+	m.owner = w.Task()
+	w.Grant(t)
 }

@@ -4,15 +4,21 @@
 // (rdlock/wrlock/tryrdlock/trywrlock) — built on the kernel futex.
 //
 // Every interposed operation runs its order-sensitive state update inside a
-// "deterministic section" provided by a Det implementation — the analogue
-// of FT-Linux's __det_start/__det_end system calls wrapped around the
-// re-implemented Glibc primitives loaded via LD_PRELOAD. The replication
-// package supplies recording (primary) and replaying (secondary)
-// implementations; Passthrough is the unreplicated (stock Ubuntu) baseline.
+// "deterministic section": inline code between Det.Enter and Det.Exit — the
+// analogue of FT-Linux's __det_start/__det_end system calls wrapped around
+// the re-implemented Glibc primitives loaded via LD_PRELOAD. The
+// replication package supplies the recording (primary) and replaying
+// (secondary) implementation; Passthrough is the unreplicated (stock
+// Ubuntu) baseline.
 //
 // The design keeps deterministic sections short and non-blocking: a lock
 // operation either acquires immediately or enqueues itself FIFO inside the
-// section, then parks on the futex outside it. Hand-off on unlock follows
+// section, then parks on the futex outside it. Nothing on these paths
+// allocates: the section's state lives in the calling thread, a task
+// queued on a mutex or rwlock waits on the futex record embedded in its
+// kernel.Task (it parks on one lock at a time), and condition-variable
+// waiters — whose wait stays queued across the section that settles it —
+// are recycled per library. Hand-off on unlock follows
 // the queue, so the acquisition order on the secondary reproduces the
 // primary's exactly — the property the paper obtains by making the futex
 // queue FIFO. Setting the kernel's FutexFIFO parameter to false restores
@@ -75,39 +81,56 @@ const (
 )
 
 // Det provides the deterministic-section protocol around interposed
-// operations. Implementations: Passthrough (no replication), the
-// replication package's recorder (primary) and replayer (secondary).
+// operations: an enter/exit pair bracketing inline code, the way
+// __det_start/__det_end bracket the re-implemented Glibc primitive.
+// Implementations: Passthrough (no replication) and the replication
+// package's Namespace (recorder on the primary, replayer on the secondary).
+// The state of an open section lives in the calling thread, never in a
+// closure, so a section costs no allocation.
+//
+// Every Enter (and every Replay that reports true) must be matched by
+// exactly one Exit on every path, and the code between them must not block:
+// the ftvet detsection analyzer polices both.
 type Det interface {
-	// Section runs fn as one deterministic section: the state update of a
-	// single interposed operation by thread t on object obj. fn must not
-	// block. On the primary, sections are serialized by the namespace-wide
-	// global mutex and their order is streamed to the secondary; on the
-	// secondary, Section blocks until it is this thread's turn.
-	Section(t *kernel.Task, op Op, obj uint64, fn func())
+	// Enter opens the deterministic section of one interposed operation by
+	// thread t on object obj. On the primary, sections are serialized by
+	// the det-section lock owning obj and their order is streamed to the
+	// secondary; on the secondary, Enter blocks until it is this thread's
+	// turn.
+	Enter(t *kernel.Task, op Op, obj uint64)
 
-	// Resolve handles operations whose outcome the primary cannot predict
-	// (a timed wait racing a signal, a syscall result). On the primary it
-	// runs block (which parks until the outcome is known), then runs settle
-	// inside a deterministic section and records the returned outcome. On
-	// the secondary it skips block entirely, waits for the thread's turn,
-	// runs settle, and verifies the outcome matches the primary's.
-	Resolve(t *kernel.Task, op Op, obj uint64, block func(), settle func() uint64) uint64
+	// Replay opens the section of an operation whose outcome the primary
+	// cannot predict (a timed wait racing a signal). It reports true on a
+	// replaying side, with the section open at the thread's recorded turn:
+	// the caller skips its blocking part, runs the settling update, and
+	// Exit returns the recorded outcome. It reports false on a recording or
+	// live side — and on a replica promoted while the thread was parked
+	// here — with no section open: the caller runs its blocking part until
+	// the outcome is known, then opens the section with Enter.
+	Replay(t *kernel.Task, op Op, obj uint64) bool
+
+	// Exit closes the section t has open. outcome is the result the
+	// section settled (zero for operations that have none): recorded with
+	// the section's tuple on the primary, compared against the recorded one
+	// on the secondary — a mismatch is a replay divergence. It returns the
+	// outcome to act on: the recorded one when replaying.
+	Exit(t *kernel.Task, outcome uint64) uint64
 }
 
-// Passthrough is the no-replication Det: sections run immediately and
-// resolves just block locally. It models the stock Ubuntu baseline.
+// Passthrough is the no-replication Det: sections open and close for free
+// and nothing replays. It models the stock Ubuntu baseline.
 type Passthrough struct{}
 
 var _ Det = Passthrough{}
 
-// Section runs fn directly.
-func (Passthrough) Section(_ *kernel.Task, _ Op, _ uint64, fn func()) { fn() }
+// Enter opens nothing.
+func (Passthrough) Enter(*kernel.Task, Op, uint64) {}
 
-// Resolve blocks locally and settles locally.
-func (Passthrough) Resolve(_ *kernel.Task, _ Op, _ uint64, block func(), settle func() uint64) uint64 {
-	block()
-	return settle()
-}
+// Replay reports false: the caller blocks locally.
+func (Passthrough) Replay(*kernel.Task, Op, uint64) bool { return false }
+
+// Exit returns the locally settled outcome.
+func (Passthrough) Exit(_ *kernel.Task, outcome uint64) uint64 { return outcome }
 
 // Lib is one process's Pthreads library instance: the analogue of the
 // LD_PRELOAD-ed replacement library, bound to a kernel and a Det.
@@ -116,6 +139,7 @@ type Lib struct {
 	det    Det
 	opCost time.Duration
 	nextID uint64
+	cvFree []*cvWaiter // settled condition waits, reused by the next Cond.wait
 }
 
 // NewLib creates a Pthreads library on kernel k interposed by det. A nil
@@ -168,35 +192,4 @@ func (l *Lib) pickWaiter(n int) int {
 		return 0
 	}
 	return l.kern.Sim().Rand().Intn(n)
-}
-
-// waiter is one task parked on a synchronization object. Each waiter gets a
-// private futex key plus a granted flag, the usual futex-word protocol: a
-// grant that lands before the park is not lost.
-type waiter struct {
-	task    *kernel.Task
-	key     uint64
-	granted bool
-}
-
-func (l *Lib) newWaiter(t *kernel.Task) waiter {
-	return waiter{task: t, key: l.kern.NewFutexKey()}
-}
-
-// parkUntilGranted parks the calling task until the waiter is granted.
-func (w *waiter) parkUntilGranted() {
-	for !w.granted {
-		w.task.FutexWait(w.key, -1)
-	}
-}
-
-// grant marks the waiter runnable and wakes it through the futex. waker
-// pays the wake cost; a nil waker wakes from scheduler context.
-func (w *waiter) grant(k *kernel.Kernel, waker *kernel.Task) {
-	w.granted = true
-	if waker != nil {
-		waker.FutexWake(w.key, 1)
-	} else {
-		k.FutexWakeRaw(w.key, 1)
-	}
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/kernel"
 )
 
-// rwWaiter is one task queued on an RWLock.
+// rwWaiter is one task queued on an RWLock, parked on its own wait record.
 type rwWaiter struct {
-	w     waiter
+	w     *kernel.Waiter
 	write bool
 }
 
@@ -21,7 +21,7 @@ type RWLock struct {
 	id      uint64
 	readers int
 	writer  *kernel.Task
-	waiters []*rwWaiter
+	waiters []rwWaiter
 }
 
 // NewRWLock creates a reader-writer lock.
@@ -50,17 +50,17 @@ func (rw *RWLock) canWrite() bool {
 // queues behind any waiting writer, so writers do not starve.
 func (rw *RWLock) RdLock(t *kernel.Task) {
 	rw.lib.charge(t)
-	var w *rwWaiter
-	rw.lib.det.Section(t, OpRWRdLock, rw.id, func() {
-		if rw.canRead() {
-			rw.readers++
-			return
-		}
-		w = &rwWaiter{w: rw.lib.newWaiter(t)}
-		rw.waiters = append(rw.waiters, w)
-	})
+	var w *kernel.Waiter
+	rw.lib.det.Enter(t, OpRWRdLock, rw.id)
+	if rw.canRead() {
+		rw.readers++
+	} else {
+		w = t.Waiter()
+		rw.waiters = append(rw.waiters, rwWaiter{w: w})
+	}
+	rw.lib.det.Exit(t, 0)
 	if w != nil {
-		w.w.parkUntilGranted()
+		w.Park()
 	}
 }
 
@@ -68,30 +68,29 @@ func (rw *RWLock) RdLock(t *kernel.Task) {
 // (pthread_rwlock_tryrdlock).
 func (rw *RWLock) TryRdLock(t *kernel.Task) bool {
 	rw.lib.charge(t)
-	ok := false
-	rw.lib.det.Section(t, OpRWTryRdLock, rw.id, func() {
-		if rw.canRead() {
-			rw.readers++
-			ok = true
-		}
-	})
+	rw.lib.det.Enter(t, OpRWTryRdLock, rw.id)
+	ok := rw.canRead()
+	if ok {
+		rw.readers++
+	}
+	rw.lib.det.Exit(t, 0)
 	return ok
 }
 
 // WrLock acquires the lock for writing (pthread_rwlock_wrlock).
 func (rw *RWLock) WrLock(t *kernel.Task) {
 	rw.lib.charge(t)
-	var w *rwWaiter
-	rw.lib.det.Section(t, OpRWWrLock, rw.id, func() {
-		if rw.canWrite() {
-			rw.writer = t
-			return
-		}
-		w = &rwWaiter{w: rw.lib.newWaiter(t), write: true}
-		rw.waiters = append(rw.waiters, w)
-	})
+	var w *kernel.Waiter
+	rw.lib.det.Enter(t, OpRWWrLock, rw.id)
+	if rw.canWrite() {
+		rw.writer = t
+	} else {
+		w = t.Waiter()
+		rw.waiters = append(rw.waiters, rwWaiter{w: w, write: true})
+	}
+	rw.lib.det.Exit(t, 0)
 	if w != nil {
-		w.w.parkUntilGranted()
+		w.Park()
 	}
 }
 
@@ -99,13 +98,12 @@ func (rw *RWLock) WrLock(t *kernel.Task) {
 // (pthread_rwlock_trywrlock).
 func (rw *RWLock) TryWrLock(t *kernel.Task) bool {
 	rw.lib.charge(t)
-	ok := false
-	rw.lib.det.Section(t, OpRWTryWrLock, rw.id, func() {
-		if rw.canWrite() {
-			rw.writer = t
-			ok = true
-		}
-	})
+	rw.lib.det.Enter(t, OpRWTryWrLock, rw.id)
+	ok := rw.canWrite()
+	if ok {
+		rw.writer = t
+	}
+	rw.lib.det.Exit(t, 0)
 	return ok
 }
 
@@ -140,17 +138,19 @@ func (rw *RWLock) promote(t *kernel.Task) {
 	if len(rw.waiters) == 0 {
 		return
 	}
+	n := 0
 	if rw.waiters[0].write {
-		w := rw.waiters[0]
-		rw.waiters = rw.waiters[1:]
-		rw.writer = w.w.task
-		w.w.grant(rw.lib.kern, t)
-		return
+		rw.writer = rw.waiters[0].w.Task()
+		rw.waiters[0].w.Grant(t)
+		n = 1
+	} else {
+		for n < len(rw.waiters) && !rw.waiters[n].write {
+			rw.readers++
+			rw.waiters[n].w.Grant(t)
+			n++
+		}
 	}
-	for len(rw.waiters) > 0 && !rw.waiters[0].write {
-		w := rw.waiters[0]
-		rw.waiters = rw.waiters[1:]
-		rw.readers++
-		w.w.grant(rw.lib.kern, t)
-	}
+	// Slide down rather than re-slice: waiters[n:] would lose the array's
+	// front and regrow it under the next contention.
+	rw.waiters = append(rw.waiters[:0], rw.waiters[n:]...)
 }

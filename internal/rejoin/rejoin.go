@@ -168,8 +168,8 @@ func (cp *Checkpoint) digest() uint64 {
 		fmt.Fprintf(h, "|u%d:%d", c.ID, c.Sent)
 	}
 	for _, c := range cp.TCP.Conns {
-		fmt.Fprintf(h, "|c%d/%s:%d i%d r%d a%d f%v g%v ", c.Key.LocalPort,
-			c.Key.RemoteHost, c.Key.RemotePort, c.ISS, c.IRS, c.Acked, c.PeerFin, c.Gone)
+		fmt.Fprintf(h, "|c%d/%s:%d y%d i%d r%d a%d f%v g%v ", c.Key.LocalPort,
+			c.Key.RemoteHost, c.Key.RemotePort, c.Sync, c.ISS, c.IRS, c.Acked, c.PeerFin, c.Gone)
 		h.Write(c.In)
 	}
 	for _, b := range cp.TCP.Binds {
@@ -262,6 +262,11 @@ const (
 // through a ring smaller than itself instead of requiring it to fit.
 const chunkBytes = 64 << 10
 
+// Every bulk frame is cold — a transfer happens once per rejoin — so its
+// content rides the message's reference slot as a pointer, to one of these
+// records or to one of the checkpoint's tables (storing a pointer in an
+// interface does not allocate a box), with chunk bytes in the byte view.
+
 type bulkHdr struct {
 	SeqGlobal uint64
 	NextFTPid int
@@ -286,15 +291,10 @@ type bulkConnMeta struct {
 	InLen int
 }
 
-// bulkData is one chunk of an application snapshot (bulkAppChunk) or a
-// connection's input stream (bulkChunk); Of indexes the checkpoint's app
-// or connection order.
-type bulkData struct {
-	Of   int
-	Data []byte
-}
-
-// sendChunks streams data as kind frames of at most chunkBytes each.
+// sendChunks streams data as kind frames of at most chunkBytes each: a
+// chunk of an application snapshot (bulkAppChunk) or of a connection's
+// input stream (bulkChunk). Word 0 indexes the checkpoint's app or
+// connection order.
 func sendChunks(p *sim.Proc, ring *shm.Ring, kind, of int, data []byte) {
 	for off := 0; off < len(data); off += chunkBytes {
 		end := off + chunkBytes
@@ -302,7 +302,7 @@ func sendChunks(p *sim.Proc, ring *shm.Ring, kind, of int, data []byte) {
 			end = len(data)
 		}
 		ring.Send(p, shm.Message{Kind: kind, Size: 16 + end - off,
-			Payload: bulkData{Of: of, Data: data[off:end]}})
+			W: [7]uint64{uint64(of)}, Data: data[off:end]})
 	}
 }
 
@@ -311,13 +311,13 @@ func sendChunks(p *sim.Proc, ring *shm.Ring, kind, of int, data []byte) {
 // checkpoint was already cut, so recording continues concurrently.
 func Send(t *kernel.Task, ring *shm.Ring, cp *Checkpoint) {
 	p := t.Proc()
-	ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{
+	ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Ref: &bulkHdr{
 		SeqGlobal: cp.SeqGlobal,
 		NextFTPid: cp.NextFTPid,
 		Conns:     len(cp.TCP.Conns),
 		Sum:       cp.Sum,
 	}})
-	ring.Send(p, shm.Message{Kind: bulkEpoch, Size: 48 + 16*len(cp.Sends), Payload: bulkEpochHdr{
+	ring.Send(p, shm.Message{Kind: bulkEpoch, Size: 48 + 16*len(cp.Sends), Ref: &bulkEpochHdr{
 		Epoch: cp.Epoch,
 		Sent:  cp.Sent,
 		Apps:  len(cp.Apps),
@@ -325,23 +325,23 @@ func Send(t *kernel.Task, ring *shm.Ring, cp *Checkpoint) {
 	}})
 	for i, a := range cp.Apps {
 		ring.Send(p, shm.Message{Kind: bulkApp, Size: 32 + len(a.Name),
-			Payload: bulkAppMeta{Name: a.Name, Len: len(a.Data)}})
+			Ref: &bulkAppMeta{Name: a.Name, Len: len(a.Data)}})
 		sendChunks(p, ring, bulkAppChunk, i, a.Data)
 	}
-	ring.Send(p, shm.Message{Kind: bulkThreads, Size: 16 + 16*len(cp.Threads), Payload: cp.Threads})
-	ring.Send(p, shm.Message{Kind: bulkObjs, Size: 16 + 16*len(cp.Objs), Payload: cp.Objs})
+	ring.Send(p, shm.Message{Kind: bulkThreads, Size: 16 + 16*len(cp.Threads), Ref: &cp.Threads})
+	ring.Send(p, shm.Message{Kind: bulkObjs, Size: 16 + 16*len(cp.Objs), Ref: &cp.Objs})
 	envSize := 16
 	for _, e := range cp.Env {
 		envSize += 16 + len(e.Key) + len(e.Value)
 	}
-	ring.Send(p, shm.Message{Kind: bulkEnv, Size: envSize, Payload: cp.Env})
+	ring.Send(p, shm.Message{Kind: bulkEnv, Size: envSize, Ref: &cp.Env})
 	for i, cs := range cp.TCP.Conns {
 		meta := cs
 		meta.In = nil
-		ring.Send(p, shm.Message{Kind: bulkConn, Size: 64, Payload: bulkConnMeta{Snap: meta, InLen: len(cs.In)}})
+		ring.Send(p, shm.Message{Kind: bulkConn, Size: 64, Ref: &bulkConnMeta{Snap: meta, InLen: len(cs.In)}})
 		sendChunks(p, ring, bulkChunk, i, cs.In)
 	}
-	ring.Send(p, shm.Message{Kind: bulkBinds, Size: 16 + 24*len(cp.TCP.Binds), Payload: cp.TCP.Binds})
+	ring.Send(p, shm.Message{Kind: bulkBinds, Size: 16 + 24*len(cp.TCP.Binds), Ref: &cp.TCP.Binds})
 	ring.Send(p, shm.Message{Kind: bulkDone, Size: 16})
 }
 
@@ -365,50 +365,50 @@ func Recv(t *kernel.Task, ring *shm.Ring) (*Checkpoint, error) {
 		frames++
 		switch m.Kind {
 		case bulkHeader:
-			h := m.Payload.(bulkHdr)
+			h := m.Ref.(*bulkHdr)
 			cp.SeqGlobal = h.SeqGlobal
 			cp.NextFTPid = h.NextFTPid
 			cp.TCP.Conns = make([]tcprep.ConnSnap, 0, h.Conns)
 			want = h.Sum
 		case bulkEpoch:
-			h := m.Payload.(bulkEpochHdr)
+			h := m.Ref.(*bulkEpochHdr)
 			cp.Epoch = h.Epoch
 			cp.Sent = h.Sent
 			cp.Sends = append([]tcprep.SendCursor(nil), h.Sends...)
 			cp.Apps = make([]AppSnap, 0, h.Apps)
 			sawEpoch = true
 		case bulkApp:
-			meta := m.Payload.(bulkAppMeta)
+			meta := m.Ref.(*bulkAppMeta)
 			cp.Apps = append(cp.Apps, AppSnap{Name: meta.Name, Data: make([]byte, 0, meta.Len)})
 		case bulkAppChunk:
-			c := m.Payload.(bulkData)
-			if c.Of >= len(cp.Apps) {
+			of := int(m.W[0])
+			if of >= len(cp.Apps) {
 				return nil, fmt.Errorf("%w: chunk for app snapshot %d of %d",
-					ErrChecksumMismatch, c.Of, len(cp.Apps))
+					ErrChecksumMismatch, of, len(cp.Apps))
 			}
-			a := &cp.Apps[c.Of]
-			a.Data = append(a.Data, c.Data...)
+			a := &cp.Apps[of]
+			a.Data = append(a.Data, m.Data...)
 		case bulkThreads:
-			cp.Threads = m.Payload.([]replication.SeqCursor)
+			cp.Threads = *m.Ref.(*[]replication.SeqCursor)
 		case bulkObjs:
-			cp.Objs = m.Payload.([]replication.ObjCursor)
+			cp.Objs = *m.Ref.(*[]replication.ObjCursor)
 		case bulkEnv:
-			cp.Env = m.Payload.([]EnvEntry)
+			cp.Env = *m.Ref.(*[]EnvEntry)
 		case bulkConn:
-			meta := m.Payload.(bulkConnMeta)
+			meta := m.Ref.(*bulkConnMeta)
 			cs := meta.Snap
 			cs.In = make([]byte, 0, meta.InLen)
 			cp.TCP.Conns = append(cp.TCP.Conns, cs)
 		case bulkChunk:
-			c := m.Payload.(bulkData)
-			if c.Of >= len(cp.TCP.Conns) {
+			of := int(m.W[0])
+			if of >= len(cp.TCP.Conns) {
 				return nil, fmt.Errorf("%w: chunk for connection %d of %d",
-					ErrChecksumMismatch, c.Of, len(cp.TCP.Conns))
+					ErrChecksumMismatch, of, len(cp.TCP.Conns))
 			}
-			cs := &cp.TCP.Conns[c.Of]
-			cs.In = append(cs.In, c.Data...)
+			cs := &cp.TCP.Conns[of]
+			cs.In = append(cs.In, m.Data...)
 		case bulkBinds:
-			cp.TCP.Binds = m.Payload.([]tcprep.BindSnap)
+			cp.TCP.Binds = *m.Ref.(*[]tcprep.BindSnap)
 		case bulkDone:
 			if !sawEpoch {
 				return nil, fmt.Errorf("%w: transfer carried no epoch frame", ErrChecksumMismatch)

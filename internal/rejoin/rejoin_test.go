@@ -236,8 +236,8 @@ func TestRecvFailsFastOnTruncatedTransfer(t *testing.T) {
 	cp := testCheckpoint()
 	_, err := transfer(t, func(tk *kernel.Task, ring *shm.Ring) {
 		p := tk.Proc()
-		ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{Sum: cp.Sum}})
-		ring.Send(p, shm.Message{Kind: bulkThreads, Size: 16, Payload: cp.Threads})
+		ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Ref: &bulkHdr{Sum: cp.Sum}})
+		ring.Send(p, shm.Message{Kind: bulkThreads, Size: 16, Ref: &cp.Threads})
 		// Sender dies here: no more frames, no bulkDone.
 	})
 	if !errors.Is(err, ErrTruncatedCheckpoint) {
@@ -252,14 +252,14 @@ func TestRecvEpochFailsFastMidAppChunks(t *testing.T) {
 	cp := testCheckpoint()
 	_, err := transfer(t, func(tk *kernel.Task, ring *shm.Ring) {
 		p := tk.Proc()
-		ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{Sum: cp.Sum}})
-		ring.Send(p, shm.Message{Kind: bulkEpoch, Size: 48, Payload: bulkEpochHdr{
+		ring.Send(p, shm.Message{Kind: bulkHeader, Size: 64, Ref: &bulkHdr{Sum: cp.Sum}})
+		ring.Send(p, shm.Message{Kind: bulkEpoch, Size: 48, Ref: &bulkEpochHdr{
 			Epoch: cp.Epoch, Sent: cp.Sent, Apps: len(cp.Apps),
 		}})
 		ring.Send(p, shm.Message{Kind: bulkApp, Size: 32,
-			Payload: bulkAppMeta{Name: "stream", Len: len(cp.Apps[1].Data)}})
+			Ref: &bulkAppMeta{Name: "stream", Len: len(cp.Apps[1].Data)}})
 		ring.Send(p, shm.Message{Kind: bulkAppChunk, Size: 16 + chunkBytes,
-			Payload: bulkData{Of: 0, Data: cp.Apps[1].Data[:chunkBytes]}})
+			W: [7]uint64{0}, Data: cp.Apps[1].Data[:chunkBytes]})
 		// Sender dies mid-snapshot.
 	})
 	if !errors.Is(err, ErrTruncatedCheckpoint) {
@@ -271,15 +271,15 @@ func TestRecvEpochFailsFastMidAppChunks(t *testing.T) {
 // produces; each must fail with ErrChecksumMismatch, never panic or hang.
 func TestRecvRejectsMalformedStream(t *testing.T) {
 	done := shm.Message{Kind: bulkDone, Size: 16}
-	hdr := shm.Message{Kind: bulkHeader, Size: 64, Payload: bulkHdr{Sum: Genesis().Sum, NextFTPid: 1}}
+	hdr := shm.Message{Kind: bulkHeader, Size: 64, Ref: &bulkHdr{Sum: Genesis().Sum, NextFTPid: 1}}
 	streams := map[string][]shm.Message{
 		"no epoch frame": {hdr, done},
 		"unknown kind":   {hdr, {Kind: 99, Size: 16}},
 		"app chunk out of range": {hdr,
-			{Kind: bulkEpoch, Size: 48, Payload: bulkEpochHdr{}},
-			{Kind: bulkAppChunk, Size: 17, Payload: bulkData{Of: 0, Data: []byte{1}}}},
+			{Kind: bulkEpoch, Size: 48, Ref: &bulkEpochHdr{}},
+			{Kind: bulkAppChunk, Size: 17, W: [7]uint64{0}, Data: []byte{1}}},
 		"conn chunk out of range": {hdr,
-			{Kind: bulkChunk, Size: 17, Payload: bulkData{Of: 2, Data: []byte{1}}}},
+			{Kind: bulkChunk, Size: 17, W: [7]uint64{2}, Data: []byte{1}}},
 	}
 	for name, frames := range streams {
 		t.Run(name, func(t *testing.T) {

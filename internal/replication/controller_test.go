@@ -126,7 +126,7 @@ func TestDeadlineForceFlushSameInstant(t *testing.T) {
 	s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
 		for i := 0; i < 3; i++ {
-			rec.emit(tk, msgTuple, Tuple{GlobalSeq: uint64(i)}, 64, 0)
+			rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message(0))
 		}
 		// Sleep to exactly the armed deadline: the flusher's timeout and
 		// this wake-up land in the same scheduler instant.
@@ -160,7 +160,7 @@ func TestForceFlushPublishesOpenSpan(t *testing.T) {
 	s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
 	released := false
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
-		rec.emit(tk, msgTuple, Tuple{GlobalSeq: 1}, 64, 0)
+		rec.emit(tk, Tuple{GlobalSeq: 1}.message(0))
 		rec.onStable(func() { released = true })
 	})
 	s.Spawn("drain", func(p *sim.Proc) {
@@ -186,7 +186,7 @@ func TestRecorderFeedsController(t *testing.T) {
 	cfg.FlushInterval = 10 * time.Microsecond
 	s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
-		rec.emit(tk, msgTuple, Tuple{GlobalSeq: 1}, 64, 0)
+		rec.emit(tk, Tuple{GlobalSeq: 1}.message(0))
 		rec.onStable(func() {}) // watermark unacked: a commit stall
 		if rec.effBatch() != 4 {
 			t.Errorf("effBatch = %d after a commit stall, want halved to 4", rec.effBatch())

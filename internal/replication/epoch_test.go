@@ -244,3 +244,49 @@ func TestZeroCheckpointSeedIsIdentity(t *testing.T) {
 		t.Errorf("control run invalid: %+v", plainStats)
 	}
 }
+
+// TestRetainedBytesIsARunningSum: the retained-log gauge reads a counter,
+// not a walk over the history, on both engines; the counter must equal the
+// walked sum after epoch truncation on both sides, and after a promotion
+// has forked the replayed history into a recorder that keeps appending.
+func TestRetainedBytesIsARunningSum(t *testing.T) {
+	cfg := replication.DefaultConfig()
+	cfg.Rejoinable = true
+	d := newDuo(t, 1, cfg, true)
+	verifyDigest(d.sns)
+	var pCount, sCount int
+	stop := false
+	d.pns.Start("app", nil, lockCounterApp(&pCount, 4, 1000))
+	d.sns.Start("app", nil, lockCounterApp(&sCount, 4, 1000))
+	startCutter(d, time.Millisecond, &stop, 0)
+	check := func(when string, ns *replication.Namespace) {
+		t.Helper()
+		recRun, recWalk, repRun, repWalk := ns.RetainedSums()
+		if recRun != recWalk || repRun != repWalk {
+			t.Errorf("%s, %s: recorder %d running vs %d walked, replayer %d vs %d", when, ns.Name(), recRun, recWalk, repRun, repWalk)
+		}
+		if got := ns.RetainedBytes(); got == 0 || (got != recRun && got != repRun) {
+			t.Errorf("%s, %s: RetainedBytes = %d, sums %d / %d", when, ns.Name(), got, recRun, repRun)
+		}
+	}
+	d.sim.Schedule(30*time.Millisecond, func() {
+		if d.pns.Stats().LogTruncated == 0 || d.sns.Stats().LogTruncated == 0 {
+			t.Errorf("no truncation before the kill: primary %d, backup %d", d.pns.Stats().LogTruncated, d.sns.Stats().LogTruncated)
+		}
+		check("after truncation", d.pns)
+		check("after truncation", d.sns)
+		stop = true
+		d.pk.Panic("injected failure", nil)
+		d.sns.Replayer().Promote()
+	})
+	if err := d.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sCount != 4*1000 || pCount == 4*1000 {
+		t.Fatalf("secondary finished %d of %d increments, primary %d: the kill must land mid-run", sCount, 4*1000, pCount)
+	}
+	if !d.sns.Recording() {
+		t.Fatal("promotion did not fork a recorder")
+	}
+	check("after promotion", d.sns)
+}

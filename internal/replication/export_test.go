@@ -1,0 +1,25 @@
+package replication
+
+import (
+	"repro/internal/shm"
+	"repro/internal/sim"
+)
+
+func walkedBytes(hist *sim.Log[shm.Message]) (b int64) {
+	for i := 0; i < hist.Len(); i++ {
+		b += int64(hist.At(i).Size)
+	}
+	return b
+}
+
+// RetainedSums returns, for each engine the namespace holds, the running
+// retained-bytes sum beside the sum walked over the retained history.
+func (ns *Namespace) RetainedSums() (recRunning, recWalked, repRunning, repWalked int64) {
+	if ns.rec != nil {
+		recRunning, recWalked = ns.rec.histBytes, walkedBytes(&ns.rec.history)
+	}
+	if ns.rep != nil {
+		repRunning, repWalked = ns.rep.histBytes, walkedBytes(&ns.rep.history)
+	}
+	return
+}

@@ -54,6 +54,32 @@ type Thread struct {
 	task  *kernel.Task
 	ftpid int
 	seq   uint64
+	sec   section
+}
+
+// section is the state of a thread's deterministic section between enter
+// and exit, and of its wait for a replay turn before that. A thread is in
+// at most one section at a time, so the record lives in the thread.
+type section struct {
+	// Recording: the recorder the section records into (the primary's, or
+	// a promoted replica's fork), the shard lock held, the tuple's identity.
+	rec   *Recorder
+	op    pthread.Op
+	obj   uint64
+	key   uint64
+	shard int
+
+	// Replaying: wait is the futex record the thread parks on until its
+	// tuple is granted — or until promotion flushes it out of replay (no
+	// tuple: the thread continues live or recording). replay marks a
+	// granted section open, checked one whose settled outcome exit compares
+	// with the recorded one.
+	wait     *kernel.Waiter
+	parkedAt sim.Time // for grant-wait attribution
+	flushed  bool
+	replay   bool
+	checked  bool
+	tuple    Tuple
 }
 
 // Task returns the underlying kernel task.
@@ -100,12 +126,10 @@ func NewSecondary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring
 // left unregistered — the dead primary's namespace already claimed the
 // metric names — but it shares the replayer's event scope so the flight
 // timeline stays contiguous.
-func (ns *Namespace) forkRecorder(hist []shm.Message, histBase, nextGlobal uint64, objSeq map[uint64]uint64) *Recorder {
-	rec := newForkRecorder(ns.kern, ns.cfg, hist, histBase, nextGlobal, objSeq)
-	rec.sc = ns.rep.sc
-	ns.rec = rec
+func (ns *Namespace) forkRecorder(hist sim.Log[shm.Message], histBase, nextGlobal uint64, objSeq map[uint64]uint64) {
+	ns.rec = newForkRecorder(ns.kern, ns.cfg, hist, histBase, nextGlobal, objSeq)
+	ns.rec.sc = ns.rep.sc
 	ns.role = RolePrimary
-	return rec
 }
 
 // NewLive creates an unreplicated namespace — the stock-Ubuntu baseline
@@ -154,9 +178,6 @@ func (ns *Namespace) Role() Role {
 
 // Recording reports whether this side records (primary, not yet live).
 func (ns *Namespace) Recording() bool { return ns.role == RolePrimary && !ns.rec.live }
-
-// Replaying reports whether this side replays (secondary, not yet live).
-func (ns *Namespace) Replaying() bool { return ns.role == RoleSecondary && !ns.rep.live }
 
 // Replayer returns the secondary engine (nil on other roles); the failover
 // path uses it to promote.
@@ -279,17 +300,6 @@ func (ns *Namespace) NextFTPid() int { return ns.nextFTPid }
 
 // Env returns the replicated environment mirror.
 func (ns *Namespace) Env() map[string]string { return ns.env }
-
-// Degraded reports whether the namespace records with no caught-up
-// backup (only meaningful on a rejoinable recording side).
-func (ns *Namespace) Degraded() bool {
-	return ns.role == RolePrimary && ns.rec.degraded && ns.rec.liveBackups() == 0
-}
-
-// Resyncing reports whether a rejoined backup is still replaying history.
-func (ns *Namespace) Resyncing() bool {
-	return ns.role == RolePrimary && ns.rec.syncingBackups() > 0
-}
 
 // AddReplica wires a fresh backup into a recording namespace and streams
 // the retained history as catch-up (Config.Rejoinable). onCaughtUp runs
@@ -475,96 +485,80 @@ func (ns *Namespace) ThreadOf(t *kernel.Task) *Thread {
 	return th
 }
 
-// InNamespace reports whether a task belongs to the namespace.
-func (ns *Namespace) InNamespace(t *kernel.Task) bool {
-	_, ok := ns.threads[t]
-	return ok
-}
-
-// Section implements pthread.Det.
-func (ns *Namespace) Section(t *kernel.Task, op pthread.Op, obj uint64, fn func()) {
-	switch ns.role {
-	case RolePrimary:
-		ns.rec.section(ns.ThreadOf(t), op, obj, fn)
-	case RoleSecondary:
-		ns.rep.section(ns.ThreadOf(t), op, obj, fn)
-	default:
-		fn()
+// enter opens a deterministic section for th on whichever engine this side
+// runs: the recorder on the primary, the replayer on the secondary — and,
+// when the replica is (or, while th was parked for its turn, became) a
+// promoted one recording into a fork, that fork. A live side opens nothing.
+func (ns *Namespace) enter(th *Thread, op pthread.Op, obj uint64) {
+	if ns.role == RoleSecondary && ns.rep.enter(th, op, obj) {
+		return
+	}
+	if ns.role == RolePrimary {
+		ns.rec.enter(th, op, obj)
 	}
 }
 
-// Resolve implements pthread.Det.
-func (ns *Namespace) Resolve(t *kernel.Task, op pthread.Op, obj uint64, block func(), settle func() uint64) uint64 {
-	wrapped := func() (uint64, []byte) { return settle(), nil }
-	switch ns.role {
-	case RolePrimary:
-		out, _ := ns.rec.resolve(ns.ThreadOf(t), op, obj, block, wrapped)
-		return out
-	case RoleSecondary:
-		out, _ := ns.rep.resolve(ns.ThreadOf(t), op, obj, block, wrapped)
-		return out
-	default:
-		block()
-		return settle()
+// exit closes th's section where enter opened it. out and data are the
+// outcome and payload the section settled; the returned pair is what the
+// caller acts on — the recorded one when the section replayed.
+func (ns *Namespace) exit(th *Thread, out uint64, data []byte) (uint64, []byte) {
+	switch {
+	case th.sec.replay:
+		return ns.rep.exit(th, out)
+	case th.sec.rec != nil:
+		th.sec.rec.exit(th, out, data)
+	}
+	return out, data
+}
+
+// Enter implements pthread.Det.
+func (ns *Namespace) Enter(t *kernel.Task, op pthread.Op, obj uint64) {
+	if ns.role != RoleLive {
+		ns.enter(ns.ThreadOf(t), op, obj)
 	}
 }
 
-// SyscallU64 replicates a syscall returning a scalar: executed on the
-// primary (outside the global mutex — it may block, like accept or read)
-// and recorded; replayed from the log on the secondary. On the secondary,
-// run executes only after failover promotion (live mode).
+// Replay implements pthread.Det: true with the section open at the
+// recorded turn on a replaying secondary; false — block first, then Enter —
+// on every other side, including a secondary that promotion flushed out of
+// replay while the thread was parked here.
+func (ns *Namespace) Replay(t *kernel.Task, op pthread.Op, obj uint64) bool {
+	if ns.role != RoleSecondary {
+		return false
+	}
+	th := ns.ThreadOf(t)
+	th.sec.checked = ns.rep.enter(th, op, obj)
+	return th.sec.checked
+}
+
+// Exit implements pthread.Det.
+func (ns *Namespace) Exit(t *kernel.Task, outcome uint64) uint64 {
+	if ns.role == RoleLive {
+		return outcome
+	}
+	out, _ := ns.exit(ns.ThreadOf(t), outcome, nil)
+	return out
+}
+
+// SyscallU64 replicates a syscall returning a scalar.
 func (ns *Namespace) SyscallU64(th *Thread, op pthread.Op, obj uint64, run func() uint64) uint64 {
-	switch ns.role {
-	case RolePrimary:
-		var v uint64
-		out, _ := ns.rec.resolve(th, op, obj,
-			func() { v = run() },
-			func() (uint64, []byte) { return v, nil })
-		return out
-	case RoleSecondary:
-		out, _, ok, fork := ns.rep.replayed(th, op, obj)
-		if ok {
-			return out
-		}
-		if fork != nil {
-			var v uint64
-			res, _ := fork.resolve(th, op, obj,
-				func() { v = run() },
-				func() (uint64, []byte) { return v, nil })
-			return res
-		}
-		return run()
-	default:
-		return run()
-	}
+	out, _ := ns.SyscallData(th, op, obj, func() (uint64, []byte) { return run(), nil })
+	return out
 }
 
 // SyscallData replicates a syscall returning a scalar plus payload bytes
-// (e.g. the data delivered by a socket read, §3.4).
+// (e.g. the data delivered by a socket read, §3.4): executed on the primary
+// (outside the det-section lock — it may block, like accept or read) and
+// recorded; replayed from the log on the secondary, where run executes only
+// after failover promotion (live mode).
 func (ns *Namespace) SyscallData(th *Thread, op pthread.Op, obj uint64, run func() (uint64, []byte)) (uint64, []byte) {
-	switch ns.role {
-	case RolePrimary:
-		var v uint64
-		var data []byte
-		return ns.rec.resolve(th, op, obj,
-			func() { v, data = run() },
-			func() (uint64, []byte) { return v, data })
-	case RoleSecondary:
-		out, data, ok, fork := ns.rep.replayed(th, op, obj)
-		if ok {
-			return out, data
-		}
-		if fork != nil {
-			var v uint64
-			var d []byte
-			return fork.resolve(th, op, obj,
-				func() { v, d = run() },
-				func() (uint64, []byte) { return v, d })
-		}
-		return run()
-	default:
-		return run()
+	var v uint64
+	var data []byte
+	if ns.role != RoleSecondary || !ns.rep.enter(th, op, obj) {
+		v, data = run()
+		ns.enter(th, op, obj)
 	}
+	return ns.exit(th, v, data)
 }
 
 // OnStable invokes fn once all log messages sent so far are acknowledged
@@ -595,7 +589,7 @@ func (ns *Namespace) Start(name string, env map[string]string, fn func(*Thread))
 		switch ns.role {
 		case RolePrimary:
 			ns.env = env
-			ns.rec.sendEnv(t, env)
+			ns.rec.emit(t, envMessage(env))
 		case RoleSecondary:
 			ns.env = ns.rep.waitEnv(t)
 		default:
@@ -622,10 +616,10 @@ func (ns *Namespace) SpawnThread(parent *Thread, name string, fn func(*Thread)) 
 	if c, ok := ns.popResume(); ok {
 		ftpid, seq = c.FTPid, c.Seq
 	} else {
-		ns.Section(parent.task, OpThreadCreate, 0, func() {
-			ns.nextFTPid++
-			ftpid = ns.nextFTPid
-		})
+		ns.enter(parent, OpThreadCreate, 0)
+		ns.nextFTPid++
+		ftpid = ns.nextFTPid
+		ns.exit(parent, 0, nil)
 	}
 	th := &Thread{ns: ns, ftpid: ftpid, seq: seq}
 	th.task = ns.kern.Spawn(name, func(t *kernel.Task) { fn(th) })

@@ -67,8 +67,14 @@ type replicaLink struct {
 	// non-empty new tuples must append behind it, never to a fresh span:
 	// the spill was reserved later than nothing, so writing around it
 	// would reorder the log.
-	span     *shm.Span
+	// The span handle is kept across DropInflight, Drain and abandonLink;
+	// the ring's generation check makes it read closed once its record has
+	// been recycled. spares are the spill buffer's other arrays: tuples
+	// that spill while a blocking flush is stalled on the ring collect in
+	// one (the flusher task and a det section can both be stalled at once).
+	span     shm.Span
 	pending  []shm.Message
+	spares   [][]shm.Message
 	deadline sim.Time // flush deadline armed when the link became non-empty
 
 	// A syncing link is a rejoined backup still catching up: new emits
@@ -76,8 +82,32 @@ type replicaLink struct {
 	// from the output-commit set, and it flips into the broadcast set at
 	// the instant the backlog drains — the quiesced boundary at which the
 	// deployment is replicated again.
-	syncing bool
-	backlog []shm.Message
+	// backlog[backlogHead:] is still to be sent.
+	syncing     bool
+	backlog     []shm.Message
+	backlogHead int
+}
+
+// receiptObs is one pending observation of a log-ring delivery: the primary
+// sees the consumer-side slot state one coherency hop after the transfer
+// lands. Several can be in flight inside one hop and each keeps its own
+// place in the event order, so each is a pooled record with its own
+// re-armable event.
+type receiptObs struct {
+	r    *Recorder
+	link *replicaLink
+	ev   sim.Event
+}
+
+func (o *receiptObs) fire() {
+	r, link := o.r, o.link
+	o.link = nil
+	r.obsFree = append(r.obsFree, o)
+	if d := link.base + uint64(link.log.Delivered()); d > link.acked {
+		link.acked = d
+		r.noteMark(link)
+		r.fireStable()
+	}
 }
 
 // Recorder is the primary-side engine: it serializes deterministic
@@ -116,7 +146,7 @@ type Recorder struct {
 	stableHead int
 	live       bool
 	degraded   bool // recording with no caught-up backup (Config.Rejoinable)
-	history    []shm.Message
+	history    sim.Log[shm.Message]
 	stats      Stats
 
 	// histBase is the absolute log index of history[0]: zero until epoch
@@ -144,6 +174,7 @@ type Recorder struct {
 	// recorder. ackScratch is the quorum rule's reusable sort buffer.
 	marks      map[int]ReplicaWatermark
 	ackScratch []uint64
+	obsFree    []*receiptObs // fired receipt observations, reused by the next delivery
 
 	flushQ sim.WaitQueue // wakes the flusher task when work or deadlines change
 	ctrl   *batchController
@@ -200,17 +231,17 @@ func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring) *Recorder
 // the dead primary's sequence space (seqGlobal plus the per-object
 // cursors) and inherits the replayed history, so a backup rejoined later
 // can catch up from the fork's retention base. histBase is the absolute
-// log index of hist[0] — zero for a full-history backup, the latest
-// verified epoch boundary for one that truncated at epoch checkpoints.
-// It starts degraded, with no backup links.
-func newForkRecorder(k *kernel.Kernel, cfg Config, hist []shm.Message, histBase, seqGlobal uint64, objSeq map[uint64]uint64) *Recorder {
+// log index of hist's first message — zero for a full-history backup, the
+// latest verified epoch boundary for one that truncated at epoch
+// checkpoints. It starts degraded, with no backup links.
+func newForkRecorder(k *kernel.Kernel, cfg Config, hist sim.Log[shm.Message], histBase, seqGlobal uint64, objSeq map[uint64]uint64) *Recorder {
 	cfg = cfg.withBatchDefaults()
 	if objSeq == nil {
 		objSeq = make(map[uint64]uint64)
 	}
 	var histBytes int64
-	for _, m := range hist {
-		histBytes += int64(m.Size)
+	for i := 0; i < hist.Len(); i++ {
+		histBytes += int64(hist.At(i).Size)
 	}
 	r := &Recorder{
 		kern:      k,
@@ -218,7 +249,7 @@ func newForkRecorder(k *kernel.Kernel, cfg Config, hist []shm.Message, histBase,
 		mus:       newShardLocks(k, cfg.DetShards),
 		objSeq:    objSeq,
 		seqGlobal: seqGlobal,
-		sent:      histBase + uint64(len(hist)),
+		sent:      histBase + uint64(hist.Len()),
 		history:   hist,
 		histBase:  histBase,
 		histBytes: histBytes,
@@ -247,13 +278,15 @@ func (r *Recorder) addLink(link *replicaLink) {
 	// consumer-side slot state, one coherency hop after delivery.
 	k, log := r.kern, link.log
 	log.OnDelivered(func() {
-		k.Sim().Schedule(log.Latency(), func() {
-			if d := link.base + uint64(log.Delivered()); d > link.acked {
-				link.acked = d
-				r.noteMark(link)
-				r.fireStable()
-			}
-		})
+		var o *receiptObs
+		if n := len(r.obsFree); n > 0 {
+			o, r.obsFree = r.obsFree[n-1], r.obsFree[:n-1]
+		} else {
+			o = &receiptObs{r: r}
+			o.ev.Init(k.Sim(), o.fire)
+		}
+		o.link = link
+		o.ev.Reset(log.Latency())
 	})
 	// Explicit cumulative acknowledgements free log-ring slots faster
 	// under backlog and serve as a liveness signal; they are consumed
@@ -278,7 +311,7 @@ func (r *Recorder) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 		panic("replication: AddReplica requires Config.Rejoinable")
 	}
 	link := &replicaLink{log: log, acks: acks, syncing: true, base: r.histBase}
-	link.backlog = append([]shm.Message(nil), r.history...)
+	link.backlog = r.history.AppendTo(nil)
 	idx := len(r.replicas)
 	r.addLink(link)
 	r.kern.Spawn("ft-catchup", func(t *kernel.Task) { r.catchupLoop(t, link, onCaughtUp) })
@@ -292,15 +325,20 @@ func (r *Recorder) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 // between the last send completing and the flip).
 func (r *Recorder) catchupLoop(t *kernel.Task, link *replicaLink, onCaughtUp func()) {
 	p := t.Proc()
-	for len(link.backlog) > 0 && !link.dead {
+	for link.backlogHead < len(link.backlog) && !link.dead {
+		queued := link.backlog[link.backlogHead:]
 		n, bytes := 0, 0
-		for n < len(link.backlog) && bytes < catchupChunkBytes {
-			bytes += link.backlog[n].Size
+		for n < len(queued) && bytes < catchupChunkBytes {
+			bytes += queued[n].Size
 			n++
 		}
-		batch := link.backlog[:n:n]
-		link.log.SendBatch(p, batch)
-		link.backlog = link.backlog[n:]
+		link.log.SendBatch(p, queued[:n])
+		if link.dead {
+			return // abandonLink dropped the backlog under the blocked send
+		}
+		// New emissions appended while the send was blocked; the queue
+		// slides only now that the batch has been copied out.
+		link.backlog, link.backlogHead = sim.DropFront(link.backlog, link.backlogHead, n)
 		r.stats.LogBatches++
 		r.noteFlush(n)
 	}
@@ -325,14 +363,14 @@ func (r *Recorder) ackLoop(t *kernel.Task, link *replicaLink) {
 			// Epoch-boundary acknowledgement: the backup verified the
 			// epoch's digest at its replay frontier and truncated its
 			// own retained log there.
-			if e, ok := m.Payload.(uint64); ok && e > link.epochAcked {
+			if e := m.W[0]; e > link.epochAcked {
 				link.epochAcked = e
 				r.maybeTruncateEpochs()
 			}
 		default:
 			// Cumulative receipt watermark (absolute: a rejoined backup
 			// seeds its processed count from the checkpoint it restored).
-			if v, ok := m.Payload.(uint64); ok && v > link.acked {
+			if v := m.W[0]; v > link.acked {
 				link.acked = v
 				r.noteMark(link)
 				r.fireStable()
@@ -353,16 +391,22 @@ func (r *Recorder) ackLoop(t *kernel.Task, link *replicaLink) {
 // remaining set provides (vacuous when it is empty — the degraded window
 // the resync exists to close).
 func (r *Recorder) ackedAll() uint64 {
+	return r.quorumOf(func(l *replicaLink) uint64 { return l.acked }, r.sent)
+}
+
+// quorumOf applies the commit-quorum rule to one mark of every live
+// caught-up link: the k-th highest, all-of-the-living when fewer than k
+// remain, and vacuous when none does.
+func (r *Recorder) quorumOf(mark func(*replicaLink) uint64, vacuous uint64) uint64 {
 	marks := r.ackScratch[:0]
 	for _, link := range r.replicas {
-		if link.dead || link.syncing {
-			continue
+		if !link.dead && !link.syncing {
+			marks = append(marks, mark(link))
 		}
-		marks = append(marks, link.acked)
 	}
 	r.ackScratch = marks[:0]
 	if len(marks) == 0 {
-		return r.sent // no live backup left: everything is (vacuously) stable
+		return vacuous // no live backup left: everything is (vacuously) stable
 	}
 	k := r.cfg.CommitQuorum
 	if k <= 0 || k > len(marks) {
@@ -420,8 +464,7 @@ func (r *Recorder) Watermarks() []ReplicaWatermark {
 	return out
 }
 
-// liveBackups counts links that are alive and caught up; syncingBackups
-// counts links still replaying history.
+// liveBackups counts links that are alive and caught up.
 func (r *Recorder) liveBackups() int {
 	n := 0
 	for _, link := range r.replicas {
@@ -432,6 +475,7 @@ func (r *Recorder) liveBackups() int {
 	return n
 }
 
+// syncingBackups counts links still replaying history.
 func (r *Recorder) syncingBackups() int {
 	n := 0
 	for _, link := range r.replicas {
@@ -454,7 +498,7 @@ func (r *Recorder) effBatch() int {
 // buffered reports whether the link holds tuples not yet published — in
 // its open span or its spill buffer.
 func (link *replicaLink) buffered() bool {
-	return (link.span != nil && link.span.Open() && link.span.Len() > 0) || len(link.pending) > 0
+	return link.span.Len() > 0 || len(link.pending) > 0
 }
 
 // emit streams one log message to every live backup. Unbatched, it sends
@@ -462,13 +506,10 @@ func (link *replicaLink) buffered() bool {
 // ring reservation (zero-copy) and publishes when the effective batch
 // fills. When no reservation can be claimed (ring full) tuples spill to
 // the link's pending buffer and a blocking vectored flush throttles the
-// primary to the slowest backup's drain rate. stream tags the message with
-// its det shard,
-// multiplexing the per-shard log streams over the one vectored ring.
-func (r *Recorder) emit(t *kernel.Task, kind int, payload any, size, stream int) {
-	m := shm.Message{Kind: kind, Payload: payload, Size: size, Stream: stream}
+// primary to the slowest backup's drain rate.
+func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 	if r.cfg.Rejoinable {
-		r.history = append(r.history, m)
+		r.history.Append(m)
 		r.histBytes += int64(m.Size)
 	}
 	eff := r.effBatch()
@@ -513,7 +554,7 @@ func (r *Recorder) emitSpan(link *replicaLink, m shm.Message, eff int) bool {
 	if len(link.pending) > 0 {
 		return false
 	}
-	if link.span == nil || !link.span.Open() {
+	if !link.span.Open() {
 		if !r.openSpan(link, eff, int64(m.Size)) {
 			return false
 		}
@@ -542,7 +583,7 @@ func (r *Recorder) openSpan(link *replicaLink, eff int, minBytes int64) bool {
 		budget = minBytes
 	}
 	sp := link.log.TryReserve(eff, budget)
-	if sp == nil {
+	if !sp.Open() {
 		return false
 	}
 	link.span = sp
@@ -560,11 +601,10 @@ func (r *Recorder) openSpan(link *replicaLink, eff int, minBytes int64) bool {
 // Never blocks, so it is safe in scheduler context.
 func (r *Recorder) commitSpan(link *replicaLink) {
 	sp := link.span
-	if sp == nil || !sp.Open() {
-		link.span = nil
+	link.span = shm.Span{}
+	if !sp.Open() {
 		return
 	}
-	link.span = nil
 	n := sp.Len()
 	if n == 0 {
 		sp.Abort()
@@ -587,9 +627,14 @@ func (r *Recorder) flushPending(p *sim.Proc, link *replicaLink) {
 	for len(link.pending) > 0 && !link.dead {
 		batch := link.pending
 		link.pending = nil
-		link.log.SendBatch(p, batch)
+		if n := len(link.spares); n > 0 {
+			link.pending, link.spares = link.spares[n-1], link.spares[:n-1]
+		}
+		link.log.SendBatch(p, batch) // copies by value: the array is ours again
 		r.stats.LogBatches++
 		r.noteFlush(len(batch))
+		clear(batch)
+		link.spares = append(link.spares, batch[:0])
 	}
 	r.flushQ.WakeAll(0) // deadlines may have re-armed while the send was stalled
 }
@@ -645,7 +690,8 @@ func (r *Recorder) flushForCommit() {
 		}
 		if link.log.TrySendBatch(link.pending) {
 			n := len(link.pending)
-			link.pending = nil
+			clear(link.pending)
+			link.pending = link.pending[:0]
 			r.stats.LogBatches++
 			r.noteFlush(n)
 			continue
@@ -669,7 +715,7 @@ func (r *Recorder) EmitEpoch(t *kernel.Task, mark EpochMark, size int) {
 	if mark.Epoch > r.epochSeen {
 		r.epochSeen = mark.Epoch
 	}
-	r.emit(t, msgEpoch, mark, size, 0)
+	r.emit(t, epochMessage(&mark, size))
 	r.stats.EpochCuts++
 	// With no live caught-up backup the quorum is vacuous (mirroring
 	// vacuous output stability): the prefix is truncated immediately —
@@ -683,22 +729,7 @@ func (r *Recorder) EmitEpoch(t *kernel.Task, mark EpochMark, size int) {
 // and vacuously the latest cut epoch when no live caught-up backup
 // remains.
 func (r *Recorder) epochAckedAll() uint64 {
-	marks := r.ackScratch[:0]
-	for _, link := range r.replicas {
-		if link.dead || link.syncing {
-			continue
-		}
-		marks = append(marks, link.epochAcked)
-	}
-	r.ackScratch = marks[:0]
-	if len(marks) == 0 {
-		return r.epochSeen
-	}
-	k := r.cfg.CommitQuorum
-	if k <= 0 || k > len(marks) {
-		k = len(marks)
-	}
-	return kthHighest(marks, k)
+	return r.quorumOf(func(l *replicaLink) uint64 { return l.epochAcked }, r.epochSeen)
 }
 
 // maybeTruncateEpochs advances the primary's truncation to the highest
@@ -736,13 +767,13 @@ func (r *Recorder) truncateHistory(verifiedEpoch, verifiedSent uint64) {
 		return // already truncated past this verified boundary
 	}
 	keep := verifiedSent - r.histBase
-	if keep > uint64(len(r.history)) {
+	if keep > uint64(r.history.Len()) {
 		panic("replication: verified epoch boundary beyond retained history")
 	}
-	for _, m := range r.history[:keep] {
-		r.histBytes -= int64(m.Size)
+	for i := 0; i < int(keep); i++ {
+		r.histBytes -= int64(r.history.At(i).Size)
 	}
-	r.history = r.history[keep:]
+	r.history.DropFront(int(keep))
 	r.histBase = verifiedSent
 	r.stats.LogTruncated += keep
 	r.sc.Emit(obs.EpochTruncate, 0, int64(verifiedEpoch), int64(keep))
@@ -753,10 +784,8 @@ func (r *Recorder) truncateHistory(verifiedEpoch, verifiedSent uint64) {
 
 // RetainedTuples and RetainedBytes expose the retained-log footprint for
 // the ftns.log.retained.* gauges.
-func (r *Recorder) RetainedTuples() int    { return len(r.history) }
-func (r *Recorder) RetainedBytes() int64   { return r.histBytes }
-func (r *Recorder) HistoryBase() uint64    { return r.histBase }
-func (r *Recorder) EpochTruncated() uint64 { return r.epochDone }
+func (r *Recorder) RetainedTuples() int  { return r.history.Len() }
+func (r *Recorder) RetainedBytes() int64 { return r.histBytes }
 
 // seedEpochs initializes the epoch counters on a recorder forked at
 // promotion, so the new primary's first cut continues the dead primary's
@@ -784,21 +813,6 @@ func (r *Recorder) quiesce(t *kernel.Task) func() {
 	}
 }
 
-// lockShard acquires the det-section lock owning the sequencing object and
-// returns it with its shard index and the nanoseconds spent waiting. The
-// wait is sampled into the shard-contention histogram (the global-mutex
-// contention when DetShards is 1) and travels on the DetEnter event as the
-// sequencer-wait stage of the causal critical path.
-func (r *Recorder) lockShard(t *kernel.Task, key uint64) (*pthread.Mutex, int, int64) {
-	shard := pthread.ShardOf(key, len(r.mus))
-	mu := r.mus[shard]
-	start := t.Now()
-	mu.Lock(t)
-	wait := int64(t.Now().Sub(start))
-	r.hShardWait.Observe(wait)
-	return mu, shard, wait
-}
-
 // commitSeqs assigns one section's tuple cursors and advances every
 // counter. Sharded, the advance happens BEFORE the emit's first possible
 // yield, so a concurrent section on another shard can never observe a
@@ -812,30 +826,48 @@ func (r *Recorder) commitSeqs(th *Thread, key uint64) {
 	r.stats.Sections++
 }
 
-func (r *Recorder) section(th *Thread, op pthread.Op, obj uint64, fn func()) {
+// enter opens one recorded section for th: it acquires the det-section lock
+// owning the sequencing object and pays the section cost. The wait for the
+// lock is sampled into the shard-contention histogram (the global-mutex
+// contention when DetShards is 1) and travels on the DetEnter event as the
+// sequencer-wait stage of the causal critical path. What exit needs stays
+// in the thread. A recorder that has gone live opens nothing.
+func (r *Recorder) enter(th *Thread, op pthread.Op, obj uint64) {
 	if r.live {
-		fn()
 		return
 	}
 	t := th.task
 	key := objKey(op, obj)
-	mu, shard, wait := r.lockShard(t, key)
+	shard := pthread.ShardOf(key, len(r.mus))
+	start := t.Now()
+	r.mus[shard].Lock(t)
+	wait := int64(t.Now().Sub(start))
+	r.hShardWait.Observe(wait)
 	r.sc.EmitDet(obs.DetEnter, th.ftpid, int64(r.seqGlobal), wait, key, int64(r.objSeq[key]))
 	t.Busy(r.cfg.SectionCost)
-	fn()
-	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: op, Obj: obj}
+	th.sec = section{rec: r, op: op, obj: obj, key: key, shard: shard}
+}
+
+// exit closes the section enter opened: the tuple — with the outcome and
+// payload bytes of a resolve section, zero and nil otherwise — gets its
+// cursors and is streamed, then the det-section lock is released.
+func (r *Recorder) exit(th *Thread, out uint64, data []byte) {
+	sec := th.sec
+	th.sec = section{}
+	t, key := th.task, sec.key
+	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: sec.op, Obj: sec.obj, Outcome: out, Data: data}
 	if len(r.mus) > 1 {
 		r.commitSeqs(th, key)
-		r.emit(t, msgTuple, tu, tu.size(), shard)
+		r.emit(t, tu.message(sec.shard))
 		r.noteTuple(th, tu, key)
 	} else {
-		r.emit(t, msgTuple, tu, tu.size(), shard)
+		r.emit(t, tu.message(sec.shard))
 		r.noteTuple(th, tu, key)
 		r.commitSeqs(th, key)
 	}
-	r.cShardSec(shard).Inc()
+	r.cShardSec(sec.shard).Inc()
 	r.sc.EmitDet(obs.DetExit, th.ftpid, int64(tu.GlobalSeq), 0, key, int64(tu.ObjSeq))
-	mu.Unlock(t)
+	r.mus[sec.shard].Unlock(t)
 }
 
 // noteTuple records one emitted tuple's lifecycle event and count. The
@@ -844,46 +876,6 @@ func (r *Recorder) section(th *Thread, op pthread.Op, obj uint64, fn func()) {
 func (r *Recorder) noteTuple(th *Thread, tu Tuple, key uint64) {
 	r.sc.EmitDet(obs.TupleEmit, th.ftpid, int64(tu.GlobalSeq), int64(tu.size()), key, int64(tu.ObjSeq))
 	r.cTuples.Inc()
-}
-
-// resolve runs block (which may park until the non-deterministic outcome is
-// known), then records settle's outcome — and optional payload bytes —
-// inside a deterministic section.
-func (r *Recorder) resolve(th *Thread, op pthread.Op, obj uint64, block func(), settle func() (uint64, []byte)) (uint64, []byte) {
-	if r.live {
-		block()
-		out, data := settle()
-		return out, data
-	}
-	block()
-	t := th.task
-	key := objKey(op, obj)
-	mu, shard, wait := r.lockShard(t, key)
-	r.sc.EmitDet(obs.DetEnter, th.ftpid, int64(r.seqGlobal), wait, key, int64(r.objSeq[key]))
-	t.Busy(r.cfg.SectionCost)
-	out, data := settle()
-	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: op, Obj: obj, Outcome: out, Data: data}
-	if len(r.mus) > 1 {
-		r.commitSeqs(th, key)
-		r.emit(t, msgTuple, tu, tu.size(), shard)
-		r.noteTuple(th, tu, key)
-	} else {
-		r.emit(t, msgTuple, tu, tu.size(), shard)
-		r.noteTuple(th, tu, key)
-		r.commitSeqs(th, key)
-	}
-	r.cShardSec(shard).Inc()
-	r.sc.EmitDet(obs.DetExit, th.ftpid, int64(tu.GlobalSeq), 0, key, int64(tu.ObjSeq))
-	mu.Unlock(t)
-	return out, data
-}
-
-func (r *Recorder) sendEnv(t *kernel.Task, env map[string]string) {
-	size := 0
-	for k, v := range env {
-		size += len(k) + len(v) + 2
-	}
-	r.emit(t, msgEnv, env, size, 0)
 }
 
 // onStable invokes fn once the secondary has acknowledged every log message
@@ -977,12 +969,10 @@ func (r *Recorder) goLive() {
 // forever (the reserve-without-commit leak), stalling any sender still
 // parked on it.
 func (r *Recorder) abandonLink(link *replicaLink) {
-	link.pending = nil
-	link.backlog = nil
-	if link.span != nil {
-		link.span.Abort()
-		link.span = nil
-	}
+	link.pending, link.spares = nil, nil
+	link.backlog, link.backlogHead = nil, 0
+	link.span.Abort()
+	link.span = shm.Span{}
 }
 
 // degrade marks every backup dead but keeps recording: sections stay

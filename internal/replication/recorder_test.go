@@ -49,7 +49,7 @@ func TestAckLoopIgnoresStaleWatermark(t *testing.T) {
 	var observed []uint64
 	s.Spawn("fake-secondary", func(p *sim.Proc) {
 		for _, v := range []uint64{5, 3, 5, 7} {
-			acks.Send(p, shm.Message{Kind: msgTuple, Payload: v, Size: 16})
+			acks.Send(p, ackMessage(msgTuple, v))
 			p.Sleep(time.Millisecond)
 			observed = append(observed, rec.replicas[0].acked)
 		}
@@ -74,7 +74,7 @@ func TestAcksRingNeverFillsUnderBacklog(t *testing.T) {
 	done := false
 	s.Spawn("fake-secondary", func(p *sim.Proc) {
 		for i := 1; i <= 200; i++ {
-			acks.Send(p, shm.Message{Kind: msgTuple, Payload: uint64(i), Size: 16})
+			acks.Send(p, ackMessage(msgTuple, uint64(i)))
 		}
 		done = true
 	})

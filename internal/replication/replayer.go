@@ -25,23 +25,25 @@ type headSub struct {
 	epoch bool
 }
 
-// replWaiter is a shadow thread parked in a deterministic section, waiting
-// for its tuple to reach the head of its sequencing domain's queue.
-type replWaiter struct {
-	th        *Thread
-	key       uint64
-	parkedAt  sim.Time // when the thread parked, for grant-wait attribution
-	granted   bool
-	liveFlush bool // granted by promotion to live execution, no tuple
-	tuple     Tuple
-}
-
 // lane is one dispatch queue on the secondary: the pull task routes
 // messages here in ring order and the lane's owner pays the per-message
-// dispatch cost — in parallel across lanes.
+// dispatch cost — in parallel across lanes. q[head:] is queued.
 type lane struct {
-	q  []shm.Message
-	wq sim.WaitQueue
+	q    []shm.Message
+	head int
+	wq   sim.WaitQueue
+}
+
+func (ln *lane) len() int { return len(ln.q) - ln.head }
+
+// domain is one sequencing domain's row of the grant table.
+type domain struct {
+	key     uint64
+	seen    uint64  // next domain seq expected off the ring (duplicate filter, gap check)
+	q       []Tuple // q[head:] arrived and not yet replayed
+	head    int
+	granted bool // a granted section of this domain is executing
+	known   bool // entered in the rescan order
 }
 
 // Replayer is the secondary-side engine: it pulls the primary's log off the
@@ -59,12 +61,9 @@ type Replayer struct {
 	acks *shm.Ring
 
 	// The grant table, keyed by sequencing domain.
-	domSeen    map[uint64]uint64  // next domain seq expected off the ring (duplicate filter, gap check)
-	domQueue   map[uint64][]Tuple // arrived, unreplayed tuples per domain
-	domGranted map[uint64]bool    // domain currently executing a granted section
-	domKnown   map[uint64]bool
-	domOrder   []uint64        // domain keys in first-arrival order: the deterministic rescan order
-	unreplayed int             // total tuples across domQueue
+	doms       map[uint64]*domain
+	domOrder   []*domain       // domains in first-arrival order: the deterministic rescan order
+	unreplayed int             // total tuples queued across domains
 	frontier   uint64          // Lamport replay head: every GlobalSeq < frontier is replayed
 	ahead      map[uint64]bool // replayed GlobalSeqs at or past the frontier
 	lanes      []*lane
@@ -75,9 +74,10 @@ type Replayer struct {
 	// from.
 	objDone map[uint64]uint64
 
-	waiting   map[int]*replWaiter
-	waitOrder []int // ftpids in park order, for deterministic live-flush
+	waiting   map[int]*Thread // shadow threads parked for their turn, by ft_pid
+	waitOrder []int           // ftpids in park order, for deterministic live-flush
 	processed uint64
+	recvBuf   []shm.Message // the pull task's receive buffer, reused batch after batch
 
 	env      map[string]string
 	envSeen  bool // env message routed (duplicate filter)
@@ -86,7 +86,6 @@ type Replayer struct {
 
 	live        bool
 	primaryDead bool
-	promoted    sim.WaitQueue
 	puller      *kernel.Task
 	stats       Stats
 
@@ -96,10 +95,10 @@ type Replayer struct {
 	// threads flushed by promotion delegate their sections to the fork so
 	// the history has no gap. headSubs are watermark callbacks used by the
 	// rejoin checkpoint verifier.
-	history  []shm.Message
-	onFork   func(hist []shm.Message, histBase, seqGlobal uint64, objSeq map[uint64]uint64) *Recorder
-	fork     *Recorder
-	headSubs []headSub
+	history   sim.Log[shm.Message]
+	histBytes int64 // retained payload footprint, a running sum like the recorder's
+	onFork    func(hist sim.Log[shm.Message], histBase, seqGlobal uint64, objSeq map[uint64]uint64)
+	headSubs  []headSub
 
 	// Epoch checkpointing (core.WithEpochCheckpoints): histBase is the
 	// absolute log index of history[0] — zero for a boot backup, the
@@ -127,17 +126,14 @@ type Replayer struct {
 
 func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 	r := &Replayer{
-		kern:       k,
-		cfg:        cfg.withBatchDefaults(),
-		log:        log,
-		acks:       acks,
-		domSeen:    make(map[uint64]uint64),
-		domQueue:   make(map[uint64][]Tuple),
-		domGranted: make(map[uint64]bool),
-		domKnown:   make(map[uint64]bool),
-		ahead:      make(map[uint64]bool),
-		waiting:    make(map[int]*replWaiter),
-		objDone:    make(map[uint64]uint64),
+		kern:    k,
+		cfg:     cfg.withBatchDefaults(),
+		log:     log,
+		acks:    acks,
+		doms:    make(map[uint64]*domain),
+		ahead:   make(map[uint64]bool),
+		waiting: make(map[int]*Thread),
+		objDone: make(map[uint64]uint64),
 	}
 	r.lanes = make([]*lane, r.cfg.DetShards)
 	for i := range r.lanes {
@@ -168,6 +164,16 @@ func (r *Replayer) domain(tu Tuple) (key, seq uint64) {
 	return 0, tu.GlobalSeq
 }
 
+// dom returns a domain's grant-table row, creating it on first sight.
+func (r *Replayer) dom(key uint64) *domain {
+	d := r.doms[key]
+	if d == nil {
+		d = &domain{key: key}
+		r.doms[key] = d
+	}
+	return d
+}
+
 // head is the scalar replay watermark, the Lamport frontier.
 func (r *Replayer) head() uint64 { return r.frontier }
 
@@ -183,7 +189,8 @@ func (r *Replayer) head() uint64 { return r.frontier }
 func (r *Replayer) pullLoop(t *kernel.Task) {
 	var lastAcked uint64
 	for {
-		batch := r.log.RecvBatch(t.Proc(), r.cfg.BatchTuples)
+		batch := r.log.RecvBatchInto(t.Proc(), r.recvBuf[:0], r.cfg.BatchTuples)
+		r.recvBuf = batch
 		r.hRecvBatch.Observe(int64(len(batch)))
 		// Acknowledge at receipt (§3.5): the whole batch is already safe in
 		// this replica's memory for subsequent live replay, so one
@@ -193,7 +200,7 @@ func (r *Replayer) pullLoop(t *kernel.Task) {
 			r.stats.LogBatches++
 		}
 		if r.cfg.AckEvery > 0 && r.processed-lastAcked >= uint64(r.cfg.AckEvery) {
-			if r.acks.TrySend(shm.Message{Kind: msgTuple, Payload: r.processed, Size: 16}) {
+			if r.acks.TrySend(ackMessage(msgTuple, r.processed)) {
 				lastAcked = r.processed
 				r.stats.AckMessages++
 				r.cAcks.Inc()
@@ -219,39 +226,38 @@ func (r *Replayer) pullLoop(t *kernel.Task) {
 func (r *Replayer) route(m shm.Message) {
 	switch m.Kind {
 	case msgEnv:
-		if _, ok := m.Payload.(map[string]string); ok {
-			if r.envSeen {
-				r.stats.Duplicates++
-				return
-			}
-			r.envSeen = true
-			r.enqueue(r.lanes[0], m)
+		if r.envSeen {
+			r.stats.Duplicates++
+			return
 		}
+		r.envSeen = true
+		r.enqueue(r.lanes[0], m)
 	case msgTuple:
-		if tu, ok := m.Payload.(Tuple); ok {
-			key, seq := r.domain(tu)
-			if seq < r.domSeen[key] {
-				// Behind the domain's ring cursor: a stale duplicate
-				// (injected duplication, or promotion-drain overlap).
-				r.stats.Duplicates++
-				return
-			}
-			if seq > r.domSeen[key] {
-				// The mailbox is FIFO and coherency loss only truncates a
-				// suffix, so a gap cannot occur — dead primary or not.
-				panic(fmt.Sprintf("replication: log gap: %v expected seq %d in domain %d", tu, r.domSeen[key], key))
-			}
-			r.domSeen[key] = seq + 1
-			r.enqueue(r.lanes[pthread.ShardOf(objKey(tu.Op, tu.Obj), len(r.lanes))], m)
+		tu := tupleOf(m)
+		key, seq := r.domain(tu)
+		d := r.dom(key)
+		if seq < d.seen {
+			// Behind the domain's ring cursor: a stale duplicate
+			// (injected duplication, or promotion-drain overlap).
+			r.stats.Duplicates++
+			return
 		}
+		if seq > d.seen {
+			// The mailbox is FIFO and coherency loss only truncates a
+			// suffix, so a gap cannot occur — dead primary or not.
+			panic(fmt.Sprintf("replication: log gap: %v expected seq %d in domain %d", tu, d.seen, key))
+		}
+		d.seen = seq + 1
+		r.enqueue(r.lanes[pthread.ShardOf(objKey(tu.Op, tu.Obj), len(r.lanes))], m)
 	case msgEpoch:
-		if mark, ok := m.Payload.(EpochMark); ok && !r.noteEpoch(mark) {
+		if mark, ok := m.Ref.(*EpochMark); ok && !r.noteEpoch(*mark) {
 			r.stats.Duplicates++
 			return
 		}
 	}
 	if r.cfg.Rejoinable {
-		r.history = append(r.history, m)
+		r.history.Append(m)
+		r.histBytes += int64(m.Size)
 	}
 	r.stats.LogMessages++
 }
@@ -265,7 +271,7 @@ func (r *Replayer) enqueue(ln *lane, m shm.Message) {
 // the replay-side analogue of the recorder's sharded det locks.
 func (r *Replayer) grantLoop(t *kernel.Task, ln *lane) {
 	for {
-		for len(ln.q) == 0 {
+		for ln.len() == 0 {
 			ln.wq.Wait(t.Proc())
 		}
 		r.dispatch(t, ln)
@@ -279,7 +285,7 @@ func (r *Replayer) grantLoop(t *kernel.Task, ln *lane) {
 // caller is the lane's only consumer, so the head cannot change across
 // the yield.
 func (r *Replayer) dispatch(t *kernel.Task, ln *lane) {
-	for len(ln.q) > 0 {
+	for ln.len() > 0 {
 		t.Compute(r.cfg.ReplayDispatchCost)
 		r.deliver(ln)
 	}
@@ -288,27 +294,29 @@ func (r *Replayer) dispatch(t *kernel.Task, ln *lane) {
 // deliver pops one lane's head message and applies it: the environment
 // becomes visible to the application, a tuple enters the grant table.
 func (r *Replayer) deliver(ln *lane) {
-	m := ln.q[0]
-	ln.q = ln.q[1:]
-	switch p := m.Payload.(type) {
-	case map[string]string:
-		r.env = p
+	m := ln.q[ln.head]
+	ln.q, ln.head = sim.PopFront(ln.q, ln.head)
+	switch m.Kind {
+	case msgEnv:
+		r.env, _ = m.Ref.(map[string]string)
 		r.envReady = true
 		r.envQ.WakeAll(0)
-	case Tuple:
-		key, _ := r.domain(p)
-		r.track(key)
-		r.domQueue[key] = append(r.domQueue[key], p)
+	case msgTuple:
+		tu := tupleOf(m)
+		key, _ := r.domain(tu)
+		d := r.dom(key)
+		r.track(d)
+		d.q = append(d.q, tu)
 		r.unreplayed++
-		r.tryGrant(key)
+		r.tryGrant(d)
 	}
 }
 
 // track enters a domain into the deterministic rescan order on first sight.
-func (r *Replayer) track(key uint64) {
-	if !r.domKnown[key] {
-		r.domKnown[key] = true
-		r.domOrder = append(r.domOrder, key)
+func (r *Replayer) track(d *domain) {
+	if !d.known {
+		d.known = true
+		r.domOrder = append(r.domOrder, d)
 	}
 }
 
@@ -335,8 +343,9 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 		// The next tuple each domain expects is the one that would carry
 		// this cursor (any Seq_global > 0 implies at least one cursor).
 		key, seq := r.domain(Tuple{Obj: c.Obj, ObjSeq: c.Seq, GlobalSeq: seqGlobal})
-		r.domSeen[key] = seq
-		r.track(key)
+		d := r.dom(key)
+		d.seen = seq
+		r.track(d)
 	}
 	if sent > 0 {
 		r.env = env
@@ -365,7 +374,7 @@ func (r *Replayer) noteEpoch(mark EpochMark) bool {
 	if r.onEpoch == nil || mark.Epoch <= r.epochBase {
 		return true
 	}
-	if at := r.histBase + uint64(len(r.history)); at != mark.Sent {
+	if at := r.histBase + uint64(r.history.Len()); at != mark.Sent {
 		r.diverge(fmt.Sprintf("epoch %d marker arrived at log index %d, cut at %d", mark.Epoch, at, mark.Sent))
 		return true
 	}
@@ -415,12 +424,15 @@ func (r *Replayer) truncateAt(mark EpochMark) {
 		return // already truncated past this verified boundary
 	}
 	keep := verified - r.histBase
-	if keep > uint64(len(r.history)) {
+	if keep > uint64(r.history.Len()) {
 		r.diverge(fmt.Sprintf("epoch %d verified boundary %d beyond retained history end %d",
-			mark.Epoch, verified, r.histBase+uint64(len(r.history))))
+			mark.Epoch, verified, r.histBase+uint64(r.history.Len())))
 		return
 	}
-	r.history = r.history[keep:]
+	for i := 0; i < int(keep); i++ {
+		r.histBytes -= int64(r.history.At(i).Size)
+	}
+	r.history.DropFront(int(keep))
 	r.histBase = verified
 	r.baseSeqGlobal = mark.SeqGlobal
 	r.stats.LogTruncated += keep
@@ -431,7 +443,7 @@ func (r *Replayer) truncateAt(mark EpochMark) {
 // the epoch-boundary acknowledgement; retryEpochAck drains the queued
 // one from the pull loop.
 func (r *Replayer) sendEpochAck(epoch uint64) {
-	if r.acks.TrySend(shm.Message{Kind: msgEpochAck, Payload: epoch, Size: 16}) {
+	if r.acks.TrySend(ackMessage(msgEpochAck, epoch)) {
 		r.stats.AckMessages++
 		return
 	}
@@ -444,7 +456,7 @@ func (r *Replayer) retryEpochAck() {
 	if r.epochAckPend == 0 {
 		return
 	}
-	if r.acks.TrySend(shm.Message{Kind: msgEpochAck, Payload: r.epochAckPend, Size: 16}) {
+	if r.acks.TrySend(ackMessage(msgEpochAck, r.epochAckPend)) {
 		r.epochAckPend = 0
 		r.stats.AckMessages++
 	}
@@ -452,15 +464,9 @@ func (r *Replayer) retryEpochAck() {
 
 // RetainedTuples and RetainedBytes expose the replica-side retained-log
 // footprint for the ftns.log.retained.* gauges.
-func (r *Replayer) RetainedTuples() int { return len(r.history) }
+func (r *Replayer) RetainedTuples() int { return r.history.Len() }
 
-func (r *Replayer) RetainedBytes() int64 {
-	var b int64
-	for _, m := range r.history {
-		b += int64(m.Size)
-	}
-	return b
-}
+func (r *Replayer) RetainedBytes() int64 { return r.histBytes }
 
 func (r *Replayer) waitEnv(t *kernel.Task) map[string]string {
 	for !r.envReady && !r.live {
@@ -473,8 +479,8 @@ func (r *Replayer) waitEnv(t *kernel.Task) map[string]string {
 // <obj, Seq_obj> (matching the primary's TupleEmit of the same section)
 // and the time the shadow thread spent parked before the grant — the
 // replay-grant-wait stage of the causal critical path.
-func (r *Replayer) noteGrant(w *replWaiter, tu Tuple) {
-	wait := int64(r.kern.Sim().Now().Sub(w.parkedAt))
+func (r *Replayer) noteGrant(th *Thread, tu Tuple) {
+	wait := int64(r.kern.Sim().Now().Sub(th.sec.parkedAt))
 	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), wait, objKey(tu.Op, tu.Obj), int64(tu.ObjSeq))
 }
 
@@ -500,37 +506,32 @@ func (r *Replayer) grantBarrier() uint64 {
 // may legitimately still be short of this tuple while its earlier sections
 // on other objects replay; op/object divergence is detected by verify
 // after the grant.
-func (r *Replayer) tryGrant(key uint64) {
-	if r.live || r.domGranted[key] {
+func (r *Replayer) tryGrant(d *domain) {
+	if r.live || d.granted || d.head == len(d.q) {
 		return
 	}
-	q := r.domQueue[key]
-	if len(q) == 0 {
-		return
-	}
-	tu := q[0]
+	tu := d.q[d.head]
 	if tu.GlobalSeq >= r.grantBarrier() {
 		return
 	}
-	w, ok := r.waiting[tu.FTPid]
-	if !ok || w.th.seq != tu.ThreadSeq {
+	th, ok := r.waiting[tu.FTPid]
+	if !ok || th.seq != tu.ThreadSeq {
 		return
 	}
 	delete(r.waiting, tu.FTPid)
 	r.dropWaitOrder(tu.FTPid)
-	r.domGranted[key] = true
-	w.tuple = tu
-	w.granted = true
-	r.noteGrant(w, tu)
-	r.kern.FutexWakeRaw(w.key, 1)
+	d.granted = true
+	th.sec.tuple = tu
+	r.noteGrant(th, tu)
+	th.sec.wait.Grant(nil)
 }
 
 // tryGrantAll rescans every domain's queue in first-arrival order — a
 // deterministic order, unlike a map walk — after an event that can unblock
 // more than one domain (a park, a completed section, a lifted barrier).
 func (r *Replayer) tryGrantAll() {
-	for _, key := range r.domOrder {
-		r.tryGrant(key)
+	for _, d := range r.domOrder {
+		r.tryGrant(d)
 	}
 }
 
@@ -543,32 +544,33 @@ func (r *Replayer) dropWaitOrder(ftpid int) {
 	}
 }
 
-// park registers the calling shadow thread and blocks until its turn (or
-// until promotion flushes it into live execution).
-func (r *Replayer) park(th *Thread) *replWaiter {
+// park registers the calling shadow thread and blocks until its turn,
+// reporting true with the granted tuple in th.sec — or false when promotion
+// flushed it into live execution instead. The thread waits on its task's
+// futex record; the rest of the wait's state lives in th.sec.
+func (r *Replayer) park(th *Thread) bool {
 	if _, dup := r.waiting[th.ftpid]; dup {
 		panic(fmt.Sprintf("replication: ft_pid %d parked twice", th.ftpid))
 	}
 	start := th.task.Now()
-	w := &replWaiter{th: th, key: r.kern.NewFutexKey(), parkedAt: start}
-	r.waiting[th.ftpid] = w
+	w := th.task.Waiter()
+	th.sec = section{wait: w, parkedAt: start}
+	r.waiting[th.ftpid] = th
 	r.waitOrder = append(r.waitOrder, th.ftpid)
 	r.tryGrantAll()
-	for !w.granted {
-		th.task.FutexWait(w.key, -1)
-	}
+	w.Park()
 	r.hGrantWait.Observe(int64(th.task.Now().Sub(start)))
-	return w
+	return !th.sec.flushed
 }
 
 // sectionDone runs after the granted shadow thread finished executing its
 // section: it releases the domain, advances the object's cursor and folds
 // the completed GlobalSeq into the Lamport frontier.
-func (r *Replayer) sectionDone(w *replWaiter) {
-	tu := w.tuple
+func (r *Replayer) sectionDone(tu Tuple) {
 	key, _ := r.domain(tu)
-	r.domGranted[key] = false
-	r.domQueue[key] = r.domQueue[key][1:]
+	d := r.doms[key]
+	d.granted = false
+	d.q, d.head = sim.PopFront(d.q, d.head)
 	r.objDone[objKey(tu.Op, tu.Obj)] = tu.ObjSeq + 1
 	r.unreplayed--
 	r.stats.Sections++
@@ -611,13 +613,13 @@ func (r *Replayer) fireHeadSubs() {
 	}
 }
 
-func (r *Replayer) verify(w *replWaiter, op pthread.Op, obj uint64) {
-	tu := w.tuple
-	if tu.Op == op && tu.Obj == obj && tu.ThreadSeq == w.th.seq {
+func (r *Replayer) verify(th *Thread, op pthread.Op, obj uint64) {
+	tu := th.sec.tuple
+	if tu.Op == op && tu.Obj == obj && tu.ThreadSeq == th.seq {
 		return
 	}
 	r.diverge(fmt.Sprintf("tuple %v does not match section op=%v obj=%d thread-seq=%d ft_pid=%d",
-		tu, op, obj, w.th.seq, w.th.ftpid))
+		tu, op, obj, th.seq, th.ftpid))
 }
 
 func (r *Replayer) diverge(msg string) {
@@ -627,82 +629,39 @@ func (r *Replayer) diverge(msg string) {
 	}
 }
 
-func (r *Replayer) section(th *Thread, op pthread.Op, obj uint64, fn func()) {
+// enter opens one replayed section: the shadow thread parks until its
+// tuple reaches the head of its sequencing domain, pays the replay cost and
+// is checked against the tuple (op, object, thread sequence). It reports
+// false, with nothing open, when the replica is live or promotion flushed
+// the thread out of replay while it was parked: the caller then executes
+// the operation itself — recording it, if promotion forked a recorder.
+func (r *Replayer) enter(th *Thread, op pthread.Op, obj uint64) bool {
 	if r.live {
-		if r.fork != nil {
-			r.fork.section(th, op, obj, fn)
-			return
-		}
-		fn()
-		return
+		return false
 	}
-	w := r.park(th)
-	if w.liveFlush {
-		if r.fork != nil {
-			// Promotion forked the namespace into a recording primary:
-			// the flushed section is recorded there, so the history the
-			// next backup replays has no gap.
-			r.fork.section(th, op, obj, fn)
-			return
-		}
-		fn()
-		return
+	if !r.park(th) {
+		th.sec = section{}
+		return false
 	}
 	th.task.Busy(r.cfg.ReplaySectionCost)
-	r.verify(w, op, obj)
-	fn()
-	th.seq++
-	r.sectionDone(w)
+	r.verify(th, op, obj)
+	th.sec.replay = true
+	return true
 }
 
-// resolve replays a resolve section: block is skipped (the outcome is the
-// recorded one), settle is executed to apply the same state mutation, and
-// the outcomes are compared for divergence detection.
-func (r *Replayer) resolve(th *Thread, op pthread.Op, obj uint64, block func(), settle func() (uint64, []byte)) (uint64, []byte) {
-	if r.live {
-		if r.fork != nil {
-			return r.fork.resolve(th, op, obj, block, settle)
-		}
-		block()
-		return settle()
+// exit closes a replayed section and returns the recorded outcome and
+// payload — the result of a syscall the secondary must not re-execute, or
+// of a resolve whose settling update the caller just re-applied; the
+// outcome that update produced is compared for divergence detection.
+func (r *Replayer) exit(th *Thread, out uint64) (uint64, []byte) {
+	tu := th.sec.tuple
+	if th.sec.checked && out != tu.Outcome {
+		r.diverge(fmt.Sprintf("resolve outcome %d differs from recorded %d (%v obj=%d)", out, tu.Outcome, tu.Op, tu.Obj))
 	}
-	w := r.park(th)
-	if w.liveFlush {
-		if r.fork != nil {
-			return r.fork.resolve(th, op, obj, block, settle)
-		}
-		block()
-		return settle()
-	}
-	th.task.Busy(r.cfg.ReplaySectionCost)
-	r.verify(w, op, obj)
-	out, _ := settle()
-	if out != w.tuple.Outcome {
-		r.diverge(fmt.Sprintf("resolve outcome %d differs from recorded %d (%v obj=%d)", out, w.tuple.Outcome, op, obj))
-	}
+	th.sec = section{}
 	th.seq++
-	r.sectionDone(w)
-	return w.tuple.Outcome, w.tuple.Data
-}
-
-// replayed replays a syscall section whose effect must NOT be re-executed
-// locally (socket reads, clock reads): it returns the recorded result.
-// When it reports false the caller must execute the call itself — through
-// the returned fork recorder if non-nil (promotion converted the replica
-// into a recording primary), natively otherwise.
-func (r *Replayer) replayed(th *Thread, op pthread.Op, obj uint64) (uint64, []byte, bool, *Recorder) {
-	if r.live {
-		return 0, nil, false, r.fork
-	}
-	w := r.park(th)
-	if w.liveFlush {
-		return 0, nil, false, r.fork
-	}
-	th.task.Busy(r.cfg.ReplaySectionCost)
-	r.verify(w, op, obj)
-	th.seq++
-	r.sectionDone(w)
-	return w.tuple.Outcome, w.tuple.Data, true, nil
+	r.sectionDone(tu)
+	return tu.Outcome, tu.Data
 }
 
 // Promote switches the replica from replay to live execution after the
@@ -738,7 +697,7 @@ func (r *Replayer) Promote() {
 	// The lane owners are dead: deliver everything routed (including what
 	// they left queued mid-dispatch) directly, without dispatch cost.
 	for _, ln := range r.lanes {
-		for len(ln.q) > 0 {
+		for ln.len() > 0 {
 			r.deliver(ln)
 		}
 	}
@@ -760,20 +719,18 @@ func (r *Replayer) finishPromotion() {
 		// Fork BEFORE flushing waiters: their sections must be recorded
 		// by the fork so the retained history stays gapless.
 		hist, n := r.replayedHistory()
-		r.fork = r.onFork(hist, r.histBase, n, r.objSeqSnapshot())
+		r.onFork(hist, r.histBase, n, r.objSeqSnapshot())
 	}
 	order := r.waitOrder
 	r.waitOrder = nil
 	for _, ftpid := range order {
-		w := r.waiting[ftpid]
+		th := r.waiting[ftpid]
 		delete(r.waiting, ftpid)
-		w.liveFlush = true
-		w.granted = true
-		r.kern.FutexWakeRaw(w.key, 1)
+		th.sec.flushed = true
+		th.sec.wait.Grant(nil)
 	}
 	r.envReady = true
 	r.envQ.WakeAll(0)
-	r.promoted.WakeAll(0)
 }
 
 // objSeqSnapshot copies the per-object cursors for the fork recorder,
@@ -805,40 +762,27 @@ func (r *Replayer) objSeqSnapshot() map[uint64]uint64 {
 // their digests describe the dead primary's numbering, and the fork's
 // cutter starts a fresh boundary sequence over the renumbered space. It
 // returns the history and the fork's starting GlobalSeq.
-func (r *Replayer) replayedHistory() ([]shm.Message, uint64) {
-	out := make([]shm.Message, 0, len(r.history))
+func (r *Replayer) replayedHistory() (out sim.Log[shm.Message], _ uint64) {
 	n := r.baseSeqGlobal
-	for _, m := range r.history {
+	for i := 0; i < r.history.Len(); i++ {
+		m := *r.history.At(i)
 		if m.Kind == msgEpoch {
 			continue
 		}
 		if m.Kind != msgTuple {
-			out = append(out, m)
+			out.Append(m)
 			continue
 		}
-		tu, ok := m.Payload.(Tuple)
-		if !ok {
-			continue
-		}
+		tu := tupleOf(m)
 		if tu.ObjSeq >= r.objDone[objKey(tu.Op, tu.Obj)] {
 			continue // arrived but never replayed: beyond the stable point
 		}
-		if tu.GlobalSeq != n {
-			tu.GlobalSeq = n
-			m.Payload = tu
-		}
+		m.W[wGlobalSeq] = n
 		n++
-		out = append(out, m)
+		out.Append(m)
 	}
 	return out, n
 }
 
 // Live reports whether promotion has completed.
 func (r *Replayer) Live() bool { return r.live }
-
-// AwaitLive blocks the calling task until promotion completes.
-func (r *Replayer) AwaitLive(t *kernel.Task) {
-	for !r.live {
-		r.promoted.Wait(t.Proc())
-	}
-}

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/pthread"
+	"repro/internal/shm"
 )
 
 // Role is a replica's role in the namespace.
@@ -153,6 +154,44 @@ type Tuple struct {
 }
 
 func (tu Tuple) size() int { return tupleBytes + len(tu.Data) }
+
+// message lays the tuple out in a ring message — the seven scalars in the
+// words, the payload bytes as the byte view — tagged with its det shard's
+// stream. tupleOf is its inverse.
+func (tu Tuple) message(stream int) shm.Message {
+	return shm.Message{Kind: msgTuple, Stream: stream, Size: tu.size(), Data: tu.Data,
+		W: [7]uint64{tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, uint64(tu.FTPid), uint64(tu.Op), tu.Obj, tu.Outcome}}
+}
+
+func tupleOf(m shm.Message) Tuple {
+	return Tuple{ThreadSeq: m.W[0], GlobalSeq: m.W[1], ObjSeq: m.W[2], FTPid: int(m.W[3]),
+		Op: pthread.Op(m.W[4]), Obj: m.W[5], Outcome: m.W[6], Data: m.Data}
+}
+
+// wGlobalSeq is the word of a tuple message that holds Seq_global.
+const wGlobalSeq = 1
+
+// ackMessage is a cumulative acknowledgement on the ack ring: the receipt
+// watermark (msgTuple) or a verified epoch number (msgEpochAck) in word 0.
+func ackMessage(kind int, v uint64) shm.Message {
+	return shm.Message{Kind: kind, Size: 16, W: [7]uint64{v}}
+}
+
+// envMessage carries the replicated environment (once per launch) and
+// epochMessage an epoch marker (once per epoch, size being the checkpoint's
+// accounted ring footprint): both ride the reference slot, read back with
+// m.Ref.(map[string]string) and m.Ref.(*EpochMark).
+func envMessage(env map[string]string) shm.Message {
+	size := 0
+	for k, v := range env {
+		size += len(k) + len(v) + 2
+	}
+	return shm.Message{Kind: msgEnv, Size: size, Ref: env}
+}
+
+func epochMessage(mark *EpochMark, size int) shm.Message {
+	return shm.Message{Kind: msgEpoch, Size: size, Ref: mark}
+}
 
 func (tu Tuple) String() string {
 	return fmt.Sprintf("<%d,%d,%d,%d> %v obj=%d out=%d len=%d",

@@ -20,6 +20,11 @@
 // SendBatch are thin wrappers over that path; see DESIGN.md §14 for the
 // memory-model argument.
 //
+// Nothing on the path allocates in steady state (DESIGN.md §21): a message
+// is a fixed-format value, a reservation and the transfer it becomes are
+// one record the ring recycles — a Span is a generation-checked handle to
+// it — and receivers drain into a buffer of their own (RecvBatchInto).
+//
 // Because the rings live in shared memory, messages survive the death of
 // the sending kernel: only a cache-coherency-disrupting fault can lose the
 // messages still in flight from the failed partition (§3.5). A Fabric
@@ -29,7 +34,7 @@ package shm
 
 import (
 	"fmt"
-	"sort"
+	"testing"
 	"time"
 
 	"repro/internal/obs"
@@ -41,18 +46,29 @@ import (
 // layer. A batch shares a single header across all of its payloads.
 const headerBytes = 64
 
-// Message is one entry in a mailbox ring. Payload is the structured content
-// the receiver reads out of shared memory; Size is the payload's footprint
-// in bytes for traffic accounting. Stream labels the logical sub-channel a
-// message belongs to when several sequencer shards multiplex one ring
-// (messages of one stream stay FIFO relative to each other; the ring keeps
-// everything FIFO anyway, but per-stream counters expose the multiplex mix).
+// Message is one entry in a mailbox ring: a fixed-format slot. Kind selects
+// the layout its owning package gives the scalar words W, the byte view
+// Data and the reference slot Ref, with one encode/decode pair per kind
+// beside the kind's definition. Size is the accounted footprint in bytes
+// for traffic accounting and back-pressure: part of the modeled system,
+// independent of this representation. Stream labels the logical sub-channel
+// a message belongs to when several sequencer shards multiplex one ring
+// (the ring keeps everything FIFO anyway).
+//
+// Data is a plain GC-owned slice — retained history aliases it, so the ring
+// never recycles it. Ref is for cold kinds whose content does not fit in
+// words and may only hold pointer-shaped values (a map, a pointer), which an
+// interface stores without allocating. The struct stays within two cache
+// lines (TestMessageSize): every queue copies it by value, and retained
+// history is a []Message on both replicas.
 type Message struct {
-	Kind    int
-	Payload any
-	Size    int
-	Stream  int
-	SentAt  sim.Time
+	Kind   int
+	Stream int
+	Size   int
+	SentAt sim.Time
+	W      [7]uint64
+	Data   []byte
+	Ref    any
 }
 
 // Stats counts traffic through a ring or fabric. Messages counts ring
@@ -95,19 +111,59 @@ func (s Stats) add(o Stats) Stats {
 	}
 }
 
-// inflight is a transfer written by the sender but not yet visible to the
-// receiver (still propagating through the cache hierarchy). A vectored
-// transfer propagates — and is lost to a coherency fault — as a unit.
-// A doomed transfer is one a chaos hook condemned: it occupies ring
-// capacity while propagating and then vanishes instead of delivering.
-// Once delivered or dropped, the record — message slice, event and
-// callback — goes back to its ring for the next transfer.
-type inflight struct {
-	ring   *Ring
-	msgs   []Message
-	ev     sim.Event
-	bytes  int64
-	doomed bool
+// xfer is the ring's pooled record: a reservation from claim to
+// publication, then the same bytes as the transfer propagating through the
+// cache hierarchy, not yet visible to the receiver. A vectored transfer
+// propagates — and is lost to a coherency fault — as a unit. A doomed
+// transfer is one a chaos hook condemned: it occupies ring capacity while
+// propagating and then vanishes instead of delivering. Once delivered,
+// dropped or aborted, the record — message array, event and callback —
+// returns to its ring's free list and its generation moves on, so a Span
+// that outlived it reads closed instead of aliasing the next tenant.
+type xfer struct {
+	ring      *Ring
+	gen       uint64 // bumped at every release; a Span is valid only for the generation it was issued in
+	msgs      []Message
+	capMsgs   int
+	budget    int64 // payload byte budget reserved for this span
+	usedBytes int64 // payload bytes written so far
+	reserved  int64 // ring bytes held: headerBytes + budget, shrunk at commit
+	committed bool
+	ev        sim.Event
+	doomed    bool
+}
+
+// poisonReleased makes release scribble the record's messages, so a use
+// after recycle fails a byte-identity assertion instead of passing because
+// the record had not been reused yet. On in every test binary only.
+var poisonReleased = testing.Testing()
+
+// record takes a blank record from the ring's free list, which grows on
+// demand: nothing is sized at NewRing, so an idle ring costs nothing.
+func (r *Ring) record() *xfer {
+	if n := len(r.free); n > 0 {
+		x := r.free[n-1]
+		r.free = r.free[:n-1]
+		return x
+	}
+	x := &xfer{ring: r}
+	x.ev.Init(r.sim, x.arrive)
+	return x
+}
+
+// release ends the record's tenancy: outstanding handles go stale and what
+// it carried is dropped (delivered messages were copied out by value).
+func (r *Ring) release(x *xfer) {
+	x.gen++
+	clear(x.msgs)
+	if poisonReleased {
+		for i := range x.msgs {
+			x.msgs[i] = Message{Kind: -1, Stream: -1, Size: -1, SentAt: -1, W: [7]uint64{1<<64 - 1, 1<<64 - 1}}
+		}
+	}
+	x.msgs = x.msgs[:0]
+	x.committed, x.doomed = false, false
+	r.free = append(r.free, x)
 }
 
 // ChaosVerdict is a fault-injection decision for one ring transfer,
@@ -143,29 +199,26 @@ type Ring struct {
 	used      int64 // bytes occupied: delivered + in flight + reserved
 	delivered int64
 	onDeliver []func()
-	buf       []slot
-	inflight  []*inflight
-	spare     []*inflight // delivered or dropped records, reused by enqueue
+	buf       []slot // buf[bufHead:] are delivered and waiting to be received, oldest first
+	bufHead   int
+	inflight  []*xfer
+	free      []*xfer // released records, reused by admit and by chaos dup copies
 	sendQ     sim.WaitQueue
 	recvQ     sim.WaitQueue
 	stats     Stats
 	sc        *obs.Scope
 
-	resQ  []*resTicket // reservations waiting for capacity, claim order
-	spans []*Span      // admitted spans not yet published, claim order
+	// resQ[resHead:] are the reservations waiting for capacity,
+	// spans[spansHead:] the admitted spans not yet published, both in claim
+	// order; freeTk recycles tickets.
+	resQ      []*resTicket
+	resHead   int
+	freeTk    []*resTicket
+	spans     []*xfer
+	spansHead int
 
 	chaos       func(msgs []Message) ChaosVerdict
 	lastDeliver sim.Time // latest scheduled delivery instant, FIFO clamp
-
-	streams map[int]*StreamStats // per-stream traffic, keyed by Message.Stream
-}
-
-// StreamStats counts one logical sub-channel's traffic through a ring —
-// the per-shard breakdown when sequencer shards multiplex one mailbox.
-type StreamStats struct {
-	Stream   int
-	Payloads int64
-	Bytes    int64 // payload bytes only; the slot header belongs to the transfer
 }
 
 // Fabric owns every ring of a deployment.
@@ -241,33 +294,30 @@ func (f *Fabric) DropInflight(src int) int {
 		if r.src != src {
 			continue
 		}
+		// Reserved spans — open or committed-but-unpublished — are lost
+		// with the transfers in flight: their slots sit on the failed
+		// partition's side of the coherency boundary and the consumer can
+		// never advance over them. Payloads already written into a span
+		// count as dropped (log entries the replayer will now see as a
+		// gap); releasing the record makes the sender's handle read closed.
+		spans := r.spans[r.spansHead:]
+		freed := len(r.inflight)+len(spans) > 0
 		lost := 0
-		freed := false
 		for _, in := range r.inflight {
 			in.ev.Cancel()
-			r.used -= in.bytes
-			r.stats.Dropped += int64(len(in.msgs))
-			lost += len(in.msgs)
-			freed = true
-			r.recycle(in)
 		}
-		r.inflight = r.inflight[:0]
-		// Reserved spans — open or committed-but-unpublished — are lost
-		// too: their slots sit on the failed partition's side of the
-		// coherency boundary and the consumer can never advance over them.
-		// Payloads already written into a span count as dropped (they were
-		// log entries the replayer will now see as a gap); the reservation
-		// itself just returns to the ring.
-		for _, sp := range r.spans {
-			sp.aborted = true
-			sp.committed = false
-			r.used -= sp.reserved
-			r.stats.Dropped += int64(len(sp.msgs))
-			lost += len(sp.msgs)
-			freed = true
+		for _, q := range [2][]*xfer{r.inflight, spans} {
+			for _, x := range q {
+				r.used -= x.reserved
+				lost += len(x.msgs)
+				r.release(x)
+			}
 		}
-		r.spans = nil
+		clear(r.inflight)
+		clear(r.spans)
+		r.inflight, r.spans, r.spansHead = r.inflight[:0], r.spans[:0], 0
 		if lost > 0 {
+			r.stats.Dropped += int64(lost)
 			dropped += lost
 			r.sc.Emit(obs.LogDrop, 0, 0, int64(lost))
 		}
@@ -282,9 +332,6 @@ func (f *Fabric) DropInflight(src int) int {
 // Name returns the ring's name.
 func (r *Ring) Name() string { return r.name }
 
-// Src returns the index of the sending partition.
-func (r *Ring) Src() int { return r.src }
-
 // Instrument attaches an event scope to the ring. Deliveries emit
 // RingDeliver events and occupancy transitions emit RingDepth samples
 // (a Chrome counter track). A nil scope leaves the ring uninstrumented.
@@ -293,21 +340,8 @@ func (r *Ring) Instrument(sc *obs.Scope) { r.sc = sc }
 // Stats returns the ring's traffic counters.
 func (r *Ring) Stats() Stats { return r.stats }
 
-// StreamStats returns the per-stream traffic breakdown sorted by stream id
-// (the stream map iterates in arbitrary order; the sort restores a
-// deterministic view). Rings carrying only unlabelled traffic report a
-// single stream 0.
-func (r *Ring) StreamStats() []StreamStats {
-	out := make([]StreamStats, 0, len(r.streams))
-	for _, ss := range r.streams { // ftvet:nondet collect-then-sort
-		out = append(out, *ss)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stream < out[j].Stream })
-	return out
-}
-
 // Len reports the number of messages delivered and waiting to be received.
-func (r *Ring) Len() int { return len(r.buf) }
+func (r *Ring) Len() int { return len(r.buf) - r.bufHead }
 
 // InFlight reports the number of transfers still propagating.
 func (r *Ring) InFlight() int { return len(r.inflight) }
@@ -332,22 +366,12 @@ func (r *Ring) OnDelivered(fn func()) { r.onDeliver = append(r.onDeliver, fn) }
 // dropping work instead of messages.
 func (r *Ring) Free() int64 { return r.capBytes - r.used }
 
-// batchFootprint is the ring space a vectored transfer occupies: the sum of
-// the payload sizes plus one shared slot header.
-func (r *Ring) batchFootprint(msgs []Message) int64 {
-	total := int64(headerBytes)
-	for _, m := range msgs {
-		total += int64(m.Size)
-	}
-	return total
-}
-
 // payloadBytes sums the payload sizes of a batch (the reservation budget;
-// the shared header is accounted by the reservation itself).
+// the one shared slot header is accounted by the reservation itself).
 func payloadBytes(msgs []Message) int64 {
 	var total int64
-	for _, m := range msgs {
-		total += int64(m.Size)
+	for i := range msgs {
+		total += int64(msgs[i].Size)
 	}
 	return total
 }
@@ -361,17 +385,18 @@ func (r *Ring) TrySend(m Message) bool {
 // TrySendBatch attempts a non-blocking vectored send of all msgs as one
 // transfer. It reports false (sending nothing) if the ring lacks space for
 // the whole batch or if earlier reservations are queued (claiming now
-// would publish out of order). An empty batch trivially succeeds.
+// would publish out of order). An empty batch trivially succeeds. msgs is
+// copied by value; the caller keeps the slice.
 func (r *Ring) TrySendBatch(msgs []Message) bool {
 	if len(msgs) == 0 {
 		return true
 	}
 	sp := r.TryReserve(len(msgs), payloadBytes(msgs))
-	if sp == nil {
+	if !sp.Open() {
 		return false
 	}
-	for _, m := range msgs {
-		sp.Put(m)
+	for i := range msgs {
+		sp.Put(msgs[i])
 	}
 	sp.Commit()
 	return true
@@ -390,18 +415,15 @@ func (r *Ring) Send(p *sim.Proc, m Message) {
 // a single slot header and a single propagation event, blocking while the
 // batch does not fit. The batch is delivered atomically: receivers observe
 // its members contiguously and in order. It is a wrapper over the
-// reserve/commit path.
+// reserve/commit path; msgs is copied by value and the caller keeps the
+// slice.
 func (r *Ring) SendBatch(p *sim.Proc, msgs []Message) {
 	if len(msgs) == 0 {
 		return
 	}
-	fp := r.batchFootprint(msgs)
-	if fp > r.capBytes {
-		panic(fmt.Sprintf("shm: batch of %d bytes exceeds ring %q capacity %d", fp, r.name, r.capBytes))
-	}
 	sp := r.Reserve(p, len(msgs), payloadBytes(msgs))
-	for _, m := range msgs {
-		sp.Put(m)
+	for i := range msgs {
+		sp.Put(msgs[i])
 	}
 	sp.Commit()
 }
@@ -409,54 +431,49 @@ func (r *Ring) SendBatch(p *sim.Proc, msgs []Message) {
 // SetChaosHook installs a fault-injection hook consulted once per
 // transfer, at span commit (chaos layer only; nil uninstalls). The hook
 // runs in whatever context the committing sender runs in and must not
-// block.
+// block, and must not keep msgs: the array belongs to a pooled record.
 func (r *Ring) SetChaosHook(fn func(msgs []Message) ChaosVerdict) { r.chaos = fn }
 
 // publish turns a committed span into propagation: the chaos hook rules
-// on the whole span once, then each copy (one, several under Dup, none
-// surviving under Drop — a doomed copy still propagates and vanishes)
-// is enqueued as a single transfer.
-func (r *Ring) publish(sp *Span) {
+// on the whole span once, then the record itself becomes the transfer —
+// nothing copied — and each extra copy a Dup verdict asks for gets a record
+// of its own. Under Drop the one transfer still propagates, then vanishes.
+func (r *Ring) publish(x *xfer) {
 	// One publication event per committed span, regardless of chaos
 	// copies: Seq is the sent-payload watermark after this span, which
 	// the causal layer pairs with the RingDeliver watermark downstream.
-	r.sc.Emit(obs.SpanCommit, 0, r.stats.Payloads+int64(len(sp.msgs)), int64(len(sp.msgs)))
+	r.sc.Emit(obs.SpanCommit, 0, r.stats.Payloads+int64(len(x.msgs)), int64(len(x.msgs)))
 	var v ChaosVerdict
 	if r.chaos != nil {
-		v = r.chaos(sp.msgs)
+		v = r.chaos(x.msgs)
 	}
-	copies := 1
-	if !v.Drop && v.Dup > 0 {
-		copies += v.Dup
+	now := r.sim.Now()
+	for i := range x.msgs {
+		x.msgs[i].SentAt = now
 	}
-	for c := 0; c < copies; c++ {
-		r.enqueue(sp, c > 0, v.Delay, v.Drop)
+	x.doomed = v.Drop
+	r.enqueue(x, false, v.Delay)
+	if v.Drop {
+		return
+	}
+	for c := 0; c < v.Dup; c++ {
+		d := r.record()
+		d.msgs = append(d.msgs, x.msgs...)
+		d.reserved = x.reserved
+		r.enqueue(d, true, v.Delay)
 	}
 }
 
-// enqueue schedules one propagation of a committed span. Delivery
+// enqueue schedules one propagation of a published record. Delivery
 // instants are clamped monotonic per ring: a transfer slowed by chaos
 // delay pushes the delivery horizon forward for everything sent after
 // it, so injected delay can never reorder a FIFO mailbox (which would
 // turn a latency fault into an impossible log gap). The first copy's
 // bytes were accounted at reservation time; a dup copy occupies
 // additional capacity of its own.
-func (r *Ring) enqueue(sp *Span, dupCopy bool, extra time.Duration, doomed bool) {
-	now := r.sim.Now()
-	var in *inflight
-	if n := len(r.spare); n > 0 {
-		in, r.spare = r.spare[n-1], r.spare[:n-1]
-	} else {
-		in = &inflight{ring: r}
-		in.ev.Init(r.sim, in.arrive)
-	}
-	in.bytes, in.doomed = sp.reserved, doomed
-	for _, m := range sp.msgs {
-		m.SentAt = now
-		in.msgs = append(in.msgs, m)
-	}
+func (r *Ring) enqueue(in *xfer, dupCopy bool, extra time.Duration) {
 	if dupCopy {
-		r.used += in.bytes
+		r.used += in.reserved
 		if r.used > r.stats.HighWaterBytes {
 			r.stats.HighWaterBytes = r.used
 		}
@@ -466,22 +483,11 @@ func (r *Ring) enqueue(sp *Span, dupCopy bool, extra time.Duration, doomed bool)
 	if len(in.msgs) > 1 {
 		r.stats.Batches++
 	}
-	r.stats.Bytes += in.bytes
-	for _, m := range in.msgs {
-		if r.streams == nil {
-			r.streams = make(map[int]*StreamStats)
-		}
-		ss := r.streams[m.Stream]
-		if ss == nil {
-			ss = &StreamStats{Stream: m.Stream}
-			r.streams[m.Stream] = ss
-		}
-		ss.Payloads++
-		ss.Bytes += int64(m.Size)
-	}
+	r.stats.Bytes += in.reserved
 	if dupCopy {
 		r.sc.Emit(obs.RingDepth, 0, 0, r.used)
 	}
+	now := r.sim.Now()
 	at := now.Add(r.latency + extra)
 	if at < r.lastDeliver {
 		at = r.lastDeliver
@@ -491,39 +497,35 @@ func (r *Ring) enqueue(sp *Span, dupCopy bool, extra time.Duration, doomed bool)
 	r.inflight = append(r.inflight, in)
 }
 
-func (in *inflight) arrive() {
+func (in *xfer) arrive() {
 	in.ring.deliver(in)
-	in.ring.recycle(in)
+	in.ring.release(in)
 }
 
-// recycle keeps a finished transfer's record, dropping what it carried.
-func (r *Ring) recycle(in *inflight) {
-	clear(in.msgs)
-	in.msgs = in.msgs[:0]
-	r.spare = append(r.spare, in)
-}
-
-func (r *Ring) deliver(in *inflight) {
+func (r *Ring) deliver(in *xfer) {
 	for i, x := range r.inflight {
 		if x == in {
-			r.inflight = append(r.inflight[:i], r.inflight[i+1:]...)
+			last := len(r.inflight) - 1
+			copy(r.inflight[i:], r.inflight[i+1:])
+			r.inflight[last] = nil
+			r.inflight = r.inflight[:last]
 			break
 		}
 	}
 	if in.doomed {
-		r.used -= in.bytes
+		r.used -= in.reserved
 		r.stats.Dropped += int64(len(in.msgs))
 		r.sc.Emit(obs.LogDrop, 0, 0, int64(len(in.msgs)))
 		r.sc.Emit(obs.RingDepth, 0, 0, r.used)
 		r.wakeSenders()
 		return
 	}
-	for i, m := range in.msgs {
-		b := int64(m.Size)
+	for i := range in.msgs {
+		b := int64(in.msgs[i].Size)
 		if i == 0 {
 			b += headerBytes // the batch's shared header travels with its first member
 		}
-		r.buf = append(r.buf, slot{msg: m, bytes: b})
+		r.buf = append(r.buf, slot{msg: in.msgs[i], bytes: b})
 	}
 	r.delivered += int64(len(in.msgs))
 	r.sc.Emit(obs.RingDeliver, 0, r.delivered, int64(len(in.msgs)))
@@ -536,7 +538,7 @@ func (r *Ring) deliver(in *inflight) {
 // TryRecv attempts a non-blocking receive. It reports false if no message
 // is available.
 func (r *Ring) TryRecv() (Message, bool) {
-	if len(r.buf) == 0 {
+	if r.Len() == 0 {
 		return Message{}, false
 	}
 	return r.pop(), true
@@ -545,38 +547,37 @@ func (r *Ring) TryRecv() (Message, bool) {
 // Recv blocks the calling process until a message is available, then
 // returns it.
 func (r *Ring) Recv(p *sim.Proc) Message {
-	for len(r.buf) == 0 {
+	for r.Len() == 0 {
 		r.recvQ.Wait(p)
 	}
 	return r.pop()
 }
 
-// RecvBatch blocks until at least one message is available, then returns
-// up to max delivered messages (all of them if max <= 0) without waiting
-// for more. Hot-path receivers use it to drain a vectored delivery in one
-// scheduling round.
-func (r *Ring) RecvBatch(p *sim.Proc, max int) []Message {
-	for len(r.buf) == 0 {
+// RecvBatchInto blocks until at least one message is available, then
+// appends up to max delivered messages (all of them if max <= 0) to dst
+// without waiting for more. Hot-path receivers drain a vectored delivery in
+// one scheduling round this way, passing their buffer back as dst[:0].
+func (r *Ring) RecvBatchInto(p *sim.Proc, dst []Message, max int) []Message {
+	for r.Len() == 0 {
 		r.recvQ.Wait(p)
 	}
-	n := len(r.buf)
+	n := r.Len()
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]Message, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, r.pop())
+		dst = append(dst, r.pop())
 	}
-	return out
+	return dst
 }
 
 // RecvTimeout is like Recv but gives up after d, reporting false.
 func (r *Ring) RecvTimeout(p *sim.Proc, d time.Duration) (Message, bool) {
 	deadline := r.sim.Now().Add(d)
-	for len(r.buf) == 0 {
+	for r.Len() == 0 {
 		remain := deadline.Sub(r.sim.Now())
 		if remain <= 0 || !r.recvQ.WaitTimeout(p, remain) {
-			if len(r.buf) > 0 {
+			if r.Len() > 0 {
 				break
 			}
 			return Message{}, false
@@ -586,8 +587,8 @@ func (r *Ring) RecvTimeout(p *sim.Proc, d time.Duration) (Message, bool) {
 }
 
 func (r *Ring) pop() Message {
-	s := r.buf[0]
-	r.buf = r.buf[1:]
+	s := r.buf[r.bufHead]
+	r.buf, r.bufHead = sim.PopFront(r.buf, r.bufHead)
 	r.used -= s.bytes
 	r.sc.Emit(obs.RingDepth, 0, 0, r.used)
 	r.wakeSenders()
@@ -612,13 +613,20 @@ func (r *Ring) wakeSenders() {
 // normally once it is released — like in-flight transfers, they survive
 // the sender's death.
 func (r *Ring) Drain() []Message {
-	out := make([]Message, 0, len(r.buf))
-	for _, s := range r.buf {
+	out := make([]Message, 0, r.Len())
+	for _, s := range r.buf[r.bufHead:] {
 		out = append(out, s.msg)
 		r.used -= s.bytes
 	}
-	r.buf = nil
-	for _, sp := range append([]*Span(nil), r.spans...) {
+	clear(r.buf)
+	r.buf, r.bufHead = r.buf[:0], 0
+	// Handles, not records: aborting one span can admit a queued ticket
+	// onto the record just released, and that tenant is not ours to abort.
+	open := make([]Span, 0, r.OpenSpans())
+	for _, x := range r.spans[r.spansHead:] {
+		open = append(open, Span{x, x.gen})
+	}
+	for _, sp := range open {
 		if sp.Open() {
 			sp.Abort()
 		}

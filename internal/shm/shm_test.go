@@ -21,12 +21,12 @@ func TestSendRecvFIFO(t *testing.T) {
 	var got []int
 	s.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			r.Send(p, Message{Kind: 1, Payload: i, Size: 8})
+			r.Send(p, Message{Kind: 1, W: [7]uint64{uint64(i)}, Size: 8})
 		}
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			got = append(got, r.Recv(p).Payload.(int))
+			got = append(got, int(r.Recv(p).W[0]))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -233,7 +233,7 @@ func TestRingQuick(t *testing.T) {
 		var got []int
 		s.Spawn("sender", func(p *sim.Proc) {
 			for i := 0; i < count; i++ {
-				r.Send(p, Message{Kind: 1, Payload: i, Size: rng.Intn(100)})
+				r.Send(p, Message{Kind: 1, W: [7]uint64{uint64(i)}, Size: rng.Intn(100)})
 				if rng.Intn(3) == 0 {
 					p.Sleep(time.Duration(rng.Intn(1000)) * time.Nanosecond)
 				}
@@ -241,7 +241,7 @@ func TestRingQuick(t *testing.T) {
 		})
 		s.Spawn("receiver", func(p *sim.Proc) {
 			for i := 0; i < count; i++ {
-				got = append(got, r.Recv(p).Payload.(int))
+				got = append(got, int(r.Recv(p).W[0]))
 				if rng.Intn(3) == 0 {
 					p.Sleep(time.Duration(rng.Intn(1000)) * time.Nanosecond)
 				}
@@ -272,13 +272,13 @@ func TestSendBatchSharesHeader(t *testing.T) {
 	s.Spawn("sender", func(p *sim.Proc) {
 		batch := make([]Message, 8)
 		for i := range batch {
-			batch[i] = Message{Kind: 1, Payload: i, Size: 64}
+			batch[i] = Message{Kind: 1, W: [7]uint64{uint64(i)}, Size: 64}
 		}
 		r.SendBatch(p, batch)
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			got = append(got, r.Recv(p).Payload.(int))
+			got = append(got, int(r.Recv(p).W[0]))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -339,11 +339,11 @@ func TestRecvBatchDrainsDelivery(t *testing.T) {
 	r := newRing(s, 1<<20)
 	var first, second []Message
 	s.Spawn("sender", func(p *sim.Proc) {
-		r.SendBatch(p, []Message{{Payload: 0, Size: 8}, {Payload: 1, Size: 8}, {Payload: 2, Size: 8}})
+		r.SendBatch(p, []Message{{W: [7]uint64{uint64(0)}, Size: 8}, {W: [7]uint64{uint64(1)}, Size: 8}, {W: [7]uint64{uint64(2)}, Size: 8}})
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
-		first = r.RecvBatch(p, 2)
-		second = r.RecvBatch(p, 0) // 0 = no cap
+		first = r.RecvBatchInto(p, nil, 2)
+		second = r.RecvBatchInto(p, nil, 0) // 0 = no cap
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -351,7 +351,7 @@ func TestRecvBatchDrainsDelivery(t *testing.T) {
 	if len(first) != 2 || len(second) != 1 {
 		t.Fatalf("RecvBatch sizes = %d,%d, want 2,1", len(first), len(second))
 	}
-	if first[0].Payload.(int) != 0 || first[1].Payload.(int) != 1 || second[0].Payload.(int) != 2 {
+	if first[0].W[0] != 0 || first[1].W[0] != 1 || second[0].W[0] != 2 {
 		t.Error("RecvBatch broke FIFO order")
 	}
 }
@@ -527,7 +527,7 @@ func TestInstrumentedRingEmitsDeliveryEvents(t *testing.T) {
 		r.SendBatch(p, []Message{{Kind: 1, Size: 10}, {Kind: 1, Size: 10}})
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
-		r.RecvBatch(p, 0)
+		r.RecvBatchInto(p, nil, 0)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

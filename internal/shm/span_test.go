@@ -16,7 +16,7 @@ func TestReserveCommitDelivers(t *testing.T) {
 	s.Spawn("sender", func(p *sim.Proc) {
 		sp := r.Reserve(p, 3, 3*64)
 		for i := 0; i < 3; i++ {
-			if !sp.Put(Message{Kind: 1, Payload: i, Size: 64}) {
+			if !sp.Put(Message{Kind: 1, W: [7]uint64{uint64(i)}, Size: 64}) {
 				t.Errorf("Put %d refused inside reservation", i)
 			}
 		}
@@ -24,7 +24,7 @@ func TestReserveCommitDelivers(t *testing.T) {
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, r.Recv(p).Payload.(int))
+			got = append(got, int(r.Recv(p).W[0]))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -48,7 +48,7 @@ func TestReserveCommitDelivers(t *testing.T) {
 // than its byte budget returns the unused tail to the ring immediately.
 func TestCommitShrinksUnusedReservation(t *testing.T) {
 	s := sim.New(1)
-	r := newRing(s, 1 << 10)
+	r := newRing(s, 1<<10)
 	s.Spawn("sender", func(p *sim.Proc) {
 		sp := r.Reserve(p, 4, 512)
 		sp.Put(Message{Kind: 1, Size: 32})
@@ -98,18 +98,18 @@ func TestOpenSpanBlocksLaterSpans(t *testing.T) {
 	s.Spawn("sender", func(p *sim.Proc) {
 		a := r.Reserve(p, 1, 8)
 		b := r.Reserve(p, 1, 8)
-		b.Put(Message{Kind: 2, Payload: 2, Size: 8})
+		b.Put(Message{Kind: 2, W: [7]uint64{uint64(2)}, Size: 8})
 		b.Commit()
 		p.Sleep(time.Millisecond) // far past the propagation latency
 		if r.Delivered() != 0 {
 			t.Errorf("Delivered = %d while the head span is open, want 0", r.Delivered())
 		}
-		a.Put(Message{Kind: 1, Payload: 1, Size: 8})
+		a.Put(Message{Kind: 1, W: [7]uint64{uint64(1)}, Size: 8})
 		a.Commit()
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			got = append(got, r.Recv(p).Payload.(int))
+			got = append(got, int(r.Recv(p).W[0]))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -228,13 +228,13 @@ func TestChaosDupOfCommittedSpan(t *testing.T) {
 	var got []int
 	s.Spawn("sender", func(p *sim.Proc) {
 		sp := r.Reserve(p, 2, 16)
-		sp.Put(Message{Kind: 1, Payload: 1, Size: 8})
-		sp.Put(Message{Kind: 2, Payload: 2, Size: 8})
+		sp.Put(Message{Kind: 1, W: [7]uint64{uint64(1)}, Size: 8})
+		sp.Put(Message{Kind: 2, W: [7]uint64{uint64(2)}, Size: 8})
 		sp.Commit()
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
-			got = append(got, r.Recv(p).Payload.(int))
+			got = append(got, int(r.Recv(p).W[0]))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -274,13 +274,13 @@ func TestChaosDelayOfCommittedSpan(t *testing.T) {
 	s.Spawn("sender", func(p *sim.Proc) {
 		for i := 1; i <= 2; i++ {
 			sp := r.Reserve(p, 1, 8)
-			sp.Put(Message{Kind: i, Payload: i, Size: 8})
+			sp.Put(Message{Kind: i, W: [7]uint64{uint64(i)}, Size: 8})
 			sp.Commit()
 		}
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			order = append(order, r.Recv(p).Payload.(int))
+			order = append(order, int(r.Recv(p).W[0]))
 			at = append(at, p.Now())
 		}
 	})
@@ -362,7 +362,7 @@ func TestTryReserveRefusesToJumpQueue(t *testing.T) {
 	})
 	s.Spawn("jumper", func(p *sim.Proc) {
 		p.Sleep(2 * time.Microsecond)
-		if sp := r.TryReserve(1, 0); sp != nil {
+		if sp := r.TryReserve(1, 0); sp.Open() {
 			sp.Abort()
 			t.Error("TryReserve jumped a non-empty claim queue")
 		}

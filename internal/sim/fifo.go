@@ -7,9 +7,13 @@ package sim
 // array is reused instead of regrown (q = q[1:] loses its front for good)
 // and an element is moved O(1) times amortised.
 func PopFront[T any](q []T, head int) ([]T, int) {
-	var zero T
-	q[head] = zero
-	if head++; 2*head >= len(q) {
+	return DropFront(q, head, 1)
+}
+
+// DropFront is PopFront for the n oldest elements at once.
+func DropFront[T any](q []T, head, n int) ([]T, int) {
+	clear(q[head : head+n])
+	if head += n; 2*head >= len(q) {
 		n := copy(q, q[head:])
 		clear(q[n:])
 		return q[:n], 0

@@ -40,3 +40,75 @@ func TestPopFrontKeepsOrderAndArray(t *testing.T) {
 		t.Errorf("backlog never exceeded 40, array grew to %d", cap(q))
 	}
 }
+
+// TestLogMatchesSliceModel drives Append/DropFront/At against a plain slice:
+// same elements at the same indices, no more than two chunks of slack, and no
+// dropped element left reachable from the log's chunks.
+func TestLogMatchesSliceModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var l Log[*int]
+		var model []*int
+		for step := 0; step < 20000; step++ {
+			switch {
+			case rng.Intn(50) == 0 && len(model) > 0:
+				n := rng.Intn(len(model) + 1)
+				if rng.Intn(4) == 0 {
+					n = rng.Intn(min(len(model), 3*logChunk) + 1)
+				}
+				l.DropFront(n)
+				model = model[n:]
+			default:
+				v := new(int)
+				*v = step
+				l.Append(v)
+				model = append(model, v)
+			}
+			if l.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, l.Len(), len(model))
+			}
+			if len(model) == 0 {
+				if l.chunks != nil {
+					t.Fatalf("seed %d step %d: an empty log holds %d chunks", seed, step, len(l.chunks))
+				}
+				continue
+			}
+			for _, i := range []int{0, len(model) / 2, len(model) - 1, rng.Intn(len(model))} {
+				if *l.At(i) != model[i] {
+					t.Fatalf("seed %d step %d: At(%d) = %d, want %d", seed, step, i, **l.At(i), *model[i])
+				}
+			}
+			if step%500 == 0 {
+				all := l.AppendTo(make([]*int, 1, 2))[1:]
+				if len(all) != len(model) || all[0] != model[0] || all[len(all)-1] != model[len(model)-1] || all[len(all)/2] != model[len(all)/2] {
+					t.Fatalf("seed %d step %d: AppendTo copied %d elements, want the %d held", seed, step, len(all), len(model))
+				}
+			}
+			if held := len(l.chunks) * logChunk; held >= len(model)+2*logChunk {
+				t.Fatalf("seed %d step %d: %d slots held for %d elements", seed, step, held, len(model))
+			}
+			for _, p := range l.chunks[0][:l.head] {
+				if p != nil {
+					t.Fatalf("seed %d step %d: a dropped slot still holds its element", seed, step)
+				}
+			}
+		}
+	}
+}
+
+// TestLogAppendCopiesNothing: past its first chunk a log allocates one chunk
+// per logChunk appends and nothing else.
+func TestLogAppendCopiesNothing(t *testing.T) {
+	var l Log[[16]uint64]
+	for i := 0; i < logChunk; i++ {
+		l.Append([16]uint64{})
+	}
+	n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < logChunk; i++ {
+			l.Append([16]uint64{})
+		}
+	})
+	if n > 2 { // the chunk, and now and then the chunk table
+		t.Errorf("%d appends allocate %.1f times, want one chunk", logChunk, n)
+	}
+}

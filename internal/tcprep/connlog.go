@@ -111,6 +111,9 @@ func (cl *ConnLog) Footprint() int {
 type ConnSnap struct {
 	Key      ConnKey
 	ISS, IRS uint64
+	// Sync is the id the recording side's delta stream names the
+	// connection by (zero for a reaped one, which no delta will name).
+	Sync uint64
 	// In is the full in-order input stream from offset 0: a rejoining
 	// backup replays the application from the start and must re-read it.
 	In []byte

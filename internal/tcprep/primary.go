@@ -47,6 +47,12 @@ type Primary struct {
 	clog      *ConnLog
 	flusherUp bool // the background flusher task has been spawned
 
+	// ids names every connection the stack still holds by a dense sync id,
+	// drawn on first sight, forgotten at reap. A backup learns an id from
+	// the connection's syncConnMeta or from the snapshot that seeded it.
+	ids      map[ConnKey]uint64
+	lastSync uint64
+
 	flushQ sim.WaitQueue
 
 	enqueued uint64 // logical updates accepted for syncing
@@ -76,19 +82,24 @@ type Primary struct {
 // everything earlier reaches the backup through the checkpoint snapshot,
 // not the delta stream.
 type syncLink struct {
-	ring         *shm.Ring
-	pending      []syncPending
+	ring *shm.Ring
+	// pending are the buffered sync-ring entries, pendingReps the logical
+	// updates they stand for (coalesced ones ride along) and pendingBytes
+	// their accounted size. spare is the buffer's other array: updates that
+	// arrive while a blocking flush is stalled on the ring collect there.
+	pending      []shm.Message
+	spare        []shm.Message
+	pendingReps  uint64
 	pendingBytes int64
 	deadline     sim.Time
 	synced       uint64
 	dead         bool
 }
 
-// syncPending is one buffered sync-ring entry plus the number of logical
-// updates coalesced into it.
-type syncPending struct {
-	msg  shm.Message
-	reps uint64
+// dropPending discards what the link has buffered (the link died).
+func (link *syncLink) dropPending() {
+	link.pending, link.spare = nil, nil
+	link.pendingReps, link.pendingBytes = 0, 0
 }
 
 // syncWaiter is an output segment waiting for the sync watermark.
@@ -167,6 +178,7 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 		stack: stack,
 		cfg:   cfg.Sync,
 		clog:  cfg.History,
+		ids:   make(map[ConnKey]uint64),
 	}
 	for _, sync := range cfg.Syncs {
 		p.links = append(p.links, &syncLink{ring: sync})
@@ -239,7 +251,24 @@ func (p *Primary) SnapshotState() StateSnap {
 	if p.clog == nil {
 		panic("tcprep: SnapshotState requires retention")
 	}
-	return p.clog.Snapshot()
+	snap := p.clog.Snapshot()
+	for i := range snap.Conns {
+		if cs := &snap.Conns[i]; !cs.Gone {
+			cs.Sync = p.idOf(cs.Key)
+		}
+	}
+	return snap
+}
+
+// idOf returns the connection's sync id, drawing one on first sight.
+func (p *Primary) idOf(key ConnKey) uint64 {
+	id, ok := p.ids[key]
+	if !ok {
+		p.lastSync++
+		id = p.lastSync
+		p.ids[key] = id
+	}
+	return id
 }
 
 // LogDirtied is the retained connection log's cumulative dirty-byte
@@ -291,8 +320,7 @@ func (p *Primary) DropRing(i int) {
 	}
 	link := p.links[i]
 	link.dead = true
-	link.pending = nil
-	link.pendingBytes = 0
+	link.dropPending()
 	link.synced = p.enqueued
 	link.ring.Drain()
 	if p.liveLinks() == 0 {
@@ -327,8 +355,7 @@ func (p *Primary) GoLive() {
 	p.sc.Emit(obs.GoLive, 0, int64(p.enqueued), 0)
 	for _, link := range p.links {
 		link.dead = true
-		link.pending = nil
-		link.pendingBytes = 0
+		link.dropPending()
 		link.synced = p.enqueued
 		link.ring.Drain() // unblock a flusher parked on the dead ring
 	}
@@ -469,7 +496,7 @@ func (p *Primary) fireBarrier() {
 // both describe the same stream. mustHave marks updates whose loss would
 // break failover transparency: if any live ring cannot accept one the
 // connection is reset instead.
-func (p *Primary) trySync(c *tcpstack.Conn, kind int, payload any, size int, mustHave bool) {
+func (p *Primary) trySync(c *tcpstack.Conn, m shm.Message, mustHave bool) {
 	if p.live || p.liveLinks() == 0 {
 		return
 	}
@@ -480,7 +507,7 @@ func (p *Primary) trySync(c *tcpstack.Conn, kind int, payload any, size int, mus
 			if link.dead {
 				continue
 			}
-			if link.ring.TrySend(shm.Message{Kind: kind, Payload: payload, Size: size}) {
+			if link.ring.TrySend(m) {
 				continue
 			}
 			if mustHave && c != nil {
@@ -496,18 +523,16 @@ func (p *Primary) trySync(c *tcpstack.Conn, kind int, payload any, size int, mus
 		if link.dead {
 			continue
 		}
-		if p.coalesce(link, kind, payload) {
+		if p.coalesce(link, m) {
 			continue
 		}
 		if len(link.pending) == 0 {
 			link.deadline = p.ns.Kernel().Sim().Now().Add(p.cfg.FlushInterval)
 			p.flushQ.WakeAll(0)
 		}
-		link.pending = append(link.pending, syncPending{
-			msg:  shm.Message{Kind: kind, Payload: payload, Size: size},
-			reps: 1,
-		})
-		link.pendingBytes += int64(size)
+		link.pending = append(link.pending, m)
+		link.pendingReps++
+		link.pendingBytes += int64(m.Size)
 		if len(link.pending) >= p.cfg.BatchUpdates {
 			p.flushLinkForCommit(link) // non-blocking; the flusher finishes if the ring is full
 		}
@@ -519,54 +544,30 @@ func (p *Primary) trySync(c *tcpstack.Conn, kind int, payload any, size int, mus
 // input burst), ack-out watermarks replace (they are cumulative). Only the
 // tail entry is considered so the ring order of updates is preserved
 // exactly.
-func (p *Primary) coalesce(link *syncLink, kind int, payload any) bool {
+func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
 	n := len(link.pending)
 	if n == 0 {
 		return false
 	}
 	tail := &link.pending[n-1]
-	if tail.msg.Kind != kind {
+	if tail.Kind != m.Kind || tail.W[0] != m.W[0] {
 		return false
 	}
-	switch kind {
+	switch m.Kind {
 	case syncDataIn:
-		a, _ := tail.msg.Payload.(dataIn)
-		b := payload.(dataIn)
-		if a.Key != b.Key {
-			return false
-		}
-		a.Data = append(a.Data, b.Data...)
-		tail.msg.Payload = a
-		tail.msg.Size += len(b.Data)
-		link.pendingBytes += int64(len(b.Data))
+		tail.Data = append(tail.Data, m.Data...)
+		tail.Size += len(m.Data)
+		link.pendingBytes += int64(len(m.Data))
 	case syncAckOut:
-		a, _ := tail.msg.Payload.(ackOut)
-		b := payload.(ackOut)
-		if a.Key != b.Key {
-			return false
-		}
-		if b.Acked > a.Acked {
-			tail.msg.Payload = b
+		if m.W[1] > tail.W[1] {
+			tail.W[1] = m.W[1]
 		}
 	default:
 		return false
 	}
-	tail.reps++
+	link.pendingReps++
 	p.SyncCoalesced++
 	return true
-}
-
-// takePending snapshots and clears one link's pending buffer.
-func (link *syncLink) takePending() ([]shm.Message, uint64) {
-	msgs := make([]shm.Message, len(link.pending))
-	var reps uint64
-	for i, e := range link.pending {
-		msgs[i] = e.msg
-		reps += e.reps
-	}
-	link.pending = nil
-	link.pendingBytes = 0
-	return msgs, reps
 }
 
 // flushForCommit pushes every live link's pending buffer out without
@@ -583,46 +584,43 @@ func (p *Primary) flushForCommit() {
 }
 
 func (p *Primary) flushLinkForCommit(link *syncLink) {
-	if len(link.pending) == 0 {
+	n := len(link.pending)
+	if n == 0 {
 		return
 	}
-	msgs := make([]shm.Message, len(link.pending))
-	for i, e := range link.pending {
-		msgs[i] = e.msg
-	}
-	if !link.ring.TrySendBatch(msgs) {
+	if !link.ring.TrySendBatch(link.pending) {
 		link.deadline = p.ns.Kernel().Sim().Now()
 		p.flushQ.WakeAll(0)
 		return
 	}
-	var reps uint64
-	for _, e := range link.pending {
-		reps += e.reps
-	}
-	link.pending = nil
-	link.pendingBytes = 0
-	link.synced += reps
+	clear(link.pending)
+	link.pending = link.pending[:0]
+	link.synced += link.pendingReps
+	link.pendingReps, link.pendingBytes = 0, 0
 	p.SyncFlushes++
-	p.noteFlush(link, len(msgs))
+	p.noteFlush(link, n)
 	p.fireBarrier()
 }
 
 // flushSync is the blocking flush used from task context. It needs no
 // per-link serialization: SendBatch rides the ring's reserve/commit path,
 // and a blocked flush already holds its reservation ticket, so a batch
-// snapshotted later is admitted — and published — strictly after it.
-// Updates that buffer while the send is stalled are either taken by a
-// later flush (ordered behind this one by its ticket) or pushed by the
-// flusher.
+// taken later is admitted — and published — strictly after it. Updates
+// that buffer while the send is stalled are either taken by a later flush
+// (ordered behind this one by its ticket) or pushed by the flusher.
 func (p *Primary) flushSync(proc *sim.Proc, link *syncLink) {
 	if p.live || link.dead || len(link.pending) == 0 {
 		return
 	}
-	msgs, reps := link.takePending()
-	link.ring.SendBatch(proc, msgs)
+	msgs, reps := link.pending, link.pendingReps
+	link.pending, link.spare = link.spare, nil
+	link.pendingReps, link.pendingBytes = 0, 0
+	link.ring.SendBatch(proc, msgs) // copies by value: the array is ours again
 	link.synced += reps
 	p.SyncFlushes++
 	p.noteFlush(link, len(msgs))
+	clear(msgs)
+	link.spare = msgs[:0]
 	p.fireBarrier()
 	p.flushQ.WakeAll(0)
 }
@@ -665,7 +663,10 @@ func (p *Primary) onEstablished(c *tcpstack.Conn) {
 	if p.clog != nil {
 		p.clog.established(key, c.ISS(), c.IRS())
 	}
-	p.trySync(c, syncConnMeta, connMeta{Key: key, ISS: c.ISS(), IRS: c.IRS()}, 48, true)
+	// The four-tuple crosses once per connection, in the reference slot.
+	m := syncMessage(syncConnMeta, connMetaBytes, p.idOf(key), c.ISS(), c.IRS())
+	m.Ref = &key
+	p.trySync(c, m, true)
 }
 
 func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
@@ -675,7 +676,9 @@ func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
 	if p.clog != nil {
 		p.clog.dataIn(key, cp)
 	}
-	p.trySync(c, syncDataIn, dataIn{Key: key, Data: cp}, 32+len(cp), true)
+	m := syncMessage(syncDataIn, dataInBytes+len(cp), p.idOf(key), 0, 0)
+	m.Data = cp
+	p.trySync(c, m, true)
 }
 
 func (p *Primary) onAckIn(c *tcpstack.Conn, acked uint64) {
@@ -684,7 +687,7 @@ func (p *Primary) onAckIn(c *tcpstack.Conn, acked uint64) {
 		p.clog.ackIn(key, acked)
 	}
 	// Losing an ack update only means extra retransmission after failover.
-	p.trySync(c, syncAckOut, ackOut{Key: key, Acked: acked}, 40, false)
+	p.trySync(c, syncMessage(syncAckOut, ackOutBytes, p.idOf(key), acked, 0), false)
 }
 
 func (p *Primary) onPeerFin(c *tcpstack.Conn) {
@@ -692,7 +695,7 @@ func (p *Primary) onPeerFin(c *tcpstack.Conn) {
 	if p.clog != nil {
 		p.clog.fin(key)
 	}
-	p.trySync(c, syncPeerFin, peerFin{Key: key}, 32, true)
+	p.trySync(c, syncMessage(syncPeerFin, peerFinBytes, p.idOf(key), 0, 0), true)
 }
 
 func (p *Primary) onReaped(c *tcpstack.Conn) {
@@ -700,7 +703,8 @@ func (p *Primary) onReaped(c *tcpstack.Conn) {
 	if p.clog != nil {
 		p.clog.goneMark(key)
 	}
-	p.trySync(nil, syncGone, gone{Key: key}, 32, false)
+	p.trySync(nil, syncMessage(syncGone, goneBytes, p.idOf(key), 0, 0), false)
+	delete(p.ids, key)
 }
 
 // bindConn announces the det-log socket ID for an accepted connection.
@@ -708,13 +712,16 @@ func (p *Primary) onReaped(c *tcpstack.Conn) {
 // appended behind any pending updates and flushed immediately so the
 // secondaries' bindWait is never delayed by batching.
 func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) {
+	key := keyOf(c)
 	if p.clog != nil {
-		p.clog.bind(id, keyOf(c))
+		p.clog.bind(id, key)
 	}
 	if p.live || p.liveLinks() == 0 {
 		return
 	}
-	m := shm.Message{Kind: syncBind, Payload: bind{ID: id, Key: keyOf(c)}, Size: 40}
+	// By four-tuple: a connection reaped before the accept has no sync id left.
+	m := syncMessage(syncBind, bindBytes, id, 0, 0)
+	m.Ref = &key
 	if p.cfg.BatchUpdates <= 1 {
 		for _, link := range p.links {
 			if link.dead {
@@ -729,7 +736,8 @@ func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) 
 		if link.dead {
 			continue
 		}
-		link.pending = append(link.pending, syncPending{msg: m, reps: 1})
+		link.pending = append(link.pending, m)
+		link.pendingReps++
 		link.pendingBytes += int64(m.Size)
 		p.flushSync(th.Task().Proc(), link)
 	}

@@ -52,10 +52,6 @@ func (lc *LogicalConn) Key() ConnKey { return lc.key }
 // InBuffered reports synced input bytes not yet consumed by replay.
 func (lc *LogicalConn) InBuffered() int { return lc.in.Len() - lc.inRead }
 
-// OutBuffered reports replica output bytes not yet acknowledged by the
-// client.
-func (lc *LogicalConn) OutBuffered() int { return lc.out.Len() }
-
 // Live returns the promoted real connection, or nil before failover.
 func (lc *LogicalConn) Live() *tcpstack.Conn { return lc.live }
 
@@ -68,7 +64,9 @@ type Secondary struct {
 	syncCost  time.Duration
 	retain    bool
 	conns     map[ConnKey]*LogicalConn
-	order     []ConnKey // insertion order, for deterministic promotion
+	bySync    map[uint64]*LogicalConn // the primary's sync ids, as announced or seeded
+	order     []ConnKey               // insertion order, for deterministic promotion
+	recvBuf   []shm.Message           // the pull task's receive buffer, reused batch after batch
 	binds     map[uint64]ConnKey
 	bindOrder []uint64 // announcement order, for deterministic history
 	bindQ     sim.WaitQueue
@@ -112,6 +110,7 @@ func NewSecondary(k *kernel.Kernel, sync *shm.Ring, cfg SecondaryConfig) *Second
 		syncCost: cfg.Cost,
 		retain:   cfg.Retain,
 		conns:    make(map[ConnKey]*LogicalConn),
+		bySync:   make(map[uint64]*LogicalConn),
 		binds:    make(map[uint64]ConnKey),
 	}
 	if !cfg.DeferPull {
@@ -134,7 +133,8 @@ func (s *Secondary) Conns() int { return len(s.conns) }
 
 func (s *Secondary) pullLoop(t *kernel.Task) {
 	for {
-		batch := s.sync.RecvBatch(t.Proc(), 0)
+		batch := s.sync.RecvBatchInto(t.Proc(), s.recvBuf[:0], 0)
+		s.recvBuf = batch
 		if len(batch) > 1 {
 			s.Batches++
 		}
@@ -163,39 +163,45 @@ func (s *Secondary) apply(m shm.Message) {
 	s.Updates++
 	switch m.Kind {
 	case syncConnMeta:
-		meta := m.Payload.(connMeta)
-		lc := s.logical(meta.Key)
-		lc.iss, lc.irs = meta.ISS, meta.IRS
+		lc := s.logical(*m.Ref.(*ConnKey))
+		s.bySync[m.W[0]] = lc
+		lc.iss, lc.irs = m.W[1], m.W[2]
 		s.bindQ.WakeAll(0)
+		return
+	case syncBind:
+		s.bind(m.W[0], *m.Ref.(*ConnKey))
+		s.bindQ.WakeAll(0)
+		return
+	}
+	// An id nobody announced belongs to a connection the primary reset
+	// because its announcement found the ring full; nothing to maintain.
+	lc := s.bySync[m.W[0]]
+	if lc == nil {
+		return
+	}
+	switch m.Kind {
 	case syncDataIn:
-		d := m.Payload.(dataIn)
-		lc := s.logical(d.Key)
-		lc.in.Append(d.Data)
-		s.DataBytes += int64(len(d.Data))
+		lc.in.Append(m.Data)
+		s.DataBytes += int64(len(m.Data))
 		lc.dataQ.WakeAll(0)
 	case syncAckOut:
-		a := m.Payload.(ackOut)
-		lc := s.logical(a.Key)
-		lc.trimOut(a.Acked)
+		lc.trimOut(m.W[1])
 	case syncPeerFin:
-		f := m.Payload.(peerFin)
-		lc := s.logical(f.Key)
 		lc.peerFin = true
 		lc.dataQ.WakeAll(0)
-	case syncBind:
-		b := m.Payload.(bind)
-		if _, ok := s.binds[b.ID]; !ok {
-			s.bindOrder = append(s.bindOrder, b.ID)
-		}
-		s.binds[b.ID] = b.Key
-		s.bindQ.WakeAll(0)
 	case syncGone:
-		g := m.Payload.(gone)
-		if lc, ok := s.conns[g.Key]; ok {
-			lc.gone = true
-			s.maybeDrop(lc)
-		}
+		delete(s.bySync, m.W[0])
+		lc.gone = true
+		s.maybeDrop(lc)
 	}
+}
+
+// bind records a replicated socket ID's connection, in announcement order.
+func (s *Secondary) bind(id uint64, key ConnKey) {
+	if _, ok := s.binds[id]; !ok {
+		s.bindOrder = append(s.bindOrder, id)
+	}
+	s.binds[id] = key
 }
 
 func (lc *LogicalConn) trimOut(acked uint64) {
@@ -339,13 +345,13 @@ func (s *Secondary) Seed(snap StateSnap) {
 		lc.ackTarget = cs.Acked
 		lc.peerFin = cs.PeerFin
 		lc.gone = cs.Gone
+		if cs.Sync != 0 {
+			s.bySync[cs.Sync] = lc
+		}
 		lc.dataQ.WakeAll(0)
 	}
 	for _, b := range snap.Binds {
-		if _, ok := s.binds[b.ID]; !ok {
-			s.bindOrder = append(s.bindOrder, b.ID)
-		}
-		s.binds[b.ID] = b.Key
+		s.bind(b.ID, b.Key)
 	}
 	s.bindQ.WakeAll(0)
 }

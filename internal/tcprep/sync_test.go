@@ -1,0 +1,165 @@
+package tcprep
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/hw"
+	"repro/internal/kernel"
+	"repro/internal/replication"
+	"repro/internal/shm"
+	"repro/internal/sim"
+	"repro/internal/tcpstack"
+)
+
+// syncWorld is a streaming Primary, an established connection of its stack
+// and the Secondary at the other end of the sync ring, whose pull loop the
+// test plays itself.
+type syncWorld struct {
+	sim  *sim.Simulation
+	ring *shm.Ring
+	prim *Primary
+	sec  *Secondary
+	conn *tcpstack.Conn
+	lc   *LogicalConn
+	buf  []shm.Message
+}
+
+func newSyncWorld(tb testing.TB) *syncWorld {
+	tb.Helper()
+	s := sim.New(1)
+	part, err := hw.New(s, hw.Opteron6376x4()).NewPartition("primary", 0, 1, 2, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k, err := kernel.Boot(part, kernel.Config{Name: "primary", Params: kernel.DefaultParams()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &syncWorld{sim: s, ring: shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, 1<<20)}
+	stack := tcpstack.New(k, "server", tcpstack.DefaultParams())
+	w.prim = NewPrimary(replication.NewLive("ftns", k), stack, PrimaryConfig{Syncs: []*shm.Ring{w.ring}})
+	w.sec = NewSecondary(k, w.ring, SecondaryConfig{DeferPull: true})
+	w.conn, err = stack.Restore(tcpstack.ConnSnapshot{LocalPort: 80,
+		Remote: tcpstack.Addr{Host: "client", Port: 40000}, ISS: 1000, IRS: 2000, SndUna: 1001, RcvNxt: 2001})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.prim.onEstablished(w.conn)
+	w.deliver(tb)
+	if w.lc = w.sec.conns[keyOf(w.conn)]; w.lc == nil || w.lc.iss != 1000 || w.lc.irs != 2000 {
+		tb.Fatalf("connection not announced: %+v", w.lc)
+	}
+	return w
+}
+
+// deliver flushes what the primary buffered, lets it cross the ring and
+// applies it on the secondary.
+func (w *syncWorld) deliver(tb testing.TB) {
+	w.prim.flushForCommit()
+	if err := w.sim.RunFor(10 * time.Microsecond); err != nil {
+		tb.Fatal(err)
+	}
+	if w.ring.Len() == 0 {
+		tb.Fatal("nothing crossed the sync ring")
+	}
+	w.buf = w.ring.RecvBatchInto(nil, w.buf[:0], 0) // never blocks: the ring is not empty
+	for _, m := range w.buf {
+		w.sec.apply(m)
+	}
+}
+
+func (w *syncWorld) ackOut(tb testing.TB, acked uint64) {
+	w.prim.onAckIn(w.conn, acked)
+	w.prim.onAckIn(w.conn, acked+1) // coalesces into the pending entry
+	w.deliver(tb)
+	if w.lc.ackTarget != acked+1 {
+		tb.Fatalf("ack watermark %d, want %d", w.lc.ackTarget, acked+1)
+	}
+}
+
+func (w *syncWorld) dataIn(tb testing.TB, data []byte) {
+	w.prim.onDataIn(w.conn, data)
+	w.deliver(tb)
+	if got := w.lc.in.Bytes(); string(got) != string(data) {
+		tb.Fatalf("synced input %q, want %q", got, data)
+	}
+	w.lc.in.Discard(len(data)) // the replayed read
+}
+
+// TestSyncUpdatesAllocateNothing: a per-segment update — sync id and
+// scalars in the message's words, the connection's key never boxed —
+// crosses trySync, the pending buffer, the flush, the ring and the
+// secondary's apply without allocating. A data-in update makes exactly one
+// allocation: the copy of the payload onDataIn takes out of the segment.
+func TestSyncUpdatesAllocateNothing(t *testing.T) {
+	w := newSyncWorld(t)
+	defer w.sim.Shutdown()
+	acked, data := uint64(0), []byte("GET / HTTP/1.1\r\n\r\n")
+	ack := func() { acked += 10; w.ackOut(t, acked) }
+	in := func() { w.dataIn(t, data) }
+	ack()
+	in()
+	if n := testing.AllocsPerRun(100, ack); n != 0 {
+		t.Errorf("an ack-out update allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, in); n != 1 {
+		t.Errorf("a data-in update allocates %.1f times, want 1 (the payload copy)", n)
+	}
+	if w.prim.SyncCoalesced == 0 || w.sec.Updates == 0 {
+		t.Errorf("coalesced %d, applied %d", w.prim.SyncCoalesced, w.sec.Updates)
+	}
+}
+
+// TestBindOutlivesReap: the stack hands the application connections it has
+// already reaped (reset before the accept), and the primary forgets a sync id
+// at reap — so a binding names its connection by four-tuple and reaches the
+// backup's bind table whatever became of the id, on a backup that followed
+// the connection from its announcement and on one seeded with it already gone.
+func TestBindOutlivesReap(t *testing.T) {
+	w := newSyncWorld(t)
+	defer w.sim.Shutdown()
+	key := keyOf(w.conn)
+	w.prim.onReaped(w.conn)
+	w.deliver(t)
+	if !w.lc.gone || len(w.sec.bySync) != 0 || len(w.prim.ids) != 0 {
+		t.Fatalf("after the reap: gone=%v, backup knows %d ids, primary %d", w.lc.gone, len(w.sec.bySync), len(w.prim.ids))
+	}
+	w.prim.ns.Start("app", nil, func(th *replication.Thread) { w.prim.bindConn(th, 7, w.conn) })
+	if err := w.sim.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	w.deliver(t)
+	if got, ok := w.sec.binds[7]; !ok || got != key {
+		t.Errorf("binding of socket 7 on the backup = %v, %v; want %v", got, ok, key)
+	}
+	if len(w.prim.ids) != 0 {
+		t.Errorf("the binding drew a sync id for a reaped connection")
+	}
+
+	seeded := NewSecondary(w.prim.ns.Kernel(), w.ring, SecondaryConfig{DeferPull: true})
+	seeded.Seed(StateSnap{Conns: []ConnSnap{{Key: key, ISS: 1000, IRS: 2000, Gone: true}}})
+	for _, m := range w.buf {
+		seeded.apply(m)
+	}
+	if got, ok := seeded.binds[7]; !ok || got != key || seeded.conns[key].iss != 1000 {
+		t.Errorf("seeded backup: binding of socket 7 = %v, %v; want %v on the seeded connection", got, ok, key)
+	}
+}
+
+// BenchmarkSyncUpdate is one connection's steady state on the sync ring: an
+// ack-out and a data-in update per iteration, flushed, carried and applied.
+func BenchmarkSyncUpdate(b *testing.B) {
+	w := newSyncWorld(b)
+	defer w.sim.Shutdown()
+	data := make([]byte, 1024)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.prim.onAckIn(w.conn, uint64(i))
+		w.prim.onDataIn(w.conn, data)
+		w.deliver(b)
+		w.lc.in.Discard(len(data))
+	}
+}

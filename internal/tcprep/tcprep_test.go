@@ -70,60 +70,64 @@ func TestConnKeyString(t *testing.T) {
 }
 
 func TestCoalesceMergesTailOnly(t *testing.T) {
-	k1 := ConnKey{LocalPort: 80, RemoteHost: "c", RemotePort: 1}
-	k2 := ConnKey{LocalPort: 80, RemoteHost: "c", RemotePort: 2}
+	const c1, c2 = 1, 2 // sync ids of two connections
+	dataIn := func(id uint64, data string) shm.Message {
+		m := syncMessage(syncDataIn, dataInBytes+len(data), id, 0, 0)
+		m.Data = []byte(data)
+		return m
+	}
+	ackOut := func(id, acked uint64) shm.Message {
+		return syncMessage(syncAckOut, ackOutBytes, id, acked, 0)
+	}
 	p := &Primary{cfg: SyncConfig{BatchUpdates: 8}}
 	link := &syncLink{}
 	p.links = append(p.links, link)
 
-	// Seed one pending data-in entry for k1.
-	link.pending = append(link.pending, syncPending{
-		msg:  shm.Message{Kind: syncDataIn, Payload: dataIn{Key: k1, Data: []byte("abc")}, Size: 35},
-		reps: 1,
-	})
-	link.pendingBytes = 35
+	// Seed one pending data-in entry for c1.
+	link.pending = append(link.pending, dataIn(c1, "abc"))
+	link.pendingReps, link.pendingBytes = 1, 35
 
-	// Same key, same kind: appends into the tail entry.
-	if !p.coalesce(link, syncDataIn, dataIn{Key: k1, Data: []byte("def")}) {
+	// Same connection, same kind: appends into the tail entry.
+	if !p.coalesce(link, dataIn(c1, "def")) {
 		t.Fatal("data-in for the same stream did not coalesce")
 	}
 	tail := link.pending[len(link.pending)-1]
-	if d := tail.msg.Payload.(dataIn); string(d.Data) != "abcdef" {
-		t.Errorf("merged data = %q, want abcdef", d.Data)
+	if string(tail.Data) != "abcdef" {
+		t.Errorf("merged data = %q, want abcdef", tail.Data)
 	}
-	if tail.msg.Size != 38 || tail.reps != 2 || p.SyncCoalesced != 1 {
-		t.Errorf("size=%d reps=%d coalesced=%d, want 38/2/1", tail.msg.Size, tail.reps, p.SyncCoalesced)
+	if tail.Size != 38 || link.pendingReps != 2 || link.pendingBytes != 38 || p.SyncCoalesced != 1 {
+		t.Errorf("size=%d reps=%d bytes=%d coalesced=%d, want 38/2/38/1", tail.Size, link.pendingReps, link.pendingBytes, p.SyncCoalesced)
 	}
 
-	// Different key: must NOT merge (it is a different stream).
-	if p.coalesce(link, syncDataIn, dataIn{Key: k2, Data: []byte("x")}) {
+	// Different connection: must NOT merge (it is a different stream).
+	if p.coalesce(link, dataIn(c2, "x")) {
 		t.Error("data-in for another connection coalesced")
 	}
 	// Different kind: must NOT merge.
-	if p.coalesce(link, syncAckOut, ackOut{Key: k1, Acked: 10}) {
+	if p.coalesce(link, ackOut(c1, 10)) {
 		t.Error("ack-out coalesced into a data-in entry")
 	}
 
 	// Ack-out entries collapse to the highest watermark; stale acks are
 	// absorbed without rolling it back.
-	link.pending = []syncPending{{msg: shm.Message{Kind: syncAckOut, Payload: ackOut{Key: k1, Acked: 100}, Size: 40}, reps: 1}}
-	if !p.coalesce(link, syncAckOut, ackOut{Key: k1, Acked: 250}) {
+	link.pending, link.pendingReps = []shm.Message{ackOut(c1, 100)}, 1
+	if !p.coalesce(link, ackOut(c1, 250)) {
 		t.Fatal("higher ack-out did not coalesce")
 	}
-	if !p.coalesce(link, syncAckOut, ackOut{Key: k1, Acked: 180}) {
+	if !p.coalesce(link, ackOut(c1, 180)) {
 		t.Fatal("stale ack-out did not coalesce")
 	}
-	if a := link.pending[0].msg.Payload.(ackOut); a.Acked != 250 {
-		t.Errorf("collapsed ack watermark = %d, want 250", a.Acked)
+	if acked := link.pending[0].W[1]; acked != 250 {
+		t.Errorf("collapsed ack watermark = %d, want 250", acked)
 	}
-	if link.pending[0].reps != 3 {
-		t.Errorf("reps = %d, want 3", link.pending[0].reps)
+	if link.pendingReps != 3 {
+		t.Errorf("reps = %d, want 3", link.pendingReps)
 	}
 
 	// Only the tail is eligible: a newer entry of another kind fences off
 	// older ones, preserving ring order exactly.
-	link.pending = append(link.pending, syncPending{msg: shm.Message{Kind: syncPeerFin, Payload: peerFin{Key: k1}, Size: 32}, reps: 1})
-	if p.coalesce(link, syncAckOut, ackOut{Key: k1, Acked: 300}) {
+	link.pending = append(link.pending, syncMessage(syncPeerFin, peerFinBytes, c1, 0, 0))
+	if p.coalesce(link, ackOut(c1, 300)) {
 		t.Error("ack-out merged past an interleaved update, breaking order")
 	}
 }
@@ -148,8 +152,8 @@ func TestPromoteCopiesLogicalBuffers(t *testing.T) {
 
 	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 40000}
 	in, out := []byte("unread input the client was acked for"), []byte("regenerated output the client has not acked")
-	sec.apply(shm.Message{Kind: syncConnMeta, Payload: connMeta{Key: key, ISS: 1000, IRS: 2000}})
-	sec.apply(shm.Message{Kind: syncDataIn, Payload: dataIn{Key: key, Data: in}})
+	sec.apply(shm.Message{Kind: syncConnMeta, W: [7]uint64{1, 1000, 2000}, Ref: &key})
+	sec.apply(shm.Message{Kind: syncDataIn, W: [7]uint64{1}, Data: in})
 	lc := sec.logical(key)
 	sec.appendOut(lc, out)
 
