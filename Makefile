@@ -27,9 +27,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# The sim layer's micro-benchmarks: host ns/op and allocs/op of a process
-# switch, a wake-up, a one-shot callback fired or cancelled, and a re-armed
-# event (DESIGN.md §19). Blocking, waking and re-arming read 0 allocs/op.
+# The sim layer's micro-benchmarks: host ns/op and allocs/op of a block
+# point that resumes itself, a wake-up and the switch it causes (two
+# processes, and 300 with cold stacks), a one-shot callback fired or
+# cancelled, and a re-armed event (DESIGN.md §19). Blocking, waking and
+# re-arming read 0 allocs/op.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim
 

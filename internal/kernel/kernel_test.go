@@ -412,3 +412,68 @@ func TestSyscallCost(t *testing.T) {
 		t.Errorf("10 syscalls took %v, want 10us", end)
 	}
 }
+
+// TestKillAnywhereInComputeReleasesCore kills a computing task at every
+// 500 ns offset across everything Compute does — owing the dispatch penalty,
+// queued, in the context switch of a hand-off, mid-slice, preempted — alone
+// on idle cores and contended on one, and requires every core back on the
+// idle list once the survivors have drained the queue.
+func TestKillAnywhereInComputeReleasesCore(t *testing.T) {
+	hit := map[string]int{} // where the kills landed
+	for _, contended := range []bool{false, true} {
+		cores, span := 2, 40*time.Microsecond
+		if contended {
+			cores, span = 1, 150*time.Microsecond
+		}
+		for at := time.Duration(0); at <= span; at += 500 * time.Nanosecond {
+			s, k := bootTest(t, cores)
+			k.params.Quantum = 10 * time.Microsecond
+			k.params.ContextSwitch = 2 * time.Microsecond
+			k.params.WakePreemptProb = 1
+			if contended {
+				// A hog to share the core with and a waker that keeps coming
+				// back boosted, so the victim queues, is handed the core and
+				// is preempted out of its batch slices.
+				k.Spawn("hog", func(tk *Task) { tk.Compute(45 * time.Microsecond) })
+				k.Spawn("waker", func(tk *Task) {
+					for i := 0; i < 12; i++ {
+						tk.Sleep(9 * time.Microsecond)
+						tk.Compute(time.Microsecond)
+					}
+				})
+			}
+			victim := k.Spawn("victim", func(tk *Task) { tk.Compute(35 * time.Microsecond) })
+			s.Schedule(at, func() {
+				switch sl := &victim.slice; {
+				case victim.finished:
+					hit["finished"]++
+				case victim.core < 0:
+					hit["queued"]++
+				case victim.dispatch.Armed() && contended:
+					hit["hand-off"]++
+				case victim.dispatch.Armed():
+					hit["penalty"]++
+				case sl.preempted:
+					hit["preempted"]++
+				default:
+					hit["slice"]++
+				}
+				victim.Kill()
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if k.IdleCores() != k.Cores() || k.Runnable() != 0 || len(k.sched.running) != 0 {
+				t.Errorf("contended=%v, killed at +%v: %d of %d cores idle, %d queued, %d slices running once everything finished",
+					contended, at, k.IdleCores(), k.Cores(), k.Runnable(), len(k.sched.running))
+			}
+			s.Shutdown()
+		}
+	}
+	for _, where := range []string{"penalty", "queued", "hand-off", "slice", "preempted", "finished"} {
+		if hit[where] == 0 {
+			t.Errorf("no kill landed on a task that was %s: %v", where, hit)
+		}
+	}
+	t.Log(hit)
+}

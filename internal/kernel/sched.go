@@ -16,15 +16,20 @@ type Task struct {
 	tid    int
 	name   string
 
-	wakeQ    sim.WaitQueue // personal queue for core hand-off
-	core     int           // core assigned by a releasing task, -1 otherwise
 	doneQ    sim.WaitQueue // joiners
 	finished bool
 
-	// A task computes on at most one core at a time, so its timeslice and
-	// the timer that ends it live in the task and are reused slice after
-	// slice.
+	// A task computes on at most one core at a time, so everything a
+	// timeslice needs lives in the task and is reused slice after slice.
+	// core is the one record of which core the task holds, from the moment
+	// it leaves the idle list or a releasing task's hands until release
+	// (-1 otherwise). The task parks on wakeQ once per slice — queued for a
+	// core, owing the dispatch penalty (dispatch fires when it is paid and
+	// starts the slice) and computing (sliceTimer ends it) alike.
+	core       int
+	wakeQ      sim.WaitQueue
 	slice      runSlice
+	dispatch   sim.Event
 	sliceTimer sim.Event
 
 	wait Waiter // the task's futex wait record, see Task.Waiter
@@ -41,15 +46,15 @@ type scheduler struct {
 	// merely exhausted their timeslice (batch), so a brief lock hold or
 	// syscall is not penalized by a full quantum behind CPU hogs. A boosted
 	// arrival with no idle core preempts a running batch task mid-quantum.
-	boostq  []*Task
-	runq    []*Task
-	running map[int]*runSlice // core -> current timeslice
+	boostq, runq       []*Task // FIFOs from boostHead / runHead
+	boostHead, runHead int
+	running            map[int]*runSlice // core -> current timeslice
 }
 
-// runSlice is one task's current occupancy of a core.
+// runSlice is one task's current timeslice on the core it holds.
 type runSlice struct {
 	t         *Task
-	core      int
+	q         time.Duration // how long it may run
 	batch     bool
 	start     sim.Time
 	finished  bool
@@ -69,8 +74,7 @@ func newScheduler(k *Kernel, ncores int) *scheduler {
 	return s
 }
 
-// Spawn starts fn as a new kernel task. The task's goroutine dies with the
-// kernel.
+// Spawn starts fn as a new kernel task. The task dies with the kernel.
 func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	k.nextTID++
 	t := &Task{
@@ -79,6 +83,7 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 		name:   name,
 		core:   -1,
 	}
+	t.dispatch.Init(k.sim, t.startSlice)
 	t.sliceTimer.Init(k.sim, t.sliceExpired)
 	t.proc = k.group.Spawn(fmt.Sprintf("%s/%s.%d", k.name, name, t.tid), func(p *sim.Proc) {
 		defer func() {
@@ -145,43 +150,52 @@ func (t *Task) Compute(d time.Duration) {
 		return
 	}
 	s := t.kernel.sched
-	core := s.acquire(t, true)
-	batch := false
-	for d > 0 {
+	defer func() {
+		if r := recover(); r != nil {
+			// The task was killed somewhere in Compute — owing the dispatch
+			// penalty, mid-slice, mid-hand-off: free what it holds as we
+			// unwind.
+			t.dispatch.Cancel()
+			if t.core >= 0 {
+				s.release(t)
+			}
+			panic(r)
+		}
+	}()
+	for batch := false; ; {
 		q := d
 		if q > t.kernel.params.Quantum {
 			q = t.kernel.params.Quantum
 		}
-		elapsed := s.runSliceFor(t, core, q, batch)
+		t.slice = runSlice{t: t, q: q, batch: batch}
+		if t.core >= 0 {
+			t.startSlice() // uncontended: the next slice follows on the same core
+		} else {
+			s.acquire(t, !batch)
+		}
+		t.wakeQ.Wait(t.proc)
+		// A batch slice ends early when a freshly woken task preempts it.
+		elapsed := t.Now().Sub(t.slice.start)
 		t.kernel.computeNS += int64(elapsed)
-		d -= elapsed
-		if d > 0 && s.queued() > 0 {
+		if d -= elapsed; d <= 0 {
+			break
+		}
+		if s.queued() > 0 {
 			// Contended (or preempted): yield the core and requeue as batch.
-			s.release(core)
-			core = s.acquire(t, false)
+			s.release(t)
 			batch = true
 		}
 	}
-	s.release(core)
+	s.release(t)
 }
 
-// runSliceFor occupies the core for up to q of compute, returning the time
-// actually run: a batch slice ends early when a freshly woken task preempts
-// it.
-func (s *scheduler) runSliceFor(t *Task, core int, q time.Duration, batch bool) time.Duration {
-	t.slice = runSlice{t: t, core: core, batch: batch, start: s.k.sim.Now()}
-	s.running[core] = &t.slice
-	defer func() {
-		delete(s.running, core)
-		if r := recover(); r != nil {
-			// The task was killed mid-slice: free the core as we unwind.
-			s.release(core)
-			panic(r)
-		}
-	}()
-	t.sliceTimer.Reset(q)
-	t.wakeQ.Wait(t.proc)
-	return s.k.sim.Now().Sub(t.slice.start)
+// startSlice begins the task's timeslice on the core it holds: called
+// directly when one slice follows another on the same core, and by the
+// dispatch event once the penalty of getting the core has been paid.
+func (t *Task) startSlice() {
+	t.slice.start = t.Now()
+	t.kernel.sched.running[t.core] = &t.slice
+	t.sliceTimer.Reset(t.slice.q)
 }
 
 // sliceExpired ends the task's timeslice when its quantum runs out.
@@ -199,7 +213,7 @@ func (s *scheduler) preemptBatch() bool {
 	var victim *runSlice
 	for _, sl := range s.running {
 		if sl.batch && !sl.finished && !sl.preempted &&
-			(victim == nil || sl.start < victim.start || (sl.start == victim.start && sl.core < victim.core)) {
+			(victim == nil || sl.start < victim.start || (sl.start == victim.start && sl.t.core < victim.t.core)) {
 			victim = sl
 		}
 	}
@@ -213,20 +227,26 @@ func (s *scheduler) preemptBatch() bool {
 	return true
 }
 
-func (s *scheduler) queued() int { return len(s.boostq) + len(s.runq) }
+func (s *scheduler) queued() int {
+	return len(s.boostq) - s.boostHead + len(s.runq) - s.runHead
+}
 
-// acquire obtains a core for t, paying dispatch latency. If every core is
-// busy the task queues behind other runnable tasks: freshly woken tasks
-// (boost) ahead of timeslice-expired ones.
-func (s *scheduler) acquire(t *Task, boost bool) int {
+// acquire gets t on its way to a core: an idle one is taken at once and the
+// slice starts when the dispatch latency has passed; if every core is busy
+// the task queues behind other runnable tasks, freshly woken tasks (boost)
+// ahead of timeslice-expired ones, until a release hands it one. Either way
+// the caller parks next and wakes at the end of the slice.
+func (s *scheduler) acquire(t *Task, boost bool) {
 	if len(s.idle) > 0 {
-		core := s.idle[len(s.idle)-1]
+		t.core = s.idle[len(s.idle)-1]
 		s.idle = s.idle[:len(s.idle)-1]
-		idleFor := s.k.sim.Now().Sub(s.idleSince[core])
+		idleFor := s.k.sim.Now().Sub(s.idleSince[t.core])
 		if pen := s.dispatchPenalty(idleFor); pen > 0 {
-			t.proc.Sleep(pen)
+			t.dispatch.Reset(pen)
+		} else {
+			t.startSlice()
 		}
-		return core
+		return
 	}
 	if boost {
 		s.boostq = append(s.boostq, t)
@@ -240,8 +260,6 @@ func (s *scheduler) acquire(t *Task, boost bool) int {
 	} else {
 		s.runq = append(s.runq, t)
 	}
-	t.wakeQ.Wait(t.proc)
-	return t.core
 }
 
 // dispatchPenalty models wake_up_process: a context switch, plus an
@@ -267,24 +285,28 @@ func (s *scheduler) dispatchPenalty(idleFor time.Duration) time.Duration {
 	return pen
 }
 
-// release returns a core, handing it directly to the next queued task if
-// any (paying only a context switch — the core never goes idle); boosted
-// (freshly woken) tasks are served before batch tasks.
-func (s *scheduler) release(core int) {
+// release returns t's core and ends what is left of its slice there,
+// handing the core directly to the next queued task if any (paying only a
+// context switch — the core never goes idle); boosted (freshly woken) tasks
+// are served before batch tasks.
+func (s *scheduler) release(t *Task) {
+	core := t.core
+	t.core = -1
+	delete(s.running, core)
 	for s.queued() > 0 {
 		var next *Task
-		if len(s.boostq) > 0 {
-			next = s.boostq[0]
-			s.boostq = s.boostq[1:]
+		if len(s.boostq) > s.boostHead {
+			next = s.boostq[s.boostHead]
+			s.boostq, s.boostHead = sim.PopFront(s.boostq, s.boostHead)
 		} else {
-			next = s.runq[0]
-			s.runq = s.runq[1:]
+			next = s.runq[s.runHead]
+			s.runq, s.runHead = sim.PopFront(s.runq, s.runHead)
 		}
 		if next.proc.Killed() || next.finished {
 			continue
 		}
 		next.core = core
-		next.wakeQ.WakeOne(s.k.params.ContextSwitch)
+		next.dispatch.Reset(s.k.params.ContextSwitch)
 		return
 	}
 	s.idleSince[core] = s.k.sim.Now()

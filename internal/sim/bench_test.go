@@ -9,8 +9,8 @@ import (
 // per engine operation, the numbers under every host_* metric of the
 // repository benchmark.
 
-// BenchmarkSleepSwitch is one process switch: a sleeping process is resumed
-// and goes back to sleep.
+// BenchmarkSleepSwitch is a lone process that sleeps and is itself the next
+// to run: a block point with no switch in it.
 func BenchmarkSleepSwitch(b *testing.B) {
 	s := New(1)
 	defer s.Shutdown()
@@ -47,6 +47,35 @@ func BenchmarkWaitWake(b *testing.B) {
 	s.Spawn("ping", bounce(&ping, &pong))
 	s.Spawn("pong", bounce(&pong, &ping))
 	s.Schedule(0, func() { ping.WakeOne(0) }) // both are parked by now
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != ErrStopped {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcHandoff is a wake-up and a switch with nothing warm: 300
+// processes pass a token round-robin, so every switch is out of one process
+// and into another whose stack has not run for 299 switches.
+func BenchmarkProcHandoff(b *testing.B) {
+	s := New(1)
+	defer s.Shutdown()
+	const ring = 300
+	queues := make([]WaitQueue, ring)
+	n := 0
+	for i := range queues {
+		mine, next := &queues[i], &queues[(i+1)%ring]
+		s.Spawn("p", func(p *Proc) {
+			for {
+				mine.Wait(p)
+				if n++; n == b.N {
+					s.Stop()
+				}
+				next.WakeOne(0)
+			}
+		})
+	}
+	s.Schedule(0, func() { queues[0].WakeOne(0) }) // everyone is parked by now
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := s.Run(); err != ErrStopped {

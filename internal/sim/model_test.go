@@ -15,8 +15,14 @@ import (
 // a reference written for obviousness instead of speed: one slice sorted by
 // (at, seq), cancellation by deletion, processes as program counters. The
 // two must produce the same log line for line: every callback firing, every
-// context switch, the result of every wait and wake, and Pending() at every
+// process switch, the result of every wait and wake, and Pending() at every
 // callback.
+//
+// The reference also knows who holds control — the driver at the start of
+// every step and after a process finishes, otherwise the last process that
+// ran — which is all it takes to predict which resumes are switches: a
+// resume of the holder is not one. Callbacks aim some of their ops at the
+// holder, the process on whose stack the engine is firing them.
 
 type opKind int
 
@@ -33,6 +39,9 @@ const (
 	opCancel                    // cancel timer a
 	opKill                      // kill process a
 	opBurst                     // schedule a one-shots far out, cancel most at once
+	opWakeHolder                // wake everyone on the queue the holder is parked on, delay d
+	opKillHolder                // kill the holder
+	opStop                      // Stop: the step ends before anything else is popped
 	numOps
 )
 
@@ -70,8 +79,8 @@ func genProgram(rng *rand.Rand) program {
 				continue
 			}
 			switch o.kind {
-			case opKill, opBurst:
-				if rng.Intn(4) != 0 { // keep these rare
+			case opKill, opBurst, opKillHolder, opStop:
+				if rng.Intn(4) != 0 || (o.kind == opStop && o.b != 0) { // keep these rare
 					continue
 				}
 				if o.kind == opBurst {
@@ -114,6 +123,9 @@ type world interface {
 	reset(timer int, d time.Duration)
 	cancel(timer int)
 	kill(proc int)
+	holder() int           // the process holding control, -1 for the driver
+	parkedOn(proc int) int // the queue it is parked on, -1 if none
+	stop()
 }
 
 func apply(w world, pg *program, o op) {
@@ -134,6 +146,17 @@ func apply(w world, pg *program, o op) {
 		w.cancel(o.a % pg.timers)
 	case opKill:
 		w.kill(o.a % len(pg.procs))
+	case opWakeHolder:
+		if h := w.holder(); h >= 0 && w.parkedOn(h) >= 0 {
+			w.logf("wakeholder p%d -> %s", h, w.wake(w.parkedOn(h), 0, true, o.d))
+		}
+	case opKillHolder:
+		if h := w.holder(); h >= 0 {
+			w.logf("killholder p%d", h)
+			w.kill(h)
+		}
+	case opStop:
+		w.stop()
 	case opBurst:
 		for i := 0; i < o.a; i++ {
 			w.schedule(time.Second + time.Duration(i%7)*time.Millisecond)
@@ -158,6 +181,7 @@ type engineWorld struct {
 	shots       []*Event
 	fires       int
 	compactions int
+	hold        int // the process last switched in, -1 at the start of a step
 }
 
 func (w *engineWorld) logf(format string, args ...any) {
@@ -225,11 +249,47 @@ func (w *engineWorld) cancel(timer int) { w.cancelled(w.timers[timer].Cancel) }
 
 func (w *engineWorld) kill(proc int) { w.cancelled(w.procs[proc].Kill) }
 
+// holder is what the engine's own switches say: the hook is its only input.
+func (w *engineWorld) holder() int {
+	if w.hold >= 0 && w.procs[w.hold].Finished() {
+		return -1
+	}
+	return w.hold
+}
+
+func (w *engineWorld) parkedOn(proc int) int {
+	for i := range w.queues {
+		if w.procs[proc].queue == &w.queues[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+func (w *engineWorld) stop() { w.s.Stop() }
+
+// stopped reports whether a run ended by Stop, and if so logs it and lets
+// the simulation run again.
+func (w *engineWorld) stopped(err error) bool {
+	if err == nil {
+		return false
+	}
+	if err != ErrStopped {
+		w.t.Fatalf("run: %v", err)
+	}
+	w.logf("stopped")
+	w.s.stopped = false
+	return true
+}
+
 func runOnEngine(t *testing.T, pg *program) *engineWorld {
 	s := New(1)
 	defer s.Shutdown()
-	w := &engineWorld{t: t, pg: pg, s: s, queues: make([]WaitQueue, pg.queues), timers: make([]Event, pg.timers)}
-	s.OnSwitch = func(_ Time, name string) { w.logf("switch %s", name) }
+	w := &engineWorld{t: t, pg: pg, s: s, queues: make([]WaitQueue, pg.queues), timers: make([]Event, pg.timers), hold: -1}
+	s.OnSwitch = func(_ Time, name string) {
+		w.logf("switch %s", name)
+		fmt.Sscanf(name, "p%d", &w.hold)
+	}
 	for i := range w.timers {
 		i := i
 		w.timers[i].Init(s, func() { w.fired(i) })
@@ -257,13 +317,12 @@ func runOnEngine(t *testing.T, pg *program) *engineWorld {
 		for _, o := range pg.driver[i] {
 			apply(w, pg, o)
 		}
-		if err := s.RunFor(step); err != nil {
-			t.Fatalf("RunFor: %v", err)
-		}
+		w.stopped(s.RunFor(step))
+		w.hold = -1
 		w.logf("step %d pending %d live %d", i, s.Pending(), s.Live())
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	for w.stopped(s.Run()) {
+		w.hold = -1
 	}
 	w.logf("done pending %d live %d", s.Pending(), s.Live())
 	return w
@@ -281,6 +340,13 @@ type refQueue struct {
 	timers  []uint64 // seq of the pending firing, 0 if none
 	shots   []uint64
 	fires   int
+	hold    int  // who holds control: a process number, -1 for the driver
+	stopped bool // Stop was called: nothing more is popped this step
+
+	// How often the programs reached what the rule is about: a process
+	// woken, killed or timed out on its own stack, a step that ended with
+	// a process mid-wait holding control, a run ended by Stop.
+	selfWakes, selfKills, selfTimeouts, midWait, stops int
 }
 
 type refEntry struct {
@@ -397,6 +463,17 @@ func (r *refQueue) kill(i int) {
 	}
 }
 
+func (r *refQueue) holder() int { return r.hold }
+
+func (r *refQueue) parkedOn(i int) int {
+	if r.procs[i].state != "queued" {
+		return -1
+	}
+	return r.procs[i].queue
+}
+
+func (r *refQueue) stop() { r.stopped = true }
+
 func (r *refQueue) fired(id int) {
 	r.logf("fire %d pending %d", id, len(r.entries))
 	if r.fires++; r.fires > fireBudget {
@@ -414,10 +491,17 @@ func (r *refQueue) resume(i int) {
 	if p.state == "finished" {
 		return
 	}
-	r.logf("switch p%d", i)
+	self := r.hold == i
+	if !self {
+		r.logf("switch p%d", i)
+	}
+	r.hold = i
 	p.state = "runnable"
 	if p.killed {
-		p.state = "finished"
+		if self {
+			r.selfKills++
+		}
+		p.state, r.hold = "finished", -1
 		return
 	}
 	script := r.pg.procs[i]
@@ -429,6 +513,9 @@ func (r *refQueue) resume(i int) {
 			r.logf("p%d@%d woken", i, p.pc)
 		case opWaitTimeout:
 			r.logf("p%d@%d woken=%v", i, p.pc, !p.timedOut)
+		}
+		if self && script[p.pc].kind != opSleep && !p.timedOut {
+			r.selfWakes++
 		}
 		p.pc++
 	}
@@ -451,11 +538,13 @@ func (r *refQueue) resume(i int) {
 			apply(r, r.pg, o)
 		}
 	}
-	p.state = "finished"
+	p.state, r.hold = "finished", -1
 }
 
+// run is one step: the driver takes control and entries fire in order until
+// the queue is empty, the next is beyond the step, or Stop was called.
 func (r *refQueue) run(until Time) {
-	for len(r.entries) > 0 && r.entries[0].at <= until {
+	for !r.stopped && len(r.entries) > 0 && r.entries[0].at <= until {
 		e := r.entries[0]
 		r.entries = r.entries[1:]
 		r.now = e.at
@@ -473,9 +562,19 @@ func (r *refQueue) run(until Time) {
 			r.leaveQueue(e.id)
 			r.procs[e.id].timedOut = true
 			r.makeRunnable(e.id, 0)
+			if r.hold == e.id {
+				r.selfTimeouts++
+			}
 		}
 	}
-	if until != never && r.now < until {
+	if r.hold >= 0 && r.procs[r.hold].state != "runnable" {
+		r.midWait++
+	}
+	r.hold = -1
+	if r.stopped {
+		r.logf("stopped")
+		r.stops++
+	} else if until != never && r.now < until {
 		r.now = until
 	}
 }
@@ -492,7 +591,7 @@ func (r *refQueue) live() int {
 
 func runOnReference(pg *program) *refQueue {
 	r := &refQueue{pg: pg, procs: make([]refProc, len(pg.procs)), queues: make([][]int, pg.queues),
-		timers: make([]uint64, pg.timers)}
+		timers: make([]uint64, pg.timers), hold: -1}
 	for i := range pg.procs {
 		r.makeRunnable(i, pg.starts[i])
 	}
@@ -501,15 +600,19 @@ func runOnReference(pg *program) *refQueue {
 			apply(r, pg, o)
 		}
 		r.run(r.now.Add(step))
+		r.stopped = false
 		r.logf("step %d pending %d live %d", i, len(r.entries), r.live())
 	}
-	r.run(never)
+	for r.run(never); r.stopped; r.run(never) {
+		r.stopped = false
+	}
 	r.logf("done pending %d live %d", len(r.entries), r.live())
 	return r
 }
 
 func TestEngineMatchesReferenceQueue(t *testing.T) {
 	compactions, switches := 0, 0
+	var reached refQueue // the sums of the reference's counters
 	for seed := int64(1); seed <= 120; seed++ {
 		pg := genProgram(rand.New(rand.NewSource(seed)))
 		got, want := runOnEngine(t, &pg), runOnReference(&pg)
@@ -530,6 +633,11 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 			t.Fatalf("seed %d: engine drew %d sequence numbers, reference %d", seed, got.s.seq, want.seq)
 		}
 		compactions += got.compactions
+		reached.selfWakes += want.selfWakes
+		reached.selfKills += want.selfKills
+		reached.selfTimeouts += want.selfTimeouts
+		reached.midWait += want.midWait
+		reached.stops += want.stops
 		for _, l := range got.log {
 			if strings.Contains(l, " switch ") {
 				switches++
@@ -537,8 +645,15 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 		}
 	}
 	// The comparison means little unless the programs reach the machinery.
-	t.Logf("%d compactions, %d switches", compactions, switches)
+	t.Logf("%d compactions, %d switches; on its own stack a process was woken %d times, killed %d, timed out %d; %d steps ended mid-wait, %d by Stop",
+		compactions, switches, reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops)
 	if compactions == 0 || switches < 1000 {
 		t.Errorf("120 programs compacted the queue %d times and switched %d times: not a test of either", compactions, switches)
+	}
+	for _, n := range []int{reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops} {
+		if n < 20 {
+			t.Errorf("the programs hardly reach the self-resume rule: see the counts above")
+			break
+		}
 	}
 }

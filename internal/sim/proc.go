@@ -2,15 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
 )
 
-// killedPanic unwinds a process goroutine after Kill. It is recovered by the
+// killedPanic unwinds a process after Kill. It is recovered by the
 // process wrapper and never escapes the package.
 type killedPanic struct{}
 
-// procPanic wraps a real panic raised inside a process so the scheduler can
+// procPanic wraps a real panic raised by a process's own code so Run can
 // re-panic with context about which process failed.
 type procPanic struct {
 	proc  string
@@ -32,17 +33,23 @@ const (
 	parkQueue                 // on p.queue, with or without a timeout
 )
 
-// Proc is a simulated process: a goroutine that runs under the simulation
+// Proc is a simulated process: a coroutine that runs under the simulation
 // scheduler. At most one Proc executes at any moment; a Proc advances virtual
 // time only by blocking (Sleep, WaitQueue.Wait, ...). All Proc methods must
-// be called from the Proc's own goroutine unless documented otherwise.
+// be called from the Proc's own code unless documented otherwise; a blocking
+// call made anywhere else panics.
 type Proc struct {
 	sim      *Simulation
 	group    *Group
 	name     string
-	resume   chan struct{}
 	killed   bool
 	finished bool
+
+	// The two halves of the coroutine (iter.Pull): the driver switches the
+	// process in and gets back the successor it names when it switches out
+	// (nil when it has none or has finished).
+	switchIn  func() (*Proc, bool)
+	switchOut func(*Proc) bool
 
 	// A process has at most one resume and one wait timeout in the event
 	// queue. Each field holds the sequence number of that entry, 0 when
@@ -72,9 +79,12 @@ func (s *Simulation) SpawnAfter(name string, d time.Duration, fn func(p *Proc)) 
 	p := &Proc{
 		sim:      s,
 		name:     name,
-		resume:   make(chan struct{}),
 		liveprev: s.liveTail,
 	}
+	p.switchIn, _ = iter.Pull(func(yield func(*Proc) bool) {
+		p.switchOut = yield
+		p.main(fn)
+	})
 	if s.liveTail != nil {
 		s.liveTail.livenext = p
 	} else {
@@ -82,13 +92,11 @@ func (s *Simulation) SpawnAfter(name string, d time.Duration, fn func(p *Proc)) 
 	}
 	s.liveTail = p
 	s.liveProc++
-	go p.main(fn)
 	p.makeRunnable(d)
 	return p
 }
 
 func (p *Proc) main(fn func(p *Proc)) {
-	<-p.resume
 	func() {
 		defer func() {
 			r := recover()
@@ -109,7 +117,6 @@ func (p *Proc) main(fn func(p *Proc)) {
 	if p.group != nil {
 		p.group.procDone(p)
 	}
-	p.sim.yield <- struct{}{}
 }
 
 func (s *Simulation) procDone(p *Proc) {
@@ -143,18 +150,36 @@ func (p *Proc) Killed() bool { return p.killed }
 // Finished reports whether the process function has returned or unwound.
 func (p *Proc) Finished() bool { return p.finished }
 
-// yield transfers control back to the scheduler and blocks until the process
-// is resumed. If the process was killed in the meantime it unwinds.
-func (p *Proc) yield() {
-	p.sim.yield <- struct{}{}
-	<-p.resume
+// mustRun panics unless p is the process whose code is executing: a
+// blocking call made from anywhere else would hang the run.
+func (p *Proc) mustRun(call string) {
+	if cur := p.sim.cur; cur != p {
+		if cur == nil {
+			panic(fmt.Sprintf("sim: %s on process %q from an event callback or outside Run: only a process's own code may block", call, p.name))
+		}
+		panic(fmt.Sprintf("sim: %s on process %q, which is not running: process %q is", call, p.name, cur.name))
+	}
+}
+
+// block is every block point: the process, already parked, runs the
+// dispatch loop itself until its own resume fires — then it never gave
+// control up and just carries on — or another process's does, which it
+// hands to the driver as it switches out (nil when the run is over). If the
+// process was killed in the meantime it unwinds.
+func (p *Proc) block() {
+	s := p.sim
+	s.cur = nil
+	if next := s.dispatch(p); next != p {
+		p.switchOut(next)
+	}
+	s.cur = p
 	if p.killed {
 		panic(killedPanic{})
 	}
 }
 
-// makeRunnable queues the process's resume after delay d. Called from
-// scheduler or another process context, on a process that is parked (and
+// makeRunnable queues the process's resume after delay d. Called from a
+// callback, the driver or another process, on a process that is parked (and
 // already detached from what it was parked on) or not yet started. A
 // process with a resume already pending is either runnable or asleep;
 // queueing a second one would run it twice, so that is a bug in the caller.
@@ -188,16 +213,17 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in process %q", d, p.name))
 	}
+	p.mustRun("Sleep")
 	p.resumeSeq = p.sim.push(p.sim.now.Add(d), kindResume, p, nil)
 	p.parked = parkSleep
-	p.yield()
+	p.block()
 }
 
-// Kill marks the process as killed and, if it is parked, unparks it so the
-// goroutine unwinds. A killed process stops at its next block point and
-// never runs user code again. Kill may be called from the scheduler or from
-// another process; killing the calling process takes effect at its next
-// block point. Kill is idempotent.
+// Kill marks the process as killed and, if it is parked, unparks it so it
+// unwinds. A killed process stops at its next block point and never runs
+// user code again. Kill may be called from a callback, the driver or any
+// process; killing the calling process takes effect at its next block
+// point. Kill is idempotent.
 func (p *Proc) Kill() {
 	if p.killed || p.finished {
 		return

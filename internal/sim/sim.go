@@ -1,10 +1,17 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine provides a virtual clock, a time-ordered event queue, and
-// goroutine-backed simulated processes (Proc). At most one process runs at a
-// time and all ties are broken by insertion order, so a simulation is fully
-// deterministic for a given seed: running it twice produces the identical
-// sequence of events, context switches, and random numbers.
+// simulated processes (Proc), each a runtime coroutine. At most one process
+// runs at a time and all ties are broken by insertion order, so a simulation
+// is fully deterministic for a given seed: running it twice produces the
+// identical sequence of events, process switches, and random numbers.
+//
+// There is one dispatch loop, and whoever has nothing else to do runs it:
+// the goroutine that called Run (the driver), or a process at its own block
+// point, which fires the callbacks that are due on its own stack and simply
+// carries on when the next process to run is itself. The order of a run is
+// the order of (at, seq) in the queue, so which of them pops an entry cannot
+// change what fires next.
 //
 // Everything else in this repository — the simulated hardware, the kernels,
 // the replication protocol, and the benchmark workloads — is built on this
@@ -16,6 +23,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime/debug"
 	"time"
 )
 
@@ -89,8 +98,8 @@ func (e *Event) Reset(d time.Duration) {
 type entryKind uint8
 
 const (
-	kindCallback entryKind = iota // run ev.fn on the scheduler goroutine
-	kindResume                    // switch to process p
+	kindCallback entryKind = iota // run ev.fn on whichever stack runs the loop
+	kindResume                    // process p runs next
 	kindTimeout                   // p's WaitTimeout expired: take it off its queue
 )
 
@@ -138,26 +147,28 @@ type Simulation struct {
 	dead    int     // entries in queue that are no longer live
 	seq     uint64
 	rng     *rand.Rand
-	yield   chan struct{}
 	stopped bool
-	failure any // panic value propagated from a proc
+	failure any // panic value on its way to Run's caller
+
+	until Time  // the bound of the run in progress
+	cur   *Proc // the process whose code is executing; nil in the driver and in callbacks
 
 	// Unfinished processes in spawn order, linked through Proc.
 	liveHead, liveTail *Proc
 	liveProc           int
 
-	// OnSwitch, if non-nil, is invoked on every context switch to a process
-	// with the current virtual time and the process name. It exists so tests
-	// can record and compare full execution traces.
+	// OnSwitch, if non-nil, is invoked each time the driver switches a
+	// process in, with the current virtual time and the process name: once
+	// per transfer of control into a process. A process that blocks and is
+	// itself the next to run never gave control up, so there is no switch
+	// and no call. It exists so tests can record and compare execution
+	// traces and the benchmark can count switches.
 	OnSwitch func(Time, string)
 }
 
 // New returns a simulation whose random source is seeded with seed.
 func New(seed int64) *Simulation {
-	return &Simulation{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Simulation{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now reports the current virtual time.
@@ -173,8 +184,9 @@ func (s *Simulation) Pending() int { return len(s.queue) - s.dead }
 // yet finished.
 func (s *Simulation) Live() int { return s.liveProc }
 
-// Schedule arranges for fn to run at virtual time now+d on the scheduler
-// goroutine. It must not block; to do blocking work, spawn a Proc instead.
+// Schedule arranges for fn to run at virtual time now+d, on the stack of
+// whoever is running the dispatch loop then. It must not block (a blocking
+// call from a callback panics); to do blocking work, spawn a Proc instead.
 func (s *Simulation) Schedule(d time.Duration, fn func()) *Event {
 	return s.ScheduleAt(s.now.Add(d), fn)
 }
@@ -291,7 +303,8 @@ const never = Time(math.MaxInt64)
 
 // Run processes events until the event queue is empty, Stop is called, or a
 // process panics (in which case Run re-panics with the original value and a
-// note naming the process). Processes blocked on wait queues with no pending
+// note naming the process; a panic raised by a callback reaches Run's caller
+// as it was raised). Processes blocked on wait queues with no pending
 // wake-up are left parked; callers can detect that via Live.
 func (s *Simulation) Run() error { return s.run(never) }
 
@@ -308,14 +321,56 @@ func (s *Simulation) RunUntil(t Time) error {
 // RunFor is shorthand for RunUntil(Now()+d).
 func (s *Simulation) RunFor(d time.Duration) error { return s.RunUntil(s.now.Add(d)) }
 
+// run is the driver: it runs the dispatch loop until a process has to be
+// switched in, switches it in, and takes over again when a process switches
+// back out — with the successor it names, or with none because it finished
+// or found the run over. Every OnSwitch call is made here.
 func (s *Simulation) run(until Time) error {
-	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
+	s.until = until
+	for p := s.dispatch(nil); p != nil; {
+		if s.OnSwitch != nil {
+			s.OnSwitch(s.now, p.name)
 		}
-		if s.queue[0].at > until {
-			return nil
+		s.cur = p
+		p, _ = p.switchIn()
+		s.cur = nil
+		if p == nil {
+			p = s.dispatch(nil)
 		}
+	}
+	if f := s.failure; f != nil {
+		s.failure = nil
+		panic(f)
+	}
+	if s.stopped {
+		return ErrStopped
+	}
+	return nil
+}
+
+// dispatch is the engine's one loop. It pops and fires entries in (at, seq)
+// order — callbacks and wait time-outs inline, on the caller's stack — until
+// a process's resume fires, and returns that process; it returns nil when
+// the run is over (a failure on its way out, Stop, an empty queue, the next
+// entry beyond the run's bound), which it tests before every pop, so nothing
+// popped is ever lost. The driver calls it with self == nil. A process calls
+// it at its own block point: if it gets itself back it just carries on,
+// otherwise it switches out to the driver naming what it got. On a
+// process's stack a panic from a callback must not unwind the process it
+// happened to fire on: it is kept, as raised, for the driver to raise, and
+// the run is over. The stack that raised it is lost that way, so it is
+// printed here.
+func (s *Simulation) dispatch(self *Proc) (next *Proc) {
+	defer func() {
+		if self == nil {
+			return // already on the stack of Run's caller
+		}
+		if r := recover(); r != nil {
+			fmt.Fprintf(os.Stderr, "sim: panic in a callback fired on the stack of process %q: %v\n%s", self.name, r, debug.Stack())
+			s.failure, next = r, nil
+		}
+	}()
+	for s.failure == nil && !s.stopped && len(s.queue) > 0 && s.queue[0].at <= s.until {
 		e := s.pop()
 		if !e.live() {
 			s.dead--
@@ -333,7 +388,7 @@ func (s *Simulation) run(until Time) error {
 			p.resumeSeq = 0
 			p.parked = parkNone
 			if !p.finished {
-				s.switchTo(p)
+				return p
 			}
 		case kindTimeout:
 			p.timeoutSeq = 0
@@ -341,42 +396,26 @@ func (s *Simulation) run(until Time) error {
 			p.timedOut = true
 			p.makeRunnable(0)
 		}
-		if s.failure != nil {
-			f := s.failure
-			s.failure = nil
-			panic(f)
-		}
-	}
-	if s.stopped {
-		return ErrStopped
 	}
 	return nil
 }
 
-// switchTo transfers control to p and waits for it to block or finish.
-// It must only be called from the scheduler goroutine.
-func (s *Simulation) switchTo(p *Proc) {
-	if s.OnSwitch != nil {
-		s.OnSwitch(s.now, p.name)
-	}
-	p.resume <- struct{}{}
-	<-s.yield
-}
-
 // Shutdown ends the simulation: every unfinished process is killed and its
-// goroutine unwound (deferred functions run), in spawn order, and whatever
-// is still queued is dropped. Without it a finished run leaves one parked
-// goroutine per blocked process behind for as long as the program lives.
-// It must be called from outside Run, and the simulation cannot run again.
+// coroutine unwound (deferred functions run; one that never started ends
+// without running), in spawn order, and whatever is still queued is dropped.
+// Without it a finished run leaves one parked goroutine per unfinished
+// process behind for as long as the program lives. It must be called from
+// outside Run, and the simulation cannot run again.
 func (s *Simulation) Shutdown() {
-	s.stopped = true
+	s.stopped = true // a process that blocks while unwinding dispatches nothing
 	for p := s.liveHead; p != nil; p = s.liveHead {
 		// A deferred function that blocks parks p again; it stays at the
 		// head and unwinds a little further each time round.
 		p.killed = true
 		p.unpark()
-		p.resume <- struct{}{}
-		<-s.yield
+		s.cur = p
+		p.switchIn()
+		s.cur = nil
 	}
 	s.queue, s.dead = nil, 0
 	if f := s.failure; f != nil {

@@ -19,12 +19,14 @@ func (q *WaitQueue) Len() int { return q.n }
 
 // Wait parks p until a WakeOne or WakeAll releases it.
 func (q *WaitQueue) Wait(p *Proc) {
+	p.mustRun("Wait")
 	q.wait(p, -1)
 }
 
 // WaitTimeout parks p until it is woken or until d elapses. It reports true
 // if the process was woken and false if the wait timed out.
 func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) bool {
+	p.mustRun("WaitTimeout")
 	return q.wait(p, d)
 }
 
@@ -42,7 +44,7 @@ func (q *WaitQueue) wait(p *Proc, d time.Duration) (woken bool) {
 	q.n++
 	p.parked = parkQueue
 	p.timedOut = false
-	p.yield()
+	p.block()
 	return !p.timedOut
 }
 
