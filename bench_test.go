@@ -2,194 +2,27 @@ package repro_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/replication"
 )
 
-// The benchmarks below regenerate the paper's evaluation, one per table or
-// figure; each reports the headline quantities via b.ReportMetric so the
-// shape can be compared against the paper (see EXPERIMENTS.md). cmd/ftbench
-// prints the full tables.
-
-// BenchmarkFig1MemoryOccupancy reproduces Figure 1 (§2.3): physical-memory
-// occupancy of a 96 GB Linux machine running memcached at 180x input size.
-func BenchmarkFig1MemoryOccupancy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig1(bench.Fig1Multipliers())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.Ignored, "ignored-%@180x")
-		b.ReportMetric(last.Delayed, "delayed-%@180x")
-		b.ReportMetric(last.User, "user-%@180x")
-	}
-}
-
-// BenchmarkFig4PBZIP2Throughput reproduces Figure 4 (§4.1) at the paper's
-// highlighted 50 KB block size: Ubuntu vs FT-Linux burst and sustained.
-func BenchmarkFig4PBZIP2Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := bench.DefaultPBZIPOpts()
-		opts.Window = 8 * time.Second
-		points, err := bench.PBZIP([]int{50}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := points[0]
-		b.ReportMetric(p.Ubuntu, "ubuntu-blocks/s")
-		b.ReportMetric(p.FTBurst, "ft-burst-blocks/s")
-		b.ReportMetric(p.FTSustained, "ft-sustained-blocks/s")
-		b.ReportMetric(p.PctOfUbuntu, "%-of-ubuntu")
-	}
-}
-
-// BenchmarkFig5PBZIP2Traffic reproduces Figure 5 (§4.1): inter-replica
-// messaging-layer traffic at 50 KB blocks (paper: ~34k msg/s, 4.3 MB/s).
-func BenchmarkFig5PBZIP2Traffic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := bench.DefaultPBZIPOpts()
-		opts.Window = 8 * time.Second
-		points, err := bench.PBZIP([]int{50}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(points[0].MsgPerSec, "msg/s")
-		b.ReportMetric(points[0].BytesPerSec/1e6, "MB/s")
-	}
-}
-
-// BenchmarkFig6MongooseThroughput reproduces Figure 6 (§4.2) at two
-// CPU-load extremes: short requests (FT ~60% of Ubuntu) and long requests
-// (FT within 20%).
-func BenchmarkFig6MongooseThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := bench.DefaultMongooseOpts()
-		opts.Steps = 1
-		opts.Window = 4 * time.Second
-		short, err := bench.Mongoose(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts.BaseLoad = 25600 * time.Microsecond // step-8 load
-		long, err := bench.Mongoose(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(short[0].Ubuntu, "ubuntu-short-req/s")
-		b.ReportMetric(short[0].FTSustained, "ft-short-req/s")
-		b.ReportMetric(short[0].PctOfUbuntu, "%-short")
-		b.ReportMetric(long[0].PctOfUbuntu, "%-long")
-	}
-}
-
-// BenchmarkFig7MongooseTraffic reproduces Figure 7 (§4.2): inter-replica
-// traffic while serving the 10 KB page under full load.
-func BenchmarkFig7MongooseTraffic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := bench.DefaultMongooseOpts()
-		opts.Steps = 1
-		opts.Window = 4 * time.Second
-		points, err := bench.Mongoose(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(points[0].MsgPerSec, "msg/s")
-		b.ReportMetric(points[0].BytesPerSec/1e6, "MB/s")
-	}
-}
-
-// BenchmarkSec43MixedWorkload reproduces the §4.3 experiment: replicated
-// Mongoose next to a non-replicated CPU hog (paper: FT at 91% of Ubuntu's
-// throughput, +8% latency).
-func BenchmarkSec43MixedWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := bench.DefaultMixedOpts()
-		opts.Window = 5 * time.Second
-		r, err := bench.Mixed(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.UbuntuRPS, "ubuntu-req/s")
-		b.ReportMetric(r.FTRPS, "ft-req/s")
-		b.ReportMetric(r.PctRPS, "%-of-ubuntu")
-		b.ReportMetric(r.PctLatency, "latency-overhead-%")
-	}
-}
-
-// BenchmarkFig8FailoverTransfer reproduces Figure 8 (§4.4) at 1 GB scale:
-// file transfer over 1 Gb/s with a mid-transfer primary failure.
-func BenchmarkFig8FailoverTransfer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig8(bench.QuickFig8Opts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Complete || r.Corrupted {
-			b.Fatalf("transfer integrity: complete=%v corrupted=%v", r.Complete, r.Corrupted)
-		}
-		b.ReportMetric(r.UbuntuMbps, "linux-Mb/s")
-		b.ReportMetric(r.FTMbps, "ft-Mb/s")
-		b.ReportMetric(r.PctFT, "%-of-linux")
-		b.ReportMetric(r.OutageSeconds, "outage-s")
-		b.ReportMetric(r.RecoveredMbps, "recovered-Mb/s")
-	}
-}
-
-// BenchmarkIntraVsInterMachineLatency reproduces the §1 motivation numbers
-// (paper, citing Guerraoui et al.: 0.55 us intra-machine vs 135 us LAN).
-func BenchmarkIntraVsInterMachineLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.IntraVsInterLatency(1, 1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.IntraMachine.Nanoseconds()), "intra-ns")
-		b.ReportMetric(float64(r.InterMachine.Nanoseconds()), "inter-ns")
-		b.ReportMetric(r.Ratio, "ratio")
-	}
-}
-
-// BenchmarkFaultOutcomes reproduces the §2.2 fault-model arithmetic: the
-// fate of random memory errors under the 180x memcached load.
-func BenchmarkFaultOutcomes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.FaultOutcomes(180, 20000, false, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*r.KernelPanic, "kernel-panic-%")
-		b.ReportMetric(100*r.Delayed, "delayed-%")
-		b.ReportMetric(100*r.UserKill, "user-kill-%")
-	}
-}
-
-// BenchmarkAblationOutputCommit compares strict output commit against the
-// §3.5 relaxed single-machine mode.
-func BenchmarkAblationOutputCommit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Ablations(1, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = rows // full table printed by `ftbench -exp ablations`
-	}
-}
-
-// BenchmarkDetSectionOverhead measures the per-block deterministic-section
-// rate of the PBZIP2 workload at an uncontended block size (microbenchmark
-// for the recording overhead).
-func BenchmarkDetSectionOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := bench.DefaultPBZIPOpts()
-		opts.Window = 4 * time.Second
-		points, err := bench.PBZIP([]int{400}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(points[0].MsgPerSec/points[0].FTSustained, "sections/block")
-		b.ReportMetric(float64(replication.DefaultConfig().SectionCost.Nanoseconds()), "section-cost-ns")
+// BenchmarkExperiment regenerates the paper's evaluation and the extension
+// sweeps, one sub-benchmark per ftbench experiment (paper figures at -quick
+// size), and reports each experiment's headline ratios via b.ReportMetric
+// so the shape can be compared against the paper (see EXPERIMENTS.md).
+// cmd/ftbench prints the full tables.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run(1, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, m := range r.Ratios {
+					b.ReportMetric(m.Value, m.Name)
+				}
+			}
+		})
 	}
 }

@@ -2,152 +2,75 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/apps/pbzip2"
-	"repro/internal/hw"
-	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/replication"
-	"repro/internal/shm"
 	"repro/internal/sim"
 )
 
-// BatchPoint is one batch-size configuration of the log-streaming
-// microbenchmark: the same pbzip2-style det-section workload is recorded
-// and replayed at a given Config.BatchTuples, and the mailbox traffic the
-// replication log generates is measured end to end (64-byte slot headers
-// included). The workload itself is identical at every point — Blocks and
-// Tuples must not change with the batch size; only how the tuples are
-// packed onto the ring may.
-type BatchPoint struct {
-	BatchTuples int `json:"batch_tuples"`
-
-	// Workload invariants (identical across points).
-	Blocks int    `json:"blocks"` // pbzip2 blocks completed
-	Tuples uint64 `json:"tuples"` // det-log tuples delivered to the backup
-
-	// Mailbox traffic on the log + acks rings.
-	Messages    int64 `json:"messages"`     // ring transfers (one header each)
-	LogBatches  int64 `json:"log_batches"`  // vectored transfers (>1 tuple)
-	AckMessages int64 `json:"ack_messages"` // cumulative acks sent by the replayer
-	Bytes       int64 `json:"bytes"`        // payload + header bytes
-
-	Divergences uint64  `json:"divergences"`
-	SimMS       float64 `json:"sim_ms"`       // simulated completion time
-	WallClockMS float64 `json:"wallclock_ms"` // host time to run the point
-	MsgPct      float64 `json:"msg_pct"`      // Messages as % of the first point
-	BytePct     float64 `json:"byte_pct"`     // Bytes as % of the first point
-
-	// Metrics is the obs registry snapshot at the end of the point:
-	// replay lag, commit-wait percentiles, batch fill levels, and ack
-	// counts alongside the raw traffic numbers.
-	Metrics obs.Snapshot `json:"metrics"`
-}
-
-// BatchSweepOpts bounds the per-point workload.
-type BatchSweepOpts struct {
-	Seed    int64
-	Blocks  int // pbzip2 blocks per point
-	Workers int
-}
-
-// DefaultBatchSweepOpts keeps each point well under a second of host time
-// while still generating several hundred log tuples.
-func DefaultBatchSweepOpts() BatchSweepOpts {
-	return BatchSweepOpts{Seed: 1, Blocks: 48, Workers: 8}
-}
-
-// BatchSweep runs the record/replay pipeline at each Config.BatchTuples
-// size over an identical workload and reports the traffic per point, with
-// MsgPct/BytePct normalized to the first (typically unbatched) point.
-func BatchSweep(sizes []int, opts BatchSweepOpts) ([]BatchPoint, error) {
-	var points []BatchPoint
-	for _, n := range sizes {
-		p, err := batchPoint(n, opts)
+// batching is the log-streaming microbenchmark: the same pbzip2-style
+// det-section workload (48 blocks, 8 workers, an output commit every 4
+// written blocks — without commits the batching win on the commit path is
+// invisible) is recorded and replayed at each batch size, and the mailbox
+// traffic the replication log generates is measured end to end, 64-byte
+// slot headers included. Blocks and tuples must not move with the batch
+// size; only how the tuples are packed onto the ring may. msg_pct and
+// byte_pct are relative to the first size.
+func batching(seed int64, _ bool) (Report, error) {
+	report := Report{Exp: "batching", Seed: seed,
+		Params: []Label{label("blocks", 48), label("workers", 8), label("commit_every", 4)}}
+	var msgs0, bytes0 float64
+	// Per-tuple streaming (the paper's prototype), the default, and a batch
+	// no flush interval ever fills.
+	for i, batch := range []int{1, 8, 32} {
+		p, err := batchPoint(seed, batch)
 		if err != nil {
-			return nil, fmt.Errorf("bench: batch sweep at %d: %w", n, err)
+			return report, fmt.Errorf("bench: batching at %d: %w", batch, err)
 		}
-		points = append(points, p)
+		if i == 0 {
+			msgs0, bytes0 = p.Value("messages"), p.Value("bytes")
+		}
+		p.Values = append(p.Values,
+			val("msg_pct", 100*p.Value("messages")/msgs0, "%"),
+			val("byte_pct", 100*p.Value("bytes")/bytes0, "%"))
+		report.Points = append(report.Points, p)
 	}
-	for i := range points {
-		points[i].MsgPct = 100 * float64(points[i].Messages) / float64(points[0].Messages)
-		points[i].BytePct = 100 * float64(points[i].Bytes) / float64(points[0].Bytes)
-	}
-	return points, nil
+	return report, nil
 }
 
-func batchPoint(batch int, opts BatchSweepOpts) (BatchPoint, error) {
-	point := BatchPoint{BatchTuples: batch}
-	start := time.Now()
-
-	s := sim.New(opts.Seed)
+func batchPoint(seed int64, batch int) (Point, error) {
+	s := sim.New(seed)
 	defer s.Shutdown()
-	m := hw.New(s, hw.Opteron6376x4())
-	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
+	rig, err := newPair(s, func(c *replication.Config) { c.BatchTuples = batch }, false)
 	if err != nil {
-		return point, err
+		return Point{}, err
 	}
-	sp, err := m.NewPartition("secondary", 4, 5, 6, 7)
-	if err != nil {
-		return point, err
-	}
-	kp := kernel.DefaultParams()
-	kp.IdleWakeMin, kp.IdleWakeMax = 0, 0 // exact traffic counts per point
-	pk, err := kernel.Boot(pp, kernel.Config{Name: "primary", Params: kp})
-	if err != nil {
-		return point, err
-	}
-	sk, err := kernel.Boot(sp, kernel.Config{Name: "secondary", Params: kp})
-	if err != nil {
-		return point, err
-	}
-
-	cfg := replication.DefaultConfig()
-	cfg.BatchTuples = batch
-	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
-	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
-	acks := fabric.NewRing("acks", 1, 256<<10)
-	pns := replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
-	sns := replication.NewSecondary("ftns", sk, cfg, log, acks)
-
-	// Metrics only, no event stream: nil scopes keep the hot path at one
-	// pointer test per emit, while the registry collects commit-wait and
-	// batch-fill distributions for the JSON output.
-	reg := obs.NewRegistry()
-	pns.Instrument(nil, reg)
-	sns.Instrument(nil, reg)
-	reg.Gauge("replay.lag", func() int64 {
-		return int64(pns.SeqGlobal()) - int64(sns.ReplayHead())
-	})
-
 	app := pbzip2.DefaultConfig()
-	app.Workers = opts.Workers
-	app.MaxBlocks = opts.Blocks
-	// Commit every few written blocks so the sweep actually exercises the
-	// output-commit path: without it the commit-wait histogram sits at
-	// count 0 and the batching win on commit latency is invisible.
+	app.Workers = 8
+	app.MaxBlocks = 48
 	app.CommitEvery = 4
 	var pst, sst pbzip2.Stats
-	pns.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, app, &pst) })
-	sns.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, app, &sst) })
-	if err := s.Run(); err != nil {
-		return point, err
+	err = rig.run("pbzip2",
+		func(th *replication.Thread) { pbzip2.Run(th, app, &pst) },
+		func(th *replication.Thread) { pbzip2.Run(th, app, &sst) })
+	if err != nil {
+		return Point{}, err
 	}
 	if !pst.Done || !sst.Done {
-		return point, fmt.Errorf("workload incomplete: primary=%v secondary=%v", pst.Done, sst.Done)
+		return Point{}, fmt.Errorf("workload incomplete: primary=%v secondary=%v", pst.Done, sst.Done)
 	}
-
-	lst, ast := log.Stats(), acks.Stats()
-	point.Blocks = sst.Blocks
-	point.Tuples = uint64(log.Delivered())
-	point.Messages = lst.Messages + ast.Messages
-	point.LogBatches = lst.Batches
-	point.AckMessages = ast.Messages
-	point.Bytes = lst.Bytes + ast.Bytes
-	point.Divergences = sns.Stats().Divergences
-	point.SimMS = float64(sst.FinishedAt) / float64(time.Millisecond)
-	point.WallClockMS = float64(time.Since(start)) / float64(time.Millisecond)
-	point.Metrics = reg.Snapshot()
-	return point, nil
+	lst, ast := rig.log.Stats(), rig.acks.Stats()
+	return Point{
+		Labels: []Label{label("batch_tuples", batch)},
+		Values: []Named{
+			val("blocks", sst.Blocks, "blocks"),
+			val("tuples", rig.log.Delivered(), "tuples"),
+			val("messages", lst.Messages+ast.Messages, "msgs"), // ring transfers, one header each
+			val("log_batches", lst.Batches, ""),                // vectored transfers (>1 tuple)
+			val("ack_messages", ast.Messages, ""),              // cumulative acks sent by the replayer
+			val("bytes", lst.Bytes+ast.Bytes, "B"),             // payload + header bytes
+			val("divergences", rig.sns.Stats().Divergences, "count"),
+			val("sim_ms", ms(sst.FinishedAt), "ms"),
+		},
+	}, nil
 }

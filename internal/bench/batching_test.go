@@ -8,31 +8,28 @@ import "testing"
 // per-tuple streaming, while replaying the identical workload with zero
 // divergences.
 func TestBatchSweepReduction(t *testing.T) {
-	points, err := BatchSweep([]int{1, 8}, DefaultBatchSweepOpts())
+	r, err := batching(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, batched := points[0], points[1]
-	t.Logf("batch=1: blocks=%d tuples=%d messages=%d bytes=%d acks=%d sim=%.1fms",
-		base.Blocks, base.Tuples, base.Messages, base.Bytes, base.AckMessages, base.SimMS)
-	t.Logf("batch=8: blocks=%d tuples=%d messages=%d bytes=%d acks=%d batches=%d sim=%.1fms (msg %.1f%% byte %.1f%%)",
-		batched.Blocks, batched.Tuples, batched.Messages, batched.Bytes, batched.AckMessages,
-		batched.LogBatches, batched.SimMS, batched.MsgPct, batched.BytePct)
+	base, batched := mustPoint(t, r, "batch_tuples", 1), mustPoint(t, r, "batch_tuples", 8)
+	t.Logf("batch=1: %v", base.Values)
+	t.Logf("batch=8: %v", batched.Values)
 
-	if base.Blocks != batched.Blocks || base.Tuples != batched.Tuples {
-		t.Fatalf("workload not identical: %d/%d blocks, %d/%d tuples",
-			base.Blocks, batched.Blocks, base.Tuples, batched.Tuples)
+	if base.Value("blocks") != batched.Value("blocks") || base.Value("tuples") != batched.Value("tuples") {
+		t.Fatalf("workload not identical: %v/%v blocks, %v/%v tuples",
+			base.Value("blocks"), batched.Value("blocks"), base.Value("tuples"), batched.Value("tuples"))
 	}
-	if base.Divergences != 0 || batched.Divergences != 0 {
-		t.Fatalf("divergences: %d unbatched, %d batched", base.Divergences, batched.Divergences)
+	if base.Value("divergences") != 0 || batched.Value("divergences") != 0 {
+		t.Fatalf("divergences: %v unbatched, %v batched", base.Value("divergences"), batched.Value("divergences"))
 	}
-	if batched.MsgPct > 70 {
-		t.Errorf("messages only reduced to %.1f%% of unbatched, need <=70%%", batched.MsgPct)
+	if v := batched.Value("msg_pct"); v > 70 {
+		t.Errorf("messages only reduced to %.1f%% of unbatched, need <=70%%", v)
 	}
-	if batched.BytePct > 70 {
-		t.Errorf("bytes only reduced to %.1f%% of unbatched, need <=70%%", batched.BytePct)
+	if v := batched.Value("byte_pct"); v > 70 {
+		t.Errorf("bytes only reduced to %.1f%% of unbatched, need <=70%%", v)
 	}
-	if batched.LogBatches == 0 {
+	if batched.Value("log_batches") == 0 {
 		t.Error("no vectored transfers on the log ring")
 	}
 }

@@ -1,113 +1,270 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/replication"
 )
 
-func TestFig1Shape(t *testing.T) {
-	rows, err := Fig1(Fig1Multipliers())
+// mustPoint is Report.Point for tests.
+func mustPoint(t *testing.T, r Report, kv ...any) *Point {
+	t.Helper()
+	p, err := r.Point(kv...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
-		t.Fatalf("%d rows", len(rows))
+	return p
+}
+
+// ratioOf returns the named ratio of a report.
+func ratioOf(t *testing.T, r Report, name string) float64 {
+	t.Helper()
+	for _, m := range r.Ratios {
+		if m.Name == name {
+			return m.Value
+		}
 	}
-	last := rows[len(rows)-1]
-	if last.Ignored < 12 || last.Ignored > 18 {
-		t.Errorf("Ignored@180x = %.1f%%, paper ~15%%", last.Ignored)
+	t.Fatalf("%s report carries no ratio %q", r.Exp, name)
+	return 0
+}
+
+func TestFig1Shape(t *testing.T) {
+	r, err := fig1(1, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last.Delayed < 17 || last.Delayed > 23 {
-		t.Errorf("Delayed@180x = %.1f%%, paper ~20%%", last.Delayed)
+	if len(r.Points) != 7 {
+		t.Fatalf("%d rows", len(r.Points))
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].User <= rows[i-1].User {
+	last := mustPoint(t, r, "input", "180x")
+	if v := last.Value("ignored_pct"); v < 12 || v > 18 {
+		t.Errorf("Ignored@180x = %.1f%%, paper ~15%%", v)
+	}
+	if v := last.Value("delayed_pct"); v < 17 || v > 23 {
+		t.Errorf("Delayed@180x = %.1f%%, paper ~20%%", v)
+	}
+	for i := 1; i < len(r.Points); i++ {
+		if r.Points[i].Value("user_pct") <= r.Points[i-1].Value("user_pct") {
 			t.Error("User share not growing with input size")
 		}
 	}
 }
 
 func TestFaultOutcomesSumToOne(t *testing.T) {
-	r, err := FaultOutcomes(180, 5000, false, 1)
+	r, err := faults(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := r.KernelPanic + r.Delayed + r.UserKill + r.None
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("outcome fractions sum to %v", sum)
+	due := mustPoint(t, r, "load", "180x", "kind", "DUE")
+	sum := due.Value("kernel_panic_pct") + due.Value("delayed_pct") + due.Value("user_kill_pct") + due.Value("absorbed_pct")
+	if sum < 99.9 || sum > 100.1 {
+		t.Errorf("outcome shares sum to %v%%", sum)
 	}
-	if r.KernelPanic < 0.10 || r.KernelPanic > 0.20 {
-		t.Errorf("kernel-panic fraction %.3f, paper ~0.15", r.KernelPanic)
+	if v := due.Value("kernel_panic_pct"); v < 10 || v > 20 {
+		t.Errorf("kernel-panic share %.1f%%, paper ~15%%", v)
 	}
-	rc, err := FaultOutcomes(180, 2000, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.None != 1 {
-		t.Errorf("corrected errors should always be absorbed, got none=%v", rc.None)
+	if v := mustPoint(t, r, "load", "180x", "kind", "CE").Value("absorbed_pct"); v != 100 {
+		t.Errorf("corrected errors should always be absorbed, got %v%%", v)
 	}
 }
 
 func TestPBZIPPointShape(t *testing.T) {
-	opts := DefaultPBZIPOpts()
-	opts.Window = 6 * time.Second
-	points, err := PBZIP([]int{100}, opts)
+	t.Parallel()
+	r, err := pbzip(1, []int{100}, 6*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := points[0]
-	if p.Ubuntu < 900 || p.Ubuntu > 1050 {
-		t.Errorf("Ubuntu = %.0f blocks/s at 100KB, expected ~966", p.Ubuntu)
+	p := mustPoint(t, r, "block_kb", 100)
+	if v := p.Value("ubuntu_blocks_s"); v < 900 || v > 1050 {
+		t.Errorf("Ubuntu = %.0f blocks/s at 100KB, expected ~966", v)
 	}
-	if p.PctOfUbuntu < 90 {
-		t.Errorf("FT sustained at %.1f%% of Ubuntu at 100KB; paper reports it close", p.PctOfUbuntu)
+	if v := p.Value("pct_of_ubuntu"); v < 90 {
+		t.Errorf("FT sustained at %.1f%% of Ubuntu at 100KB; paper reports it close", v)
 	}
-	if p.MsgPerSec < 1000 {
-		t.Errorf("traffic %.0f msg/s implausibly low", p.MsgPerSec)
+	if v := p.Value("msg_s"); v < 1000 {
+		t.Errorf("traffic %.0f msg/s implausibly low", v)
 	}
 }
 
-func TestIntraVsInterLatency(t *testing.T) {
-	r, err := IntraVsInterLatency(1, 200)
+// latencyReport is shared by the two tests that read it.
+func latencyReport(t *testing.T) Report {
+	t.Helper()
+	r, err := latency(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.IntraMachine > 2*time.Microsecond {
-		t.Errorf("intra-machine latency %v, paper-scale is sub-microsecond", r.IntraMachine)
+	return r
+}
+
+func TestIntraVsInterLatency(t *testing.T) {
+	r := latencyReport(t)
+	if d := time.Duration(mustPoint(t, r, "path", "shared-memory mailbox").Value("delay_ns")); d > 2*time.Microsecond {
+		t.Errorf("intra-machine latency %v, paper-scale is sub-microsecond", d)
 	}
-	if r.InterMachine < 100*time.Microsecond {
-		t.Errorf("LAN latency %v, expected ~135us", r.InterMachine)
+	if d := time.Duration(mustPoint(t, r, "path", "LAN").Value("delay_ns")); d < 100*time.Microsecond {
+		t.Errorf("LAN latency %v, expected ~135us", d)
 	}
-	if r.Ratio < 100 {
-		t.Errorf("ratio %.0fx, paper reports ~245x", r.Ratio)
+	if v := ratioOf(t, r, "lan_over_mailbox"); v < 100 {
+		t.Errorf("ratio %.0fx, paper reports ~245x", v)
 	}
 }
 
 func TestWakeLatencyModel(t *testing.T) {
-	r, err := WakeLatency(1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.IdleWakeAvg <= r.BusyHandoff {
+	r := latencyReport(t)
+	delay := func(path string) float64 { return mustPoint(t, r, "path", path).Value("delay_ns") }
+	if delay("wake: idle 5ms, avg") <= delay("wake: busy hand-off") {
 		t.Error("idle wake not more expensive than busy hand-off")
 	}
-	if r.IdleWakeMax < 100*time.Microsecond {
-		t.Errorf("idle wake max %v — the deep-idle tail is missing", r.IdleWakeMax)
+	if d := time.Duration(delay("wake: idle 5ms, max")); d < 100*time.Microsecond {
+		t.Errorf("idle wake max %v — the deep-idle tail is missing", d)
 	}
 }
 
 func TestTableFormatting(t *testing.T) {
+	r := Report{
+		Exp:    "demo",
+		Params: []Label{label("iters", 3)},
+		Points: []Point{
+			{Labels: []Label{label("a", "x")}, Values: []Named{val("wait_ns", 1340, "ns"), val("pct", 12.34, "%"), val("n", 333, "count"), val("rate", 1234.5, "1/s")}},
+			{Labels: []Label{label("a", "yyyy")}, Values: []Named{val("wait_ns", 0, "ns"), val("pct", 100, "%"), val("n", 4, "count"), val("rate", 1.25, "1/s")}},
+		},
+		Ratios: []Named{val("speedup", 391.2589, "x")},
+	}
 	var sb strings.Builder
-	Table(&sb, []string{"a", "bb"}, [][]string{{"1", "2"}, {"333", "4"}})
-	out := sb.String()
-	if !strings.Contains(out, "333") || !strings.Contains(out, "--") {
-		t.Errorf("table output %q", out)
+	r.Table(&sb)
+	want := strings.Join([]string{
+		"params: iters=3",
+		"a     wait_ns  pct     n    rate",
+		"-     -------  ---     -    ----",
+		"x     1.34µs   12.3%   333  1234",
+		"yyyy  0s       100.0%  4    1.2",
+		"speedup = 391.26x",
+		"",
+	}, "\n")
+	if got := sb.String(); got != want {
+		t.Errorf("table:\n%s\nwant:\n%s", got, want)
 	}
-	if F1(1.25) != "1.2" && F1(1.25) != "1.3" {
-		t.Errorf("F1 = %q", F1(1.25))
+}
+
+// TestReportsAreDeterministic runs the cheap experiments twice at one seed:
+// the two reports must marshal to the same bytes (no host clock, no map
+// order anywhere), survive a JSON round trip, give every point the same
+// label and value names in the same order — and, for the sweeps whose
+// report is checked in, equal the checked-in file, so a change that moves
+// a number without regenerating BENCH_<exp>.json fails here and not only
+// in CI's measurements job. (fig4, fig6, mixed, fig8, ablations and epoch
+// take seconds each; epoch's file is compared by that job.)
+func TestReportsAreDeterministic(t *testing.T) {
+	for _, name := range []string{"fig1", "faults", "latency", "batching", "detshard", "fabric", "critpath", "nway"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			e, ok := Lookup(name)
+			if !ok {
+				t.Fatalf("no experiment %q", name)
+			}
+			var runs [2][]byte
+			var report Report
+			for i := range runs {
+				r, err := e.Run(1, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if runs[i], err = json.MarshalIndent(r, "", "  "); err != nil {
+					t.Fatal(err)
+				}
+				report = r
+			}
+			if !bytes.Equal(runs[0], runs[1]) {
+				t.Fatal("two runs at seed 1 marshal differently")
+			}
+			var back Report
+			if err := json.Unmarshal(runs[0], &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, report) {
+				t.Error("report does not survive a JSON round trip")
+			}
+			if report.Exp != e.Name || len(report.Points) == 0 {
+				t.Fatalf("report of %s: exp %q, %d points", e.Name, report.Exp, len(report.Points))
+			}
+			names := func(p Point) (out []string) {
+				for _, l := range p.Labels {
+					out = append(out, "label "+l.Name)
+				}
+				for _, v := range p.Values {
+					out = append(out, "value "+v.Name+" "+v.Unit)
+				}
+				return out
+			}
+			for _, p := range report.Points[1:] {
+				if !reflect.DeepEqual(names(p), names(report.Points[0])) {
+					t.Fatalf("point %v names %v, the first point %v", p.Labels, names(p), names(report.Points[0]))
+				}
+			}
+			checkedIn, err := os.ReadFile("../../BENCH_" + name + ".json")
+			if os.IsNotExist(err) {
+				return // a paper figure: its numbers live in experiments_output.txt
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(runs[0], '\n'), checkedIn) {
+				t.Errorf("BENCH_%s.json is stale: regenerate it with `make sweeps`", name)
+			}
+		})
 	}
-	if F0(12.7) != "13" {
-		t.Errorf("F0 = %q", F0(12.7))
+}
+
+// TestMissingHistogramIsAnError plants what used to measure as a win: a
+// metric that is gone from the registry, a required one that never got a
+// sample, and a ratio over the zero either of them used to leave behind.
+func TestMissingHistogramIsAnError(t *testing.T) {
+	// Two threads, four rounds, no output commit.
+	rig, err := runLoop(1, "t", lockLoop{threads: 2, locks: 2, iters: 4, think: thinkUS(10, 10)}, func(*replication.Config) {}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := histogram(rig.snap, "ftns.commit.wiat", true); err == nil || !strings.Contains(err.Error(), "ftns.commit.wiat") {
+		t.Errorf("a metric the registry does not hold read as %v, want an error naming it", err)
+	}
+	if _, err := histogram(rig.snap, "ftns.commit.wait", false); err == nil || !strings.Contains(err.Error(), "ftns.commit.wait") {
+		t.Errorf("a required metric without samples read as %v, want an error naming it", err)
+	}
+	if h, err := histogram(rig.snap, "ftns.commit.wait", true); err != nil || h.Count != 0 {
+		t.Errorf("a metric that may be empty: %+v, %v", h, err)
+	}
+	if h, err := histogram(rig.snap, "ftns.shard.wait", false); err != nil || h.Count == 0 {
+		t.Errorf("a sampled metric: %+v, %v", h, err)
+	}
+	if _, err := histogram(obs.NewRegistry().Snapshot(), "ftns.shard.wait", true); err == nil {
+		t.Error("an empty registry held ftns.shard.wait")
+	}
+	rig.hist("ftns.shard.wait", false)
+	rig.hist("ftns.commit.wait", false)
+	rig.hist("ftns.commit.wiat", false)
+	if rig.err == nil || !strings.Contains(rig.err.Error(), "ftns.commit.wait") {
+		t.Errorf("the rig kept %v, want the first failed read", rig.err)
+	}
+
+	r := Report{Exp: "demo", Points: []Point{
+		{Labels: []Label{label("shards", 1)}, Values: []Named{val("commit_wait_p50_ns", 524287, "ns")}},
+		{Labels: []Label{label("shards", 4)}, Values: []Named{val("commit_wait_p50_ns", 0, "ns")}},
+	}}
+	d := derive{r: &r}
+	d.ratio("speedup", d.v("commit_wait_p50_ns", "shards", 1), d.v("commit_wait_p50_ns", "shards", 4))
+	if d.err == nil || !strings.Contains(d.err.Error(), "demo.speedup") || len(r.Ratios) != 0 {
+		t.Errorf("a zero denominator gave ratios %v, err %v; want an error naming demo.speedup", r.Ratios, d.err)
+	}
+	d = derive{r: &r}
+	d.ratio("speedup", d.v("commit_wait_p50_ns", "shards", 1), d.v("commit_wait_p50_ns", "shards", 8))
+	if d.err == nil || !strings.Contains(d.err.Error(), "shards 8") {
+		t.Errorf("a missing cell gave err %v, want an error naming it", d.err)
 	}
 }

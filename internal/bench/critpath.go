@@ -2,169 +2,78 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/hw"
-	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/obs/causal"
-	"repro/internal/replication"
-	"repro/internal/shm"
-	"repro/internal/sim"
 )
 
-// CritPathPoint is the critical-path attribution of one traced workload
-// run: where the time behind every committed output actually went, per
-// stage of the record→flush→transfer→replay→ack pipeline.
-type CritPathPoint struct {
-	Workload string `json:"workload"` // "detshard" or "fabric-sustained"
-	Threads  int    `json:"threads"`
-	Shards   int    `json:"shards"`
-	Batch    int    `json:"batch_tuples"`
-
-	Outputs int `json:"outputs"` // committed outputs attributed
-	Events  int `json:"events"`  // trace events analyzed
-
-	// Stages is the per-stage distribution across every committed output
-	// (causal.Attribute over the run's full event trace).
-	Stages []causal.StageStat `json:"stages"`
-	// DominantStage is the stage with the largest attributed total — the
-	// pipeline's current bottleneck for this workload.
-	DominantStage string `json:"dominant_stage"`
-
-	SimMS       float64 `json:"sim_ms"`
-	WallClockMS float64 `json:"wallclock_ms"`
-}
-
-// CritPathReport is the checked-in BENCH_critpath.json shape.
-type CritPathReport struct {
-	Points []CritPathPoint `json:"points"`
-}
-
-// CritPathOpts bounds the attribution runs.
-type CritPathOpts struct {
-	Seed    int64
-	Threads int
-	Shards  int // the sharded detshard setting compared against 1
-}
-
-// DefaultCritPathOpts matches the detshard/fabric sweeps' headline cell.
-func DefaultCritPathOpts() CritPathOpts {
-	return CritPathOpts{Seed: 1, Threads: 8, Shards: 4}
-}
-
-// CritPath runs the attribution benchmark: the detshard workload at one
-// shard and at opts.Shards (the bottleneck should move off replay-grant
-// when sharded), and the fabric sustained-overload workload (commit-wait
-// on the bounded ring should dominate).
-func CritPath(opts CritPathOpts) (CritPathReport, error) {
-	var report CritPathReport
+// critPath runs the attribution benchmark on the headline cell of the
+// detshard and fabric sweeps (8 threads, independent locks, the bounded
+// log ring): the detshard workload at one shard and at detShards — the
+// bottleneck should move off replay-grant and commit-wait when sharded —
+// and the fabric sustained-overload workload, where commit-wait on the
+// bounded ring should dominate. Each run is traced in full and attributed
+// per committed output (causal.Attribute); a point is one pipeline stage
+// of one run, carrying the run's totals beside the stage's distribution,
+// with dominant=1 on the stage holding the largest attributed total — the
+// pipeline's current bottleneck for that workload.
+func critPath(seed int64, _ bool) (Report, error) {
+	const threads = headlineThreads
+	report := Report{Exp: "critpath", Seed: seed}
 	for _, cell := range []struct {
 		workload string
 		shards   int
-		batch    int
+		loop     lockLoop
 	}{
-		{"detshard", 1, 0},
-		{"detshard", opts.Shards, 0},
-		{"fabric-sustained", 1, 8},
+		{"detshard", 1, detShardLoop(threads, threads)},
+		{"detshard", detShards, detShardLoop(threads, threads)},
+		{"fabric-sustained", 1, fabricWorkloads["sustained"].loop(threads)},
 	} {
-		p, err := critPathPoint(cell.workload, opts.Threads, cell.shards, cell.batch, opts)
+		points, err := critPathPoints(seed, cell.workload, cell.shards, cell.loop)
 		if err != nil {
-			return report, fmt.Errorf("bench: critpath %s %dt/%ds: %w", cell.workload, opts.Threads, cell.shards, err)
+			return report, fmt.Errorf("bench: critpath %s %dt/%ds: %w", cell.workload, threads, cell.shards, err)
 		}
-		report.Points = append(report.Points, p)
+		report.Points = append(report.Points, points...)
 	}
 	return report, nil
 }
 
-// critPathPoint runs one traced workload and attributes it. The harness
-// mirrors detShardPoint/fabricPoint but wires a retaining tracer with the
-// same scope names core uses, so the causal layer's ring pairing
-// ("primary/ftns" → "shm/ftns.log") works identically to a full system.
-func critPathPoint(workload string, threads, shards, batch int, opts CritPathOpts) (CritPathPoint, error) {
-	point := CritPathPoint{Workload: workload, Threads: threads, Shards: shards, Batch: batch}
-	start := time.Now()
-
-	s := sim.New(opts.Seed)
-	defer s.Shutdown()
-	m := hw.New(s, hw.Opteron6376x4())
-	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
+func critPathPoints(seed int64, workload string, shards int, loop lockLoop) ([]Point, error) {
+	rig, err := runLoop(seed, "critpath", loop, boundedRing(shards), false, true)
 	if err != nil {
-		return point, err
+		return nil, err
 	}
-	sp, err := m.NewPartition("secondary", 4, 5, 6, 7)
-	if err != nil {
-		return point, err
-	}
-	kp := kernel.DefaultParams()
-	kp.IdleWakeMin, kp.IdleWakeMax = 0, 0
-	pk, err := kernel.Boot(pp, kernel.Config{Name: "primary", Params: kp})
-	if err != nil {
-		return point, err
-	}
-	sk, err := kernel.Boot(sp, kernel.Config{Name: "secondary", Params: kp})
-	if err != nil {
-		return point, err
-	}
-
-	cfg := replication.DefaultConfig()
-	cfg.DetShards = shards
-	cfg.LogRingBytes = 16 << 10
-	if batch > 0 {
-		cfg.BatchTuples = batch
-	}
-	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
-	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
-	acks := fabric.NewRing("acks", 1, 256<<10)
-	pns := replication.NewPrimary("ftns", pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
-	sns := replication.NewSecondary("ftns", sk, cfg, log, acks)
-
-	tr := obs.New(s, obs.Config{Trace: true})
-	pns.Instrument(tr.Scope("primary/ftns"), tr.Registry())
-	sns.Instrument(tr.Scope("secondary/ftns"), nil)
-	log.Instrument(tr.Scope("shm/ftns.log"))
-	acks.Instrument(tr.Scope("shm/ftns.acks"))
-
-	var pst, sst detShardStats
-	sopts := DefaultDetShardOpts()
-	sopts.Seed = opts.Seed
-	mkApp := func(st *detShardStats) (func(*replication.Thread), error) {
-		switch workload {
-		case "detshard":
-			return detShardApp(threads, false, sopts, st), nil
-		case "fabric-sustained":
-			wl := fabricWorkloadFor("sustained", DefaultFabricOpts())
-			wl.detShards = shards
-			return fabricApp(threads, wl, st), nil
-		}
-		return nil, fmt.Errorf("unknown workload %q", workload)
-	}
-	papp, err := mkApp(&pst)
-	if err != nil {
-		return point, err
-	}
-	sapp, _ := mkApp(&sst)
-	pns.Start("critpath", nil, papp)
-	sns.Start("critpath", nil, sapp)
-	if err := s.Run(); err != nil {
-		return point, err
-	}
-	if !pst.Done || !sst.Done {
-		return point, fmt.Errorf("workload incomplete: primary=%v secondary=%v", pst.Done, sst.Done)
-	}
-
-	a := causal.Attribute(causal.Build(tr.Events()))
-	point.Outputs = len(a.Outputs)
-	point.Events = len(tr.Events())
-	point.Stages = a.Stages
-	var maxTotal int64 = -1
-	for _, st := range a.Stages {
-		if st.TotalNs > maxTotal {
-			maxTotal = st.TotalNs
-			point.DominantStage = st.Stage
+	events := rig.tr.Events()
+	a := causal.Attribute(causal.Build(events))
+	dominant := 0
+	for i, st := range a.Stages {
+		if st.TotalNs > a.Stages[dominant].TotalNs {
+			dominant = i
 		}
 	}
-	point.SimMS = float64(sst.FinishedAt) / float64(time.Millisecond)
-	point.WallClockMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return point, nil
+	var points []Point
+	for i, st := range a.Stages {
+		points = append(points, Point{
+			Labels: []Label{label("workload", workload), label("threads", loop.threads), label("shards", shards), label("stage", st.Stage)},
+			Values: []Named{
+				val("outputs", len(a.Outputs), "count"), // committed outputs attributed
+				val("events", len(events), "count"),     // trace events analyzed
+				val("nonzero", st.Count, "count"),       // outputs that spent time in this stage
+				val("p50_ns", st.P50, "ns"),
+				val("p90_ns", st.P90, "ns"),
+				val("p99_ns", st.P99, "ns"),
+				val("max_ns", st.MaxNs, "ns"),
+				val("total_ns", st.TotalNs, "ns"),
+				val("dominant", btoi(i == dominant), "bool"),
+				val("sim_ms", ms(rig.finished), "ms"),
+			},
+		})
+	}
+	return points, nil
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

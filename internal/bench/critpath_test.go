@@ -10,48 +10,28 @@ func TestCritPathShardingMovesBottleneck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full traced sweep in -short mode")
 	}
-	opts := DefaultCritPathOpts()
-	report, err := CritPath(opts)
+	r, err := critPath(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(report.Points))
+	if len(r.Points) != 3*6 {
+		t.Fatalf("points = %d, want 3 cells of 6 stages", len(r.Points))
 	}
-	var narrow, wide *CritPathPoint
-	for i := range report.Points {
-		p := &report.Points[i]
-		if p.Workload != "detshard" {
-			continue
-		}
-		if p.Shards == 1 {
-			narrow = p
-		} else {
-			wide = p
-		}
+	stage := func(shards int, stage string) *Point {
+		return mustPoint(t, r, "workload", "detshard", "shards", shards, "stage", stage)
 	}
-	if narrow == nil || wide == nil {
-		t.Fatal("missing detshard cells")
+	if n, w := stage(1, "commit-wait").Value("outputs"), stage(detShards, "commit-wait").Value("outputs"); n == 0 || w == 0 {
+		t.Fatalf("no committed outputs attributed: narrow=%v wide=%v", n, w)
 	}
-	if narrow.Outputs == 0 || wide.Outputs == 0 {
-		t.Fatalf("no committed outputs attributed: narrow=%d wide=%d", narrow.Outputs, wide.Outputs)
-	}
-	total := func(p *CritPathPoint, stage string) int64 {
-		for _, st := range p.Stages {
-			if st.Stage == stage {
-				return st.TotalNs
-			}
-		}
-		t.Fatalf("stage %q missing from %s/%d", stage, p.Workload, p.Shards)
-		return 0
-	}
-	for _, stage := range []string{"replay-grant", "commit-wait"} {
-		n, w := total(narrow, stage), total(wide, stage)
+	for _, name := range []string{"replay-grant", "commit-wait"} {
+		n, w := stage(1, name).Value("total_ns"), stage(detShards, name).Value("total_ns")
 		if w*4 >= n {
-			t.Errorf("%s total: 1 shard %dns vs %d shards %dns; sharding did not collapse the stall", stage, n, wide.Shards, w)
+			t.Errorf("%s total: 1 shard %vns vs %d shards %vns; sharding did not collapse the stall", name, n, detShards, w)
 		}
 	}
-	if narrow.DominantStage == "transfer" || narrow.DominantStage == "batch-residency" {
-		t.Errorf("1-shard dominant stage = %s; expected a sequencing/commit stall", narrow.DominantStage)
+	for _, name := range []string{"transfer", "batch-residency"} {
+		if stage(1, name).Value("dominant") == 1 {
+			t.Errorf("1-shard dominant stage = %s; expected a sequencing/commit stall", name)
+		}
 	}
 }

@@ -14,142 +14,74 @@ import (
 	"repro/internal/tcpstack"
 )
 
-// EpochPoint is one (uptime, epochs on/off) cell of the checkpoint sweep:
-// the same streaming workload runs for UptimeS seconds, the primary is
-// killed, and the freed partition rejoins. With epochs off the survivor
-// retains — and the fresh backup replays — the entire history back to
-// boot; with epochs on both are bounded by the delta since the last
-// quorum-verified checkpoint.
-type EpochPoint struct {
-	UptimeS float64 `json:"uptime_s"`
-	Epochs  bool    `json:"epochs"`
+const (
+	epochInterval = 250 * time.Millisecond // between checkpoints, when on
+	// epochRejoinDelay is how long the freed partition waits before it
+	// rejoins. It and the NIC driver reload are trimmed below their
+	// deployment defaults so the measured rejoin time is the
+	// history-dependent part (transfer + catch-up replay), not fixed
+	// reload latency.
+	epochRejoinDelay = 500 * time.Millisecond
+)
 
-	// Rejoin cost: resync-start until the fresh backup's replay head first
-	// reaches the survivor's live frontier (resync-done only marks the
-	// catch-up transfer draining; the backup still owes the replay work,
-	// 58 us per tuple, before it could actually cover a second failure),
-	// and the log messages it consumed along the way.
-	RejoinMS        float64 `json:"rejoin_ms"`
-	CatchupMessages uint64  `json:"catchup_messages"`
-
-	// Retention on the recording side, sampled just before the kill.
-	RetainedTuplesAtKill int   `json:"retained_tuples_at_kill"`
-	RetainedBytesAtKill  int64 `json:"retained_bytes_at_kill"`
-
-	EpochCuts   uint64  `json:"epoch_cuts"`
-	PauseP90    int64   `json:"pause_p90_ns"` // stop-the-world cut pause (on runs)
-	Divergences uint64  `json:"divergences"`
-	WallClockMS float64 `json:"wallclock_ms"`
-}
-
-// EpochReport is the checked-in BENCH_epoch.json shape: the sweep points
-// plus the headline ratios the acceptance gate reads, all measured at the
-// longest uptime — where the epochs-off legacy path is at its worst and a
-// flat-in-uptime rejoin matters most.
-type EpochReport struct {
-	IntervalMS int64        `json:"epoch_interval_ms"`
-	Points     []EpochPoint `json:"points"`
-
-	// RejoinSpeedup and RetentionSavings compare off/on at max uptime
-	// (above 1 = epochs win). RejoinGrowthOff/On are each mode's rejoin
-	// time at max uptime over min uptime: off grows with history,
-	// on stays near 1 (flat). FlatnessGain is their quotient.
-	RejoinSpeedup    float64 `json:"rejoin_speedup"`
-	RetentionSavings float64 `json:"retention_savings"`
-	RejoinGrowthOff  float64 `json:"rejoin_growth_off"`
-	RejoinGrowthOn   float64 `json:"rejoin_growth_on"`
-	FlatnessGain     float64 `json:"flatness_gain"`
-}
-
-// EpochOpts bounds the sweep.
-type EpochOpts struct {
-	Seed     int64
-	Uptimes  []time.Duration // kill times, ascending
-	Interval time.Duration   // epoch checkpoint interval
-	Tail     time.Duration   // run past the rejoin before sampling
-}
-
-// DefaultEpochOpts sweeps a 4x uptime range at a 250 ms epoch interval.
-// The rejoin delay and NIC driver reload are trimmed below their
-// deployment defaults so the measured rejoin time is the history-dependent
-// part (transfer + catch-up replay), not fixed reload latency.
-func DefaultEpochOpts() EpochOpts {
-	return EpochOpts{
-		Seed:     1,
-		Uptimes:  []time.Duration{4 * time.Second, 8 * time.Second, 16 * time.Second},
-		Interval: 250 * time.Millisecond,
-		Tail:     4 * time.Second,
-	}
-}
-
-// Epoch runs the retention/rejoin sweep with epochs off and on at every
-// uptime and derives the headline ratios from the endpoints.
-func Epoch(opts EpochOpts) (EpochReport, error) {
-	report := EpochReport{IntervalMS: opts.Interval.Milliseconds()}
-	for _, up := range opts.Uptimes {
-		for _, epochs := range []bool{false, true} {
-			p, err := epochPoint(up, epochs, opts)
+// epoch runs the retention/rejoin sweep: the same streaming workload runs
+// for each uptime (ascending), the primary is killed, the freed partition
+// rejoins and the run continues for tail
+// — once with epoch checkpoints off, where the survivor retains and the
+// fresh backup replays the entire history back to boot, and once with
+// them on, where both are bounded by the delta since the last
+// quorum-verified checkpoint. The ratios are read at the endpoints:
+// rejoin_speedup and retention_savings compare off/on at the longest
+// uptime, where the legacy path is at its worst; rejoin_growth_off/on are
+// each mode's rejoin time at the longest uptime over the shortest (off
+// grows with history, on stays near 1), flatness_gain is their quotient,
+// and rejoin_flatness_on is 1/rejoin_growth_on — the form in which "on
+// stays flat" can be pinned as a floor.
+func epoch(seed int64, uptimes []time.Duration, tail time.Duration) (Report, error) {
+	report := Report{Exp: "epoch", Seed: seed,
+		Params: []Label{label("epoch_interval_ms", epochInterval.Milliseconds())}}
+	for _, up := range uptimes {
+		for _, epochs := range []string{"off", "on"} {
+			p, err := epochPoint(seed, up, epochs == "on", tail)
 			if err != nil {
-				return report, fmt.Errorf("bench: epoch uptime=%v epochs=%v: %w", up, epochs, err)
+				return report, fmt.Errorf("bench: epoch uptime=%v epochs=%s: %w", up, epochs, err)
 			}
+			p.Labels = []Label{label("uptime_s", up.Seconds()), label("epochs", epochs)}
 			report.Points = append(report.Points, p)
 		}
 	}
-	tMin := opts.Uptimes[0].Seconds()
-	tMax := opts.Uptimes[len(opts.Uptimes)-1].Seconds()
-	offMin, onMin := report.find(tMin, false), report.find(tMin, true)
-	offMax, onMax := report.find(tMax, false), report.find(tMax, true)
-	if offMax != nil && onMax != nil {
-		report.RejoinSpeedup = fratio(offMax.RejoinMS, onMax.RejoinMS)
-		report.RetentionSavings = ratio(int64(offMax.RetainedTuplesAtKill), int64(onMax.RetainedTuplesAtKill))
+	tMin, tMax := uptimes[0].Seconds(), uptimes[len(uptimes)-1].Seconds()
+	d := derive{r: &report}
+	rejoin := func(uptime float64, epochs string) float64 {
+		return d.v("rejoin_ms", "uptime_s", uptime, "epochs", epochs)
 	}
-	if offMin != nil && offMax != nil {
-		report.RejoinGrowthOff = fratio(offMax.RejoinMS, offMin.RejoinMS)
-	}
-	if onMin != nil && onMax != nil {
-		report.RejoinGrowthOn = fratio(onMax.RejoinMS, onMin.RejoinMS)
-	}
-	report.FlatnessGain = fratio(report.RejoinGrowthOff, report.RejoinGrowthOn)
-	return report, nil
+	d.ratio("rejoin_speedup", rejoin(tMax, "off"), rejoin(tMax, "on"))
+	d.ratio("retention_savings",
+		d.v("retained_tuples_at_kill", "uptime_s", tMax, "epochs", "off"),
+		d.v("retained_tuples_at_kill", "uptime_s", tMax, "epochs", "on"))
+	growthOff := d.ratio("rejoin_growth_off", rejoin(tMax, "off"), rejoin(tMin, "off"))
+	growthOn := d.ratio("rejoin_growth_on", rejoin(tMax, "on"), rejoin(tMin, "on"))
+	d.ratio("flatness_gain", growthOff, growthOn)
+	d.ratio("rejoin_flatness_on", 1, growthOn)
+	return report, d.err
 }
 
-// find returns the point at (uptime, epochs), or nil.
-func (r *EpochReport) find(uptimeS float64, epochs bool) *EpochPoint {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.UptimeS == uptimeS && p.Epochs == epochs {
-			return p
-		}
-	}
-	return nil
-}
-
-func fratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func epochPoint(uptime time.Duration, epochs bool, opts EpochOpts) (EpochPoint, error) {
-	point := EpochPoint{UptimeS: uptime.Seconds(), Epochs: epochs}
-	start := time.Now()
-
+func epochPoint(seed int64, uptime time.Duration, epochs bool, tail time.Duration) (Point, error) {
+	var point Point
 	kp := kernel.DefaultParams()
 	kp.IdleWakeMin, kp.IdleWakeMax = 0, 0
 	tcp := tcpstack.DefaultParams()
 	tcp.MSS = 16 << 10
-	const rejoinDelay = 500 * time.Millisecond
 	coreOpts := []core.Option{
-		core.WithSeed(opts.Seed),
+		core.WithSeed(seed),
 		core.WithKernelParams(kp),
 		core.WithTCP(tcp),
 		core.WithNICDriverLoadTime(time.Millisecond),
-		core.WithRejoinDelay(rejoinDelay),
+		core.WithRejoinDelay(epochRejoinDelay),
 		core.WithTrace(),
 	}
 	if epochs {
-		coreOpts = append(coreOpts, core.WithEpochCheckpoints(opts.Interval, 0))
+		coreOpts = append(coreOpts, core.WithEpochCheckpoints(epochInterval, 0))
 	}
 	sys, err := core.New(coreOpts...)
 	if err != nil {
@@ -179,9 +111,11 @@ func epochPoint(uptime time.Duration, epochs bool, opts EpochOpts) (EpochPoint, 
 
 	// Retention is sampled on the recording side an instant before the
 	// kill: that is the history a promotion inherits and a rejoin ships.
+	var retainedTuples int
+	var retainedBytes int64
 	sys.Sim.Schedule(uptime-time.Millisecond, func() {
-		point.RetainedTuplesAtKill = sys.Active().NS.RetainedTuples()
-		point.RetainedBytesAtKill = sys.Active().NS.RetainedBytes()
+		retainedTuples = sys.Active().NS.RetainedTuples()
+		retainedBytes = sys.Active().NS.RetainedBytes()
 	})
 	sys.InjectPrimaryFailure(uptime, hw.CoreFailStop)
 
@@ -201,9 +135,9 @@ func epochPoint(uptime time.Duration, epochs bool, opts EpochOpts) (EpochPoint, 
 			sys.Sim.Schedule(time.Millisecond, poll)
 		}
 	}
-	sys.Sim.Schedule(uptime+rejoinDelay, poll)
+	sys.Sim.Schedule(uptime+epochRejoinDelay, poll)
 
-	if err := sys.Sim.RunUntil(sim.Time(uptime + rejoinDelay + opts.Tail)); err != nil {
+	if err := sys.Sim.RunUntil(sim.Time(uptime + epochRejoinDelay + tail)); err != nil {
 		return point, err
 	}
 	if err := sys.RejoinErr(); err != nil {
@@ -222,15 +156,28 @@ func epochPoint(uptime time.Duration, epochs bool, opts EpochOpts) (EpochPoint, 
 	if started == 0 || caughtAt == 0 || caughtAt < started {
 		return point, fmt.Errorf("rejoin incomplete (resync-start=%v caught-up=%v)", started, caughtAt)
 	}
-	point.RejoinMS = float64(caughtAt.Sub(started)) / float64(time.Millisecond)
-	point.CatchupMessages = sys.Standby().NS.Stats().LogMessages
-	point.EpochCuts = sys.Active().NS.Stats().EpochCuts
-	point.Divergences = sys.Active().NS.Stats().Divergences + sys.Standby().NS.Stats().Divergences
-	for _, h := range sys.Obs.Registry().Snapshot().Histograms {
-		if h.Name == "ftns.epoch.pause" && h.Count > 0 {
-			point.PauseP90 = h.P90
+	// The stop-the-world cut pause exists only with epochs on, and then
+	// every cut samples it.
+	var pause obs.HistogramSnap
+	if epochs {
+		if pause, err = histogram(sys.Obs.Registry().Snapshot(), "ftns.epoch.pause", false); err != nil {
+			return point, err
 		}
 	}
-	point.WallClockMS = float64(time.Since(start)) / float64(time.Millisecond)
+	active, standby := sys.Active().NS.Stats(), sys.Standby().NS.Stats()
+	point.Values = []Named{
+		// Rejoin cost: resync-start until the fresh backup's replay head
+		// first reaches the survivor's live frontier (resync-done only
+		// marks the catch-up transfer draining; the backup still owes the
+		// replay work, 58 us per tuple, before it could cover a second
+		// failure), and the log messages it consumed along the way.
+		val("rejoin_ms", ms(caughtAt.Sub(started)), "ms"),
+		val("catchup_messages", standby.LogMessages, "msgs"),
+		val("retained_tuples_at_kill", retainedTuples, "tuples"),
+		val("retained_bytes_at_kill", retainedBytes, "B"),
+		val("epoch_cuts", active.EpochCuts, "count"),
+		val("pause_p90_ns", pause.P90, "ns"),
+		val("divergences", active.Divergences+standby.Divergences, "count"),
+	}
 	return point, nil
 }

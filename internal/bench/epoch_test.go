@@ -10,48 +10,44 @@ import (
 // with epochs on, both stay flat at roughly one epoch of history, and the
 // headline ratios come out above 1.
 func TestEpochSweep(t *testing.T) {
-	opts := EpochOpts{
-		Seed:     1,
-		Uptimes:  []time.Duration{3 * time.Second, 9 * time.Second},
-		Interval: 250 * time.Millisecond,
-		Tail:     3 * time.Second,
-	}
-	report, err := Epoch(opts)
+	t.Parallel()
+	r, err := epoch(1, []time.Duration{3 * time.Second, 9 * time.Second}, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Points) != 4 {
-		t.Fatalf("point count = %d, want 4", len(report.Points))
+	if len(r.Points) != 4 {
+		t.Fatalf("point count = %d, want 4", len(r.Points))
 	}
-	for _, p := range report.Points {
-		if p.Divergences != 0 {
-			t.Errorf("uptime=%.0fs epochs=%v: %d divergences", p.UptimeS, p.Epochs, p.Divergences)
+	for _, p := range r.Points {
+		on := p.Label("epochs") == "on"
+		if p.Value("divergences") != 0 {
+			t.Errorf("%v: %v divergences", p.Labels, p.Value("divergences"))
 		}
-		if p.Epochs && p.EpochCuts == 0 {
-			t.Errorf("uptime=%.0fs: epochs on but no cuts recorded", p.UptimeS)
+		if on && p.Value("epoch_cuts") == 0 {
+			t.Errorf("%v: epochs on but no cuts recorded", p.Labels)
 		}
-		if !p.Epochs && p.EpochCuts != 0 {
-			t.Errorf("uptime=%.0fs: epochs off but %d cuts recorded", p.UptimeS, p.EpochCuts)
+		if !on && p.Value("epoch_cuts") != 0 {
+			t.Errorf("%v: epochs off but %v cuts recorded", p.Labels, p.Value("epoch_cuts"))
 		}
 	}
-	offMin, offMax := report.find(3, false), report.find(9, false)
-	onMin, onMax := report.find(3, true), report.find(9, true)
-	if offMax.RetainedTuplesAtKill <= 2*offMin.RetainedTuplesAtKill {
-		t.Errorf("epochs-off retention %d -> %d over a 3x uptime range; not growing with history",
-			offMin.RetainedTuplesAtKill, offMax.RetainedTuplesAtKill)
+	retained := func(uptime int, epochs string) float64 {
+		return mustPoint(t, r, "uptime_s", uptime, "epochs", epochs).Value("retained_tuples_at_kill")
 	}
-	if onMax.RetainedTuplesAtKill > 2*onMin.RetainedTuplesAtKill {
-		t.Errorf("epochs-on retention %d -> %d over a 3x uptime range; not flat",
-			onMin.RetainedTuplesAtKill, onMax.RetainedTuplesAtKill)
+	if retained(9, "off") <= 2*retained(3, "off") {
+		t.Errorf("epochs-off retention %v -> %v over a 3x uptime range; not growing with history",
+			retained(3, "off"), retained(9, "off"))
 	}
-	if report.RejoinSpeedup <= 1 {
-		t.Errorf("rejoin speedup = %.2f, want > 1", report.RejoinSpeedup)
+	if retained(9, "on") > 2*retained(3, "on") {
+		t.Errorf("epochs-on retention %v -> %v over a 3x uptime range; not flat",
+			retained(3, "on"), retained(9, "on"))
 	}
-	if report.RetentionSavings <= 1 {
-		t.Errorf("retention savings = %.2f, want > 1", report.RetentionSavings)
+	if v := ratioOf(t, r, "rejoin_speedup"); v <= 1 {
+		t.Errorf("rejoin speedup = %.2f, want > 1", v)
 	}
-	if report.RejoinGrowthOff <= report.RejoinGrowthOn {
-		t.Errorf("rejoin growth off %.2fx <= on %.2fx; epochs-on is not the flatter curve",
-			report.RejoinGrowthOff, report.RejoinGrowthOn)
+	if v := ratioOf(t, r, "retention_savings"); v <= 1 {
+		t.Errorf("retention savings = %.2f, want > 1", v)
+	}
+	if off, on := ratioOf(t, r, "rejoin_growth_off"), ratioOf(t, r, "rejoin_growth_on"); off <= on {
+		t.Errorf("rejoin growth off %.2fx <= on %.2fx; epochs-on is not the flatter curve", off, on)
 	}
 }

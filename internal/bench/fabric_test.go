@@ -2,46 +2,42 @@ package bench
 
 import "testing"
 
-// fabricTestOpts trims the sweep to its gate-bearing corners so the test
-// stays interactive while exercising all three workloads and both modes.
-func fabricTestOpts() FabricOpts {
-	opts := DefaultFabricOpts()
-	opts.Threads = []int{1, 8}
-	opts.StaticBatches = []int{1, 32}
-	return opts
+// fabricTestReport is the sweep as checked in (an eighth of a second): all
+// three workloads, both modes.
+func fabricTestReport(t *testing.T) Report {
+	t.Helper()
+	r, err := fabric(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestFabricSenderBlocking is the sender-path acceptance criterion: at 8
 // producers the reserve/commit path must admit the raw traffic without any
 // sender ever parking.
 func TestFabricSenderBlocking(t *testing.T) {
-	report, err := Fabric(fabricTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := report.Find("lockfree", "raw", 8, report.Points[0].BatchTuples)
-	if free == nil {
-		t.Fatal("raw point missing from the sweep")
-	}
-	t.Logf("raw 8 producers: wait=%.1fms (%d reserve waits)", free.SendWaitMS, free.ReserveWaits)
-	if free.ReserveWaits != 0 || free.SendWaitMS > 0 {
-		t.Errorf("lock-free raw path blocked (%d reserve waits, %.3fms): ample ring should admit every claim",
-			free.ReserveWaits, free.SendWaitMS)
+	r := fabricTestReport(t)
+	free := mustPoint(t, r, "mode", "lockfree", "workload", "raw", "threads", 8, "batch_tuples", fabricBatch)
+	t.Logf("raw 8 producers: wait=%.1fms (%v reserve waits)", free.Value("send_wait_ms"), free.Value("reserve_waits"))
+	if free.Value("reserve_waits") != 0 || free.Value("send_wait_ms") > 0 {
+		t.Errorf("lock-free raw path blocked (%v reserve waits, %.3fms): ample ring should admit every claim",
+			free.Value("reserve_waits"), free.Value("send_wait_ms"))
 	}
 
 	// The replicated sweep must stay a faithful record/replay run in every
 	// mode: same tuples per (workload, threads) cell, zero divergences.
-	for i := range report.Points {
-		p := &report.Points[i]
-		if p.Divergences != 0 {
-			t.Errorf("%s/%s %dt b=%d: %d divergences", p.Mode, p.Workload, p.Threads, p.BatchTuples, p.Divergences)
+	for i := range r.Points {
+		p := &r.Points[i]
+		if p.Value("divergences") != 0 {
+			t.Errorf("%v: %v divergences", p.Labels, p.Value("divergences"))
 		}
-		if p.Workload == "raw" {
+		if p.Label("workload") == "raw" {
 			continue
 		}
-		if ref := report.Find("lockfree", p.Workload, p.Threads, p.BatchTuples); ref != nil && ref.Tuples != p.Tuples {
-			t.Errorf("%s/%s %dt: %d tuples, lockfree saw %d — modes changed the workload",
-				p.Mode, p.Workload, p.Threads, ref.Tuples, p.Tuples)
+		ref, err := r.Point("mode", "lockfree", "workload", p.Label("workload"), "threads", p.Label("threads"), "batch_tuples", p.Label("batch_tuples"))
+		if err == nil && ref.Value("tuples") != p.Value("tuples") {
+			t.Errorf("%v: %v tuples, lockfree saw %v — modes changed the workload", p.Labels, p.Value("tuples"), ref.Value("tuples"))
 		}
 	}
 }
@@ -53,40 +49,34 @@ func TestFabricSenderBlocking(t *testing.T) {
 // cutting commit latency below its static starting batch) — without ever
 // losing to the best hand-tuned static setting on completion time.
 func TestFabricAdaptiveController(t *testing.T) {
-	opts := fabricTestOpts()
-	report, err := Fabric(opts)
-	if err != nil {
-		t.Fatal(err)
+	r := fabricTestReport(t)
+	at := func(mode, workload string) *Point {
+		return mustPoint(t, r, "mode", mode, "workload", workload, "threads", 8, "batch_tuples", fabricBatch)
 	}
-	burst := report.Find("adaptive", "burst", 8, opts.BatchTuples)
-	sust := report.Find("adaptive", "sustained", 8, opts.BatchTuples)
-	staticSust := report.Find("lockfree", "sustained", 8, opts.BatchTuples)
-	if burst == nil || sust == nil || staticSust == nil {
-		t.Fatal("adaptive points missing from the sweep")
-	}
-	t.Logf("burst: eff %d->%d, %.2fx of best static transfers, %.1fx fewer than static start",
-		opts.BatchTuples, burst.EffBatchEnd, report.AdaptiveVsBestStaticBurst, report.AdaptiveMsgSavingsBurst)
-	t.Logf("sustained: eff %d->%d, commit p50 %dus (static start %dus), %.2fx best-static completion",
-		opts.BatchTuples, sust.EffBatchEnd, sust.CommitWaitP50/1000, staticSust.CommitWaitP50/1000,
-		report.AdaptiveVsBestStaticSustained)
+	burst, sust, staticSust := at("adaptive", "burst"), at("adaptive", "sustained"), at("lockfree", "sustained")
+	vsBestBurst, savings := ratioOf(t, r, "adaptive_vs_best_static_burst"), ratioOf(t, r, "adaptive_msg_savings_burst")
+	vsBestSust := ratioOf(t, r, "adaptive_vs_best_static_sustained")
+	t.Logf("burst: eff %d->%v, %.2fx of best static transfers, %.1fx fewer than static start",
+		fabricBatch, burst.Value("eff_batch_end"), vsBestBurst, savings)
+	t.Logf("sustained: eff %d->%v, commit p50 %vns (static start %vns), %.2fx best-static completion",
+		fabricBatch, sust.Value("eff_batch_end"), sust.Value("commit_wait_p50_ns"), staticSust.Value("commit_wait_p50_ns"), vsBestSust)
 
-	if burst.EffBatchEnd <= int64(opts.BatchTuples) {
-		t.Errorf("burst eff batch ended at %d, want growth above the starting %d", burst.EffBatchEnd, opts.BatchTuples)
+	if v := burst.Value("eff_batch_end"); v <= fabricBatch {
+		t.Errorf("burst eff batch ended at %v, want growth above the starting %d", v, fabricBatch)
 	}
-	if sust.EffBatchEnd >= int64(opts.BatchTuples) {
-		t.Errorf("sustained eff batch ended at %d, want shrink below the starting %d", sust.EffBatchEnd, opts.BatchTuples)
+	if v := sust.Value("eff_batch_end"); v >= fabricBatch {
+		t.Errorf("sustained eff batch ended at %v, want shrink below the starting %d", v, fabricBatch)
 	}
-	if report.AdaptiveMsgSavingsBurst < 1.2 {
-		t.Errorf("burst transfer savings %.2fx vs static start, want >= 1.2x", report.AdaptiveMsgSavingsBurst)
+	if savings < 1.2 {
+		t.Errorf("burst transfer savings %.2fx vs static start, want >= 1.2x", savings)
 	}
-	if report.AdaptiveVsBestStaticBurst < 0.7 {
-		t.Errorf("burst transfers %.2fx of best static, want >= 0.7", report.AdaptiveVsBestStaticBurst)
+	if vsBestBurst < 0.7 {
+		t.Errorf("burst transfers %.2fx of best static, want >= 0.7", vsBestBurst)
 	}
-	if report.AdaptiveVsBestStaticSustained < 0.95 {
-		t.Errorf("sustained completion %.2fx of best static, want >= 0.95", report.AdaptiveVsBestStaticSustained)
+	if vsBestSust < 0.95 {
+		t.Errorf("sustained completion %.2fx of best static, want >= 0.95", vsBestSust)
 	}
-	if sust.CommitWaitP50 > staticSust.CommitWaitP50 {
-		t.Errorf("sustained commit p50 %dns above the static starting batch's %dns: shrinking bought nothing",
-			sust.CommitWaitP50, staticSust.CommitWaitP50)
+	if a, s := sust.Value("commit_wait_p50_ns"), staticSust.Value("commit_wait_p50_ns"); a > s {
+		t.Errorf("sustained commit p50 %vns above the static starting batch's %vns: shrinking bought nothing", a, s)
 	}
 }

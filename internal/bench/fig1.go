@@ -10,111 +10,95 @@ import (
 	"repro/internal/sim"
 )
 
-// Fig1Row is one bar of Figure 1: the physical-memory occupancy of a Linux
-// system running memcached at one input-size multiplier.
-type Fig1Row struct {
-	Multiplier int
-	Ignored    float64 // % of RAM: unrecoverable kernel memory
-	Delayed    float64 // % of RAM: recoverable kernel memory
-	User       float64 // % of RAM: application memory
-	Free       float64 // % of RAM
-}
-
-// Fig1Multipliers are the paper's x-axis values.
-func Fig1Multipliers() []int { return []int{3, 30, 60, 90, 120, 150, 180} }
-
-// Fig1 reproduces the §2.3 memory-dump experiment on the 64-core / 96 GB
-// machine: boot a kernel, drive the memcached memory model to each input
-// multiplier, and classify physical memory.
-func Fig1(multipliers []int) ([]Fig1Row, error) {
-	var rows []Fig1Row
-	for _, mult := range multipliers {
-		row, err := fig1Row(mult)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func fig1Row(mult int) (Fig1Row, error) {
-	s := sim.New(1)
-	defer s.Shutdown()
+// memcachedMachine boots Linux on the 64-core / 96 GB memory-dump machine
+// and drives the memcached memory model to the given input multiplier.
+func memcachedMachine(s *sim.Simulation, mult int) (*hw.Machine, *kernel.Kernel, kmem.Snapshot, error) {
 	m := hw.New(s, hw.MemDumpMachine())
 	part, err := m.NewPartition("linux", 0, 1, 2, 3, 4, 5, 6, 7)
 	if err != nil {
-		return Fig1Row{}, err
+		return nil, nil, kmem.Snapshot{}, err
 	}
 	k, err := kernel.Boot(part, kernel.Config{Name: "linux"})
 	if err != nil {
-		return Fig1Row{}, err
+		return nil, nil, kmem.Snapshot{}, err
 	}
 	snap, err := memcached.ApplyLoad(k.Mem(), memcached.DefaultLoadModel(), mult)
 	if err != nil {
-		return Fig1Row{}, fmt.Errorf("bench: fig1 at %dx: %w", mult, err)
+		return nil, nil, snap, fmt.Errorf("memcached load at %dx: %w", mult, err)
 	}
-	pct := func(b int64) float64 { return 100 * float64(b) / float64(snap.Total) }
-	return Fig1Row{
-		Multiplier: mult,
-		Ignored:    pct(snap.Ignored),
-		Delayed:    pct(snap.Delayed),
-		User:       pct(snap.User),
-		Free:       pct(snap.Free),
-	}, nil
+	return m, k, snap, nil
 }
 
-// FaultOutcomeRow is one row of the §2.2 fault-model sweep: the fate of a
-// uniformly random memory error under a given memcached load.
-type FaultOutcomeRow struct {
-	Multiplier  int
-	Corrected   bool
-	KernelPanic float64 // fraction of injected faults
-	Delayed     float64
-	UserKill    float64
-	None        float64
+// fig1 reproduces the §2.3 memory-dump experiment (Figure 1): the
+// physical-memory occupancy of a Linux system running memcached at the
+// paper's input-size multipliers, every page classified as unrecoverable
+// kernel memory (ignored), recoverable kernel memory (delayed), user
+// memory, or free.
+func fig1(seed int64, _ bool) (Report, error) {
+	report := Report{Exp: "fig1", Seed: seed}
+	for _, mult := range []int{3, 30, 60, 90, 120, 150, 180} {
+		s := sim.New(seed)
+		_, _, snap, err := memcachedMachine(s, mult)
+		s.Shutdown()
+		if err != nil {
+			return report, fmt.Errorf("bench: fig1: %w", err)
+		}
+		pct := func(b int64) float64 { return 100 * float64(b) / float64(snap.Total) }
+		report.Points = append(report.Points, Point{
+			Labels: []Label{label("input", fmt.Sprintf("%dx", mult))},
+			Values: []Named{
+				val("ignored_pct", pct(snap.Ignored), "%"),
+				val("delayed_pct", pct(snap.Delayed), "%"),
+				val("user_pct", pct(snap.User), "%"),
+				val("free_pct", pct(snap.Free), "%"),
+			},
+		})
+	}
+	return report, nil
 }
 
-// FaultOutcomes injects n random memory errors per configuration and
-// tabulates outcomes — the quantitative backing for the paper's claim that
-// a memory error frequently takes down the whole stock-Linux stack.
-func FaultOutcomes(multiplier, n int, corrected bool, seed int64) (FaultOutcomeRow, error) {
-	row := FaultOutcomeRow{Multiplier: multiplier, Corrected: corrected}
+// faults is the §2.2 fault-model sweep: n uniformly random memory errors
+// per memcached load, detected-uncorrected (DUE) and corrected (CE), and
+// the share of them that meets each fate on stock Linux — the quantitative
+// backing for the paper's claim that a memory error frequently takes down
+// the whole software stack.
+func faults(seed int64, _ bool) (Report, error) {
+	const n = 20000
+	report := Report{Exp: "faults", Seed: seed, Params: []Label{label("errors_per_cell", n)}}
+	for _, mult := range []int{3, 90, 180} {
+		for _, kind := range []string{"DUE", "CE"} {
+			p, err := faultPoint(seed, mult, n, kind == "CE")
+			if err != nil {
+				return report, fmt.Errorf("bench: faults: %w", err)
+			}
+			p.Labels = []Label{label("load", fmt.Sprintf("%dx", mult)), label("kind", kind)}
+			report.Points = append(report.Points, p)
+		}
+	}
+	return report, nil
+}
+
+func faultPoint(seed int64, mult, n int, corrected bool) (Point, error) {
 	s := sim.New(seed)
 	defer s.Shutdown()
-	m := hw.New(s, hw.MemDumpMachine())
-	part, err := m.NewPartition("linux", 0, 1, 2, 3, 4, 5, 6, 7)
+	m, k, _, err := memcachedMachine(s, mult)
 	if err != nil {
-		return row, err
+		return Point{}, err
 	}
-	k, err := kernel.Boot(part, kernel.Config{Name: "linux"})
-	if err != nil {
-		return row, err
-	}
-	if _, err := memcached.ApplyLoad(k.Mem(), memcached.DefaultLoadModel(), multiplier); err != nil {
-		return row, err
-	}
+	count := make(map[kmem.Outcome]int)
 	for i := 0; i < n; i++ {
 		_, addr := m.RandomMemErrorAddr()
 		class, err := k.Mem().ClassifyAddr(addr)
 		if err != nil {
-			return row, err
+			return Point{}, err
 		}
-		switch kmem.OutcomeOf(class, corrected) {
-		case kmem.OutcomeKernelPanic:
-			row.KernelPanic++
-		case kmem.OutcomeDelayed:
-			row.Delayed++
-		case kmem.OutcomeUserKill:
-			row.UserKill++
-		default:
-			row.None++
-		}
+		count[kmem.OutcomeOf(class, corrected)]++
 	}
-	total := float64(n)
-	row.KernelPanic /= total
-	row.Delayed /= total
-	row.UserKill /= total
-	row.None /= total
-	return row, nil
+	pct := func(o kmem.Outcome) Metric { return Metric{Value: 100 * float64(count[o]) / float64(n), Unit: "%"} }
+	return Point{Values: []Named{
+		{"kernel_panic_pct", pct(kmem.OutcomeKernelPanic)},
+		{"delayed_pct", pct(kmem.OutcomeDelayed)},
+		{"user_kill_pct", pct(kmem.OutcomeUserKill)},
+		{"absorbed_pct", pct(kmem.OutcomeNone)},
+	}}, nil
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
 	"time"
 
 	"repro/internal/apps/clients"
@@ -13,86 +15,40 @@ import (
 	"repro/internal/tcprep"
 )
 
-// Fig8Result is the §4.4 failover experiment: downloading a large file
-// over a 1 Gb/s link from (a) stock Ubuntu, (b) FT-Linux failure-free, and
-// (c) FT-Linux with the primary killed mid-transfer.
-type Fig8Result struct {
-	UbuntuMbps float64 // steady transfer rate, Linux
-	FTMbps     float64 // steady transfer rate, FT-Linux failure-free
-	PctFT      float64
-
-	// Failover scenario.
-	FailoverSeries  []clients.Sample // per-second received bytes (the Fig. 8 curve)
-	OutageSeconds   float64          // time at ~zero throughput around the failure
-	RecoveredMbps   float64          // rate after recovery
-	DriverShare     float64          // fraction of the outage spent reloading the NIC driver
-	Complete        bool             // the client received the entire file
-	Corrupted       bool             // any content mismatch
-	ConnectionAlive bool             // the TCP connection survived the failover
-}
-
-// Fig8Opts bound the experiment.
-type Fig8Opts struct {
-	Seed     int64
-	FileSize int64
-	FailAt   time.Duration
-	MSS      int // GSO-style segment size for bulk transfer
-}
-
-// DefaultFig8Opts uses the paper's 10 GB file with the failure injected
-// one third into the transfer.
-func DefaultFig8Opts() Fig8Opts {
-	return Fig8Opts{Seed: 1, FileSize: 10 << 30, FailAt: 30 * time.Second, MSS: 32 << 10}
-}
-
-// QuickFig8Opts is a scaled-down variant for unit benchmarks.
-func QuickFig8Opts() Fig8Opts {
-	return Fig8Opts{Seed: 1, FileSize: 1 << 30, FailAt: 4 * time.Second, MSS: 32 << 10}
-}
+// fig8MSS is the GSO-style segment size of the bulk transfer.
+const fig8MSS = 32 << 10
 
 func fig8Verify(off int64, data []byte) bool {
 	want := make([]byte, len(data))
 	fileserver.Fill(want, off)
-	for i := range data {
-		if data[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(data, want)
 }
 
-// Fig8 reproduces Figure 8.
-func Fig8(opts Fig8Opts) (Fig8Result, error) {
-	var res Fig8Result
+// fig8 reproduces Figure 8: downloading a large file over a 1 Gb/s link
+// from (a) stock Ubuntu, (b) FT-Linux failure-free and (c) FT-Linux with
+// the primary killed mid-transfer. The points are the per-second
+// throughput of run (c) — the figure's curve; the ratios summarize all
+// three. The client checks every byte against the expected content, and a
+// transfer that ends short or corrupted fails the experiment.
+func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
+	report := Report{Exp: "fig8", Seed: seed,
+		Params: []Label{label("file_bytes", fileSize), label("fail_at", failAt)}}
 	fcfg := fileserver.DefaultConfig()
-	fcfg.FileSize = opts.FileSize
-
-	run := func(replicated bool, failAt time.Duration) (*clients.DownloadStats, *core.System, error) {
-		cfg := core.DefaultConfig(opts.Seed)
-		cfg.TCP.MSS = opts.MSS
+	fcfg.FileSize = fileSize
+	cfg := core.DefaultConfig(seed)
+	cfg.TCP.MSS = fig8MSS
+	deadline := sim.Time(10*time.Minute + time.Duration(fileSize/1000)) // generous
+	serve := func(th *replication.Thread, socks *tcprep.Sockets) {
+		var st fileserver.Stats
+		fileserver.Run(th, socks, fcfg, &st)
+	}
+	download := func(client *core.Client) *clients.DownloadStats {
 		st := &clients.DownloadStats{}
-		deadline := sim.Time(10*time.Minute + time.Duration(opts.FileSize/1000)) // generous
-		if !replicated {
-			base, err := core.NewBaseline(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer base.Sim.Shutdown()
-			client, err := base.AttachNetwork(simnet.GigabitEthernet())
-			if err != nil {
-				return nil, nil, err
-			}
-			var fst fileserver.Stats
-			base.LaunchApp("fileserver", nil, func(th *replication.Thread, socks *tcprep.Sockets) {
-				fileserver.Run(th, socks, fcfg, &fst)
-			})
-			clients.Download(client, fcfg.Port, opts.FileSize, time.Second, fig8Verify, st)
-			if err := base.Sim.RunUntil(deadline); err != nil {
-				return nil, nil, err
-			}
-			return st, nil, nil
-		}
-		sys, err := core.New(core.WithSeed(opts.Seed), core.WithRejoin(false), core.WithTCP(cfg.TCP))
+		clients.Download(client, fcfg.Port, fileSize, time.Second, fig8Verify, st)
+		return st
+	}
+	ft := func(killAt time.Duration) (*clients.DownloadStats, *core.System, error) {
+		sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false), core.WithTCP(cfg.TCP))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -101,71 +57,86 @@ func Fig8(opts Fig8Opts) (Fig8Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var fst fileserver.Stats
-		sys.Run(core.App{Name: "fileserver", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
-			fileserver.Run(th, socks, fcfg, &fst)
-		}})
-		clients.Download(client, fcfg.Port, opts.FileSize, time.Second, fig8Verify, st)
-		if failAt > 0 {
-			sys.InjectPrimaryFailure(failAt, hw.CoreFailStop)
+		sys.Run(core.App{Name: "fileserver", Main: serve})
+		st := download(client)
+		if killAt > 0 {
+			sys.InjectPrimaryFailure(killAt, hw.CoreFailStop)
 		}
-		if err := sys.Sim.RunUntil(deadline); err != nil {
-			return nil, nil, err
-		}
-		return st, sys, nil
+		return st, sys, sys.Sim.RunUntil(deadline)
 	}
 
 	// Scenario (a): stock Ubuntu.
-	ubuntu, _, err := run(false, 0)
+	ubuntu, err := func() (*clients.DownloadStats, error) {
+		base, err := core.NewBaseline(cfg)
+		if err != nil {
+			return nil, err
+		}
+		defer base.Sim.Shutdown()
+		client, err := base.AttachNetwork(simnet.GigabitEthernet())
+		if err != nil {
+			return nil, err
+		}
+		base.LaunchApp("fileserver", nil, serve)
+		st := download(client)
+		return st, base.Sim.RunUntil(deadline)
+	}()
 	if err != nil {
-		return res, err
+		return report, err
 	}
-	res.UbuntuMbps = mbps(ubuntu.Received, ubuntu.FinishedAt)
+	linuxMbps := mbps(ubuntu.Received, ubuntu.FinishedAt)
 
 	// Scenario (b): FT-Linux, failure-free.
-	ft, _, err := run(true, 0)
+	free, _, err := ft(0)
 	if err != nil {
-		return res, err
+		return report, err
 	}
-	res.FTMbps = mbps(ft.Received, ft.FinishedAt)
-	res.PctFT = 100 * res.FTMbps / res.UbuntuMbps
+	ftMbps := mbps(free.Received, free.FinishedAt)
 
 	// Scenario (c): FT-Linux with primary failure mid-transfer.
-	fo, sys, err := run(true, opts.FailAt)
+	fo, sys, err := ft(failAt)
 	if err != nil {
-		return res, err
+		return report, err
 	}
-	res.FailoverSeries = fo.Series
-	res.Complete = fo.Complete
-	res.Corrupted = fo.Corrupted
-	res.ConnectionAlive = fo.Complete // EOF-free completion implies the conn survived
-	// Outage: consecutive near-zero samples around the failure.
-	outage := 0
+	if !fo.Complete || fo.Corrupted {
+		return report, fmt.Errorf("bench: fig8: transfer across the failover complete=%v corrupted=%v", fo.Complete, fo.Corrupted)
+	}
+	if sys.LiveAt <= sys.FailedAt {
+		return report, fmt.Errorf("bench: fig8: no backup went live after the failure at %v", sys.FailedAt)
+	}
+	// Outage: near-zero samples from the failure until throughput has
+	// settled, two seconds after promotion. Recovery rate: the samples
+	// from then until completion.
+	var outage, recoveredSamples int
+	var recovered int64
+	settled := false
 	for _, s := range fo.Series {
-		if s.At > sys.FailedAt.Add(-time.Second) && s.Bytes < (1<<20) {
+		report.Points = append(report.Points, Point{
+			Labels: []Label{label("t_s", fmt.Sprintf("%.1f", s.At.Seconds()))},
+			Values: []Named{val("mbps", float64(s.Bytes)*8/1e6, "Mb/s")},
+		})
+		if !settled && s.At > sys.FailedAt.Add(-time.Second) && s.Bytes < (1<<20) {
 			outage++
 		}
 		if s.At > sys.LiveAt.Add(2*time.Second) {
-			break
+			settled = true
+			if s.Bytes > 0 {
+				recovered += s.Bytes
+				recoveredSamples++
+			}
 		}
 	}
-	res.OutageSeconds = float64(outage)
-	if sys.LiveAt > sys.FailedAt {
-		res.DriverShare = float64(sys.Cfg.NICDriverLoadTime) / float64(sys.LiveAt.Sub(sys.FailedAt))
+	if recoveredSamples == 0 {
+		return report, fmt.Errorf("bench: fig8: the transfer ended before throughput settled after the failover")
 	}
-	// Recovery rate: samples well after promotion until completion.
-	var recovered int64
-	var rn int
-	for _, s := range fo.Series {
-		if s.At > sys.LiveAt.Add(2*time.Second) && s.Bytes > 0 {
-			recovered += s.Bytes
-			rn++
-		}
+	report.Ratios = []Named{
+		val("linux_mbps", linuxMbps, "Mb/s"),
+		val("ft_mbps", ftMbps, "Mb/s"),
+		val("ft_pct_of_linux", 100*ftMbps/linuxMbps, "%"),
+		val("outage_s", outage, "s"),
+		val("driver_reload_pct_of_outage", 100*float64(sys.Cfg.NICDriverLoadTime)/float64(sys.LiveAt.Sub(sys.FailedAt)), "%"),
+		val("recovered_mbps", float64(recovered)*8/float64(recoveredSamples)/1e6, "Mb/s"),
 	}
-	if rn > 0 {
-		res.RecoveredMbps = float64(recovered) * 8 / float64(rn) / 1e6
-	}
-	return res, nil
+	return report, nil
 }
 
 func mbps(bytes int64, elapsed sim.Time) float64 {

@@ -7,119 +7,125 @@ import (
 	"testing"
 )
 
-func testBaselines() Baselines {
-	var b Baselines
-	b.Tolerance = 0.2
-	b.DetShard.CommitWaitSpeedup = 100
-	b.DetShard.ReplayLagSpeedup = 5
-	b.Fabric.AdaptiveMsgSavingsBurst = 1.5
-	b.NWay.CommitWaitSpeedupN3 = 100
-	b.Epoch.RejoinSpeedup = 50
-	b.Epoch.RetentionSavings = 20
-	return b
-}
-
-func TestGateEpoch(t *testing.T) {
-	b := testBaselines()
-	// FlatnessGain is unpinned (zero) in testBaselines: skipped.
-	r := EpochReport{RejoinSpeedup: 42, RetentionSavings: 17}
-	if v := b.GateEpoch(r); len(v) != 0 {
-		t.Fatalf("gate failed within tolerance: %v", v)
-	}
-	r.RejoinSpeedup = 39 // below the 40 floor
-	v := b.GateEpoch(r)
-	if len(v) != 1 || !strings.Contains(v[0], "epoch.rejoin_speedup") {
-		t.Fatalf("violations = %v, want exactly the rejoin-speedup slip", v)
-	}
-}
-
-func TestGateNWay(t *testing.T) {
-	b := testBaselines()
-	if v := b.GateNWay(NWayReport{CommitWaitSpeedupN3: 85}); len(v) != 0 {
-		t.Fatalf("gate failed within tolerance: %v", v)
-	}
-	v := b.GateNWay(NWayReport{CommitWaitSpeedupN3: 79})
-	if len(v) != 1 || !strings.Contains(v[0], "nway.commit_wait_speedup_n3") {
-		t.Fatalf("violations = %v, want exactly the named commit-wait slip", v)
-	}
-}
-
-func TestGateDetShardPassesWithinTolerance(t *testing.T) {
-	b := testBaselines()
-	r := DetShardReport{CommitWaitSpeedup: 85, ReplayLagSpeedup: 4.2}
-	if v := b.GateDetShard(r); len(v) != 0 {
-		t.Fatalf("gate failed within tolerance: %v", v)
-	}
-}
-
-func TestGateDetShardFailsPastTolerance(t *testing.T) {
-	b := testBaselines()
-	r := DetShardReport{CommitWaitSpeedup: 79, ReplayLagSpeedup: 5}
-	v := b.GateDetShard(r)
-	if len(v) != 1 {
-		t.Fatalf("violations = %v, want exactly the commit-wait slip", v)
-	}
-	if !strings.Contains(v[0], "commit_wait_p50_speedup") {
-		t.Errorf("violation does not name the ratio: %s", v[0])
-	}
-}
-
-func TestGateSkipsUnpinnedRatios(t *testing.T) {
-	b := testBaselines()
-	// Sustained/burst fabric ratios are unpinned (zero) in testBaselines:
-	// a zero observed value must not trip them.
-	r := FabricReport{AdaptiveMsgSavingsBurst: 1.3}
-	if v := b.GateFabric(r); len(v) != 0 {
-		t.Fatalf("unpinned ratios tripped the gate: %v", v)
-	}
-	r.AdaptiveMsgSavingsBurst = 1.1 // below the 1.2 floor
-	if v := b.GateFabric(r); len(v) != 1 {
-		t.Fatalf("violations = %v, want exactly the burst-savings slip", v)
+// TestGate drives the one gate over reports of every gated experiment.
+func TestGate(t *testing.T) {
+	b := Baselines{Tolerance: 0.2, Ratios: map[string]float64{
+		"detshard.commit_wait_p50_speedup":  100, // floor 80
+		"detshard.replay_lag_p50_speedup":   5,   // floor 4
+		"fabric.adaptive_msg_savings_burst": 1.5, // floor 1.2
+		"nway.commit_wait_speedup_n3":       100,
+		"epoch.rejoin_speedup":              50, // floor 40
+		"epoch.retention_savings":           20, // floor 16
+	}}
+	for _, tc := range []struct {
+		name    string
+		exp     string
+		ratios  []Named
+		checked int
+		errs    []string // each must appear in the error; none: the gate passes
+	}{
+		{name: "detshard within tolerance", exp: "detshard", checked: 2,
+			ratios: []Named{val("commit_wait_p50_speedup", 85, "x"), val("replay_lag_p50_speedup", 4.2, "x")}},
+		{name: "detshard past tolerance names the ratio", exp: "detshard", checked: 2,
+			ratios: []Named{val("commit_wait_p50_speedup", 79, "x"), val("replay_lag_p50_speedup", 5, "x")},
+			errs:   []string{"detshard.commit_wait_p50_speedup = 79.000, below floor 80.000"}},
+		{name: "fabric unpinned ratios skipped", exp: "fabric", checked: 1,
+			ratios: []Named{val("adaptive_vs_best_static_sustained", 0, "x"), val("adaptive_vs_best_static_burst", 0, "x"), val("adaptive_msg_savings_burst", 1.3, "x")}},
+		{name: "fabric pinned ratio slips", exp: "fabric", checked: 1,
+			ratios: []Named{val("adaptive_vs_best_static_sustained", 0, "x"), val("adaptive_msg_savings_burst", 1.1, "x")},
+			errs:   []string{"fabric.adaptive_msg_savings_burst"}},
+		{name: "nway within tolerance", exp: "nway", checked: 1,
+			ratios: []Named{val("commit_wait_speedup_n3", 85, "x")}},
+		{name: "nway past tolerance", exp: "nway", checked: 1,
+			ratios: []Named{val("commit_wait_speedup_n3", 79, "x")},
+			errs:   []string{"nway.commit_wait_speedup_n3"}},
+		{name: "epoch within tolerance with flatness unpinned", exp: "epoch", checked: 2,
+			ratios: []Named{val("rejoin_speedup", 42, "x"), val("retention_savings", 17, "x"), val("flatness_gain", 0.1, "x")}},
+		{name: "epoch past tolerance", exp: "epoch", checked: 2,
+			ratios: []Named{val("rejoin_speedup", 39, "x"), val("retention_savings", 17, "x")},
+			errs:   []string{"epoch.rejoin_speedup"}},
+		{name: "every slip is named", exp: "epoch", checked: 2,
+			ratios: []Named{val("rejoin_speedup", 39, "x"), val("retention_savings", 15, "x")},
+			errs:   []string{"epoch.rejoin_speedup", "epoch.retention_savings"}},
+		{name: "pinned but unreported is an error", exp: "detshard", checked: 1,
+			ratios: []Named{val("commit_wait_p50_speedup", 100, "x")},
+			errs:   []string{"detshard.replay_lag_p50_speedup is pinned"}},
+		{name: "no pinned ratio", exp: "critpath", checked: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checked, err := Gate(Report{Exp: tc.exp, Ratios: tc.ratios}, b)
+			if checked != tc.checked {
+				t.Errorf("checked %d ratios, want %d", checked, tc.checked)
+			}
+			if len(tc.errs) == 0 && err != nil {
+				t.Fatalf("gate failed: %v", err)
+			}
+			for _, want := range tc.errs {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("gate error %v does not name %q", err, want)
+				}
+			}
+			if err != nil && strings.Count(err.Error(), "\n")+1 != len(tc.errs) {
+				t.Errorf("gate error has other lines than %q:\n%v", tc.errs, err)
+			}
+		})
 	}
 }
 
 func TestLoadBaselinesValidation(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"tolerance": 0}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaselines(bad); err == nil {
-		t.Fatal("zero tolerance accepted")
-	}
-	good := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(good, []byte(`{"tolerance": 0.25, "detshard": {"commit_wait_p50_speedup": 10}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaselines(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.DetShard.CommitWaitSpeedup != 10 {
-		t.Errorf("parsed speedup = %v", b.DetShard.CommitWaitSpeedup)
+	for name, tc := range map[string]struct {
+		file, wantErr string
+	}{
+		"zero tolerance":       {`{"tolerance": 0, "ratios": {}}`, "tolerance"},
+		"tolerance of one":     {`{"tolerance": 1, "ratios": {}}`, "tolerance"},
+		"unknown experiment":   {`{"tolerance": 0.25, "ratios": {"detshrad.commit_wait_p50_speedup": 10}}`, "detshrad"},
+		"pin that is not > 0":  {`{"tolerance": 0.25, "ratios": {"detshard.commit_wait_p50_speedup": 0}}`, "positive"},
+		"the per-sweep schema": {`{"tolerance": 0.25, "detshard": {"commit_wait_p50_speedup": 10}}`, "detshard"},
+		"good":                 {`{"tolerance": 0.25, "ratios": {"detshard.commit_wait_p50_speedup": 10}}`, ""},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "baselines.json")
+			if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b, err := LoadBaselines(path)
+			if tc.wantErr == "" {
+				if err != nil || b.Ratios["detshard.commit_wait_p50_speedup"] != 10 {
+					t.Fatalf("loaded %+v, %v", b, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want one naming %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
 // TestRepoBaselinesLoad: the checked-in baseline file parses and pins
-// every headline ratio the gate checks.
+// every headline ratio the gate has checked so far, plus the one that took
+// over CI's "epochs-on rejoin stays flat" assertion.
 func TestRepoBaselinesLoad(t *testing.T) {
 	b, err := LoadBaselines("../../goldens/bench-baselines.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, v := range map[string]float64{
-		"detshard.commit_wait":       b.DetShard.CommitWaitSpeedup,
-		"detshard.replay_lag":        b.DetShard.ReplayLagSpeedup,
-		"fabric.adaptive_sustained":  b.Fabric.AdaptiveVsBestStaticSustained,
-		"fabric.adaptive_burst":      b.Fabric.AdaptiveVsBestStaticBurst,
-		"fabric.adaptive_msg_saving": b.Fabric.AdaptiveMsgSavingsBurst,
-		"nway.commit_wait":           b.NWay.CommitWaitSpeedupN3,
-		"epoch.rejoin_speedup":       b.Epoch.RejoinSpeedup,
-		"epoch.retention_savings":    b.Epoch.RetentionSavings,
-		"epoch.flatness_gain":        b.Epoch.FlatnessGain,
-	} {
-		if v <= 0 {
+	pinned := []string{
+		"detshard.commit_wait_p50_speedup",
+		"detshard.replay_lag_p50_speedup",
+		"fabric.adaptive_vs_best_static_sustained",
+		"fabric.adaptive_vs_best_static_burst",
+		"fabric.adaptive_msg_savings_burst",
+		"nway.commit_wait_speedup_n3",
+		"epoch.rejoin_speedup",
+		"epoch.retention_savings",
+		"epoch.flatness_gain",
+		"epoch.rejoin_flatness_on",
+	}
+	for _, name := range pinned {
+		if b.Ratios[name] <= 0 {
 			t.Errorf("%s not pinned", name)
 		}
+	}
+	if len(b.Ratios) != len(pinned) {
+		t.Errorf("%d ratios pinned, want %d", len(b.Ratios), len(pinned))
 	}
 }

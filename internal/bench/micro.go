@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/hw"
@@ -10,34 +11,52 @@ import (
 	"repro/internal/simnet"
 )
 
-// LatencyResult is the §1 motivation microbenchmark: the propagation delay
-// of a message between replicas inside one machine (shared-memory mailbox)
-// versus across a LAN — Guerraoui et al. measured 0.55 us vs 135 us.
-type LatencyResult struct {
-	IntraMachine time.Duration // mailbox one-way propagation
-	InterMachine time.Duration // LAN one-way propagation
-	Ratio        float64
+// latency is the §1 motivation microbenchmark — the one-way propagation
+// delay of a message between replicas inside one machine (shared-memory
+// mailbox) versus across a LAN; Guerraoui et al. measured 0.55 us vs
+// 135 us — followed by the wake_up_process cost model behind the §4.1
+// bottleneck: dispatch latency onto a busy core, a briefly idle one (5 ms)
+// and a long-idle one (400 ms, the "up to tens of ms" case the paper
+// observed).
+func latency(seed int64, _ bool) (Report, error) {
+	const rounds, wakeRounds = 1000, 500
+	report := Report{Exp: "latency", Seed: seed}
+	add := func(path string, d time.Duration) {
+		report.Points = append(report.Points, Point{
+			Labels: []Label{label("path", path)},
+			Values: []Named{val("delay_ns", d, "ns")},
+		})
+	}
+	intra, err := mailboxDelay(seed, rounds)
+	if err != nil {
+		return report, err
+	}
+	add("shared-memory mailbox", intra)
+	inter, err := lanDelay(seed, rounds)
+	if err != nil {
+		return report, err
+	}
+	add("LAN", inter)
+
+	if err := wakeLatencies(seed, wakeRounds, add); err != nil {
+		return report, err
+	}
+
+	d := derive{r: &report}
+	d.ratio("lan_over_mailbox", float64(inter), float64(intra))
+	return report, d.err
 }
 
-// IntraVsInterLatency measures one-way message propagation through the
-// shared-memory fabric and through a simulated LAN link.
-func IntraVsInterLatency(seed int64, rounds int) (LatencyResult, error) {
-	var res LatencyResult
-
-	// Intra-machine: mailbox between the two partitions.
+// mailboxDelay measures one-way propagation through the shared-memory
+// fabric between the two partitions.
+func mailboxDelay(seed int64, rounds int) (time.Duration, error) {
 	s := sim.New(seed)
 	defer s.Shutdown()
-	m := hw.New(s, hw.Opteron6376x4())
-	p0, err := m.NewPartition("p0", 0, 1, 2, 3)
+	p0, p1, err := partitions(s)
 	if err != nil {
-		return res, err
+		return 0, err
 	}
-	p1, err := m.NewPartition("p1", 4, 5, 6, 7)
-	if err != nil {
-		return res, err
-	}
-	fabric := shm.NewFabric(s, p0.CrossLatency(p1))
-	ring := fabric.NewRing("ping", 0, 1<<20)
+	ring := shm.NewFabric(s, p0.CrossLatency(p1)).NewRing("ping", 0, 1<<20)
 	var total time.Duration
 	s.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < rounds; i++ {
@@ -52,86 +71,81 @@ func IntraVsInterLatency(seed int64, rounds int) (LatencyResult, error) {
 		}
 	})
 	if err := s.Run(); err != nil {
-		return res, err
+		return 0, err
 	}
-	res.IntraMachine = total / time.Duration(rounds)
+	return total / time.Duration(rounds), nil
+}
 
-	// Inter-machine: one-way delay of a small frame over the LAN link.
-	s2 := sim.New(seed)
-	defer s2.Shutdown()
+// lanDelay measures the one-way delay of a small frame over the LAN link.
+func lanDelay(seed int64, rounds int) (time.Duration, error) {
+	s := sim.New(seed)
+	defer s.Shutdown()
 	a := simnet.NewNIC("a", nil)
 	b := simnet.NewNIC("b", nil)
-	if _, err := simnet.Connect(s2, a, b, simnet.LAN135us()); err != nil {
-		return res, err
+	if _, err := simnet.Connect(s, a, b, simnet.LAN135us()); err != nil {
+		return 0, err
 	}
-	var lanTotal time.Duration
+	var total time.Duration
 	var sentAt sim.Time
-	count := 0
-	b.SetRx(func(p simnet.Packet) {
-		lanTotal += s2.Now().Sub(sentAt)
-		count++
+	received := 0
+	b.SetRx(func(simnet.Packet) {
+		total += s.Now().Sub(sentAt)
+		received++
 	})
 	for i := 0; i < rounds; i++ {
-		i := i
-		s2.Schedule(time.Duration(i)*time.Millisecond, func() {
-			sentAt = s2.Now()
+		s.Schedule(time.Duration(i)*time.Millisecond, func() {
+			sentAt = s.Now()
 			a.Send(simnet.Packet{Size: 64})
 		})
 	}
-	if err := s2.Run(); err != nil {
-		return res, err
+	if err := s.Run(); err != nil {
+		return 0, err
 	}
-	res.InterMachine = lanTotal / time.Duration(count)
-	res.Ratio = float64(res.InterMachine) / float64(res.IntraMachine)
-	return res, nil
+	if received == 0 {
+		return 0, fmt.Errorf("bench: latency: no frame crossed the LAN link")
+	}
+	return total / time.Duration(received), nil
 }
 
-// WakeLatencyResult quantifies the wake_up_process cost model behind the
-// §4.1 bottleneck: dispatch latency onto busy versus deep-idle cores.
-type WakeLatencyResult struct {
-	BusyHandoff time.Duration
-	// IdleWakeAvg/Max: dispatch onto a briefly idle core (5 ms).
-	IdleWakeAvg time.Duration
-	IdleWakeMax time.Duration
-	// DeepIdleAvg/Max: dispatch onto a long-idle core (400 ms) — the
-	// "up to tens of ms" case the paper observed.
-	DeepIdleAvg time.Duration
-	DeepIdleMax time.Duration
-}
-
-// WakeLatency measures the scheduler's dispatch penalty distribution.
-func WakeLatency(seed int64, rounds int) (WakeLatencyResult, error) {
-	var res WakeLatencyResult
+// wakeLatencies samples the scheduler's dispatch penalty on one
+// single-core kernel: a task sleeps idle, wakes, and times how much later
+// than asked its microsecond of work completes.
+func wakeLatencies(seed int64, rounds int, add func(string, time.Duration)) error {
 	s := sim.New(seed)
 	defer s.Shutdown()
-	m := hw.New(s, hw.Opteron6376x4())
-	part, err := m.NewPartition("p", 0, 1, 2, 3)
+	part, err := hw.New(s, hw.Opteron6376x4()).NewPartition("p", 0, 1, 2, 3)
 	if err != nil {
-		return res, err
+		return err
 	}
 	k, err := kernel.Boot(part, kernel.Config{Name: "k", Cores: 1})
 	if err != nil {
-		return res, err
+		return err
 	}
-	measure := func(idle time.Duration, n int) (avg, max time.Duration) {
-		var total time.Duration
+	add("wake: busy hand-off", kernel.DefaultParams().ContextSwitch)
+	for _, c := range []struct {
+		name string
+		idle time.Duration
+		n    int
+	}{
+		{"wake: idle 5ms", 5 * time.Millisecond, rounds},
+		{"wake: idle 400ms", 400 * time.Millisecond, rounds/10 + 1},
+	} {
+		var total, worst time.Duration
 		k.Spawn("idle-waker", func(t *kernel.Task) {
-			for i := 0; i < n; i++ {
-				t.Sleep(idle)
+			for i := 0; i < c.n; i++ {
+				t.Sleep(c.idle)
 				start := t.Now()
 				t.Compute(time.Microsecond)
 				lat := t.Now().Sub(start) - time.Microsecond
 				total += lat
-				if lat > max {
-					max = lat
-				}
+				worst = max(worst, lat)
 			}
 		})
-		_ = s.Run()
-		return total / time.Duration(n), max
+		if err := s.Run(); err != nil {
+			return err
+		}
+		add(c.name+", avg", total/time.Duration(c.n))
+		add(c.name+", max", worst)
 	}
-	res.IdleWakeAvg, res.IdleWakeMax = measure(5*time.Millisecond, rounds)
-	res.DeepIdleAvg, res.DeepIdleMax = measure(400*time.Millisecond, rounds/10+1)
-	res.BusyHandoff = kernel.DefaultParams().ContextSwitch
-	return res, nil
+	return nil
 }

@@ -2,81 +2,26 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/pthread"
 	"repro/internal/replication"
 	"repro/internal/shm"
 	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
-// NWayPoint is one (replicas, quorum) cell of the replica-set sweep. Every
-// point runs the same lock-section workload on a full core deployment with
-// one backup's log link lagged by a fixed per-transfer delay, so its receipt
-// watermark trails the rest of the set. The commit-wait distribution then
-// shows whether that laggard sits on the output-commit path: under the
-// all-replicas rule every OnStable waits out the lag; under a majority
-// quorum (at N >= 3) the faster backups' receipts release output and the
-// laggard only matters for failover coverage.
-type NWayPoint struct {
-	Replicas int    `json:"replicas"`
-	Quorum   int    `json:"quorum"`
-	Rule     string `json:"rule"` // "majority" or "all"
+// nwayLag is the per-transfer delivery lag on one backup's log link — far
+// above the shared-memory fabric's native transfer latency, so the
+// quorum-versus-all split dominates every other latency term in the
+// commit wait.
+const nwayLag = 300 * time.Microsecond
 
-	// Workload invariants (identical across quorum settings).
-	Sections uint64 `json:"sections"` // det sections recorded
-	Commits  uint64 `json:"commits"`  // output-commit (OnStable) requests
-
-	// Output-commit latency on the primary.
-	CommitWaitMean int64 `json:"commit_wait_mean_ns"`
-	CommitWaitP50  int64 `json:"commit_wait_p50_ns"`
-	CommitWaitP90  int64 `json:"commit_wait_p90_ns"`
-
-	LiveBackups int     `json:"live_backups"`
-	Divergences uint64  `json:"divergences"`
-	SimMS       float64 `json:"sim_ms"`       // simulated completion time
-	WallClockMS float64 `json:"wallclock_ms"` // host time to run the point
-}
-
-// NWayReport is the checked-in BENCH_nway.json shape: the sweep points plus
-// the headline ratio the acceptance gate reads — mean commit wait at N=3
-// under the all-replicas rule versus the majority quorum, over the same
-// lagged link. Above 1 means the quorum rule keeps the laggard off the
-// output-commit path.
-type NWayReport struct {
-	LagUS  int64       `json:"laggard_lag_us"`
-	Points []NWayPoint `json:"points"`
-
-	CommitWaitSpeedupN3 float64 `json:"commit_wait_speedup_n3"`
-}
-
-// NWayOpts bounds the per-point workload.
-type NWayOpts struct {
-	Seed        int64
-	Replicas    []int         // replica-set sizes to sweep
-	Threads     int           // app threads per replica
-	Iters       int           // lock/unlock iterations per thread
-	CommitEvery int           // OnStable every N iterations per thread
-	Lag         time.Duration // per-transfer delivery lag on one backup's log link
-}
-
-// DefaultNWayOpts sweeps N=2..5 with a 300us laggard — far above the
-// shared-memory fabric's native transfer latency, so the quorum-versus-all
-// split dominates every other latency term in the commit wait.
-func DefaultNWayOpts() NWayOpts {
-	return NWayOpts{
-		Seed:        1,
-		Replicas:    []int{2, 3, 4, 5},
-		Threads:     4,
-		Iters:       400,
-		CommitEvery: 4,
-		Lag:         300 * time.Microsecond,
-	}
-}
+// nwayLoop is the workload every replica runs.
+var nwayLoop = lockLoop{threads: 4, locks: 4, iters: 400, think: thinkUS(50, 100), contend: true, commitEvery: 4}
 
 // majority is the default quorum core picks for an n-replica set.
 func majority(n int) int { return (n + 2) / 2 }
@@ -91,149 +36,93 @@ func laggedLogRing(n int) string {
 	return "ftns.log.r" + strconv.Itoa(n-1)
 }
 
-// NWay runs the replica-set sweep: for every set size, the same workload is
-// committed under the majority quorum and under the all-replicas rule (one
-// point where they coincide, as at N=2), always with the last backup's log
-// deliveries lagged. The headline ratio compares the two rules at N=3.
-func NWay(opts NWayOpts) (NWayReport, error) {
-	report := NWayReport{LagUS: opts.Lag.Microseconds()}
-	for _, n := range opts.Replicas {
+// nway runs the replica-set sweep: for every set size, the same workload
+// runs on a full core deployment and commits under the majority quorum and
+// under the all-replicas rule (one point where they coincide, as at N=2),
+// always with the last backup's log deliveries lagged so its receipt
+// watermark trails the rest of the set. The commit-wait distribution then
+// shows whether that laggard sits on the output-commit path: under the
+// all-replicas rule every OnStable waits out the lag; under a majority
+// quorum (at N >= 3) the faster backups' receipts release output and the
+// laggard only matters for failover coverage. commit_wait_speedup_n3 is
+// the all-replicas mean commit wait over the majority quorum's at N=3.
+func nway(seed int64, _ bool) (Report, error) {
+	report := Report{Exp: "nway", Seed: seed, Params: []Label{
+		label("laggard_lag_us", nwayLag.Microseconds()), label("threads", nwayLoop.threads),
+		label("iters", nwayLoop.iters), label("commit_every", nwayLoop.commitEvery)}}
+	for _, n := range []int{2, 3, 4, 5} {
 		quorums := []int{majority(n)}
 		if n > majority(n) {
 			quorums = append(quorums, n)
 		}
 		for _, q := range quorums {
-			p, err := nwayPoint(n, q, opts)
+			p, err := nwayPoint(seed, n, q)
 			if err != nil {
 				return report, fmt.Errorf("bench: nway n=%d q=%d: %w", n, q, err)
 			}
 			report.Points = append(report.Points, p)
 		}
 	}
-	base, all := report.find(3, majority(3)), report.find(3, 3)
-	if base != nil && all != nil {
-		report.CommitWaitSpeedupN3 = ratio(all.CommitWaitMean, base.CommitWaitMean)
-	}
-	return report, nil
+	d := derive{r: &report}
+	d.ratio("commit_wait_speedup_n3",
+		d.v("commit_wait_mean_ns", "replicas", 3, "quorum", 3),
+		d.v("commit_wait_mean_ns", "replicas", 3, "quorum", majority(3)))
+	return report, d.err
 }
 
-// find returns the point at (replicas, quorum), or nil.
-func (r *NWayReport) find(replicas, quorum int) *NWayPoint {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Replicas == replicas && p.Quorum == quorum {
-			return p
-		}
-	}
-	return nil
-}
-
-// nwayApp is the sweep workload: Threads threads each looping Iters times
-// over think/lock/hold/unlock, requesting an output commit every CommitEvery
-// iterations right after the unlock — while the tuples from the just-closed
-// section are still in flight on the backup links, so the commit-wait
-// histogram measures the receipt-watermark round trip under the configured
-// quorum rule rather than an already-drained log.
-func nwayApp(opts NWayOpts, done *int, doneAt *sim.Time) func(*replication.Thread, *tcprep.Sockets) {
-	return func(root *replication.Thread, _ *tcprep.Sockets) {
-		lib := root.Lib()
-		mu := lib.NewMutex()
-		locks := make([]*pthread.Mutex, opts.Threads)
-		for i := range locks {
-			locks[i] = lib.NewMutex()
-		}
-		var threads []*replication.Thread
-		for i := 0; i < opts.Threads; i++ {
-			own := locks[i]
-			threads = append(threads, root.NS().SpawnThread(root, "w", func(th *replication.Thread) {
-				t := th.Task()
-				for j := 0; j < opts.Iters; j++ {
-					think := time.Duration(50+t.Kernel().Sim().Rand().Intn(100)) * time.Microsecond
-					t.Compute(think)
-					own.Lock(t)
-					t.Compute(2 * time.Microsecond)
-					own.Unlock(t)
-					if j%8 == 3 { // occasional cross-thread contention
-						mu.Lock(t)
-						mu.Unlock(t)
-					}
-					if opts.CommitEvery > 0 && (j+1)%opts.CommitEvery == 0 {
-						th.NS().OnStable(func() {})
-					}
-				}
-			}))
-		}
-		for _, th := range threads {
-			root.Join(th)
-		}
-		*done++
-		*doneAt = root.Task().Now()
-	}
-}
-
-func nwayPoint(n, q int, opts NWayOpts) (NWayPoint, error) {
+func nwayPoint(seed int64, n, q int) (Point, error) {
 	rule := "majority"
 	if q == n {
 		rule = "all"
 	}
-	point := NWayPoint{Replicas: n, Quorum: q, Rule: rule}
-	start := time.Now()
-
 	kp := kernel.DefaultParams()
 	kp.IdleWakeMin, kp.IdleWakeMax = 0, 0 // exact per-point latency distributions
 	sys, err := core.New(
-		core.WithSeed(opts.Seed),
+		core.WithSeed(seed),
 		core.WithKernelParams(kp),
 		core.WithReplicaSet(n),
 		core.WithQuorum(q),
 		core.WithRejoin(false),
 	)
 	if err != nil {
-		return point, err
+		return Point{}, err
 	}
 	defer sys.Sim.Shutdown()
 
-	lagged := laggedLogRing(n)
-	found := false
-	for _, r := range sys.Fabric.Rings() {
-		if r.Name() == lagged {
-			r.SetChaosHook(func([]shm.Message) shm.ChaosVerdict {
-				return shm.ChaosVerdict{Delay: opts.Lag}
-			})
-			found = true
-			break
-		}
+	rings := sys.Fabric.Rings()
+	lagged := slices.IndexFunc(rings, func(r *shm.Ring) bool { return r.Name() == laggedLogRing(n) })
+	if lagged < 0 {
+		return Point{}, fmt.Errorf("log ring %q not found", laggedLogRing(n))
 	}
-	if !found {
-		return point, fmt.Errorf("log ring %q not found", lagged)
-	}
+	rings[lagged].SetChaosHook(func([]shm.Message) shm.ChaosVerdict { return shm.ChaosVerdict{Delay: nwayLag} })
 
-	var done int
-	var doneAt sim.Time
-	sys.Run(core.App{Name: "nway", Main: nwayApp(opts, &done, &doneAt)})
+	var st loopStats
+	sys.Run(core.App{Name: "nway", Main: func(root *replication.Thread, _ *tcprep.Sockets) { nwayLoop.run(root, &st) }})
 	if err := sys.Sim.RunUntil(sim.Time(time.Minute)); err != nil {
-		return point, err
+		return Point{}, err
 	}
-	if done != n {
-		return point, fmt.Errorf("workload incomplete: %d of %d replicas finished", done, n)
+	if st.done != n {
+		return Point{}, fmt.Errorf("workload incomplete: %d of %d replicas finished", st.done, n)
 	}
-
-	point.Sections = sys.Active().NS.SeqGlobal()
-	point.LiveBackups = len(sys.Backups())
+	commit, err := histogram(sys.Obs.Registry().Snapshot(), "ftns.commit.wait", false)
+	if err != nil {
+		return Point{}, err
+	}
+	var divergences uint64
 	for _, b := range sys.Backups() {
-		point.Divergences += b.NS.Stats().Divergences
+		divergences += b.NS.Stats().Divergences
 	}
-	point.SimMS = float64(doneAt) / float64(time.Millisecond)
-	point.WallClockMS = float64(time.Since(start)) / float64(time.Millisecond)
-	for _, h := range sys.Obs.Registry().Snapshot().Histograms {
-		if h.Name == "ftns.commit.wait" && h.Count > 0 {
-			point.Commits = uint64(h.Count)
-			point.CommitWaitMean = h.Sum / h.Count
-			point.CommitWaitP50, point.CommitWaitP90 = h.P50, h.P90
-		}
-	}
-	if point.Commits == 0 {
-		return point, fmt.Errorf("no ftns.commit.wait samples")
-	}
-	return point, nil
+	return Point{
+		Labels: []Label{label("replicas", n), label("quorum", q), label("rule", rule)},
+		Values: []Named{
+			val("sections", sys.Active().NS.SeqGlobal(), "count"),
+			val("commits", commit.Count, "count"), // output-commit (OnStable) requests
+			val("commit_wait_mean_ns", commit.Sum/commit.Count, "ns"),
+			val("commit_wait_p50_ns", commit.P50, "ns"),
+			val("commit_wait_p90_ns", commit.P90, "ns"),
+			val("live_backups", len(sys.Backups()), "count"),
+			val("divergences", divergences, "count"),
+			val("sim_ms", ms(st.at), "ms"),
+		},
+	}, nil
 }

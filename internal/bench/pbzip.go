@@ -10,47 +10,25 @@ import (
 	"repro/internal/sim"
 )
 
-// PBZIPPoint is one block size of Figures 4 and 5.
-type PBZIPPoint struct {
-	BlockKB     int
-	Ubuntu      float64 // blocks/s on the baseline
-	FTBurst     float64 // blocks/s in a short burst
-	FTSustained float64 // blocks/s over a long period
-	PctOfUbuntu float64 // FTSustained / Ubuntu * 100 (right axis of Fig. 4)
-	MsgPerSec   float64 // Fig. 5: inter-replica messages/s (sustained)
-	BytesPerSec float64 // Fig. 5: inter-replica bytes/s (sustained)
-}
+// pbzipBurst is the initial interval used for the burst rate.
+const pbzipBurst = time.Second
 
-// PBZIPBlockKBs are the Figure 4/5 x-axis block sizes.
-func PBZIPBlockKBs() []int { return []int{25, 50, 75, 100, 200, 400, 600, 900} }
-
-// PBZIPOpts bound the per-point simulated work.
-type PBZIPOpts struct {
-	Seed int64
-	// Window is how long the FT run is measured (sustained needs the log
-	// ring to have filled); the baseline runs for Window/2.
-	Window time.Duration
-	// Burst is the initial interval used for the burst rate.
-	Burst time.Duration
-}
-
-// DefaultPBZIPOpts measures sustained throughput over a 12 s window.
-func DefaultPBZIPOpts() PBZIPOpts {
-	return PBZIPOpts{Seed: 1, Window: 12 * time.Second, Burst: time.Second}
-}
-
-// PBZIP reproduces Figures 4 and 5: compressing a 1 GB file with 32 worker
-// threads on Ubuntu versus FT-Linux, as a function of the block size.
-func PBZIP(blockKBs []int, opts PBZIPOpts) ([]PBZIPPoint, error) {
-	var points []PBZIPPoint
+// pbzip reproduces Figures 4 and 5: compressing a 1 GB file with 32 worker
+// threads on Ubuntu versus FT-Linux, as a function of the block size —
+// throughput (baseline, FT burst, FT sustained) and the inter-replica
+// traffic of the sustained phase. window is how long the FT run is
+// measured (sustained needs the log ring to have filled); the baseline
+// runs for window/2.
+func pbzip(seed int64, blockKBs []int, window time.Duration) (Report, error) {
+	report := Report{Exp: "fig4", Seed: seed, Params: []Label{label("window", window)}}
 	for _, kb := range blockKBs {
-		p, err := pbzipPoint(kb, opts)
+		p, err := pbzipPoint(seed, kb, window)
 		if err != nil {
-			return nil, err
+			return report, err
 		}
-		points = append(points, p)
+		report.Points = append(report.Points, p)
 	}
-	return points, nil
+	return report, nil
 }
 
 func pbzipCfg(kb int, window time.Duration) pbzip2.Config {
@@ -60,81 +38,83 @@ func pbzipCfg(kb int, window time.Duration) pbzip2.Config {
 	// in the window, so sweeps stay tractable; the full 1 GB file is the
 	// cap, exactly as in the paper.
 	ideal := float64(cfg.Workers) * cfg.CompressRate / float64(cfg.BlockSize)
-	max := int(ideal*window.Seconds()) + cfg.Workers
+	bound := int(ideal*window.Seconds()) + cfg.Workers
 	total := int(cfg.FileSize / int64(cfg.BlockSize))
-	if max < total {
-		cfg.MaxBlocks = max
+	if bound < total {
+		cfg.MaxBlocks = bound
 	}
 	return cfg
 }
 
-func pbzipPoint(kb int, opts PBZIPOpts) (PBZIPPoint, error) {
-	point := PBZIPPoint{BlockKB: kb}
-
+func pbzipPoint(seed int64, kb int, window time.Duration) (Point, error) {
 	// Baseline (stock Ubuntu allocated one partition's resources).
-	base, err := core.NewBaseline(core.DefaultConfig(opts.Seed))
+	base, err := core.NewBaseline(core.DefaultConfig(seed))
 	if err != nil {
-		return point, err
+		return Point{}, err
 	}
 	defer base.Sim.Shutdown()
 	var bst pbzip2.Stats
-	bcfg := pbzipCfg(kb, opts.Window/2)
+	bcfg := pbzipCfg(kb, window/2)
 	base.Launch("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, bcfg, &bst) })
-	if err := base.Sim.RunUntil(sim.Time(opts.Window / 2)); err != nil {
-		return point, err
+	if err := base.Sim.RunUntil(sim.Time(window / 2)); err != nil {
+		return Point{}, err
 	}
-	point.Ubuntu = steadyRate(bst.BlockTimes, opts.Burst, sim.Time(opts.Window/2))
-	if point.Ubuntu == 0 {
-		return point, fmt.Errorf("bench: pbzip2 baseline made no progress at %dKB", kb)
+	ubuntu := steadyRate(bst.BlockTimes, pbzipBurst, sim.Time(window/2))
+	if ubuntu == 0 {
+		return Point{}, fmt.Errorf("bench: pbzip2 baseline made no progress at %dKB", kb)
 	}
 
 	// FT-Linux. The paper's prototype streams every log tuple as its own
 	// mailbox message, so Figure 5's absolute message/byte rates are only
-	// comparable in that configuration; batched traffic is measured by
-	// BatchSweep (ftbench -exp batching).
-	sys, err := core.New(core.WithSeed(opts.Seed), core.WithRejoin(false),
+	// comparable in that configuration; batched traffic is measured by the
+	// batching sweep.
+	sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false),
 		func(c *core.Config) { c.Replication.BatchTuples = 1 })
 	if err != nil {
-		return point, err
+		return Point{}, err
 	}
 	defer sys.Sim.Shutdown()
 	var fst, sst pbzip2.Stats
-	fcfg := pbzipCfg(kb, opts.Window)
+	fcfg := pbzipCfg(kb, window)
 	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, fcfg, &fst) })
 	sys.Secondary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, fcfg, &sst) })
 
-	mid := sim.Time(opts.Window / 2)
-	var midStats = sys.Fabric.Stats()
+	mid, end := sim.Time(window/2), sim.Time(window)
 	if err := sys.Sim.RunUntil(mid); err != nil {
-		return point, err
+		return Point{}, err
 	}
-	midStats = sys.Fabric.Stats()
-	if err := sys.Sim.RunUntil(sim.Time(opts.Window)); err != nil {
-		return point, err
+	midStats := sys.Fabric.Stats()
+	if err := sys.Sim.RunUntil(end); err != nil {
+		return Point{}, err
 	}
 	endStats := sys.Fabric.Stats()
 
-	point.FTSustained = steadyRate(fst.BlockTimes, time.Duration(mid), sim.Time(opts.Window))
-	if done := fst.FinishedAt; done != 0 && done < sim.Time(opts.Window) {
+	sustained := steadyRate(fst.BlockTimes, time.Duration(mid), end)
+	traffic := end.Sub(mid)
+	if done := fst.FinishedAt; done != 0 && done < end {
 		// The run finished before the window closed: use the overall rate
 		// past the burst phase.
-		point.FTSustained = steadyRate(fst.BlockTimes, opts.Burst, done)
+		sustained = steadyRate(fst.BlockTimes, pbzipBurst, done)
+		traffic = done.Sub(mid)
 	}
-	point.FTBurst = rateIn(fst.BlockTimes, sim.Time(opts.Burst/10), sim.Time(opts.Burst/2))
-	if point.FTBurst < point.FTSustained {
-		// Large blocks complete too slowly for the early window to be
-		// meaningful; the attainable burst is never below sustained.
-		point.FTBurst = point.FTSustained
+	// Large blocks complete too slowly for the early window to be
+	// meaningful; the attainable burst is never below sustained.
+	burst := max(rateIn(fst.BlockTimes, sim.Time(pbzipBurst/10), sim.Time(pbzipBurst/2)), sustained)
+	var msgs, bytes float64
+	if traffic > 0 {
+		msgs, bytes = trafficRate(midStats, endStats, traffic)
 	}
-	point.PctOfUbuntu = 100 * point.FTSustained / point.Ubuntu
-	window := sim.Time(opts.Window).Sub(mid)
-	if done := fst.FinishedAt; done != 0 && done < sim.Time(opts.Window) {
-		window = done.Sub(mid)
-	}
-	if window > 0 {
-		point.MsgPerSec, point.BytesPerSec = trafficRate(midStats, endStats, window)
-	}
-	return point, nil
+	return Point{
+		Labels: []Label{label("block_kb", kb)},
+		Values: []Named{
+			val("ubuntu_blocks_s", ubuntu, "blocks/s"),
+			val("ft_burst_blocks_s", burst, "blocks/s"),
+			val("ft_sustained_blocks_s", sustained, "blocks/s"),
+			val("pct_of_ubuntu", 100*sustained/ubuntu, "%"),
+			val("msg_s", msgs, "msgs/s"), // Fig. 5, sustained phase
+			val("mb_s", bytes/1e6, "MB/s"),
+		},
+	}, nil
 }
 
 // steadyRate measures the completion rate between warmup and end.
