@@ -78,7 +78,7 @@ sweeps:
 experiments:
 	$(GO) run ./cmd/ftbench -exp all -quick > experiments_output.txt
 
-check: vet lint build race bench golden
+check: vet lint build race bench golden loc
 
 # The one golden-trace check: a small failover run at the degenerate
 # settings — one det shard, two replicas, epochs off, static batching —
@@ -91,11 +91,20 @@ golden:
 # Non-test Go lines in the four packages the ROADMAP's "collapse the mode
 # matrix" item is measured by, then internal/rejoin on its own line —
 # outside the total, so the ROADMAP's series stays comparable.
+#
+# The ceilings are a ratchet: loc fails — and with it check — when one of
+# the four packages is over its ceiling, so the series cannot drift up
+# silently. A PR that shrinks a package lowers its ceiling to the number
+# it reaches; raising one needs a reason in the PR text.
+LOC_CEILINGS := core=2074 replication=2983 tcprep=1818 shm=910
+
 loc:
-	@count() { ls internal/$$1/*.go | grep -v _test.go | xargs cat | wc -l; }; total=0; \
-	for d in core replication tcprep shm; do \
-		n=$$(count $$d); total=$$((total + n)); printf '%-12s %5d\n' $$d $$n; \
-	done; printf '%-12s %5d\n' total $$total rejoin $$(count rejoin)
+	@count() { ls internal/$$1/*.go | grep -v _test.go | xargs cat | wc -l; }; total=0; over=0; \
+	for c in $(LOC_CEILINGS); do \
+		d=$${c%=*}; max=$${c#*=}; n=$$(count $$d); total=$$((total + n)); \
+		printf '%-12s %5d  (ceiling %d)\n' $$d $$n $$max; \
+		[ $$n -le $$max ] || { echo "loc: internal/$$d is over its ceiling" >&2; over=1; }; \
+	done; printf '%-12s %5d\n' total $$total rejoin $$(count rejoin); exit $$over
 
 # A small failover run with full tracing: writes trace.json (open it at
 # https://ui.perfetto.dev) and prints the flight-recorder dump.

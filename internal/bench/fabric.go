@@ -219,7 +219,9 @@ func fabricPoint(seed int64, mode, workload string, threads, batch int) (Point, 
 		c.DetShards = wl.detShards
 		c.LogRingBytes = wl.ringBytes
 		c.BatchTuples = batch
-		c.AdaptiveBatching = mode == "adaptive"
+		if mode == "adaptive" {
+			c.MaxBatchTuples = -1 // the default ceiling
+		}
 	}, false, false)
 	if err != nil {
 		return point, err

@@ -1,11 +1,11 @@
 // Package core assembles the full FT-Linux system of the paper: a
-// commodity NUMA machine partitioned in two, one kernel booted per
-// partition, the shared-memory messaging fabric between them, an
-// FT-Namespace replicating applications from the primary to the secondary
-// (record/replay of deterministic sections), TCP-stack replication with
-// output commit, heart-beat failure detection with IPI halt, and failover
-// that re-loads device drivers and promotes the secondary to live
-// execution.
+// commodity NUMA machine partitioned into a replica set — two partitions in
+// the paper, N with WithReplicaSet — one kernel booted per partition, the
+// shared-memory messaging fabric between them, an FT-Namespace replicating
+// applications from the primary to every backup (record/replay of
+// deterministic sections), TCP-stack replication with output commit,
+// heart-beat failure detection with IPI halt, and failover that re-loads
+// device drivers and promotes the most caught-up backup to live execution.
 //
 // It is the public entry point used by every example, command, and
 // benchmark in this repository:

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -603,7 +604,10 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 // secondary must end up with the identical logical TCP state either way
 // (same synced input bytes, zero divergences), while the batched run ships
 // the update stream in strictly fewer ring transfers and drains at least
-// some of them as vectored deliveries.
+// some of them as vectored deliveries. At either size the flush deadlines
+// of both replication streams are events: each stream's one process, the
+// spill server, runs once at boot, parks, and is never woken while its ring
+// has room — and nothing named a flusher exists.
 func TestTCPSyncBatchingCoalesces(t *testing.T) {
 	run := func(batch int) (*core.System, int, []string) {
 		sys := quietSystem(t, 8, func(c *core.Config) {
@@ -612,6 +616,11 @@ func TestTCPSyncBatchingCoalesces(t *testing.T) {
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 		if err != nil {
 			t.Fatal(err)
+		}
+		switches := make(map[string]int) // by task name, the kernel and tid stripped
+		sys.Sim.OnSwitch = func(_ sim.Time, proc string) {
+			name := proc[strings.Index(proc, "/")+1:]
+			switches[name[:strings.LastIndex(name, ".")]]++
 		}
 		const n = 8
 		var pDone, sDone int
@@ -652,6 +661,15 @@ func TestTCPSyncBatchingCoalesces(t *testing.T) {
 		}
 		if div := sys.Secondary.NS.Stats().Divergences; div != 0 {
 			t.Fatalf("batch=%d: %d replay divergences", batch, div)
+		}
+		for name, count := range switches {
+			if strings.Contains(name, "flush") {
+				t.Errorf("batch=%d: a flusher process exists: %q switched in %d times", batch, name, count)
+			}
+		}
+		if switches["ft-spill"] != 1 || switches["tcprep-spill"] != 1 {
+			t.Errorf("batch=%d: ft-spill switched in %d times, tcprep-spill %d; want once each (boot): a spill server was woken while its ring had room",
+				batch, switches["ft-spill"], switches["tcprep-spill"])
 		}
 		return sys, sDone, replies
 	}

@@ -56,32 +56,18 @@ func WithCores(primary, secondary int) Option {
 	return func(c *Config) { c.PrimaryCores, c.SecondaryCores = primary, secondary }
 }
 
-// WithBatching sets the one batching policy for both replication streams:
-// up to n log tuples (det log) and n logical updates (TCP sync) per
-// vectored transfer, each flushed after at most flush. It replaces setting
-// Replication.BatchTuples/FlushInterval and TCPSync.BatchUpdates/
-// FlushInterval separately — the knobs described the same coalescing
-// policy twice and drifted apart.
-func WithBatching(n int, flush time.Duration) Option {
-	return func(c *Config) {
-		c.Replication.BatchTuples = n
-		c.Replication.FlushInterval = flush
-		c.TCPSync.BatchUpdates = n
-		c.TCPSync.FlushInterval = flush
-	}
-}
-
-// WithAdaptiveBatching replaces the fixed det-log batch size with the
-// recorder's AIMD feedback controller: the effective batch starts at the
-// configured BatchTuples, grows while output commits find their watermark
+// WithAdaptiveBatching lets the recorder's batch controller move: instead
+// of staying pinned at the configured BatchTuples, the effective det-log
+// batch starts there, grows while output commits find their watermark
 // already acknowledged, and halves the moment a commit stalls or the
-// unacked-log lag climbs. max caps the controller (0 selects the engine
-// default, max(4*BatchTuples, 32)). The output-commit force-flush
-// invariant is untouched, and with the controller off the batch policy is
-// exactly the static WithBatching one.
+// unacked-log lag climbs. max is the controller's ceiling (0 selects the
+// engine default, max(4*BatchTuples, 32)). The output-commit force-flush
+// invariant is untouched.
 func WithAdaptiveBatching(max int) Option {
 	return func(c *Config) {
-		c.Replication.AdaptiveBatching = true
+		if max < 1 {
+			max = -1 // replication.Config.MaxBatchTuples: the default ceiling
+		}
 		c.Replication.MaxBatchTuples = max
 	}
 }
@@ -191,13 +177,13 @@ func New(opts ...Option) (*System, error) {
 }
 
 // validate is the single normalization and cross-check point for every
-// deployment knob. The batch/flush/heartbeat knobs that used to be defaulted
-// independently inside replication, tcprep and failure are derived here
-// and nowhere else.
+// deployment knob.
 //
-// ftvet:knobs — canonical defaulting site. The per-package zero-value
-// fallbacks remain only as safety for direct package-level construction
-// in unit tests; deployments must not rely on them.
+// ftvet:knobs — canonical defaulting site. The det-log batching and
+// sharding knobs are resolved by replication.Config.WithBatchDefaults,
+// which validate calls and the engine's constructors call again
+// (idempotent), so a replication.NewPrimary built directly in a unit test
+// gets exactly what a deployment gets.
 func (cfg Config) validate() (Config, error) {
 	if cfg.Profile.Sockets == 0 {
 		cfg.Profile = hw.Opteron6376x4()
@@ -239,33 +225,18 @@ func (cfg Config) validate() (Config, error) {
 		cfg.Replication = replication.DefaultConfig()
 		cfg.Replication.DetShards = shards
 	}
-	// One coalescing policy, normalized once: <=1 means batching off;
-	// batching without a flush bound gets the calibrated default so a
-	// partial batch can never sit forever.
-	if cfg.Replication.BatchTuples < 1 {
-		cfg.Replication.BatchTuples = 1
-	}
-	if cfg.Replication.AdaptiveBatching && cfg.Replication.MaxBatchTuples < 1 {
-		cfg.Replication.MaxBatchTuples = 4 * cfg.Replication.BatchTuples
-		if cfg.Replication.MaxBatchTuples < 32 {
-			cfg.Replication.MaxBatchTuples = 32
-		}
-	}
-	if cfg.Replication.DetShards < 1 {
-		cfg.Replication.DetShards = 1
-	}
+	// One coalescing policy per stream, normalized once: a batch is at
+	// least one, and a partial batch gets a flush bound so it can never
+	// sit forever.
+	cfg.Replication = cfg.Replication.WithBatchDefaults()
 	if cfg.TCPSync == (tcprep.SyncConfig{}) {
 		cfg.TCPSync = tcprep.DefaultSyncConfig()
 	}
 	if cfg.TCPSync.BatchUpdates < 1 {
 		cfg.TCPSync.BatchUpdates = 1
 	}
-	def := tcprep.DefaultSyncConfig().FlushInterval
-	if (cfg.Replication.BatchTuples > 1 || cfg.Replication.AdaptiveBatching) && cfg.Replication.FlushInterval <= 0 {
-		cfg.Replication.FlushInterval = def
-	}
-	if cfg.TCPSync.BatchUpdates > 1 && cfg.TCPSync.FlushInterval <= 0 {
-		cfg.TCPSync.FlushInterval = def
+	if cfg.TCPSync.FlushInterval <= 0 {
+		cfg.TCPSync.FlushInterval = tcprep.DefaultSyncConfig().FlushInterval
 	}
 	if cfg.TCP.MSS == 0 {
 		cfg.TCP = tcpstack.DefaultParams()

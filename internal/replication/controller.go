@@ -26,14 +26,18 @@ const (
 	ctrlLagSlack  = 32
 )
 
-// batchController is the AIMD feedback loop that replaces the static
-// BatchTuples knob under Config.AdaptiveBatching. It observes the two
+// batchController is the recorder's one batch policy: it owns the effective
+// batch size and steers it by AIMD between min and max. It observes the two
 // signals the recorder already measures — output-commit stalls
 // (ftns.commit.wait) and unacked-log lag at flush (ftns.flush.lag, the
-// primary-side view of replay.lag) — and steers the effective batch size
-// between 1 and Config.MaxBatchTuples. All state changes happen inside
-// recorder calls on the virtual clock, so runs are deterministic and the
-// controller adds no events of its own.
+// primary-side view of replay.lag). With Config.MaxBatchTuples above
+// BatchTuples the range is 1..MaxBatchTuples, starting at BatchTuples.
+// Otherwise min = max = BatchTuples and the controller is pinned — it can
+// neither grow nor shrink, so its output is the constant BatchTuples: the
+// static policy is this controller with an empty range, not a second code
+// path. All state changes happen inside recorder calls on the virtual
+// clock, so runs are deterministic and the controller adds no events of
+// its own.
 type batchController struct {
 	eff    int // current effective batch size
 	min    int
@@ -44,13 +48,23 @@ type batchController struct {
 	cShrink *obs.Counter
 }
 
-func newBatchController(cfg Config) *batchController {
-	return &batchController{eff: cfg.BatchTuples, min: 1, max: cfg.MaxBatchTuples}
+// newBatchController takes a normalized Config (MaxBatchTuples >=
+// BatchTuples >= 1).
+func newBatchController(cfg Config) batchController {
+	c := batchController{eff: cfg.BatchTuples, min: cfg.BatchTuples, max: cfg.MaxBatchTuples}
+	if c.max > c.eff {
+		c.min = 1
+	}
+	return c
 }
 
 // instrument registers the controller signals under the namespace prefix:
-// the effective batch size as a sampled gauge plus the step counters.
+// the effective batch size as a sampled gauge plus the step counters. A
+// pinned controller registers nothing — its three signals are constants.
 func (c *batchController) instrument(name string, reg *obs.Registry) {
+	if c.max == c.min {
+		return
+	}
 	reg.Gauge(name+".ctrl.batch", func() int64 { return int64(c.eff) })
 	c.cGrow = reg.Counter(name + ".ctrl.grow")
 	c.cShrink = reg.Counter(name + ".ctrl.shrink")

@@ -5,14 +5,19 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
+// testCtrlConfig is an adaptive configuration: the controller starts at
+// batch and moves below the ceiling max (0: the default ceiling).
 func testCtrlConfig(batch, max int) Config {
 	cfg := DefaultConfig()
 	cfg.BatchTuples = batch
-	cfg.AdaptiveBatching = true
 	cfg.MaxBatchTuples = max
+	if max == 0 {
+		cfg.MaxBatchTuples = -1
+	}
 	return cfg
 }
 
@@ -84,32 +89,44 @@ func TestControllerRespectsBounds(t *testing.T) {
 	}
 }
 
-// TestAdaptiveOffKeepsStaticPolicy: without AdaptiveBatching no controller
-// exists and the effective batch is exactly the static knob — the golden
-// shards=1 trace depends on this equivalence.
+// TestAdaptiveOffKeepsStaticPolicy: with MaxBatchTuples left alone the
+// recorder's controller is pinned at min = max = BatchTuples, and a pinned
+// controller is the static policy — a thousand alternating stalls and
+// healthy observations leave the effective batch and both step counters
+// where they started. The golden shards=1 trace depends on this
+// equivalence.
 func TestAdaptiveOffKeepsStaticPolicy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchTuples = 8
 	_, _, _, rec := newRecorderHarness(t, cfg, 64<<10)
-	if rec.ctrl != nil {
-		t.Fatal("controller built with AdaptiveBatching off")
+	c := &rec.ctrl
+	if c.eff != 8 || c.min != 8 || c.max != 8 {
+		t.Fatalf("controller = {eff %d, min %d, max %d}, want pinned at the static BatchTuples 8", c.eff, c.min, c.max)
 	}
-	if rec.effBatch() != 8 {
-		t.Errorf("effBatch = %d, want the static BatchTuples 8", rec.effBatch())
+	reg := obs.NewRegistry()
+	c.instrument("ftns", reg)
+	if _, ok := reg.Snapshot().Gauge("ftns.ctrl.batch"); ok {
+		t.Error("a pinned controller registered its gauges: the default deployment's metric names changed")
+	}
+	c.cGrow, c.cShrink = reg.Counter("grow"), reg.Counter("shrink")
+	for i := 0; i < 1000; i++ {
+		c.observeCommit(true)
+		c.observeCommit(false)
+		c.observeFlush(1 << 20)
+		c.observeFlush(0)
+	}
+	if c.eff != 8 || c.cGrow.Value() != 0 || c.cShrink.Value() != 0 {
+		t.Errorf("pinned controller moved: eff %d, grow %d, shrink %d; want 8, 0, 0", c.eff, c.cGrow.Value(), c.cShrink.Value())
 	}
 }
 
 func TestAdaptiveOnStartsAtStaticBatch(t *testing.T) {
-	cfg := testCtrlConfig(8, 0).withBatchDefaults()
-	_, _, _, rec := newRecorderHarness(t, cfg, 64<<10)
-	if rec.ctrl == nil {
-		t.Fatal("no controller built with AdaptiveBatching on")
+	_, _, _, rec := newRecorderHarness(t, testCtrlConfig(8, 0), 64<<10)
+	if rec.ctrl.eff != 8 {
+		t.Errorf("effective batch = %d at boot, want the configured BatchTuples 8", rec.ctrl.eff)
 	}
-	if rec.effBatch() != 8 {
-		t.Errorf("effBatch = %d at boot, want the configured BatchTuples 8", rec.effBatch())
-	}
-	if rec.ctrl.max != 32 {
-		t.Errorf("MaxBatchTuples defaulted to %d, want max(4*BatchTuples, 32) = 32", rec.ctrl.max)
+	if rec.ctrl.min != 1 || rec.ctrl.max != 32 {
+		t.Errorf("controller range = [%d, %d], want [1, max(4*BatchTuples, 32) = 32]", rec.ctrl.min, rec.ctrl.max)
 	}
 }
 
@@ -123,13 +140,13 @@ func TestDeadlineForceFlushSameInstant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchTuples = 8
 	cfg.FlushInterval = 50 * time.Microsecond
-	s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
+	s, log, rec := flushHarness(t, cfg)
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
 		for i := 0; i < 3; i++ {
 			rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message(0))
 		}
-		// Sleep to exactly the armed deadline: the flusher's timeout and
-		// this wake-up land in the same scheduler instant.
+		// Sleep to exactly the armed deadline: the deadline and this
+		// wake-up land in the same scheduler instant.
 		tk.Proc().Sleep(cfg.FlushInterval)
 		rec.flushForCommit()
 	})
@@ -145,8 +162,9 @@ func TestDeadlineForceFlushSameInstant(t *testing.T) {
 	if st.Messages != 1 || st.Payloads != 3 {
 		t.Errorf("log ring saw %d transfers / %d payloads, want exactly 1 / 3 (no empty double-send)", st.Messages, st.Payloads)
 	}
-	if rec.stats.LogBatches != 1 {
-		t.Errorf("LogBatches = %d, want 1 (the second flusher found nothing to send)", rec.stats.LogBatches)
+	if rec.stats.LogBatches != 1 || rec.hBatchFill.Count() != 1 {
+		t.Errorf("LogBatches = %d with %d flush samples, want 1 and 1 (whichever ran second found nothing to send)",
+			rec.stats.LogBatches, rec.hBatchFill.Count())
 	}
 }
 
@@ -188,8 +206,8 @@ func TestRecorderFeedsController(t *testing.T) {
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
 		rec.emit(tk, Tuple{GlobalSeq: 1}.message(0))
 		rec.onStable(func() {}) // watermark unacked: a commit stall
-		if rec.effBatch() != 4 {
-			t.Errorf("effBatch = %d after a commit stall, want halved to 4", rec.effBatch())
+		if rec.ctrl.eff != 4 {
+			t.Errorf("effective batch = %d after a commit stall, want halved to 4", rec.ctrl.eff)
 		}
 	})
 	s.Spawn("drain", func(p *sim.Proc) {

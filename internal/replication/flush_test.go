@@ -1,0 +1,211 @@
+package replication
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/kernel"
+	"repro/internal/obs"
+	"repro/internal/shm"
+	"repro/internal/sim"
+)
+
+// flushHarness is newRecorderHarness with the flush histograms registered,
+// so a test can count BatchFlush samples beside ring transfers.
+func flushHarness(t *testing.T, cfg Config) (*sim.Simulation, *shm.Ring, *Recorder) {
+	t.Helper()
+	s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
+	rec.instrument("ftns", nil, obs.NewRegistry())
+	return s, log, rec
+}
+
+// emitN emits n tuples numbered from first, back to back.
+func emitN(rec *Recorder, tk *kernel.Task, first, n int) {
+	for i := first; i < first+n; i++ {
+		rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message(0))
+	}
+}
+
+// TestDeadlinePublishesPartialBatchOnce: a partial batch is published
+// exactly FlushInterval after its first tuple — not a nanosecond sooner,
+// not twice — and the deadline is an event, not a process: nothing is
+// switched in to make it happen.
+func TestDeadlinePublishesPartialBatchOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	s, log, rec := flushHarness(t, cfg)
+	rec.kern.Spawn("emitter", func(tk *kernel.Task) { emitN(rec, tk, 0, 3) }) // at t = 0
+	deadline := sim.Time(cfg.FlushInterval)
+	if err := s.RunUntil(deadline - 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := log.Stats(); st.Messages != 0 {
+		t.Fatalf("%d transfers before the deadline, want the batch still buffered", st.Messages)
+	}
+	switched := 0
+	s.OnSwitch = func(sim.Time, string) { switched++ }
+	if err := s.RunUntil(deadline); err != nil {
+		t.Fatal(err)
+	}
+	if st := log.Stats(); st.Messages != 1 || st.Payloads != 3 {
+		t.Fatalf("at the deadline: %d transfers / %d payloads, want 1 / 3", st.Messages, st.Payloads)
+	}
+	if switched != 0 {
+		t.Errorf("the deadline switched %d processes in, want 0 (it is an event)", switched)
+	}
+	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if st := log.Stats(); st.Messages != 1 || rec.stats.LogBatches != 1 || rec.hBatchFill.Count() != 1 {
+		t.Errorf("after a quiet second: %d transfers, %d batches, %d flush samples; want 1 each",
+			st.Messages, rec.stats.LogBatches, rec.hBatchFill.Count())
+	}
+}
+
+// TestDeadlineAfterDeathIsNoOp: a link dropped, or a kernel dead, with a
+// deadline armed publishes nothing when the interval runs out.
+func TestDeadlineAfterDeathIsNoOp(t *testing.T) {
+	for _, kill := range []struct {
+		name string
+		fn   func(rec *Recorder)
+	}{
+		{"dropReplica", func(rec *Recorder) { rec.dropReplica(0) }},
+		{"kernel panic", func(rec *Recorder) { rec.kern.Panic("test", nil) }},
+	} {
+		s, log, rec := flushHarness(t, DefaultConfig())
+		rec.kern.Spawn("emitter", func(tk *kernel.Task) { emitN(rec, tk, 0, 3) })
+		s.Schedule(10*time.Microsecond, func() { kill.fn(rec) })
+		if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		link := rec.replicas[0]
+		rec.deadlineFired(link) // expiry
+		rec.deadlineFired(link) // and its hop, whatever the event's state
+		if st := log.Stats(); st.Messages != 0 || rec.stats.LogBatches != 0 || rec.hBatchFill.Count() != 0 {
+			t.Errorf("%s: %d transfers, %d batches, %d flush samples after the death; want none",
+				kill.name, st.Messages, rec.stats.LogBatches, rec.hBatchFill.Count())
+		}
+	}
+}
+
+// spillConfig is a 2 KiB log ring: three full batches of eight (64-byte
+// header + 8 x 64) leave 320 bytes, which no further span of eight fits.
+func spillConfig() Config {
+	cfg := DefaultConfig()
+	cfg.LogRingBytes = 2 << 10
+	return cfg
+}
+
+// TestSpilledBatchKeepsItsPlace: a partial batch whose deadline finds the
+// ring full goes to the spill server, which claims its FIFO ticket; tuples
+// emitted while it waits queue behind it, and the consumer sees one
+// gapless sequence.
+func TestSpilledBatchKeepsItsPlace(t *testing.T) {
+	cfg := spillConfig()
+	s, log, rec := flushHarness(t, cfg)
+	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
+		emitN(rec, tk, 0, 24) // three spans fill the ring
+		emitN(rec, tk, 24, 5) // no span fits: spilled, 64 + 5 x 64 > 320 — refused at the deadline too
+		tk.Sleep(cfg.FlushInterval + 10*time.Microsecond)
+		if rec.spillQ.Len() != 0 || log.Stats().ReserveWaits != 1 {
+			t.Errorf("after the deadline: spill server parked at home = %v, %d reservations waiting; want it blocked on the ring",
+				rec.spillQ.Len() != 0, log.Stats().ReserveWaits)
+		}
+		emitN(rec, tk, 29, 2) // behind the spill server's ticket
+	})
+	var got []uint64
+	s.SpawnAfter("drain", 300*time.Microsecond, func(p *sim.Proc) {
+		for len(got) < 31 {
+			got = append(got, log.Recv(p).W[wGlobalSeq])
+		}
+	})
+	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 31 {
+		t.Fatalf("consumer saw %d tuples, want 31", len(got))
+	}
+	for i, seq := range got {
+		if seq != uint64(i) {
+			t.Fatalf("tuple %d arrived in position %d: %v", seq, i, got)
+		}
+	}
+	if rec.spillQ.Len() != 1 {
+		t.Error("spill server not parked at home once the ring drained")
+	}
+}
+
+// TestKilledBackupUnblocksSpillServer: the backup dies while the spill
+// server is parked in SendBatch on its full ring; the drain releases it and
+// it goes back to its own queue — nothing is left blocked on the dead ring.
+func TestKilledBackupUnblocksSpillServer(t *testing.T) {
+	cfg := spillConfig()
+	s, log, rec := flushHarness(t, cfg)
+	done := false
+	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
+		emitN(rec, tk, 0, 29)
+		tk.Sleep(cfg.FlushInterval + 10*time.Microsecond)
+		if log.Stats().ReserveWaits != 1 {
+			t.Error("spill server not blocked on the full ring")
+		}
+		rec.dropReplica(0)
+		emitN(rec, tk, 29, 2) // live now: emits nothing, blocks on nothing
+		done = true
+	})
+	if err := s.Run(); err != nil { // to an empty queue: a process still blocked would show below
+		t.Fatal(err)
+	}
+	if !done || rec.spillQ.Len() != 1 {
+		t.Errorf("emitter finished = %v, spill server parked at home = %v; want both", done, rec.spillQ.Len() == 1)
+	}
+}
+
+// TestBatchOfOneIsSend: at BatchTuples = 1 the recorder's one path — span,
+// spill, flushPending — puts on the ring exactly what a bare Ring.Send per
+// tuple does: the same transfers, the same bytes, delivered at the same
+// instants, including while the emitter is stalled on a full ring.
+func TestBatchOfOneIsSend(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchTuples = 1
+	cfg.LogRingBytes = 1 << 10 // eight 128-byte transfers
+	run := func(send func(rec *Recorder, log *shm.Ring, tk *kernel.Task, m shm.Message)) (shm.Stats, []sim.Time) {
+		s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
+		var at []sim.Time
+		log.OnDelivered(func() { at = append(at, s.Now()) })
+		rec.kern.Spawn("emitter", func(tk *kernel.Task) {
+			for i := 0; i < 40; i++ {
+				tu := Tuple{GlobalSeq: uint64(i)}
+				if i%5 == 0 {
+					tu.Data = make([]byte, 100)
+				}
+				send(rec, log, tk, tu.message(0))
+				tk.Sleep(3 * time.Microsecond)
+			}
+		})
+		s.SpawnAfter("drain", 100*time.Microsecond, func(p *sim.Proc) {
+			for i := 0; i < 40; i++ {
+				log.Recv(p)
+				p.Sleep(7 * time.Microsecond)
+			}
+		})
+		if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return log.Stats(), at
+	}
+	recSt, recAt := run(func(rec *Recorder, _ *shm.Ring, tk *kernel.Task, m shm.Message) { rec.emit(tk, m) })
+	refSt, refAt := run(func(_ *Recorder, log *shm.Ring, tk *kernel.Task, m shm.Message) { log.Send(tk.Proc(), m) })
+	if refSt.Messages != 40 || refSt.Batches != 0 || refSt.ReserveWaits == 0 {
+		t.Fatalf("reference run: %+v; want 40 single-tuple transfers, some of them stalled", refSt)
+	}
+	if recSt != refSt {
+		t.Errorf("ring stats differ:\n recorder %+v\n Ring.Send %+v", recSt, refSt)
+	}
+	if len(recAt) != len(refAt) {
+		t.Fatalf("%d deliveries through the recorder, %d through Ring.Send", len(recAt), len(refAt))
+	}
+	for i := range refAt {
+		if recAt[i] != refAt[i] {
+			t.Fatalf("delivery %d at %v through the recorder, %v through Ring.Send", i, recAt[i], refAt[i])
+		}
+	}
+}

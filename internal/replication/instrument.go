@@ -42,14 +42,12 @@ func (r *Recorder) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 			r.cShardSecs[i] = reg.Counter(fmt.Sprintf("%s.shard.%d.sections", name, i))
 		}
 	}
-	if r.ctrl != nil {
-		r.ctrl.instrument(name, reg)
-	}
+	r.ctrl.instrument(name, reg)
 	// Quorum-commit signals: how many caught-up backups are in the
 	// output-commit set and how many receipts the rule currently
 	// requires, so a dashboard shows quorum erosion before it becomes
 	// quorum loss.
-	reg.Gauge(name+".quorum.live", func() int64 { return int64(r.liveBackups()) })
+	reg.Gauge(name+".quorum.live", func() int64 { live, _ := r.backups(); return int64(live) })
 	reg.Gauge(name+".quorum.need", func() int64 { return int64(r.quorumNeed()) })
 	// Retained-log footprint: what epoch truncation keeps bounded (and
 	// what grows without bound when epochs are off and the side records
@@ -75,17 +73,16 @@ func (r *Recorder) cShardSec(shard int) *obs.Counter {
 	return r.cShardSecs[shard]
 }
 
-// noteFlush records one vectored log flush of n tuples: the batch-fill
-// sample, the flush event, and the unacked backlog at this moment — which
-// also feeds the adaptive controller its lag signal.
+// noteFlush records one vectored log flush of n tuples: the count, the
+// batch-fill sample, the flush event, and the unacked backlog at this
+// moment — which also feeds the batch controller its lag signal.
 func (r *Recorder) noteFlush(n int) {
+	r.stats.LogBatches++
 	lag := r.sent - r.ackedAll()
 	r.sc.Emit(obs.BatchFlush, 0, int64(r.sent), int64(n))
 	r.hBatchFill.Observe(int64(n))
 	r.hFlushLag.Observe(int64(lag))
-	if r.ctrl != nil {
-		r.ctrl.observeFlush(lag)
-	}
+	r.ctrl.observeFlush(lag)
 }
 
 func (r *Replayer) instrument(name string, sc *obs.Scope, reg *obs.Registry) {

@@ -102,8 +102,11 @@ func (th *Thread) Lib() *pthread.Lib { return th.ns.lib }
 // two-replica prototype, more the §6 extension. Output commit follows
 // Config.CommitQuorum.
 func NewPrimary(name string, k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring) *Namespace {
+	if len(logs) == 0 {
+		panic("replication: a primary needs at least one backup's log+ack ring pair")
+	}
 	ns := newNamespace(name, RolePrimary, k, cfg)
-	ns.rec = newRecorder(k, cfg, logs, acks)
+	ns.rec = newRecorder(k, cfg, logs, acks, forkSeed{})
 	return ns
 }
 
@@ -126,8 +129,8 @@ func NewSecondary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring
 // left unregistered — the dead primary's namespace already claimed the
 // metric names — but it shares the replayer's event scope so the flight
 // timeline stays contiguous.
-func (ns *Namespace) forkRecorder(hist sim.Log[shm.Message], histBase, nextGlobal uint64, objSeq map[uint64]uint64) {
-	ns.rec = newForkRecorder(ns.kern, ns.cfg, hist, histBase, nextGlobal, objSeq)
+func (ns *Namespace) forkRecorder(seed forkSeed) {
+	ns.rec = newRecorder(ns.kern, ns.cfg, nil, nil, seed)
 	ns.rec.sc = ns.rep.sc
 	ns.role = RolePrimary
 }
@@ -168,8 +171,10 @@ func (ns *Namespace) Role() Role {
 	switch {
 	case ns.role == RolePrimary && ns.rec.live:
 		return RoleLive
-	case ns.role == RolePrimary && ns.rec.degraded && ns.rec.liveBackups() == 0 && ns.rec.syncingBackups() == 0:
-		return RoleLive
+	case ns.role == RolePrimary && ns.rec.degraded:
+		if live, syncing := ns.rec.backups(); live+syncing == 0 {
+			return RoleLive
+		}
 	case ns.role == RoleSecondary && ns.rep.live:
 		return RoleLive
 	}
@@ -231,7 +236,8 @@ func (ns *Namespace) LiveBackups() int {
 	if ns.rec == nil {
 		return 0
 	}
-	return ns.rec.liveBackups()
+	live, _ := ns.rec.backups()
+	return live
 }
 
 // QuorumNeed returns the number of backup receipts the output-commit rule

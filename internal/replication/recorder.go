@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"time"
+
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/pthread"
@@ -61,7 +63,7 @@ type replicaLink struct {
 
 	// span is the link's open zero-copy reservation: emitted tuples are
 	// written straight into the ring's reserved slots and published in one
-	// Commit when the batch fills (or a deadline/output commit forces it).
+	// Commit when the batch fills (or the deadline/an output commit forces it).
 	// pending is the spill path — tuples buffered off-ring when no
 	// reservation could be claimed (ring full). While pending is
 	// non-empty new tuples must append behind it, never to a fresh span:
@@ -71,11 +73,19 @@ type replicaLink struct {
 	// the ring's generation check makes it read closed once its record has
 	// been recycled. spares are the spill buffer's other arrays: tuples
 	// that spill while a blocking flush is stalled on the ring collect in
-	// one (the flusher task and a det section can both be stalled at once).
-	span     shm.Span
-	pending  []shm.Message
-	spares   [][]shm.Message
-	deadline sim.Time // flush deadline armed when the link became non-empty
+	// one (the spill server and a det section can both be stalled at once).
+	span    shm.Span
+	pending []shm.Message
+	spares  [][]shm.Message
+
+	// deadline bounds how long a tuple sits buffered: armed FlushInterval
+	// ahead when the link becomes non-empty (arm), stopped when it empties
+	// (disarm), and running flushLink one zero-delay hop after it expires
+	// (due marks the hop, see deadlineFired). A spill buffer with no
+	// deadline armed is one the ring refused at its deadline (or at a
+	// force-flush): the spill server's to send.
+	deadline sim.Event
+	due      bool
 
 	// A syncing link is a rejoined backup still catching up: new emits
 	// append to its backlog behind the retained history, it is excluded
@@ -114,8 +124,9 @@ func (o *receiptObs) fire() {
 // sections under the namespace det-section locks and streams the log. It
 // supports any number of backup replicas (the paper's prototype uses one;
 // §6 sketches the extension to more): the log is broadcast to every
-// backup and output is stable only when EVERY live backup has received it
-// — the conservative rule that also covers a future voting configuration.
+// backup, and output is stable once the commit quorum of the live
+// caught-up backups has received it (quorumOf) — every one of them when
+// Config.CommitQuorum is 0, the paper's rule.
 //
 // With Config.DetShards == 1 there is a single lock — the namespace-wide
 // global mutex of Figure 3 — and recording is byte-identical to the
@@ -124,15 +135,16 @@ func (o *receiptObs) fire() {
 // carries its object's own Seq_obj; GlobalSeq degrades to a Lamport
 // watermark that is still unique and monotone per thread and per object.
 //
-// With Config.BatchTuples > 1 the recorder coalesces tuples per backup —
-// written in place into an open ring reservation (zero-copy) and published
-// as one Commit when the batch fills, when FlushInterval expires, or —
+// Tuples are coalesced per backup — written in place into an open ring
+// reservation (zero-copy) and published as one Commit when the batch
+// fills, when the link's FlushInterval deadline fires, or —
 // unconditionally — when an output-commit waiter registers, so strict
-// output commit never waits on buffering. Because ring reservation order
-// is publication order, concurrent flushes need no mutual exclusion: a
-// later batch physically cannot overtake an earlier one. With
-// Config.AdaptiveBatching the batch size is steered at runtime by a
-// feedback controller (see batchController).
+// output commit never waits on buffering. The batch size is the
+// batchController's output; at one, the paper's configuration, a span
+// fills and commits inside the emit that opened it. Because ring
+// reservation order is publication order, concurrent flushes need no
+// mutual exclusion: a later batch physically cannot overtake an earlier
+// one.
 type Recorder struct {
 	kern     *kernel.Kernel
 	cfg      Config
@@ -176,8 +188,8 @@ type Recorder struct {
 	ackScratch []uint64
 	obsFree    []*receiptObs // fired receipt observations, reused by the next delivery
 
-	flushQ sim.WaitQueue // wakes the flusher task when work or deadlines change
-	ctrl   *batchController
+	spillQ sim.WaitQueue // parks the spill server until a ring refuses a due buffer
+	ctrl   batchController
 
 	sc          *obs.Scope
 	cTuples     *obs.Counter
@@ -201,68 +213,55 @@ func newShardLocks(k *kernel.Kernel, shards int) []*pthread.Mutex {
 	return mus
 }
 
-func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring) *Recorder {
-	if len(logs) == 0 || len(logs) != len(acks) {
+// forkSeed is what a recorder starts from. The zero seed is a boot: an
+// empty history, sequence numbers from zero. A promoted replica's fork
+// (Config.Rejoinable) continues the dead primary's sequence space —
+// seqGlobal plus the per-object cursors — and inherits the replayed
+// history, so a backup rejoined later can catch up from the fork's
+// retention base: histBase is the absolute log index of hist's first
+// message, zero for a full-history backup, the latest verified epoch
+// boundary for one that truncated at epoch checkpoints.
+type forkSeed struct {
+	hist      sim.Log[shm.Message]
+	histBase  uint64
+	seqGlobal uint64
+	objSeq    map[uint64]uint64
+}
+
+// newRecorder builds a recorder streaming to one backup per log+ack ring
+// pair. Without any — a fork at the instant of promotion — it starts
+// degraded, recording with no backup links.
+func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring, seed forkSeed) *Recorder {
+	if len(logs) != len(acks) {
 		panic("replication: recorder needs one log+ack ring pair per backup")
 	}
-	cfg = cfg.withBatchDefaults()
+	cfg = cfg.WithBatchDefaults()
+	if seed.objSeq == nil {
+		seed.objSeq = make(map[uint64]uint64)
+	}
+	var histBytes int64
+	for i := 0; i < seed.hist.Len(); i++ {
+		histBytes += int64(seed.hist.At(i).Size)
+	}
 	r := &Recorder{
 		kern:      k,
 		cfg:       cfg,
 		mus:       newShardLocks(k, cfg.DetShards),
-		objSeq:    make(map[uint64]uint64),
+		objSeq:    seed.objSeq,
+		seqGlobal: seed.seqGlobal,
+		sent:      seed.histBase + uint64(seed.hist.Len()),
+		history:   seed.hist,
+		histBase:  seed.histBase,
+		histBytes: histBytes,
+		degraded:  len(logs) == 0,
 		marks:     make(map[int]ReplicaWatermark),
 		epochCuts: make(map[uint64]uint64),
-	}
-	if cfg.AdaptiveBatching {
-		r.ctrl = newBatchController(cfg)
+		ctrl:      newBatchController(cfg),
 	}
 	for i := range logs {
 		r.addLink(&replicaLink{log: logs[i], acks: acks[i]})
 	}
-	if cfg.batched() {
-		k.Spawn("ft-flush", r.flushLoop)
-	}
-	return r
-}
-
-// newForkRecorder builds the recorder a promoted replica forks into at
-// the instant of finishing promotion (Config.Rejoinable): it continues
-// the dead primary's sequence space (seqGlobal plus the per-object
-// cursors) and inherits the replayed history, so a backup rejoined later
-// can catch up from the fork's retention base. histBase is the absolute
-// log index of hist's first message — zero for a full-history backup, the
-// latest verified epoch boundary for one that truncated at epoch
-// checkpoints. It starts degraded, with no backup links.
-func newForkRecorder(k *kernel.Kernel, cfg Config, hist sim.Log[shm.Message], histBase, seqGlobal uint64, objSeq map[uint64]uint64) *Recorder {
-	cfg = cfg.withBatchDefaults()
-	if objSeq == nil {
-		objSeq = make(map[uint64]uint64)
-	}
-	var histBytes int64
-	for i := 0; i < hist.Len(); i++ {
-		histBytes += int64(hist.At(i).Size)
-	}
-	r := &Recorder{
-		kern:      k,
-		cfg:       cfg,
-		mus:       newShardLocks(k, cfg.DetShards),
-		objSeq:    objSeq,
-		seqGlobal: seqGlobal,
-		sent:      histBase + uint64(hist.Len()),
-		history:   hist,
-		histBase:  histBase,
-		histBytes: histBytes,
-		degraded:  true,
-		marks:     make(map[int]ReplicaWatermark),
-		epochCuts: make(map[uint64]uint64),
-	}
-	if cfg.AdaptiveBatching {
-		r.ctrl = newBatchController(cfg)
-	}
-	if cfg.batched() {
-		k.Spawn("ft-flush", r.flushLoop)
-	}
+	k.Spawn("ft-spill", r.spillLoop)
 	return r
 }
 
@@ -272,6 +271,7 @@ func (r *Recorder) addLink(link *replicaLink) {
 	link.idx = len(r.replicas)
 	r.replicas = append(r.replicas, link)
 	r.noteMark(link)
+	link.deadline.Init(r.kern.Sim(), func() { r.deadlineFired(link) })
 	// Output stability requires only that a backup has RECEIVED the
 	// log for subsequent live replay (§3.5), not that it has processed
 	// it: the primary learns of receipt by observing the mailbox
@@ -339,7 +339,6 @@ func (r *Recorder) catchupLoop(t *kernel.Task, link *replicaLink, onCaughtUp fun
 		// New emissions appended while the send was blocked; the queue
 		// slides only now that the batch has been copied out.
 		link.backlog, link.backlogHead = sim.DropFront(link.backlog, link.backlogHead, n)
-		r.stats.LogBatches++
 		r.noteFlush(n)
 	}
 	if link.dead {
@@ -431,7 +430,7 @@ func kthHighest(marks []uint64, k int) uint64 {
 // requires: min(CommitQuorum, live backups), or all live backups when no
 // quorum is configured.
 func (r *Recorder) quorumNeed() int {
-	live := r.liveBackups()
+	live, _ := r.backups()
 	if r.cfg.CommitQuorum <= 0 || r.cfg.CommitQuorum > live {
 		return live
 	}
@@ -464,55 +463,34 @@ func (r *Recorder) Watermarks() []ReplicaWatermark {
 	return out
 }
 
-// liveBackups counts links that are alive and caught up.
-func (r *Recorder) liveBackups() int {
-	n := 0
+// backups counts the links that are alive: live ones are caught up and in
+// the output-commit set, syncing ones still replay retained history.
+func (r *Recorder) backups() (live, syncing int) {
 	for _, link := range r.replicas {
-		if !link.dead && !link.syncing {
-			n++
+		switch {
+		case link.dead:
+		case link.syncing:
+			syncing++
+		default:
+			live++
 		}
 	}
-	return n
+	return live, syncing
 }
 
-// syncingBackups counts links still replaying history.
-func (r *Recorder) syncingBackups() int {
-	n := 0
-	for _, link := range r.replicas {
-		if !link.dead && link.syncing {
-			n++
-		}
-	}
-	return n
-}
-
-// effBatch is the batch size currently in force: the controller's output
-// under AdaptiveBatching, the static BatchTuples knob otherwise.
-func (r *Recorder) effBatch() int {
-	if r.ctrl != nil {
-		return r.ctrl.eff
-	}
-	return r.cfg.BatchTuples
-}
-
-// buffered reports whether the link holds tuples not yet published — in
-// its open span or its spill buffer.
-func (link *replicaLink) buffered() bool {
-	return link.span.Len() > 0 || len(link.pending) > 0
-}
-
-// emit streams one log message to every live backup. Unbatched, it sends
-// immediately; batched, it writes the tuple in place into the link's open
-// ring reservation (zero-copy) and publishes when the effective batch
-// fills. When no reservation can be claimed (ring full) tuples spill to
-// the link's pending buffer and a blocking vectored flush throttles the
-// primary to the slowest backup's drain rate.
+// emit streams one log message to every live backup: it writes the tuple
+// in place into the link's open ring reservation (zero-copy) and publishes
+// when the effective batch fills. When no reservation can be claimed (ring
+// full) tuples spill to the link's pending buffer and a blocking vectored
+// flush throttles the primary to the slowest backup's drain rate. At a
+// batch of one that is Ring.Send: reserve, put and commit here, or — ring
+// full — this task claims its FIFO ticket and blocks in flushPending.
 func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 	if r.cfg.Rejoinable {
 		r.history.Append(m)
 		r.histBytes += int64(m.Size)
 	}
-	eff := r.effBatch()
+	eff := r.ctrl.eff
 	for _, link := range r.replicas {
 		if link.dead {
 			continue
@@ -523,17 +501,12 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 			link.backlog = append(link.backlog, m)
 			continue
 		}
-		if !r.cfg.batched() {
-			link.log.Send(t.Proc(), m)
-			continue
-		}
 		if r.emitSpan(link, m, eff) {
 			continue
 		}
 		// Spill path: no reservation available.
 		if len(link.pending) == 0 {
-			link.deadline = r.kern.Sim().Now().Add(r.cfg.FlushInterval)
-			r.flushQ.WakeAll(0)
+			link.arm(r.cfg.FlushInterval)
 		}
 		link.pending = append(link.pending, m)
 		if len(link.pending) >= eff {
@@ -587,8 +560,7 @@ func (r *Recorder) openSpan(link *replicaLink, eff int, minBytes int64) bool {
 		return false
 	}
 	link.span = sp
-	link.deadline = r.kern.Sim().Now().Add(r.cfg.FlushInterval)
-	r.flushQ.WakeAll(0)
+	link.arm(r.cfg.FlushInterval)
 	return true
 }
 
@@ -605,13 +577,13 @@ func (r *Recorder) commitSpan(link *replicaLink) {
 	if !sp.Open() {
 		return
 	}
+	link.disarm() // nothing spills while a span is open: the link is empty
 	n := sp.Len()
 	if n == 0 {
 		sp.Abort()
 		return
 	}
 	sp.Commit()
-	r.stats.LogBatches++
 	r.noteFlush(n)
 }
 
@@ -630,74 +602,91 @@ func (r *Recorder) flushPending(p *sim.Proc, link *replicaLink) {
 		if n := len(link.spares); n > 0 {
 			link.pending, link.spares = link.spares[n-1], link.spares[:n-1]
 		}
+		link.disarm()
 		link.log.SendBatch(p, batch) // copies by value: the array is ours again
-		r.stats.LogBatches++
 		r.noteFlush(len(batch))
 		clear(batch)
 		link.spares = append(link.spares, batch[:0])
 	}
-	r.flushQ.WakeAll(0) // deadlines may have re-armed while the send was stalled
 }
 
-// flushLoop is the background flusher: it pushes out partially filled
-// batches once their FlushInterval deadline expires, bounding how long a
-// tuple can sit buffered when the primary goes quiet. The re-check under
-// "expired" is the double-send guard: a force-flush in the same instant
-// may already have emptied the link.
-func (r *Recorder) flushLoop(t *kernel.Task) {
+// flushLink publishes what the link has buffered without blocking — it
+// runs in scheduler context, from the deadline and from flushForCommit.
+// A spill buffer the ring refuses — no capacity, or a reservation ticket
+// queued ahead — goes to the spill server, deadline disarmed: the one thing
+// that must be a process, because the blocking SendBatch that claims the
+// buffer's FIFO ticket needs a stack to park on.
+func (r *Recorder) flushLink(link *replicaLink) {
+	r.commitSpan(link)
+	if len(link.pending) == 0 {
+		return
+	}
+	link.disarm()
+	if !link.log.TrySendBatch(link.pending) {
+		r.spillQ.WakeAll(0)
+		return
+	}
+	n := len(link.pending)
+	clear(link.pending)
+	link.pending = link.pending[:0]
+	r.noteFlush(n)
+}
+
+// arm starts the link's flush deadline d ahead; disarm stops it.
+func (link *replicaLink) arm(d time.Duration) {
+	link.due = false
+	link.deadline.Reset(d)
+}
+
+func (link *replicaLink) disarm() {
+	link.due = false
+	link.deadline.Cancel()
+}
+
+// deadlineFired publishes a partially filled batch FlushInterval after its
+// first tuple, bounding how long a tuple can sit buffered when the primary
+// goes quiet. The flush runs one zero-delay hop after the deadline expires
+// — behind everything already scheduled for that instant, so a tuple
+// emitted in the deadline's own instant still rides the batch. A kernel
+// that died with the deadline armed flushes nothing.
+func (r *Recorder) deadlineFired(link *replicaLink) {
+	if !link.due {
+		link.due = true
+		link.deadline.Reset(0)
+	} else if r.kern.Alive() && !link.dead {
+		r.flushLink(link)
+	}
+}
+
+// spillLoop is the spill server: it parks until flushLink finds a ring
+// that will not take a due spill buffer, then sends it blocking. It is
+// never woken while the rings have room.
+func (r *Recorder) spillLoop(t *kernel.Task) {
 	p := t.Proc()
 	for {
-		var link *replicaLink
-		var dl sim.Time
-		for _, l := range r.replicas {
-			if l.dead || !l.buffered() {
-				continue
-			}
-			if link == nil || l.deadline < dl {
-				link, dl = l, l.deadline
+		served := false
+		for _, link := range r.replicas {
+			if !link.dead && len(link.pending) > 0 && !link.deadline.Armed() {
+				r.flushPending(p, link)
+				served = true
 			}
 		}
-		if link == nil {
-			r.flushQ.Wait(p)
-			continue
-		}
-		now := r.kern.Sim().Now()
-		if dl > now {
-			r.flushQ.WaitTimeout(p, dl.Sub(now))
-			continue
-		}
-		r.commitSpan(link)
-		if len(link.pending) > 0 {
-			r.flushPending(p, link)
+		if !served {
+			r.spillQ.Wait(p)
 		}
 	}
 }
 
 // flushForCommit pushes every buffered tuple toward the backups before an
-// output-commit watermark is armed. It may run in scheduler context, so
-// it must not block: open spans publish with a non-blocking Commit, and a
-// spill buffer the ring cannot take right now is handed to the flusher
-// task — the waiter's watermark is r.sent, which covers buffered tuples,
-// so output cannot be released before they are genuinely delivered.
+// output-commit watermark is armed. A spill buffer handed to the spill
+// server holds nothing up: the waiter's watermark is r.sent, which covers
+// buffered tuples, so output cannot be released before they are genuinely
+// delivered.
 func (r *Recorder) flushForCommit() {
 	for _, link := range r.replicas {
-		if link.dead {
-			continue
+		if !link.dead {
+			r.flushLink(link)
 		}
-		r.commitSpan(link)
-		if len(link.pending) == 0 {
-			continue
-		}
-		if link.log.TrySendBatch(link.pending) {
-			n := len(link.pending)
-			clear(link.pending)
-			link.pending = link.pending[:0]
-			r.stats.LogBatches++
-			r.noteFlush(n)
-			continue
-		}
-		link.deadline = r.kern.Sim().Now()
-		r.flushQ.WakeAll(0)
 	}
 }
 
@@ -892,15 +881,11 @@ func (r *Recorder) onStable(fn func()) {
 	w := r.sent
 	if r.ackedAll() >= w {
 		r.hCommitWait.Observe(0)
-		if r.ctrl != nil {
-			r.ctrl.observeCommit(false)
-		}
+		r.ctrl.observeCommit(false)
 		fn()
 		return
 	}
-	if r.ctrl != nil {
-		r.ctrl.observeCommit(true)
-	}
+	r.ctrl.observeCommit(true)
 	r.sc.Emit(obs.OutputHeld, 0, int64(w), 0)
 	r.stableQ = append(r.stableQ, stableWaiter{watermark: w, fn: fn, heldAt: r.kern.Sim().Now()})
 }
@@ -924,10 +909,7 @@ func (r *Recorder) dropReplica(i int) {
 	if i < 0 || i >= len(r.replicas) || r.replicas[i].dead {
 		return
 	}
-	r.replicas[i].dead = true
-	r.noteMark(r.replicas[i])
 	r.abandonLink(r.replicas[i])
-	r.replicas[i].log.Drain() // unblock senders stalled on the dead ring
 	r.fireStable()
 	r.maybeTruncateEpochs() // the dead link no longer gates epoch quorum
 	for _, link := range r.replicas {
@@ -956,23 +938,26 @@ func (r *Recorder) goLive() {
 	// Unblock any section stalled on a full log ring: the receivers are
 	// gone, so the buffered log is discarded and the senders released.
 	for _, link := range r.replicas {
-		link.dead = true
-		r.noteMark(link)
-		r.abandonLink(link)
-		link.log.Drain()
+		if !link.dead {
+			r.abandonLink(link)
+		}
 	}
 }
 
-// abandonLink discards a dead link's unpublished state: the spill buffer,
-// the backlog, and — critically — its open span. An open reservation on
-// the dead ring would otherwise jam the ring's publication sequence
-// forever (the reserve-without-commit leak), stalling any sender still
-// parked on it.
+// abandonLink marks a link dead and discards its unpublished state: the
+// spill buffer, the backlog, and — critically — its open span. An open
+// reservation on the dead ring would otherwise jam the ring's publication
+// sequence forever (the reserve-without-commit leak), stalling any sender
+// still parked on it; draining the ring then unblocks those senders.
 func (r *Recorder) abandonLink(link *replicaLink) {
+	link.dead = true
+	r.noteMark(link)
+	link.disarm()
 	link.pending, link.spares = nil, nil
 	link.backlog, link.backlogHead = nil, 0
 	link.span.Abort()
 	link.span = shm.Span{}
+	link.log.Drain() // once: a second drain would abort the span this one hands a queued sender
 }
 
 // degrade marks every backup dead but keeps recording: sections stay
@@ -980,10 +965,9 @@ func (r *Recorder) abandonLink(link *replicaLink) {
 // vacuous until a rejoined backup catches up.
 func (r *Recorder) degrade() {
 	for _, link := range r.replicas {
-		link.dead = true
-		r.noteMark(link)
-		r.abandonLink(link)
-		link.log.Drain()
+		if !link.dead {
+			r.abandonLink(link)
+		}
 	}
 	if !r.degraded {
 		r.degraded = true

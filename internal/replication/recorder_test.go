@@ -34,7 +34,7 @@ func newRecorderHarness(t *testing.T, cfg Config, ackRingBytes int64) (*sim.Simu
 	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
 	log := fabric.NewRing("log", 0, cfg.LogRingBytes)
 	acks := fabric.NewRing("acks", 1, ackRingBytes)
-	rec := newRecorder(pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks})
+	rec := newRecorder(pk, cfg, []*shm.Ring{log}, []*shm.Ring{acks}, forkSeed{})
 	return s, log, acks, rec
 }
 

@@ -97,7 +97,7 @@ type Replayer struct {
 	// rejoin checkpoint verifier.
 	history   sim.Log[shm.Message]
 	histBytes int64 // retained payload footprint, a running sum like the recorder's
-	onFork    func(hist sim.Log[shm.Message], histBase, seqGlobal uint64, objSeq map[uint64]uint64)
+	onFork    func(forkSeed)
 	headSubs  []headSub
 
 	// Epoch checkpointing (core.WithEpochCheckpoints): histBase is the
@@ -127,7 +127,7 @@ type Replayer struct {
 func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 	r := &Replayer{
 		kern:    k,
-		cfg:     cfg.withBatchDefaults(),
+		cfg:     cfg.WithBatchDefaults(),
 		log:     log,
 		acks:    acks,
 		doms:    make(map[uint64]*domain),
@@ -719,7 +719,11 @@ func (r *Replayer) finishPromotion() {
 		// Fork BEFORE flushing waiters: their sections must be recorded
 		// by the fork so the retained history stays gapless.
 		hist, n := r.replayedHistory()
-		r.onFork(hist, r.histBase, n, r.objSeqSnapshot())
+		r.onFork(forkSeed{hist: hist, histBase: r.histBase, seqGlobal: n, objSeq: r.objSeqSnapshot()})
+		// The fork owns the history now (Namespace.RetainedTuples reads
+		// the recorder from here on): a second copy would sit here unread
+		// for the rest of the run.
+		r.history, r.histBytes = sim.Log[shm.Message]{}, 0
 	}
 	order := r.waitOrder
 	r.waitOrder = nil

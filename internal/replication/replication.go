@@ -246,29 +246,28 @@ type Config struct {
 	// PanicOnDivergence makes the secondary kernel panic when replay
 	// diverges (default counts divergences, for the FIFO-futex ablation).
 	PanicOnDivergence bool
-	// BatchTuples coalesces up to N log tuples per backup into one vectored
-	// ring transfer sharing a single slot header and delivery event
-	// (<= 1 streams every tuple individually, the pre-batching behavior).
-	// An output-commit waiter always forces an immediate flush, so strict
-	// output-commit latency never waits on a partially filled batch.
+	// BatchTuples is how many log tuples the recorder coalesces per backup
+	// into one vectored ring transfer sharing a single slot header and
+	// delivery event. 1 (and anything below) is the paper's prototype: a
+	// batch of one, every tuple its own transfer. An output-commit waiter
+	// always forces an immediate flush, so strict output-commit latency
+	// never waits on a partially filled batch.
 	BatchTuples int
 	// FlushInterval bounds how long a partially filled batch may sit
-	// buffered on the primary before the flusher pushes it out (0 with
-	// BatchTuples > 1 selects defaultFlushInterval).
+	// buffered on the primary before its deadline publishes it (0 selects
+	// defaultFlushInterval).
 	FlushInterval time.Duration
-	// AdaptiveBatching replaces the fixed BatchTuples policy with an AIMD
-	// feedback controller: the effective batch size starts at BatchTuples,
-	// grows while output commits find their watermark already acknowledged
-	// (commit wait idle), and halves the moment an output commit stalls or
-	// the unacked-log lag climbs past the controller's threshold. The
-	// output-commit force-flush invariant is unchanged — a strict waiter
-	// still flushes everything buffered before arming its watermark — so
-	// the controller trades only buffering latency, never commit safety.
-	// With AdaptiveBatching false the recorder's batch policy is exactly
-	// the static BatchTuples/FlushInterval one.
-	AdaptiveBatching bool
-	// MaxBatchTuples caps the adaptive controller's effective batch size
-	// (0 selects max(4*BatchTuples, 32)). Ignored without AdaptiveBatching.
+	// MaxBatchTuples is the ceiling of the recorder's batch controller
+	// (see batchController). At or below BatchTuples — the zero value
+	// included — the controller is pinned: the batch size is BatchTuples,
+	// the static policy. Above it the effective batch size starts at
+	// BatchTuples and is steered by AIMD between 1 and the ceiling: it
+	// grows while output commits find their watermark already
+	// acknowledged and halves the moment a commit stalls or the
+	// unacked-log lag climbs. Negative selects the default ceiling,
+	// max(4*BatchTuples, 32). The output-commit force-flush is the same at
+	// every setting, so the controller trades only buffering latency,
+	// never commit safety.
 	MaxBatchTuples int
 	// CommitQuorum is the number of backup receipt acknowledgements an
 	// output-commit watermark needs before the output is released. Zero
@@ -300,38 +299,33 @@ type Config struct {
 	Rejoinable bool
 }
 
-// defaultFlushInterval bounds buffered-tuple latency when batching is on
-// but no interval was configured.
+// defaultFlushInterval bounds buffered-tuple latency when no interval was
+// configured.
 const defaultFlushInterval = 50 * time.Microsecond
 
-// withBatchDefaults normalizes the batching knobs: a zero BatchTuples means
-// batching off (1), batching without a flush interval gets the default so
-// buffered tuples can never sit forever, and the adaptive controller gets
-// its cap.
-func (c Config) withBatchDefaults() Config {
+// WithBatchDefaults normalizes the batching and sharding knobs — the one
+// place their zero values and the controller's ceiling are resolved, for
+// a deployment (core's validate calls it) and for an engine built directly
+// alike: at least one tuple per batch, a flush interval so a buffered
+// tuple can never sit forever, a ceiling no lower than the batch it
+// starts from, at least one det shard.
+func (c Config) WithBatchDefaults() Config {
 	if c.BatchTuples < 1 {
 		c.BatchTuples = 1
 	}
-	if c.batched() && c.FlushInterval <= 0 {
+	if c.FlushInterval <= 0 {
 		c.FlushInterval = defaultFlushInterval
 	}
-	if c.AdaptiveBatching && c.MaxBatchTuples < 1 {
-		c.MaxBatchTuples = 4 * c.BatchTuples
-		if c.MaxBatchTuples < 32 {
-			c.MaxBatchTuples = 32
-		}
+	if c.MaxBatchTuples < 0 {
+		c.MaxBatchTuples = max(4*c.BatchTuples, 32)
+	}
+	if c.MaxBatchTuples < c.BatchTuples {
+		c.MaxBatchTuples = c.BatchTuples
 	}
 	if c.DetShards < 1 {
 		c.DetShards = 1
 	}
 	return c
-}
-
-// batched reports whether the recorder coalesces tuples at all — statically
-// (BatchTuples > 1) or under controller governance (the controller may
-// drive the effective batch above 1 even when BatchTuples is 1).
-func (c Config) batched() bool {
-	return c.BatchTuples > 1 || c.AdaptiveBatching
 }
 
 // DefaultConfig returns the calibrated engine configuration.

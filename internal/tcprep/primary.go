@@ -25,15 +25,17 @@ import (
 // guarantees that whichever backup wins a failover election owns the full
 // logical TCP state for every byte the client has seen.
 //
-// With SyncConfig.BatchUpdates > 1 consecutive updates are coalesced
-// between output commits — data-in deltas for the same connection merge
-// into one growing buffer, ack-out deltas for the same connection collapse
-// to the latest watermark — and ship as one vectored ring transfer. Output
-// never outruns the buffers: every outgoing segment passes a sync barrier
-// that forces a flush and waits until all previously enqueued updates are
-// on every live ring, so a primary crash cannot lose an update the client
-// has already seen acknowledged (buffered updates live in private memory
-// and die with the primary; ring messages survive in shared memory, §3.5).
+// Consecutive updates are coalesced between output commits, up to
+// SyncConfig.BatchUpdates of them — data-in deltas for the same connection
+// merge into one growing buffer, ack-out deltas for the same connection
+// collapse to the latest watermark — and ship as one vectored ring
+// transfer; at a batch of one every update is its own transfer, sent as it
+// is produced. Output never outruns the buffers: every outgoing segment
+// passes a sync barrier that forces a flush and waits until all previously
+// enqueued updates are on every live ring, so a primary crash cannot lose
+// an update the client has already seen acknowledged (buffered updates live
+// in private memory and die with the primary; ring messages survive in
+// shared memory, §3.5).
 type Primary struct {
 	ns    *replication.Namespace
 	stack *tcpstack.Stack
@@ -44,8 +46,7 @@ type Primary struct {
 	// (nil when retention is off). It is updated from the same callbacks
 	// that stream deltas, so a checkpoint cut from it plus the delta
 	// stream after AttachRing reconstructs the complete state.
-	clog      *ConnLog
-	flusherUp bool // the background flusher task has been spawned
+	clog *ConnLog
 
 	// ids names every connection the stack still holds by a dense sync id,
 	// drawn on first sight, forgotten at reap. A backup learns an id from
@@ -53,18 +54,14 @@ type Primary struct {
 	ids      map[ConnKey]uint64
 	lastSync uint64
 
-	flushQ sim.WaitQueue
+	spillQ sim.WaitQueue // parks the spill server until a ring refuses a due buffer
 
 	enqueued uint64 // logical updates accepted for syncing
 	// barrierQ[barrierHead:] are the output segments waiting for the sync
 	// watermark, oldest first.
 	barrierQ    []syncWaiter
 	barrierHead int
-	live        bool // no live backup link: native-speed release
 
-	// Aborted counts connections reset because a mandatory state update
-	// could not be synced (sync ring exhausted despite backpressure).
-	Aborted int
 	// SyncFlushes counts vectored transfers pushed onto the sync rings.
 	SyncFlushes int64
 	// SyncCoalesced counts updates merged into an already-pending entry
@@ -91,13 +88,33 @@ type syncLink struct {
 	spare        []shm.Message
 	pendingReps  uint64
 	pendingBytes int64
-	deadline     sim.Time
 	synced       uint64
 	dead         bool
+
+	// deadline bounds how long an update sits buffered: armed FlushInterval
+	// ahead by the first pending entry (arm), stopped when the buffer
+	// empties (disarm), and running flushLinkForCommit one zero-delay hop
+	// after it expires (due marks the hop, see deadlineFired). A buffer
+	// with no deadline armed is one the ring refused: the spill server's to
+	// send.
+	deadline sim.Event
+	due      bool
+}
+
+// arm starts the link's flush deadline d ahead; disarm stops it.
+func (link *syncLink) arm(d time.Duration) {
+	link.due = false
+	link.deadline.Reset(d)
+}
+
+func (link *syncLink) disarm() {
+	link.due = false
+	link.deadline.Cancel()
 }
 
 // dropPending discards what the link has buffered (the link died).
 func (link *syncLink) dropPending() {
+	link.disarm()
 	link.pending, link.spare = nil, nil
 	link.pendingReps, link.pendingBytes = 0, 0
 }
@@ -110,11 +127,12 @@ type syncWaiter struct {
 
 // SyncConfig tunes logical-state delta batching on the tcprep.sync ring.
 type SyncConfig struct {
-	// BatchUpdates coalesces up to N updates per vectored transfer
-	// (<= 1 sends every update individually, the pre-batching behavior).
+	// BatchUpdates coalesces up to N updates per vectored transfer (1 and
+	// below: a batch of one, every update sent as it is produced).
 	BatchUpdates int
 	// FlushInterval bounds how long a partially filled batch may sit
-	// buffered when no output commit forces it out sooner.
+	// buffered when no output commit forces it out sooner (0 selects the
+	// default's).
 	FlushInterval time.Duration
 }
 
@@ -170,7 +188,10 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 	if cfg.Sync == (SyncConfig{}) {
 		cfg.Sync = DefaultSyncConfig()
 	}
-	if cfg.Sync.BatchUpdates > 1 && cfg.Sync.FlushInterval <= 0 {
+	if cfg.Sync.BatchUpdates < 1 {
+		cfg.Sync.BatchUpdates = 1
+	}
+	if cfg.Sync.FlushInterval <= 0 {
 		cfg.Sync.FlushInterval = DefaultSyncConfig().FlushInterval
 	}
 	p := &Primary{
@@ -181,15 +202,13 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 		ids:   make(map[ConnKey]uint64),
 	}
 	for _, sync := range cfg.Syncs {
-		p.links = append(p.links, &syncLink{ring: sync})
+		p.AttachRing(sync)
 	}
 	p.hook(cfg.Gate)
 	if len(p.links) == 0 {
 		p.EnableRetention()
-	} else if cfg.Sync.BatchUpdates > 1 {
-		p.flusherUp = true
-		ns.Kernel().Spawn("tcprep-flush", p.flushLoop)
 	}
+	ns.Kernel().Spawn("tcprep-spill", p.spillLoop)
 	return p
 }
 
@@ -242,7 +261,7 @@ func (p *Primary) EnableRetention() {
 
 // Streaming reports whether logical-state deltas are being streamed to at
 // least one live backup.
-func (p *Primary) Streaming() bool { return !p.live && p.liveLinks() > 0 }
+func (p *Primary) Streaming() bool { return p.liveLinks() > 0 }
 
 // SnapshotState cuts the logical TCP half of a rejoin checkpoint from the
 // retained history. Call in scheduler context, atomically with AttachRing,
@@ -295,22 +314,17 @@ func (p *Primary) LogFootprint() int {
 // output commits gate on its sync barrier too. The new link starts at the
 // current enqueued watermark — earlier updates reach the backup through
 // the checkpoint snapshot cut atomically with this call. On a detached
-// (or gone-live) primary it also flips streaming back on. It returns the
-// link index for DropRing.
+// (or gone-live) primary that is what flips streaming back on. It returns
+// the link index for DropRing.
 func (p *Primary) AttachRing(sync *shm.Ring) int {
 	link := &syncLink{ring: sync, synced: p.enqueued}
-	idx := len(p.links)
+	link.deadline.Init(p.ns.Kernel().Sim(), func() { p.deadlineFired(link) })
 	p.links = append(p.links, link)
-	p.live = false
-	if p.cfg.BatchUpdates > 1 && !p.flusherUp {
-		p.flusherUp = true
-		p.ns.Kernel().Spawn("tcprep-flush", p.flushLoop)
-	}
-	return idx
+	return len(p.links) - 1
 }
 
 // DropRing stops streaming to one dead backup's leg: its buffered updates
-// are discarded, its ring drained (unblocking a flusher parked on it), and
+// are discarded, its ring drained (unblocking a spill server parked on it), and
 // the barrier re-evaluated over the survivors. When the last live leg
 // drops the primary goes live (native-speed release). Link indices follow
 // construction/AttachRing order.
@@ -318,17 +332,22 @@ func (p *Primary) DropRing(i int) {
 	if i < 0 || i >= len(p.links) || p.links[i].dead {
 		return
 	}
-	link := p.links[i]
+	if p.liveLinks() == 1 { // links[i] is the last live leg
+		p.GoLive()
+		return
+	}
+	p.kill(p.links[i])
+	p.fireBarrier()
+}
+
+// kill marks a link dead: what it buffered is discarded, its watermark
+// stops gating the barrier, and its ring is drained — which unblocks a
+// spill server parked on it.
+func (p *Primary) kill(link *syncLink) {
 	link.dead = true
 	link.dropPending()
 	link.synced = p.enqueued
 	link.ring.Drain()
-	if p.liveLinks() == 0 {
-		p.GoLive()
-		return
-	}
-	p.fireBarrier()
-	p.flushQ.WakeAll(0)
 }
 
 // Instrument attaches an event scope (sync-ring flushes, going live)
@@ -345,22 +364,19 @@ func (p *Primary) noteFlush(link *syncLink, n int) {
 }
 
 // GoLive stops syncing after the last backup's death: buffered updates are
-// discarded, barrier waiters released, and flushers stalled on dead rings
-// unblocked, so the primary keeps serving at native speed.
+// discarded and barrier waiters released, so the primary keeps serving at
+// native speed. On a primary that is not streaming it does nothing.
 func (p *Primary) GoLive() {
-	if p.live {
+	if !p.Streaming() {
 		return
 	}
-	p.live = true
 	p.sc.Emit(obs.GoLive, 0, int64(p.enqueued), 0)
 	for _, link := range p.links {
-		link.dead = true
-		link.dropPending()
-		link.synced = p.enqueued
-		link.ring.Drain() // unblock a flusher parked on the dead ring
+		if !link.dead {
+			p.kill(link)
+		}
 	}
 	p.fireBarrier()
-	p.flushQ.WakeAll(0)
 }
 
 // stabilityGate releases outgoing segments only once (a) every sync-ring
@@ -449,7 +465,7 @@ func (h *heldSeg) send() {
 // every pending buffer stays bounded by its ring's capacity; the tightest
 // live link governs.
 func (p *Primary) ingress(seg *tcpstack.Segment) bool {
-	if len(seg.Data) == 0 || p.live {
+	if len(seg.Data) == 0 {
 		return true
 	}
 	need := int64(len(seg.Data)) + 128
@@ -469,7 +485,7 @@ func (p *Primary) ingress(seg *tcpstack.Segment) bool {
 // a FlushInterval). Runs in segment/scheduler context; fn fires inline in
 // the common case where the forced flushes are admitted at once.
 func (p *Primary) syncBarrier(fn func()) {
-	if p.live || p.liveLinks() == 0 || p.cfg.BatchUpdates <= 1 {
+	if !p.Streaming() {
 		fn()
 		return
 	}
@@ -491,52 +507,36 @@ func (p *Primary) fireBarrier() {
 }
 
 // trySync accepts a state update without blocking (callbacks run in segment
-// context). Unbatched it goes straight to every live ring; batched it lands
-// in each link's pending buffer, merging with the newest pending entry when
-// both describe the same stream. mustHave marks updates whose loss would
-// break failover transparency: if any live ring cannot accept one the
-// connection is reset instead.
-func (p *Primary) trySync(c *tcpstack.Conn, m shm.Message, mustHave bool) {
-	if p.live || p.liveLinks() == 0 {
-		return
-	}
-	if p.cfg.BatchUpdates <= 1 {
-		// Unbatched mode never arms the sync barrier, so no cursor
-		// bookkeeping is needed — exactly the pre-batching behavior.
-		for _, link := range p.links {
-			if link.dead {
-				continue
-			}
-			if link.ring.TrySend(m) {
-				continue
-			}
-			if mustHave && c != nil {
-				p.Aborted++
-				c.Abort()
-				return
-			}
-		}
+// context): it lands in each live link's pending buffer, merging with the
+// newest pending entry when both describe the same stream, and a full
+// buffer is flushed. An update a full ring refuses stays buffered behind
+// the sync barrier — no output the client can see outruns it — and
+// Primary.ingress back-pressure keeps the ring from filling to begin with.
+func (p *Primary) trySync(m shm.Message) {
+	if !p.Streaming() {
 		return
 	}
 	p.enqueued++
 	for _, link := range p.links {
-		if link.dead {
+		if link.dead || p.coalesce(link, m) {
 			continue
 		}
-		if p.coalesce(link, m) {
-			continue
-		}
-		if len(link.pending) == 0 {
-			link.deadline = p.ns.Kernel().Sim().Now().Add(p.cfg.FlushInterval)
-			p.flushQ.WakeAll(0)
-		}
-		link.pending = append(link.pending, m)
-		link.pendingReps++
-		link.pendingBytes += int64(m.Size)
+		p.buffer(link, m)
 		if len(link.pending) >= p.cfg.BatchUpdates {
-			p.flushLinkForCommit(link) // non-blocking; the flusher finishes if the ring is full
+			p.flushLinkForCommit(link)
 		}
 	}
+}
+
+// buffer appends one entry to the link's pending buffer; the first arms the
+// flush deadline.
+func (p *Primary) buffer(link *syncLink, m shm.Message) {
+	if len(link.pending) == 0 {
+		link.arm(p.cfg.FlushInterval)
+	}
+	link.pending = append(link.pending, m)
+	link.pendingReps++
+	link.pendingBytes += int64(m.Size)
 }
 
 // coalesce merges an update into the link's newest pending entry when both
@@ -571,10 +571,8 @@ func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
 }
 
 // flushForCommit pushes every live link's pending buffer out without
-// blocking. A link whose ring cannot take its batch right now — no
-// capacity, or an earlier blocked flush holds a reservation ticket ahead
-// of it — is handed to the flusher task; barrier waiters keep output held
-// until every live leg catches up.
+// blocking; barrier waiters keep output held until every live leg has
+// caught up.
 func (p *Primary) flushForCommit() {
 	for _, link := range p.links {
 		if !link.dead {
@@ -583,14 +581,20 @@ func (p *Primary) flushForCommit() {
 	}
 }
 
+// flushLinkForCommit is the non-blocking flush, run in scheduler context by
+// a full buffer, the sync barrier and the deadline. A buffer the ring
+// cannot take right now — no capacity, or an earlier blocked flush holds a
+// reservation ticket ahead of it — goes to the spill server, deadline
+// disarmed: the one thing that must be a process, because the blocking
+// SendBatch that claims the buffer's FIFO ticket needs a stack to park on.
 func (p *Primary) flushLinkForCommit(link *syncLink) {
 	n := len(link.pending)
 	if n == 0 {
 		return
 	}
+	link.disarm()
 	if !link.ring.TrySendBatch(link.pending) {
-		link.deadline = p.ns.Kernel().Sim().Now()
-		p.flushQ.WakeAll(0)
+		p.spillQ.WakeAll(0)
 		return
 	}
 	clear(link.pending)
@@ -602,19 +606,35 @@ func (p *Primary) flushLinkForCommit(link *syncLink) {
 	p.fireBarrier()
 }
 
+// deadlineFired publishes a partially filled buffer FlushInterval after its
+// first entry, when no output commit forced it out sooner. The flush runs
+// one zero-delay hop after the deadline expires — behind everything
+// already scheduled for that instant, so an update arriving in the
+// deadline's own instant still rides the batch. A kernel that died with
+// the deadline armed flushes nothing.
+func (p *Primary) deadlineFired(link *syncLink) {
+	if !link.due {
+		link.due = true
+		link.deadline.Reset(0)
+	} else if p.ns.Kernel().Alive() && !link.dead {
+		p.flushLinkForCommit(link)
+	}
+}
+
 // flushSync is the blocking flush used from task context. It needs no
 // per-link serialization: SendBatch rides the ring's reserve/commit path,
 // and a blocked flush already holds its reservation ticket, so a batch
 // taken later is admitted — and published — strictly after it. Updates
 // that buffer while the send is stalled are either taken by a later flush
-// (ordered behind this one by its ticket) or pushed by the flusher.
+// (ordered behind this one by its ticket) or pushed at their own deadline.
 func (p *Primary) flushSync(proc *sim.Proc, link *syncLink) {
-	if p.live || link.dead || len(link.pending) == 0 {
+	if link.dead || len(link.pending) == 0 {
 		return
 	}
 	msgs, reps := link.pending, link.pendingReps
 	link.pending, link.spare = link.spare, nil
 	link.pendingReps, link.pendingBytes = 0, 0
+	link.disarm()
 	link.ring.SendBatch(proc, msgs) // copies by value: the array is ours again
 	link.synced += reps
 	p.SyncFlushes++
@@ -622,39 +642,24 @@ func (p *Primary) flushSync(proc *sim.Proc, link *syncLink) {
 	clear(msgs)
 	link.spare = msgs[:0]
 	p.fireBarrier()
-	p.flushQ.WakeAll(0)
 }
 
-// flushLoop is the background flusher bounding buffered-update latency
-// when no output commit forces a flush sooner. It serves whichever live
-// link's deadline expires first, like the det-log recorder's flusher.
-func (p *Primary) flushLoop(t *kernel.Task) {
+// spillLoop is the spill server: it parks until flushLinkForCommit finds a
+// ring that will not take a due buffer, then sends it blocking. It is never
+// woken while the rings have room.
+func (p *Primary) spillLoop(t *kernel.Task) {
 	proc := t.Proc()
 	for {
-		if p.live {
-			p.flushQ.Wait(proc)
-			continue
-		}
-		var link *syncLink
-		var dl sim.Time
-		for _, l := range p.links {
-			if l.dead || len(l.pending) == 0 {
-				continue
-			}
-			if link == nil || l.deadline < dl {
-				link, dl = l, l.deadline
+		served := false
+		for _, link := range p.links {
+			if !link.dead && len(link.pending) > 0 && !link.deadline.Armed() {
+				p.flushSync(proc, link)
+				served = true
 			}
 		}
-		if link == nil {
-			p.flushQ.Wait(proc)
-			continue
+		if !served {
+			p.spillQ.Wait(proc)
 		}
-		now := p.ns.Kernel().Sim().Now()
-		if dl > now {
-			p.flushQ.WaitTimeout(proc, dl.Sub(now))
-			continue
-		}
-		p.flushSync(proc, link)
 	}
 }
 
@@ -666,7 +671,7 @@ func (p *Primary) onEstablished(c *tcpstack.Conn) {
 	// The four-tuple crosses once per connection, in the reference slot.
 	m := syncMessage(syncConnMeta, connMetaBytes, p.idOf(key), c.ISS(), c.IRS())
 	m.Ref = &key
-	p.trySync(c, m, true)
+	p.trySync(m)
 }
 
 func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
@@ -678,7 +683,7 @@ func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
 	}
 	m := syncMessage(syncDataIn, dataInBytes+len(cp), p.idOf(key), 0, 0)
 	m.Data = cp
-	p.trySync(c, m, true)
+	p.trySync(m)
 }
 
 func (p *Primary) onAckIn(c *tcpstack.Conn, acked uint64) {
@@ -686,8 +691,7 @@ func (p *Primary) onAckIn(c *tcpstack.Conn, acked uint64) {
 	if p.clog != nil {
 		p.clog.ackIn(key, acked)
 	}
-	// Losing an ack update only means extra retransmission after failover.
-	p.trySync(c, syncMessage(syncAckOut, ackOutBytes, p.idOf(key), acked, 0), false)
+	p.trySync(syncMessage(syncAckOut, ackOutBytes, p.idOf(key), acked, 0))
 }
 
 func (p *Primary) onPeerFin(c *tcpstack.Conn) {
@@ -695,7 +699,7 @@ func (p *Primary) onPeerFin(c *tcpstack.Conn) {
 	if p.clog != nil {
 		p.clog.fin(key)
 	}
-	p.trySync(c, syncMessage(syncPeerFin, peerFinBytes, p.idOf(key), 0, 0), true)
+	p.trySync(syncMessage(syncPeerFin, peerFinBytes, p.idOf(key), 0, 0))
 }
 
 func (p *Primary) onReaped(c *tcpstack.Conn) {
@@ -703,7 +707,7 @@ func (p *Primary) onReaped(c *tcpstack.Conn) {
 	if p.clog != nil {
 		p.clog.goneMark(key)
 	}
-	p.trySync(nil, syncMessage(syncGone, goneBytes, p.idOf(key), 0, 0), false)
+	p.trySync(syncMessage(syncGone, goneBytes, p.idOf(key), 0, 0))
 	delete(p.ids, key)
 }
 
@@ -716,29 +720,17 @@ func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) 
 	if p.clog != nil {
 		p.clog.bind(id, key)
 	}
-	if p.live || p.liveLinks() == 0 {
+	if !p.Streaming() {
 		return
 	}
 	// By four-tuple: a connection reaped before the accept has no sync id left.
 	m := syncMessage(syncBind, bindBytes, id, 0, 0)
 	m.Ref = &key
-	if p.cfg.BatchUpdates <= 1 {
-		for _, link := range p.links {
-			if link.dead {
-				continue
-			}
-			link.ring.Send(th.Task().Proc(), m)
-		}
-		return
-	}
 	p.enqueued++
 	for _, link := range p.links {
-		if link.dead {
-			continue
+		if !link.dead {
+			p.buffer(link, m)
+			p.flushSync(th.Task().Proc(), link)
 		}
-		link.pending = append(link.pending, m)
-		link.pendingReps++
-		link.pendingBytes += int64(m.Size)
-		p.flushSync(th.Task().Proc(), link)
 	}
 }

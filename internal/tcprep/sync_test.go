@@ -25,7 +25,10 @@ type syncWorld struct {
 	buf  []shm.Message
 }
 
-func newSyncWorld(tb testing.TB) *syncWorld {
+func newSyncWorld(tb testing.TB) *syncWorld { return newSyncWorldRing(tb, 1<<20) }
+
+// newSyncWorldRing is newSyncWorld over a sync ring of the given capacity.
+func newSyncWorldRing(tb testing.TB, ringBytes int64) *syncWorld {
 	tb.Helper()
 	s := sim.New(1)
 	part, err := hw.New(s, hw.Opteron6376x4()).NewPartition("primary", 0, 1, 2, 3)
@@ -36,7 +39,7 @@ func newSyncWorld(tb testing.TB) *syncWorld {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := &syncWorld{sim: s, ring: shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, 1<<20)}
+	w := &syncWorld{sim: s, ring: shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, ringBytes)}
 	stack := tcpstack.New(k, "server", tcpstack.DefaultParams())
 	w.prim = NewPrimary(replication.NewLive("ftns", k), stack, PrimaryConfig{Syncs: []*shm.Ring{w.ring}})
 	w.sec = NewSecondary(k, w.ring, SecondaryConfig{DeferPull: true})
