@@ -12,8 +12,8 @@ import (
 // watermark analyzer (append to a slice of watermark-carrying structs,
 // map-index store of one into a grant table); the summary layer adds
 // what the intraprocedural pass cannot see — a flush that happens inside
-// a called helper counts as domination, and a helper that arms without
-// flushing turns its call sites into arm sites for callers.
+// a called helper counts as domination, and a helper that arms without a
+// flush of its own turns its call sites into arm sites for callers.
 
 // WatermarkAppend reports whether the call is append(q, w...) where the
 // slice's element type is a struct carrying a watermark field.

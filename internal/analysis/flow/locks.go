@@ -3,7 +3,6 @@ package flow
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -14,9 +13,8 @@ import (
 // lock sets) and the lockorder analyzer's held-set walker. The model is
 // the one lockorder established:
 //
-//   - acquisitions: pthread Mutex.Lock / RWLock.RdLock / RWLock.WrLock,
-//     sync.Mutex/RWMutex Lock/RLock, and the pseudo-lock "x.flushing =
-//     true" (released by "= false");
+//   - acquisitions: pthread Mutex.Lock / RWLock.RdLock / RWLock.WrLock
+//     and sync.Mutex/RWMutex Lock/RLock;
 //   - transient acquisitions: blocking shm.Ring operations (Send,
 //     SendBatch, Recv, RecvBatch, RecvTimeout, Reserve) — held only for
 //     the call, but ordered after everything currently held;
@@ -114,39 +112,4 @@ func LockID(pkg *ftvet.Package, e ast.Expr, owner string) string {
 		}
 		return fmt.Sprintf("anon@%d", int(e.Pos()))
 	}
-}
-
-// FlushFlagOp is one "x.flushing = true/false" pseudo-lock operation
-// extracted from an assignment.
-type FlushFlagOp struct {
-	ID      string
-	Acquire bool
-	Pos     token.Pos
-}
-
-// FlushFlagOps models "x.flushing = true/false" assignments as lock
-// operations (the PR 1 flush-serialization flag held across blocking
-// ring sends).
-func FlushFlagOps(pkg *ftvet.Package, s *ast.AssignStmt, owner string) []FlushFlagOp {
-	if s.Tok != token.ASSIGN || len(s.Lhs) != len(s.Rhs) {
-		return nil
-	}
-	var out []FlushFlagOp
-	for i, lhs := range s.Lhs {
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok || !strings.Contains(strings.ToLower(sel.Sel.Name), "flushing") {
-			continue
-		}
-		val, ok := ast.Unparen(s.Rhs[i]).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		switch val.Name {
-		case "true":
-			out = append(out, FlushFlagOp{ID: LockID(pkg, lhs, owner), Acquire: true, Pos: s.Pos()})
-		case "false":
-			out = append(out, FlushFlagOp{ID: LockID(pkg, lhs, owner), Acquire: false, Pos: s.Pos()})
-		}
-	}
-	return out
 }

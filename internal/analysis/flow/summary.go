@@ -342,14 +342,6 @@ func (g *Graph) directScan(n *Node, s *Summary) {
 				if !inLit {
 					addEffect(EffChanOp, x.Pos(), "select statement")
 				}
-			case *ast.AssignStmt:
-				for _, op := range FlushFlagOps(pkg, x, owner) {
-					if op.Acquire {
-						if _, ok := s.Locks[op.ID]; !ok {
-							s.Locks[op.ID] = op.Pos
-						}
-					}
-				}
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "close" {
 					if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin && !inLit {

@@ -1,20 +1,19 @@
 // Package lockorder builds a static lock-acquisition graph and reports
 // ordering cycles as potential deadlocks.
 //
-// The record/replay hot path threads several blocking resources: the
-// namespace global mutex (replication.Recorder.mu, Figure 3), the
-// hand-rolled per-link flush serialization flags ("flushing", the flush
-// lock PR 1 introduced), and the shared-memory rings, whose blocking
-// Send/Recv act as bounded locks under backpressure. A PR that acquires
-// two of them in inconsistent orders on different paths creates a
+// The record/replay hot path threads two kinds of blocking resource: the
+// det-section locks (replication.Recorder.mus; with one shard, the
+// namespace global mutex of Figure 3) and the shared-memory rings, whose
+// blocking Send/Recv/Reserve act as bounded locks under backpressure. A PR
+// that acquires two of them in inconsistent orders on different paths creates a
 // deadlock the simulator only hits under just the right backlog — the
 // kind of latent cycle that static ordering analysis catches for free.
 //
 // The model, deliberately simple and conservative:
 //
 //   - acquisitions and lock identity: see flow.ClassifyLockOp — pthread
-//     and sync mutexes, the "flushing = true" pseudo-lock, and blocking
-//     shm ring operations as transient acquisitions;
+//     and sync mutexes, and blocking shm ring operations as transient
+//     acquisitions;
 //   - the transitive lock set of every callee comes from the flow
 //     summaries, so holding a lock while calling a function that
 //     (transitively, through any depth of helpers) locks another adds
@@ -66,11 +65,11 @@ import (
 var Debug io.Writer
 
 // Analyzer is the lockorder pass. It is a Module analyzer: the lock
-// graph spans packages (tcprep holds its flush flag while calling into
-// shm; replication does the same with its own).
+// graph spans packages (replication holds a det-section lock while the
+// shm outbox blocks on the log ring).
 var Analyzer = &ftvet.Analyzer{
 	Name:   "lockorder",
-	Doc:    "build a static lock-acquisition graph over pthread/sync mutexes, flush-serialization flags, and blocking shm ring operations; report ordering cycles as potential deadlocks, plus reserved spans that are never committed or aborted (a leaked reservation jams the ring's publication sequence)",
+	Doc:    "build a static lock-acquisition graph over pthread/sync mutexes and blocking shm ring operations; report ordering cycles as potential deadlocks, plus reserved spans that are never committed or aborted (a leaked reservation jams the ring's publication sequence)",
 	Module: true,
 	Run:    run,
 }
@@ -501,7 +500,6 @@ func (w *walker) stmt(s ast.Stmt) {
 		for _, e := range s.Rhs {
 			w.expr(e)
 		}
-		w.checkFlushFlag(s)
 	case *ast.GoStmt:
 		// The goroutine does not inherit the spawner's held locks.
 		saved := w.snapshot()
@@ -570,23 +568,5 @@ func (w *walker) call(call *ast.CallExpr) {
 		w.acqs = append(w.acqs, acquisition{id: id, pos: call.Pos(), held: w.snapshot()})
 	case flow.LockNone:
 		w.calls = append(w.calls, callSite{call: call, pos: call.Pos(), held: w.snapshot()})
-	}
-}
-
-// checkFlushFlag models "x.flushing = true/false" as a lock the flush
-// path holds across its blocking ring send (the PR 1 flush lock).
-func (w *walker) checkFlushFlag(s *ast.AssignStmt) {
-	for _, op := range flow.FlushFlagOps(w.pkg, s, w.fname) {
-		if op.Acquire {
-			w.acqs = append(w.acqs, acquisition{id: op.ID, pos: op.Pos, held: w.snapshot()})
-			w.held = append(w.held, op.ID)
-		} else {
-			for j := len(w.held) - 1; j >= 0; j-- {
-				if w.held[j] == op.ID {
-					w.held = append(w.held[:j], w.held[j+1:]...)
-					break
-				}
-			}
-		}
 	}
 }

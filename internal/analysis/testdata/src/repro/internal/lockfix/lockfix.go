@@ -1,7 +1,7 @@
 // Package lockfix is the golden fixture for the lockorder analyzer:
 // inconsistent acquisition orders across the lock graph are potential
-// deadlocks, including orders threaded through calls, the "flushing"
-// flush-serialization pseudo-lock, and blocking shm ring operations.
+// deadlocks, including orders threaded through calls and blocking shm ring
+// operations.
 package lockfix
 
 import (
@@ -62,34 +62,8 @@ func (r *R) branching(t *kernel.Task, cond bool) {
 }
 
 type P struct {
-	mu       *pthread.Mutex
-	flushing bool
-	ring     *shm.Ring
-}
-
-// flush holds the flush-serialization flag across the blocking ring
-// send: the PR 1 pattern, edge flushing -> ring.
-func (p *P) flush(proc *sim.Proc, m shm.Message) {
-	p.flushing = true
-	p.ring.Send(proc, m)
-	p.flushing = false
-}
-
-// lockedFlush calls flush while holding mu, adding mu -> flushing
-// through the call graph.
-func (p *P) lockedFlush(t *kernel.Task, proc *sim.Proc, m shm.Message) {
-	p.mu.Lock(t)
-	p.flush(proc, m) // want "lock-order cycle"
-	p.mu.Unlock(t)
-}
-
-// flagFirst takes mu while flushing is held: flushing -> mu, closing the
-// cycle with lockedFlush's mu -> flushing.
-func (p *P) flagFirst(t *kernel.Task) {
-	p.flushing = true
-	p.mu.Lock(t)
-	p.mu.Unlock(t)
-	p.flushing = false
+	mu   *pthread.Mutex
+	ring *shm.Ring
 }
 
 // reserveOrdered blocks in Reserve while holding mu: the claim wait is

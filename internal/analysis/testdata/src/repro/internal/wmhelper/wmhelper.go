@@ -25,7 +25,7 @@ func (h *H) arm(fn func()) {
 	h.q = append(h.q, waiter{watermark: h.sent, fn: fn})
 }
 
-// callerBad arms through the helper without flushing first.
+// callerBad arms through the helper without a flush first.
 func (h *H) callerBad(fn func()) {
 	h.arm(fn) // want "call to arm arms an output-commit waiter"
 }
@@ -36,7 +36,7 @@ func (h *H) callerGood(fn func()) {
 	h.arm(fn)
 }
 
-// deepArm forwards to arm without flushing: an unflushed frame in the
+// deepArm forwards to arm without a flush: an unflushed frame in the
 // middle of the chain is reported too — each frame can fix it locally.
 func (h *H) deepArm(fn func()) {
 	h.arm(fn) // want "call to arm arms an output-commit waiter"

@@ -53,3 +53,60 @@ func TestExperimentsDocMatchesTranscript(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignInventoryMatchesTree: DESIGN.md §3's table and internal/ name
+// the same packages — every row is a directory, and every directory under
+// internal/ has a row or, holding no package itself, each of its
+// subdirectories does (internal/apps).
+func TestDesignInventoryMatchesTree(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## 3. ")
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^\\| \\d+ \\| `(internal/[\\w/]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = true
+		if st, err := os.Stat("../../" + m[1]); err != nil || !st.IsDir() {
+			t.Errorf("DESIGN.md §3 lists %s, which is not a directory", m[1])
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("DESIGN.md §3 holds no inventory rows")
+	}
+	var check func(dir string)
+	check = func(dir string) {
+		if rows[dir] {
+			return
+		}
+		entries, err := os.ReadDir("../../" + dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var subdirs []string
+		for _, e := range entries {
+			if e.IsDir() {
+				subdirs = append(subdirs, dir+"/"+e.Name())
+			} else if strings.HasSuffix(e.Name(), ".go") {
+				subdirs = nil // a package of its own: its subdirectories' rows do not cover it
+				break
+			}
+		}
+		if len(subdirs) == 0 {
+			t.Errorf("%s has no row in DESIGN.md §3", dir)
+		}
+		for _, sub := range subdirs {
+			check(sub)
+		}
+	}
+	entries, err := os.ReadDir("..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			check("internal/" + e.Name())
+		}
+	}
+}

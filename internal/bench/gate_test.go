@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -102,7 +104,9 @@ func TestLoadBaselinesValidation(t *testing.T) {
 
 // TestRepoBaselinesLoad: the checked-in baseline file parses and pins
 // every headline ratio the gate has checked so far, plus the one that took
-// over CI's "epochs-on rejoin stays flat" assertion.
+// over CI's "epochs-on rejoin stays flat" assertion — each at exactly the
+// value the checked-in BENCH_<exp>.json reports, so a ratio that drifts
+// inside the tolerance is re-pinned by a deliberate edit, not left behind.
 func TestRepoBaselinesLoad(t *testing.T) {
 	b, err := LoadBaselines("../../goldens/bench-baselines.json")
 	if err != nil {
@@ -120,9 +124,27 @@ func TestRepoBaselinesLoad(t *testing.T) {
 		"epoch.flatness_gain",
 		"epoch.rejoin_flatness_on",
 	}
+	reports := make(map[string]Report)
 	for _, name := range pinned {
 		if b.Ratios[name] <= 0 {
 			t.Errorf("%s not pinned", name)
+			continue
+		}
+		exp, ratio, _ := strings.Cut(name, ".")
+		r, ok := reports[exp]
+		if !ok {
+			data, err := os.ReadFile("../../BENCH_" + exp + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &r); err != nil {
+				t.Fatalf("BENCH_%s.json: %v", exp, err)
+			}
+			reports[exp] = r
+		}
+		i := slices.IndexFunc(r.Ratios, func(m Named) bool { return m.Name == ratio })
+		if i < 0 || r.Ratios[i].Value != b.Ratios[name] {
+			t.Errorf("%s pinned at %v, BENCH_%s.json reports %+v: re-pin it, or regenerate the report", name, b.Ratios[name], exp, r.Ratios)
 		}
 	}
 	if len(b.Ratios) != len(pinned) {

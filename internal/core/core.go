@@ -461,24 +461,13 @@ func build(cfg Config) (*System, error) {
 	}
 
 	// Failure detection, a detector pair per primary<->backup link (star
-	// topology: backups do not watch each other). peerFailed resolves what
-	// a death means from the current roles: recording side dead = election
-	// and failover, backup dead = drop its links (and, with rejoin,
-	// schedule re-integration).
+	// topology: backups do not watch each other).
 	for i := 1; i < n; i++ {
-		rep := reps[i]
-		pd := failure.New(kerns[0], rep.Kernel, hbOut[i-1], hbIn[i-1], cfg.Failure)
-		sd := failure.New(rep.Kernel, kerns[0], hbIn[i-1], hbOut[i-1], cfg.Failure)
-		pd.Instrument(tr.Scope("primary/detector" + ringSuffix(i)))
-		sd.Instrument(tr.Scope(slotName(i) + "/detector"))
+		pd, sd := sys.watch(reps[0], reps[i], hbOut[i-1], hbIn[i-1], "primary/detector"+ringSuffix(i), slotName(i)+"/detector")
 		if i == 1 {
 			sys.Primary.Detector = pd
 		}
-		rep.Detector = sd
-		pd.OnFail(func() { sys.peerFailed(sys.ReplicaSet[0], rep) })
-		sd.OnFail(func() { sys.peerFailed(rep, sys.ReplicaSet[0]) })
-		pd.Start()
-		sd.Start()
+		reps[i].Detector = sd
 	}
 
 	// The NIC goes down the instant its owning kernel dies (its DMA rings
@@ -502,6 +491,24 @@ func build(cfg Config) (*System, error) {
 		sys.injector.Start()
 	}
 	return sys, nil
+}
+
+// watch starts the failure-detector pair of one link: a watches b over the
+// heartbeat ring it sends on, b watches a over the other, a's detector
+// built and started first. Both report to peerFailed, which resolves what a
+// death means from the current roles: recording side dead = election and
+// failover, backup dead = drop its links (and, with rejoin, schedule
+// re-integration).
+func (sys *System) watch(a, b *Replica, aToB, bToA *shm.Ring, scopeA, scopeB string) (da, db *failure.Detector) {
+	da = failure.New(a.Kernel, b.Kernel, aToB, bToA, sys.Cfg.Failure)
+	db = failure.New(b.Kernel, a.Kernel, bToA, aToB, sys.Cfg.Failure)
+	da.Instrument(sys.Obs.Scope(scopeA))
+	db.Instrument(sys.Obs.Scope(scopeB))
+	da.OnFail(func() { sys.peerFailed(a, b) })
+	db.OnFail(func() { sys.peerFailed(b, a) })
+	da.Start()
+	db.Start()
+	return da, db
 }
 
 // hookNIC fails the server NIC the instant a kernel that owns it dies

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/failure"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/obs"
@@ -238,16 +237,8 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	// Failure detection for the new pairing, armed before catch-up so a
 	// mid-resync death on either side is handled: survivor death promotes
 	// the half-synced backup, backup death degrades and reschedules.
-	db := failure.New(bk, surv.Kernel, hbBS, hbSB, sys.Cfg.Failure)
-	ds := failure.New(surv.Kernel, bk, hbSB, hbBS, sys.Cfg.Failure)
-	db.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/detector-backup", gen)))
-	ds.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/detector-active", gen)))
-	rep.Detector = db
-	surv.Detector = ds
-	db.OnFail(func() { sys.peerFailed(rep, surv) })
-	ds.OnFail(func() { sys.peerFailed(surv, rep) })
-	db.Start()
-	ds.Start()
+	rep.Detector, surv.Detector = sys.watch(rep, surv, hbBS, hbSB,
+		fmt.Sprintf("gen%d/detector-backup", gen), fmt.Sprintf("gen%d/detector-active", gen))
 
 	sys.setState(StateResyncing)
 	sys.scLife.EmitNote(obs.ResyncStart, 0, int64(gen), int64(frontier.SeqGlobal),

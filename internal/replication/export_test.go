@@ -16,10 +16,10 @@ func walkedBytes(hist *sim.Log[shm.Message]) (b int64) {
 // retained-bytes sum beside the sum walked over the retained history.
 func (ns *Namespace) RetainedSums() (recRunning, recWalked, repRunning, repWalked int64) {
 	if ns.rec != nil {
-		recRunning, recWalked = ns.rec.histBytes, walkedBytes(&ns.rec.history)
+		recRunning, recWalked = ns.rec.hist.bytes, walkedBytes(&ns.rec.hist.msgs)
 	}
 	if ns.rep != nil {
-		repRunning, repWalked = ns.rep.histBytes, walkedBytes(&ns.rep.history)
+		repRunning, repWalked = ns.rep.hist.bytes, walkedBytes(&ns.rep.hist.msgs)
 	}
 	return
 }

@@ -26,10 +26,14 @@ func emitN(rec *Recorder, tk *kernel.Task, first, n int) {
 	}
 }
 
-// TestDeadlinePublishesPartialBatchOnce: a partial batch is published
-// exactly FlushInterval after its first tuple — not a nanosecond sooner,
-// not twice — and the deadline is an event, not a process: nothing is
-// switched in to make it happen.
+// The outbox's own behaviour — the deadline an event that fires once, its
+// hop, the no-op after a kill or a kernel death, the spill server's FIFO
+// ticket — is checked in internal/shm (TestOutbox*). What stays here is the
+// recorder's: the zero-copy span in front of the outbox.
+
+// TestDeadlinePublishesPartialBatchOnce: an open span rides the outbox's
+// deadline — a partial batch written in place is published exactly
+// FlushInterval after its first tuple, once, with one flush sample.
 func TestDeadlinePublishesPartialBatchOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	s, log, rec := flushHarness(t, cfg)
@@ -38,52 +42,15 @@ func TestDeadlinePublishesPartialBatchOnce(t *testing.T) {
 	if err := s.RunUntil(deadline - 1); err != nil {
 		t.Fatal(err)
 	}
-	if st := log.Stats(); st.Messages != 0 {
-		t.Fatalf("%d transfers before the deadline, want the batch still buffered", st.Messages)
-	}
-	switched := 0
-	s.OnSwitch = func(sim.Time, string) { switched++ }
-	if err := s.RunUntil(deadline); err != nil {
-		t.Fatal(err)
-	}
-	if st := log.Stats(); st.Messages != 1 || st.Payloads != 3 {
-		t.Fatalf("at the deadline: %d transfers / %d payloads, want 1 / 3", st.Messages, st.Payloads)
-	}
-	if switched != 0 {
-		t.Errorf("the deadline switched %d processes in, want 0 (it is an event)", switched)
+	if st := log.Stats(); st.Messages != 0 || !rec.replicas[0].span.Open() {
+		t.Fatalf("%d transfers before the deadline, span open = %v; want the batch still in its span", st.Messages, rec.replicas[0].span.Open())
 	}
 	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if st := log.Stats(); st.Messages != 1 || rec.stats.LogBatches != 1 || rec.hBatchFill.Count() != 1 {
-		t.Errorf("after a quiet second: %d transfers, %d batches, %d flush samples; want 1 each",
-			st.Messages, rec.stats.LogBatches, rec.hBatchFill.Count())
-	}
-}
-
-// TestDeadlineAfterDeathIsNoOp: a link dropped, or a kernel dead, with a
-// deadline armed publishes nothing when the interval runs out.
-func TestDeadlineAfterDeathIsNoOp(t *testing.T) {
-	for _, kill := range []struct {
-		name string
-		fn   func(rec *Recorder)
-	}{
-		{"dropReplica", func(rec *Recorder) { rec.dropReplica(0) }},
-		{"kernel panic", func(rec *Recorder) { rec.kern.Panic("test", nil) }},
-	} {
-		s, log, rec := flushHarness(t, DefaultConfig())
-		rec.kern.Spawn("emitter", func(tk *kernel.Task) { emitN(rec, tk, 0, 3) })
-		s.Schedule(10*time.Microsecond, func() { kill.fn(rec) })
-		if err := s.RunUntil(sim.Time(time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		link := rec.replicas[0]
-		rec.deadlineFired(link) // expiry
-		rec.deadlineFired(link) // and its hop, whatever the event's state
-		if st := log.Stats(); st.Messages != 0 || rec.stats.LogBatches != 0 || rec.hBatchFill.Count() != 0 {
-			t.Errorf("%s: %d transfers, %d batches, %d flush samples after the death; want none",
-				kill.name, st.Messages, rec.stats.LogBatches, rec.hBatchFill.Count())
-		}
+	if st := log.Stats(); st.Messages != 1 || st.Payloads != 3 || rec.stats.LogBatches != 1 || rec.hBatchFill.Count() != 1 {
+		t.Errorf("after a quiet second: %d transfers / %d payloads, %d batches, %d flush samples; want 1 / 3, 1, 1",
+			st.Messages, st.Payloads, rec.stats.LogBatches, rec.hBatchFill.Count())
 	}
 }
 
@@ -95,10 +62,10 @@ func spillConfig() Config {
 	return cfg
 }
 
-// TestSpilledBatchKeepsItsPlace: a partial batch whose deadline finds the
-// ring full goes to the spill server, which claims its FIFO ticket; tuples
-// emitted while it waits queue behind it, and the consumer sees one
-// gapless sequence.
+// TestSpilledBatchKeepsItsPlace: spans and spill keep one order. Tuples
+// that find no room for a span spill behind the spans already on the ring;
+// while the spilled batch waits for its ticket, later tuples queue behind it
+// rather than in a fresh span, and the consumer sees one gapless sequence.
 func TestSpilledBatchKeepsItsPlace(t *testing.T) {
 	cfg := spillConfig()
 	s, log, rec := flushHarness(t, cfg)
@@ -106,9 +73,8 @@ func TestSpilledBatchKeepsItsPlace(t *testing.T) {
 		emitN(rec, tk, 0, 24) // three spans fill the ring
 		emitN(rec, tk, 24, 5) // no span fits: spilled, 64 + 5 x 64 > 320 — refused at the deadline too
 		tk.Sleep(cfg.FlushInterval + 10*time.Microsecond)
-		if rec.spillQ.Len() != 0 || log.Stats().ReserveWaits != 1 {
-			t.Errorf("after the deadline: spill server parked at home = %v, %d reservations waiting; want it blocked on the ring",
-				rec.spillQ.Len() != 0, log.Stats().ReserveWaits)
+		if log.Stats().ReserveWaits != 1 {
+			t.Errorf("after the deadline: %d reservations waiting; want the spill server blocked on the ring", log.Stats().ReserveWaits)
 		}
 		emitN(rec, tk, 29, 2) // behind the spill server's ticket
 	})
@@ -129,40 +95,58 @@ func TestSpilledBatchKeepsItsPlace(t *testing.T) {
 			t.Fatalf("tuple %d arrived in position %d: %v", seq, i, got)
 		}
 	}
-	if rec.spillQ.Len() != 1 {
-		t.Error("spill server not parked at home once the ring drained")
-	}
+}
+
+// flushCounts is everything one log flush books: the ring's traffic, the
+// batch count, the two flush samples and the controller's lag observation.
+type flushCounts struct {
+	ring        shm.Stats
+	batches     uint64
+	fills, lags int64
+	ctrl        batchController
+}
+
+func countFlushes(rec *Recorder, log *shm.Ring) flushCounts {
+	st := log.Stats()
+	st.SendWaitNs = 0 // a parked sender's wait is booked when it comes back, published or not
+	return flushCounts{st, rec.stats.LogBatches, rec.hBatchFill.Count(), rec.hFlushLag.Count(), rec.ctrl}
 }
 
 // TestKilledBackupUnblocksSpillServer: the backup dies while the spill
-// server is parked in SendBatch on its full ring; the drain releases it and
-// it goes back to its own queue — nothing is left blocked on the dead ring.
+// server is parked on its full ring; the drain releases it, and the batch
+// it was carrying is neither put on the dead ring nor booked — not as a
+// batch, not as a flush sample, not as a lag observation for the controller.
 func TestKilledBackupUnblocksSpillServer(t *testing.T) {
 	cfg := spillConfig()
 	s, log, rec := flushHarness(t, cfg)
 	done := false
+	var before flushCounts
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
 		emitN(rec, tk, 0, 29)
 		tk.Sleep(cfg.FlushInterval + 10*time.Microsecond)
 		if log.Stats().ReserveWaits != 1 {
 			t.Error("spill server not blocked on the full ring")
 		}
+		before = countFlushes(rec, log)
 		rec.dropReplica(0)
 		emitN(rec, tk, 29, 2) // live now: emits nothing, blocks on nothing
 		done = true
 	})
-	if err := s.Run(); err != nil { // to an empty queue: a process still blocked would show below
+	if err := s.Run(); err != nil { // to an empty queue
 		t.Fatal(err)
 	}
-	if !done || rec.spillQ.Len() != 1 {
-		t.Errorf("emitter finished = %v, spill server parked at home = %v; want both", done, rec.spillQ.Len() == 1)
+	if !done || log.OpenSpans() != 0 {
+		t.Errorf("emitter finished = %v, %d spans open on the dead ring; want true and none", done, log.OpenSpans())
+	}
+	if after := countFlushes(rec, log); after != before {
+		t.Errorf("flushes booked after the drop: %+v, before it %+v", after, before)
 	}
 }
 
 // TestBatchOfOneIsSend: at BatchTuples = 1 the recorder's one path — span,
-// spill, flushPending — puts on the ring exactly what a bare Ring.Send per
-// tuple does: the same transfers, the same bytes, delivered at the same
-// instants, including while the emitter is stalled on a full ring.
+// spill, the outbox's blocking flush — puts on the ring exactly what a bare
+// Ring.Send per tuple does: the same transfers, the same bytes, delivered at
+// the same instants, including while the emitter is stalled on a full ring.
 func TestBatchOfOneIsSend(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchTuples = 1

@@ -58,7 +58,7 @@ func (r *Recorder) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 	// links are symmetric): how many reservations are open but unpublished
 	// and how often senders had to park for capacity.
 	if len(r.replicas) > 0 {
-		ring := r.replicas[0].log
+		ring := r.replicas[0].Ring()
 		reg.Gauge(name+".ring.spans", func() int64 { return int64(ring.OpenSpans()) })
 		reg.Gauge(name+".ring.reserve.waits", func() int64 { return ring.Stats().ReserveWaits })
 	}

@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"time"
-
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/pthread"
@@ -38,21 +36,20 @@ type ReplicaWatermark struct {
 	Syncing bool
 }
 
-// replicaLink is the recorder's view of one backup replica: its log ring,
-// its acknowledgement ring, the receipt watermark observed so far, and the
-// tuples written but not yet published to the ring.
+// replicaLink is the recorder's view of one backup replica: the outbox in
+// front of its log ring (spilled tuples, the flush deadline, the dead mark),
+// its acknowledgement ring, and the receipt watermark observed so far.
 type replicaLink struct {
+	shm.Outbox
 	idx   int
-	log   *shm.Ring
 	acks  *shm.Ring
 	acked uint64
-	dead  bool
 
 	// base is the absolute log index of the first message this link's
 	// ring ever carries: zero for a boot-time link, the recorder's
-	// truncation base (histBase) for a link added after epoch truncation
-	// started dropping history. Ring delivery counts are ring-local, so
-	// every receipt watermark derived from them is offset by base.
+	// truncation base for a link added after epoch truncation started
+	// dropping history. Ring delivery counts are ring-local, so every
+	// receipt watermark derived from them is offset by base.
 	base uint64
 
 	// epochAcked is the highest epoch boundary this backup has verified
@@ -63,29 +60,16 @@ type replicaLink struct {
 
 	// span is the link's open zero-copy reservation: emitted tuples are
 	// written straight into the ring's reserved slots and published in one
-	// Commit when the batch fills (or the deadline/an output commit forces it).
-	// pending is the spill path — tuples buffered off-ring when no
-	// reservation could be claimed (ring full). While pending is
-	// non-empty new tuples must append behind it, never to a fresh span:
-	// the spill was reserved later than nothing, so writing around it
-	// would reorder the log.
+	// Commit when the batch fills (or the outbox's deadline, which an open
+	// span arms, or an output commit forces it). The outbox is the spill
+	// path — tuples buffered off-ring when no reservation could be claimed
+	// (ring full). While it is non-empty new tuples must append behind it,
+	// never to a fresh span: the spill was reserved later than nothing, so
+	// writing around it would reorder the log.
 	// The span handle is kept across DropInflight, Drain and abandonLink;
 	// the ring's generation check makes it read closed once its record has
-	// been recycled. spares are the spill buffer's other arrays: tuples
-	// that spill while a blocking flush is stalled on the ring collect in
-	// one (the spill server and a det section can both be stalled at once).
-	span    shm.Span
-	pending []shm.Message
-	spares  [][]shm.Message
-
-	// deadline bounds how long a tuple sits buffered: armed FlushInterval
-	// ahead when the link becomes non-empty (arm), stopped when it empties
-	// (disarm), and running flushLink one zero-delay hop after it expires
-	// (due marks the hop, see deadlineFired). A spill buffer with no
-	// deadline armed is one the ring refused at its deadline (or at a
-	// force-flush): the spill server's to send.
-	deadline sim.Event
-	due      bool
+	// been recycled.
+	span shm.Span
 
 	// A syncing link is a rejoined backup still catching up: new emits
 	// append to its backlog behind the retained history, it is excluded
@@ -113,7 +97,7 @@ func (o *receiptObs) fire() {
 	r, link := o.r, o.link
 	o.link = nil
 	r.obsFree = append(r.obsFree, o)
-	if d := link.base + uint64(link.log.Delivered()); d > link.acked {
+	if d := link.base + uint64(link.Ring().Delivered()); d > link.acked {
 		link.acked = d
 		r.noteMark(link)
 		r.fireStable()
@@ -158,16 +142,8 @@ type Recorder struct {
 	stableHead int
 	live       bool
 	degraded   bool // recording with no caught-up backup (Config.Rejoinable)
-	history    sim.Log[shm.Message]
+	hist       logWindow
 	stats      Stats
-
-	// histBase is the absolute log index of history[0]: zero until epoch
-	// truncation starts dropping verified prefixes, after which
-	// history[i] is log message histBase+i and len(history) is only the
-	// retained suffix. histBytes is the retained payload footprint, kept
-	// as a running sum so the retained-size gauge is O(1).
-	histBase  uint64
-	histBytes int64
 
 	// epochCuts maps a cut epoch number to its truncation base (the
 	// sent watermark at the cut); epochSeen is the latest epoch cut,
@@ -188,8 +164,8 @@ type Recorder struct {
 	ackScratch []uint64
 	obsFree    []*receiptObs // fired receipt observations, reused by the next delivery
 
-	spillQ sim.WaitQueue // parks the spill server until a ring refuses a due buffer
-	ctrl   batchController
+	out  shm.Outboxes // the links' outboxes, in link order, and their spill server
+	ctrl batchController
 
 	sc          *obs.Scope
 	cTuples     *obs.Counter
@@ -218,12 +194,10 @@ func newShardLocks(k *kernel.Kernel, shards int) []*pthread.Mutex {
 // (Config.Rejoinable) continues the dead primary's sequence space —
 // seqGlobal plus the per-object cursors — and inherits the replayed
 // history, so a backup rejoined later can catch up from the fork's
-// retention base: histBase is the absolute log index of hist's first
-// message, zero for a full-history backup, the latest verified epoch
-// boundary for one that truncated at epoch checkpoints.
+// retention base: zero for a full-history backup, the latest verified
+// epoch boundary for one that truncated at epoch checkpoints.
 type forkSeed struct {
-	hist      sim.Log[shm.Message]
-	histBase  uint64
+	hist      logWindow
 	seqGlobal uint64
 	objSeq    map[uint64]uint64
 }
@@ -239,44 +213,39 @@ func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring, seed fork
 	if seed.objSeq == nil {
 		seed.objSeq = make(map[uint64]uint64)
 	}
-	var histBytes int64
-	for i := 0; i < seed.hist.Len(); i++ {
-		histBytes += int64(seed.hist.At(i).Size)
-	}
 	r := &Recorder{
 		kern:      k,
 		cfg:       cfg,
 		mus:       newShardLocks(k, cfg.DetShards),
 		objSeq:    seed.objSeq,
 		seqGlobal: seed.seqGlobal,
-		sent:      seed.histBase + uint64(seed.hist.Len()),
-		history:   seed.hist,
-		histBase:  seed.histBase,
-		histBytes: histBytes,
+		sent:      seed.hist.end(),
+		hist:      seed.hist,
 		degraded:  len(logs) == 0,
 		marks:     make(map[int]ReplicaWatermark),
 		epochCuts: make(map[uint64]uint64),
 		ctrl:      newBatchController(cfg),
 	}
+	r.out.Init(k.Sim(), cfg.FlushInterval, k.Alive)
 	for i := range logs {
-		r.addLink(&replicaLink{log: logs[i], acks: acks[i]})
+		r.addLink(&replicaLink{acks: acks[i]}, logs[i])
 	}
-	k.Spawn("ft-spill", r.spillLoop)
+	k.Spawn("ft-spill", func(t *kernel.Task) { r.out.Serve(t.Proc()) })
 	return r
 }
 
 // addLink registers one backup link: the receipt watermark observed from
 // the mailbox consumer-side slot state, and the explicit ack consumer.
-func (r *Recorder) addLink(link *replicaLink) {
+func (r *Recorder) addLink(link *replicaLink, log *shm.Ring) {
 	link.idx = len(r.replicas)
 	r.replicas = append(r.replicas, link)
 	r.noteMark(link)
-	link.deadline.Init(r.kern.Sim(), func() { r.deadlineFired(link) })
+	r.out.Attach(&link.Outbox, log, func() { r.flushLink(link) }, func(n int, _ uint64) { r.noteFlush(n) })
 	// Output stability requires only that a backup has RECEIVED the
 	// log for subsequent live replay (§3.5), not that it has processed
 	// it: the primary learns of receipt by observing the mailbox
 	// consumer-side slot state, one coherency hop after delivery.
-	k, log := r.kern, link.log
+	k := r.kern
 	log.OnDelivered(func() {
 		var o *receiptObs
 		if n := len(r.obsFree); n > 0 {
@@ -310,10 +279,10 @@ func (r *Recorder) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 	if !r.cfg.Rejoinable {
 		panic("replication: AddReplica requires Config.Rejoinable")
 	}
-	link := &replicaLink{log: log, acks: acks, syncing: true, base: r.histBase}
-	link.backlog = r.history.AppendTo(nil)
+	link := &replicaLink{acks: acks, syncing: true, base: r.hist.base}
+	link.backlog = r.hist.msgs.AppendTo(nil)
 	idx := len(r.replicas)
-	r.addLink(link)
+	r.addLink(link, log)
 	r.kern.Spawn("ft-catchup", func(t *kernel.Task) { r.catchupLoop(t, link, onCaughtUp) })
 	return idx
 }
@@ -325,15 +294,15 @@ func (r *Recorder) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 // between the last send completing and the flip).
 func (r *Recorder) catchupLoop(t *kernel.Task, link *replicaLink, onCaughtUp func()) {
 	p := t.Proc()
-	for link.backlogHead < len(link.backlog) && !link.dead {
+	for link.backlogHead < len(link.backlog) && !link.Dead() {
 		queued := link.backlog[link.backlogHead:]
 		n, bytes := 0, 0
 		for n < len(queued) && bytes < catchupChunkBytes {
 			bytes += queued[n].Size
 			n++
 		}
-		link.log.SendBatch(p, queued[:n])
-		if link.dead {
+		link.Ring().SendBatch(p, queued[:n])
+		if link.Dead() {
 			return // abandonLink dropped the backlog under the blocked send
 		}
 		// New emissions appended while the send was blocked; the queue
@@ -341,7 +310,7 @@ func (r *Recorder) catchupLoop(t *kernel.Task, link *replicaLink, onCaughtUp fun
 		link.backlog, link.backlogHead = sim.DropFront(link.backlog, link.backlogHead, n)
 		r.noteFlush(n)
 	}
-	if link.dead {
+	if link.Dead() {
 		return
 	}
 	link.syncing = false
@@ -399,7 +368,7 @@ func (r *Recorder) ackedAll() uint64 {
 func (r *Recorder) quorumOf(mark func(*replicaLink) uint64, vacuous uint64) uint64 {
 	marks := r.ackScratch[:0]
 	for _, link := range r.replicas {
-		if !link.dead && !link.syncing {
+		if !link.Dead() && !link.syncing {
 			marks = append(marks, mark(link))
 		}
 	}
@@ -446,7 +415,7 @@ func (r *Recorder) noteMark(link *replicaLink) {
 	r.marks[link.idx] = ReplicaWatermark{
 		Index:     link.idx,
 		Watermark: link.acked,
-		Dead:      link.dead,
+		Dead:      link.Dead(),
 		Syncing:   link.syncing,
 	}
 }
@@ -468,7 +437,7 @@ func (r *Recorder) Watermarks() []ReplicaWatermark {
 func (r *Recorder) backups() (live, syncing int) {
 	for _, link := range r.replicas {
 		switch {
-		case link.dead:
+		case link.Dead():
 		case link.syncing:
 			syncing++
 		default:
@@ -481,18 +450,17 @@ func (r *Recorder) backups() (live, syncing int) {
 // emit streams one log message to every live backup: it writes the tuple
 // in place into the link's open ring reservation (zero-copy) and publishes
 // when the effective batch fills. When no reservation can be claimed (ring
-// full) tuples spill to the link's pending buffer and a blocking vectored
-// flush throttles the primary to the slowest backup's drain rate. At a
-// batch of one that is Ring.Send: reserve, put and commit here, or — ring
-// full — this task claims its FIFO ticket and blocks in flushPending.
+// full) tuples spill to the link's outbox and a blocking vectored flush
+// throttles the primary to the slowest backup's drain rate. At a batch of
+// one that is Ring.Send: reserve, put and commit here, or — ring full —
+// this task claims its FIFO ticket and blocks in the outbox's Flush.
 func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 	if r.cfg.Rejoinable {
-		r.history.Append(m)
-		r.histBytes += int64(m.Size)
+		r.hist.append(m)
 	}
 	eff := r.ctrl.eff
 	for _, link := range r.replicas {
-		if link.dead {
+		if link.Dead() {
 			continue
 		}
 		if link.syncing {
@@ -505,12 +473,9 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 			continue
 		}
 		// Spill path: no reservation available.
-		if len(link.pending) == 0 {
-			link.arm(r.cfg.FlushInterval)
-		}
-		link.pending = append(link.pending, m)
-		if len(link.pending) >= eff {
-			r.flushPending(t.Proc(), link)
+		link.Add(m)
+		if link.Len() >= eff {
+			link.Flush(t.Proc())
 		}
 	}
 	r.sent++
@@ -524,7 +489,7 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 // (spilled tuples or a blocked reservation, which writing around would
 // reorder).
 func (r *Recorder) emitSpan(link *replicaLink, m shm.Message, eff int) bool {
-	if len(link.pending) > 0 {
+	if link.Len() > 0 {
 		return false
 	}
 	if !link.span.Open() {
@@ -555,12 +520,12 @@ func (r *Recorder) openSpan(link *replicaLink, eff int, minBytes int64) bool {
 	if budget < minBytes {
 		budget = minBytes
 	}
-	sp := link.log.TryReserve(eff, budget)
+	sp := link.Ring().TryReserve(eff, budget)
 	if !sp.Open() {
 		return false
 	}
 	link.span = sp
-	link.arm(r.cfg.FlushInterval)
+	link.Arm()
 	return true
 }
 
@@ -577,7 +542,7 @@ func (r *Recorder) commitSpan(link *replicaLink) {
 	if !sp.Open() {
 		return
 	}
-	link.disarm() // nothing spills while a span is open: the link is empty
+	link.Disarm() // nothing spills while a span is open: the link is empty
 	n := sp.Len()
 	if n == 0 {
 		sp.Abort()
@@ -587,94 +552,12 @@ func (r *Recorder) commitSpan(link *replicaLink) {
 	r.noteFlush(n)
 }
 
-// flushPending drains the link's spill buffer with blocking vectored
-// sends. No per-link serialization is needed: a blocked send already
-// holds its reservation ticket, and ring claim order is publication
-// order, so a batch taken later physically cannot overtake one stalled
-// on a full ring (the reordering the replayer would treat as a fatal log
-// gap). Tuples that spill while this flush is blocked are drained by the
-// next loop iteration, still in order — the ring refuses opportunistic
-// claims while earlier tickets wait.
-func (r *Recorder) flushPending(p *sim.Proc, link *replicaLink) {
-	for len(link.pending) > 0 && !link.dead {
-		batch := link.pending
-		link.pending = nil
-		if n := len(link.spares); n > 0 {
-			link.pending, link.spares = link.spares[n-1], link.spares[:n-1]
-		}
-		link.disarm()
-		link.log.SendBatch(p, batch) // copies by value: the array is ours again
-		r.noteFlush(len(batch))
-		clear(batch)
-		link.spares = append(link.spares, batch[:0])
-	}
-}
-
-// flushLink publishes what the link has buffered without blocking — it
-// runs in scheduler context, from the deadline and from flushForCommit.
-// A spill buffer the ring refuses — no capacity, or a reservation ticket
-// queued ahead — goes to the spill server, deadline disarmed: the one thing
-// that must be a process, because the blocking SendBatch that claims the
-// buffer's FIFO ticket needs a stack to park on.
+// flushLink publishes what the link holds without blocking — it runs in
+// scheduler context, from the outbox's deadline and from flushForCommit:
+// the open span, then whatever spilled behind it.
 func (r *Recorder) flushLink(link *replicaLink) {
 	r.commitSpan(link)
-	if len(link.pending) == 0 {
-		return
-	}
-	link.disarm()
-	if !link.log.TrySendBatch(link.pending) {
-		r.spillQ.WakeAll(0)
-		return
-	}
-	n := len(link.pending)
-	clear(link.pending)
-	link.pending = link.pending[:0]
-	r.noteFlush(n)
-}
-
-// arm starts the link's flush deadline d ahead; disarm stops it.
-func (link *replicaLink) arm(d time.Duration) {
-	link.due = false
-	link.deadline.Reset(d)
-}
-
-func (link *replicaLink) disarm() {
-	link.due = false
-	link.deadline.Cancel()
-}
-
-// deadlineFired publishes a partially filled batch FlushInterval after its
-// first tuple, bounding how long a tuple can sit buffered when the primary
-// goes quiet. The flush runs one zero-delay hop after the deadline expires
-// — behind everything already scheduled for that instant, so a tuple
-// emitted in the deadline's own instant still rides the batch. A kernel
-// that died with the deadline armed flushes nothing.
-func (r *Recorder) deadlineFired(link *replicaLink) {
-	if !link.due {
-		link.due = true
-		link.deadline.Reset(0)
-	} else if r.kern.Alive() && !link.dead {
-		r.flushLink(link)
-	}
-}
-
-// spillLoop is the spill server: it parks until flushLink finds a ring
-// that will not take a due spill buffer, then sends it blocking. It is
-// never woken while the rings have room.
-func (r *Recorder) spillLoop(t *kernel.Task) {
-	p := t.Proc()
-	for {
-		served := false
-		for _, link := range r.replicas {
-			if !link.dead && len(link.pending) > 0 && !link.deadline.Armed() {
-				r.flushPending(p, link)
-				served = true
-			}
-		}
-		if !served {
-			r.spillQ.Wait(p)
-		}
-	}
+	link.TryFlush()
 }
 
 // flushForCommit pushes every buffered tuple toward the backups before an
@@ -684,7 +567,7 @@ func (r *Recorder) spillLoop(t *kernel.Task) {
 // delivered.
 func (r *Recorder) flushForCommit() {
 	for _, link := range r.replicas {
-		if !link.dead {
+		if !link.Dead() {
 			r.flushLink(link)
 		}
 	}
@@ -746,35 +629,22 @@ func (r *Recorder) maybeTruncateEpochs() {
 }
 
 // truncateHistory drops the retained-log prefix below a verified epoch
-// boundary. verifiedSent is the absolute log index of the epoch marker:
-// every message below it is subsumed by a checkpoint a quorum of backups
-// holds, so retaining it buys nothing. Truncation above a boundary that
-// has NOT been verified would sacrifice the only copy of live catch-up
-// state — the guard clamps to the verified base.
+// boundary (verifiedSent is the absolute log index of the epoch marker): a
+// checkpoint a quorum of backups holds subsumes it.
 func (r *Recorder) truncateHistory(verifiedEpoch, verifiedSent uint64) {
-	if verifiedSent < r.histBase {
-		return // already truncated past this verified boundary
-	}
-	keep := verifiedSent - r.histBase
-	if keep > uint64(r.history.Len()) {
+	moved, ok := r.hist.truncate(verifiedEpoch, verifiedSent, &r.stats, r.sc)
+	if !ok {
 		panic("replication: verified epoch boundary beyond retained history")
 	}
-	for i := 0; i < int(keep); i++ {
-		r.histBytes -= int64(r.history.At(i).Size)
-	}
-	r.history.DropFront(int(keep))
-	r.histBase = verifiedSent
-	r.stats.LogTruncated += keep
-	r.sc.Emit(obs.EpochTruncate, 0, int64(verifiedEpoch), int64(keep))
-	if r.onEpochQuorum != nil {
+	if moved && r.onEpochQuorum != nil {
 		r.onEpochQuorum(verifiedEpoch)
 	}
 }
 
 // RetainedTuples and RetainedBytes expose the retained-log footprint for
 // the ftns.log.retained.* gauges.
-func (r *Recorder) RetainedTuples() int  { return r.history.Len() }
-func (r *Recorder) RetainedBytes() int64 { return r.histBytes }
+func (r *Recorder) RetainedTuples() int  { return r.hist.msgs.Len() }
+func (r *Recorder) RetainedBytes() int64 { return r.hist.bytes }
 
 // seedEpochs initializes the epoch counters on a recorder forked at
 // promotion, so the new primary's first cut continues the dead primary's
@@ -906,14 +776,14 @@ func (r *Recorder) fireStable() {
 // the recorder goes fully live. Index i matches the ring order given at
 // construction.
 func (r *Recorder) dropReplica(i int) {
-	if i < 0 || i >= len(r.replicas) || r.replicas[i].dead {
+	if i < 0 || i >= len(r.replicas) || r.replicas[i].Dead() {
 		return
 	}
 	r.abandonLink(r.replicas[i])
 	r.fireStable()
 	r.maybeTruncateEpochs() // the dead link no longer gates epoch quorum
 	for _, link := range r.replicas {
-		if !link.dead {
+		if !link.Dead() {
 			return
 		}
 	}
@@ -938,26 +808,23 @@ func (r *Recorder) goLive() {
 	// Unblock any section stalled on a full log ring: the receivers are
 	// gone, so the buffered log is discarded and the senders released.
 	for _, link := range r.replicas {
-		if !link.dead {
+		if !link.Dead() {
 			r.abandonLink(link)
 		}
 	}
 }
 
 // abandonLink marks a link dead and discards its unpublished state: the
-// spill buffer, the backlog, and — critically — its open span. An open
-// reservation on the dead ring would otherwise jam the ring's publication
-// sequence forever (the reserve-without-commit leak), stalling any sender
-// still parked on it; draining the ring then unblocks those senders.
+// backlog, its open span — an open reservation on the dead ring would
+// otherwise jam the ring's publication sequence forever, stalling any
+// sender still parked on it — and, killing the outbox, the spill buffer;
+// the kill's drain then unblocks those senders.
 func (r *Recorder) abandonLink(link *replicaLink) {
-	link.dead = true
-	r.noteMark(link)
-	link.disarm()
-	link.pending, link.spares = nil, nil
 	link.backlog, link.backlogHead = nil, 0
 	link.span.Abort()
 	link.span = shm.Span{}
-	link.log.Drain() // once: a second drain would abort the span this one hands a queued sender
+	link.Kill()
+	r.noteMark(link)
 }
 
 // degrade marks every backup dead but keeps recording: sections stay
@@ -965,7 +832,7 @@ func (r *Recorder) abandonLink(link *replicaLink) {
 // vacuous until a rejoined backup catches up.
 func (r *Recorder) degrade() {
 	for _, link := range r.replicas {
-		if !link.dead {
+		if !link.Dead() {
 			r.abandonLink(link)
 		}
 	}

@@ -98,7 +98,7 @@ func TestAckedAllSelectsWithoutAllocating(t *testing.T) {
 	reference := func(r *Recorder) uint64 {
 		var marks []uint64
 		for _, link := range r.replicas {
-			if !link.dead && !link.syncing {
+			if !link.Dead() && !link.syncing {
 				marks = append(marks, link.acked)
 			}
 		}
@@ -118,26 +118,28 @@ func TestAckedAllSelectsWithoutAllocating(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.CommitQuorum = quorum
 			_, log, acks, rec := newRecorderHarness(t, cfg, 64<<10)
-			for len(rec.replicas) < backups {
-				rec.addLink(&replicaLink{log: log, acks: acks})
+			// A dead link stays dead, so every state gets links of its own.
+			relink := func(state int, marks []uint64) {
+				rec.replicas = rec.replicas[:0]
+				for i := 0; i < backups; i++ {
+					link := &replicaLink{acks: acks, acked: marks[i], syncing: state>>(2*i)&2 != 0}
+					rec.addLink(link, log)
+					if state>>(2*i)&1 != 0 {
+						link.Kill()
+					}
+				}
 			}
 			rec.sent = 100
 			for _, marks := range acked {
 				for state := 0; state < 1<<(2*backups); state++ { // 2 bits per link: dead, syncing
-					for i, link := range rec.replicas {
-						link.acked = marks[i]
-						link.dead = state>>(2*i)&1 != 0
-						link.syncing = state>>(2*i)&2 != 0
-					}
+					relink(state, marks)
 					if got, want := rec.ackedAll(), reference(rec); got != want {
 						t.Fatalf("%d backups, quorum %d, acked %v, state %b: ackedAll = %d, want %d",
 							backups, quorum, marks[:backups], state, got, want)
 					}
 				}
 			}
-			for _, link := range rec.replicas {
-				link.dead, link.syncing = false, false
-			}
+			relink(0, acked[0])
 			if n := testing.AllocsPerRun(100, func() { rec.ackedAll() }); n != 0 {
 				t.Errorf("%d backups, quorum %d: ackedAll allocates %v per call, want 0", backups, quorum, n)
 			}

@@ -95,23 +95,18 @@ type Replayer struct {
 	// threads flushed by promotion delegate their sections to the fork so
 	// the history has no gap. headSubs are watermark callbacks used by the
 	// rejoin checkpoint verifier.
-	history   sim.Log[shm.Message]
-	histBytes int64 // retained payload footprint, a running sum like the recorder's
-	onFork    func(forkSeed)
-	headSubs  []headSub
+	hist     logWindow
+	onFork   func(forkSeed)
+	headSubs []headSub
 
-	// Epoch checkpointing (core.WithEpochCheckpoints): histBase is the
-	// absolute log index of history[0] — zero for a boot backup, the
-	// latest verified epoch boundary once truncation starts (or the
-	// checkpoint base for a replica seeded by SeedCheckpoint).
-	// baseSeqGlobal is the GlobalSeq the retained window starts at.
+	// Epoch checkpointing (core.WithEpochCheckpoints): baseSeqGlobal is
+	// the GlobalSeq the retained window starts at.
 	// epochSeen filters duplicate markers; epochBase is the seeded
 	// checkpoint's epoch (its own marker arrives first off the catch-up
 	// stream and is retained without re-verification). epochAckPend is
 	// an epoch ack the full ack ring refused, retried from the pull
 	// loop. onEpoch, set by core, verifies a marker's digest against
 	// the replayed state at its exact frontier.
-	histBase      uint64
 	baseSeqGlobal uint64
 	epochSeen     uint64
 	epochBase     uint64
@@ -256,8 +251,7 @@ func (r *Replayer) route(m shm.Message) {
 		}
 	}
 	if r.cfg.Rejoinable {
-		r.history.Append(m)
-		r.histBytes += int64(m.Size)
+		r.hist.append(m)
 	}
 	r.stats.LogMessages++
 }
@@ -336,7 +330,7 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 	r.frontier = seqGlobal
 	r.baseSeqGlobal = seqGlobal
 	r.processed = sent
-	r.histBase = sent
+	r.hist.base = sent
 	r.epochBase = epoch
 	for _, c := range objs {
 		r.objDone[c.Obj] = c.Seq
@@ -374,7 +368,7 @@ func (r *Replayer) noteEpoch(mark EpochMark) bool {
 	if r.onEpoch == nil || mark.Epoch <= r.epochBase {
 		return true
 	}
-	if at := r.histBase + uint64(r.history.Len()); at != mark.Sent {
+	if at := r.hist.end(); at != mark.Sent {
 		r.diverge(fmt.Sprintf("epoch %d marker arrived at log index %d, cut at %d", mark.Epoch, at, mark.Sent))
 		return true
 	}
@@ -413,30 +407,15 @@ func (r *Replayer) verifyEpoch(mark EpochMark) {
 }
 
 // truncateAt drops this replica's retained history below a verified
-// epoch marker. The marker itself stays as history[0] — the primary
-// retains it too after its quorum truncation, keeping both sides'
-// log-index spaces aligned. Truncating above an unverified boundary
-// would discard the only local copy of state a promotion might need, so
-// only a verified marker's base is accepted.
+// epoch marker; only a verified marker's base is accepted.
 func (r *Replayer) truncateAt(mark EpochMark) {
-	verified := mark.Sent
-	if verified < r.histBase {
-		return // already truncated past this verified boundary
-	}
-	keep := verified - r.histBase
-	if keep > uint64(r.history.Len()) {
+	moved, ok := r.hist.truncate(mark.Epoch, mark.Sent, &r.stats, r.sc)
+	if !ok {
 		r.diverge(fmt.Sprintf("epoch %d verified boundary %d beyond retained history end %d",
-			mark.Epoch, verified, r.histBase+uint64(r.history.Len())))
-		return
+			mark.Epoch, mark.Sent, r.hist.end()))
+	} else if moved {
+		r.baseSeqGlobal = mark.SeqGlobal
 	}
-	for i := 0; i < int(keep); i++ {
-		r.histBytes -= int64(r.history.At(i).Size)
-	}
-	r.history.DropFront(int(keep))
-	r.histBase = verified
-	r.baseSeqGlobal = mark.SeqGlobal
-	r.stats.LogTruncated += keep
-	r.sc.Emit(obs.EpochTruncate, 0, int64(mark.Epoch), int64(keep))
 }
 
 // sendEpochAck sends (or queues, when the ack ring is momentarily full)
@@ -464,9 +443,9 @@ func (r *Replayer) retryEpochAck() {
 
 // RetainedTuples and RetainedBytes expose the replica-side retained-log
 // footprint for the ftns.log.retained.* gauges.
-func (r *Replayer) RetainedTuples() int { return r.history.Len() }
+func (r *Replayer) RetainedTuples() int { return r.hist.msgs.Len() }
 
-func (r *Replayer) RetainedBytes() int64 { return r.histBytes }
+func (r *Replayer) RetainedBytes() int64 { return r.hist.bytes }
 
 func (r *Replayer) waitEnv(t *kernel.Task) map[string]string {
 	for !r.envReady && !r.live {
@@ -719,11 +698,11 @@ func (r *Replayer) finishPromotion() {
 		// Fork BEFORE flushing waiters: their sections must be recorded
 		// by the fork so the retained history stays gapless.
 		hist, n := r.replayedHistory()
-		r.onFork(forkSeed{hist: hist, histBase: r.histBase, seqGlobal: n, objSeq: r.objSeqSnapshot()})
+		r.onFork(forkSeed{hist: hist, seqGlobal: n, objSeq: r.objSeqSnapshot()})
 		// The fork owns the history now (Namespace.RetainedTuples reads
 		// the recorder from here on): a second copy would sit here unread
 		// for the rest of the run.
-		r.history, r.histBytes = sim.Log[shm.Message]{}, 0
+		r.hist = logWindow{}
 	}
 	order := r.waitOrder
 	r.waitOrder = nil
@@ -766,15 +745,15 @@ func (r *Replayer) objSeqSnapshot() map[uint64]uint64 {
 // their digests describe the dead primary's numbering, and the fork's
 // cutter starts a fresh boundary sequence over the renumbered space. It
 // returns the history and the fork's starting GlobalSeq.
-func (r *Replayer) replayedHistory() (out sim.Log[shm.Message], _ uint64) {
-	n := r.baseSeqGlobal
-	for i := 0; i < r.history.Len(); i++ {
-		m := *r.history.At(i)
+func (r *Replayer) replayedHistory() (logWindow, uint64) {
+	out, n := logWindow{base: r.hist.base}, r.baseSeqGlobal
+	for i := 0; i < r.hist.msgs.Len(); i++ {
+		m := *r.hist.msgs.At(i)
 		if m.Kind == msgEpoch {
 			continue
 		}
 		if m.Kind != msgTuple {
-			out.Append(m)
+			out.append(m)
 			continue
 		}
 		tu := tupleOf(m)
@@ -783,7 +762,7 @@ func (r *Replayer) replayedHistory() (out sim.Log[shm.Message], _ uint64) {
 		}
 		m.W[wGlobalSeq] = n
 		n++
-		out.Append(m)
+		out.append(m)
 	}
 	return out, n
 }

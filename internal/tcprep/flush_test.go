@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/tcpstack"
 )
 
 // flushes is what one flush leaves behind: a ring transfer, a SyncFlushes
@@ -18,11 +19,15 @@ func (w *syncWorld) flushes() flushes {
 
 func (f flushes) plus(n int64) flushes { return flushes{f.transfers + n, f.counted + n, f.sampled + n} }
 
+// The outbox's own behaviour — the deadline an event that fires once, the
+// no-op after a kill or a kernel death, the spill server's FIFO ticket — is
+// checked in internal/shm (TestOutbox*). What stays here is the sync
+// stream's: what a flush books, and the barrier that holds output behind it.
+
 // TestSyncDeadlinePublishesOnce: a partial batch of sync updates is
-// published exactly FlushInterval after its first entry, once, by an event
-// — no process is switched in; a sync barrier in the deadline's own instant,
-// on either side of it, still makes one transfer and one sample; and a
-// deadline that runs out on a dropped ring publishes nothing.
+// published FlushInterval after its first entry and booked once — one
+// transfer, one SyncFlushes count, one batch sample; and a sync barrier in
+// the deadline's own instant, on either side of it, still makes one.
 func TestSyncDeadlinePublishesOnce(t *testing.T) {
 	w := newSyncWorld(t)
 	defer w.sim.Shutdown()
@@ -40,13 +45,6 @@ func TestSyncDeadlinePublishesOnce(t *testing.T) {
 	run(start.Add(interval) - 1)
 	if got := w.flushes(); got != before {
 		t.Fatalf("before the deadline: %+v, want the update still buffered (%+v)", got, before)
-	}
-	switched := 0
-	w.sim.OnSwitch = func(sim.Time, string) { switched++ }
-	run(start.Add(interval))
-	w.sim.OnSwitch = nil
-	if got := w.flushes(); got != before.plus(1) || switched != 0 {
-		t.Fatalf("at the deadline: %+v with %d process switches, want %+v with none", got, switched, before.plus(1))
 	}
 	run(start.Add(time.Millisecond))
 	if got := w.flushes(); got != before.plus(1) {
@@ -74,22 +72,13 @@ func TestSyncDeadlinePublishesOnce(t *testing.T) {
 			t.Errorf("barrier %d hops behind the deadline's instant: %+v, want %+v (one flush, not two)", hops, got, before.plus(1))
 		}
 	}
-
-	before, start = w.flushes(), w.sim.Now()
-	w.prim.onAckIn(w.conn, 30)
-	link := w.prim.links[0]
-	w.prim.DropRing(0)
-	run(start.Add(time.Millisecond))
-	w.prim.deadlineFired(link) // expiry
-	w.prim.deadlineFired(link) // and its hop, whatever the event's state
-	if got := w.flushes(); got != before {
-		t.Errorf("after DropRing: %+v, want nothing published (%+v)", got, before)
-	}
 }
 
 // TestSyncSpillKeepsItsPlace: with a 2 KiB sync ring a buffer whose deadline
-// finds the ring full goes to the spill server, which claims its FIFO
-// ticket; an update that arrives while it waits is published behind it.
+// finds the ring full goes to the spill server; the sync barrier holds
+// output until the server's flush has booked it, and an update that arrives
+// while it waits — not merged into the batch already taken — is published
+// behind it.
 func TestSyncSpillKeepsItsPlace(t *testing.T) {
 	w := newSyncWorldRing(t, 2<<10)
 	defer w.sim.Shutdown()
@@ -99,9 +88,8 @@ func TestSyncSpillKeepsItsPlace(t *testing.T) {
 	if err := w.sim.RunFor(w.prim.cfg.FlushInterval + 10*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	if w.prim.spillQ.Len() != 0 || w.ring.Stats().ReserveWaits != 1 {
-		t.Fatalf("after the deadline: spill server parked at home = %v, %d reservations waiting; want it blocked on the ring",
-			w.prim.spillQ.Len() != 0, w.ring.Stats().ReserveWaits)
+	if w.ring.Stats().ReserveWaits != 1 {
+		t.Fatalf("after the deadline: %d reservations waiting; want the spill server blocked on the ring", w.ring.Stats().ReserveWaits)
 	}
 	w.prim.onPeerFin(w.conn)
 	released := false
@@ -122,17 +110,19 @@ func TestSyncSpillKeepsItsPlace(t *testing.T) {
 	if len(kinds) != 3 || kinds[0] != syncDataIn || sizes[0] != 1500 || kinds[1] != syncDataIn || sizes[1] != 600 || kinds[2] != syncPeerFin {
 		t.Errorf("consumer saw kinds %v with payloads %v; want data-in 1500, data-in 600, peer-fin", kinds, sizes)
 	}
-	if !released || w.prim.spillQ.Len() != 1 {
-		t.Errorf("barrier released = %v, spill server parked at home = %v; want both once the ring drained", released, w.prim.spillQ.Len() == 1)
+	if !released {
+		t.Error("barrier still holding output once the ring drained")
 	}
 }
 
 // TestDroppedRingUnblocksSyncSpillServer: the backup dies while the spill
-// server is parked in SendBatch on its full sync ring; the drain releases
-// it and it goes back to its own queue, and held output is let go.
+// server is parked on its full sync ring; the drain releases it, held
+// output is let go, and the batch it was carrying is neither put on the dead
+// ring nor booked as a flush.
 func TestDroppedRingUnblocksSyncSpillServer(t *testing.T) {
 	w := newSyncWorldRing(t, 2<<10)
 	defer w.sim.Shutdown()
+	w.prim.Instrument(nil, obs.NewRegistry())
 	w.prim.onDataIn(w.conn, make([]byte, 1500))
 	w.prim.flushForCommit()
 	w.prim.onDataIn(w.conn, make([]byte, 600))
@@ -144,12 +134,54 @@ func TestDroppedRingUnblocksSyncSpillServer(t *testing.T) {
 	if released || w.ring.Stats().ReserveWaits != 1 {
 		t.Fatalf("barrier released = %v, %d reservations waiting; want output held behind a blocked spill server", released, w.ring.Stats().ReserveWaits)
 	}
+	before, payloads := w.flushes(), w.ring.Stats().Payloads
 	w.prim.DropRing(0)
 	if err := w.sim.RunFor(time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if !released || w.prim.spillQ.Len() != 1 || w.prim.Streaming() {
-		t.Errorf("barrier released = %v, spill server parked at home = %v, streaming = %v; want true, true, false",
-			released, w.prim.spillQ.Len() == 1, w.prim.Streaming())
+	if !released || w.ring.OpenSpans() != 0 || w.prim.Streaming() {
+		t.Errorf("barrier released = %v, %d spans open on the dead ring, streaming = %v; want true, none, false",
+			released, w.ring.OpenSpans(), w.prim.Streaming())
+	}
+	if got := w.flushes(); got != before || w.ring.Stats().Payloads != payloads || w.prim.links[0].synced != w.prim.enqueued {
+		t.Errorf("after the drop: %+v with %d payloads on the ring, synced %d of %d; want %+v with %d, and the dead link level with enqueued",
+			got, w.ring.Stats().Payloads, w.prim.links[0].synced, w.prim.enqueued, before, payloads)
+	}
+}
+
+// TestRefusedAnnouncementStaysAhead: a connection established while the sync
+// ring is full is announced late, never out of order — the announcement
+// waits in the outbox, the connection's own updates queue behind it, and the
+// secondary, which looks every update up by an id it must already have been
+// told, applies them all.
+func TestRefusedAnnouncementStaysAhead(t *testing.T) {
+	w := newSyncWorldRing(t, 2<<10)
+	defer w.sim.Shutdown()
+	w.prim.onDataIn(w.conn, make([]byte, 1500))
+	w.prim.flushForCommit() // 1596 of 2048 bytes taken, no consumer
+	w.prim.onDataIn(w.conn, make([]byte, 400))
+	w.prim.flushForCommit() // refused: the spill server parks on the ring with it
+	late, err := w.prim.stack.Restore(tcpstack.ConnSnapshot{LocalPort: 80,
+		Remote: tcpstack.Addr{Host: "client", Port: 40001}, ISS: 3000, IRS: 4000, SndUna: 3001, RcvNxt: 4001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.prim.onEstablished(late)
+	w.prim.flushForCommit() // refused again: a ticket waits ahead
+	w.prim.onDataIn(late, []byte("hello"))
+	w.prim.onPeerFin(late)
+	applied := 0
+	w.sim.Spawn("apply", func(p *sim.Proc) {
+		for {
+			w.sec.apply(w.ring.Recv(p))
+			applied++
+		}
+	})
+	if err := w.sim.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	lc := w.sec.conns[keyOf(late)]
+	if applied != 5 || lc == nil || lc.iss != 3000 || string(lc.in.Bytes()) != "hello" || !lc.peerFin {
+		t.Errorf("%d updates applied, late connection %+v; want 5, announced with its input and its FIN", applied, lc)
 	}
 }

@@ -54,7 +54,7 @@ type Primary struct {
 	ids      map[ConnKey]uint64
 	lastSync uint64
 
-	spillQ sim.WaitQueue // parks the spill server until a ring refuses a due buffer
+	out shm.Outboxes // the links' outboxes, in link order, and their spill server
 
 	enqueued uint64 // logical updates accepted for syncing
 	// barrierQ[barrierHead:] are the output segments waiting for the sync
@@ -72,51 +72,15 @@ type Primary struct {
 	hSyncBatch *obs.Histogram
 }
 
-// syncLink is one backup's leg of the logical-state delta stream: its sync
-// ring, the updates buffered toward it, and the watermark of updates it
-// has on its ring. synced is measured in the primary-wide enqueued space —
-// a link attached mid-run starts at the then-current enqueued count, since
-// everything earlier reaches the backup through the checkpoint snapshot,
-// not the delta stream.
+// syncLink is one backup's leg of the logical-state delta stream: the
+// outbox in front of its sync ring, holding the updates buffered toward it,
+// and the watermark of updates it has on its ring. synced is measured in
+// the primary-wide enqueued space — a link attached mid-run starts at the
+// then-current enqueued count, since everything earlier reaches the backup
+// through the checkpoint snapshot, not the delta stream.
 type syncLink struct {
-	ring *shm.Ring
-	// pending are the buffered sync-ring entries, pendingReps the logical
-	// updates they stand for (coalesced ones ride along) and pendingBytes
-	// their accounted size. spare is the buffer's other array: updates that
-	// arrive while a blocking flush is stalled on the ring collect there.
-	pending      []shm.Message
-	spare        []shm.Message
-	pendingReps  uint64
-	pendingBytes int64
-	synced       uint64
-	dead         bool
-
-	// deadline bounds how long an update sits buffered: armed FlushInterval
-	// ahead by the first pending entry (arm), stopped when the buffer
-	// empties (disarm), and running flushLinkForCommit one zero-delay hop
-	// after it expires (due marks the hop, see deadlineFired). A buffer
-	// with no deadline armed is one the ring refused: the spill server's to
-	// send.
-	deadline sim.Event
-	due      bool
-}
-
-// arm starts the link's flush deadline d ahead; disarm stops it.
-func (link *syncLink) arm(d time.Duration) {
-	link.due = false
-	link.deadline.Reset(d)
-}
-
-func (link *syncLink) disarm() {
-	link.due = false
-	link.deadline.Cancel()
-}
-
-// dropPending discards what the link has buffered (the link died).
-func (link *syncLink) dropPending() {
-	link.disarm()
-	link.pending, link.spare = nil, nil
-	link.pendingReps, link.pendingBytes = 0, 0
+	shm.Outbox
+	synced uint64
 }
 
 // syncWaiter is an output segment waiting for the sync watermark.
@@ -201,6 +165,7 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 		clog:  cfg.History,
 		ids:   make(map[ConnKey]uint64),
 	}
+	p.out.Init(ns.Kernel().Sim(), p.cfg.FlushInterval, ns.Kernel().Alive)
 	for _, sync := range cfg.Syncs {
 		p.AttachRing(sync)
 	}
@@ -208,7 +173,7 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 	if len(p.links) == 0 {
 		p.EnableRetention()
 	}
-	ns.Kernel().Spawn("tcprep-spill", p.spillLoop)
+	ns.Kernel().Spawn("tcprep-spill", func(t *kernel.Task) { p.out.Serve(t.Proc()) })
 	return p
 }
 
@@ -228,7 +193,7 @@ func (p *Primary) hook(gate GateConfig) {
 func (p *Primary) liveLinks() int {
 	n := 0
 	for _, l := range p.links {
-		if !l.dead {
+		if !l.Dead() {
 			n++
 		}
 	}
@@ -240,7 +205,7 @@ func (p *Primary) liveLinks() int {
 func (p *Primary) minSynced() uint64 {
 	min := p.enqueued
 	for _, l := range p.links {
-		if l.dead {
+		if l.Dead() {
 			continue
 		}
 		if l.synced < min {
@@ -317,8 +282,14 @@ func (p *Primary) LogFootprint() int {
 // (or gone-live) primary that is what flips streaming back on. It returns
 // the link index for DropRing.
 func (p *Primary) AttachRing(sync *shm.Ring) int {
-	link := &syncLink{ring: sync, synced: p.enqueued}
-	link.deadline.Init(p.ns.Kernel().Sim(), func() { p.deadlineFired(link) })
+	link := &syncLink{synced: p.enqueued}
+	p.out.Attach(&link.Outbox, sync, link.TryFlush, func(n int, updates uint64) {
+		link.synced += updates
+		p.SyncFlushes++
+		p.sc.Emit(obs.SyncFlush, 0, int64(link.synced), int64(n))
+		p.hSyncBatch.Observe(int64(n))
+		p.fireBarrier()
+	})
 	p.links = append(p.links, link)
 	return len(p.links) - 1
 }
@@ -329,7 +300,7 @@ func (p *Primary) AttachRing(sync *shm.Ring) int {
 // drops the primary goes live (native-speed release). Link indices follow
 // construction/AttachRing order.
 func (p *Primary) DropRing(i int) {
-	if i < 0 || i >= len(p.links) || p.links[i].dead {
+	if i < 0 || i >= len(p.links) || p.links[i].Dead() {
 		return
 	}
 	if p.liveLinks() == 1 { // links[i] is the last live leg
@@ -344,10 +315,8 @@ func (p *Primary) DropRing(i int) {
 // stops gating the barrier, and its ring is drained — which unblocks a
 // spill server parked on it.
 func (p *Primary) kill(link *syncLink) {
-	link.dead = true
-	link.dropPending()
+	link.Kill()
 	link.synced = p.enqueued
-	link.ring.Drain()
 }
 
 // Instrument attaches an event scope (sync-ring flushes, going live)
@@ -355,12 +324,6 @@ func (p *Primary) kill(link *syncLink) {
 func (p *Primary) Instrument(sc *obs.Scope, reg *obs.Registry) {
 	p.sc = sc
 	p.hSyncBatch = reg.Histogram("tcprep.sync.batch", "updates")
-}
-
-// noteFlush records one vectored sync flush carrying n ring entries.
-func (p *Primary) noteFlush(link *syncLink, n int) {
-	p.sc.Emit(obs.SyncFlush, 0, int64(link.synced), int64(n))
-	p.hSyncBatch.Observe(int64(n))
 }
 
 // GoLive stops syncing after the last backup's death: buffered updates are
@@ -372,7 +335,7 @@ func (p *Primary) GoLive() {
 	}
 	p.sc.Emit(obs.GoLive, 0, int64(p.enqueued), 0)
 	for _, link := range p.links {
-		if !link.dead {
+		if !link.Dead() {
 			p.kill(link)
 		}
 	}
@@ -470,10 +433,10 @@ func (p *Primary) ingress(seg *tcpstack.Segment) bool {
 	}
 	need := int64(len(seg.Data)) + 128
 	for _, link := range p.links {
-		if link.dead {
+		if link.Dead() {
 			continue
 		}
-		if link.ring.Free()-link.pendingBytes < need {
+		if link.Ring().Free()-link.Bytes() < need {
 			return false
 		}
 	}
@@ -518,25 +481,14 @@ func (p *Primary) trySync(m shm.Message) {
 	}
 	p.enqueued++
 	for _, link := range p.links {
-		if link.dead || p.coalesce(link, m) {
+		if link.Dead() || p.coalesce(link, m) {
 			continue
 		}
-		p.buffer(link, m)
-		if len(link.pending) >= p.cfg.BatchUpdates {
-			p.flushLinkForCommit(link)
+		link.Add(m)
+		if link.Len() >= p.cfg.BatchUpdates {
+			link.TryFlush()
 		}
 	}
-}
-
-// buffer appends one entry to the link's pending buffer; the first arms the
-// flush deadline.
-func (p *Primary) buffer(link *syncLink, m shm.Message) {
-	if len(link.pending) == 0 {
-		link.arm(p.cfg.FlushInterval)
-	}
-	link.pending = append(link.pending, m)
-	link.pendingReps++
-	link.pendingBytes += int64(m.Size)
 }
 
 // coalesce merges an update into the link's newest pending entry when both
@@ -545,27 +497,22 @@ func (p *Primary) buffer(link *syncLink, m shm.Message) {
 // tail entry is considered so the ring order of updates is preserved
 // exactly.
 func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
-	n := len(link.pending)
-	if n == 0 {
-		return false
-	}
-	tail := &link.pending[n-1]
-	if tail.Kind != m.Kind || tail.W[0] != m.W[0] {
+	tail := link.Tail()
+	if tail == nil || tail.Kind != m.Kind || tail.W[0] != m.W[0] {
 		return false
 	}
 	switch m.Kind {
 	case syncDataIn:
 		tail.Data = append(tail.Data, m.Data...)
-		tail.Size += len(m.Data)
-		link.pendingBytes += int64(len(m.Data))
+		link.Merged(len(m.Data))
 	case syncAckOut:
 		if m.W[1] > tail.W[1] {
 			tail.W[1] = m.W[1]
 		}
+		link.Merged(0)
 	default:
 		return false
 	}
-	link.pendingReps++
 	p.SyncCoalesced++
 	return true
 }
@@ -575,90 +522,8 @@ func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
 // caught up.
 func (p *Primary) flushForCommit() {
 	for _, link := range p.links {
-		if !link.dead {
-			p.flushLinkForCommit(link)
-		}
-	}
-}
-
-// flushLinkForCommit is the non-blocking flush, run in scheduler context by
-// a full buffer, the sync barrier and the deadline. A buffer the ring
-// cannot take right now — no capacity, or an earlier blocked flush holds a
-// reservation ticket ahead of it — goes to the spill server, deadline
-// disarmed: the one thing that must be a process, because the blocking
-// SendBatch that claims the buffer's FIFO ticket needs a stack to park on.
-func (p *Primary) flushLinkForCommit(link *syncLink) {
-	n := len(link.pending)
-	if n == 0 {
-		return
-	}
-	link.disarm()
-	if !link.ring.TrySendBatch(link.pending) {
-		p.spillQ.WakeAll(0)
-		return
-	}
-	clear(link.pending)
-	link.pending = link.pending[:0]
-	link.synced += link.pendingReps
-	link.pendingReps, link.pendingBytes = 0, 0
-	p.SyncFlushes++
-	p.noteFlush(link, n)
-	p.fireBarrier()
-}
-
-// deadlineFired publishes a partially filled buffer FlushInterval after its
-// first entry, when no output commit forced it out sooner. The flush runs
-// one zero-delay hop after the deadline expires — behind everything
-// already scheduled for that instant, so an update arriving in the
-// deadline's own instant still rides the batch. A kernel that died with
-// the deadline armed flushes nothing.
-func (p *Primary) deadlineFired(link *syncLink) {
-	if !link.due {
-		link.due = true
-		link.deadline.Reset(0)
-	} else if p.ns.Kernel().Alive() && !link.dead {
-		p.flushLinkForCommit(link)
-	}
-}
-
-// flushSync is the blocking flush used from task context. It needs no
-// per-link serialization: SendBatch rides the ring's reserve/commit path,
-// and a blocked flush already holds its reservation ticket, so a batch
-// taken later is admitted — and published — strictly after it. Updates
-// that buffer while the send is stalled are either taken by a later flush
-// (ordered behind this one by its ticket) or pushed at their own deadline.
-func (p *Primary) flushSync(proc *sim.Proc, link *syncLink) {
-	if link.dead || len(link.pending) == 0 {
-		return
-	}
-	msgs, reps := link.pending, link.pendingReps
-	link.pending, link.spare = link.spare, nil
-	link.pendingReps, link.pendingBytes = 0, 0
-	link.disarm()
-	link.ring.SendBatch(proc, msgs) // copies by value: the array is ours again
-	link.synced += reps
-	p.SyncFlushes++
-	p.noteFlush(link, len(msgs))
-	clear(msgs)
-	link.spare = msgs[:0]
-	p.fireBarrier()
-}
-
-// spillLoop is the spill server: it parks until flushLinkForCommit finds a
-// ring that will not take a due buffer, then sends it blocking. It is never
-// woken while the rings have room.
-func (p *Primary) spillLoop(t *kernel.Task) {
-	proc := t.Proc()
-	for {
-		served := false
-		for _, link := range p.links {
-			if !link.dead && len(link.pending) > 0 && !link.deadline.Armed() {
-				p.flushSync(proc, link)
-				served = true
-			}
-		}
-		if !served {
-			p.spillQ.Wait(proc)
+		if !link.Dead() {
+			link.TryFlush()
 		}
 	}
 }
@@ -728,9 +593,9 @@ func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) 
 	m.Ref = &key
 	p.enqueued++
 	for _, link := range p.links {
-		if !link.dead {
-			p.buffer(link, m)
-			p.flushSync(th.Task().Proc(), link)
+		if !link.Dead() {
+			link.Add(m)
+			link.Flush(th.Task().Proc())
 		}
 	}
 }

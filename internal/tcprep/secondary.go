@@ -173,12 +173,11 @@ func (s *Secondary) apply(m shm.Message) {
 		s.bindQ.WakeAll(0)
 		return
 	}
-	// An id nobody announced belongs to a connection the primary reset
-	// because its announcement found the ring full; nothing to maintain.
+	// Every id was announced first: by the connection's syncConnMeta, ahead
+	// of this update on the same FIFO ring — an announcement the ring
+	// refuses stays buffered in front of whatever follows it — or by the
+	// snapshot that seeded this replica, before its pull loop started.
 	lc := s.bySync[m.W[0]]
-	if lc == nil {
-		return
-	}
 	switch m.Kind {
 	case syncDataIn:
 		lc.in.Append(m.Data)

@@ -79,24 +79,29 @@ func TestCoalesceMergesTailOnly(t *testing.T) {
 	ackOut := func(id, acked uint64) shm.Message {
 		return syncMessage(syncAckOut, ackOutBytes, id, acked, 0)
 	}
-	p := &Primary{cfg: SyncConfig{BatchUpdates: 8}}
-	link := &syncLink{}
-	p.links = append(p.links, link)
+	w := newSyncWorld(t)
+	defer w.sim.Shutdown()
+	p, link := w.prim, w.prim.links[0]
+	// flushed publishes the buffer and reports the logical updates it stood for.
+	flushed := func() uint64 {
+		before := link.synced
+		link.TryFlush()
+		return link.synced - before
+	}
 
 	// Seed one pending data-in entry for c1.
-	link.pending = append(link.pending, dataIn(c1, "abc"))
-	link.pendingReps, link.pendingBytes = 1, 35
+	link.Add(dataIn(c1, "abc"))
 
 	// Same connection, same kind: appends into the tail entry.
 	if !p.coalesce(link, dataIn(c1, "def")) {
 		t.Fatal("data-in for the same stream did not coalesce")
 	}
-	tail := link.pending[len(link.pending)-1]
+	tail := link.Tail()
 	if string(tail.Data) != "abcdef" {
 		t.Errorf("merged data = %q, want abcdef", tail.Data)
 	}
-	if tail.Size != 38 || link.pendingReps != 2 || link.pendingBytes != 38 || p.SyncCoalesced != 1 {
-		t.Errorf("size=%d reps=%d bytes=%d coalesced=%d, want 38/2/38/1", tail.Size, link.pendingReps, link.pendingBytes, p.SyncCoalesced)
+	if tail.Size != 38 || link.Len() != 1 || link.Bytes() != 38 || p.SyncCoalesced != 1 {
+		t.Errorf("size=%d entries=%d bytes=%d coalesced=%d, want 38/1/38/1", tail.Size, link.Len(), link.Bytes(), p.SyncCoalesced)
 	}
 
 	// Different connection: must NOT merge (it is a different stream).
@@ -107,28 +112,31 @@ func TestCoalesceMergesTailOnly(t *testing.T) {
 	if p.coalesce(link, ackOut(c1, 10)) {
 		t.Error("ack-out coalesced into a data-in entry")
 	}
+	if reps := flushed(); reps != 2 {
+		t.Errorf("one entry carrying a merged update stood for %d updates, want 2", reps)
+	}
 
 	// Ack-out entries collapse to the highest watermark; stale acks are
 	// absorbed without rolling it back.
-	link.pending, link.pendingReps = []shm.Message{ackOut(c1, 100)}, 1
+	link.Add(ackOut(c1, 100))
 	if !p.coalesce(link, ackOut(c1, 250)) {
 		t.Fatal("higher ack-out did not coalesce")
 	}
 	if !p.coalesce(link, ackOut(c1, 180)) {
 		t.Fatal("stale ack-out did not coalesce")
 	}
-	if acked := link.pending[0].W[1]; acked != 250 {
-		t.Errorf("collapsed ack watermark = %d, want 250", acked)
-	}
-	if link.pendingReps != 3 {
-		t.Errorf("reps = %d, want 3", link.pendingReps)
+	if acked := link.Tail().W[1]; acked != 250 || link.Len() != 1 {
+		t.Errorf("collapsed ack watermark = %d in %d entries, want 250 in 1", acked, link.Len())
 	}
 
 	// Only the tail is eligible: a newer entry of another kind fences off
 	// older ones, preserving ring order exactly.
-	link.pending = append(link.pending, syncMessage(syncPeerFin, peerFinBytes, c1, 0, 0))
+	link.Add(syncMessage(syncPeerFin, peerFinBytes, c1, 0, 0))
 	if p.coalesce(link, ackOut(c1, 300)) {
 		t.Error("ack-out merged past an interleaved update, breaking order")
+	}
+	if reps := flushed(); reps != 4 {
+		t.Errorf("reps = %d, want 4 (three acks in one entry, one fin)", reps)
 	}
 }
 
