@@ -97,7 +97,7 @@ golden:
 # the four packages is over its ceiling, so the series cannot drift up
 # silently. A PR that shrinks a package lowers its ceiling to the number
 # it reaches; raising one needs a reason in the PR text.
-LOC_CEILINGS := core=2072 replication=2880 tcprep=1682 shm=1112
+LOC_CEILINGS := core=2050 replication=2870 tcprep=1545 shm=1112
 
 loc:
 	@count() { ls internal/$$1/*.go | grep -v _test.go | xargs cat | wc -l; }; total=0; over=0; \

@@ -83,7 +83,7 @@ func run() error {
 		100*fab.Throughput(window)/bab.Throughput(window))
 	st := sys.Fabric.Stats()
 	fmt.Printf("\ninter-replica traffic: %d messages, %.1f MB total\n", st.Messages, float64(st.Bytes)/1e6)
-	fmt.Printf("secondary replayed %d sections with %d divergences; %d logical TCP conns held\n",
+	fmt.Printf("secondary replayed %d sections with %d divergences; %d logical TCP connection records held (one per connection, closed ones included)\n",
 		sys.Secondary.NS.Stats().Sections, sys.Secondary.NS.Stats().Divergences, sys.Secondary.TCPSync.Conns())
 	return nil
 }

@@ -86,24 +86,7 @@ func (b *Baseline) AttachNetwork(link simnet.LinkConfig) (*Client, error) {
 	if b.serverNIC != nil {
 		return nil, fmt.Errorf("core: network already attached")
 	}
-	cm := hw.New(b.Sim, clientProfile())
-	cp, err := cm.NewPartition("client", 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	ck, err := kernel.Boot(cp, kernel.Config{Name: "client", Params: b.Cfg.Kernel})
-	if err != nil {
-		return nil, err
-	}
-	b.serverNIC = simnet.NewNIC("server", b.nic)
-	clientNIC := simnet.NewNIC("client", nil)
-	l, err := simnet.Connect(b.Sim, clientNIC, b.serverNIC, link)
-	if err != nil {
-		return nil, err
-	}
-	cstack := tcpstack.New(ck, "client", b.Cfg.TCP)
-	cstack.Attach(clientNIC)
-	b.Stack.Attach(b.serverNIC)
-	b.nic.Preload(b.Kernel)
-	return &Client{Kernel: ck, Stack: cstack, NIC: clientNIC, Link: l}, nil
+	nic, c, err := attachNetwork(b.Sim, b.Cfg, b.nic, b.Kernel, b.Stack, link)
+	b.serverNIC = nic
+	return c, err
 }

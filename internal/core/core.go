@@ -388,18 +388,9 @@ func build(cfg Config) (*System, error) {
 	pStack := tcpstack.New(kerns[0], "server", cfg.TCP)
 	prim := tcprep.NewPrimary(pns, pStack, tcprep.PrimaryConfig{Syncs: syncs, Sync: cfg.TCPSync})
 	prim.Instrument(tr.Scope("primary/tcprep"), tr.Registry())
-	if cfg.Rejoin {
-		// Retention on both sides: the primary keeps the full logical TCP
-		// history for checkpointing, the backups keep their synced input
-		// streams so a later promotion can checkpoint in turn.
-		prim.EnableRetention()
-	}
 	secs := make([]*tcprep.Secondary, n-1)
 	for i := 1; i < n; i++ {
-		secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1], tcprep.SecondaryConfig{
-			Cost:   tcprep.DefaultSecondaryCost,
-			Retain: cfg.Rejoin,
-		})
+		secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1], tcprep.SecondaryConfig{})
 	}
 
 	genesis := rejoin.Genesis()
@@ -804,11 +795,11 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 		surv.Stack = stack
 		if sys.Cfg.Rejoin {
 			// Keep recording: wrap the new stack in a detached primary
-			// seeded with the promoted logical history, so a rejoining
-			// backup can be checkpointed later. Same sim instant as
-			// Promote's restore — no segment can slip between them.
+			// that carries on the promoted backup's connection table, so a
+			// rejoining backup can be checkpointed later. Same sim instant
+			// as Promote's restore — no segment can slip between them.
 			dp := tcprep.NewPrimary(surv.NS, stack, tcprep.PrimaryConfig{
-				Sync: sys.Cfg.TCPSync, History: surv.TCPSync.HistoryLog()})
+				Sync: sys.Cfg.TCPSync, History: surv.TCPSync.Table()})
 			dp.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/tcprep", sys.generation+1)), nil)
 			surv.TCPPrim = dp
 			surv.Sockets.AdoptPrimary(dp)

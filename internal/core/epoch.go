@@ -139,7 +139,7 @@ func cutReplica(rep *Replica, epoch, sent uint64) *rejoin.Checkpoint {
 // precopySources enumerates the recording replica's state components for
 // the pre-copy engine: the FT-namespace cursor/env state (each det
 // section dirties ~32 bytes of cursor vector), the logical TCP
-// connection log, and every restorable app's snapshot state.
+// connection table, and every restorable app's snapshot state.
 func (sys *System) precopySources(rep *Replica) []rejoin.Source {
 	srcs := []rejoin.Source{rejoin.FuncSource{
 		SourceName: "ftns",
@@ -147,11 +147,11 @@ func (sys *System) precopySources(rep *Replica) []rejoin.Source {
 		Dirty:      func() uint64 { return rep.NS.SeqGlobal() * 32 },
 	}}
 	if rep.TCPPrim != nil {
-		prim := rep.TCPPrim
+		table := rep.TCPPrim.Table()
 		srcs = append(srcs, rejoin.FuncSource{
 			SourceName: "tcprep",
-			Total:      prim.LogFootprint,
-			Dirty:      prim.LogDirtied,
+			Total:      table.Footprint,
+			Dirty:      table.Dirtied,
 		})
 	}
 	for _, a := range rep.apps {

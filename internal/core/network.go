@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcpstack"
 )
@@ -39,28 +40,35 @@ func (sys *System) AttachNetwork(link simnet.LinkConfig) (*Client, error) {
 	if sys.serverNIC != nil {
 		return nil, fmt.Errorf("core: network already attached")
 	}
-	cm := hw.New(sys.Sim, clientProfile())
-	cp, err := cm.NewPartition("client", 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	ckParams := sys.Cfg.Kernel
-	ck, err := kernel.Boot(cp, kernel.Config{Name: "client", Params: ckParams})
-	if err != nil {
-		return nil, err
-	}
-	sys.serverNIC = simnet.NewNIC("server", sys.nic)
-	clientNIC := simnet.NewNIC("client", nil)
-	l, err := simnet.Connect(sys.Sim, clientNIC, sys.serverNIC, link)
-	if err != nil {
-		return nil, err
-	}
-	cstack := tcpstack.New(ck, "client", sys.Cfg.TCP)
-	cstack.Attach(clientNIC)
-	sys.Primary.Stack.Attach(sys.serverNIC)
+	nic, c, err := attachNetwork(sys.Sim, sys.Cfg, sys.nic, sys.Primary.Kernel, sys.Primary.Stack, link)
+	sys.serverNIC = nic
+	return c, err
+}
 
-	// The primary's boot-time driver initialization predates the
+// attachNetwork boots a client machine and links it to a new server NIC on
+// dev, which serves stack on kernel k, and returns that NIC. It is the one
+// network set-up of the replicated system and the baseline.
+func attachNetwork(s *sim.Simulation, cfg Config, dev *kernel.Device, k *kernel.Kernel, stack *tcpstack.Stack, link simnet.LinkConfig) (*simnet.NIC, *Client, error) {
+	cp, err := hw.New(s, clientProfile()).NewPartition("client", 0, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	ck, err := kernel.Boot(cp, kernel.Config{Name: "client", Params: cfg.Kernel})
+	if err != nil {
+		return nil, nil, err
+	}
+	serverNIC := simnet.NewNIC("server", dev)
+	clientNIC := simnet.NewNIC("client", nil)
+	l, err := simnet.Connect(s, clientNIC, serverNIC, link)
+	if err != nil {
+		return nil, nil, err
+	}
+	cstack := tcpstack.New(ck, "client", cfg.TCP)
+	cstack.Attach(clientNIC)
+	stack.Attach(serverNIC)
+
+	// The serving kernel's boot-time driver initialization predates the
 	// measurement window; only failover reloads pay the load time (§4.4).
-	sys.nic.Preload(sys.Primary.Kernel)
-	return &Client{Kernel: ck, Stack: cstack, NIC: clientNIC, Link: l}, nil
+	dev.Preload(k)
+	return serverNIC, &Client{Kernel: ck, Stack: cstack, NIC: clientNIC, Link: l}, nil
 }

@@ -150,11 +150,7 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	})
 	// DeferPull: the backup must seed the checkpoint before consuming
 	// deltas; the sync ring buffers them meanwhile.
-	bsec := tcprep.NewSecondary(bk, tcpSync, tcprep.SecondaryConfig{
-		Cost:      tcprep.DefaultSecondaryCost,
-		Retain:    true,
-		DeferPull: true,
-	})
+	bsec := tcprep.NewSecondary(bk, tcpSync, tcprep.SecondaryConfig{DeferPull: true})
 	// The seed: the survivor's latest checkpoint, which is also the latest
 	// one the new backup holds until it verifies a later boundary itself.
 	cp := surv.lastCP

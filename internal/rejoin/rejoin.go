@@ -173,7 +173,7 @@ func (cp *Checkpoint) digest() uint64 {
 		h.Write(c.In)
 	}
 	for _, b := range cp.TCP.Binds {
-		fmt.Fprintf(h, "|b%d>%d/%s:%d", b.ID, b.Key.LocalPort, b.Key.RemoteHost, b.Key.RemotePort)
+		fmt.Fprintf(h, "|b%d>%d", b.ID, b.Conn)
 	}
 	return h.Sum64()
 }

@@ -71,10 +71,7 @@ func testCheckpoint() *Checkpoint {
 				In:    in,
 				Acked: 4096,
 			}},
-			Binds: []tcprep.BindSnap{{
-				ID:  3,
-				Key: tcprep.ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 9999},
-			}},
+			Binds: []tcprep.BindSnap{{ID: 3, Conn: 0}},
 		},
 	}
 	cp.Seal()

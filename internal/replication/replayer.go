@@ -182,7 +182,6 @@ func (r *Replayer) head() uint64 { return r.frontier }
 // grant tasks pay it concurrently, lifting that ceiling by the shard
 // count.
 func (r *Replayer) pullLoop(t *kernel.Task) {
-	var lastAcked uint64
 	for {
 		batch := r.log.RecvBatchInto(t.Proc(), r.recvBuf[:0], r.cfg.BatchTuples)
 		r.recvBuf = batch
@@ -194,13 +193,10 @@ func (r *Replayer) pullLoop(t *kernel.Task) {
 		if len(batch) > 1 {
 			r.stats.LogBatches++
 		}
-		if r.cfg.AckEvery > 0 && r.processed-lastAcked >= uint64(r.cfg.AckEvery) {
-			if r.acks.TrySend(ackMessage(msgTuple, r.processed)) {
-				lastAcked = r.processed
-				r.stats.AckMessages++
-				r.cAcks.Inc()
-				r.sc.Emit(obs.AckSend, 0, int64(r.processed), 0)
-			}
+		if r.acks.TrySend(ackMessage(msgTuple, r.processed)) {
+			r.stats.AckMessages++
+			r.cAcks.Inc()
+			r.sc.Emit(obs.AckSend, 0, int64(r.processed), 0)
 		}
 		r.retryEpochAck()
 		for _, m := range batch {

@@ -238,11 +238,6 @@ type Config struct {
 	// StrictOutputCommit selects waiting for secondary acknowledgements
 	// before releasing network output; false is the §3.5 relaxed mode.
 	StrictOutputCommit bool
-	// AckEvery makes the secondary acknowledge once at least N messages
-	// have been processed since the last ack (1 = eager, required for
-	// low-latency strict output commit). Acks are cumulative, so a single
-	// ack covers a whole ingested batch.
-	AckEvery int
 	// PanicOnDivergence makes the secondary kernel panic when replay
 	// diverges (default counts divergences, for the FIFO-futex ablation).
 	PanicOnDivergence bool
@@ -336,7 +331,6 @@ func DefaultConfig() Config {
 		ReplaySectionCost:  3 * time.Microsecond,
 		LogRingBytes:       2 << 20,
 		StrictOutputCommit: true,
-		AckEvery:           1,
 		BatchTuples:        8,
 		FlushInterval:      defaultFlushInterval,
 	}

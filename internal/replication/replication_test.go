@@ -724,41 +724,12 @@ func TestStrictCommitForcesFlush(t *testing.T) {
 	}
 }
 
-// TestAckEveryCumulativeAcks verifies AckEvery>1 produces cumulative
-// acknowledgements: roughly one ack message per N processed tuples, each
-// carrying the full processed count.
-func TestAckEveryCumulativeAcks(t *testing.T) {
-	cfg := replication.DefaultConfig()
-	cfg.BatchTuples = 1
-	cfg.AckEvery = 4
-	d := newDuo(t, 32, cfg, true)
-	var pCount, sCount int
-	d.pns.Start("app", nil, lockCounterApp(&pCount, 2, 30))
-	d.sns.Start("app", nil, lockCounterApp(&sCount, 2, 30))
-	if err := d.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := d.sns.Stats()
-	total := st.LogMessages
-	if total < 40 {
-		t.Fatalf("only %d log messages processed", total)
-	}
-	if st.AckMessages != uint64(d.acks.Stats().Payloads) {
-		t.Errorf("AckMessages=%d but acks ring carried %d payloads", st.AckMessages, d.acks.Stats().Payloads)
-	}
-	lo, hi := total/4-1, total/4+2
-	if st.AckMessages < lo || st.AckMessages > hi {
-		t.Errorf("AckMessages = %d for %d processed, want ~%d (cumulative every 4)", st.AckMessages, total, total/4)
-	}
-}
-
 // TestBatchedAcksCoalesce verifies batch ingestion acks once per drained
-// batch even with AckEvery=1: the acks ring traffic drops well below one
-// message per tuple while output commit still completes.
+// batch: the acks are cumulative, so the acks ring traffic drops well below
+// one message per tuple while output commit still completes.
 func TestBatchedAcksCoalesce(t *testing.T) {
 	cfg := replication.DefaultConfig()
 	cfg.BatchTuples = 8
-	cfg.AckEvery = 1
 	d := newDuo(t, 33, cfg, true)
 	var pCount, sCount int
 	var released sim.Time

@@ -1,7 +1,8 @@
 // Package streambuf is the byte queue under every TCP stream buffer of the
 // simulation: a connection's send and receive buffers (tcpstack) and a
-// backup's logical input and regenerated-output streams (tcprep). All four
-// append at the back and discard at the front, forever; a plain slice used
+// logical connection's input and regenerated-output streams (tcprep). All
+// four append at the back, and all but the retained input stream discard at
+// the front, forever; a plain slice used
 // that way (buf = append(buf, p...), buf = buf[n:]) re-allocates the whole
 // live window each time its capacity slides off the front, which made the
 // simulator move every payload byte through fresh memory a dozen times.
@@ -12,7 +13,7 @@
 // the window runs), and doubles the array otherwise. It is sized by use: an
 // empty window holds no memory. Backing arrays come from and return to a
 // Pool — a free list the owner of the windows holds (a tcpstack.Stack, a
-// tcprep.Secondary), never the package, so two simulations in one process
+// tcprep.ConnTable), never the package, so two simulations in one process
 // share nothing and the allocation count of a run does not depend on the
 // garbage collector's timing. See DESIGN.md §20.
 package streambuf

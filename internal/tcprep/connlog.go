@@ -1,113 +1,150 @@
 package tcprep
 
-// ConnLog retains the complete logical TCP history of a replicated stack —
-// every connection's full in-order input stream from byte zero, the
-// client-acknowledged output watermark, and the det-log socket bindings —
-// so a fresh backup can be re-integrated after a failure (§3.7): the
-// rejoining replica replays the application from the beginning and re-reads
-// input that the original secondary would long since have consumed.
+import (
+	"repro/internal/sim"
+	"repro/internal/streambuf"
+	"repro/internal/tcpstack"
+)
+
+// ConnTable is the logical TCP state of a replicated stack (§3.4), in the
+// one shape every replica keeps it: the recording side's table, updated from
+// its stack's callbacks, and each backup's, updated from the sync ring, go
+// through the same six mutators, so a backup's table is the recording side's
+// as of the last update it applied. It holds one record per connection
+// incarnation in establishment order — a four-tuple the client reuses after
+// its connection was reaped starts a new record — with every connection's
+// full in-order input stream from byte zero, the client-acknowledged output
+// watermark, and the det-log socket bindings.
 //
-// The log lives on whichever side currently records: the initial primary
-// keeps one from construction (EnableRetention), and a promoted secondary
-// converts its retained logical connections into one (HistoryLog) for the
-// detached primary that carries the history forward.
-type ConnLog struct {
-	conns     map[ConnKey]*connHist
-	order     []ConnKey // establishment order, for deterministic snapshots
-	binds     map[uint64]ConnKey
+// The table always retains: a reaped connection keeps its record and a
+// replayed read keeps the bytes it consumed, because a backup re-integrated
+// after a failure replays the application from its seed and re-reads input
+// the original backup consumed long ago (§3.7). Rejoin snapshots the
+// recording side's table (snapshot) into the new backup's (seed); at
+// failover the promoted backup's table becomes its detached primary's.
+type ConnTable struct {
+	conns     []*LogicalConn
+	byKey     map[ConnKey]*LogicalConn // each four-tuple's latest record
+	binds     map[uint64]*LogicalConn
 	bindOrder []uint64
-	// mut counts cumulative bytes of logical state dirtied by the
-	// mutators above, feeding the epoch pre-copy engine's convergence
-	// estimate (rejoin.Source).
-	mut uint64
+	// mut counts cumulative bytes of logical state dirtied by the mutators,
+	// feeding the epoch pre-copy engine's convergence estimate
+	// (rejoin.Source).
+	mut  uint64
+	bufs streambuf.Pool // backing arrays of the records' windows
 }
 
-// connHist is one connection's retained logical history.
-type connHist struct {
+// LogicalConn is one incarnation of a replicated connection's logical TCP
+// state. Offsets are 0-based stream offsets; ISS and IRS map them back to
+// raw sequence numbers at promotion.
+type LogicalConn struct {
 	key      ConnKey
 	iss, irs uint64
-	in       []byte // full in-order input stream from offset 0
-	acked    uint64 // client-acknowledged output-stream watermark
-	peerFin  bool
-	gone     bool // reaped from the live stack (history still needed)
+	at       int // index in ConnTable.conns
+
+	in      streambuf.Window // the full in-order input stream
+	acked   uint64           // client-acknowledged output-stream watermark
+	peerFin bool
+	gone    bool // reaped from the recording side's stack
+
+	// What only a backup uses. inRead marks how far the replayed
+	// application has read in. out holds replica-regenerated output bytes
+	// [outBase, outBase+Len): everything the client has not acknowledged,
+	// retransmittable after failover. outBase advances with the acked
+	// watermark, but never past what the replica has regenerated, so output
+	// produced later is trimmed on arrival instead of being retransmitted
+	// to a client that already acknowledged it.
+	inRead    int
+	out       streambuf.Window
+	outBase   uint64
+	appClosed bool
+	dataQ     sim.WaitQueue
+	live      *tcpstack.Conn // the real connection after promotion
 }
 
-// NewConnLog returns an empty connection log.
-func NewConnLog() *ConnLog {
-	return &ConnLog{
-		conns: make(map[ConnKey]*connHist),
-		binds: make(map[uint64]ConnKey),
+// newConnTable returns an empty table.
+func newConnTable() *ConnTable {
+	return &ConnTable{
+		byKey: make(map[ConnKey]*LogicalConn),
+		binds: make(map[uint64]*LogicalConn),
 	}
 }
 
-func (cl *ConnLog) hist(key ConnKey) *connHist {
-	h, ok := cl.conns[key]
-	if !ok {
-		h = &connHist{key: key}
-		cl.conns[key] = h
-		cl.order = append(cl.order, key)
+func (t *ConnTable) add(key ConnKey) *LogicalConn {
+	lc := &LogicalConn{key: key, at: len(t.conns)}
+	lc.in.Init(&t.bufs)
+	lc.out.Init(&t.bufs)
+	t.conns = append(t.conns, lc)
+	t.byKey[key] = lc
+	return lc
+}
+
+// latest returns the four-tuple's most recent record, starting one on first
+// sight.
+func (t *ConnTable) latest(key ConnKey) *LogicalConn {
+	if lc := t.byKey[key]; lc != nil {
+		return lc
 	}
-	return h
+	return t.add(key)
 }
 
-func (cl *ConnLog) established(key ConnKey, iss, irs uint64) {
-	h := cl.hist(key)
-	h.iss, h.irs = iss, irs
-	cl.mut += 64
+// establish records a connection reaching ESTABLISHED. A four-tuple whose
+// latest record is gone names a new incarnation and gets a record of its own.
+func (t *ConnTable) establish(key ConnKey, iss, irs uint64) *LogicalConn {
+	lc := t.byKey[key]
+	if lc == nil || lc.gone {
+		lc = t.add(key)
+	}
+	lc.iss, lc.irs = iss, irs
+	t.mut += 64
+	return lc
 }
 
-func (cl *ConnLog) dataIn(key ConnKey, data []byte) {
-	h := cl.hist(key)
-	h.in = append(h.in, data...)
-	cl.mut += uint64(len(data))
+func (t *ConnTable) dataIn(lc *LogicalConn, data []byte) {
+	lc.in.Append(data)
+	t.mut += uint64(len(data))
 }
 
-func (cl *ConnLog) ackIn(key ConnKey, acked uint64) {
-	h := cl.hist(key)
-	if acked > h.acked {
-		h.acked = acked
-		cl.mut += 8
+func (t *ConnTable) ackOut(lc *LogicalConn, acked uint64) {
+	if acked > lc.acked {
+		lc.acked = acked
+		t.mut += 8
 	}
 }
 
-func (cl *ConnLog) fin(key ConnKey) {
-	cl.hist(key).peerFin = true
-	cl.mut++
+func (t *ConnTable) peerFinned(lc *LogicalConn) {
+	lc.peerFin = true
+	t.mut++
 }
 
-func (cl *ConnLog) goneMark(key ConnKey) {
-	if h, ok := cl.conns[key]; ok {
-		h.gone = true
-		cl.mut++
+func (t *ConnTable) reaped(lc *LogicalConn) {
+	lc.gone = true
+	t.mut++
+}
+
+func (t *ConnTable) bind(id uint64, lc *LogicalConn) {
+	if _, ok := t.binds[id]; !ok {
+		t.bindOrder = append(t.bindOrder, id)
 	}
+	t.binds[id] = lc
+	t.mut += 24
 }
-
-func (cl *ConnLog) bind(id uint64, key ConnKey) {
-	if _, ok := cl.binds[id]; !ok {
-		cl.bindOrder = append(cl.bindOrder, id)
-	}
-	cl.binds[id] = key
-	cl.mut += 24
-}
-
-// Conns reports the number of connections retained.
-func (cl *ConnLog) Conns() int { return len(cl.conns) }
 
 // Dirtied is the cumulative count of logical-state bytes mutated since
 // boot, monotone; the epoch pre-copy engine differences readings to size
 // each converging pass.
-func (cl *ConnLog) Dirtied() uint64 { return cl.mut }
+func (t *ConnTable) Dirtied() uint64 { return t.mut }
 
-// Footprint is the log's current full-copy size in accounted bytes.
-func (cl *ConnLog) Footprint() int {
+// Footprint is the table's current full-copy size in accounted bytes.
+func (t *ConnTable) Footprint() int {
 	n := 0
-	for _, h := range cl.conns {
-		n += 64 + len(h.in)
+	for _, lc := range t.conns {
+		n += 64 + lc.in.Len()
 	}
-	return n + 24*len(cl.binds)
+	return n + 24*len(t.binds)
 }
 
-// ConnSnap is one connection's logical history in a rejoin checkpoint.
+// ConnSnap is one connection record in a rejoin checkpoint.
 type ConnSnap struct {
 	Key      ConnKey
 	ISS, IRS uint64
@@ -124,16 +161,17 @@ type ConnSnap struct {
 	Gone    bool
 }
 
-// BindSnap maps one det-log socket ID to its connection.
+// BindSnap maps one det-log socket ID to the record it was bound to, by the
+// record's index in StateSnap.Conns.
 type BindSnap struct {
-	ID  uint64
-	Key ConnKey
+	ID   uint64
+	Conn int
 }
 
-// StateSnap is the logical TCP half of a rejoin checkpoint: every retained
-// connection in establishment order plus the socket-ID bindings in
-// announcement order. It is cut atomically (scheduler context, no yields)
-// together with the FT-namespace cursors.
+// StateSnap is the logical TCP half of a rejoin checkpoint: every record in
+// establishment order plus the socket-ID bindings in announcement order. It
+// is cut atomically (scheduler context, no yields) together with the
+// FT-namespace cursors.
 type StateSnap struct {
 	Conns []ConnSnap
 	Binds []BindSnap
@@ -149,26 +187,42 @@ func (s StateSnap) Bytes() int {
 	return n
 }
 
-// Snapshot deep-copies the retained history in deterministic order.
-func (cl *ConnLog) Snapshot() StateSnap {
+// snapshot deep-copies the table in deterministic order, without sync ids.
+func (t *ConnTable) snapshot() StateSnap {
 	snap := StateSnap{
-		Conns: make([]ConnSnap, 0, len(cl.order)),
-		Binds: make([]BindSnap, 0, len(cl.bindOrder)),
+		Conns: make([]ConnSnap, 0, len(t.conns)),
+		Binds: make([]BindSnap, 0, len(t.bindOrder)),
 	}
-	for _, key := range cl.order {
-		h := cl.conns[key]
+	for _, lc := range t.conns {
 		snap.Conns = append(snap.Conns, ConnSnap{
-			Key:     key,
-			ISS:     h.iss,
-			IRS:     h.irs,
-			In:      append([]byte(nil), h.in...),
-			Acked:   h.acked,
-			PeerFin: h.peerFin,
-			Gone:    h.gone,
+			Key:     lc.key,
+			ISS:     lc.iss,
+			IRS:     lc.irs,
+			In:      append([]byte(nil), lc.in.Bytes()...),
+			Acked:   lc.acked,
+			PeerFin: lc.peerFin,
+			Gone:    lc.gone,
 		})
 	}
-	for _, id := range cl.bindOrder {
-		snap.Binds = append(snap.Binds, BindSnap{ID: id, Key: cl.binds[id]})
+	for _, id := range t.bindOrder {
+		snap.Binds = append(snap.Binds, BindSnap{ID: id, Conn: t.binds[id].at})
 	}
 	return snap
+}
+
+// seed appends a snapshot's records and bindings, returning the records in
+// snapshot order.
+func (t *ConnTable) seed(snap StateSnap) []*LogicalConn {
+	recs := make([]*LogicalConn, len(snap.Conns))
+	for i, cs := range snap.Conns {
+		lc := t.add(cs.Key)
+		lc.iss, lc.irs = cs.ISS, cs.IRS
+		lc.in.Append(cs.In)
+		lc.acked, lc.peerFin, lc.gone = cs.Acked, cs.PeerFin, cs.Gone
+		recs[i] = lc
+	}
+	for _, b := range snap.Binds {
+		t.bind(b.ID, recs[b.Conn])
+	}
+	return recs
 }

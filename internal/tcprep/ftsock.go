@@ -233,7 +233,7 @@ func (c *Conn) Recv(th *replication.Thread, max int) ([]byte, error) {
 	}
 	if data == nil && n > 0 {
 		// Secondary replay: consume the same bytes from the synced stream.
-		data = s.sec.readReplay(th.Task(), c.logical, n)
+		data = c.logical.read(th.Task(), n)
 	}
 	return data, nil
 }
@@ -258,7 +258,7 @@ func (c *Conn) Send(th *replication.Thread, data []byte) (int, error) {
 	}
 	s.sent[c.id] += uint64(n)
 	if c.real == nil && c.logical != nil {
-		s.sec.appendOut(c.logical, data[:n])
+		c.logical.appendOut(data[:n])
 	}
 	return n, nil
 }
@@ -275,7 +275,7 @@ func (c *Conn) Close(th *replication.Thread) error {
 		return encodeRes(0, c.real.Close(th.Task()))
 	})
 	if c.real == nil && c.logical != nil {
-		s.sec.markClosed(c.logical)
+		c.logical.appClosed = true
 	}
 	_, err := decodeRes(res)
 	return err
@@ -353,8 +353,7 @@ func (s *Sockets) Promote(t *kernel.Task, stack *tcpstack.Stack) error {
 	}
 	// Finish teardown of connections the replayed application had already
 	// closed but whose FINs the dead primary never (visibly) completed.
-	for _, key := range s.sec.order {
-		lc := s.sec.conns[key]
+	for _, lc := range s.sec.table.conns {
 		if lc.appClosed && lc.live != nil {
 			conn := lc.live
 			s.ns.Kernel().Spawn("ft-reclose", func(tk *kernel.Task) {
@@ -369,7 +368,7 @@ func (s *Sockets) Promote(t *kernel.Task, stack *tcpstack.Stack) error {
 
 // AdoptPrimary installs a recording primary on a promoted socket layer, so
 // connections accepted after failover keep announcing their det-log socket
-// bindings — into the retained history while detached, and onto the sync
+// bindings — into the connection table while detached, and onto the sync
 // ring once a rejoining backup attaches.
 func (s *Sockets) AdoptPrimary(p *Primary) { s.prim = p }
 

@@ -42,11 +42,10 @@ type Primary struct {
 	links []*syncLink
 	cfg   SyncConfig
 
-	// clog retains the full logical TCP history for backup re-integration
-	// (nil when retention is off). It is updated from the same callbacks
-	// that stream deltas, so a checkpoint cut from it plus the delta
-	// stream after AttachRing reconstructs the complete state.
-	clog *ConnLog
+	// table is the logical TCP state, updated from the same callbacks that
+	// stream deltas, so a checkpoint cut from it plus the delta stream after
+	// AttachRing reconstructs the complete state.
+	table *ConnTable
 
 	// ids names every connection the stack still holds by a dense sync id,
 	// drawn on first sight, forgotten at reap. A backup learns an id from
@@ -129,19 +128,18 @@ type PrimaryConfig struct {
 	// the recorder's and DropRing can be driven from the same failure
 	// notification. With no rings the primary is detached — a promoted or
 	// degraded kernel recording without a backup: callbacks maintain the
-	// retained connection log but nothing is streamed and output is
-	// released at native speed, until AttachRing flips it into streaming
-	// mode when a rejoining backup is ready.
+	// connection table but nothing is streamed and output is released at
+	// native speed, until AttachRing flips it into streaming mode when a
+	// rejoining backup is ready.
 	Syncs []*shm.Ring
 	// Gate is the egress cost model; zero selects DefaultGateConfig.
 	Gate GateConfig
 	// Sync is the delta batching policy; zero selects DefaultSyncConfig.
 	Sync SyncConfig
-	// History is the retained connection log to continue (a promoted
-	// secondary's HistoryLog). A detached primary always retains, starting
-	// an empty log when History is nil; an attached one retains only from
-	// EnableRetention.
-	History *ConnLog
+	// History is the connection table to continue: a promoted secondary's
+	// (Secondary.Table), so the next rejoin can be checkpointed from it.
+	// Nil starts an empty one.
+	History *ConnTable
 }
 
 // NewPrimary attaches replication to the given stack.
@@ -158,11 +156,14 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 	if cfg.Sync.FlushInterval <= 0 {
 		cfg.Sync.FlushInterval = DefaultSyncConfig().FlushInterval
 	}
+	if cfg.History == nil {
+		cfg.History = newConnTable()
+	}
 	p := &Primary{
 		ns:    ns,
 		stack: stack,
 		cfg:   cfg.Sync,
-		clog:  cfg.History,
+		table: cfg.History,
 		ids:   make(map[ConnKey]uint64),
 	}
 	p.out.Init(ns.Kernel().Sim(), p.cfg.FlushInterval, ns.Kernel().Alive)
@@ -170,9 +171,6 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 		p.AttachRing(sync)
 	}
 	p.hook(cfg.Gate)
-	if len(p.links) == 0 {
-		p.EnableRetention()
-	}
 	ns.Kernel().Spawn("tcprep-spill", func(t *kernel.Task) { p.out.Serve(t.Proc()) })
 	return p
 }
@@ -215,27 +213,15 @@ func (p *Primary) minSynced() uint64 {
 	return min
 }
 
-// EnableRetention attaches a connection log so the full logical TCP
-// history is kept for backup re-integration. It must be called before any
-// replicated traffic: history cannot be recovered retroactively.
-func (p *Primary) EnableRetention() {
-	if p.clog == nil {
-		p.clog = NewConnLog()
-	}
-}
-
 // Streaming reports whether logical-state deltas are being streamed to at
 // least one live backup.
 func (p *Primary) Streaming() bool { return p.liveLinks() > 0 }
 
 // SnapshotState cuts the logical TCP half of a rejoin checkpoint from the
-// retained history. Call in scheduler context, atomically with AttachRing,
+// connection table. Call in scheduler context, atomically with AttachRing,
 // so no update lands in both the snapshot and the delta stream.
 func (p *Primary) SnapshotState() StateSnap {
-	if p.clog == nil {
-		panic("tcprep: SnapshotState requires retention")
-	}
-	snap := p.clog.Snapshot()
+	snap := p.table.snapshot()
 	for i := range snap.Conns {
 		if cs := &snap.Conns[i]; !cs.Gone {
 			cs.Sync = p.idOf(cs.Key)
@@ -255,24 +241,9 @@ func (p *Primary) idOf(key ConnKey) uint64 {
 	return id
 }
 
-// LogDirtied is the retained connection log's cumulative dirty-byte
-// counter (zero without retention); with LogFootprint it makes the
-// logical TCP state a pre-copy source for epoch checkpoints.
-func (p *Primary) LogDirtied() uint64 {
-	if p.clog == nil {
-		return 0
-	}
-	return p.clog.Dirtied()
-}
-
-// LogFootprint is the retained connection log's current full-copy size
-// in accounted bytes (zero without retention).
-func (p *Primary) LogFootprint() int {
-	if p.clog == nil {
-		return 0
-	}
-	return p.clog.Footprint()
-}
+// Table returns the logical TCP state; its Footprint and Dirtied make it a
+// pre-copy source for epoch checkpoints.
+func (p *Primary) Table() *ConnTable { return p.table }
 
 // AttachRing adds one backup leg to the delta stream: subsequent state
 // updates are synced to the (re)joining backup over the given ring and
@@ -530,9 +501,7 @@ func (p *Primary) flushForCommit() {
 
 func (p *Primary) onEstablished(c *tcpstack.Conn) {
 	key := keyOf(c)
-	if p.clog != nil {
-		p.clog.established(key, c.ISS(), c.IRS())
-	}
+	p.table.establish(key, c.ISS(), c.IRS())
 	// The four-tuple crosses once per connection, in the reference slot.
 	m := syncMessage(syncConnMeta, connMetaBytes, p.idOf(key), c.ISS(), c.IRS())
 	m.Ref = &key
@@ -543,9 +512,7 @@ func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
 	key := keyOf(c)
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	if p.clog != nil {
-		p.clog.dataIn(key, cp)
-	}
+	p.table.dataIn(p.table.latest(key), cp)
 	m := syncMessage(syncDataIn, dataInBytes+len(cp), p.idOf(key), 0, 0)
 	m.Data = cp
 	p.trySync(m)
@@ -553,24 +520,20 @@ func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
 
 func (p *Primary) onAckIn(c *tcpstack.Conn, acked uint64) {
 	key := keyOf(c)
-	if p.clog != nil {
-		p.clog.ackIn(key, acked)
-	}
+	p.table.ackOut(p.table.latest(key), acked)
 	p.trySync(syncMessage(syncAckOut, ackOutBytes, p.idOf(key), acked, 0))
 }
 
 func (p *Primary) onPeerFin(c *tcpstack.Conn) {
 	key := keyOf(c)
-	if p.clog != nil {
-		p.clog.fin(key)
-	}
+	p.table.peerFinned(p.table.latest(key))
 	p.trySync(syncMessage(syncPeerFin, peerFinBytes, p.idOf(key), 0, 0))
 }
 
 func (p *Primary) onReaped(c *tcpstack.Conn) {
 	key := keyOf(c)
-	if p.clog != nil {
-		p.clog.goneMark(key)
+	if lc := p.table.byKey[key]; lc != nil {
+		p.table.reaped(lc)
 	}
 	p.trySync(syncMessage(syncGone, goneBytes, p.idOf(key), 0, 0))
 	delete(p.ids, key)
@@ -582,9 +545,7 @@ func (p *Primary) onReaped(c *tcpstack.Conn) {
 // secondaries' bindWait is never delayed by batching.
 func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) {
 	key := keyOf(c)
-	if p.clog != nil {
-		p.clog.bind(id, key)
-	}
+	p.table.bind(id, p.table.latest(key))
 	if !p.Streaming() {
 		return
 	}

@@ -1,6 +1,7 @@
 package tcprep
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,7 +51,7 @@ func newSyncWorldRing(tb testing.TB, ringBytes int64) *syncWorld {
 	}
 	w.prim.onEstablished(w.conn)
 	w.deliver(tb)
-	if w.lc = w.sec.conns[keyOf(w.conn)]; w.lc == nil || w.lc.iss != 1000 || w.lc.irs != 2000 {
+	if w.lc = w.sec.table.byKey[keyOf(w.conn)]; w.lc == nil || w.lc.iss != 1000 || w.lc.irs != 2000 {
 		tb.Fatalf("connection not announced: %+v", w.lc)
 	}
 	return w
@@ -76,8 +77,8 @@ func (w *syncWorld) ackOut(tb testing.TB, acked uint64) {
 	w.prim.onAckIn(w.conn, acked)
 	w.prim.onAckIn(w.conn, acked+1) // coalesces into the pending entry
 	w.deliver(tb)
-	if w.lc.ackTarget != acked+1 {
-		tb.Fatalf("ack watermark %d, want %d", w.lc.ackTarget, acked+1)
+	if w.lc.acked != acked+1 {
+		tb.Fatalf("ack watermark %d, want %d", w.lc.acked, acked+1)
 	}
 }
 
@@ -87,7 +88,16 @@ func (w *syncWorld) dataIn(tb testing.TB, data []byte) {
 	if got := w.lc.in.Bytes(); string(got) != string(data) {
 		tb.Fatalf("synced input %q, want %q", got, data)
 	}
-	w.lc.in.Discard(len(data)) // the replayed read
+	w.forget()
+}
+
+// forget drops the input both tables retained, so a test or benchmark that
+// streams data keeps its windows at their steady size: retention grows them
+// by doubling, which is not a cost of the update path.
+func (w *syncWorld) forget() {
+	for _, lc := range []*LogicalConn{w.lc, w.prim.table.byKey[keyOf(w.conn)]} {
+		lc.in.Discard(lc.in.Len())
+	}
 }
 
 // TestSyncUpdatesAllocateNothing: a per-segment update — sync id and
@@ -133,8 +143,8 @@ func TestBindOutlivesReap(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.deliver(t)
-	if got, ok := w.sec.binds[7]; !ok || got != key {
-		t.Errorf("binding of socket 7 on the backup = %v, %v; want %v", got, ok, key)
+	if got := w.sec.table.binds[7]; got != w.lc {
+		t.Errorf("binding of socket 7 on the backup = %+v; want the reaped connection %v", got, key)
 	}
 	if len(w.prim.ids) != 0 {
 		t.Errorf("the binding drew a sync id for a reaped connection")
@@ -145,8 +155,79 @@ func TestBindOutlivesReap(t *testing.T) {
 	for _, m := range w.buf {
 		seeded.apply(m)
 	}
-	if got, ok := seeded.binds[7]; !ok || got != key || seeded.conns[key].iss != 1000 {
-		t.Errorf("seeded backup: binding of socket 7 = %v, %v; want %v on the seeded connection", got, ok, key)
+	if got := seeded.table.binds[7]; got == nil || got.key != key || got.iss != 1000 {
+		t.Errorf("seeded backup: binding of socket 7 = %+v; want %v on the seeded connection", got, key)
+	}
+}
+
+// TestReusedFourTupleStartsFreshRecord: a client reuses a four-tuple whose
+// connection was reaped (its ephemeral ports wrap round). The new connection
+// gets a record of its own on every side, so the snapshot lists the reaped
+// one as gone and the live one under its sync id, a backup seeded from it
+// follows the live one's updates, and promotion restores the live one alone.
+func TestReusedFourTupleStartsFreshRecord(t *testing.T) {
+	w := newSyncWorld(t)
+	defer w.sim.Shutdown()
+	k, key, old := w.prim.ns.Kernel(), keyOf(w.conn), w.lc
+	bind := func(id uint64, c *tcpstack.Conn) {
+		w.prim.ns.Start("app", nil, func(th *replication.Thread) { w.prim.bindConn(th, id, c) })
+		if err := w.sim.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.prim.onDataIn(w.conn, []byte("old request"))
+	w.prim.onAckIn(w.conn, 500)
+	bind(1, w.conn)
+	w.deliver(t)
+	old.appClosed = true // the replayed application closes its socket
+	w.prim.onPeerFin(w.conn)
+	w.prim.onReaped(w.conn)
+	w.deliver(t)
+
+	// The same four-tuple again, in a stack that never held the first.
+	c2, err := tcpstack.New(k, "server", tcpstack.DefaultParams()).Restore(tcpstack.ConnSnapshot{LocalPort: 80,
+		Remote: tcpstack.Addr{Host: "client", Port: 40000}, ISS: 3000, IRS: 4000, SndUna: 3001, RcvNxt: 4001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.prim.onEstablished(c2)
+	w.prim.onDataIn(c2, []byte("NEW"))
+	bind(2, c2)
+	w.deliver(t)
+	lc := w.sec.table.byKey[key]
+	if lc == old || lc.iss != 3000 || lc.irs != 4000 || lc.gone || lc.appClosed || lc.peerFin || lc.acked != 0 || string(lc.in.Bytes()) != "NEW" {
+		t.Fatalf("the backup's record of the second connection: %+v with input %q; want a fresh one", lc, lc.in.Bytes())
+	}
+	if !old.gone || string(old.in.Bytes()) != "old request" || w.sec.table.binds[1] != old || w.sec.table.binds[2] != lc {
+		t.Errorf("the first connection's record: gone=%v input %q, binds %v; want it gone, its input kept, each bind on its own record",
+			old.gone, old.in.Bytes(), w.sec.table.binds)
+	}
+
+	snap := w.prim.SnapshotState()
+	want := []ConnSnap{
+		{Key: key, ISS: 1000, IRS: 2000, In: []byte("old request"), Acked: 500, PeerFin: true, Gone: true},
+		{Key: key, ISS: 3000, IRS: 4000, Sync: w.prim.ids[key], In: []byte("NEW")},
+	}
+	if !reflect.DeepEqual(snap.Conns, want) || w.prim.ids[key] == 0 ||
+		!reflect.DeepEqual(snap.Binds, []BindSnap{{ID: 1, Conn: 0}, {ID: 2, Conn: 1}}) {
+		t.Fatalf("snapshot %+v; want %+v and each bind on its own record", snap, want)
+	}
+
+	seeded := NewSecondary(k, shm.NewFabric(w.sim, time.Microsecond).NewRing("seeded", 0, 1<<20), SecondaryConfig{DeferPull: true})
+	seeded.Seed(snap)
+	w.prim.onDataIn(c2, []byte(" MORE"))
+	w.deliver(t)
+	for _, m := range w.buf {
+		seeded.apply(m)
+	}
+	for _, sec := range []*Secondary{w.sec, seeded} {
+		conns, err := sec.Promote(tcpstack.New(k, "server", tcpstack.DefaultParams()))
+		if err != nil || len(conns) != 1 {
+			t.Fatalf("promotion restored %d connections, %v; want the live one", len(conns), err)
+		}
+		if got := conns[0].Snapshot(); got.RcvNxt != 4001+uint64(len("NEW MORE")) || got.SndUna != 3001 || string(got.RcvData) != "NEW MORE" {
+			t.Errorf("restored RcvNxt %d SndUna %d input %q; want %d, 3001, %q", got.RcvNxt, got.SndUna, got.RcvData, 4001+len("NEW MORE"), "NEW MORE")
+		}
 	}
 }
 
@@ -163,6 +244,6 @@ func BenchmarkSyncUpdate(b *testing.B) {
 		w.prim.onAckIn(w.conn, uint64(i))
 		w.prim.onDataIn(w.conn, data)
 		w.deliver(b)
-		w.lc.in.Discard(len(data))
+		w.forget()
 	}
 }

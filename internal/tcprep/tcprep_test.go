@@ -46,19 +46,28 @@ func TestResultEncoding(t *testing.T) {
 }
 
 func TestLogicalConnTrim(t *testing.T) {
-	lc := &LogicalConn{}
-	lc.out.Append(make([]byte, 1000))
-	lc.trimOut(400)
+	tab := newConnTable()
+	lc := tab.establish(ConnKey{LocalPort: 80}, 1, 1)
+	trim := func(acked uint64) {
+		tab.ackOut(lc, acked)
+		lc.applyTrim()
+	}
+	lc.appendOut(make([]byte, 1000))
+	trim(400)
 	if lc.out.Len() != 600 || lc.outBase != 400 {
 		t.Errorf("after trim(400): len=%d base=%d", lc.out.Len(), lc.outBase)
 	}
-	lc.trimOut(300) // stale ack: no effect
+	trim(300) // stale ack: no effect
 	if lc.out.Len() != 600 || lc.outBase != 400 {
 		t.Error("stale ack changed state")
 	}
-	lc.trimOut(5000) // beyond buffered: clamp
+	trim(5000) // beyond buffered: clamp, and trim what is regenerated later
 	if lc.out.Len() != 0 || lc.outBase != 1000 {
 		t.Errorf("after over-trim: len=%d base=%d", lc.out.Len(), lc.outBase)
+	}
+	lc.appendOut(make([]byte, 4500))
+	if lc.out.Len() != 500 || lc.outBase != 5000 {
+		t.Errorf("after regenerating past the watermark: len=%d base=%d", lc.out.Len(), lc.outBase)
 	}
 }
 
@@ -162,8 +171,8 @@ func TestPromoteCopiesLogicalBuffers(t *testing.T) {
 	in, out := []byte("unread input the client was acked for"), []byte("regenerated output the client has not acked")
 	sec.apply(shm.Message{Kind: syncConnMeta, W: [7]uint64{1, 1000, 2000}, Ref: &key})
 	sec.apply(shm.Message{Kind: syncDataIn, W: [7]uint64{1}, Data: in})
-	lc := sec.logical(key)
-	sec.appendOut(lc, out)
+	lc := sec.table.byKey[key]
+	lc.appendOut(out)
 
 	conns, err := sec.Promote(tcpstack.New(k, "server", tcpstack.DefaultParams()))
 	if err != nil || len(conns) != 1 {
