@@ -10,9 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# ftvet enforces the FT-specific invariants go vet cannot see:
-# determinism of replicated code, det-section purity, lock ordering,
-# and flush-before-watermark. See DESIGN.md §10.
+# ftvet enforces the two FT invariants go vet cannot see and no runtime
+# check catches in every schedule: determinism of replicated code and a
+# cycle-free lock order. The rest are runtime checks. See DESIGN.md §10.
 lint:
 	$(GO) run ./cmd/ftvet ./...
 
@@ -97,7 +97,7 @@ golden:
 # the four packages is over its ceiling, so the series cannot drift up
 # silently. A PR that shrinks a package lowers its ceiling to the number
 # it reaches; raising one needs a reason in the PR text.
-LOC_CEILINGS := core=2050 replication=2870 tcprep=1545 shm=1112
+LOC_CEILINGS := core=2050 replication=2892 tcprep=1545 shm=1112
 
 loc:
 	@count() { ls internal/$$1/*.go | grep -v _test.go | xargs cat | wc -l; }; total=0; over=0; \

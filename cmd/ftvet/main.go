@@ -1,7 +1,8 @@
-// Command ftvet is the FT-Linux invariant multichecker: it runs the
-// determinism and replication analyzers (nondet, detsection, lockorder,
-// watermark) over the module and exits non-zero on findings, mirroring
-// `go vet` usage:
+// Command ftvet is the FT-Linux static checker: it runs the two rules no
+// runtime check enforces — nondet (no wall clock, pid, process-seeded
+// rand or map-iteration order reaching replicated code, directly or
+// through helpers) and lockorder (no lock-acquisition cycle) — over the
+// module and exits non-zero on findings, mirroring `go vet` usage:
 //
 //	go run ./cmd/ftvet ./...             # whole module (the default)
 //	go run ./cmd/ftvet ./internal/tcprep ./internal/replication
@@ -14,9 +15,9 @@
 // Findings print in the canonical file:line:col format (or as SARIF
 // 2.1.0 / flat JSON with -format, for CI annotation upload). The
 // -callgraph and -summary flags dump the interprocedural engine's
-// resolved call edges and per-function dataflow summaries instead of
-// running the analyzers — the audit artifacts for debugging a
-// surprising multi-hop trace. Suppressions use the audited escape
+// resolved call edges and per-function summaries instead of
+// running the analyzers — the artifacts for debugging a surprising
+// multi-hop trace. Suppressions use the audited escape
 // hatch documented in internal/analysis/ftvet:
 //
 //	//ftvet:allow <analyzer>: <justification>
@@ -24,7 +25,12 @@
 // The analyzers are built on the in-repo framework (internal/analysis/
 // ftvet) rather than golang.org/x/tools/go/analysis, which is not
 // vendorable in this offline container; for the same reason ftvet runs
-// as a standalone multichecker instead of a -vettool plugin.
+// as a standalone command instead of a -vettool plugin.
+//
+// The other FT rules — a deterministic section neither parks nor nests,
+// a waiter is armed only after a flush, truncation waits for a verified
+// boundary — are enforced at run time; DESIGN.md §10 records the mutation
+// audit that showed which check catches what.
 package main
 
 import (
@@ -35,21 +41,14 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis/detsection"
 	"repro/internal/analysis/flow"
 	"repro/internal/analysis/ftvet"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nondet"
-	"repro/internal/analysis/watermark"
 )
 
 // All is the registered analyzer suite.
-var All = []*ftvet.Analyzer{
-	nondet.Analyzer,
-	detsection.Analyzer,
-	lockorder.Analyzer,
-	watermark.Analyzer,
-}
+var All = []*ftvet.Analyzer{nondet.Analyzer, lockorder.Analyzer}
 
 func main() {
 	list := flag.Bool("list", false, "describe the registered analyzers and exit")
@@ -57,12 +56,8 @@ func main() {
 	format := flag.String("format", "text", "output format: text, json, or sarif")
 	verbose := flag.Bool("v", false, "print per-analyzer timing to stderr")
 	callgraph := flag.Bool("callgraph", false, "dump the resolved call graph instead of running analyzers")
-	summary := flag.Bool("summary", false, "dump per-function dataflow summaries instead of running analyzers")
-	lockgraph := flag.Bool("lockgraph", false, "dump the static lock-acquisition graph (the lockorder audit artifact)")
+	summary := flag.Bool("summary", false, "dump per-function taint summaries instead of running analyzers")
 	flag.Parse()
-	if *lockgraph {
-		lockorder.Debug = os.Stdout
-	}
 
 	if *list {
 		for _, a := range All {

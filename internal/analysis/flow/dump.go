@@ -3,107 +3,41 @@ package flow
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
 // Debug dumps for cmd/ftvet: -callgraph prints the resolved edge list,
-// -summary the per-function fixpoint summaries. Both are line-oriented
-// and deterministic (graph order is position-sorted) so runs diff
-// cleanly — the same property the lockorder -lockgraph dump has.
+// -summary the per-function taint summaries. Both are line-oriented and
+// deterministic (graph order is position-sorted), so runs diff cleanly.
 
 // DumpCallGraph writes one line per resolved call edge:
 //
-//	caller -> callee [dynamic] [in-literal] (callsite position)
+//	caller -> callee [dynamic] (callsite position)
 func (g *Graph) DumpCallGraph(w io.Writer) {
 	for _, n := range g.order {
 		for _, e := range n.Out {
-			var marks []string
+			mark := ""
 			if e.Dynamic {
-				marks = append(marks, "dynamic")
+				mark = " [dynamic]"
 			}
-			if e.InLit {
-				marks = append(marks, "in-literal")
-			}
-			suffix := ""
-			if len(marks) > 0 {
-				suffix = " [" + strings.Join(marks, ",") + "]"
-			}
-			fmt.Fprintf(w, "%s -> %s%s (%s)\n",
-				shortName(n.Fn), shortName(e.Callee.Fn), suffix, g.Fset.Position(e.Site.Pos()))
+			fmt.Fprintf(w, "%s -> %s%s (%s)\n", shortName(n.Fn), shortName(e.Callee.Fn), mark, g.Fset.Position(e.Site.Pos()))
 		}
 	}
 }
 
-// DumpSummaries writes each function's summary as an indented block,
-// omitting empty dimensions so the dump stays scannable.
+// DumpSummaries writes each function whose results carry a taint, one
+// indented line per taint.
 func (g *Graph) DumpSummaries(w io.Writer) {
 	for _, n := range g.order {
-		s := n.Sum
-		if s == nil {
+		if n.Sum == nil || len(n.Sum.ResultTaints) == 0 {
 			continue
 		}
-		var lines []string
-		for _, t := range s.ResultTaints {
-			entry := "  taint: " + t.Kind.String() + " (" + t.Desc
+		fmt.Fprintf(w, "%s (scc %d)\n", n.Fn.FullName(), n.SCC)
+		for _, t := range n.Sum.ResultTaints {
+			src := t.Desc
 			if p := t.Path(); p != "" {
-				entry = "  taint: " + t.Kind.String() + " (" + p
+				src = p
 			}
-			lines = append(lines, entry+")")
+			fmt.Fprintf(w, "  taint: %s (%s)\n", t.Kind, src)
 		}
-		for _, kind := range effectOrder {
-			if e := s.Effects[kind]; e != nil {
-				desc := e.Desc
-				if p := e.Path(); p != "" {
-					desc = p
-				}
-				lines = append(lines, fmt.Sprintf("  effect: %s @ %s", desc, g.Fset.Position(e.Pos)))
-			}
-		}
-		if s.Flushes {
-			lines = append(lines, "  flushes")
-		}
-		if len(s.Locks) > 0 {
-			ids := make([]string, 0, len(s.Locks))
-			for id := range s.Locks {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			lines = append(lines, "  locks: "+strings.Join(ids, ", "))
-		}
-		idxs := make([]int, 0, len(s.SpanParams))
-		for i := range s.SpanParams {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			info := s.SpanParams[i]
-			switch info.Disp {
-			case SpanSettles:
-				lines = append(lines, fmt.Sprintf("  span[%d]: settles", i))
-			case SpanLeaks:
-				lines = append(lines, fmt.Sprintf("  span[%d]: LEAKS @ %s", i, g.Fset.Position(info.LeakPos)))
-			case SpanPassThrough:
-				lines = append(lines, fmt.Sprintf("  span[%d]: pass-through", i))
-			}
-		}
-		for _, a := range s.ArmSites {
-			state := "UNDOMINATED"
-			if a.Dominated {
-				state = "flush-dominated"
-			}
-			kind := "waiter append"
-			if a.Table {
-				kind = "grant-table store"
-			}
-			if a.Callee != nil {
-				kind += " via " + a.Callee.Name()
-			}
-			lines = append(lines, fmt.Sprintf("  arm: %s, %s @ %s", kind, state, g.Fset.Position(a.Pos)))
-		}
-		if len(lines) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s (scc %d, callers %d)\n%s\n", n.Fn.FullName(), n.SCC, g.callers[n], strings.Join(lines, "\n"))
 	}
 }

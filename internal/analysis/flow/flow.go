@@ -2,38 +2,35 @@
 // a call graph over the loaded package set plus per-function summaries
 // computed bottom-up over strongly connected components.
 //
-// The intra-procedural analyzers ftvet shipped with (PR 2) go blind the
-// moment a violation is wrapped in one helper call: a time.Now() hidden
-// behind `func stamp() int64`, a lock cycle whose two acquisitions live
-// in different functions, a goroutine spawned by a helper invoked from a
-// deterministic-section body. flow closes that hole with three layers:
+// An intra-procedural check goes blind the moment a violation is wrapped
+// in one helper call: a time.Now() hidden behind `func stamp() int64`, a
+// map range collected by a helper and emitted by its caller, a lock cycle
+// whose two acquisitions live in different functions. flow closes that
+// hole with three layers:
 //
-//   - a call graph (graph.go): static edges for direct calls, plus
-//     type-set-bounded resolution for interface method calls — a call
-//     through an interface fans out to every concrete type declared in
-//     the analyzed tree that implements it (the "type set" the program
-//     could actually dispatch to, since the tree is a closed world);
+//   - a call graph: one edge per call whose target is a function or
+//     concrete method declared in the analyzed tree, plus type-set-bounded
+//     resolution for interface method calls — a call through an interface
+//     fans out to every concrete type declared in the tree that implements
+//     it (the tree is a closed world);
 //
-//   - per-function summaries (summary.go, taint.go) iterated to
-//     fixpoint over Tarjan SCCs in bottom-up (reverse topological)
-//     order, so recursion converges: which taints a function's results
-//     carry (wall-clock, pid, rand draws, map-iteration order), which
-//     effects its body can reach (goroutine spawns, channel operations,
-//     shm mailbox re-entry), whether it force-flushes, which locks it
-//     may transitively acquire, and how it disposes of *shm.Span
-//     parameters (settles, passes through, or leaks on an early
-//     return);
+//   - per-function summaries (summary.go, taint.go, locks.go) iterated to
+//     fixpoint over Tarjan SCCs in bottom-up (reverse topological) order,
+//     so recursion converges: which taints a function's results carry
+//     (wall-clock, pid, rand draws, map-iteration order) and which locks
+//     it may transitively acquire;
 //
-//   - diagnostic traces: every summary entry carries the call chain
-//     back to its origin, so an analyzer consuming a summary reports
-//     source → hop → … → sink with a position per hop.
+//   - diagnostic traces: every taint carries the call chain back to its
+//     source, so nondet reports source → hop → … → sink with a position
+//     per hop.
 //
-// The graph is built once per ftvet.Run and shared across analyzers via
-// Pass.Shared (see Of). Everything here is deliberately conservative in
-// the same direction as the analyzers themselves: unresolvable calls
-// (function values, method values, out-of-tree callees) contribute no
-// edges and no effects, so the engine adds findings only along chains
-// it can actually prove, and silence stays the safe default.
+// The graph is built once per ftvet.Run and shared via Pass.Shared (see
+// Of). Everything here is conservative in the same direction as the
+// analyzers themselves: unresolvable calls (function values, out-of-tree
+// callees) contribute no edges, no taint and no locks, so the engine adds
+// findings only along chains it can actually prove. Taint crosses static
+// edges only; lock sets cross dispatch edges too, because a deadlock
+// through any implementation is still a deadlock.
 package flow
 
 import (
@@ -51,7 +48,8 @@ type Node struct {
 	Decl *ast.FuncDecl
 	Pkg  *ftvet.Package
 
-	// Out holds this function's resolved call edges in source order.
+	// Out holds this function's resolved call edges in source order,
+	// calls inside its function literals included.
 	Out []Edge
 
 	// SCC is the index of the node's strongly connected component in
@@ -64,18 +62,12 @@ type Node struct {
 }
 
 // Edge is one resolved call: Site is the call expression in the
-// caller's body (function literals are attributed to their enclosing
-// declaration), Callee the resolved target. Dynamic marks interface
-// dispatch, where one site fans out to every implementing type. InLit
-// marks a call inside a function literal: the literal usually escapes
-// (a Schedule callback, a stored closure) and runs later, so effects do
-// not propagate across such edges — only lock sets do (a deadlock is a
-// deadlock whenever the closure eventually runs).
+// caller's body, Callee the resolved target. Dynamic marks interface
+// dispatch, where one site fans out to every implementing type.
 type Edge struct {
 	Site    *ast.CallExpr
 	Callee  *Node
 	Dynamic bool
-	InLit   bool
 }
 
 // Graph is the package-set call graph plus summaries.
@@ -84,7 +76,7 @@ type Graph struct {
 	Pkgs  []*ftvet.Package
 	Nodes map[*types.Func]*Node
 
-	// order lists nodes deterministically (package, file, position).
+	// order lists nodes deterministically (file, position).
 	order []*Node
 
 	// sccs lists components bottom-up (pure callees first).
@@ -92,14 +84,10 @@ type Graph struct {
 
 	// callees indexes resolution results per call site.
 	callees map[*ast.CallExpr][]*Node
-
-	// callers counts in-tree call sites targeting each node.
-	callers map[*Node]int
 }
 
 // Of returns the run-wide graph for the pass, building it on first use
-// and memoizing it in Pass.Shared so every analyzer of the run shares
-// one instance.
+// and memoizing it in Pass.Shared.
 func Of(pass *ftvet.Pass) *Graph {
 	if pass.Shared == nil {
 		return Build(pass.Fset, pass.All)
@@ -110,13 +98,7 @@ func Of(pass *ftvet.Pass) *Graph {
 // Build constructs the call graph over the package set and computes all
 // function summaries.
 func Build(fset *token.FileSet, pkgs []*ftvet.Package) *Graph {
-	g := &Graph{
-		Fset:    fset,
-		Pkgs:    pkgs,
-		Nodes:   map[*types.Func]*Node{},
-		callees: map[*ast.CallExpr][]*Node{},
-		callers: map[*Node]int{},
-	}
+	g := &Graph{Fset: fset, Pkgs: pkgs, Nodes: map[*types.Func]*Node{}, callees: map[*ast.CallExpr][]*Node{}}
 	g.collect()
 	g.resolve()
 	g.condense()
@@ -137,21 +119,10 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 // static call, every implementing method for an interface call, nil for
 // calls the graph cannot resolve (builtins, conversions, function
 // values, out-of-tree targets).
-func (g *Graph) CalleesAt(call *ast.CallExpr) []*Node {
-	return g.callees[call]
-}
+func (g *Graph) CalleesAt(call *ast.CallExpr) []*Node { return g.callees[call] }
 
 // Functions returns every node in deterministic order.
 func (g *Graph) Functions() []*Node { return g.order }
-
-// CallerCount returns the number of static in-tree call sites targeting
-// n (self-recursion and interface dispatch excluded — a consumer using
-// caller counts to shift responsibility can only shift it along edges
-// summaries actually propagate over, which are the static ones).
-func (g *Graph) CallerCount(n *Node) int { return g.callers[n] }
-
-// SCCs returns the strongly connected components in bottom-up order.
-func (g *Graph) SCCs() [][]*Node { return g.sccs }
 
 // collect indexes every function and method declaration in the tree.
 func (g *Graph) collect() {
@@ -181,119 +152,85 @@ func (g *Graph) collect() {
 	})
 }
 
-// methodIndex maps a concrete named type in the tree to its declared
-// methods, the candidate set for interface dispatch.
-type methodIndex map[*types.TypeName]map[string]*Node
+// errorIface is the universe error interface, excluded from dispatch
+// resolution: every error type in the tree would otherwise become a
+// candidate at every err.Error() site.
+var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-func (g *Graph) buildMethodIndex() methodIndex {
-	idx := methodIndex{}
+// resolve walks every function body and records its call edges.
+func (g *Graph) resolve() {
+	// Dispatch candidates: each concrete named type's declared methods,
+	// the types in position order so fan-out is deterministic.
+	methods := map[*types.TypeName]map[string]*Node{}
+	var typeNames []*types.TypeName
 	for _, n := range g.order {
-		sig, ok := n.Fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
+		sig := n.Fn.Type().(*types.Signature)
+		if sig.Recv() == nil {
 			continue
 		}
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, ok := t.(*types.Named)
+		named, ok := derefType(sig.Recv().Type()).(*types.Named)
 		if !ok || types.IsInterface(named) {
 			continue
 		}
 		tn := named.Obj()
-		if idx[tn] == nil {
-			idx[tn] = map[string]*Node{}
+		if methods[tn] == nil {
+			methods[tn] = map[string]*Node{}
+			typeNames = append(typeNames, tn)
 		}
-		idx[tn][n.Fn.Name()] = n
-	}
-	return idx
-}
-
-// errorIface is the universe error interface, excluded from dispatch
-// resolution: every error type in the tree would otherwise become a
-// candidate at every err.Error() site, drowning the graph in edges that
-// carry no FT-invariant signal.
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// resolve walks every function body and records call edges.
-func (g *Graph) resolve() {
-	idx := g.buildMethodIndex()
-	// Deterministic candidate enumeration for dispatch: type names
-	// sorted by position.
-	var typeNames []*types.TypeName
-	for tn := range idx {
-		typeNames = append(typeNames, tn)
+		methods[tn][n.Fn.Name()] = n
 	}
 	sort.Slice(typeNames, func(i, j int) bool { return typeNames[i].Pos() < typeNames[j].Pos() })
 
 	for _, n := range g.order {
-		node := n
-		var walk func(root ast.Node, inLit bool)
-		walk = func(root ast.Node, inLit bool) {
-			ast.Inspect(root, func(x ast.Node) bool {
-				if fl, ok := x.(*ast.FuncLit); ok {
-					walk(fl.Body, true)
-					return false
-				}
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, c := range g.resolveCall(node.Pkg, call, idx, typeNames) {
-					node.Out = append(node.Out, Edge{Site: call, Callee: c.node, Dynamic: c.dynamic, InLit: inLit})
-					g.callees[call] = append(g.callees[call], c.node)
-					if c.node != node && !c.dynamic {
-						g.callers[c.node]++
-					}
-				}
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
-		walk(n.Decl.Body, false)
-	}
-}
-
-type candidate struct {
-	node    *Node
-	dynamic bool
-}
-
-// resolveCall maps one call expression to its possible in-tree targets.
-func (g *Graph) resolveCall(pkg *ftvet.Package, call *ast.CallExpr, idx methodIndex, typeNames []*types.TypeName) []candidate {
-	// Interface dispatch: a method call whose receiver is an interface
-	// resolves to the method of every tree-declared type implementing
-	// it (type-set-bounded resolution — the tree is the closed world).
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-			recv := s.Recv()
-			if types.IsInterface(recv) {
-				iface, ok := recv.Underlying().(*types.Interface)
-				if !ok || iface.NumMethods() == 0 || types.Identical(iface, errorIface) {
-					return nil
-				}
-				name := sel.Sel.Name
-				var out []candidate
-				for _, tn := range typeNames {
-					m, ok := idx[tn][name]
-					if !ok {
-						continue
-					}
-					t := tn.Type()
-					if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
-						out = append(out, candidate{node: m, dynamic: true})
-					}
-				}
-				return out
 			}
-		}
+			add := func(c *Node, dynamic bool) {
+				n.Out = append(n.Out, Edge{Site: call, Callee: c, Dynamic: dynamic})
+				g.callees[call] = append(g.callees[call], c)
+			}
+			if iface := dispatchIface(n.Pkg, call); iface != nil {
+				name := ast.Unparen(call.Fun).(*ast.SelectorExpr).Sel.Name
+				for _, tn := range typeNames {
+					m, ok := methods[tn][name]
+					if ok && (types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface)) {
+						add(m, true)
+					}
+				}
+			} else if c := g.NodeOf(n.Pkg.CalleeFunc(call)); c != nil {
+				add(c, false)
+			}
+			return true
+		})
 	}
-	// Static call (package function or concrete method).
-	if fn := pkg.CalleeFunc(call); fn != nil {
-		if n := g.Nodes[fn]; n != nil {
-			return []candidate{{node: n}}
-		}
+}
+
+// dispatchIface returns the interface a method call dispatches through,
+// or nil for a static call (and for error and empty interfaces).
+func dispatchIface(pkg *ftvet.Package, call *ast.CallExpr) *types.Interface {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
 	}
-	return nil
+	s := pkg.Info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal || !types.IsInterface(s.Recv()) {
+		return nil
+	}
+	iface, ok := s.Recv().Underlying().(*types.Interface)
+	if !ok || iface.NumMethods() == 0 || types.Identical(iface, errorIface) {
+		return nil
+	}
+	return iface
+}
+
+// derefType strips one pointer.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // condense runs Tarjan's algorithm; SCCs come out bottom-up (every

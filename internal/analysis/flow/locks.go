@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -10,14 +11,11 @@ import (
 )
 
 // Lock classification, shared between the summary engine (transitive
-// lock sets) and the lockorder analyzer's held-set walker. The model is
-// the one lockorder established:
+// lock sets) and the lockorder analyzer's held-set walker:
 //
 //   - acquisitions: pthread Mutex.Lock / RWLock.RdLock / RWLock.WrLock
-//     and sync.Mutex/RWMutex Lock/RLock;
-//   - transient acquisitions: blocking shm.Ring operations (Send,
-//     SendBatch, Recv, RecvBatch, RecvTimeout, Reserve) — held only for
-//     the call, but ordered after everything currently held;
+//     and sync.Mutex/RWMutex Lock/RLock, released by the matching
+//     unlocks;
 //   - lock identity: the receiver's field path (Type.field), the
 //     package-level variable (pkg.var), or a per-function node for
 //     locals.
@@ -29,7 +27,6 @@ const (
 	LockNone LockOp = iota
 	LockAcquire
 	LockRelease
-	LockTransient
 )
 
 // ClassifyLockOp maps a call expression to a lock operation and the
@@ -41,40 +38,18 @@ func ClassifyLockOp(pkg *ftvet.Package, call *ast.CallExpr, owner string) (LockO
 		return LockNone, ""
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return LockNone, ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() == nil {
 		return LockNone, ""
 	}
 	path := fn.Pkg().Path()
-	name := fn.Name()
-	switch {
-	case strings.Contains(path, "internal/pthread"):
-		switch name {
-		case "Lock", "RdLock", "WrLock":
-			return LockAcquire, LockID(pkg, sel.X, owner)
-		case "Unlock", "RdUnlock", "WrUnlock":
-			return LockRelease, LockID(pkg, sel.X, owner)
-		}
-	case path == "sync":
-		switch name {
-		case "Lock", "RLock":
-			return LockAcquire, LockID(pkg, sel.X, owner)
-		case "Unlock", "RUnlock":
-			return LockRelease, LockID(pkg, sel.X, owner)
-		}
-	case strings.Contains(path, "internal/shm"):
-		switch name {
-		case "Send", "SendBatch", "Recv", "RecvBatch", "RecvTimeout", "Reserve":
-			// Reserve blocks for ring capacity exactly like the wrapper
-			// sends did (the claim is FIFO behind earlier reservations), so
-			// it is ordered after everything currently held. Commit/Abort
-			// never block and TryReserve fails instead of waiting — none of
-			// them participate in the lock graph.
-			return LockTransient, LockID(pkg, sel.X, owner) + "(ring)"
-		}
+	if path != "sync" && !strings.Contains(path, "internal/pthread") {
+		return LockNone, ""
+	}
+	switch fn.Name() {
+	case "Lock", "RLock", "RdLock", "WrLock":
+		return LockAcquire, LockID(pkg, sel.X, owner)
+	case "Unlock", "RUnlock", "RdUnlock", "WrUnlock":
+		return LockRelease, LockID(pkg, sel.X, owner)
 	}
 	return LockNone, ""
 }
@@ -85,18 +60,13 @@ func ClassifyLockOp(pkg *ftvet.Package, call *ast.CallExpr, owner string) (LockO
 func LockID(pkg *ftvet.Package, e ast.Expr, owner string) string {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
-		if t := pkg.TypeOf(e.X); t != nil {
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
+		if named, ok := derefType(pkg.TypeOf(e.X)).(*types.Named); ok {
+			obj := named.Obj()
+			prefix := obj.Name()
+			if obj.Pkg() != nil {
+				prefix = obj.Pkg().Name() + "." + obj.Name()
 			}
-			if named, ok := t.(*types.Named); ok {
-				obj := named.Obj()
-				prefix := obj.Name()
-				if obj.Pkg() != nil {
-					prefix = obj.Pkg().Name() + "." + obj.Name()
-				}
-				return prefix + "." + e.Sel.Name
-			}
+			return prefix + "." + e.Sel.Name
 		}
 		return "?." + e.Sel.Name
 	case *ast.Ident:
@@ -112,4 +82,34 @@ func LockID(pkg *ftvet.Package, e ast.Expr, owner string) string {
 		}
 		return fmt.Sprintf("anon@%d", int(e.Pos()))
 	}
+}
+
+// lockSet computes the function's transitive lock set from its own body —
+// function literals included: a closure built here may run later, but
+// any lock it takes still belongs to whoever holds locks when it runs —
+// and from its callees' current summaries over every edge.
+func (g *Graph) lockSet(n *Node) map[string]token.Pos {
+	locks := map[string]token.Pos{}
+	add := func(id string, pos token.Pos) {
+		if _, ok := locks[id]; !ok {
+			locks[id] = pos
+		}
+	}
+	owner := n.Fn.FullName()
+	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok {
+			if op, id := ClassifyLockOp(n.Pkg, call, owner); op == LockAcquire {
+				add(id, call.Pos())
+			}
+		}
+		return true
+	})
+	for _, e := range n.Out {
+		if e.Callee.Sum != nil {
+			for id, pos := range e.Callee.Sum.Locks {
+				add(id, pos)
+			}
+		}
+	}
+	return locks
 }

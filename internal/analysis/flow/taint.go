@@ -45,6 +45,31 @@ type Taint struct {
 	Via    []Hop
 }
 
+// Trace renders the taint's call chain as one clickable position per
+// hop, ending at the source expression.
+func (t Taint) Trace() []ftvet.TraceStep {
+	out := make([]ftvet.TraceStep, 0, len(t.Via)+1)
+	for _, h := range t.Via {
+		out = append(out, ftvet.TraceStep{Pos: h.Pos, Note: "via call to " + h.Name})
+	}
+	return append(out, ftvet.TraceStep{Pos: t.Source, Note: t.Desc + " — the nondeterminism source"})
+}
+
+// Path renders the taint's hop names for embedding in a message:
+// "stamp -> now -> time.Now". Empty for a direct (intra-function)
+// taint.
+func (t Taint) Path() string {
+	if len(t.Via) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(t.Via)+1)
+	for _, h := range t.Via {
+		names = append(names, h.Name)
+	}
+	names = append(names, t.Desc)
+	return strings.Join(names, " -> ")
+}
+
 // maxTaints bounds a summary's taint list; beyond it additional sources
 // add no new signal (the function is thoroughly nondeterministic).
 const maxTaints = 16
@@ -58,14 +83,6 @@ type TaintEnv struct {
 	vars map[types.Object][]Taint
 
 	resultTaints []Taint
-	resultParams []bool
-	paramIndex   map[types.Object]int
-}
-
-// taintScan computes the function's result-taint summary entries.
-func (g *Graph) taintScan(n *Node) ([]Taint, []bool) {
-	env := g.FuncEnv(n)
-	return env.resultTaints, env.resultParams
 }
 
 // FuncEnv walks the function body once in source order, propagating
@@ -75,29 +92,7 @@ func (g *Graph) taintScan(n *Node) ([]Taint, []bool) {
 // its map-order taint — the collect-then-sort idiom re-establishes a
 // deterministic order.
 func (g *Graph) FuncEnv(n *Node) *TaintEnv {
-	env := &TaintEnv{
-		g:          g,
-		n:          n,
-		vars:       map[types.Object][]Taint{},
-		paramIndex: map[types.Object]int{},
-	}
-	pkg := n.Pkg
-	idx := 0
-	if n.Decl.Type.Params != nil {
-		for _, field := range n.Decl.Type.Params.List {
-			for _, name := range field.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					env.paramIndex[obj] = idx
-				}
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
-			}
-		}
-	}
-	env.resultParams = make([]bool, idx)
-
+	env := &TaintEnv{g: g, n: n, vars: map[types.Object][]Taint{}}
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
@@ -182,9 +177,6 @@ func (env *TaintEnv) CallTaints(call *ast.CallExpr) []Taint {
 	return out
 }
 
-// VarTaints returns the accumulated taints of a variable object.
-func (env *TaintEnv) VarTaints(obj types.Object) []Taint { return env.vars[obj] }
-
 func (env *TaintEnv) assign(lhs, rhs []ast.Expr) {
 	if len(rhs) == 0 {
 		return
@@ -265,13 +257,6 @@ func (env *TaintEnv) sortClear(call *ast.CallExpr) {
 func (env *TaintEnv) returnStmt(ret *ast.ReturnStmt) {
 	for _, e := range ret.Results {
 		env.resultTaints = append(env.resultTaints, env.ExprTaints(e)...)
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			if obj := env.n.Pkg.ObjectOf(id); obj != nil {
-				if i, ok := env.paramIndex[obj]; ok {
-					env.resultParams[i] = true
-				}
-			}
-		}
 	}
 }
 

@@ -3,18 +3,18 @@
 // vocabulary (Analyzer, Pass, Diagnostic) plus a module-aware package
 // loader built on go/types' source importer.
 //
-// The framework exists because the FT-Linux reproduction enforces paper
-// invariants the Go compiler cannot see — determinism of replicated code
-// (§3.3), the serialization discipline of deterministic sections (Figure
-// 3), lock-acquisition ordering on the record/replay hot path, and the
-// force-flush-before-output-commit rule (§3.5) — and those invariants
-// must survive PRs written long after the original authors. Each
-// invariant is an Analyzer; cmd/ftvet is the multichecker that runs them
-// all; `//ftvet:allow` (see allow.go) is the audited escape hatch.
+// The framework exists because the FT-Linux reproduction depends on
+// invariants the Go compiler cannot see and no runtime check catches in
+// every schedule: determinism of replicated code (§3.3) and a cycle-free
+// lock-acquisition order. Each is an Analyzer; cmd/ftvet is the
+// multichecker that runs them; `//ftvet:allow` (see allow.go) is the
+// audited escape hatch. The FT rules a runtime check does enforce — the
+// deterministic-section discipline, flush before output commit (§3.5),
+// truncation at a verified boundary — have no analyzer (DESIGN.md §10).
 //
-// The container this repo grows in has no module cache and no network, so
-// golang.org/x/tools is unavailable; the subset of its API reproduced
-// here is exactly what the four FT analyzers need, nothing more.
+// golang.org/x/tools is not vendored (the module has no dependencies), so
+// the subset of its API reproduced here is exactly what the two FT
+// analyzers need, nothing more.
 package ftvet
 
 import (

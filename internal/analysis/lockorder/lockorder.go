@@ -1,19 +1,17 @@
-// Package lockorder builds a static lock-acquisition graph and reports
-// ordering cycles as potential deadlocks.
+// Package lockorder builds a static lock-acquisition graph over the
+// pthread and sync mutexes and reports ordering cycles as potential
+// deadlocks.
 //
-// The record/replay hot path threads two kinds of blocking resource: the
-// det-section locks (replication.Recorder.mus; with one shard, the
-// namespace global mutex of Figure 3) and the shared-memory rings, whose
-// blocking Send/Recv/Reserve act as bounded locks under backpressure. A PR
-// that acquires two of them in inconsistent orders on different paths creates a
-// deadlock the simulator only hits under just the right backlog — the
-// kind of latent cycle that static ordering analysis catches for free.
+// It is the one ftvet rule besides nondet that a runtime check does not
+// duplicate (DESIGN.md §10): the simulation interleaves threads only at
+// virtual-time steps, so an ABBA pair whose two orders never overlap in
+// any seeded schedule — the audit's memcached accept/worker plant — passes
+// every test, golden and chaos run, yet deadlocks the first time real
+// timing lines the orders up.
 //
 // The model, deliberately simple and conservative:
 //
-//   - acquisitions and lock identity: see flow.ClassifyLockOp — pthread
-//     and sync mutexes, and blocking shm ring operations as transient
-//     acquisitions;
+//   - acquisitions and lock identity: see flow.ClassifyLockOp;
 //   - the transitive lock set of every callee comes from the flow
 //     summaries, so holding a lock while calling a function that
 //     (transitively, through any depth of helpers) locks another adds
@@ -31,26 +29,11 @@
 // held, non-reentrant pthread mutex) is reported once per cycle.
 // Condition-variable Wait, which releases and reacquires its mutex, is
 // outside the model.
-//
-// The pass also polices the reserve/commit idiom of the zero-copy
-// fabric: a span claimed with Reserve or TryReserve holds ring sequence
-// and capacity until Commit or Abort, and reservation order is
-// publication order — so a local span that is never settled and never
-// escapes the function permanently blocks every span reserved after it.
-// The flow span summaries let the check see through helper calls: a
-// span handed to a helper that provably settles it is safe, a helper
-// that only uses it leaves the responsibility here, and a helper that
-// settles on one path but early-returns around it on another leaks the
-// reservation — reported at the reservation site with the chain to the
-// unsettled exit.
 package lockorder
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"io"
 	"sort"
 	"strings"
 
@@ -58,18 +41,11 @@ import (
 	"repro/internal/analysis/ftvet"
 )
 
-// Debug, when set (cmd/ftvet -lockgraph), receives a dump of every edge
-// in the acquisition graph — the artifact behind the DESIGN.md ordering
-// audit. A silent clean run proves the absence of cycles; the dump shows
-// which orderings are actually being relied on.
-var Debug io.Writer
-
 // Analyzer is the lockorder pass. It is a Module analyzer: the lock
-// graph spans packages (replication holds a det-section lock while the
-// shm outbox blocks on the log ring).
+// graph spans packages (a lock held across a call into another package).
 var Analyzer = &ftvet.Analyzer{
 	Name:   "lockorder",
-	Doc:    "build a static lock-acquisition graph over pthread/sync mutexes and blocking shm ring operations; report ordering cycles as potential deadlocks, plus reserved spans that are never committed or aborted (a leaked reservation jams the ring's publication sequence)",
+	Doc:    "build a static lock-acquisition graph over pthread/sync mutexes; report ordering cycles as potential deadlocks",
 	Module: true,
 	Run:    run,
 }
@@ -82,7 +58,6 @@ type acquisition struct {
 
 type callSite struct {
 	call *ast.CallExpr
-	pos  token.Pos
 	held []string
 }
 
@@ -100,7 +75,6 @@ func run(pass *ftvet.Pass) error {
 		w.stmts(node.Decl.Body.List)
 		acqs = append(acqs, w.acqs...)
 		calls = append(calls, w.calls...)
-		checkSpanLeaks(pass, g, node)
 	}
 
 	// Pass 2: edges held-lock -> acquired-lock.
@@ -133,7 +107,7 @@ func run(pass *ftvet.Pass) error {
 			}
 			for id := range callee.Sum.Locks {
 				for _, h := range c.held {
-					addEdge(h, id, c.pos)
+					addEdge(h, id, c.call.Pos())
 				}
 			}
 		}
@@ -145,18 +119,6 @@ func run(pass *ftvet.Pass) error {
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
-	if Debug != nil {
-		for _, n := range nodes {
-			var succs []string
-			for s := range edges[n] {
-				succs = append(succs, s)
-			}
-			sort.Strings(succs)
-			for _, s := range succs {
-				fmt.Fprintf(Debug, "lockorder: %s -> %s (%s)\n", n, s, pass.Fset.Position(edges[n][s]))
-			}
-		}
-	}
 	const (
 		white = 0
 		gray  = 1
@@ -203,187 +165,6 @@ func run(pass *ftvet.Pass) error {
 		}
 	}
 	return nil
-}
-
-// checkSpanLeaks reports spans claimed from an shm ring (Reserve/
-// TryReserve) into a local that no path settles: no Commit, no Abort,
-// and no hand-off out of the function. The flow span summaries decide
-// what a call does with a span argument: a callee that settles it (or
-// an unresolvable call — conservative silence) discharges the
-// reservation, a callee that merely uses it does not, and a callee that
-// settles on one path but exits unsettled on another leaks it — that
-// last case is reported with the interprocedural chain to the exit,
-// because neither function shows the bug alone.
-func checkSpanLeaks(pass *ftvet.Pass, g *flow.Graph, node *flow.Node) {
-	pkg, fd := node.Pkg, node.Decl
-	type reservation struct {
-		obj  types.Object
-		pos  token.Pos
-		name string
-	}
-	var spans []reservation
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok || !isReserveCall(pkg, call) {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return true
-		}
-		obj := pkg.Info.Defs[id]
-		if obj == nil {
-			obj = pkg.Info.Uses[id] // plain `=` onto an existing local
-		}
-		if obj != nil {
-			spans = append(spans, reservation{obj: obj, pos: as.Pos(), name: id.Name})
-		}
-		return true
-	})
-	for _, sp := range spans {
-		uses := func(e ast.Expr) bool {
-			found := false
-			ast.Inspect(e, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] == sp.obj {
-					found = true
-				}
-				return !found
-			})
-			return found
-		}
-		settled, escaped := false, false
-		var leak *flow.SpanInfo
-		var leakCallee *types.Func
-		var leakVia []flow.Hop
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if settled || escaped {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pkg.Info.Uses[id] == sp.obj {
-						switch sel.Sel.Name {
-						case "Commit", "Abort":
-							settled = true
-							return false
-						}
-					}
-				}
-				for i, a := range n.Args {
-					if !uses(a) {
-						continue
-					}
-					// Judge the hand-off by the callee's span summary
-					// when the call resolves statically in-tree;
-					// otherwise keep the conservative escape reading.
-					var info *flow.SpanInfo
-					var calleeFn *types.Func
-					if fn := pkg.CalleeFunc(n); fn != nil {
-						if cn := g.NodeOf(fn); cn != nil && cn.Sum != nil {
-							if si, ok := cn.Sum.SpanParams[i]; ok {
-								info = &si
-								calleeFn = fn
-							}
-						}
-					}
-					if info == nil {
-						escaped = true
-						return false
-					}
-					switch info.Disp {
-					case flow.SpanSettles:
-						settled = true
-						return false
-					case flow.SpanLeaks:
-						if leak == nil {
-							leak = info
-							leakCallee = calleeFn
-							leakVia = append([]flow.Hop{{Name: calleeName(calleeFn), Pos: n.Pos()}}, info.Via...)
-						}
-					case flow.SpanPassThrough:
-						// The callee only used the span; keep scanning.
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, e := range n.Results {
-					if uses(e) {
-						escaped = true
-						return false
-					}
-				}
-			case *ast.AssignStmt:
-				// Any re-assignment of the span value (link.span = sp,
-				// alias := sp) hands it off; the defining statement itself
-				// has the Reserve call, not the local, on its RHS.
-				for _, e := range n.Rhs {
-					if uses(e) {
-						escaped = true
-						return false
-					}
-				}
-			case *ast.SendStmt:
-				if uses(n.Value) {
-					escaped = true
-					return false
-				}
-			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if uses(e) {
-						escaped = true
-						return false
-					}
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.AND && uses(n.X) {
-					escaped = true
-					return false
-				}
-			}
-			return true
-		})
-		switch {
-		case settled || escaped:
-		case leak != nil:
-			trace := make([]ftvet.TraceStep, 0, len(leakVia)+1)
-			for _, h := range leakVia {
-				trace = append(trace, ftvet.TraceStep{Pos: h.Pos, Note: "span handed to " + h.Name})
-			}
-			trace = append(trace, ftvet.TraceStep{Pos: leak.LeakPos, Note: "exits here without committing or aborting the span"})
-			pass.ReportTrace(sp.pos, fmt.Sprintf(
-				"span %q is reserved here and handed to %s, which can return without committing or aborting it: reservation order is publication order, so the unsettled span blocks every later span on this ring; settle it on every path in the callee or settle it here",
-				sp.name, leakCallee.Name()), trace)
-		default:
-			pass.Reportf(sp.pos,
-				"span %q is reserved but never committed or aborted: reservation order is publication order, so a leaked open span blocks every later span on this ring from publishing; Commit it, Abort it on early-exit paths, or hand it off",
-				sp.name)
-		}
-	}
-}
-
-// calleeName renders a function for the leak trace.
-func calleeName(fn *types.Func) string {
-	if fn == nil {
-		return "?"
-	}
-	return fn.Name()
-}
-
-// isReserveCall reports whether a call claims a span from an shm ring.
-func isReserveCall(pkg *ftvet.Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || !strings.Contains(fn.Pkg().Path(), "internal/shm") {
-		return false
-	}
-	return fn.Name() == "Reserve" || fn.Name() == "TryReserve"
 }
 
 // canonical normalizes a cycle (first element repeated at the end) to a
@@ -564,9 +345,7 @@ func (w *walker) call(call *ast.CallExpr) {
 				break
 			}
 		}
-	case flow.LockTransient:
-		w.acqs = append(w.acqs, acquisition{id: id, pos: call.Pos(), held: w.snapshot()})
 	case flow.LockNone:
-		w.calls = append(w.calls, callSite{call: call, pos: call.Pos(), held: w.snapshot()})
+		w.calls = append(w.calls, callSite{call: call, held: w.snapshot()})
 	}
 }

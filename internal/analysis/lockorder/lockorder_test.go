@@ -17,15 +17,12 @@ func TestLockOrder(t *testing.T) {
 }
 
 // TestLockOrderInterprocedural covers the flow-summary layer: a cycle
-// whose halves live in different functions (one behind interface
-// dispatch), and span leaks judged through callee span summaries.
+// whose halves live in different functions, one behind interface
+// dispatch.
 func TestLockOrderInterprocedural(t *testing.T) {
 	td, err := filepath.Abs("../testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysistest.Run(t, td, lockorder.Analyzer,
-		"repro/internal/lockiface", // cross-function + dispatch lock cycle
-		"repro/internal/spanleak",  // span leak via early return in a callee
-	)
+	analysistest.Run(t, td, lockorder.Analyzer, "repro/internal/lockiface")
 }

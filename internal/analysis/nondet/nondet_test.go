@@ -20,6 +20,7 @@ func TestNondet(t *testing.T) {
 		"repro/internal/causalfix",      // positive: wall clock smuggled into a causal diagnosis
 		"repro/internal/timeutil",       // helper package: sources legal here, summaries feed interfix
 		"repro/internal/apps/interfix",  // positive: interprocedural taint through timeutil helpers
+		"repro/internal/tcprep",         // positive: the epoch digest's send cursors built in map order
 	)
 }
 

@@ -1,14 +1,11 @@
 // Package lockfix is the golden fixture for the lockorder analyzer:
 // inconsistent acquisition orders across the lock graph are potential
-// deadlocks, including orders threaded through calls and blocking shm ring
-// operations.
+// deadlocks.
 package lockfix
 
 import (
 	"repro/internal/kernel"
 	"repro/internal/pthread"
-	"repro/internal/shm"
-	"repro/internal/sim"
 )
 
 type S struct {
@@ -61,58 +58,26 @@ func (r *R) branching(t *kernel.Task, cond bool) {
 	}
 }
 
-type P struct {
-	mu   *pthread.Mutex
-	ring *shm.Ring
+// server is the mutation audit's memcached plant (DESIGN.md §10): the
+// accept loop holds the backlog mutex into the store's write lock, a
+// worker holds the store's read lock into the backlog mutex. No seeded
+// schedule lines the two orders up, so no test, golden or chaos run
+// deadlocks on it; only this check sees it.
+type server struct {
+	mu    *pthread.Mutex
+	store *pthread.RWLock
 }
 
-// reserveOrdered blocks in Reserve while holding mu: the claim wait is
-// the same backpressure park the wrapper sends had, so it adds the
-// transient edge mu -> ring. Consistent with the existing order; the
-// span is settled, so no leak either.
-func (p *P) reserveOrdered(t *kernel.Task, proc *sim.Proc, m shm.Message) {
-	p.mu.Lock(t)
-	sp := p.ring.Reserve(proc, 1, int64(m.Size))
-	sp.Put(m)
-	sp.Commit()
-	p.mu.Unlock(t)
+func (s *server) accept(t *kernel.Task) {
+	s.mu.Lock(t)
+	s.store.WrLock(t)
+	s.store.WrUnlock(t)
+	s.mu.Unlock(t)
 }
 
-// leak reserves a span and returns without Commit or Abort: the open
-// span jams the ring's publication sequence forever.
-func (p *P) leak(proc *sim.Proc, m shm.Message) {
-	sp := p.ring.Reserve(proc, 1, int64(m.Size)) // want "never committed or aborted"
-	sp.Put(m)
-}
-
-// tryLeak leaks a nonblocking claim the same way; the Open check does
-// not settle anything.
-func (p *P) tryLeak(m shm.Message) {
-	if sp := p.ring.TryReserve(1, int64(m.Size)); sp.Open() { // want "never committed or aborted"
-		sp.Put(m)
-	}
-}
-
-// settled commits on the success path and aborts on the full path:
-// every exit settles the span, no finding.
-func (p *P) settled(proc *sim.Proc, m shm.Message) {
-	sp := p.ring.Reserve(proc, 1, int64(m.Size))
-	if sp.Put(m) {
-		sp.Commit()
-	} else {
-		sp.Abort()
-	}
-}
-
-type holder struct{ span shm.Span }
-
-// handoff parks the open span in a field for a flush loop to settle
-// later — the recorder's pattern. The escape transfers responsibility,
-// so the leak check stays silent.
-func (h *holder) handoff(r *shm.Ring, m shm.Message) {
-	sp := r.TryReserve(1, int64(m.Size))
-	if sp.Open() {
-		sp.Put(m)
-		h.span = sp
-	}
+func (s *server) worker(t *kernel.Task) {
+	s.store.RdLock(t)
+	s.mu.Lock(t) // want "lock-order cycle"
+	s.store.RdUnlock(t)
+	s.mu.Unlock(t)
 }

@@ -12,19 +12,3 @@ type Divergence struct {
 
 // Annotate mirrors the real deterministic key=value annotation.
 func Annotate(d *Divergence, key string, v int64) {}
-
-// OutputPath mirrors the real per-committed-output critical path: it
-// carries the receipt watermark as recorded data, so the watermark
-// analyzer must not treat slices of it as output-commit waiter queues.
-type OutputPath struct {
-	Watermark int64
-	TotalNs   int64
-}
-
-// Attribution mirrors the real critical-path analysis.
-type Attribution struct {
-	Outputs []OutputPath
-}
-
-// WriteText mirrors the real fixed-format report renderer.
-func (a *Attribution) WriteText(w interface{ Write([]byte) (int, error) }) {}

@@ -1,30 +1,10 @@
-// Package pthread is a fixture stub mirroring the real
-// repro/internal/pthread surface the analyzers key on: the Det
-// deterministic-section interface and the interposed lock types. The
-// analyzers match methods by name within a package path containing
-// "internal/pthread", so fixtures importing this stub exercise the same
-// code paths as the real tree.
+// Package pthread is a fixture stub mirroring the interposed lock types of
+// the real repro/internal/pthread. lockorder matches lock methods by name
+// within a package path containing "internal/pthread", so fixtures
+// importing this stub exercise the same code paths as the real tree.
 package pthread
 
 import "repro/internal/kernel"
-
-// Op identifies an interposed operation.
-type Op int
-
-// Interposed operation codes used by fixtures.
-const (
-	OpMutexLock Op = iota + 1
-	OpSyscall
-)
-
-// Det is the deterministic-section protocol (see the real package): the
-// statements between Enter (or a Replay that reported true) and Exit are
-// the section.
-type Det interface {
-	Enter(t *kernel.Task, op Op, obj uint64)
-	Replay(t *kernel.Task, op Op, obj uint64) bool
-	Exit(t *kernel.Task, outcome uint64) uint64
-}
 
 // Mutex mirrors the interposed pthread_mutex_t.
 type Mutex struct{ locked bool }

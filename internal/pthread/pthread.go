@@ -89,8 +89,9 @@ const (
 // closure, so a section costs no allocation.
 //
 // Every Enter (and every Replay that reports true) must be matched by
-// exactly one Exit on every path, and the code between them must not block:
-// the ftvet detsection analyzer polices both.
+// exactly one Exit on every path, and the code between them must not block.
+// The replicating Det enforces both at run time: a thread that parks, or
+// enters again, inside its open section panics with a *SectionError.
 type Det interface {
 	// Enter opens the deterministic section of one interposed operation by
 	// thread t on object obj. On the primary, sections are serialized by
@@ -115,6 +116,24 @@ type Det interface {
 	// on the secondary — a mismatch is a replay divergence. It returns the
 	// outcome to act on: the recorded one when replaying.
 	Exit(t *kernel.Task, outcome uint64) uint64
+}
+
+// SectionError is the panic value of a deterministic section misused at
+// run time: its thread parked, or opened another section, while the section
+// was open. Either holds the det-section lock — replaying, the object's
+// turn — across a block, stalling every replicated thread queued behind it;
+// a second open also self-deadlocks on that lock.
+type SectionError struct {
+	Task  string // the kernel task
+	FTPid int    // the thread's replication identity
+	Op    Op     // the open section's operation and object
+	Obj   uint64
+	Call  string // what was attempted inside it: "park" or "Enter"
+}
+
+func (e *SectionError) Error() string {
+	return fmt.Sprintf("pthread: task %q (ft_pid %d) called %s inside its open %v section on object %d",
+		e.Task, e.FTPid, e.Call, e.Op, e.Obj)
 }
 
 // Passthrough is the no-replication Det: sections open and close for free

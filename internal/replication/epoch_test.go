@@ -72,7 +72,20 @@ func TestEpochTruncationBothSides(t *testing.T) {
 	cfg := replication.DefaultConfig()
 	cfg.Rejoinable = true
 	d := newDuo(t, 1, cfg, true)
-	verifyDigest(d.sns)
+	// The primary may truncate only at an epoch the backup has verified.
+	var verified uint64 // the last epoch whose digest matched
+	d.sns.OnEpoch(func(mark replication.EpochMark) bool {
+		ok := stateDigest(d.sns) == mark.Digest
+		if ok {
+			verified = mark.Epoch
+		}
+		return ok
+	})
+	d.pns.OnEpochQuorum(func(epoch uint64) {
+		if epoch > verified {
+			t.Errorf("primary truncated at epoch %d; the backup has verified only up to %d", epoch, verified)
+		}
+	})
 	var pOrder, sOrder []int
 	stop := false
 	d.pns.Start("app", nil, lockOrderApp(&pOrder, 6, 15))
@@ -126,7 +139,14 @@ func TestEpochDigestMismatchDiverges(t *testing.T) {
 	cfg.Rejoinable = true
 	cfg.PanicOnDivergence = true
 	d := newDuo(t, 2, cfg, true)
-	verifyDigest(d.sns)
+	var verified uint64 // Sent of the last marker whose digest matched
+	d.sns.OnEpoch(func(mark replication.EpochMark) bool {
+		ok := stateDigest(d.sns) == mark.Digest
+		if ok {
+			verified = mark.Sent
+		}
+		return ok
+	})
 	var pOrder, sOrder []int
 	stop := false
 	d.pns.Start("app", nil, lockOrderApp(&pOrder, 4, 20))
@@ -155,6 +175,15 @@ func TestEpochDigestMismatchDiverges(t *testing.T) {
 	// not have acked, so the primary cannot have truncated past it.
 	if got := d.pns.Stats().EpochCuts; got < 2 {
 		t.Fatalf("cutter emitted %d epochs, want >= 2", got)
+	}
+	// Nor may the backup have truncated at the corrupted boundary: its
+	// window still starts at the intact epoch's marker, and that is all it
+	// ever dropped.
+	if verified == 0 {
+		t.Fatal("the intact first epoch never verified")
+	}
+	if base, dropped := d.sns.ReplayWindowBase(), d.sns.Stats().LogTruncated; base != verified || dropped != verified {
+		t.Errorf("backup window base %d, %d messages truncated; want both at the last verified marker %d", base, dropped, verified)
 	}
 }
 

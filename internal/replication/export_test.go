@@ -23,3 +23,7 @@ func (ns *Namespace) RetainedSums() (recRunning, recWalked, repRunning, repWalke
 	}
 	return
 }
+
+// ReplayWindowBase returns the log index the backup's retained window
+// starts at: the Sent of the last epoch marker it truncated at.
+func (ns *Namespace) ReplayWindowBase() uint64 { return ns.rep.hist.base }

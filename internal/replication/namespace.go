@@ -55,6 +55,7 @@ type Thread struct {
 	ftpid int
 	seq   uint64
 	sec   section
+	guard pthread.SectionError // the open section, as a park inside it panics (see opened)
 }
 
 // section is the state of a thread's deterministic section between enter
@@ -80,6 +81,24 @@ type section struct {
 	replay   bool
 	checked  bool
 	tuple    Tuple
+}
+
+// opened arms the runtime guard over the section the engine just opened:
+// until exit starts, a park panics with th.guard. The window ends where
+// exit begins because the recorder's emit inside exit may park on ring
+// backpressure, after the thread has let go of the section.
+func (th *Thread) opened(op pthread.Op, obj uint64) {
+	th.guard = pthread.SectionError{Task: th.task.Name(), FTPid: th.ftpid, Op: op, Obj: obj, Call: "park"}
+	th.task.Proc().GuardPark(&th.guard)
+}
+
+// mustBeClosed panics if th opens a section inside its open one.
+func (th *Thread) mustBeClosed() {
+	if th.sec.rec != nil || th.sec.replay {
+		e := th.guard
+		e.Call = "Enter"
+		panic(&e)
+	}
 }
 
 // Task returns the underlying kernel task.
@@ -508,6 +527,7 @@ func (ns *Namespace) enter(th *Thread, op pthread.Op, obj uint64) {
 // outcome and payload the section settled; the returned pair is what the
 // caller acts on — the recorded one when the section replayed.
 func (ns *Namespace) exit(th *Thread, out uint64, data []byte) (uint64, []byte) {
+	th.task.Proc().GuardPark(nil)
 	switch {
 	case th.sec.replay:
 		return ns.rep.exit(th, out)

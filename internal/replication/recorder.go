@@ -20,8 +20,7 @@ type stableWaiter struct {
 // per-replica receipt watermark vector: the highest log-message receipt
 // the backup has acknowledged, plus its link state. It is plain data —
 // nothing ever waits on the vector itself (the armable output-commit
-// waiters live in stableQ) — which is the shape the ftvet watermark
-// analyzer's data-vector exemption recognizes.
+// waiters live in stableQ).
 type ReplicaWatermark struct {
 	// Index is the link's position in construction/AddReplica order — the
 	// same index DropReplica takes.
@@ -409,8 +408,7 @@ func (r *Recorder) quorumNeed() int {
 // noteMark refreshes one link's entry in the per-replica receipt
 // watermark vector. The vector is plain observable data — the armable
 // output-commit waiters live in stableQ, guarded by flushForCommit —
-// so storing into it needs no flush domination (the ftvet watermark
-// analyzer's data-vector exemption).
+// so storing into it needs no flush first.
 func (r *Recorder) noteMark(link *replicaLink) {
 	r.marks[link.idx] = ReplicaWatermark{
 		Index:     link.idx,
@@ -692,6 +690,7 @@ func (r *Recorder) commitSeqs(th *Thread, key uint64) {
 // sequencer-wait stage of the causal critical path. What exit needs stays
 // in the thread. A recorder that has gone live opens nothing.
 func (r *Recorder) enter(th *Thread, op pthread.Op, obj uint64) {
+	th.mustBeClosed()
 	if r.live {
 		return
 	}
@@ -705,6 +704,7 @@ func (r *Recorder) enter(th *Thread, op pthread.Op, obj uint64) {
 	r.sc.EmitDet(obs.DetEnter, th.ftpid, int64(r.seqGlobal), wait, key, int64(r.objSeq[key]))
 	t.Busy(r.cfg.SectionCost)
 	th.sec = section{rec: r, op: op, obj: obj, key: key, shard: shard}
+	th.opened(op, obj)
 }
 
 // exit closes the section enter opened: the tuple — with the outcome and

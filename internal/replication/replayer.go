@@ -611,6 +611,7 @@ func (r *Replayer) diverge(msg string) {
 // the thread out of replay while it was parked: the caller then executes
 // the operation itself — recording it, if promotion forked a recorder.
 func (r *Replayer) enter(th *Thread, op pthread.Op, obj uint64) bool {
+	th.mustBeClosed()
 	if r.live {
 		return false
 	}
@@ -621,6 +622,7 @@ func (r *Replayer) enter(th *Thread, op pthread.Op, obj uint64) bool {
 	th.task.Busy(r.cfg.ReplaySectionCost)
 	r.verify(th, op, obj)
 	th.sec.replay = true
+	th.opened(op, obj)
 	return true
 }
 

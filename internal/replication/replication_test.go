@@ -253,41 +253,50 @@ func TestGetTimeOfDayReplicated(t *testing.T) {
 }
 
 func TestSyscallDataReplicated(t *testing.T) {
-	var pData, sData []byte
-	app := func(out *[]byte) func(*replication.Thread) {
-		return func(root *replication.Thread) {
-			ns := root.NS()
+	// The middle payload overflows the byte budget of the span the first
+	// one opened: the recorder must publish that span before claiming a
+	// span of its own for the big tuple, or the ring jams behind it.
+	payloads := [][]byte{[]byte("hello"), bytes.Repeat([]byte("x"), 1<<10), []byte("bye")}
+	var pData, sData [][]byte
+	d := newDuo(t, 5, replication.DefaultConfig(), true)
+	d.pns.Start("app", nil, func(root *replication.Thread) {
+		for i, p := range payloads {
 			// The "syscall" produces data only meaningful on the primary
 			// (e.g. bytes read from a socket); the secondary must get the
 			// recorded copy.
-			v, data := ns.SyscallData(root, replication.OpSockData, 42, func() (uint64, []byte) {
-				return 5, []byte("hello")
+			v, data := root.NS().SyscallData(root, replication.OpSockData, 42, func() (uint64, []byte) {
+				return uint64(i + 5), p
 			})
-			if v != 5 {
-				t.Errorf("syscall value = %d, want 5", v)
+			if v != uint64(i+5) {
+				t.Errorf("syscall %d value = %d, want %d", i, v, i+5)
 			}
-			*out = append([]byte(nil), data...)
+			pData = append(pData, append([]byte(nil), data...))
 		}
-	}
-	d := newDuo(t, 5, replication.DefaultConfig(), true)
-	d.pns.Start("app", nil, app(&pData))
+	})
 	// On the secondary, run() returning different data would expose
 	// non-replication; it must never be called.
 	d.sns.Start("app", nil, func(root *replication.Thread) {
-		v, data := root.NS().SyscallData(root, replication.OpSockData, 42, func() (uint64, []byte) {
-			t.Error("secondary executed the syscall locally")
-			return 0, nil
-		})
-		if v != 5 {
-			t.Errorf("secondary syscall value = %d, want 5", v)
+		for i := range payloads {
+			v, data := root.NS().SyscallData(root, replication.OpSockData, 42, func() (uint64, []byte) {
+				t.Error("secondary executed the syscall locally")
+				return 0, nil
+			})
+			if v != uint64(i+5) {
+				t.Errorf("secondary syscall %d value = %d, want %d", i, v, i+5)
+			}
+			sData = append(sData, append([]byte(nil), data...))
 		}
-		sData = append([]byte(nil), data...)
 	})
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pData, []byte("hello")) || !bytes.Equal(sData, []byte("hello")) {
-		t.Errorf("data = %q / %q, want hello/hello", pData, sData)
+	if len(pData) != len(payloads) || len(sData) != len(payloads) {
+		t.Fatalf("primary saw %d, secondary %d of %d payloads", len(pData), len(sData), len(payloads))
+	}
+	for i, p := range payloads {
+		if !bytes.Equal(pData[i], p) || !bytes.Equal(sData[i], p) {
+			t.Errorf("payload %d = %.8q / %.8q, want %.8q on both", i, pData[i], sData[i], p)
+		}
 	}
 }
 
@@ -681,46 +690,61 @@ var _ pthread.Det = (*replication.Namespace)(nil)
 
 // TestStrictCommitForcesFlush pins the batching invariant: a strict
 // output-commit waiter flushes buffered tuples immediately, so commit
-// latency never waits out a FlushInterval or a partially filled batch.
+// latency never waits out a FlushInterval or a partially filled batch —
+// also while another backup is still catching up after a rejoin (the
+// syncing case: its ring is full and nobody drains it, so it stays in
+// catch-up, outside the commit set, for the whole run).
 func TestStrictCommitForcesFlush(t *testing.T) {
-	cfg := replication.DefaultConfig()
-	cfg.BatchTuples = 64                // far more than the app emits: no size-triggered flush
-	cfg.FlushInterval = 1 * time.Second // the timer must never be what releases output
-	d := newDuo(t, 31, cfg, true)
-	var requestedAt, releasedAt sim.Time
-	d.pns.Start("app", nil, func(root *replication.Thread) {
-		lib := root.Lib()
-		mx := lib.NewMutex()
-		for i := 0; i < 5; i++ {
-			mx.Lock(root.Task())
-			mx.Unlock(root.Task())
+	for _, syncing := range []bool{false, true} {
+		cfg := replication.DefaultConfig()
+		cfg.BatchTuples = 64                // far more than the app emits: no size-triggered flush
+		cfg.FlushInterval = 1 * time.Second // the timer must never be what releases output
+		cfg.Rejoinable = syncing
+		d := newDuo(t, 31, cfg, true)
+		var requestedAt, releasedAt sim.Time
+		d.pns.Start("app", nil, func(root *replication.Thread) {
+			lib := root.Lib()
+			mx := lib.NewMutex()
+			for i := 0; i < 5; i++ {
+				mx.Lock(root.Task())
+				mx.Unlock(root.Task())
+			}
+			if syncing {
+				log := d.fabric.NewRing("ftns.log.g1", 0, 4<<10)
+				for log.TrySend(shm.Message{Size: 512}) {
+				}
+				root.NS().AddReplica(log, d.fabric.NewRing("ftns.acks.g1", 1, 64<<10), nil)
+			}
+			requestedAt = root.Task().Now()
+			root.NS().OnStable(func() { releasedAt = d.sim.Now() })
+		})
+		d.sns.Start("app", nil, func(root *replication.Thread) {
+			lib := root.Lib()
+			mx := lib.NewMutex()
+			for i := 0; i < 5; i++ {
+				mx.Lock(root.Task())
+				mx.Unlock(root.Task())
+			}
+		})
+		if err := d.sim.Run(); err != nil {
+			t.Fatal(err)
 		}
-		requestedAt = root.Task().Now()
-		root.NS().OnStable(func() { releasedAt = d.sim.Now() })
-	})
-	d.sns.Start("app", nil, func(root *replication.Thread) {
-		lib := root.Lib()
-		mx := lib.NewMutex()
-		for i := 0; i < 5; i++ {
-			mx.Lock(root.Task())
-			mx.Unlock(root.Task())
+		if releasedAt == 0 || releasedAt < requestedAt {
+			t.Fatalf("syncing=%v: release at %v, requested at %v", syncing, releasedAt, requestedAt)
 		}
-	})
-	if err := d.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if releasedAt == 0 || releasedAt < requestedAt {
-		t.Fatalf("release at %v, requested at %v", releasedAt, requestedAt)
-	}
-	if gap := releasedAt.Sub(requestedAt); gap > time.Millisecond {
-		t.Errorf("output-commit gap %v — the waiter did not force a flush", gap)
-	}
-	// Without the forced flush nothing (not even the env message) would
-	// reach the secondary before the 1s timer, so release would happen at
-	// >= 1s. (The run itself may still end at ~1s: tuples emitted after
-	// the last commit point legitimately wait for the timer.)
-	if releasedAt > sim.Time(10*time.Millisecond) {
-		t.Errorf("released at %v — output commit waited for the flush timer", releasedAt)
+		if gap := releasedAt.Sub(requestedAt); gap > time.Millisecond {
+			t.Errorf("syncing=%v: output-commit gap %v — the waiter did not force a flush", syncing, gap)
+		}
+		// Without the forced flush nothing (not even the env message) would
+		// reach the secondary before the 1s timer, so release would happen
+		// at >= 1s. (The run itself may still end at ~1s: tuples emitted
+		// after the last commit point legitimately wait for the timer.)
+		if releasedAt > sim.Time(10*time.Millisecond) {
+			t.Errorf("syncing=%v: released at %v — output commit waited for the flush timer", syncing, releasedAt)
+		}
+		if w := d.pns.Watermarks(); syncing && (len(w) != 2 || !w[1].Syncing) {
+			t.Errorf("watermarks %+v: the rejoined backup left catch-up", w)
+		}
 	}
 }
 
@@ -750,5 +774,72 @@ func TestBatchedAcksCoalesce(t *testing.T) {
 	}
 	if pCount != 100 || sCount != 100 {
 		t.Errorf("counts %d/%d, want 100 each", pCount, sCount)
+	}
+}
+
+// sectionMisuse runs one section on both replicas of a duo, with misuse
+// called inside it on side only, and returns what misuse panicked with.
+// Every thread holds the section open while misuse runs; the other side
+// closes it normally, so the secondary's replayed section opens too.
+func sectionMisuse(t *testing.T, side replication.Role, misuse func(th *replication.Thread, obj uint64)) any {
+	t.Helper()
+	d := newDuo(t, 15, replication.DefaultConfig(), true)
+	var got any
+	d.launch(nil, func(th *replication.Thread) {
+		tk, ns := th.Task(), th.NS()
+		obj := th.Lib().NewMutex().ID()
+		ns.Enter(tk, pthread.OpMutexLock, obj)
+		if ns.Role() == side {
+			defer func() { got = recover() }()
+			misuse(th, obj)
+		}
+		ns.Exit(tk, 0)
+	})
+	if err := d.sim.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// checkSectionError asserts got is the typed panic of the mutex_lock
+// section sectionMisuse opens, naming call as the misuse.
+func checkSectionError(t *testing.T, got any, call string) {
+	t.Helper()
+	se, ok := got.(*pthread.SectionError)
+	if !ok {
+		t.Fatalf("misuse inside an open section panicked with %v (%T), want a *pthread.SectionError", got, got)
+	}
+	if se.Call != call || se.Op != pthread.OpMutexLock || se.FTPid != 1 || se.Task != "app" {
+		t.Errorf("SectionError = %+v, want call %q inside ft_pid 1's mutex_lock section", *se, call)
+	}
+}
+
+// TestParkInsideSectionPanics pins the runtime guard over an open det
+// section: a thread that parks before its Exit — holding the det-section
+// lock or, replaying, its object's turn — panics at the park, on either
+// side, whether it parks on a lock's futex or on any other wait queue (a
+// socket, a ring).
+func TestParkInsideSectionPanics(t *testing.T) {
+	parks := map[string]func(*kernel.Task){
+		"futex": func(tk *kernel.Task) { tk.Waiter().Park() },
+		"queue": func(tk *kernel.Task) { new(sim.WaitQueue).WaitTimeout(tk.Proc(), time.Millisecond) },
+	}
+	for name, park := range parks {
+		for _, side := range []replication.Role{replication.RolePrimary, replication.RoleSecondary} {
+			got := sectionMisuse(t, side, func(th *replication.Thread, _ uint64) { park(th.Task()) })
+			t.Run(name+"/"+side.String(), func(t *testing.T) { checkSectionError(t, got, "park") })
+		}
+	}
+}
+
+// TestEnterInsideSectionPanics pins the other half of the guard: a second
+// Enter before the first section's Exit panics instead of self-deadlocking
+// on the det-section lock (or parking for a replay turn it already holds).
+func TestEnterInsideSectionPanics(t *testing.T) {
+	for _, side := range []replication.Role{replication.RolePrimary, replication.RoleSecondary} {
+		got := sectionMisuse(t, side, func(th *replication.Thread, obj uint64) {
+			th.NS().Enter(th.Task(), pthread.OpMutexTrylock, obj)
+		})
+		checkSectionError(t, got, "Enter")
 	}
 }

@@ -608,8 +608,8 @@ func (r *Ring) wakeSenders() {
 // Reserved-but-uncommitted spans are released: their contents were never
 // published, so no drain can recover them, and leaving the reservation in
 // place would jam the ring's sequence forever (a sender that died between
-// Reserve and Commit is exactly the leak the ftvet lockorder analyzer
-// flags statically). Committed spans queued behind such a hole publish
+// Reserve and Commit leaves exactly that leak; the outbox kill tests pin
+// its release). Committed spans queued behind such a hole publish
 // normally once it is released — like in-flight transfers, they survive
 // the sender's death.
 func (r *Ring) Drain() []Message {

@@ -21,8 +21,8 @@ import (
 // visible only after every span reserved before it has been committed
 // (or aborted): the consumer cannot advance past an unpublished slot.
 // A reserved span that is never committed therefore stalls the ring
-// behind it — the reserve-without-commit leak the ftvet lockorder
-// analyzer reports statically.
+// behind it: the reserve-without-commit leak hangs every later sender,
+// which the ring and outbox tests see as a sender that never returns.
 //
 // A Span is a small value: a handle naming one record of its ring and the
 // generation it was issued in. The ring recycles the record once the span

@@ -64,7 +64,15 @@ type Proc struct {
 	qnext    *Proc
 
 	liveprev, livenext *Proc // Simulation's list of unfinished processes
+
+	guard any // see GuardPark
 }
+
+// GuardPark makes every wait of the process on a WaitQueue panic with v,
+// instead of parking, until it is lifted with nil. The replication layer
+// arms it over an open deterministic section, where parking is a bug.
+// Sleep is not a park: it models time spent working, which a section does.
+func (p *Proc) GuardPark(v any) { p.guard = v }
 
 // Spawn starts fn as a new simulated process that begins running at the
 // current virtual time. It may be called from the scheduler (inside an

@@ -31,6 +31,9 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) bool {
 }
 
 func (q *WaitQueue) wait(p *Proc, d time.Duration) (woken bool) {
+	if p.guard != nil {
+		panic(p.guard)
+	}
 	if d >= 0 {
 		p.timeoutSeq = p.sim.push(p.sim.now.Add(d), kindTimeout, p, nil)
 	}
