@@ -1,6 +1,6 @@
-// Command ftsim runs a configurable FT-Linux failover scenario: a
-// replicated file server, a downloading client, and injected faults,
-// printing the timeline and the client's view.
+// Command ftsim runs a configurable FT-Linux failover scenario: the
+// replicated restream server, a downloading client that checks every
+// byte, and injected faults, printing the timeline and the client's view.
 //
 //	ftsim -size 2147483648 -fail 5s -fault coherency -relaxed
 //	ftsim -chaos kill-rejoin-kill        # preset schedule, rejoin enabled
@@ -29,14 +29,11 @@ import (
 	"time"
 
 	"repro/internal/apps/clients"
-	"repro/internal/apps/fileserver"
+	"repro/internal/apps/restream"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/tcprep"
 )
 
 type options struct {
@@ -61,7 +58,7 @@ func main() {
 	var o options
 	flag.Int64Var(&o.size, "size", 1<<30, "file size in bytes")
 	flag.DurationVar(&o.failAt, "fail", 3*time.Second, "when to kill the primary (0 = never)")
-	flag.StringVar(&o.fault, "fault", "failstop", "fault kind: failstop, mem, bus, coherency")
+	flag.StringVar(&o.fault, "fault", "core", "fault kind: core, mem, bus, coherency")
 	flag.BoolVar(&o.relaxed, "relaxed", false, "use relaxed output commit (§3.5)")
 	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	flag.StringVar(&o.trace, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
@@ -81,23 +78,8 @@ func main() {
 	}
 }
 
-func faultKind(name string) (hw.FaultKind, error) {
-	switch name {
-	case "failstop":
-		return hw.CoreFailStop, nil
-	case "mem":
-		return hw.MemUncorrected, nil
-	case "bus":
-		return hw.BusError, nil
-	case "coherency":
-		return hw.CoherencyLoss, nil
-	default:
-		return 0, fmt.Errorf("unknown fault kind %q", name)
-	}
-}
-
 func run(o options) error {
-	kind, err := faultKind(o.fault)
+	kind, err := chaos.ParseFaultKind(o.fault)
 	if err != nil {
 		return err
 	}
@@ -146,24 +128,10 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	fcfg := fileserver.DefaultConfig()
-	fcfg.FileSize = o.size
-	var fst fileserver.Stats
-	sys.Run(core.App{Name: "fileserver", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
-		fileserver.Run(th, socks, fcfg, &fst)
-	}})
-	verify := func(off int64, data []byte) bool {
-		want := make([]byte, len(data))
-		fileserver.Fill(want, off)
-		for i := range data {
-			if data[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
+	scfg := restream.Config{Port: 80, Chunk: 256 << 10, Total: int(o.size)}
+	sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
 	var dl clients.DownloadStats
-	clients.Download(client, fcfg.Port, o.size, time.Second, verify, &dl)
+	clients.Download(client, scfg.Port, o.size, time.Second, &dl)
 	if o.chaosSpec == "" && o.failAt > 0 {
 		fmt.Printf("will inject %v on the primary at t=%v\n", kind, o.failAt)
 		sys.InjectPrimaryFailure(o.failAt, kind)
@@ -172,7 +140,7 @@ func run(o options) error {
 		return err
 	}
 	for _, s := range dl.Series {
-		fmt.Printf("t=%5.0fs %8.0f Mb/s\n", s.At.Seconds(), float64(s.Bytes)*8/1e6)
+		fmt.Printf("t=%5.0fs %8.0f Mb/s\n", s.At.Seconds(), s.Mbps())
 	}
 	fmt.Printf("\nreceived %d/%d bytes  complete=%v corrupted=%v\n", dl.Received, o.size, dl.Complete, dl.Corrupted)
 	if sys.FailedAt != 0 {

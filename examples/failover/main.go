@@ -1,6 +1,6 @@
 // Failover: the paper's headline demo (§4.4), run on a three-replica set.
-// A client downloads a large file from the replicated file server over a
-// 1 Gb/s link; mid-transfer the primary partition is killed. The two
+// A client downloads a large file from the replicated restream server over
+// a 1 Gb/s link; mid-transfer the primary partition is killed. The two
 // surviving backups elect the one with the higher receipt watermark, and
 // the TCP connection survives: after ~5 s of NIC driver reload the
 // promoted backup resumes the same byte stream, and the client verifies
@@ -13,16 +13,15 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/apps/clients"
-	"repro/internal/apps/fileserver"
+	"repro/internal/apps/restream"
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/tcprep"
 )
 
 func main() {
@@ -50,25 +49,10 @@ func run() error {
 		return err
 	}
 
-	fcfg := fileserver.DefaultConfig()
-	fcfg.FileSize = 2 << 30 // 2 GB keeps the demo quick; §4.4 uses 10 GB
-	var fst fileserver.Stats
-	sys.Run(core.App{Name: "fileserver", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
-		fileserver.Run(th, socks, fcfg, &fst)
-	}})
-
-	verify := func(off int64, data []byte) bool {
-		want := make([]byte, len(data))
-		fileserver.Fill(want, off)
-		for i := range data {
-			if data[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
+	scfg := restream.Config{Port: 80, Chunk: 256 << 10, Total: 2 << 30} // 2 GB keeps the demo quick; §4.4 uses 10 GB
+	sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
 	var dl clients.DownloadStats
-	clients.Download(client, fcfg.Port, fcfg.FileSize, time.Second, verify, &dl)
+	clients.Download(client, scfg.Port, int64(scfg.Total), time.Second, &dl)
 
 	fmt.Println("downloading 2 GB; killing the primary at t=6s...")
 	sys.InjectPrimaryFailure(6*time.Second, hw.CoreFailStop)
@@ -79,8 +63,7 @@ func run() error {
 
 	fmt.Println("\n  per-second download rate (wget's view):")
 	for _, s := range dl.Series {
-		bar := int(float64(s.Bytes) * 8 / 1e6 / 25)
-		fmt.Printf("  t=%4.0fs %8.0f Mb/s %s\n", s.At.Seconds(), float64(s.Bytes)*8/1e6, stars(bar))
+		fmt.Printf("  t=%4.0fs %8.0f Mb/s %s\n", s.At.Seconds(), s.Mbps(), strings.Repeat("*", int(s.Mbps()/25)))
 	}
 	fmt.Printf("\nfailure detected %v after injection; failover done in %v (NIC driver reload: %v)\n",
 		sys.FailedAt.Sub(sim.Time(6*time.Second)), sys.LiveAt.Sub(sys.FailedAt), sys.Cfg.NICDriverLoadTime)
@@ -95,21 +78,10 @@ func run() error {
 		sys.Flight.Tail(25).WriteText(os.Stdout)
 	}
 	fmt.Printf("received %d/%d bytes, complete=%v corrupted=%v\n",
-		dl.Received, fcfg.FileSize, dl.Complete, dl.Corrupted)
+		dl.Received, scfg.Total, dl.Complete, dl.Corrupted)
 	if !dl.Complete || dl.Corrupted {
 		return fmt.Errorf("transfer did not survive failover intact")
 	}
 	fmt.Println("the TCP connection survived the primary's death — the client never noticed beyond the stall")
 	return nil
-}
-
-func stars(n int) string {
-	if n < 0 {
-		n = 0
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '*'
-	}
-	return string(b)
 }

@@ -5,9 +5,11 @@
 package clients
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
+	"repro/internal/apps/restream"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -110,7 +112,17 @@ func oneRequest(t *kernel.Task, client *core.Client, cfg ABConfig, req []byte) b
 // Sample is one point of a download throughput series.
 type Sample struct {
 	At    sim.Time
-	Bytes int64 // bytes received within this sample interval
+	Span  time.Duration // the interval the sample covers, ending at At
+	Bytes int64         // bytes received within Span
+}
+
+// Mbps reports the sample's rate over its span — the last sample of a
+// series covers only the tail of an interval.
+func (s Sample) Mbps() float64 {
+	if s.Span <= 0 {
+		return 0
+	}
+	return float64(s.Bytes) * 8 / s.Span.Seconds() / 1e6
 }
 
 // DownloadStats reports a wget run.
@@ -122,11 +134,10 @@ type DownloadStats struct {
 	Series     []Sample
 }
 
-// Download runs a wget-style transfer of size bytes from the server,
-// sampling received bytes every interval (Figure 8's time series). verify,
-// if non-nil, is called per chunk with the stream offset to check content.
-func Download(client *core.Client, port int, size int64, interval time.Duration,
-	verify func(off int64, data []byte) bool, st *DownloadStats) {
+// Download runs a wget-style transfer of size bytes from a restream
+// server, sampling received bytes every interval (Figure 8's time series)
+// and checking every chunk against restream.Fill at its stream offset.
+func Download(client *core.Client, port int, size int64, interval time.Duration, st *DownloadStats) {
 	client.Kernel.Spawn("wget", func(t *kernel.Task) {
 		c, err := client.Stack.Connect(t, client.ServerAddr(port))
 		if err != nil {
@@ -135,27 +146,29 @@ func Download(client *core.Client, port int, size int64, interval time.Duration,
 		if _, err := c.Send(t, []byte("GET /file HTTP/1.0\r\n\r\n")); err != nil {
 			return
 		}
+		want := make([]byte, 256<<10)
 		nextSample := t.Now().Add(interval)
 		var windowBytes int64
 		for st.Received < size {
-			data, err := c.Recv(t, 256<<10)
+			data, err := c.Recv(t, len(want))
 			if err != nil {
 				break
 			}
-			if verify != nil && !verify(st.Received, data) {
+			restream.Fill(want[:len(data)], int(st.Received))
+			if !bytes.Equal(data, want[:len(data)]) {
 				st.Corrupted = true
 			}
 			// Close out any sample intervals that ended before this chunk
 			// arrived (an outage shows up as zero-byte samples).
 			for t.Now() >= nextSample {
-				st.Series = append(st.Series, Sample{At: nextSample, Bytes: windowBytes})
+				st.Series = append(st.Series, Sample{At: nextSample, Span: interval, Bytes: windowBytes})
 				windowBytes = 0
 				nextSample = nextSample.Add(interval)
 			}
 			st.Received += int64(len(data))
 			windowBytes += int64(len(data))
 		}
-		st.Series = append(st.Series, Sample{At: t.Now(), Bytes: windowBytes})
+		st.Series = append(st.Series, Sample{At: t.Now(), Span: interval - nextSample.Sub(t.Now()), Bytes: windowBytes})
 		st.Complete = st.Received >= size
 		st.FinishedAt = t.Now()
 		_ = c.Close(t)

@@ -1,11 +1,15 @@
-// Package restream is a restorable variant of the streaming file server:
-// the same deterministic transfer the failover experiments use, but with
-// its replicated state (socket identities and transfer offset) exposed as
-// a snapshot so epoch checkpointing can resume it on a checkpoint-seeded
-// replica. It is the reference implementation of the core.AppState
-// contract: every det section it issues is a pure function of the
-// restored state, so a replica restored at offset K issues exactly the
-// section sequence the primary's continuation recorded after the cut.
+// Package restream reimplements the paper's in-house streaming server
+// (§4.4): a deliberately light-weight server that accepts one connection
+// and transfers a large deterministic stream on it, so overheads are easy
+// to break down. Every failover scenario runs it — Fig. 8, ftsim, the
+// benchmark's stream-failover and the rejoin and epoch tests.
+//
+// Its replicated state (socket identities and transfer offset) is exposed
+// as a snapshot, so epoch checkpointing can resume it on a
+// checkpoint-seeded replica. It is the reference implementation of the
+// core.AppState contract: every det section it issues is a pure function
+// of the restored state, so a replica restored at offset K issues exactly
+// the section sequence the primary's continuation recorded after the cut.
 package restream
 
 import (

@@ -1,28 +1,19 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/apps/clients"
-	"repro/internal/apps/fileserver"
+	"repro/internal/apps/restream"
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/tcprep"
 )
 
 // fig8MSS is the GSO-style segment size of the bulk transfer.
 const fig8MSS = 32 << 10
-
-func fig8Verify(off int64, data []byte) bool {
-	want := make([]byte, len(data))
-	fileserver.Fill(want, off)
-	return bytes.Equal(data, want)
-}
 
 // fig8 reproduces Figure 8: downloading a large file over a 1 Gb/s link
 // from (a) stock Ubuntu, (b) FT-Linux failure-free and (c) FT-Linux with
@@ -33,18 +24,13 @@ func fig8Verify(off int64, data []byte) bool {
 func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 	report := Report{Exp: "fig8", Seed: seed,
 		Params: []Label{label("file_bytes", fileSize), label("fail_at", failAt)}}
-	fcfg := fileserver.DefaultConfig()
-	fcfg.FileSize = fileSize
+	scfg := restream.Config{Port: 80, Chunk: 256 << 10, Total: int(fileSize)}
 	cfg := core.DefaultConfig(seed)
 	cfg.TCP.MSS = fig8MSS
 	deadline := sim.Time(10*time.Minute + time.Duration(fileSize/1000)) // generous
-	serve := func(th *replication.Thread, socks *tcprep.Sockets) {
-		var st fileserver.Stats
-		fileserver.Run(th, socks, fcfg, &st)
-	}
 	download := func(client *core.Client) *clients.DownloadStats {
 		st := &clients.DownloadStats{}
-		clients.Download(client, fcfg.Port, fileSize, time.Second, fig8Verify, st)
+		clients.Download(client, scfg.Port, fileSize, time.Second, st)
 		return st
 	}
 	ft := func(killAt time.Duration) (*clients.DownloadStats, *core.System, error) {
@@ -57,7 +43,7 @@ func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		sys.Run(core.App{Name: "fileserver", Main: serve})
+		sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
 		st := download(client)
 		if killAt > 0 {
 			sys.InjectPrimaryFailure(killAt, hw.CoreFailStop)
@@ -76,7 +62,7 @@ func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		base.LaunchApp("fileserver", nil, serve)
+		base.LaunchApp("stream", nil, restream.New(scfg).Main)
 		st := download(client)
 		return st, base.Sim.RunUntil(deadline)
 	}()
@@ -104,28 +90,25 @@ func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 		return report, fmt.Errorf("bench: fig8: no backup went live after the failure at %v", sys.FailedAt)
 	}
 	// Outage: near-zero samples from the failure until throughput has
-	// settled, two seconds after promotion. Recovery rate: the samples
-	// from then until completion.
-	var outage, recoveredSamples int
+	// settled, two seconds after promotion. Recovery rate: the bytes
+	// received from then until completion over the time they took.
+	var outage int
 	var recovered int64
-	settled := false
+	var settledFor time.Duration
 	for _, s := range fo.Series {
 		report.Points = append(report.Points, Point{
 			Labels: []Label{label("t_s", fmt.Sprintf("%.1f", s.At.Seconds()))},
-			Values: []Named{val("mbps", float64(s.Bytes)*8/1e6, "Mb/s")},
+			Values: []Named{val("mbps", s.Mbps(), "Mb/s")},
 		})
-		if !settled && s.At > sys.FailedAt.Add(-time.Second) && s.Bytes < (1<<20) {
+		if settledFor == 0 && s.At > sys.FailedAt.Add(-time.Second) && s.Bytes < (1<<20) {
 			outage++
 		}
 		if s.At > sys.LiveAt.Add(2*time.Second) {
-			settled = true
-			if s.Bytes > 0 {
-				recovered += s.Bytes
-				recoveredSamples++
-			}
+			recovered += s.Bytes
+			settledFor += s.Span
 		}
 	}
-	if recoveredSamples == 0 {
+	if recovered == 0 {
 		return report, fmt.Errorf("bench: fig8: the transfer ended before throughput settled after the failover")
 	}
 	report.Ratios = []Named{
@@ -134,7 +117,7 @@ func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 		val("ft_pct_of_linux", 100*ftMbps/linuxMbps, "%"),
 		val("outage_s", outage, "s"),
 		val("driver_reload_pct_of_outage", 100*float64(sys.Cfg.NICDriverLoadTime)/float64(sys.LiveAt.Sub(sys.FailedAt)), "%"),
-		val("recovered_mbps", float64(recovered)*8/float64(recoveredSamples)/1e6, "Mb/s"),
+		val("recovered_mbps", clients.Sample{Span: settledFor, Bytes: recovered}.Mbps(), "Mb/s"),
 	}
 	return report, nil
 }

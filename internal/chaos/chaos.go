@@ -196,6 +196,16 @@ var killKinds = map[string]hw.FaultKind{
 	"coherency": hw.CoherencyLoss,
 }
 
+// ParseFaultKind maps a kill kind's name (core, mem, bus, coherency) to
+// its hardware fault class — the one vocabulary for schedules and flags.
+func ParseFaultKind(name string) (hw.FaultKind, error) {
+	kind, ok := killKinds[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown fault kind %q (core, mem, bus, coherency)", name)
+	}
+	return kind, nil
+}
+
 func (s *Schedule) parseKill(ev string, f []string) error {
 	if len(f) < 2 || len(f) > 3 {
 		return fmt.Errorf("chaos: %q: want `kill <primary|backup|backup<k>> @<time> [kind]`", ev)
@@ -224,9 +234,9 @@ func (s *Schedule) parseKill(ev string, f []string) error {
 	}
 	k.At = at
 	if len(f) == 3 {
-		kind, ok := killKinds[f[2]]
-		if !ok {
-			return fmt.Errorf("chaos: %q: unknown fault kind %q (core, mem, bus, coherency)", ev, f[2])
+		kind, err := ParseFaultKind(f[2])
+		if err != nil {
+			return fmt.Errorf("chaos: %q: %v", ev, err)
 		}
 		k.Fault = kind
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/restream"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -207,45 +208,10 @@ func TestAcceptAfterClientReset(t *testing.T) {
 	}
 }
 
-// streamApp serves one connection with total bytes of deterministic data
-// in chunk-sized writes, then closes.
-func streamApp(port, chunk, total int) func(*replication.Thread, *tcprep.Sockets) {
-	return func(th *replication.Thread, socks *tcprep.Sockets) {
-		l, err := socks.Listen(th, port, 8)
-		if err != nil {
-			return
-		}
-		c, err := l.Accept(th)
-		if err != nil {
-			return
-		}
-		buf := make([]byte, chunk)
-		for off := 0; off < total; off += chunk {
-			n := chunk
-			if total-off < n {
-				n = total - off
-			}
-			fillPattern(buf[:n], off)
-			if _, err := c.Send(th, buf[:n]); err != nil {
-				return
-			}
-		}
-		_ = c.Close(th)
-	}
-}
-
-// fillPattern writes the deterministic stream content for [off, off+len).
-func fillPattern(b []byte, off int) {
-	for i := range b {
-		x := off + i
-		b[i] = byte(x*31 + (x >> 8) + (x >> 16))
-	}
-}
-
 func checkPattern(t *testing.T, got []byte) {
 	t.Helper()
 	want := make([]byte, len(got))
-	fillPattern(want, 0)
+	restream.Fill(want, 0)
 	if !bytes.Equal(got, want) {
 		for i := range got {
 			if got[i] != want[i] {
@@ -286,7 +252,7 @@ func TestFailoverTransparentToClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 64 << 20 // 64 MiB ~= 0.6s on the wire at 1 Gb/s
-	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
+	sys.Run(plainStream(total))
 
 	var got []byte
 	var doneAt sim.Time
@@ -333,7 +299,7 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 16 << 20
-	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
+	sys.Run(plainStream(total))
 	var got []byte
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
@@ -354,7 +320,7 @@ func TestSecondaryFailurePrimaryContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 8 << 20
-	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
+	sys.Run(plainStream(total))
 	var got []byte
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
@@ -579,7 +545,7 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		const total = 16 << 20
-		sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
+		sys.Run(plainStream(total))
 		var got []byte
 		var doneAt sim.Time
 		download(t, client, 80, &got, &doneAt)
@@ -639,7 +605,7 @@ func TestTCPSyncBatchingCoalesces(t *testing.T) {
 					t.Errorf("connect %d: %v", i, err)
 					return
 				}
-				fillPattern(req, i)
+				restream.Fill(req, i)
 				if _, err := c.Send(tk, req); err != nil {
 					t.Errorf("send: %v", err)
 					return

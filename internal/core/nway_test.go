@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/restream"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -60,7 +61,7 @@ func nwayDownload(t *testing.T, total int, opts []core.Option,
 	if err != nil {
 		t.Fatalf("attach network: %v", err)
 	}
-	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
+	sys.Run(plainStream(total))
 	if after != nil {
 		after(sys)
 	}
@@ -83,7 +84,7 @@ func nwayDownload(t *testing.T, total int, opts []core.Option,
 				t.Errorf("recv after %d bytes: %v", got, err)
 				return
 			}
-			fillPattern(want[:len(data)], got)
+			restream.Fill(want[:len(data)], got)
 			if !bytes.Equal(data, want[:len(data)]) {
 				t.Errorf("stream diverged from the deterministic pattern at offset %d", got)
 				return

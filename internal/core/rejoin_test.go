@@ -15,8 +15,10 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/tcprep"
 	"repro/internal/tcpstack"
 )
 
@@ -37,12 +39,17 @@ func slowLAN() simnet.LinkConfig {
 // at t=15s while finishing well inside the run window.
 const rejoinStreamTotal = 64 << 20
 
-// plainStream and restorableStream are the two forms of the same patterned
-// stream server: a plain Main that a rejoined backup replays from its first
-// section, and the restorable restream app epoch checkpoints require (a
-// backup seeded from a cut resumes it from its snapshot).
+// plainStream and restorableStream are the two launches of the same
+// restream server: a plain Main that a rejoined backup replays from its
+// first section — the non-State launch path — and the restorable app epoch
+// checkpoints require (a backup seeded from a cut resumes it from its
+// snapshot). plainStream builds a fresh Server on every start, one per
+// replica and per rejoin: a shared one would race on the offset.
 func plainStream(total int) core.App {
-	return core.App{Name: "stream", Main: streamApp(80, 64<<10, total)}
+	cfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: total}
+	return core.App{Name: "stream", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
+		restream.New(cfg).Main(th, socks)
+	}}
 }
 
 func restorableStream(total int) core.App {
@@ -110,7 +117,7 @@ func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, app f
 				t.Errorf("recv after %d bytes: %v", got, err)
 				return
 			}
-			fillPattern(want[:len(data)], got)
+			restream.Fill(want[:len(data)], got)
 			if !bytes.Equal(data, want[:len(data)]) {
 				t.Errorf("stream diverged from never-failed pattern at offset %d", got)
 				return
@@ -278,7 +285,7 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 		t.Fatalf("attach network: %v", err)
 	}
 	total := 48 << 20
-	sys.Run(core.App{Name: "stream", Main: streamApp(80, 64<<10, total)})
+	sys.Run(plainStream(total))
 	sys.InjectPrimaryFailure(2*time.Second, hw.CoreFailStop)
 
 	// As soon as the resync starts, kill the active side 50 ms in — while
@@ -316,7 +323,7 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 				t.Errorf("recv after %d bytes: %v", got, err)
 				return
 			}
-			fillPattern(want[:len(data)], got)
+			restream.Fill(want[:len(data)], got)
 			if !bytes.Equal(data, want[:len(data)]) {
 				t.Errorf("stream diverged at offset %d after mid-resync promotion", got)
 				return
