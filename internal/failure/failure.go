@@ -134,9 +134,9 @@ func (d *Detector) declareFailed() {
 	})
 }
 
-// Fired reports whether the peer has been declared failed.
-//
-// Deprecated: detectors are per-pairing and replaced across rejoin
-// generations; ask the deployment's lifecycle state machine instead
-// (core.System.State).
+// Fired reports whether this detector has declared its peer failed — on a
+// heart-beat timeout or a fatal machine-check report for the peer's
+// hardware — halting the peer if it still ran and starting failover. It
+// never resets. A detector watches one pairing for one generation; whether
+// the deployment as a whole is degraded is core.System.State's to report.
 func (d *Detector) Fired() bool { return d.fired }

@@ -17,7 +17,6 @@ type Device struct {
 	loadTime time.Duration
 	owner    *Kernel
 	loaded   bool
-	onLoad   []func(*Kernel)
 }
 
 // NewDevice creates a device whose driver takes loadTime to initialize.
@@ -28,19 +27,11 @@ func NewDevice(name string, loadTime time.Duration) *Device {
 // Name returns the device name.
 func (d *Device) Name() string { return d.name }
 
-// LoadTime reports how long the device's driver takes to load.
-func (d *Device) LoadTime() time.Duration { return d.loadTime }
-
 // Owner returns the kernel that owns the device, or nil.
 func (d *Device) Owner() *Kernel { return d.owner }
 
 // Loaded reports whether the owner's driver is operational.
 func (d *Device) Loaded() bool { return d.loaded }
-
-// OnLoad registers a callback invoked (non-blocking) each time a driver
-// finishes loading on a kernel; the network layer uses it to (re)attach the
-// device to the new owner's stack.
-func (d *Device) OnLoad(fn func(*Kernel)) { d.onLoad = append(d.onLoad, fn) }
 
 // Preload marks the device as owned and operational without spending load
 // time — boot-time driver initialization that predates the measurement
@@ -48,9 +39,6 @@ func (d *Device) OnLoad(fn func(*Kernel)) { d.onLoad = append(d.onLoad, fn) }
 func (d *Device) Preload(k *Kernel) {
 	d.owner = k
 	d.loaded = true
-	for _, fn := range d.onLoad {
-		fn(k)
-	}
 }
 
 // LoadDriver acquires ownership of the device for the calling task's kernel
@@ -75,9 +63,6 @@ func (t *Task) LoadDriver(d *Device) error {
 	}
 	d.loaded = true
 	k.sc.EmitNote(obs.DriverUp, 0, 0, 0, d.name)
-	for _, fn := range d.onLoad {
-		fn(k)
-	}
 	return nil
 }
 

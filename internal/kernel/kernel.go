@@ -9,8 +9,9 @@
 //   - per-core CPU scheduling with virtual compute time and an idle-wake
 //     (wake_up_process) latency that can reach tens of milliseconds — the
 //     bottleneck identified in §4.1;
-//   - a futex with the paper's FIFO-queue modification (§3.3), so lock
-//     hand-off order is deterministic;
+//   - a one-task wait record (Waiter) with the futex-word protocol, which
+//     pthread's FIFO waiter queues grant in order — the paper's FIFO-futex
+//     modification (§3.3) — so lock hand-off order is deterministic;
 //   - exclusive device ownership and driver loading with realistic load
 //     times (the 5 s NIC reload that dominates failover, §4.4);
 //   - physical-memory accounting per page class and machine-check fault
@@ -51,8 +52,10 @@ type Params struct {
 	// a running batch timeslice instead of waiting for one to end — the
 	// model of CFS's vruntime-gated wakeup preemption. 1 = always preempt.
 	WakePreemptProb float64
-	// FutexFIFO selects the paper's FIFO futex wake order; disabling it
+	// FutexFIFO selects the paper's FIFO futex hand-off; disabling it
 	// restores stock unordered wake (used by the determinism ablation).
+	// pthread's waiter queues read it to pick which record to grant; the
+	// kernel's wait record holds one task and has no order of its own.
 	FutexFIFO bool
 }
 
@@ -88,13 +91,11 @@ type Kernel struct {
 	params Params
 	mem    *kmem.Accounting
 	sched  *scheduler
-	futex  *futexTable
 
-	alive     bool
-	panicked  *PanicReason
-	onPanic   []func(PanicReason)
-	onUserHit []func(addr int64)
-	sc        *obs.Scope
+	alive    bool
+	panicked *PanicReason
+	onPanic  []func(PanicReason)
+	sc       *obs.Scope
 
 	nextTID   int
 	computeNS int64 // total core-time consumed, for utilization accounting
@@ -142,7 +143,6 @@ func Boot(part *hw.Partition, cfg Config) (*Kernel, error) {
 		alive:  true,
 	}
 	k.sched = newScheduler(k, ncores)
-	k.futex = newFutexTable(k)
 	base := cfg.BaseKernelMem
 	if base == 0 {
 		base = part.Mem()*15/1000 + 768<<20
@@ -192,10 +192,6 @@ func (k *Kernel) OnPanic(fn func(PanicReason)) { k.onPanic = append(k.onPanic, f
 // (re)loads — the two kernel-side landmarks of the failover timeline —
 // are traced. A nil scope disables.
 func (k *Kernel) Instrument(sc *obs.Scope) { k.sc = sc }
-
-// OnUserHit registers a callback invoked when a memory fault strikes a user
-// page (the application is killed, §2.3). Callbacks must not block.
-func (k *Kernel) OnUserHit(fn func(addr int64)) { k.onUserHit = append(k.onUserHit, fn) }
 
 // Panic kills the kernel: every task dies immediately, as when a hardware
 // fault halts the partition or a peer replica delivers a forcible IPI halt
@@ -256,13 +252,8 @@ func (k *Kernel) handleMemFault(f hw.Fault) kmem.Outcome {
 		return kmem.OutcomeNone
 	}
 	out := kmem.OutcomeOf(class, f.Kind == hw.MemCorrected)
-	switch out {
-	case kmem.OutcomeKernelPanic:
+	if out == kmem.OutcomeKernelPanic {
 		k.Panic(fmt.Sprintf("uncorrected memory error in %v kernel memory", class), &f)
-	case kmem.OutcomeUserKill:
-		for _, fn := range k.onUserHit {
-			fn(f.Addr)
-		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -163,71 +164,106 @@ func TestNoIdlePenaltyOnBusyHandoff(t *testing.T) {
 	}
 }
 
-func TestFutexFIFOOrder(t *testing.T) {
-	s, k := bootTest(t, 8)
-	key := k.NewFutexKey()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		k.Spawn("waiter", func(tk *Task) {
-			tk.Sleep(time.Duration(i) * time.Millisecond) // deterministic arrival order
-			tk.FutexWait(key, -1)
-			order = append(order, i)
-		})
-	}
-	k.Spawn("waker", func(tk *Task) {
-		tk.Sleep(10 * time.Millisecond)
-		if n := tk.FutexWake(key, 100); n != 5 {
-			t.Errorf("FutexWake woke %d, want 5", n)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("futex wake order %v, want FIFO", order)
-		}
-	}
-}
-
-func TestFutexWaitTimeout(t *testing.T) {
+// TestWaitRecordGrantBeforePark grants a record before its task parks: the
+// grant is not lost, Park returns at once and no process switch happens.
+func TestWaitRecordGrantBeforePark(t *testing.T) {
 	s, k := bootTest(t, 1)
-	var woken bool
+	k.params.WakeBase = time.Microsecond
+	var parkedAt, resumedAt sim.Time
+	switches, resumed := 0, false
 	k.Spawn("w", func(tk *Task) {
-		woken = tk.FutexWait(k.NewFutexKey(), 2*time.Millisecond)
+		tk.Sleep(time.Millisecond)
+		w := tk.Waiter()
+		w.Grant()
+		s.OnSwitch = func(sim.Time, string) { switches++ }
+		parkedAt = tk.Now()
+		w.Park()
+		resumedAt, resumed = tk.Now(), true
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if woken {
-		t.Error("FutexWait reported woken on timeout")
+	if !resumed || resumedAt != parkedAt || switches != 0 {
+		t.Errorf("granted record: resumed=%v, parked from %v to %v with %d switches, want no wait and no switch",
+			resumed, parkedAt, resumedAt, switches)
 	}
 }
 
-func TestFutexWakeLimited(t *testing.T) {
-	s, k := bootTest(t, 8)
-	key := k.NewFutexKey()
-	woken := 0
-	for i := 0; i < 4; i++ {
-		k.Spawn("w", func(tk *Task) {
-			if tk.FutexWait(key, 20*time.Millisecond) {
-				woken++
-			}
-		})
-	}
-	k.Spawn("waker", func(tk *Task) {
-		tk.Sleep(5 * time.Millisecond)
-		if n := tk.FutexWake(key, 2); n != 2 {
-			t.Errorf("woke %d, want 2", n)
+// TestWaitRecordWakeCost parks a task and grants its record from another:
+// the task resumes exactly WakeBase after the grant, and a second grant of
+// the woken record changes nothing.
+func TestWaitRecordWakeCost(t *testing.T) {
+	s, k := bootTest(t, 2)
+	k.params.WakeBase = 3 * time.Microsecond
+	var w *Waiter
+	var resumedAt sim.Time
+	k.Spawn("waiter", func(tk *Task) {
+		w = tk.Waiter()
+		w.Park()
+		resumedAt = tk.Now()
+		tk.Sleep(time.Millisecond) // still alive when the second grant lands
+	})
+	k.Spawn("granter", func(tk *Task) {
+		tk.Sleep(5 * time.Microsecond)
+		w.Grant()
+		tk.Sleep(10 * time.Microsecond)
+		w.Grant()
+		if w.q.Len() != 0 {
+			t.Errorf("second grant left %d tasks queued", w.q.Len())
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if woken != 2 {
-		t.Errorf("%d waiters woken, want 2", woken)
+	if want := sim.Time(8 * time.Microsecond); resumedAt != want {
+		t.Errorf("parked task resumed at %v, want %v (grant at 5us + WakeBase)", resumedAt, want)
 	}
+}
+
+// TestWaitRecordKilledWhileParked kills a parked task: the record's queue is
+// left empty, and a later grant neither panics nor wakes anything.
+func TestWaitRecordKilledWhileParked(t *testing.T) {
+	s, k := bootTest(t, 1)
+	var w *Waiter
+	resumed := false
+	victim := k.Spawn("victim", func(tk *Task) {
+		w = tk.Waiter()
+		w.Park()
+		resumed = true
+	})
+	s.Schedule(time.Millisecond, func() {
+		if w.q.Len() != 1 {
+			t.Errorf("%d tasks parked on the record before the kill, want 1", w.q.Len())
+		}
+		victim.Kill()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if w.q.Len() != 0 {
+		t.Fatalf("killed task left %d entries on the record's queue", w.q.Len())
+	}
+	w.Grant()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed || !victim.Finished() || w.q.Len() != 0 {
+		t.Errorf("grant after the kill: resumed=%v finished=%v queued=%d", resumed, victim.Finished(), w.q.Len())
+	}
+}
+
+// TestWaitRecordArmedTwicePanics arms a task's record while it is still
+// armed: the task would be queued on two objects at once.
+func TestWaitRecordArmedTwicePanics(t *testing.T) {
+	_, k := bootTest(t, 1)
+	tk := k.Spawn("w", func(*Task) {})
+	tk.Waiter()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "armed twice") {
+			t.Errorf("second arm: recovered %v, want an armed-twice panic", r)
+		}
+	}()
+	tk.Waiter()
 }
 
 func TestPanicKillsTasks(t *testing.T) {
@@ -287,9 +323,6 @@ func TestHandleFaultMemoryOutcomes(t *testing.T) {
 	if err := k.Mem().Alloc(kmem.User, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	var userHits []int64
-	k.OnUserHit(func(addr int64) { userHits = append(userHits, addr) })
-
 	// Address 0 falls in the boot reservation (KernelIgnored): corrected
 	// errors are absorbed, uncorrected ones panic the kernel.
 	if out := k.HandleFault(hw.Fault{Kind: hw.MemCorrected, Node: 0, Addr: 0}); out != kmem.OutcomeNone {
@@ -303,8 +336,8 @@ func TestHandleFaultMemoryOutcomes(t *testing.T) {
 	if out := k.HandleFault(hw.Fault{Kind: hw.MemUncorrected, Node: 0, Addr: userAddr}); out != kmem.OutcomeUserKill {
 		t.Errorf("user-memory DUE outcome = %v, want user-kill", out)
 	}
-	if len(userHits) != 1 {
-		t.Errorf("user-hit callbacks = %d, want 1", len(userHits))
+	if out := k.HandleFault(hw.Fault{Kind: hw.MemCorrected, Node: 0, Addr: userAddr}); out != kmem.OutcomeNone {
+		t.Errorf("user-memory corrected error outcome = %v, want none", out)
 	}
 	if !k.Alive() {
 		t.Fatal("user-memory fault killed kernel")
@@ -354,11 +387,15 @@ func TestDeviceExclusiveOwnership(t *testing.T) {
 		t.Error("ownership/loaded state wrong")
 	}
 
-	// After the owner dies, the peer can take over; reload takes 5s.
+	// After the owner dies, the peer can take over; reload takes 5s, and
+	// the device is the peer's but down until it completes.
 	k0.Panic("fault", nil)
 	var tookOver sim.Time
-	loads := 0
-	nic.OnLoad(func(*Kernel) { loads++ })
+	s.Schedule(time.Second, func() {
+		if nic.Owner() != k1 || nic.Loaded() {
+			t.Errorf("mid-reload: owner %v loaded %v, want the peer's and down", nic.Owner().Name(), nic.Loaded())
+		}
+	})
 	k1.Spawn("failover", func(tk *Task) {
 		if err := tk.LoadDriver(nic); err != nil {
 			t.Errorf("takeover LoadDriver: %v", err)
@@ -372,7 +409,7 @@ func TestDeviceExclusiveOwnership(t *testing.T) {
 	if got := tookOver.Sub(start); got != 5*time.Second {
 		t.Errorf("takeover took %v, want 5s", got)
 	}
-	if nic.Owner() != k1 || !nic.Loaded() || loads != 1 {
+	if nic.Owner() != k1 || !nic.Loaded() {
 		t.Error("takeover state wrong")
 	}
 }
@@ -463,9 +500,15 @@ func TestKillAnywhereInComputeReleasesCore(t *testing.T) {
 			if err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if k.IdleCores() != k.Cores() || k.Runnable() != 0 || len(k.sched.running) != 0 {
+			running := 0
+			for _, sl := range k.sched.running {
+				if sl != nil {
+					running++
+				}
+			}
+			if k.IdleCores() != k.Cores() || k.Runnable() != 0 || running != 0 {
 				t.Errorf("contended=%v, killed at +%v: %d of %d cores idle, %d queued, %d slices running once everything finished",
-					contended, at, k.IdleCores(), k.Cores(), k.Runnable(), len(k.sched.running))
+					contended, at, k.IdleCores(), k.Cores(), k.Runnable(), running)
 			}
 			s.Shutdown()
 		}

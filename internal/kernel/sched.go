@@ -32,7 +32,7 @@ type Task struct {
 	dispatch   sim.Event
 	sliceTimer sim.Event
 
-	wait Waiter // the task's futex wait record, see Task.Waiter
+	wait Waiter // the task's wait record, see Task.Waiter
 }
 
 // scheduler multiplexes tasks over the kernel's cores.
@@ -48,7 +48,7 @@ type scheduler struct {
 	// arrival with no idle core preempts a running batch task mid-quantum.
 	boostq, runq       []*Task // FIFOs from boostHead / runHead
 	boostHead, runHead int
-	running            map[int]*runSlice // core -> current timeslice
+	running            []*runSlice // per core: its current timeslice, or nil
 }
 
 // runSlice is one task's current timeslice on the core it holds.
@@ -66,7 +66,7 @@ func newScheduler(k *Kernel, ncores int) *scheduler {
 		k:         k,
 		ncores:    ncores,
 		idleSince: make([]sim.Time, ncores),
-		running:   make(map[int]*runSlice),
+		running:   make([]*runSlice, ncores),
 	}
 	for c := ncores - 1; c >= 0; c-- {
 		s.idle = append(s.idle, c)
@@ -207,24 +207,22 @@ func (t *Task) sliceExpired() {
 	t.wakeQ.WakeOne(0)
 }
 
-// preemptBatch interrupts the longest-running batch slice, if any,
-// reporting whether one was preempted.
-func (s *scheduler) preemptBatch() bool {
+// preemptBatch interrupts the longest-running batch slice, if any — the
+// lowest-numbered core's among equals.
+func (s *scheduler) preemptBatch() {
 	var victim *runSlice
 	for _, sl := range s.running {
-		if sl.batch && !sl.finished && !sl.preempted &&
-			(victim == nil || sl.start < victim.start || (sl.start == victim.start && sl.t.core < victim.t.core)) {
+		if sl != nil && sl.batch && !sl.finished && !sl.preempted && (victim == nil || sl.start < victim.start) {
 			victim = sl
 		}
 	}
 	if victim == nil {
-		return false
+		return
 	}
 	victim.preempted = true
 	victim.finished = true
 	victim.t.sliceTimer.Cancel()
 	victim.t.wakeQ.WakeOne(s.k.params.ContextSwitch)
-	return true
 }
 
 func (s *scheduler) queued() int {
@@ -292,7 +290,7 @@ func (s *scheduler) dispatchPenalty(idleFor time.Duration) time.Duration {
 func (s *scheduler) release(t *Task) {
 	core := t.core
 	t.core = -1
-	delete(s.running, core)
+	s.running[core] = nil
 	for s.queued() > 0 {
 		var next *Task
 		if len(s.boostq) > s.boostHead {

@@ -350,25 +350,12 @@ func (a *Attribution) WriteCritPath(w io.Writer) error {
 			}
 			sep()
 			fmt.Fprintf(w, `{"name":%q,"ph":"B","pid":%d,"tid":%d,"ts":%s,"args":{"watermark":%d}}`,
-				st.String(), p, tid, chromeTS(bounds[st]), o.Watermark)
+				st.String(), p, tid, obs.ChromeTS(bounds[st]), o.Watermark)
 			sep()
 			fmt.Fprintf(w, `{"name":%q,"ph":"E","pid":%d,"tid":%d,"ts":%s}`,
-				st.String(), p, tid, chromeTS(bounds[st+1]))
+				st.String(), p, tid, obs.ChromeTS(bounds[st+1]))
 		}
 	}
 	_, err := fmt.Fprint(w, "]}\n")
 	return err
-}
-
-// chromeTS renders a virtual-time instant as Chrome-trace microseconds
-// with exact nanosecond fraction (same format as the obs exporter). The
-// backward-stacked track start can precede t=0 when early stages overlap,
-// so negative instants render with an explicit sign.
-func chromeTS(ns int64) string {
-	sign := ""
-	if ns < 0 {
-		sign = "-"
-		ns = -ns
-	}
-	return fmt.Sprintf("%s%d.%03d", sign, ns/1000, ns%1000)
 }

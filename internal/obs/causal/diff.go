@@ -110,7 +110,7 @@ func (d *Divergence) WriteReport(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  causal slice (%d events):\n", len(d.Slice))
 	for _, e := range d.Slice {
-		writeEventLine(w, e)
+		obs.WriteEventLine(w, "    ", e)
 	}
 }
 
@@ -126,28 +126,8 @@ func (d *Divergence) Report() string {
 // the form ftdiag's slice subcommand prints.
 func WriteEvents(w io.Writer, events []obs.Event) {
 	for _, e := range events {
-		writeEventLine(w, e)
+		obs.WriteEventLine(w, "    ", e)
 	}
-}
-
-func writeEventLine(w io.Writer, e obs.Event) {
-	fmt.Fprintf(w, "    t=%-14d %-22s %-15s", int64(e.At), e.Scope, e.Kind)
-	if e.TID != 0 {
-		fmt.Fprintf(w, " tid=%d", e.TID)
-	}
-	if e.Seq != 0 {
-		fmt.Fprintf(w, " seq=%d", e.Seq)
-	}
-	if e.Arg != 0 {
-		fmt.Fprintf(w, " arg=%d", e.Arg)
-	}
-	if e.Obj != 0 || e.OSeq != 0 {
-		fmt.Fprintf(w, " obj=%d oseq=%d", e.Obj, e.OSeq)
-	}
-	if e.Note != "" {
-		fmt.Fprintf(w, " %s", e.Note)
-	}
-	fmt.Fprintln(w)
 }
 
 // recordedStream returns the indices of the trace's TupleEmit events in

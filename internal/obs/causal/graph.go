@@ -26,6 +26,7 @@ package causal
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -198,14 +199,7 @@ func (g *Graph) census() (streams []*scopeStreams, byName map[string]*scopeStrea
 // ".log" (core wires "primary/ftns" → "shm/ftns.log"); when no name
 // matches and exactly one scope delivers at all, that one is the pair.
 func pairRing(streams []*scopeStreams, flusher string) *scopeStreams {
-	base := flusher
-	for i := len(flusher) - 1; i >= 0; i-- {
-		if flusher[i] == '/' {
-			base = flusher[i+1:]
-			break
-		}
-	}
-	want := base + ".log"
+	want := flusher[strings.LastIndexByte(flusher, '/')+1:] + ".log"
 	var sole *scopeStreams
 	nDeliver := 0
 	for _, s := range streams {
@@ -214,7 +208,7 @@ func pairRing(streams []*scopeStreams, flusher string) *scopeStreams {
 		}
 		nDeliver++
 		sole = s
-		if contains(s.name, want) {
+		if strings.Contains(s.name, want) {
 			return s
 		}
 	}
@@ -222,15 +216,6 @@ func pairRing(streams []*scopeStreams, flusher string) *scopeStreams {
 		return sole
 	}
 	return nil
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // linkWatermarks adds the cross-scope watermark edges: flush→deliver on

@@ -43,14 +43,21 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// chromeTS renders a virtual-time instant as Chrome-trace microseconds
-// with exact nanosecond fraction.
-func chromeTS(nsTime int64) string {
-	return fmt.Sprintf("%d.%03d", nsTime/1000, nsTime%1000)
+// ChromeTS renders a virtual-time instant as Chrome-trace microseconds
+// with exact nanosecond fraction. A negative instant — the causal layer's
+// backward-stacked critical-path tracks can start before t=0 — renders
+// with an explicit sign.
+func ChromeTS(ns int64) string {
+	sign := ""
+	if ns < 0 {
+		sign = "-"
+		ns = -ns
+	}
+	return fmt.Sprintf("%s%d.%03d", sign, ns/1000, ns%1000)
 }
 
 func writeChromeEvent(w io.Writer, pid int, e Event) {
-	ts := chromeTS(int64(e.At))
+	ts := ChromeTS(int64(e.At))
 	switch e.Kind {
 	case DetEnter:
 		fmt.Fprintf(w, `{"name":"det","ph":"B","pid":%d,"tid":%d,"ts":%s,"args":{"seq":%d`, pid, e.TID, ts, e.Seq)

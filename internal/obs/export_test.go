@@ -142,6 +142,11 @@ func TestChromeTraceParseBack(t *testing.T) {
 			t.Errorf("row %d ts = %s, want %s (exact virtual time)", i, ts, want)
 		}
 	}
+	// Critical-path tracks stacked back from their release can start
+	// before t=0: a negative instant keeps its sign on the whole value.
+	if ts := obs.ChromeTS(-1_500); ts != "-1.500" {
+		t.Errorf("ChromeTS(-1500ns) = %s, want -1.500", ts)
+	}
 }
 
 // TestQuantileBucketBoundaries pins the estimator's contract at exact

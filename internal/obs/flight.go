@@ -77,20 +77,7 @@ func (d *FlightDump) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "=== flight recorder dump @ t=%dns ===\n", d.At)
 	for _, e := range d.Events {
-		fmt.Fprintf(w, "  t=%-14d %-22s %-15s", int64(e.At), e.Scope, e.Kind)
-		if e.TID != 0 {
-			fmt.Fprintf(w, " tid=%d", e.TID)
-		}
-		if e.Seq != 0 {
-			fmt.Fprintf(w, " seq=%d", e.Seq)
-		}
-		if e.Arg != 0 {
-			fmt.Fprintf(w, " arg=%d", e.Arg)
-		}
-		if e.Note != "" {
-			fmt.Fprintf(w, " %s", e.Note)
-		}
-		fmt.Fprintln(w)
+		WriteEventLine(w, "  ", e)
 	}
 	if len(d.Metrics.Gauges) > 0 {
 		fmt.Fprintln(w, "  -- gauges at dump --")
@@ -109,4 +96,27 @@ func (d *FlightDump) WriteText(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
+}
+
+// WriteEventLine renders one event as a line of text after indent: time,
+// scope and kind in fixed columns, then the fields the event carries. The
+// flight dump and the causal layer's reports print every event this way.
+func WriteEventLine(w io.Writer, indent string, e Event) {
+	fmt.Fprintf(w, "%st=%-14d %-22s %-15s", indent, int64(e.At), e.Scope, e.Kind)
+	if e.TID != 0 {
+		fmt.Fprintf(w, " tid=%d", e.TID)
+	}
+	if e.Seq != 0 {
+		fmt.Fprintf(w, " seq=%d", e.Seq)
+	}
+	if e.Arg != 0 {
+		fmt.Fprintf(w, " arg=%d", e.Arg)
+	}
+	if e.Obj != 0 || e.OSeq != 0 {
+		fmt.Fprintf(w, " obj=%d oseq=%d", e.Obj, e.OSeq)
+	}
+	if e.Note != "" {
+		fmt.Fprintf(w, " %s", e.Note)
+	}
+	fmt.Fprintln(w)
 }

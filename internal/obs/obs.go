@@ -262,9 +262,6 @@ type Config struct {
 	// Trace retains the full event stream for export (Chrome trace,
 	// JSONL). Off, only the bounded per-scope flight rings record.
 	Trace bool
-	// FlightEvents is the per-scope flight-recorder capacity
-	// (0 selects DefaultFlightEvents).
-	FlightEvents int
 }
 
 // DefaultFlightEvents is the per-scope flight-ring capacity: enough to
@@ -287,9 +284,6 @@ type Tracer struct {
 
 // New creates a tracer on the given simulation clock.
 func New(s *sim.Simulation, cfg Config) *Tracer {
-	if cfg.FlightEvents <= 0 {
-		cfg.FlightEvents = DefaultFlightEvents
-	}
 	return &Tracer{sim: s, cfg: cfg, reg: NewRegistry()}
 }
 
@@ -316,7 +310,7 @@ func (t *Tracer) Scope(name string) *Scope {
 			return sc
 		}
 	}
-	sc := &Scope{t: t, name: name, flight: make([]Event, t.cfg.FlightEvents)}
+	sc := &Scope{t: t, name: name, flight: make([]Event, DefaultFlightEvents)}
 	t.scopes = append(t.scopes, sc)
 	return sc
 }

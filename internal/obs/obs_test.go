@@ -103,18 +103,19 @@ func TestDuplicateMetricPanics(t *testing.T) {
 
 func TestFlightRingBoundedOldestFirst(t *testing.T) {
 	s := sim.New(1)
-	tr := obs.New(s, obs.Config{FlightEvents: 4})
+	tr := obs.New(s, obs.Config{})
 	sc := tr.Scope("rec")
-	for i := 0; i < 10; i++ {
+	const n, extra = obs.DefaultFlightEvents, 6
+	for i := 0; i < n+extra; i++ {
 		s.Schedule(time.Duration(i)*time.Microsecond, func() {})
 		sc.Emit(obs.TupleEmit, 1, int64(i), 0)
 	}
 	got := sc.Recent()
-	if len(got) != 4 {
-		t.Fatalf("flight ring kept %d events, want 4", len(got))
+	if len(got) != n {
+		t.Fatalf("flight ring kept %d events, want %d", len(got), n)
 	}
 	for i, e := range got {
-		if want := int64(6 + i); e.Seq != want {
+		if want := int64(extra + i); e.Seq != want {
 			t.Errorf("event %d seq = %d, want %d", i, e.Seq, want)
 		}
 	}
@@ -126,7 +127,7 @@ func TestFlightDumpMergesScopesInOrder(t *testing.T) {
 	a, b := tr.Scope("a"), tr.Scope("b")
 	a.Emit(obs.TupleEmit, 0, 1, 0)
 	b.Emit(obs.AckSend, 0, 2, 0)
-	a.Emit(obs.BatchFlush, 0, 3, 0)
+	a.EmitDet(obs.BatchFlush, 0, 3, 0, 7, 2)
 	d := tr.FlightDump()
 	if len(d.Events) != 3 {
 		t.Fatalf("dump has %d events", len(d.Events))
@@ -143,6 +144,9 @@ func TestFlightDumpMergesScopesInOrder(t *testing.T) {
 	d.WriteText(&buf)
 	if !bytes.Contains(buf.Bytes(), []byte("ack")) {
 		t.Error("text dump missing ack event")
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("seq=3 obj=7 oseq=2")) {
+		t.Errorf("text dump drops the per-object sequencing identity:\n%s", buf.String())
 	}
 }
 

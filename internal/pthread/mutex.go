@@ -82,5 +82,5 @@ func (m *Mutex) Unlock(t *kernel.Task) {
 	w := m.waiters[i]
 	m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
 	m.owner = w.Task()
-	w.Grant(t)
+	w.Grant()
 }

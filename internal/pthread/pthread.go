@@ -1,7 +1,8 @@
 // Package pthread implements the Pthreads synchronization primitives that
 // FT-Linux interposes on (§3.2, §3.3): mutexes (lock/trylock), condition
 // variables (wait/signal/broadcast/timedwait), and reader-writer locks
-// (rdlock/wrlock/tryrdlock/trywrlock) — built on the kernel futex.
+// (rdlock/wrlock/tryrdlock/trywrlock) — built on the kernel's one-task wait
+// record (kernel.Waiter), the futex-word protocol.
 //
 // Every interposed operation runs its order-sensitive state update inside a
 // "deterministic section": inline code between Det.Enter and Det.Exit — the
@@ -12,17 +13,18 @@
 // Ubuntu) baseline.
 //
 // The design keeps deterministic sections short and non-blocking: a lock
-// operation either acquires immediately or enqueues itself FIFO inside the
-// section, then parks on the futex outside it. Nothing on these paths
-// allocates: the section's state lives in the calling thread, a task
-// queued on a mutex or rwlock waits on the futex record embedded in its
+// operation either acquires immediately or enqueues its wait record FIFO
+// inside the section, then parks on the record outside it. Nothing on these
+// paths allocates: the section's state lives in the calling thread, a task
+// queued on a mutex or rwlock waits on the record embedded in its
 // kernel.Task (it parks on one lock at a time), and condition-variable
 // waiters — whose wait stays queued across the section that settles it —
-// are recycled per library. Hand-off on unlock follows
-// the queue, so the acquisition order on the secondary reproduces the
-// primary's exactly — the property the paper obtains by making the futex
-// queue FIFO. Setting the kernel's FutexFIFO parameter to false restores
-// stock unordered wake-up and demonstrably breaks replay determinism.
+// are recycled per library. The FIFO hand-off lives here, not in the
+// kernel: unlock grants the records in queue order, so the acquisition
+// order on the secondary reproduces the primary's exactly — the property
+// the paper obtains by making the futex queue FIFO. Setting the kernel's
+// FutexFIFO parameter to false grants an arbitrary queued record instead
+// (stock unordered wake-up) and demonstrably breaks replay determinism.
 package pthread
 
 import (

@@ -116,7 +116,7 @@ func (rw *RWLock) RdUnlock(t *kernel.Task) {
 	rw.lib.charge(t)
 	rw.readers--
 	if rw.readers == 0 {
-		rw.promote(t)
+		rw.promote()
 	}
 }
 
@@ -128,25 +128,25 @@ func (rw *RWLock) WrUnlock(t *kernel.Task) {
 	}
 	rw.lib.charge(t)
 	rw.writer = nil
-	rw.promote(t)
+	rw.promote()
 }
 
 // promote grants the lock to queued waiters in FIFO order: either the
 // writer at the queue head, or the consecutive run of readers up to the
 // next writer.
-func (rw *RWLock) promote(t *kernel.Task) {
+func (rw *RWLock) promote() {
 	if len(rw.waiters) == 0 {
 		return
 	}
 	n := 0
 	if rw.waiters[0].write {
 		rw.writer = rw.waiters[0].w.Task()
-		rw.waiters[0].w.Grant(t)
+		rw.waiters[0].w.Grant()
 		n = 1
 	} else {
 		for n < len(rw.waiters) && !rw.waiters[n].write {
 			rw.readers++
-			rw.waiters[n].w.Grant(t)
+			rw.waiters[n].w.Grant()
 			n++
 		}
 	}

@@ -70,7 +70,7 @@ type section struct {
 	key   uint64
 	shard int
 
-	// Replaying: wait is the futex record the thread parks on until its
+	// Replaying: wait is the wait record the thread parks on until its
 	// tuple is granted — or until promotion flushes it out of replay (no
 	// tuple: the thread continues live or recording). replay marks a
 	// granted section open, checked one whose settled outcome exit compares

@@ -498,7 +498,7 @@ func (r *Replayer) tryGrant(d *domain) {
 	d.granted = true
 	th.sec.tuple = tu
 	r.noteGrant(th, tu)
-	th.sec.wait.Grant(nil)
+	th.sec.wait.Grant()
 }
 
 // tryGrantAll rescans every domain's queue in first-arrival order — a
@@ -522,7 +522,7 @@ func (r *Replayer) dropWaitOrder(ftpid int) {
 // park registers the calling shadow thread and blocks until its turn,
 // reporting true with the granted tuple in th.sec — or false when promotion
 // flushed it into live execution instead. The thread waits on its task's
-// futex record; the rest of the wait's state lives in th.sec.
+// wait record; the rest of the wait's state lives in th.sec.
 func (r *Replayer) park(th *Thread) bool {
 	if _, dup := r.waiting[th.ftpid]; dup {
 		panic(fmt.Sprintf("replication: ft_pid %d parked twice", th.ftpid))
@@ -708,7 +708,7 @@ func (r *Replayer) finishPromotion() {
 		th := r.waiting[ftpid]
 		delete(r.waiting, ftpid)
 		th.sec.flushed = true
-		th.sec.wait.Grant(nil)
+		th.sec.wait.Grant()
 	}
 	r.envReady = true
 	r.envQ.WakeAll(0)

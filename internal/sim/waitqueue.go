@@ -59,9 +59,9 @@ func (q *WaitQueue) WakeOne(delay time.Duration) *Proc {
 
 // WakeIndex releases the i-th parked process (0 = longest waiting),
 // scheduling it to resume after delay. It returns the woken process, or nil
-// if fewer than i+1 processes are parked. It exists to model wake policies
-// that are NOT first-in-first-out (e.g. the stock futex behaviour that the
-// paper's FIFO modification replaces).
+// if fewer than i+1 processes are parked. WakeOne and WakeAll are built on
+// it; a wake policy that is not first-in-first-out (the stock futex order
+// the paper's FIFO modification replaces) picks its index above the queue.
 func (q *WaitQueue) WakeIndex(i int, delay time.Duration) *Proc {
 	if i < 0 || i >= q.n {
 		return nil

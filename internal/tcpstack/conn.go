@@ -511,19 +511,6 @@ func (c *Conn) ISS() uint64 { return c.iss }
 // IRS returns the peer's initial sequence number.
 func (c *Conn) IRS() uint64 { return c.irs }
 
-// InStream reports how many input-stream bytes have been received in order
-// (and acknowledged or about to be acknowledged to the peer).
-func (c *Conn) InStream() uint64 {
-	if c.rcvNxt == 0 {
-		return 0
-	}
-	n := c.rcvNxt - c.irs - 1
-	if c.peerFin {
-		n-- // the FIN consumed one sequence number
-	}
-	return n
-}
-
 // OutAcked reports how many output-stream bytes the peer has acknowledged.
 func (c *Conn) OutAcked() uint64 {
 	if c.sndUna <= c.iss {

@@ -76,9 +76,6 @@ func (p *Poller) Add(item Pollable) {
 	item.OnPollChange(func() { p.q.WakeAll(0) })
 }
 
-// Items returns the interest set (shared; callers must not modify).
-func (p *Poller) Items() []Pollable { return p.items }
-
 // Wait blocks until at least one registered socket is readable (or the
 // timeout elapses; negative waits forever) and returns the readable set.
 func (p *Poller) Wait(t *kernel.Task, timeout time.Duration) []Pollable {
