@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-sim bench-tcpstack bench-shm bench-replication sweeps experiments check golden loc trace chaos diag
+.PHONY: all build vet lint test race bench bench-sim bench-tcpstack bench-shm bench-replication experiments check golden loc trace chaos diag
 
 all: check
 
@@ -22,9 +22,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass over every benchmark — BenchmarkExperiment/<name> runs each
-# ftbench experiment once, paper figures at -quick size; -benchtime=1x
-# keeps it a smoke test rather than a measurement run.
+# One pass over every micro-benchmark; -benchtime=1x keeps it a smoke test
+# rather than a measurement run. The experiments are `make experiments`.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
@@ -59,25 +58,14 @@ bench-shm:
 bench-replication:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/replication ./internal/tcprep
 
-# The checked-in measurements. Every number ftbench prints is a function
-# of the seed, so both targets rewrite their files byte for byte unless
-# the code moved a number — CI's measurements job runs them and fails on
-# `git diff`; after a deliberate change, run them and commit the result.
-#
-# sweeps regenerates the six BENCH_<exp>.json reports (DESIGN.md §9, §13,
-# §14, §16, §17, §18) with the gate on: a ratio pinned in
-# goldens/bench-baselines.json that slipped past the tolerance fails the
-# run however the files were regenerated. experiments regenerates the
-# transcript EXPERIMENTS.md quotes its tables from.
-SWEEPS := batching detshard fabric critpath nway epoch
-
-sweeps:
-	@for e in $(SWEEPS); do \
-		$(GO) run ./cmd/ftbench -exp $$e -gate goldens/bench-baselines.json -json BENCH_$$e.json || exit 1; \
-	done
-
+# The checked-in measurements: experiments.json, every ftbench report at
+# seed 1 (paper figures at -quick size), the record EXPERIMENTS.md quotes
+# its tables from. Every number is a function of the seed, so the file is
+# rewritten byte for byte unless the code moved a number — CI's
+# measurements job runs this and fails on `git diff`; after a deliberate
+# change, run it and commit the result.
 experiments:
-	$(GO) run ./cmd/ftbench -exp all -quick > experiments_output.txt
+	$(GO) run ./cmd/ftbench -exp all -quick -json experiments.json
 
 check: vet lint build race bench golden loc
 

@@ -4,9 +4,8 @@
 // microbenchmark, the fault-model sweep of §2.2, the ablations, and the
 // six sweeps behind the extensions (batching, detshard, fabric, critpath,
 // nway, epoch). Every experiment is an entry of Experiments and returns
-// the one Report type; cmd/ftbench and the benchmarks in bench_test.go
-// are loops over that registry, and Gate checks any report against the
-// pinned floors of goldens/bench-baselines.json.
+// the one Report type; cmd/ftbench is a loop over that registry, and
+// experiments.json records every report it writes at seed 1.
 package bench
 
 import (

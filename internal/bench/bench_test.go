@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -153,15 +155,50 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
+// recorded reads experiments.json, the checked-in record `make experiments`
+// regenerates.
+func recorded(t *testing.T) []Report {
+	t.Helper()
+	data, err := os.ReadFile("../../experiments.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []Report
+	if err := json.Unmarshal(data, &reports); err != nil {
+		t.Fatalf("experiments.json: %v", err)
+	}
+	return reports
+}
+
+// TestRecordHoldsEveryExperiment: experiments.json holds one seed-1 report
+// per registered experiment, in registry order — what `ftbench -exp all
+// -quick -json` writes.
+func TestRecordHoldsEveryExperiment(t *testing.T) {
+	var got, want []string
+	for _, r := range recorded(t) {
+		got = append(got, fmt.Sprintf("%s@%d", r.Exp, r.Seed))
+	}
+	for _, e := range Experiments {
+		want = append(want, e.Name+"@1")
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("experiments.json holds %v, want %v: regenerate it with `make experiments`", got, want)
+	}
+}
+
 // TestReportsAreDeterministic runs the cheap experiments twice at one seed:
 // the two reports must marshal to the same bytes (no host clock, no map
 // order anywhere), survive a JSON round trip, give every point the same
-// label and value names in the same order — and, for the sweeps whose
-// report is checked in, equal the checked-in file, so a change that moves
-// a number without regenerating BENCH_<exp>.json fails here and not only
-// in CI's measurements job. (fig4, fig6, mixed, fig8, ablations and epoch
-// take seconds each; epoch's file is compared by that job.)
+// label and value names in the same order — and equal their entry of
+// experiments.json at full precision, so a change that moves a number
+// without regenerating the record fails here and not only in CI's
+// measurements job. (fig4, fig6, mixed, fig8, ablations and epoch take
+// seconds each; that job compares their entries.)
 func TestReportsAreDeterministic(t *testing.T) {
+	record := make(map[string]Report)
+	for _, r := range recorded(t) {
+		record[r.Exp] = r
+	}
 	for _, name := range []string{"fig1", "faults", "latency", "batching", "detshard", "fabric", "critpath", "nway"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -208,15 +245,8 @@ func TestReportsAreDeterministic(t *testing.T) {
 					t.Fatalf("point %v names %v, the first point %v", p.Labels, names(p), names(report.Points[0]))
 				}
 			}
-			checkedIn, err := os.ReadFile("../../BENCH_" + name + ".json")
-			if os.IsNotExist(err) {
-				return // a paper figure: its numbers live in experiments_output.txt
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(append(runs[0], '\n'), checkedIn) {
-				t.Errorf("BENCH_%s.json is stale: regenerate it with `make sweeps`", name)
+			if !reflect.DeepEqual(record[name], report) {
+				t.Errorf("experiments.json's %s entry is stale: regenerate it with `make experiments`", name)
 			}
 		})
 	}

@@ -40,10 +40,10 @@ type Point struct {
 	Values []Named `json:"values"`
 }
 
-// Report is what every experiment returns, what ftbench prints, what the
-// BENCH_<exp>.json files hold and what the gate reads. Params are the
-// constants the points were measured at; Ratios are the headline values
-// derived from the points — the numbers goldens/bench-baselines.json pins.
+// Report is what every experiment returns, what ftbench prints and what
+// experiments.json holds, one per experiment. Params are the constants the
+// points were measured at; Ratios are the headline values derived from
+// the points.
 type Report struct {
 	Exp    string  `json:"exp"`
 	Seed   int64   `json:"seed"`

@@ -38,13 +38,13 @@ var ErrChecksumMismatch = errors.New("rejoin: checkpoint checksum mismatch")
 // with this instead of blocking forever.
 var ErrTruncatedCheckpoint = errors.New("rejoin: truncated checkpoint transfer")
 
-// RecvFrameTimeout bounds how long Recv waits for the next bulk frame
+// recvFrameTimeout bounds how long Recv waits for the next bulk frame
 // before declaring the transfer truncated. Virtual time, and generous:
 // a healthy sender streams the whole checkpoint in well under a second
 // of virtual clock, so only a dead sender can exhaust it. (Satisfied
 // waits cancel their timer without observable residue, so the timeout
 // does not perturb same-seed traces.)
-var RecvFrameTimeout = 30 * time.Second
+const recvFrameTimeout = 30 * time.Second
 
 // EnvEntry is one environment binding, in sorted-key order so the
 // checkpoint content is deterministic.
@@ -348,7 +348,7 @@ func Send(t *kernel.Task, ring *shm.Ring, cp *Checkpoint) {
 // Recv reassembles a checkpoint from the bulk ring, blocking until the
 // terminating frame arrives, and re-verifies the digest over the
 // reassembled content. A sender that dies mid-stream surfaces as
-// ErrTruncatedCheckpoint after RecvFrameTimeout of ring silence rather
+// ErrTruncatedCheckpoint after recvFrameTimeout of ring silence rather
 // than blocking forever.
 func Recv(t *kernel.Task, ring *shm.Ring) (*Checkpoint, error) {
 	p := t.Proc()
@@ -357,10 +357,10 @@ func Recv(t *kernel.Task, ring *shm.Ring) (*Checkpoint, error) {
 	sawEpoch := false
 	frames := 0
 	for {
-		m, ok := ring.RecvTimeout(p, RecvFrameTimeout)
+		m, ok := ring.RecvTimeout(p, recvFrameTimeout)
 		if !ok {
 			return nil, fmt.Errorf("%w: ring silent for %v after %d frames",
-				ErrTruncatedCheckpoint, RecvFrameTimeout, frames)
+				ErrTruncatedCheckpoint, recvFrameTimeout, frames)
 		}
 		frames++
 		switch m.Kind {

@@ -79,7 +79,9 @@ func testCheckpoint() *Checkpoint {
 }
 
 // transfer runs send on the primary kernel against Recv on the backup and
-// returns what Recv returned.
+// returns what Recv returned. The run outlasts recvFrameTimeout, so a
+// sender that stops mid-stream is given up on within it; virtual time
+// costs nothing while the ring is silent.
 func transfer(t *testing.T, send func(*kernel.Task, *shm.Ring)) (*Checkpoint, error) {
 	t.Helper()
 	s, pk, bk, ring := bulkPair(t)
@@ -88,11 +90,12 @@ func transfer(t *testing.T, send func(*kernel.Task, *shm.Ring)) (*Checkpoint, er
 	done := false
 	pk.Spawn("send", func(tk *kernel.Task) { send(tk, ring) })
 	bk.Spawn("recv", func(tk *kernel.Task) { got, rerr = Recv(tk, ring); done = true })
-	if err := s.RunUntil(sim.Time(2 * time.Second)); err != nil {
+	horizon := recvFrameTimeout + 2*time.Second
+	if err := s.RunUntil(sim.Time(horizon)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !done {
-		t.Fatal("Recv still blocked after 2s")
+		t.Fatalf("Recv still blocked after %v", horizon)
 	}
 	return got, rerr
 }
@@ -218,18 +221,10 @@ func TestDigestCoversContent(t *testing.T) {
 	}
 }
 
-// shortTimeout shrinks RecvFrameTimeout for tests of a sender that stops.
-func shortTimeout(t *testing.T) {
-	old := RecvFrameTimeout
-	RecvFrameTimeout = 100 * time.Millisecond
-	t.Cleanup(func() { RecvFrameTimeout = old })
-}
-
 // TestRecvFailsFastOnTruncatedTransfer kills the transfer after the first
 // frames: the receiver must fail with ErrTruncatedCheckpoint once the ring
 // goes silent instead of blocking forever on a stream nobody will finish.
 func TestRecvFailsFastOnTruncatedTransfer(t *testing.T) {
-	shortTimeout(t)
 	cp := testCheckpoint()
 	_, err := transfer(t, func(tk *kernel.Task, ring *shm.Ring) {
 		p := tk.Proc()
@@ -245,7 +240,6 @@ func TestRecvFailsFastOnTruncatedTransfer(t *testing.T) {
 // TestRecvEpochFailsFastMidAppChunks: the sender dies between application
 // snapshot chunks.
 func TestRecvEpochFailsFastMidAppChunks(t *testing.T) {
-	shortTimeout(t)
 	cp := testCheckpoint()
 	_, err := transfer(t, func(tk *kernel.Task, ring *shm.Ring) {
 		p := tk.Proc()

@@ -20,6 +20,7 @@ package tcpstack
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/kernel"
@@ -43,7 +44,7 @@ var (
 
 // EOF is io.EOF re-exported so callers need not import io for the
 // end-of-stream condition.
-var EOF = errors.New("EOF")
+var EOF = io.EOF
 
 // Params is the stack's tuning.
 type Params struct {

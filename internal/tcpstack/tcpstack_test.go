@@ -3,6 +3,7 @@ package tcpstack
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -124,6 +125,44 @@ func TestHandshakeAndEcho(t *testing.T) {
 	// Both stacks eventually reap all connections (TIME_WAIT included).
 	if p.server.Conns() != 0 || p.client.Conns() != 0 {
 		t.Errorf("leaked conns: server=%d client=%d", p.server.Conns(), p.client.Conns())
+	}
+}
+
+// TestRecvAfterFINIsIOEOF: once the peer's FIN has been consumed, Recv
+// reports the end of the stream as io.EOF itself, so callers outside this
+// package can test for it without knowing tcpstack.
+func TestRecvAfterFINIsIOEOF(t *testing.T) {
+	p := newPair(t, 1, DefaultParams())
+	l, err := p.server.Listen(80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.serverK.Spawn("server", func(tk *kernel.Task) {
+		if c, err := l.Accept(tk); err == nil {
+			_, _ = c.Send(tk, []byte("bye"))
+			_ = c.Close(tk)
+		}
+	})
+	var got []byte
+	var recvErr error
+	p.clientK.Spawn("client", func(tk *kernel.Task) {
+		c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80})
+		if err != nil {
+			recvErr = err
+			return
+		}
+		for recvErr == nil {
+			var data []byte
+			data, recvErr = c.Recv(tk, 1024)
+			got = append(got, data...)
+		}
+		_ = c.Close(tk)
+	})
+	if err := p.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "bye" || !errors.Is(recvErr, io.EOF) {
+		t.Errorf("read %q, then %v; want \"bye\", then io.EOF", got, recvErr)
 	}
 }
 
