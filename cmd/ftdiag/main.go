@@ -132,10 +132,7 @@ func cmdDiff(args []string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	d := causal.DiffTraces(a, b)
-	if d != nil && *max > 0 && len(d.Slice) > *max {
-		d.Slice = d.Slice[:*max]
-	}
+	d := causal.DiffTraces(a, b, *max)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

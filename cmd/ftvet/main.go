@@ -13,7 +13,7 @@
 //	go run ./cmd/ftvet -summary ./internal/shm
 //
 // Findings print in the canonical file:line:col format (or as SARIF
-// 2.1.0 / flat JSON with -format, for CI annotation upload). The
+// 2.1.0 with -format=sarif, for CI annotation upload). The
 // -callgraph and -summary flags dump the interprocedural engine's
 // resolved call edges and per-function summaries instead of
 // running the analyzers — the artifacts for debugging a surprising
@@ -53,7 +53,7 @@ var All = []*ftvet.Analyzer{nondet.Analyzer, lockorder.Analyzer}
 func main() {
 	list := flag.Bool("list", false, "describe the registered analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
+	format := flag.String("format", "text", "output format: text or sarif")
 	verbose := flag.Bool("v", false, "print per-analyzer timing to stderr")
 	callgraph := flag.Bool("callgraph", false, "dump the resolved call graph instead of running analyzers")
 	summary := flag.Bool("summary", false, "dump per-function taint summaries instead of running analyzers")
@@ -143,14 +143,12 @@ func main() {
 	switch *format {
 	case "text":
 		n = ftvet.Print(os.Stdout, loader.Fset, diags)
-	case "json":
-		err = ftvet.WriteJSON(os.Stdout, loader.Fset, root, diags)
 	case "sarif":
 		// Always emit a well-formed log, even when clean, so a CI upload
 		// step has a file to consume on every run.
 		err = ftvet.WriteSARIF(os.Stdout, loader.Fset, root, All, diags)
 	default:
-		fmt.Fprintf(os.Stderr, "ftvet: unknown format %q (want text, json, or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "ftvet: unknown format %q (want text or sarif)\n", *format)
 		os.Exit(2)
 	}
 	if err != nil {

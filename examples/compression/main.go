@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/tcprep"
 )
 
 func main() {
@@ -32,12 +33,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var pst, sst pbzip2.Stats
-	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &pst) })
-	sys.Secondary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &sst) })
+	// sys.Run starts the compressor on every replica; each counts into its
+	// own stats, keyed by its namespace.
+	stats := make(map[*replication.Namespace]*pbzip2.Stats)
+	sys.Run(core.App{Name: "pbzip2", Main: func(th *replication.Thread, _ *tcprep.Sockets) {
+		st := new(pbzip2.Stats)
+		stats[th.NS()] = st
+		pbzip2.Run(th, cfg, st)
+	}})
 	if err := sys.Sim.RunUntil(sim.Time(30 * time.Second)); err != nil {
 		return err
 	}
+	pst, sst := stats[sys.Primary.NS], stats[sys.Secondary.NS]
 
 	fmt.Printf("PBZIP2, %d workers, %d KB blocks, %d blocks:\n\n", cfg.Workers, cfg.BlockSize>>10, cfg.MaxBlocks)
 	fmt.Printf("  primary:   %4d blocks in %8v  checksum %016x\n", pst.Blocks, pst.FinishedAt, pst.Checksum)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/tcprep"
 )
 
 func main() {
@@ -38,37 +39,32 @@ func run() error {
 	}
 
 	// A race-free multithreaded application: 8 threads increment a shared
-	// counter under an (interposed) pthread mutex. The same function runs
-	// on both replicas; the FT-Namespace records the primary's lock order
-	// and the secondary replays it.
-	counts := map[replication.Role]*int{
-		replication.RolePrimary:   new(int),
-		replication.RoleSecondary: new(int),
-	}
-	app := func(out *int) func(*replication.Thread) {
-		return func(root *replication.Thread) {
-			lib := root.Lib()
-			mu := lib.NewMutex()
-			var threads []*replication.Thread
-			for i := 0; i < 8; i++ {
-				threads = append(threads, root.NS().SpawnThread(root, "worker", func(th *replication.Thread) {
-					for j := 0; j < 500; j++ {
-						th.Task().Compute(100 * time.Microsecond)
-						mu.Lock(th.Task())
-						*out++
-						mu.Unlock(th.Task())
-					}
-				}))
-			}
-			for _, th := range threads {
-				root.Join(th)
-			}
-			fmt.Printf("  [%v t=%v] application finished: counter = %d\n",
-				root.NS().Role(), root.Task().Now(), *out)
+	// counter under an (interposed) pthread mutex. sys.Run starts the same
+	// function on every replica; the FT-Namespace records the primary's
+	// lock order and the secondary replays it. Each replica counts into its
+	// own counter, keyed by its namespace.
+	counts := make(map[*replication.Namespace]*int)
+	sys.Run(core.App{Name: "counter", Main: func(root *replication.Thread, _ *tcprep.Sockets) {
+		out := new(int)
+		counts[root.NS()] = out
+		mu := root.Lib().NewMutex()
+		var threads []*replication.Thread
+		for i := 0; i < 8; i++ {
+			threads = append(threads, root.NS().SpawnThread(root, "worker", func(th *replication.Thread) {
+				for j := 0; j < 500; j++ {
+					th.Task().Compute(100 * time.Microsecond)
+					mu.Lock(th.Task())
+					*out++
+					mu.Unlock(th.Task())
+				}
+			}))
 		}
-	}
-	sys.Primary.NS.Start("counter", nil, app(counts[replication.RolePrimary]))
-	sys.Secondary.NS.Start("counter", nil, app(counts[replication.RoleSecondary]))
+		for _, th := range threads {
+			root.Join(th)
+		}
+		fmt.Printf("  [%v t=%v] application finished: counter = %d\n",
+			root.NS().Role(), root.Task().Now(), *out)
+	}})
 
 	// Kill the primary partition 20ms in: a CPU core fail-stop, reported
 	// by the (simulated) machine-check architecture.
@@ -82,10 +78,11 @@ func run() error {
 	fmt.Printf("\nprimary alive: %v (%s)\n", sys.Primary.Kernel.Alive(), sys.Primary.Kernel.PanicReason().Cause)
 	fmt.Printf("failure detected at %v, failover complete at %v\n", sys.FailedAt, sys.LiveAt)
 	fmt.Printf("secondary role after failover: %v\n", sys.Secondary.NS.Role())
-	fmt.Printf("secondary counter: %d (want 4000)\n", *counts[replication.RoleSecondary])
+	secondary := *counts[sys.Secondary.NS]
+	fmt.Printf("secondary counter: %d (want 4000)\n", secondary)
 	st := sys.Secondary.NS.Stats()
 	fmt.Printf("replayed %d deterministic sections, %d divergences\n", st.Sections, st.Divergences)
-	if *counts[replication.RoleSecondary] != 4000 {
+	if secondary != 4000 {
 		return fmt.Errorf("secondary did not complete the work")
 	}
 	return nil

@@ -8,29 +8,11 @@ import (
 	"strings"
 )
 
-// This file renders diagnostics in machine formats for CI: SARIF 2.1.0
-// (the format GitHub code scanning ingests to annotate PR diffs inline)
-// and a flat JSON list for ad-hoc tooling. Both carry the full
-// interprocedural trace — SARIF as relatedLocations on each result, so
-// a reviewer can click from the sink annotation to every hop back to
-// the nondeterminism source.
-
-// jsonDiag is one finding in -format=json output.
-type jsonDiag struct {
-	Analyzer string     `json:"analyzer"`
-	File     string     `json:"file"`
-	Line     int        `json:"line"`
-	Column   int        `json:"column"`
-	Message  string     `json:"message"`
-	Trace    []jsonStep `json:"trace,omitempty"`
-}
-
-type jsonStep struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Message string `json:"message"`
-}
+// This file renders diagnostics as SARIF 2.1.0 for CI — the format GitHub
+// code scanning ingests to annotate PR diffs inline. It carries the full
+// interprocedural trace as relatedLocations on each result, so a reviewer
+// can click from the sink annotation to every hop back to the
+// nondeterminism source.
 
 // relPath makes a diagnostic path root-relative (SARIF artifact URIs
 // must not be absolute for GitHub to map them onto the checkout).
@@ -42,35 +24,6 @@ func relPath(root, name string) string {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(name)
-}
-
-// WriteJSON renders diagnostics as a JSON array (one object per
-// finding, trace hops inline), paths relative to root.
-func WriteJSON(w io.Writer, fset *token.FileSet, root string, diags []Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		p := fset.Position(d.Pos)
-		jd := jsonDiag{
-			Analyzer: d.Analyzer,
-			File:     relPath(root, p.Filename),
-			Line:     p.Line,
-			Column:   p.Column,
-			Message:  d.Message,
-		}
-		for _, h := range d.Trace {
-			hp := fset.Position(h.Pos)
-			jd.Trace = append(jd.Trace, jsonStep{
-				File:    relPath(root, hp.Filename),
-				Line:    hp.Line,
-				Column:  hp.Column,
-				Message: h.Note,
-			})
-		}
-		out = append(out, jd)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // sarif* mirror the fragment of the SARIF 2.1.0 schema GitHub code

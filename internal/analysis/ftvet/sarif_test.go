@@ -91,27 +91,3 @@ func TestWriteSARIF(t *testing.T) {
 		t.Errorf("trace hop = %+v, want line 5 with the hop note attached", hop)
 	}
 }
-
-func TestWriteJSON(t *testing.T) {
-	fset, root, diags := sarifFixture(t)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, fset, root, diags); err != nil {
-		t.Fatal(err)
-	}
-	var out []jsonDiag
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(out) != 2 {
-		t.Fatalf("got %d findings, want 2", len(out))
-	}
-	if out[0].Analyzer != "nondet" || out[0].File != "internal/p/p.go" || out[0].Line != 3 {
-		t.Errorf("first finding = %+v, want nondet at internal/p/p.go:3", out[0])
-	}
-	if len(out[0].Trace) != 1 || out[0].Trace[0].Line != 5 {
-		t.Errorf("first finding trace = %+v, want one hop at line 5", out[0].Trace)
-	}
-	if len(out[1].Trace) != 0 {
-		t.Errorf("trace invented for a traceless finding: %+v", out[1].Trace)
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/tcprep"
 )
 
 func TestBasicOperations(t *testing.T) {
@@ -16,7 +17,7 @@ func TestBasicOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Launch("fs", nil, func(th *replication.Thread) {
+	base.LaunchApp("fs", nil, func(th *replication.Thread, _ *tcprep.Sockets) {
 		fs := ftfs.New(th.NS())
 		if _, err := fs.Open(th, "missing"); !errors.Is(err, ftfs.ErrNotExist) {
 			t.Errorf("Open missing: %v", err)

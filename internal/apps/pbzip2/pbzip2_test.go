@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/tcprep"
 )
 
 func smallCfg() pbzip2.Config {
@@ -25,7 +26,7 @@ func TestBaselineCompressesEverything(t *testing.T) {
 	}
 	cfg := smallCfg()
 	var st pbzip2.Stats
-	base.Launch("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &st) })
+	base.LaunchApp("pbzip2", nil, func(th *replication.Thread, _ *tcprep.Sockets) { pbzip2.Run(th, cfg, &st) })
 	if err := base.Sim.RunUntil(sim.Time(time.Minute)); err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/apps/mongoose"
-	"repro/internal/apps/pbzip2"
 	"repro/internal/core"
-	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
@@ -30,13 +28,12 @@ func ablatePBZIP(seed int64, tune core.Option, blockKB int, window time.Duration
 		return ablationRow{}, err
 	}
 	defer sys.Sim.Shutdown()
-	var fst, sst pbzip2.Stats
-	pcfg := pbzipCfg(blockKB, window)
-	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, pcfg, &fst) })
-	sys.Secondary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, pcfg, &sst) })
+	app, stats := pbzipApp(pbzipCfg(blockKB, window))
+	sys.Run(app)
 	if err := sys.Sim.RunUntil(sim.Time(window)); err != nil {
 		return ablationRow{}, err
 	}
+	fst, sst := stats[sys.Primary.NS], stats[sys.Secondary.NS]
 	end := sim.Time(window)
 	if fst.FinishedAt != 0 && fst.FinishedAt < end {
 		end = fst.FinishedAt

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps/pbzip2"
-	"repro/internal/replication"
-	"repro/internal/sim"
+	"repro/internal/core"
 )
 
 // batching is the log-streaming microbenchmark: the same pbzip2-style
@@ -39,37 +38,27 @@ func batching(seed int64, _ bool) (Report, error) {
 }
 
 func batchPoint(seed int64, batch int) (Point, error) {
-	s := sim.New(seed)
-	defer s.Shutdown()
-	rig, err := newPair(s, func(c *replication.Config) { c.BatchTuples = batch }, false)
-	if err != nil {
-		return Point{}, err
-	}
 	app := pbzip2.DefaultConfig()
 	app.Workers = 8
 	app.MaxBlocks = 48
 	app.CommitEvery = 4
-	var pst, sst pbzip2.Stats
-	err = rig.run("pbzip2",
-		func(th *replication.Thread) { pbzip2.Run(th, app, &pst) },
-		func(th *replication.Thread) { pbzip2.Run(th, app, &sst) })
+	pbzip, stats := pbzipApp(app)
+	run, err := runSweep(seed, pbzip, nil, func(c *core.Config) { c.Replication.BatchTuples = batch })
 	if err != nil {
 		return Point{}, err
 	}
-	if !pst.Done || !sst.Done {
-		return Point{}, fmt.Errorf("workload incomplete: primary=%v secondary=%v", pst.Done, sst.Done)
-	}
-	lst, ast := rig.log.Stats(), rig.acks.Stats()
+	sst := stats[run.sys.Secondary.NS]
+	lst, ast := run.log.Stats(), run.acks.Stats()
 	return Point{
 		Labels: []Label{label("batch_tuples", batch)},
 		Values: []Named{
 			val("blocks", sst.Blocks, "blocks"),
-			val("tuples", rig.log.Delivered(), "tuples"),
+			val("tuples", run.log.Delivered(), "tuples"),
 			val("messages", lst.Messages+ast.Messages, "msgs"), // ring transfers, one header each
 			val("log_batches", lst.Batches, ""),                // vectored transfers (>1 tuple)
 			val("ack_messages", ast.Messages, ""),              // cumulative acks sent by the replayer
 			val("bytes", lst.Bytes+ast.Bytes, "B"),             // payload + header bytes
-			val("divergences", rig.sns.Stats().Divergences, "count"),
+			val("divergences", run.sys.Secondary.NS.Stats().Divergences, "count"),
 			val("sim_ms", ms(sst.FinishedAt), "ms"),
 		},
 	}, nil

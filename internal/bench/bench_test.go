@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/replication"
 )
 
 // mustPoint is Report.Point for tests.
@@ -257,30 +257,31 @@ func TestReportsAreDeterministic(t *testing.T) {
 // sample, and a ratio over the zero either of them used to leave behind.
 func TestMissingHistogramIsAnError(t *testing.T) {
 	// Two threads, four rounds, no output commit.
-	rig, err := runLoop(1, "t", lockLoop{threads: 2, locks: 2, iters: 4, think: thinkUS(10, 10)}, func(*replication.Config) {}, false, false)
+	loop := lockLoop{threads: 2, locks: 2, iters: 4, think: thinkUS(10, 10)}
+	run, err := runSweep(1, core.App{Name: "t", Main: loop.run}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := histogram(rig.snap, "ftns.commit.wiat", true); err == nil || !strings.Contains(err.Error(), "ftns.commit.wiat") {
+	if _, err := histogram(run.snap, "ftns.commit.wiat", true); err == nil || !strings.Contains(err.Error(), "ftns.commit.wiat") {
 		t.Errorf("a metric the registry does not hold read as %v, want an error naming it", err)
 	}
-	if _, err := histogram(rig.snap, "ftns.commit.wait", false); err == nil || !strings.Contains(err.Error(), "ftns.commit.wait") {
+	if _, err := histogram(run.snap, "ftns.commit.wait", false); err == nil || !strings.Contains(err.Error(), "ftns.commit.wait") {
 		t.Errorf("a required metric without samples read as %v, want an error naming it", err)
 	}
-	if h, err := histogram(rig.snap, "ftns.commit.wait", true); err != nil || h.Count != 0 {
+	if h, err := histogram(run.snap, "ftns.commit.wait", true); err != nil || h.Count != 0 {
 		t.Errorf("a metric that may be empty: %+v, %v", h, err)
 	}
-	if h, err := histogram(rig.snap, "ftns.shard.wait", false); err != nil || h.Count == 0 {
+	if h, err := histogram(run.snap, "ftns.shard.wait", false); err != nil || h.Count == 0 {
 		t.Errorf("a sampled metric: %+v, %v", h, err)
 	}
 	if _, err := histogram(obs.NewRegistry().Snapshot(), "ftns.shard.wait", true); err == nil {
 		t.Error("an empty registry held ftns.shard.wait")
 	}
-	rig.hist("ftns.shard.wait", false)
-	rig.hist("ftns.commit.wait", false)
-	rig.hist("ftns.commit.wiat", false)
-	if rig.err == nil || !strings.Contains(rig.err.Error(), "ftns.commit.wait") {
-		t.Errorf("the rig kept %v, want the first failed read", rig.err)
+	run.hist("ftns.shard.wait", false)
+	run.hist("ftns.commit.wait", false)
+	run.hist("ftns.commit.wiat", false)
+	if run.err == nil || !strings.Contains(run.err.Error(), "ftns.commit.wait") {
+		t.Errorf("the run kept %v, want the first failed read", run.err)
 	}
 
 	r := Report{Exp: "demo", Points: []Point{

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/obs/causal"
 )
 
@@ -38,11 +39,11 @@ func critPath(seed int64, _ bool) (Report, error) {
 }
 
 func critPathPoints(seed int64, workload string, shards int, loop lockLoop) ([]Point, error) {
-	rig, err := runLoop(seed, "critpath", loop, boundedRing(shards), false, true)
+	run, err := runSweep(seed, core.App{Name: "critpath", Main: loop.run}, nil, boundedRing(shards), core.WithTrace())
 	if err != nil {
 		return nil, err
 	}
-	events := rig.tr.Events()
+	events := run.sys.Obs.Events()
 	a := causal.Attribute(causal.Build(events))
 	dominant := 0
 	for i, st := range a.Stages {
@@ -64,7 +65,7 @@ func critPathPoints(seed int64, workload string, shards int, loop lockLoop) ([]P
 				val("max_ns", st.MaxNs, "ns"),
 				val("total_ns", st.TotalNs, "ns"),
 				val("dominant", btoi(i == dominant), "bool"),
-				val("sim_ms", ms(rig.finished), "ms"),
+				val("sim_ms", ms(run.finished), "ms"),
 			},
 		})
 	}

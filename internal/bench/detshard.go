@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/replication"
+	"repro/internal/core"
 )
 
 // The per-object sequencing sweep compares one det shard against
@@ -32,9 +32,9 @@ func detShardLoop(threads, locks int) lockLoop {
 // speed.
 const boundedLogRing = 16 << 10
 
-// boundedRing tunes a rig to the given det shards over the bounded ring.
-func boundedRing(shards int) func(*replication.Config) {
-	return func(c *replication.Config) { c.DetShards, c.LogRingBytes = shards, boundedLogRing }
+// boundedRing runs a sweep at the given det shards over the bounded ring.
+func boundedRing(shards int) core.Option {
+	return func(c *core.Config) { c.Replication.DetShards, c.Replication.LogRingBytes = shards, boundedLogRing }
 }
 
 // detShard runs the per-object sequencing sweep: for every thread count
@@ -72,16 +72,16 @@ func detShardPoint(seed int64, threads, shards int, workload string) (Point, err
 	if workload == "shared" {
 		locks = 1
 	}
-	rig, err := runLoop(seed, "detshard", detShardLoop(threads, locks), boundedRing(shards), true, false)
+	run, err := runSweep(seed, core.App{Name: "detshard", Main: detShardLoop(threads, locks).run}, sampleLag, boundedRing(shards))
 	if err != nil {
 		return Point{}, err
 	}
-	commit, lag, shardWait := rig.hist("ftns.commit.wait", false), rig.hist("replay.lag.sampled", false), rig.hist("ftns.shard.wait", false)
+	commit, lag, shardWait := run.hist("ftns.commit.wait", false), run.hist("replay.lag.sampled", false), run.hist("ftns.shard.wait", false)
 	return Point{
 		Labels: []Label{label("workload", workload), label("threads", threads), label("shards", shards)},
 		Values: []Named{
-			val("sections", rig.pns.SeqGlobal(), "count"),
-			val("tuples", rig.log.Delivered(), "tuples"),
+			val("sections", run.sys.Primary.NS.SeqGlobal(), "count"),
+			val("tuples", run.log.Delivered(), "tuples"),
 			// Output-commit latency on the primary: from an OnStable request
 			// until every tuple sent so far is acknowledged.
 			val("commit_wait_p50_ns", commit.P50, "ns"),
@@ -90,8 +90,8 @@ func detShardPoint(seed int64, threads, shards int, workload string) (Point, err
 			val("replay_lag_max_tuples", lag.Max, "tuples"),
 			// Sequencer-lock contention on the record path.
 			val("shard_wait_p50_ns", shardWait.P50, "ns"),
-			val("divergences", rig.sns.Stats().Divergences, "count"),
-			val("sim_ms", ms(rig.finished), "ms"),
+			val("divergences", run.sys.Secondary.NS.Stats().Divergences, "count"),
+			val("sim_ms", ms(run.finished), "ms"),
 		},
-	}, rig.err
+	}, run.err
 }

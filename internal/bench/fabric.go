@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/replication"
 	"repro/internal/shm"
 	"repro/internal/sim"
 )
@@ -171,18 +171,18 @@ func (c fabricCell) values() []Named {
 // 1599 parks on this cell; see EXPERIMENTS.md).
 func fabricRawPoint(seed int64, threads int) (Point, error) {
 	point := Point{Labels: []Label{label("workload", "raw"), label("mode", "lockfree"), label("threads", threads), label("batch_tuples", fabricBatch)}}
-	s := sim.New(seed)
-	defer s.Shutdown()
-	pp, sp, err := partitions(s)
+	sys, err := boot(seed)
 	if err != nil {
 		return point, err
 	}
-	ring := shm.NewFabric(s, pp.CrossLatency(sp)).NewRing("raw", 0, 1<<20)
+	defer sys.Sim.Shutdown()
+	ring := sys.Fabric.NewRing("raw", 0, 1<<20)
 
 	const gap = 20 * time.Microsecond
 	total := threads * fabricRawBatches * fabricBatch
 	got := 0
-	s.Spawn("drain", func(p *sim.Proc) {
+	f := &finish{sim: sys.Sim}
+	f.spawn("drain", func(p *sim.Proc) {
 		var buf []shm.Message
 		for got < total {
 			buf = ring.RecvBatchInto(p, buf[:0], 0)
@@ -190,7 +190,7 @@ func fabricRawPoint(seed int64, threads int) (Point, error) {
 		}
 	})
 	for i := 0; i < threads; i++ {
-		s.Spawn("producer", func(p *sim.Proc) {
+		f.spawn("producer", func(p *sim.Proc) {
 			batch := make([]shm.Message, fabricBatch)
 			for j := range batch {
 				batch[j] = shm.Message{Kind: 1, Size: 64}
@@ -201,13 +201,10 @@ func fabricRawPoint(seed int64, threads int) (Point, error) {
 			}
 		})
 	}
-	if err := s.Run(); err != nil {
+	if err := f.run(); err != nil {
 		return point, err
 	}
-	if got != total {
-		return point, fmt.Errorf("raw drain incomplete: %d/%d payloads", got, total)
-	}
-	point.Values = fabricCell{st: ring.Stats(), finished: s.Now()}.values()
+	point.Values = fabricCell{st: ring.Stats(), finished: f.at}.values()
 	return point, nil
 }
 
@@ -215,31 +212,30 @@ func fabricPoint(seed int64, mode, workload string, threads, batch int) (Point, 
 	point := Point{Labels: []Label{label("workload", workload), label("mode", mode), label("threads", threads), label("batch_tuples", batch)}}
 	wl := fabricWorkloads[workload]
 	loop := wl.loop(threads)
-	rig, err := runLoop(seed, "fabric", loop, func(c *replication.Config) {
-		c.DetShards = wl.detShards
-		c.LogRingBytes = wl.ringBytes
-		c.BatchTuples = batch
-		if mode == "adaptive" {
-			c.MaxBatchTuples = -1 // the default ceiling
-		}
-	}, false, false)
+	opts := []core.Option{core.WithDetShards(wl.detShards), func(c *core.Config) {
+		c.Replication.LogRingBytes, c.Replication.BatchTuples = wl.ringBytes, batch
+	}}
+	if mode == "adaptive" {
+		opts = append(opts, core.WithAdaptiveBatching(0))
+	}
+	run, err := runSweep(seed, core.App{Name: "fabric", Main: loop.run}, nil, opts...)
 	if err != nil {
 		return point, err
 	}
 	cell := fabricCell{
-		st: rig.log.Stats(), sections: rig.pns.SeqGlobal(), divergences: rig.sns.Stats().Divergences, finished: rig.finished,
+		st: run.log.Stats(), sections: run.sys.Primary.NS.SeqGlobal(), divergences: run.sys.Secondary.NS.Stats().Divergences, finished: run.finished,
 		// A workload that never commits has no commit waits; a batch of
 		// one never sees a lagging flush.
-		commit:    rig.hist("ftns.commit.wait", loop.commitEvery == 0),
-		shardWait: rig.hist("ftns.shard.wait", false),
-		flushLag:  rig.hist("ftns.flush.lag", true),
+		commit:    run.hist("ftns.commit.wait", loop.commitEvery == 0),
+		shardWait: run.hist("ftns.shard.wait", false),
+		flushLag:  run.hist("ftns.flush.lag", true),
 	}
 	if mode == "adaptive" {
 		var ok bool
-		if cell.effBatch, ok = rig.snap.Gauge("ftns.ctrl.batch"); !ok {
+		if cell.effBatch, ok = run.snap.Gauge("ftns.ctrl.batch"); !ok {
 			return point, fmt.Errorf("metric ftns.ctrl.batch is not in the registry")
 		}
 	}
 	point.Values = cell.values()
-	return point, rig.err
+	return point, run.err
 }

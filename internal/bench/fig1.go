@@ -4,29 +4,28 @@ import (
 	"fmt"
 
 	"repro/internal/apps/memcached"
+	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/kernel"
 	"repro/internal/kmem"
-	"repro/internal/sim"
 )
 
-// memcachedMachine boots Linux on the 64-core / 96 GB memory-dump machine
-// and drives the memcached memory model to the given input multiplier.
-func memcachedMachine(s *sim.Simulation, mult int) (*hw.Machine, *kernel.Kernel, kmem.Snapshot, error) {
-	m := hw.New(s, hw.MemDumpMachine())
-	part, err := m.NewPartition("linux", 0, 1, 2, 3, 4, 5, 6, 7)
+// memcachedMachine boots stock Linux on all eight nodes of the 64-core /
+// 96 GB memory-dump machine and drives the memcached memory model to the
+// given input multiplier. The caller shuts the baseline down.
+func memcachedMachine(seed int64, mult int) (*core.Baseline, kmem.Snapshot, error) {
+	cfg := core.DefaultConfig(seed)
+	cfg.Profile = hw.MemDumpMachine()
+	cfg.Placement = [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}
+	base, err := core.NewBaseline(cfg)
 	if err != nil {
-		return nil, nil, kmem.Snapshot{}, err
+		return nil, kmem.Snapshot{}, err
 	}
-	k, err := kernel.Boot(part, kernel.Config{Name: "linux"})
+	snap, err := memcached.ApplyLoad(base.Kernel.Mem(), memcached.DefaultLoadModel(), mult)
 	if err != nil {
-		return nil, nil, kmem.Snapshot{}, err
+		base.Sim.Shutdown()
+		return nil, snap, fmt.Errorf("memcached load at %dx: %w", mult, err)
 	}
-	snap, err := memcached.ApplyLoad(k.Mem(), memcached.DefaultLoadModel(), mult)
-	if err != nil {
-		return nil, nil, snap, fmt.Errorf("memcached load at %dx: %w", mult, err)
-	}
-	return m, k, snap, nil
+	return base, snap, nil
 }
 
 // fig1 reproduces the §2.3 memory-dump experiment (Figure 1): the
@@ -37,12 +36,11 @@ func memcachedMachine(s *sim.Simulation, mult int) (*hw.Machine, *kernel.Kernel,
 func fig1(seed int64, _ bool) (Report, error) {
 	report := Report{Exp: "fig1", Seed: seed}
 	for _, mult := range []int{3, 30, 60, 90, 120, 150, 180} {
-		s := sim.New(seed)
-		_, _, snap, err := memcachedMachine(s, mult)
-		s.Shutdown()
+		base, snap, err := memcachedMachine(seed, mult)
 		if err != nil {
 			return report, fmt.Errorf("bench: fig1: %w", err)
 		}
+		base.Sim.Shutdown()
 		pct := func(b int64) float64 { return 100 * float64(b) / float64(snap.Total) }
 		report.Points = append(report.Points, Point{
 			Labels: []Label{label("input", fmt.Sprintf("%dx", mult))},
@@ -79,16 +77,15 @@ func faults(seed int64, _ bool) (Report, error) {
 }
 
 func faultPoint(seed int64, mult, n int, corrected bool) (Point, error) {
-	s := sim.New(seed)
-	defer s.Shutdown()
-	m, k, _, err := memcachedMachine(s, mult)
+	base, _, err := memcachedMachine(seed, mult)
 	if err != nil {
 		return Point{}, err
 	}
+	defer base.Sim.Shutdown()
 	count := make(map[kmem.Outcome]int)
 	for i := 0; i < n; i++ {
-		_, addr := m.RandomMemErrorAddr()
-		class, err := k.Mem().ClassifyAddr(addr)
+		_, addr := base.Machine.RandomMemErrorAddr()
+		class, err := base.Kernel.Mem().ClassifyAddr(addr)
 		if err != nil {
 			return Point{}, err
 		}

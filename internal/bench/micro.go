@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/hw"
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/shm"
 	"repro/internal/sim"
@@ -48,29 +48,30 @@ func latency(seed int64, _ bool) (Report, error) {
 }
 
 // mailboxDelay measures one-way propagation through the shared-memory
-// fabric between the two partitions.
+// fabric between a sweep deployment's two partitions.
 func mailboxDelay(seed int64, rounds int) (time.Duration, error) {
-	s := sim.New(seed)
-	defer s.Shutdown()
-	p0, p1, err := partitions(s)
+	sys, err := boot(seed)
 	if err != nil {
 		return 0, err
 	}
-	ring := shm.NewFabric(s, p0.CrossLatency(p1)).NewRing("ping", 0, 1<<20)
+	defer sys.Sim.Shutdown()
+	s := sys.Sim
+	ring := sys.Fabric.NewRing("ping", 0, 1<<20)
 	var total time.Duration
-	s.Spawn("sender", func(p *sim.Proc) {
+	f := &finish{sim: s}
+	f.spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < rounds; i++ {
 			ring.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{uint64(s.Now())}})
 			p.Sleep(10 * time.Microsecond)
 		}
 	})
-	s.Spawn("receiver", func(p *sim.Proc) {
+	f.spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < rounds; i++ {
 			msg := ring.Recv(p)
 			total += s.Now().Sub(sim.Time(msg.W[0]))
 		}
 	})
-	if err := s.Run(); err != nil {
+	if err := f.run(); err != nil {
 		return 0, err
 	}
 	return total / time.Duration(rounds), nil
@@ -107,21 +108,19 @@ func lanDelay(seed int64, rounds int) (time.Duration, error) {
 	return total / time.Duration(received), nil
 }
 
-// wakeLatencies samples the scheduler's dispatch penalty on one
-// single-core kernel: a task sleeps idle, wakes, and times how much later
+// wakeLatencies samples the scheduler's dispatch penalty on a single-core
+// baseline kernel: a task sleeps idle, wakes, and times how much later
 // than asked its microsecond of work completes.
 func wakeLatencies(seed int64, rounds int, add func(string, time.Duration)) error {
-	s := sim.New(seed)
-	defer s.Shutdown()
-	part, err := hw.New(s, hw.Opteron6376x4()).NewPartition("p", 0, 1, 2, 3)
+	cfg := core.DefaultConfig(seed)
+	cfg.PrimaryCores = 1
+	base, err := core.NewBaseline(cfg)
 	if err != nil {
 		return err
 	}
-	k, err := kernel.Boot(part, kernel.Config{Name: "k", Cores: 1})
-	if err != nil {
-		return err
-	}
-	add("wake: busy hand-off", kernel.DefaultParams().ContextSwitch)
+	defer base.Sim.Shutdown()
+	s, k := base.Sim, base.Kernel
+	add("wake: busy hand-off", cfg.Kernel.ContextSwitch)
 	for _, c := range []struct {
 		name string
 		idle time.Duration

@@ -2,16 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kernel"
-	"repro/internal/replication"
 	"repro/internal/shm"
-	"repro/internal/sim"
-	"repro/internal/tcprep"
 )
 
 // nwayLag is the per-transfer delivery lag on one backup's log link — far
@@ -75,38 +70,20 @@ func nwayPoint(seed int64, n, q int) (Point, error) {
 	if q == n {
 		rule = "all"
 	}
-	kp := kernel.DefaultParams()
-	kp.IdleWakeMin, kp.IdleWakeMax = 0, 0 // exact per-point latency distributions
-	sys, err := core.New(
-		core.WithSeed(seed),
-		core.WithKernelParams(kp),
-		core.WithReplicaSet(n),
-		core.WithQuorum(q),
-		core.WithRejoin(false),
-	)
+	lag := func(sys *core.System) error {
+		r, err := ringNamed(sys, laggedLogRing(n))
+		if err == nil {
+			r.SetChaosHook(func([]shm.Message) shm.ChaosVerdict { return shm.ChaosVerdict{Delay: nwayLag} })
+		}
+		return err
+	}
+	run, err := runSweep(seed, core.App{Name: "nway", Main: nwayLoop.run}, lag, core.WithReplicaSet(n), core.WithQuorum(q))
 	if err != nil {
 		return Point{}, err
 	}
-	defer sys.Sim.Shutdown()
-
-	rings := sys.Fabric.Rings()
-	lagged := slices.IndexFunc(rings, func(r *shm.Ring) bool { return r.Name() == laggedLogRing(n) })
-	if lagged < 0 {
-		return Point{}, fmt.Errorf("log ring %q not found", laggedLogRing(n))
-	}
-	rings[lagged].SetChaosHook(func([]shm.Message) shm.ChaosVerdict { return shm.ChaosVerdict{Delay: nwayLag} })
-
-	var st loopStats
-	sys.Run(core.App{Name: "nway", Main: func(root *replication.Thread, _ *tcprep.Sockets) { nwayLoop.run(root, &st) }})
-	if err := sys.Sim.RunUntil(sim.Time(time.Minute)); err != nil {
-		return Point{}, err
-	}
-	if st.done != n {
-		return Point{}, fmt.Errorf("workload incomplete: %d of %d replicas finished", st.done, n)
-	}
-	commit, err := histogram(sys.Obs.Registry().Snapshot(), "ftns.commit.wait", false)
-	if err != nil {
-		return Point{}, err
+	sys, commit := run.sys, run.hist("ftns.commit.wait", false)
+	if run.err != nil {
+		return Point{}, run.err
 	}
 	var divergences uint64
 	for _, b := range sys.Backups() {
@@ -122,7 +99,7 @@ func nwayPoint(seed int64, n, q int) (Point, error) {
 			val("commit_wait_p90_ns", commit.P90, "ns"),
 			val("live_backups", len(sys.Backups()), "count"),
 			val("divergences", divergences, "count"),
-			val("sim_ms", ms(st.at), "ms"),
+			val("sim_ms", ms(run.finished), "ms"),
 		},
 	}, nil
 }

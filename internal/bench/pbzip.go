@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/tcprep"
 )
 
 // pbzipBurst is the initial interval used for the burst rate.
@@ -46,6 +47,17 @@ func pbzipCfg(kb int, window time.Duration) pbzip2.Config {
 	return cfg
 }
 
+// pbzipApp is PBZIP2 at cfg as a replicated app, and the stats each
+// replica counts into, keyed by its namespace.
+func pbzipApp(cfg pbzip2.Config) (core.App, map[*replication.Namespace]*pbzip2.Stats) {
+	stats := make(map[*replication.Namespace]*pbzip2.Stats)
+	return core.App{Name: "pbzip2", Main: func(th *replication.Thread, _ *tcprep.Sockets) {
+		st := new(pbzip2.Stats)
+		stats[th.NS()] = st
+		pbzip2.Run(th, cfg, st)
+	}}, stats
+}
+
 func pbzipPoint(seed int64, kb int, window time.Duration) (Point, error) {
 	// Baseline (stock Ubuntu allocated one partition's resources).
 	base, err := core.NewBaseline(core.DefaultConfig(seed))
@@ -55,7 +67,7 @@ func pbzipPoint(seed int64, kb int, window time.Duration) (Point, error) {
 	defer base.Sim.Shutdown()
 	var bst pbzip2.Stats
 	bcfg := pbzipCfg(kb, window/2)
-	base.Launch("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, bcfg, &bst) })
+	base.LaunchApp("pbzip2", nil, func(th *replication.Thread, _ *tcprep.Sockets) { pbzip2.Run(th, bcfg, &bst) })
 	if err := base.Sim.RunUntil(sim.Time(window / 2)); err != nil {
 		return Point{}, err
 	}
@@ -74,10 +86,8 @@ func pbzipPoint(seed int64, kb int, window time.Duration) (Point, error) {
 		return Point{}, err
 	}
 	defer sys.Sim.Shutdown()
-	var fst, sst pbzip2.Stats
-	fcfg := pbzipCfg(kb, window)
-	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, fcfg, &fst) })
-	sys.Secondary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, fcfg, &sst) })
+	app, stats := pbzipApp(pbzipCfg(kb, window))
+	sys.Run(app)
 
 	mid, end := sim.Time(window/2), sim.Time(window)
 	if err := sys.Sim.RunUntil(mid); err != nil {
@@ -88,6 +98,7 @@ func pbzipPoint(seed int64, kb int, window time.Duration) (Point, error) {
 		return Point{}, err
 	}
 	endStats := sys.Fabric.Stats()
+	fst := stats[sys.Primary.NS]
 
 	sustained := steadyRate(fst.BlockTimes, time.Duration(mid), end)
 	traffic := end.Sub(mid)

@@ -71,12 +71,8 @@ func NewBaseline(cfg Config) (*Baseline, error) {
 	}, nil
 }
 
-// Launch starts the application on the baseline kernel.
-func (b *Baseline) Launch(name string, env map[string]string, app func(*replication.Thread)) *replication.Thread {
-	return b.NS.Start(name, env, app)
-}
-
-// LaunchApp is Launch for applications that use the network.
+// LaunchApp starts the application on the baseline kernel with its direct
+// socket layer (ignore the layer for apps that never touch the network).
 func (b *Baseline) LaunchApp(name string, env map[string]string, app func(*replication.Thread, *tcprep.Sockets)) {
 	b.NS.Start(name, env, func(th *replication.Thread) { app(th, b.Sockets) })
 }

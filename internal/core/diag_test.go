@@ -76,7 +76,7 @@ func TestDiffSameSeedKillIdentifiesFirstDivergentTuple(t *testing.T) {
 	clean := tracedRun(t, 11, 0)
 	killed := tracedRun(t, 11, 150*time.Millisecond)
 
-	d := causal.DiffTraces(clean.Obs.Events(), killed.Obs.Events())
+	d := causal.DiffTraces(clean.Obs.Events(), killed.Obs.Events(), 0)
 	if d == nil {
 		t.Fatal("no divergence between a clean and a killed run")
 	}
@@ -123,7 +123,7 @@ func TestDiffSameSeedKillIdentifiesFirstDivergentTuple(t *testing.T) {
 func TestDiffSameSeedRunsAgree(t *testing.T) {
 	a := tracedRun(t, 13, 150*time.Millisecond)
 	b := tracedRun(t, 13, 150*time.Millisecond)
-	if d := causal.DiffTraces(a.Obs.Events(), b.Obs.Events()); d != nil {
+	if d := causal.DiffTraces(a.Obs.Events(), b.Obs.Events(), 0); d != nil {
 		t.Fatalf("same-seed same-schedule runs diverged: %s", d.Summary())
 	}
 }
@@ -141,7 +141,7 @@ func TestFailoverDumpCarriesDiagnosis(t *testing.T) {
 	}
 	// Whether a frontier exists at the kill instant is seed/schedule
 	// dependent but deterministic: assert consistency with the trace.
-	frontier := causal.ReplayDiff(sys.Obs.Events())
+	frontier := causal.ReplayDiffScoped(sys.Obs.Events(), "")
 	if frontier == nil {
 		if sys.Flight.Diagnosis != "" {
 			t.Fatalf("diagnosis present but trace shows no frontier:\n%s", sys.Flight.Diagnosis)

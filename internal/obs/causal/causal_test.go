@@ -204,14 +204,14 @@ func TestDiffPlantedDivergence(t *testing.T) {
 	}
 	a, b := mk(), mk()
 
-	if d := DiffTraces(a, b); d != nil {
+	if d := DiffTraces(a, b, 0); d != nil {
 		t.Fatalf("identical traces diverge: %s", d.Summary())
 	}
 
 	// Plant: run b grants obj 6 a different section at aligned position 5.
 	b[5].Obj = 11
 	b[5].OSeq = 0
-	d := DiffTraces(a, b)
+	d := DiffTraces(a, b, 0)
 	if d == nil {
 		t.Fatal("planted divergence not found")
 	}
@@ -235,7 +235,7 @@ func TestDiffMissingSuffix(t *testing.T) {
 		full = append(full, ev(uint64(i+1), int64(100*i+10), "primary/ftns", obs.TupleEmit, 1, int64(i), 64, 7, int64(i)))
 	}
 	short := full[:4] // killed after the fourth recorded tuple
-	d := DiffTraces(full, short)
+	d := DiffTraces(full, short, 0)
 	if d == nil {
 		t.Fatal("prefix trace not diagnosed")
 	}
@@ -250,6 +250,25 @@ func TestDiffMissingSuffix(t *testing.T) {
 	}
 }
 
+// TestDiffCappedSliceEndsWithDivergentEvent: a size cap keeps the divergent
+// event and its nearest ancestors, not the oldest events of its ancestry.
+func TestDiffCappedSliceEndsWithDivergentEvent(t *testing.T) {
+	var full []obs.Event
+	for i := 0; i < 6; i++ {
+		full = append(full, ev(uint64(i+1), int64(100*i+10), "primary/ftns", obs.TupleEmit, 1, int64(i), 64, 7, int64(i)))
+	}
+	if d := DiffTraces(full, full[:4], 0); d == nil || len(d.Slice) <= 2 {
+		t.Fatalf("uncapped diff %+v: want a slice longer than the cap", d)
+	}
+	d := DiffTraces(full, full[:4], 2)
+	if d == nil {
+		t.Fatal("prefix trace not diagnosed")
+	}
+	if len(d.Slice) != 2 || d.Slice[1].Order != d.A.Order || d.Slice[0].Order != d.A.Order-1 {
+		t.Fatalf("capped slice %v, want the divergent event order=%d and its parent", d.Slice, d.A.Order)
+	}
+}
+
 func TestReplayDiffFrontier(t *testing.T) {
 	// Recorded two tuples, backup granted only the first.
 	events := []obs.Event{
@@ -257,7 +276,7 @@ func TestReplayDiffFrontier(t *testing.T) {
 		ev(2, 20, "primary/ftns", obs.TupleEmit, 1, 1, 64, 7, 1),
 		ev(3, 30, "secondary/ftns", obs.Replay, 1, 0, 0, 7, 0),
 	}
-	d := ReplayDiff(events)
+	d := ReplayDiffScoped(events, "")
 	if d == nil {
 		t.Fatal("unreplayed frontier not diagnosed")
 	}
@@ -270,20 +289,20 @@ func TestReplayDiffFrontier(t *testing.T) {
 
 	// Fully replayed: no divergence. No replayer at all: no diagnosis.
 	events = append(events, ev(4, 40, "secondary/ftns", obs.Replay, 1, 1, 0, 7, 1))
-	if d := ReplayDiff(events); d != nil {
+	if d := ReplayDiffScoped(events, ""); d != nil {
 		t.Fatalf("healthy replay diagnosed: %s", d.Summary())
 	}
-	if d := ReplayDiff(events[:2]); d != nil {
+	if d := ReplayDiffScoped(events[:2], ""); d != nil {
 		t.Fatalf("recorder-only trace diagnosed: %s", d.Summary())
 	}
 }
 
 func TestAnnotateAndReport(t *testing.T) {
-	d := ReplayDiff([]obs.Event{
+	d := ReplayDiffScoped([]obs.Event{
 		ev(1, 10, "primary/ftns", obs.TupleEmit, 1, 0, 64, 7, 0),
 		ev(2, 20, "primary/ftns", obs.TupleEmit, 1, 1, 64, 7, 1),
 		ev(3, 30, "secondary/ftns", obs.Replay, 1, 0, 0, 7, 0),
-	})
+	}, "")
 	Annotate(d, "failed_at_ns", 12345)
 	rep := d.Report()
 	for _, want := range []string{"replay frontier", "note: failed_at_ns=12345", "causal slice", "obj=7 oseq=1"} {

@@ -153,9 +153,11 @@ func tupleIdentity(e obs.Event) TupleRef {
 // DiffTraces aligns two same-seed traces on their recorded det tuple
 // orders and returns the first divergence, or nil when the streams agree
 // over their full common extent and have equal length. The divergent
-// event's causal slice is computed in the trace that contains it (B when
-// both do — B is conventionally the suspect/failed run).
-func DiffTraces(a, b []obs.Event) *Divergence {
+// event's causal slice — at most max events, 0 for DefaultSliceEvents,
+// always ending with the divergent event — is computed in the trace that
+// contains it (B when both do — B is conventionally the suspect/failed
+// run).
+func DiffTraces(a, b []obs.Event, max int) *Divergence {
 	sa, sb := recordedStream(a), recordedStream(b)
 	n := len(sa)
 	if len(sb) < n {
@@ -165,7 +167,7 @@ func DiffTraces(a, b []obs.Event) *Divergence {
 		ea, eb := a[sa[i]], b[sb[i]]
 		if tupleIdentity(ea) != tupleIdentity(eb) {
 			d := &Divergence{Class: ClassTupleMismatch, Index: i, A: &ea, B: &eb}
-			d.Slice = Build(b).Slice(sb[i], 0)
+			d.Slice = Build(b).Slice(sb[i], max)
 			return d
 		}
 	}
@@ -173,33 +175,28 @@ func DiffTraces(a, b []obs.Event) *Divergence {
 	case len(sa) > n: // b stops early: a records tuples b never does
 		ea := a[sa[n]]
 		d := &Divergence{Class: ClassMissingSuffix, Index: n, A: &ea}
-		d.Slice = Build(a).Slice(sa[n], 0)
+		d.Slice = Build(a).Slice(sa[n], max)
 		return d
 	case len(sb) > n: // a stops early
 		eb := b[sb[n]]
 		d := &Divergence{Class: ClassMissingSuffix, Index: n, B: &eb}
-		d.Slice = Build(b).Slice(sb[n], 0)
+		d.Slice = Build(b).Slice(sb[n], max)
 		return d
 	}
 	return nil
 }
 
-// ReplayDiff diagnoses a single trace against itself: the primary's
-// recorded tuple stream vs. the backup's replay grants. It returns the
-// first recorded tuple that was never granted — the replay frontier —
-// or nil when every recorded tuple replayed. At a failover flight dump
-// this names exactly the work the dead primary completed that the
-// promoted survivor discarded (§3.5: output past the stable point).
-func ReplayDiff(events []obs.Event) *Divergence {
-	return ReplayDiffScoped(events, "")
-}
-
-// ReplayDiffScoped is ReplayDiff restricted to one backup's replay
-// grants, selected by trace scope (""  considers every replaying scope).
-// With an N-way replica set each backup replays at its own pace; scoping
-// to the elected survivor's namespace scope makes the frontier name the
-// work that failover actually discards, rather than whatever the
-// laggiest backup happened to miss.
+// ReplayDiffScoped diagnoses a single trace against itself: the primary's
+// recorded tuple stream vs. one backup's replay grants, selected by trace
+// scope ("" considers every replaying scope). It returns the first
+// recorded tuple that was never granted — the replay frontier — or nil
+// when every recorded tuple replayed. At a failover flight dump this names
+// exactly the work the dead primary completed that the promoted survivor
+// discarded (§3.5: output past the stable point). With an N-way replica
+// set each backup replays at its own pace; scoping to the elected
+// survivor's namespace scope makes the frontier name the work that
+// failover actually discards, rather than whatever the laggiest backup
+// happened to miss.
 func ReplayDiffScoped(events []obs.Event, scope string) *Divergence {
 	if len(events) == 0 {
 		return nil

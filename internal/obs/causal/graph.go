@@ -1,7 +1,7 @@
 // Package causal reconstructs a happens-before graph over the obs event
 // stream and computes trace-level diagnoses from it: per-committed-output
 // critical-path attribution (Attribute) and cross-replica first-divergence
-// diagnosis (DiffTraces, ReplayDiff).
+// diagnosis (DiffTraces, ReplayDiffScoped).
 //
 // The graph's edges come from the replication protocol itself:
 //

@@ -22,7 +22,7 @@ type FlightDump struct {
 	// Diagnosis is an optional pre-triage report appended by the causal
 	// layer at failover: the first recorded-but-unreplayed tuple and its
 	// causal slice, so a chaos-test failure arrives already pointed at
-	// the divergence (filled by core via causal.ReplayDiff).
+	// the divergence (filled by core via causal.ReplayDiffScoped).
 	Diagnosis string `json:"diagnosis,omitempty"`
 }
 
