@@ -88,9 +88,9 @@ golden:
 # the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=2046 replication=2892 tcprep=1545 shm=1112
+LOC_CEILINGS := core=2040 replication=2892 tcprep=1545 shm=1112
 LOC_KERNEL_CEILING := 714
-LOC_BENCH_CEILING := 2335
+LOC_BENCH_CEILING := 2310
 
 loc:
 	@count() { for d; do ls $$d/*.go; done | grep -v _test.go | xargs cat | wc -l; }; total=0; over=0; \

@@ -32,7 +32,6 @@ import (
 	"repro/internal/apps/restream"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -136,7 +135,7 @@ func run(o options) error {
 		fmt.Printf("will inject %v on the primary at t=%v\n", kind, o.failAt)
 		sys.InjectPrimaryFailure(o.failAt, kind)
 	}
-	if err := sys.Sim.RunUntil(sim.Time(30 * time.Minute)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		return err
 	}
 	for _, s := range dl.Series {

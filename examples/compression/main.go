@@ -41,7 +41,7 @@ func run() error {
 		stats[th.NS()] = st
 		pbzip2.Run(th, cfg, st)
 	}})
-	if err := sys.Sim.RunUntil(sim.Time(30 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		return err
 	}
 	pst, sst := stats[sys.Primary.NS], stats[sys.Secondary.NS]

@@ -57,7 +57,7 @@ func run() error {
 	fmt.Println("downloading 2 GB; killing the primary at t=6s...")
 	sys.InjectPrimaryFailure(6*time.Second, hw.CoreFailStop)
 
-	if err := sys.Sim.RunUntil(sim.Time(2 * time.Minute)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		return err
 	}
 

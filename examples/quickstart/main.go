@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -71,7 +70,7 @@ func run() error {
 	fmt.Println("injecting a core fail-stop on the primary partition at t=20ms...")
 	sys.InjectPrimaryFailure(20*time.Millisecond, hw.CoreFailStop)
 
-	if err := sys.Sim.RunUntil(sim.Time(6 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		return err
 	}
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/apps/restream"
 	"repro/internal/core"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcprep"
 )
@@ -41,7 +40,7 @@ func download(t *testing.T, app func(*replication.Thread, *tcprep.Sockets), tota
 	b, client := baseline(t, app)
 	var dl clients.DownloadStats
 	clients.Download(client, port, int64(total), interval, &dl)
-	if err := b.Sim.RunUntil(sim.Time(time.Second)); err != nil {
+	if err := b.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !dl.Complete || dl.Received != int64(total) {
@@ -190,7 +189,7 @@ func TestRunABWarmUpAndErrors(t *testing.T) {
 		clients.RunAB(client, clients.ABConfig{
 			Port: port, Concurrency: 4, ResponseBytes: want, Duration: window, WarmUp: warmUp,
 		}, &ab)
-		if err := b.Sim.RunUntil(sim.Time(window + time.Second)); err != nil {
+		if err := b.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if served < 40 {

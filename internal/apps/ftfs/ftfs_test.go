@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps/ftfs"
 	"repro/internal/core"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -76,7 +75,7 @@ func TestBasicOperations(t *testing.T) {
 			t.Errorf("double Remove: %v", err)
 		}
 	})
-	if err := base.Sim.RunUntil(sim.Time(time.Second)); err != nil {
+	if err := base.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +133,7 @@ func TestReplicatedFSStateIdentical(t *testing.T) {
 	var pReads, sReads []int
 	sys.Primary.NS.Start("fs", nil, fsWorkload(&pSum, &pReads))
 	sys.Secondary.NS.Start("fs", nil, fsWorkload(&sSum, &sReads))
-	if err := sys.Sim.RunUntil(sim.Time(30 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if pSum == 0 || pSum != sSum {
@@ -172,7 +171,7 @@ func TestReplicatedFSSurvivesFailover(t *testing.T) {
 	sys.Primary.NS.Start("fs", nil, fsWorkload(&pSum, &pReads))
 	sys.Secondary.NS.Start("fs", nil, fsWorkload(&sSum, &sReads))
 	sys.InjectPrimaryFailure(2*time.Millisecond, 0)
-	if err := sys.Sim.RunUntil(sim.Time(30 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if pSum != 0 {

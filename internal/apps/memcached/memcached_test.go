@@ -3,7 +3,6 @@ package memcached_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/apps/memcached"
 	"repro/internal/core"
@@ -104,7 +103,7 @@ func TestReplicatedKVServer(t *testing.T) {
 		_, _ = c.Send(tk, []byte("quit\n"))
 		_ = c.Close(tk)
 	})
-	if err := sys.Sim.RunUntil(sim.Time(3 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(replies) != 4 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcprep"
 )
@@ -34,7 +33,7 @@ func TestServesUnderLoadReplicated(t *testing.T) {
 		Port: mcfg.Port, Concurrency: 10, ResponseBytes: mongoose.PageSize(mcfg),
 		Duration: time.Second, WarmUp: 200 * time.Millisecond,
 	}, &ab)
-	if err := sys.Sim.RunUntil(sim.Time(2 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ab.Requests < 100 {
@@ -72,7 +71,7 @@ func TestServiceSurvivesFailover(t *testing.T) {
 		Duration: 15 * time.Second,
 	}, &ab)
 	sys.InjectPrimaryFailure(time.Second, hw.CoreFailStop)
-	if err := sys.Sim.RunUntil(sim.Time(16 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if sys.LiveAt == 0 {

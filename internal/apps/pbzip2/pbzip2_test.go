@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps/pbzip2"
 	"repro/internal/core"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -27,7 +26,7 @@ func TestBaselineCompressesEverything(t *testing.T) {
 	cfg := smallCfg()
 	var st pbzip2.Stats
 	base.LaunchApp("pbzip2", nil, func(th *replication.Thread, _ *tcprep.Sockets) { pbzip2.Run(th, cfg, &st) })
-	if err := base.Sim.RunUntil(sim.Time(time.Minute)); err != nil {
+	if err := base.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Done || st.Blocks != 200 {
@@ -50,7 +49,7 @@ func TestReplicatedOutputsIdentical(t *testing.T) {
 	var pst, sst pbzip2.Stats
 	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &pst) })
 	sys.Secondary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &sst) })
-	if err := sys.Sim.RunUntil(sim.Time(time.Minute)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !pst.Done || !sst.Done {
@@ -76,7 +75,7 @@ func TestSurvivesPrimaryFailureMidCompression(t *testing.T) {
 	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &pst) })
 	sys.Secondary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &sst) })
 	sys.InjectPrimaryFailure(100*time.Millisecond, 0)
-	if err := sys.Sim.RunUntil(sim.Time(time.Minute)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if pst.Done {

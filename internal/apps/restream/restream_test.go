@@ -44,7 +44,7 @@ func deploy(t *testing.T, seed int64, total int) (*core.System, *clients.Downloa
 func TestTransferIntact(t *testing.T) {
 	const total = 64 << 20
 	sys, dl, insts := deploy(t, 1, total)
-	if err := sys.Sim.RunUntil(sim.Time(30 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !dl.Complete || dl.Corrupted {
@@ -66,7 +66,7 @@ func TestTransferSurvivesCoherencyLossFailover(t *testing.T) {
 	sys, dl, _ := deploy(t, 2, 96<<20)
 	// The worst §3.5 case: the fault also loses in-flight log messages.
 	sys.InjectPrimaryFailure(200*time.Millisecond, hw.CoherencyLoss)
-	if err := sys.Sim.RunUntil(sim.Time(60 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !dl.Complete || dl.Corrupted {
@@ -114,7 +114,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("primary at off=%d done=%v, want mid-transfer", primary.Off(), primary.Done())
 	}
 	roundTrip("mid-transfer", primary)
-	if err := sys.Sim.RunUntil(sim.Time(10 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !dl.Complete || !primary.Done() {

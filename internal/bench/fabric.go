@@ -181,8 +181,7 @@ func fabricRawPoint(seed int64, threads int) (Point, error) {
 	const gap = 20 * time.Microsecond
 	total := threads * fabricRawBatches * fabricBatch
 	got := 0
-	f := &finish{sim: sys.Sim}
-	f.spawn("drain", func(p *sim.Proc) {
+	sys.Sim.Spawn("drain", func(p *sim.Proc) {
 		var buf []shm.Message
 		for got < total {
 			buf = ring.RecvBatchInto(p, buf[:0], 0)
@@ -190,7 +189,7 @@ func fabricRawPoint(seed int64, threads int) (Point, error) {
 		}
 	})
 	for i := 0; i < threads; i++ {
-		f.spawn("producer", func(p *sim.Proc) {
+		sys.Sim.Spawn("producer", func(p *sim.Proc) {
 			batch := make([]shm.Message, fabricBatch)
 			for j := range batch {
 				batch[j] = shm.Message{Kind: 1, Size: 64}
@@ -201,10 +200,13 @@ func fabricRawPoint(seed int64, threads int) (Point, error) {
 			}
 		})
 	}
-	if err := f.run(); err != nil {
+	if err := sys.Sim.Run(); err != nil { // ends with the last producer's last sleep
 		return point, err
 	}
-	point.Values = fabricCell{st: ring.Stats(), finished: f.at}.values()
+	if got < total {
+		return point, fmt.Errorf("workload incomplete: %d of %d payloads drained at %v", got, total, sys.Sim.Now())
+	}
+	point.Values = fabricCell{st: ring.Stats(), finished: sys.Sim.Now()}.values()
 	return point, nil
 }
 

@@ -58,21 +58,24 @@ func mailboxDelay(seed int64, rounds int) (time.Duration, error) {
 	s := sys.Sim
 	ring := sys.Fabric.NewRing("ping", 0, 1<<20)
 	var total time.Duration
-	f := &finish{sim: s}
-	f.spawn("sender", func(p *sim.Proc) {
+	received := 0
+	s.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < rounds; i++ {
 			ring.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{uint64(s.Now())}})
 			p.Sleep(10 * time.Microsecond)
 		}
 	})
-	f.spawn("receiver", func(p *sim.Proc) {
-		for i := 0; i < rounds; i++ {
+	s.Spawn("receiver", func(p *sim.Proc) {
+		for ; received < rounds; received++ {
 			msg := ring.Recv(p)
 			total += s.Now().Sub(sim.Time(msg.W[0]))
 		}
 	})
-	if err := f.run(); err != nil {
+	if err := s.Run(); err != nil {
 		return 0, err
+	}
+	if received < rounds {
+		return 0, fmt.Errorf("bench: latency: %d of %d mailbox messages received", received, rounds)
 	}
 	return total / time.Duration(rounds), nil
 }

@@ -25,44 +25,6 @@ func boot(seed int64, opts ...core.Option) (*core.System, error) {
 	return core.New(append([]core.Option{core.WithSeed(seed), core.WithKernelParams(kp), core.WithRejoin(false)}, opts...)...)
 }
 
-// finish counts the processes a cell waits for and stops the simulation
-// the instant the last of them returns: a deployment's heart-beats never
-// let the event queue drain on its own.
-type finish struct {
-	sim  *sim.Simulation
-	left int
-	at   sim.Time // when the last one returned
-}
-
-func (f *finish) done() {
-	if f.left--; f.left == 0 {
-		f.at = f.sim.Now()
-		f.sim.Stop()
-	}
-}
-
-// spawn runs fn as one more process the cell waits for.
-func (f *finish) spawn(name string, fn func(*sim.Proc)) {
-	f.left++
-	f.sim.Spawn(name, func(p *sim.Proc) {
-		fn(p)
-		f.done()
-	})
-}
-
-// run runs the simulation until the last process returns; one still
-// running after a virtual minute, far beyond any cell, is an error.
-func (f *finish) run() error {
-	err := f.sim.RunUntil(sim.Time(time.Minute))
-	if errors.Is(err, sim.ErrStopped) {
-		return nil
-	}
-	if err == nil {
-		err = fmt.Errorf("workload incomplete: %d still running at %v", f.left, f.sim.Now())
-	}
-	return err
-}
-
 // sweepRun is one finished sweep cell: its deployment as it stood the
 // instant the last replica's main returned.
 type sweepRun struct {
@@ -75,7 +37,8 @@ type sweepRun struct {
 
 // runSweep boots a sweep deployment with the cell's options, lets prepare
 // (when non-nil) see it before anything runs, starts app on every replica
-// with sys.Run, and runs until every replica's main has returned.
+// with sys.Run, and stops the run the instant the last replica's main
+// returns; a run that ends before then hung.
 func runSweep(seed int64, app core.App, prepare func(*core.System) error, opts ...core.Option) (*sweepRun, error) {
 	sys, err := boot(seed, opts...)
 	if err != nil {
@@ -87,17 +50,22 @@ func runSweep(seed int64, app core.App, prepare func(*core.System) error, opts .
 			return nil, err
 		}
 	}
-	f := &finish{sim: sys.Sim, left: len(sys.ReplicaSet)}
+	left := len(sys.ReplicaSet)
 	main := app.Main
 	app.Main = func(th *replication.Thread, socks *tcprep.Sockets) {
 		main(th, socks)
-		f.done()
+		if left--; left == 0 {
+			sys.Sim.Stop()
+		}
 	}
 	sys.Run(app)
-	if err := f.run(); err != nil {
+	if err := sys.Sim.Run(); !errors.Is(err, sim.ErrStopped) {
+		if err == nil {
+			err = fmt.Errorf("workload incomplete: %d replica mains still running at %v", left, sys.Sim.Now())
+		}
 		return nil, err
 	}
-	run := &sweepRun{sys: sys, finished: f.at, snap: sys.Obs.Registry().Snapshot()}
+	run := &sweepRun{sys: sys, finished: sys.Sim.Now(), snap: sys.Obs.Registry().Snapshot()}
 	if run.log, err = ringNamed(sys, "ftns.log"); err != nil {
 		return nil, err
 	}
@@ -145,16 +113,18 @@ func (r *sweepRun) hist(name string, mayBeEmpty bool) obs.HistogramSnap {
 
 // sampleLag is a runSweep prepare hook adding a "replay.lag.sampled"
 // histogram: Seq_global minus the first backup's Lamport frontier on a
-// fixed 100 us cadence. The sampler re-arms itself until the run stops, so
-// the distribution covers the whole run, not just its end state.
+// fixed 100 us cadence. The sampler is background work until the run stops,
+// so the distribution covers the whole run, not just its end state.
 func sampleLag(sys *core.System) error {
 	hLag := sys.Obs.Registry().Histogram("replay.lag.sampled", "tuples")
-	var sample func()
-	sample = func() {
-		hLag.Observe(int64(sys.Primary.NS.SeqGlobal()) - int64(sys.Secondary.NS.ReplayHead()))
-		sys.Sim.Schedule(100*time.Microsecond, sample)
-	}
-	sys.Sim.Schedule(100*time.Microsecond, sample)
+	const every = 100 * time.Microsecond
+	sys.Sim.SpawnAfter("lag-sampler", every, func(p *sim.Proc) {
+		p.SetBackground(true)
+		for {
+			hLag.Observe(int64(sys.Primary.NS.SeqGlobal()) - int64(sys.Secondary.NS.ReplayHead()))
+			p.Sleep(every)
+		}
+	})
 	return nil
 }
 

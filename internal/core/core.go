@@ -12,7 +12,7 @@
 //
 //	sys, _ := core.New(core.WithSeed(1))
 //	sys.Run(core.App{Name: "app", Main: func(th *replication.Thread, _ *tcprep.Sockets) { ... }})
-//	sys.Sim.Run()
+//	sys.Sim.Run() // returns once the work is done; heart-beats are background
 //
 // New and Run are the one way in; an Option is a func(*Config), so a caller
 // that needs a field no With* helper exposes passes a func literal.
@@ -461,10 +461,8 @@ func build(cfg Config) (*System, error) {
 		reps[i].Detector = sd
 	}
 
-	// The NIC goes down the instant its owning kernel dies (its DMA rings
-	// and interrupt routing die with the kernel).
 	for _, k := range kerns {
-		sys.hookNIC(k)
+		sys.hookKernel(k)
 	}
 
 	// Fault injection: arm every boot-time ring (rejoin-generation rings
@@ -502,13 +500,14 @@ func (sys *System) watch(a, b *Replica, aToB, bToA *shm.Ring, scopeA, scopeB str
 	return da, db
 }
 
-// hookNIC fails the server NIC the instant a kernel that owns it dies
-// (its DMA rings and interrupt routing die with the kernel).
-func (sys *System) hookNIC(k *kernel.Kernel) {
+// hookKernel fails the server NIC the instant a kernel that owns it dies, and
+// holds the run open one heart-beat timeout so the monitors see a silent death.
+func (sys *System) hookKernel(k *kernel.Kernel) {
 	k.OnPanic(func(kernel.PanicReason) {
 		if sys.nic.Owner() == k {
 			sys.nic.FailDevice()
 		}
+		sys.Sim.Schedule(sys.Cfg.Failure.Timeout+sys.Cfg.Failure.Interval, func() {})
 	})
 }
 
@@ -536,9 +535,6 @@ func (sys *System) victim(t chaos.Target) (int, bool) {
 
 // Injector returns the chaos injector, or nil when no schedule is armed.
 func (sys *System) Injector() *chaos.Injector { return sys.injector }
-
-// NIC returns the server's Ethernet device.
-func (sys *System) NIC() *kernel.Device { return sys.nic }
 
 // App is a replicated application: Main runs on every replica inside the
 // FT-Namespace with that replica's interposed socket layer (ignore the

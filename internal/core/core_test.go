@@ -67,6 +67,7 @@ func echoApp(port, nRequests int, done *int) func(*replication.Thread, *tcprep.S
 }
 
 func TestReplicatedEchoService(t *testing.T) {
+	t.Parallel()
 	sys := quietSystem(t, 1)
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
@@ -102,7 +103,7 @@ func TestReplicatedEchoService(t *testing.T) {
 			_ = c.Close(tk)
 		}
 	})
-	if err := sys.Sim.RunUntil(sim.Time(10 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(replies) != 5 {
@@ -134,6 +135,7 @@ func TestReplicatedEchoService(t *testing.T) {
 // binding must name it by four-tuple, or the backup's replayed accept waits
 // for a binding that never arrives and replay stops for good.
 func TestAcceptAfterClientReset(t *testing.T) {
+	t.Parallel()
 	sys := quietSystem(t, 1)
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
@@ -191,7 +193,7 @@ func TestAcceptAfterClientReset(t *testing.T) {
 		reply = string(data)
 		_ = c.Close(tk)
 	})
-	if err := sys.Sim.RunUntil(sim.Time(5 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "re:x" {
@@ -246,6 +248,7 @@ func download(t *testing.T, client *core.Client, port int, got *[]byte, doneAt *
 }
 
 func TestFailoverTransparentToClient(t *testing.T) {
+	t.Parallel()
 	sys := quietSystem(t, 2, withMSS(16<<10))
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
@@ -261,7 +264,7 @@ func TestFailoverTransparentToClient(t *testing.T) {
 	// Kill the primary mid-transfer with a core fail-stop.
 	sys.InjectPrimaryFailure(200*time.Millisecond, hw.CoreFailStop)
 
-	if err := sys.Sim.RunUntil(sim.Time(60 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != total {
@@ -290,6 +293,7 @@ func TestFailoverTransparentToClient(t *testing.T) {
 }
 
 func TestFailoverWithCoherencyLoss(t *testing.T) {
+	t.Parallel()
 	// The §3.5 case: the fault disrupts cache coherency, losing the
 	// primary's in-flight log messages. Strict output commit guarantees
 	// the client still observes a consistent stream.
@@ -304,7 +308,7 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
 	sys.InjectPrimaryFailure(100*time.Millisecond, hw.CoherencyLoss)
-	if err := sys.Sim.RunUntil(sim.Time(60 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != total {
@@ -314,6 +318,7 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 }
 
 func TestSecondaryFailurePrimaryContinues(t *testing.T) {
+	t.Parallel()
 	sys := quietSystem(t, 4)
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
@@ -326,7 +331,7 @@ func TestSecondaryFailurePrimaryContinues(t *testing.T) {
 	download(t, client, 80, &got, &doneAt)
 	// Kill the SECONDARY mid-transfer.
 	sys.Machine.InjectAfter(100*time.Millisecond, hw.Fault{Kind: hw.CoreFailStop, Node: 4, Core: -1, Addr: -1})
-	if err := sys.Sim.RunUntil(sim.Time(60 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != total {
@@ -341,7 +346,53 @@ func TestSecondaryFailurePrimaryContinues(t *testing.T) {
 	}
 }
 
+// TestSilentDeathAfterLastOutputIsDetected: a primary that dies without a
+// machine-check report once its work is done — nothing left in the queue
+// but heart-beats, which never hold a run open — is still noticed by the
+// backup's monitor and failed over before Run returns: the death itself
+// holds the run open for its detection.
+func TestSilentDeathAfterLastOutputIsDetected(t *testing.T) {
+	t.Parallel()
+	sys := quietSystem(t, 9)
+	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	sys.Run(core.App{Name: "echo", Main: echoApp(80, 1, &done)})
+	var reply string
+	client.Kernel.Spawn("client", func(tk *kernel.Task) {
+		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		_, _ = c.Send(tk, []byte("x"))
+		data, _ := c.Recv(tk, 64)
+		reply = string(data)
+		_ = c.Close(tk)
+	})
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if reply != "re:x" || done != 2 {
+		t.Fatalf("reply %q, %d replicas served; want re:x from both", reply, done)
+	}
+	diedAt := sys.Sim.Now()
+	sys.Primary.Kernel.Panic("silent death", nil)
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sys.FailedAt <= diedAt || sys.LiveAt == 0 {
+		t.Fatalf("primary died silently at %v; failure declared at %v, live at %v: want both before Run returned", diedAt, sys.FailedAt, sys.LiveAt)
+	}
+	if sys.Secondary.NS.Role() != replication.RoleLive {
+		t.Errorf("secondary role = %v, want live", sys.Secondary.NS.Role())
+	}
+}
+
 func TestBaselineEcho(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig(5)
 	cfg.Kernel = quietParams()
 	b, err := core.NewBaseline(cfg)
@@ -369,7 +420,7 @@ func TestBaselineEcho(t *testing.T) {
 			_ = c.Close(tk)
 		}
 	})
-	if err := b.Sim.RunUntil(sim.Time(5 * time.Second)); err != nil {
+	if err := b.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if replies != 3 || done != 3 {
@@ -378,6 +429,7 @@ func TestBaselineEcho(t *testing.T) {
 }
 
 func TestMemFaultInUserSpaceDoesNotKillKernel(t *testing.T) {
+	t.Parallel()
 	sys := quietSystem(t, 6)
 	// Allocate user memory on the primary, then hit it with a DUE.
 	if err := sys.Primary.Kernel.Mem().Alloc(kernelUserClass(), 4<<30); err != nil {
@@ -385,7 +437,7 @@ func TestMemFaultInUserSpaceDoesNotKillKernel(t *testing.T) {
 	}
 	addr := sys.Primary.Kernel.Mem().Bytes(kernelIgnoredClass()) + (1 << 30)
 	sys.Machine.InjectAfter(time.Millisecond, hw.Fault{Kind: hw.MemUncorrected, Node: 0, Core: -1, Addr: addr})
-	if err := sys.Sim.RunUntil(sim.Time(200 * time.Millisecond)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !sys.Primary.Kernel.Alive() {
@@ -397,6 +449,7 @@ func TestMemFaultInUserSpaceDoesNotKillKernel(t *testing.T) {
 }
 
 func TestDeterministicEndToEnd(t *testing.T) {
+	t.Parallel()
 	run := func() (int64, int64) {
 		sys := quietSystem(t, 42)
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
@@ -416,7 +469,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 				_ = c.Close(tk)
 			}
 		})
-		if err := sys.Sim.RunUntil(sim.Time(3 * time.Second)); err != nil {
+		if err := sys.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		st := sys.Fabric.Stats()
@@ -435,6 +488,7 @@ func kernelUserClass() kmem.PageClass    { return kmem.User }
 func kernelIgnoredClass() kmem.PageClass { return kmem.KernelIgnored }
 
 func TestReplicatedPoll(t *testing.T) {
+	t.Parallel()
 	sys := quietSystem(t, 7)
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
@@ -511,7 +565,7 @@ func TestReplicatedPoll(t *testing.T) {
 			tk.Sleep(5 * time.Millisecond)
 		}
 	})
-	if err := sys.Sim.RunUntil(sim.Time(5 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(replies) != 2 {
@@ -537,6 +591,7 @@ func TestReplicatedPoll(t *testing.T) {
 // mid-stream, with varying fault kinds) and the client-visible byte stream
 // must always be complete and intact.
 func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
+	t.Parallel()
 	kinds := []hw.FaultKind{hw.CoreFailStop, hw.BusError, hw.CoherencyLoss}
 	for seed := int64(1); seed <= 5; seed++ {
 		sys := quietSystem(t, seed, withMSS(32<<10))
@@ -552,7 +607,7 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 		failAt := time.Duration(10+sys.Sim.Rand().Intn(200)) * time.Millisecond
 		kind := kinds[sys.Sim.Rand().Intn(len(kinds))]
 		sys.InjectPrimaryFailure(failAt, kind)
-		if err := sys.Sim.RunUntil(sim.Time(90 * time.Second)); err != nil {
+		if err := sys.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != total {
@@ -575,6 +630,7 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 // spill server, runs once at boot, parks, and is never woken while its ring
 // has room — and nothing named a flusher exists.
 func TestTCPSyncBatchingCoalesces(t *testing.T) {
+	t.Parallel()
 	run := func(batch int) (*core.System, int, []string) {
 		sys := quietSystem(t, 8, func(c *core.Config) {
 			c.TCPSync = tcprep.SyncConfig{BatchUpdates: batch, FlushInterval: 50 * time.Microsecond}
@@ -619,7 +675,7 @@ func TestTCPSyncBatchingCoalesces(t *testing.T) {
 				_ = c.Close(tk)
 			}
 		})
-		if err := sys.Sim.RunUntil(sim.Time(10 * time.Second)); err != nil {
+		if err := sys.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if sDone != n {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // TestShardedRejoinUnderChaos re-runs the double-kill resync under the
@@ -14,8 +13,9 @@ import (
 // delayed log delivery must be absorbed by the per-object duplicate filter
 // and the ring's FIFO delay clamp.
 func TestShardedRejoinUnderChaos(t *testing.T) {
+	t.Parallel()
 	spec := "dup acks x2 0s..8s; delay log 150us 1s..3s; delay sync 100us 1s..3s; kill primary @2500ms; kill primary @10s"
-	sys, h, _ := rejoinRun(t, spec, 11, 60*time.Second, plainStream, rejoinStreamTotal, core.WithDetShards(4))
+	sys, h, _ := rejoinRun(t, spec, 11, plainStream, rejoinStreamTotal, core.WithDetShards(4))
 	if err := sys.RejoinErr(); err != nil {
 		t.Errorf("rejoin error: %v", err)
 	}
@@ -25,7 +25,7 @@ func TestShardedRejoinUnderChaos(t *testing.T) {
 	if g := sys.Generation(); g < 2 {
 		t.Errorf("generation = %d, want >= 2", g)
 	}
-	_, base, _ := rejoinRun(t, "", 11, 60*time.Second, plainStream, rejoinStreamTotal, core.WithDetShards(4))
+	_, base, _ := rejoinRun(t, "", 11, plainStream, rejoinStreamTotal, core.WithDetShards(4))
 	if h != base {
 		t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
 	}
@@ -36,13 +36,14 @@ func TestShardedRejoinUnderChaos(t *testing.T) {
 // byte-identical trace streams even though independent det sections record
 // and replay concurrently.
 func TestShardedTraceIdenticalAcrossRuns(t *testing.T) {
+	t.Parallel()
 	run := func() []byte {
 		sys := quietSystem(t, 11, core.WithTrace(), core.WithDetShards(4))
 		sys.Run(core.App{Name: "locker", Main: lockMain(200)})
 		sys.Sim.Schedule(150*time.Millisecond, func() {
 			sys.Primary.Kernel.Panic("test kill", nil)
 		})
-		if err := sys.Sim.RunUntil(sim.Time(20 * time.Second)); err != nil {
+		if err := sys.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/causal"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcprep"
 )
@@ -62,7 +61,7 @@ func tracedRun(t *testing.T, seed int64, killAt time.Duration) *core.System {
 			sys.Primary.Kernel.Panic("test kill", nil)
 		})
 	}
-	if err := sys.Sim.RunUntil(sim.Time(20 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -73,6 +72,7 @@ func tracedRun(t *testing.T, seed int64, killAt time.Duration) *core.System {
 // exactly the first det tuple the killed run never recorded, with a
 // non-empty causal slice explaining it.
 func TestDiffSameSeedKillIdentifiesFirstDivergentTuple(t *testing.T) {
+	t.Parallel()
 	clean := tracedRun(t, 11, 0)
 	killed := tracedRun(t, 11, 150*time.Millisecond)
 
@@ -121,6 +121,7 @@ func TestDiffSameSeedKillIdentifiesFirstDivergentTuple(t *testing.T) {
 // schedules have no divergence — the diagnosis only fires on real
 // behavioral differences.
 func TestDiffSameSeedRunsAgree(t *testing.T) {
+	t.Parallel()
 	a := tracedRun(t, 13, 150*time.Millisecond)
 	b := tracedRun(t, 13, 150*time.Millisecond)
 	if d := causal.DiffTraces(a.Obs.Events(), b.Obs.Events(), 0); d != nil {
@@ -132,6 +133,7 @@ func TestDiffSameSeedRunsAgree(t *testing.T) {
 // the backup was never granted, the flight dump arrives pre-triaged with
 // the replay-frontier diagnosis, and the text dump renders it.
 func TestFailoverDumpCarriesDiagnosis(t *testing.T) {
+	t.Parallel()
 	// 150.7ms lands between a tuple's recording and its replay grant at
 	// this seed, so the dump has a frontier to diagnose (deterministic:
 	// the virtual clock makes the window exactly reproducible).
@@ -170,6 +172,7 @@ const attributeGolden = "../../goldens/ftdiag-attribute.txt"
 // byte-identical, and the exact bytes are pinned by a repo golden.
 // UPDATE_GOLDENS=1 rewrites the golden.
 func TestAttributeDeterministicAndGolden(t *testing.T) {
+	t.Parallel()
 	var runs [2][]byte
 	for i := range runs {
 		sys := tracedRun(t, 11, 150*time.Millisecond)
@@ -204,6 +207,7 @@ func TestAttributeDeterministicAndGolden(t *testing.T) {
 // TestAttributeCritPathTrackValid: the Perfetto critical-path track is
 // well-formed JSON with one metadata record per emitting scope.
 func TestAttributeCritPathTrackValid(t *testing.T) {
+	t.Parallel()
 	sys := tracedRun(t, 11, 150*time.Millisecond)
 	a := causal.Attribute(causal.Build(sys.Obs.Events()))
 	if len(a.Outputs) == 0 {

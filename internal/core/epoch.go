@@ -47,7 +47,9 @@ func (sys *System) cutterLoop(t *kernel.Task, rep *Replica) {
 	lastSeq := rep.NS.SeqGlobal()
 	lastAt := t.Now()
 	for {
+		t.Proc().SetBackground(true) // between cuts: a finished run may end
 		t.Sleep(poll)
+		t.Proc().SetBackground(false) // a cut is foreground work
 		if sys.active != rep || !rep.Kernel.Alive() {
 			return
 		}

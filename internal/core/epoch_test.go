@@ -12,10 +12,11 @@ import (
 // retained tuple logs at verified boundaries and end the run holding a
 // bounded tail; the identical epochs-off run retains the entire history.
 func TestEpochBoundsRetention(t *testing.T) {
+	t.Parallel()
 	const total = 16 << 20
-	on, hOn, _ := rejoinRun(t, "", 5, 30*time.Second, restorableStream, total,
+	on, hOn, _ := rejoinRun(t, "", 5, restorableStream, total,
 		core.WithEpochCheckpoints(300*time.Millisecond, 0))
-	off, hOff, _ := rejoinRun(t, "", 5, 30*time.Second, restorableStream, total)
+	off, hOff, _ := rejoinRun(t, "", 5, restorableStream, total)
 	if hOn != hOff {
 		t.Errorf("epochs-on stream hash %x != epochs-off hash %x", hOn, hOff)
 	}
@@ -59,6 +60,7 @@ func TestEpochBoundsRetention(t *testing.T) {
 // fresh replica once its apps are restored, without divergence or a
 // stalled stream.
 func TestEpochRejoinRacesConcurrentCut(t *testing.T) {
+	t.Parallel()
 	// The stream must outlive the rejoin (kill@2s + 3s delay + 1s driver
 	// load ≈ 6s): at 100 Mb/s the client has ~41 MiB by then, so 48 MiB
 	// keeps tuples — and 50 ms epoch markers — flowing across and past the
@@ -66,8 +68,8 @@ func TestEpochRejoinRacesConcurrentCut(t *testing.T) {
 	// the fresh backup) still finishes well inside the deadline.
 	const total = 48 << 20
 	opts := []core.Option{core.WithEpochCheckpoints(50*time.Millisecond, 0)}
-	sys, h, _ := rejoinRun(t, "kill primary @2s", 9, 40*time.Second, restorableStream, total, opts...)
-	_, base, _ := rejoinRun(t, "", 9, 40*time.Second, restorableStream, total, opts...)
+	sys, h, _ := rejoinRun(t, "kill primary @2s", 9, restorableStream, total, opts...)
+	_, base, _ := rejoinRun(t, "", 9, restorableStream, total, opts...)
 	if h != base {
 		t.Errorf("stream hash %x != never-failed baseline %x", h, base)
 	}
@@ -96,13 +98,14 @@ func TestEpochRejoinRacesConcurrentCut(t *testing.T) {
 // its pending checkpoint die with the primary, and failover must still
 // produce the never-failed byte stream from replayed state alone.
 func TestEpochKillDuringPreCopy(t *testing.T) {
+	t.Parallel()
 	const total = 32 << 20
 	opts := []core.Option{
 		core.WithEpochCheckpoints(time.Second, 0),
 		core.WithEpochTuning(time.Microsecond, 4, 4<<10),
 	}
-	sys, h, _ := rejoinRun(t, "kill primary @2500ms", 13, 40*time.Second, restorableStream, total, opts...)
-	_, base, _ := rejoinRun(t, "", 13, 40*time.Second, restorableStream, total, opts...)
+	sys, h, _ := rejoinRun(t, "kill primary @2500ms", 13, restorableStream, total, opts...)
+	_, base, _ := rejoinRun(t, "", 13, restorableStream, total, opts...)
 	if h != base {
 		t.Errorf("stream hash %x != never-failed baseline %x", h, base)
 	}

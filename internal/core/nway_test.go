@@ -48,10 +48,10 @@ func lagRing(t *testing.T, sys *core.System, name string, d time.Duration) {
 }
 
 // nwayDownload streams total patterned bytes through an n-replica
-// deployment and returns the system, the received-stream hash, and the
-// virtual time the last byte arrived.
+// deployment, runs until its work is done, and returns the system, the
+// received-stream hash, and the virtual time the last byte arrived.
 func nwayDownload(t *testing.T, total int, opts []core.Option,
-	after func(sys *core.System), until time.Duration) (*core.System, uint64, sim.Time) {
+	after func(sys *core.System)) (*core.System, uint64, sim.Time) {
 	t.Helper()
 	sys, err := core.New(opts...)
 	if err != nil {
@@ -94,12 +94,12 @@ func nwayDownload(t *testing.T, total int, opts []core.Option,
 		}
 		doneAt = tk.Now()
 	})
-	if err := sys.Sim.RunUntil(sim.Time(until)); err != nil {
-		t.Fatalf("RunUntil: %v", err)
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if got != total {
-		t.Fatalf("client received %d of %d bytes by %v (state %v, rejoinErr %v)",
-			got, total, until, sys.State(), sys.RejoinErr())
+		t.Fatalf("client received %d of %d bytes by the end of the run at %v (state %v, rejoinErr %v)",
+			got, total, sys.Sim.Now(), sys.State(), sys.RejoinErr())
 	}
 	return sys, h.Sum64(), doneAt
 }
@@ -113,6 +113,7 @@ func nwayDownload(t *testing.T, total int, opts []core.Option,
 // difference behind link pacing, so the assertion reads the recorder's
 // commit-wait histogram directly.
 func TestNWayQuorumCommitProceedsWithLaggedBackup(t *testing.T) {
+	t.Parallel()
 	const total = 4 << 20
 	lag := func(sys *core.System) { lagRing(t, sys, "ftns.log.r2", 300*time.Microsecond) }
 
@@ -126,9 +127,9 @@ func TestNWayQuorumCommitProceedsWithLaggedBackup(t *testing.T) {
 		return 0
 	}
 	sys2, h2, _ := nwayDownload(t, total,
-		nwayOpts(21, 3, 2, core.WithRejoin(false)), lag, 2*time.Minute)
+		nwayOpts(21, 3, 2, core.WithRejoin(false)), lag)
 	sys3, h3, _ := nwayDownload(t, total,
-		nwayOpts(21, 3, 3, core.WithRejoin(false)), lag, 2*time.Minute)
+		nwayOpts(21, 3, 3, core.WithRejoin(false)), lag)
 
 	if h2 != h3 {
 		t.Errorf("stream hash differs across quorum settings: %x vs %x", h2, h3)
@@ -144,12 +145,13 @@ func TestNWayQuorumCommitProceedsWithLaggedBackup(t *testing.T) {
 // rule, so the system reports plain degradation (not quorum loss) and the
 // stream matches the never-failed same-seed run byte for byte.
 func TestNWayBackupKillStaysAtQuorum(t *testing.T) {
+	t.Parallel()
 	const total = 8 << 20
 	_, base, _ := nwayDownload(t, total,
-		nwayOpts(23, 3, 2, core.WithRejoin(false)), nil, 2*time.Minute)
+		nwayOpts(23, 3, 2, core.WithRejoin(false)), nil)
 	sys, h, _ := nwayDownload(t, total,
 		nwayOpts(23, 3, 2, core.WithRejoin(false),
-			core.WithChaos(chaos.MustParse("kill backup1 @1s"), 42)), nil, 2*time.Minute)
+			core.WithChaos(chaos.MustParse("kill backup1 @1s"), 42)), nil)
 
 	if h != base {
 		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
@@ -179,10 +181,11 @@ func TestNWayBackupKillStaysAtQuorum(t *testing.T) {
 // while the recorder's all-of-the-living fallback keeps the stream
 // flowing and byte-correct.
 func TestNWayQuorumLossSurfaced(t *testing.T) {
+	t.Parallel()
 	const total = 8 << 20
 	sys, _, _ := nwayDownload(t, total,
 		nwayOpts(25, 3, 3, core.WithRejoin(false), core.WithTrace(),
-			core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42)), nil, 2*time.Minute)
+			core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42)), nil)
 
 	err := sys.Healthy()
 	if !errors.Is(err, core.ErrQuorumLost) {
@@ -211,16 +214,17 @@ func TestNWayQuorumLossSurfaced(t *testing.T) {
 // trace and the flight dump, and keep the client stream byte-identical to
 // the never-failed run.
 func TestNWayElectionPromotesMostCaughtUp(t *testing.T) {
+	t.Parallel()
 	const total = 8 << 20
 	_, base, _ := nwayDownload(t, total,
-		nwayOpts(27, 3, 2, core.WithRejoin(false)), nil, 2*time.Minute)
+		nwayOpts(27, 3, 2, core.WithRejoin(false)), nil)
 
 	lagAndKill := func(sys *core.System) {
 		lagRing(t, sys, "ftns.log.r2", 500*time.Microsecond)
 		sys.InjectPrimaryFailure(time.Second, 0)
 	}
 	sys, h, _ := nwayDownload(t, total,
-		nwayOpts(27, 3, 2, core.WithRejoin(false), core.WithTrace()), lagAndKill, 2*time.Minute)
+		nwayOpts(27, 3, 2, core.WithRejoin(false), core.WithTrace()), lagAndKill)
 
 	if h != base {
 		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
@@ -260,10 +264,11 @@ func TestNWayElectionPromotesMostCaughtUp(t *testing.T) {
 // TestNWayRollingReplacement is the crash -> rejoin -> retire acceptance
 // sequence: kill the primary of a three-replica set (electing one backup,
 // retiring the other), let both freed partitions re-integrate serially to
-// full strength, then retire a healthy backup mid-run (the rolling
-// replacement) and let its replacement resync too. The client stream must
-// match the never-failed same-seed run byte for byte throughout.
+// full strength, then retire a healthy backup (the rolling replacement)
+// and let its replacement resync too. The client stream must match the
+// never-failed same-seed run byte for byte.
 func TestNWayRollingReplacement(t *testing.T) {
+	t.Parallel()
 	const total = 24 << 20
 	opts := func(spec string) []core.Option {
 		o := nwayOpts(29, 3, 2, core.WithRejoinDelay(2*time.Second))
@@ -272,33 +277,19 @@ func TestNWayRollingReplacement(t *testing.T) {
 		}
 		return o
 	}
-	_, base, _ := nwayDownload(t, total, opts(""), nil, 3*time.Minute)
-
-	var retireErr error
-	retired := false
-	hook := func(sys *core.System) {
-		var watch func()
-		watch = func() {
-			if !retired && sys.Sim.Now() > sim.Time(10*time.Second) &&
-				sys.State() == core.StateReplicated && sys.Generation() >= 2 {
-				retired = true
-				retireErr = sys.Retire(sys.Backups()[0])
-				return
-			}
-			sys.Sim.Schedule(20*time.Millisecond, watch)
-		}
-		sys.Sim.Schedule(20*time.Millisecond, watch)
-	}
-	sys, h, _ := nwayDownload(t, total, opts("kill primary @2s"), hook, 3*time.Minute)
-
+	_, base, _ := nwayDownload(t, total, opts(""), nil)
+	sys, h, _ := nwayDownload(t, total, opts("kill primary @2s"), nil)
 	if h != base {
 		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
 	}
-	if !retired {
-		t.Fatal("never reached full strength to start the rolling replacement")
+	if st, g := sys.State(), sys.Generation(); st != core.StateReplicated || g != 2 {
+		t.Fatalf("run ended in state %v at generation %d, want full strength after two rejoins", st, g)
 	}
-	if retireErr != nil {
-		t.Fatalf("Retire: %v", retireErr)
+	if err := sys.Retire(sys.Backups()[0]); err != nil {
+		t.Fatalf("Retire: %v", err)
+	}
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatal(err)
 	}
 	if err := sys.RejoinErr(); err != nil {
 		t.Errorf("rejoin error: %v", err)
@@ -318,6 +309,7 @@ func TestNWayRollingReplacement(t *testing.T) {
 
 // TestNWayRetireErrors pins the rolling-replacement error surface.
 func TestNWayRetireErrors(t *testing.T) {
+	t.Parallel()
 	sys, err := core.New(nwayOpts(31, 3, 2, core.WithRejoin(false))...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -335,7 +327,7 @@ func TestNWayRetireErrors(t *testing.T) {
 	if err := sys.Retire(b); !errors.Is(err, core.ErrReplicaRetired) {
 		t.Errorf("double Retire = %v, want ErrReplicaRetired", err)
 	}
-	if err := sys.Sim.RunUntil(sim.Time(time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if b.Kernel.Alive() {
@@ -349,6 +341,7 @@ func TestNWayRetireErrors(t *testing.T) {
 // Rejoin must refuse with ErrDegraded and start nothing — no generation,
 // no resyncing state — and leave the failover to the detectors.
 func TestRejoinRefusesDeadActive(t *testing.T) {
+	t.Parallel()
 	sys, err := core.New(nwayOpts(33, 3, 2,
 		core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42))...)
 	if err != nil {
@@ -379,13 +372,13 @@ func TestRejoinRefusesDeadActive(t *testing.T) {
 // set sizes: every backup of every combination must replay the stream
 // without a single divergence.
 func TestShardsAcrossReplicaSets(t *testing.T) {
+	t.Parallel()
 	const total = 2 << 20
 	for _, n := range []int{2, 3} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("replicas=%d/shards=%d", n, shards), func(t *testing.T) {
 				sys, _, _ := nwayDownload(t, total,
-					nwayOpts(33, n, 2, core.WithRejoin(false), core.WithDetShards(shards)),
-					nil, time.Minute)
+					nwayOpts(33, n, 2, core.WithRejoin(false), core.WithDetShards(shards)), nil)
 				if got := len(sys.Backups()); got != n-1 {
 					t.Fatalf("backup count = %d, want %d", got, n-1)
 				}
@@ -410,6 +403,7 @@ func TestShardsAcrossReplicaSets(t *testing.T) {
 
 // TestReplicaSetValidation pins the topology API's normalization rules.
 func TestReplicaSetValidation(t *testing.T) {
+	t.Parallel()
 	if _, err := core.New(core.WithReplicaSet(1)); err == nil {
 		t.Error("WithReplicaSet(1) accepted, want error")
 	}

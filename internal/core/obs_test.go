@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -41,13 +40,14 @@ func killPrimarySystem(t *testing.T, seed int64) *core.System {
 	sys.Sim.Schedule(150*time.Millisecond, func() {
 		sys.Primary.Kernel.Panic("test kill", nil)
 	})
-	if err := sys.Sim.RunUntil(sim.Time(20 * time.Second)); err != nil {
+	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return sys
 }
 
 func TestPrimaryKillEventTimeline(t *testing.T) {
+	t.Parallel()
 	sys := killPrimarySystem(t, 7)
 
 	if sys.Secondary.NS.Role() != replication.RoleLive {
@@ -93,6 +93,7 @@ func TestPrimaryKillEventTimeline(t *testing.T) {
 }
 
 func TestFlightDumpOnFailover(t *testing.T) {
+	t.Parallel()
 	sys := killPrimarySystem(t, 7)
 
 	d := sys.Flight
@@ -131,6 +132,7 @@ func TestFlightDumpOnFailover(t *testing.T) {
 }
 
 func TestTraceBytesIdenticalAcrossRuns(t *testing.T) {
+	t.Parallel()
 	var runs [2][]byte
 	for i := range runs {
 		sys := killPrimarySystem(t, 11)

@@ -124,7 +124,7 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	}
 	bk.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/kernel", gen)))
 	sys.Machine.OnFault(func(f hw.Fault) { bk.HandleFault(f) })
-	sys.hookNIC(bk)
+	sys.hookKernel(bk)
 
 	// Generation-suffixed rings: the names keep their channel prefixes so
 	// chaos rules armed on a class apply to every generation's rings.

@@ -61,11 +61,12 @@ func restorableStream(total int) core.App {
 // rejoinRun boots a rejoin-enabled deployment via the functional-options
 // API, streams total patterned bytes from app to a client under the given
 // chaos schedule (empty = fault-free baseline), verifies every received
-// chunk against the deterministic pattern as it arrives, and returns the
-// system, the FNV-1a hash of the received stream, and the sequence of
-// distinct lifecycle states observed by a 5 ms poller. Callers pass
-// WithEpochCheckpoints, WithDetShards and the like through extra.
-func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, app func(total int) core.App, total int, extra ...core.Option) (*core.System, uint64, []core.LifecycleState) {
+// chunk against the deterministic pattern as it arrives, runs until the
+// deployment's work is done, and returns the system, the FNV-1a hash of the
+// received stream, and every lifecycle state the system passed through, in
+// order. Callers pass WithEpochCheckpoints, WithDetShards and the like
+// through extra.
+func rejoinRun(t *testing.T, spec string, seed int64, app func(total int) core.App, total int, extra ...core.Option) (*core.System, uint64, []core.LifecycleState) {
 	t.Helper()
 	opts := []core.Option{
 		core.WithSeed(seed),
@@ -87,17 +88,6 @@ func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, app f
 		t.Fatalf("attach network: %v", err)
 	}
 	sys.Run(app(total))
-
-	// Record every distinct lifecycle state, in order.
-	states := []core.LifecycleState{sys.State()}
-	var poll func()
-	poll = func() {
-		if st := sys.State(); st != states[len(states)-1] {
-			states = append(states, st)
-		}
-		sys.Sim.Schedule(5*time.Millisecond, poll)
-	}
-	sys.Sim.Schedule(5*time.Millisecond, poll)
 
 	h := fnv.New64a()
 	got := 0
@@ -126,14 +116,26 @@ func rejoinRun(t *testing.T, spec string, seed int64, until time.Duration, app f
 			got += len(data)
 		}
 	})
-	if err := sys.Sim.RunUntil(sim.Time(until)); err != nil {
-		t.Fatalf("RunUntil: %v", err)
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if got != total {
-		t.Fatalf("client received %d of %d bytes by %v (state %v, rejoinErr %v)",
-			got, total, until, sys.State(), sys.RejoinErr())
+		t.Fatalf("client received %d of %d bytes by the end of the run at %v (state %v, rejoinErr %v)",
+			got, total, sys.Sim.Now(), sys.State(), sys.RejoinErr())
 	}
-	return sys, h.Sum64(), states
+	return sys, h.Sum64(), lifecycleStates(sys)
+}
+
+// lifecycleStates returns every lifecycle state of a run, in order, read
+// off the lifecycle scope's flight ring: the state each transition entered.
+func lifecycleStates(sys *core.System) []core.LifecycleState {
+	var states []core.LifecycleState
+	for _, ev := range sys.Obs.FlightDump().Events {
+		if ev.Kind == obs.StateChange {
+			states = append(states, core.LifecycleState(ev.Seq))
+		}
+	}
+	return states
 }
 
 // seedEpochs returns the epoch each rejoin of a run was seeded from, in
@@ -165,7 +167,7 @@ func seedEpochs(sys *core.System) []uint64 {
 // genesis first and a verified cut second, so one run starts a restorable
 // app fresh and later resumes it from a snapshot.
 func TestRejoinSecondFailureAfterResync(t *testing.T) {
-	const until = 30 * time.Second // every cell's stream ends by 26s
+	t.Parallel()
 	epochs := func(every time.Duration) []core.Option {
 		return []core.Option{core.WithEpochCheckpoints(every, 0)}
 	}
@@ -187,10 +189,10 @@ func TestRejoinSecondFailureAfterResync(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			_, base, _ := rejoinRun(t, "", 7, until, row.app, rejoinStreamTotal, row.opts...)
+			_, base, _ := rejoinRun(t, "", 7, row.app, rejoinStreamTotal, row.opts...)
 			for _, shards := range row.shards {
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					sys, h, states := rejoinRun(t, "kill primary @2s; kill primary @10s", 7, until,
+					sys, h, states := rejoinRun(t, "kill primary @2s; kill primary @10s", 7,
 						row.app, rejoinStreamTotal, append(row.opts[:len(row.opts):len(row.opts)], core.WithDetShards(shards))...)
 					if h != base {
 						t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
@@ -237,7 +239,8 @@ func TestRejoinSecondFailureAfterResync(t *testing.T) {
 // and duplicated acks plus delayed log/sync delivery around the first kill
 // — and checks each against the same never-failed same-seed baseline.
 func TestRejoinChaosSchedules(t *testing.T) {
-	_, base, _ := rejoinRun(t, "", 11, 60*time.Second, plainStream, rejoinStreamTotal)
+	t.Parallel()
+	_, base, _ := rejoinRun(t, "", 11, plainStream, rejoinStreamTotal)
 	schedules := map[string]string{
 		"double-kill": "kill primary @2s; kill primary @10s",
 		"hb-storm":    "drop hb p0.5 500ms..800ms; kill primary @6s; kill primary @15s",
@@ -245,7 +248,7 @@ func TestRejoinChaosSchedules(t *testing.T) {
 	}
 	for name, spec := range schedules {
 		t.Run(name, func(t *testing.T) {
-			sys, h, states := rejoinRun(t, spec, 11, 60*time.Second, plainStream, rejoinStreamTotal)
+			sys, h, states := rejoinRun(t, spec, 11, plainStream, rejoinStreamTotal)
 			if h != base {
 				t.Errorf("stream hash %x != never-failed baseline %x", h, base)
 			}
@@ -270,6 +273,7 @@ func TestRejoinChaosSchedules(t *testing.T) {
 // from the retained log it already holds, promote, and serve the rest of
 // the stream unchanged; the freed partition then rejoins again.
 func TestRejoinMidResyncActiveKill(t *testing.T) {
+	t.Parallel()
 	sys, err := core.New(
 		core.WithSeed(3),
 		core.WithKernelParams(quietParams()),
@@ -289,21 +293,20 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 	sys.InjectPrimaryFailure(2*time.Second, hw.CoreFailStop)
 
 	// As soon as the resync starts, kill the active side 50 ms in — while
-	// the catch-up replay is still streaming.
+	// the catch-up replay is still streaming. The watch polls as background
+	// work, so it never holds the run open; the kill it arms does.
 	killed := false
-	var watch func()
-	watch = func() {
-		if !killed && sys.State() == core.StateResyncing {
-			killed = true
-			node := sys.Active().Kernel.Partition().Nodes()[0].ID
-			sys.Sim.Schedule(50*time.Millisecond, func() {
-				sys.Machine.Inject(hw.Fault{Kind: hw.CoreFailStop, Node: node, Core: -1, Addr: -1})
-			})
-			return
+	sys.Sim.SpawnAfter("watch", 2*time.Millisecond, func(p *sim.Proc) {
+		p.SetBackground(true)
+		for sys.State() != core.StateResyncing {
+			p.Sleep(2 * time.Millisecond)
 		}
-		sys.Sim.Schedule(2*time.Millisecond, watch)
-	}
-	sys.Sim.Schedule(2*time.Millisecond, watch)
+		p.SetBackground(false)
+		killed = true
+		node := sys.Active().Kernel.Partition().Nodes()[0].ID
+		p.Sleep(50 * time.Millisecond)
+		sys.Machine.Inject(hw.Fault{Kind: hw.CoreFailStop, Node: node, Core: -1, Addr: -1})
+	})
 
 	h := fnv.New64a()
 	got := 0
@@ -332,8 +335,8 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 			got += len(data)
 		}
 	})
-	if err := sys.Sim.RunUntil(sim.Time(40 * time.Second)); err != nil {
-		t.Fatalf("RunUntil: %v", err)
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if !killed {
 		t.Fatal("never observed StateResyncing to inject the second failure")
@@ -354,6 +357,7 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 // re-integration is disabled: after the backup dies the system reports
 // degraded via State and Healthy, and Rejoin refuses with ErrDegraded.
 func TestLifecycleErrorsWithoutRejoin(t *testing.T) {
+	t.Parallel()
 	sys := quietSystem(t, 5)
 	if st := sys.State(); st != core.StateReplicated {
 		t.Fatalf("boot state = %v, want replicated", st)
@@ -368,8 +372,8 @@ func TestLifecycleErrorsWithoutRejoin(t *testing.T) {
 	sys.Machine.InjectAfter(100*time.Millisecond, hw.Fault{
 		Kind: hw.CoreFailStop, Node: node, Core: -1, Addr: -1,
 	})
-	if err := sys.Sim.RunUntil(sim.Time(2 * time.Second)); err != nil {
-		t.Fatalf("RunUntil: %v", err)
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 
 	if st := sys.State(); st != core.StateDegraded {

@@ -18,10 +18,6 @@ func (sys *System) Backups() []*Replica {
 	return append([]*Replica(nil), sys.passives...)
 }
 
-// Quorum returns the configured output-commit quorum (replica count,
-// primary included).
-func (sys *System) Quorum() int { return sys.Cfg.Quorum }
-
 // Watermarks returns the active recorder's per-backup receipt watermark
 // vector (nil while no side is recording).
 func (sys *System) Watermarks() []replication.ReplicaWatermark {

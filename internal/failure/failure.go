@@ -39,10 +39,9 @@ type Detector struct {
 	in   *shm.Ring // the peer's heart-beats to us
 	cfg  Config
 
-	onFail   []func()
-	fired    bool
-	lastBeat time.Duration
-	sc       *obs.Scope
+	onFail []func()
+	fired  bool
+	sc     *obs.Scope
 
 	// Beats counts heart-beats received, IPIs the forcible halts sent.
 	Beats, IPIs int64
@@ -65,8 +64,8 @@ func (d *Detector) OnFail(fn func()) { d.onFail = append(d.onFail, fn) }
 // the §4.4 detection half of the failover timeline. Nil disables.
 func (d *Detector) Instrument(sc *obs.Scope) { d.sc = sc }
 
-// Start launches the sender and monitor tasks and subscribes to
-// machine-check reports for the peer's partition.
+// Start launches the sender and monitor tasks, background work that never
+// stops, and subscribes to machine-check reports for the peer's partition.
 func (d *Detector) Start() {
 	d.kern.Spawn("hb-send", d.sendLoop)
 	d.kern.Spawn("hb-monitor", d.monitorLoop)
@@ -89,6 +88,7 @@ func (d *Detector) Start() {
 }
 
 func (d *Detector) sendLoop(t *kernel.Task) {
+	t.Proc().SetBackground(true)
 	for d.kern.Alive() {
 		d.out.TrySend(shm.Message{Kind: 1, Size: 16, W: [7]uint64{uint64(t.Now())}})
 		t.Sleep(d.cfg.Interval)
@@ -96,6 +96,7 @@ func (d *Detector) sendLoop(t *kernel.Task) {
 }
 
 func (d *Detector) monitorLoop(t *kernel.Task) {
+	t.Proc().SetBackground(true)
 	for {
 		if _, ok := d.in.RecvTimeout(t.Proc(), d.cfg.Timeout); ok {
 			d.Beats++

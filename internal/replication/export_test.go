@@ -24,6 +24,9 @@ func (ns *Namespace) RetainedSums() (recRunning, recWalked, repRunning, repWalke
 	return
 }
 
+// PlantDivergence counts one replay divergence on a replaying namespace.
+func (ns *Namespace) PlantDivergence() { ns.rep.diverge("planted") }
+
 // ReplayWindowBase returns the log index the backup's retained window
 // starts at: the Sent of the last epoch marker it truncated at.
 func (ns *Namespace) ReplayWindowBase() uint64 { return ns.rep.hist.base }

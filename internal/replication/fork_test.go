@@ -15,9 +15,10 @@ import (
 // hands its replayed history to the fork and keeps none of it — one copy of
 // the log per survivor, not two — and the hand-over loses nothing: the
 // fork's history is the environment message plus one tuple per section
-// replayed or recorded since, and a fresh backup rejoined to the fork
-// replays it from the first section to the fork's frontier without a
-// mismatch.
+// replayed or recorded since, the divergences the backup counted while it
+// replayed (one, planted before the kill) still read through the fork's
+// Stats, and a fresh backup rejoined to the fork replays it from the first
+// section to the fork's frontier without a mismatch.
 func TestPromotionHandsHistoryToFork(t *testing.T) {
 	s := sim.New(1)
 	m := hw.New(s, hw.Opteron6376x4())
@@ -55,6 +56,7 @@ func TestPromotionHandsHistoryToFork(t *testing.T) {
 		if sns.RetainedTuples() == 0 {
 			t.Error("backup retained nothing before the kill")
 		}
+		sns.PlantDivergence()
 		pk.Panic("injected failure", nil)
 		sns.Replayer().Promote()
 	})
@@ -78,6 +80,9 @@ func TestPromotionHandsHistoryToFork(t *testing.T) {
 	}
 	if got, want := sns.RetainedTuples(), 1+int(sns.SeqGlobal()); got != want {
 		t.Errorf("fork retains %d messages, want %d: the environment plus one tuple per section replayed or recorded", got, want)
+	}
+	if d := sns.Stats().Divergences; d != 1 {
+		t.Errorf("promoted replica reports %d divergences, want the 1 it counted while replaying", d)
 	}
 	if !caughtUp || rCount != threads*iters || rns.ReplayHead() != sns.SeqGlobal() || rns.Stats().Divergences != 0 {
 		t.Errorf("rejoined backup: caught up = %v, %d of %d increments, replay head %d of %d, %d divergences",

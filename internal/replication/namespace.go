@@ -144,13 +144,13 @@ func NewSecondary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring
 // forkRecorder converts the promoted replica into a recording primary at
 // the instant promotion finishes: the namespace role flips so every
 // subsequent deterministic section dispatches to the fork, which inherits
-// the replayed history and global cursor. The fork's hot-path metrics are
-// left unregistered — the dead primary's namespace already claimed the
-// metric names — but it shares the replayer's event scope so the flight
-// timeline stays contiguous.
+// the replayed history, global cursor and divergence count (replay is over:
+// nothing counts one after this). The fork's hot-path metrics are left
+// unregistered — the dead primary's namespace claimed the names — but it
+// shares the replayer's event scope so the flight timeline stays contiguous.
 func (ns *Namespace) forkRecorder(seed forkSeed) {
 	ns.rec = newRecorder(ns.kern, ns.cfg, nil, nil, seed)
-	ns.rec.sc = ns.rep.sc
+	ns.rec.sc, ns.rec.stats.Divergences = ns.rep.sc, ns.rep.stats.Divergences
 	ns.role = RolePrimary
 }
 

@@ -23,6 +23,13 @@ import (
 // ran — which is all it takes to predict which resumes are switches: a
 // resume of the holder is not one. Callbacks aim some of their ops at the
 // holder, the process on whose stack the engine is firing them.
+//
+// Processes mark themselves background and foreground again as they go, so
+// the reference knows each entry's mark — its process's for a resume or a
+// time-out, the arming process's for a callback — and ends a Run when no
+// foreground entry is left. After that stop a step resumes the run, and a
+// last Run ends it. The same programs with every mark ignored must log the
+// same lines up to the stop: the marks move nothing.
 
 type opKind int
 
@@ -30,6 +37,7 @@ const (
 	opSleep       opKind = iota // process only
 	opWait                      // process only: wait on queue a
 	opWaitTimeout               // process only: wait on queue a for d
+	opBackground                // process only: mark itself background (b != 0) or foreground
 	opWakeOne                   // queue a, delay d
 	opWakeIndex                 // queue a, index b, delay d
 	opWakeAll                   // queue a, delay d
@@ -51,7 +59,7 @@ type op struct {
 	d    time.Duration
 }
 
-func (o op) blocking() bool { return o.kind <= opWaitTimeout }
+func (o op) processOnly() bool { return o.kind <= opBackground }
 
 // fireBudget is how many callbacks may act on firing; later ones only log,
 // so timers that re-arm each other run out and every program ends.
@@ -65,17 +73,22 @@ type program struct {
 	onFire [][]op          // what callback number i (mod len) does after logging
 	steps  []time.Duration // the driver's RunFor steps
 	driver [][]op          // what the driver does before each step
+
+	foreground bool // ignore opBackground: everything is foreground work
 }
+
+// resumeStep is the step the driver takes after the first Run stops.
+const resumeStep = 30 * time.Microsecond
 
 func genProgram(rng *rand.Rand) program {
 	durations := []time.Duration{0, 0, time.Microsecond, time.Microsecond, 10 * time.Microsecond, time.Millisecond}
 	pg := program{queues: 3, timers: 4}
 	nprocs := 4 + rng.Intn(5)
-	genOp := func(blockingOK bool) op {
+	genOp := func(processOK bool) op {
 		for {
 			o := op{kind: opKind(rng.Intn(int(numOps))), a: rng.Intn(8), b: rng.Intn(3),
 				d: durations[rng.Intn(len(durations))]}
-			if o.blocking() && !blockingOK {
+			if o.processOnly() && !processOK {
 				continue
 			}
 			switch o.kind {
@@ -92,10 +105,10 @@ func genProgram(rng *rand.Rand) program {
 			return o
 		}
 	}
-	genOps := func(n int, blockingOK bool) []op {
+	genOps := func(n int, processOK bool) []op {
 		ops := make([]op, n)
 		for i := range ops {
-			ops[i] = genOp(blockingOK)
+			ops[i] = genOp(processOK)
 		}
 		return ops
 	}
@@ -181,7 +194,8 @@ type engineWorld struct {
 	shots       []*Event
 	fires       int
 	compactions int
-	hold        int // the process last switched in, -1 at the start of a step
+	hold        int    // the process last switched in, -1 at the start of a step
+	failed      string // the first failed check inside a callback, where t.Fatal would hang the run
 }
 
 func (w *engineWorld) logf(format string, args ...any) {
@@ -192,14 +206,17 @@ func (w *engineWorld) logf(format string, args ...any) {
 func (w *engineWorld) fired(id int) {
 	w.logf("fire %d pending %d", id, w.s.Pending())
 	if w.fires++; w.fires%8 == 0 { // the reference checks every one; the scan is the slow second opinion
-		brute := 0
+		brute, fg := 0, 0
 		for i := range w.s.queue {
-			if w.s.queue[i].live() {
+			if e := &w.s.queue[i]; e.live() {
 				brute++
+				if !e.bg {
+					fg++
+				}
 			}
 		}
-		if got := w.s.Pending(); got != brute {
-			w.t.Fatalf("Pending() = %d, a scan of the queue finds %d live", got, brute)
+		if got := w.s.Pending(); (got != brute || w.s.fg != fg) && w.failed == "" {
+			w.failed = fmt.Sprintf("Pending() = %d with %d foreground, a scan of the queue finds %d live, %d foreground", got, w.s.fg, brute, fg)
 		}
 	}
 	if w.fires > fireBudget {
@@ -307,6 +324,10 @@ func runOnEngine(t *testing.T, pg *program) *engineWorld {
 					w.logf("p%d@%d woken", i, pc)
 				case opWaitTimeout:
 					w.logf("p%d@%d woken=%v", i, pc, w.queues[o.a%pg.queues].WaitTimeout(p, o.d))
+				case opBackground:
+					if !pg.foreground {
+						p.SetBackground(o.b != 0)
+					}
 				default:
 					apply(w, pg, o)
 				}
@@ -321,10 +342,21 @@ func runOnEngine(t *testing.T, pg *program) *engineWorld {
 		w.hold = -1
 		w.logf("step %d pending %d live %d", i, s.Pending(), s.Live())
 	}
-	for w.stopped(s.Run()) {
+	run := func(what string) {
+		for w.stopped(s.Run()) {
+			w.hold = -1
+		}
 		w.hold = -1
+		w.logf("%s pending %d live %d", what, s.Pending(), s.Live())
 	}
-	w.logf("done pending %d live %d", s.Pending(), s.Live())
+	run("idle")
+	w.stopped(s.RunFor(resumeStep))
+	w.hold = -1
+	w.logf("resumed pending %d live %d", s.Pending(), s.Live())
+	run("done")
+	if w.failed != "" {
+		t.Fatal(w.failed)
+	}
 	return w
 }
 
@@ -341,12 +373,14 @@ type refQueue struct {
 	shots   []uint64
 	fires   int
 	hold    int  // who holds control: a process number, -1 for the driver
+	running int  // the process whose own code runs, -1 for the driver and callbacks
 	stopped bool // Stop was called: nothing more is popped this step
 
-	// How often the programs reached what the rule is about: a process
+	// How often the programs reached what the rules are about: a process
 	// woken, killed or timed out on its own stack, a step that ended with
-	// a process mid-wait holding control, a run ended by Stop.
-	selfWakes, selfKills, selfTimeouts, midWait, stops int
+	// a process mid-wait holding control, a run ended by Stop, a Run ended
+	// with only background entries left.
+	selfWakes, selfKills, selfTimeouts, midWait, stops, backgroundStops int
 }
 
 type refEntry struct {
@@ -354,6 +388,7 @@ type refEntry struct {
 	seq  uint64
 	kind string // "timer", "shot", "resume", "timeout"
 	id   int
+	bg   bool
 }
 
 type refProc struct {
@@ -361,6 +396,7 @@ type refProc struct {
 	state      string // "runnable" (or running), "sleeping", "queued", "finished"
 	started    bool
 	killed     bool
+	bg         bool
 	resumeSeq  uint64
 	timeoutSeq uint64
 	queue      int
@@ -371,9 +407,14 @@ func (r *refQueue) logf(format string, args ...any) {
 	r.log = append(r.log, fmt.Sprintf("%d ", r.now)+fmt.Sprintf(format, args...))
 }
 
+// insert queues an entry. A resume or time-out carries its process's mark,
+// a callback the mark of the process whose code arms it.
 func (r *refQueue) insert(d time.Duration, kind string, id int) uint64 {
 	r.seq++
-	e := refEntry{at: r.now.Add(d), seq: r.seq, kind: kind, id: id}
+	e := refEntry{at: r.now.Add(d), seq: r.seq, kind: kind, id: id, bg: r.running >= 0 && r.procs[r.running].bg}
+	if kind == "resume" || kind == "timeout" {
+		e.bg = r.procs[id].bg
+	}
 	// The newest entry has the highest seq: it goes after all with at <= its own.
 	i := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].at > e.at })
 	r.entries = append(r.entries, refEntry{})
@@ -520,6 +561,8 @@ func (r *refQueue) resume(i int) {
 		p.pc++
 	}
 	p.started = true
+	r.running = i
+	defer func() { r.running = -1 }()
 	for ; p.pc < len(script); p.pc++ {
 		o := script[p.pc]
 		switch o.kind {
@@ -534,6 +577,10 @@ func (r *refQueue) resume(i int) {
 			}
 			r.queues[p.queue] = append(r.queues[p.queue], i)
 			return
+		case opBackground:
+			if !r.pg.foreground {
+				p.bg = o.b != 0
+			}
 		default:
 			apply(r, r.pg, o)
 		}
@@ -541,10 +588,22 @@ func (r *refQueue) resume(i int) {
 	p.state, r.hold = "finished", -1
 }
 
+// foreground reports whether an entry that is not background work is
+// pending.
+func (r *refQueue) foreground() bool {
+	for _, e := range r.entries {
+		if !e.bg {
+			return true
+		}
+	}
+	return false
+}
+
 // run is one step: the driver takes control and entries fire in order until
-// the queue is empty, the next is beyond the step, or Stop was called.
+// the queue is empty, the next is beyond the step, Stop was called, or — a
+// Run, with no bound — only background entries are left.
 func (r *refQueue) run(until Time) {
-	for !r.stopped && len(r.entries) > 0 && r.entries[0].at <= until {
+	for !r.stopped && len(r.entries) > 0 && r.entries[0].at <= until && (until != never || r.foreground()) {
 		e := r.entries[0]
 		r.entries = r.entries[1:]
 		r.now = e.at
@@ -571,11 +630,14 @@ func (r *refQueue) run(until Time) {
 		r.midWait++
 	}
 	r.hold = -1
-	if r.stopped {
+	switch {
+	case r.stopped:
 		r.logf("stopped")
 		r.stops++
-	} else if until != never && r.now < until {
+	case until != never && r.now < until:
 		r.now = until
+	case until == never && len(r.entries) > 0:
+		r.backgroundStops++
 	}
 }
 
@@ -591,7 +653,7 @@ func (r *refQueue) live() int {
 
 func runOnReference(pg *program) *refQueue {
 	r := &refQueue{pg: pg, procs: make([]refProc, len(pg.procs)), queues: make([][]int, pg.queues),
-		timers: make([]uint64, pg.timers), hold: -1}
+		timers: make([]uint64, pg.timers), hold: -1, running: -1}
 	for i := range pg.procs {
 		r.makeRunnable(i, pg.starts[i])
 	}
@@ -603,10 +665,17 @@ func runOnReference(pg *program) *refQueue {
 		r.stopped = false
 		r.logf("step %d pending %d live %d", i, len(r.entries), r.live())
 	}
-	for r.run(never); r.stopped; r.run(never) {
-		r.stopped = false
+	run := func(what string) {
+		for r.run(never); r.stopped; r.run(never) {
+			r.stopped = false
+		}
+		r.logf("%s pending %d live %d", what, len(r.entries), r.live())
 	}
-	r.logf("done pending %d live %d", len(r.entries), r.live())
+	run("idle")
+	r.run(r.now.Add(resumeStep))
+	r.stopped = false
+	r.logf("resumed pending %d live %d", len(r.entries), r.live())
+	run("done")
 	return r
 }
 
@@ -632,12 +701,25 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 		if got.s.seq != want.seq {
 			t.Fatalf("seed %d: engine drew %d sequence numbers, reference %d", seed, got.s.seq, want.seq)
 		}
+		// Up to the first Run's stop the marks move nothing: the program
+		// with every mark ignored logs the same lines.
+		fgPg := pg
+		fgPg.foreground = true
+		fg := runOnEngine(t, &fgPg)
+		stop := 0
+		for !strings.Contains(got.log[stop], " idle pending ") {
+			stop++
+		}
+		if stop > len(fg.log) || strings.Join(got.log[:stop], "\n") != strings.Join(fg.log[:stop], "\n") {
+			t.Fatalf("seed %d: background marks changed what ran before the stop at line %d", seed, stop)
+		}
 		compactions += got.compactions
 		reached.selfWakes += want.selfWakes
 		reached.selfKills += want.selfKills
 		reached.selfTimeouts += want.selfTimeouts
 		reached.midWait += want.midWait
 		reached.stops += want.stops
+		reached.backgroundStops += want.backgroundStops
 		for _, l := range got.log {
 			if strings.Contains(l, " switch ") {
 				switches++
@@ -645,12 +727,12 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 		}
 	}
 	// The comparison means little unless the programs reach the machinery.
-	t.Logf("%d compactions, %d switches; on its own stack a process was woken %d times, killed %d, timed out %d; %d steps ended mid-wait, %d by Stop",
-		compactions, switches, reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops)
+	t.Logf("%d compactions, %d switches; on its own stack a process was woken %d times, killed %d, timed out %d; %d steps ended mid-wait, %d by Stop; %d Runs left background work queued",
+		compactions, switches, reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops, reached.backgroundStops)
 	if compactions == 0 || switches < 1000 {
 		t.Errorf("120 programs compacted the queue %d times and switched %d times: not a test of either", compactions, switches)
 	}
-	for _, n := range []int{reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops} {
+	for _, n := range []int{reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops, reached.backgroundStops} {
 		if n < 20 {
 			t.Errorf("the programs hardly reach the self-resume rule: see the counts above")
 			break

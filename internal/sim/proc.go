@@ -44,6 +44,7 @@ type Proc struct {
 	name     string
 	killed   bool
 	finished bool
+	bg       bool // see SetBackground
 
 	// The two halves of the coroutine (iter.Pull): the driver switches the
 	// process in and gets back the successor it names when it switches out
@@ -73,6 +74,14 @@ type Proc struct {
 // arms it over an open deterministic section, where parking is a bug.
 // Sleep is not a park: it models time spent working, which a section does.
 func (p *Proc) GuardPark(v any) { p.guard = v }
+
+// SetBackground marks the process, from its own code, as background work
+// (or foreground again; it starts there): its resumes and time-outs, and
+// the callbacks its code arms, queued from then on do not keep Run going.
+func (p *Proc) SetBackground(on bool) {
+	p.mustRun("SetBackground")
+	p.bg = on
+}
 
 // Spawn starts fn as a new simulated process that begins running at the
 // current virtual time. It may be called from the scheduler (inside an
@@ -205,10 +214,10 @@ func (p *Proc) makeRunnable(d time.Duration) {
 func (p *Proc) unpark() bool {
 	switch p.parked {
 	case parkSleep:
-		p.sim.disown(&p.resumeSeq)
+		p.sim.disown(&p.resumeSeq, p.bg)
 	case parkQueue:
 		p.queue.unlink(p)
-		p.sim.disown(&p.timeoutSeq)
+		p.sim.disown(&p.timeoutSeq, p.bg)
 	default:
 		return false
 	}

@@ -56,6 +56,8 @@ type Event struct {
 	at        Time
 	seq       uint64 // sequence number of the pending queue entry, 0 if none
 	cancelled bool
+	bg        bool // the pending entry is background work
+	own       bool // SetBackground: every arming is background work
 }
 
 // Init binds a zero Event to the simulation and to the callback that runs
@@ -76,20 +78,25 @@ func (e *Event) Armed() bool { return e.seq != 0 }
 // a no-op.
 func (e *Event) Cancel() {
 	e.cancelled = true
-	e.sim.disown(&e.seq)
+	e.sim.disown(&e.seq, e.bg)
 }
 
 // Cancelled reports whether Cancel was called on the event since it was
 // last armed.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
+// SetBackground makes every arming of the event from the next one on
+// background work (Proc.SetBackground), whoever arms it.
+func (e *Event) SetBackground(on bool) { e.own = on }
+
 // Reset arms the event to fire at now+d, replacing any firing still
 // pending. Like Schedule it draws exactly one sequence number, so an
 // owner that cancels and re-schedules can call Reset instead without
 // moving anything in the event order.
 func (e *Event) Reset(d time.Duration) {
-	e.sim.disown(&e.seq)
+	e.sim.disown(&e.seq, e.bg)
 	e.cancelled = false
+	e.bg = e.own || e.sim.cur != nil && e.sim.cur.bg
 	e.at = e.sim.now.Add(d)
 	e.seq = e.sim.push(e.at, kindCallback, nil, e)
 }
@@ -112,6 +119,7 @@ type entry struct {
 	at   Time
 	seq  uint64
 	kind entryKind
+	bg   bool // background work: its owner's mark when queued
 	p    *Proc
 	ev   *Event
 }
@@ -145,12 +153,13 @@ type Simulation struct {
 	now     Time
 	queue   []entry // 4-ary min-heap on (at, seq)
 	dead    int     // entries in queue that are no longer live
+	fg      int     // live entries that are not background work
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
 	failure any // panic value on its way to Run's caller
 
-	until Time  // the bound of the run in progress
+	until Time  // the bound of the run in progress; never for Run, which also ends when fg is 0
 	cur   *Proc // the process whose code is executing; nil in the driver and in callbacks
 
 	// Unfinished processes in spawn order, linked through Proc.
@@ -194,7 +203,7 @@ func (s *Simulation) Schedule(d time.Duration, fn func()) *Event {
 // ScheduleAt is like Schedule but takes an absolute instant. Scheduling in
 // the past panics: it would violate causality.
 func (s *Simulation) ScheduleAt(at Time, fn func()) *Event {
-	e := &Event{sim: s, fn: fn, at: at}
+	e := &Event{sim: s, fn: fn, at: at, bg: s.cur != nil && s.cur.bg}
 	e.seq = s.push(at, kindCallback, nil, e)
 	return e
 }
@@ -207,7 +216,11 @@ func (s *Simulation) push(at Time, kind entryKind, p *Proc, ev *Event) uint64 {
 		panic(fmt.Sprintf("sim: event scheduled in the past: at=%v now=%v", at, s.now))
 	}
 	s.seq++
-	s.queue = append(s.queue, entry{at: at, seq: s.seq, kind: kind, p: p, ev: ev})
+	bg := p != nil && p.bg || ev != nil && ev.bg
+	if !bg {
+		s.fg++
+	}
+	s.queue = append(s.queue, entry{at: at, seq: s.seq, kind: kind, bg: bg, p: p, ev: ev})
 	s.siftUp(len(s.queue) - 1)
 	return s.seq
 }
@@ -267,15 +280,18 @@ func (s *Simulation) siftDown(i int) {
 }
 
 // disown cancels the pending entry whose number the owner keeps in *seq, if
-// there is one: the number is zeroed, the entry left in the queue is dead,
-// and the queue is compacted once more than half of it is. The order is
-// total on (at, seq), so which entries the heap still holds cannot change
-// what fires next.
-func (s *Simulation) disown(seq *uint64) {
+// there is one (bg is the owner's mark, which is the entry's): the number is
+// zeroed, the entry left in the queue is dead, and the queue is compacted
+// once more than half of it is. The order is total on (at, seq), so which
+// entries the heap still holds cannot change what fires next.
+func (s *Simulation) disown(seq *uint64, bg bool) {
 	if *seq == 0 {
 		return
 	}
 	*seq = 0
+	if !bg {
+		s.fg--
+	}
 	s.dead++
 	if s.dead*2 <= len(s.queue) || len(s.queue) < compactMin {
 		return
@@ -301,15 +317,15 @@ func (s *Simulation) Stop() { s.stopped = true }
 // never is later than every instant an entry can carry.
 const never = Time(math.MaxInt64)
 
-// Run processes events until the event queue is empty, Stop is called, or a
-// process panics (in which case Run re-panics with the original value and a
-// note naming the process; a panic raised by a callback reaches Run's caller
-// as it was raised). Processes blocked on wait queues with no pending
-// wake-up are left parked; callers can detect that via Live.
+// Run processes events until only background ones (Proc.SetBackground) are
+// pending, Stop is called, or a process panics (in which case Run re-panics
+// with the original value and a note naming the process; a panic raised by a
+// callback reaches Run's caller as it was raised). Processes parked with no
+// pending wake-up stay parked; callers can detect that via Live.
 func (s *Simulation) Run() error { return s.run(never) }
 
-// RunUntil processes events with firing time <= t, then advances the clock
-// to exactly t and returns. Events scheduled after t remain pending.
+// RunUntil processes events with firing time <= t, background or not, then
+// advances the clock to exactly t and returns. Events after t stay pending.
 func (s *Simulation) RunUntil(t Time) error {
 	err := s.run(t)
 	if err == nil && s.now < t && !s.stopped {
@@ -352,14 +368,14 @@ func (s *Simulation) run(until Time) error {
 // order — callbacks and wait time-outs inline, on the caller's stack — until
 // a process's resume fires, and returns that process; it returns nil when
 // the run is over (a failure on its way out, Stop, an empty queue, the next
-// entry beyond the run's bound), which it tests before every pop, so nothing
-// popped is ever lost. The driver calls it with self == nil. A process calls
-// it at its own block point: if it gets itself back it just carries on,
-// otherwise it switches out to the driver naming what it got. On a
-// process's stack a panic from a callback must not unwind the process it
-// happened to fire on: it is kept, as raised, for the driver to raise, and
-// the run is over. The stack that raised it is lost that way, so it is
-// printed here.
+// entry beyond the run's bound, no foreground one left for Run), which it
+// tests before every pop, so nothing popped is ever lost. The driver calls it
+// with self == nil. A process calls it at its own block point: if it gets
+// itself back it just carries on, otherwise it switches out to the driver
+// naming what it got. On a process's stack a panic from a callback must not
+// unwind the process it happened to fire on: it is kept, as raised, for the
+// driver to raise, and the run is over. The stack that raised it is lost
+// that way, so it is printed here.
 func (s *Simulation) dispatch(self *Proc) (next *Proc) {
 	defer func() {
 		if self == nil {
@@ -370,11 +386,14 @@ func (s *Simulation) dispatch(self *Proc) (next *Proc) {
 			s.failure, next = r, nil
 		}
 	}()
-	for s.failure == nil && !s.stopped && len(s.queue) > 0 && s.queue[0].at <= s.until {
+	for s.failure == nil && !s.stopped && len(s.queue) > 0 && s.queue[0].at <= s.until && (s.fg > 0 || s.until != never) {
 		e := s.pop()
 		if !e.live() {
 			s.dead--
 			continue
+		}
+		if !e.bg {
+			s.fg--
 		}
 		if e.at < s.now {
 			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", e.at, s.now))
@@ -417,7 +436,7 @@ func (s *Simulation) Shutdown() {
 		p.switchIn()
 		s.cur = nil
 	}
-	s.queue, s.dead = nil, 0
+	s.queue, s.dead, s.fg = nil, 0, 0
 	if f := s.failure; f != nil {
 		s.failure = nil
 		panic(f)

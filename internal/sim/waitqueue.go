@@ -71,7 +71,7 @@ func (q *WaitQueue) WakeIndex(i int, delay time.Duration) *Proc {
 		p = p.qnext
 	}
 	q.unlink(p)
-	p.sim.disown(&p.timeoutSeq)
+	p.sim.disown(&p.timeoutSeq, p.bg)
 	p.makeRunnable(delay)
 	return p
 }

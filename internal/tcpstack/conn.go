@@ -191,6 +191,9 @@ func (c *Conn) resetRTO() {
 }
 
 func (c *Conn) onTimer() {
+	if !c.stack.kern.Alive() {
+		c.timer.SetBackground(true) // a dead kernel's stack still retransmits, for nobody
+	}
 	switch c.state {
 	case stateClosed:
 		return
