@@ -15,10 +15,14 @@
 // Pool — a free list the owner of the windows holds (a tcpstack.Stack, a
 // tcprep.ConnTable), never the package, so two simulations in one process
 // share nothing and the allocation count of a run does not depend on the
-// garbage collector's timing. See DESIGN.md §20.
+// garbage collector's timing. A Lender draws from the same Pool: it is the
+// storage behind the bytes a read hands its caller. See DESIGN.md §20.
 package streambuf
 
-import "math/bits"
+import (
+	"math/bits"
+	"testing"
+)
 
 // minClass is the smallest backing array handed out (256 B): below it the
 // slice header costs more than the bytes.
@@ -116,4 +120,50 @@ func (w *Window) Discard(n int) {
 func (w *Window) Set(p []byte) {
 	w.Discard(w.Len())
 	w.Append(p)
+}
+
+// Lender is the storage behind the views a reader is lent: tcpstack's
+// Conn.Recv and tcprep's replayed read copy the bytes they return into one
+// and hand out a view of it, valid until the next Lend or Reclaim. Its
+// array comes from and returns to a Pool; the zero value lends without one.
+type Lender struct {
+	pool *Pool
+	buf  []byte // the storage behind the last view
+}
+
+// poisonReleased makes Lend and Reclaim scribble the storage behind the
+// view they end, so a reader that keeps a view past its lease fails a
+// byte-identity assertion instead of passing because nothing had reused
+// the storage yet. It is on in every test binary and off everywhere else.
+var poisonReleased = testing.Testing()
+
+// Init binds an empty lender to the free list its arrays come from.
+func (l *Lender) Init(p *Pool) { l.pool = p }
+
+// Lend copies p into the lender's storage — taking a larger array from the
+// pool if p does not fit — and returns the copy. The previous view dies.
+func (l *Lender) Lend(p []byte) []byte {
+	l.scribble()
+	if cap(l.buf) < len(p) {
+		l.pool.put(l.buf)
+		l.buf = l.pool.get(len(p))
+	}
+	l.buf = append(l.buf[:0], p...)
+	return l.buf
+}
+
+// Reclaim gives the storage back to the pool; the last view dies with it.
+func (l *Lender) Reclaim() {
+	l.scribble()
+	l.pool.put(l.buf)
+	l.buf = nil
+}
+
+func (l *Lender) scribble() {
+	if buf := l.buf[:cap(l.buf)]; poisonReleased && len(buf) > 0 {
+		buf[0] = 0xdb
+		for n := 1; n < len(buf); n *= 2 {
+			copy(buf[n:], buf[:n]) // memmove-speed fill, also under -race
+		}
+	}
 }

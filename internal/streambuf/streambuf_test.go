@@ -134,6 +134,36 @@ func TestSteadyWindowAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLenderReusesItsArray: a lender copies into one array for as long as
+// the bytes fit, swaps it for a larger one from the pool when they do not,
+// and gives it back on Reclaim — so lending through a warm pool, the shape
+// of a connection's Recvs and its Close, allocates nothing.
+func TestLenderReusesItsArray(t *testing.T) {
+	pool := new(Pool)
+	var l Lender
+	l.Init(pool)
+	small, big := bytes.Repeat([]byte("s"), 300), bytes.Repeat([]byte("b"), 5000)
+	first := l.Lend(small)
+	if !bytes.Equal(first, small) || !bytes.Equal(l.Lend(small[:10]), small[:10]) || &first[0] != &l.buf[0] {
+		t.Fatal("a lend that fits does not reuse the array in place")
+	}
+	if got := l.Lend(big); !bytes.Equal(got, big) || cap(got) != 8192 {
+		t.Fatalf("lend of %d bytes: %d bytes in a %d-byte array", len(big), len(got), cap(got))
+	}
+	l.Reclaim()
+	if l.buf != nil || len(pool.free[9]) != 1 || len(pool.free[13]) != 1 {
+		t.Fatal("the arrays did not go back to the pool")
+	}
+	cycle := func() {
+		l.Lend(small)
+		l.Lend(big)
+		l.Reclaim()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("lend, lend larger, reclaim through a warm pool: %v allocs/op, want 0", n)
+	}
+}
+
 // TestAppendMovesEachByteOnce guards the amortised bound: a compaction
 // policy that slides the window on every append when it is nearly full is
 // quadratic in host time even though it allocates nothing.

@@ -48,13 +48,15 @@ type LogicalConn struct {
 	gone    bool // reaped from the recording side's stack
 
 	// What only a backup uses. inRead marks how far the replayed
-	// application has read in. out holds replica-regenerated output bytes
-	// [outBase, outBase+Len): everything the client has not acknowledged,
-	// retransmittable after failover. outBase advances with the acked
-	// watermark, but never past what the replica has regenerated, so output
-	// produced later is trimmed on arrival instead of being retransmitted
-	// to a client that already acknowledged it.
+	// application has read in; lent holds what its last read returned. out
+	// holds replica-regenerated output bytes [outBase, outBase+Len):
+	// everything the client has not acknowledged, retransmittable after
+	// failover. outBase advances with the acked watermark, but never past
+	// what the replica has regenerated, so output produced later is trimmed
+	// on arrival instead of being retransmitted to a client that already
+	// acknowledged it.
 	inRead    int
+	lent      streambuf.Lender
 	out       streambuf.Window
 	outBase   uint64
 	appClosed bool
@@ -74,6 +76,7 @@ func (t *ConnTable) add(key ConnKey) *LogicalConn {
 	lc := &LogicalConn{key: key, at: len(t.conns)}
 	lc.in.Init(&t.bufs)
 	lc.out.Init(&t.bufs)
+	lc.lent.Init(&t.bufs)
 	t.conns = append(t.conns, lc)
 	t.byKey[key] = lc
 	return lc

@@ -213,7 +213,9 @@ func (s *Sockets) AdoptConn(t *kernel.Task, id uint64, consumed int) *Conn {
 
 // Recv reads up to max bytes from the replicated connection. On the
 // secondary the recorded byte count is consumed from the synced input
-// stream — the syscall is not forwarded to any TCP stack.
+// stream — the syscall is not forwarded to any TCP stack. In every role the
+// bytes are lent as by tcpstack's Recv: valid until the next Recv or Close
+// on the connection; echoing them straight into Send is fine.
 func (c *Conn) Recv(th *replication.Thread, max int) ([]byte, error) {
 	s := c.socks
 	var data []byte
@@ -276,6 +278,7 @@ func (c *Conn) Close(th *replication.Thread) error {
 	})
 	if c.real == nil && c.logical != nil {
 		c.logical.appClosed = true
+		c.logical.lent.Reclaim()
 	}
 	_, err := decodeRes(res)
 	return err

@@ -201,16 +201,13 @@ func (p *Primary) liveLinks() int {
 // minSynced is the sync watermark every live link has reached — the
 // barrier cursor. With no live links it is vacuously the enqueued count.
 func (p *Primary) minSynced() uint64 {
-	min := p.enqueued
+	synced := p.enqueued
 	for _, l := range p.links {
-		if l.Dead() {
-			continue
-		}
-		if l.synced < min {
-			min = l.synced
+		if !l.Dead() {
+			synced = min(synced, l.synced)
 		}
 	}
-	return min
+	return synced
 }
 
 // Streaming reports whether logical-state deltas are being streamed to at
@@ -373,10 +370,7 @@ func (h *heldSeg) onSynced() { h.g.ns.OnStable(h.stable) }
 func (h *heldSeg) onStable() {
 	g := h.g
 	now := g.sim.Now()
-	release := now
-	if g.nextFree > release {
-		release = g.nextFree
-	}
+	release := max(now, g.nextFree)
 	g.nextFree = release.Add(h.cost)
 	if release == now {
 		h.send()
@@ -510,8 +504,7 @@ func (p *Primary) onEstablished(c *tcpstack.Conn) {
 
 func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
 	key := keyOf(c)
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	cp := append([]byte(nil), data...)
 	p.table.dataIn(p.table.latest(key), cp)
 	m := syncMessage(syncDataIn, dataInBytes+len(cp), p.idOf(key), 0, 0)
 	m.Data = cp

@@ -153,16 +153,15 @@ func (s *Secondary) bindWait(t *kernel.Task, id uint64) *LogicalConn {
 
 // read consumes exactly n synced input bytes, blocking until the sync
 // stream has delivered them (they are guaranteed to arrive: the primary
-// recorded the read only after its stack delivered the bytes). The bytes
-// stay in the stream: a later rejoin replays from the start.
+// recorded the read only after its stack delivered the bytes), and lends
+// them like tcpstack's Recv. They stay in the stream: a later rejoin
+// replays from the start.
 func (lc *LogicalConn) read(t *kernel.Task, n int) []byte {
 	for lc.in.Len()-lc.inRead < n {
 		lc.dataQ.Wait(t.Proc())
 	}
-	out := make([]byte, n)
-	copy(out, lc.in.Bytes()[lc.inRead:])
 	lc.inRead += n
-	return out
+	return lc.lent.Lend(lc.in.Bytes()[lc.inRead-n : lc.inRead])
 }
 
 // appendOut accumulates replica-regenerated output bytes, discarding any

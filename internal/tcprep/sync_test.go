@@ -88,7 +88,17 @@ func (w *syncWorld) dataIn(tb testing.TB, data []byte) {
 	if got := w.lc.in.Bytes(); string(got) != string(data) {
 		tb.Fatalf("synced input %q, want %q", got, data)
 	}
+	w.replay(tb, data)
 	w.forget()
+}
+
+// replay is the backup application's replayed read of the synced bytes it
+// has not read yet, which must be want. It never blocks — the bytes are
+// there — so it needs no task.
+func (w *syncWorld) replay(tb testing.TB, want []byte) {
+	if got := w.lc.read(nil, w.lc.in.Len()-w.lc.inRead); string(got) != string(want) {
+		tb.Fatalf("replayed read %q, want %q", got, want)
+	}
 }
 
 // forget drops the input both tables retained, so a test or benchmark that
@@ -97,14 +107,18 @@ func (w *syncWorld) dataIn(tb testing.TB, data []byte) {
 func (w *syncWorld) forget() {
 	for _, lc := range []*LogicalConn{w.lc, w.prim.table.byKey[keyOf(w.conn)]} {
 		lc.in.Discard(lc.in.Len())
+		lc.inRead = 0
 	}
 }
 
 // TestSyncUpdatesAllocateNothing: a per-segment update — sync id and
 // scalars in the message's words, the connection's key never boxed —
 // crosses trySync, the pending buffer, the flush, the ring and the
-// secondary's apply without allocating. A data-in update makes exactly one
-// allocation: the copy of the payload onDataIn takes out of the segment.
+// secondary's apply without allocating, and the backup's replayed read of
+// the synced bytes lends them from its record without allocating either. A
+// data-in update makes exactly one allocation, out of scope here: the copy
+// of the payload onDataIn takes out of the segment, which the message that
+// carries it outlives.
 func TestSyncUpdatesAllocateNothing(t *testing.T) {
 	w := newSyncWorld(t)
 	defer w.sim.Shutdown()
@@ -117,7 +131,13 @@ func TestSyncUpdatesAllocateNothing(t *testing.T) {
 		t.Errorf("an ack-out update allocates %.1f times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, in); n != 1 {
-		t.Errorf("a data-in update allocates %.1f times, want 1 (the payload copy)", n)
+		t.Errorf("a data-in update and its replayed read allocate %.1f times, want 1 (the payload copy)", n)
+	}
+	w.prim.onDataIn(w.conn, data)
+	w.deliver(t)
+	reread := func() { w.lc.inRead = 0; w.replay(t, data) }
+	if n := testing.AllocsPerRun(100, reread); n != 0 {
+		t.Errorf("a replayed read on a warm record allocates %.1f times, want 0", n)
 	}
 	if w.prim.SyncCoalesced == 0 || w.sec.Updates == 0 {
 		t.Errorf("coalesced %d, applied %d", w.prim.SyncCoalesced, w.sec.Updates)

@@ -63,10 +63,12 @@ type Conn struct {
 	closed    bool // local close requested: Send rejected
 
 	// Receive side. rcvBuf holds in-order bytes the application has not
-	// read yet, ending at rcvNxt.
+	// read yet, ending at rcvNxt; rcvOut holds the bytes the last Recv
+	// returned, until the next Recv or Close.
 	irs     uint64
 	rcvNxt  uint64
 	rcvBuf  streambuf.Window
+	rcvOut  streambuf.Lender
 	peerFin bool
 
 	// Retransmission. One timer per connection, re-armed in place; in
@@ -94,6 +96,7 @@ func newConn(s *Stack, key connKey, st connState) *Conn {
 	c.timer.Init(s.kern.Sim(), c.onTimer)
 	c.sndBuf.Init(&s.bufs)
 	c.rcvBuf.Init(&s.bufs)
+	c.rcvOut.Init(&s.bufs)
 	return c
 }
 
@@ -440,9 +443,18 @@ func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
 }
 
 // Recv reads up to max bytes, blocking until data is available. It returns
-// EOF once the peer has closed and all data has been consumed.
+// EOF once the peer has closed and all data has been consumed, and nothing,
+// at once, if max is not positive (like recv(2) of length 0).
+//
+// The bytes are lent, not given: the slice is a view of storage the
+// connection reuses, valid until the next Recv or Close on it. A caller
+// that keeps bytes longer copies them; echoing them straight into Send is
+// fine, because Send copies.
 func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 	t.Syscall()
+	if max <= 0 {
+		return nil, nil
+	}
 	for c.rcvBuf.Len() == 0 {
 		if c.err != nil {
 			return nil, c.err
@@ -455,12 +467,8 @@ func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 		}
 		c.recvQ.Wait(t.Proc())
 	}
-	n := c.rcvBuf.Len()
-	if n > max {
-		n = max
-	}
-	out := make([]byte, n)
-	copy(out, c.rcvBuf.Bytes())
+	n := min(c.rcvBuf.Len(), max)
+	out := c.rcvOut.Lend(c.rcvBuf.Bytes()[:n])
 	wasFull := c.recvWindow() == 0
 	c.rcvBuf.Discard(n)
 	if cost := c.stack.params.SegmentCPU; cost > 0 {
@@ -474,9 +482,11 @@ func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 }
 
 // Close initiates an orderly shutdown: the FIN goes out after all buffered
-// data. Further Sends fail with ErrClosed; Recv continues to drain.
+// data. Further Sends fail with ErrClosed; Recv continues to drain. The
+// bytes the last Recv lent go back to the stack's free list.
 func (c *Conn) Close(t *kernel.Task) error {
 	t.Syscall()
+	c.rcvOut.Reclaim()
 	if c.closed {
 		return nil
 	}

@@ -385,27 +385,88 @@ func (d *driven) step(t testing.TB) {
 
 // TestEstablishedTransferAllocs pins the steady state: on an established
 // connection with warm free lists, sending and receiving one more
-// MSS-sized write allocates the receiver's copy-out (Recv returns a slice
-// the caller owns) and nothing else — no segment, no payload, no event, no
-// closure, no buffer growth — through a direct gate and through one that
-// holds every segment.
+// MSS-sized write allocates nothing — no segment, no payload, no event, no
+// closure, no buffer growth, and no copy-out (Recv lends its bytes) —
+// through a direct gate and through one that holds every segment, at the
+// default MSS and at stream-failover's 32 KiB.
 func TestEstablishedTransferAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		mss  int
 		gate EgressGate
 	}{
-		{"direct", DirectGate{}},
-		{"held", &holdGate{delay: 50 * time.Microsecond}},
+		{"direct", 1448, DirectGate{}},
+		{"held", 1448, &holdGate{delay: 50 * time.Microsecond}},
+		{"mss32k", 32 << 10, DirectGate{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			params := DefaultParams()
+			params.MSS = tc.mss
 			d := newDriven(t, params, params.MSS, tc.gate)
 			for i := 0; i < 64; i++ {
 				d.step(t)
 			}
-			if n := testing.AllocsPerRun(200, func() { d.step(t) }); n != 1 {
-				t.Errorf("one more MSS-sized write on a warm connection: %v allocs, want 1 (the receiver's copy-out)", n)
+			if n := testing.AllocsPerRun(200, func() { d.step(t) }); n != 0 {
+				t.Errorf("one more MSS-sized write on a warm connection: %v allocs, want 0", n)
 			}
 		})
+	}
+}
+
+// TestShortConnectionAllocs pins web-short's shape — connect, a 10 KiB
+// response, close on both sides, TIME_WAIT — at 27 allocations: what its
+// two fresh Conns, their timers and the client task cost. The receive-out
+// buffers are not in the count: Close gives each back to its stack's free
+// list and the next connection's first Recv takes it up again. (With a
+// copy-out allocated per Recv the count was 36.)
+func TestShortConnectionAllocs(t *testing.T) {
+	sc := newShortConns(t)
+	for i := 0; i < 8; i++ {
+		sc.one(t)
+	}
+	if n := testing.AllocsPerRun(50, func() { sc.one(t) }); n != 27 {
+		t.Errorf("one short connection on warm stacks: %v allocs, want 27", n)
+	}
+}
+
+// TestRecvViewPoisonedOnReuse pins the lease on Recv's bytes: in a test
+// binary the storage behind a view is scribbled when the next Recv reuses
+// it and when Close gives it back, so every byte-identity assertion in this
+// package, tcprep, core and the applications also catches a caller that
+// keeps a Recv result past its next call on the connection.
+func TestRecvViewPoisonedOnReuse(t *testing.T) {
+	p := newPair(t, 17, DefaultParams())
+	l, _ := p.server.Listen(80, 4)
+	poison := func(n int) []byte { return bytes.Repeat([]byte{0xdb}, n) }
+	p.serverK.Spawn("server", func(tk *kernel.Task) {
+		c, err := l.Accept(tk)
+		if err != nil {
+			t.Errorf("Accept: %v", err)
+			return
+		}
+		first, _ := c.Recv(tk, 10)
+		if string(first) != "0123456789" {
+			t.Errorf("first Recv = %q", first)
+			return
+		}
+		second, _ := c.Recv(tk, 4)
+		if string(second) != "abcd" {
+			t.Errorf("second Recv = %q", second)
+		}
+		if !bytes.Equal(first, append([]byte("abcd"), poison(6)...)) {
+			t.Errorf("first view after the next Recv reads %q, want the second's bytes, then the scribble", first)
+		}
+		_ = c.Close(tk)
+		if !bytes.Equal(second, poison(4)) {
+			t.Errorf("second view after Close reads %q, want the scribble", second)
+		}
+	})
+	p.clientK.Spawn("client", func(tk *kernel.Task) {
+		if c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80}); err == nil {
+			_, _ = c.Send(tk, []byte("0123456789abcdef"))
+		}
+	})
+	if err := p.sim.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -166,6 +166,55 @@ func TestRecvAfterFINIsIOEOF(t *testing.T) {
 	}
 }
 
+// TestRecvOfNothing: Recv with max ≤ 0 is recv(2) of length 0. It returns
+// (nil, nil) at once — after the syscall charge, without waiting for data
+// and without a segment's CPU — and consumes nothing, whether or not bytes
+// are buffered. A negative max used to panic in makeslice and a zero one to
+// wait for data, then return none.
+func TestRecvOfNothing(t *testing.T) {
+	p := newPair(t, 1, DefaultParams())
+	l, err := p.server.Listen(80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syscall := kernel.DefaultParams().SyscallCost
+	var got []byte
+	p.serverK.Spawn("server", func(tk *kernel.Task) {
+		c, err := l.Accept(tk)
+		if err != nil {
+			t.Errorf("Accept: %v", err)
+			return
+		}
+		nothing := func(when string) {
+			for _, max := range []int{0, -1} {
+				start := tk.Now()
+				if data, err := c.Recv(tk, max); data != nil || err != nil || tk.Now().Sub(start) != syscall {
+					t.Errorf("%s: Recv(%d) = %q, %v after %v; want nothing after the %v syscall", when, max, data, err, tk.Now().Sub(start), syscall)
+				}
+			}
+		}
+		nothing("nothing buffered")
+		for c.BufferedIn() == 0 {
+			tk.Sleep(time.Millisecond)
+		}
+		nothing("bytes buffered")
+		got, _ = c.Recv(tk, 64)
+		got = append([]byte(nil), got...)
+	})
+	p.clientK.Spawn("client", func(tk *kernel.Task) {
+		if c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80}); err == nil {
+			tk.Sleep(5 * time.Millisecond)
+			_, _ = c.Send(tk, []byte("kept"))
+		}
+	})
+	if err := p.sim.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "kept" {
+		t.Errorf("the read after the empty ones got %q, want every byte sent", got)
+	}
+}
+
 func genPayload(n int, seed byte) []byte {
 	data := make([]byte, n)
 	x := seed
