@@ -89,7 +89,7 @@ golden:
 # the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=2040 replication=2892 tcprep=1543 shm=1112
+LOC_CEILINGS := core=2040 replication=2905 tcprep=1543 shm=1134
 LOC_KERNEL_CEILING := 714
 LOC_BENCH_CEILING := 2310
 

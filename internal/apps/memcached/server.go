@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/pthread"
 	"repro/internal/replication"
+	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -37,18 +38,19 @@ func RunServer(th *replication.Thread, socks *tcprep.Sockets, cfg ServerConfig, 
 	store := make(map[string]string)
 	mu := lib.NewMutex()
 	cond := lib.NewCond()
-	var backlog []*tcprep.Conn
+	var backlog []*tcprep.Conn // backlog[head:] are accepted and not yet served
+	head := 0
 
 	for i := 0; i < cfg.Workers; i++ {
 		th.NS().SpawnThread(th, "worker", func(w *replication.Thread) {
 			t := w.Task()
 			for {
 				mu.Lock(t)
-				for len(backlog) == 0 {
+				for head == len(backlog) {
 					cond.Wait(t, mu)
 				}
-				c := backlog[0]
-				backlog = backlog[1:]
+				c := backlog[head]
+				backlog, head = sim.PopFront(backlog, head)
 				mu.Unlock(t)
 				serveConn(w, c, lock, store, st)
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/replication"
+	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -55,7 +56,8 @@ func Run(th *replication.Thread, socks *tcprep.Sockets, cfg Config, st *Stats) {
 	lib := th.Lib()
 	mu := lib.NewMutex()
 	cond := lib.NewCond()
-	var backlog []*tcprep.Conn
+	var backlog []*tcprep.Conn // backlog[head:] are accepted and not yet served
+	head := 0
 
 	page := buildPage(cfg.PageBytes)
 
@@ -64,11 +66,11 @@ func Run(th *replication.Thread, socks *tcprep.Sockets, cfg Config, st *Stats) {
 			t := w.Task()
 			for {
 				mu.Lock(t)
-				for len(backlog) == 0 {
+				for head == len(backlog) {
 					cond.Wait(t, mu)
 				}
-				c := backlog[0]
-				backlog = backlog[1:]
+				c := backlog[head]
+				backlog, head = sim.PopFront(backlog, head)
 				mu.Unlock(t)
 				serve(w, c, cfg, page, st)
 			}

@@ -620,6 +620,39 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 	}
 }
 
+// TestRingReceiversAreEvents is a census of the replication processes a
+// deployment switches in: a ring receiver that never computes is its ring's
+// receiver event, not a task. An N = 3 deployment at four det shards
+// switches in no ft-ack (the recorder's acks receivers) and no ft-replay
+// (sharded receipt); at one shard ft-replay, which pays the dispatch cost
+// between receives, is switched in, and ft-ack still is not.
+func TestRingReceiversAreEvents(t *testing.T) {
+	t.Parallel()
+	for _, shards := range []int{1, 4} {
+		sys := quietSystem(t, 3, core.WithReplicaSet(3), core.WithDetShards(shards))
+		switches := make(map[string]int) // by task name, the kernel and tid stripped
+		sys.Sim.OnSwitch = func(_ sim.Time, proc string) {
+			name := proc[strings.Index(proc, "/")+1:]
+			switches[name[:strings.LastIndex(name, ".")]]++
+		}
+		sys.Run(core.App{Name: "locker", Main: lockMain(200)})
+		if err := sys.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range sys.Backups() {
+			if st := b.NS.Stats(); st.Sections == 0 || st.Divergences != 0 {
+				t.Fatalf("shards=%d: slot %d replayed %d sections with %d divergences", shards, b.Slot(), st.Sections, st.Divergences)
+			}
+		}
+		if n := switches["ft-ack"]; n != 0 {
+			t.Errorf("shards=%d: ft-ack switched in %d times, want never", shards, n)
+		}
+		if n := switches["ft-replay"]; (n > 0) != (shards == 1) {
+			t.Errorf("shards=%d: ft-replay switched in %d times; want it a task at one shard only", shards, n)
+		}
+	}
+}
+
 // TestTCPSyncBatchingCoalesces runs the same echo workload under per-update
 // streaming (BatchUpdates=1) and the default batched sync policy: the
 // secondary must end up with the identical logical TCP state either way

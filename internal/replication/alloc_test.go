@@ -16,8 +16,8 @@ import (
 // working size, then measures windows of virtual time holding hundreds of
 // recorded and replayed sections. The applications pace themselves below
 // the secondary's dispatch rate: with more than one det shard nothing else
-// bounds the replay backlog, and a queue that grows forever reallocates
-// forever.
+// bounds the replay backlog, and with one the backlog waits in the log
+// ring's delivered buffer — a queue that grows forever reallocates forever.
 func TestSectionsAllocateNothing(t *testing.T) {
 	spin := func(th *replication.Thread) { th.Task().Compute(250 * time.Microsecond) }
 	cases := map[string]func(root *replication.Thread){
@@ -76,6 +76,9 @@ func TestSectionsAllocateNothing(t *testing.T) {
 				rw.WrLock(root.Task())
 				spin(root)
 				rw.WrUnlock(root.Task())
+				// A dozen sections a round: at one shard's dispatch cost
+				// the round needs this pause to stay below the replay rate.
+				root.Task().Sleep(time.Millisecond)
 			}
 		},
 	}

@@ -27,6 +27,10 @@ func (ns *Namespace) RetainedSums() (recRunning, recWalked, repRunning, repWalke
 // PlantDivergence counts one replay divergence on a replaying namespace.
 func (ns *Namespace) PlantDivergence() { ns.rep.diverge("planted") }
 
+// ReceiverArmed reports whether a sharded backup's log-ring receiver event
+// is armed: a delivery has landed that it has not drained yet.
+func (ns *Namespace) ReceiverArmed() bool { return ns.rep.logRx.Armed() }
+
 // ReplayWindowBase returns the log index the backup's retained window
 // starts at: the Sent of the last epoch marker it truncated at.
 func (ns *Namespace) ReplayWindowBase() uint64 { return ns.rep.hist.base }

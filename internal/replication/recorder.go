@@ -42,6 +42,7 @@ type replicaLink struct {
 	shm.Outbox
 	idx   int
 	acks  *shm.Ring
+	ackRx sim.Event // the acks ring's receiver
 	acked uint64
 
 	// base is the absolute log index of the first message this link's
@@ -259,7 +260,14 @@ func (r *Recorder) addLink(link *replicaLink, log *shm.Ring) {
 	// Explicit cumulative acknowledgements free log-ring slots faster
 	// under backlog and serve as a liveness signal; they are consumed
 	// here so the ring never fills.
-	k.Spawn("ft-ack", func(t *kernel.Task) { r.ackLoop(t, link) })
+	receive(k, link.acks, &link.ackRx, func() { r.drainAcks(link) })
+}
+
+// receive makes drain the ring's receiver event on k until k dies.
+func receive(k *kernel.Kernel, ring *shm.Ring, ev *sim.Event, drain func()) {
+	ev.Init(k.Sim(), drain)
+	ring.OnReceive(ev)
+	k.OnPanic(func(kernel.PanicReason) { ring.OnReceive(nil) })
 }
 
 // catchupChunkBytes bounds one vectored catch-up transfer so the bulk
@@ -322,9 +330,8 @@ func (r *Recorder) catchupLoop(t *kernel.Task, link *replicaLink, onCaughtUp fun
 	}
 }
 
-func (r *Recorder) ackLoop(t *kernel.Task, link *replicaLink) {
-	for {
-		m := link.acks.Recv(t.Proc())
+func (r *Recorder) drainAcks(link *replicaLink) {
+	for m, ok := link.acks.TryRecv(); ok; m, ok = link.acks.TryRecv() {
 		switch m.Kind {
 		case msgEpochAck:
 			// Epoch-boundary acknowledgement: the backup verified the

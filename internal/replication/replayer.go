@@ -25,8 +25,8 @@ type headSub struct {
 	epoch bool
 }
 
-// lane is one dispatch queue on the secondary: the pull task routes
-// messages here in ring order and the lane's owner pays the per-message
+// lane is one dispatch queue on the secondary: receipt routes messages
+// here in ring order and the lane's owner pays the per-message
 // dispatch cost — in parallel across lanes. q[head:] is queued.
 type lane struct {
 	q    []shm.Message
@@ -67,7 +67,7 @@ type Replayer struct {
 	frontier   uint64          // Lamport replay head: every GlobalSeq < frontier is replayed
 	ahead      map[uint64]bool // replayed GlobalSeqs at or past the frontier
 	lanes      []*lane
-	granters   []*kernel.Task // lane owners; none with one shard, where the pull task drains lane 0
+	tasks      []*kernel.Task // the pull task with one shard, else the lane owners
 
 	// objDone is keyed by the real sequencing object whatever the domain:
 	// the per-object cursor vector checkpoints compare and forks continue
@@ -77,7 +77,7 @@ type Replayer struct {
 	waiting   map[int]*Thread // shadow threads parked for their turn, by ft_pid
 	waitOrder []int           // ftpids in park order, for deterministic live-flush
 	processed uint64
-	recvBuf   []shm.Message // the pull task's receive buffer, reused batch after batch
+	recvBuf   []shm.Message // the receive buffer, reused batch after batch
 
 	env      map[string]string
 	envSeen  bool // env message routed (duplicate filter)
@@ -86,7 +86,7 @@ type Replayer struct {
 
 	live        bool
 	primaryDead bool
-	puller      *kernel.Task
+	logRx       sim.Event // the log ring's receiver with more than one shard
 	stats       Stats
 
 	// Rejoin support (Config.Rejoinable): the ingested log is retained so
@@ -104,8 +104,8 @@ type Replayer struct {
 	// epochSeen filters duplicate markers; epochBase is the seeded
 	// checkpoint's epoch (its own marker arrives first off the catch-up
 	// stream and is retained without re-verification). epochAckPend is
-	// an epoch ack the full ack ring refused, retried from the pull
-	// loop. onEpoch, set by core, verifies a marker's digest against
+	// an epoch ack the full ack ring refused, retried at the next
+	// receipt. onEpoch, set by core, verifies a marker's digest against
 	// the replayed state at its exact frontier.
 	baseSeqGlobal uint64
 	epochSeen     uint64
@@ -134,16 +134,22 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 	for i := range r.lanes {
 		r.lanes[i] = &lane{}
 	}
-	r.puller = k.Spawn("ft-replay", r.pullLoop)
 	// Lane ownership: with more than one shard each lane gets a grant task
-	// and dispatch runs in parallel; with one, the pull task drains lane 0
-	// itself (see pullLoop).
+	// and receipt is the log ring's receiver event; with one, the pull task
+	// drains lane 0 itself (see pullLoop).
 	if r.cfg.DetShards > 1 {
+		receive(k, log, &r.logRx, func() {
+			for log.Len() > 0 {
+				r.receipt(log.TryRecvBatchInto(r.recvBuf[:0], r.cfg.BatchTuples))
+			}
+		})
 		for i, ln := range r.lanes {
 			ln := ln
-			r.granters = append(r.granters,
+			r.tasks = append(r.tasks,
 				k.Spawn(fmt.Sprintf("ft-grant.%d", i), func(t *kernel.Task) { r.grantLoop(t, ln) }))
 		}
+	} else {
+		r.tasks = append(r.tasks, k.Spawn("ft-replay", r.pullLoop))
 	}
 	return r
 }
@@ -172,39 +178,39 @@ func (r *Replayer) dom(key uint64) *domain {
 // head is the scalar replay watermark, the Lamport frontier.
 func (r *Replayer) head() uint64 { return r.frontier }
 
-// pullLoop is the receive path: it acknowledges receipt and routes each
-// message to its lane WITHOUT paying the dispatch cost — the lane owners
-// pay it. With one shard this task owns lane 0 and drains it before its
-// next RecvBatch, so receipt waits for dispatch, the log ring
+// pullLoop is the one-shard receive path: it owns lane 0 and drains it
+// before its next RecvBatch, so receipt waits for dispatch, the log ring
 // backpressures the primary, and the per-tuple cost (riding
 // wake_up_process to hand turns to shadow threads) bounds the secondary's
 // replay rate — the §4.1 serial-dispatch bottleneck. With more shards the
-// grant tasks pay it concurrently, lifting that ceiling by the shard
-// count.
+// grant tasks pay it concurrently, lifting that ceiling by the shard count.
 func (r *Replayer) pullLoop(t *kernel.Task) {
 	for {
-		batch := r.log.RecvBatchInto(t.Proc(), r.recvBuf[:0], r.cfg.BatchTuples)
-		r.recvBuf = batch
-		r.hRecvBatch.Observe(int64(len(batch)))
-		// Acknowledge at receipt (§3.5): the whole batch is already safe in
-		// this replica's memory for subsequent live replay, so one
-		// cumulative ack covers all of it.
-		r.processed += uint64(len(batch))
-		if len(batch) > 1 {
-			r.stats.LogBatches++
-		}
-		if r.acks.TrySend(ackMessage(msgTuple, r.processed)) {
-			r.stats.AckMessages++
-			r.cAcks.Inc()
-			r.sc.Emit(obs.AckSend, 0, int64(r.processed), 0)
-		}
-		r.retryEpochAck()
-		for _, m := range batch {
-			r.route(m)
-		}
-		if len(r.granters) == 0 {
-			r.dispatch(t, r.lanes[0])
-		}
+		r.receipt(r.log.RecvBatchInto(t.Proc(), r.recvBuf[:0], r.cfg.BatchTuples))
+		r.dispatch(t, r.lanes[0])
+	}
+}
+
+// receipt acknowledges one received batch and routes each message to its
+// lane WITHOUT paying the dispatch cost — the lane owners pay it.
+func (r *Replayer) receipt(batch []shm.Message) {
+	r.recvBuf = batch
+	r.hRecvBatch.Observe(int64(len(batch)))
+	// Acknowledge at receipt (§3.5): the whole batch is already safe in
+	// this replica's memory for subsequent live replay, so one
+	// cumulative ack covers all of it.
+	r.processed += uint64(len(batch))
+	if len(batch) > 1 {
+		r.stats.LogBatches++
+	}
+	if r.acks.TrySend(ackMessage(msgTuple, r.processed)) {
+		r.stats.AckMessages++
+		r.cAcks.Inc()
+		r.sc.Emit(obs.AckSend, 0, int64(r.processed), 0)
+	}
+	r.retryEpochAck()
+	for _, m := range batch {
+		r.route(m)
 	}
 }
 
@@ -416,7 +422,7 @@ func (r *Replayer) truncateAt(mark EpochMark) {
 
 // sendEpochAck sends (or queues, when the ack ring is momentarily full)
 // the epoch-boundary acknowledgement; retryEpochAck drains the queued
-// one from the pull loop.
+// one at the next receipt.
 func (r *Replayer) sendEpochAck(epoch uint64) {
 	if r.acks.TrySend(ackMessage(msgEpochAck, epoch)) {
 		r.stats.AckMessages++
@@ -650,9 +656,9 @@ func (r *Replayer) Promote() {
 		return
 	}
 	r.primaryDead = true
-	r.puller.Kill()
-	for _, g := range r.granters {
-		g.Kill()
+	r.log.OnReceive(nil)
+	for _, t := range r.tasks {
+		t.Kill()
 	}
 	// Epoch verifications still armed are moot — the primary that cut
 	// them is dead — and their grant barriers would wedge the

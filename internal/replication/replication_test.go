@@ -506,36 +506,107 @@ func TestPromotionAfterPrimaryDeath(t *testing.T) {
 	}
 }
 
-// TestPromotionReplaysAcknowledgedTail promotes while the pull task is
+// TestPromotionReplaysAcknowledgedTail promotes while the backup is
 // mid-batch: it has acknowledged a batch at receipt (§3.5) and is still
-// paying the per-tuple dispatch cost. Every tuple behind the receipt
-// watermark, and every one the dead primary left delivered in the ring,
-// must be replayed before the replica goes live — the primary may already
-// have released output that depends on them.
+// paying the per-tuple dispatch cost — in its pull task at one shard, in the
+// grant tasks at four, where receipt is the log ring's receiver event. Every
+// tuple behind the receipt watermark, and every one the dead primary left
+// delivered in the ring, must be replayed before the replica goes live —
+// the primary may already have released output that depends on them. One
+// row promotes at the instant a log transfer lands, after the delivery has
+// armed the receiver and before it fires: what it would have received is
+// the promotion's to drain.
 func TestPromotionReplaysAcknowledgedTail(t *testing.T) {
+	for _, row := range []struct {
+		name      string
+		shards    int
+		atArrival bool
+	}{
+		{"one shard", 1, false},
+		{"four shards", 4, false},
+		{"four shards, receiver armed", 4, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := replication.DefaultConfig()
+			cfg.DetShards = row.shards
+			d := newDuo(t, 11, cfg, true)
+			var pCount, sCount int
+			d.pns.Start("app", nil, lockCounterApp(&pCount, 4, 200))
+			d.sns.Start("app", nil, lockCounterApp(&sCount, 4, 200))
+			var want, headAtKill uint64
+			armed, promoted := false, false
+			promote := func() {
+				promoted = true
+				d.pk.Panic("injected failure", nil)
+				// Received plus delivered-but-unpulled messages, less the env one.
+				want = d.sns.Processed() + uint64(d.log.Len()) - 1
+				headAtKill = d.sns.ReplayHead()
+				armed = row.shards > 1 && d.sns.ReceiverArmed()
+				d.sns.Replayer().Promote()
+			}
+			if row.atArrival {
+				// Delivery callbacks run before the receiver is armed, so a
+				// callback scheduled from one runs ahead of its firing. At
+				// four shards the primary's last transfer lands near 12ms.
+				d.log.OnDelivered(func() {
+					if !promoted && d.sim.Now() >= sim.Time(6*time.Millisecond) && !d.sns.ReceiverArmed() {
+						promoted = true
+						d.sim.Schedule(0, promote)
+					}
+				})
+			} else {
+				d.sim.Schedule(40*time.Millisecond, promote)
+			}
+			if err := d.sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if headAtKill >= want {
+				t.Fatalf("replay head %d had no backlog behind %d received tuples: the kill must land mid-batch", headAtKill, want)
+			}
+			if armed != row.atArrival {
+				t.Fatalf("receiver armed at the promotion: %v, want %v", armed, row.atArrival)
+			}
+			if got := d.sns.Stats().Sections; got != want {
+				t.Errorf("replayed %d sections, want all %d tuples received or left in the ring", got, want)
+			}
+			if sCount != 4*200 {
+				t.Errorf("secondary finished %d increments, want %d (live continuation)", sCount, 4*200)
+			}
+		})
+	}
+}
+
+// TestPrimaryDeathFreezesAckWatermark: the recorder's acks-ring receiver
+// dies with the primary's kernel, as the task it replaces did. The backup
+// goes on acknowledging its backlog, and those acks stay in the ring: the
+// receipt watermark the dead recorder exposes no longer moves.
+func TestPrimaryDeathFreezesAckWatermark(t *testing.T) {
 	d := newDuo(t, 11, replication.DefaultConfig(), true)
 	var pCount, sCount int
 	d.pns.Start("app", nil, lockCounterApp(&pCount, 4, 200))
 	d.sns.Start("app", nil, lockCounterApp(&sCount, 4, 200))
-	var want, headAtKill uint64
+	var lenAtDeath int
+	var deliveredAtDeath int64
 	d.sim.Schedule(40*time.Millisecond, func() {
 		d.pk.Panic("injected failure", nil)
-		// Received plus delivered-but-unpulled messages, less the env one.
-		want = d.sns.Processed() + uint64(d.log.Len()) - 1
-		headAtKill = d.sns.ReplayHead()
-		d.sns.Replayer().Promote()
+		lenAtDeath, deliveredAtDeath = d.acks.Len(), d.acks.Delivered()
 	})
+	// The receipt observed from the log ring's slot state lands one hop
+	// after the last transfer in flight at the death; by then it has.
+	var frozen uint64
+	d.sim.Schedule(41*time.Millisecond, func() { frozen = d.pns.Watermarks()[0].Watermark })
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if headAtKill >= want {
-		t.Fatalf("replay head %d had no backlog behind %d received tuples: the kill must land mid-batch", headAtKill, want)
+	after := d.acks.Delivered() - deliveredAtDeath
+	if after == 0 {
+		t.Fatal("no ack arrived after the primary's death: the backup had no backlog to acknowledge")
 	}
-	if got := d.sns.Stats().Sections; got != want {
-		t.Errorf("replayed %d sections, want all %d tuples received or left in the ring", got, want)
+	if got, want := d.acks.Len(), lenAtDeath+int(after); got != want {
+		t.Errorf("%d acks left in the ring, want the %d there at the death plus the %d delivered since", got, lenAtDeath, after)
 	}
-	if sCount != 4*200 {
-		t.Errorf("secondary finished %d increments, want %d (live continuation)", sCount, 4*200)
+	if got := d.pns.Watermarks()[0].Watermark; got != frozen {
+		t.Errorf("dead recorder's watermark %d, was %d after the death; want it frozen", got, frozen)
 	}
 }
 

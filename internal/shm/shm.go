@@ -205,6 +205,7 @@ type Ring struct {
 	free      []*xfer // released records, reused by admit and by chaos dup copies
 	sendQ     sim.WaitQueue
 	recvQ     sim.WaitQueue
+	recvEv    *sim.Event // the receiver event, armed where recvQ would wake (OnReceive)
 	stats     Stats
 	sc        *obs.Scope
 
@@ -532,7 +533,23 @@ func (r *Ring) deliver(in *xfer) {
 	for _, fn := range r.onDeliver {
 		fn()
 	}
-	r.recvQ.WakeOne(0)
+	if e := r.recvEv; e == nil {
+		r.recvQ.WakeOne(0)
+	} else if r.recvQ.Len() > 0 {
+		panic(fmt.Sprintf("shm: ring %q has a receiver event and a parked receiver", r.name))
+	} else if !e.Armed() {
+		e.Reset(0) // the one draw the parked receiver's resume would make
+	}
+}
+
+// OnReceive makes e the ring's one receiver: a delivery that finds e
+// unarmed arms it now, where Recv's parked caller would wake, to drain the
+// ring without blocking. Init e and set its background mark first; nil detaches.
+func (r *Ring) OnReceive(e *sim.Event) {
+	if r.recvEv != nil {
+		r.recvEv.Cancel()
+	}
+	r.recvEv = e
 }
 
 // TryRecv attempts a non-blocking receive. It reports false if no message
@@ -561,6 +578,11 @@ func (r *Ring) RecvBatchInto(p *sim.Proc, dst []Message, max int) []Message {
 	for r.Len() == 0 {
 		r.recvQ.Wait(p)
 	}
+	return r.TryRecvBatchInto(dst, max)
+}
+
+// TryRecvBatchInto is RecvBatchInto without the wait: dst as it is if empty.
+func (r *Ring) TryRecvBatchInto(dst []Message, max int) []Message {
 	n := r.Len()
 	if max > 0 && n > max {
 		n = max

@@ -495,10 +495,10 @@ func (p *Primary) flushForCommit() {
 
 func (p *Primary) onEstablished(c *tcpstack.Conn) {
 	key := keyOf(c)
-	p.table.establish(key, c.ISS(), c.IRS())
-	// The four-tuple crosses once per connection, in the reference slot.
+	lc := p.table.establish(key, c.ISS(), c.IRS())
+	// The four-tuple crosses once per connection, as the record's own key.
 	m := syncMessage(syncConnMeta, connMetaBytes, p.idOf(key), c.ISS(), c.IRS())
-	m.Ref = &key
+	m.Ref = &lc.key
 	p.trySync(m)
 }
 
@@ -537,14 +537,14 @@ func (p *Primary) onReaped(c *tcpstack.Conn) {
 // appended behind any pending updates and flushed immediately so the
 // secondaries' bindWait is never delayed by batching.
 func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) {
-	key := keyOf(c)
-	p.table.bind(id, p.table.latest(key))
+	lc := p.table.latest(keyOf(c))
+	p.table.bind(id, lc)
 	if !p.Streaming() {
 		return
 	}
 	// By four-tuple: a connection reaped before the accept has no sync id left.
 	m := syncMessage(syncBind, bindBytes, id, 0, 0)
-	m.Ref = &key
+	m.Ref = &lc.key
 	p.enqueued++
 	for _, link := range p.links {
 		if !link.Dead() {

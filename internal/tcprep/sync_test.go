@@ -144,6 +144,43 @@ func TestSyncUpdatesAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestAnnouncementsAllocateNothing: a connection's announcement and its
+// socket binding carry the four-tuple as a reference to the table record's
+// own key — immutable, and kept as long as the table — so announcing a
+// connection the table holds, and binding it from the application's task,
+// reach the backup without allocating: nothing is boxed per connection.
+func TestAnnouncementsAllocateNothing(t *testing.T) {
+	w := newSyncWorld(t)
+	defer w.sim.Shutdown()
+	announce := func() { w.prim.onEstablished(w.conn); w.deliver(t) }
+	announce()
+	if n := testing.AllocsPerRun(100, announce); n != 0 {
+		t.Errorf("an announcement allocates %.1f times, want 0", n)
+	}
+	bind := -1.0
+	w.prim.ns.Start("app", nil, func(th *replication.Thread) {
+		rebind := func() {
+			w.prim.bindConn(th, 7, w.conn)
+			th.Task().Sleep(10 * time.Microsecond) // the flushed bind crosses the ring
+			w.buf = w.ring.TryRecvBatchInto(w.buf[:0], 0)
+			for _, m := range w.buf {
+				w.sec.apply(m)
+			}
+		}
+		rebind()
+		bind = testing.AllocsPerRun(100, rebind)
+	})
+	if err := w.sim.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if bind != 0 {
+		t.Errorf("a binding allocates %.1f times, want 0", bind)
+	}
+	if got := w.sec.table.binds[7]; got != w.lc {
+		t.Errorf("binding of socket 7 on the backup = %+v, want the announced connection", got)
+	}
+}
+
 // TestBindOutlivesReap: the stack hands the application connections it has
 // already reaped (reset before the accept), and the primary forgets a sync id
 // at reap — so a binding names its connection by four-tuple and reaches the
