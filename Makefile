@@ -89,8 +89,8 @@ golden:
 # the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=2040 replication=2905 tcprep=1543 shm=1134
-LOC_KERNEL_CEILING := 714
+LOC_CEILINGS := core=2040 replication=2901 tcprep=1561 shm=1134
+LOC_KERNEL_CEILING := 870
 LOC_BENCH_CEILING := 2310
 
 loc:

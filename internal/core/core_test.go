@@ -620,35 +620,51 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 	}
 }
 
-// TestRingReceiversAreEvents is a census of the replication processes a
-// deployment switches in: a ring receiver that never computes is its ring's
-// receiver event, not a task. An N = 3 deployment at four det shards
-// switches in no ft-ack (the recorder's acks receivers) and no ft-replay
-// (sharded receipt); at one shard ft-replay, which pays the dispatch cost
-// between receives, is switched in, and ft-ack still is not.
-func TestRingReceiversAreEvents(t *testing.T) {
+// TestReplicationServersAreEvents is a census of the replication processes
+// a deployment switches in. A server that only receives or only computes is
+// an event chain, not a process: the recorder's acks receivers (ft-ack), the
+// backup's receipt and replay dispatch (ft-replay at one shard, the ft-grant
+// lanes at four) and its TCP-state maintainer (tcprep-sync). An N = 3
+// deployment serving a download at one and at four det shards switches none
+// of them in, while each backup replays the download's sections and applies
+// its sync updates.
+func TestReplicationServersAreEvents(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{1, 4} {
 		sys := quietSystem(t, 3, core.WithReplicaSet(3), core.WithDetShards(shards))
-		switches := make(map[string]int) // by task name, the kernel and tid stripped
+		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		switches := make(map[string]int) // by task name, the kernel, lane and tid stripped
 		sys.Sim.OnSwitch = func(_ sim.Time, proc string) {
 			name := proc[strings.Index(proc, "/")+1:]
-			switches[name[:strings.LastIndex(name, ".")]]++
+			switches[strings.TrimRight(name[:strings.LastIndex(name, ".")], ".0123456789")]++
 		}
-		sys.Run(core.App{Name: "locker", Main: lockMain(200)})
+		const total = 1 << 20
+		sys.Run(plainStream(total))
+		var got []byte
+		var doneAt sim.Time
+		download(t, client, 80, &got, &doneAt)
 		if err := sys.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}
+		if len(got) != total {
+			t.Fatalf("shards=%d: downloaded %d of %d bytes", shards, len(got), total)
+		}
 		for _, b := range sys.Backups() {
-			if st := b.NS.Stats(); st.Sections == 0 || st.Divergences != 0 {
-				t.Fatalf("shards=%d: slot %d replayed %d sections with %d divergences", shards, b.Slot(), st.Sections, st.Divergences)
+			if st := b.NS.Stats(); st.Sections == 0 || st.Divergences != 0 || b.TCPSync.Updates == 0 {
+				t.Fatalf("shards=%d: slot %d replayed %d sections with %d divergences and applied %d sync updates",
+					shards, b.Slot(), st.Sections, st.Divergences, b.TCPSync.Updates)
 			}
 		}
-		if n := switches["ft-ack"]; n != 0 {
-			t.Errorf("shards=%d: ft-ack switched in %d times, want never", shards, n)
+		for _, name := range []string{"ft-ack", "ft-replay", "ft-grant", "tcprep-sync"} {
+			if n := switches[name]; n != 0 {
+				t.Errorf("shards=%d: %s switched in %d times, want never", shards, name, n)
+			}
 		}
-		if n := switches["ft-replay"]; (n > 0) != (shards == 1) {
-			t.Errorf("shards=%d: ft-replay switched in %d times; want it a task at one shard only", shards, n)
+		if switches["wget"] == 0 {
+			t.Errorf("shards=%d: the census saw no switch at all: %v", shards, switches)
 		}
 	}
 }

@@ -98,7 +98,8 @@ type Kernel struct {
 	sc       *obs.Scope
 
 	nextTID   int
-	computeNS int64 // total core-time consumed, for utilization accounting
+	stackless []*Task // the stackless tasks, which no process group kills
+	computeNS int64   // total core-time consumed, for utilization accounting
 }
 
 // Config configures Boot.
@@ -204,6 +205,9 @@ func (k *Kernel) Panic(cause string, fault *hw.Fault) {
 	k.sc.EmitNote(obs.KernelPanic, 0, 0, 0, cause)
 	k.panicked = &PanicReason{Time: k.sim.Now(), Cause: cause, Fault: fault}
 	k.group.Kill()
+	for _, t := range k.stackless {
+		t.Kill()
+	}
 	for _, fn := range k.onPanic {
 		fn(*k.panicked)
 	}

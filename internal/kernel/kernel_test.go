@@ -450,12 +450,19 @@ func TestSyscallCost(t *testing.T) {
 	}
 }
 
-// TestKillAnywhereInComputeReleasesCore kills a computing task at every
-// 500 ns offset across everything Compute does — owing the dispatch penalty,
-// queued, in the context switch of a hand-off, mid-slice, preempted — alone
-// on idle cores and contended on one, and requires every core back on the
-// idle list once the survivors have drained the queue.
+// TestKillAnywhereInComputeReleasesCore kills a computing task — a process
+// in Compute, or a stackless task in ComputeThen — at every 500 ns offset
+// across everything a compute does — owing the dispatch penalty, queued, in
+// the context switch of a hand-off, mid-slice, preempted — alone on idle
+// cores and contended on one, and requires every core back on the idle list
+// once the survivors have drained the queue.
 func TestKillAnywhereInComputeReleasesCore(t *testing.T) {
+	for _, stackless := range []bool{false, true} {
+		killAnywhereInCompute(t, stackless)
+	}
+}
+
+func killAnywhereInCompute(t *testing.T, stackless bool) {
 	hit := map[string]int{} // where the kills landed
 	for _, contended := range []bool{false, true} {
 		cores, span := 2, 40*time.Microsecond
@@ -479,7 +486,12 @@ func TestKillAnywhereInComputeReleasesCore(t *testing.T) {
 					}
 				})
 			}
-			victim := k.Spawn("victim", func(tk *Task) { tk.Compute(35 * time.Microsecond) })
+			var victim *Task
+			if stackless {
+				victim = k.SpawnStackless("victim", func() { victim.ComputeThen(35*time.Microsecond, func() {}) })
+			} else {
+				victim = k.Spawn("victim", func(tk *Task) { tk.Compute(35 * time.Microsecond) })
+			}
 			s.Schedule(at, func() {
 				switch sl := &victim.slice; {
 				case victim.finished:
@@ -507,15 +519,15 @@ func TestKillAnywhereInComputeReleasesCore(t *testing.T) {
 				}
 			}
 			if k.IdleCores() != k.Cores() || k.Runnable() != 0 || running != 0 {
-				t.Errorf("contended=%v, killed at +%v: %d of %d cores idle, %d queued, %d slices running once everything finished",
-					contended, at, k.IdleCores(), k.Cores(), k.Runnable(), running)
+				t.Errorf("stackless=%v, contended=%v, killed at +%v: %d of %d cores idle, %d queued, %d slices running once everything finished",
+					stackless, contended, at, k.IdleCores(), k.Cores(), k.Runnable(), running)
 			}
 			s.Shutdown()
 		}
 	}
 	for _, where := range []string{"penalty", "queued", "hand-off", "slice", "preempted", "finished"} {
 		if hit[where] == 0 {
-			t.Errorf("no kill landed on a task that was %s: %v", where, hit)
+			t.Errorf("stackless=%v: no kill landed on a task that was %s: %v", stackless, where, hit)
 		}
 	}
 	t.Log(hit)

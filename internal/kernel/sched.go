@@ -12,7 +12,7 @@ import (
 // as a Linux thread sleeping in the kernel does.
 type Task struct {
 	kernel *Kernel
-	proc   *sim.Proc
+	proc   *sim.Proc // nil for a stackless task
 	tid    int
 	name   string
 
@@ -23,17 +23,35 @@ type Task struct {
 	// timeslice needs lives in the task and is reused slice after slice.
 	// core is the one record of which core the task holds, from the moment
 	// it leaves the idle list or a releasing task's hands until release
-	// (-1 otherwise). The task parks on wakeQ once per slice — queued for a
-	// core, owing the dispatch penalty (dispatch fires when it is paid and
-	// starts the slice) and computing (sliceTimer ends it) alike.
+	// (-1 otherwise). The task parks once per slice — queued for a core,
+	// owing the dispatch penalty (dispatch fires when it is paid and starts
+	// the slice) and computing (sliceTimer ends it) alike — and left is the
+	// CPU time the Compute in progress still needs.
 	core       int
 	wakeQ      sim.WaitQueue
 	slice      runSlice
+	left       time.Duration
 	dispatch   sim.Event
 	sliceTimer sim.Event
 
 	wait Waiter // the task's wait record, see Task.Waiter
+
+	// A stackless task (SpawnStackless) has no process: its code is a chain
+	// of continuations, and resume runs the next one. resume is armed where
+	// the process would be made runnable, so it draws the sequence number
+	// the process's resume did. parked is set while the task waits — for
+	// the end of a slice while left > 0, else for work — until then.
+	resume sim.Event
+	then   func() // the continuation resume runs next
+	parked bool
+	src    Source // the source resume is installed on while the task waits there
+	killed bool
 }
+
+// Source is what a stackless task waits on for work (WaitThen): it arms the
+// event it is given where it would wake a parked receiver, and nil detaches
+// it. A shared-memory ring (shm.Ring) is one.
+type Source interface{ OnReceive(e *sim.Event) }
 
 // scheduler multiplexes tasks over the kernel's cores.
 type scheduler struct {
@@ -74,25 +92,45 @@ func newScheduler(k *Kernel, ncores int) *scheduler {
 	return s
 }
 
-// Spawn starts fn as a new kernel task. The task dies with the kernel.
-func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
+func (k *Kernel) newTask(name string) *Task {
 	k.nextTID++
-	t := &Task{
-		kernel: k,
-		tid:    k.nextTID,
-		name:   name,
-		core:   -1,
-	}
+	t := &Task{kernel: k, tid: k.nextTID, name: name, core: -1}
 	t.dispatch.Init(k.sim, t.startSlice)
 	t.sliceTimer.Init(k.sim, t.sliceExpired)
+	return t
+}
+
+// Spawn starts fn as a new kernel task. The task dies with the kernel.
+func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
+	t := k.newTask(name)
 	t.proc = k.group.Spawn(fmt.Sprintf("%s/%s.%d", k.name, name, t.tid), func(p *sim.Proc) {
-		defer func() {
-			t.finished = true
-			t.doneQ.WakeAll(0)
-		}()
+		defer t.finish()
 		fn(t)
 	})
 	return t
+}
+
+// SpawnStackless starts a task with no process of its own: start, its first
+// continuation, runs as an event callback where a spawned task would first
+// run. A continuation ends by asking for the next one — ComputeThen,
+// ParkThen or WaitThen — or returns without, and the task has finished. A
+// stackless task never switches a process in, and every sequence number it
+// draws is the one the process it replaces would have drawn, at the same
+// point: it computes on the scheduler's cores through the same acquire,
+// dispatch, sliceTimer and release. Only those three calls block it: it
+// cannot Sleep, Busy or Join. The task dies with the kernel.
+func (k *Kernel) SpawnStackless(name string, start func()) *Task {
+	t := k.newTask(name)
+	t.resume.Init(k.sim, t.run)
+	t.then, t.killed = start, !k.alive
+	k.stackless = append(k.stackless, t)
+	t.resume.Reset(0) // the spawned process's first resume
+	return t
+}
+
+func (t *Task) finish() {
+	t.finished = true
+	t.doneQ.WakeAll(0)
 }
 
 // Kernel returns the kernel the task runs on.
@@ -104,7 +142,7 @@ func (t *Task) TID() int { return t.tid }
 // Name returns the task's name.
 func (t *Task) Name() string { return t.name }
 
-// Proc returns the underlying simulated process.
+// Proc returns the underlying simulated process, nil for a stackless task.
 func (t *Task) Proc() *sim.Proc { return t.proc }
 
 // Now returns the current virtual time.
@@ -113,8 +151,30 @@ func (t *Task) Now() sim.Time { return t.kernel.sim.Now() }
 // Finished reports whether the task function has returned.
 func (t *Task) Finished() bool { return t.finished }
 
-// Kill terminates the task at its next block point.
-func (t *Task) Kill() { t.proc.Kill() }
+// Computing reports whether the task is inside Compute or ComputeThen.
+func (t *Task) Computing() bool { return t.left > 0 && !t.finished }
+
+// gone reports whether the task has finished or been killed.
+func (t *Task) gone() bool { return t.finished || t.killed || t.proc != nil && t.proc.Killed() }
+
+// Kill terminates the task at its next block point. A stackless task parked
+// with no resume pending gets one now, as a parked process does, and gives
+// back its core from there.
+func (t *Task) Kill() {
+	if t.proc != nil {
+		t.proc.Kill()
+		return
+	}
+	if t.gone() {
+		return
+	}
+	t.killed = true
+	if t.parked && !t.resume.Armed() {
+		t.detach()
+		t.parked = false
+		t.resume.Reset(0)
+	}
+}
 
 // Join blocks the calling task until t finishes.
 func (t *Task) Join(caller *Task) {
@@ -149,44 +209,136 @@ func (t *Task) Compute(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s := t.kernel.sched
 	defer func() {
 		if r := recover(); r != nil {
 			// The task was killed somewhere in Compute — owing the dispatch
 			// penalty, mid-slice, mid-hand-off: free what it holds as we
 			// unwind.
-			t.dispatch.Cancel()
-			if t.core >= 0 {
-				s.release(t)
-			}
+			t.dropCore()
 			panic(r)
 		}
 	}()
-	for batch := false; ; {
-		q := d
-		if q > t.kernel.params.Quantum {
-			q = t.kernel.params.Quantum
-		}
-		t.slice = runSlice{t: t, q: q, batch: batch}
-		if t.core >= 0 {
-			t.startSlice() // uncontended: the next slice follows on the same core
-		} else {
-			s.acquire(t, !batch)
-		}
+	for t.beginCompute(d); ; {
 		t.wakeQ.Wait(t.proc)
-		// A batch slice ends early when a freshly woken task preempts it.
-		elapsed := t.Now().Sub(t.slice.start)
-		t.kernel.computeNS += int64(elapsed)
-		if d -= elapsed; d <= 0 {
-			break
-		}
-		if s.queued() > 0 {
-			// Contended (or preempted): yield the core and requeue as batch.
-			s.release(t)
-			batch = true
+		if t.sliceEnded() {
+			return
 		}
 	}
-	s.release(t)
+}
+
+func (t *Task) beginCompute(d time.Duration) {
+	t.left = d
+	t.nextSlice(false)
+}
+
+func (t *Task) nextSlice(batch bool) {
+	t.slice = runSlice{t: t, q: min(t.left, t.kernel.params.Quantum), batch: batch}
+	if t.core >= 0 {
+		t.startSlice() // uncontended: the next slice follows on the same core
+	} else {
+		t.kernel.sched.acquire(t, !batch)
+	}
+}
+
+// sliceEnded accounts the slice that just ended and reports whether the
+// Compute is done, its core released. If not, the next slice is under way:
+// on the same core if no one waits for it, else the task yields the core
+// and requeues as batch.
+func (t *Task) sliceEnded() bool {
+	s := t.kernel.sched
+	// A batch slice ends early when a freshly woken task preempts it.
+	elapsed := t.Now().Sub(t.slice.start)
+	t.kernel.computeNS += int64(elapsed)
+	if t.left -= elapsed; t.left <= 0 {
+		s.release(t)
+		return true
+	}
+	batch := t.slice.batch
+	if s.queued() > 0 {
+		s.release(t)
+		batch = true
+	}
+	t.nextSlice(batch)
+	return false
+}
+
+// dropCore frees what a task killed inside Compute holds.
+func (t *Task) dropCore() {
+	t.dispatch.Cancel()
+	if t.core >= 0 {
+		t.kernel.sched.release(t)
+	}
+}
+
+// wake ends the task's wait for the end of its slice after delay: the
+// parked process is woken, a stackless task's resume armed.
+func (t *Task) wake(delay time.Duration) {
+	if t.proc != nil {
+		t.wakeQ.WakeOne(delay)
+	} else if t.parked {
+		t.parked = false
+		t.resume.Reset(delay)
+	}
+}
+
+// ComputeThen is a stackless task's Compute: it consumes d of CPU time the
+// same way, then runs k — at once if d is not positive.
+func (t *Task) ComputeThen(d time.Duration, k func()) {
+	if d <= 0 {
+		k()
+		return
+	}
+	t.then, t.parked = k, true
+	t.beginCompute(d)
+}
+
+// ParkThen parks a stackless task until Wake, then runs k.
+func (t *Task) ParkThen(k func()) { t.then, t.parked = k, true }
+
+// Wake ends a stackless task's ParkThen, as WakeAll(0) on a queue only it
+// waits on would. A task not parked there is unaffected.
+func (t *Task) Wake() {
+	if t.parked && t.left <= 0 && t.src == nil {
+		t.parked = false
+		t.resume.Reset(0)
+	}
+}
+
+// WaitThen parks a stackless task until src delivers, then runs k: src arms
+// the task's resume where it would wake a parked receiver, and only while
+// the task waits there.
+func (t *Task) WaitThen(src Source, k func()) {
+	t.then, t.parked, t.src = k, true, src
+	src.OnReceive(&t.resume)
+}
+
+func (t *Task) detach() {
+	if t.src != nil {
+		t.src.OnReceive(nil)
+		t.src = nil
+	}
+}
+
+// run is a stackless task's resume: what the process would do once switched
+// back in. A killed task unwinds, one in Compute finishes its slice, and
+// then the continuations run until one parks the task.
+func (t *Task) run() {
+	t.detach()
+	t.parked = false
+	if t.killed {
+		t.dropCore()
+		t.finish()
+		return
+	}
+	if t.left > 0 && !t.sliceEnded() {
+		t.parked = true
+		return
+	}
+	k := t.then
+	t.then = nil
+	if k(); t.then == nil {
+		t.finish()
+	}
 }
 
 // startSlice begins the task's timeslice on the core it holds: called
@@ -204,7 +356,7 @@ func (t *Task) sliceExpired() {
 		return
 	}
 	t.slice.finished = true
-	t.wakeQ.WakeOne(0)
+	t.wake(0)
 }
 
 // preemptBatch interrupts the longest-running batch slice, if any — the
@@ -222,7 +374,7 @@ func (s *scheduler) preemptBatch() {
 	victim.preempted = true
 	victim.finished = true
 	victim.t.sliceTimer.Cancel()
-	victim.t.wakeQ.WakeOne(s.k.params.ContextSwitch)
+	victim.t.wake(s.k.params.ContextSwitch)
 }
 
 func (s *scheduler) queued() int {
@@ -300,7 +452,7 @@ func (s *scheduler) release(t *Task) {
 			next = s.runq[s.runHead]
 			s.runq, s.runHead = sim.PopFront(s.runq, s.runHead)
 		}
-		if next.proc.Killed() || next.finished {
+		if next.gone() {
 			continue
 		}
 		next.core = core

@@ -31,6 +31,17 @@ func (ns *Namespace) PlantDivergence() { ns.rep.diverge("planted") }
 // is armed: a delivery has landed that it has not drained yet.
 func (ns *Namespace) ReceiverArmed() bool { return ns.rep.logRx.Armed() }
 
+// LaneDispatching reports whether a lane's worker is paying the dispatch
+// cost of its head message.
+func (ns *Namespace) LaneDispatching() bool {
+	for _, ln := range ns.rep.lanes {
+		if ln.owner.Computing() {
+			return true
+		}
+	}
+	return false
+}
+
 // ReplayWindowBase returns the log index the backup's retained window
 // starts at: the Sent of the last epoch marker it truncated at.
 func (ns *Namespace) ReplayWindowBase() uint64 { return ns.rep.hist.base }

@@ -27,11 +27,13 @@ type headSub struct {
 
 // lane is one dispatch queue on the secondary: receipt routes messages
 // here in ring order and the lane's owner pays the per-message
-// dispatch cost — in parallel across lanes. q[head:] is queued.
+// dispatch cost — in parallel across lanes. q[head:] is queued. The owner
+// is a stackless task, its two continuations stored once (see dispatch).
 type lane struct {
-	q    []shm.Message
-	head int
-	wq   sim.WaitQueue
+	q                []shm.Message
+	head             int
+	owner            *kernel.Task
+	dispatchK, paidK func()
 }
 
 func (ln *lane) len() int { return len(ln.q) - ln.head }
@@ -67,7 +69,6 @@ type Replayer struct {
 	frontier   uint64          // Lamport replay head: every GlobalSeq < frontier is replayed
 	ahead      map[uint64]bool // replayed GlobalSeqs at or past the frontier
 	lanes      []*lane
-	tasks      []*kernel.Task // the pull task with one shard, else the lane owners
 
 	// objDone is keyed by the real sequencing object whatever the domain:
 	// the per-object cursor vector checkpoints compare and forks continue
@@ -136,20 +137,22 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 	}
 	// Lane ownership: with more than one shard each lane gets a grant task
 	// and receipt is the log ring's receiver event; with one, the pull task
-	// drains lane 0 itself (see pullLoop).
+	// receives and drains lane 0 itself (see dispatch).
 	if r.cfg.DetShards > 1 {
 		receive(k, log, &r.logRx, func() {
 			for log.Len() > 0 {
 				r.receipt(log.TryRecvBatchInto(r.recvBuf[:0], r.cfg.BatchTuples))
 			}
 		})
-		for i, ln := range r.lanes {
-			ln := ln
-			r.tasks = append(r.tasks,
-				k.Spawn(fmt.Sprintf("ft-grant.%d", i), func(t *kernel.Task) { r.grantLoop(t, ln) }))
+	}
+	for i, ln := range r.lanes {
+		ln.dispatchK = func() { r.dispatch(ln) }
+		ln.paidK = func() { r.deliver(ln); r.dispatch(ln) }
+		name := "ft-replay"
+		if r.cfg.DetShards > 1 {
+			name = fmt.Sprintf("ft-grant.%d", i)
 		}
-	} else {
-		r.tasks = append(r.tasks, k.Spawn("ft-replay", r.pullLoop))
+		ln.owner = k.SpawnStackless(name, ln.dispatchK)
 	}
 	return r
 }
@@ -177,19 +180,6 @@ func (r *Replayer) dom(key uint64) *domain {
 
 // head is the scalar replay watermark, the Lamport frontier.
 func (r *Replayer) head() uint64 { return r.frontier }
-
-// pullLoop is the one-shard receive path: it owns lane 0 and drains it
-// before its next RecvBatch, so receipt waits for dispatch, the log ring
-// backpressures the primary, and the per-tuple cost (riding
-// wake_up_process to hand turns to shadow threads) bounds the secondary's
-// replay rate — the §4.1 serial-dispatch bottleneck. With more shards the
-// grant tasks pay it concurrently, lifting that ceiling by the shard count.
-func (r *Replayer) pullLoop(t *kernel.Task) {
-	for {
-		r.receipt(r.log.RecvBatchInto(t.Proc(), r.recvBuf[:0], r.cfg.BatchTuples))
-		r.dispatch(t, r.lanes[0])
-	}
-}
 
 // receipt acknowledges one received batch and routes each message to its
 // lane WITHOUT paying the dispatch cost — the lane owners pay it.
@@ -260,31 +250,35 @@ func (r *Replayer) route(m shm.Message) {
 
 func (r *Replayer) enqueue(ln *lane, m shm.Message) {
 	ln.q = append(ln.q, m)
-	ln.wq.WakeAll(0)
+	ln.owner.Wake()
 }
 
-// grantLoop is one lane's dispatch task. Lanes progress independently —
-// the replay-side analogue of the recorder's sharded det locks.
-func (r *Replayer) grantLoop(t *kernel.Task, ln *lane) {
-	for {
-		for ln.len() == 0 {
-			ln.wq.Wait(t.Proc())
+// dispatch is a lane owner's loop: it pays the per-message dispatch cost
+// for the lane's head BEFORE delivering (popping) it in paidK — if promotion
+// kills the owner mid-dispatch, the message is still queued and the
+// promotion drain delivers it; popping first would lose a message this
+// replica already acknowledged (§3.5). Lanes progress independently, the
+// replay-side analogue of the recorder's sharded det locks; a grant task
+// with an empty lane parks until receipt routes it a message. At one shard
+// the pull task drains lane 0 before it receives again, so receipt waits
+// for dispatch, the log ring backpressures the primary, and the per-tuple
+// cost (riding wake_up_process to hand turns to shadow threads) bounds the
+// secondary's replay rate — the §4.1 serial-dispatch bottleneck. More
+// shards pay it concurrently, lifting that ceiling by the shard count.
+func (r *Replayer) dispatch(ln *lane) {
+	for ln.len() == 0 {
+		if r.cfg.DetShards > 1 {
+			ln.owner.ParkThen(ln.dispatchK)
+			return
 		}
-		r.dispatch(t, ln)
+		batch := r.log.TryRecvBatchInto(r.recvBuf[:0], r.cfg.BatchTuples)
+		if len(batch) == 0 {
+			ln.owner.WaitThen(r.log, ln.dispatchK)
+			return
+		}
+		r.receipt(batch)
 	}
-}
-
-// dispatch drains one lane, paying the per-message dispatch cost BEFORE
-// popping: if promotion kills the calling task mid-dispatch, the message
-// is still queued and the promotion drain delivers it — popping first
-// would lose a message this replica already acknowledged (§3.5). The
-// caller is the lane's only consumer, so the head cannot change across
-// the yield.
-func (r *Replayer) dispatch(t *kernel.Task, ln *lane) {
-	for ln.len() > 0 {
-		t.Compute(r.cfg.ReplayDispatchCost)
-		r.deliver(ln)
-	}
+	ln.owner.ComputeThen(r.cfg.ReplayDispatchCost, ln.paidK)
 }
 
 // deliver pops one lane's head message and applies it: the environment
@@ -656,9 +650,11 @@ func (r *Replayer) Promote() {
 		return
 	}
 	r.primaryDead = true
-	r.log.OnReceive(nil)
-	for _, t := range r.tasks {
-		t.Kill()
+	if r.cfg.DetShards > 1 {
+		r.log.OnReceive(nil) // receipt; at one shard the pull task detaches itself
+	}
+	for _, ln := range r.lanes {
+		ln.owner.Kill()
 	}
 	// Epoch verifications still armed are moot — the primary that cut
 	// them is dead — and their grant barriers would wedge the

@@ -515,16 +515,19 @@ func TestPromotionAfterPrimaryDeath(t *testing.T) {
 // the primary may already have released output that depends on them. One
 // row promotes at the instant a log transfer lands, after the delivery has
 // armed the receiver and before it fires: what it would have received is
-// the promotion's to drain.
+// the promotion's to drain; another does so at a delivery that finds a
+// grant lane's worker paying for its head, which the promotion delivers.
 func TestPromotionReplaysAcknowledgedTail(t *testing.T) {
 	for _, row := range []struct {
-		name      string
-		shards    int
-		atArrival bool
+		name        string
+		shards      int
+		atArrival   bool
+		midDispatch bool
 	}{
-		{"one shard", 1, false},
-		{"four shards", 4, false},
-		{"four shards, receiver armed", 4, true},
+		{"one shard", 1, false, false},
+		{"four shards", 4, false, false},
+		{"four shards, receiver armed", 4, true, false},
+		{"four shards, receiver armed, lane worker mid-dispatch", 4, true, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := replication.DefaultConfig()
@@ -534,9 +537,10 @@ func TestPromotionReplaysAcknowledgedTail(t *testing.T) {
 			d.pns.Start("app", nil, lockCounterApp(&pCount, 4, 200))
 			d.sns.Start("app", nil, lockCounterApp(&sCount, 4, 200))
 			var want, headAtKill uint64
-			armed, promoted := false, false
+			armed, promoted, dispatching := false, false, false
 			promote := func() {
 				promoted = true
+				dispatching = d.sns.LaneDispatching()
 				d.pk.Panic("injected failure", nil)
 				// Received plus delivered-but-unpulled messages, less the env one.
 				want = d.sns.Processed() + uint64(d.log.Len()) - 1
@@ -549,7 +553,8 @@ func TestPromotionReplaysAcknowledgedTail(t *testing.T) {
 				// callback scheduled from one runs ahead of its firing. At
 				// four shards the primary's last transfer lands near 12ms.
 				d.log.OnDelivered(func() {
-					if !promoted && d.sim.Now() >= sim.Time(6*time.Millisecond) && !d.sns.ReceiverArmed() {
+					if !promoted && d.sim.Now() >= sim.Time(6*time.Millisecond) && !d.sns.ReceiverArmed() &&
+						(!row.midDispatch || d.sns.LaneDispatching()) {
 						promoted = true
 						d.sim.Schedule(0, promote)
 					}
@@ -565,6 +570,9 @@ func TestPromotionReplaysAcknowledgedTail(t *testing.T) {
 			}
 			if armed != row.atArrival {
 				t.Fatalf("receiver armed at the promotion: %v, want %v", armed, row.atArrival)
+			}
+			if row.midDispatch && !dispatching {
+				t.Fatal("no lane worker was paying for its head at the promotion")
 			}
 			if got := d.sns.Stats().Sections; got != want {
 				t.Errorf("replayed %d sections, want all %d tuples received or left in the ring", got, want)

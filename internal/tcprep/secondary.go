@@ -16,12 +16,18 @@ type Secondary struct {
 	kern *kernel.Kernel
 	sync *shm.Ring
 
-	table    *ConnTable
-	bySync   map[uint64]*LogicalConn // the primary's sync ids, as announced or seeded
-	recvBuf  []shm.Message           // the pull task's receive buffer, reused batch after batch
-	bindQ    sim.WaitQueue
-	puller   *kernel.Task
-	promoted bool
+	table  *ConnTable
+	bySync map[uint64]*LogicalConn // the primary's sync ids, as announced or seeded
+	bindQ  sim.WaitQueue
+
+	// The puller is a stackless task (pull). q[head:] are the updates it
+	// took off the ring and has not applied: it pays for the head before
+	// popping it, so a promotion that stops it mid-batch applies them.
+	puller       *kernel.Task
+	pullK, paidK func()
+	q            []shm.Message
+	head         int
+	promoted     bool
 
 	// Stats.
 	DataBytes int64 // input bytes synced
@@ -64,7 +70,8 @@ func (s *Secondary) StartPull() {
 	if s.puller != nil || s.promoted {
 		return
 	}
-	s.puller = s.kern.Spawn("tcprep-sync", s.pullLoop)
+	s.pullK, s.paidK = s.pull, s.paid
+	s.puller = s.kern.SpawnStackless("tcprep-sync", s.pullK)
 }
 
 // Conns reports the number of connection records held, one per incarnation.
@@ -74,18 +81,29 @@ func (s *Secondary) Conns() int { return len(s.table.conns) }
 // to the detached primary that keeps recording (PrimaryConfig.History).
 func (s *Secondary) Table() *ConnTable { return s.table }
 
-func (s *Secondary) pullLoop(t *kernel.Task) {
-	for {
-		batch := s.sync.RecvBatchInto(t.Proc(), s.recvBuf[:0], 0)
-		s.recvBuf = batch
-		if len(batch) > 1 {
+// pull is the puller's loop: it takes every delivered update off the ring
+// at once, pays syncCost for each in turn and applies it (paid), and waits
+// for the ring when it has applied them all.
+func (s *Secondary) pull() {
+	if s.head == len(s.q) {
+		if s.q = s.sync.TryRecvBatchInto(s.q[:0], 0); len(s.q) == 0 {
+			s.puller.WaitThen(s.sync, s.pullK)
+			return
+		}
+		if len(s.q) > 1 {
 			s.Batches++
 		}
-		for _, m := range batch {
-			t.Compute(syncCost)
-			s.apply(m)
-		}
 	}
+	s.puller.ComputeThen(syncCost, s.paidK)
+}
+
+// paid applies the update the puller has paid for, the oldest it took off
+// the ring, and pulls on.
+func (s *Secondary) paid() {
+	m := s.q[s.head]
+	s.q, s.head = sim.PopFront(s.q, s.head)
+	s.apply(m)
+	s.pull()
 }
 
 // apply resolves an update's connection and applies it to the table, then
@@ -184,7 +202,7 @@ func (s *Secondary) Promote(stack *tcpstack.Stack) ([]*tcpstack.Conn, error) {
 	if s.puller != nil {
 		s.puller.Kill()
 	}
-	for _, m := range s.sync.Drain() {
+	for _, m := range append(s.q[s.head:], s.sync.Drain()...) {
 		s.apply(m)
 	}
 	var restored []*tcpstack.Conn

@@ -304,3 +304,56 @@ func BenchmarkSyncUpdate(b *testing.B) {
 		w.forget()
 	}
 }
+
+// TestPromoteMidBatchAppliesEveryUpdate: one sync batch — a connection's
+// announcement, then two data-in updates of three bytes — lands on a
+// backup whose puller pays syncCost per update before applying it, and the
+// backup is promoted 40 µs later, when the puller has applied one and is
+// paying for the second. The two it took off the ring and had not applied
+// are the promotion's to apply: all six input bytes reach the restored
+// connection.
+func TestPromoteMidBatchAppliesEveryUpdate(t *testing.T) {
+	s := sim.New(1)
+	part, err := hw.New(s, hw.Opteron6376x4()).NewPartition("secondary", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := kernel.Boot(part, kernel.Config{Name: "secondary", Params: kernel.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, 1<<20)
+	sec := NewSecondary(sk, ring, SecondaryConfig{})
+	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 40000}
+	meta := syncMessage(syncConnMeta, connMetaBytes, 1, 1000, 2000)
+	meta.Ref = &key
+	batch := []shm.Message{meta}
+	for _, in := range []string{"abc", "def"} {
+		m := syncMessage(syncDataIn, dataInBytes+len(in), 1, 0, 0)
+		m.Data = []byte(in)
+		batch = append(batch, m)
+	}
+	if !ring.TrySendBatch(batch) {
+		t.Fatal("ring refused the batch")
+	}
+	var restored []*tcpstack.Conn
+	ring.OnDelivered(func() {
+		s.Schedule(40*time.Microsecond, func() {
+			if sec.Updates != 1 {
+				t.Errorf("promoted after %d updates applied, want 1: the promotion must land mid-batch", sec.Updates)
+			}
+			if restored, err = sec.Promote(tcpstack.New(sk, "server", tcpstack.DefaultParams())); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err := s.RunUntil(sim.Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if sec.Updates != 3 || sec.DataBytes != 6 || len(restored) != 1 {
+		t.Fatalf("promotion applied %d of 3 updates and %d of 6 input bytes, restored %d connections", sec.Updates, sec.DataBytes, len(restored))
+	}
+	if in := sec.table.byKey[key].in.Bytes(); string(in) != "abcdef" {
+		t.Errorf("restored connection's input %q, want %q", in, "abcdef")
+	}
+}
