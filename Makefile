@@ -49,10 +49,10 @@ bench-tcpstack:
 # of a send that finds the ring full, and of an outbox add → merge → flush →
 # receive cycle through its spill server (bench-shm); of a recorded section, a
 # replayed one and the two with the ring between them, and of a tcprep sync
-# update (bench-replication). Everything reads 0 allocs/op but the sync
-# update's 1 — the payload copy; the counts are pinned by
-# TestRingCycleAllocatesNothing, TestBlockedSendAllocatesNothing,
-# TestSectionsAllocateNothing and TestSyncUpdatesAllocateNothing.
+# update (bench-replication). Everything reads 0 allocs/op; the counts are
+# pinned by TestRingCycleAllocatesNothing, TestBlockedSendAllocatesNothing,
+# TestGrowingBacklogAllocatesPerChunk, TestSectionsAllocateNothing and
+# TestSyncUpdatesAllocateNothing.
 bench-shm:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/shm
 
@@ -89,7 +89,7 @@ golden:
 # the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=2040 replication=2901 tcprep=1561 shm=1134
+LOC_CEILINGS := core=2040 replication=2896 tcprep=1559 shm=1131
 LOC_KERNEL_CEILING := 870
 LOC_BENCH_CEILING := 2310
 

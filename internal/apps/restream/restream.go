@@ -34,12 +34,29 @@ type Config struct {
 // the same function a verifying client uses. Matching content across
 // replicas is what makes a replica's regenerated output buffer valid for
 // retransmission after failover.
+//
+// Byte x of the stream is byte(x*31 + x>>8 + x>>16). Writing x = a + 256q
+// with a < 256, that is byte(a*31 + k) with k = byte(q + q>>8): every
+// 256-byte-aligned run of the stream is one of 256 periods, copied here from
+// a table instead of computed byte by byte.
 func Fill(b []byte, off int) {
-	for i := range b {
-		x := off + i
-		b[i] = byte(x*31 + (x >> 8) + (x >> 16))
+	for len(b) > 0 {
+		q := off >> 8
+		n := copy(b, periods[byte(q+q>>8)][off&255:])
+		b, off = b[n:], off+n
 	}
 }
+
+// periods[k] is the stream period byte(a*31 + k), a = 0..255. It is computed
+// once and never written.
+var periods = func() (p [256][256]byte) {
+	for k := range p {
+		for a := range p[k] {
+			p[k][a] = byte(a*31 + k)
+		}
+	}
+	return p
+}()
 
 // Server is one replica's instance. The zero state (fresh boot) listens,
 // accepts one connection, streams Total bytes, and closes; a restored

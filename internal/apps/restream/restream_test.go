@@ -2,6 +2,7 @@ package restream_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -128,5 +129,49 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		fresh.Off() != 0 || fresh.Done() || fresh.Dirtied() != 0 {
 		t.Errorf("Restore(nil) moved a fresh server: off=%d done=%v dirtied=%d",
 			fresh.Off(), fresh.Done(), fresh.Dirtied())
+	}
+}
+
+// TestFillMatchesFormula compares Fill, which copies from a table of stream
+// periods, with the stream's per-byte formula over random ranges: offsets
+// and lengths straddling 256-byte periods and 64 KiB rows, and offsets far
+// into a multi-GiB stream.
+func TestFillMatchesFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 3<<16)
+	for i := 0; i < 2000; i++ {
+		var off int
+		switch i % 4 {
+		case 0:
+			off = rng.Intn(1 << 20)
+		case 1:
+			off = rng.Intn(1<<16)<<8 + 256 - rng.Intn(8) // just before a period boundary
+		case 2:
+			off = rng.Intn(1<<16)<<16 - rng.Intn(300) // just before a row of 256 periods
+		default:
+			off = rng.Intn(1 << 34)
+		}
+		off = max(off, 0)
+		n := rng.Intn(len(buf) + 1)
+		if i%3 == 0 {
+			n = rng.Intn(600)
+		}
+		b := buf[:n]
+		restream.Fill(b, off)
+		for j, got := range b {
+			x := off + j
+			if want := byte(x*31 + (x >> 8) + (x >> 16)); got != want {
+				t.Fatalf("Fill(%d bytes at %d): byte %d is %d, want %d", n, off, x, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkFill fills 256 KiB of stream at an unaligned offset.
+func BenchmarkFill(b *testing.B) {
+	buf := make([]byte, 256<<10)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		restream.Fill(buf, i*len(buf)+77)
 	}
 }

@@ -212,18 +212,24 @@ func TestAcceptAfterClientReset(t *testing.T) {
 
 func checkPattern(t *testing.T, got []byte) {
 	t.Helper()
-	want := make([]byte, len(got))
-	restream.Fill(want, 0)
-	if !bytes.Equal(got, want) {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("stream corrupted at offset %d (%d vs %d)", i, got[i], want[i])
+	want := make([]byte, 64<<10)
+	for off := 0; off < len(got); off += len(want) {
+		g := got[off:min(off+len(want), len(got))]
+		w := want[:len(g)]
+		restream.Fill(w, off)
+		if bytes.Equal(g, w) {
+			continue
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("stream corrupted at offset %d (%d vs %d)", off+i, g[i], w[i])
 			}
 		}
 	}
 }
 
-// download pulls the whole stream, returning the bytes and per-recv times.
+// download pulls the whole stream into *got, which the caller sizes for it,
+// and records when it ended.
 func download(t *testing.T, client *core.Client, port int, got *[]byte, doneAt *sim.Time) {
 	client.Kernel.Spawn("wget", func(tk *kernel.Task) {
 		c, err := client.Stack.Connect(tk, client.ServerAddr(port))
@@ -257,7 +263,7 @@ func TestFailoverTransparentToClient(t *testing.T) {
 	const total = 64 << 20 // 64 MiB ~= 0.6s on the wire at 1 Gb/s
 	sys.Run(plainStream(total))
 
-	var got []byte
+	got := make([]byte, 0, total)
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
 
@@ -304,7 +310,7 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 	}
 	const total = 16 << 20
 	sys.Run(plainStream(total))
-	var got []byte
+	got := make([]byte, 0, total)
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
 	sys.InjectPrimaryFailure(100*time.Millisecond, hw.CoherencyLoss)
@@ -326,7 +332,7 @@ func TestSecondaryFailurePrimaryContinues(t *testing.T) {
 	}
 	const total = 8 << 20
 	sys.Run(plainStream(total))
-	var got []byte
+	got := make([]byte, 0, total)
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
 	// Kill the SECONDARY mid-transfer.
@@ -601,7 +607,7 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 		}
 		const total = 16 << 20
 		sys.Run(plainStream(total))
-		var got []byte
+		got := make([]byte, 0, total)
 		var doneAt sim.Time
 		download(t, client, 80, &got, &doneAt)
 		failAt := time.Duration(10+sys.Sim.Rand().Intn(200)) * time.Millisecond
@@ -643,7 +649,7 @@ func TestReplicationServersAreEvents(t *testing.T) {
 		}
 		const total = 1 << 20
 		sys.Run(plainStream(total))
-		var got []byte
+		got := make([]byte, 0, total)
 		var doneAt sim.Time
 		download(t, client, 80, &got, &doneAt)
 		if err := sys.Sim.Run(); err != nil {

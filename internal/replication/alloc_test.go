@@ -17,7 +17,8 @@ import (
 // recorded and replayed sections. The applications pace themselves below
 // the secondary's dispatch rate: with more than one det shard nothing else
 // bounds the replay backlog, and with one the backlog waits in the log
-// ring's delivered buffer — a queue that grows forever reallocates forever.
+// ring's delivered buffer — a queue that grows forever allocates a chunk
+// per 512 messages forever.
 func TestSectionsAllocateNothing(t *testing.T) {
 	spin := func(th *replication.Thread) { th.Task().Compute(250 * time.Microsecond) }
 	cases := map[string]func(root *replication.Thread){

@@ -27,25 +27,21 @@ type headSub struct {
 
 // lane is one dispatch queue on the secondary: receipt routes messages
 // here in ring order and the lane's owner pays the per-message
-// dispatch cost — in parallel across lanes. q[head:] is queued. The owner
-// is a stackless task, its two continuations stored once (see dispatch).
+// dispatch cost — in parallel across lanes. q is queued. The owner is a
+// stackless task, its two continuations stored once (see dispatch).
 type lane struct {
-	q                []shm.Message
-	head             int
+	q                sim.Log[shm.Message]
 	owner            *kernel.Task
 	dispatchK, paidK func()
 }
 
-func (ln *lane) len() int { return len(ln.q) - ln.head }
-
 // domain is one sequencing domain's row of the grant table.
 type domain struct {
 	key     uint64
-	seen    uint64  // next domain seq expected off the ring (duplicate filter, gap check)
-	q       []Tuple // q[head:] arrived and not yet replayed
-	head    int
-	granted bool // a granted section of this domain is executing
-	known   bool // entered in the rescan order
+	seen    uint64         // next domain seq expected off the ring (duplicate filter, gap check)
+	q       sim.Log[Tuple] // arrived and not yet replayed
+	granted bool           // a granted section of this domain is executing
+	known   bool           // entered in the rescan order
 }
 
 // Replayer is the secondary-side engine: it pulls the primary's log off the
@@ -249,7 +245,7 @@ func (r *Replayer) route(m shm.Message) {
 }
 
 func (r *Replayer) enqueue(ln *lane, m shm.Message) {
-	ln.q = append(ln.q, m)
+	ln.q.Append(m)
 	ln.owner.Wake()
 }
 
@@ -266,7 +262,7 @@ func (r *Replayer) enqueue(ln *lane, m shm.Message) {
 // secondary's replay rate — the §4.1 serial-dispatch bottleneck. More
 // shards pay it concurrently, lifting that ceiling by the shard count.
 func (r *Replayer) dispatch(ln *lane) {
-	for ln.len() == 0 {
+	for ln.q.Len() == 0 {
 		if r.cfg.DetShards > 1 {
 			ln.owner.ParkThen(ln.dispatchK)
 			return
@@ -284,8 +280,7 @@ func (r *Replayer) dispatch(ln *lane) {
 // deliver pops one lane's head message and applies it: the environment
 // becomes visible to the application, a tuple enters the grant table.
 func (r *Replayer) deliver(ln *lane) {
-	m := ln.q[ln.head]
-	ln.q, ln.head = sim.PopFront(ln.q, ln.head)
+	m := ln.q.PopFront()
 	switch m.Kind {
 	case msgEnv:
 		r.env, _ = m.Ref.(map[string]string)
@@ -296,7 +291,7 @@ func (r *Replayer) deliver(ln *lane) {
 		key, _ := r.domain(tu)
 		d := r.dom(key)
 		r.track(d)
-		d.q = append(d.q, tu)
+		d.q.Append(tu)
 		r.unreplayed++
 		r.tryGrant(d)
 	}
@@ -482,10 +477,10 @@ func (r *Replayer) grantBarrier() uint64 {
 // on other objects replay; op/object divergence is detected by verify
 // after the grant.
 func (r *Replayer) tryGrant(d *domain) {
-	if r.live || d.granted || d.head == len(d.q) {
+	if r.live || d.granted || d.q.Len() == 0 {
 		return
 	}
-	tu := d.q[d.head]
+	tu := *d.q.At(0)
 	if tu.GlobalSeq >= r.grantBarrier() {
 		return
 	}
@@ -545,7 +540,7 @@ func (r *Replayer) sectionDone(tu Tuple) {
 	key, _ := r.domain(tu)
 	d := r.doms[key]
 	d.granted = false
-	d.q, d.head = sim.PopFront(d.q, d.head)
+	d.q.DropFront(1)
 	r.objDone[objKey(tu.Op, tu.Obj)] = tu.ObjSeq + 1
 	r.unreplayed--
 	r.stats.Sections++
@@ -676,7 +671,7 @@ func (r *Replayer) Promote() {
 	// The lane owners are dead: deliver everything routed (including what
 	// they left queued mid-dispatch) directly, without dispatch cost.
 	for _, ln := range r.lanes {
-		for ln.len() > 0 {
+		for ln.q.Len() > 0 {
 			r.deliver(ln)
 		}
 	}

@@ -136,6 +136,125 @@ func TestRingCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestGrowingBacklogAllocatesPerChunk: a backlog that may grow for a whole
+// run — a ring's delivered messages, a replayer lane, the backup's sync
+// queue, all a sim.Log of messages — never copies what it holds to grow.
+// Cycling at a constant depth (one more in, the oldest out), empty between
+// messages or deeper than a chunk, allocates nothing; a backlog grown by n
+// allocates at most ⌈n/512⌉ + 1 chunks and moves none of the messages it
+// already held.
+func TestGrowingBacklogAllocatesPerChunk(t *testing.T) {
+	const depth = 700 // more than one 512-message chunk
+	grows := []int{100, 512, 3000}
+	t.Run("ring", func(t *testing.T) {
+		s := sim.New(1)
+		defer s.Shutdown()
+		r := newRing(s, 1<<30)
+		sent, next := uint64(0), uint64(0)
+		send := func(n int) {
+			for range n {
+				if !r.TrySend(Message{Kind: 1, Size: 8, W: [7]uint64{sent}}) {
+					t.Fatal("ring refused a send")
+				}
+				sent++
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recv := func(n int) {
+			for range n {
+				if m, ok := r.TryRecv(); !ok || m.W[0] != next {
+					t.Fatalf("received %+v, %v; want message %d", m, ok, next)
+				}
+				next++
+			}
+		}
+		cycle := func() { send(1); recv(1) }
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("a ring drained after every message allocates %.1f times per message, want 0", n)
+		}
+		send(depth)
+		for range 2 * depth {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+			t.Errorf("a ring cycling at depth %d allocates %.1f times per message, want 0", depth, n)
+		}
+		for _, n := range grows {
+			for range 2 { // the records, the in-flight list and the chunk table reach this size
+				send(n)
+				recv(n)
+			}
+			held := make([]*slot, depth)
+			grow := func() {
+				for i := range held {
+					held[i] = r.buf.At(i)
+				}
+				send(n)
+				for i, p := range held {
+					if r.buf.At(i) != p {
+						t.Fatalf("growing the backlog by %d moved delivered message %d", n, i)
+					}
+				}
+			}
+			if a, most := testing.AllocsPerRun(1, func() { grow(); recv(n) }), float64((n+511)/512+1); a > most {
+				t.Errorf("a backlog grown by %d allocates %.0f times, want at most %.0f chunks", n, a, most)
+			}
+		}
+	})
+	t.Run("lane", func(t *testing.T) {
+		var q sim.Log[Message]
+		in, out := uint64(0), uint64(0)
+		push := func(n int) {
+			for range n {
+				q.Append(Message{Kind: 1, W: [7]uint64{in}})
+				in++
+			}
+		}
+		pop := func(n int) {
+			for range n {
+				if m := q.PopFront(); m.W[0] != out {
+					t.Fatalf("popped message %d, want %d", m.W[0], out)
+				}
+				out++
+			}
+		}
+		cycle := func() { push(1); pop(1) }
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("a lane drained after every message allocates %.1f times per message, want 0", n)
+		}
+		push(depth)
+		for range 2 * depth {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+			t.Errorf("a lane cycling at depth %d allocates %.1f times per message, want 0", depth, n)
+		}
+		for _, n := range grows {
+			for range 2 { // the chunk table reaches this size
+				push(n)
+				pop(n)
+			}
+			held := make([]*Message, depth)
+			grow := func() {
+				for i := range held {
+					held[i] = q.At(i)
+				}
+				push(n)
+				for i, p := range held {
+					if q.At(i) != p {
+						t.Fatalf("growing the backlog by %d moved queued message %d", n, i)
+					}
+				}
+			}
+			if a, most := testing.AllocsPerRun(1, func() { grow(); pop(n) }), float64((n+511)/512+1); a > most {
+				t.Errorf("a backlog grown by %d allocates %.0f times, want at most %.0f chunks", n, a, most)
+			}
+		}
+	})
+}
+
 // TestBlockedSendAllocatesNothing: a sender that finds the ring full queues
 // a recycled ticket, parks and is admitted when the receiver frees a slot —
 // without allocating.

@@ -199,8 +199,7 @@ type Ring struct {
 	used      int64 // bytes occupied: delivered + in flight + reserved
 	delivered int64
 	onDeliver []func()
-	buf       []slot // buf[bufHead:] are delivered and waiting to be received, oldest first
-	bufHead   int
+	buf       sim.Log[slot] // delivered and waiting to be received, oldest first
 	inflight  []*xfer
 	free      []*xfer // released records, reused by admit and by chaos dup copies
 	sendQ     sim.WaitQueue
@@ -342,7 +341,7 @@ func (r *Ring) Instrument(sc *obs.Scope) { r.sc = sc }
 func (r *Ring) Stats() Stats { return r.stats }
 
 // Len reports the number of messages delivered and waiting to be received.
-func (r *Ring) Len() int { return len(r.buf) - r.bufHead }
+func (r *Ring) Len() int { return r.buf.Len() }
 
 // InFlight reports the number of transfers still propagating.
 func (r *Ring) InFlight() int { return len(r.inflight) }
@@ -526,7 +525,7 @@ func (r *Ring) deliver(in *xfer) {
 		if i == 0 {
 			b += headerBytes // the batch's shared header travels with its first member
 		}
-		r.buf = append(r.buf, slot{msg: in.msgs[i], bytes: b})
+		r.buf.Append(slot{msg: in.msgs[i], bytes: b})
 	}
 	r.delivered += int64(len(in.msgs))
 	r.sc.Emit(obs.RingDeliver, 0, r.delivered, int64(len(in.msgs)))
@@ -609,8 +608,7 @@ func (r *Ring) RecvTimeout(p *sim.Proc, d time.Duration) (Message, bool) {
 }
 
 func (r *Ring) pop() Message {
-	s := r.buf[r.bufHead]
-	r.buf, r.bufHead = sim.PopFront(r.buf, r.bufHead)
+	s := r.buf.PopFront()
 	r.used -= s.bytes
 	r.sc.Emit(obs.RingDepth, 0, 0, r.used)
 	r.wakeSenders()
@@ -636,12 +634,11 @@ func (r *Ring) wakeSenders() {
 // the sender's death.
 func (r *Ring) Drain() []Message {
 	out := make([]Message, 0, r.Len())
-	for _, s := range r.buf[r.bufHead:] {
+	for r.buf.Len() > 0 {
+		s := r.buf.PopFront()
 		out = append(out, s.msg)
 		r.used -= s.bytes
 	}
-	clear(r.buf)
-	r.buf, r.bufHead = r.buf[:0], 0
 	// Handles, not records: aborting one span can admit a queued ticket
 	// onto the record just released, and that tenant is not ours to abort.
 	open := make([]Span, 0, r.OpenSpans())

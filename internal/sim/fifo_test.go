@@ -41,9 +41,11 @@ func TestPopFrontKeepsOrderAndArray(t *testing.T) {
 	}
 }
 
-// TestLogMatchesSliceModel drives Append/DropFront/At against a plain slice:
-// same elements at the same indices, no more than two chunks of slack, and no
-// dropped element left reachable from the log's chunks.
+// TestLogMatchesSliceModel drives Append/DropFront/PopFront/At against a
+// plain slice: same elements at the same indices, no more than two chunks of
+// slack besides the spare, no dropped element left reachable from the log's
+// chunks, and an empty log that keeps at most one chunk, every slot zero.
+// A chunk released at the front is the spare the next new chunk reuses.
 func TestLogMatchesSliceModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,18 +60,34 @@ func TestLogMatchesSliceModel(t *testing.T) {
 				}
 				l.DropFront(n)
 				model = model[n:]
+			case rng.Intn(3) == 0 && len(model) > 0:
+				if got := l.PopFront(); got != model[0] {
+					t.Fatalf("seed %d step %d: PopFront = %d, want %d", seed, step, *got, *model[0])
+				}
+				model = model[1:]
 			default:
+				spare, needs := l.spare, len(l.chunks) > 0 && len(l.chunks[len(l.chunks)-1]) == logChunk
 				v := new(int)
 				*v = step
 				l.Append(v)
 				model = append(model, v)
+				if last := l.chunks[len(l.chunks)-1]; needs && spare != nil && &last[:1][0] != &spare[:1][0] {
+					t.Fatalf("seed %d step %d: a new chunk was allocated with a spare at hand", seed, step)
+				}
 			}
 			if l.Len() != len(model) {
 				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, l.Len(), len(model))
 			}
 			if len(model) == 0 {
-				if l.chunks != nil {
+				if len(l.chunks) > 1 {
 					t.Fatalf("seed %d step %d: an empty log holds %d chunks", seed, step, len(l.chunks))
+				}
+				for _, c := range append([][]*int{l.spare}, l.chunks...) {
+					for _, p := range c[:cap(c)] {
+						if p != nil {
+							t.Fatalf("seed %d step %d: an empty log still holds an element", seed, step)
+						}
+					}
 				}
 				continue
 			}
@@ -82,6 +100,11 @@ func TestLogMatchesSliceModel(t *testing.T) {
 				all := l.AppendTo(make([]*int, 1, 2))[1:]
 				if len(all) != len(model) || all[0] != model[0] || all[len(all)-1] != model[len(model)-1] || all[len(all)/2] != model[len(all)/2] {
 					t.Fatalf("seed %d step %d: AppendTo copied %d elements, want the %d held", seed, step, len(all), len(model))
+				}
+			}
+			for _, c := range l.chunks[len(l.chunks):cap(l.chunks)] {
+				if c != nil {
+					t.Fatalf("seed %d step %d: the chunk table still holds a released chunk", seed, step)
 				}
 			}
 			if held := len(l.chunks) * logChunk; held >= len(model)+2*logChunk {

@@ -187,3 +187,115 @@ func TestAppendMovesEachByteOnce(t *testing.T) {
 		t.Errorf("moved %d bytes to append %d: not O(1) per appended byte", moved, appended)
 	}
 }
+
+// TestTapeMatchesSliceModel appends seeded runs of 0 to 70 KiB to a tape and
+// a plain []byte, and lends, gathers and clones seeded ranges — across chunk
+// boundaries, empty, whole — comparing them byte for byte. Every view Append
+// returned must still read its bytes after thousands of later appends: the
+// sync update hands it on instead of a copy.
+func TestTapeMatchesSliceModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var slab *Slab
+		if seed%2 == 0 {
+			slab = new(Slab)
+		}
+		var tape, other Tape
+		tape.Init(slab)
+		other.Init(slab) // a second tape carving the same slab
+		var l Lender
+		l.Init(new(Pool))
+		var model []byte
+		type view struct {
+			off int
+			b   []byte
+		}
+		var views []view
+		next := byte(seed)
+		for step := 0; step < 3000; step++ {
+			if rng.Intn(3) > 0 || tape.Len() == 0 {
+				n := rng.Intn(64)
+				switch r := rng.Intn(20); {
+				case r == 0:
+					n = rng.Intn(70<<10 + 1)
+				case r < 4:
+					n = rng.Intn(4 << 10)
+				}
+				p := make([]byte, n)
+				for i := range p {
+					next = next*167 + 13
+					p[i] = next
+				}
+				off := tape.Len()
+				v := tape.Append(p)
+				other.Append(p[:len(p)/2])
+				if !bytes.Equal(v, p) || cap(v) != len(v) {
+					t.Fatalf("seed %d step %d: Append returned %d bytes (cap %d), not a view of its %d", seed, step, len(v), cap(v), len(p))
+				}
+				model = append(model, p...)
+				if got := tape.Clone(off); !bytes.Equal(got, p) || (got == nil) != (len(p) == 0) {
+					t.Fatalf("seed %d step %d: Clone(%d) = %d bytes, want the %d appended", seed, step, off, len(got), len(p))
+				}
+				views = append(views, view{off, v})
+				continue
+			}
+			lo := rng.Intn(len(model) + 1)
+			hi := lo + rng.Intn(min(len(model)-lo, 20<<10)+1)
+			if got := l.LendTape(&tape, lo, hi); !bytes.Equal(got, model[lo:hi]) {
+				t.Fatalf("seed %d step %d: lent [%d,%d) differs from the model", seed, step, lo, hi)
+			}
+			if got := tape.AppendTo([]byte("x"), lo, hi); got[0] != 'x' || !bytes.Equal(got[1:], model[lo:hi]) {
+				t.Fatalf("seed %d step %d: gathered [%d,%d) differs from the model", seed, step, lo, hi)
+			}
+		}
+		if got := l.LendTape(&tape, 0, len(model)); !bytes.Equal(got, model) {
+			t.Fatalf("seed %d: the whole tape lent differs from the model", seed)
+		}
+		for i, v := range views {
+			if !bytes.Equal(v.b, model[v.off:v.off+len(v.b)]) {
+				t.Fatalf("seed %d: view %d of %d, at offset %d, changed after later appends", seed, i, len(views), v.off)
+			}
+		}
+		if tape.Len() != len(model) {
+			t.Fatalf("seed %d: Len %d, want %d", seed, tape.Len(), len(model))
+		}
+	}
+}
+
+// TestTapeChunksGrowAndNeverMove: a tape's chunks double from the first up
+// to tapeMax, an append that fits no chunk of that size gets one of its own,
+// and appending allocates one chunk at a time — never a copy of what is held.
+func TestTapeChunksGrowAndNeverMove(t *testing.T) {
+	var slab Slab
+	var tape Tape
+	tape.Init(&slab)
+	first := tape.Append([]byte("GET / HTTP/1.1\r\n\r\n"))
+	if cap(tape.tail) != tapeFirst {
+		t.Fatalf("first chunk of %d bytes, want %d", cap(tape.tail), tapeFirst)
+	}
+	seg := make([]byte, 100)
+	for tape.Len() < 1<<20 {
+		tape.Append(seg)
+	}
+	tape.Append(make([]byte, 100<<10))
+	want := tapeFirst
+	for i, c := range tape.done {
+		if i > 0 && c.off != tape.done[i-1].off+len(tape.done[i-1].b) {
+			t.Fatalf("chunk %d starts at %d, not where chunk %d ends", i, c.off, i-1)
+		}
+		if cap(c.b) != want {
+			t.Fatalf("chunk %d holds %d bytes, want %d", i, cap(c.b), want)
+		}
+		want = min(2*want, tapeMax)
+	}
+	if cap(tape.tail) != 100<<10 {
+		t.Errorf("a 100 KiB append went to a chunk of %d bytes, want its own", cap(tape.tail))
+	}
+	if string(first) != "GET / HTTP/1.1\r\n\r\n" {
+		t.Errorf("the first view reads %q after 1 MiB of appends", first)
+	}
+	n := testing.AllocsPerRun(1000, func() { tape.Append(seg) })
+	if n != 0 {
+		t.Errorf("a 100-byte append allocates %v times on average, want one %d-byte chunk per %d appends", n, tapeMax, tapeMax/len(seg))
+	}
+}

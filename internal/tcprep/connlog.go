@@ -31,7 +31,8 @@ type ConnTable struct {
 	// feeding the epoch pre-copy engine's convergence estimate
 	// (rejoin.Source).
 	mut  uint64
-	bufs streambuf.Pool // backing arrays of the records' windows
+	bufs streambuf.Pool // backing arrays of the records' windows and lenders
+	slab streambuf.Slab // the records' first input chunks
 }
 
 // LogicalConn is one incarnation of a replicated connection's logical TCP
@@ -42,8 +43,8 @@ type LogicalConn struct {
 	iss, irs uint64
 	at       int // index in ConnTable.conns
 
-	in      streambuf.Window // the full in-order input stream
-	acked   uint64           // client-acknowledged output-stream watermark
+	in      streambuf.Tape // the full in-order input stream
+	acked   uint64         // client-acknowledged output-stream watermark
 	peerFin bool
 	gone    bool // reaped from the recording side's stack
 
@@ -74,7 +75,7 @@ func newConnTable() *ConnTable {
 
 func (t *ConnTable) add(key ConnKey) *LogicalConn {
 	lc := &LogicalConn{key: key, at: len(t.conns)}
-	lc.in.Init(&t.bufs)
+	lc.in.Init(&t.slab)
 	lc.out.Init(&t.bufs)
 	lc.lent.Init(&t.bufs)
 	t.conns = append(t.conns, lc)
@@ -103,9 +104,10 @@ func (t *ConnTable) establish(key ConnKey, iss, irs uint64) *LogicalConn {
 	return lc
 }
 
-func (t *ConnTable) dataIn(lc *LogicalConn, data []byte) {
-	lc.in.Append(data)
+// dataIn returns the tape's view of the input it appended, valid for the table's life.
+func (t *ConnTable) dataIn(lc *LogicalConn, data []byte) []byte {
 	t.mut += uint64(len(data))
+	return lc.in.Append(data)
 }
 
 func (t *ConnTable) ackOut(lc *LogicalConn, acked uint64) {
@@ -201,7 +203,7 @@ func (t *ConnTable) snapshot() StateSnap {
 			Key:     lc.key,
 			ISS:     lc.iss,
 			IRS:     lc.irs,
-			In:      append([]byte(nil), lc.in.Bytes()...),
+			In:      lc.in.Clone(0),
 			Acked:   lc.acked,
 			PeerFin: lc.peerFin,
 			Gone:    lc.gone,

@@ -181,7 +181,7 @@ func TestRefusedAnnouncementStaysAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := w.sec.table.byKey[keyOf(late)]
-	if applied != 5 || lc == nil || lc.iss != 3000 || string(lc.in.Bytes()) != "hello" || !lc.peerFin {
+	if applied != 5 || lc == nil || lc.iss != 3000 || string(inBytes(lc)) != "hello" || !lc.peerFin {
 		t.Errorf("%d updates applied, late connection %+v; want 5, announced with its input and its FIN", applied, lc)
 	}
 }

@@ -55,11 +55,8 @@ type Primary struct {
 
 	out shm.Outboxes // the links' outboxes, in link order, and their spill server
 
-	enqueued uint64 // logical updates accepted for syncing
-	// barrierQ[barrierHead:] are the output segments waiting for the sync
-	// watermark, oldest first.
-	barrierQ    []syncWaiter
-	barrierHead int
+	enqueued uint64              // logical updates accepted for syncing
+	barrierQ sim.Log[syncWaiter] // output segments waiting for the sync watermark, oldest first
 
 	// SyncFlushes counts vectored transfers pushed onto the sync rings.
 	SyncFlushes int64
@@ -422,15 +419,13 @@ func (p *Primary) syncBarrier(fn func()) {
 		fn()
 		return
 	}
-	p.barrierQ = append(p.barrierQ, syncWaiter{watermark: p.enqueued, fn: fn})
+	p.barrierQ.Append(syncWaiter{watermark: p.enqueued, fn: fn})
 }
 
 func (p *Primary) fireBarrier() {
 	synced := p.minSynced()
-	for p.barrierHead < len(p.barrierQ) && p.barrierQ[p.barrierHead].watermark <= synced {
-		fn := p.barrierQ[p.barrierHead].fn
-		p.barrierQ, p.barrierHead = sim.PopFront(p.barrierQ, p.barrierHead)
-		fn()
+	for p.barrierQ.Len() > 0 && p.barrierQ.At(0).watermark <= synced {
+		p.barrierQ.PopFront().fn()
 	}
 }
 
@@ -458,9 +453,9 @@ func (p *Primary) trySync(m shm.Message) {
 
 // coalesce merges an update into the link's newest pending entry when both
 // target the same connection stream: data-in bytes append (one entry per
-// input burst), ack-out watermarks replace (they are cumulative). Only the
-// tail entry is considered so the ring order of updates is preserved
-// exactly.
+// input burst; a tape's view is capacity-limited, so the first append
+// copies), ack-out watermarks replace (they are cumulative). Only the tail
+// entry is considered so the ring order of updates is preserved exactly.
 func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
 	tail := link.Tail()
 	if tail == nil || tail.Kind != m.Kind || tail.W[0] != m.W[0] {
@@ -502,12 +497,13 @@ func (p *Primary) onEstablished(c *tcpstack.Conn) {
 	p.trySync(m)
 }
 
+// onDataIn retains the segment's bytes and syncs the table's view of them,
+// which outlives the segment and is never written again.
 func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
 	key := keyOf(c)
-	cp := append([]byte(nil), data...)
-	p.table.dataIn(p.table.latest(key), cp)
-	m := syncMessage(syncDataIn, dataInBytes+len(cp), p.idOf(key), 0, 0)
-	m.Data = cp
+	lc := p.table.latest(key)
+	m := syncMessage(syncDataIn, dataInBytes+len(data), p.idOf(key), 0, 0)
+	m.Data = p.table.dataIn(lc, data)
 	p.trySync(m)
 }
 

@@ -20,13 +20,12 @@ type Secondary struct {
 	bySync map[uint64]*LogicalConn // the primary's sync ids, as announced or seeded
 	bindQ  sim.WaitQueue
 
-	// The puller is a stackless task (pull). q[head:] are the updates it
-	// took off the ring and has not applied: it pays for the head before
+	// The puller is a stackless task (pull). q holds the updates it took
+	// off the ring and has not applied: it pays for the oldest before
 	// popping it, so a promotion that stops it mid-batch applies them.
 	puller       *kernel.Task
 	pullK, paidK func()
-	q            []shm.Message
-	head         int
+	q            sim.Log[shm.Message]
 	promoted     bool
 
 	// Stats.
@@ -85,13 +84,16 @@ func (s *Secondary) Table() *ConnTable { return s.table }
 // at once, pays syncCost for each in turn and applies it (paid), and waits
 // for the ring when it has applied them all.
 func (s *Secondary) pull() {
-	if s.head == len(s.q) {
-		if s.q = s.sync.TryRecvBatchInto(s.q[:0], 0); len(s.q) == 0 {
+	if s.q.Len() == 0 {
+		if s.sync.Len() > 1 {
+			s.Batches++
+		}
+		for m, ok := s.sync.TryRecv(); ok; m, ok = s.sync.TryRecv() {
+			s.q.Append(m)
+		}
+		if s.q.Len() == 0 {
 			s.puller.WaitThen(s.sync, s.pullK)
 			return
-		}
-		if len(s.q) > 1 {
-			s.Batches++
 		}
 	}
 	s.puller.ComputeThen(syncCost, s.paidK)
@@ -100,9 +102,7 @@ func (s *Secondary) pull() {
 // paid applies the update the puller has paid for, the oldest it took off
 // the ring, and pulls on.
 func (s *Secondary) paid() {
-	m := s.q[s.head]
-	s.q, s.head = sim.PopFront(s.q, s.head)
-	s.apply(m)
+	s.apply(s.q.PopFront())
 	s.pull()
 }
 
@@ -179,7 +179,7 @@ func (lc *LogicalConn) read(t *kernel.Task, n int) []byte {
 		lc.dataQ.Wait(t.Proc())
 	}
 	lc.inRead += n
-	return lc.lent.Lend(lc.in.Bytes()[lc.inRead-n : lc.inRead])
+	return lc.lent.LendTape(&lc.in, lc.inRead-n, lc.inRead)
 }
 
 // appendOut accumulates replica-regenerated output bytes, discarding any
@@ -202,7 +202,7 @@ func (s *Secondary) Promote(stack *tcpstack.Stack) ([]*tcpstack.Conn, error) {
 	if s.puller != nil {
 		s.puller.Kill()
 	}
-	for _, m := range append(s.q[s.head:], s.sync.Drain()...) {
+	for _, m := range append(s.q.AppendTo(nil), s.sync.Drain()...) {
 		s.apply(m)
 	}
 	var restored []*tcpstack.Conn
@@ -216,9 +216,9 @@ func (s *Secondary) Promote(stack *tcpstack.Stack) ([]*tcpstack.Conn, error) {
 			ISS:       lc.iss,
 			IRS:       lc.irs,
 			SndUna:    lc.iss + 1 + lc.outBase,
-			SndData:   lc.out.Bytes(), // Restore copies both
+			SndData:   lc.out.Bytes(), // Restore copies it
 			RcvNxt:    lc.irs + 1 + uint64(lc.in.Len()),
-			RcvData:   lc.in.Bytes()[lc.inRead:],
+			RcvData:   lc.in.Clone(lc.inRead),
 			PeerFin:   lc.peerFin,
 		}
 		if lc.peerFin {

@@ -149,10 +149,12 @@ func TestCoalesceMergesTailOnly(t *testing.T) {
 	}
 }
 
-// TestPromoteCopiesLogicalBuffers: Promote hands Restore views of the
-// logical connection's windows, and Restore must copy them — the restored
-// connection's stream may not change when the backup's windows are later
-// rewritten (or recycled through the Secondary's free list).
+// TestPromoteCopiesLogicalBuffers: the restored connection's streams may
+// not alias the logical connection's — its input tape and its output
+// window — so they must not change when the backup's memory is later
+// rewritten (or, for the window, recycled through the Secondary's free
+// list). The test scribbles the tape's own chunk, through the view dataIn
+// returns, not a gathered copy of it.
 func TestPromoteCopiesLogicalBuffers(t *testing.T) {
 	s := sim.New(1)
 	m := hw.New(s, hw.Opteron6376x4())
@@ -170,22 +172,21 @@ func TestPromoteCopiesLogicalBuffers(t *testing.T) {
 	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 40000}
 	in, out := []byte("unread input the client was acked for"), []byte("regenerated output the client has not acked")
 	sec.apply(shm.Message{Kind: syncConnMeta, W: [7]uint64{1, 1000, 2000}, Ref: &key})
-	sec.apply(shm.Message{Kind: syncDataIn, W: [7]uint64{1}, Data: in})
 	lc := sec.table.byKey[key]
+	tape := sec.table.dataIn(lc, in) // the tape's own bytes
 	lc.appendOut(out)
 
 	conns, err := sec.Promote(tcpstack.New(k, "server", tcpstack.DefaultParams()))
 	if err != nil || len(conns) != 1 {
 		t.Fatalf("Promote = %d conns, %v", len(conns), err)
 	}
-	for _, view := range [][]byte{lc.in.Bytes(), lc.out.Bytes()} {
+	for _, view := range [][]byte{tape, lc.out.Bytes()} {
 		for i := range view {
 			view[i] = 0xee
 		}
 	}
-	lc.in.Discard(lc.in.Len()) // the arrays go back to the Secondary's free list …
-	lc.out.Discard(lc.out.Len())
-	lc.out.Append(bytes.Repeat([]byte{0xdd}, 256)) // … and are rewritten by another window
+	lc.out.Discard(lc.out.Len())                   // the array goes back to the Secondary's free list …
+	lc.out.Append(bytes.Repeat([]byte{0xdd}, 256)) // … and is rewritten by another window
 	snap := conns[0].Snapshot()
 	if !bytes.Equal(snap.RcvData, in) || !bytes.Equal(snap.SndData, out) {
 		t.Errorf("restored connection aliases the logical buffers: rcv=%q snd=%q", snap.RcvData, snap.SndData)
@@ -194,3 +195,6 @@ func TestPromoteCopiesLogicalBuffers(t *testing.T) {
 		t.Errorf("restored cursors SndUna=%d RcvNxt=%d", snap.SndUna, snap.RcvNxt)
 	}
 }
+
+// inBytes gathers the record's whole input stream.
+func inBytes(lc *LogicalConn) []byte { return lc.in.Clone(0) }
