@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/obs"
@@ -25,38 +26,60 @@ import (
 )
 
 func main() {
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if len(args) < 1 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch args[0] {
-	case "attribute":
-		err = cmdAttribute(args[1:])
-	case "diff":
-		var diverged bool
-		diverged, err = cmdDiff(args[1:])
-		if err == nil && diverged {
-			os.Exit(1)
-		}
-	case "slice":
-		err = cmdSlice(args[1:])
-	default:
-		fmt.Fprintf(os.Stderr, "ftdiag: unknown subcommand %q\n", args[0])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftdiag:", err)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+// run is ftdiag with its arguments and output streams, returning the exit
+// status the package comment promises.
+func run(args []string, stdout, stderr io.Writer) int {
+	top := flag.NewFlagSet("ftdiag", flag.ContinueOnError)
+	top.SetOutput(stderr)
+	top.Usage = func() { usage(stderr) }
+	if err := top.Parse(args); err != nil {
+		return parseStatus(err)
+	}
+	args = top.Args()
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
+	}
+	switch args[0] {
+	case "attribute":
+		return cmdAttribute(args[1:], stdout, stderr)
+	case "diff":
+		return cmdDiff(args[1:], stdout, stderr)
+	case "slice":
+		return cmdSlice(args[1:], stdout, stderr)
+	}
+	fmt.Fprintf(stderr, "ftdiag: unknown subcommand %q\n", args[0])
+	usage(stderr)
+	return 2
+}
+
+// parseStatus is the exit status after a flag set reported err: 0 for
+// -h, 2 for a bad flag.
+func parseStatus(err error) int {
+	if err == flag.ErrHelp {
+		return 0
+	}
+	return 2
+}
+
+// fail reports err and returns the usage / I/O exit status.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "ftdiag:", err)
+	return 2
+}
+
+// subcommand is a subcommand's flag set, reporting to stderr.
+func subcommand(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `usage:
   ftdiag attribute [-json] [-critpath out.json] trace.jsonl
   ftdiag diff [-json] [-max N] a.jsonl b.jsonl
   ftdiag slice -order N [-max N] trace.jsonl
@@ -79,89 +102,106 @@ func readTrace(path string) ([]obs.Event, error) {
 // cmdAttribute computes the critical-path attribution of every committed
 // output and prints the fixed-format report (or JSON with -json); with
 // -critpath it also writes the Perfetto-compatible critical-path track.
-func cmdAttribute(args []string) error {
-	fs := flag.NewFlagSet("attribute", flag.ExitOnError)
+func cmdAttribute(args []string, stdout, stderr io.Writer) int {
+	fs := subcommand("attribute", stderr)
 	asJSON := fs.Bool("json", false, "emit the attribution as JSON instead of the text report")
 	critpath := fs.String("critpath", "", "also write a Perfetto-compatible critical-path track to this file")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseStatus(err)
+	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("attribute wants exactly one trace file, got %d", fs.NArg())
+		return fail(stderr, fmt.Errorf("attribute wants exactly one trace file, got %d", fs.NArg()))
 	}
 	events, err := readTrace(fs.Arg(0))
 	if err != nil {
-		return err
+		return fail(stderr, err)
 	}
 	a := causal.Attribute(causal.Build(events))
 	if *critpath != "" {
-		f, err := os.Create(*critpath)
-		if err != nil {
-			return err
-		}
-		if err := a.WriteCritPath(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
+		if err := writeCritPath(a, *critpath); err != nil {
+			return fail(stderr, err)
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(a)
+		if err := enc.Encode(a); err != nil {
+			return fail(stderr, err)
+		}
+		return 0
 	}
-	a.WriteText(os.Stdout)
-	return nil
+	a.WriteText(stdout)
+	return 0
+}
+
+func writeCritPath(a *causal.Attribution, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := a.WriteCritPath(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // cmdDiff aligns two traces on their recorded det tuple orders and
-// reports the first divergence. Returns whether a divergence was found.
-func cmdDiff(args []string) (bool, error) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+// reports the first divergence: status 1 when there is one, 0 when the
+// traces agree.
+func cmdDiff(args []string, stdout, stderr io.Writer) int {
+	fs := subcommand("diff", stderr)
 	asJSON := fs.Bool("json", false, "emit the diagnosis as JSON instead of the text report")
 	max := fs.Int("max", 0, "causal-slice size cap (0 = default)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseStatus(err)
+	}
 	if fs.NArg() != 2 {
-		return false, fmt.Errorf("diff wants exactly two trace files, got %d", fs.NArg())
+		return fail(stderr, fmt.Errorf("diff wants exactly two trace files, got %d", fs.NArg()))
 	}
 	a, err := readTrace(fs.Arg(0))
 	if err != nil {
-		return false, err
+		return fail(stderr, err)
 	}
 	b, err := readTrace(fs.Arg(1))
 	if err != nil {
-		return false, err
+		return fail(stderr, err)
 	}
 	d := causal.DiffTraces(a, b, *max)
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(d); err != nil {
-			return false, err
+			return fail(stderr, err)
 		}
 	} else {
-		d.WriteReport(os.Stdout)
+		d.WriteReport(stdout)
 	}
-	return d != nil, nil
+	if d != nil {
+		return 1
+	}
+	return 0
 }
 
 // cmdSlice prints the causal ancestry of the event with the given global
 // emission order: the event itself plus its nearest happens-before
 // ancestors, in emission order.
-func cmdSlice(args []string) error {
-	fs := flag.NewFlagSet("slice", flag.ExitOnError)
+func cmdSlice(args []string, stdout, stderr io.Writer) int {
+	fs := subcommand("slice", stderr)
 	order := fs.Uint64("order", 0, "global emission order of the event to slice (the JSONL \"order\" field)")
 	max := fs.Int("max", 0, "slice size cap (0 = default)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseStatus(err)
+	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("slice wants exactly one trace file, got %d", fs.NArg())
+		return fail(stderr, fmt.Errorf("slice wants exactly one trace file, got %d", fs.NArg()))
 	}
 	if *order == 0 {
-		return fmt.Errorf("slice needs -order N (a nonzero event order)")
+		return fail(stderr, fmt.Errorf("slice needs -order N (a nonzero event order)"))
 	}
 	events, err := readTrace(fs.Arg(0))
 	if err != nil {
-		return err
+		return fail(stderr, err)
 	}
 	root := -1
 	for i := range events {
@@ -171,11 +211,11 @@ func cmdSlice(args []string) error {
 		}
 	}
 	if root < 0 {
-		return fmt.Errorf("no event with order=%d in %s (%d events)", *order, fs.Arg(0), len(events))
+		return fail(stderr, fmt.Errorf("no event with order=%d in %s (%d events)", *order, fs.Arg(0), len(events)))
 	}
 	g := causal.Build(events)
 	slice := g.Slice(root, *max)
-	fmt.Printf("causal slice of event order=%d (%d events):\n", *order, len(slice))
-	causal.WriteEvents(os.Stdout, slice)
-	return nil
+	fmt.Fprintf(stdout, "causal slice of event order=%d (%d events):\n", *order, len(slice))
+	causal.WriteEvents(stdout, slice)
+	return 0
 }
