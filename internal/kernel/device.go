@@ -36,10 +36,7 @@ func (d *Device) Loaded() bool { return d.loaded }
 // Preload marks the device as owned and operational without spending load
 // time — boot-time driver initialization that predates the measurement
 // window. Failover reloads still pay the full load time.
-func (d *Device) Preload(k *Kernel) {
-	d.owner = k
-	d.loaded = true
-}
+func (d *Device) Preload(k *Kernel) { d.owner, d.loaded = k, true }
 
 // LoadDriver acquires ownership of the device for the calling task's kernel
 // and spends the driver load time. It fails if a *live* kernel other than
@@ -47,10 +44,10 @@ func (d *Device) Preload(k *Kernel) {
 // from a dead replica (§3.7).
 func (t *Task) LoadDriver(d *Device) error {
 	k := t.kernel
-	if d.owner != nil && d.owner != k && d.owner.Alive() {
-		return fmt.Errorf("kernel %q: device %q owned by live kernel %q", k.name, d.name, d.owner.name)
-	}
 	if d.owner != nil && d.owner != k {
+		if d.owner.Alive() {
+			return fmt.Errorf("kernel %q: device %q owned by live kernel %q", k.name, d.name, d.owner.name)
+		}
 		// Ownership transfer from a dead replica: the old driver state is
 		// gone; the device is down until the reload completes.
 		d.loaded = false

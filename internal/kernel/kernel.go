@@ -221,16 +221,13 @@ func (k *Kernel) HandleFault(f hw.Fault) kmem.Outcome {
 		return kmem.OutcomeNone
 	}
 	switch f.Kind {
-	case hw.CoreFailStop, hw.BusError:
+	case hw.CoreFailStop, hw.BusError, hw.CoherencyLoss:
 		// A core fail-stop takes down the whole kernel (§2.3, Shalev et
-		// al.); we treat a detected bus error the same way.
+		// al.); we treat a detected bus error or coherency loss the same way.
 		k.Panic(f.Kind.String(), &f)
 		return kmem.OutcomeKernelPanic
 	case hw.MemUncorrected, hw.MemCorrected:
 		return k.handleMemFault(f)
-	case hw.CoherencyLoss:
-		k.Panic(f.Kind.String(), &f)
-		return kmem.OutcomeKernelPanic
 	default:
 		return kmem.OutcomeNone
 	}
@@ -238,7 +235,8 @@ func (k *Kernel) HandleFault(f hw.Fault) kmem.Outcome {
 
 func (k *Kernel) handleMemFault(f hw.Fault) kmem.Outcome {
 	// Convert the machine-wide address into a kernel-local offset by
-	// position within the partition's nodes.
+	// position within the partition's nodes; an address outside them stays
+	// negative, which no page class covers.
 	perNode := k.part.Machine().Profile().MemPerNode
 	local := int64(-1)
 	for i, n := range k.part.Nodes() {
@@ -247,9 +245,6 @@ func (k *Kernel) handleMemFault(f hw.Fault) kmem.Outcome {
 			local = int64(i)*perNode + (f.Addr - lo)
 			break
 		}
-	}
-	if local < 0 {
-		return kmem.OutcomeNone
 	}
 	class, err := k.mem.ClassifyAddr(local)
 	if err != nil {

@@ -174,7 +174,7 @@ func TestWaitRecordGrantBeforePark(t *testing.T) {
 	k.Spawn("w", func(tk *Task) {
 		tk.Sleep(time.Millisecond)
 		w := tk.Waiter()
-		w.Grant()
+		w.Grant(0)
 		s.OnSwitch = func(sim.Time, string) { switches++ }
 		parkedAt = tk.Now()
 		w.Park()
@@ -205,9 +205,9 @@ func TestWaitRecordWakeCost(t *testing.T) {
 	})
 	k.Spawn("granter", func(tk *Task) {
 		tk.Sleep(5 * time.Microsecond)
-		w.Grant()
+		w.Grant(0)
 		tk.Sleep(10 * time.Microsecond)
-		w.Grant()
+		w.Grant(0)
 		if w.q.Len() != 0 {
 			t.Errorf("second grant left %d tasks queued", w.q.Len())
 		}
@@ -243,7 +243,7 @@ func TestWaitRecordKilledWhileParked(t *testing.T) {
 	if w.q.Len() != 0 {
 		t.Fatalf("killed task left %d entries on the record's queue", w.q.Len())
 	}
-	w.Grant()
+	w.Grant(0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

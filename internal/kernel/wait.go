@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -53,11 +54,17 @@ func (w *Waiter) Park() {
 }
 
 // Grant marks the record granted and, if its task is parked on it, wakes
-// the task after the kernel's base wake cost. Granting a record whose task
-// is not parked — not yet, no longer, or killed — only sets the flag.
-func (w *Waiter) Grant() {
+// the task after the kernel's base wake cost plus busy, charged as on-CPU
+// time: the short path the woken task would Busy first runs inside the one
+// wake-up. It reports whether the task was parked; if not — not yet, no
+// longer, or killed — it only sets the flag, and busy is the task's to pay.
+func (w *Waiter) Grant(busy time.Duration) bool {
 	w.granted = true
-	w.q.WakeOne(w.task.kernel.params.WakeBase)
+	if w.q.WakeOne(w.task.kernel.params.WakeBase+busy) == nil {
+		return false
+	}
+	w.task.kernel.computeNS += int64(busy)
+	return true
 }
 
 // Disarm ends a wait that was never parked on (a replayed condition wait

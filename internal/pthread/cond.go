@@ -36,7 +36,7 @@ func (l *Lib) newCVWaiter(t *kernel.Task) *cvWaiter {
 // wakes and settles the timeout-versus-signal race in a det section.
 func (cw *cvWaiter) onTimer() {
 	if cw.state == 0 {
-		cw.w.Grant()
+		cw.w.Grant(0)
 	}
 }
 
@@ -132,7 +132,7 @@ func (c *Cond) Signal(t *kernel.Task) {
 		cw := c.waiters[i]
 		c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 		cw.state = OutcomeSignaled
-		cw.w.Grant()
+		cw.w.Grant(0)
 	}
 	c.lib.det.Exit(t, 0)
 }
@@ -143,7 +143,7 @@ func (c *Cond) Broadcast(t *kernel.Task) {
 	c.lib.det.Enter(t, OpCondBroadcast, c.id)
 	for _, cw := range c.waiters {
 		cw.state = OutcomeSignaled
-		cw.w.Grant()
+		cw.w.Grant(0)
 	}
 	clear(c.waiters)
 	c.waiters = c.waiters[:0]

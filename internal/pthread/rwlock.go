@@ -141,12 +141,12 @@ func (rw *RWLock) promote() {
 	n := 0
 	if rw.waiters[0].write {
 		rw.writer = rw.waiters[0].w.Task()
-		rw.waiters[0].w.Grant()
+		rw.waiters[0].w.Grant(0)
 		n = 1
 	} else {
 		for n < len(rw.waiters) && !rw.waiters[n].write {
 			rw.readers++
-			rw.waiters[n].w.Grant()
+			rw.waiters[n].w.Grant(0)
 			n++
 		}
 	}

@@ -3,6 +3,7 @@ package replication
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/pthread"
@@ -72,11 +73,13 @@ type section struct {
 
 	// Replaying: wait is the wait record the thread parks on until its
 	// tuple is granted — or until promotion flushes it out of replay (no
-	// tuple: the thread continues live or recording). replay marks a
-	// granted section open, checked one whose settled outcome exit compares
-	// with the recorded one.
+	// tuple: the thread continues live or recording). paid is the replay
+	// cost the grant's wake-up already ran. replay marks a granted section
+	// open, checked one whose settled outcome exit compares with the
+	// recorded one.
 	wait     *kernel.Waiter
 	parkedAt sim.Time // for grant-wait attribution
+	paid     time.Duration
 	flushed  bool
 	replay   bool
 	checked  bool

@@ -363,19 +363,8 @@ func (r *Replayer) noteEpoch(mark EpochMark) bool {
 		r.diverge(fmt.Sprintf("epoch %d marker arrived at log index %d, cut at %d", mark.Epoch, at, mark.Sent))
 		return true
 	}
-	r.armEpochSub(mark.SeqGlobal, func() { r.verifyEpoch(mark) })
+	r.addHeadSub(headSub{seq: mark.SeqGlobal, fn: func() { r.verifyEpoch(mark) }, epoch: true})
 	return true
-}
-
-// armEpochSub arms an epoch-tagged head sub (see OnHead): the callback
-// runs when the replay head reaches seq, with grants at or past seq
-// withheld so the replayed set is exactly the prefix the epoch fences.
-func (r *Replayer) armEpochSub(seq uint64, fn func()) {
-	if r.head() >= seq {
-		r.kern.Sim().Schedule(0, fn)
-		return
-	}
-	r.headSubs = append(r.headSubs, headSub{seq: seq, fn: fn, epoch: true})
 }
 
 // verifyEpoch runs at the marker's exact replay frontier (armed via the
@@ -493,7 +482,9 @@ func (r *Replayer) tryGrant(d *domain) {
 	d.granted = true
 	th.sec.tuple = tu
 	r.noteGrant(th, tu)
-	th.sec.wait.Grant()
+	if th.sec.wait.Grant(r.cfg.ReplaySectionCost) {
+		th.sec.paid = r.cfg.ReplaySectionCost
+	}
 }
 
 // tryGrantAll rescans every domain's queue in first-arrival order — a
@@ -517,7 +508,8 @@ func (r *Replayer) dropWaitOrder(ftpid int) {
 // park registers the calling shadow thread and blocks until its turn,
 // reporting true with the granted tuple in th.sec — or false when promotion
 // flushed it into live execution instead. The thread waits on its task's
-// wait record; the rest of the wait's state lives in th.sec.
+// wait record; the rest lives in th.sec, with the replay cost a grant paid
+// inside the parked thread's one wake-up (paid, not part of the wait).
 func (r *Replayer) park(th *Thread) bool {
 	if _, dup := r.waiting[th.ftpid]; dup {
 		panic(fmt.Sprintf("replication: ft_pid %d parked twice", th.ftpid))
@@ -529,7 +521,7 @@ func (r *Replayer) park(th *Thread) bool {
 	r.waitOrder = append(r.waitOrder, th.ftpid)
 	r.tryGrantAll()
 	w.Park()
-	r.hGrantWait.Observe(int64(th.task.Now().Sub(start)))
+	r.hGrantWait.Observe(int64(th.task.Now().Sub(start) - th.sec.paid))
 	return !th.sec.flushed
 }
 
@@ -563,12 +555,17 @@ func (r *Replayer) sectionDone(tu Tuple) {
 // it already has). Callbacks run as scheduled events, never in the shadow
 // thread's context; the rejoin checkpoint verifier uses this to compare
 // cursor state exactly at the checkpoint watermark.
-func (r *Replayer) OnHead(seq uint64, fn func()) {
-	if r.head() >= seq {
-		r.kern.Sim().Schedule(0, fn)
+func (r *Replayer) OnHead(seq uint64, fn func()) { r.addHeadSub(headSub{seq: seq, fn: fn}) }
+
+// addHeadSub arms a head sub: its callback runs when the replay head
+// reaches its seq (at once if it already has), grants at or past seq
+// withheld meanwhile so the replayed set is exactly the prefix below it.
+func (r *Replayer) addHeadSub(s headSub) {
+	if r.head() >= s.seq {
+		r.kern.Sim().Schedule(0, s.fn)
 		return
 	}
-	r.headSubs = append(r.headSubs, headSub{seq: seq, fn: fn})
+	r.headSubs = append(r.headSubs, s)
 }
 
 func (r *Replayer) fireHeadSubs() {
@@ -614,7 +611,7 @@ func (r *Replayer) enter(th *Thread, op pthread.Op, obj uint64) bool {
 		th.sec = section{}
 		return false
 	}
-	th.task.Busy(r.cfg.ReplaySectionCost)
+	th.task.Busy(r.cfg.ReplaySectionCost - th.sec.paid)
 	r.verify(th, op, obj)
 	th.sec.replay = true
 	th.opened(op, obj)
@@ -705,7 +702,7 @@ func (r *Replayer) finishPromotion() {
 		th := r.waiting[ftpid]
 		delete(r.waiting, ftpid)
 		th.sec.flushed = true
-		th.sec.wait.Grant()
+		th.sec.wait.Grant(0)
 	}
 	r.envReady = true
 	r.envQ.WakeAll(0)
