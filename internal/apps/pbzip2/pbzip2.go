@@ -82,13 +82,15 @@ type block struct {
 // queue is PBZIP2's shared block queue: a bounded buffer protected by a
 // Pthreads mutex with notFull/notEmpty condition variables. The consumer
 // side broadcasts, so competing workers wake, race, and re-wait — the
-// retry behaviour behind the super-linear message growth of Figure 5.
+// retry behaviour behind the super-linear message growth of Figure 5. The
+// buffer is a fixed ring of capacity slots, n of them full from head on,
+// so pushing and popping never allocate.
 type queue struct {
 	mu       *pthread.Mutex
 	notEmpty *pthread.Cond
 	notFull  *pthread.Cond
 	buf      []*block
-	cap      int
+	head, n  int
 	closed   bool
 }
 
@@ -97,17 +99,18 @@ func newQueue(lib *pthread.Lib, capacity int) *queue {
 		mu:       lib.NewMutex(),
 		notEmpty: lib.NewCond(),
 		notFull:  lib.NewCond(),
-		cap:      capacity,
+		buf:      make([]*block, capacity),
 	}
 }
 
 func (q *queue) push(th *replication.Thread, b *block) {
 	t := th.Task()
 	q.mu.Lock(t)
-	for len(q.buf) >= q.cap {
+	for q.n == len(q.buf) {
 		q.notFull.Wait(t, q.mu)
 	}
-	q.buf = append(q.buf, b)
+	q.buf[(q.head+q.n)%len(q.buf)] = b
+	q.n++
 	q.notEmpty.Broadcast(t)
 	q.mu.Unlock(t)
 }
@@ -116,15 +119,17 @@ func (q *queue) push(th *replication.Thread, b *block) {
 func (q *queue) pop(th *replication.Thread) *block {
 	t := th.Task()
 	q.mu.Lock(t)
-	for len(q.buf) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait(t, q.mu)
 	}
-	if len(q.buf) == 0 {
+	if q.n == 0 {
 		q.mu.Unlock(t)
 		return nil
 	}
-	b := q.buf[0]
-	q.buf = q.buf[1:]
+	b := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
 	q.notFull.Signal(t)
 	q.mu.Unlock(t)
 	return b

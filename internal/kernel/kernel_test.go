@@ -532,3 +532,135 @@ func killAnywhereInCompute(t *testing.T, stackless bool) {
 	}
 	t.Log(hit)
 }
+
+// TestComputeAgainKeepsItsCore pins the scheduler's one rule for a task that
+// releases its core at the end of a compute and asks for one again in the
+// same instant, for a process and for a stackless task alike: the core never
+// left it. Back to back, the computes follow each other with no context
+// switch and no draw from the run's RNG, and the idle count seen between
+// them never changes. A task queued when the compute ends still takes the
+// core and the re-computing task queues behind it, and a kill or a kernel
+// panic anywhere in the loop leaves every core idle.
+func TestComputeAgainKeepsItsCore(t *testing.T) {
+	for _, stackless := range []bool{false, true} {
+		computeAgainKeepsItsCore(t, stackless)
+	}
+}
+
+// computeLoop spawns a task — a process calling Compute, or a stackless
+// task chaining ComputeThen — that runs n back-to-back computes of d (n <= 0:
+// forever) and calls between(i) at the end of the i-th.
+func computeLoop(k *Kernel, stackless bool, n int, d time.Duration, between func(i int)) *Task {
+	if !stackless {
+		return k.Spawn("loop", func(tk *Task) {
+			for i := 1; n <= 0 || i <= n; i++ {
+				tk.Compute(d)
+				between(i)
+			}
+		})
+	}
+	var tk *Task
+	i := 0
+	var next func()
+	next = func() {
+		if i > 0 {
+			between(i)
+		}
+		if i++; n <= 0 || i <= n {
+			tk.ComputeThen(d, next)
+		}
+	}
+	tk = k.SpawnStackless("loop", next)
+	return tk
+}
+
+func computeAgainKeepsItsCore(t *testing.T, stackless bool) {
+	const d = 10 * time.Microsecond
+	const cs = 2 * time.Microsecond
+	boot := func(cores int) (*sim.Simulation, *Kernel) {
+		s, k := bootTest(t, cores)
+		k.params.ContextSwitch = cs
+		return s, k
+	}
+
+	// Alone on two cores, started on a core idle for a millisecond: the
+	// first compute pays a drawn idle-exit penalty, the rest pay nothing.
+	alone := func(n int) (ends []sim.Time, idle []int, next int64) {
+		s, k := boot(2)
+		k.params.IdleWakeMin, k.params.IdleWakeMax = time.Microsecond, time.Millisecond
+		s.Schedule(time.Millisecond, func() {
+			computeLoop(k, stackless, n, d, func(int) {
+				ends, idle = append(ends, s.Now()), append(idle, k.IdleCores())
+			})
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ends, idle, s.Rand().Int63()
+	}
+	ends, idle, next := alone(5)
+	if len(ends) != 5 {
+		t.Fatalf("stackless=%v: %d of 5 computes ended", stackless, len(ends))
+	}
+	for i := 1; i < len(ends); i++ {
+		if got := ends[i].Sub(ends[i-1]); got != d {
+			t.Errorf("stackless=%v: compute %d took %v after the one before, want %v: no context switch", stackless, i+1, got, d)
+		}
+	}
+	for i, n := range idle {
+		if n != 2 {
+			t.Errorf("stackless=%v: %d idle cores after compute %d, want 2", stackless, n, i+1)
+		}
+	}
+	if _, _, one := alone(1); one != next {
+		t.Errorf("stackless=%v: back-to-back computes drew from the run's RNG", stackless)
+	}
+
+	// One core: B asks for it while A computes, so B is queued when A's
+	// compute ends. B takes the core after a context switch and A, asking
+	// again in that instant, queues behind it.
+	s, k := boot(1)
+	var aEnds, bEnds []sim.Time
+	a := computeLoop(k, stackless, 2, d, func(int) { aEnds = append(aEnds, s.Now()) })
+	var b *Task
+	s.Schedule(5*time.Microsecond, func() {
+		b = computeLoop(k, stackless, 1, d, func(int) { bEnds = append(bEnds, s.Now()) })
+	})
+	s.Schedule(cs+d+time.Microsecond, func() {
+		if k.Runnable() != 1 || a.core >= 0 || b.core != 0 {
+			t.Errorf("stackless=%v: after A's compute, %d queued, A on core %d, B on core %d; want A queued behind B",
+				stackless, k.Runnable(), a.core, b.core)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	us := func(n time.Duration) sim.Time { return sim.Time(n * time.Microsecond) }
+	if fmt.Sprint(aEnds, bEnds) != fmt.Sprint([]sim.Time{us(12), us(36)}, []sim.Time{us(24)}) {
+		t.Errorf("stackless=%v: A's computes ended at %v and B's at %v, want [12µs 36µs] and [24µs]", stackless, aEnds, bEnds)
+	}
+
+	// A kill or a kernel panic anywhere in an endless loop — mid-slice, or
+	// in the instant one compute ends and the next begins.
+	for _, panicKernel := range []bool{false, true} {
+		for at := time.Duration(0); at <= 3*(cs+d); at += 500 * time.Nanosecond {
+			s, k := boot(1)
+			loop := computeLoop(k, stackless, 0, d, func(int) {})
+			s.Schedule(at, func() {
+				if panicKernel {
+					k.Panic("test", nil)
+				} else {
+					loop.Kill()
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if k.IdleCores() != k.Cores() || k.Runnable() != 0 {
+				t.Errorf("stackless=%v, panic=%v, at +%v: %d of %d cores idle, %d queued",
+					stackless, panicKernel, at, k.IdleCores(), k.Cores(), k.Runnable())
+			}
+			s.Shutdown()
+		}
+	}
+}

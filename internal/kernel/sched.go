@@ -9,7 +9,9 @@ import (
 
 // Task is one kernel thread (a schedulable entity). A task holds a core
 // only while inside Compute; blocking operations release the CPU, exactly
-// as a Linux thread sleeping in the kernel does.
+// as a Linux thread sleeping in the kernel does. A task that computes again
+// in the instant its Compute ended, no other task having taken the core,
+// never left it: the thread that never sleeps never context-switches.
 type Task struct {
 	kernel *Kernel
 	proc   *sim.Proc // nil for a stackless task
@@ -59,6 +61,7 @@ type scheduler struct {
 	ncores    int
 	idle      []int      // idle core IDs (most recently used last)
 	idleSince []sim.Time // per core
+	lastUser  []*Task    // per core: the task that released it last
 	// Two-level run queue, as in Linux's wake-preemption: tasks that just
 	// woke from a block (interactive) are dispatched before tasks that
 	// merely exhausted their timeslice (batch), so a brief lock hold or
@@ -84,6 +87,7 @@ func newScheduler(k *Kernel, ncores int) *scheduler {
 		k:         k,
 		ncores:    ncores,
 		idleSince: make([]sim.Time, ncores),
+		lastUser:  make([]*Task, ncores),
 		running:   make([]*runSlice, ncores),
 	}
 	for c := ncores - 1; c >= 0; c-- {
@@ -218,17 +222,13 @@ func (t *Task) Compute(d time.Duration) {
 			panic(r)
 		}
 	}()
-	for t.beginCompute(d); ; {
+	t.left = d
+	for t.nextSlice(false); ; {
 		t.wakeQ.Wait(t.proc)
 		if t.sliceEnded() {
 			return
 		}
 	}
-}
-
-func (t *Task) beginCompute(d time.Duration) {
-	t.left = d
-	t.nextSlice(false)
 }
 
 func (t *Task) nextSlice(batch bool) {
@@ -288,8 +288,8 @@ func (t *Task) ComputeThen(d time.Duration, k func()) {
 		k()
 		return
 	}
-	t.then, t.parked = k, true
-	t.beginCompute(d)
+	t.then, t.parked, t.left = k, true, d
+	t.nextSlice(false)
 }
 
 // ParkThen parks a stackless task until Wake, then runs k.
@@ -381,17 +381,20 @@ func (s *scheduler) queued() int {
 	return len(s.boostq) - s.boostHead + len(s.runq) - s.runHead
 }
 
-// acquire gets t on its way to a core: an idle one is taken at once and the
-// slice starts when the dispatch latency has passed; if every core is busy
-// the task queues behind other runnable tasks, freshly woken tasks (boost)
-// ahead of timeslice-expired ones, until a release hands it one. Either way
-// the caller parks next and wakes at the end of the slice.
+// acquire gets t on its way to a core: the most recently idled one is taken
+// at once and the slice starts when the dispatch latency has passed — at
+// once if t itself released that core in this instant, which it then never
+// left (a core idle for no time draws no idle-exit penalty either way); if
+// every core is busy the task queues behind other runnable tasks, freshly
+// woken tasks (boost) ahead of timeslice-expired ones, until a release
+// hands it one. Either way the caller parks next and wakes at the end of
+// the slice.
 func (s *scheduler) acquire(t *Task, boost bool) {
 	if len(s.idle) > 0 {
 		t.core = s.idle[len(s.idle)-1]
 		s.idle = s.idle[:len(s.idle)-1]
 		idleFor := s.k.sim.Now().Sub(s.idleSince[t.core])
-		if pen := s.dispatchPenalty(idleFor); pen > 0 {
+		if pen := s.dispatchPenalty(idleFor); pen > 0 && (idleFor > 0 || s.lastUser[t.core] != t) {
 			t.dispatch.Reset(pen)
 		} else {
 			t.startSlice()
@@ -424,10 +427,7 @@ func (s *scheduler) dispatchPenalty(idleFor time.Duration) time.Duration {
 	if idleFor <= p.IdleThreshold || p.IdleWakeMax <= p.IdleWakeMin {
 		return pen
 	}
-	depth := idleFor / 20
-	if max := p.IdleWakeMax - p.IdleWakeMin; depth > max {
-		depth = max
-	}
+	depth := min(idleFor/20, p.IdleWakeMax-p.IdleWakeMin)
 	pen += p.IdleWakeMin
 	if depth > 0 {
 		pen += time.Duration(s.k.sim.Rand().Int63n(int64(depth)))
@@ -460,6 +460,7 @@ func (s *scheduler) release(t *Task) {
 		return
 	}
 	s.idleSince[core] = s.k.sim.Now()
+	s.lastUser[core] = t
 	s.idle = append(s.idle, core)
 }
 

@@ -25,7 +25,7 @@ type benchPair struct {
 	log, acks *shm.Ring
 }
 
-func newBenchPair(b *testing.B) *benchPair {
+func newBenchPair(b testing.TB) *benchPair {
 	b.Helper()
 	s := sim.New(1)
 	m := hw.New(s, hw.Opteron6376x4())

@@ -257,9 +257,9 @@ func (r *Recorder) addLink(link *replicaLink, log *shm.Ring) {
 		o.link = link
 		o.ev.Reset(log.Latency())
 	})
-	// Explicit cumulative acknowledgements free log-ring slots faster
-	// under backlog and serve as a liveness signal; they are consumed
-	// here so the ring never fills.
+	// Explicit cumulative acknowledgements carry the receipt watermark and
+	// the epoch acks; a log-ring slot frees on receipt, never on an ack.
+	// They are consumed here so the ack ring never fills.
 	receive(k, link.acks, &link.ackRx, func() { r.drainAcks(link) })
 }
 
