@@ -91,10 +91,10 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=2040 replication=2896 tcprep=1559 shm=1131
+LOC_CEILINGS := core=2024 replication=2731 tcprep=1559 shm=1131
 LOC_KERNEL_CEILING := 870
-LOC_BENCH_CEILING := 2310
-LOC_DESIGN_CEILING := 1396
+LOC_BENCH_CEILING := 2266
+LOC_DESIGN_CEILING := 1377
 
 loc:
 	@count() { for d; do ls $$d/*.go; done | grep -v _test.go | xargs cat | wc -l; }; total=0; over=0; \

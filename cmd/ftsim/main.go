@@ -48,7 +48,6 @@ type options struct {
 	rejoinDelay time.Duration
 	flight      string
 	shards      int
-	adaptive    bool
 	replicas    int
 	quorum      int
 }
@@ -67,7 +66,6 @@ func main() {
 	flag.DurationVar(&o.rejoinDelay, "rejoin-delay", 10*time.Second, "partition repair time before a backup rejoins")
 	flag.StringVar(&o.flight, "flight", "", "write the failover flight-recorder dump to this file")
 	flag.IntVar(&o.shards, "shards", 1, "det-section sequencer shards (1 = the global-mutex total order)")
-	flag.BoolVar(&o.adaptive, "adaptive", false, "adaptive det-log batching (AIMD controller instead of the static batch size)")
 	flag.IntVar(&o.replicas, "replicas", 2, "replica-set size: one primary plus n-1 backups on balanced fault domains")
 	flag.IntVar(&o.quorum, "quorum", 0, "output-commit quorum counting the primary (0 = majority of the set)")
 	flag.Parse()
@@ -93,9 +91,6 @@ func run(o options) error {
 		// the paper's setup, where the degraded system runs to completion.
 		core.WithRejoin(o.chaosSpec != ""),
 		core.WithDetShards(o.shards),
-	}
-	if o.adaptive {
-		opts = append(opts, core.WithAdaptiveBatching(0))
 	}
 	if o.replicas != 2 {
 		opts = append(opts, core.WithReplicaSet(o.replicas))

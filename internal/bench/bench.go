@@ -138,11 +138,7 @@ var Experiments = []Experiment{
 	},
 	{
 		Name:  "fabric",
-		Title: "Shared-memory fabric: lock-free reservation and adaptive batching",
-		Notes: []string{
-			"ratios: adaptive against the best static batch at measured_at_threads — completion",
-			"time (sustained), transfers (burst) — and against its own starting batch (burst)",
-		},
+		Title: "Shared-memory fabric: lock-free reservation and the batch size",
 		Run: fabric,
 	},
 	{

@@ -10,19 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// fabricBatch is the static batch of the mode comparison and the adaptive
-// controller's starting batch; the static batch sweep and the headline
-// ratios are taken at headlineThreads.
+// fabricBatch is the batch of the thread sweep; the batch sweep is taken
+// at headlineThreads.
 const (
 	fabricBatch      = 8
 	fabricRawBatches = 200 // batched sends per producer, raw workload
 )
 
-// The thread counts of the mode comparison, and the static batch sizes
-// swept at headlineThreads, which bracket fabricBatch from both sides.
+// The thread counts of the thread sweep, and the batch sizes swept at
+// headlineThreads, which bracket fabricBatch from both sides.
 var (
-	fabricThreads       = []int{1, 2, 4, 8}
-	fabricStaticBatches = []int{1, 4, 16, 32}
+	fabricThreads = []int{1, 2, 4, 8}
+	fabricBatches = []int{1, 4, 16, 32}
 )
 
 // fabricWorkload is one replicated regime of the sweep.
@@ -35,10 +34,9 @@ type fabricWorkload struct {
 var fabricWorkloads = map[string]fabricWorkload{
 	// Tight emission into an ample ring, sections spread over four det
 	// shards, no output commits: at 8 threads a 32-tuple batch fills well
-	// inside the flush deadline, so the batch policy — not the deadline —
+	// inside the flush deadline, so the batch size — not the deadline —
 	// decides the transfer count, and nothing ever stalls. Acks keep pace
-	// with delivery, every flush observes low lag, and the controller
-	// should grow toward MaxBatchTuples (fewer, fuller transfers).
+	// with delivery and every flush observes low lag.
 	"burst": {
 		loop: func(threads int) lockLoop {
 			return lockLoop{threads: threads, locks: threads, iters: 150,
@@ -53,8 +51,7 @@ var fabricWorkloads = map[string]fabricWorkload{
 	// strict commit stalls on the backlog, and flush lag rides the full
 	// ring. How many TUPLES the ring holds is set by the batch size
 	// (64-byte headers amortize across a batch), which is exactly the
-	// backlog depth each commit waits out; the controller should shrink
-	// toward the floor.
+	// backlog depth each commit waits out.
 	"sustained": {
 		loop: func(threads int) lockLoop {
 			return lockLoop{threads: threads, locks: threads, iters: 200,
@@ -67,15 +64,9 @@ var fabricWorkloads = map[string]fabricWorkload{
 
 // fabric runs the shared-memory fabric sweep over the reserve/commit MPSC
 // path (claims are FIFO tickets, publication is one release-store, senders
-// only ever block on ring capacity), comparing two batch policies:
-// "lockfree" is the static BatchTuples policy, "adaptive" the AIMD
-// controller governing the effective batch size. It measures the raw
-// producer scaling curve, both policies across the thread counts on both
-// replicated workloads, then the static batch sweep the adaptive ratios
-// are computed against: on sustained by completion time (~1 means adaptive
-// matched the best hand-tuned batch), on burst by transfer count — against
-// the best static batch, and against its own starting batch (growth paying
-// for itself without retuning).
+// only ever block on ring capacity). It measures the raw producer scaling
+// curve, then each replicated workload across the thread counts at
+// fabricBatch and across the batch sizes at headlineThreads.
 func fabric(seed int64, _ bool) (Report, error) {
 	const at = headlineThreads
 	report := Report{Exp: "fabric", Seed: seed,
@@ -94,36 +85,17 @@ func fabric(seed int64, _ bool) (Report, error) {
 	}
 	for _, workload := range []string{"burst", "sustained"} {
 		for _, threads := range fabricThreads {
-			for _, mode := range []string{"lockfree", "adaptive"} {
-				if err := add(fabricPoint(seed, mode, workload, threads, fabricBatch)); err != nil {
-					return report, err
-				}
+			if err := add(fabricPoint(seed, workload, threads, fabricBatch)); err != nil {
+				return report, err
 			}
 		}
-		for _, b := range fabricStaticBatches {
-			if err := add(fabricPoint(seed, "lockfree", workload, at, b)); err != nil {
+		for _, b := range fabricBatches {
+			if err := add(fabricPoint(seed, workload, at, b)); err != nil {
 				return report, err
 			}
 		}
 	}
-
-	d := derive{r: &report}
-	cell := func(name, mode, workload string, batch int) float64 {
-		return d.v(name, "mode", mode, "workload", workload, "threads", at, "batch_tuples", batch)
-	}
-	// bestStatic is the lowest value any static batch reaches at the
-	// measured thread count — the strongest hand-tuned competitor.
-	bestStatic := func(name, workload string) float64 {
-		best := cell(name, "lockfree", workload, fabricBatch)
-		for _, b := range fabricStaticBatches {
-			best = min(best, cell(name, "lockfree", workload, b))
-		}
-		return best
-	}
-	d.ratio("adaptive_vs_best_static_sustained", bestStatic("sim_ms", "sustained"), cell("sim_ms", "adaptive", "sustained", fabricBatch))
-	d.ratio("adaptive_vs_best_static_burst", bestStatic("messages", "burst"), cell("messages", "adaptive", "burst", fabricBatch))
-	d.ratio("adaptive_msg_savings_burst", cell("messages", "lockfree", "burst", fabricBatch), cell("messages", "adaptive", "burst", fabricBatch))
-	return report, d.err
+	return report, nil
 }
 
 // fabricCell is what one point measured: st is the measured ring; the
@@ -132,7 +104,6 @@ type fabricCell struct {
 	st                          shm.Stats
 	sections, divergences       uint64
 	commit, shardWait, flushLag obs.HistogramSnap
-	effBatch                    int64
 	finished                    sim.Time
 }
 
@@ -155,8 +126,6 @@ func (c fabricCell) values() []Named {
 		val("commit_wait_p90_ns", c.commit.P90, "ns"),
 		val("shard_wait_p50_ns", c.shardWait.P50, "ns"),
 		val("flush_lag_p50_tuples", c.flushLag.P50, "tuples"),
-		// The controller's effective batch when the run ended (adaptive only).
-		val("eff_batch_end", c.effBatch, "tuples"),
 		val("divergences", c.divergences, "count"),
 		val("sim_ms", ms(c.finished), "ms"),
 	}
@@ -170,7 +139,7 @@ func (c fabricCell) values() []Named {
 // without parking (the locked-copy sender it replaced blocked 69 ms over
 // 1599 parks on this cell; see EXPERIMENTS.md).
 func fabricRawPoint(seed int64, threads int) (Point, error) {
-	point := Point{Labels: []Label{label("workload", "raw"), label("mode", "lockfree"), label("threads", threads), label("batch_tuples", fabricBatch)}}
+	point := Point{Labels: []Label{label("workload", "raw"), label("threads", threads), label("batch_tuples", fabricBatch)}}
 	sys, err := boot(seed)
 	if err != nil {
 		return point, err
@@ -210,16 +179,13 @@ func fabricRawPoint(seed int64, threads int) (Point, error) {
 	return point, nil
 }
 
-func fabricPoint(seed int64, mode, workload string, threads, batch int) (Point, error) {
-	point := Point{Labels: []Label{label("workload", workload), label("mode", mode), label("threads", threads), label("batch_tuples", batch)}}
+func fabricPoint(seed int64, workload string, threads, batch int) (Point, error) {
+	point := Point{Labels: []Label{label("workload", workload), label("threads", threads), label("batch_tuples", batch)}}
 	wl := fabricWorkloads[workload]
 	loop := wl.loop(threads)
 	opts := []core.Option{core.WithDetShards(wl.detShards), func(c *core.Config) {
 		c.Replication.LogRingBytes, c.Replication.BatchTuples = wl.ringBytes, batch
 	}}
-	if mode == "adaptive" {
-		opts = append(opts, core.WithAdaptiveBatching(0))
-	}
 	run, err := runSweep(seed, core.App{Name: "fabric", Main: loop.run}, nil, opts...)
 	if err != nil {
 		return point, err
@@ -231,12 +197,6 @@ func fabricPoint(seed int64, mode, workload string, threads, batch int) (Point, 
 		commit:    run.hist("ftns.commit.wait", loop.commitEvery == 0),
 		shardWait: run.hist("ftns.shard.wait", false),
 		flushLag:  run.hist("ftns.flush.lag", true),
-	}
-	if mode == "adaptive" {
-		var ok bool
-		if cell.effBatch, ok = run.snap.Gauge("ftns.ctrl.batch"); !ok {
-			return point, fmt.Errorf("metric ftns.ctrl.batch is not in the registry")
-		}
 	}
 	point.Values = cell.values()
 	return point, run.err

@@ -56,22 +56,6 @@ func WithCores(primary, secondary int) Option {
 	return func(c *Config) { c.PrimaryCores, c.SecondaryCores = primary, secondary }
 }
 
-// WithAdaptiveBatching lets the recorder's batch controller move: instead
-// of staying pinned at the configured BatchTuples, the effective det-log
-// batch starts there, grows while output commits find their watermark
-// already acknowledged, and halves the moment a commit stalls or the
-// unacked-log lag climbs. max is the controller's ceiling (0 selects the
-// engine default, max(4*BatchTuples, 32)). The output-commit force-flush
-// invariant is untouched.
-func WithAdaptiveBatching(max int) Option {
-	return func(c *Config) {
-		if max < 1 {
-			max = -1 // replication.Config.MaxBatchTuples: the default ceiling
-		}
-		c.Replication.MaxBatchTuples = max
-	}
-}
-
 // WithDetShards shards the namespace-wide deterministic-section mutex
 // across n per-object sequencer locks on both replicas: sections on
 // different sequencing objects (mutexes, condvars, replicated syscall

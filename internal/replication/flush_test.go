@@ -98,24 +98,23 @@ func TestSpilledBatchKeepsItsPlace(t *testing.T) {
 }
 
 // flushCounts is everything one log flush books: the ring's traffic, the
-// batch count, the two flush samples and the controller's lag observation.
+// batch count and the two flush samples.
 type flushCounts struct {
 	ring        shm.Stats
 	batches     uint64
 	fills, lags int64
-	ctrl        batchController
 }
 
 func countFlushes(rec *Recorder, log *shm.Ring) flushCounts {
 	st := log.Stats()
 	st.SendWaitNs = 0 // a parked sender's wait is booked when it comes back, published or not
-	return flushCounts{st, rec.stats.LogBatches, rec.hBatchFill.Count(), rec.hFlushLag.Count(), rec.ctrl}
+	return flushCounts{st, rec.stats.LogBatches, rec.hBatchFill.Count(), rec.hFlushLag.Count()}
 }
 
 // TestKilledBackupUnblocksSpillServer: the backup dies while the spill
 // server is parked on its full ring; the drain releases it, and the batch
 // it was carrying is neither put on the dead ring nor booked — not as a
-// batch, not as a flush sample, not as a lag observation for the controller.
+// batch, not as a flush sample, not as a lag observation.
 func TestKilledBackupUnblocksSpillServer(t *testing.T) {
 	cfg := spillConfig()
 	s, log, rec := flushHarness(t, cfg)
@@ -191,5 +190,70 @@ func TestBatchOfOneIsSend(t *testing.T) {
 		if recAt[i] != refAt[i] {
 			t.Fatalf("delivery %d at %v through the recorder, %v through Ring.Send", i, recAt[i], refAt[i])
 		}
+	}
+}
+
+// TestDeadlineForceFlushSameInstant is the regression test for the
+// flush-deadline edge: a FlushInterval deadline expiring in the same
+// scheduler instant as an output-commit force-flush used to double-send,
+// putting an empty batch on the wire. Now whichever path runs second
+// finds the span already published and commits nothing — exactly one
+// transfer, no zero-tuple flush sample.
+func TestDeadlineForceFlushSameInstant(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchTuples = 8
+	cfg.FlushInterval = 50 * time.Microsecond
+	s, log, rec := flushHarness(t, cfg)
+	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
+		for i := 0; i < 3; i++ {
+			rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message(0))
+		}
+		// Sleep to exactly the armed deadline: the deadline and this
+		// wake-up land in the same scheduler instant.
+		tk.Proc().Sleep(cfg.FlushInterval)
+		rec.flushForCommit()
+	})
+	s.Spawn("drain", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			log.Recv(p)
+		}
+	})
+	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	st := log.Stats()
+	if st.Messages != 1 || st.Payloads != 3 {
+		t.Errorf("log ring saw %d transfers / %d payloads, want exactly 1 / 3 (no empty double-send)", st.Messages, st.Payloads)
+	}
+	if rec.stats.LogBatches != 1 || rec.hBatchFill.Count() != 1 {
+		t.Errorf("LogBatches = %d with %d flush samples, want 1 and 1 (whichever ran second found nothing to send)",
+			rec.stats.LogBatches, rec.hBatchFill.Count())
+	}
+}
+
+// TestForceFlushPublishesOpenSpan: an output-commit waiter must never
+// wait on buffering — flushForCommit publishes the open span in
+// scheduler context without blocking.
+func TestForceFlushPublishesOpenSpan(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchTuples = 16
+	cfg.FlushInterval = time.Second // far away: only the force flush fires
+	s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
+	released := false
+	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
+		rec.emit(tk, Tuple{GlobalSeq: 1}.message(0))
+		rec.onStable(func() { released = true })
+	})
+	s.Spawn("drain", func(p *sim.Proc) {
+		log.Recv(p)
+	})
+	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if log.Stats().Payloads != 1 {
+		t.Errorf("log ring saw %d payloads, want the buffered tuple force-flushed", log.Stats().Payloads)
+	}
+	if !released {
+		t.Error("output-commit waiter never released: force flush did not publish the open span")
 	}
 }

@@ -42,7 +42,6 @@ func (r *Recorder) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 			r.cShardSecs[i] = reg.Counter(fmt.Sprintf("%s.shard.%d.sections", name, i))
 		}
 	}
-	r.ctrl.instrument(name, reg)
 	// Quorum-commit signals: how many caught-up backups are in the
 	// output-commit set and how many receipts the rule currently
 	// requires, so a dashboard shows quorum erosion before it becomes
@@ -75,14 +74,12 @@ func (r *Recorder) cShardSec(shard int) *obs.Counter {
 
 // noteFlush records one vectored log flush of n tuples: the count, the
 // batch-fill sample, the flush event, and the unacked backlog at this
-// moment — which also feeds the batch controller its lag signal.
+// moment.
 func (r *Recorder) noteFlush(n int) {
 	r.stats.LogBatches++
-	lag := r.sent - r.ackedAll()
 	r.sc.Emit(obs.BatchFlush, 0, int64(r.sent), int64(n))
 	r.hBatchFill.Observe(int64(n))
-	r.hFlushLag.Observe(int64(lag))
-	r.ctrl.observeFlush(lag)
+	r.hFlushLag.Observe(int64(r.sent - r.ackedAll()))
 }
 
 func (r *Replayer) instrument(name string, sc *obs.Scope, reg *obs.Registry) {

@@ -40,7 +40,6 @@ type ReplicaWatermark struct {
 // its acknowledgement ring, and the receipt watermark observed so far.
 type replicaLink struct {
 	shm.Outbox
-	idx   int
 	acks  *shm.Ring
 	ackRx sim.Event // the acks ring's receiver
 	acked uint64
@@ -99,7 +98,6 @@ func (o *receiptObs) fire() {
 	r.obsFree = append(r.obsFree, o)
 	if d := link.base + uint64(link.Ring().Delivered()); d > link.acked {
 		link.acked = d
-		r.noteMark(link)
 		r.fireStable()
 	}
 }
@@ -123,8 +121,8 @@ func (o *receiptObs) fire() {
 // reservation (zero-copy) and published as one Commit when the batch
 // fills, when the link's FlushInterval deadline fires, or —
 // unconditionally — when an output-commit waiter registers, so strict
-// output commit never waits on buffering. The batch size is the
-// batchController's output; at one, the paper's configuration, a span
+// output commit never waits on buffering. The batch size is
+// Config.BatchTuples; at one, the paper's configuration, a span
 // fills and commits inside the emit that opened it. Because ring
 // reservation order is publication order, concurrent flushes need no
 // mutual exclusion: a later batch physically cannot overtake an earlier
@@ -156,16 +154,11 @@ type Recorder struct {
 	epochDone     uint64
 	onEpochQuorum func(epoch uint64)
 
-	// marks is the per-replica receipt watermark vector, refreshed at
-	// every link-state transition (ack, delivery, death, catch-up flip);
-	// it is what Watermarks exposes to failover election and the flight
-	// recorder. ackScratch is the quorum rule's reusable sort buffer.
-	marks      map[int]ReplicaWatermark
+	// ackScratch is the quorum rule's reusable sort buffer.
 	ackScratch []uint64
 	obsFree    []*receiptObs // fired receipt observations, reused by the next delivery
 
-	out  shm.Outboxes // the links' outboxes, in link order, and their spill server
-	ctrl batchController
+	out shm.Outboxes // the links' outboxes, in link order, and their spill server
 
 	sc          *obs.Scope
 	cTuples     *obs.Counter
@@ -222,9 +215,7 @@ func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring, seed fork
 		sent:      seed.hist.end(),
 		hist:      seed.hist,
 		degraded:  len(logs) == 0,
-		marks:     make(map[int]ReplicaWatermark),
 		epochCuts: make(map[uint64]uint64),
-		ctrl:      newBatchController(cfg),
 	}
 	r.out.Init(k.Sim(), cfg.FlushInterval, k.Alive)
 	for i := range logs {
@@ -237,9 +228,7 @@ func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring, seed fork
 // addLink registers one backup link: the receipt watermark observed from
 // the mailbox consumer-side slot state, and the explicit ack consumer.
 func (r *Recorder) addLink(link *replicaLink, log *shm.Ring) {
-	link.idx = len(r.replicas)
 	r.replicas = append(r.replicas, link)
-	r.noteMark(link)
 	r.out.Attach(&link.Outbox, log, func() { r.flushLink(link) }, func(n int, _ uint64) { r.noteFlush(n) })
 	// Output stability requires only that a backup has RECEIVED the
 	// log for subsequent live replay (§3.5), not that it has processed
@@ -322,7 +311,6 @@ func (r *Recorder) catchupLoop(t *kernel.Task, link *replicaLink, onCaughtUp fun
 	}
 	link.syncing = false
 	r.degraded = false
-	r.noteMark(link)
 	r.sc.Emit(obs.CatchupDone, 0, int64(r.sent), 0)
 	r.fireStable()
 	if onCaughtUp != nil {
@@ -346,7 +334,6 @@ func (r *Recorder) drainAcks(link *replicaLink) {
 			// seeds its processed count from the checkpoint it restored).
 			if v := m.W[0]; v > link.acked {
 				link.acked = v
-				r.noteMark(link)
 				r.fireStable()
 			}
 		}
@@ -412,27 +399,14 @@ func (r *Recorder) quorumNeed() int {
 	return r.cfg.CommitQuorum
 }
 
-// noteMark refreshes one link's entry in the per-replica receipt
-// watermark vector. The vector is plain observable data — the armable
-// output-commit waiters live in stableQ, guarded by flushForCommit —
-// so storing into it needs no flush first.
-func (r *Recorder) noteMark(link *replicaLink) {
-	r.marks[link.idx] = ReplicaWatermark{
-		Index:     link.idx,
-		Watermark: link.acked,
-		Dead:      link.Dead(),
-		Syncing:   link.syncing,
-	}
-}
-
 // Watermarks returns the per-replica receipt watermark vector in link
 // (construction/AddReplica) order. Failover election ranks surviving
 // backups by it, and the flight recorder snapshots it into the failover
 // dump so a post-mortem can see exactly how far each loser was behind.
 func (r *Recorder) Watermarks() []ReplicaWatermark {
 	out := make([]ReplicaWatermark, 0, len(r.replicas))
-	for i := range r.replicas {
-		out = append(out, r.marks[i])
+	for i, link := range r.replicas {
+		out = append(out, ReplicaWatermark{Index: i, Watermark: link.acked, Dead: link.Dead(), Syncing: link.syncing})
 	}
 	return out
 }
@@ -454,8 +428,8 @@ func (r *Recorder) backups() (live, syncing int) {
 
 // emit streams one log message to every live backup: it writes the tuple
 // in place into the link's open ring reservation (zero-copy) and publishes
-// when the effective batch fills. When no reservation can be claimed (ring
-// full) tuples spill to the link's outbox and a blocking vectored flush
+// when the batch fills. When no reservation can be claimed (ring full)
+// tuples spill to the link's outbox and a blocking vectored flush
 // throttles the primary to the slowest backup's drain rate. At a batch of
 // one that is Ring.Send: reserve, put and commit here, or — ring full —
 // this task claims its FIFO ticket and blocks in the outbox's Flush.
@@ -463,7 +437,6 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 	if r.cfg.Rejoinable {
 		r.hist.append(m)
 	}
-	eff := r.ctrl.eff
 	for _, link := range r.replicas {
 		if link.Dead() {
 			continue
@@ -474,12 +447,12 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 			link.backlog = append(link.backlog, m)
 			continue
 		}
-		if r.emitSpan(link, m, eff) {
+		if r.emitSpan(link, m) {
 			continue
 		}
 		// Spill path: no reservation available.
 		link.Add(m)
-		if link.Len() >= eff {
+		if link.Len() >= r.cfg.BatchTuples {
 			link.Flush(t.Proc())
 		}
 	}
@@ -489,16 +462,15 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 
 // emitSpan tries the zero-copy path: write m into the link's open span,
 // claiming a fresh reservation when none is open, and publish once the
-// effective batch fills. It reports false when the tuple must spill
-// instead — the ring has no room, or earlier work is already queued
-// (spilled tuples or a blocked reservation, which writing around would
-// reorder).
-func (r *Recorder) emitSpan(link *replicaLink, m shm.Message, eff int) bool {
+// batch fills. It reports false when the tuple must spill instead — the
+// ring has no room, or earlier work is already queued (spilled tuples or
+// a blocked reservation, which writing around would reorder).
+func (r *Recorder) emitSpan(link *replicaLink, m shm.Message) bool {
 	if link.Len() > 0 {
 		return false
 	}
 	if !link.span.Open() {
-		if !r.openSpan(link, eff, int64(m.Size)) {
+		if !r.openSpan(link, int64(m.Size)) {
 			return false
 		}
 	}
@@ -506,26 +478,27 @@ func (r *Recorder) emitSpan(link *replicaLink, m shm.Message, eff int) bool {
 		// Slot or byte budget exhausted: publish what is written and
 		// claim a fresh span for this tuple.
 		r.commitSpan(link)
-		if !r.openSpan(link, eff, int64(m.Size)) {
+		if !r.openSpan(link, int64(m.Size)) {
 			return false
 		}
 		link.span.Put(m)
 	}
-	if link.span.Len() >= eff {
+	if link.span.Len() >= r.cfg.BatchTuples {
 		r.commitSpan(link)
 	}
 	return true
 }
 
-// openSpan claims a fresh reservation sized for the effective batch (at
-// least minBytes, so an oversized data tuple gets a span of its own) and
-// arms the flush deadline.
-func (r *Recorder) openSpan(link *replicaLink, eff int, minBytes int64) bool {
-	budget := int64(eff) * tupleBytes
+// openSpan claims a fresh reservation sized for one batch (at least
+// minBytes, so an oversized data tuple gets a span of its own) and arms
+// the flush deadline.
+func (r *Recorder) openSpan(link *replicaLink, minBytes int64) bool {
+	n := r.cfg.BatchTuples
+	budget := int64(n) * tupleBytes
 	if budget < minBytes {
 		budget = minBytes
 	}
-	sp := link.Ring().TryReserve(eff, budget)
+	sp := link.Ring().TryReserve(n, budget)
 	if !sp.Open() {
 		return false
 	}
@@ -758,11 +731,9 @@ func (r *Recorder) onStable(fn func()) {
 	w := r.sent
 	if r.ackedAll() >= w {
 		r.hCommitWait.Observe(0)
-		r.ctrl.observeCommit(false)
 		fn()
 		return
 	}
-	r.ctrl.observeCommit(true)
 	r.sc.Emit(obs.OutputHeld, 0, int64(w), 0)
 	r.stableQ = append(r.stableQ, stableWaiter{watermark: w, fn: fn, heldAt: r.kern.Sim().Now()})
 }
@@ -831,7 +802,6 @@ func (r *Recorder) abandonLink(link *replicaLink) {
 	link.span.Abort()
 	link.span = shm.Span{}
 	link.Kill()
-	r.noteMark(link)
 }
 
 // degrade marks every backup dead but keeps recording: sections stay

@@ -252,18 +252,6 @@ type Config struct {
 	// buffered on the primary before its deadline publishes it (0 selects
 	// defaultFlushInterval).
 	FlushInterval time.Duration
-	// MaxBatchTuples is the ceiling of the recorder's batch controller
-	// (see batchController). At or below BatchTuples — the zero value
-	// included — the controller is pinned: the batch size is BatchTuples,
-	// the static policy. Above it the effective batch size starts at
-	// BatchTuples and is steered by AIMD between 1 and the ceiling: it
-	// grows while output commits find their watermark already
-	// acknowledged and halves the moment a commit stalls or the
-	// unacked-log lag climbs. Negative selects the default ceiling,
-	// max(4*BatchTuples, 32). The output-commit force-flush is the same at
-	// every setting, so the controller trades only buffering latency,
-	// never commit safety.
-	MaxBatchTuples int
 	// CommitQuorum is the number of backup receipt acknowledgements an
 	// output-commit watermark needs before the output is released. Zero
 	// keeps the conservative all-backups rule (every live, caught-up
@@ -299,23 +287,16 @@ type Config struct {
 const defaultFlushInterval = 50 * time.Microsecond
 
 // WithBatchDefaults normalizes the batching and sharding knobs — the one
-// place their zero values and the controller's ceiling are resolved, for
-// a deployment (core's validate calls it) and for an engine built directly
-// alike: at least one tuple per batch, a flush interval so a buffered
-// tuple can never sit forever, a ceiling no lower than the batch it
-// starts from, at least one det shard.
+// place their zero values are resolved, for a deployment (core's validate
+// calls it) and for an engine built directly alike: at least one tuple
+// per batch, a flush interval so a buffered tuple can never sit forever,
+// at least one det shard.
 func (c Config) WithBatchDefaults() Config {
 	if c.BatchTuples < 1 {
 		c.BatchTuples = 1
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = defaultFlushInterval
-	}
-	if c.MaxBatchTuples < 0 {
-		c.MaxBatchTuples = max(4*c.BatchTuples, 32)
-	}
-	if c.MaxBatchTuples < c.BatchTuples {
-		c.MaxBatchTuples = c.BatchTuples
 	}
 	if c.DetShards < 1 {
 		c.DetShards = 1

@@ -269,5 +269,5 @@ func (r *Ring) publishReady() {
 }
 
 // OpenSpans reports the number of reserved spans not yet published —
-// the span-occupancy signal the adaptive batching controller exports.
+// the span occupancy behind the recorder's ftns.ring.spans gauge.
 func (r *Ring) OpenSpans() int { return len(r.spans) - r.spansHead }
