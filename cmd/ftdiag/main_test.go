@@ -18,7 +18,9 @@ import (
 
 // traceFiles writes the JSONL event streams ftdiag reads, the way `make
 // diag` makes them but smaller: a 1 MiB restream download at seed 1, twice
-// never failed and once with the primary's core failing at 5 ms, mid-download.
+// never failed and once with the primary's core failing at 5 ms,
+// mid-download; and a 512 KiB download, whose recorded tuples stop short of
+// the 1 MiB run's.
 var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 	dir, err := os.MkdirTemp("", "ftdiag-test")
 	if err != nil {
@@ -28,9 +30,10 @@ var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 	for _, run := range []struct {
 		name   string
 		failAt time.Duration
-	}{{"clean", 0}, {"clean2", 0}, {"failed", 5 * time.Millisecond}} {
+		total  int
+	}{{"clean", 0, 1 << 20}, {"clean2", 0, 1 << 20}, {"failed", 5 * time.Millisecond, 1 << 20}, {"short", 0, 512 << 10}} {
 		path := filepath.Join(dir, run.name+".jsonl")
-		if err := writeTrace(path, run.failAt); err != nil {
+		if err := writeTrace(path, run.failAt, run.total); err != nil {
 			return nil, err
 		}
 		files[run.name] = path
@@ -38,8 +41,8 @@ var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 	return files, nil
 })
 
-func writeTrace(path string, failAt time.Duration) error {
-	sys, err := core.New(core.WithSeed(1), core.WithTrace(), core.WithRejoin(false))
+func writeTrace(path string, failAt time.Duration, total int) error {
+	sys, err := core.New(core.WithSeed(1), core.WithTrace())
 	if err != nil {
 		return err
 	}
@@ -48,7 +51,7 @@ func writeTrace(path string, failAt time.Duration) error {
 	if err != nil {
 		return err
 	}
-	scfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: 1 << 20}
+	scfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: total}
 	sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
 	var dl clients.DownloadStats
 	clients.Download(client, scfg.Port, int64(scfg.Total), time.Second, &dl)
@@ -104,7 +107,8 @@ func TestDiffExitCodes(t *testing.T) {
 		out    string // a substring of stdout, or of stderr when the status is 2
 	}{
 		{"same-seed traces agree", []string{"diff", tr["clean"], tr["clean2"]}, 0, ""},
-		{"killed primary diverges", []string{"diff", tr["clean"], tr["failed"]}, 1, "first divergence at recorded tuple"},
+		{"killed primary agrees", []string{"diff", tr["clean"], tr["failed"]}, 0, ""},
+		{"shorter download diverges", []string{"diff", tr["clean"], tr["short"]}, 1, "first divergence at recorded tuple"},
 		{"missing file", []string{"diff", tr["clean"], filepath.Join(t.TempDir(), "no-such.jsonl")}, 2, "no-such.jsonl"},
 		{"bad flag", []string{"diff", "-no-such-flag", tr["clean"], tr["clean2"]}, 2, "flag provided but not defined"},
 		{"one trace", []string{"diff", tr["clean"]}, 2, "exactly two trace files"},

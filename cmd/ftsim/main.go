@@ -3,16 +3,17 @@
 // byte, and injected faults, printing the timeline and the client's view.
 //
 //	ftsim -size 2147483648 -fail 5s -fault coherency -relaxed
-//	ftsim -chaos kill-rejoin-kill        # preset schedule, rejoin enabled
+//	ftsim -chaos kill-rejoin-kill        # preset crash/rejoin cycles
 //	ftsim -chaos "drop hb p0.5 1s..2s; kill primary @3s" -chaos-seed 7
 //	ftsim -trace out.json                # Perfetto-loadable timeline
 //
-// -chaos takes a preset name (kill-rejoin-kill, hb-storm, dup-delay) or a
-// raw schedule spec and enables backup re-integration: after each kill the
-// freed partition boots a fresh kernel, resyncs from a checkpoint plus
-// catch-up replay, and the pair returns to replicated mode. -flight writes
-// the failover flight-recorder dump to a file (CI keeps it as an artifact
-// when a run fails).
+// Every kill — -fail's or a chaos schedule's — is followed by backup
+// re-integration: after -rejoin-delay the freed partition boots a fresh
+// kernel, resyncs from a checkpoint plus catch-up replay, and the pair
+// returns to replicated mode. -chaos takes a preset name (kill-rejoin-kill,
+// hb-storm, dup-delay) or a raw schedule spec. -flight writes the failover
+// flight-recorder dump to a file (CI keeps it as an artifact when a run
+// fails).
 //
 // With -trace the full event stream is retained and written as a Chrome
 // trace-event file (open it at https://ui.perfetto.dev). The trace is
@@ -61,7 +62,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	flag.StringVar(&o.trace, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
 	flag.StringVar(&o.events, "events", "", "write the raw event stream as JSONL to this file (ftdiag input)")
-	flag.StringVar(&o.chaosSpec, "chaos", "", "chaos schedule (preset name or spec); enables backup rejoin")
+	flag.StringVar(&o.chaosSpec, "chaos", "", "chaos schedule (preset name or spec)")
 	flag.Int64Var(&o.chaosSeed, "chaos-seed", 42, "seed for the chaos injector's RNG stream")
 	flag.DurationVar(&o.rejoinDelay, "rejoin-delay", 10*time.Second, "partition repair time before a backup rejoins")
 	flag.StringVar(&o.flight, "flight", "", "write the failover flight-recorder dump to this file")
@@ -87,9 +88,6 @@ func run(o options) error {
 		core.WithTCP(tcp),
 		core.WithStrictOutputCommit(!o.relaxed),
 		core.WithRejoinDelay(o.rejoinDelay),
-		// Rejoin only on chaos runs: the single-failure experiments match
-		// the paper's setup, where the degraded system runs to completion.
-		core.WithRejoin(o.chaosSpec != ""),
 		core.WithDetShards(o.shards),
 	}
 	if o.replicas != 2 {

@@ -29,7 +29,7 @@ func run() error {
 	cfg.BlockSize = 50 << 10
 	cfg.MaxBlocks = 4000 // a 200 MB slice of the 1 GB file keeps this demo quick
 
-	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(1))
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,9 @@
 // promoted backup resumes the same byte stream, and the client verifies
 // every byte. With quorum 2 of 3, output commit waits for only the faster
 // backup's receipt — the paper's two-replica rule is WithReplicaSet(2).
+// Ten seconds after the failure the freed partitions start rejoining as
+// fresh backups, and once one has caught up the rate drops back from the
+// unreplicated one to the replicated one.
 //
 //	go run ./examples/failover
 package main
@@ -39,7 +42,6 @@ func run() error {
 		core.WithReplicaSet(3), // one primary + two backups on balanced fault domains
 		core.WithQuorum(2),     // release output on the first backup receipt
 		core.WithTCP(tcp),
-		core.WithRejoin(false), // single-failure semantics, as in §4.4
 	)
 	if err != nil {
 		return err
@@ -69,6 +71,7 @@ func run() error {
 		sys.FailedAt.Sub(sim.Time(6*time.Second)), sys.LiveAt.Sub(sys.FailedAt), sys.Cfg.NICDriverLoadTime)
 	fmt.Printf("election promoted replica slot %d (the most-caught-up of the two surviving backups)\n",
 		sys.Active().Slot())
+	fmt.Printf("after the repairs: %v at generation %d\n", sys.State(), sys.Generation())
 
 	// The flight recorder captured the moment the failure was declared:
 	// the last acked watermark, the detector's state machine, the replay

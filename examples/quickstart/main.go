@@ -1,6 +1,7 @@
 // Quickstart: boot an FT-Linux system, replicate a multithreaded counter
 // application across the two hardware partitions, kill the primary with an
-// injected core fail-stop, and watch the secondary continue the work.
+// injected core fail-stop, watch the secondary continue the work, and watch
+// a fresh backup rejoin on the repaired partition and replay it all.
 //
 //	go run ./examples/quickstart
 package main
@@ -27,11 +28,12 @@ func run() error {
 	// Boot the paper's standard deployment: one 64-core machine split into
 	// two 32-core partitions, one kernel each, shared-memory mailboxes,
 	// heart-beat failure detection. WithReplicaSet(2) is that two-replica
-	// system; larger sets add more backups on balanced fault domains.
+	// system; larger sets add more backups on balanced fault domains. After
+	// a failure the survivor keeps recording, and the dead partition
+	// rejoins as a fresh backup once repaired (10s later by default).
 	sys, err := core.New(
 		core.WithSeed(1),
 		core.WithReplicaSet(2),
-		core.WithRejoin(false), // single-failure demo: stay degraded after the kill
 	)
 	if err != nil {
 		return err
@@ -40,8 +42,8 @@ func run() error {
 	// A race-free multithreaded application: 8 threads increment a shared
 	// counter under an (interposed) pthread mutex. sys.Run starts the same
 	// function on every replica; the FT-Namespace records the primary's
-	// lock order and the secondary replays it. Each replica counts into its
-	// own counter, keyed by its namespace.
+	// lock order and the secondary replays it. Each replica — the rejoined
+	// backup too — counts into its own counter, keyed by its namespace.
 	counts := make(map[*replication.Namespace]*int)
 	sys.Run(core.App{Name: "counter", Main: func(root *replication.Thread, _ *tcprep.Sockets) {
 		out := new(int)
@@ -76,11 +78,17 @@ func run() error {
 
 	fmt.Printf("\nprimary alive: %v (%s)\n", sys.Primary.Kernel.Alive(), sys.Primary.Kernel.PanicReason().Cause)
 	fmt.Printf("failure detected at %v, failover complete at %v\n", sys.FailedAt, sys.LiveAt)
-	fmt.Printf("secondary role after failover: %v\n", sys.Secondary.NS.Role())
+	fmt.Printf("secondary role at the end: %v\n", sys.Secondary.NS.Role())
 	secondary := *counts[sys.Secondary.NS]
 	fmt.Printf("secondary counter: %d (want 4000)\n", secondary)
-	st := sys.Secondary.NS.Stats()
-	fmt.Printf("replayed %d deterministic sections, %d divergences\n", st.Sections, st.Divergences)
+	fmt.Printf("after the repair: %v at generation %d\n", sys.State(), sys.Generation())
+	divergences := sys.Secondary.NS.Stats().Divergences
+	if b := sys.Standby(); b != nil {
+		st := b.NS.Stats()
+		fmt.Printf("rejoined backup replayed %d deterministic sections, counter = %d\n", st.Sections, *counts[b.NS])
+		divergences += st.Divergences
+	}
+	fmt.Printf("%d divergences\n", divergences)
 	if secondary != 4000 {
 		return fmt.Errorf("secondary did not complete the work")
 	}

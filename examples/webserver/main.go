@@ -58,7 +58,7 @@ func run() error {
 	}
 
 	// FT-Linux with full-software-stack replication.
-	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(1))
 	if err != nil {
 		return err
 	}

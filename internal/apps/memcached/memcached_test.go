@@ -65,7 +65,7 @@ func TestLoadModelMatchesPaperAt180x(t *testing.T) {
 }
 
 func TestReplicatedKVServer(t *testing.T) {
-	sys, err := core.New(core.WithSeed(4), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}

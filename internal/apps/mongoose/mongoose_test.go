@@ -14,7 +14,7 @@ import (
 )
 
 func TestServesUnderLoadReplicated(t *testing.T) {
-	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestServesUnderLoadReplicated(t *testing.T) {
 }
 
 func TestServiceSurvivesFailover(t *testing.T) {
-	sys, err := core.New(core.WithSeed(2), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

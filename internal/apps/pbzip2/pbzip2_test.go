@@ -41,7 +41,7 @@ func TestBaselineCompressesEverything(t *testing.T) {
 }
 
 func TestReplicatedOutputsIdentical(t *testing.T) {
-	sys, err := core.New(core.WithSeed(2), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestReplicatedOutputsIdentical(t *testing.T) {
 }
 
 func TestSurvivesPrimaryFailureMidCompression(t *testing.T) {
-	sys, err := core.New(core.WithSeed(3), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func deploy(t *testing.T, seed int64, total int) (*core.System, *clients.Downloa
 	t.Helper()
 	tcp := tcpstack.DefaultParams()
 	tcp.MSS = 32 << 10
-	sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false), core.WithTCP(tcp))
+	sys, err := core.New(core.WithSeed(seed), core.WithTCP(tcp))
 	if err != nil {
 		t.Fatal(err)
 	}

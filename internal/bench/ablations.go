@@ -23,7 +23,7 @@ type ablationRow struct {
 // ablatePBZIP runs the FT configuration of the PBZIP2 workload at one block
 // size and reports sustained blocks/s plus replay health.
 func ablatePBZIP(seed int64, tune core.Option, blockKB int, window time.Duration) (ablationRow, error) {
-	sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false), tune)
+	sys, err := core.New(core.WithSeed(seed), tune)
 	if err != nil {
 		return ablationRow{}, err
 	}

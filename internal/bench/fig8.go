@@ -34,7 +34,7 @@ func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 		return st
 	}
 	ft := func(killAt time.Duration) (*clients.DownloadStats, *core.System, error) {
-		sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false), core.WithTCP(cfg.TCP))
+		sys, err := core.New(core.WithSeed(seed), core.WithTCP(cfg.TCP))
 		if err != nil {
 			return nil, nil, err
 		}

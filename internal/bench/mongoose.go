@@ -61,7 +61,7 @@ func baselineMongoose(seed int64, mcfg mongoose.Config, concurrency int, window 
 // with its client machine, at time zero and with no load yet: the caller
 // starts the clients (startAB) and decides how far to run.
 func ftMongoose(seed int64, mcfg mongoose.Config, served *mongoose.Stats, opts ...core.Option) (*core.System, *core.Client, error) {
-	sys, err := core.New(append([]core.Option{core.WithSeed(seed), core.WithRejoin(false)}, opts...)...)
+	sys, err := core.New(append([]core.Option{core.WithSeed(seed)}, opts...)...)
 	if err != nil {
 		return nil, nil, err
 	}

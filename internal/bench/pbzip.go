@@ -80,7 +80,7 @@ func pbzipPoint(seed int64, kb int, window time.Duration) (Point, error) {
 	// mailbox message, so Figure 5's absolute message/byte rates are only
 	// comparable in that configuration; batched traffic is measured by the
 	// batching sweep.
-	sys, err := core.New(core.WithSeed(seed), core.WithRejoin(false),
+	sys, err := core.New(core.WithSeed(seed),
 		func(c *core.Config) { c.Replication.BatchTuples = 1 })
 	if err != nil {
 		return Point{}, err

@@ -17,12 +17,12 @@ import (
 )
 
 // boot brings up a sweep deployment: core.New at the seed with the sweeps'
-// fixed settings — the deep-idle wake penalty off, for exact per-point
-// counts and distributions, and rejoin off — plus the cell's own options.
+// fixed setting — the deep-idle wake penalty off, for exact per-point
+// counts and distributions — plus the cell's own options.
 func boot(seed int64, opts ...core.Option) (*core.System, error) {
 	kp := kernel.DefaultParams()
 	kp.IdleWakeMin, kp.IdleWakeMax = 0, 0
-	return core.New(append([]core.Option{core.WithSeed(seed), core.WithKernelParams(kp), core.WithRejoin(false)}, opts...)...)
+	return core.New(append([]core.Option{core.WithSeed(seed), core.WithKernelParams(kp)}, opts...)...)
 }
 
 // sweepRun is one finished sweep cell: its deployment as it stood the

@@ -17,15 +17,14 @@
 // New and Run are the one way in; an Option is a func(*Config), so a caller
 // that needs a field no With* helper exposes passes a func literal.
 //
-// With rejoin enabled (the New default), a failover is not the end of the
-// story: the survivor keeps recording into a retained history, a fresh
-// backup kernel boots on the freed partition, is seeded over a bulk ring
-// from the survivor's latest checkpoint — the genesis checkpoint every
-// replica boots with, or the last verified epoch cut under
+// A failover is not the end of the story (the paper stops at §3.7): the
+// survivor keeps recording into a retained history, a fresh backup kernel
+// boots on the freed partition after WithRejoinDelay, is seeded over a
+// bulk ring from the survivor's latest checkpoint — the genesis checkpoint
+// every replica boots with, or the last verified epoch cut under
 // WithEpochCheckpoints — replays the log retained after it, and the pair
 // flips back to replicated mode — repeatedly, across injected crash cycles
-// (internal/chaos). WithRejoin(false) is the paper's single-failure
-// deployment: no retention, no re-integration.
+// (internal/chaos).
 //
 // NewBaseline builds the unreplicated "stock Ubuntu" configuration used as
 // the comparison baseline in every experiment.
@@ -92,11 +91,6 @@ type Config struct {
 	// are always wired; set Obs.Trace to retain the full event stream for
 	// export (ftsim -trace).
 	Obs obs.Config
-	// Rejoin enables backup re-integration: the recording side retains
-	// its full history so that, after a failure, a fresh backup kernel on
-	// the freed partition can be checkpointed, caught up, and returned to
-	// replicated mode. New enables it by default.
-	Rejoin bool
 	// RejoinDelay is how long a freed partition stays down after a
 	// failure before the replacement backup boots (repair/reboot time;
 	// 0 selects 10s).
@@ -106,8 +100,8 @@ type Config struct {
 	// RNG stream so probability draws never perturb workload randomness.
 	Chaos     chaos.Schedule
 	ChaosSeed int64
-	// Epochs enables and tunes epoch checkpointing (requires Rejoin and
-	// restorable apps; see WithEpochCheckpoints).
+	// Epochs enables and tunes epoch checkpointing (requires restorable
+	// apps; see WithEpochCheckpoints).
 	Epochs EpochConfig
 }
 
@@ -663,9 +657,9 @@ func (sys *System) backupDied(surv, dead *Replica) {
 
 // dropBackup detaches a backup that just left the passive list — dead or
 // retired — from the recording side act. Losing the last backup degrades
-// exactly as the two-replica engine did: the namespace goes live (or, with
-// rejoin, keeps recording into the retained history with vacuous output
-// stability), the TCP sync stream stops, and parked output is released.
+// exactly as the two-replica engine did: the namespace keeps recording into
+// the retained history with vacuous output stability, the TCP sync stream
+// stops, and parked output is released.
 // With other backups still live only the departed slot's links are
 // dropped; falling below the commit quorum is surfaced (QuorumLost event,
 // Healthy returning ErrQuorumLost) while the recorder degrades to its
@@ -711,9 +705,9 @@ func (sys *System) failover(first, dead *Replica) {
 // declared failed and the election picked surv: promote the replay engine
 // to the stable point, re-load the NIC driver (the dominant cost, §4.4),
 // bring up a fresh TCP stack, and promote the logical TCP states into it.
-// With rejoin enabled the promoted side then becomes a detached recording
-// primary and every freed partition — the dead primary's and each retired
-// loser's — is scheduled for re-integration.
+// The promoted side then becomes a detached recording primary and every
+// freed partition — the dead primary's and each retired loser's — is
+// scheduled for re-integration.
 func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 	sys.FailedAt = sys.Sim.Now()
 	// Snapshot the flight recorder before promotion mutates the replay
@@ -789,17 +783,15 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 			panic(fmt.Sprintf("core: failover promotion: %v", err))
 		}
 		surv.Stack = stack
-		if sys.Cfg.Rejoin {
-			// Keep recording: wrap the new stack in a detached primary
-			// that carries on the promoted backup's connection table, so a
-			// rejoining backup can be checkpointed later. Same sim instant
-			// as Promote's restore — no segment can slip between them.
-			dp := tcprep.NewPrimary(surv.NS, stack, tcprep.PrimaryConfig{
-				Sync: sys.Cfg.TCPSync, History: surv.TCPSync.Table()})
-			dp.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/tcprep", sys.generation+1)), nil)
-			surv.TCPPrim = dp
-			surv.Sockets.AdoptPrimary(dp)
-		}
+		// Keep recording: wrap the new stack in a detached primary that
+		// carries on the promoted backup's connection table, so a
+		// rejoining backup can be checkpointed later. Same sim instant as
+		// Promote's restore — no segment can slip between them.
+		dp := tcprep.NewPrimary(surv.NS, stack, tcprep.PrimaryConfig{
+			Sync: sys.Cfg.TCPSync, History: surv.TCPSync.Table()})
+		dp.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/tcprep", sys.generation+1)), nil)
+		surv.TCPPrim = dp
+		surv.Sockets.AdoptPrimary(dp)
 		if sys.Cfg.Epochs.Enabled {
 			// The promoted fork continues the dead primary's epoch
 			// sequence; its retained history is already truncated at the

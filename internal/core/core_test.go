@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -19,13 +20,13 @@ import (
 	"repro/internal/tcpstack"
 )
 
-// quietSystem boots the paper's single-failure deployment: rejoin off, and
-// the random deep-idle wake penalty disabled so tests can make exact
-// assertions (benchmarks keep it on).
+// quietSystem boots the paper's two-replica deployment with the random
+// deep-idle wake penalty disabled so tests can make exact assertions
+// (benchmarks keep it on).
 func quietSystem(t *testing.T, seed int64, opts ...core.Option) *core.System {
 	t.Helper()
 	sys, err := core.New(append([]core.Option{
-		core.WithSeed(seed), core.WithKernelParams(quietParams()), core.WithRejoin(false),
+		core.WithSeed(seed), core.WithKernelParams(quietParams()),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +294,10 @@ func TestFailoverTransparentToClient(t *testing.T) {
 	if doneAt < sys.LiveAt {
 		t.Error("transfer finished before failover completed?")
 	}
-	if sys.Secondary.NS.Role() != replication.RoleLive {
-		t.Errorf("secondary role = %v, want live", sys.Secondary.NS.Role())
+	if sys.Active() != sys.Secondary {
+		t.Error("the promoted secondary is not the active replica")
 	}
+	wantRejoined(t, sys, "after the primary's death")
 }
 
 func TestFailoverWithCoherencyLoss(t *testing.T) {
@@ -337,6 +339,21 @@ func TestSecondaryFailurePrimaryContinues(t *testing.T) {
 	download(t, client, 80, &got, &doneAt)
 	// Kill the SECONDARY mid-transfer.
 	sys.Machine.InjectAfter(100*time.Millisecond, hw.Fault{Kind: hw.CoreFailStop, Node: 4, Core: -1, Addr: -1})
+	// Until the repaired partition rejoins, the primary serves alone.
+	sys.Sim.Schedule(time.Second, func() {
+		if st := sys.State(); st != core.StateDegraded {
+			t.Errorf("state after backup death = %v, want degraded", st)
+		}
+		if err := sys.Healthy(); !errors.Is(err, core.ErrDegraded) {
+			t.Errorf("Healthy = %v, want ErrDegraded", err)
+		}
+		if sys.Active() != sys.Primary || sys.Standby() != nil {
+			t.Error("active/standby roles wrong after backup death")
+		}
+		if r := sys.Primary.NS.Role(); r != replication.RoleLive {
+			t.Errorf("primary role = %v, want live after secondary death", r)
+		}
+	})
 	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -344,12 +361,10 @@ func TestSecondaryFailurePrimaryContinues(t *testing.T) {
 		t.Fatalf("client received %d bytes, want %d", len(got), total)
 	}
 	checkPattern(t, got)
-	if sys.Primary.NS.Role() != replication.RoleLive {
-		t.Errorf("primary role = %v, want live after secondary death", sys.Primary.NS.Role())
+	if !sys.Primary.Kernel.Alive() || sys.Active() != sys.Primary {
+		t.Error("primary died or lost the recording role")
 	}
-	if !sys.Primary.Kernel.Alive() {
-		t.Error("primary died")
-	}
+	wantRejoined(t, sys, "after the secondary's death")
 }
 
 // TestSilentDeathAfterLastOutputIsDetected: a primary that dies without a
@@ -392,9 +407,7 @@ func TestSilentDeathAfterLastOutputIsDetected(t *testing.T) {
 	if sys.FailedAt <= diedAt || sys.LiveAt == 0 {
 		t.Fatalf("primary died silently at %v; failure declared at %v, live at %v: want both before Run returned", diedAt, sys.FailedAt, sys.LiveAt)
 	}
-	if sys.Secondary.NS.Role() != replication.RoleLive {
-		t.Errorf("secondary role = %v, want live", sys.Secondary.NS.Role())
-	}
+	wantRejoined(t, sys, "after the silent death")
 }
 
 func TestBaselineEcho(t *testing.T) {
@@ -620,9 +633,7 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 			t.Fatalf("seed %d (%v at %v): received %d/%d bytes", seed, kind, failAt, len(got), total)
 		}
 		checkPattern(t, got)
-		if sys.Secondary.NS.Role() != replication.RoleLive {
-			t.Errorf("seed %d: secondary not live after failover", seed)
-		}
+		wantRejoined(t, sys, fmt.Sprintf("seed %d (%v at %v)", seed, kind, failAt))
 	}
 }
 

@@ -40,7 +40,7 @@ func TestEpochBoundsRetention(t *testing.T) {
 	}
 
 	// The epochs-off control must not have truncated anything: it retains
-	// the full rejoinable history, strictly more than the epoch run kept.
+	// the full history, strictly more than the epoch run kept.
 	ops := off.Active().NS.Stats()
 	if ops.LogTruncated != 0 || ops.EpochCuts != 0 {
 		t.Errorf("epochs-off run truncated %d tuples over %d cuts, want none",

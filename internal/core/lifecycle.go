@@ -17,9 +17,9 @@ const (
 	// StateReplicated: the recording side streams to a live, caught-up
 	// backup; output commit is in force.
 	StateReplicated LifecycleState = iota + 1
-	// StateDegraded: one side serves alone. With rejoin enabled it keeps
-	// recording into the retained history (vacuous output stability);
-	// without, it runs fully live.
+	// StateDegraded: one side serves alone, recording into the retained
+	// history (vacuous output stability) until a repaired partition
+	// rejoins.
 	StateDegraded
 	// StateResyncing: a freshly booted backup is being re-integrated —
 	// checkpoint transfer and catch-up replay are in progress while the

@@ -127,9 +127,9 @@ func TestNWayQuorumCommitProceedsWithLaggedBackup(t *testing.T) {
 		return 0
 	}
 	sys2, h2, _ := nwayDownload(t, total,
-		nwayOpts(21, 3, 2, core.WithRejoin(false)), lag)
+		nwayOpts(21, 3, 2), lag)
 	sys3, h3, _ := nwayDownload(t, total,
-		nwayOpts(21, 3, 3, core.WithRejoin(false)), lag)
+		nwayOpts(21, 3, 3), lag)
 
 	if h2 != h3 {
 		t.Errorf("stream hash differs across quorum settings: %x vs %x", h2, h3)
@@ -140,18 +140,29 @@ func TestNWayQuorumCommitProceedsWithLaggedBackup(t *testing.T) {
 	}
 }
 
+// healthAt records the deployment's lifecycle state and Healthy verdict
+// at virtual time at — after a failure, before its repair.
+func healthAt(at time.Duration, st *core.LifecycleState, err *error) func(*core.System) {
+	return func(sys *core.System) {
+		sys.Sim.Schedule(at, func() { *st, *err = sys.State(), sys.Healthy() })
+	}
+}
+
 // TestNWayBackupKillStaysAtQuorum kills one of two backups mid-stream:
 // with quorum 2 the surviving backup alone still satisfies the commit
-// rule, so the system reports plain degradation (not quorum loss) and the
-// stream matches the never-failed same-seed run byte for byte.
+// rule, so until the freed slot rejoins the system reports plain
+// degradation (not quorum loss), and the stream matches the never-failed
+// same-seed run byte for byte.
 func TestNWayBackupKillStaysAtQuorum(t *testing.T) {
 	t.Parallel()
 	const total = 8 << 20
 	_, base, _ := nwayDownload(t, total,
-		nwayOpts(23, 3, 2, core.WithRejoin(false)), nil)
+		nwayOpts(23, 3, 2), nil)
+	var st core.LifecycleState
+	var err error
 	sys, h, _ := nwayDownload(t, total,
-		nwayOpts(23, 3, 2, core.WithRejoin(false),
-			core.WithChaos(chaos.MustParse("kill backup1 @1s"), 42)), nil)
+		nwayOpts(23, 3, 2,
+			core.WithChaos(chaos.MustParse("kill backup1 @1s"), 42)), healthAt(2*time.Second, &st, &err))
 
 	if h != base {
 		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
@@ -162,37 +173,41 @@ func TestNWayBackupKillStaysAtQuorum(t *testing.T) {
 	if !sys.ReplicaSet[2].Kernel.Alive() {
 		t.Error("backup slot 2 should still be alive")
 	}
-	if st := sys.State(); st != core.StateDegraded {
-		t.Errorf("state = %v, want degraded", st)
+	if st != core.StateDegraded {
+		t.Errorf("state after the kill = %v, want degraded", st)
 	}
-	err := sys.Healthy()
 	if !errors.Is(err, core.ErrDegraded) {
-		t.Errorf("Healthy = %v, want ErrDegraded", err)
+		t.Errorf("Healthy after the kill = %v, want ErrDegraded", err)
 	}
 	if errors.Is(err, core.ErrQuorumLost) {
-		t.Errorf("Healthy = %v; one live backup still meets quorum 2, not a quorum loss", err)
+		t.Errorf("Healthy after the kill = %v; one live backup still meets quorum 2, not a quorum loss", err)
 	}
+	wantRejoined(t, sys, "after the backup kill")
 }
 
 // TestNWayQuorumLossSurfaced configures the all-replicas rule (quorum 3
 // of 3) and kills a backup: the remaining single backup is below the
 // commit quorum, so Healthy must surface ErrQuorumLost (which wraps
-// ErrDegraded) and the lifecycle trace must carry a quorum-lost event —
-// while the recorder's all-of-the-living fallback keeps the stream
-// flowing and byte-correct.
+// ErrDegraded) until the freed slot rejoins, and the lifecycle trace must
+// carry a quorum-lost event — while the recorder's all-of-the-living
+// fallback keeps the stream flowing and byte-correct.
 func TestNWayQuorumLossSurfaced(t *testing.T) {
 	t.Parallel()
 	const total = 8 << 20
+	var st core.LifecycleState
+	var err error
 	sys, _, _ := nwayDownload(t, total,
-		nwayOpts(25, 3, 3, core.WithRejoin(false), core.WithTrace(),
-			core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42)), nil)
+		nwayOpts(25, 3, 3, core.WithTrace(),
+			core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42)), healthAt(2*time.Second, &st, &err))
 
-	err := sys.Healthy()
+	if st != core.StateDegraded {
+		t.Errorf("state after the kill = %v, want degraded", st)
+	}
 	if !errors.Is(err, core.ErrQuorumLost) {
-		t.Errorf("Healthy = %v, want ErrQuorumLost", err)
+		t.Errorf("Healthy after the kill = %v, want ErrQuorumLost", err)
 	}
 	if !errors.Is(err, core.ErrDegraded) {
-		t.Errorf("Healthy = %v must also match ErrDegraded (wrapped)", err)
+		t.Errorf("Healthy after the kill = %v must also match ErrDegraded (wrapped)", err)
 	}
 	found := false
 	for _, e := range sys.Obs.Events() {
@@ -206,6 +221,7 @@ func TestNWayQuorumLossSurfaced(t *testing.T) {
 	if !found {
 		t.Error("no quorum-lost event in the trace")
 	}
+	wantRejoined(t, sys, "after the backup kill")
 }
 
 // TestNWayElectionPromotesMostCaughtUp lags backup slot 2's log delivery,
@@ -217,14 +233,14 @@ func TestNWayElectionPromotesMostCaughtUp(t *testing.T) {
 	t.Parallel()
 	const total = 8 << 20
 	_, base, _ := nwayDownload(t, total,
-		nwayOpts(27, 3, 2, core.WithRejoin(false)), nil)
+		nwayOpts(27, 3, 2), nil)
 
 	lagAndKill := func(sys *core.System) {
 		lagRing(t, sys, "ftns.log.r2", 500*time.Microsecond)
 		sys.InjectPrimaryFailure(time.Second, 0)
 	}
 	sys, h, _ := nwayDownload(t, total,
-		nwayOpts(27, 3, 2, core.WithRejoin(false), core.WithTrace()), lagAndKill)
+		nwayOpts(27, 3, 2, core.WithTrace()), lagAndKill)
 
 	if h != base {
 		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
@@ -310,7 +326,7 @@ func TestNWayRollingReplacement(t *testing.T) {
 // TestNWayRetireErrors pins the rolling-replacement error surface.
 func TestNWayRetireErrors(t *testing.T) {
 	t.Parallel()
-	sys, err := core.New(nwayOpts(31, 3, 2, core.WithRejoin(false))...)
+	sys, err := core.New(nwayOpts(31, 3, 2)...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -378,7 +394,7 @@ func TestShardsAcrossReplicaSets(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("replicas=%d/shards=%d", n, shards), func(t *testing.T) {
 				sys, _, _ := nwayDownload(t, total,
-					nwayOpts(33, n, 2, core.WithRejoin(false), core.WithDetShards(shards)), nil)
+					nwayOpts(33, n, 2, core.WithDetShards(shards)), nil)
 				if got := len(sys.Backups()); got != n-1 {
 					t.Fatalf("backup count = %d, want %d", got, n-1)
 				}

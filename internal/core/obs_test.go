@@ -50,9 +50,7 @@ func TestPrimaryKillEventTimeline(t *testing.T) {
 	t.Parallel()
 	sys := killPrimarySystem(t, 7)
 
-	if sys.Secondary.NS.Role() != replication.RoleLive {
-		t.Fatalf("secondary role = %v, want live", sys.Secondary.NS.Role())
-	}
+	wantRejoined(t, sys, "after the kill")
 
 	// The detector must walk the exact state machine: the last received
 	// heart-beat, then miss -> suspect -> failover. No IPI: the peer is

@@ -71,13 +71,6 @@ func WithStrictOutputCommit(strict bool) Option {
 	return func(c *Config) { c.Replication.StrictOutputCommit = strict }
 }
 
-// WithRejoin enables or disables backup re-integration after a failure.
-// New enables it by default; disable to reproduce the paper's
-// single-failure experiments exactly.
-func WithRejoin(enabled bool) Option {
-	return func(c *Config) { c.Rejoin = enabled }
-}
-
 // WithRejoinDelay sets how long after a failure the freed partition is
 // held down before a fresh backup kernel boots (models repair/reboot
 // time).
@@ -95,9 +88,8 @@ func WithRejoinDelay(d time.Duration) Option {
 // itself uses iterative pre-copy, so its stop-the-world pause is bounded
 // by the workload's dirty rate, not by state size.
 //
-// Requires rejoin (on by default under New) and restorable apps: every
-// Run app must set App.State. Pass interval 0 with everyTuples 0 for the
-// 30s default.
+// Requires restorable apps: every Run app must set App.State. Pass
+// interval 0 with everyTuples 0 for the 30s default.
 func WithEpochCheckpoints(interval time.Duration, everyTuples int) Option {
 	return func(c *Config) {
 		c.Epochs.Enabled = true
@@ -144,8 +136,7 @@ func WithNICDriverLoadTime(d time.Duration) Option {
 	return func(c *Config) { c.NICDriverLoadTime = d }
 }
 
-// New boots a replicated deployment from functional options, with backup
-// rejoin enabled by default:
+// New boots a replicated deployment from functional options:
 //
 //	sys, err := core.New(core.WithSeed(1),
 //		core.WithChaos(chaos.MustParse("kill primary @2s"), 7))
@@ -153,7 +144,6 @@ func WithNICDriverLoadTime(d time.Duration) Option {
 //	sys.Sim.Run()
 func New(opts ...Option) (*System, error) {
 	cfg := DefaultConfig(1)
-	cfg.Rejoin = true
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -241,13 +231,9 @@ func (cfg Config) validate() (Config, error) {
 	if cfg.RejoinDelay <= 0 {
 		cfg.RejoinDelay = 10 * time.Second
 	}
-	// Epoch checkpointing rides on the rejoin machinery: it truncates the
-	// retained history the rejoinable recorder keeps, so it cannot exist
-	// without it. Defaults are normalized here like every other knob.
+	// Epoch checkpointing truncates the retained history every recorder
+	// keeps. Defaults are normalized here like every other knob.
 	if cfg.Epochs.Enabled {
-		if !cfg.Rejoin {
-			return cfg, fmt.Errorf("core: epoch checkpoints require rejoin")
-		}
 		if cfg.Epochs.Interval <= 0 && cfg.Epochs.EveryTuples <= 0 {
 			cfg.Epochs.Interval = 30 * time.Second
 		}
@@ -261,9 +247,6 @@ func (cfg Config) validate() (Config, error) {
 			cfg.Epochs.TargetDirtyBytes = 4 << 10
 		}
 	}
-	// Rejoin needs the full log history retained from the first section:
-	// the flag is derived here, never set directly on the engine config.
-	cfg.Replication.Rejoinable = cfg.Rejoin
 	// The recorder counts backup receipts, so its quorum excludes the
 	// primary's own copy. Derived after the Replication defaulting above —
 	// the zero-value reset would wipe it.

@@ -18,7 +18,7 @@ import (
 // another failover changed the recording side, or the slot was already
 // refilled — are dropped, matching the old pair logic.
 func (sys *System) scheduleRejoin(surv, dead *Replica) {
-	if !sys.Cfg.Rejoin || len(sys.launches) == 0 {
+	if len(sys.launches) == 0 {
 		return
 	}
 	sys.Sim.Schedule(sys.Cfg.RejoinDelay, func() {
@@ -81,9 +81,6 @@ func (sys *System) Rejoin() error {
 		return ErrResyncInProgress
 	case StateFailed:
 		return ErrFailed
-	}
-	if !sys.Cfg.Rejoin {
-		return fmt.Errorf("%w: rejoin disabled by configuration", ErrDegraded)
 	}
 	if len(sys.launches) == 0 {
 		return fmt.Errorf("%w: nothing recorded to re-integrate", ErrDegraded)

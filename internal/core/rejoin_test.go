@@ -58,10 +58,10 @@ func restorableStream(total int) core.App {
 	}}
 }
 
-// rejoinRun boots a rejoin-enabled deployment via the functional-options
-// API, streams total patterned bytes from app to a client under the given
-// chaos schedule (empty = fault-free baseline), verifies every received
-// chunk against the deterministic pattern as it arrives, runs until the
+// rejoinRun boots a deployment via the functional-options API, streams
+// total patterned bytes from app to a client under the given chaos
+// schedule (empty = fault-free baseline), verifies every received chunk
+// against the deterministic pattern as it arrives, runs until the
 // deployment's work is done, and returns the system, the FNV-1a hash of the
 // received stream, and every lifecycle state the system passed through, in
 // order. Callers pass WithEpochCheckpoints, WithDetShards and the like
@@ -136,6 +136,25 @@ func lifecycleStates(sys *core.System) []core.LifecycleState {
 		}
 	}
 	return states
+}
+
+// wantRejoined checks the one lifecycle a single failure starts: the
+// deployment served degraded once the failure was handled, re-integrated a
+// fresh backup on the freed partition, and ended replicated again, at
+// generation 1 or later and with no rejoin error.
+func wantRejoined(t *testing.T, sys *core.System, label string) {
+	t.Helper()
+	want := []core.LifecycleState{core.StateReplicated,
+		core.StateDegraded, core.StateResyncing, core.StateReplicated}
+	if states := lifecycleStates(sys); !reflect.DeepEqual(states, want) {
+		t.Errorf("%s: lifecycle states = %v, want %v", label, states, want)
+	}
+	if g, st := sys.Generation(), sys.State(); g < 1 || st != core.StateReplicated {
+		t.Errorf("%s: generation %d in state %v at the end, want >= 1 and replicated", label, g, st)
+	}
+	if err := sys.RejoinErr(); err != nil {
+		t.Errorf("%s: rejoin error: %v", label, err)
+	}
 }
 
 // seedEpochs returns the epoch each rejoin of a run was seeded from, in
@@ -350,42 +369,5 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 	}
 	if g := sys.Generation(); g != 2 {
 		t.Errorf("generation = %d, want 2", g)
-	}
-}
-
-// TestLifecycleErrorsWithoutRejoin pins the typed-error surface when
-// re-integration is disabled: after the backup dies the system reports
-// degraded via State and Healthy, and Rejoin refuses with ErrDegraded.
-func TestLifecycleErrorsWithoutRejoin(t *testing.T) {
-	t.Parallel()
-	sys := quietSystem(t, 5)
-	if st := sys.State(); st != core.StateReplicated {
-		t.Fatalf("boot state = %v, want replicated", st)
-	}
-	if err := sys.Healthy(); err != nil {
-		t.Fatalf("healthy at boot: %v", err)
-	}
-	done := 0
-	sys.Run(core.App{Name: "echo", Main: echoApp(80, 1, &done)})
-	// Kill the secondary partition's first node.
-	node := sys.Secondary.Kernel.Partition().Nodes()[0].ID
-	sys.Machine.InjectAfter(100*time.Millisecond, hw.Fault{
-		Kind: hw.CoreFailStop, Node: node, Core: -1, Addr: -1,
-	})
-	if err := sys.Sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	if st := sys.State(); st != core.StateDegraded {
-		t.Fatalf("state after backup death = %v, want degraded", st)
-	}
-	if err := sys.Healthy(); !errors.Is(err, core.ErrDegraded) {
-		t.Errorf("Healthy = %v, want ErrDegraded", err)
-	}
-	if err := sys.Rejoin(); !errors.Is(err, core.ErrDegraded) {
-		t.Errorf("Rejoin with rejoin disabled = %v, want ErrDegraded", err)
-	}
-	if sys.Active() != sys.Primary || sys.Standby() != nil {
-		t.Error("active/standby roles wrong after backup death")
 	}
 }

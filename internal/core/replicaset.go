@@ -102,12 +102,11 @@ func (sys *System) elect() (winner *Replica, losers []*Replica) {
 }
 
 // Retire removes a live backup from the replica set — the old half of a
-// rolling replacement: its links are dropped, its kernel shut down, and
-// (with rejoin enabled) a replacement re-integrates on the freed
-// partition from a fresh checkpoint after the repair delay. Retiring the
-// active replica is an error; retiring a backup mid-resync returns
-// ErrResyncInProgress; a replica already retired (or never a member)
-// returns ErrReplicaRetired.
+// rolling replacement: its links are dropped, its kernel shut down, and a
+// replacement re-integrates on the freed partition from a fresh checkpoint
+// after the repair delay. Retiring the active replica is an error;
+// retiring a backup mid-resync returns ErrResyncInProgress; a replica
+// already retired (or never a member) returns ErrReplicaRetired.
 func (sys *System) Retire(rep *Replica) error {
 	if rep == nil || rep.retired {
 		return ErrReplicaRetired

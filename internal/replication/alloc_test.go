@@ -1,6 +1,8 @@
 package replication_test
 
 import (
+	"math/bits"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -11,14 +13,17 @@ import (
 // replayer-grant path at zero host allocations in steady state, on both
 // replicas at once: the section's state lives in the thread, tuples and
 // acks are plain words in pooled ring records, and every waiter is embedded
-// in the task that parks. Each case runs an endless application on a
-// primary/secondary pair, lets the free lists and queues reach their
-// working size, then measures windows of virtual time holding hundreds of
-// recorded and replayed sections. The applications pace themselves below
-// the secondary's dispatch rate: with more than one det shard nothing else
-// bounds the replay backlog, and with one the backlog waits in the log
-// ring's delivered buffer — a queue that grows forever allocates a chunk
-// per 512 messages forever.
+// in the task that parks. The one thing that grows is the history both
+// sides retain for a rejoin: a window allocates exactly the sim.Log chunks
+// the two retained logs grew (one per 512 messages), plus a chunk table
+// each time a log's chunk count passes a power of two. Each case runs an
+// endless application on a primary/secondary pair, lets the free lists and
+// queues reach their working size, then measures windows of virtual time
+// holding hundreds of recorded and replayed sections. The applications pace
+// themselves below the secondary's dispatch rate: with more than one det
+// shard nothing else bounds the replay backlog, and with one the backlog
+// waits in the log ring's delivered buffer — a queue that grows forever
+// allocates a chunk per 512 messages forever.
 func TestSectionsAllocateNothing(t *testing.T) {
 	spin := func(th *replication.Thread) { th.Task().Compute(250 * time.Microsecond) }
 	cases := map[string]func(root *replication.Thread){
@@ -83,6 +88,11 @@ func TestSectionsAllocateNothing(t *testing.T) {
 			}
 		},
 	}
+	// A garbage collection wakes runtime work that allocates on its own
+	// goroutines (the scavenger's timer, the sudog caches it empties), and
+	// the retained chunks are garbage enough to start one mid-window: the
+	// count is the sections' alone with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for name, app := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg := replication.DefaultConfig()
@@ -98,8 +108,20 @@ func TestSectionsAllocateNothing(t *testing.T) {
 				}
 				window()
 				before := d.sns.Stats().Sections
-				if n := testing.AllocsPerRun(5, window); n != 0 {
-					t.Errorf("%d det shards: %.1f allocations per window, want 0", shards, n)
+				for range 3 {
+					var want int
+					n := testing.AllocsPerRun(1, func() {
+						h0 := [2]int{d.pns.RetainedTuples(), d.sns.RetainedTuples()}
+						window()
+						want = 0
+						for i, n := range [2]int{d.pns.RetainedTuples(), d.sns.RetainedTuples()} {
+							c0, c1 := logChunks(h0[i]), logChunks(n)
+							want += c1 - c0 + bits.Len(uint(c1-1)) - bits.Len(uint(c0-1))
+						}
+					})
+					if int(n) != want {
+						t.Errorf("%d det shards: %.0f allocations per window, want %d for the retained histories' growth", shards, n, want)
+					}
 				}
 				if got := d.sns.Stats().Sections - before; got < 500 || d.sns.Stats().Divergences != 0 {
 					t.Errorf("%d det shards: %d sections replayed in the measured windows, %d divergences",
@@ -110,3 +132,7 @@ func TestSectionsAllocateNothing(t *testing.T) {
 		})
 	}
 }
+
+// logChunks is the number of sim.Log chunks holding n retained messages
+// (with epochs off nothing is dropped from a history's front).
+func logChunks(n int) int { return (n + 511) / 512 }

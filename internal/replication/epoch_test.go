@@ -70,7 +70,6 @@ func verifyDigest(ns *replication.Namespace) {
 // verified boundaries instead of retaining the full history.
 func TestEpochTruncationBothSides(t *testing.T) {
 	cfg := replication.DefaultConfig()
-	cfg.Rejoinable = true
 	d := newDuo(t, 1, cfg, true)
 	// The primary may truncate only at an epoch the backup has verified.
 	var verified uint64 // the last epoch whose digest matched
@@ -136,7 +135,6 @@ func TestEpochTruncationBothSides(t *testing.T) {
 // halt the replica as diverged instead of truncating over corrupt state.
 func TestEpochDigestMismatchDiverges(t *testing.T) {
 	cfg := replication.DefaultConfig()
-	cfg.Rejoinable = true
 	cfg.PanicOnDivergence = true
 	d := newDuo(t, 2, cfg, true)
 	var verified uint64 // Sent of the last marker whose digest matched
@@ -193,7 +191,6 @@ func TestEpochDigestMismatchDiverges(t *testing.T) {
 // quorum would discard the only copy of rejoin catch-up state.
 func TestEpochQuorumGatesPrimaryTruncation(t *testing.T) {
 	cfg := replication.DefaultConfig()
-	cfg.Rejoinable = true
 	d := newDuo(t, 3, cfg, true)
 	// No OnEpoch on the backup: markers pass through unverified.
 	var pOrder, sOrder []int
@@ -280,7 +277,6 @@ func TestZeroCheckpointSeedIsIdentity(t *testing.T) {
 // has forked the replayed history into a recorder that keeps appending.
 func TestRetainedBytesIsARunningSum(t *testing.T) {
 	cfg := replication.DefaultConfig()
-	cfg.Rejoinable = true
 	d := newDuo(t, 1, cfg, true)
 	verifyDigest(d.sns)
 	var pCount, sCount int

@@ -24,6 +24,10 @@ func (ns *Namespace) RetainedSums() (recRunning, recWalked, repRunning, repWalke
 	return
 }
 
+// ReplayStats returns a secondary's replayer statistics; they stay
+// readable after promotion, when Stats reads the fork instead.
+func (ns *Namespace) ReplayStats() Stats { return ns.rep.stats }
+
 // PlantDivergence counts one replay divergence on a replaying namespace.
 func (ns *Namespace) PlantDivergence() { ns.rep.diverge("planted") }
 

@@ -11,9 +11,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestPromotionHandsHistoryToFork: a rejoinable backup promoted mid-run
-// hands its replayed history to the fork and keeps none of it — one copy of
-// the log per survivor, not two — and the hand-over loses nothing: the
+// TestPromotionHandsHistoryToFork: a backup promoted mid-run hands its
+// replayed history to the fork and keeps none of it — one copy of the log
+// per survivor, not two — and the hand-over loses nothing: the
 // fork's history is the environment message plus one tuple per section
 // replayed or recorded since, the divergences the backup counted while it
 // replayed (one, planted before the kill) still read through the fork's
@@ -37,7 +37,6 @@ func TestPromotionHandsHistoryToFork(t *testing.T) {
 	}
 	pk, sk, rk := boot("primary", 0, 1, 2), boot("backup", 3, 4), boot("rejoiner", 5, 6)
 	cfg := replication.DefaultConfig()
-	cfg.Rejoinable = true
 	fabric := shm.NewFabric(s, time.Microsecond)
 	rings := func(sfx string, src int) (log, acks *shm.Ring) {
 		return fabric.NewRing("ftns.log"+sfx, src, cfg.LogRingBytes), fabric.NewRing("ftns.acks"+sfx, src+1, 64<<10)

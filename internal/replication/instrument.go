@@ -49,8 +49,7 @@ func (r *Recorder) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 	reg.Gauge(name+".quorum.live", func() int64 { live, _ := r.backups(); return int64(live) })
 	reg.Gauge(name+".quorum.need", func() int64 { return int64(r.quorumNeed()) })
 	// Retained-log footprint: what epoch truncation keeps bounded (and
-	// what grows without bound when epochs are off and the side records
-	// into a rejoinable history).
+	// what grows without bound when epochs are off).
 	reg.Gauge(name+".log.retained.tuples", func() int64 { return int64(r.RetainedTuples()) })
 	reg.Gauge(name+".log.retained.bytes", func() int64 { return r.RetainedBytes() })
 	// Fabric-side sending signals, sampled off the first log ring (the

@@ -6,11 +6,11 @@ import (
 	"repro/internal/sim"
 )
 
-// logWindow is the retained suffix of the log, kept on both replicas
-// (Config.Rejoinable): msgs.At(i) is log message base+i. base is zero until
-// epoch truncation starts dropping verified prefixes — or, on a backup
-// seeded by SeedCheckpoint, the checkpoint's log index. bytes is the
-// retained payload footprint, a running sum so the gauge is O(1).
+// logWindow is the retained suffix of the log, kept on both replicas:
+// msgs.At(i) is log message base+i. base is zero until epoch truncation
+// starts dropping verified prefixes — or, on a backup seeded by
+// SeedCheckpoint, the checkpoint's log index. bytes is the retained
+// payload footprint, a running sum so the gauge is O(1).
 type logWindow struct {
 	msgs  sim.Log[shm.Message]
 	base  uint64

@@ -132,15 +132,13 @@ func NewPrimary(name string, k *kernel.Kernel, cfg Config, logs, acks []*shm.Rin
 	return ns
 }
 
-// NewSecondary creates the secondary side of an FT-Namespace. With
-// Config.Rejoinable the replica forks into a recording primary at
-// promotion, continuing the recorded history so a later backup can rejoin.
+// NewSecondary creates the secondary side of an FT-Namespace. At promotion
+// the replica forks into a recording primary, continuing the recorded
+// history so a later backup can rejoin.
 func NewSecondary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Namespace {
 	ns := newNamespace(name, RoleSecondary, k, cfg)
 	ns.rep = newReplayer(k, cfg, log, acks)
-	if cfg.Rejoinable {
-		ns.rep.onFork = ns.forkRecorder
-	}
+	ns.rep.onFork = ns.forkRecorder
 	return ns
 }
 
@@ -184,27 +182,22 @@ func (ns *Namespace) Kernel() *kernel.Kernel { return ns.kern }
 // Lib returns the namespace's interposed Pthreads library.
 func (ns *Namespace) Lib() *pthread.Lib { return ns.lib }
 
-// Role returns the namespace's effective role: a promoted secondary (or a
-// primary whose backup died) reports RoleLive. A rejoinable primary that
-// lost every backup also reports RoleLive — it records into retained
-// history but runs unreplicated — and flips back to RolePrimary the
-// moment a rejoined backup starts syncing.
+// Role returns the namespace's effective role. A primary that lost every
+// backup — a promoted secondary's fork included — reports RoleLive: it
+// records into retained history but runs unreplicated, and flips back to
+// RolePrimary the moment a rejoined backup starts syncing.
 func (ns *Namespace) Role() Role {
-	switch {
-	case ns.role == RolePrimary && ns.rec.live:
-		return RoleLive
-	case ns.role == RolePrimary && ns.rec.degraded:
+	if ns.role == RolePrimary && ns.rec.degraded {
 		if live, syncing := ns.rec.backups(); live+syncing == 0 {
 			return RoleLive
 		}
-	case ns.role == RoleSecondary && ns.rep.live:
-		return RoleLive
 	}
 	return ns.role
 }
 
-// Recording reports whether this side records (primary, not yet live).
-func (ns *Namespace) Recording() bool { return ns.role == RolePrimary && !ns.rec.live }
+// Recording reports whether this side records: a primary, or the fork a
+// promoted secondary became.
+func (ns *Namespace) Recording() bool { return ns.role == RolePrimary }
 
 // Replayer returns the secondary engine (nil on other roles); the failover
 // path uses it to promote.
@@ -330,9 +323,9 @@ func (ns *Namespace) NextFTPid() int { return ns.nextFTPid }
 func (ns *Namespace) Env() map[string]string { return ns.env }
 
 // AddReplica wires a fresh backup into a recording namespace and streams
-// the retained history as catch-up (Config.Rejoinable). onCaughtUp runs
-// when the backup has received every message ever sent and the link flips
-// into the output-commit set. It returns the link index for DropReplica.
+// the retained history as catch-up. onCaughtUp runs when the backup has
+// received every message ever sent and the link flips into the
+// output-commit set. It returns the link index for DropReplica.
 func (ns *Namespace) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 	if ns.role != RolePrimary {
 		panic("replication: AddReplica on a non-recording namespace")
@@ -476,16 +469,17 @@ func (ns *Namespace) RetainedBytes() int64 {
 	return 0
 }
 
-// GoLive stops recording on the primary side (called when the last backup
-// replica dies). On other roles it is a no-op.
+// GoLive drops every backup link on the primary side: it keeps recording
+// into its retained history, unreplicated, until a rejoined backup catches
+// up. On other roles it is a no-op.
 func (ns *Namespace) GoLive() {
 	if ns.rec != nil {
-		ns.rec.goLive()
+		ns.rec.degrade()
 	}
 }
 
 // DropReplica stops streaming to the i-th backup (it died); when no live
-// backup remains the primary goes live. Only meaningful on the primary.
+// backup remains the primary degrades. Only meaningful on the primary.
 func (ns *Namespace) DropReplica(i int) {
 	if ns.rec != nil {
 		ns.rec.dropReplica(i)

@@ -138,8 +138,7 @@ type Recorder struct {
 	sent       uint64
 	stableQ    []stableWaiter // stableQ[stableHead:] wait for output commit, oldest first
 	stableHead int
-	live       bool
-	degraded   bool // recording with no caught-up backup (Config.Rejoinable)
+	degraded   bool // recording with no caught-up backup
 	hist       logWindow
 	stats      Stats
 
@@ -184,11 +183,11 @@ func newShardLocks(k *kernel.Kernel, shards int) []*pthread.Mutex {
 
 // forkSeed is what a recorder starts from. The zero seed is a boot: an
 // empty history, sequence numbers from zero. A promoted replica's fork
-// (Config.Rejoinable) continues the dead primary's sequence space —
-// seqGlobal plus the per-object cursors — and inherits the replayed
-// history, so a backup rejoined later can catch up from the fork's
-// retention base: zero for a full-history backup, the latest verified
-// epoch boundary for one that truncated at epoch checkpoints.
+// continues the dead primary's sequence space — seqGlobal plus the
+// per-object cursors — and inherits the replayed history, so a backup
+// rejoined later can catch up from the fork's retention base: zero for a
+// full-history backup, the latest verified epoch boundary for one that
+// truncated at epoch checkpoints.
 type forkSeed struct {
 	hist      logWindow
 	seqGlobal uint64
@@ -272,9 +271,6 @@ const catchupChunkBytes = 256 << 10
 // onCaughtUp, if non-nil, runs at that flip. It returns the link index
 // for DropReplica.
 func (r *Recorder) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
-	if !r.cfg.Rejoinable {
-		panic("replication: AddReplica requires Config.Rejoinable")
-	}
 	link := &replicaLink{acks: acks, syncing: true, base: r.hist.base}
 	link.backlog = r.hist.msgs.AppendTo(nil)
 	idx := len(r.replicas)
@@ -434,9 +430,7 @@ func (r *Recorder) backups() (live, syncing int) {
 // one that is Ring.Send: reserve, put and commit here, or — ring full —
 // this task claims its FIFO ticket and blocks in the outbox's Flush.
 func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
-	if r.cfg.Rejoinable {
-		r.hist.append(m)
-	}
+	r.hist.append(m)
 	for _, link := range r.replicas {
 		if link.Dead() {
 			continue
@@ -668,12 +662,9 @@ func (r *Recorder) commitSeqs(th *Thread, key uint64) {
 // lock is sampled into the shard-contention histogram (the global-mutex
 // contention when DetShards is 1) and travels on the DetEnter event as the
 // sequencer-wait stage of the causal critical path. What exit needs stays
-// in the thread. A recorder that has gone live opens nothing.
+// in the thread.
 func (r *Recorder) enter(th *Thread, op pthread.Op, obj uint64) {
 	th.mustBeClosed()
-	if r.live {
-		return
-	}
 	t := th.task
 	key := objKey(op, obj)
 	shard := pthread.ShardOf(key, len(r.mus))
@@ -720,10 +711,9 @@ func (r *Recorder) noteTuple(th *Thread, tu Tuple, key uint64) {
 // onStable invokes fn once the secondary has acknowledged every log message
 // sent so far. A strict waiter always forces a flush of buffered tuples
 // BEFORE the watermark is armed, so batching never adds to output-commit
-// latency. Under relaxed output commit (or after going live) fn runs
-// immediately.
+// latency. Under relaxed output commit fn runs immediately.
 func (r *Recorder) onStable(fn func()) {
-	if !r.cfg.StrictOutputCommit || r.live {
+	if !r.cfg.StrictOutputCommit {
 		fn()
 		return
 	}
@@ -751,7 +741,7 @@ func (r *Recorder) fireStable() {
 }
 
 // dropReplica stops streaming to one dead backup; with no live backup left
-// the recorder goes fully live. Index i matches the ring order given at
+// the recorder degrades. Index i matches the ring order given at
 // construction.
 func (r *Recorder) dropReplica(i int) {
 	if i < 0 || i >= len(r.replicas) || r.replicas[i].Dead() {
@@ -765,31 +755,7 @@ func (r *Recorder) dropReplica(i int) {
 			return
 		}
 	}
-	r.goLive()
-}
-
-// goLive stops recording: every backup is gone (failed, or replication was
-// torn down), so sections run unserialized and all held output is
-// released. A rejoinable recorder never stops recording — it degrades
-// instead, keeping the history growing so a fresh backup can catch up.
-func (r *Recorder) goLive() {
-	if r.live {
-		return
-	}
-	if r.cfg.Rejoinable {
-		r.degrade()
-		return
-	}
-	r.live = true
-	r.sc.Emit(obs.GoLive, 0, int64(r.sent), 0)
-	r.fireStable()
-	// Unblock any section stalled on a full log ring: the receivers are
-	// gone, so the buffered log is discarded and the senders released.
-	for _, link := range r.replicas {
-		if !link.Dead() {
-			r.abandonLink(link)
-		}
-	}
+	r.degrade()
 }
 
 // abandonLink marks a link dead and discards its unpublished state: the
@@ -805,8 +771,9 @@ func (r *Recorder) abandonLink(link *replicaLink) {
 }
 
 // degrade marks every backup dead but keeps recording: sections stay
-// serialized and the history keeps growing, output stability becomes
-// vacuous until a rejoined backup catches up.
+// serialized and the history grows for a fresh backup to catch up from,
+// while output stability is vacuous — held output is released — until one
+// does. Abandoning the links also unblocks a section stalled on a full ring.
 func (r *Recorder) degrade() {
 	for _, link := range r.replicas {
 		if !link.Dead() {

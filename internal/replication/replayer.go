@@ -86,12 +86,11 @@ type Replayer struct {
 	logRx       sim.Event // the log ring's receiver with more than one shard
 	stats       Stats
 
-	// Rejoin support (Config.Rejoinable): the ingested log is retained so
-	// that, at promotion, onFork can convert the namespace into a
-	// recording primary continuing the same history; parked shadow
-	// threads flushed by promotion delegate their sections to the fork so
-	// the history has no gap. headSubs are watermark callbacks used by the
-	// rejoin checkpoint verifier.
+	// Rejoin support: the ingested log is retained so that, at promotion,
+	// onFork can convert the namespace into a recording primary continuing
+	// the same history; parked shadow threads flushed by promotion delegate
+	// their sections to the fork so the history has no gap. headSubs are
+	// watermark callbacks used by the rejoin checkpoint verifier.
 	hist     logWindow
 	onFork   func(forkSeed)
 	headSubs []headSub
@@ -238,9 +237,7 @@ func (r *Replayer) route(m shm.Message) {
 			return
 		}
 	}
-	if r.cfg.Rejoinable {
-		r.hist.append(m)
-	}
+	r.hist.append(m)
 	r.stats.LogMessages++
 }
 
@@ -507,7 +504,7 @@ func (r *Replayer) dropWaitOrder(ftpid int) {
 
 // park registers the calling shadow thread and blocks until its turn,
 // reporting true with the granted tuple in th.sec — or false when promotion
-// flushed it into live execution instead. The thread waits on its task's
+// flushed it to the fork instead. The thread waits on its task's
 // wait record; the rest lives in th.sec, with the replay cost a grant paid
 // inside the parked thread's one wake-up (paid, not part of the wait).
 func (r *Replayer) park(th *Thread) bool {
@@ -635,8 +632,8 @@ func (r *Replayer) exit(th *Thread, out uint64) (uint64, []byte) {
 
 // Promote switches the replica from replay to live execution after the
 // primary's death (§3.7): the remaining log is drained and replayed to the
-// last stable point, then every parked shadow thread is released into
-// unmanaged execution.
+// last stable point, then the namespace forks into a recording primary and
+// every parked shadow thread is released to record its sections there.
 func (r *Replayer) Promote() {
 	if r.primaryDead || r.live {
 		return
@@ -686,16 +683,14 @@ func (r *Replayer) finishPromotion() {
 	}
 	r.live = true
 	r.sc.Emit(obs.GoLive, 0, int64(r.head()), 0)
-	if r.onFork != nil {
-		// Fork BEFORE flushing waiters: their sections must be recorded
-		// by the fork so the retained history stays gapless.
-		hist, n := r.replayedHistory()
-		r.onFork(forkSeed{hist: hist, seqGlobal: n, objSeq: r.objSeqSnapshot()})
-		// The fork owns the history now (Namespace.RetainedTuples reads
-		// the recorder from here on): a second copy would sit here unread
-		// for the rest of the run.
-		r.hist = logWindow{}
-	}
+	// Fork BEFORE flushing waiters: their sections must be recorded by
+	// the fork so the retained history stays gapless.
+	hist, n := r.replayedHistory()
+	r.onFork(forkSeed{hist: hist, seqGlobal: n, objSeq: r.objSeqSnapshot()})
+	// The fork owns the history now (Namespace.RetainedTuples reads the
+	// recorder from here on): a second copy would sit here unread for the
+	// rest of the run.
+	r.hist = logWindow{}
 	order := r.waitOrder
 	r.waitOrder = nil
 	for _, ftpid := range order {

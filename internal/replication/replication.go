@@ -54,7 +54,8 @@ const (
 	RolePrimary Role = iota + 1
 	// RoleSecondary replays the primary's log.
 	RoleSecondary
-	// RoleLive runs unreplicated — the state after failover (either side).
+	// RoleLive runs unreplicated: the baseline, and a recording side with
+	// no backup — after a failure, until a repaired partition rejoins.
 	RoleLive
 )
 
@@ -271,15 +272,6 @@ type Config struct {
 	// per-object FIFO hand-off and per-thread program order are
 	// preserved, so race-free applications replay deterministically.
 	DetShards int
-	// Rejoinable retains the full log history on both sides so a fresh
-	// backup can be re-integrated after a failure: the recorder keeps
-	// every emitted message for catch-up streaming (AddReplica) and,
-	// instead of going fully live when its last backup dies, degrades to
-	// recording with vacuous output stability; the replayer keeps every
-	// ingested message and, at promotion, forks the namespace into a
-	// recording primary that continues the history seamlessly. It must be
-	// set from construction: history cannot be recovered retroactively.
-	Rejoinable bool
 }
 
 // defaultFlushInterval bounds buffered-tuple latency when no interval was

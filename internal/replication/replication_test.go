@@ -574,7 +574,7 @@ func TestPromotionReplaysAcknowledgedTail(t *testing.T) {
 			if row.midDispatch && !dispatching {
 				t.Fatal("no lane worker was paying for its head at the promotion")
 			}
-			if got := d.sns.Stats().Sections; got != want {
+			if got := d.sns.ReplayStats().Sections; got != want {
 				t.Errorf("replayed %d sections, want all %d tuples received or left in the ring", got, want)
 			}
 			if sCount != 4*200 {
@@ -778,7 +778,6 @@ func TestStrictCommitForcesFlush(t *testing.T) {
 		cfg := replication.DefaultConfig()
 		cfg.BatchTuples = 64                // far more than the app emits: no size-triggered flush
 		cfg.FlushInterval = 1 * time.Second // the timer must never be what releases output
-		cfg.Rejoinable = syncing
 		d := newDuo(t, 31, cfg, true)
 		var requestedAt, releasedAt sim.Time
 		d.pns.Start("app", nil, func(root *replication.Thread) {

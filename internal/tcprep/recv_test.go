@@ -17,7 +17,7 @@ import (
 // backup. Both replicas get (nil, nil) without waiting for input, then read
 // and answer the request as usual.
 func TestZeroByteRecvRecordedAndReplayed(t *testing.T) {
-	sys, err := core.New(core.WithSeed(1), core.WithRejoin(false))
+	sys, err := core.New(core.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
