@@ -87,3 +87,52 @@ func TestServiceSurvivesFailover(t *testing.T) {
 		t.Error("secondary died")
 	}
 }
+
+// TestPrimaryRecordsNineSectionsPerRequest pins the primary's det-section
+// inventory: a fixed start-up count, then exactly nine sections per served
+// request — the listener's accept, mutex_lock and cond_signal; the
+// worker's mutex_lock, cond_wait and the mutex_lock that re-acquires the
+// queue once signaled; the connection's recv, send and close. The worker's
+// untimed wait records no settling section. The count holds whether
+// requests arrive one at a time or ten at once.
+func TestPrimaryRecordsNineSectionsPerRequest(t *testing.T) {
+	const perRequest, startUp = 9, 25
+	for _, row := range []struct {
+		concurrency int
+		duration    time.Duration
+	}{{1, 100 * time.Millisecond}, {1, 300 * time.Millisecond}, {10, 300 * time.Millisecond}} {
+		sys, err := core.New(core.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mcfg := mongoose.DefaultConfig()
+		mcfg.Workers = 8
+		served := make(map[*replication.Namespace]*mongoose.Stats)
+		sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
+			st := &mongoose.Stats{}
+			served[th.NS()] = st
+			mongoose.Run(th, socks, mcfg, st)
+		}})
+		var ab clients.ABStats
+		clients.RunAB(client, clients.ABConfig{
+			Port: mcfg.Port, Concurrency: row.concurrency, ResponseBytes: mongoose.PageSize(mcfg),
+			Duration: row.duration,
+		}, &ab)
+		if err := sys.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := served[sys.Primary.NS]
+		n := st.Served
+		if n < 50 || st.Accepted != n || st.Errors > 0 {
+			t.Fatalf("concurrency %d: accepted %d, served %d, %d errors", row.concurrency, st.Accepted, n, st.Errors)
+		}
+		if got, want := sys.Primary.NS.Stats().Sections, uint64(startUp+perRequest*n); got != want {
+			t.Errorf("concurrency %d, %d requests: primary recorded %d sections, want %d + %d per request = %d",
+				row.concurrency, n, got, startUp, perRequest, want)
+		}
+	}
+}

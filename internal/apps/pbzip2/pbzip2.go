@@ -83,8 +83,14 @@ type block struct {
 // Pthreads mutex with notFull/notEmpty condition variables. The consumer
 // side broadcasts, so competing workers wake, race, and re-wait — the
 // retry behaviour behind the super-linear message growth of Figure 5. The
-// buffer is a fixed ring of capacity slots, n of them full from head on,
-// so pushing and popping never allocate.
+// buffer is a fixed ring of capacity slots plus one spare, n of them full
+// from head on, so pushing and popping never allocate.
+//
+// The spare slot is for the block the consumer wants next (the writer's
+// next block in write order): its pusher never waits, as in PBZIP2, whose
+// workers throttle by their distance from the writer. Without it a woken
+// pusher can lose every freed slot to a pusher that never slept, and the
+// writer stalls behind a worker starved of room for the one block it needs.
 type queue struct {
 	mu       *pthread.Mutex
 	notEmpty *pthread.Cond
@@ -92,6 +98,7 @@ type queue struct {
 	buf      []*block
 	head, n  int
 	closed   bool
+	want     int // the block seq the consumer waits for, -1 for none
 }
 
 func newQueue(lib *pthread.Lib, capacity int) *queue {
@@ -99,14 +106,15 @@ func newQueue(lib *pthread.Lib, capacity int) *queue {
 		mu:       lib.NewMutex(),
 		notEmpty: lib.NewCond(),
 		notFull:  lib.NewCond(),
-		buf:      make([]*block, capacity),
+		buf:      make([]*block, capacity+1),
+		want:     -1,
 	}
 }
 
 func (q *queue) push(th *replication.Thread, b *block) {
 	t := th.Task()
 	q.mu.Lock(t)
-	for q.n == len(q.buf) {
+	for q.n >= len(q.buf)-1 && b.seq != q.want {
 		q.notFull.Wait(t, q.mu)
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = b
@@ -116,9 +124,12 @@ func (q *queue) push(th *replication.Thread, b *block) {
 }
 
 // pop returns the next block, or nil when the queue is closed and drained.
-func (q *queue) pop(th *replication.Thread) *block {
+// want names the block the caller needs next (-1 for any): its pusher may
+// take the spare slot.
+func (q *queue) pop(th *replication.Thread, want int) *block {
 	t := th.Task()
 	q.mu.Lock(t)
+	q.want = want
 	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait(t, q.mu)
 	}
@@ -177,7 +188,7 @@ func Run(th *replication.Thread, cfg Config, st *Stats) {
 		workers = append(workers, th.NS().SpawnThread(th, "worker", func(w *replication.Thread) {
 			compress := time.Duration(float64(cfg.BlockSize) / cfg.CompressRate * float64(time.Second))
 			for {
-				b := inQ.pop(w)
+				b := inQ.pop(w, -1)
 				if b == nil {
 					return
 				}
@@ -193,7 +204,7 @@ func Run(th *replication.Thread, cfg Config, st *Stats) {
 		reorder := make(map[int]*block)
 		next := 0
 		for next < nBlocks {
-			b := outQ.pop(w)
+			b := outQ.pop(w, next)
 			if b == nil {
 				return
 			}

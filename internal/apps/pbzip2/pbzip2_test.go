@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps/pbzip2"
 	"repro/internal/core"
 	"repro/internal/replication"
+	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -83,5 +84,45 @@ func TestSurvivesPrimaryFailureMidCompression(t *testing.T) {
 	}
 	if !sst.Done || sst.Checksum != pbzip2.ExpectChecksum(cfg) {
 		t.Fatalf("secondary did not complete identical output after failover: done=%v", sst.Done)
+	}
+}
+
+// TestWriterNeverStallsUnderBackpressure runs Figure 4's 25 KB cell with
+// every tuple streamed on its own, where the log ring throttles the
+// primary to the backup's replay rate and the output queue runs full. The
+// writer must keep writing through every quarter second: the worker
+// holding its next block may take the queue's spare slot, so it cannot be
+// starved of room by pushers that never slept. Without the spare slot the
+// writer stalls from ~1.1 s on at this seed.
+func TestWriterNeverStallsUnderBackpressure(t *testing.T) {
+	sys, err := core.New(core.WithSeed(2), func(c *core.Config) { c.Replication.BatchTuples = 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Sim.Shutdown()
+	cfg := pbzip2.DefaultConfig()
+	cfg.BlockSize = 25 << 10
+	stats := make(map[*replication.Namespace]*pbzip2.Stats)
+	sys.Run(core.App{Name: "pbzip2", Main: func(th *replication.Thread, _ *tcprep.Sockets) {
+		st := new(pbzip2.Stats)
+		stats[th.NS()] = st
+		pbzip2.Run(th, cfg, st)
+	}})
+	const quarter = 250 * time.Millisecond
+	for end := quarter; end <= 3*time.Second; end += quarter {
+		st := stats[sys.Primary.NS]
+		before := 0
+		if st != nil {
+			before = st.Blocks
+		}
+		if err := sys.Sim.RunUntil(sim.Time(end)); err != nil {
+			t.Fatal(err)
+		}
+		if st = stats[sys.Primary.NS]; st.Blocks == before {
+			t.Fatalf("no block written between %v and %v (%d written)", end-quarter, end, st.Blocks)
+		}
+	}
+	if div := sys.Secondary.NS.Stats().Divergences; div != 0 {
+		t.Errorf("%d replay divergences", div)
 	}
 }

@@ -667,9 +667,9 @@ func (sys *System) backupDied(surv, dead *Replica) {
 func (sys *System) dropBackup(act, gone *Replica) {
 	live := sys.livePassives()
 	if len(live) == 0 {
-		act.NS.GoLive()
+		act.NS.Degrade()
 		if act.TCPPrim != nil {
-			act.TCPPrim.GoLive()
+			act.TCPPrim.Degrade()
 		}
 		sys.setState(StateDegraded)
 		return

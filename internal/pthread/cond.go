@@ -8,9 +8,10 @@ import (
 )
 
 // cvWaiter is one task blocked in cond_wait/cond_timedwait. Its wait
-// record is its own rather than the task's: the waiter stays queued on the
-// condition variable while the task takes the det-section lock that settles
-// the wait (and may have to park for it). Records are recycled per library.
+// record is its own rather than the task's: a timed waiter stays queued on
+// the condition variable while the task takes the det-section lock that
+// settles the wait (and may have to park for it). Records are recycled per
+// library.
 type cvWaiter struct {
 	w     kernel.Waiter
 	state uint64 // 0 while waiting, then OutcomeSignaled / OutcomeTimedOut
@@ -43,8 +44,12 @@ func (cw *cvWaiter) onTimer() {
 // Cond is an interposed pthread_cond_t. Per §3.3, the accesses to the
 // internal condition-variable state are protected by deterministic
 // sections, which synchronizes the wake-up sequence between primary and
-// secondary; the timeout-versus-signal race of cond_timedwait is resolved
-// through the deterministic section order and the recorded outcome.
+// secondary. An untimed wait records two sections: the wait that enqueues
+// it and the mutex_lock that re-acquires the mutex. Which waiter a signal
+// wakes is decided inside the signal's own section, so the replayed signal
+// grants the same record on the secondary. Only cond_timedwait records a
+// third, a cond_resolve section that settles the timeout-versus-signal
+// race through the deterministic section order and the recorded outcome.
 type Cond struct {
 	lib     *Lib
 	id      uint64
@@ -88,22 +93,27 @@ func (c *Cond) wait(t *kernel.Task, m *Mutex, d time.Duration) uint64 {
 	c.waiters = append(c.waiters, cw)
 	det.Exit(t, 0)
 	m.Unlock(t)
-	if d >= 0 {
-		cw.timer.Reset(d)
-	}
-	if !det.Replay(t, OpCondResolve, c.id) {
+	out := OutcomeSignaled
+	if d < 0 {
+		// Only a signal ends an untimed wait, and the signal's own section
+		// dequeued and granted the record: there is no race left to settle.
 		cw.w.Park()
-		det.Enter(t, OpCondResolve, c.id)
+	} else {
+		cw.timer.Reset(d)
+		if !det.Replay(t, OpCondResolve, c.id) {
+			cw.w.Park()
+			det.Enter(t, OpCondResolve, c.id)
+		}
+		out = det.Exit(t, c.settle(cw))
+		cw.timer.Cancel()
+		cw.w.Disarm()
 	}
-	out := det.Exit(t, c.settle(cw))
-	cw.timer.Cancel()
-	cw.w.Disarm()
 	c.lib.cvFree = append(c.lib.cvFree, cw)
 	m.Lock(t)
 	return out
 }
 
-// settle decides the wait's outcome inside a deterministic section. A
+// settle decides a timed wait's outcome inside its cond_resolve section. A
 // waiter that was signaled (even if its timer also fired) consumes the
 // signal; otherwise it removes itself from the queue and reports timeout.
 // The mutation runs identically during secondary replay, keeping the

@@ -18,8 +18,10 @@
 // paths allocates: the section's state lives in the calling thread, a task
 // queued on a mutex or rwlock waits on the record embedded in its
 // kernel.Task (it parks on one lock at a time), and condition-variable
-// waiters — whose wait stays queued across the section that settles it —
-// are recycled per library. The FIFO hand-off lives here, not in the
+// waiters — a timed one stays queued across the section that settles it —
+// are recycled per library. An untimed condition wait records no settling
+// section: the signal that dequeues it is itself a section, so its outcome
+// is already in the log. The FIFO hand-off lives here, not in the
 // kernel: unlock grants the records in queue order, so the acquisition
 // order on the secondary reproduces the primary's exactly — the property
 // the paper obtains by making the futex queue FIFO. Setting the kernel's
@@ -76,7 +78,7 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// Outcome codes recorded by Resolve sections.
+// Outcome codes recorded by cond_timedwait's resolve sections.
 const (
 	OutcomeSignaled uint64 = iota + 1
 	OutcomeTimedOut
@@ -102,8 +104,9 @@ type Det interface {
 	// turn.
 	Enter(t *kernel.Task, op Op, obj uint64)
 
-	// Replay opens the section of an operation whose outcome the primary
-	// cannot predict (a timed wait racing a signal). It reports true on a
+	// Replay opens the section of an operation whose outcome the secondary
+	// cannot work out for itself: a timed wait racing a signal (and, in the
+	// replication package, a syscall's result). It reports true on a
 	// replaying side, with the section open at the thread's recorded turn:
 	// the caller skips its blocking part, runs the settling update, and
 	// Exit returns the recorded outcome. It reports false on a recording or

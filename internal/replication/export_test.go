@@ -49,3 +49,15 @@ func (ns *Namespace) LaneDispatching() bool {
 // ReplayWindowBase returns the log index the backup's retained window
 // starts at: the Sent of the last epoch marker it truncated at.
 func (ns *Namespace) ReplayWindowBase() uint64 { return ns.rep.hist.base }
+
+// RecordedTuples decodes the tuples of the recording engine's retained
+// history in log order: the primary's recorder, or a promoted replica's fork.
+func (ns *Namespace) RecordedTuples() []Tuple {
+	var out []Tuple
+	for i := 0; i < ns.rec.hist.msgs.Len(); i++ {
+		if m := *ns.rec.hist.msgs.At(i); m.Kind == msgTuple {
+			out = append(out, tupleOf(m))
+		}
+	}
+	return out
+}

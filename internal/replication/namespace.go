@@ -469,10 +469,10 @@ func (ns *Namespace) RetainedBytes() int64 {
 	return 0
 }
 
-// GoLive drops every backup link on the primary side: it keeps recording
+// Degrade drops every backup link on the primary side: it keeps recording
 // into its retained history, unreplicated, until a rejoined backup catches
 // up. On other roles it is a no-op.
-func (ns *Namespace) GoLive() {
+func (ns *Namespace) Degrade() {
 	if ns.rec != nil {
 		ns.rec.degrade()
 	}

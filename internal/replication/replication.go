@@ -27,9 +27,9 @@
 // program order. Shard count 1 is exactly the paper's global total order.
 //
 // Syscall results the secondary must not recompute (gettimeofday, bytes
-// returned by reads, poll results) are recorded as resolve sections whose
-// outcome (and payload bytes) travel with the tuple; the secondary returns
-// the recorded result instead of executing the call.
+// returned by reads, poll results) and cond_timedwait's timeout-versus-
+// signal race are recorded as resolve sections whose outcome (and payload
+// bytes) travel with the tuple; the secondary acts on the recorded result.
 //
 // The package also implements output stability (§3.5): the primary's
 // network output is released only once the secondary has acknowledged every
@@ -148,7 +148,7 @@ type Tuple struct {
 	FTPid  int
 	Op     pthread.Op
 	Obj    uint64
-	// Outcome is the recorded result for resolve sections.
+	// Outcome is the recorded result of a resolve section, zero otherwise.
 	Outcome uint64
 	// Data carries payload bytes for data-bearing syscalls (reads).
 	Data []byte

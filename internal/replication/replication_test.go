@@ -2,6 +2,7 @@ package replication_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,56 +122,82 @@ func TestReplayMatchesRecordOrder(t *testing.T) {
 	}
 }
 
-func TestCondVarReplay(t *testing.T) {
-	app := func(out *[]int) func(*replication.Thread) {
-		return func(root *replication.Thread) {
-			lib := root.Lib()
-			m := lib.NewMutex()
-			c := lib.NewCond()
-			queue := 0
-			var threads []*replication.Thread
-			for i := 0; i < 4; i++ {
-				threads = append(threads, root.NS().SpawnThread(root, "consumer", func(th *replication.Thread) {
-					for j := 0; j < 5; j++ {
-						m.Lock(th.Task())
-						for queue == 0 {
-							c.Wait(th.Task(), m)
-						}
-						queue--
-						*out = append(*out, th.FTPid())
-						m.Unlock(th.Task())
-					}
-				}))
-			}
-			prod := root.NS().SpawnThread(root, "producer", func(th *replication.Thread) {
-				for j := 0; j < 20; j++ {
-					th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+// consumption is one item a consumer took off condVarApp's queue. acq
+// numbers the critical section it was taken in: the app counts the mutex's
+// acquisitions, and the k-th acquisition is the one the mutex's k-th
+// mutex_lock tuple ordered.
+type consumption struct{ acq, ftpid, item int }
+
+// condVarApp is a producer/consumer queue under one mutex and one
+// condition variable: four consumers take five items each, waiting
+// untimed while the queue is empty, and the producer appends twenty items
+// after side-local pauses, signalling one consumer per item and
+// broadcasting to all of them for every fourth. done reports that every
+// thread returned.
+func condVarApp(out *[]consumption, done *bool) func(*replication.Thread) {
+	return func(root *replication.Thread) {
+		lib := root.Lib()
+		m := lib.NewMutex()
+		c := lib.NewCond()
+		var queue []int
+		acq := 0
+		var threads []*replication.Thread
+		for i := 0; i < 4; i++ {
+			threads = append(threads, root.NS().SpawnThread(root, "consumer", func(th *replication.Thread) {
+				for j := 0; j < 5; j++ {
 					m.Lock(th.Task())
-					queue++
-					c.Signal(th.Task())
+					acq++
+					for len(queue) == 0 {
+						c.Wait(th.Task(), m)
+						acq++
+					}
+					*out = append(*out, consumption{acq, th.FTPid(), queue[0]})
+					queue = queue[1:]
 					m.Unlock(th.Task())
 				}
-			})
-			threads = append(threads, prod)
-			for _, th := range threads {
-				root.Join(th)
-			}
+			}))
 		}
+		prod := root.NS().SpawnThread(root, "producer", func(th *replication.Thread) {
+			for j := 0; j < 20; j++ {
+				th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+				m.Lock(th.Task())
+				acq++
+				queue = append(queue, j)
+				if j%4 == 3 {
+					c.Broadcast(th.Task())
+				} else {
+					c.Signal(th.Task())
+				}
+				m.Unlock(th.Task())
+			}
+		})
+		threads = append(threads, prod)
+		for _, th := range threads {
+			root.Join(th)
+		}
+		*done = true
 	}
-	var pOrder, sOrder []int
+}
+
+func TestCondVarReplay(t *testing.T) {
+	var pOrder, sOrder []consumption
+	var pDone, sDone bool
 	d := newDuo(t, 3, replication.DefaultConfig(), true)
-	d.pns.Start("app", nil, app(&pOrder))
-	d.sns.Start("app", nil, app(&sOrder))
+	d.pns.Start("app", nil, condVarApp(&pOrder, &pDone))
+	d.sns.Start("app", nil, condVarApp(&sOrder, &sDone))
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(pOrder) != 20 || len(sOrder) != 20 {
-		t.Fatalf("consumed %d/%d, want 20/20", len(pOrder), len(sOrder))
+	if len(pOrder) != 20 || len(sOrder) != 20 || !pDone || !sDone {
+		t.Fatalf("consumed %d/%d, want 20/20; returned %v/%v", len(pOrder), len(sOrder), pDone, sDone)
 	}
 	for i := range pOrder {
 		if pOrder[i] != sOrder[i] {
 			t.Fatalf("consumer wake order diverged at %d: %v vs %v", i, pOrder, sOrder)
 		}
+	}
+	if div := d.sns.Stats().Divergences; div != 0 {
+		t.Errorf("%d divergences detected", div)
 	}
 }
 
@@ -437,10 +464,31 @@ func TestRelaxedOutputCommitImmediate(t *testing.T) {
 
 func TestStockFutexOrderBreaksReplay(t *testing.T) {
 	// The ablation behind the paper's FIFO-futex modification (§3.3): with
-	// stock (unordered) wake-up, the secondary hands contended locks to
-	// different threads than the primary did, and replay either detects a
-	// divergence (condition variables: the recorded outcome mismatches) or
-	// stalls (mutexes: the thread owed the next turn never arrives).
+	// stock (unordered) wake-up, the secondary hands contended locks and
+	// condition signals to different threads than the primary did, and
+	// replay stalls: the thread owed the next turn never arrives, because
+	// it is still parked on the mutex or in an untimed condition wait (the
+	// one a signal woke instead has no recorded turn). Replay may also
+	// complete in a different order, or detect a divergence.
+	//
+	// Condition variables (TestCondVarReplay's app, untimed waits).
+	condBroken := false
+	for seed := int64(1); seed <= 10 && !condBroken; seed++ {
+		d := newDuo(t, seed, replication.DefaultConfig(), false)
+		var pOrder, sOrder []consumption
+		var done bool
+		d.pns.Start("app", nil, condVarApp(&pOrder, &done))
+		d.sns.Start("app", nil, condVarApp(&sOrder, &done))
+		if err := d.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		condBroken = d.sns.Stats().Divergences > 0 || !slices.Equal(sOrder, pOrder)
+	}
+	if !condBroken {
+		t.Error("stock futex order never broke condition-variable replay across 10 seeds")
+	}
+
+	// Mutexes.
 	broken := false
 	for seed := int64(1); seed <= 10 && !broken; seed++ {
 		d := newDuo(t, seed, replication.DefaultConfig(), false)
@@ -642,14 +690,14 @@ func lockCounterApp(out *int, nThreads, nIters int) func(*replication.Thread) {
 
 func TestPrimaryGoLiveAfterSecondaryDeath(t *testing.T) {
 	cfg := replication.DefaultConfig()
-	cfg.LogRingBytes = 16 << 10 // small: primary would stall without GoLive
+	cfg.LogRingBytes = 16 << 10 // small: primary would stall without Degrade
 	d := newDuo(t, 12, cfg, true)
 	var pCount, sCount int
 	d.pns.Start("app", nil, lockCounterApp(&pCount, 4, 300))
 	d.sns.Start("app", nil, lockCounterApp(&sCount, 4, 300))
 	d.sim.Schedule(10*time.Millisecond, func() {
 		d.sk.Panic("injected failure", nil)
-		d.pns.GoLive()
+		d.pns.Degrade()
 	})
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)

@@ -262,14 +262,14 @@ func (p *Primary) AttachRing(sync *shm.Ring) int {
 // DropRing stops streaming to one dead backup's leg: its buffered updates
 // are discarded, its ring drained (unblocking a spill server parked on it), and
 // the barrier re-evaluated over the survivors. When the last live leg
-// drops the primary goes live (native-speed release). Link indices follow
+// drops the primary degrades (native-speed release). Link indices follow
 // construction/AttachRing order.
 func (p *Primary) DropRing(i int) {
 	if i < 0 || i >= len(p.links) || p.links[i].Dead() {
 		return
 	}
 	if p.liveLinks() == 1 { // links[i] is the last live leg
-		p.GoLive()
+		p.Degrade()
 		return
 	}
 	p.kill(p.links[i])
@@ -291,10 +291,10 @@ func (p *Primary) Instrument(sc *obs.Scope, reg *obs.Registry) {
 	p.hSyncBatch = reg.Histogram("tcprep.sync.batch", "updates")
 }
 
-// GoLive stops syncing after the last backup's death: buffered updates are
+// Degrade stops syncing after the last backup's death: buffered updates are
 // discarded and barrier waiters released, so the primary keeps serving at
 // native speed. On a primary that is not streaming it does nothing.
-func (p *Primary) GoLive() {
+func (p *Primary) Degrade() {
 	if !p.Streaming() {
 		return
 	}
