@@ -126,3 +126,45 @@ func TestWriterNeverStallsUnderBackpressure(t *testing.T) {
 		t.Errorf("%d replay divergences", div)
 	}
 }
+
+// TestPrimarySectionsPerBlock pins the sections the primary records per
+// block (seed 1, 200 blocks of 100 KB). A wake-up records a section only
+// when it finds a waiter: with one worker, the producer waits for room 135
+// times and the writer for every block, so each block costs the four queue
+// operations' mutex_locks, the writer's wait and re-lock, the worker's
+// broadcast that wakes the writer, and — 135 times in 200 — the producer's
+// wait, re-lock and the signal that wakes it; nine more start and close
+// the run: 1 814 sections. A wake-up
+// that woke nobody used to record one too: 2 280 sections, 11.4 a block,
+// and 1 824 with four workers.
+func TestPrimarySectionsPerBlock(t *testing.T) {
+	for _, row := range []struct {
+		workers  int
+		sections uint64
+	}{{1, 1814}, {4, 1292}} {
+		sys, err := core.New(core.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := smallCfg()
+		cfg.Workers = row.workers
+		stats := make(map[*replication.Namespace]*pbzip2.Stats)
+		sys.Run(core.App{Name: "pbzip2", Main: func(th *replication.Thread, _ *tcprep.Sockets) {
+			st := new(pbzip2.Stats)
+			stats[th.NS()] = st
+			pbzip2.Run(th, cfg, st)
+		}})
+		if err := sys.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		p, s := sys.Primary.NS.Stats(), sys.Secondary.NS.Stats()
+		if blocks := stats[sys.Primary.NS].Blocks; blocks != cfg.MaxBlocks || p.Sections != row.sections {
+			t.Errorf("%d workers: the primary recorded %d sections for %d blocks (%.2f a block), want %d for %d",
+				row.workers, p.Sections, blocks, float64(p.Sections)/float64(blocks), row.sections, cfg.MaxBlocks)
+		}
+		if s.Sections != p.Sections || s.Divergences != 0 {
+			t.Errorf("%d workers: the backup replayed %d sections with %d divergences, want %d and none",
+				row.workers, s.Sections, s.Divergences, p.Sections)
+		}
+	}
+}

@@ -45,9 +45,12 @@ func (cw *cvWaiter) onTimer() {
 // internal condition-variable state are protected by deterministic
 // sections, which synchronizes the wake-up sequence between primary and
 // secondary. An untimed wait records two sections: the wait that enqueues
-// it and the mutex_lock that re-acquires the mutex. Which waiter a signal
-// wakes is decided inside the signal's own section, so the replayed signal
-// grants the same record on the secondary. Only cond_timedwait records a
+// it and the mutex_lock that re-acquires the mutex. A signal or broadcast
+// records one section, and only when it finds a waiter: a wake-up that
+// wakes nobody changes nothing, so it records nothing. Which waiters a
+// wake-up dequeues is decided inside its section; a replaying side never
+// runs the signaler's call at all — its replayer applies each recorded
+// wake-up (Wake) when the tuple comes up. Only cond_timedwait records a
 // third, a cond_resolve section that settles the timeout-versus-signal
 // race through the deterministic section order and the recorded outcome.
 type Cond struct {
@@ -58,7 +61,9 @@ type Cond struct {
 
 // NewCond creates a condition variable.
 func (l *Lib) NewCond() *Cond {
-	return &Cond{lib: l, id: l.newID()}
+	c := &Cond{lib: l, id: l.newID()}
+	l.conds = append(l.conds, c)
+	return c
 }
 
 // ID returns the condition variable's object identifier.
@@ -134,28 +139,45 @@ func (c *Cond) settle(cw *cvWaiter) uint64 {
 
 // Signal wakes one waiter (pthread_cond_signal): the queue head under FIFO
 // ordering, an arbitrary waiter under the stock-futex ablation.
-func (c *Cond) Signal(t *kernel.Task) {
-	c.lib.charge(t)
-	c.lib.det.Enter(t, OpCondSignal, c.id)
-	if len(c.waiters) > 0 {
-		i := c.lib.pickWaiter(len(c.waiters))
-		cw := c.waiters[i]
-		c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-		cw.state = OutcomeSignaled
-		cw.w.Grant(0)
-	}
-	c.lib.det.Exit(t, 0)
-}
+func (c *Cond) Signal(t *kernel.Task) { c.signal(t, OpCondSignal) }
 
 // Broadcast wakes every waiter in queue order (pthread_cond_broadcast).
-func (c *Cond) Broadcast(t *kernel.Task) {
+func (c *Cond) Broadcast(t *kernel.Task) { c.signal(t, OpCondBroadcast) }
+
+// signal returns before its section when nobody waits — a no-op, so its
+// order against a concurrent wait does not matter — and on a side whose
+// replayer applies the wake-ups (Det.Wakes).
+func (c *Cond) signal(t *kernel.Task, op Op) {
 	c.lib.charge(t)
-	c.lib.det.Enter(t, OpCondBroadcast, c.id)
-	for _, cw := range c.waiters {
-		cw.state = OutcomeSignaled
-		cw.w.Grant(0)
+	det := c.lib.det
+	if len(c.waiters) == 0 || !det.Wakes() {
+		return
 	}
-	clear(c.waiters)
-	c.waiters = c.waiters[:0]
-	c.lib.det.Exit(t, 0)
+	det.Enter(t, op, c.id)
+	det.Exit(t, c.Wake(op == OpCondBroadcast))
+}
+
+// Wake dequeues the waiter a signal picks, or every waiter if all, marks
+// each signaled and grants its record. It returns the wake-up's outcome:
+// the woken task's TID (0: nobody waited), or the number woken.
+func (c *Cond) Wake(all bool) uint64 {
+	if all {
+		n := len(c.waiters)
+		for _, cw := range c.waiters {
+			cw.state = OutcomeSignaled
+			cw.w.Grant(0)
+		}
+		clear(c.waiters)
+		c.waiters = c.waiters[:0]
+		return uint64(n)
+	}
+	if len(c.waiters) == 0 {
+		return 0
+	}
+	i := c.lib.pickWaiter(len(c.waiters))
+	cw := c.waiters[i]
+	c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+	cw.state = OutcomeSignaled
+	cw.w.Grant(0)
+	return uint64(cw.w.Task().TID())
 }

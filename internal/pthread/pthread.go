@@ -19,18 +19,24 @@
 // queued on a mutex or rwlock waits on the record embedded in its
 // kernel.Task (it parks on one lock at a time), and condition-variable
 // waiters — a timed one stays queued across the section that settles it —
-// are recycled per library. An untimed condition wait records no settling
-// section: the signal that dequeues it is itself a section, so its outcome
-// is already in the log. The FIFO hand-off lives here, not in the
-// kernel: unlock grants the records in queue order, so the acquisition
-// order on the secondary reproduces the primary's exactly — the property
-// the paper obtains by making the futex queue FIFO. Setting the kernel's
-// FutexFIFO parameter to false grants an arbitrary queued record instead
-// (stock unordered wake-up) and demonstrably breaks replay determinism.
+// are recycled per library. A section records only what the backup cannot
+// work out: an untimed condition wait records no settling section, because
+// the wake-up that dequeues it is in the log; a signal or broadcast that
+// finds no waiter records nothing; and a replaying side skips the
+// signaler's call, its replayer applying each recorded wake-up to the
+// condition variable it finds by id (Lib.Cond). The FIFO hand-off lives
+// here, not in the kernel: unlock grants the records in queue order, so the
+// acquisition order on the secondary reproduces the primary's exactly — the
+// property the paper obtains by making the futex queue FIFO. Setting the
+// kernel's FutexFIFO parameter to false grants an arbitrary queued record
+// instead (stock unordered wake-up) and demonstrably breaks replay
+// determinism.
 package pthread
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/kernel"
@@ -116,11 +122,17 @@ type Det interface {
 	Replay(t *kernel.Task, op Op, obj uint64) bool
 
 	// Exit closes the section t has open. outcome is the result the
-	// section settled (zero for operations that have none): recorded with
-	// the section's tuple on the primary, compared against the recorded one
-	// on the secondary — a mismatch is a replay divergence. It returns the
-	// outcome to act on: the recorded one when replaying.
+	// section settled (zero for operations that have none; for a wake-up,
+	// Cond.Wake's): recorded with the section's tuple on the primary,
+	// compared against the recorded one on the secondary — a mismatch is a
+	// replay divergence. It returns the outcome to act on: the recorded one
+	// when replaying.
 	Exit(t *kernel.Task, outcome uint64) uint64
+
+	// Wakes reports whether a signal or broadcast applies its wake-up in
+	// the signaler's own call: true on a recording or live side, false on a
+	// replaying one, whose replayer applies each recorded wake-up itself.
+	Wakes() bool
 }
 
 // SectionError is the panic value of a deterministic section misused at
@@ -156,6 +168,9 @@ func (Passthrough) Replay(*kernel.Task, Op, uint64) bool { return false }
 // Exit returns the locally settled outcome.
 func (Passthrough) Exit(_ *kernel.Task, outcome uint64) uint64 { return outcome }
 
+// Wakes reports true: the signaler wakes its waiters.
+func (Passthrough) Wakes() bool { return true }
+
 // Lib is one process's Pthreads library instance: the analogue of the
 // LD_PRELOAD-ed replacement library, bound to a kernel and a Det.
 type Lib struct {
@@ -164,6 +179,7 @@ type Lib struct {
 	opCost time.Duration
 	nextID uint64
 	cvFree []*cvWaiter // settled condition waits, reused by the next Cond.wait
+	conds  []*Cond     // every condition variable, in id order (Cond)
 }
 
 // NewLib creates a Pthreads library on kernel k interposed by det. A nil
@@ -180,6 +196,19 @@ func (l *Lib) Kernel() *kernel.Kernel { return l.kern }
 
 // Det returns the library's deterministic-section provider.
 func (l *Lib) Det() Det { return l.det }
+
+// Cond returns the library's condition variable with the given id, or nil
+// if it has not been created (yet).
+func (l *Lib) Cond(id uint64) *Cond {
+	i, ok := slices.BinarySearchFunc(l.conds, id, func(c *Cond, id uint64) int { return cmp.Compare(c.id, id) })
+	if !ok {
+		return nil
+	}
+	return l.conds[i]
+}
+
+// Conds returns every condition variable the library created, in id order.
+func (l *Lib) Conds() []*Cond { return l.conds }
 
 // SetOpCost overrides the CPU cost charged per Pthreads operation.
 func (l *Lib) SetOpCost(d time.Duration) { l.opCost = d }

@@ -54,8 +54,10 @@ func TestSectionsAllocateNothing(t *testing.T) {
 			root.NS().SpawnThread(root, "w", work)
 			work(root)
 		},
-		// A Cond.Wait / Signal round trip per item, plus a timed wait that
-		// expires, and a reader-writer lock both ways.
+		// A Cond.Wait / Signal round trip per item — the backup's replayer
+		// applies the signal — a broadcast that finds nobody waiting and
+		// returns before its section, a timed wait that expires, and a
+		// reader-writer lock both ways.
 		"condvar": func(root *replication.Thread) {
 			lib := root.Lib()
 			m, c, rw := lib.NewMutex(), lib.NewCond(), lib.NewRWLock()
@@ -77,6 +79,7 @@ func TestSectionsAllocateNothing(t *testing.T) {
 				m.Lock(root.Task())
 				queued++
 				c.Signal(root.Task())
+				c.Broadcast(root.Task())
 				c.TimedWait(root.Task(), m, 5*time.Microsecond)
 				m.Unlock(root.Task())
 				rw.WrLock(root.Task())

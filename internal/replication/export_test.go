@@ -61,3 +61,23 @@ func (ns *Namespace) RecordedTuples() []Tuple {
 	}
 	return out
 }
+
+// Seq returns the thread's deterministic-section sequence number.
+func (th *Thread) Seq() uint64 { return th.seq }
+
+// LiveBackups returns the number of live, caught-up backup links on a
+// recording namespace.
+func (ns *Namespace) LiveBackups() int {
+	live, _ := ns.rec.backups()
+	return live
+}
+
+// QuorumNeed returns the number of backup receipts the output-commit rule
+// currently requires on a recording namespace.
+func (ns *Namespace) QuorumNeed() int { return ns.rec.quorumNeed() }
+
+// ReplayRetained returns what a secondary's replayer retains, which
+// promotion hands to the fork.
+func (ns *Namespace) ReplayRetained() (tuples int, bytes int64) {
+	return ns.rep.hist.msgs.Len(), ns.rep.hist.bytes
+}

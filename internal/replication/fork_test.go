@@ -74,8 +74,8 @@ func TestPromotionHandsHistoryToFork(t *testing.T) {
 	if sCount != threads*iters || pCount == threads*iters {
 		t.Fatalf("survivor finished %d of %d increments, dead primary %d: the kill must land mid-run", sCount, threads*iters, pCount)
 	}
-	if rep := sns.Replayer(); rep.RetainedTuples() != 0 || rep.RetainedBytes() != 0 {
-		t.Errorf("promoted replayer still retains %d tuples / %d bytes after the fork copied them", rep.RetainedTuples(), rep.RetainedBytes())
+	if n, b := sns.ReplayRetained(); n != 0 || b != 0 {
+		t.Errorf("promoted replayer still retains %d tuples / %d bytes after the fork copied them", n, b)
 	}
 	if got, want := sns.RetainedTuples(), 1+int(sns.SeqGlobal()); got != want {
 		t.Errorf("fork retains %d messages, want %d: the environment plus one tuple per section replayed or recorded", got, want)

@@ -28,7 +28,7 @@ type Namespace struct {
 
 	env       map[string]string
 	nextFTPid int
-	threads   map[*kernel.Task]*Thread
+	threads   map[int]*Thread // by kernel TID
 
 	// resume holds checkpoint thread cursors while a rejoined replica
 	// restores its applications from an epoch checkpoint (ResumeFrom):
@@ -110,9 +110,6 @@ func (th *Thread) Task() *kernel.Task { return th.task }
 // FTPid returns the replicated-task unique identifier.
 func (th *Thread) FTPid() int { return th.ftpid }
 
-// Seq returns the thread's deterministic-section sequence number.
-func (th *Thread) Seq() uint64 { return th.seq }
-
 // NS returns the thread's namespace.
 func (th *Thread) NS() *Namespace { return th.ns }
 
@@ -138,7 +135,7 @@ func NewPrimary(name string, k *kernel.Kernel, cfg Config, logs, acks []*shm.Rin
 func NewSecondary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Namespace {
 	ns := newNamespace(name, RoleSecondary, k, cfg)
 	ns.rep = newReplayer(k, cfg, log, acks)
-	ns.rep.onFork = ns.forkRecorder
+	ns.rep.ns = ns
 	return ns
 }
 
@@ -167,7 +164,7 @@ func newNamespace(name string, role Role, k *kernel.Kernel, cfg Config) *Namespa
 		role:    role,
 		kern:    k,
 		cfg:     cfg,
-		threads: make(map[*kernel.Task]*Thread),
+		threads: make(map[int]*Thread),
 	}
 	ns.lib = pthread.NewLib(k, ns)
 	return ns
@@ -245,26 +242,6 @@ func (ns *Namespace) Watermarks() []ReplicaWatermark {
 	return ns.rec.Watermarks()
 }
 
-// LiveBackups returns the number of live, caught-up backup links on a
-// recording namespace (zero otherwise).
-func (ns *Namespace) LiveBackups() int {
-	if ns.rec == nil {
-		return 0
-	}
-	live, _ := ns.rec.backups()
-	return live
-}
-
-// QuorumNeed returns the number of backup receipts the output-commit rule
-// currently requires on a recording namespace: min(CommitQuorum, live
-// backups), or all live backups when no quorum is configured.
-func (ns *Namespace) QuorumNeed() int {
-	if ns.rec == nil {
-		return 0
-	}
-	return ns.rec.quorumNeed()
-}
-
 // SeqCursor is one thread's replication cursor: its ft_pid and the
 // per-thread sequence number (Seq_thread) it has reached.
 type SeqCursor struct {
@@ -339,7 +316,7 @@ func (ns *Namespace) OnReplayHead(seq uint64, fn func()) {
 	if ns.rep == nil {
 		panic("replication: OnReplayHead on a non-replaying namespace")
 	}
-	ns.rep.OnHead(seq, fn)
+	ns.rep.addHeadSub(headSub{seq: seq, fn: fn})
 }
 
 // ResumeFrom installs an epoch checkpoint's thread-identity table for the
@@ -410,12 +387,13 @@ func (ns *Namespace) EmitEpoch(t *kernel.Task, mark EpochMark, size int) {
 // OnEpoch installs the replica-side epoch-boundary verifier: fn runs at
 // each marker's exact replay frontier and reports whether the local
 // replayed state reproduces the checkpoint digest. A true return
-// truncates the retained log at the boundary and acks the epoch.
+// truncates the retained log at the boundary and acks the epoch. Without
+// a verifier, markers are retained for alignment but never verified.
 func (ns *Namespace) OnEpoch(fn func(EpochMark) bool) {
 	if ns.rep == nil {
 		panic("replication: OnEpoch on a non-replaying namespace")
 	}
-	ns.rep.OnEpoch(fn)
+	ns.rep.onEpoch = fn
 }
 
 // OnEpochQuorum installs the recording-side callback fired when an epoch
@@ -449,25 +427,21 @@ func (ns *Namespace) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCur
 // footprint (the ftns.log.retained.* gauges): the recorder's history on
 // a recording side (including a promotion fork), the replayer's on a
 // replaying one.
-func (ns *Namespace) RetainedTuples() int {
+func (ns *Namespace) RetainedTuples() int { return ns.retained().msgs.Len() }
+
+func (ns *Namespace) RetainedBytes() int64 { return ns.retained().bytes }
+
+func (ns *Namespace) retained() *logWindow {
 	switch {
 	case ns.rec != nil:
-		return ns.rec.RetainedTuples()
+		return &ns.rec.hist
 	case ns.rep != nil:
-		return ns.rep.RetainedTuples()
+		return &ns.rep.hist
 	}
-	return 0
+	return &noHistory
 }
 
-func (ns *Namespace) RetainedBytes() int64 {
-	switch {
-	case ns.rec != nil:
-		return ns.rec.RetainedBytes()
-	case ns.rep != nil:
-		return ns.rep.RetainedBytes()
-	}
-	return 0
-}
+var noHistory logWindow // a live side retains nothing
 
 // Degrade drops every backup link on the primary side: it keeps recording
 // into its retained history, unreplicated, until a rejoined backup catches
@@ -500,7 +474,7 @@ func (ns *Namespace) Stats() Stats {
 // ThreadOf returns the Thread owning a kernel task. It panics for tasks
 // outside the namespace — they have no replication identity.
 func (ns *Namespace) ThreadOf(t *kernel.Task) *Thread {
-	th, ok := ns.threads[t]
+	th, ok := ns.threads[t.TID()]
 	if !ok {
 		panic(fmt.Sprintf("replication: task %q is not in FT-Namespace %q", t.Name(), ns.name))
 	}
@@ -563,6 +537,22 @@ func (ns *Namespace) Exit(t *kernel.Task, outcome uint64) uint64 {
 	return out
 }
 
+// Wakes implements pthread.Det: every side but a replaying one applies its
+// own wake-ups; there the replayer applies the recorded ones (applyWake).
+func (ns *Namespace) Wakes() bool { return ns.role != RoleSecondary }
+
+// isWake reports whether op is a wake-up: no shadow thread replays it.
+func isWake(op pthread.Op) bool { return op == pthread.OpCondSignal || op == pthread.OpCondBroadcast }
+
+// wakeOutcome is what a wake-up records: the ft_pid of the waiter a signal
+// dequeued (pthread's TID differs across replicas), a broadcast's count.
+func (ns *Namespace) wakeOutcome(op pthread.Op, out uint64) uint64 {
+	if op == pthread.OpCondSignal && out != 0 {
+		return uint64(ns.threads[int(out)].ftpid)
+	}
+	return out
+}
+
 // SyscallU64 replicates a syscall returning a scalar.
 func (ns *Namespace) SyscallU64(th *Thread, op pthread.Op, obj uint64, run func() uint64) uint64 {
 	out, _ := ns.SyscallData(th, op, obj, func() (uint64, []byte) { return run(), nil })
@@ -620,7 +610,7 @@ func (ns *Namespace) Start(name string, env map[string]string, fn func(*Thread))
 		}
 		fn(th)
 	})
-	ns.threads[th.task] = th
+	ns.threads[th.task.TID()] = th
 	return th
 }
 
@@ -646,7 +636,7 @@ func (ns *Namespace) SpawnThread(parent *Thread, name string, fn func(*Thread)) 
 	}
 	th := &Thread{ns: ns, ftpid: ftpid, seq: seq}
 	th.task = ns.kern.Spawn(name, func(t *kernel.Task) { fn(th) })
-	ns.threads[th.task] = th
+	ns.threads[th.task.TID()] = th
 	return th
 }
 

@@ -613,11 +613,6 @@ func (r *Recorder) truncateHistory(verifiedEpoch, verifiedSent uint64) {
 	}
 }
 
-// RetainedTuples and RetainedBytes expose the retained-log footprint for
-// the ftns.log.retained.* gauges.
-func (r *Recorder) RetainedTuples() int  { return r.hist.msgs.Len() }
-func (r *Recorder) RetainedBytes() int64 { return r.hist.bytes }
-
 // seedEpochs initializes the epoch counters on a recorder forked at
 // promotion, so the new primary's first cut continues the dead primary's
 // epoch sequence instead of restarting at 1.
@@ -644,14 +639,16 @@ func (r *Recorder) quiesce(t *kernel.Task) func() {
 	}
 }
 
-// commitSeqs assigns one section's tuple cursors and advances every
-// counter. Sharded, the advance happens BEFORE the emit's first possible
-// yield, so a concurrent section on another shard can never observe a
-// half-advanced cursor state (and GlobalSeq stays unique); unsharded, the
-// advance stays after the emit, preserving the exact pre-sharding
-// execution byte for byte.
-func (r *Recorder) commitSeqs(th *Thread, key uint64) {
-	th.seq++
+// commitSeqs advances one section's cursors — all but Seq_thread for a
+// wake-up, which no shadow thread replays. Sharded, the advance happens
+// BEFORE the emit's first possible yield, so a concurrent section on
+// another shard can never observe a half-advanced cursor state (and
+// GlobalSeq stays unique); unsharded, the advance stays after the emit,
+// preserving the exact pre-sharding execution byte for byte.
+func (r *Recorder) commitSeqs(th *Thread, key uint64, op pthread.Op) {
+	if !isWake(op) {
+		th.seq++
+	}
 	r.seqGlobal++
 	r.objSeq[key]++
 	r.stats.Sections++
@@ -685,19 +682,30 @@ func (r *Recorder) exit(th *Thread, out uint64, data []byte) {
 	sec := th.sec
 	th.sec = section{}
 	t, key := th.task, sec.key
-	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: sec.op, Obj: sec.obj, Outcome: out, Data: data}
+	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: sec.op, Obj: sec.obj,
+		Outcome: th.ns.wakeOutcome(sec.op, out), Data: data}
 	if len(r.mus) > 1 {
-		r.commitSeqs(th, key)
+		r.commitSeqs(th, key, sec.op)
 		r.emit(t, tu.message(sec.shard))
 		r.noteTuple(th, tu, key)
 	} else {
 		r.emit(t, tu.message(sec.shard))
 		r.noteTuple(th, tu, key)
-		r.commitSeqs(th, key)
+		r.commitSeqs(th, key, sec.op)
 	}
 	r.cShardSec(sec.shard).Inc()
 	r.sc.EmitDet(obs.DetExit, th.ftpid, int64(tu.GlobalSeq), 0, key, int64(tu.ObjSeq))
 	r.mus[sec.shard].Unlock(t)
+}
+
+// recordWake records the broadcast, waking n waiters, a promoted replica
+// applies to condition variable obj as its fork starts. No thread made it,
+// so the tuple names none; the fork has no backup yet, so emit never blocks.
+func (r *Recorder) recordWake(obj, n uint64) {
+	key := objKey(pthread.OpCondBroadcast, obj)
+	tu := Tuple{GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], Op: pthread.OpCondBroadcast, Obj: obj, Outcome: n}
+	r.emit(nil, tu.message(pthread.ShardOf(key, len(r.mus))))
+	r.commitSeqs(nil, key, tu.Op)
 }
 
 // noteTuple records one emitted tuple's lifecycle event and count. The

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/kernel"
@@ -87,12 +88,12 @@ type Replayer struct {
 	stats       Stats
 
 	// Rejoin support: the ingested log is retained so that, at promotion,
-	// onFork can convert the namespace into a recording primary continuing
-	// the same history; parked shadow threads flushed by promotion delegate
-	// their sections to the fork so the history has no gap. headSubs are
+	// the namespace forks into a recording primary continuing the same
+	// history; parked shadow threads flushed by promotion delegate their
+	// sections to the fork so the history has no gap. headSubs are
 	// watermark callbacks used by the rejoin checkpoint verifier.
 	hist     logWindow
-	onFork   func(forkSeed)
+	ns       *Namespace // forked at promotion; its condition variables take applied wake-ups
 	headSubs []headSub
 
 	// Epoch checkpointing (core.WithEpochCheckpoints): baseSeqGlobal is
@@ -127,9 +128,6 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 		objDone: make(map[uint64]uint64),
 	}
 	r.lanes = make([]*lane, r.cfg.DetShards)
-	for i := range r.lanes {
-		r.lanes[i] = &lane{}
-	}
 	// Lane ownership: with more than one shard each lane gets a grant task
 	// and receipt is the log ring's receiver event; with one, the pull task
 	// receives and drains lane 0 itself (see dispatch).
@@ -140,7 +138,9 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 			}
 		})
 	}
-	for i, ln := range r.lanes {
+	for i := range r.lanes {
+		ln := &lane{}
+		r.lanes[i] = ln
 		ln.dispatchK = func() { r.dispatch(ln) }
 		ln.paidK = func() { r.deliver(ln); r.dispatch(ln) }
 		name := "ft-replay"
@@ -337,11 +337,6 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 	}
 }
 
-// OnEpoch installs the epoch-boundary verifier (core's digest check).
-// Without one, markers are retained in the history for alignment but
-// never verified, acked, or truncated at.
-func (r *Replayer) OnEpoch(fn func(mark EpochMark) bool) { r.onEpoch = fn }
-
 // noteEpoch handles one epoch marker off the ring, in ring order. It
 // reports false for a stale duplicate (not retained). A fresh marker is
 // always retained — at exactly the log index the primary cut it at, or
@@ -418,12 +413,6 @@ func (r *Replayer) retryEpochAck() {
 	}
 }
 
-// RetainedTuples and RetainedBytes expose the replica-side retained-log
-// footprint for the ftns.log.retained.* gauges.
-func (r *Replayer) RetainedTuples() int { return r.hist.msgs.Len() }
-
-func (r *Replayer) RetainedBytes() int64 { return r.hist.bytes }
-
 func (r *Replayer) waitEnv(t *kernel.Task) map[string]string {
 	for !r.envReady && !r.live {
 		r.envQ.Wait(t.Proc())
@@ -461,7 +450,7 @@ func (r *Replayer) grantBarrier() uint64 {
 // Thread-order matching happens here — with per-object domains the thread
 // may legitimately still be short of this tuple while its earlier sections
 // on other objects replay; op/object divergence is detected by verify
-// after the grant.
+// after the grant. A wake-up needs no thread: it is applied at once.
 func (r *Replayer) tryGrant(d *domain) {
 	if r.live || d.granted || d.q.Len() == 0 {
 		return
@@ -470,12 +459,17 @@ func (r *Replayer) tryGrant(d *domain) {
 	if tu.GlobalSeq >= r.grantBarrier() {
 		return
 	}
+	if isWake(tu.Op) {
+		r.applyWake(tu)
+		return
+	}
 	th, ok := r.waiting[tu.FTPid]
 	if !ok || th.seq != tu.ThreadSeq {
 		return
 	}
 	delete(r.waiting, tu.FTPid)
-	r.dropWaitOrder(tu.FTPid)
+	i := slices.Index(r.waitOrder, tu.FTPid)
+	r.waitOrder = slices.Delete(r.waitOrder, i, i+1)
 	d.granted = true
 	th.sec.tuple = tu
 	r.noteGrant(th, tu)
@@ -484,21 +478,27 @@ func (r *Replayer) tryGrant(d *domain) {
 	}
 }
 
+// applyWake applies a recorded signal or broadcast to the backup's
+// condition variable — the signaler skipped its call (pthread.Det.Wakes) —
+// and counts a divergence if it wakes other waiters than the primary did.
+func (r *Replayer) applyWake(tu Tuple) {
+	var out uint64
+	if c := r.ns.lib.Cond(tu.Obj); c != nil {
+		out = r.ns.wakeOutcome(tu.Op, c.Wake(tu.Op == pthread.OpCondBroadcast))
+	}
+	if out != tu.Outcome {
+		r.diverge(fmt.Sprintf("%v woke %d, recorded %d (obj=%d)", tu.Op, out, tu.Outcome, tu.Obj))
+	}
+	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), 0, objKey(tu.Op, tu.Obj), int64(tu.ObjSeq))
+	r.sectionDone(tu)
+}
+
 // tryGrantAll rescans every domain's queue in first-arrival order — a
 // deterministic order, unlike a map walk — after an event that can unblock
 // more than one domain (a park, a completed section, a lifted barrier).
 func (r *Replayer) tryGrantAll() {
 	for _, d := range r.domOrder {
 		r.tryGrant(d)
-	}
-}
-
-func (r *Replayer) dropWaitOrder(ftpid int) {
-	for i, id := range r.waitOrder {
-		if id == ftpid {
-			r.waitOrder = append(r.waitOrder[:i], r.waitOrder[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -547,12 +547,6 @@ func (r *Replayer) sectionDone(tu Tuple) {
 		r.finishPromotion()
 	}
 }
-
-// OnHead arms fn to run once the replay head reaches seq (immediately if
-// it already has). Callbacks run as scheduled events, never in the shadow
-// thread's context; the rejoin checkpoint verifier uses this to compare
-// cursor state exactly at the checkpoint watermark.
-func (r *Replayer) OnHead(seq uint64, fn func()) { r.addHeadSub(headSub{seq: seq, fn: fn}) }
 
 // addHeadSub arms a head sub: its callback runs when the replay head
 // reaches its seq (at once if it already has), grants at or past seq
@@ -638,7 +632,6 @@ func (r *Replayer) Promote() {
 	if r.primaryDead || r.live {
 		return
 	}
-	r.primaryDead = true
 	if r.cfg.DetShards > 1 {
 		r.log.OnReceive(nil) // receipt; at one shard the pull task detaches itself
 	}
@@ -664,11 +657,14 @@ func (r *Replayer) Promote() {
 	}
 	// The lane owners are dead: deliver everything routed (including what
 	// they left queued mid-dispatch) directly, without dispatch cost.
+	// Applied wake-ups complete sections in here: the primary is declared
+	// dead only after, so none of them finishes the promotion mid-drain.
 	for _, ln := range r.lanes {
 		for ln.q.Len() > 0 {
 			r.deliver(ln)
 		}
 	}
+	r.primaryDead = true
 	r.sc.Emit(obs.Promote, 0, int64(r.head()), int64(len(drained)))
 	if r.unreplayed == 0 {
 		r.finishPromotion()
@@ -686,11 +682,20 @@ func (r *Replayer) finishPromotion() {
 	// Fork BEFORE flushing waiters: their sections must be recorded by
 	// the fork so the retained history stays gapless.
 	hist, n := r.replayedHistory()
-	r.onFork(forkSeed{hist: hist, seqGlobal: n, objSeq: r.objSeqSnapshot()})
+	r.ns.forkRecorder(forkSeed{hist: hist, seqGlobal: n, objSeq: r.objSeqSnapshot()})
 	// The fork owns the history now (Namespace.RetainedTuples reads the
 	// recorder from here on): a second copy would sit here unread for the
 	// rest of the run.
 	r.hist = logWindow{}
+	// A signaler replaying ahead skipped wake-ups whose tuples the dead
+	// primary may never have flushed: wake every waiter left — a spurious
+	// wake-up, which POSIX permits and every waiter loops on — and record
+	// it, so a backup rejoining the fork wakes the same waiters.
+	for _, c := range r.ns.lib.Conds() {
+		if n := c.Wake(true); n > 0 {
+			r.ns.rec.recordWake(c.ID(), n)
+		}
+	}
 	order := r.waitOrder
 	r.waitOrder = nil
 	for _, ftpid := range order {
@@ -753,6 +758,3 @@ func (r *Replayer) replayedHistory() (logWindow, uint64) {
 	}
 	return out, n
 }
-
-// Live reports whether promotion has completed.
-func (r *Replayer) Live() bool { return r.live }

@@ -2,7 +2,6 @@ package replication_test
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 	"time"
 
@@ -128,17 +127,17 @@ func TestReplayMatchesRecordOrder(t *testing.T) {
 // mutex_lock tuple ordered.
 type consumption struct{ acq, ftpid, item int }
 
-// condVarApp is a producer/consumer queue under one mutex and one
-// condition variable: four consumers take five items each, waiting
-// untimed while the queue is empty, and the producer appends twenty items
-// after side-local pauses, signalling one consumer per item and
-// broadcasting to all of them for every fourth. done reports that every
-// thread returned.
+// condVarApp is a producer/consumer queue of one slot under one mutex and
+// two condition variables: four consumers take five items each, waiting
+// untimed while the queue is empty and signalling room for the next item,
+// and the producer appends twenty items after side-local pauses, waiting
+// for room, signalling one consumer per item and broadcasting to all of
+// them for every fourth. done reports that every thread returned.
 func condVarApp(out *[]consumption, done *bool) func(*replication.Thread) {
 	return func(root *replication.Thread) {
 		lib := root.Lib()
 		m := lib.NewMutex()
-		c := lib.NewCond()
+		c, room := lib.NewCond(), lib.NewCond()
 		var queue []int
 		acq := 0
 		var threads []*replication.Thread
@@ -153,6 +152,7 @@ func condVarApp(out *[]consumption, done *bool) func(*replication.Thread) {
 					}
 					*out = append(*out, consumption{acq, th.FTPid(), queue[0]})
 					queue = queue[1:]
+					room.Signal(th.Task())
 					m.Unlock(th.Task())
 				}
 			}))
@@ -162,6 +162,10 @@ func condVarApp(out *[]consumption, done *bool) func(*replication.Thread) {
 				th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
 				m.Lock(th.Task())
 				acq++
+				for len(queue) > 0 {
+					room.Wait(th.Task(), m)
+					acq++
+				}
 				queue = append(queue, j)
 				if j%4 == 3 {
 					c.Broadcast(th.Task())
@@ -471,7 +475,9 @@ func TestStockFutexOrderBreaksReplay(t *testing.T) {
 	// one a signal woke instead has no recorded turn). Replay may also
 	// complete in a different order, or detect a divergence.
 	//
-	// Condition variables (TestCondVarReplay's app, untimed waits).
+	// Condition variables (TestCondVarReplay's app, untimed waits): a
+	// wake-up's tuple names the waiter it woke, and the backup, applying it
+	// to its own queue, picks another — a divergence.
 	condBroken := false
 	for seed := int64(1); seed <= 10 && !condBroken; seed++ {
 		d := newDuo(t, seed, replication.DefaultConfig(), false)
@@ -482,10 +488,10 @@ func TestStockFutexOrderBreaksReplay(t *testing.T) {
 		if err := d.sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		condBroken = d.sns.Stats().Divergences > 0 || !slices.Equal(sOrder, pOrder)
+		condBroken = d.sns.Stats().Divergences > 0
 	}
 	if !condBroken {
-		t.Error("stock futex order never broke condition-variable replay across 10 seeds")
+		t.Error("stock futex order never counted a condition-variable divergence across 10 seeds")
 	}
 
 	// Mutexes.
