@@ -86,7 +86,7 @@ func run(o options) error {
 	opts := []core.Option{
 		core.WithSeed(o.seed),
 		core.WithTCP(tcp),
-		core.WithStrictOutputCommit(!o.relaxed),
+		func(c *core.Config) { c.Replication.StrictOutputCommit = !o.relaxed },
 		core.WithRejoinDelay(o.rejoinDelay),
 		core.WithDetShards(o.shards),
 	}
@@ -94,7 +94,7 @@ func run(o options) error {
 		opts = append(opts, core.WithReplicaSet(o.replicas))
 	}
 	if o.quorum != 0 {
-		opts = append(opts, core.WithQuorum(o.quorum))
+		opts = append(opts, func(c *core.Config) { c.Quorum = o.quorum })
 	}
 	if o.chaosSpec != "" {
 		spec := o.chaosSpec
@@ -106,7 +106,7 @@ func run(o options) error {
 			return err
 		}
 		fmt.Printf("chaos schedule: %s\n", sched)
-		opts = append(opts, core.WithChaos(sched, o.chaosSeed))
+		opts = append(opts, func(c *core.Config) { c.Chaos, c.ChaosSeed = sched, o.chaosSeed })
 	}
 	if o.trace != "" || o.events != "" {
 		opts = append(opts, core.WithTrace())

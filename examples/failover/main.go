@@ -39,8 +39,8 @@ func run() error {
 	tcp.MSS = 32 << 10 // GSO-style segmentation for the bulk transfer
 	sys, err := core.New(
 		core.WithSeed(1),
-		core.WithReplicaSet(3), // one primary + two backups on balanced fault domains
-		core.WithQuorum(2),     // release output on the first backup receipt
+		core.WithReplicaSet(3),                // one primary + two backups on balanced fault domains
+		func(c *core.Config) { c.Quorum = 2 }, // release output on the first backup receipt
 		core.WithTCP(tcp),
 	)
 	if err != nil {

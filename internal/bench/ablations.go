@@ -76,11 +76,11 @@ func ablations(seed int64, quick bool) (Report, error) {
 			c.Replication.ReplayDispatchCost *= mult
 		}
 	}
+	strict := func(on bool) core.Option {
+		return func(c *core.Config) { c.Replication.StrictOutputCommit = on }
+	}
 	futex := func(fifo bool) core.Option {
-		return func(c *core.Config) {
-			c.Kernel.FutexFIFO = fifo
-			c.Replication.PanicOnDivergence = false
-		}
+		return func(c *core.Config) { c.Kernel.FutexFIFO = fifo }
 	}
 	ring := func(bytes int64) core.Option {
 		return func(c *core.Config) { c.Replication.LogRingBytes = bytes }
@@ -101,8 +101,8 @@ func ablations(seed int64, quick bool) (Report, error) {
 	}{
 		// Output-commit strictness (§3.5): strict waits for secondary acks
 		// before releasing network output; relaxed releases immediately.
-		{"output-commit", "strict (wait for ack), req/s", 0, window, core.WithStrictOutputCommit(true)},
-		{"output-commit", "relaxed (release immediately), req/s", 0, window, core.WithStrictOutputCommit(false)},
+		{"output-commit", "strict (wait for ack), req/s", 0, window, strict(true)},
+		{"output-commit", "relaxed (release immediately), req/s", 0, window, strict(false)},
 		// Deterministic-section serialization cost: the global mutex is the
 		// paper's stated scalability limit; quadrupling the in-section cost
 		// shows how strongly PBZIP2 sustained throughput depends on it.

@@ -2,8 +2,8 @@
 // figure of the paper's evaluation (§2.3 Figure 1, §4.1 Figures 4-5, §4.2
 // Figures 6-7, §4.3 mixed workload, §4.4 Figure 8), the §1 motivation
 // microbenchmark, the fault-model sweep of §2.2, the ablations, and the
-// six sweeps behind the extensions (batching, detshard, fabric, critpath,
-// nway, epoch). Every experiment is an entry of Experiments and returns
+// five sweeps behind the extensions (batching, detshard, critpath, nway,
+// epoch). Every experiment is an entry of Experiments and returns
 // the one Report type; cmd/ftbench is a loop over that registry, and
 // experiments.json records every report it writes at seed 1.
 package bench
@@ -26,7 +26,7 @@ type Experiment struct {
 	// experiment, and how to read the columns.
 	Notes []string
 	// Run measures the experiment. quick shortens the simulated windows
-	// of the paper figures (Figure 8 alone is a 10 GB transfer); the six
+	// of the paper figures (Figure 8 alone is a 10 GB transfer); the five
 	// sweeps take seconds and ignore it, because the checked-in reports
 	// are only comparable at full size.
 	Run func(seed int64, quick bool) (Report, error)
@@ -119,10 +119,13 @@ var Experiments = []Experiment{
 	},
 	{
 		Name:  "batching",
-		Title: "Log batching: mailbox traffic vs Config.BatchTuples (pbzip2-style det sections)",
+		Title: "Log batching: mailbox traffic and commit wait vs Config.BatchTuples",
 		Notes: []string{
-			"tuples and sim time must not move with the batch size; messages and",
-			"bytes (64B headers included) drop as tuples share slot headers",
+			"pbzip2: blocks, workers and commit_every; detshard: detshard's independent-lock",
+			"cell at detshard_threads, one det shard and log_ring_bytes (blocks read 0)",
+			"tuples must not move with the batch size; messages and bytes (64B headers",
+			"included) drop as tuples share slot headers; on the bounded ring the",
+			"commit wait grows with the batch, the backlog's depth in tuples",
 		},
 		Run: batching,
 	},
@@ -137,16 +140,11 @@ var Experiments = []Experiment{
 		Run: detShard,
 	},
 	{
-		Name:  "fabric",
-		Title: "Shared-memory fabric: lock-free reservation and the batch size",
-		Run: fabric,
-	},
-	{
 		Name:  "critpath",
 		Title: "Critical-path attribution: where committed-output time goes, per stage",
 		Notes: []string{
-			"sharding should move the bottleneck off replay-grant; the sustained fabric",
-			"workload should be commit-wait dominated (bounded-ring backlog)",
+			"one shard should be commit-wait dominated (bounded-ring backlog);",
+			"sharding should move the bottleneck off replay-grant and commit-wait",
 		},
 		Run: critPath,
 	},

@@ -199,7 +199,7 @@ func TestReportsAreDeterministic(t *testing.T) {
 	for _, r := range recorded(t) {
 		record[r.Exp] = r
 	}
-	for _, name := range []string{"fig1", "faults", "latency", "batching", "detshard", "fabric", "critpath", "nway"} {
+	for _, name := range []string{"fig1", "faults", "latency", "batching", "detshard", "critpath", "nway"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			e, ok := Lookup(name)

@@ -8,37 +8,28 @@ import (
 )
 
 // critPath runs the attribution benchmark on the headline cell of the
-// detshard and fabric sweeps (8 threads, independent locks, the bounded
-// log ring): the detshard workload at one shard and at detShards — the
-// bottleneck should move off replay-grant and commit-wait when sharded —
-// and the fabric sustained-overload workload, where commit-wait on the
-// bounded ring should dominate. Each run is traced in full and attributed
+// detshard sweep (8 threads, independent locks, the bounded log ring) at
+// one shard and at detShards: at one shard commit-wait on the bounded
+// ring should dominate, and sharding should move the bottleneck off
+// replay-grant and commit-wait. Each run is traced in full and attributed
 // per committed output (causal.Attribute); a point is one pipeline stage
 // of one run, carrying the run's totals beside the stage's distribution,
 // with dominant=1 on the stage holding the largest attributed total — the
-// pipeline's current bottleneck for that workload.
+// pipeline's current bottleneck at that shard count.
 func critPath(seed int64, _ bool) (Report, error) {
-	const threads = headlineThreads
 	report := Report{Exp: "critpath", Seed: seed}
-	for _, cell := range []struct {
-		workload string
-		shards   int
-		loop     lockLoop
-	}{
-		{"detshard", 1, detShardLoop(threads, threads)},
-		{"detshard", detShards, detShardLoop(threads, threads)},
-		{"fabric-sustained", 1, fabricWorkloads["sustained"].loop(threads)},
-	} {
-		points, err := critPathPoints(seed, cell.workload, cell.shards, cell.loop)
+	for _, shards := range []int{1, detShards} {
+		points, err := critPathPoints(seed, shards)
 		if err != nil {
-			return report, fmt.Errorf("bench: critpath %s %dt/%ds: %w", cell.workload, threads, cell.shards, err)
+			return report, fmt.Errorf("bench: critpath detshard %dt/%ds: %w", headlineThreads, shards, err)
 		}
 		report.Points = append(report.Points, points...)
 	}
 	return report, nil
 }
 
-func critPathPoints(seed int64, workload string, shards int, loop lockLoop) ([]Point, error) {
+func critPathPoints(seed int64, shards int) ([]Point, error) {
+	loop := detShardLoop(headlineThreads, headlineThreads)
 	run, err := runSweep(seed, core.App{Name: "critpath", Main: loop.run}, nil, boundedRing(shards), core.WithTrace())
 	if err != nil {
 		return nil, err
@@ -54,7 +45,7 @@ func critPathPoints(seed int64, workload string, shards int, loop lockLoop) ([]P
 	var points []Point
 	for i, st := range a.Stages {
 		points = append(points, Point{
-			Labels: []Label{label("workload", workload), label("threads", loop.threads), label("shards", shards), label("stage", st.Stage)},
+			Labels: []Label{label("workload", "detshard"), label("threads", loop.threads), label("shards", shards), label("stage", st.Stage)},
 			Values: []Named{
 				val("outputs", len(a.Outputs), "count"), // committed outputs attributed
 				val("events", len(events), "count"),     // trace events analyzed

@@ -14,8 +14,8 @@ func TestCritPathShardingMovesBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Points) != 3*6 {
-		t.Fatalf("points = %d, want 3 cells of 6 stages", len(r.Points))
+	if len(r.Points) != 2*6 {
+		t.Fatalf("points = %d, want 2 cells of 6 stages", len(r.Points))
 	}
 	stage := func(shards int, stage string) *Point {
 		return mustPoint(t, r, "workload", "detshard", "shards", shards, "stage", stage)

@@ -7,8 +7,8 @@ import (
 )
 
 // The per-object sequencing sweep compares one det shard against
-// detShards, and reads its headline ratios at headlineThreads — as the
-// fabric sweep does, and where critpath attributes.
+// detShards, and reads its headline ratios at headlineThreads — where the
+// batching sweep reads commit latency, and where critpath attributes.
 const (
 	detShards       = 4
 	headlineThreads = 8
@@ -67,12 +67,19 @@ func detShard(seed int64, _ bool) (Report, error) {
 	return report, d.err
 }
 
-func detShardPoint(seed int64, threads, shards int, workload string) (Point, error) {
+// detShardRun runs one cell of the sweep; opts tune it beyond its det
+// shards and bounded ring (the batching sweep passes its batch size).
+func detShardRun(seed int64, threads, shards int, workload string, opts ...core.Option) (*sweepRun, error) {
 	locks := threads
 	if workload == "shared" {
 		locks = 1
 	}
-	run, err := runSweep(seed, core.App{Name: "detshard", Main: detShardLoop(threads, locks).run}, sampleLag, boundedRing(shards))
+	app := core.App{Name: "detshard", Main: detShardLoop(threads, locks).run}
+	return runSweep(seed, app, sampleLag, append([]core.Option{boundedRing(shards)}, opts...)...)
+}
+
+func detShardPoint(seed int64, threads, shards int, workload string) (Point, error) {
+	run, err := detShardRun(seed, threads, shards, workload)
 	if err != nil {
 		return Point{}, err
 	}

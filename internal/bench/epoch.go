@@ -76,7 +76,7 @@ func epochPoint(seed int64, uptime time.Duration, epochs bool, tail time.Duratio
 		core.WithSeed(seed),
 		core.WithKernelParams(kp),
 		core.WithTCP(tcp),
-		core.WithNICDriverLoadTime(time.Millisecond),
+		func(c *core.Config) { c.NICDriverLoadTime = time.Millisecond },
 		core.WithRejoinDelay(epochRejoinDelay),
 		core.WithTrace(),
 	}

@@ -47,7 +47,7 @@ func mixed(seed int64, quick bool) (Report, error) {
 
 	var served mongoose.Stats
 	sys, client, err := ftMongoose(seed, mcfg, &served,
-		core.WithPlacement([][]int{{0, 1, 2, 3}, {4}}), core.WithCores(0, 1))
+		func(c *core.Config) { c.Placement, c.SecondaryCores = [][]int{{0, 1, 2, 3}, {4}}, 1 })
 	if err != nil {
 		return report, err
 	}

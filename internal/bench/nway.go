@@ -77,7 +77,7 @@ func nwayPoint(seed int64, n, q int) (Point, error) {
 		}
 		return err
 	}
-	run, err := runSweep(seed, core.App{Name: "nway", Main: nwayLoop.run}, lag, core.WithReplicaSet(n), core.WithQuorum(q))
+	run, err := runSweep(seed, core.App{Name: "nway", Main: nwayLoop.run}, lag, core.WithReplicaSet(n), func(c *core.Config) { c.Quorum = q })
 	if err != nil {
 		return Point{}, err
 	}

@@ -148,15 +148,9 @@ type lockLoop struct {
 	commitEvery int
 }
 
-// thinkUS draws whole microseconds in [lo, lo+span); thinkNS draws
-// nanoseconds in [lo, lo+span). They consume the source differently, and
-// the checked-in numbers of each sweep depend on which one it uses.
+// thinkUS draws whole microseconds in [lo, lo+span).
 func thinkUS(lo, span int) func(*rand.Rand) time.Duration {
 	return func(r *rand.Rand) time.Duration { return time.Duration(lo+r.Intn(span)) * time.Microsecond }
-}
-
-func thinkNS(lo, span time.Duration) func(*rand.Rand) time.Duration {
-	return func(r *rand.Rand) time.Duration { return lo + time.Duration(r.Int63n(int64(span))) }
 }
 
 // run is the loop's main thread on one replica.

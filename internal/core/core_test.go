@@ -305,7 +305,7 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 	// The §3.5 case: the fault disrupts cache coherency, losing the
 	// primary's in-flight log messages. Strict output commit guarantees
 	// the client still observes a consistent stream.
-	sys := quietSystem(t, 3, withMSS(16<<10), core.WithStrictOutputCommit(true))
+	sys := quietSystem(t, 3, withMSS(16<<10), func(c *core.Config) { c.Replication.StrictOutputCommit = true })
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/apps/restream"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/obs"
@@ -25,9 +24,9 @@ func nwayOpts(seed int64, n, q int, extra ...core.Option) []core.Option {
 		core.WithSeed(seed),
 		core.WithKernelParams(quietParams()),
 		withMSS(16 << 10),
-		core.WithNICDriverLoadTime(time.Second),
+		fastNICReload,
 		core.WithReplicaSet(n),
-		core.WithQuorum(q),
+		func(c *core.Config) { c.Quorum = q },
 	}
 	return append(opts, extra...)
 }
@@ -162,7 +161,7 @@ func TestNWayBackupKillStaysAtQuorum(t *testing.T) {
 	var err error
 	sys, h, _ := nwayDownload(t, total,
 		nwayOpts(23, 3, 2,
-			core.WithChaos(chaos.MustParse("kill backup1 @1s"), 42)), healthAt(2*time.Second, &st, &err))
+			withChaos("kill backup1 @1s")), healthAt(2*time.Second, &st, &err))
 
 	if h != base {
 		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
@@ -198,7 +197,7 @@ func TestNWayQuorumLossSurfaced(t *testing.T) {
 	var err error
 	sys, _, _ := nwayDownload(t, total,
 		nwayOpts(25, 3, 3, core.WithTrace(),
-			core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42)), healthAt(2*time.Second, &st, &err))
+			withChaos("kill backup2 @1s")), healthAt(2*time.Second, &st, &err))
 
 	if st != core.StateDegraded {
 		t.Errorf("state after the kill = %v, want degraded", st)
@@ -289,7 +288,7 @@ func TestNWayRollingReplacement(t *testing.T) {
 	opts := func(spec string) []core.Option {
 		o := nwayOpts(29, 3, 2, core.WithRejoinDelay(2*time.Second))
 		if spec != "" {
-			o = append(o, core.WithChaos(chaos.MustParse(spec), 42))
+			o = append(o, withChaos(spec))
 		}
 		return o
 	}
@@ -359,7 +358,7 @@ func TestNWayRetireErrors(t *testing.T) {
 func TestRejoinRefusesDeadActive(t *testing.T) {
 	t.Parallel()
 	sys, err := core.New(nwayOpts(33, 3, 2,
-		core.WithChaos(chaos.MustParse("kill backup2 @1s"), 42))...)
+		withChaos("kill backup2 @1s"))...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -423,14 +422,16 @@ func TestReplicaSetValidation(t *testing.T) {
 	if _, err := core.New(core.WithReplicaSet(1)); err == nil {
 		t.Error("WithReplicaSet(1) accepted, want error")
 	}
-	if _, err := core.New(core.WithReplicaSet(3), core.WithQuorum(4)); err == nil {
+	quorum := func(q int) core.Option { return func(c *core.Config) { c.Quorum = q } }
+	placement := func(domains [][]int) core.Option { return func(c *core.Config) { c.Placement = domains } }
+	if _, err := core.New(core.WithReplicaSet(3), quorum(4)); err == nil {
 		t.Error("quorum 4 of 3 accepted, want error")
 	}
-	if _, err := core.New(core.WithReplicaSet(3), core.WithQuorum(1)); err == nil {
+	if _, err := core.New(core.WithReplicaSet(3), quorum(1)); err == nil {
 		t.Error("quorum 1 accepted, want error")
 	}
 	if _, err := core.New(core.WithReplicaSet(3),
-		core.WithPlacement([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})); err == nil {
+		placement([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})); err == nil {
 		t.Error("2-domain placement for 3 replicas accepted, want error")
 	}
 	for n, wantQ := range map[int]int{2: 2, 3: 2, 4: 3, 5: 3} {
@@ -448,11 +449,11 @@ func TestReplicaSetValidation(t *testing.T) {
 	}
 	// An explicit placement implies the replica-set size.
 	sys, err := core.New(
-		core.WithPlacement([][]int{{0, 1}, {4, 5}}),
-		core.WithCores(4, 1),
+		placement([][]int{{0, 1}, {4, 5}}),
+		func(c *core.Config) { c.PrimaryCores, c.SecondaryCores = 4, 1 },
 	)
 	if err != nil {
-		t.Fatalf("WithPlacement: %v", err)
+		t.Fatalf("explicit placement: %v", err)
 	}
 	if sys.Cfg.Replicas != 2 || sys.Cfg.Quorum != 2 {
 		t.Errorf("replicas/quorum = %d/%d, want 2/2", sys.Cfg.Replicas, sys.Cfg.Quorum)

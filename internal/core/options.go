@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/failure"
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -24,36 +23,11 @@ func WithSeed(seed int64) Option {
 // WithReplicaSet sets the replica-set size: one recording primary plus
 // n-1 replaying backups, each on its own NUMA fault domain. n must be at
 // least 2; the output-commit quorum defaults to a majority of the set
-// (WithQuorum overrides it) and the node placement to balanced fault
-// domains carved from the machine profile (WithPlacement overrides it).
+// (Config.Quorum overrides it) and the node placement to balanced fault
+// domains carved from the machine profile (Config.Placement overrides it).
 // WithReplicaSet(2) is exactly the paper's primary/secondary deployment.
 func WithReplicaSet(n int) Option {
 	return func(c *Config) { c.Replicas = n }
-}
-
-// WithQuorum sets the output-commit quorum q, counted over the whole
-// replica set including the primary: network output is released once q
-// replicas hold the log describing it (the primary plus q-1 backup
-// receipts). q must satisfy 2 <= q <= Replicas; q == Replicas reproduces
-// the paper's wait-for-every-backup rule, smaller q trades commit-wait
-// latency against how many simultaneous failures output stability
-// survives.
-func WithQuorum(q int) Option {
-	return func(c *Config) { c.Quorum = q }
-}
-
-// WithPlacement pins each replica slot to an explicit NUMA node set, one
-// entry per replica with slot 0 the primary. It implies the replica-set
-// size when WithReplicaSet is not given; when both are given the lengths
-// must agree.
-func WithPlacement(domains [][]int) Option {
-	return func(c *Config) { c.Placement = domains }
-}
-
-// WithCores restricts each side's usable cores (0 = all in the partition);
-// every backup slot shares the secondary restriction.
-func WithCores(primary, secondary int) Option {
-	return func(c *Config) { c.PrimaryCores, c.SecondaryCores = primary, secondary }
 }
 
 // WithDetShards shards the namespace-wide deterministic-section mutex
@@ -63,12 +37,6 @@ func WithCores(primary, secondary int) Option {
 // single global mutex and reproduces the unsharded engine byte for byte.
 func WithDetShards(n int) Option {
 	return func(c *Config) { c.Replication.DetShards = n }
-}
-
-// WithStrictOutputCommit selects waiting for backup acknowledgements
-// before releasing network output (§3.5; false is relaxed mode).
-func WithStrictOutputCommit(strict bool) Option {
-	return func(c *Config) { c.Replication.StrictOutputCommit = strict }
 }
 
 // WithRejoinDelay sets how long after a failure the freed partition is
@@ -98,23 +66,6 @@ func WithEpochCheckpoints(interval time.Duration, everyTuples int) Option {
 	}
 }
 
-// WithEpochTuning overrides the epoch cutter's pre-copy model: the
-// per-byte copy cost, the pass bound, and the convergence target that
-// pins the final pause (zero keeps each default).
-func WithEpochTuning(perByte time.Duration, maxPasses, targetDirty int) Option {
-	return func(c *Config) {
-		c.Epochs.PerByteCopyCost = perByte
-		c.Epochs.MaxPasses = maxPasses
-		c.Epochs.TargetDirtyBytes = targetDirty
-	}
-}
-
-// WithChaos installs a fault-injection schedule, replayed with its own
-// RNG stream seeded by seed.
-func WithChaos(sched chaos.Schedule, seed int64) Option {
-	return func(c *Config) { c.Chaos, c.ChaosSeed = sched, seed }
-}
-
 // WithTrace retains the full observability event stream for export.
 func WithTrace() Option {
 	return func(c *Config) { c.Obs.Trace = true }
@@ -130,16 +81,12 @@ func WithTCP(p tcpstack.Params) Option {
 	return func(c *Config) { c.TCP = p }
 }
 
-// WithNICDriverLoadTime sets the Ethernet driver (re)load time that
-// dominates failover (§4.4).
-func WithNICDriverLoadTime(d time.Duration) Option {
-	return func(c *Config) { c.NICDriverLoadTime = d }
-}
-
-// New boots a replicated deployment from functional options:
+// New boots a replicated deployment from functional options; a Config
+// field without a constructor is set with an Option literal:
 //
-//	sys, err := core.New(core.WithSeed(1),
-//		core.WithChaos(chaos.MustParse("kill primary @2s"), 7))
+//	sys, err := core.New(core.WithSeed(1), func(c *core.Config) {
+//		c.Chaos, c.ChaosSeed = chaos.MustParse("kill primary @2s"), 7
+//	})
 //	sys.Run(core.App{Name: "srv", Main: func(th, socks) { ... }})
 //	sys.Sim.Run()
 func New(opts ...Option) (*System, error) {

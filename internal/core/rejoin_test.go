@@ -58,6 +58,17 @@ func restorableStream(total int) core.App {
 	}}
 }
 
+// withChaos drives the chaos schedule spec against the deployment, its
+// injector seeded with 42.
+func withChaos(spec string) core.Option {
+	sched := chaos.MustParse(spec)
+	return func(c *core.Config) { c.Chaos, c.ChaosSeed = sched, 42 }
+}
+
+// fastNICReload shortens the NIC driver reload that dominates failover
+// from 5 s to 1 s.
+func fastNICReload(c *core.Config) { c.NICDriverLoadTime = time.Second }
+
 // rejoinRun boots a deployment via the functional-options API, streams
 // total patterned bytes from app to a client under the given chaos
 // schedule (empty = fault-free baseline), verifies every received chunk
@@ -72,12 +83,12 @@ func rejoinRun(t *testing.T, spec string, seed int64, app func(total int) core.A
 		core.WithSeed(seed),
 		core.WithKernelParams(quietParams()),
 		withMSS(16 << 10),
-		core.WithNICDriverLoadTime(time.Second),
+		fastNICReload,
 		core.WithRejoinDelay(3 * time.Second),
 	}
 	opts = append(opts, extra...)
 	if spec != "" {
-		opts = append(opts, core.WithChaos(chaos.MustParse(spec), 42))
+		opts = append(opts, withChaos(spec))
 	}
 	sys, err := core.New(opts...)
 	if err != nil {
@@ -297,7 +308,7 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 		core.WithSeed(3),
 		core.WithKernelParams(quietParams()),
 		withMSS(16<<10),
-		core.WithNICDriverLoadTime(time.Second),
+		fastNICReload,
 		core.WithRejoinDelay(3*time.Second),
 	)
 	if err != nil {

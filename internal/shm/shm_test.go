@@ -222,46 +222,79 @@ func TestDrainAfterSenderDeath(t *testing.T) {
 	}
 }
 
-// TestRingQuick property-tests that random send/recv workloads preserve
-// message order and never lose or duplicate messages.
+// TestRingQuick streams random traffic through a ring and checks every
+// sender's messages arrive in order, counted once. Two inputs: one sender
+// on a small ring, which forces it to block; and eight producers sending
+// batches of up to eight payloads into an ample ring, where the
+// reservation path admits every claim — no sender may ever park.
 func TestRingQuick(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		count := int(n%64) + 1
-		s := sim.New(seed)
-		rng := rand.New(rand.NewSource(seed))
-		r := newRing(s, 512) // small: forces sender blocking
-		var got []int
-		s.Spawn("sender", func(p *sim.Proc) {
-			for i := 0; i < count; i++ {
-				r.Send(p, Message{Kind: 1, W: [7]uint64{uint64(i)}, Size: rng.Intn(100)})
-				if rng.Intn(3) == 0 {
-					p.Sleep(time.Duration(rng.Intn(1000)) * time.Nanosecond)
+	for _, in := range []struct {
+		name           string
+		capBytes       int64
+		senders, batch int
+		mustNeverBlock bool
+	}{
+		{"small-ring", 512, 1, 1, false},
+		{"ample-ring-8-producers", 1 << 20, 8, 8, true},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			f := func(seed int64, n uint8) bool {
+				count := int(n%64) + 1
+				s := sim.New(seed)
+				rng := rand.New(rand.NewSource(seed))
+				r := newRing(s, in.capBytes)
+				sends := 0
+				for j := 0; j < in.senders; j++ {
+					s.Spawn("sender", func(p *sim.Proc) {
+						for i := 0; i < count; {
+							batch := make([]Message, min(1+rng.Intn(in.batch), count-i))
+							for k := range batch {
+								batch[k] = Message{Kind: 1, W: [7]uint64{uint64(i), uint64(j)}, Size: rng.Intn(100)}
+								i++
+							}
+							if len(batch) == 1 {
+								r.Send(p, batch[0])
+							} else {
+								r.SendBatch(p, batch)
+							}
+							sends++
+							if rng.Intn(3) == 0 {
+								p.Sleep(time.Duration(rng.Intn(1000)) * time.Nanosecond)
+							}
+						}
+					})
 				}
+				next := make([]int, in.senders) // each sender's next expected message
+				ordered := true
+				s.Spawn("receiver", func(p *sim.Proc) {
+					for i := 0; i < in.senders*count; i++ {
+						m := r.Recv(p)
+						ordered = ordered && int(m.W[0]) == next[m.W[1]]
+						next[m.W[1]]++
+						if rng.Intn(3) == 0 {
+							p.Sleep(time.Duration(rng.Intn(1000)) * time.Nanosecond)
+						}
+					}
+				})
+				if err := s.Run(); err != nil || !ordered {
+					return false
+				}
+				for _, got := range next {
+					if got != count {
+						return false
+					}
+				}
+				st := r.Stats()
+				if in.mustNeverBlock && (st.ReserveWaits != 0 || st.SendWaitNs != 0) {
+					t.Logf("%d senders parked %d times for %dns on an ample ring", in.senders, st.ReserveWaits, st.SendWaitNs)
+					return false
+				}
+				return st.Messages == int64(sends) && st.Payloads == int64(in.senders*count)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Error(err)
 			}
 		})
-		s.Spawn("receiver", func(p *sim.Proc) {
-			for i := 0; i < count; i++ {
-				got = append(got, int(r.Recv(p).W[0]))
-				if rng.Intn(3) == 0 {
-					p.Sleep(time.Duration(rng.Intn(1000)) * time.Nanosecond)
-				}
-			}
-		})
-		if err := s.Run(); err != nil {
-			return false
-		}
-		if len(got) != count {
-			return false
-		}
-		for i, v := range got {
-			if v != i {
-				return false
-			}
-		}
-		return r.Stats().Messages == int64(count)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 
