@@ -88,15 +88,15 @@ func TestServiceSurvivesFailover(t *testing.T) {
 	}
 }
 
-// TestPrimaryRecordsNineSectionsPerRequest pins the primary's det-section
-// inventory: a fixed start-up count, then exactly nine sections per served
+// TestPrimaryRecordsEightSectionsPerRequest pins the primary's det-section
+// inventory: a fixed start-up count, then exactly eight sections per served
 // request — the listener's accept, mutex_lock and cond_signal; the
-// worker's mutex_lock, cond_wait and the mutex_lock that re-acquires the
-// queue once signaled; the connection's recv, send and close. The worker's
-// untimed wait records no settling section. The count holds whether
-// requests arrive one at a time or ten at once.
-func TestPrimaryRecordsNineSectionsPerRequest(t *testing.T) {
-	const perRequest, startUp = 9, 25
+// worker's mutex_lock and cond_wait; the connection's recv, send and close.
+// The worker's untimed wait records no settling section and no mutex_lock:
+// the signal hands it the queue mutex. The count holds whether requests
+// arrive one at a time or ten at once.
+func TestPrimaryRecordsEightSectionsPerRequest(t *testing.T) {
+	const perRequest, startUp = 8, 25
 	for _, row := range []struct {
 		concurrency int
 		duration    time.Duration

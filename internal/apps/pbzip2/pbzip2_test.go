@@ -129,19 +129,19 @@ func TestWriterNeverStallsUnderBackpressure(t *testing.T) {
 
 // TestPrimarySectionsPerBlock pins the sections the primary records per
 // block (seed 1, 200 blocks of 100 KB). A wake-up records a section only
-// when it finds a waiter: with one worker, the producer waits for room 135
-// times and the writer for every block, so each block costs the four queue
-// operations' mutex_locks, the writer's wait and re-lock, the worker's
-// broadcast that wakes the writer, and — 135 times in 200 — the producer's
-// wait, re-lock and the signal that wakes it; nine more start and close
-// the run: 1 814 sections. A wake-up
-// that woke nobody used to record one too: 2 280 sections, 11.4 a block,
-// and 1 824 with four workers.
+// when it finds a waiter, and it hands each waiter it wakes the queue
+// mutex, so a woken wait records no re-lock: with one worker, the producer
+// waits for room 135 times and the writer for every block, so each block
+// costs the four queue operations' mutex_locks, the writer's wait, the
+// worker's broadcast that wakes the writer, and — 135 times in 200 — the
+// producer's wait and the signal that wakes it; eight more start and close
+// the run: 1 478 sections. A wake-up that woke nobody used to record one
+// too: 2 280 sections, 11.4 a block, and 1 824 with four workers.
 func TestPrimarySectionsPerBlock(t *testing.T) {
 	for _, row := range []struct {
 		workers  int
 		sections uint64
-	}{{1, 1814}, {4, 1292}} {
+	}{{1, 1478}, {4, 1208}} {
 		sys, err := core.New(core.WithSeed(1))
 		if err != nil {
 			t.Fatal(err)

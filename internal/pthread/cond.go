@@ -16,11 +16,12 @@ type cvWaiter struct {
 	w     kernel.Waiter
 	state uint64 // 0 while waiting, then OutcomeSignaled / OutcomeTimedOut
 	timer sim.Event
+	mu    *Mutex // an untimed wait's mutex, which its wake-up hands over; nil if timed
 }
 
 // newCVWaiter takes a condition-wait record from the library's free list
-// and arms it for t.
-func (l *Lib) newCVWaiter(t *kernel.Task) *cvWaiter {
+// and arms it for t, waiting untimed on mu or, with mu nil, timed.
+func (l *Lib) newCVWaiter(t *kernel.Task, mu *Mutex) *cvWaiter {
 	var cw *cvWaiter
 	if n := len(l.cvFree); n > 0 {
 		cw, l.cvFree = l.cvFree[n-1], l.cvFree[:n-1]
@@ -28,7 +29,7 @@ func (l *Lib) newCVWaiter(t *kernel.Task) *cvWaiter {
 		cw = new(cvWaiter)
 		cw.timer.Init(l.kern.Sim(), cw.onTimer)
 	}
-	cw.state = 0
+	cw.state, cw.mu = 0, mu
 	cw.w.Arm(t)
 	return cw
 }
@@ -44,18 +45,24 @@ func (cw *cvWaiter) onTimer() {
 // Cond is an interposed pthread_cond_t. Per §3.3, the accesses to the
 // internal condition-variable state are protected by deterministic
 // sections, which synchronizes the wake-up sequence between primary and
-// secondary. An untimed wait records two sections: the wait that enqueues
-// it and the mutex_lock that re-acquires the mutex. A signal or broadcast
-// records one section, and only when it finds a waiter: a wake-up that
-// wakes nobody changes nothing, so it records nothing. Which waiters a
-// wake-up dequeues is decided inside its section; a replaying side never
-// runs the signaler's call at all — its replayer applies each recorded
-// wake-up (Wake) when the tuple comes up. Only cond_timedwait records a
-// third, a cond_resolve section that settles the timeout-versus-signal
-// race through the deterministic section order and the recorded outcome.
+// secondary. An untimed wait records one section, the wait that enqueues
+// it: the wake-up that dequeues it also hands it the mutex (wait morphing)
+// — at once if the mutex is free, else by queueing it FIFO behind the
+// mutex's waiters — so the woken thread returns owning the mutex and
+// records no mutex_lock. A signal or broadcast records one section, and
+// only when it finds a waiter: a wake-up that wakes nobody changes nothing,
+// so it records nothing. Which waiters a wake-up dequeues is decided inside
+// its section; a replaying side never runs the signaler's call at all — its
+// replayer applies each recorded wake-up (Wake) when the tuple comes up.
+// Because a wake-up changes the mutex's queue, every section of a condition
+// variable is sequenced on its mutex (Lib.SeqKey). cond_timedwait records
+// a cond_resolve section that settles the timeout-versus-signal race
+// through the deterministic section order and the recorded outcome, then
+// re-locks the mutex with a mutex_lock of its own.
 type Cond struct {
 	lib     *Lib
 	id      uint64
+	mu      *Mutex // the mutex its waiters hold: the object it is sequenced on
 	waiters []*cvWaiter
 }
 
@@ -72,8 +79,8 @@ func (c *Cond) ID() uint64 { return c.id }
 // Waiters reports the number of tasks currently enqueued.
 func (c *Cond) Waiters() int { return len(c.waiters) }
 
-// Wait releases m, blocks until signaled, and re-acquires m
-// (pthread_cond_wait). m must be held by t.
+// Wait releases m, blocks until signaled, and returns owning m, which the
+// wake-up hands it (pthread_cond_wait). m must be held by t.
 func (c *Cond) Wait(t *kernel.Task, m *Mutex) {
 	c.wait(t, m, -1)
 }
@@ -88,31 +95,33 @@ func (c *Cond) TimedWait(t *kernel.Task, m *Mutex, d time.Duration) bool {
 
 func (c *Cond) wait(t *kernel.Task, m *Mutex, d time.Duration) uint64 {
 	c.lib.charge(t)
-	op := OpCondWait
+	op, untimed := OpCondWait, m
 	if d >= 0 {
-		op = OpCondTimedwait
+		op, untimed = OpCondTimedwait, nil
 	}
 	det := c.lib.det
-	cw := c.lib.newCVWaiter(t)
+	cw := c.lib.newCVWaiter(t, untimed)
+	c.mu = m
 	det.Enter(t, op, c.id)
 	c.waiters = append(c.waiters, cw)
 	det.Exit(t, 0)
 	m.Unlock(t)
-	out := OutcomeSignaled
 	if d < 0 {
 		// Only a signal ends an untimed wait, and the signal's own section
-		// dequeued and granted the record: there is no race left to settle.
+		// dequeued the record and handed it the mutex: the grant that ends
+		// the park makes t the owner, with no race left to settle.
 		cw.w.Park()
-	} else {
-		cw.timer.Reset(d)
-		if !det.Replay(t, OpCondResolve, c.id) {
-			cw.w.Park()
-			det.Enter(t, OpCondResolve, c.id)
-		}
-		out = det.Exit(t, c.settle(cw))
-		cw.timer.Cancel()
-		cw.w.Disarm()
+		c.lib.cvFree = append(c.lib.cvFree, cw)
+		return OutcomeSignaled
 	}
+	cw.timer.Reset(d)
+	if !det.Replay(t, OpCondResolve, c.id) {
+		cw.w.Park()
+		det.Enter(t, OpCondResolve, c.id)
+	}
+	out := det.Exit(t, c.settle(cw))
+	cw.timer.Cancel()
+	cw.w.Disarm()
 	c.lib.cvFree = append(c.lib.cvFree, cw)
 	m.Lock(t)
 	return out
@@ -157,15 +166,16 @@ func (c *Cond) signal(t *kernel.Task, op Op) {
 	det.Exit(t, c.Wake(op == OpCondBroadcast))
 }
 
-// Wake dequeues the waiter a signal picks, or every waiter if all, marks
-// each signaled and grants its record. It returns the wake-up's outcome:
-// the woken task's TID (0: nobody waited), or the number woken.
+// Wake dequeues the waiter a signal picks, or every waiter in queue order
+// if all, and marks each signaled. An untimed waiter is handed its mutex
+// (Mutex.handTo); a timed one is granted, to settle its wait and re-lock.
+// It returns the wake-up's outcome: the woken task's TID (0: nobody
+// waited), or the number woken.
 func (c *Cond) Wake(all bool) uint64 {
 	if all {
 		n := len(c.waiters)
 		for _, cw := range c.waiters {
-			cw.state = OutcomeSignaled
-			cw.w.Grant(0)
+			cw.wake()
 		}
 		clear(c.waiters)
 		c.waiters = c.waiters[:0]
@@ -177,7 +187,16 @@ func (c *Cond) Wake(all bool) uint64 {
 	i := c.lib.pickWaiter(len(c.waiters))
 	cw := c.waiters[i]
 	c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-	cw.state = OutcomeSignaled
-	cw.w.Grant(0)
+	cw.wake()
 	return uint64(cw.w.Task().TID())
+}
+
+// wake ends cw's wait as Wake dequeues it.
+func (cw *cvWaiter) wake() {
+	cw.state = OutcomeSignaled
+	if cw.mu != nil {
+		cw.mu.handTo(&cw.w)
+		return
+	}
+	cw.w.Grant(0)
 }

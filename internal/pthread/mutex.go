@@ -64,6 +64,21 @@ func (m *Mutex) TryLock(t *kernel.Task) bool {
 	return ok
 }
 
+// handTo gives the mutex to w's task inside the section of the wake-up
+// that dequeued w from a condition variable (wait morphing): at once if the
+// mutex is free, else behind the tasks already queued, for Unlock to grant
+// in turn. Either way the task wakes owning the mutex, so its wait records
+// no mutex_lock.
+func (m *Mutex) handTo(w *kernel.Waiter) {
+	if m.locked {
+		m.waiters = append(m.waiters, w)
+		return
+	}
+	m.locked = true
+	m.owner = w.Task()
+	w.Grant(0)
+}
+
 // Unlock releases the mutex (pthread_mutex_unlock — NOT interposed, per the
 // paper's §3.2 list). If tasks are queued, ownership is handed directly to
 // one of them: the queue head under FIFO hand-off, an arbitrary waiter

@@ -20,11 +20,12 @@
 // kernel.Task (it parks on one lock at a time), and condition-variable
 // waiters — a timed one stays queued across the section that settles it —
 // are recycled per library. A section records only what the backup cannot
-// work out: an untimed condition wait records no settling section, because
-// the wake-up that dequeues it is in the log; a signal or broadcast that
-// finds no waiter records nothing; and a replaying side skips the
-// signaler's call, its replayer applying each recorded wake-up to the
-// condition variable it finds by id (Lib.Cond). The FIFO hand-off lives
+// work out: an untimed condition wait records neither a settling section
+// nor a mutex_lock, because the wake-up that dequeues it is in the log and
+// hands it the mutex in its own section; a signal or broadcast that finds
+// no waiter records nothing; and a replaying side skips the signaler's
+// call, its replayer applying each recorded wake-up to the condition
+// variable it finds by id (Lib.Cond). The FIFO hand-off lives
 // here, not in the kernel: unlock grants the records in queue order, so the
 // acquisition order on the secondary reproduces the primary's exactly — the
 // property the paper obtains by making the futex queue FIFO. Setting the
@@ -220,6 +221,21 @@ func (l *Lib) charge(t *kernel.Task) {
 func (l *Lib) newID() uint64 {
 	l.nextID++
 	return l.nextID
+}
+
+// SeqKey returns the object the sections of op on obj are sequenced on:
+// obj itself, except that a condition variable's sections sequence on the
+// mutex its waiters hold. A wake-up hands that mutex to the untimed waiters
+// it dequeues (Cond.Wake), changing the mutex's queue inside its own
+// section, so with per-object sequencing every section touching either
+// must be ordered on one object for a backup to reproduce the hand-off.
+func (l *Lib) SeqKey(op Op, obj uint64) uint64 {
+	if op >= OpCondWait && op <= OpCondBroadcast {
+		if c := l.Cond(obj); c != nil && c.mu != nil {
+			return c.mu.id
+		}
+	}
+	return obj
 }
 
 // ShardOf maps a sequencing-object key to one of shards det-section locks.

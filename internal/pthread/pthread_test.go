@@ -1,6 +1,8 @@
 package pthread
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -248,6 +250,98 @@ func TestCondTimedWaitSignaledInTime(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Errorf("%d events pending (timer not cancelled?)", s.Pending())
+	}
+}
+
+// TestCondWakeHandsOverMutex pins wait morphing: the wake-up that dequeues
+// an untimed waiter hands it the mutex, inside the wake-up's own call. A
+// free mutex goes to the waiter at once; a held one queues it FIFO behind
+// the tasks already waiting, and Unlock grants it in turn. A broadcast
+// queues every waiter in wait order. A timed waiter is only granted: it
+// settles its wait and re-locks the mutex itself.
+func TestCondWakeHandsOverMutex(t *testing.T) {
+	type run struct {
+		order  []string // mutex acquisitions, in order
+		owner  string   // the mutex's owner right after the wake-up
+		queued int      // the tasks queued for the mutex right after it
+	}
+	// wakeAfter runs waiters, one every millisecond from 1 ms, each taking
+	// m and waiting on c (timed if timeout >= 0), then the wake-up at
+	// 10 ms. If hold, the waker takes m at 10 ms, wakes at 11 ms and
+	// releases m at 12 ms, and a contender asks for m at 10.5 ms.
+	wakeAfter := func(t *testing.T, waiters int, timeout time.Duration, hold, broadcast bool) run {
+		s, k, lib := bootLib(t, 1)
+		m, c := lib.NewMutex(), lib.NewCond()
+		var r run
+		acquired := func(tk *kernel.Task) { r.order = append(r.order, tk.Name()) }
+		for i := range waiters {
+			k.Spawn(fmt.Sprintf("waiter%d", i), func(tk *kernel.Task) {
+				tk.Sleep(time.Duration(i+1) * time.Millisecond)
+				m.Lock(tk)
+				if timeout < 0 {
+					c.Wait(tk, m)
+				} else {
+					c.TimedWait(tk, m, timeout)
+				}
+				acquired(tk)
+				m.Unlock(tk)
+			})
+		}
+		k.Spawn("waker", func(tk *kernel.Task) {
+			tk.Sleep(10 * time.Millisecond)
+			if hold {
+				m.Lock(tk)
+				acquired(tk)
+				tk.Sleep(time.Millisecond)
+			}
+			if broadcast {
+				c.Broadcast(tk)
+			} else {
+				c.Signal(tk)
+			}
+			if o := m.Owner(); o != nil {
+				r.owner = o.Name()
+			}
+			r.queued = len(m.waiters)
+			if hold {
+				tk.Sleep(time.Millisecond)
+				m.Unlock(tk)
+			}
+		})
+		if hold {
+			k.Spawn("contender", func(tk *kernel.Task) {
+				tk.Sleep(10*time.Millisecond + 500*time.Microsecond)
+				m.Lock(tk)
+				acquired(tk)
+				m.Unlock(tk)
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Locked() || c.Waiters() != 0 {
+			t.Errorf("run ended with the mutex locked %v, %d condition waiters", m.Locked(), c.Waiters())
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name      string
+		waiters   int
+		timeout   time.Duration
+		hold      bool
+		broadcast bool
+		want      run
+	}{
+		{"free mutex goes to the waiter", 1, -1, false, false, run{[]string{"waiter0"}, "waiter0", 0}},
+		{"contender queued first goes first", 1, -1, true, false, run{[]string{"waker", "contender", "waiter0"}, "waker", 2}},
+		{"broadcast queues every waiter FIFO", 3, -1, true, true, run{[]string{"waker", "contender", "waiter0", "waiter1", "waiter2"}, "waker", 4}},
+		{"timed waiter is only granted", 1, time.Hour, false, false, run{[]string{"waiter0"}, "", 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := wakeAfter(t, tc.waiters, tc.timeout, tc.hold, tc.broadcast); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("got %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
 

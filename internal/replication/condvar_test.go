@@ -14,18 +14,19 @@ import (
 )
 
 // TestCondWaitSectionInventory pins the sections a condition wait and the
-// wake-up that ends it record. An untimed wait records its cond_wait and,
-// once signaled, the mutex_lock that re-acquires the mutex: the signal's
-// own section dequeued it, so there is no race left to record. A timed
-// wait records a cond_resolve between the two, carrying the outcome of its
-// timeout-versus-signal race — timed out, or signaled in time. A signal or
+// wake-up that ends it record. An untimed wait records its cond_wait only:
+// the signal's own section dequeued it and handed it the mutex, so there
+// is no race left to record and no re-lock. A timed wait records a
+// cond_resolve, carrying the outcome of its timeout-versus-signal race —
+// timed out, or signaled in time — and the mutex_lock that re-acquires the
+// mutex. A signal or
 // broadcast records one tuple when it finds a waiter — the ft_pid it woke,
 // or the number — and nothing when it finds none (the timed-out waiter has
 // left the queue by then); neither takes a Seq_thread step. The backup
 // replays every tuple with no divergence and returns the same outcome; it
 // applies the wake-ups itself, so its signaler never opens a section.
 func TestCondWaitSectionInventory(t *testing.T) {
-	untimed := []pthread.Op{pthread.OpMutexLock, pthread.OpCondWait, pthread.OpMutexLock}
+	untimed := []pthread.Op{pthread.OpMutexLock, pthread.OpCondWait}
 	timed := []pthread.Op{pthread.OpMutexLock, pthread.OpCondTimedwait, pthread.OpCondResolve, pthread.OpMutexLock}
 	for _, row := range []struct {
 		name      string
@@ -154,7 +155,9 @@ func TestCondWaitSectionInventory(t *testing.T) {
 // instant before transfer n+1 does, when the primary has run as far ahead
 // of its backup as it can. A consumer parked in an untimed wait at the
 // promotion has no section left to replay: it waits for a signal the
-// promoted side records live.
+// promoted side records live. Some cuts find a woken waiter queued on the
+// backup's held mutex: a replayed wake-up handed it the mutex, and the
+// holder's unlock grants it once the waiters queued ahead of it had theirs.
 //
 // Further cuts fall 1 ns after each effective wake-up's tuple-emit, before
 // the flush that carries it, in a run beside a ticker thread whose
@@ -166,7 +169,8 @@ func TestCondWaitSectionInventory(t *testing.T) {
 // gives every waiter left.
 //
 // At every cut the promoted side consumes what the dead primary consumed
-// under the mutex_lock tuples it replayed, in the same order, then every
+// under the mutex_lock tuples it replayed and the hand-offs of the
+// wake-ups it replayed, in the same order, then every
 // remaining item exactly once; it counts no divergence, every thread
 // returns, and once the run is quiet the one process left is the fork
 // recorder's spill server, which stops with its kernel.
@@ -181,8 +185,8 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 			var pDone, sDone bool
 			d := newDuo(t, 5, cfg, true)
 			d.log.OnDelivered(func() { landed = append(landed, d.sim.Now()) })
-			d.pns.Start("app", nil, condVarApp(&pOrder, &pDone))
-			d.sns.Start("app", nil, condVarApp(&sOrder, &sDone))
+			d.pns.Start("app", nil, condVarApp(&pOrder, &pDone, nil))
+			d.sns.Start("app", nil, condVarApp(&sOrder, &sDone, nil))
 			if err := d.sim.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +194,8 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 		if len(landed) < 10 {
 			t.Fatalf("%d shards: only %d log transfers", shards, len(landed))
 		}
-		cuts := 0 // cuts that lost consumptions the primary had made
+		cuts := 0   // cuts that lost consumptions the primary had made
+		handed := 0 // cuts that found a woken waiter queued on the held mutex
 		for n := 1; n <= len(landed); n++ {
 			for _, late := range []bool{false, true} {
 				if late && (n == len(landed) || landed[n]-1 <= landed[n-1]) {
@@ -209,8 +214,12 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 					name = fmt.Sprintf("%d shards, before transfer %d lands", shards, n+1)
 					arm = func(d *duo, promote func()) { d.sim.ScheduleAt(landed[n]-1, promote) }
 				}
-				if lost, _ := promoteAt(t, name, cfg, 5, false, arm); lost {
+				c := promoteAt(t, name, cfg, 5, false, arm)
+				if c.lost {
 					cuts++
+				}
+				if c.handed > 0 {
+					handed++
 				}
 			}
 		}
@@ -218,14 +227,18 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 		emits := wakeEmits(t, cfg, tickerSeed)
 		for _, e := range emits {
 			name := fmt.Sprintf("%d shards, 1 ns after the wake-up at log index %d is emitted", shards, e.msg)
-			_, received := promoteAt(t, name, cfg, tickerSeed, true, func(d *duo, promote func()) { d.sim.ScheduleAt(e.at+1, promote) })
-			if received <= e.msg {
+			c := promoteAt(t, name, cfg, tickerSeed, true, func(d *duo, promote func()) { d.sim.ScheduleAt(e.at+1, promote) })
+			if c.received <= e.msg {
 				lostWakes++
 			}
+			if c.handed > 0 {
+				handed++
+			}
 		}
-		t.Logf("%d shards: %d transfers, %d cuts; %d wake-ups, %d lost", shards, len(landed), cuts, len(emits), lostWakes)
-		if cuts == 0 || lostWakes == 0 {
-			t.Errorf("%d shards: %d cuts lost a consumption the primary had made, %d an effective wake-up; want some of each", shards, cuts, lostWakes)
+		t.Logf("%d shards: %d transfers, %d cuts; %d wake-ups, %d lost; %d found a woken waiter queued", shards, len(landed), cuts, len(emits), lostWakes, handed)
+		if cuts == 0 || lostWakes == 0 || handed == 0 {
+			t.Errorf("%d shards: %d cuts lost a consumption the primary had made, %d an effective wake-up, %d found a woken waiter queued on the held mutex; want some of each",
+				shards, cuts, lostWakes, handed)
 		}
 	}
 }
@@ -250,8 +263,8 @@ func wakeEmits(t *testing.T, cfg replication.Config, seed int64) []wakeEmit {
 	tr := obs.New(d.sim, obs.Config{Trace: true})
 	d.pns.Instrument(tr.Scope("primary"), tr.Registry())
 	var ticker int
-	d.pns.Start("app", nil, withTicker(condVarApp(&pOrder, &pDone), &ticker))
-	d.sns.Start("app", nil, withTicker(condVarApp(&sOrder, &sDone), &ticker))
+	d.pns.Start("app", nil, withTicker(condVarApp(&pOrder, &pDone, nil), &ticker))
+	d.sns.Start("app", nil, withTicker(condVarApp(&sOrder, &sDone, nil), &ticker))
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,20 +304,33 @@ func withTicker(app func(*replication.Thread), ftpid *int) func(*replication.Thr
 	}
 }
 
+// cut is what one cut of TestCondVarPromotionAtEveryLogBoundary found: the
+// primary had consumed beyond what its backup replayed (lost), the log
+// messages the backup received, and the woken waiters promotion found
+// queued on the backup's held mutex.
+type cut struct {
+	lost     bool
+	received uint64
+	handed   int
+}
+
 // promoteAt runs one cut of TestCondVarPromotionAtEveryLogBoundary: arm
-// schedules promote, which kills the primary and promotes the backup. It
-// reports whether the primary had consumed beyond what its backup
-// replayed, and the log messages the backup received.
-func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ticker bool, arm func(d *duo, promote func())) (bool, uint64) {
+// schedules promote, which kills the primary and promotes the backup.
+func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ticker bool, arm func(d *duo, promote func())) cut {
 	t.Helper()
 	var pOrder, sOrder []consumption
 	var pDone, sDone bool
+	var handed func() int
+	var c cut
 	d := newDuo(t, seed, cfg, true)
 	arm(d, func() {
 		d.pk.Panic("injected failure", nil)
+		if handed != nil { // the backup's app has started
+			c.handed = handed()
+		}
 		d.sns.Replayer().Promote()
 	})
-	papp, sapp := condVarApp(&pOrder, &pDone), condVarApp(&sOrder, &sDone)
+	papp, sapp := condVarApp(&pOrder, &pDone, nil), condVarApp(&sOrder, &sDone, &handed)
 	tickerPid := -1
 	if ticker {
 		papp, sapp = withTicker(papp, &tickerPid), withTicker(sapp, &tickerPid)
@@ -315,11 +341,17 @@ func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ti
 		t.Fatalf("%s: %v", name, err)
 	}
 	// The replayed tuples are a prefix of the primary's log; the queue's
-	// mutex_lock tuples ordered the first held acquisitions.
+	// mutex_lock tuples, and the wake-ups that handed the mutex to the
+	// waiters they woke, ordered the first held acquisitions.
 	held := 0
 	for _, tu := range d.pns.RecordedTuples()[:d.sns.ReplayStats().Sections] {
-		if tu.Op == pthread.OpMutexLock && tu.FTPid != tickerPid {
+		switch {
+		case tu.Op == pthread.OpMutexLock && tu.FTPid != tickerPid:
 			held++
+		case tu.Op == pthread.OpCondSignal && tu.Outcome != 0:
+			held++
+		case tu.Op == pthread.OpCondBroadcast:
+			held += int(tu.Outcome)
 		}
 	}
 	k := 0
@@ -353,7 +385,8 @@ func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ti
 	if live != 1 || d.sim.Live() != 0 {
 		t.Errorf("%s: %d processes left once the run is quiet, %d once the survivor stops; want 1 and 0", name, live, d.sim.Live())
 	}
-	return k < len(pOrder), d.sns.Processed()
+	c.lost, c.received = k < len(pOrder), d.sns.Processed()
+	return c
 }
 
 // TestCondVarRejoinReplaysPromotionWake promotes the backup of condVarApp
@@ -381,8 +414,8 @@ func TestCondVarRejoinReplaysPromotionWake(t *testing.T) {
 				d.pk.Panic("injected failure", nil)
 				d.sns.Replayer().Promote()
 			})
-			d.pns.Start("app", nil, withTicker(condVarApp(&pOrder, &pDone), &ticker))
-			d.sns.Start("app", nil, withTicker(condVarApp(&sOrder, &sDone), &ticker))
+			d.pns.Start("app", nil, withTicker(condVarApp(&pOrder, &pDone, nil), &ticker))
+			d.sns.Start("app", nil, withTicker(condVarApp(&sOrder, &sDone, nil), &ticker))
 			if err := d.sim.Run(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -398,7 +431,7 @@ func TestCondVarRejoinReplaysPromotionWake(t *testing.T) {
 			rlog, racks := d.fabric.NewRing("ftns.log.g1", 0, cfg.LogRingBytes), d.fabric.NewRing("ftns.acks.g1", 1, 64<<10)
 			rns := replication.NewSecondary("ftns", k, cfg, rlog, racks)
 			d.sns.AddReplica(rlog, racks, nil)
-			rns.Start("app", nil, withTicker(condVarApp(&rOrder, &rDone), &ticker))
+			rns.Start("app", nil, withTicker(condVarApp(&rOrder, &rDone, nil), &ticker))
 			if err := d.sim.Run(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -1,6 +1,7 @@
 package replication_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -303,6 +304,108 @@ func TestCrossShardCondVarReplayUnderChaos(t *testing.T) {
 	}
 	if st.Duplicates == 0 {
 		t.Error("chaos duplicated transfers but the replayer filtered none")
+	}
+}
+
+// TestCrossShardCondVarHandOffUnderChaos runs a condition variable and its
+// mutex on different det shards, with a third thread contending for the
+// mutex between the producer's signals, under the dup-delay log-ring
+// faults of TestCrossShardCondVarReplayUnderChaos. The producer signals
+// holding the mutex, so every wake-up hands its waiter a held mutex: the
+// waiter queues behind whoever asked first — the contender, often. The
+// wake-up and the contender's mutex_lock are sequenced on one object (the
+// mutex, pthread.Lib.SeqKey), so the backup acquires the mutex in the
+// primary's order, hand-offs included, with no divergence.
+func TestCrossShardCondVarHandOffUnderChaos(t *testing.T) {
+	const shards = 4
+	app := func(order *[]int, behind *int) func(*replication.Thread) {
+		return func(root *replication.Thread) {
+			lib := root.Lib()
+			m, c := lib.NewMutex(), lib.NewCond()
+			if pthread.ShardOf(m.ID(), shards) == pthread.ShardOf(c.ID(), shards) {
+				panic("mutex and condvar on the same shard; the test must cross shards")
+			}
+			var contender int
+			acquired := func(th *replication.Thread) { *order = append(*order, th.FTPid()) }
+			queue, done := 0, false
+			var threads []*replication.Thread
+			for range 3 {
+				threads = append(threads, root.NS().SpawnThread(root, "consumer", func(th *replication.Thread) {
+					for j := 0; j < 6; j++ {
+						m.Lock(th.Task())
+						acquired(th)
+						for queue == 0 {
+							c.Wait(th.Task(), m)
+							if prev := (*order)[len(*order)-1]; prev == contender {
+								*behind++ // queued behind the contender, not handed the mutex by the producer
+							}
+							acquired(th)
+						}
+						queue--
+						m.Unlock(th.Task())
+					}
+				}))
+			}
+			threads = append(threads, root.NS().SpawnThread(root, "producer", func(th *replication.Thread) {
+				for j := 0; j < 18; j++ {
+					th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+					m.Lock(th.Task())
+					acquired(th)
+					queue++
+					c.Signal(th.Task())
+					th.Task().Compute(20 * time.Microsecond) // the contender queues meanwhile
+					done = j == 17
+					m.Unlock(th.Task())
+				}
+			}))
+			threads = append(threads, root.NS().SpawnThread(root, "contender", func(th *replication.Thread) {
+				contender = th.FTPid()
+				for stop := false; !stop; {
+					m.Lock(th.Task())
+					acquired(th)
+					th.Task().Compute(5 * time.Microsecond)
+					stop = done
+					m.Unlock(th.Task())
+					th.Task().Compute(10 * time.Microsecond)
+				}
+			}))
+			for _, th := range threads {
+				root.Join(th)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		var pOrder, sOrder []int
+		var pBehind, sBehind int
+		d := newDuo(t, seed, shardedConfig(shards), true)
+		n := 0
+		d.log.SetChaosHook(func([]shm.Message) shm.ChaosVerdict {
+			n++
+			var v shm.ChaosVerdict
+			if n%3 == 0 {
+				v.Dup = 1
+			}
+			if n%5 == 0 {
+				v.Delay = 120 * time.Microsecond
+			}
+			return v
+		})
+		d.pns.Start("app", nil, app(&pOrder, &pBehind))
+		d.sns.Start("app", nil, app(&sOrder, &sBehind))
+		if err := d.sim.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !slices.Equal(pOrder, sOrder) {
+			t.Fatalf("seed %d: the backup acquired the mutex in order %v, the primary %v", seed, sOrder, pOrder)
+		}
+		st := d.sns.Stats()
+		if st.Divergences != 0 || st.Duplicates == 0 {
+			t.Errorf("seed %d: %d divergences, %d duplicates filtered; want none and some", seed, st.Divergences, st.Duplicates)
+		}
+		t.Logf("seed %d: %d acquisitions, %d woken waiters queued behind the contender", seed, len(pOrder), pBehind)
+		if pBehind == 0 {
+			t.Errorf("seed %d: no woken waiter queued behind the contender", seed)
+		}
 	}
 }
 

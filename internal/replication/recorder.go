@@ -663,7 +663,7 @@ func (r *Recorder) commitSeqs(th *Thread, key uint64, op pthread.Op) {
 func (r *Recorder) enter(th *Thread, op pthread.Op, obj uint64) {
 	th.mustBeClosed()
 	t := th.task
-	key := objKey(op, obj)
+	key := th.ns.seqKey(op, obj)
 	shard := pthread.ShardOf(key, len(r.mus))
 	start := t.Now()
 	r.mus[shard].Lock(t)
@@ -683,14 +683,13 @@ func (r *Recorder) exit(th *Thread, out uint64, data []byte) {
 	th.sec = section{}
 	t, key := th.task, sec.key
 	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: sec.op, Obj: sec.obj,
-		Outcome: th.ns.wakeOutcome(sec.op, out), Data: data}
+		Key: key, Outcome: th.ns.wakeOutcome(sec.op, out), Data: data}
 	if len(r.mus) > 1 {
 		r.commitSeqs(th, key, sec.op)
-		r.emit(t, tu.message(sec.shard))
-		r.noteTuple(th, tu, key)
-	} else {
-		r.emit(t, tu.message(sec.shard))
-		r.noteTuple(th, tu, key)
+	}
+	r.emit(t, tu.message(sec.shard))
+	r.noteTuple(th, tu)
+	if len(r.mus) == 1 {
 		r.commitSeqs(th, key, sec.op)
 	}
 	r.cShardSec(sec.shard).Inc()
@@ -699,11 +698,10 @@ func (r *Recorder) exit(th *Thread, out uint64, data []byte) {
 }
 
 // recordWake records the broadcast, waking n waiters, a promoted replica
-// applies to condition variable obj as its fork starts. No thread made it,
-// so the tuple names none; the fork has no backup yet, so emit never blocks.
-func (r *Recorder) recordWake(obj, n uint64) {
-	key := objKey(pthread.OpCondBroadcast, obj)
-	tu := Tuple{GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], Op: pthread.OpCondBroadcast, Obj: obj, Outcome: n}
+// applies to condition variable obj (sequenced on key) as its fork starts.
+// No thread made it; the fork has no backup yet, so emit never blocks.
+func (r *Recorder) recordWake(obj, key, n uint64) {
+	tu := Tuple{GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], Op: pthread.OpCondBroadcast, Obj: obj, Key: key, Outcome: n}
 	r.emit(nil, tu.message(pthread.ShardOf(key, len(r.mus))))
 	r.commitSeqs(nil, key, tu.Op)
 }
@@ -711,8 +709,8 @@ func (r *Recorder) recordWake(obj, n uint64) {
 // noteTuple records one emitted tuple's lifecycle event and count. The
 // event carries the full alignment identity <obj, Seq_obj> so the causal
 // layer can pair it with the backup's Replay grant of the same section.
-func (r *Recorder) noteTuple(th *Thread, tu Tuple, key uint64) {
-	r.sc.EmitDet(obs.TupleEmit, th.ftpid, int64(tu.GlobalSeq), int64(tu.size()), key, int64(tu.ObjSeq))
+func (r *Recorder) noteTuple(th *Thread, tu Tuple) {
+	r.sc.EmitDet(obs.TupleEmit, th.ftpid, int64(tu.GlobalSeq), int64(tu.size()), tu.Key, int64(tu.ObjSeq))
 	r.cTuples.Inc()
 }
 

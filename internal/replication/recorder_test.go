@@ -1,12 +1,14 @@
 package replication
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/pthread"
 	"repro/internal/shm"
 	"repro/internal/sim"
 )
@@ -144,5 +146,34 @@ func TestAckedAllSelectsWithoutAllocating(t *testing.T) {
 				t.Errorf("%d backups, quorum %d: ackedAll allocates %v per call, want 0", backups, quorum, n)
 			}
 		}
+	}
+}
+
+// TestTupleMessageRoundTrips checks that a tuple survives its ring layout:
+// ft_pid and op share one word, which frees a word for the sequencing key.
+// It covers the largest op, an ft_pid at the packing limit and a key that
+// differs from the object; the encoder panics on an ft_pid or op that does
+// not fit.
+func TestTupleMessageRoundTrips(t *testing.T) {
+	const maxFTPid, maxOp = 1<<(64-opBits) - 1, pthread.Op(1<<opBits - 1)
+	for _, tu := range []Tuple{
+		{ThreadSeq: 3, GlobalSeq: 9, ObjSeq: 2, FTPid: 7, Op: maxOp, Obj: 5, Key: 5, Outcome: 1},
+		{ThreadSeq: ^uint64(0), GlobalSeq: 1 << 40, FTPid: maxFTPid, Op: OpPoll, Obj: 12, Key: uint64(OpPoll)<<48 | 12},
+		{ThreadSeq: 1, GlobalSeq: 2, ObjSeq: 3, FTPid: 4, Op: pthread.OpCondSignal, Obj: 41, Key: 40, Outcome: 4},
+		{FTPid: 0, Op: pthread.OpCondBroadcast, Obj: 41, Key: 40, Outcome: 3, Data: []byte("payload")},
+	} {
+		if got := tupleOf(tu.message(1)); !reflect.DeepEqual(got, tu) {
+			t.Errorf("tupleOf(message(%v)) = %v", tu, got)
+		}
+	}
+	for _, tu := range []Tuple{{FTPid: maxFTPid + 1, Op: pthread.OpMutexLock}, {FTPid: -1}, {Op: maxOp + 1}, {Op: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("message(%v) did not panic", tu)
+				}
+			}()
+			tu.message(0)
+		}()
 	}
 }

@@ -153,12 +153,12 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 }
 
 // domain maps a tuple to its sequencing domain and its rank there: its
-// object and Seq_obj with DetShards > 1, the single domain 0 and Seq_global
+// Key and Seq_obj with DetShards > 1, the single domain 0 and Seq_global
 // with one shard — which makes the paper's total order the grant table
 // with one key.
 func (r *Replayer) domain(tu Tuple) (key, seq uint64) {
 	if r.cfg.DetShards > 1 {
-		return objKey(tu.Op, tu.Obj), tu.ObjSeq
+		return tu.Key, tu.ObjSeq
 	}
 	return 0, tu.GlobalSeq
 }
@@ -230,7 +230,7 @@ func (r *Replayer) route(m shm.Message) {
 			panic(fmt.Sprintf("replication: log gap: %v expected seq %d in domain %d", tu, d.seen, key))
 		}
 		d.seen = seq + 1
-		r.enqueue(r.lanes[pthread.ShardOf(objKey(tu.Op, tu.Obj), len(r.lanes))], m)
+		r.enqueue(r.lanes[pthread.ShardOf(tu.Key, len(r.lanes))], m)
 	case msgEpoch:
 		if mark, ok := m.Ref.(*EpochMark); ok && !r.noteEpoch(*mark) {
 			r.stats.Duplicates++
@@ -324,7 +324,7 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 		r.objDone[c.Obj] = c.Seq
 		// The next tuple each domain expects is the one that would carry
 		// this cursor (any Seq_global > 0 implies at least one cursor).
-		key, seq := r.domain(Tuple{Obj: c.Obj, ObjSeq: c.Seq, GlobalSeq: seqGlobal})
+		key, seq := r.domain(Tuple{Key: c.Obj, ObjSeq: c.Seq, GlobalSeq: seqGlobal})
 		d := r.dom(key)
 		d.seen = seq
 		r.track(d)
@@ -426,7 +426,7 @@ func (r *Replayer) waitEnv(t *kernel.Task) map[string]string {
 // replay-grant-wait stage of the causal critical path.
 func (r *Replayer) noteGrant(th *Thread, tu Tuple) {
 	wait := int64(r.kern.Sim().Now().Sub(th.sec.parkedAt))
-	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), wait, objKey(tu.Op, tu.Obj), int64(tu.ObjSeq))
+	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), wait, tu.Key, int64(tu.ObjSeq))
 }
 
 // grantBarrier is the earliest armed head watermark: while the rejoin
@@ -436,13 +436,11 @@ func (r *Replayer) noteGrant(th *Thread, tu Tuple) {
 // (GlobalSeq increases along both orders), so replay below the barrier
 // always makes progress.
 func (r *Replayer) grantBarrier() uint64 {
-	min := ^uint64(0)
+	w := ^uint64(0)
 	for _, s := range r.headSubs {
-		if s.seq < min {
-			min = s.seq
-		}
+		w = min(w, s.seq)
 	}
-	return min
+	return w
 }
 
 // tryGrant hands the head of one domain's queue to its shadow thread if
@@ -489,7 +487,7 @@ func (r *Replayer) applyWake(tu Tuple) {
 	if out != tu.Outcome {
 		r.diverge(fmt.Sprintf("%v woke %d, recorded %d (obj=%d)", tu.Op, out, tu.Outcome, tu.Obj))
 	}
-	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), 0, objKey(tu.Op, tu.Obj), int64(tu.ObjSeq))
+	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), 0, tu.Key, int64(tu.ObjSeq))
 	r.sectionDone(tu)
 }
 
@@ -530,7 +528,7 @@ func (r *Replayer) sectionDone(tu Tuple) {
 	d := r.doms[key]
 	d.granted = false
 	d.q.DropFront(1)
-	r.objDone[objKey(tu.Op, tu.Obj)] = tu.ObjSeq + 1
+	r.objDone[tu.Key] = tu.ObjSeq + 1
 	r.unreplayed--
 	r.stats.Sections++
 	r.ahead[tu.GlobalSeq] = true
@@ -641,13 +639,7 @@ func (r *Replayer) Promote() {
 	// Epoch verifications still armed are moot — the primary that cut
 	// them is dead — and their grant barriers would wedge the
 	// drain-replay below. Drop them; the rejoin verifier's subs stay.
-	subs := r.headSubs[:0]
-	for _, s := range r.headSubs {
-		if !s.epoch {
-			subs = append(subs, s)
-		}
-	}
-	r.headSubs = subs
+	r.headSubs = slices.DeleteFunc(r.headSubs, func(s headSub) bool { return s.epoch })
 	// Drain what the dead primary left in shared memory (§3.5: messages in
 	// the mailbox survive the sender's death).
 	drained := r.log.Drain()
@@ -693,7 +685,7 @@ func (r *Replayer) finishPromotion() {
 	// it, so a backup rejoining the fork wakes the same waiters.
 	for _, c := range r.ns.lib.Conds() {
 		if n := c.Wake(true); n > 0 {
-			r.ns.rec.recordWake(c.ID(), n)
+			r.ns.rec.recordWake(c.ID(), r.ns.seqKey(pthread.OpCondBroadcast, c.ID()), n)
 		}
 	}
 	order := r.waitOrder
@@ -749,7 +741,7 @@ func (r *Replayer) replayedHistory() (logWindow, uint64) {
 			continue
 		}
 		tu := tupleOf(m)
-		if tu.ObjSeq >= r.objDone[objKey(tu.Op, tu.Obj)] {
+		if tu.ObjSeq >= r.objDone[tu.Key] {
 			continue // arrived but never replayed: beyond the stable point
 		}
 		m.W[wGlobalSeq] = n

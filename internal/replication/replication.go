@@ -132,9 +132,8 @@ type EpochMark struct {
 const tupleBytes = 64
 
 // Tuple is one deterministic-section record: <Seq_thread, Seq_obj, obj_id,
-// ft_pid> plus the Lamport Seq_global watermark and the op metadata. The
-// sequence numbers fit the same accounted cache line as before sharding
-// (tupleBytes), so the wire footprint is unchanged.
+// ft_pid> plus the Lamport Seq_global watermark, the op metadata and the
+// sequencing key, in one accounted cache line (tupleBytes).
 type Tuple struct {
 	ThreadSeq uint64
 	// GlobalSeq is the namespace Lamport clock at emission. With one det
@@ -142,12 +141,13 @@ type Tuple struct {
 	// unique and consistent with every per-thread and per-object order,
 	// giving the scalar watermark output commit and checkpoints need.
 	GlobalSeq uint64
-	// ObjSeq is the section's rank in its sequencing object's own order —
-	// the cursor the sharded replayer grants against.
+	// ObjSeq is the section's rank in the order of its sequencing object,
+	// Key: the cursor the sharded replayer grants against.
 	ObjSeq uint64
 	FTPid  int
 	Op     pthread.Op
 	Obj    uint64
+	Key    uint64 // Namespace.seqKey(Op, Obj)
 	// Outcome is the recorded result of a resolve section, zero otherwise.
 	Outcome uint64
 	// Data carries payload bytes for data-bearing syscalls (reads).
@@ -156,21 +156,25 @@ type Tuple struct {
 
 func (tu Tuple) size() int { return tupleBytes + len(tu.Data) }
 
-// message lays the tuple out in a ring message — the seven scalars in the
-// words, the payload bytes as the byte view — tagged with its det shard's
-// stream. tupleOf is its inverse.
+// message lays the tuple out in a ring message — the eight scalars in the
+// seven words, ft_pid packed above the op's opBits, the payload bytes as the
+// byte view — tagged with its det shard's stream. tupleOf is its inverse.
 func (tu Tuple) message(stream int) shm.Message {
+	if tu.Op < 0 || tu.Op >= 1<<opBits || tu.FTPid < 0 || tu.FTPid >= 1<<(64-opBits) {
+		panic(fmt.Sprintf("replication: tuple %v does not fit a message", tu))
+	}
 	return shm.Message{Kind: msgTuple, Stream: stream, Size: tu.size(), Data: tu.Data,
-		W: [7]uint64{tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, uint64(tu.FTPid), uint64(tu.Op), tu.Obj, tu.Outcome}}
+		W: [7]uint64{tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, uint64(tu.FTPid)<<opBits | uint64(tu.Op), tu.Obj, tu.Key, tu.Outcome}}
 }
 
 func tupleOf(m shm.Message) Tuple {
-	return Tuple{ThreadSeq: m.W[0], GlobalSeq: m.W[1], ObjSeq: m.W[2], FTPid: int(m.W[3]),
-		Op: pthread.Op(m.W[4]), Obj: m.W[5], Outcome: m.W[6], Data: m.Data}
+	return Tuple{ThreadSeq: m.W[0], GlobalSeq: m.W[1], ObjSeq: m.W[2], FTPid: int(m.W[3] >> opBits),
+		Op: pthread.Op(m.W[3] & (1<<opBits - 1)), Obj: m.W[4], Key: m.W[5], Outcome: m.W[6], Data: m.Data}
 }
 
-// wGlobalSeq is the word of a tuple message that holds Seq_global.
-const wGlobalSeq = 1
+// A tuple message holds Seq_global in word wGlobalSeq, and its op in the
+// low opBits of the ft_pid word.
+const wGlobalSeq, opBits = 1, 16
 
 // ackMessage is a cumulative acknowledgement on the ack ring: the receipt
 // watermark (msgTuple) or a verified epoch number (msgEpochAck) in word 0.
@@ -195,19 +199,19 @@ func epochMessage(mark *EpochMark, size int) shm.Message {
 }
 
 func (tu Tuple) String() string {
-	return fmt.Sprintf("<%d,%d,%d,%d> %v obj=%d out=%d len=%d",
-		tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, tu.FTPid, tu.Op, tu.Obj, tu.Outcome, len(tu.Data))
+	return fmt.Sprintf("<%d,%d,%d,%d> %v obj=%d key=%d out=%d len=%d",
+		tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, tu.FTPid, tu.Op, tu.Obj, tu.Key, tu.Outcome, len(tu.Data))
 }
 
-// objKey derives a tuple's sequencing object. Pthread primitives carry
-// library-unique object ids already; the extended ops fold the op into the
-// key so each replicated syscall class (and each socket fd within a class)
-// gets its own sequencer. OpThreadCreate stays totally ordered among itself
-// because ft_pid assignment mutates shared namespace state. A colliding key
-// only over-orders — it can never under-order — so the packing is safe.
-func objKey(op pthread.Op, obj uint64) uint64 {
+// seqKey derives a section's sequencing object: a pthread primitive's from
+// its library (pthread.Lib.SeqKey); an extended op folds the op into the
+// key, giving each replicated syscall class (and each socket fd in a class)
+// its own sequencer, and OpThreadCreate one total order, since ft_pid
+// assignment mutates shared namespace state. A colliding key only
+// over-orders — it can never under-order — so the packing is safe.
+func (ns *Namespace) seqKey(op pthread.Op, obj uint64) uint64 {
 	if op < OpThreadCreate {
-		return obj
+		return ns.lib.SeqKey(op, obj)
 	}
 	return uint64(op)<<48 | obj
 }

@@ -132,14 +132,34 @@ type consumption struct{ acq, ftpid, item int }
 // untimed while the queue is empty and signalling room for the next item,
 // and the producer appends twenty items after side-local pauses, waiting
 // for room, signalling one consumer per item and broadcasting to all of
-// them for every fourth. done reports that every thread returned.
-func condVarApp(out *[]consumption, done *bool) func(*replication.Thread) {
+// them for every fourth. done reports that every thread returned. A
+// non-nil handed is set to a probe that counts the woken waiters queued
+// on the held mutex, which a wake-up handed it (pthread.Cond.Wake).
+func condVarApp(out *[]consumption, done *bool, handed *func() int) func(*replication.Thread) {
 	return func(root *replication.Thread) {
 		lib := root.Lib()
 		m := lib.NewMutex()
 		c, room := lib.NewCond(), lib.NewCond()
 		var queue []int
 		acq := 0
+		waiting := make(map[*kernel.Task]bool) // tasks inside a Wait call
+		if handed != nil {
+			// A waiter is dequeued by its wake-up, and then owns m or
+			// waits queued for it.
+			*handed = func() int {
+				n := len(waiting) - c.Waiters() - room.Waiters()
+				if waiting[m.Owner()] {
+					n--
+				}
+				return n
+			}
+		}
+		wait := func(cv *pthread.Cond, t *kernel.Task) {
+			waiting[t] = true
+			cv.Wait(t, m)
+			delete(waiting, t)
+			acq++
+		}
 		var threads []*replication.Thread
 		for i := 0; i < 4; i++ {
 			threads = append(threads, root.NS().SpawnThread(root, "consumer", func(th *replication.Thread) {
@@ -147,8 +167,7 @@ func condVarApp(out *[]consumption, done *bool) func(*replication.Thread) {
 					m.Lock(th.Task())
 					acq++
 					for len(queue) == 0 {
-						c.Wait(th.Task(), m)
-						acq++
+						wait(c, th.Task())
 					}
 					*out = append(*out, consumption{acq, th.FTPid(), queue[0]})
 					queue = queue[1:]
@@ -163,8 +182,7 @@ func condVarApp(out *[]consumption, done *bool) func(*replication.Thread) {
 				m.Lock(th.Task())
 				acq++
 				for len(queue) > 0 {
-					room.Wait(th.Task(), m)
-					acq++
+					wait(room, th.Task())
 				}
 				queue = append(queue, j)
 				if j%4 == 3 {
@@ -187,8 +205,8 @@ func TestCondVarReplay(t *testing.T) {
 	var pOrder, sOrder []consumption
 	var pDone, sDone bool
 	d := newDuo(t, 3, replication.DefaultConfig(), true)
-	d.pns.Start("app", nil, condVarApp(&pOrder, &pDone))
-	d.sns.Start("app", nil, condVarApp(&sOrder, &sDone))
+	d.pns.Start("app", nil, condVarApp(&pOrder, &pDone, nil))
+	d.sns.Start("app", nil, condVarApp(&sOrder, &sDone, nil))
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -483,8 +501,8 @@ func TestStockFutexOrderBreaksReplay(t *testing.T) {
 		d := newDuo(t, seed, replication.DefaultConfig(), false)
 		var pOrder, sOrder []consumption
 		var done bool
-		d.pns.Start("app", nil, condVarApp(&pOrder, &done))
-		d.sns.Start("app", nil, condVarApp(&sOrder, &done))
+		d.pns.Start("app", nil, condVarApp(&pOrder, &done, nil))
+		d.sns.Start("app", nil, condVarApp(&sOrder, &done, nil))
 		if err := d.sim.Run(); err != nil {
 			t.Fatal(err)
 		}
