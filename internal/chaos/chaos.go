@@ -117,9 +117,14 @@ func ClassOf(name string) string {
 	return ""
 }
 
-// Kill is one scheduled kernel kill, delivered as a hardware fault.
+// Kill is one scheduled kernel kill, delivered as a hardware fault: at
+// virtual time At or, with Class set, the instant the N-th transfer of that
+// channel class lands at its receiver — a message boundary, counted over
+// the whole run, every ring generation of the class included.
 type Kill struct {
 	At     time.Duration
+	Class  string
+	N      int
 	Target Target
 	Fault  hw.FaultKind
 }
@@ -152,6 +157,7 @@ func (s Schedule) Empty() bool { return len(s.Kills) == 0 && len(s.Rings) == 0 }
 //
 //	kill primary @2s              fail-stop the recording side at t=2s
 //	kill backup @1s coherency     kill kinds: core, mem, bus, coherency
+//	kill primary @log#3           as the 3rd log transfer lands (log, acks, sync, bulk)
 //	delay log 200us 0s..5s        +200µs per log transfer in [0s,5s)
 //	dup acks x2 1s..4s            2 extra copies per ack transfer
 //	drop hb p0.5 1s..2s           drop each beat with probability 0.5
@@ -208,7 +214,7 @@ func ParseFaultKind(name string) (hw.FaultKind, error) {
 
 func (s *Schedule) parseKill(ev string, f []string) error {
 	if len(f) < 2 || len(f) > 3 {
-		return fmt.Errorf("chaos: %q: want `kill <primary|backup|backup<k>> @<time> [kind]`", ev)
+		return fmt.Errorf("chaos: %q: want `kill <primary|backup|backup<k>> @<time>|@<class>#<n> [kind]`", ev)
 	}
 	k := Kill{Fault: hw.CoreFailStop}
 	switch {
@@ -226,13 +232,22 @@ func (s *Schedule) parseKill(ev string, f []string) error {
 		return fmt.Errorf("chaos: %q: unknown kill target %q", ev, f[0])
 	}
 	if !strings.HasPrefix(f[1], "@") {
-		return fmt.Errorf("chaos: %q: kill time must be `@<duration>`", ev)
+		return fmt.Errorf("chaos: %q: kill time must be `@<duration>` or `@<class>#<n>`", ev)
 	}
-	at, err := time.ParseDuration(f[1][1:])
-	if err != nil {
+	var err error
+	if class, n, ok := strings.Cut(f[1][1:], "#"); ok {
+		switch class {
+		case ClassLog, ClassAcks, ClassSync, ClassBulk:
+		default:
+			return fmt.Errorf("chaos: %q: no message-boundary kills on channel %q (log, acks, sync, bulk)", ev, class)
+		}
+		if k.N, err = strconv.Atoi(n); err != nil || k.N < 1 {
+			return fmt.Errorf("chaos: %q: bad transfer count %q (want n >= 1)", ev, n)
+		}
+		k.Class = class
+	} else if k.At, err = time.ParseDuration(f[1][1:]); err != nil {
 		return fmt.Errorf("chaos: %q: %v", ev, err)
 	}
-	k.At = at
 	if len(f) == 3 {
 		kind, err := ParseFaultKind(f[2])
 		if err != nil {
@@ -350,42 +365,60 @@ type Injector struct {
 	// kill events delivered.
 	Injected int64
 	Kills    int64
+
+	landed []int // per kill: the transfers of its class landed so far
 }
 
 // NewInjector builds an injector with its own RNG stream, so probability
 // draws never perturb the workload's deterministic randomness.
 func NewInjector(sched Schedule, env Env, seed int64) *Injector {
-	return &Injector{sched: sched, env: env, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{sched: sched, env: env, rng: rand.New(rand.NewSource(seed)), landed: make([]int, len(sched.Kills))}
 }
 
 // Schedule returns the injector's parsed schedule.
 func (inj *Injector) Schedule() Schedule { return inj.sched }
 
-// Start schedules every kill event. Ring faults need no scheduling: they
-// are evaluated per transfer by the hooks ArmRing installs.
+// Start schedules every timed kill. Message-boundary kills and ring faults
+// need no scheduling: the hooks ArmRing installs evaluate them per
+// transfer.
 func (inj *Injector) Start() {
 	for _, k := range inj.sched.Kills {
-		k := k
-		inj.env.Sim.Schedule(k.At, func() {
-			node, ok := inj.env.Victim(k.Target)
-			if !ok {
-				inj.env.Scope.EmitNote(obs.ChaosInject, 0, inj.Kills, 0,
-					fmt.Sprintf("kill %s: no live victim", k.Target))
-				return
-			}
-			inj.Kills++
-			inj.env.Scope.EmitNote(obs.ChaosInject, 0, inj.Kills, int64(node),
-				fmt.Sprintf("kill %s (%s) node=%d", k.Target, k.Fault, node))
-			inj.env.Machine.Inject(hw.Fault{Kind: k.Fault, Node: node, Core: -1, Addr: -1})
-		})
+		if k.Class == "" {
+			inj.env.Sim.Schedule(k.At, func() { inj.kill(k) })
+		}
 	}
 }
 
-// ArmRing installs the transfer-fault hook on a ring if any rule targets
-// its channel class. Call it for every ring at creation — including the
-// generation-suffixed rings a rejoin creates, which inherit their class.
+// kill delivers one kill to its target's current holder, if any.
+func (inj *Injector) kill(k Kill) {
+	node, ok := inj.env.Victim(k.Target)
+	if !ok {
+		inj.env.Scope.EmitNote(obs.ChaosInject, 0, inj.Kills, 0,
+			fmt.Sprintf("kill %s: no live victim", k.Target))
+		return
+	}
+	inj.Kills++
+	inj.env.Scope.EmitNote(obs.ChaosInject, 0, inj.Kills, int64(node),
+		fmt.Sprintf("kill %s (%s) node=%d", k.Target, k.Fault, node))
+	inj.env.Machine.Inject(hw.Fault{Kind: k.Fault, Node: node, Core: -1, Addr: -1})
+}
+
+// ArmRing installs the hooks a ring's channel class needs: a delivery
+// count for each message-boundary kill on the class, and the
+// transfer-fault hook if any rule targets it. Call it for every ring at
+// creation — including the generation-suffixed rings a rejoin creates,
+// which inherit their class.
 func (inj *Injector) ArmRing(r *shm.Ring) {
 	class := ClassOf(r.Name())
+	for i, k := range inj.sched.Kills {
+		if k.Class != "" && k.Class == class {
+			r.OnDelivered(func() {
+				if inj.landed[i]++; inj.landed[i] == k.N {
+					inj.kill(k)
+				}
+			})
+		}
+	}
 	var rules []RingFault
 	for _, rf := range inj.sched.Rings {
 		if rf.Class == class {

@@ -11,21 +11,43 @@ import (
 	"repro/internal/sim"
 )
 
+// TestParseKills pins both kill forms: at a virtual time, and at a message
+// boundary — the n-th transfer of a log, acks, sync or bulk channel. A
+// boundary kill on the heart-beat channel, on an unknown one, or with a
+// count below 1 is rejected.
 func TestParseKills(t *testing.T) {
-	s, err := chaos.Parse("kill primary @2s; kill backup @1500ms coherency")
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
+	for _, row := range []struct {
+		spec string
+		want chaos.Kill
+	}{
+		{"kill primary @2s", chaos.Kill{At: 2 * time.Second, Target: chaos.TargetPrimary, Fault: hw.CoreFailStop}},
+		{"kill backup @1500ms coherency", chaos.Kill{At: 1500 * time.Millisecond, Target: chaos.TargetBackup, Fault: hw.CoherencyLoss}},
+		{"kill primary @log#3", chaos.Kill{Class: chaos.ClassLog, N: 3, Target: chaos.TargetPrimary, Fault: hw.CoreFailStop}},
+		{"kill backup @acks#1 mem", chaos.Kill{Class: chaos.ClassAcks, N: 1, Target: chaos.TargetBackup, Fault: hw.MemUncorrected}},
+		{"kill backup2 @sync#12", chaos.Kill{Class: chaos.ClassSync, N: 12, Target: chaos.TargetBackupSlot(2), Fault: hw.CoreFailStop}},
+		{"kill primary @bulk#2 coherency", chaos.Kill{Class: chaos.ClassBulk, N: 2, Target: chaos.TargetPrimary, Fault: hw.CoherencyLoss}},
+	} {
+		s, err := chaos.Parse(row.spec)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", row.spec, err)
+			continue
+		}
+		if len(s.Kills) != 1 || len(s.Rings) != 0 || s.Kills[0] != row.want {
+			t.Errorf("Parse(%q) = %+v, want the one kill %+v", row.spec, s, row.want)
+		}
 	}
-	if len(s.Kills) != 2 || len(s.Rings) != 0 {
-		t.Fatalf("parsed %d kills, %d ring faults", len(s.Kills), len(s.Rings))
-	}
-	k := s.Kills[0]
-	if k.Target != chaos.TargetPrimary || k.At != 2*time.Second || k.Fault != hw.CoreFailStop {
-		t.Errorf("kill[0] = %+v, want primary @2s core", k)
-	}
-	k = s.Kills[1]
-	if k.Target != chaos.TargetBackup || k.At != 1500*time.Millisecond || k.Fault != hw.CoherencyLoss {
-		t.Errorf("kill[1] = %+v, want backup @1.5s coherency", k)
+	for _, bad := range []string{
+		"kill primary @log#0",
+		"kill primary @log#-1",
+		"kill primary @log#x",
+		"kill primary @log#",
+		"kill primary @hb#1",
+		"kill primary @nowhere#1",
+		"kill primary @#1",
+	} {
+		if _, err := chaos.Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted, want error", bad)
+		}
 	}
 }
 
@@ -283,5 +305,48 @@ func TestParseBackupSlotKills(t *testing.T) {
 		if _, err := chaos.Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted, want error", bad)
 		}
+	}
+}
+
+// TestInjectorKillsAtNthTransfer: a message-boundary kill fires the instant
+// the n-th transfer of its class lands — counted across ring generations,
+// and blind to other classes' transfers — and never again.
+func TestInjectorKillsAtNthTransfer(t *testing.T) {
+	s := sim.New(1)
+	m := hw.New(s, hw.Opteron6376x4())
+	f := shm.NewFabric(s, time.Microsecond)
+	inj := chaos.NewInjector(chaos.MustParse("kill primary @log#3"), chaos.Env{
+		Sim:     s,
+		Machine: m,
+		Victim:  func(chaos.Target) (int, bool) { return 2, true },
+	}, 1)
+	logs := []*shm.Ring{f.NewRing("ftns.log", 0, 1<<20), f.NewRing("ftns.log.g1", 0, 1<<20)}
+	acks := f.NewRing("ftns.acks", 1, 1<<20)
+	var landed []sim.Time // log transfers
+	for _, r := range append(logs, acks) {
+		if r != acks {
+			r.OnDelivered(func() { landed = append(landed, s.Now()) })
+		}
+		inj.ArmRing(r)
+	}
+	inj.Start()
+	var faults []sim.Time
+	m.OnFault(func(f hw.Fault) {
+		if f.Node != 2 {
+			t.Errorf("fault on node %d, want the victim's 2", f.Node)
+		}
+		faults = append(faults, s.Now())
+	})
+	s.Spawn("sender", func(p *sim.Proc) {
+		for i, r := range []*shm.Ring{logs[0], acks, logs[0], acks, logs[1], logs[1]} {
+			r.Send(p, shm.Message{Kind: 1, Size: 8, W: [7]uint64{uint64(i)}})
+			p.Sleep(10 * time.Microsecond)
+		}
+	})
+	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(landed) != 4 || len(faults) != 1 || faults[0] != landed[2] || inj.Kills != 1 {
+		t.Errorf("log transfers landed at %v, faults at %v, %d kills; want one, as the third landed", landed, faults, inj.Kills)
 	}
 }

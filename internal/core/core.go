@@ -12,7 +12,7 @@
 //
 //	sys, _ := core.New(core.WithSeed(1))
 //	sys.Run(core.App{Name: "app", Main: func(th *replication.Thread, _ *tcprep.Sockets) { ... }})
-//	sys.Sim.Run() // returns once the work is done; heart-beats are background
+//	err := sys.Wait() // runs until the work is done (heart-beats are background); a hang is an error
 //
 // New and Run are the one way in; an Option is a func(*Config), so a caller
 // that needs a field no With* helper exposes passes a func literal.
@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -173,8 +174,10 @@ type Replica struct {
 	// rolling replacement); its detector notifications are stale.
 	retired bool
 	// apps holds this replica's restorable app instances in launch
-	// order (epoch checkpoints only).
-	apps []appInst
+	// order (epoch checkpoints only); mains counts the app mains started
+	// here that have not returned.
+	apps  []appInst
+	mains int
 	// lastCP is the latest checkpoint this replica holds, never nil: the
 	// genesis checkpoint from boot, then on a backup the last
 	// digest-verified marker payload (or the checkpoint a rejoin seeded it
@@ -305,9 +308,7 @@ func build(cfg Config) (*System, error) {
 	lat := parts[0].CrossLatency(parts[1])
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if l := parts[i].CrossLatency(parts[j]); l > lat {
-				lat = l
-			}
+			lat = max(lat, parts[i].CrossLatency(parts[j]))
 		}
 	}
 	fabric := shm.NewFabric(s, lat)
@@ -325,8 +326,7 @@ func build(cfg Config) (*System, error) {
 			}
 		}
 	})
-	for i := range kerns {
-		k := kerns[i]
+	for _, k := range kerns {
 		m.OnFault(func(f hw.Fault) { k.HandleFault(f) })
 	}
 
@@ -601,7 +601,8 @@ func (sys *System) startOn(rep *Replica, l appLaunch, snaps []rejoin.AppSnap) {
 		rep.apps = append(rep.apps, appInst{name: l.name, state: inst})
 		run = inst.Main
 	}
-	rep.NS.Start(l.name, l.env, func(th *replication.Thread) { run(th, rep.Sockets) })
+	rep.mains++
+	rep.NS.Start(l.name, l.env, func(th *replication.Thread) { run(th, rep.Sockets); rep.mains-- })
 }
 
 // Run starts an application on every current replica and records the
@@ -730,27 +731,20 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 			causal.Annotate(d, "failed_at_ns", int64(sys.FailedAt))
 			sys.Flight.Diagnosis = d.Report()
 		}
-		if len(losers) > 0 {
-			// A contested election: record who won and what each loser
-			// held, so the dump explains any discarded coverage.
-			lines := fmt.Sprintf("election: slot %d promoted at receipt watermark %d",
-				surv.partIdx, surv.NS.Processed())
-			for _, l := range losers {
-				lines += fmt.Sprintf("\nelection: slot %d retired at receipt watermark %d",
-					l.partIdx, l.NS.Processed())
-			}
-			if sys.Flight.Diagnosis != "" {
-				sys.Flight.Diagnosis += "\n"
-			}
-			sys.Flight.Diagnosis += lines
-		}
 	}
 	if len(losers) > 0 {
+		// A contested election: record who won and what each loser held,
+		// so the flight dump explains any discarded coverage.
 		note := fmt.Sprintf("slot %d wins", surv.partIdx)
+		lines := fmt.Sprintf("election: slot %d promoted at receipt watermark %d", surv.partIdx, surv.NS.Processed())
 		for _, l := range losers {
 			note += fmt.Sprintf("; slot %d at %d retired", l.partIdx, l.NS.Processed())
+			lines += fmt.Sprintf("\nelection: slot %d retired at receipt watermark %d", l.partIdx, l.NS.Processed())
 		}
 		sys.scLife.EmitNote(obs.Election, 0, int64(surv.partIdx), int64(surv.NS.Processed()), note)
+		if sys.Flight != nil {
+			sys.Flight.Diagnosis = strings.TrimPrefix(sys.Flight.Diagnosis+"\n"+lines, "\n")
+		}
 	}
 	sys.active = surv
 	sys.passives = nil

@@ -790,3 +790,59 @@ func TestTCPSyncBatchingCoalesces(t *testing.T) {
 		t.Error("batched run drained no vectored deliveries")
 	}
 }
+
+// TestWaitReportsAHang: a run that goes quiet while an app main has not
+// returned is a *core.HangError naming each stuck task and what it waits on
+// — here a waiter nobody signals, parked on its condition variable on both
+// replicas. The same app with the signal returns no error: a recorder's
+// parked spill server is not a hang.
+func TestWaitReportsAHang(t *testing.T) {
+	t.Parallel()
+	for _, signal := range []bool{false, true} {
+		sys := quietSystem(t, 1)
+		var cond uint64
+		sys.Run(core.App{Name: "app", Main: func(root *replication.Thread, _ *tcprep.Sockets) {
+			lib := root.Lib()
+			m, c := lib.NewMutex(), lib.NewCond()
+			cond = c.ID()
+			w := root.NS().SpawnThread(root, "lonely", func(th *replication.Thread) {
+				m.Lock(th.Task())
+				c.Wait(th.Task(), m)
+				m.Unlock(th.Task())
+			})
+			root.Task().Sleep(time.Millisecond)
+			if signal {
+				m.Lock(root.Task())
+				c.Signal(root.Task())
+				m.Unlock(root.Task())
+			}
+			root.Join(w)
+		}})
+		err := sys.Wait()
+		if signal {
+			if err != nil {
+				t.Errorf("signalled run: Wait = %v, want nil", err)
+			}
+			continue
+		}
+		var hang *core.HangError
+		if !errors.As(err, &hang) {
+			t.Fatalf("Wait = %v, want a *core.HangError", err)
+		}
+		for _, side := range []string{"primary", "secondary"} {
+			want := fmt.Sprintf("%s/lonely.", side)
+			found := false
+			for _, s := range hang.Stuck {
+				found = found || strings.HasPrefix(s, want) && strings.HasSuffix(s, fmt.Sprintf(": cond %d", cond))
+			}
+			if !found {
+				t.Errorf("hang %v does not name %s's waiter on cond %d", hang.Stuck, side, cond)
+			}
+		}
+		for _, s := range hang.Stuck {
+			if strings.Contains(s, "ft-spill") {
+				t.Errorf("hang %v counts the recorder's parked spill server", hang.Stuck)
+			}
+		}
+	}
+}

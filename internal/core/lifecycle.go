@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // LifecycleState is the deployment's replication lifecycle. It replaces
@@ -30,18 +33,13 @@ const (
 	StateFailed
 )
 
+var stateNames = [...]string{StateReplicated: "replicated", StateDegraded: "degraded", StateResyncing: "resyncing", StateFailed: "failed"}
+
 func (s LifecycleState) String() string {
-	switch s {
-	case StateReplicated:
-		return "replicated"
-	case StateDegraded:
-		return "degraded"
-	case StateResyncing:
-		return "resyncing"
-	case StateFailed:
-		return "failed"
+	if s < StateReplicated || s > StateFailed {
+		return "boot"
 	}
-	return "boot"
+	return stateNames[s]
 }
 
 // Typed lifecycle errors. Callers branch with errors.Is instead of
@@ -65,6 +63,47 @@ var (
 	// ErrFailed reports no replica can serve.
 	ErrFailed = errors.New("core: system failed (no live replica)")
 )
+
+// HangError is Wait's error for a run that went quiet while an app main on
+// a live replica had not returned: the foreground processes left, each
+// with what it waits on (a condition variable by id, "sleep", "wait" for
+// any other wait queue, "runnable").
+type HangError struct {
+	At    sim.Time
+	Stuck []string // "<process>: <what it waits on>"
+}
+
+func (e *HangError) Error() string {
+	return fmt.Sprintf("core: hang at %v: an app main has not returned; stuck: %s", e.At, strings.Join(e.Stuck, "; "))
+}
+
+// Wait runs the deployment until it is quiet (Sim.Run). It returns a
+// *HangError if an app main on a live replica has not returned while
+// foreground processes other than parked spill servers are left.
+func (sys *System) Wait() error {
+	if err := sys.Sim.Run(); err != nil {
+		return err
+	}
+	mains, on := 0, make(map[*sim.Proc]string)
+	for _, rep := range sys.members() {
+		mains += rep.mains
+		for _, c := range rep.NS.Lib().Conds() {
+			for _, t := range c.Queued() {
+				on[t.Proc()] = fmt.Sprintf("cond %d", c.ID())
+			}
+		}
+	}
+	var stuck []string
+	for p := range sys.Sim.Procs() {
+		if why := cmp.Or(on[p], p.Blocked(), "runnable"); mains > 0 && !p.Background() && (why != "wait" || !strings.Contains(p.Name(), "-spill.")) {
+			stuck = append(stuck, p.Name()+": "+why)
+		}
+	}
+	if len(stuck) == 0 {
+		return nil
+	}
+	return &HangError{At: sys.Sim.Now(), Stuck: stuck}
+}
 
 // State returns the current lifecycle state. A dead active side whose
 // failure has not yet been detected still reports the pre-failure state —

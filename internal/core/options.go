@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -110,13 +111,7 @@ func (cfg Config) validate() (Config, error) {
 		cfg.Profile = hw.Opteron6376x4()
 	}
 	// Replica-set topology: size, quorum, placement.
-	n := cfg.Replicas
-	if n == 0 && len(cfg.Placement) > 0 {
-		n = len(cfg.Placement)
-	}
-	if n == 0 {
-		n = 2
-	}
+	n := cmp.Or(cfg.Replicas, len(cfg.Placement), 2)
 	if n < 2 {
 		return cfg, fmt.Errorf("core: replica set needs at least 2 replicas, got %d", n)
 	}
@@ -132,9 +127,7 @@ func (cfg Config) validate() (Config, error) {
 			len(cfg.Placement), n)
 	}
 	cfg.Replicas = n
-	if cfg.Quorum == 0 {
-		cfg.Quorum = (n + 2) / 2 // majority of the set, primary included
-	}
+	cfg.Quorum = cmp.Or(cfg.Quorum, (n+2)/2) // majority of the set, primary included
 	if cfg.Quorum < 2 || cfg.Quorum > n {
 		return cfg, fmt.Errorf("core: quorum %d out of range [2,%d]", cfg.Quorum, n)
 	}
@@ -172,9 +165,7 @@ func (cfg Config) validate() (Config, error) {
 		return cfg, fmt.Errorf("core: heartbeat timeout %v must exceed interval %v",
 			cfg.Failure.Timeout, cfg.Failure.Interval)
 	}
-	if cfg.NICDriverLoadTime == 0 {
-		cfg.NICDriverLoadTime = 5 * time.Second
-	}
+	cfg.NICDriverLoadTime = cmp.Or(cfg.NICDriverLoadTime, 5*time.Second)
 	if cfg.RejoinDelay <= 0 {
 		cfg.RejoinDelay = 10 * time.Second
 	}

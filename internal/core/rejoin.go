@@ -22,10 +22,7 @@ func (sys *System) scheduleRejoin(surv, dead *Replica) {
 		return
 	}
 	sys.Sim.Schedule(sys.Cfg.RejoinDelay, func() {
-		if sys.active != surv || !surv.Kernel.Alive() {
-			return
-		}
-		if sys.slotFilled(dead.partIdx) {
+		if sys.active != surv || !surv.Kernel.Alive() || sys.slotFilled(dead.partIdx) {
 			return
 		}
 		sys.rejoinQ = append(sys.rejoinQ, dead)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/replication"
@@ -28,51 +29,34 @@ func (sys *System) Watermarks() []replication.ReplicaWatermark {
 }
 
 // isPassive reports whether rep is a current backup.
-func (sys *System) isPassive(rep *Replica) bool {
-	for _, p := range sys.passives {
-		if p == rep {
-			return true
-		}
-	}
-	return false
-}
+func (sys *System) isPassive(rep *Replica) bool { return slices.Contains(sys.passives, rep) }
 
 // removePassive takes rep out of the backup list, reporting whether it
 // was there (false = a stale notification about an already-handled
 // replica).
 func (sys *System) removePassive(rep *Replica) bool {
-	for i, p := range sys.passives {
-		if p == rep {
-			sys.passives = append(sys.passives[:i], sys.passives[i+1:]...)
-			return true
-		}
+	i := slices.Index(sys.passives, rep)
+	if i >= 0 {
+		sys.passives = slices.Delete(sys.passives, i, i+1)
 	}
-	return false
+	return i >= 0
+}
+
+// members returns the live replicas: the active side, then the backups.
+func (sys *System) members() []*Replica {
+	return slices.DeleteFunc(append([]*Replica{sys.active}, sys.passives...),
+		func(r *Replica) bool { return r == nil || !r.Kernel.Alive() })
 }
 
 // livePassives returns the backups whose kernels are still alive.
 func (sys *System) livePassives() []*Replica {
-	var live []*Replica
-	for _, p := range sys.passives {
-		if p.Kernel.Alive() {
-			live = append(live, p)
-		}
-	}
-	return live
+	return slices.DeleteFunc(slices.Clone(sys.passives), func(p *Replica) bool { return !p.Kernel.Alive() })
 }
 
 // slotFilled reports whether a live replica currently occupies the given
 // partition slot (so its freed partition cannot host a rejoin yet).
 func (sys *System) slotFilled(idx int) bool {
-	if sys.active != nil && sys.active.partIdx == idx && sys.active.Kernel.Alive() {
-		return true
-	}
-	for _, p := range sys.passives {
-		if p.partIdx == idx && p.Kernel.Alive() {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(sys.members(), func(r *Replica) bool { return r.partIdx == idx })
 }
 
 // elect ranks the live backups by receipt watermark — everything a
@@ -93,12 +77,7 @@ func (sys *System) elect() (winner *Replica, losers []*Replica) {
 	if winner == nil {
 		return nil, nil
 	}
-	for _, p := range sys.livePassives() {
-		if p != winner {
-			losers = append(losers, p)
-		}
-	}
-	return winner, losers
+	return winner, slices.DeleteFunc(sys.livePassives(), func(p *Replica) bool { return p == winner })
 }
 
 // Retire removes a live backup from the replica set — the old half of a

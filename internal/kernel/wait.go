@@ -15,8 +15,8 @@ import (
 // pthread). A task parks on at most one lock-like object at a time, so
 // every task embeds one (Task.Waiter) and blocking on a contended lock
 // allocates nothing; an owner whose wait outlives other parks of the same
-// task (a condition-variable wait stays queued while the task takes the
-// det-section lock that settles it) embeds its own. A grant wakes only a
+// task (a timed condition wait stays queued while the task takes the
+// det-section lock of its timeout) embeds its own. A grant wakes only a
 // task parked on the record granted, never one parked elsewhere.
 type Waiter struct {
 	task    *Task
@@ -66,7 +66,3 @@ func (w *Waiter) Grant(busy time.Duration) bool {
 	w.task.kernel.computeNS += int64(busy)
 	return true
 }
-
-// Disarm ends a wait that was never parked on (a replayed condition wait
-// skips its blocking part).
-func (w *Waiter) Disarm() { w.armed = false }

@@ -1,6 +1,7 @@
 package pthread
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/kernel"
@@ -8,57 +9,50 @@ import (
 )
 
 // cvWaiter is one task blocked in cond_wait/cond_timedwait. Its wait
-// record is its own rather than the task's: a timed waiter stays queued on
-// the condition variable while the task takes the det-section lock that
-// settles the wait (and may have to park for it). Records are recycled per
-// library.
+// record is its own rather than the task's: a timed waiter whose timer
+// fired stays queued on the condition variable while the task takes the
+// det-section lock of its timeout (and may have to park for it). Whatever
+// dequeues the record — a wake-up, or the waiter's own timeout — hands it
+// the mutex. Records are recycled per library.
 type cvWaiter struct {
-	w     kernel.Waiter
-	state uint64 // 0 while waiting, then OutcomeSignaled / OutcomeTimedOut
-	timer sim.Event
-	mu    *Mutex // an untimed wait's mutex, which its wake-up hands over; nil if timed
+	w        kernel.Waiter
+	mu       *Mutex // the mutex the dequeue hands over
+	timer    sim.Event
+	timedOut bool // its own timeout dequeued it, not a wake-up
 }
 
 // newCVWaiter takes a condition-wait record from the library's free list
-// and arms it for t, waiting untimed on mu or, with mu nil, timed.
+// and arms it for t, waiting on mu.
 func (l *Lib) newCVWaiter(t *kernel.Task, mu *Mutex) *cvWaiter {
 	var cw *cvWaiter
 	if n := len(l.cvFree); n > 0 {
 		cw, l.cvFree = l.cvFree[n-1], l.cvFree[:n-1]
 	} else {
 		cw = new(cvWaiter)
-		cw.timer.Init(l.kern.Sim(), cw.onTimer)
+		cw.timer.Init(l.kern.Sim(), func() { cw.w.Grant(0) })
 	}
-	cw.state, cw.mu = 0, mu
+	cw.mu, cw.timedOut = mu, false
 	cw.w.Arm(t)
 	return cw
-}
-
-// onTimer is cond_timedwait's deadline: it grants the waiter so that it
-// wakes and settles the timeout-versus-signal race in a det section.
-func (cw *cvWaiter) onTimer() {
-	if cw.state == 0 {
-		cw.w.Grant(0)
-	}
 }
 
 // Cond is an interposed pthread_cond_t. Per §3.3, the accesses to the
 // internal condition-variable state are protected by deterministic
 // sections, which synchronizes the wake-up sequence between primary and
-// secondary. An untimed wait records one section, the wait that enqueues
-// it: the wake-up that dequeues it also hands it the mutex (wait morphing)
-// — at once if the mutex is free, else by queueing it FIFO behind the
-// mutex's waiters — so the woken thread returns owning the mutex and
-// records no mutex_lock. A signal or broadcast records one section, and
-// only when it finds a waiter: a wake-up that wakes nobody changes nothing,
-// so it records nothing. Which waiters a wake-up dequeues is decided inside
-// its section; a replaying side never runs the signaler's call at all — its
-// replayer applies each recorded wake-up (Wake) when the tuple comes up.
-// Because a wake-up changes the mutex's queue, every section of a condition
-// variable is sequenced on its mutex (Lib.SeqKey). cond_timedwait records
-// a cond_resolve section that settles the timeout-versus-signal race
-// through the deterministic section order and the recorded outcome, then
-// re-locks the mutex with a mutex_lock of its own.
+// secondary. A wait records one section, the wait that enqueues it:
+// whatever dequeues it also hands it the mutex (wait morphing) — at once if
+// the mutex is free, else by queueing it FIFO behind the mutex's waiters —
+// so the woken thread returns owning the mutex and records no mutex_lock.
+// A signal or broadcast records one section, and only when it finds a
+// waiter: a wake-up that wakes nobody changes nothing, so it records
+// nothing. A timeout is one more wake-up, for the waiter alone: a signal
+// cancels the waiter's timer; on expiry the waiter's own thread records a
+// cond_timeout section, which dequeues it if it is still queued. Which
+// waiters a wake-up dequeues is decided inside its section; a replaying
+// side never runs the signaler's call, nor arms a timer — its replayer
+// applies each recorded wake-up (Wake, TimeOut) when the tuple comes up.
+// Because a wake-up changes the mutex's queue, every section of a
+// condition variable is sequenced on its mutex (Lib.SeqKey).
 type Cond struct {
 	lib     *Lib
 	id      uint64
@@ -79,71 +73,70 @@ func (c *Cond) ID() uint64 { return c.id }
 // Waiters reports the number of tasks currently enqueued.
 func (c *Cond) Waiters() int { return len(c.waiters) }
 
+// Queued returns the tasks currently enqueued, in queue order.
+func (c *Cond) Queued() []*kernel.Task {
+	ts := make([]*kernel.Task, len(c.waiters))
+	for i, cw := range c.waiters {
+		ts[i] = cw.w.Task()
+	}
+	return ts
+}
+
 // Wait releases m, blocks until signaled, and returns owning m, which the
 // wake-up hands it (pthread_cond_wait). m must be held by t.
 func (c *Cond) Wait(t *kernel.Task, m *Mutex) {
-	c.wait(t, m, -1)
+	c.wait(t, m, OpCondWait, 0)
 }
 
 // TimedWait is Wait with a relative timeout (pthread_cond_timedwait: the
 // absolute deadline agrees across replicas because gettimeofday results
-// are synchronized, §3.3). It reports true if signaled and false if the
-// wait timed out.
+// are synchronized, §3.3). It reports true if a wake-up dequeued the wait
+// and false if its timeout did; either way it returns owning m.
 func (c *Cond) TimedWait(t *kernel.Task, m *Mutex, d time.Duration) bool {
-	return c.wait(t, m, d) == OutcomeSignaled
+	return c.wait(t, m, OpCondTimedwait, d)
 }
 
-func (c *Cond) wait(t *kernel.Task, m *Mutex, d time.Duration) uint64 {
+func (c *Cond) wait(t *kernel.Task, m *Mutex, op Op, d time.Duration) bool {
 	c.lib.charge(t)
-	op, untimed := OpCondWait, m
-	if d >= 0 {
-		op, untimed = OpCondTimedwait, nil
-	}
 	det := c.lib.det
-	cw := c.lib.newCVWaiter(t, untimed)
+	cw := c.lib.newCVWaiter(t, m)
 	c.mu = m
 	det.Enter(t, op, c.id)
 	c.waiters = append(c.waiters, cw)
+	if op == OpCondTimedwait && det.Wakes() {
+		cw.timer.Reset(d)
+	}
 	det.Exit(t, 0)
 	m.Unlock(t)
-	if d < 0 {
-		// Only a signal ends an untimed wait, and the signal's own section
-		// dequeued the record and handed it the mutex: the grant that ends
-		// the park makes t the owner, with no race left to settle.
+	cw.w.Park()
+	if m.owner != t {
+		// The timer ended the park. A wake-up may have dequeued the wait
+		// since, queueing it on the held mutex; if not, the timeout does.
+		cw.w.Arm(t)
+		if slices.Contains(c.waiters, cw) {
+			det.Enter(t, OpCondTimeout, c.id)
+			det.Exit(t, c.TimeOut(func(w *kernel.Task) bool { return w == t }))
+		}
 		cw.w.Park()
-		c.lib.cvFree = append(c.lib.cvFree, cw)
-		return OutcomeSignaled
 	}
-	cw.timer.Reset(d)
-	if !det.Replay(t, OpCondResolve, c.id) {
-		cw.w.Park()
-		det.Enter(t, OpCondResolve, c.id)
-	}
-	out := det.Exit(t, c.settle(cw))
-	cw.timer.Cancel()
-	cw.w.Disarm()
 	c.lib.cvFree = append(c.lib.cvFree, cw)
-	m.Lock(t)
-	return out
+	return !cw.timedOut
 }
 
-// settle decides a timed wait's outcome inside its cond_resolve section. A
-// waiter that was signaled (even if its timer also fired) consumes the
-// signal; otherwise it removes itself from the queue and reports timeout.
-// The mutation runs identically during secondary replay, keeping the
-// mirrored queue state consistent.
-func (c *Cond) settle(cw *cvWaiter) uint64 {
-	if cw.state == OutcomeSignaled {
-		return OutcomeSignaled
+// TimeOut is a timed waiter's timeout, inside its cond_timeout section: it
+// dequeues the wait whose task is picks — the waiter's own thread picks
+// itself, a replayer the ft_pid the tuple names — and hands it its mutex.
+// It returns the task's TID, or 0 if a wake-up dequeued the wait first.
+func (c *Cond) TimeOut(is func(*kernel.Task) bool) uint64 {
+	i := slices.IndexFunc(c.waiters, func(cw *cvWaiter) bool { return is(cw.w.Task()) })
+	if i < 0 {
+		return 0
 	}
-	for i, x := range c.waiters {
-		if x == cw {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			break
-		}
-	}
-	cw.state = OutcomeTimedOut
-	return OutcomeTimedOut
+	cw := c.waiters[i]
+	c.waiters = slices.Delete(c.waiters, i, i+1)
+	cw.timedOut = true
+	cw.mu.handTo(&cw.w)
+	return uint64(cw.w.Task().TID())
 }
 
 // Signal wakes one waiter (pthread_cond_signal): the queue head under FIFO
@@ -167,10 +160,8 @@ func (c *Cond) signal(t *kernel.Task, op Op) {
 }
 
 // Wake dequeues the waiter a signal picks, or every waiter in queue order
-// if all, and marks each signaled. An untimed waiter is handed its mutex
-// (Mutex.handTo); a timed one is granted, to settle its wait and re-lock.
-// It returns the wake-up's outcome: the woken task's TID (0: nobody
-// waited), or the number woken.
+// if all, and hands each its mutex (Mutex.handTo). It returns the wake-up's
+// outcome: the woken task's TID (0: nobody waited), or the number woken.
 func (c *Cond) Wake(all bool) uint64 {
 	if all {
 		n := len(c.waiters)
@@ -191,12 +182,8 @@ func (c *Cond) Wake(all bool) uint64 {
 	return uint64(cw.w.Task().TID())
 }
 
-// wake ends cw's wait as Wake dequeues it.
+// wake ends cw's wait as Wake dequeues it: its timer, if any, stops.
 func (cw *cvWaiter) wake() {
-	cw.state = OutcomeSignaled
-	if cw.mu != nil {
-		cw.mu.handTo(&cw.w)
-		return
-	}
-	cw.w.Grant(0)
+	cw.timer.Cancel()
+	cw.mu.handTo(&cw.w)
 }

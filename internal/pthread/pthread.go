@@ -18,13 +18,13 @@
 // paths allocates: the section's state lives in the calling thread, a task
 // queued on a mutex or rwlock waits on the record embedded in its
 // kernel.Task (it parks on one lock at a time), and condition-variable
-// waiters — a timed one stays queued across the section that settles it —
+// waiters — a timed one stays queued across the section of its timeout —
 // are recycled per library. A section records only what the backup cannot
-// work out: an untimed condition wait records neither a settling section
-// nor a mutex_lock, because the wake-up that dequeues it is in the log and
-// hands it the mutex in its own section; a signal or broadcast that finds
-// no waiter records nothing; and a replaying side skips the signaler's
-// call, its replayer applying each recorded wake-up to the condition
+// work out: a condition wait records no mutex_lock, because whatever
+// dequeues it — a wake-up, or its own timeout, each in the log — hands it
+// the mutex in its own section; a signal or broadcast that finds no waiter
+// records nothing; and a replaying side skips the signaler's call and arms
+// no timer, its replayer applying each recorded wake-up to the condition
 // variable it finds by id (Lib.Cond). The FIFO hand-off lives
 // here, not in the kernel: unlock grants the records in queue order, so the
 // acquisition order on the secondary reproduces the primary's exactly — the
@@ -53,7 +53,7 @@ const (
 	OpMutexTrylock
 	OpCondWait
 	OpCondTimedwait
-	OpCondResolve
+	OpCondTimeout
 	OpCondSignal
 	OpCondBroadcast
 	OpRWRdLock
@@ -68,7 +68,7 @@ var opNames = map[Op]string{
 	OpMutexTrylock:  "mutex_trylock",
 	OpCondWait:      "cond_wait",
 	OpCondTimedwait: "cond_timedwait",
-	OpCondResolve:   "cond_resolve",
+	OpCondTimeout:   "cond_timeout",
 	OpCondSignal:    "cond_signal",
 	OpCondBroadcast: "cond_broadcast",
 	OpRWRdLock:      "rwlock_rdlock",
@@ -85,12 +85,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// Outcome codes recorded by cond_timedwait's resolve sections.
-const (
-	OutcomeSignaled uint64 = iota + 1
-	OutcomeTimedOut
-)
-
 // Det provides the deterministic-section protocol around interposed
 // operations: an enter/exit pair bracketing inline code, the way
 // __det_start/__det_end bracket the re-implemented Glibc primitive.
@@ -99,8 +93,7 @@ const (
 // The state of an open section lives in the calling thread, never in a
 // closure, so a section costs no allocation.
 //
-// Every Enter (and every Replay that reports true) must be matched by
-// exactly one Exit on every path, and the code between them must not block.
+// Every Enter must be matched by exactly one Exit on every path, and the code between them must not block.
 // The replicating Det enforces both at run time: a thread that parks, or
 // enters again, inside its open section panics with a *SectionError.
 type Det interface {
@@ -111,28 +104,17 @@ type Det interface {
 	// turn.
 	Enter(t *kernel.Task, op Op, obj uint64)
 
-	// Replay opens the section of an operation whose outcome the secondary
-	// cannot work out for itself: a timed wait racing a signal (and, in the
-	// replication package, a syscall's result). It reports true on a
-	// replaying side, with the section open at the thread's recorded turn:
-	// the caller skips its blocking part, runs the settling update, and
-	// Exit returns the recorded outcome. It reports false on a recording or
-	// live side — and on a replica promoted while the thread was parked
-	// here — with no section open: the caller runs its blocking part until
-	// the outcome is known, then opens the section with Enter.
-	Replay(t *kernel.Task, op Op, obj uint64) bool
-
 	// Exit closes the section t has open. outcome is the result the
 	// section settled (zero for operations that have none; for a wake-up,
-	// Cond.Wake's): recorded with the section's tuple on the primary,
-	// compared against the recorded one on the secondary — a mismatch is a
-	// replay divergence. It returns the outcome to act on: the recorded one
-	// when replaying.
+	// Cond.Wake's or Cond.TimeOut's): recorded with the section's tuple on
+	// the primary. It returns the outcome to act on: the recorded one when
+	// replaying.
 	Exit(t *kernel.Task, outcome uint64) uint64
 
 	// Wakes reports whether a signal or broadcast applies its wake-up in
-	// the signaler's own call: true on a recording or live side, false on a
-	// replaying one, whose replayer applies each recorded wake-up itself.
+	// the signaler's own call, and a timed wait arms its timer: true on a
+	// recording or live side, false on a replaying one, whose replayer
+	// applies each recorded wake-up and timeout itself.
 	Wakes() bool
 }
 
@@ -163,9 +145,6 @@ var _ Det = Passthrough{}
 // Enter opens nothing.
 func (Passthrough) Enter(*kernel.Task, Op, uint64) {}
 
-// Replay reports false: the caller blocks locally.
-func (Passthrough) Replay(*kernel.Task, Op, uint64) bool { return false }
-
 // Exit returns the locally settled outcome.
 func (Passthrough) Exit(_ *kernel.Task, outcome uint64) uint64 { return outcome }
 
@@ -179,7 +158,7 @@ type Lib struct {
 	det    Det
 	opCost time.Duration
 	nextID uint64
-	cvFree []*cvWaiter // settled condition waits, reused by the next Cond.wait
+	cvFree []*cvWaiter // ended condition waits, reused by the next Cond.wait
 	conds  []*Cond     // every condition variable, in id order (Cond)
 }
 
@@ -225,8 +204,8 @@ func (l *Lib) newID() uint64 {
 
 // SeqKey returns the object the sections of op on obj are sequenced on:
 // obj itself, except that a condition variable's sections sequence on the
-// mutex its waiters hold. A wake-up hands that mutex to the untimed waiters
-// it dequeues (Cond.Wake), changing the mutex's queue inside its own
+// mutex its waiters hold. A wake-up hands that mutex to the waiters it
+// dequeues (Cond.Wake, Cond.TimeOut), changing the mutex's queue inside its own
 // section, so with per-object sequencing every section touching either
 // must be ordered on one object for a backup to reproduce the hand-off.
 func (l *Lib) SeqKey(op Op, obj uint64) uint64 {

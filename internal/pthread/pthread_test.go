@@ -253,24 +253,42 @@ func TestCondTimedWaitSignaledInTime(t *testing.T) {
 	}
 }
 
+// timeoutLog is a Det that counts the cond_timeout sections entered.
+type timeoutLog struct {
+	Passthrough
+	timeouts int
+}
+
+func (d *timeoutLog) Enter(_ *kernel.Task, op Op, _ uint64) {
+	if op == OpCondTimeout {
+		d.timeouts++
+	}
+}
+
 // TestCondWakeHandsOverMutex pins wait morphing: the wake-up that dequeues
-// an untimed waiter hands it the mutex, inside the wake-up's own call. A
-// free mutex goes to the waiter at once; a held one queues it FIFO behind
-// the tasks already waiting, and Unlock grants it in turn. A broadcast
-// queues every waiter in wait order. A timed waiter is only granted: it
-// settles its wait and re-locks the mutex itself.
+// a waiter, timed or not, hands it the mutex, inside the wake-up's own
+// call. A free mutex goes to the waiter at once; a held one queues it FIFO
+// behind the tasks already waiting, and Unlock grants it in turn. A
+// broadcast queues every waiter in wait order. A timed waiter whose timer
+// fired just before the wake-up — its thread not yet running its timeout —
+// is handed the held mutex all the same: it owns the mutex once, after the
+// holder's Unlock, and records no cond_timeout. No run leaves a timer
+// pending.
 func TestCondWakeHandsOverMutex(t *testing.T) {
 	type run struct {
-		order  []string // mutex acquisitions, in order
-		owner  string   // the mutex's owner right after the wake-up
-		queued int      // the tasks queued for the mutex right after it
+		order    []string // mutex acquisitions, in order
+		owner    string   // the mutex's owner right after the wake-up
+		queued   int      // the tasks queued for the mutex right after it
+		timeouts int      // cond_timeout sections entered
 	}
 	// wakeAfter runs waiters, one every millisecond from 1 ms, each taking
 	// m and waiting on c (timed if timeout >= 0), then the wake-up at
 	// 10 ms. If hold, the waker takes m at 10 ms, wakes at 11 ms and
 	// releases m at 12 ms, and a contender asks for m at 10.5 ms.
 	wakeAfter := func(t *testing.T, waiters int, timeout time.Duration, hold, broadcast bool) run {
-		s, k, lib := bootLib(t, 1)
+		s, k, _ := bootLib(t, 1)
+		var det timeoutLog
+		lib := NewLib(k, &det)
 		m, c := lib.NewMutex(), lib.NewCond()
 		var r run
 		acquired := func(tk *kernel.Task) { r.order = append(r.order, tk.Name()) }
@@ -319,9 +337,10 @@ func TestCondWakeHandsOverMutex(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if m.Locked() || c.Waiters() != 0 {
-			t.Errorf("run ended with the mutex locked %v, %d condition waiters", m.Locked(), c.Waiters())
+		if m.Locked() || c.Waiters() != 0 || s.Pending() != 0 {
+			t.Errorf("run ended with the mutex locked %v, %d condition waiters, %d events pending", m.Locked(), c.Waiters(), s.Pending())
 		}
+		r.timeouts = det.timeouts
 		return r
 	}
 	for _, tc := range []struct {
@@ -332,10 +351,15 @@ func TestCondWakeHandsOverMutex(t *testing.T) {
 		broadcast bool
 		want      run
 	}{
-		{"free mutex goes to the waiter", 1, -1, false, false, run{[]string{"waiter0"}, "waiter0", 0}},
-		{"contender queued first goes first", 1, -1, true, false, run{[]string{"waker", "contender", "waiter0"}, "waker", 2}},
-		{"broadcast queues every waiter FIFO", 3, -1, true, true, run{[]string{"waker", "contender", "waiter0", "waiter1", "waiter2"}, "waker", 4}},
-		{"timed waiter is only granted", 1, time.Hour, false, false, run{[]string{"waiter0"}, "", 0}},
+		{"free mutex goes to the waiter", 1, -1, false, false, run{[]string{"waiter0"}, "waiter0", 0, 0}},
+		{"contender queued first goes first", 1, -1, true, false, run{[]string{"waker", "contender", "waiter0"}, "waker", 2, 0}},
+		{"broadcast queues every waiter FIFO", 3, -1, true, true, run{[]string{"waker", "contender", "waiter0", "waiter1", "waiter2"}, "waker", 4, 0}},
+		{"timed waiter is handed the mutex", 1, time.Hour, false, false, run{[]string{"waiter0"}, "waiter0", 0, 0}},
+		// waiter0's wait starts at 1.0004 ms and the signal lands at
+		// 11.0004 ms: its timer fires 1 µs before, and the thread it grants
+		// resumes a WakeBase later.
+		{"timer fired, signal hands the held mutex first", 1, 10*time.Millisecond - time.Microsecond, true, false,
+			run{[]string{"waker", "contender", "waiter0"}, "waker", 2, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := wakeAfter(t, tc.waiters, tc.timeout, tc.hold, tc.broadcast); !reflect.DeepEqual(got, tc.want) {

@@ -14,48 +14,49 @@ import (
 )
 
 // TestCondWaitSectionInventory pins the sections a condition wait and the
-// wake-up that ends it record. An untimed wait records its cond_wait only:
-// the signal's own section dequeued it and handed it the mutex, so there
-// is no race left to record and no re-lock. A timed wait records a
-// cond_resolve, carrying the outcome of its timeout-versus-signal race —
-// timed out, or signaled in time — and the mutex_lock that re-acquires the
-// mutex. A signal or
-// broadcast records one tuple when it finds a waiter — the ft_pid it woke,
-// or the number — and nothing when it finds none (the timed-out waiter has
-// left the queue by then); neither takes a Seq_thread step. The backup
-// replays every tuple with no divergence and returns the same outcome; it
-// applies the wake-ups itself, so its signaler never opens a section.
+// wake-up that ends it record. A wait records its cond_wait or
+// cond_timedwait only: whatever dequeued it handed it the mutex in its own
+// section, so there is no re-lock. A timed wait that times out records a
+// cond_timeout as well, carrying its own ft_pid: the timeout is the
+// wake-up that dequeued it. A signal or broadcast records one tuple when it
+// finds a waiter — the ft_pid it woke, or the number — and nothing when it
+// finds none (the timed-out waiter has left the queue by then); no wake-up
+// takes a Seq_thread step. The backup replays every tuple with no
+// divergence and returns the same outcome; it applies the wake-ups itself,
+// so its signaler never opens a section.
 func TestCondWaitSectionInventory(t *testing.T) {
 	untimed := []pthread.Op{pthread.OpMutexLock, pthread.OpCondWait}
-	timed := []pthread.Op{pthread.OpMutexLock, pthread.OpCondTimedwait, pthread.OpCondResolve, pthread.OpMutexLock}
+	timed := []pthread.Op{pthread.OpMutexLock, pthread.OpCondTimedwait}
+	timedOut := []pthread.Op{pthread.OpMutexLock, pthread.OpCondTimedwait, pthread.OpCondTimeout}
 	for _, row := range []struct {
 		name      string
 		waiters   int
 		timeout   time.Duration // < 0: untimed
 		broadcast bool
 		want      []pthread.Op // each waiter's tuples
-		outcome   uint64       // of the cond_resolve section, if any
+		timedOut  bool         // the waiters' timeouts dequeued them
 		woken     int          // waiters the wake-up dequeues
 	}{
-		{"untimed", 1, -1, false, untimed, 0, 1},
-		{"timed out", 1, 200 * time.Microsecond, false, timed, pthread.OutcomeTimedOut, 0},
-		{"signaled in time", 1, 5 * time.Millisecond, false, timed, pthread.OutcomeSignaled, 1},
-		{"signal, nobody waiting", 0, -1, false, nil, 0, 0},
-		{"broadcast, nobody waiting", 0, -1, true, nil, 0, 0},
-		{"broadcast, two waiting", 2, -1, true, untimed, 0, 2},
+		{"untimed", 1, -1, false, untimed, false, 1},
+		{"timed out", 1, 200 * time.Microsecond, false, timedOut, true, 0},
+		{"signaled in time", 1, 5 * time.Millisecond, false, timed, false, 1},
+		{"signal, nobody waiting", 0, -1, false, nil, false, 0},
+		{"broadcast, nobody waiting", 0, -1, true, nil, false, 0},
+		{"broadcast, two waiting", 2, -1, true, untimed, false, 2},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			type side struct {
-				got     []bool        // each waiter's wait reported signaled
-				seqs    [2]uint64     // the signaler's Seq_thread before and after the call
-				took    time.Duration // virtual time the call took
-				waiters []int         // ft_pids
+				got      []bool        // each waiter's wait reported signaled
+				seqs     [2]uint64     // the signaler's Seq_thread before and after the call
+				took     time.Duration // virtual time the call took
+				waiters  []int         // ft_pids
+				waitSeqs []uint64      // each waiter's Seq_thread once its wait returned
 			}
 			app := func(sd *side) func(*replication.Thread) {
 				return func(root *replication.Thread) {
 					lib := root.Lib()
 					m, c := lib.NewMutex(), lib.NewCond()
-					sd.got = make([]bool, row.waiters)
+					sd.got, sd.waitSeqs = make([]bool, row.waiters), make([]uint64, row.waiters)
 					var threads []*replication.Thread
 					for i := range row.waiters {
 						threads = append(threads, root.NS().SpawnThread(root, "waiter", func(th *replication.Thread) {
@@ -67,6 +68,7 @@ func TestCondWaitSectionInventory(t *testing.T) {
 							} else {
 								sd.got[i] = c.TimedWait(th.Task(), m, row.timeout)
 							}
+							sd.waitSeqs[i] = th.Seq()
 							m.Unlock(th.Task())
 						}))
 					}
@@ -98,21 +100,27 @@ func TestCondWaitSectionInventory(t *testing.T) {
 			}
 			tuples := d.pns.RecordedTuples()
 			var wakes []replication.Tuple
-			for _, ftpid := range p.waiters {
+			for i, ftpid := range p.waiters {
 				var ops []pthread.Op
 				for _, tu := range tuples {
-					if tu.FTPid == ftpid {
-						ops = append(ops, tu.Op)
+					if tu.FTPid != ftpid {
+						continue
+					}
+					ops = append(ops, tu.Op)
+					if tu.Op == pthread.OpCondTimeout && tu.Outcome != uint64(ftpid) {
+						t.Errorf("waiter %d's cond_timeout recorded ft_pid %d woken, want its own", ftpid, tu.Outcome)
 					}
 				}
 				if !slices.Equal(ops, row.want) {
 					t.Errorf("waiter %d recorded %v, want %v", ftpid, ops, row.want)
 				}
+				// Its cond_timeout, a wake-up, takes no Seq_thread step.
+				if steps := uint64(len(untimed)); p.waitSeqs[i] != steps || s.waitSeqs[i] != steps {
+					t.Errorf("waiter %d's Seq_thread after its wait is %d on the primary, %d on the backup; want %d",
+						ftpid, p.waitSeqs[i], s.waitSeqs[i], steps)
+				}
 			}
 			for _, tu := range tuples {
-				if tu.Op == pthread.OpCondResolve && tu.Outcome != row.outcome {
-					t.Errorf("cond_resolve recorded outcome %d, want %d", tu.Outcome, row.outcome)
-				}
 				if tu.Op == pthread.OpCondSignal || tu.Op == pthread.OpCondBroadcast {
 					wakes = append(wakes, tu)
 				}
@@ -128,7 +136,7 @@ func TestCondWaitSectionInventory(t *testing.T) {
 				t.Errorf("signal recorded ft_pid %d woken, want %d", wakes[0].Outcome, p.waiters[0])
 			}
 			for i, g := range p.got {
-				if want := row.outcome != pthread.OutcomeTimedOut; g != want || s.got[i] != want {
+				if want := !row.timedOut; g != want || s.got[i] != want {
 					t.Errorf("wait reported signaled %v on the primary, %v on the backup; want %v", g, s.got[i], want)
 				}
 			}
@@ -168,9 +176,16 @@ func TestCondWaitSectionInventory(t *testing.T) {
 // room and every thread would wait forever, but for the wake-up promotion
 // gives every waiter left.
 //
+// The timed input repeats the sweep with consumers that wait with a
+// deadline racing the producer's signals (consumerTimeout). Its extra cuts
+// fall 1 ns after each effective cond_timeout's emit: some find the
+// timeout's tuple dead unflushed, its waiter still queued on the backup
+// and woken by promotion instead, and some find a timed waiter that a
+// replayed timeout or signal handed the held mutex.
+//
 // At every cut the promoted side consumes what the dead primary consumed
 // under the mutex_lock tuples it replayed and the hand-offs of the
-// wake-ups it replayed, in the same order, then every
+// wake-ups and timeouts it replayed, in the same order, then every
 // remaining item exactly once; it counts no divergence, every thread
 // returns, and once the run is quiet the one process left is the fork
 // recorder's spill server, which stops with its kernel.
@@ -178,99 +193,137 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cfg := replication.DefaultConfig()
 		cfg.DetShards = shards
-		// Clean runs time the transfers and the wake-ups' emits.
-		var landed []sim.Time
-		{
-			var pOrder, sOrder []consumption
-			var pDone, sDone bool
-			d := newDuo(t, 5, cfg, true)
-			d.log.OnDelivered(func() { landed = append(landed, d.sim.Now()) })
-			d.pns.Start("app", nil, condVarApp(&pOrder, &pDone, nil))
-			d.sns.Start("app", nil, condVarApp(&sOrder, &sDone, nil))
-			if err := d.sim.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(landed) < 10 {
-			t.Fatalf("%d shards: only %d log transfers", shards, len(landed))
-		}
-		cuts := 0   // cuts that lost consumptions the primary had made
-		handed := 0 // cuts that found a woken waiter queued on the held mutex
-		for n := 1; n <= len(landed); n++ {
-			for _, late := range []bool{false, true} {
-				if late && (n == len(landed) || landed[n]-1 <= landed[n-1]) {
-					continue
+		t.Run(fmt.Sprintf("%d shards untimed", shards), func(t *testing.T) {
+			cuts, handed := promoteAtEveryTransfer(t, cfg, -1)
+			lostWakes := 0 // cuts at which an effective wake-up's tuple died unflushed
+			emits := wakeEmits(t, cfg, tickerSeed, -1)
+			for _, e := range emits {
+				name := fmt.Sprintf("1 ns after the wake-up at log index %d is emitted", e.msg)
+				c := promoteAt(t, name, cfg, tickerSeed, true, -1, func(d *duo, promote func()) { d.sim.ScheduleAt(e.at+1, promote) })
+				if c.received <= e.msg {
+					lostWakes++
 				}
-				name := fmt.Sprintf("%d shards, transfer %d landing", shards, n)
-				arm := func(d *duo, promote func()) {
-					seen := 0
-					d.log.OnDelivered(func() {
-						if seen++; seen == n {
-							promote()
-						}
-					})
-				}
-				if late {
-					name = fmt.Sprintf("%d shards, before transfer %d lands", shards, n+1)
-					arm = func(d *duo, promote func()) { d.sim.ScheduleAt(landed[n]-1, promote) }
-				}
-				c := promoteAt(t, name, cfg, 5, false, arm)
-				if c.lost {
-					cuts++
-				}
-				if c.handed > 0 {
+				if c.consumers+c.producer > 0 {
 					handed++
 				}
 			}
-		}
-		lostWakes := 0 // cuts at which an effective wake-up's tuple died unflushed
-		emits := wakeEmits(t, cfg, tickerSeed)
-		for _, e := range emits {
-			name := fmt.Sprintf("%d shards, 1 ns after the wake-up at log index %d is emitted", shards, e.msg)
-			c := promoteAt(t, name, cfg, tickerSeed, true, func(d *duo, promote func()) { d.sim.ScheduleAt(e.at+1, promote) })
-			if c.received <= e.msg {
-				lostWakes++
+			t.Logf("%d cuts lost consumptions; %d wake-ups, %d lost; %d cuts found a woken waiter queued", cuts, len(emits), lostWakes, handed)
+			if cuts == 0 || lostWakes == 0 || handed == 0 {
+				t.Errorf("%d cuts lost a consumption the primary had made, %d an effective wake-up, %d found a woken waiter queued on the held mutex; want some of each",
+					cuts, lostWakes, handed)
 			}
-			if c.handed > 0 {
+		})
+		t.Run(fmt.Sprintf("%d shards timed", shards), func(t *testing.T) {
+			_, handed := promoteAtEveryTransfer(t, cfg, consumerTimeout)
+			lost := 0 // cuts at which an effective timeout's tuple died unflushed
+			emits := wakeEmits(t, cfg, tickerSeed, consumerTimeout)
+			for _, e := range emits {
+				name := fmt.Sprintf("1 ns after the timeout at log index %d is emitted", e.msg)
+				c := promoteAt(t, name, cfg, tickerSeed, true, consumerTimeout, func(d *duo, promote func()) { d.sim.ScheduleAt(e.at+1, promote) })
+				if c.received <= e.msg {
+					lost++
+				}
+				if c.consumers > 0 {
+					handed++
+				}
+			}
+			t.Logf("%d timeouts, %d lost; %d cuts found a timed waiter queued", len(emits), lost, handed)
+			if lost == 0 || handed == 0 {
+				t.Errorf("%d cuts lost an effective timeout, %d found a timed waiter queued on the held mutex; want some of each", lost, handed)
+			}
+		})
+	}
+}
+
+// consumerTimeout is the timed input's consumer deadline: about half the
+// producer's mean pause between items, so timeouts and signals race.
+const consumerTimeout = 40 * time.Microsecond
+
+// promoteAtEveryTransfer runs the transfer cuts of
+// TestCondVarPromotionAtEveryLogBoundary for consumers waiting with timeout
+// (untimed if negative). It returns the cuts that lost consumptions the
+// primary had made, and those that found a woken consumer queued on the
+// held mutex (or, untimed, the producer).
+func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.Duration) (cuts, handed int) {
+	// A clean run times the transfers.
+	var landed []sim.Time
+	{
+		var pOrder, sOrder []consumption
+		var pDone, sDone bool
+		d := newDuo(t, 5, cfg, true)
+		d.log.OnDelivered(func() { landed = append(landed, d.sim.Now()) })
+		d.pns.Start("app", nil, condVarApp(timeout, &pOrder, &pDone, nil))
+		d.sns.Start("app", nil, condVarApp(timeout, &sOrder, &sDone, nil))
+		if err := d.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(landed) < 10 {
+		t.Fatalf("only %d log transfers", len(landed))
+	}
+	for n := 1; n <= len(landed); n++ {
+		for _, late := range []bool{false, true} {
+			if late && (n == len(landed) || landed[n]-1 <= landed[n-1]) {
+				continue
+			}
+			name := fmt.Sprintf("transfer %d landing", n)
+			arm := func(d *duo, promote func()) {
+				seen := 0
+				d.log.OnDelivered(func() {
+					if seen++; seen == n {
+						promote()
+					}
+				})
+			}
+			if late {
+				name = fmt.Sprintf("before transfer %d lands", n+1)
+				arm = func(d *duo, promote func()) { d.sim.ScheduleAt(landed[n]-1, promote) }
+			}
+			c := promoteAt(t, name, cfg, 5, false, timeout, arm)
+			if c.lost {
+				cuts++
+			}
+			if c.consumers > 0 || timeout < 0 && c.producer > 0 {
 				handed++
 			}
 		}
-		t.Logf("%d shards: %d transfers, %d cuts; %d wake-ups, %d lost; %d found a woken waiter queued", shards, len(landed), cuts, len(emits), lostWakes, handed)
-		if cuts == 0 || lostWakes == 0 || handed == 0 {
-			t.Errorf("%d shards: %d cuts lost a consumption the primary had made, %d an effective wake-up, %d found a woken waiter queued on the held mutex; want some of each",
-				shards, cuts, lostWakes, handed)
-		}
 	}
+	return cuts, handed
 }
 
 // tickerSeed seeds the runs beside the ticker thread: at it, one det shard
 // and four alike, a run without promotion's wake-up strands its threads.
 const tickerSeed = 7
 
-// wakeEmit is the tuple-emit of an effective wake-up: when, and at which
-// log index (the environment is message 0).
+// wakeEmit is the tuple-emit of an effective wake-up or timeout: when, and
+// at which log index (the environment is message 0).
 type wakeEmit struct {
 	at  sim.Time
 	msg uint64
 }
 
 // wakeEmits runs condVarApp beside the ticker thread once, cleanly, and
-// returns the emits of its effective wake-ups.
-func wakeEmits(t *testing.T, cfg replication.Config, seed int64) []wakeEmit {
+// returns the emits of its effective wake-ups — with timeout not negative,
+// its consumers' effective timeouts.
+func wakeEmits(t *testing.T, cfg replication.Config, seed int64, timeout time.Duration) []wakeEmit {
 	var pOrder, sOrder []consumption
 	var pDone, sDone bool
 	d := newDuo(t, seed, cfg, true)
 	tr := obs.New(d.sim, obs.Config{Trace: true})
 	d.pns.Instrument(tr.Scope("primary"), tr.Registry())
 	var ticker int
-	d.pns.Start("app", nil, withTicker(condVarApp(&pOrder, &pDone, nil), &ticker))
-	d.sns.Start("app", nil, withTicker(condVarApp(&sOrder, &sDone, nil), &ticker))
+	d.pns.Start("app", nil, withTicker(condVarApp(timeout, &pOrder, &pDone, nil), &ticker))
+	d.sns.Start("app", nil, withTicker(condVarApp(timeout, &sOrder, &sDone, nil), &ticker))
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	msg := make(map[int64]uint64) // effective wake-ups' log indexes, by Seq_global
 	for i, tu := range d.pns.RecordedTuples() {
-		if (tu.Op == pthread.OpCondSignal || tu.Op == pthread.OpCondBroadcast) && tu.Outcome != 0 {
+		wake := tu.Op == pthread.OpCondSignal || tu.Op == pthread.OpCondBroadcast
+		if timeout >= 0 {
+			wake = tu.Op == pthread.OpCondTimeout
+		}
+		if wake && tu.Outcome != 0 {
 			msg[int64(tu.GlobalSeq)] = uint64(i) + 1
 		}
 	}
@@ -281,7 +334,7 @@ func wakeEmits(t *testing.T, cfg replication.Config, seed int64) []wakeEmit {
 		}
 	}
 	if len(out) < 10 {
-		t.Fatalf("only %d effective wake-ups", len(out))
+		t.Fatalf("only %d effective wake-ups or timeouts", len(out))
 	}
 	return out
 }
@@ -306,31 +359,32 @@ func withTicker(app func(*replication.Thread), ftpid *int) func(*replication.Thr
 
 // cut is what one cut of TestCondVarPromotionAtEveryLogBoundary found: the
 // primary had consumed beyond what its backup replayed (lost), the log
-// messages the backup received, and the woken waiters promotion found
-// queued on the backup's held mutex.
+// messages the backup received, and the woken consumers and producer
+// promotion found queued on the backup's held mutex.
 type cut struct {
-	lost     bool
-	received uint64
-	handed   int
+	lost                bool
+	received            uint64
+	consumers, producer int
 }
 
-// promoteAt runs one cut of TestCondVarPromotionAtEveryLogBoundary: arm
-// schedules promote, which kills the primary and promotes the backup.
-func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ticker bool, arm func(d *duo, promote func())) cut {
+// promoteAt runs one cut of TestCondVarPromotionAtEveryLogBoundary, its
+// consumers waiting with timeout (untimed if negative): arm schedules
+// promote, which kills the primary and promotes the backup.
+func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ticker bool, timeout time.Duration, arm func(d *duo, promote func())) cut {
 	t.Helper()
 	var pOrder, sOrder []consumption
 	var pDone, sDone bool
-	var handed func() int
+	var handed func() (int, int)
 	var c cut
 	d := newDuo(t, seed, cfg, true)
 	arm(d, func() {
 		d.pk.Panic("injected failure", nil)
 		if handed != nil { // the backup's app has started
-			c.handed = handed()
+			c.consumers, c.producer = handed()
 		}
 		d.sns.Replayer().Promote()
 	})
-	papp, sapp := condVarApp(&pOrder, &pDone, nil), condVarApp(&sOrder, &sDone, &handed)
+	papp, sapp := condVarApp(timeout, &pOrder, &pDone, nil), condVarApp(timeout, &sOrder, &sDone, &handed)
 	tickerPid := -1
 	if ticker {
 		papp, sapp = withTicker(papp, &tickerPid), withTicker(sapp, &tickerPid)
@@ -341,14 +395,14 @@ func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ti
 		t.Fatalf("%s: %v", name, err)
 	}
 	// The replayed tuples are a prefix of the primary's log; the queue's
-	// mutex_lock tuples, and the wake-ups that handed the mutex to the
-	// waiters they woke, ordered the first held acquisitions.
+	// mutex_lock tuples, and the wake-ups and timeouts that handed the
+	// mutex to the waiters they woke, ordered the first held acquisitions.
 	held := 0
 	for _, tu := range d.pns.RecordedTuples()[:d.sns.ReplayStats().Sections] {
 		switch {
 		case tu.Op == pthread.OpMutexLock && tu.FTPid != tickerPid:
 			held++
-		case tu.Op == pthread.OpCondSignal && tu.Outcome != 0:
+		case (tu.Op == pthread.OpCondSignal || tu.Op == pthread.OpCondTimeout) && tu.Outcome != 0:
 			held++
 		case tu.Op == pthread.OpCondBroadcast:
 			held += int(tu.Outcome)
@@ -403,7 +457,7 @@ func TestCondVarRejoinReplaysPromotionWake(t *testing.T) {
 		cfg := replication.DefaultConfig()
 		cfg.DetShards = shards
 		woke := 0 // cuts at which promotion woke a waiter
-		emits := wakeEmits(t, cfg, tickerSeed)
+		emits := wakeEmits(t, cfg, tickerSeed, -1)
 		for _, e := range emits {
 			name := fmt.Sprintf("%d shards, promoted 1 ns after the wake-up at log index %d is emitted", shards, e.msg)
 			var pOrder, sOrder, rOrder []consumption
@@ -414,8 +468,8 @@ func TestCondVarRejoinReplaysPromotionWake(t *testing.T) {
 				d.pk.Panic("injected failure", nil)
 				d.sns.Replayer().Promote()
 			})
-			d.pns.Start("app", nil, withTicker(condVarApp(&pOrder, &pDone, nil), &ticker))
-			d.sns.Start("app", nil, withTicker(condVarApp(&sOrder, &sDone, nil), &ticker))
+			d.pns.Start("app", nil, withTicker(condVarApp(-1, &pOrder, &pDone, nil), &ticker))
+			d.sns.Start("app", nil, withTicker(condVarApp(-1, &sOrder, &sDone, nil), &ticker))
 			if err := d.sim.Run(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -431,7 +485,7 @@ func TestCondVarRejoinReplaysPromotionWake(t *testing.T) {
 			rlog, racks := d.fabric.NewRing("ftns.log.g1", 0, cfg.LogRingBytes), d.fabric.NewRing("ftns.acks.g1", 1, 64<<10)
 			rns := replication.NewSecondary("ftns", k, cfg, rlog, racks)
 			d.sns.AddReplica(rlog, racks, nil)
-			rns.Start("app", nil, withTicker(condVarApp(&rOrder, &rDone, nil), &ticker))
+			rns.Start("app", nil, withTicker(condVarApp(-1, &rOrder, &rDone, nil), &ticker))
 			if err := d.sim.Run(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -75,14 +75,12 @@ type section struct {
 	// tuple is granted — or until promotion flushes it out of replay (no
 	// tuple: the thread continues live or recording). paid is the replay
 	// cost the grant's wake-up already ran. replay marks a granted section
-	// open, checked one whose settled outcome exit compares with the
-	// recorded one.
+	// open.
 	wait     *kernel.Waiter
 	parkedAt sim.Time // for grant-wait attribution
 	paid     time.Duration
 	flushed  bool
 	replay   bool
-	checked  bool
 	tuple    Tuple
 }
 
@@ -501,7 +499,7 @@ func (ns *Namespace) exit(th *Thread, out uint64, data []byte) (uint64, []byte) 
 	th.task.Proc().GuardPark(nil)
 	switch {
 	case th.sec.replay:
-		return ns.rep.exit(th, out)
+		return ns.rep.exit(th)
 	case th.sec.rec != nil:
 		th.sec.rec.exit(th, out, data)
 	}
@@ -515,19 +513,6 @@ func (ns *Namespace) Enter(t *kernel.Task, op pthread.Op, obj uint64) {
 	}
 }
 
-// Replay implements pthread.Det: true with the section open at the
-// recorded turn on a replaying secondary; false — block first, then Enter —
-// on every other side, including a secondary that promotion flushed out of
-// replay while the thread was parked here.
-func (ns *Namespace) Replay(t *kernel.Task, op pthread.Op, obj uint64) bool {
-	if ns.role != RoleSecondary {
-		return false
-	}
-	th := ns.ThreadOf(t)
-	th.sec.checked = ns.rep.enter(th, op, obj)
-	return th.sec.checked
-}
-
 // Exit implements pthread.Det.
 func (ns *Namespace) Exit(t *kernel.Task, outcome uint64) uint64 {
 	if ns.role == RoleLive {
@@ -538,16 +523,19 @@ func (ns *Namespace) Exit(t *kernel.Task, outcome uint64) uint64 {
 }
 
 // Wakes implements pthread.Det: every side but a replaying one applies its
-// own wake-ups; there the replayer applies the recorded ones (applyWake).
+// own wake-ups and timeouts; there the replayer applies the recorded ones
+// (applyWake).
 func (ns *Namespace) Wakes() bool { return ns.role != RoleSecondary }
 
-// isWake reports whether op is a wake-up: no shadow thread replays it.
-func isWake(op pthread.Op) bool { return op == pthread.OpCondSignal || op == pthread.OpCondBroadcast }
+// isWake reports whether op is a wake-up — a signal, a broadcast or a timed
+// waiter's timeout: no shadow thread replays it.
+func isWake(op pthread.Op) bool { return op >= pthread.OpCondTimeout && op <= pthread.OpCondBroadcast }
 
 // wakeOutcome is what a wake-up records: the ft_pid of the waiter a signal
-// dequeued (pthread's TID differs across replicas), a broadcast's count.
+// or timeout dequeued (pthread's TID differs across replicas), a
+// broadcast's count.
 func (ns *Namespace) wakeOutcome(op pthread.Op, out uint64) uint64 {
-	if op == pthread.OpCondSignal && out != 0 {
+	if (op == pthread.OpCondSignal || op == pthread.OpCondTimeout) && out != 0 {
 		return uint64(ns.threads[int(out)].ftpid)
 	}
 	return out

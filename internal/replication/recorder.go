@@ -675,9 +675,10 @@ func (r *Recorder) enter(th *Thread, op pthread.Op, obj uint64) {
 	th.opened(op, obj)
 }
 
-// exit closes the section enter opened: the tuple — with the outcome and
-// payload bytes of a resolve section, zero and nil otherwise — gets its
-// cursors and is streamed, then the det-section lock is released.
+// exit closes the section enter opened: the tuple — with the section's
+// outcome (a wake-up's, as wakeOutcome records it) and payload bytes (a
+// syscall's) — gets its cursors and is streamed, then the det-section lock
+// is released.
 func (r *Recorder) exit(th *Thread, out uint64, data []byte) {
 	sec := th.sec
 	th.sec = section{}

@@ -476,13 +476,20 @@ func (r *Replayer) tryGrant(d *domain) {
 	}
 }
 
-// applyWake applies a recorded signal or broadcast to the backup's
-// condition variable — the signaler skipped its call (pthread.Det.Wakes) —
-// and counts a divergence if it wakes other waiters than the primary did.
+// applyWake applies a recorded signal, broadcast or timeout to the
+// backup's condition variable — the signaler skipped its call and the
+// waiter armed no timer (pthread.Det.Wakes) — and counts a divergence if it
+// wakes other waiters than the primary did. A timeout dequeues the waiter
+// that recorded it, if a wake-up has not.
 func (r *Replayer) applyWake(tu Tuple) {
 	var out uint64
 	if c := r.ns.lib.Cond(tu.Obj); c != nil {
-		out = r.ns.wakeOutcome(tu.Op, c.Wake(tu.Op == pthread.OpCondBroadcast))
+		if tu.Op == pthread.OpCondTimeout {
+			out = c.TimeOut(func(t *kernel.Task) bool { return r.ns.ThreadOf(t).ftpid == tu.FTPid })
+		} else {
+			out = c.Wake(tu.Op == pthread.OpCondBroadcast)
+		}
+		out = r.ns.wakeOutcome(tu.Op, out)
 	}
 	if out != tu.Outcome {
 		r.diverge(fmt.Sprintf("%v woke %d, recorded %d (obj=%d)", tu.Op, out, tu.Outcome, tu.Obj))
@@ -608,14 +615,9 @@ func (r *Replayer) enter(th *Thread, op pthread.Op, obj uint64) bool {
 }
 
 // exit closes a replayed section and returns the recorded outcome and
-// payload — the result of a syscall the secondary must not re-execute, or
-// of a resolve whose settling update the caller just re-applied; the
-// outcome that update produced is compared for divergence detection.
-func (r *Replayer) exit(th *Thread, out uint64) (uint64, []byte) {
+// payload: the result of a syscall the secondary must not re-execute.
+func (r *Replayer) exit(th *Thread) (uint64, []byte) {
 	tu := th.sec.tuple
-	if th.sec.checked && out != tu.Outcome {
-		r.diverge(fmt.Sprintf("resolve outcome %d differs from recorded %d (%v obj=%d)", out, tu.Outcome, tu.Op, tu.Obj))
-	}
 	th.sec = section{}
 	th.seq++
 	r.sectionDone(tu)

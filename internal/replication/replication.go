@@ -27,9 +27,10 @@
 // program order. Shard count 1 is exactly the paper's global total order.
 //
 // Syscall results the secondary must not recompute (gettimeofday, bytes
-// returned by reads, poll results) and cond_timedwait's timeout-versus-
-// signal race are recorded as resolve sections whose outcome (and payload
-// bytes) travel with the tuple; the secondary acts on the recorded result.
+// returned by reads, poll results) travel with their tuple as its outcome
+// and payload bytes; the secondary acts on the recorded result. A
+// condition-variable wake-up — a signal, a broadcast, or a timed waiter's
+// timeout — records whom it woke, and the secondary's replayer applies it.
 //
 // The package also implements output stability (§3.5): the primary's
 // network output is released only once the secondary has acknowledged every
@@ -148,7 +149,8 @@ type Tuple struct {
 	Op     pthread.Op
 	Obj    uint64
 	Key    uint64 // Namespace.seqKey(Op, Obj)
-	// Outcome is the recorded result of a resolve section, zero otherwise.
+	// Outcome is the recorded result of a syscall, or whom a wake-up woke
+	// (wakeOutcome); zero otherwise.
 	Outcome uint64
 	// Data carries payload bytes for data-bearing syscalls (reads).
 	Data []byte

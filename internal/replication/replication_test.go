@@ -129,34 +129,45 @@ type consumption struct{ acq, ftpid, item int }
 
 // condVarApp is a producer/consumer queue of one slot under one mutex and
 // two condition variables: four consumers take five items each, waiting
-// untimed while the queue is empty and signalling room for the next item,
-// and the producer appends twenty items after side-local pauses, waiting
-// for room, signalling one consumer per item and broadcasting to all of
-// them for every fourth. done reports that every thread returned. A
-// non-nil handed is set to a probe that counts the woken waiters queued
-// on the held mutex, which a wake-up handed it (pthread.Cond.Wake).
-func condVarApp(out *[]consumption, done *bool, handed *func() int) func(*replication.Thread) {
+// while the queue is empty — untimed, or with timeout if it is not
+// negative — and signalling room for the next item, and the producer
+// appends twenty items after side-local pauses, waiting untimed for room,
+// signalling one consumer per item and broadcasting to all of them for
+// every fourth. done reports that every thread returned. A non-nil handed
+// is set to a probe that counts the woken waiters queued on the held
+// mutex, which a wake-up or timeout handed it (pthread.Cond.Wake,
+// pthread.Cond.TimeOut): consumers and the producer.
+func condVarApp(timeout time.Duration, out *[]consumption, done *bool, handed *func() (consumers, producer int)) func(*replication.Thread) {
 	return func(root *replication.Thread) {
 		lib := root.Lib()
 		m := lib.NewMutex()
 		c, room := lib.NewCond(), lib.NewCond()
 		var queue []int
 		acq := 0
-		waiting := make(map[*kernel.Task]bool) // tasks inside a Wait call
+		waiting := make(map[*kernel.Task]*pthread.Cond) // tasks inside a wait call, and on what
 		if handed != nil {
 			// A waiter is dequeued by its wake-up, and then owns m or
 			// waits queued for it.
-			*handed = func() int {
-				n := len(waiting) - c.Waiters() - room.Waiters()
-				if waiting[m.Owner()] {
-					n--
+			*handed = func() (consumers, producer int) {
+				for t, cv := range waiting {
+					switch {
+					case t == m.Owner():
+					case cv == c:
+						consumers++
+					default:
+						producer++
+					}
 				}
-				return n
+				return consumers - c.Waiters(), producer - room.Waiters()
 			}
 		}
 		wait := func(cv *pthread.Cond, t *kernel.Task) {
-			waiting[t] = true
-			cv.Wait(t, m)
+			waiting[t] = cv
+			if cv == c && timeout >= 0 {
+				cv.TimedWait(t, m, timeout)
+			} else {
+				cv.Wait(t, m)
+			}
 			delete(waiting, t)
 			acq++
 		}
@@ -205,8 +216,8 @@ func TestCondVarReplay(t *testing.T) {
 	var pOrder, sOrder []consumption
 	var pDone, sDone bool
 	d := newDuo(t, 3, replication.DefaultConfig(), true)
-	d.pns.Start("app", nil, condVarApp(&pOrder, &pDone, nil))
-	d.sns.Start("app", nil, condVarApp(&sOrder, &sDone, nil))
+	d.pns.Start("app", nil, condVarApp(-1, &pOrder, &pDone, nil))
+	d.sns.Start("app", nil, condVarApp(-1, &sOrder, &sDone, nil))
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -501,8 +512,8 @@ func TestStockFutexOrderBreaksReplay(t *testing.T) {
 		d := newDuo(t, seed, replication.DefaultConfig(), false)
 		var pOrder, sOrder []consumption
 		var done bool
-		d.pns.Start("app", nil, condVarApp(&pOrder, &done, nil))
-		d.sns.Start("app", nil, condVarApp(&sOrder, &done, nil))
+		d.pns.Start("app", nil, condVarApp(-1, &pOrder, &done, nil))
+		d.sns.Start("app", nil, condVarApp(-1, &sOrder, &done, nil))
 		if err := d.sim.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -160,6 +160,29 @@ func (p *Proc) Name() string { return p.name }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
+// Blocked reports what the process waits on: "sleep" in Sleep, "wait" on a
+// wait queue, "" while it runs or is runnable.
+func (p *Proc) Blocked() string {
+	switch p.parked {
+	case parkSleep:
+		return "sleep"
+	case parkQueue:
+		return "wait"
+	}
+	return ""
+}
+
+// Background reports whether the process marked itself background work.
+func (p *Proc) Background() bool { return p.bg }
+
+// Procs returns the unfinished processes, in spawn order.
+func (s *Simulation) Procs() iter.Seq[*Proc] {
+	return func(yield func(*Proc) bool) {
+		for p := s.liveHead; p != nil && yield(p); p = p.livenext {
+		}
+	}
+}
+
 // Killed reports whether the process (or its group) has been killed. A
 // running process observes this before it unwinds at its next block point.
 func (p *Proc) Killed() bool { return p.killed }
