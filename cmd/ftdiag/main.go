@@ -7,11 +7,14 @@
 //	ftdiag attribute -critpath cp.json trace.jsonl
 //	ftdiag diff good.jsonl suspect.jsonl         # first divergent tuple
 //	ftdiag slice -order 1234 trace.jsonl         # causal ancestry of one event
+//	ftdiag windows trace.json > pinned.txt       # a Chrome trace's per-window digests
+//	ftdiag windows trace.json pinned.txt         # the first window that moved
 //
 // Every analysis is a pure function of the trace bytes: same input, same
 // output, byte for byte. diff exits 1 when a divergence is found (0 when
 // the traces agree, 2 on usage or I/O errors), so CI can assert either
-// outcome without parsing the report.
+// outcome without parsing the report; windows, given pinned digests, exits
+// 1 when a window moved.
 package main
 
 import (
@@ -50,6 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdDiff(args[1:], stdout, stderr)
 	case "slice":
 		return cmdSlice(args[1:], stdout, stderr)
+	case "windows":
+		return cmdWindows(args[1:], stdout, stderr)
 	}
 	fmt.Fprintf(stderr, "ftdiag: unknown subcommand %q\n", args[0])
 	usage(stderr)
@@ -83,6 +88,7 @@ func usage(w io.Writer) {
   ftdiag attribute [-json] [-critpath out.json] trace.jsonl
   ftdiag diff [-json] [-max N] a.jsonl b.jsonl
   ftdiag slice -order N [-max N] trace.jsonl
+  ftdiag windows trace.json [pinned.txt]
 `)
 }
 
@@ -217,5 +223,43 @@ func cmdSlice(args []string, stdout, stderr io.Writer) int {
 	slice := g.Slice(root, *max)
 	fmt.Fprintf(stdout, "causal slice of event order=%d (%d events):\n", *order, len(slice))
 	causal.WriteEvents(stdout, slice)
+	return 0
+}
+
+// cmdWindows digests a Chrome trace (ftsim -trace) per process row per
+// obs.GoldenWindow of virtual time and prints the digests; given a file of
+// pinned digests instead, it names the first window that differs from them
+// and its first event, with status 1, or prints nothing, with status 0.
+func cmdWindows(args []string, stdout, stderr io.Writer) int {
+	fs := subcommand("windows", stderr)
+	if err := fs.Parse(args); err != nil {
+		return parseStatus(err)
+	}
+	if fs.NArg() < 1 || fs.NArg() > 2 {
+		return fail(stderr, fmt.Errorf("windows wants a trace file and optionally a pinned digest file, got %d files", fs.NArg()))
+	}
+	f, err := os.Open(fs.Arg(0))
+	if err != nil {
+		return fail(stderr, err)
+	}
+	defer f.Close()
+	got, err := obs.TraceWindows(f)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	if fs.NArg() == 1 {
+		for _, w := range got {
+			fmt.Fprintln(stdout, w)
+		}
+		return 0
+	}
+	pinned, err := os.ReadFile(fs.Arg(1))
+	if err != nil {
+		return fail(stderr, err)
+	}
+	if d := obs.FirstMismatch(pinned, got); d != "" {
+		fmt.Fprintf(stdout, "%s differs from %s: %s\n", fs.Arg(0), fs.Arg(1), d)
+		return 1
+	}
 	return 0
 }

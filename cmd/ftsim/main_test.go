@@ -1,13 +1,12 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // defaults are the flag defaults of main.
@@ -19,7 +18,8 @@ func defaults() options {
 // TestGoldenScenarioEndsByItself runs `make golden`'s scenario (-size
 // 8388608 -fail 2s -shards 1 -replicas 2): run returns once the
 // deployment's work is done — the heart-beats it leaves running do not hold
-// it open — and the trace it writes is the pinned one.
+// it open — and the trace it writes is the pinned one, window by window; a
+// mismatch names the first window that moved and its first event.
 func TestGoldenScenarioEndsByItself(t *testing.T) {
 	dir := t.TempDir()
 	o := defaults()
@@ -28,17 +28,21 @@ func TestGoldenScenarioEndsByItself(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := os.ReadFile("../../goldens/ftsim-trace.sha256")
+	pinned, err := os.ReadFile("../../goldens/ftsim-trace.windows")
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(o.trace)
+	f, err := os.Open(o.trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(data)
-	if got, want := hex.EncodeToString(sum[:]), strings.Fields(string(pinned))[0]; got != want {
-		t.Errorf("trace sha256 %s, pinned %s", got, want)
+	defer f.Close()
+	got, err := obs.TraceWindows(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := obs.FirstMismatch(pinned, got); d != "" {
+		t.Errorf("the trace moved: %s", d)
 	}
 }
 

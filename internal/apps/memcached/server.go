@@ -26,6 +26,12 @@ type ServerStats struct {
 // ("set k v\n" / "get k\n") as a replicated application. The store is
 // shared between workers and protected by an interposed rwlock, so its
 // contents stay identical across replicas.
+//
+// Each of cfg.Workers workers serves one accepted connection until its
+// client quits, so at most Workers connections are served at once: a
+// client with more persistent connections than that (the benchmark's
+// kv-mixed-n3 opens 16 against 8 workers) has the rest wait in the
+// backlog until a served one closes.
 func RunServer(th *replication.Thread, socks *tcprep.Sockets, cfg ServerConfig, st *ServerStats) {
 	if cfg.Port == 0 {
 		cfg.Port = 11211

@@ -73,7 +73,7 @@ func TestPrimaryKillEventTimeline(t *testing.T) {
 
 	// The primary's panic and the secondary's promotion landmarks are in
 	// the stream, in causal order.
-	var panicOrder, liveOrder uint64
+	var panicOrder, soloOrder uint64
 	for _, e := range sys.Obs.Events() {
 		switch {
 		case e.Scope == "primary/kernel" && e.Kind == obs.KernelPanic:
@@ -81,12 +81,12 @@ func TestPrimaryKillEventTimeline(t *testing.T) {
 			if e.Note != "test kill" {
 				t.Errorf("panic note = %q", e.Note)
 			}
-		case e.Scope == "secondary/ftns" && e.Kind == obs.GoLive:
-			liveOrder = e.Order
+		case e.Scope == "secondary/ftns" && e.Kind == obs.Unreplicated:
+			soloOrder = e.Order
 		}
 	}
-	if panicOrder == 0 || liveOrder == 0 || panicOrder >= liveOrder {
-		t.Errorf("panic order %d / go-live order %d: missing or misordered", panicOrder, liveOrder)
+	if panicOrder == 0 || soloOrder == 0 || panicOrder >= soloOrder {
+		t.Errorf("panic order %d / unreplicated order %d: missing or misordered", panicOrder, soloOrder)
 	}
 }
 

@@ -73,10 +73,11 @@ func fastNICReload(c *core.Config) { c.NICDriverLoadTime = time.Second }
 // total patterned bytes from app to a client under the given chaos
 // schedule (empty = fault-free baseline), verifies every received chunk
 // against the deterministic pattern as it arrives, runs until the
-// deployment's work is done, and returns the system, the FNV-1a hash of the
-// received stream, and every lifecycle state the system passed through, in
-// order. Callers pass WithEpochCheckpoints, WithDetShards and the like
-// through extra.
+// deployment's work is done — a run that goes quiet with an app main stuck
+// fails with Wait's *core.HangError — and returns the system, the FNV-1a
+// hash of the received stream, and every lifecycle state the system passed
+// through, in order. Callers pass WithEpochCheckpoints, WithDetShards and
+// the like through extra.
 func rejoinRun(t *testing.T, spec string, seed int64, app func(total int) core.App, total int, extra ...core.Option) (*core.System, uint64, []core.LifecycleState) {
 	t.Helper()
 	opts := []core.Option{
@@ -127,8 +128,8 @@ func rejoinRun(t *testing.T, spec string, seed int64, app func(total int) core.A
 			got += len(data)
 		}
 	})
-	if err := sys.Sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := sys.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 	if got != total {
 		t.Fatalf("client received %d of %d bytes by the end of the run at %v (state %v, rejoinErr %v)",

@@ -231,3 +231,46 @@ func TestSnapshotHistogramMissing(t *testing.T) {
 		t.Error("zero snapshot reported a histogram")
 	}
 }
+
+// TestTraceWindowsNameTheFirstMovedWindow: a trace's digests are one line
+// per process row per 100 ms of virtual time, in time order, and a run that
+// moved one event is named by its first differing window — its start, its
+// row, its event count — with that window's first event in the run.
+func TestTraceWindowsNameTheFirstMovedWindow(t *testing.T) {
+	run := func(late time.Duration) []obs.Window {
+		s := sim.New(1)
+		tr := obs.New(s, obs.Config{Trace: true})
+		a, b := tr.Scope("a"), tr.Scope("b")
+		s.Schedule(10*time.Millisecond, func() { a.Emit(obs.Heartbeat, 0, 1, 0) })
+		s.Schedule(150*time.Millisecond, func() { b.Emit(obs.Heartbeat, 0, 2, 0) })
+		s.Schedule(late, func() { a.Emit(obs.Heartbeat, 0, 3, 0) })
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ws, err := obs.TraceWindows(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ws
+	}
+	pinned := run(120 * time.Millisecond)
+	var file strings.Builder
+	for _, w := range pinned {
+		fmt.Fprintln(&file, w)
+	}
+	if len(pinned) != 3 || pinned[0].Row != "a" || pinned[1].Row != "a" || pinned[1].Events != 1 || pinned[2].Row != "b" ||
+		pinned[1].Start != 100*time.Millisecond {
+		t.Fatalf("windows %v, want a@0s, then a and b @100ms", pinned)
+	}
+	if d := obs.FirstMismatch([]byte(file.String()), pinned); d != "" {
+		t.Errorf("the same run differs: %s", d)
+	}
+	d := obs.FirstMismatch([]byte(file.String()), run(121*time.Millisecond))
+	if !strings.Contains(d, `run "100ms a 1 `) || !strings.Contains(d, `"ts":121000.000`) {
+		t.Errorf("moved event reported as %q; want the 100ms window of row a and its event at 121 ms", d)
+	}
+}

@@ -86,8 +86,9 @@ const (
 	// Promote is the replayer draining the dead primary's log
 	// (Seq = replay head, Arg = messages drained from shared memory).
 	Promote
-	// GoLive is a replica entering unreplicated execution (RoleLive).
-	GoLive
+	// Unreplicated is a replica starting to run without a backup: a
+	// recording side whose last backup died, or a promoted one (RoleLive).
+	Unreplicated
 	// OutputHeld/OutputReleased bracket an output-commit stall
 	// (Seq = watermark; Arg on release = wait in ns).
 	OutputHeld
@@ -169,7 +170,7 @@ var kindNames = [...]string{
 	DriverLoad:     "driver-load",
 	DriverUp:       "driver-up",
 	Promote:        "promote",
-	GoLive:         "live",
+	Unreplicated:   "unreplicated",
 	OutputHeld:     "output-held",
 	OutputReleased: "output-released",
 	KernelPanic:    "panic",

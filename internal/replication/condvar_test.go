@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
+	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/pthread"
@@ -199,7 +201,7 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 			emits := wakeEmits(t, cfg, tickerSeed, -1)
 			for _, e := range emits {
 				name := fmt.Sprintf("1 ns after the wake-up at log index %d is emitted", e.msg)
-				c := promoteAt(t, name, cfg, tickerSeed, true, -1, func(d *duo, promote func()) { d.sim.ScheduleAt(e.at+1, promote) })
+				c := promoteAt(t, name, cfg, tickerSeed, true, -1, fmt.Sprintf("kill primary @%dns", e.at+1))
 				if c.received <= e.msg {
 					lostWakes++
 				}
@@ -219,7 +221,7 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 			emits := wakeEmits(t, cfg, tickerSeed, consumerTimeout)
 			for _, e := range emits {
 				name := fmt.Sprintf("1 ns after the timeout at log index %d is emitted", e.msg)
-				c := promoteAt(t, name, cfg, tickerSeed, true, consumerTimeout, func(d *duo, promote func()) { d.sim.ScheduleAt(e.at+1, promote) })
+				c := promoteAt(t, name, cfg, tickerSeed, true, consumerTimeout, fmt.Sprintf("kill primary @%dns", e.at+1))
 				if c.received <= e.msg {
 					lost++
 				}
@@ -266,20 +268,11 @@ func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.D
 			if late && (n == len(landed) || landed[n]-1 <= landed[n-1]) {
 				continue
 			}
-			name := fmt.Sprintf("transfer %d landing", n)
-			arm := func(d *duo, promote func()) {
-				seen := 0
-				d.log.OnDelivered(func() {
-					if seen++; seen == n {
-						promote()
-					}
-				})
-			}
+			kill := fmt.Sprintf("kill primary @log#%d", n)
 			if late {
-				name = fmt.Sprintf("before transfer %d lands", n+1)
-				arm = func(d *duo, promote func()) { d.sim.ScheduleAt(landed[n]-1, promote) }
+				kill = fmt.Sprintf("kill primary @%dns", landed[n]-1)
 			}
-			c := promoteAt(t, name, cfg, 5, false, timeout, arm)
+			c := promoteAt(t, kill, cfg, 5, false, timeout, kill)
 			if c.lost {
 				cuts++
 			}
@@ -368,17 +361,23 @@ type cut struct {
 }
 
 // promoteAt runs one cut of TestCondVarPromotionAtEveryLogBoundary, its
-// consumers waiting with timeout (untimed if negative): arm schedules
-// promote, which kills the primary and promotes the backup.
-func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ticker bool, timeout time.Duration, arm func(d *duo, promote func())) cut {
+// consumers waiting with timeout (untimed if negative): a chaos injector
+// delivers the kill, a chaos kill op on the primary, as a machine check, and
+// the backup is promoted as the primary's kernel dies.
+func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ticker bool, timeout time.Duration, kill string) cut {
 	t.Helper()
 	var pOrder, sOrder []consumption
 	var pDone, sDone bool
 	var handed func() (int, int)
 	var c cut
 	d := newDuo(t, seed, cfg, true)
-	arm(d, func() {
-		d.pk.Panic("injected failure", nil)
+	defer d.sim.Shutdown() // each cut's, not at the end of the sweep
+	inj := chaos.NewInjector(chaos.MustParse(kill), chaos.Env{Sim: d.sim, Machine: d.mach,
+		Victim: func(chaos.Target) (int, bool) { return 0, true }}, 1) // node 0 is the primary's
+	inj.ArmRing(d.log)
+	inj.Start()
+	d.mach.OnFault(func(f hw.Fault) { d.pk.HandleFault(f) })
+	d.pk.OnPanic(func(kernel.PanicReason) {
 		if handed != nil { // the backup's app has started
 			c.consumers, c.producer = handed()
 		}

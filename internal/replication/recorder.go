@@ -789,7 +789,7 @@ func (r *Recorder) degrade() {
 	}
 	if !r.degraded {
 		r.degraded = true
-		r.sc.Emit(obs.GoLive, 0, int64(r.sent), 0)
+		r.sc.Emit(obs.Unreplicated, 0, int64(r.sent), 0)
 	}
 	r.fireStable()
 }

@@ -672,7 +672,7 @@ func (r *Replayer) finishPromotion() {
 		return
 	}
 	r.live = true
-	r.sc.Emit(obs.GoLive, 0, int64(r.head()), 0)
+	r.sc.Emit(obs.Unreplicated, 0, int64(r.head()), 0)
 	// Fork BEFORE flushing waiters: their sections must be recorded by
 	// the fork so the retained history stays gapless.
 	hist, n := r.replayedHistory()

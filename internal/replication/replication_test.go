@@ -28,6 +28,8 @@ type duo struct {
 func newDuo(t *testing.T, seed int64, cfg replication.Config, fifo bool) *duo {
 	t.Helper()
 	s := sim.New(seed)
+	// A parked process keeps its whole simulation reachable: tear it down.
+	t.Cleanup(s.Shutdown)
 	m := hw.New(s, hw.Opteron6376x4())
 	pp, err := m.NewPartition("primary", 0, 1, 2, 3)
 	if err != nil {

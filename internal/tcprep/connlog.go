@@ -184,11 +184,10 @@ type StateSnap struct {
 
 // Bytes is the accounted bulk-transfer footprint of the snapshot.
 func (s StateSnap) Bytes() int {
-	n := 0
+	n := 24 * len(s.Binds)
 	for _, c := range s.Conns {
 		n += 64 + len(c.In)
 	}
-	n += 24 * len(s.Binds)
 	return n
 }
 
@@ -199,15 +198,8 @@ func (t *ConnTable) snapshot() StateSnap {
 		Binds: make([]BindSnap, 0, len(t.bindOrder)),
 	}
 	for _, lc := range t.conns {
-		snap.Conns = append(snap.Conns, ConnSnap{
-			Key:     lc.key,
-			ISS:     lc.iss,
-			IRS:     lc.irs,
-			In:      lc.in.Clone(0),
-			Acked:   lc.acked,
-			PeerFin: lc.peerFin,
-			Gone:    lc.gone,
-		})
+		snap.Conns = append(snap.Conns, ConnSnap{Key: lc.key, ISS: lc.iss, IRS: lc.irs,
+			In: lc.in.Clone(0), Acked: lc.acked, PeerFin: lc.peerFin, Gone: lc.gone})
 	}
 	for _, id := range t.bindOrder {
 		snap.Binds = append(snap.Binds, BindSnap{ID: id, Conn: t.binds[id].at})

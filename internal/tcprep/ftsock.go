@@ -39,13 +39,7 @@ type Sockets struct {
 // Exactly one of prim/sec is non-nil except for live (baseline) mode,
 // where both are nil and stack is used directly.
 func NewSockets(ns *replication.Namespace, stack *tcpstack.Stack, prim *Primary, sec *Secondary) *Sockets {
-	return &Sockets{
-		ns:    ns,
-		stack: stack,
-		prim:  prim,
-		sec:   sec,
-		sent:  make(map[uint64]uint64),
-	}
+	return &Sockets{ns: ns, stack: stack, prim: prim, sec: sec, sent: make(map[uint64]uint64)}
 }
 
 // SendCursor is one replicated connection's cumulative output-stream byte
@@ -124,6 +118,7 @@ func (s *Sockets) Listen(th *replication.Thread, port, backlog int) (*Listener, 
 		return nil, fmt.Errorf("ft listen :%d: %w", port, err)
 	}
 	l.id = res
+	s.nextID = max(s.nextID, res) // a replayed listen: the ids a promoted side draws come after it
 	s.listeners = append(s.listeners, l)
 	return l, nil
 }
@@ -152,6 +147,7 @@ func (l *Listener) Accept(th *replication.Thread) (*Conn, error) {
 		return nil, fmt.Errorf("ft accept :%d: %w", l.port, err)
 	}
 	c.id = res
+	s.nextID = max(s.nextID, res)
 	if s.sec != nil && c.real == nil {
 		c.logical = s.sec.bindWait(th.Task(), c.id)
 		if c.logical.live != nil {
@@ -354,14 +350,27 @@ func (s *Sockets) Promote(t *kernel.Task, stack *tcpstack.Stack) error {
 		}
 		l.real = real
 	}
-	// Finish teardown of connections the replayed application had already
-	// closed but whose FINs the dead primary never (visibly) completed.
+	// A connection the replayed application closed finishes the teardown
+	// whose FINs the dead primary never (visibly) completed. One it has not
+	// accepted — unbound, or bound by an accept it has not replayed — waits
+	// for a live accept, in establishment order, as on the dead primary.
+	accepted := make(map[*LogicalConn]bool)
+	for _, id := range s.sec.table.bindOrder {
+		if id <= s.nextID {
+			accepted[s.sec.table.binds[id]] = true
+		}
+	}
 	for _, lc := range s.sec.table.conns {
-		if lc.appClosed && lc.live != nil {
-			conn := lc.live
-			s.ns.Kernel().Spawn("ft-reclose", func(tk *kernel.Task) {
-				_ = conn.Close(tk)
-			})
+		switch conn := lc.live; {
+		case conn == nil:
+		case lc.appClosed:
+			s.ns.Kernel().Spawn("ft-reclose", func(tk *kernel.Task) { _ = conn.Close(tk) })
+		case !accepted[lc]:
+			for _, l := range s.listeners {
+				if l.port == lc.key.LocalPort {
+					l.real.Adopt(conn)
+				}
+			}
 		}
 	}
 	s.stack = stack

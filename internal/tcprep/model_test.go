@@ -54,6 +54,7 @@ type tableModelWorld struct {
 	bindQ   sim.WaitQueue
 
 	reuses, refused, drains int
+	merged                  int // data-in updates applied that carried an ack-out's watermark
 }
 
 // modelRingBytes is small enough that the rings refuse flushes routinely.
@@ -274,6 +275,9 @@ func (w *tableModelWorld) receive(i, max int) {
 		if !ok {
 			return
 		}
+		if m.Kind == syncDataIn && m.W[1] != 0 {
+			w.merged++
+		}
 		w.secs[i].apply(m)
 	}
 }
@@ -430,7 +434,8 @@ func runTableProgram(t *testing.T, seed int64, steps int) *tableModelWorld {
 
 // TestBackupStateMatchesPrimary is the FT-TCP reference model: seeded random
 // programs of stack callbacks — establish, data-in, ack-out (advancing and
-// stale), peer FIN, reap, bind (after a reap too), four-tuple reuse — and
+// stale; merged into the next data-in of its connection while pending),
+// peer FIN, reap, bind (after a reap too), four-tuple reuse — and
 // of the replayed application's sends and closes, over a primary streaming
 // to two backups on rings small enough to refuse flushes, with a third
 // backup seeded from a snapshot and attached mid-program. After every drain
@@ -447,10 +452,12 @@ func TestBackupStateMatchesPrimary(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			w := runTableProgram(t, seed, 4000)
-			if w.reuses < 20 || w.refused < 20 {
-				t.Errorf("program exercised too little: %d four-tuple reuses, %d refused flushes; want 20 of each", w.reuses, w.refused)
+			if w.reuses < 20 || w.refused < 20 || w.merged < 20 {
+				t.Errorf("program exercised too little: %d four-tuple reuses, %d refused flushes, %d merged updates applied; want 20 of each",
+					w.reuses, w.refused, w.merged)
 			}
-			t.Logf("%d connections, %d binds, %d reuses, %d refused flushes, %d drains", len(w.conns), len(w.binds), w.reuses, w.refused, w.drains)
+			t.Logf("%d connections, %d binds, %d reuses, %d refused flushes, %d merged updates applied, %d drains",
+				len(w.conns), len(w.binds), w.reuses, w.refused, w.merged, w.drains)
 		})
 	}
 }

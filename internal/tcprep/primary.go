@@ -1,6 +1,7 @@
 package tcprep
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/kernel"
@@ -12,33 +13,29 @@ import (
 )
 
 // Primary wires a primary kernel's TCP stack for replication: it installs
-// the output-commit egress gate, the ingress backpressure hook, and the
-// event callbacks that stream logical-state updates to every backup.
+// the output-commit egress gate (stabilityGate), the ingress backpressure
+// hook, and the event callbacks that stream logical-state updates to every
+// backup.
 //
-// The delta stream fans out over one sync ring per backup (syncLink). Each
-// link buffers and flushes independently, so a slow backup's full ring
-// never blocks the others' deltas — but the sync barrier is conservative:
-// output waits until every LIVE link has its updates on its ring. Unlike
-// det-log output commit (which can run under a quorum rule), the sync
-// stream rides shared memory with no acknowledgement round trip, so
-// covering all live backups costs no extra latency in the common case and
-// guarantees that whichever backup wins a failover election owns the full
-// logical TCP state for every byte the client has seen.
+// The delta stream fans out over one sync ring per backup (syncLink), each
+// buffered and flushed on its own, so a slow backup's full ring never blocks
+// the others. Output waits until every LIVE link has its updates on its
+// ring: the stream rides shared memory with no acknowledgement round trip,
+// so covering every live backup costs no extra latency in the common case,
+// and whichever backup wins a failover election owns the logical TCP state
+// of every byte the client has seen.
 //
-// Consecutive updates are coalesced between output commits, up to
-// SyncConfig.BatchUpdates of them — data-in deltas for the same connection
-// merge into one growing buffer, ack-out deltas for the same connection
-// collapse to the latest watermark — and ship as one vectored ring
-// transfer; at a batch of one every update is its own transfer, sent as it
-// is produced. Output never outruns the buffers: every outgoing segment
-// passes a sync barrier that forces a flush and waits until all previously
-// enqueued updates are on every live ring, so a primary crash cannot lose
-// an update the client has already seen acknowledged (buffered updates live
-// in private memory and die with the primary; ring messages survive in
-// shared memory, §3.5).
+// Updates are coalesced between output commits, up to
+// SyncConfig.BatchUpdates of them, into the newest pending entry of their
+// connection (coalesce), and ship as one vectored ring transfer. Every
+// outgoing segment passes a sync barrier that forces a flush and waits until
+// all previously enqueued updates are on every live ring: buffered updates
+// live in private memory and die with the primary, ring messages survive in
+// shared memory (§3.5).
 type Primary struct {
 	ns    *replication.Namespace
 	stack *tcpstack.Stack
+	gate  *stabilityGate
 	links []*syncLink
 	cfg   SyncConfig
 
@@ -156,43 +153,22 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 	if cfg.History == nil {
 		cfg.History = newConnTable()
 	}
-	p := &Primary{
-		ns:    ns,
-		stack: stack,
-		cfg:   cfg.Sync,
-		table: cfg.History,
-		ids:   make(map[ConnKey]uint64),
-	}
+	p := &Primary{ns: ns, stack: stack, cfg: cfg.Sync, table: cfg.History, ids: make(map[ConnKey]uint64)}
 	p.out.Init(ns.Kernel().Sim(), p.cfg.FlushInterval, ns.Kernel().Alive)
 	for _, sync := range cfg.Syncs {
 		p.AttachRing(sync)
 	}
-	p.hook(cfg.Gate)
+	// The egress gate, ingress backpressure, and state-update callbacks.
+	g := &stabilityGate{ns: ns, prim: p, cfg: cfg.Gate, sim: ns.Kernel().Sim(), acks: make(map[ConnKey]uint64)}
+	g.synced, g.stabled = g.onSynced, g.onStable
+	g.pacer.Init(g.sim, g.release)
+	p.gate = g
+	stack.SetEgress(g)
+	stack.SetIngress(p.ingress)
+	stack.OnEstablished, stack.OnDataIn, stack.OnAckIn = p.onEstablished, p.onDataIn, p.onAckIn
+	stack.OnPeerFin, stack.OnReaped = p.onPeerFin, p.onReaped
 	ns.Kernel().Spawn("tcprep-spill", func(t *kernel.Task) { p.out.Serve(t.Proc()) })
 	return p
-}
-
-// hook installs the egress gate, ingress backpressure, and state-update
-// callbacks on the stack.
-func (p *Primary) hook(gate GateConfig) {
-	p.stack.SetEgress(&stabilityGate{ns: p.ns, prim: p, cfg: gate, sim: p.ns.Kernel().Sim()})
-	p.stack.SetIngress(p.ingress)
-	p.stack.OnEstablished = p.onEstablished
-	p.stack.OnDataIn = p.onDataIn
-	p.stack.OnAckIn = p.onAckIn
-	p.stack.OnPeerFin = p.onPeerFin
-	p.stack.OnReaped = p.onReaped
-}
-
-// liveLinks counts links that are attached and not dead.
-func (p *Primary) liveLinks() int {
-	n := 0
-	for _, l := range p.links {
-		if !l.Dead() {
-			n++
-		}
-	}
-	return n
 }
 
 // minSynced is the sync watermark every live link has reached — the
@@ -209,7 +185,9 @@ func (p *Primary) minSynced() uint64 {
 
 // Streaming reports whether logical-state deltas are being streamed to at
 // least one live backup.
-func (p *Primary) Streaming() bool { return p.liveLinks() > 0 }
+func (p *Primary) Streaming() bool {
+	return slices.ContainsFunc(p.links, func(l *syncLink) bool { return !l.Dead() })
+}
 
 // SnapshotState cuts the logical TCP half of a rejoin checkpoint from the
 // connection table. Call in scheduler context, atomically with AttachRing,
@@ -268,7 +246,7 @@ func (p *Primary) DropRing(i int) {
 	if i < 0 || i >= len(p.links) || p.links[i].Dead() {
 		return
 	}
-	if p.liveLinks() == 1 { // links[i] is the last live leg
+	if !slices.ContainsFunc(p.links, func(l *syncLink) bool { return l != p.links[i] && !l.Dead() }) {
 		p.Degrade()
 		return
 	}
@@ -298,7 +276,7 @@ func (p *Primary) Degrade() {
 	if !p.Streaming() {
 		return
 	}
-	p.sc.Emit(obs.GoLive, 0, int64(p.enqueued), 0)
+	p.sc.Emit(obs.Unreplicated, 0, int64(p.enqueued), 0)
 	for _, link := range p.links {
 		if !link.Dead() {
 			p.kill(link)
@@ -312,31 +290,28 @@ func (p *Primary) Degrade() {
 // that keeps batching from letting output outrun the logical-state stream
 // — and (b) the det-log output-commit rule is satisfied (§3.5: all-backup
 // receipt, or the configured quorum; with relaxed output commit the
-// namespace releases immediately). Releases are paced by the per-packet
-// bookkeeping cost while replication is active.
+// namespace releases immediately). Both watermarks only grow, so segments
+// turn stable in the order they entered: the gate holds them in one FIFO,
+// and each callback marks the oldest not yet stable. While replication is
+// active, one pacer event sends the stable ones, each at the start of its
+// per-packet bookkeeping cost. A pure ACK still held when a later segment
+// of its connection enters is absorbed: dropped at no cost, because the
+// later segment carries a cumulative ACK at least as high and a newer window.
 type stabilityGate struct {
-	ns       *replication.Namespace
-	prim     *Primary
-	cfg      GateConfig
-	sim      *sim.Simulation
-	nextFree sim.Time
-	free     []*heldSeg // records whose segment has been sent
-}
+	ns   *replication.Namespace
+	prim *Primary
+	cfg  GateConfig
+	sim  *sim.Simulation
 
-// heldSeg is one segment on its way through the gate: through the sync
-// barrier, then output commit, then the paced release. The record is reused
-// for later segments; its callbacks are bound when it is first allocated and
-// every held segment arms its own release event, at the program point where
-// a one-shot event used to be scheduled, so its place in the event order is
-// its own (DESIGN.md §20). The records of a kernel that dies with segments
-// held are never recycled.
-type heldSeg struct {
-	g    *stabilityGate
-	seg  *tcpstack.Segment
-	cost time.Duration
-	ev   sim.Event
+	held     sim.Log[*tcpstack.Segment] // oldest first; nil once absorbed
+	base     uint64                     // the entry index of held's first segment
+	stable   int                        // the oldest held segments that are stable
+	pacer    sim.Event                  // sends them
+	busy     sim.Time                   // the pacer pays for its last send until then
+	acks     map[ConnKey]uint64         // each connection's held pure ACK, by entry index
+	absorbed int64                      // pure ACKs dropped
 
-	synced, stable func() // h.onSynced, h.onStable
+	synced, stabled func() // g.onSynced, g.onStable
 }
 
 var _ tcpstack.EgressGate = (*stabilityGate)(nil)
@@ -349,38 +324,57 @@ func (g *stabilityGate) Transmit(seg *tcpstack.Segment) {
 		seg.Send()
 		return
 	}
-	var h *heldSeg
-	if n := len(g.free); n > 0 {
-		h, g.free = g.free[n-1], g.free[:n-1]
-	} else {
-		h = &heldSeg{g: g}
-		h.synced, h.stable = h.onSynced, h.onStable
-		h.ev.Init(g.sim, h.send)
+	if !seg.Probe {
+		// Any later segment that acknowledges supersedes the held pure ACK,
+		// but a SYN or an RST may start a new connection on the four-tuple.
+		key := segKey(seg)
+		if i, ok := g.acks[key]; ok {
+			if seg.Flags.Has(tcpstack.FlagACK) && seg.Flags&(tcpstack.FlagSYN|tcpstack.FlagRST) == 0 {
+				ack := g.held.At(int(i - g.base))
+				(*ack).Drop()
+				*ack = nil
+				g.absorbed++
+			}
+			delete(g.acks, key)
+		}
+		if seg.PureAck() {
+			g.acks[key] = g.base + uint64(g.held.Len())
+		}
 	}
-	h.seg = seg
-	h.cost = g.cfg.PerSegment + time.Duration(seg.WireSize())*g.cfg.PerByte
-	g.prim.syncBarrier(h.synced)
+	g.held.Append(seg)
+	g.prim.syncBarrier(g.synced)
 }
 
-func (h *heldSeg) onSynced() { h.g.ns.OnStable(h.stable) }
-
-func (h *heldSeg) onStable() {
-	g := h.g
-	now := g.sim.Now()
-	release := max(now, g.nextFree)
-	g.nextFree = release.Add(h.cost)
-	if release == now {
-		h.send()
-		return
-	}
-	h.ev.Reset(release.Sub(now))
+func segKey(seg *tcpstack.Segment) ConnKey {
+	return ConnKey{LocalPort: seg.Src.Port, RemoteHost: seg.Dst.Host, RemotePort: seg.Dst.Port}
 }
 
-func (h *heldSeg) send() {
-	seg := h.seg
-	h.seg = nil
-	h.g.free = append(h.g.free, h)
-	seg.Send()
+func (g *stabilityGate) onSynced() { g.ns.OnStable(g.stabled) }
+
+func (g *stabilityGate) onStable() {
+	g.stable++
+	g.release()
+}
+
+// release sends the stable segments the pacer is free for — an absorbed
+// one is free — and arms the pacer for the rest.
+func (g *stabilityGate) release() {
+	for g.stable > 0 && g.sim.Now() >= g.busy {
+		seg := g.held.PopFront()
+		g.stable--
+		g.base++
+		if seg == nil {
+			continue
+		}
+		if seg.PureAck() && g.acks[segKey(seg)] == g.base-1 {
+			delete(g.acks, segKey(seg)) // sent: nothing left to absorb
+		}
+		g.busy = g.sim.Now().Add(g.cfg.PerSegment + time.Duration(seg.WireSize())*g.cfg.PerByte)
+		seg.Send()
+	}
+	if g.stable > 0 && !g.pacer.Armed() {
+		g.pacer.Reset(g.busy.Sub(g.sim.Now()))
+	}
 }
 
 // ingress is the Netfilter-style backpressure hook: data segments that the
@@ -395,10 +389,7 @@ func (p *Primary) ingress(seg *tcpstack.Segment) bool {
 	}
 	need := int64(len(seg.Data)) + 128
 	for _, link := range p.links {
-		if link.Dead() {
-			continue
-		}
-		if link.Ring().Free()-link.Bytes() < need {
+		if !link.Dead() && link.Ring().Free()-link.Bytes() < need {
 			return false
 		}
 	}
@@ -454,18 +445,23 @@ func (p *Primary) trySync(m shm.Message) {
 // coalesce merges an update into the link's newest pending entry when both
 // target the same connection stream: data-in bytes append (one entry per
 // input burst; a tape's view is capacity-limited, so the first append
-// copies), ack-out watermarks replace (they are cumulative). Only the tail
-// entry is considered so the ring order of updates is preserved exactly.
+// copies), ack-out watermarks replace (they are cumulative), and a data-in
+// absorbs an ack-out, whose watermark it carries in its W[1], applied
+// first. Only the tail entry is considered so the ring order of updates is
+// preserved exactly.
 func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
 	tail := link.Tail()
-	if tail == nil || tail.Kind != m.Kind || tail.W[0] != m.W[0] {
+	if tail == nil || tail.W[0] != m.W[0] {
 		return false
 	}
-	switch m.Kind {
-	case syncDataIn:
+	switch {
+	case m.Kind == syncDataIn && tail.Kind == syncDataIn:
 		tail.Data = append(tail.Data, m.Data...)
 		link.Merged(len(m.Data))
-	case syncAckOut:
+	case m.Kind == syncDataIn && tail.Kind == syncAckOut:
+		tail.Kind, tail.Data = syncDataIn, m.Data
+		link.Merged(m.Size - tail.Size)
+	case m.Kind == syncAckOut && tail.Kind == syncAckOut:
 		if m.W[1] > tail.W[1] {
 			tail.W[1] = m.W[1]
 		}

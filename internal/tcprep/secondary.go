@@ -128,6 +128,8 @@ func (s *Secondary) apply(m shm.Message) {
 	lc := s.bySync[m.W[0]]
 	switch m.Kind {
 	case syncDataIn:
+		s.table.ackOut(lc, m.W[1]) // an absorbed ack-out's watermark, or 0
+		lc.applyTrim()
 		s.table.dataIn(lc, m.Data)
 		s.DataBytes += int64(len(m.Data))
 		lc.dataQ.WakeAll(0)
@@ -152,10 +154,7 @@ func (lc *LogicalConn) applyTrim() {
 	if lc.acked <= lc.outBase {
 		return
 	}
-	n := lc.acked - lc.outBase
-	if queued := uint64(lc.out.Len()); n > queued {
-		n = queued
-	}
+	n := min(lc.acked-lc.outBase, uint64(lc.out.Len()))
 	lc.out.Discard(int(n))
 	lc.outBase += n
 }

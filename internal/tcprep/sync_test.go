@@ -306,12 +306,13 @@ func BenchmarkSyncUpdate(b *testing.B) {
 }
 
 // TestPromoteMidBatchAppliesEveryUpdate: one sync batch — a connection's
-// announcement, then two data-in updates of three bytes — lands on a
-// backup whose puller pays syncCost per update before applying it, and the
-// backup is promoted 40 µs later, when the puller has applied one and is
-// paying for the second. The two it took off the ring and had not applied
-// are the promotion's to apply: all six input bytes reach the restored
-// connection.
+// announcement, then two data-in updates of three bytes, the first carrying
+// the ack-out it absorbed — lands on a backup whose puller pays syncCost per
+// update before applying it, and the backup is promoted 40 µs later, when
+// the puller has applied one and is paying for the merged one. The two it
+// took off the ring and had not applied are the promotion's to apply: all
+// six input bytes and the acknowledged watermark reach the restored
+// connection's record.
 func TestPromoteMidBatchAppliesEveryUpdate(t *testing.T) {
 	s := sim.New(1)
 	part, err := hw.New(s, hw.Opteron6376x4()).NewPartition("secondary", 1)
@@ -328,8 +329,8 @@ func TestPromoteMidBatchAppliesEveryUpdate(t *testing.T) {
 	meta := syncMessage(syncConnMeta, connMetaBytes, 1, 1000, 2000)
 	meta.Ref = &key
 	batch := []shm.Message{meta}
-	for _, in := range []string{"abc", "def"} {
-		m := syncMessage(syncDataIn, dataInBytes+len(in), 1, 0, 0)
+	for i, in := range []string{"abc", "def"} {
+		m := syncMessage(syncDataIn, dataInBytes+len(in), 1, uint64(7*(1-i)), 0) // the first acks 7
 		m.Data = []byte(in)
 		batch = append(batch, m)
 	}
@@ -353,7 +354,7 @@ func TestPromoteMidBatchAppliesEveryUpdate(t *testing.T) {
 	if sec.Updates != 3 || sec.DataBytes != 6 || len(restored) != 1 {
 		t.Fatalf("promotion applied %d of 3 updates and %d of 6 input bytes, restored %d connections", sec.Updates, sec.DataBytes, len(restored))
 	}
-	if in := inBytes(sec.table.byKey[key]); string(in) != "abcdef" {
-		t.Errorf("restored connection's input %q, want %q", in, "abcdef")
+	if lc := sec.table.byKey[key]; string(inBytes(lc)) != "abcdef" || lc.acked != 7 {
+		t.Errorf("restored connection's input %q, acked %d; want %q, 7", inBytes(lc), lc.acked, "abcdef")
 	}
 }

@@ -14,7 +14,9 @@
 //     application, so only the client-acknowledged output offset needs
 //     synchronizing;
 //   - every outgoing segment passes the output-commit gate (§3.5): it is
-//     released only when the log messages it depends on are acknowledged.
+//     released only when the log messages it depends on are acknowledged,
+//     except a pure ACK that a later segment of its connection supersedes,
+//     which is dropped.
 //
 // Upon failover the logical states are promoted into real connections of
 // the new primary's stack (tcpstack.Restore), indistinguishable to the
@@ -44,7 +46,7 @@ import (
 // connection was reaped, and its id forgotten, before the accept.
 const (
 	syncConnMeta = iota + 1 // W: sync id, ISS, IRS; Ref: *ConnKey
-	syncDataIn              // W: sync id; Data: in-order input bytes accepted by the primary's stack
+	syncDataIn              // W: sync id, an absorbed syncAckOut's watermark (0: none); Data: in-order input bytes accepted by the primary's stack
 	syncAckOut              // W: sync id, client-acknowledged output-stream offset
 	syncPeerFin             // W: sync id; the client's FIN was accepted
 	syncBind                // W: replicated socket ID (assigned in a det section at accept time); Ref: *ConnKey

@@ -117,12 +117,27 @@ func TestCoalesceMergesTailOnly(t *testing.T) {
 	if p.coalesce(link, dataIn(c2, "x")) {
 		t.Error("data-in for another connection coalesced")
 	}
-	// Different kind: must NOT merge.
-	if p.coalesce(link, ackOut(c1, 10)) {
-		t.Error("ack-out coalesced into a data-in entry")
-	}
 	if reps := flushed(); reps != 2 {
 		t.Errorf("one entry carrying a merged update stood for %d updates, want 2", reps)
+	}
+
+	// Different kind: an ack-out at the tail merges into the next data-in of
+	// its connection, which carries the watermark in W[1] and grows on.
+	link.Add(ackOut(c1, 10))
+	if !p.coalesce(link, dataIn(c1, "ghi")) || !p.coalesce(link, dataIn(c1, "jkl")) {
+		t.Fatal("data-in did not absorb the ack-out at the tail")
+	}
+	tail = link.Tail()
+	if tail.Kind != syncDataIn || tail.W[1] != 10 || string(tail.Data) != "ghijkl" || tail.Size != dataInBytes+6 ||
+		link.Len() != 1 || link.Bytes() != dataInBytes+6 {
+		t.Errorf("merged entry kind %d ack %d data %q size %d, %d entries of %d bytes; want a data-in acking 10 with ghijkl, one entry of %d bytes",
+			tail.Kind, tail.W[1], tail.Data, tail.Size, link.Len(), link.Bytes(), dataInBytes+6)
+	}
+	if p.coalesce(link, ackOut(c1, 20)) {
+		t.Error("ack-out coalesced into a data-in entry, ahead of the bytes it follows")
+	}
+	if reps := flushed(); reps != 3 {
+		t.Errorf("the data-in that absorbed an ack-out stood for %d updates, want 3", reps)
 	}
 
 	// Ack-out entries collapse to the highest watermark; stale acks are

@@ -412,69 +412,80 @@ func (c *Conn) fail(err error) {
 
 // Send writes data to the connection, blocking until every byte is
 // accepted into the send buffer. It returns the number of bytes written.
+// The syscall's cost is paid with the first chunk's segment cost, as one
+// stretch of CPU, or on its own before the call blocks or fails.
 func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
-	t.Syscall()
+	owed := t.Kernel().Params().SyscallCost
 	written := 0
 	for written < len(data) {
-		if c.err != nil {
-			return written, c.err
-		}
-		if c.closed || c.state == stateClosed {
-			return written, ErrClosed
-		}
 		free := c.sendRoom()
-		if free == 0 {
+		if c.err != nil || c.closed || c.state == stateClosed || free == 0 {
+			if owed > 0 {
+				t.Busy(owed)
+				owed = 0
+				continue
+			}
+			switch {
+			case c.err != nil:
+				return written, c.err
+			case c.closed || c.state == stateClosed:
+				return written, ErrClosed
+			}
 			c.sendQ.Wait(t.Proc())
 			continue
 		}
-		n := len(data) - written
-		if n > free {
-			n = free
-		}
+		n := min(len(data)-written, free)
 		c.sndBuf.Append(data[written : written+n])
 		written += n
-		if cost := c.stack.params.SegmentCPU; cost > 0 {
-			segs := (n + c.stack.params.MSS - 1) / c.stack.params.MSS
-			t.Busy(time.Duration(segs) * cost)
-		}
+		t.Busy(owed + c.segmentCPU(n))
+		owed = 0
 		c.trySend()
 	}
+	t.Busy(owed)
 	return written, nil
+}
+
+// segmentCPU is the CPU cost of processing n bytes in MSS-sized segments.
+func (c *Conn) segmentCPU(n int) time.Duration {
+	return time.Duration((n+c.stack.params.MSS-1)/c.stack.params.MSS) * c.stack.params.SegmentCPU
 }
 
 // Recv reads up to max bytes, blocking until data is available. It returns
 // EOF once the peer has closed and all data has been consumed, and nothing,
-// at once, if max is not positive (like recv(2) of length 0).
+// at once, if max is not positive (like recv(2) of length 0). The syscall's
+// cost is paid after the wait, with the copy's, as one stretch of CPU.
 //
 // The bytes are lent, not given: the slice is a view of storage the
 // connection reuses, valid until the next Recv or Close on it. A caller
 // that keeps bytes longer copies them; echoing them straight into Send is
 // fine, because Send copies.
 func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
-	t.Syscall()
+	syscall := t.Kernel().Params().SyscallCost
 	if max <= 0 {
+		t.Busy(syscall)
 		return nil, nil
 	}
 	for c.rcvBuf.Len() == 0 {
-		if c.err != nil {
-			return nil, c.err
+		var err error
+		switch {
+		case c.err != nil:
+			err = c.err
+		case c.peerFin:
+			err = EOF
+		case c.state == stateClosed:
+			err = ErrClosed
+		default:
+			c.recvQ.Wait(t.Proc())
+			continue
 		}
-		if c.peerFin {
-			return nil, EOF
-		}
-		if c.state == stateClosed {
-			return nil, ErrClosed
-		}
-		c.recvQ.Wait(t.Proc())
+		t.Busy(syscall)
+		return nil, err
 	}
 	n := min(c.rcvBuf.Len(), max)
 	out := c.rcvOut.Lend(c.rcvBuf.Bytes()[:n])
 	wasFull := c.recvWindow() == 0
 	c.rcvBuf.Discard(n)
-	if cost := c.stack.params.SegmentCPU; cost > 0 {
-		segs := (n + c.stack.params.MSS - 1) / c.stack.params.MSS
-		t.Busy(time.Duration(segs) * cost)
-	}
+	t.Busy(syscall + c.segmentCPU(n))
 	if wasFull {
 		c.sendAck() // window update: reopen the peer's send window
 	}

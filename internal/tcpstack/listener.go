@@ -72,6 +72,10 @@ func (l *Listener) connReady(c *Conn) {
 	l.notifyPoll()
 }
 
+// Adopt queues a restored connection for Accept: one that a failed
+// primary's stack had established and its application had not accepted.
+func (l *Listener) Adopt(c *Conn) { l.connReady(c) }
+
 // Accept blocks until a connection is established and returns it.
 func (l *Listener) Accept(t *kernel.Task) (*Conn, error) {
 	t.Syscall()

@@ -141,6 +141,15 @@ func (seg *Segment) Send() {
 	}
 }
 
+// Drop releases a segment the gate will not send: a pure ACK that a later
+// segment of its connection superseded (EgressGate). Nothing may read the
+// segment afterwards.
+func (seg *Segment) Drop() { seg.release() }
+
+// PureAck reports whether the segment only acknowledges: ACK alone, no
+// data, not a zero-window probe.
+func (s *Segment) PureAck() bool { return s.Flags == FlagACK && len(s.Data) == 0 && !s.Probe }
+
 // WireSize reports the segment's size on the wire.
 func (s *Segment) WireSize() int { return segHeaderBytes + len(s.Data) }
 

@@ -88,7 +88,10 @@ func DefaultParams() Params {
 // (DirectGate) or after holding it until the output is stable (the
 // replication layer's output-commit gate). Gates must send segments of a
 // connection in the order they were submitted, and must not touch a segment
-// after sending it.
+// after sending it. The one exception to sending every segment: a pure ACK
+// (Segment.PureAck) still held when a later segment of the same connection
+// is submitted may be dropped (Segment.Drop), because the later one carries
+// a cumulative ACK at least as high and a newer window.
 type EgressGate interface {
 	Transmit(seg *Segment)
 }

@@ -720,3 +720,62 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// TestSendAndRecvParkOnce: a Recv of buffered data pays the syscall with its
+// copy's CPU cost, and a Send that fits the window pays it with its
+// segments', each in one stretch: each parks its task once. A ticker process
+// runs between any two parks, so each park shows as one switch back into
+// the task; two stretches would show as two.
+func TestSendAndRecvParkOnce(t *testing.T) {
+	p := newPair(t, 1, DefaultParams())
+	l, err := p.server.Listen(80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, switches, done := "", 0, false
+	p.sim.OnSwitch = func(_ sim.Time, name string) {
+		if name == task {
+			switches++
+		}
+	}
+	p.sim.Spawn("ticker", func(pr *sim.Proc) {
+		for !done {
+			pr.Sleep(100 * time.Nanosecond)
+		}
+	})
+	var recvParks, sendParks int
+	p.serverK.Spawn("server", func(tk *kernel.Task) {
+		c, err := l.Accept(tk)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for c.BufferedIn() == 0 {
+			tk.Sleep(10 * time.Microsecond)
+		}
+		task = tk.Proc().Name()
+		if data, err := c.Recv(tk, 100); err != nil || string(data) != "hello" {
+			t.Errorf("Recv = %q, %v", data, err)
+		}
+		recvParks = switches
+		if n, err := c.Send(tk, []byte("world")); n != 5 || err != nil {
+			t.Errorf("Send = %d, %v", n, err)
+		}
+		sendParks, task, done = switches-recvParks, "", true
+	})
+	p.clientK.Spawn("client", func(tk *kernel.Task) {
+		c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, _ = c.Send(tk, []byte("hello"))
+		_, _ = c.Recv(tk, 100)
+	})
+	if err := p.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recvParks != 1 || sendParks != 1 {
+		t.Errorf("Recv of buffered data parked %d times, Send within the window %d; want 1 each", recvParks, sendParks)
+	}
+}
