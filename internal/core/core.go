@@ -250,6 +250,7 @@ type System struct {
 
 	injector *chaos.Injector
 	parts    []*hw.Partition
+	backlog  uint64 // the worst lane backlog a backup reported (ReplayDebt)
 }
 
 // slotName returns a replica slot's role name: the boot-time pair keeps
@@ -429,6 +430,7 @@ func build(cfg Config) (*System, error) {
 	sys.active = reps[0]
 	sys.passives = append(sys.passives, reps[1:]...)
 	sys.setState(StateReplicated)
+	tr.Registry().Gauge("replay.debt", func() int64 { return int64(sys.ReplayDebt()) })
 
 	// Epoch checkpointing (epoch.go): cutter on the recording side,
 	// boundary verifier on every backup, quorum tracking for truncation.
@@ -711,6 +713,7 @@ func (sys *System) failover(first, dead *Replica) {
 // scheduled for re-integration.
 func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 	sys.FailedAt = sys.Sim.Now()
+	sys.ReplayDebt() // keeps the dead recorder's reports
 	// Snapshot the flight recorder before promotion mutates the replay
 	// state: the dump shows the system exactly as the failure found it —
 	// last acked tuple, in-flight batches, detector transitions, and the

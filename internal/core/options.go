@@ -9,7 +9,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/replication"
-	"repro/internal/tcprep"
 	"repro/internal/tcpstack"
 )
 
@@ -141,17 +140,8 @@ func (cfg Config) validate() (Config, error) {
 	}
 	// One coalescing policy per stream, normalized once: a batch is at
 	// least one, and a partial batch gets a flush bound so it can never
-	// sit forever.
+	// sit forever. tcprep.NewPrimary normalizes the sync stream's.
 	cfg.Replication = cfg.Replication.WithBatchDefaults()
-	if cfg.TCPSync == (tcprep.SyncConfig{}) {
-		cfg.TCPSync = tcprep.DefaultSyncConfig()
-	}
-	if cfg.TCPSync.BatchUpdates < 1 {
-		cfg.TCPSync.BatchUpdates = 1
-	}
-	if cfg.TCPSync.FlushInterval <= 0 {
-		cfg.TCPSync.FlushInterval = tcprep.DefaultSyncConfig().FlushInterval
-	}
 	if cfg.TCP.MSS == 0 {
 		cfg.TCP = tcpstack.DefaultParams()
 	}

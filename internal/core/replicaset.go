@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/replication"
@@ -26,6 +27,16 @@ func (sys *System) Watermarks() []replication.ReplicaWatermark {
 		return nil
 	}
 	return sys.active.NS.Watermarks()
+}
+
+// ReplayDebt is the worst replay debt a backup reported over the run — its
+// busiest det shard's unreplayed tuples times ReplayDispatchCost, what a
+// promotion then would have owed — folding in the active recorder's reports.
+func (sys *System) ReplayDebt() time.Duration {
+	for _, w := range sys.Watermarks() {
+		sys.backlog = max(sys.backlog, w.Backlog)
+	}
+	return time.Duration(sys.backlog) * sys.Cfg.Replication.ReplayDispatchCost
 }
 
 // isPassive reports whether rep is a current backup.
@@ -65,12 +76,8 @@ func (sys *System) slotFilled(idx int) bool {
 // the winner (ties to the lowest slot) plus the losers in join order.
 func (sys *System) elect() (winner *Replica, losers []*Replica) {
 	for _, p := range sys.livePassives() {
-		if winner == nil {
-			winner = p
-			continue
-		}
-		pw, ww := p.NS.Processed(), winner.NS.Processed()
-		if pw > ww || (pw == ww && p.partIdx < winner.partIdx) {
+		if winner == nil || p.NS.Processed() > winner.NS.Processed() ||
+			p.NS.Processed() == winner.NS.Processed() && p.partIdx < winner.partIdx {
 			winner = p
 		}
 	}

@@ -191,17 +191,18 @@ func (t *Task) Join(caller *Task) {
 func (t *Task) Sleep(d time.Duration) { t.proc.Sleep(d) }
 
 // Busy occupies the task for d of short on-CPU work WITHOUT a scheduling
-// point: the model of a brief kernel path (syscall entry, lock word
-// update, log write) that runs to completion on the thread's current core
-// rather than rescheduling. It advances time and utilization accounting
-// but does not contend for a core.
+// point — a brief kernel path (syscall entry, lock word update, log write)
+// run to completion on the task's core: it advances time and utilization
+// accounting, contending for no core. Charge is the accounting alone, for a
+// path a wake-up runs for the parked task it delays by d (Waiter.Grant).
 func (t *Task) Busy(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		t.proc.Sleep(d)
+		t.Charge(d)
 	}
-	t.proc.Sleep(d)
-	t.kernel.computeNS += int64(d)
 }
+
+func (t *Task) Charge(d time.Duration) { t.kernel.computeNS += int64(d) }
 
 // Syscall charges the base syscall entry/exit cost.
 func (t *Task) Syscall() { t.Busy(t.kernel.params.SyscallCost) }

@@ -9,15 +9,14 @@ import (
 
 // Waiter is one wait record: a granted flag plus the queue its task parks
 // on, the usual futex-word protocol — a grant that lands before the park is
-// not lost. A record holds one task; the order in which contended waiters
-// are granted — FIFO under the paper's futex modification (§3.3) — is
-// decided by the queue of records the lock-like object keeps (see package
-// pthread). A task parks on at most one lock-like object at a time, so
-// every task embeds one (Task.Waiter) and blocking on a contended lock
-// allocates nothing; an owner whose wait outlives other parks of the same
-// task (a timed condition wait stays queued while the task takes the
-// det-section lock of its timeout) embeds its own. A grant wakes only a
-// task parked on the record granted, never one parked elsewhere.
+// not lost. A record holds one task; the queue of records the lock-like
+// object keeps (package pthread) decides the order contended waiters are
+// granted in, FIFO under the paper's futex modification (§3.3). A task parks
+// on at most one lock-like object at a time, so every task embeds one
+// (Task.Waiter) and blocking on a contended lock allocates nothing; an owner
+// whose wait outlives other parks of the same task (a timed condition wait
+// stays queued while the task takes the det-section lock of its timeout)
+// embeds its own. A grant wakes only a task parked on the record granted.
 type Waiter struct {
 	task    *Task
 	granted bool
@@ -63,6 +62,6 @@ func (w *Waiter) Grant(busy time.Duration) bool {
 	if w.q.WakeOne(w.task.kernel.params.WakeBase+busy) == nil {
 		return false
 	}
-	w.task.kernel.computeNS += int64(busy)
+	w.task.Charge(busy)
 	return true
 }

@@ -33,6 +33,9 @@ type ReplicaWatermark struct {
 	// replaying retained history, excluded from the output-commit set.
 	Dead    bool
 	Syncing bool
+	// Backlog is the most routed, unreplayed tuples in one lane any of
+	// the backup's acks reported.
+	Backlog uint64
 }
 
 // replicaLink is the recorder's view of one backup replica: the outbox in
@@ -43,6 +46,7 @@ type replicaLink struct {
 	acks  *shm.Ring
 	ackRx sim.Event // the acks ring's receiver
 	acked uint64
+	laneQ uint64 // ReplicaWatermark.Backlog
 
 	// base is the absolute log index of the first message this link's
 	// ring ever carries: zero for a boot-time link, the recorder's
@@ -328,6 +332,7 @@ func (r *Recorder) drainAcks(link *replicaLink) {
 		default:
 			// Cumulative receipt watermark (absolute: a rejoined backup
 			// seeds its processed count from the checkpoint it restored).
+			link.laneQ = max(link.laneQ, m.W[1])
 			if v := m.W[0]; v > link.acked {
 				link.acked = v
 				r.fireStable()
@@ -402,7 +407,7 @@ func (r *Recorder) quorumNeed() int {
 func (r *Recorder) Watermarks() []ReplicaWatermark {
 	out := make([]ReplicaWatermark, 0, len(r.replicas))
 	for i, link := range r.replicas {
-		out = append(out, ReplicaWatermark{Index: i, Watermark: link.acked, Dead: link.Dead(), Syncing: link.syncing})
+		out = append(out, ReplicaWatermark{Index: i, Watermark: link.acked, Dead: link.Dead(), Syncing: link.syncing, Backlog: link.laneQ})
 	}
 	return out
 }
@@ -488,10 +493,7 @@ func (r *Recorder) emitSpan(link *replicaLink, m shm.Message) bool {
 // the flush deadline.
 func (r *Recorder) openSpan(link *replicaLink, minBytes int64) bool {
 	n := r.cfg.BatchTuples
-	budget := int64(n) * tupleBytes
-	if budget < minBytes {
-		budget = minBytes
-	}
+	budget := max(int64(n)*tupleBytes, minBytes)
 	sp := link.Ring().TryReserve(n, budget)
 	if !sp.Open() {
 		return false

@@ -51,7 +51,7 @@ func TestAckLoopIgnoresStaleWatermark(t *testing.T) {
 	var observed []uint64
 	s.Spawn("fake-secondary", func(p *sim.Proc) {
 		for _, v := range []uint64{5, 3, 5, 7} {
-			acks.Send(p, ackMessage(msgTuple, v))
+			acks.Send(p, ackMessage(msgTuple, v, 0))
 			p.Sleep(time.Millisecond)
 			observed = append(observed, rec.replicas[0].acked)
 		}
@@ -76,7 +76,7 @@ func TestAcksRingNeverFillsUnderBacklog(t *testing.T) {
 	done := false
 	s.Spawn("fake-secondary", func(p *sim.Proc) {
 		for i := 1; i <= 200; i++ {
-			acks.Send(p, ackMessage(msgTuple, uint64(i)))
+			acks.Send(p, ackMessage(msgTuple, uint64(i), 0))
 		}
 		done = true
 	})

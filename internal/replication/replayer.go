@@ -188,7 +188,7 @@ func (r *Replayer) receipt(batch []shm.Message) {
 	if len(batch) > 1 {
 		r.stats.LogBatches++
 	}
-	if r.acks.TrySend(ackMessage(msgTuple, r.processed)) {
+	if r.acks.TrySend(ackMessage(msgTuple, r.processed, r.backlog())) {
 		r.stats.AckMessages++
 		r.cAcks.Inc()
 		r.sc.Emit(obs.AckSend, 0, int64(r.processed), 0)
@@ -239,6 +239,15 @@ func (r *Replayer) route(m shm.Message) {
 	}
 	r.hist.append(m)
 	r.stats.LogMessages++
+}
+
+// backlog is the busiest lane's routed messages not yet replayed: the
+// dispatches a promotion now would owe before the promoted side serves.
+func (r *Replayer) backlog() (n uint64) {
+	for _, ln := range r.lanes {
+		n = max(n, uint64(ln.q.Len()))
+	}
+	return n
 }
 
 func (r *Replayer) enqueue(ln *lane, m shm.Message) {
@@ -394,20 +403,15 @@ func (r *Replayer) truncateAt(mark EpochMark) {
 // the epoch-boundary acknowledgement; retryEpochAck drains the queued
 // one at the next receipt.
 func (r *Replayer) sendEpochAck(epoch uint64) {
-	if r.acks.TrySend(ackMessage(msgEpochAck, epoch)) {
+	if r.acks.TrySend(ackMessage(msgEpochAck, epoch, 0)) {
 		r.stats.AckMessages++
 		return
 	}
-	if epoch > r.epochAckPend {
-		r.epochAckPend = epoch
-	}
+	r.epochAckPend = max(r.epochAckPend, epoch)
 }
 
 func (r *Replayer) retryEpochAck() {
-	if r.epochAckPend == 0 {
-		return
-	}
-	if r.acks.TrySend(ackMessage(msgEpochAck, r.epochAckPend)) {
+	if r.epochAckPend != 0 && r.acks.TrySend(ackMessage(msgEpochAck, r.epochAckPend, 0)) {
 		r.epochAckPend = 0
 		r.stats.AckMessages++
 	}

@@ -40,6 +40,7 @@
 package replication
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -66,12 +67,7 @@ var roleNames = map[Role]string{
 	RoleLive:      "live",
 }
 
-func (r Role) String() string {
-	if s, ok := roleNames[r]; ok {
-		return s
-	}
-	return fmt.Sprintf("Role(%d)", int(r))
-}
+func (r Role) String() string { return cmp.Or(roleNames[r], fmt.Sprintf("Role(%d)", int(r))) }
 
 // Extended deterministic-section ops beyond the Pthreads set.
 const (
@@ -179,9 +175,10 @@ func tupleOf(m shm.Message) Tuple {
 const wGlobalSeq, opBits = 1, 16
 
 // ackMessage is a cumulative acknowledgement on the ack ring: the receipt
-// watermark (msgTuple) or a verified epoch number (msgEpochAck) in word 0.
-func ackMessage(kind int, v uint64) shm.Message {
-	return shm.Message{Kind: kind, Size: 16, W: [7]uint64{v}}
+// watermark (msgTuple) or a verified epoch number (msgEpochAck) in word 0;
+// a receipt watermark carries the replayer's backlog in word 1, uncounted.
+func ackMessage(kind int, v, backlog uint64) shm.Message {
+	return shm.Message{Kind: kind, Size: 16, W: [7]uint64{v, backlog}}
 }
 
 // envMessage carries the replicated environment (once per launch) and
@@ -290,14 +287,9 @@ const defaultFlushInterval = 50 * time.Microsecond
 // per batch, a flush interval so a buffered tuple can never sit forever,
 // at least one det shard.
 func (c Config) WithBatchDefaults() Config {
-	if c.BatchTuples < 1 {
-		c.BatchTuples = 1
-	}
+	c.BatchTuples, c.DetShards = max(c.BatchTuples, 1), max(c.DetShards, 1)
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = defaultFlushInterval
-	}
-	if c.DetShards < 1 {
-		c.DetShards = 1
 	}
 	return c
 }

@@ -162,3 +162,108 @@ func TestGateAbsorbsSupersededPureAck(t *testing.T) {
 		})
 	}
 }
+
+// TestDelayedAckWaitsForItsSyncUpdate: past quick-ACK mode the stack owes
+// the ACK of a lone input segment and the delayed-ACK timer sends it 40 ms
+// later — through the gate like any segment, so it still waits for the sync
+// update of the bytes it acknowledges. Here that update queued behind a
+// batch the full sync ring refused, and the ACK reaches the client only
+// after a backup has taken the update off the ring.
+func TestDelayedAckWaitsForItsSyncUpdate(t *testing.T) {
+	s := sim.New(1)
+	m := hw.New(s, hw.Opteron6376x4())
+	boot := func(name string, cpus ...int) *kernel.Kernel {
+		part, err := m.NewPartition(name, cpus...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := kernel.Boot(part, kernel.Config{Name: name, Params: kernel.DefaultParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	k, ck := boot("primary", 0, 1, 2, 3), boot("client", 4, 5)
+	defer s.Shutdown()
+	fabric := shm.NewFabric(s, time.Microsecond)
+	cfg := replication.DefaultConfig()
+	cfg.StrictOutputCommit = false // the gate's sync barrier alone
+	ns := replication.NewPrimary("ftns", k, cfg, []*shm.Ring{fabric.NewRing("ftns.log", 0, 1<<20)},
+		[]*shm.Ring{fabric.NewRing("ftns.acks", 1, 64<<10)})
+	stack, client := tcpstack.New(k, "server", tcpstack.DefaultParams()), tcpstack.New(ck, "client", tcpstack.DefaultParams())
+	snic, cnic := simnet.NewNIC("server", nil), simnet.NewNIC("client", nil)
+	if _, err := simnet.Connect(s, snic, cnic, simnet.GigabitEthernet()); err != nil {
+		t.Fatal(err)
+	}
+	stack.Attach(snic)
+	client.Attach(cnic)
+	var conns [2]*tcpstack.Conn
+	for i := range conns {
+		var err error
+		if conns[i], err = stack.Restore(tcpstack.ConnSnapshot{LocalPort: 80, Remote: tcpstack.Addr{Host: "client", Port: 40000 + i},
+			ISS: 1000, IRS: 2000, SndUna: 1001, RcvNxt: 2001}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc, err := client.Restore(tcpstack.ConnSnapshot{LocalPort: 40000, Remote: tcpstack.Addr{Host: "server", Port: 80},
+		ISS: 2000, IRS: 1000, SndUna: 2001, RcvNxt: 1001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := fabric.NewRing("tcprep.sync", 0, 4<<10)
+	prim := NewPrimary(ns, stack, PrimaryConfig{Syncs: []*shm.Ring{ring}})
+	for _, c := range conns {
+		prim.onEstablished(c)
+	}
+	var acked uint64 // the client's highest ACK received
+	var ackedAt sim.Time
+	client.SetIngress(func(seg *tcpstack.Segment) bool {
+		if seg.Ack > acked {
+			acked, ackedAt = seg.Ack, s.Now()
+		}
+		return true
+	})
+	send := func(n int) {
+		ck.Spawn("client", func(tk *kernel.Task) {
+			for range n {
+				_, _ = cc.Send(tk, []byte("x"))
+				tk.Sleep(100 * time.Microsecond)
+			}
+		})
+		if err := s.RunFor(time.Millisecond + time.Duration(n)*100*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const quick = 16 // the stack's quick-ACK mode
+	if send(quick); acked != 2001+quick {
+		t.Fatalf("after the quick-ACK segments the client holds ACK %d, want %d", acked, 2001+quick)
+	}
+	// Another connection's update fills the ring: refused, it parks the
+	// sync stream's spill server, and everything later queues behind it.
+	prim.onDataIn(conns[1], make([]byte, ring.Free()))
+	prim.flushForCommit()
+	send(1)
+	if err := s.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	g := prim.gate
+	if acked != 2001+quick || g.held.Len() != 1 || !(*g.held.At(0)).PureAck() || (*g.held.At(0)).Ack != 2001+quick+1 {
+		t.Fatalf("client holds ACK %d and the gate holds %d segments; want %d, and the pure ACK of the last byte held",
+			acked, g.held.Len(), 2001+quick)
+	}
+	var updateAt sim.Time // when a backup took the last byte's update off the ring
+	s.Spawn("backup", func(p *sim.Proc) {
+		for {
+			if m := ring.Recv(p); m.Kind == syncDataIn && string(m.Data) == "x" {
+				updateAt = s.Now()
+			}
+		}
+	})
+	if err := s.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if acked != 2001+quick+1 || updateAt == 0 || ackedAt < updateAt {
+		t.Errorf("client holds ACK %d from %v, the update left the ring at %v; want %d after the update",
+			acked, ackedAt, updateAt, 2001+quick+1)
+	}
+}

@@ -101,10 +101,10 @@ func DefaultSyncConfig() SyncConfig {
 // GateConfig models the primary's per-packet replication bookkeeping cost:
 // every output packet traverses the Netfilter egress hook and the
 // output-commit queue, paying a fixed per-packet cost plus a per-byte copy
-// cost. This serial path is what keeps FT-Linux's bulk transfer at ~85% of
-// Ubuntu's (§4.4) and contributes to the §4.2 ceiling under high request
-// rates. It applies only while replication is active: after failover the
-// promoted replica sends at native speed.
+// cost. This serial path keeps FT-Linux's bulk transfer at ~85% of Ubuntu's
+// (§4.4) and bounds request rates (§4.2); past quick-ACK mode the stack's
+// delayed ACKs let a request's ACK ride its reply through it. It applies only
+// while replication is active: a promoted replica sends at native speed.
 type GateConfig struct {
 	PerSegment time.Duration
 	PerByte    time.Duration
@@ -165,7 +165,7 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 	p.gate = g
 	stack.SetEgress(g)
 	stack.SetIngress(p.ingress)
-	stack.OnEstablished, stack.OnDataIn, stack.OnAckIn = p.onEstablished, p.onDataIn, p.onAckIn
+	stack.OnOpen, stack.OnDataIn, stack.OnAckIn = p.onEstablished, p.onDataIn, p.onAckIn
 	stack.OnPeerFin, stack.OnReaped = p.onPeerFin, p.onReaped
 	ns.Kernel().Spawn("tcprep-spill", func(t *kernel.Task) { p.out.Serve(t.Proc()) })
 	return p

@@ -39,6 +39,16 @@ var stateNames = map[connState]string{
 
 func (s connState) String() string { return stateNames[s] }
 
+// Linux's ACK policy (RFC 1122 §4.2.3.2, RFC 5681 §4.2): a connection's
+// first quickAcks in-order data segments are acknowledged at once
+// (TCP_MAX_QUICKACKS); after that an ACK is owed until an outgoing segment
+// carries it, a second segment is owed, or delAckTimeout passes
+// (TCP_DELACK_MIN).
+const (
+	quickAcks     = 16
+	delAckTimeout = 40 * time.Millisecond
+)
+
 // Conn is one TCP connection endpoint.
 type Conn struct {
 	stack *Stack
@@ -77,11 +87,19 @@ type Conn struct {
 	timer    sim.Event
 	synTries int
 
+	// Delayed ACK. quickAcked counts the in-order data segments ACKed at
+	// once, up to quickAcks, then one more once delAck is bound; ackOwed is
+	// set while delAck is armed.
+	quickAcked int
+	ackOwed    bool
+	delAck     sim.Event
+
 	listener *Listener // set while pending accept (server side)
 
 	connectQ sim.WaitQueue
 	sendQ    sim.WaitQueue
-	recvQ    sim.WaitQueue
+	recvQ    sim.WaitQueue // a second concurrent Recv; the first parks on rd
+	rd       *reader
 	pollFns  []func()
 }
 
@@ -144,11 +162,49 @@ func (c *Conn) sendSegment(flags Flags, seq uint64, data []byte, probe bool) {
 	seg.setData(data)
 	if flags.Has(FlagACK) {
 		seg.Ack = c.rcvNxt
+		c.clearOwedAck() // this segment carries it
 	}
 	c.stack.transmit(seg)
 }
 
 func (c *Conn) sendAck() { c.sendSegment(FlagACK, c.sndNxt, nil, false) }
+
+// ackInOrder acknowledges an in-order data segment the receive buffer took
+// whole: at once in quick-ACK mode or when a second segment is owed, else
+// later (the policy above).
+func (c *Conn) ackInOrder() {
+	switch {
+	case c.quickAcked < quickAcks:
+		c.quickAcked++
+		c.sendAck()
+	case c.ackOwed:
+		c.sendAck()
+	default:
+		if c.quickAcked == quickAcks {
+			// Bound here, not in newConn: a short connection never delays,
+			// and the method value is an allocation.
+			c.quickAcked++
+			c.delAck.Init(c.stack.kern.Sim(), c.onDelAck)
+		}
+		c.ackOwed = true
+		c.delAck.Reset(delAckTimeout)
+	}
+}
+
+func (c *Conn) clearOwedAck() {
+	if c.ackOwed {
+		c.ackOwed = false
+		c.delAck.Cancel()
+	}
+}
+
+// onDelAck sends the owed ACK no outgoing segment carried in time; a dead
+// kernel's stack sends nothing.
+func (c *Conn) onDelAck() {
+	if c.ackOwed && c.stack.kern.Alive() {
+		c.sendAck()
+	}
+}
 
 // trySend transmits as much pending data as the peer's window allows,
 // followed by the FIN once the stream is fully transmitted.
@@ -251,8 +307,9 @@ func (c *Conn) handleSegment(seg *Segment) {
 		}
 		return
 	}
-	if seg.Flags.Has(FlagSYN) && c.state == stateSynRcvd {
-		// Duplicate SYN: our SYN+ACK was lost.
+	if seg.Flags.Has(FlagSYN) && (c.state == stateSynRcvd || !seg.Flags.Has(FlagACK) && seg.Seq == c.irs) {
+		// Duplicate SYN: our SYN+ACK was lost, or a failed primary never
+		// sent it and a restored connection answers in its place.
 		c.sendSegment(FlagSYN|FlagACK, c.iss, nil, false)
 		return
 	}
@@ -327,9 +384,14 @@ func (c *Conn) handleData(seg *Segment) {
 			if c.stack.OnDataIn != nil {
 				c.stack.OnDataIn(c, data)
 			}
-			c.recvQ.WakeAll(0)
+			c.wakeReaders()
 			c.notifyPoll()
 		}
+		if c.rcvNxt == end {
+			c.ackInOrder()
+			return
+		}
+		// Truncated by the window: the ACK tells the peer at once.
 	}
 	c.sendAck()
 }
@@ -353,7 +415,7 @@ func (c *Conn) handleFin(seg *Segment) {
 	case stateFinWait2:
 		c.enterTimeWait()
 	}
-	c.recvQ.WakeAll(0)
+	c.wakeReaders()
 	c.notifyPoll()
 	c.sendAck()
 }
@@ -371,8 +433,8 @@ func (c *Conn) ourFinAcked() {
 
 func (c *Conn) establish() {
 	c.state = stateEstablished
-	if c.stack.OnEstablished != nil {
-		c.stack.OnEstablished(c)
+	if c.stack.OnOpen != nil && c.listener == nil { // a passive open fired it at its SYN-ACK
+		c.stack.OnOpen(c)
 	}
 	c.connectQ.WakeAll(0)
 	if c.listener != nil {
@@ -391,13 +453,14 @@ func (c *Conn) enterTimeWait() {
 func (c *Conn) reap() {
 	c.state = stateClosed
 	c.timer.Cancel()
+	c.clearOwedAck()
 	c.stack.removeConn(c)
 	if c.stack.OnReaped != nil {
 		c.stack.OnReaped(c)
 	}
 	c.connectQ.WakeAll(0)
 	c.sendQ.WakeAll(0)
-	c.recvQ.WakeAll(0)
+	c.wakeReaders()
 	c.notifyPoll()
 }
 
@@ -453,7 +516,8 @@ func (c *Conn) segmentCPU(n int) time.Duration {
 // Recv reads up to max bytes, blocking until data is available. It returns
 // EOF once the peer has closed and all data has been consumed, and nothing,
 // at once, if max is not positive (like recv(2) of length 0). The syscall's
-// cost is paid after the wait, with the copy's, as one stretch of CPU.
+// cost is paid after the wait, with the copy's, as one stretch of CPU: by
+// the wake-up of a Recv that parked (see reader).
 //
 // The bytes are lent, not given: the slice is a view of storage the
 // connection reuses, valid until the next Recv or Close on it. A caller
@@ -464,6 +528,9 @@ func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 	if max <= 0 {
 		t.Busy(syscall)
 		return nil, nil
+	}
+	if c.rcvBuf.Len() == 0 && c.err == nil && !c.peerFin && c.state != stateClosed && c.rd == nil && c.recvQ.Len() == 0 {
+		return c.park(t, max)
 	}
 	for c.rcvBuf.Len() == 0 {
 		var err error
@@ -490,6 +557,93 @@ func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 		c.sendAck() // window update: reopen the peer's send window
 	}
 	return out, nil
+}
+
+// reader is a Recv parked on an empty connection. Its wake-up, ev, fires
+// where the task's resume would have been queued and does there what the
+// task would have done on resuming — lend the bytes and discard them, or
+// take the error that ends the wait — then wakes the task once the read's
+// CPU time has passed: virtual time is Busy's, but the task is switched in
+// once rather than twice. Readers are recycled through Stack.readers.
+type reader struct {
+	ev      sim.Event
+	q       sim.WaitQueue
+	c       *Conn
+	t       *kernel.Task
+	max     int
+	out     []byte
+	err     error
+	wasFull bool
+	done    bool
+}
+
+// park is Recv on an empty connection: it waits on a reader for its read.
+func (c *Conn) park(t *kernel.Task, max int) ([]byte, error) {
+	r := c.stack.reader()
+	r.c, r.t, r.max = c, t, max
+	r.ev.SetBackground(t.Proc().Background()) // as the task's own resume would be
+	c.rd = r
+	defer c.unpark(r) // a task killed while parked unwinds through it too
+	r.q.Wait(t.Proc())
+	if r.wasFull {
+		c.sendAck() // window update: reopen the peer's send window
+	}
+	return r.out, r.err
+}
+
+func (s *Stack) reader() *reader {
+	if n := len(s.readers); n > 0 {
+		r := s.readers[n-1]
+		s.readers = s.readers[:n-1]
+		return r
+	}
+	r := &reader{}
+	r.ev.Init(s.kern.Sim(), r.ready)
+	return r
+}
+
+func (c *Conn) unpark(r *reader) {
+	r.ev.Cancel()
+	c.rd = nil
+	r.c, r.t, r.out, r.err, r.wasFull, r.done = nil, nil, nil, nil, false, false
+	c.stack.readers = append(c.stack.readers, r)
+}
+
+// wakeReaders wakes the connection's waiting Recvs, a parked reader first,
+// as the queue it waits on would.
+func (c *Conn) wakeReaders() {
+	if r := c.rd; r != nil && !r.done && !r.ev.Armed() {
+		r.ev.Reset(0)
+	}
+	c.recvQ.WakeAll(0)
+}
+
+// ready is a parked reader's wake-up: what Recv's loop would do on resuming.
+func (r *reader) ready() {
+	c := r.c
+	if r.t.Proc().Killed() {
+		return // the task unwinds without reading
+	}
+	busy := r.t.Kernel().Params().SyscallCost
+	switch {
+	case c.rcvBuf.Len() > 0:
+		n := min(c.rcvBuf.Len(), r.max)
+		r.out = c.rcvOut.Lend(c.rcvBuf.Bytes()[:n])
+		r.wasFull = c.recvWindow() == 0
+		c.rcvBuf.Discard(n)
+		busy += c.segmentCPU(n)
+	case c.err != nil:
+		r.err = c.err
+	case c.peerFin:
+		r.err = EOF
+	case c.state == stateClosed:
+		r.err = ErrClosed
+	default:
+		return // nothing to read: the task stays parked
+	}
+	r.done = true
+	r.t.Charge(busy)
+	r.q.WakeOne(busy)
 }
 
 // Close initiates an orderly shutdown: the FIN goes out after all buffered

@@ -470,3 +470,26 @@ func TestRecvViewPoisonedOnReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoredConnAnswersRetransmittedSYN: a replication layer learns of a
+// passive connection as its SYN-ACK is sent, so a primary can fail with the
+// SYN-ACK still held at its gate and the backup restores the connection
+// anyway. The client, which never saw the SYN-ACK, retransmits its SYN; the
+// restored connection answers it with the SYN-ACK the client is owed.
+func TestRestoredConnAnswersRetransmittedSYN(t *testing.T) {
+	p := newPair(t, 24, DefaultParams())
+	out := &logGate{sim: p.sim}
+	p.server.SetEgress(out)
+	c, err := p.server.Restore(ConnSnapshot{LocalPort: 80, Remote: Addr{Host: "client", Port: 40000},
+		ISS: 1000, IRS: 2000, SndUna: 1001, RcvNxt: 2001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := p.client.newSegment()
+	syn.Src, syn.Dst, syn.Seq, syn.Flags, syn.Window = Addr{Host: "client", Port: 40000}, Addr{Host: "server", Port: 80}, 2000, FlagSYN, 64<<10
+	p.server.input(syn)
+	syn.release()
+	if len(out.segs) != 1 || out.segs[0].flags != FlagSYN|FlagACK || out.segs[0].ack != 2001 || !c.Established() {
+		t.Fatalf("sent %+v, want one SYN-ACK of the client's SYN from the established connection", out.segs)
+	}
+}

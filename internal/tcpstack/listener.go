@@ -57,6 +57,9 @@ func (l *Listener) handleSYN(seg *Segment) {
 	c.sndWnd = seg.Window
 	c.listener = l
 	l.stack.addConn(c)
+	if l.stack.OnOpen != nil {
+		l.stack.OnOpen(c)
+	}
 	c.sendSegment(FlagSYN|FlagACK, c.iss, nil, false)
 	c.armRTO()
 }

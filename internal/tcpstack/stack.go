@@ -15,6 +15,15 @@
 // (Restore), which is how the failover path brings the secondary's stack
 // to a state indistinguishable from the last externally visible state of
 // the primary's stack.
+//
+// Acknowledgements follow Linux (RFC 1122 §4.2.3.2, RFC 5681 §4.2): a
+// connection ACKs its first 16 in-order data segments at once (quick-ACK
+// mode); after that an in-order segment only owes an ACK, which the next
+// outgoing segment carries, a second owed segment sends, or a 40 ms timer
+// sends. Out-of-order, duplicate or window-truncated data, a FIN, a
+// zero-window probe and a window reopen are ACKed at once. So past
+// quick-ACK mode a request/reply exchange is one segment each way, and
+// every ACK, delayed or not, passes the egress gate like any segment.
 package tcpstack
 
 import (
@@ -118,11 +127,13 @@ type Stack struct {
 	portConns map[int]int // connections per local port, so allocPort need not scan conns
 	nextISS   uint64
 
-	// Free lists (DESIGN.md §20): segment records, and the backing arrays
-	// of the connections' send and receive windows. They belong to this
-	// stack, so simulations sharing a process share nothing.
+	// Free lists (DESIGN.md §20): segment records, the backing arrays of
+	// the connections' send and receive windows, and parked Recvs' readers.
+	// They belong to this stack, so simulations sharing a process share
+	// nothing.
 	segFree []*Segment
 	bufs    streambuf.Pool
+	readers []*reader
 
 	// Ephemeral ports are handed out round-robin from [portLo, portHi].
 	portLo, portHi, nextPort int
@@ -134,8 +145,10 @@ type Stack struct {
 	// All are optional and must not block (they run in segment-processing
 	// context).
 
-	// OnEstablished fires when a connection reaches ESTABLISHED.
-	OnEstablished func(*Conn)
+	// OnOpen fires when a connection opens: an active open as it reaches
+	// ESTABLISHED, a passive one as it sends its SYN-ACK, so a replication
+	// layer learns of it before the client can use it.
+	OnOpen func(*Conn)
 	// OnDataIn fires when in-order input bytes are accepted into the
 	// receive buffer (and will therefore be acknowledged to the peer).
 	OnDataIn func(*Conn, []byte)

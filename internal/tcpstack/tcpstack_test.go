@@ -779,3 +779,104 @@ func TestSendAndRecvParkOnce(t *testing.T) {
 		t.Errorf("Recv of buffered data parked %d times, Send within the window %d; want 1 each", recvParks, sendParks)
 	}
 }
+
+// TestParkedRecvResumesOnce: a Recv that waits for input has its wake-up
+// do the read — or take the EOF — and resumes its task once, when the
+// syscall's and the copy's CPU time have passed since the input arrived,
+// as a resume followed by a Busy would; with a ticker process running
+// between any two parks, a resume and a Busy would show as two switches,
+// and each of two Recvs in a row parks this way. A
+// reader killed in the instant its input arrives, after its wake-up is
+// armed, reads nothing: the bytes wait for the next Recv.
+func TestParkedRecvResumesOnce(t *testing.T) {
+	params := DefaultParams()
+	kp := kernel.DefaultParams()
+	for _, tc := range []struct {
+		name      string
+		reads     int
+		kill      bool
+		close     bool
+		want      string
+		wantErr   error
+		wantAfter time.Duration // from the input's arrival to Recv's return
+	}{
+		{name: "data", reads: 2, want: "hello", wantAfter: kp.SyscallCost + params.SegmentCPU},
+		{name: "EOF", reads: 1, close: true, wantErr: io.EOF, wantAfter: kp.SyscallCost},
+		{name: "killed", reads: 1, kill: true, want: "hello"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t, 1, params)
+			l, err := p.server.Listen(80, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reader, switches, done := "", 0, false
+			var arrived sim.Time
+			var rt *kernel.Task
+			p.server.OnDataIn = func(*Conn, []byte) {
+				arrived = p.sim.Now()
+				if tc.kill {
+					p.sim.Schedule(0, func() { rt.Kill(); done = true }) // queued ahead of the reader's wake-up
+				}
+			}
+			p.server.OnPeerFin = func(*Conn) { arrived = p.sim.Now() }
+			p.sim.OnSwitch = func(_ sim.Time, name string) {
+				if name == reader {
+					switches++
+				}
+			}
+			p.sim.Spawn("ticker", func(pr *sim.Proc) {
+				for !done {
+					pr.Sleep(100 * time.Nanosecond)
+				}
+			})
+			var conn *Conn
+			var got []byte
+			var gotErr error
+			var returned sim.Time
+			rt = p.serverK.Spawn("server", func(tk *kernel.Task) {
+				if conn, err = l.Accept(tk); err != nil {
+					t.Error(err)
+					return
+				}
+				reader = tk.Proc().Name()
+				for range tc.reads {
+					got, gotErr = conn.Recv(tk, 100)
+				}
+				returned, reader, done = p.sim.Now(), "", true
+			})
+			p.clientK.Spawn("client", func(tk *kernel.Task) {
+				c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for range tc.reads {
+					tk.Sleep(time.Millisecond)
+					if tc.close {
+						_ = c.Close(tk)
+					} else {
+						_, _ = c.Send(tk, []byte("hello"))
+					}
+				}
+			})
+			if err := p.sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.kill {
+				if returned != 0 || conn.BufferedIn() != len(tc.want) {
+					t.Fatalf("killed reader returned at %v; %d bytes buffered, want %d", returned, conn.BufferedIn(), len(tc.want))
+				}
+				p.serverK.Spawn("next", func(tk *kernel.Task) { got, gotErr = conn.Recv(tk, 100) })
+				if err := p.sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+			} else if after := returned.Sub(arrived); after != tc.wantAfter || switches != tc.reads {
+				t.Errorf("Recv returned %v after its input arrived, %d Recvs switched in %d times; want %v, once each", after, tc.reads, switches, tc.wantAfter)
+			}
+			if string(got) != tc.want || gotErr != tc.wantErr {
+				t.Errorf("Recv = %q, %v; want %q, %v", got, gotErr, tc.want, tc.wantErr)
+			}
+		})
+	}
+}
