@@ -96,8 +96,8 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=1942 replication=2663 tcprep=1557 shm=1131
-LOC_KERNEL_CEILING := 866
+LOC_CEILINGS := core=1935 replication=2658 tcprep=1557 shm=1131
+LOC_KERNEL_CEILING := 854
 LOC_BENCH_CEILING := 2084
 LOC_DESIGN_CEILING := 1374
 

@@ -496,13 +496,10 @@ func (sys *System) watch(a, b *Replica, aToB, bToA *shm.Ring, scopeA, scopeB str
 	return da, db
 }
 
-// hookKernel fails the server NIC the instant a kernel that owns it dies, and
-// holds the run open one heart-beat timeout so the monitors see a silent death.
+// hookKernel holds the run open one heart-beat timeout past a kernel's
+// death, so the monitors see a silent death.
 func (sys *System) hookKernel(k *kernel.Kernel) {
 	k.OnPanic(func(kernel.PanicReason) {
-		if sys.nic.Owner() == k {
-			sys.nic.FailDevice()
-		}
 		sys.Sim.Schedule(sys.Cfg.Failure.Timeout+sys.Cfg.Failure.Interval, func() {})
 	})
 }
@@ -633,9 +630,6 @@ func (sys *System) Run(app App) {
 // (an earlier generation's detector firing late, or a retired backup's)
 // is ignored.
 func (sys *System) peerFailed(surv, dead *Replica) {
-	if !surv.Kernel.Alive() {
-		return
-	}
 	switch {
 	case sys.isPassive(dead):
 		sys.backupDied(surv, dead)
@@ -655,7 +649,7 @@ func (sys *System) backupDied(surv, dead *Replica) {
 	}
 	sys.lastDead = dead
 	sys.dropBackup(surv, dead)
-	sys.scheduleRejoin(surv, dead)
+	sys.scheduleRejoin(dead)
 }
 
 // dropBackup detaches a backup that just left the passive list — dead or
@@ -763,7 +757,7 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 			"lost failover election")
 		lk := l.Kernel
 		sys.Sim.Schedule(0, func() { lk.Panic("retired: lost failover election", nil) })
-		sys.scheduleRejoin(surv, l)
+		sys.scheduleRejoin(l)
 	}
 	surv.NS.Replayer().Promote()
 	k := surv.Kernel
@@ -801,7 +795,7 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 			sys.startCutter(surv)
 		}
 		sys.LiveAt = t.Now()
-		sys.scheduleRejoin(surv, dead)
+		sys.scheduleRejoin(dead)
 	})
 }
 

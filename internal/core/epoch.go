@@ -50,7 +50,7 @@ func (sys *System) cutterLoop(t *kernel.Task, rep *Replica) {
 		t.Proc().SetBackground(true) // between cuts: a finished run may end
 		t.Sleep(poll)
 		t.Proc().SetBackground(false) // a cut is foreground work
-		if sys.active != rep || !rep.Kernel.Alive() {
+		if sys.active != rep {
 			return
 		}
 		if !rep.NS.Recording() {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/causal"
 	"repro/internal/replication"
+	"repro/internal/sim"
 	"repro/internal/tcprep"
 )
 
@@ -26,8 +27,8 @@ import (
 // At every boundary the client receives the never-failed run's bytes, the
 // tuple orders diff clean with no divergence on any replica, the run ends
 // replicated at generation 1 or later with every live kernel's cores idle,
-// and Wait reports no hang (rejoinRun fails the test on the first two and
-// the last).
+// nothing is traced for the dead kernel after its death, and Wait reports
+// no hang (rejoinRun fails the test on the first two and the last).
 func TestKillAtEveryTransfer(t *testing.T) {
 	t.Parallel()
 	const total = 256 << 10
@@ -55,6 +56,7 @@ func TestKillAtEveryTransfer(t *testing.T) {
 				if d := causal.DiffTraces(clean.Obs.Events(), sys.Obs.Events(), 0); d != nil {
 					t.Errorf("the tuple orders diverge: %s", d.Summary())
 				}
+				checkSilentAfterDeath(t, spec, sys)
 				if inj := sys.Injector(); inj.Kills != 1 {
 					t.Errorf("%d kills delivered, want 1", inj.Kills)
 				}
@@ -286,6 +288,7 @@ func sweepRun(t *testing.T, app sweepApp, spec string, opts []core.Option) (*cor
 // checkKilledRun is the rest of the oracle, for a run killed once by spec.
 func checkKilledRun(t *testing.T, spec string, sys *core.System) {
 	t.Helper()
+	checkSilentAfterDeath(t, spec, sys)
 	if inj := sys.Injector(); inj.Kills != 1 {
 		t.Errorf("%s: %d kills delivered, want 1", spec, inj.Kills)
 	}
@@ -300,4 +303,149 @@ func checkKilledRun(t *testing.T, spec string, sys *core.System) {
 			t.Errorf("%s: %s has %d of %d cores idle once quiet", spec, k.Name(), k.IdleCores(), k.Cores())
 		}
 	}
+}
+
+// checkSilentAfterDeath fails on the first trace event attributed to a
+// kernel after its KernelPanic: one in the kernel's own scope or in its
+// namespace's, which share the kernel's slot prefix (primary/kernel and
+// primary/ftns).
+func checkSilentAfterDeath(t *testing.T, spec string, sys *core.System) {
+	t.Helper()
+	dead := map[string]bool{}
+	for _, e := range sys.Obs.Events() {
+		slot, part, _ := strings.Cut(e.Scope, "/")
+		if part != "kernel" && part != "ftns" {
+			continue
+		}
+		if dead[slot] {
+			t.Errorf("%s: %v traced in %s at %v, after the kernel died", spec, e.Kind, e.Scope, e.At)
+			return
+		}
+		dead[slot] = e.Kind == obs.KernelPanic
+	}
+}
+
+// TestKillDuringRejoin is rung (d) of the correctness ladder: kills during
+// a checkpoint-seeded rejoin (restorableStream with epoch checkpoints every
+// 100 ms) of the partition freed by `kill primary @250ms`, which starts
+// 100 ms after the failover while the 6 MiB download still runs, at one
+// det shard and four. It
+// kills the rejoining backup as each bulk transfer of its seed lands; the
+// survivor as each log transfer of the delta replay that follows lands,
+// from the rejoin's start until the new backup has replayed up to the
+// attach frontier; and, at three replicas, the new primary as each bulk
+// transfer lands — back to back with the first kill. Each run has item 1's
+// oracle, and ends healthy with no rejoin error after a later rejoin that
+// completes.
+func TestKillDuringRejoin(t *testing.T) {
+	t.Parallel()
+	const total = 6 << 20
+	start := time.Now()
+	kills := 0
+	for _, shards := range []int{1, 4} {
+		opts := []core.Option{core.WithEpochCheckpoints(100*time.Millisecond, 0), core.WithDetShards(shards),
+			core.WithRejoinDelay(100 * time.Millisecond), core.WithTrace()}
+		_, want, _ := rejoinRun(t, "", 1, restorableStream, total, opts...)
+		first, _, _ := rejoinRun(t, "kill primary @250ms", 1, restorableStream, total, opts...)
+		if seeds := seedEpochs(first); len(seeds) != 1 || seeds[0] == 0 {
+			t.Fatalf("shards=%d: the rejoin seeded from epochs %v, want one verified cut", shards, seeds)
+		}
+		bulk, delta := rejoinTransfers(first)
+		if bulk == 0 || len(delta) == 0 {
+			t.Fatalf("shards=%d: the rejoin has %d bulk transfers and log transfers %v in its delta replay", shards, bulk, delta)
+		}
+		var specs []string
+		for n := 1; n <= bulk; n++ {
+			specs = append(specs, fmt.Sprintf("kill primary @250ms; kill backup @bulk#%d", n))
+		}
+		for _, n := range delta {
+			specs = append(specs, fmt.Sprintf("kill primary @250ms; kill primary @log#%d", n))
+		}
+		for n := 1; n <= bulk; n++ {
+			specs = append(specs, fmt.Sprintf("kill primary @250ms; kill primary @bulk#%d n=3", n))
+		}
+		for _, spec := range specs {
+			extra := opts
+			if s, ok := strings.CutSuffix(spec, " n=3"); ok {
+				spec, extra = s, append(opts[:len(opts):len(opts)], core.WithReplicaSet(3))
+			}
+			label := fmt.Sprintf("shards=%d: %s (N=%d)", shards, spec, 2+len(extra)-len(opts))
+			sys, got, _ := rejoinRun(t, spec, 1, restorableStream, total, extra...)
+			kills++
+			if got != want {
+				t.Errorf("%s: the client's stream hashes to %x, the never-failed run's to %x", label, got, want)
+			}
+			if inj := sys.Injector(); inj.Kills != 2 {
+				t.Errorf("%s: %d kills delivered, want 2", label, inj.Kills)
+			}
+			if err := sys.RejoinErr(); err != nil {
+				t.Errorf("%s: rejoin error: %v", label, err)
+			}
+			if err := sys.Healthy(); err != nil {
+				t.Errorf("%s: not healthy at the end: %v", label, err)
+			}
+			if last := lastRejoinDone(sys); last < lastKill(sys) {
+				t.Errorf("%s: no rejoin completed after the second kill", label)
+			}
+			checkSilentAfterDeath(t, label, sys)
+			for _, rep := range append([]*core.Replica{sys.Active()}, sys.Backups()...) {
+				if d := rep.NS.Stats().Divergences; d != 0 {
+					t.Errorf("%s: %d divergences on %s", label, d, rep.Kernel.Name())
+				}
+				if k := rep.Kernel; k.Alive() && k.IdleCores() != k.Cores() {
+					t.Errorf("%s: %s has %d of %d cores idle once quiet", label, k.Name(), k.IdleCores(), k.Cores())
+				}
+			}
+			sys.Sim.Shutdown()
+		}
+	}
+	t.Logf("%d kills in %v", kills, time.Since(start))
+}
+
+// rejoinTransfers reads a run's one rejoin off its trace: how many bulk
+// transfers seeded it, and the run-wide numbers of the log transfers that
+// landed from its start until the new backup replayed up to the attach
+// frontier.
+func rejoinTransfers(sys *core.System) (bulk int, delta []int) {
+	logs, replaying := 0, false
+	var frontier int64
+	for _, e := range sys.Obs.Events() {
+		switch {
+		case e.Kind == obs.ResyncStart:
+			replaying, frontier = true, e.Arg
+		case e.Kind == obs.Replay && replaying && strings.HasPrefix(e.Scope, "gen") && e.Seq+1 >= frontier:
+			replaying = false
+		case e.Kind == obs.RingDeliver:
+			switch chaos.ClassOf(strings.TrimPrefix(e.Scope, "shm/")) {
+			case chaos.ClassBulk:
+				bulk++
+			case chaos.ClassLog:
+				if logs++; replaying {
+					delta = append(delta, logs)
+				}
+			}
+		}
+	}
+	return bulk, delta
+}
+
+// lastKill and lastRejoinDone are the instants of a run's last chaos kill
+// and of its last completed rejoin.
+func lastKill(sys *core.System) (at sim.Time) {
+	for _, e := range sys.Obs.Events() {
+		if e.Kind == obs.ChaosInject && strings.HasPrefix(e.Note, "kill") {
+			at = e.At
+		}
+	}
+	return at
+}
+
+func lastRejoinDone(sys *core.System) (at sim.Time) {
+	at = -1
+	for _, e := range sys.Obs.Events() {
+		if e.Kind == obs.ResyncDone && e.Arg >= 0 {
+			at = e.At
+		}
+	}
+	return at
 }

@@ -14,15 +14,15 @@ import (
 
 // scheduleRejoin books a re-integration attempt on dead's partition after
 // the repair delay: the repaired partition joins the rejoin queue, and
-// the pump starts it when no other resync is running. Stale bookings —
-// another failover changed the recording side, or the slot was already
-// refilled — are dropped, matching the old pair logic.
-func (sys *System) scheduleRejoin(surv, dead *Replica) {
+// the pump starts it when no other resync is running, against whichever
+// replica records then — a failover in the meantime changes the source,
+// not the need. A booking whose slot was refilled meanwhile is dropped.
+func (sys *System) scheduleRejoin(dead *Replica) {
 	if len(sys.launches) == 0 {
 		return
 	}
 	sys.Sim.Schedule(sys.Cfg.RejoinDelay, func() {
-		if sys.active != surv || !surv.Kernel.Alive() || sys.slotFilled(dead.partIdx) {
+		if sys.slotFilled(dead.partIdx) {
 			return
 		}
 		sys.rejoinQ = append(sys.rejoinQ, dead)
@@ -43,10 +43,11 @@ func (sys *System) pumpRejoin() {
 // startNextRejoin starts re-integrating the first queued partition that
 // still needs a backup — or fallback when none is queued — and reports
 // whether it started one. A dead recording side (possibly not yet
-// detected) is nothing to resync against: the queue is left for the
-// failover that follows.
+// detected) is nothing to resync against, and neither is one whose
+// failover is still under way, with no TCP primary to snapshot yet: the
+// queue is left for the rejoin that failover books once it is live.
 func (sys *System) startNextRejoin(fallback *Replica) bool {
-	if sys.active == nil || !sys.active.Kernel.Alive() {
+	if sys.active == nil || !sys.active.Kernel.Alive() || sys.active.TCPPrim == nil {
 		return false
 	}
 	next := fallback
@@ -69,7 +70,7 @@ func (sys *System) startNextRejoin(fallback *Replica) bool {
 // for the scheduled attempt. It returns ErrResyncInProgress while a
 // resync is running, nil when already replicated, ErrFailed when nothing
 // is left to rejoin to, and an ErrDegraded-wrapped error when there is
-// nothing to re-integrate or the recording side is dead.
+// nothing to re-integrate or the recording side is dead or mid-failover.
 func (sys *System) Rejoin() error {
 	switch sys.State() {
 	case StateReplicated:
@@ -83,7 +84,7 @@ func (sys *System) Rejoin() error {
 		return fmt.Errorf("%w: nothing recorded to re-integrate", ErrDegraded)
 	}
 	if !sys.startNextRejoin(sys.lastDead) {
-		return fmt.Errorf("%w: no freed partition to re-integrate, or the recording side is dead", ErrDegraded)
+		return fmt.Errorf("%w: no freed partition to re-integrate, or the recording side is dead or mid-failover", ErrDegraded)
 	}
 	return nil
 }
@@ -179,10 +180,8 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	// log, so the seed carries none — and the transfer copy is sealed over
 	// the filled snapshot.
 	tx := *cp
-	if surv.TCPPrim != nil {
-		tx.TCP = surv.TCPPrim.SnapshotState()
-		surv.TCPPrim.AttachRing(tcpSync)
-	}
+	tx.TCP = surv.TCPPrim.SnapshotState()
+	surv.TCPPrim.AttachRing(tcpSync)
 	tx.Seal()
 	frontier := rejoin.Cut(surv.NS)
 	bns.SeedCheckpoint(cp.Epoch, cp.SeqGlobal, cp.Sent, cp.Objs, envMap(cp.Env))

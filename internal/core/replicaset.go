@@ -115,6 +115,6 @@ func (sys *System) Retire(rep *Replica) error {
 	if rep.Kernel.Alive() {
 		rep.Kernel.Panic("retired: rolling replacement", nil)
 	}
-	sys.scheduleRejoin(sys.active, rep)
+	sys.scheduleRejoin(rep)
 	return nil
 }

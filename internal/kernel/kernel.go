@@ -92,14 +92,12 @@ type Kernel struct {
 	mem    *kmem.Accounting
 	sched  *scheduler
 
-	alive    bool
-	panicked *PanicReason
+	panicked *PanicReason // nil while the kernel is alive
 	onPanic  []func(PanicReason)
 	sc       *obs.Scope
 
 	nextTID   int
-	stackless []*Task // the stackless tasks, which no process group kills
-	computeNS int64   // total core-time consumed, for utilization accounting
+	computeNS int64 // total core-time consumed, for utilization accounting
 }
 
 // Config configures Boot.
@@ -141,7 +139,6 @@ func Boot(part *hw.Partition, cfg Config) (*Kernel, error) {
 		group:  s.NewGroup(cfg.Name),
 		params: cfg.Params,
 		mem:    kmem.NewAccounting(part.Mem(), part.Machine().Profile().PageSize),
-		alive:  true,
 	}
 	k.sched = newScheduler(k, ncores)
 	base := cfg.BaseKernelMem
@@ -160,6 +157,10 @@ func (k *Kernel) Name() string { return k.name }
 // Sim returns the simulation the kernel runs in.
 func (k *Kernel) Sim() *sim.Simulation { return k.sim }
 
+// Domain returns the kernel's isolation domain: its tasks and every event of
+// the kernel (a timer, a receiver, a stackless task's resume) die with it.
+func (k *Kernel) Domain() *sim.Group { return k.group }
+
 // Partition returns the hardware partition the kernel owns.
 func (k *Kernel) Partition() *hw.Partition { return k.part }
 
@@ -173,7 +174,7 @@ func (k *Kernel) Mem() *kmem.Accounting { return k.mem }
 func (k *Kernel) Cores() int { return k.sched.ncores }
 
 // Alive reports whether the kernel is still running.
-func (k *Kernel) Alive() bool { return k.alive }
+func (k *Kernel) Alive() bool { return k.panicked == nil }
 
 // PanicReason returns why the kernel died, or nil if it is alive.
 func (k *Kernel) PanicReason() *PanicReason { return k.panicked }
@@ -185,8 +186,8 @@ func (k *Kernel) Now() sim.Time { return k.sim.Now() }
 // tasks, for utilization accounting.
 func (k *Kernel) ComputeTime() time.Duration { return time.Duration(k.computeNS) }
 
-// OnPanic registers a callback invoked when the kernel dies. Callbacks run
-// in scheduler context and must not block.
+// OnPanic registers a callback invoked when the kernel dies, before its
+// domain is killed. Callbacks run in the caller's context and must not block.
 func (k *Kernel) OnPanic(fn func(PanicReason)) { k.onPanic = append(k.onPanic, fn) }
 
 // Instrument attaches an event scope to the kernel: panics and driver
@@ -194,30 +195,27 @@ func (k *Kernel) OnPanic(fn func(PanicReason)) { k.onPanic = append(k.onPanic, f
 // are traced. A nil scope disables.
 func (k *Kernel) Instrument(sc *obs.Scope) { k.sc = sc }
 
-// Panic kills the kernel: every task dies immediately, as when a hardware
-// fault halts the partition or a peer replica delivers a forcible IPI halt
-// (§3.6). Panicking a dead kernel is a no-op.
+// Panic kills the kernel's domain, as when a hardware fault halts the
+// partition or a peer replica delivers a forcible IPI halt (§3.6): no task
+// or event of it runs again (a task that panics it unwinds from the call),
+// and its devices read unloaded. Panicking a dead kernel is a no-op.
 func (k *Kernel) Panic(cause string, fault *hw.Fault) {
-	if !k.alive {
+	if !k.Alive() {
 		return
 	}
-	k.alive = false
-	k.sc.EmitNote(obs.KernelPanic, 0, 0, 0, cause)
 	k.panicked = &PanicReason{Time: k.sim.Now(), Cause: cause, Fault: fault}
-	k.group.Kill()
-	for _, t := range k.stackless {
-		t.Kill()
-	}
+	k.sc.EmitNote(obs.KernelPanic, 0, 0, 0, cause)
 	for _, fn := range k.onPanic {
 		fn(*k.panicked)
 	}
+	k.group.Kill()
 }
 
 // HandleFault processes a machine-check report for hardware this kernel
 // owns, returning the outcome. Faults on other partitions are ignored
 // (their error-reporting banks belong to the other kernel).
 func (k *Kernel) HandleFault(f hw.Fault) kmem.Outcome {
-	if !k.alive || !k.part.Owns(f.Node) {
+	if !k.Alive() || !k.part.Owns(f.Node) {
 		return kmem.OutcomeNone
 	}
 	switch f.Kind {

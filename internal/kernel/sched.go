@@ -99,8 +99,8 @@ func newScheduler(k *Kernel, ncores int) *scheduler {
 func (k *Kernel) newTask(name string) *Task {
 	k.nextTID++
 	t := &Task{kernel: k, tid: k.nextTID, name: name, core: -1}
-	t.dispatch.Init(k.sim, t.startSlice)
-	t.sliceTimer.Init(k.sim, t.sliceExpired)
+	t.dispatch.Init(k.group, t.startSlice)
+	t.sliceTimer.Init(k.group, t.sliceExpired)
 	return t
 }
 
@@ -122,12 +122,11 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 // draws is the one the process it replaces would have drawn, at the same
 // point: it computes on the scheduler's cores through the same acquire,
 // dispatch, sliceTimer and release. Only those three calls block it: it
-// cannot Sleep, Busy or Join. The task dies with the kernel.
+// cannot Sleep, Busy or Join. It dies with the kernel's domain.
 func (k *Kernel) SpawnStackless(name string, start func()) *Task {
 	t := k.newTask(name)
-	t.resume.Init(k.sim, t.run)
-	t.then, t.killed = start, !k.alive
-	k.stackless = append(k.stackless, t)
+	t.resume.Init(k.group, t.run)
+	t.then = start
 	t.resume.Reset(0) // the spawned process's first resume
 	return t
 }
@@ -158,22 +157,19 @@ func (t *Task) Finished() bool { return t.finished }
 // Computing reports whether the task is inside Compute or ComputeThen.
 func (t *Task) Computing() bool { return t.left > 0 && !t.finished }
 
-// gone reports whether the task has finished or been killed.
-func (t *Task) gone() bool { return t.finished || t.killed || t.proc != nil && t.proc.Killed() }
+// gone reports whether the task has finished or been killed, alone or with its kernel.
+func (t *Task) gone() bool { return t.finished || t.killed || !t.kernel.Alive() }
 
 // Kill terminates the task at its next block point. A stackless task parked
 // with no resume pending gets one now, as a parked process does, and gives
 // back its core from there.
 func (t *Task) Kill() {
-	if t.proc != nil {
-		t.proc.Kill()
-		return
-	}
 	if t.gone() {
 		return
 	}
-	t.killed = true
-	if t.parked && !t.resume.Armed() {
+	if t.killed = true; t.proc != nil {
+		t.proc.Kill()
+	} else if t.parked && !t.resume.Armed() {
 		t.detach()
 		t.parked = false
 		t.resume.Reset(0)

@@ -52,9 +52,14 @@ type step struct {
 	Backlog          int
 }
 
+// A dead kernel's scheduler is not observed: a killed process unwinds
+// through it, a stackless task never runs again, and neither is visible.
 func (w *consumerWorld) note(what string, id uint64) {
-	w.log = append(w.log, step{At: w.s.Now(), What: what, ID: id, Idle: w.k.IdleCores(), Runnable: w.k.Runnable(),
-		ComputeNS: w.k.computeNS, ConsumerFinished: w.task.finished, Backlog: w.ring.Len() + len(w.lane) - w.laneHead})
+	st := step{At: w.s.Now(), What: what, ID: id, ComputeNS: w.k.computeNS, Backlog: w.ring.Len() + len(w.lane) - w.laneHead}
+	if w.k.Alive() {
+		st.Idle, st.Runnable, st.ConsumerFinished = w.k.IdleCores(), w.k.Runnable(), w.task.finished
+	}
+	w.log = append(w.log, st)
 }
 
 // arrive hands a batch to the consumer.

@@ -29,7 +29,7 @@ func (l *Lib) newCVWaiter(t *kernel.Task, mu *Mutex) *cvWaiter {
 		cw, l.cvFree = l.cvFree[n-1], l.cvFree[:n-1]
 	} else {
 		cw = new(cvWaiter)
-		cw.timer.Init(l.kern.Sim(), func() { cw.w.Grant(0) })
+		cw.timer.Init(l.kern.Domain(), func() { cw.w.Grant(0) })
 	}
 	cw.mu, cw.timedOut = mu, false
 	cw.w.Arm(t)

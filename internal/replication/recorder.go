@@ -220,7 +220,7 @@ func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring, seed fork
 		degraded:  len(logs) == 0,
 		epochCuts: make(map[uint64]uint64),
 	}
-	r.out.Init(k.Sim(), cfg.FlushInterval, k.Alive)
+	r.out.Init(k.Domain(), cfg.FlushInterval)
 	for i := range logs {
 		r.addLink(&replicaLink{acks: acks[i]}, logs[i])
 	}
@@ -244,7 +244,7 @@ func (r *Recorder) addLink(link *replicaLink, log *shm.Ring) {
 			o, r.obsFree = r.obsFree[n-1], r.obsFree[:n-1]
 		} else {
 			o = &receiptObs{r: r}
-			o.ev.Init(k.Sim(), o.fire)
+			o.ev.Init(k.Domain(), o.fire)
 		}
 		o.link = link
 		o.ev.Reset(log.Latency())
@@ -252,14 +252,8 @@ func (r *Recorder) addLink(link *replicaLink, log *shm.Ring) {
 	// Explicit cumulative acknowledgements carry the receipt watermark and
 	// the epoch acks; a log-ring slot frees on receipt, never on an ack.
 	// They are consumed here so the ack ring never fills.
-	receive(k, link.acks, &link.ackRx, func() { r.drainAcks(link) })
-}
-
-// receive makes drain the ring's receiver event on k until k dies.
-func receive(k *kernel.Kernel, ring *shm.Ring, ev *sim.Event, drain func()) {
-	ev.Init(k.Sim(), drain)
-	ring.OnReceive(ev)
-	k.OnPanic(func(kernel.PanicReason) { ring.OnReceive(nil) })
+	link.ackRx.Init(k.Domain(), func() { r.drainAcks(link) })
+	link.acks.OnReceive(&link.ackRx)
 }
 
 // catchupChunkBytes bounds one vectored catch-up transfer so the bulk

@@ -132,11 +132,12 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 	// and receipt is the log ring's receiver event; with one, the pull task
 	// receives and drains lane 0 itself (see dispatch).
 	if r.cfg.DetShards > 1 {
-		receive(k, log, &r.logRx, func() {
+		r.logRx.Init(k.Domain(), func() {
 			for log.Len() > 0 {
 				r.receipt(log.TryRecvBatchInto(r.recvBuf[:0], r.cfg.BatchTuples))
 			}
 		})
+		log.OnReceive(&r.logRx)
 	}
 	for i := range r.lanes {
 		ln := &lane{}
@@ -562,7 +563,7 @@ func (r *Replayer) sectionDone(tu Tuple) {
 // withheld meanwhile so the replayed set is exactly the prefix below it.
 func (r *Replayer) addHeadSub(s headSub) {
 	if r.head() >= s.seq {
-		r.kern.Sim().Schedule(0, s.fn)
+		r.kern.Domain().Schedule(0, s.fn)
 		return
 	}
 	r.headSubs = append(r.headSubs, s)
@@ -573,7 +574,7 @@ func (r *Replayer) fireHeadSubs() {
 		if r.headSubs[i].seq <= r.head() {
 			fn := r.headSubs[i].fn
 			r.headSubs = append(r.headSubs[:i], r.headSubs[i+1:]...)
-			r.kern.Sim().Schedule(0, fn)
+			r.kern.Domain().Schedule(0, fn)
 			continue
 		}
 		i++

@@ -87,7 +87,7 @@ func BenchmarkOutboxCycle(b *testing.B) {
 	r := newRing(s, 4*(headerBytes+4*64))
 	var g Outboxes
 	var o Outbox
-	g.Init(s, 50*time.Microsecond, func() bool { return true })
+	g.Init(s.Root(), 50*time.Microsecond)
 	g.Attach(&o, r, o.TryFlush, func(int, uint64) {})
 	s.Spawn("spill", g.Serve)
 	s.Spawn("tx", func(p *sim.Proc) {

@@ -45,17 +45,16 @@ type Outbox struct {
 // Outboxes is the group of outboxes one stream keeps — one per backup —
 // sharing a flush interval and a spill server.
 type Outboxes struct {
-	sim      *sim.Simulation
+	dom      *sim.Group
 	interval time.Duration
-	alive    func() bool
 	boxes    []*Outbox
 	spillQ   sim.WaitQueue // parks the spill server until a ring refuses a due buffer
 }
 
-// Init sets the flush interval and the liveness test of the kernel the
-// group sends for: a deadline that outlives the kernel flushes nothing.
-func (g *Outboxes) Init(s *sim.Simulation, interval time.Duration, alive func() bool) {
-	g.sim, g.interval, g.alive = s, interval, alive
+// Init sets the flush interval and the domain of the kernel the group sends
+// for, which owns the deadlines: one that outlives the kernel never fires.
+func (g *Outboxes) Init(dom *sim.Group, interval time.Duration) {
+	g.dom, g.interval = dom, interval
 }
 
 // Attach binds o to its ring and adds it to the group. flush is the owner's
@@ -64,7 +63,7 @@ func (g *Outboxes) Init(s *sim.Simulation, interval time.Duration, alive func() 
 // the outbox publishes, in whichever context flushed. Neither may block.
 func (g *Outboxes) Attach(o *Outbox, ring *Ring, flush func(), sent func(entries int, updates uint64)) {
 	o.g, o.ring, o.flush, o.sent = g, ring, flush, sent
-	o.deadline.Init(g.sim, o.expired)
+	o.deadline.Init(g.dom, o.expired)
 	g.boxes = append(g.boxes, o)
 }
 
@@ -113,7 +112,7 @@ func (o *Outbox) expired() {
 	if !o.due {
 		o.due = true
 		o.deadline.Reset(0)
-	} else if o.g.alive() && !o.dead {
+	} else if !o.dead {
 		o.flush()
 	}
 }

@@ -13,10 +13,10 @@ import (
 // by the test: sent counts what the outbox says it published.
 type outboxWorld struct {
 	s        *sim.Simulation
+	dom      *sim.Group // the sending kernel's domain
 	r        *Ring
 	g        Outboxes
 	o        Outbox
-	alive    bool
 	transfer int    // sent callbacks
 	entries  int    // entries they reported
 	updates  uint64 // logical updates they reported
@@ -25,15 +25,16 @@ type outboxWorld struct {
 const testInterval = 50 * time.Microsecond
 
 func newOutboxWorld(capBytes int64) *outboxWorld {
-	w := &outboxWorld{s: sim.New(1), alive: true}
+	w := &outboxWorld{s: sim.New(1)}
+	w.dom = w.s.NewGroup("kernel")
 	w.r = newRing(w.s, capBytes)
-	w.g.Init(w.s, testInterval, func() bool { return w.alive })
+	w.g.Init(w.dom, testInterval)
 	w.g.Attach(&w.o, w.r, w.o.TryFlush, func(n int, u uint64) {
 		w.transfer++
 		w.entries += n
 		w.updates += u
 	})
-	w.s.Spawn("spill", w.g.Serve)
+	w.dom.Spawn("spill", w.g.Serve)
 	return w
 }
 
@@ -116,23 +117,29 @@ func TestOutboxDeadlinePublishesOnce(t *testing.T) {
 	}
 }
 
-// TestOutboxDeadlineAfterDeathIsNoOp: an outbox killed, or a kernel dead,
-// with a deadline armed publishes nothing when the interval runs out —
-// whatever state the event is in when its handler runs.
+// TestOutboxDeadlineAfterDeathIsNoOp: an outbox killed with a deadline
+// armed publishes nothing when the interval runs out — whatever state the
+// event is in when its handler runs — and a dead kernel's deadline never
+// runs at all.
 func TestOutboxDeadlineAfterDeathIsNoOp(t *testing.T) {
 	for _, death := range []struct {
 		name string
 		fn   func(w *outboxWorld)
 	}{
 		{"Kill", func(w *outboxWorld) { w.o.Kill() }},
-		{"kernel death", func(w *outboxWorld) { w.alive = false }},
+		{"kernel death", func(w *outboxWorld) { w.dom.Kill() }},
 	} {
 		w := newOutboxWorld(64 << 10)
 		w.add(0, 3, 64)
 		w.s.Schedule(10*time.Microsecond, func() { death.fn(w) })
 		w.run(t, sim.Time(time.Millisecond))
-		w.o.expired() // expiry
-		w.o.expired() // and its hop
+		if w.o.deadline.Armed() {
+			t.Errorf("%s: the deadline is still armed after the death", death.name)
+		}
+		if !w.dom.Killed() {
+			w.o.expired() // expiry
+			w.o.expired() // and its hop
+		}
 		if st := w.r.Stats(); st.Messages != 0 || w.transfer != 0 {
 			t.Errorf("%s: %d transfers, %d booked after the death; want none", death.name, st.Messages, w.transfer)
 		}
@@ -403,7 +410,7 @@ func runOutboxProgram(t *testing.T, seed int64, steps int) (refused, concurrent,
 	s := sim.New(seed)
 	defer s.Shutdown()
 	w := &outboxModelWorld{t: t, s: s, f: NewFabric(s, time.Microsecond), rng: rand.New(rand.NewSource(seed))}
-	w.g.Init(s, modelInterval, func() bool { return true })
+	w.g.Init(s.Root(), modelInterval)
 	w.attach(0)
 	w.attach(1)
 	s.Spawn("spill", w.g.Serve)

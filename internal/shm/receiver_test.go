@@ -147,7 +147,7 @@ func runReceiverProgram(seed int64, event bool, sends int) *receiverWorld {
 		}
 	})
 	if event {
-		w.ev.Init(s, w.drain)
+		w.ev.Init(s.Root(), w.drain)
 		w.r.OnReceive(&w.ev)
 	} else {
 		w.proc = s.Spawn("receiver", w.parked)
@@ -223,7 +223,7 @@ func TestReceiverEventWithParkedReceiverPanics(t *testing.T) {
 	defer s.Shutdown()
 	r := NewFabric(s, time.Microsecond).NewRing("rx", 0, 1024)
 	var ev sim.Event
-	ev.Init(s, func() {})
+	ev.Init(s.Root(), func() {})
 	r.OnReceive(&ev)
 	s.Spawn("receiver", func(p *sim.Proc) { r.Recv(p) })
 	s.Spawn("sender", func(p *sim.Proc) { r.Send(p, Message{Kind: 1, Size: 8}) })

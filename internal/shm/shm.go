@@ -147,7 +147,7 @@ func (r *Ring) record() *xfer {
 		return x
 	}
 	x := &xfer{ring: r}
-	x.ev.Init(r.sim, x.arrive)
+	x.ev.Init(r.sim.Root(), x.arrive)
 	return x
 }
 
@@ -439,6 +439,7 @@ func (r *Ring) SetChaosHook(fn func(msgs []Message) ChaosVerdict) { r.chaos = fn
 // nothing copied — and each extra copy a Dup verdict asks for gets a record
 // of its own. Under Drop the one transfer still propagates, then vanishes.
 func (r *Ring) publish(x *xfer) {
+	r.sim.Guard("shm send")
 	// One publication event per committed span, regardless of chaos
 	// copies: Seq is the sent-payload watermark after this span, which
 	// the causal layer pairs with the RingDeliver watermark downstream.

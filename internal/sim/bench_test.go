@@ -122,7 +122,7 @@ func BenchmarkEventReset(b *testing.B) {
 		s.Schedule(time.Hour+time.Duration(i), func() {})
 	}
 	var e Event
-	e.Init(s, func() {})
+	e.Init(s.Root(), func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -67,7 +67,7 @@ func TestBlockingAllocatesNothing(t *testing.T) {
 		}},
 		{"Event.Reset", func(s *Simulation) func() {
 			var e Event
-			e.Init(s, func() {})
+			e.Init(s.Root(), func() {})
 			return func() {
 				e.Reset(time.Millisecond)
 				e.Reset(2 * time.Millisecond)
@@ -102,7 +102,7 @@ func TestEventReset(t *testing.T) {
 	s := New(1)
 	var fired []Time
 	var e Event
-	e.Init(s, func() { fired = append(fired, s.Now()) })
+	e.Init(s.Root(), func() { fired = append(fired, s.Now()) })
 	if e.Armed() {
 		t.Error("a new event is armed")
 	}
@@ -122,8 +122,8 @@ func TestEventReset(t *testing.T) {
 	if len(fired) != 2 || fired[0] != Time(2*time.Millisecond) || fired[1] != Time(4*time.Millisecond) {
 		t.Errorf("fired at %v, want [2ms 4ms]", fired)
 	}
-	if e.Armed() || !e.Cancelled() || s.Pending() != 0 {
-		t.Errorf("at the end: armed=%v cancelled=%v pending=%d", e.Armed(), e.Cancelled(), s.Pending())
+	if e.Armed() || s.Pending() != 0 {
+		t.Errorf("at the end: armed=%v pending=%d", e.Armed(), s.Pending())
 	}
 }
 
@@ -133,7 +133,7 @@ func TestEventResetFromOwnCallback(t *testing.T) {
 	s := New(1)
 	n := 0
 	var e Event
-	e.Init(s, func() {
+	e.Init(s.Root(), func() {
 		if n++; n < 5 {
 			e.Reset(time.Millisecond)
 		}
@@ -209,8 +209,8 @@ func TestShutdownUnwindsEveryProcess(t *testing.T) {
 		t.Fatalf("Live() = %d before Shutdown, want 27", s.Live())
 	}
 	s.Shutdown()
-	if s.Live() != 0 || g.Live() != 0 || q.Len() != 0 || s.Pending() != 0 {
-		t.Errorf("after Shutdown: Live()=%d group=%d queue=%d Pending()=%d, want all 0", s.Live(), g.Live(), q.Len(), s.Pending())
+	if s.Live() != 0 || q.Len() != 0 || s.Pending() != 0 {
+		t.Errorf("after Shutdown: Live()=%d queue=%d Pending()=%d, want all 0", s.Live(), q.Len(), s.Pending())
 	}
 	if unwound != 21 {
 		t.Errorf("%d deferred functions ran, want 21", unwound)
@@ -240,7 +240,7 @@ func TestSelfResumeSwitchesNothing(t *testing.T) {
 		}
 	})
 	var tick Event // callbacks in between fire on the sleeper's stack and change nothing
-	tick.Init(s, func() {
+	tick.Init(s.Root(), func() {
 		if ticks++; ticks < 1000 {
 			tick.Reset(7 * time.Microsecond)
 		}
@@ -289,7 +289,7 @@ func TestOnSwitchIsOnePerCoroutineSwitch(t *testing.T) {
 		})
 	}
 	var tick Event
-	tick.Init(s, func() {
+	tick.Init(s.Root(), func() {
 		q.WakeAll(0)
 		if s.Now() == Time(50*time.Microsecond) {
 			procs[5].Kill()

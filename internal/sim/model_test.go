@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,6 +31,12 @@ import (
 // foreground entry is left. After that stop a step resumes the run, and a
 // last Run ends it. The same programs with every mark ignored must log the
 // same lines up to the stop: the marks move nothing.
+//
+// The odd-numbered processes, timers and one-shots belong to a domain, a
+// Group, that a kill-group op kills: its processes are killed as Kill has
+// them, its pending callbacks are dropped, and arming its events from then on
+// draws nothing. A process of the group that kills it unwinds at once; a
+// callback of the group that does does nothing more.
 
 type opKind int
 
@@ -50,6 +57,7 @@ const (
 	opWakeHolder                // wake everyone on the queue the holder is parked on, delay d
 	opKillHolder                // kill the holder
 	opStop                      // Stop: the step ends before anything else is popped
+	opKillGroup                 // kill the domain of the odd-numbered processes and events
 	numOps
 )
 
@@ -75,6 +83,7 @@ type program struct {
 	driver [][]op          // what the driver does before each step
 
 	foreground bool // ignore opBackground: everything is foreground work
+	groupKills bool // act on opKillGroup; without, the domain lives
 }
 
 // resumeStep is the step the driver takes after the first Run stops.
@@ -92,6 +101,13 @@ func genProgram(rng *rand.Rand) program {
 				continue
 			}
 			switch o.kind {
+			case opKillGroup:
+				// Rarer still in a process, and not rare in a callback, so
+				// that the domain's own callbacks kill it as often as its
+				// processes do.
+				if processOK && rng.Intn(8) != 0 {
+					continue
+				}
 			case opKill, opBurst, opKillHolder, opStop:
 				if rng.Intn(4) != 0 || (o.kind == opStop && o.b != 0) { // keep these rare
 					continue
@@ -121,7 +137,8 @@ func genProgram(rng *rand.Rand) program {
 	}
 	for i := 0; i < 12; i++ {
 		pg.steps = append(pg.steps, durations[rng.Intn(len(durations))]+time.Duration(rng.Intn(20))*time.Microsecond)
-		pg.driver = append(pg.driver, genOps(rng.Intn(4), false))
+		// The driver leaves the domain to its own code and to callbacks.
+		pg.driver = append(pg.driver, slices.DeleteFunc(genOps(rng.Intn(4), false), func(o op) bool { return o.kind == opKillGroup }))
 	}
 	return pg
 }
@@ -136,6 +153,8 @@ type world interface {
 	reset(timer int, d time.Duration)
 	cancel(timer int)
 	kill(proc int)
+	killGroup()
+	groupDead() bool
 	holder() int           // the process holding control, -1 for the driver
 	parkedOn(proc int) int // the queue it is parked on, -1 if none
 	stop()
@@ -170,6 +189,11 @@ func apply(w world, pg *program, o op) {
 		}
 	case opStop:
 		w.stop()
+	case opKillGroup:
+		if pg.groupKills && !w.groupDead() {
+			w.logf("killgroup")
+			w.killGroup()
+		}
 	case opBurst:
 		for i := 0; i < o.a; i++ {
 			w.schedule(time.Second + time.Duration(i%7)*time.Millisecond)
@@ -182,11 +206,26 @@ func apply(w world, pg *program, o op) {
 	}
 }
 
+// inGroup reports whether process i, timer i or callback i (timers first,
+// one-shots from 100) belongs to the domain.
+func inGroup(i int) bool { return i%2 == 1 }
+
+// fireOps applies what callback id does, until its domain is dead.
+func fireOps(w world, pg *program, id int) {
+	for _, o := range pg.onFire[id%len(pg.onFire)] {
+		if inGroup(id) && w.groupDead() {
+			return
+		}
+		apply(w, pg, o)
+	}
+}
+
 // engineWorld runs a program on the real engine.
 type engineWorld struct {
 	t           *testing.T
 	pg          *program
 	s           *Simulation
+	g           *Group
 	log         []string
 	procs       []*Proc
 	queues      []WaitQueue
@@ -222,9 +261,7 @@ func (w *engineWorld) fired(id int) {
 	if w.fires > fireBudget {
 		return
 	}
-	for _, o := range w.pg.onFire[id%len(w.pg.onFire)] {
-		apply(w, w.pg, o)
-	}
+	fireOps(w, w.pg, id)
 }
 
 func (w *engineWorld) wake(q, index int, all bool, d time.Duration) string {
@@ -239,7 +276,11 @@ func (w *engineWorld) wake(q, index int, all bool, d time.Duration) string {
 
 func (w *engineWorld) schedule(d time.Duration) {
 	id := 100 + len(w.shots)
-	w.shots = append(w.shots, w.s.Schedule(d, func() { w.fired(id) }))
+	g := w.s.Root()
+	if inGroup(id) {
+		g = w.g
+	}
+	w.shots = append(w.shots, g.Schedule(d, func() { w.fired(id) }))
 }
 
 // cancelled wraps every cancelling call: only compaction shrinks the queue
@@ -265,6 +306,10 @@ func (w *engineWorld) reset(timer int, d time.Duration) {
 func (w *engineWorld) cancel(timer int) { w.cancelled(w.timers[timer].Cancel) }
 
 func (w *engineWorld) kill(proc int) { w.cancelled(w.procs[proc].Kill) }
+
+func (w *engineWorld) killGroup() { w.cancelled(w.g.Kill) }
+
+func (w *engineWorld) groupDead() bool { return w.g.Killed() }
 
 // holder is what the engine's own switches say: the hook is its only input.
 func (w *engineWorld) holder() int {
@@ -302,18 +347,26 @@ func (w *engineWorld) stopped(err error) bool {
 func runOnEngine(t *testing.T, pg *program) *engineWorld {
 	s := New(1)
 	defer s.Shutdown()
-	w := &engineWorld{t: t, pg: pg, s: s, queues: make([]WaitQueue, pg.queues), timers: make([]Event, pg.timers), hold: -1}
+	w := &engineWorld{t: t, pg: pg, s: s, g: s.NewGroup("g"), queues: make([]WaitQueue, pg.queues), timers: make([]Event, pg.timers), hold: -1}
 	s.OnSwitch = func(_ Time, name string) {
 		w.logf("switch %s", name)
 		fmt.Sscanf(name, "p%d", &w.hold)
 	}
 	for i := range w.timers {
 		i := i
-		w.timers[i].Init(s, func() { w.fired(i) })
+		g := s.Root()
+		if inGroup(i) {
+			g = w.g
+		}
+		w.timers[i].Init(g, func() { w.fired(i) })
 	}
 	for i, script := range pg.procs {
 		i, script := i, script
-		w.procs = append(w.procs, s.SpawnAfter(fmt.Sprintf("p%d", i), pg.starts[i], func(p *Proc) {
+		spawn := s.SpawnAfter
+		if inGroup(i) {
+			spawn = w.g.SpawnAfter
+		}
+		w.procs = append(w.procs, spawn(fmt.Sprintf("p%d", i), pg.starts[i], func(p *Proc) {
 			for pc, o := range script {
 				switch o.kind {
 				case opSleep:
@@ -375,12 +428,16 @@ type refQueue struct {
 	hold    int  // who holds control: a process number, -1 for the driver
 	running int  // the process whose own code runs, -1 for the driver and callbacks
 	stopped bool // Stop was called: nothing more is popped this step
+	gDead   bool // the domain is dead
 
 	// How often the programs reached what the rules are about: a process
 	// woken, killed or timed out on its own stack, a step that ended with
 	// a process mid-wait holding control, a run ended by Stop, a Run ended
 	// with only background entries left.
 	selfWakes, selfKills, selfTimeouts, midWait, stops, backgroundStops int
+	// And a domain killed by its own process, by its own callback, and
+	// with callbacks of its own pending.
+	groupSelfKills, groupCallbackKills, groupCancels int
 }
 
 type refEntry struct {
@@ -472,7 +529,9 @@ func (r *refQueue) wake(q, index int, all bool, d time.Duration) string {
 func (r *refQueue) schedule(d time.Duration) {
 	r.shots = append(r.shots, 0)
 	id := len(r.shots) - 1
-	r.shots[id] = r.insert(d, "shot", id)
+	if !inGroup(id) || !r.gDead {
+		r.shots[id] = r.insert(d, "shot", id)
+	}
 }
 
 func (r *refQueue) cancelShot(i int) {
@@ -483,7 +542,9 @@ func (r *refQueue) cancelShot(i int) {
 
 func (r *refQueue) reset(timer int, d time.Duration) {
 	r.remove(&r.timers[timer])
-	r.timers[timer] = r.insert(d, "timer", timer)
+	if !inGroup(timer) || !r.gDead {
+		r.timers[timer] = r.insert(d, "timer", timer)
+	}
 }
 
 func (r *refQueue) cancel(timer int) { r.remove(&r.timers[timer]) }
@@ -504,6 +565,38 @@ func (r *refQueue) kill(i int) {
 	}
 }
 
+// killGroup kills the domain's processes in spawn order, then deletes its
+// pending callbacks.
+func (r *refQueue) killGroup() {
+	r.gDead = true
+	for i := range r.procs {
+		if inGroup(i) {
+			r.kill(i)
+		}
+	}
+	kept := r.entries[:0]
+	for _, e := range r.entries {
+		if (e.kind == "timer" || e.kind == "shot") && inGroup(e.id) {
+			r.groupCancels++
+			continue
+		}
+		kept = append(kept, e)
+	}
+	r.entries = kept
+	for i := range r.timers {
+		if inGroup(i) {
+			r.timers[i] = 0
+		}
+	}
+	for i := range r.shots {
+		if inGroup(i) {
+			r.shots[i] = 0
+		}
+	}
+}
+
+func (r *refQueue) groupDead() bool { return r.gDead }
+
 func (r *refQueue) holder() int { return r.hold }
 
 func (r *refQueue) parkedOn(i int) int {
@@ -520,8 +613,9 @@ func (r *refQueue) fired(id int) {
 	if r.fires++; r.fires > fireBudget {
 		return
 	}
-	for _, o := range r.pg.onFire[id%len(r.pg.onFire)] {
-		apply(r, r.pg, o)
+	fireOps(r, r.pg, id)
+	if inGroup(id) && r.gDead {
+		r.groupCallbackKills++
 	}
 }
 
@@ -583,6 +677,11 @@ func (r *refQueue) resume(i int) {
 			}
 		default:
 			apply(r, r.pg, o)
+			if o.kind == opKillGroup && inGroup(i) && r.pg.groupKills {
+				r.groupSelfKills++
+				p.state, r.hold = "finished", -1 // unwound from the kill
+				return
+			}
 		}
 	}
 	p.state, r.hold = "finished", -1
@@ -682,8 +781,11 @@ func runOnReference(pg *program) *refQueue {
 func TestEngineMatchesReferenceQueue(t *testing.T) {
 	compactions, switches := 0, 0
 	var reached refQueue // the sums of the reference's counters
-	for seed := int64(1); seed <= 120; seed++ {
+	for run := int64(0); run < 240; run++ {
+		// Every program runs twice: with its kill-group ops, and without.
+		seed := run/2 + 1
 		pg := genProgram(rand.New(rand.NewSource(seed)))
+		pg.groupKills = run%2 == 1
 		got, want := runOnEngine(t, &pg), runOnReference(&pg)
 		for i := range want.log {
 			if i >= len(got.log) || got.log[i] != want.log[i] {
@@ -691,8 +793,8 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 				if from < 0 {
 					from = 0
 				}
-				t.Fatalf("seed %d: engine and reference part at line %d\nreference: %s\nengine:    %s\nbefore that:\n%s",
-					seed, i, want.log[i], strings.Join(got.log[i:min(i+1, len(got.log))], ""), strings.Join(want.log[from:i], "\n"))
+				t.Fatalf("seed %d (group kills %v): engine and reference part at line %d\nreference: %s\nengine:    %s\nbefore that:\n%s",
+					seed, pg.groupKills, i, want.log[i], strings.Join(got.log[i:min(i+1, len(got.log))], ""), strings.Join(want.log[from:i], "\n"))
 			}
 		}
 		if len(got.log) != len(want.log) {
@@ -720,6 +822,9 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 		reached.midWait += want.midWait
 		reached.stops += want.stops
 		reached.backgroundStops += want.backgroundStops
+		reached.groupSelfKills += want.groupSelfKills
+		reached.groupCallbackKills += want.groupCallbackKills
+		reached.groupCancels += want.groupCancels
 		for _, l := range got.log {
 			if strings.Contains(l, " switch ") {
 				switches++
@@ -727,12 +832,14 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 		}
 	}
 	// The comparison means little unless the programs reach the machinery.
-	t.Logf("%d compactions, %d switches; on its own stack a process was woken %d times, killed %d, timed out %d; %d steps ended mid-wait, %d by Stop; %d Runs left background work queued",
-		compactions, switches, reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops, reached.backgroundStops)
+	t.Logf("%d compactions, %d switches; on its own stack a process was woken %d times, killed %d, timed out %d; %d steps ended mid-wait, %d by Stop; %d Runs left background work queued; the domain was killed by its own process %d times and by its own callback %d, dropping %d pending callbacks",
+		compactions, switches, reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops, reached.backgroundStops,
+		reached.groupSelfKills, reached.groupCallbackKills, reached.groupCancels)
 	if compactions == 0 || switches < 1000 {
 		t.Errorf("120 programs compacted the queue %d times and switched %d times: not a test of either", compactions, switches)
 	}
-	for _, n := range []int{reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops, reached.backgroundStops} {
+	for _, n := range []int{reached.selfWakes, reached.selfKills, reached.selfTimeouts, reached.midWait, reached.stops, reached.backgroundStops,
+		reached.groupSelfKills, reached.groupCallbackKills, reached.groupCancels} {
 		if n < 20 {
 			t.Errorf("the programs hardly reach the self-resume rule: see the counts above")
 			break

@@ -131,9 +131,6 @@ func (p *Proc) main(fn func(p *Proc)) {
 	}()
 	p.finished = true
 	p.sim.procDone(p)
-	if p.group != nil {
-		p.group.procDone(p)
-	}
 }
 
 func (s *Simulation) procDone(p *Proc) {
@@ -274,66 +271,53 @@ func (p *Proc) Kill() {
 	}
 }
 
-// Group is a named set of processes that can be killed together — the
-// simulation analogue of halting a hardware partition. Spawning into a
-// killed group yields a process that unwinds before running.
+// Group is a domain: a named set of processes and events that die
+// together, as a hardware partition halts. What belongs to no partition
+// lives in the root domain (Simulation.Root), which never dies.
 type Group struct {
 	sim    *Simulation
 	name   string
 	killed bool
-	procs  []*Proc // live procs in spawn order, for deterministic kill order
 }
 
-// NewGroup returns an empty process group.
+// NewGroup returns an empty domain.
 func (s *Simulation) NewGroup(name string) *Group {
 	return &Group{sim: s, name: name}
 }
 
-// Name returns the group name.
-func (g *Group) Name() string { return g.name }
-
 // Killed reports whether the group has been killed.
 func (g *Group) Killed() bool { return g.killed }
-
-// Live reports the number of unfinished processes in the group.
-func (g *Group) Live() int { return len(g.procs) }
 
 // Spawn starts a process that belongs to the group.
 func (g *Group) Spawn(name string, fn func(p *Proc)) *Proc {
 	return g.SpawnAfter(name, 0, fn)
 }
 
-// SpawnAfter starts a process in the group after delay d.
+// SpawnAfter starts a process in the group after delay d; in a dead one it never runs.
 func (g *Group) SpawnAfter(name string, d time.Duration, fn func(p *Proc)) *Proc {
 	p := g.sim.SpawnAfter(name, d, fn)
-	p.group = g
-	if g.killed {
+	if p.group = g; g.killed {
 		p.Kill()
-		return p
 	}
-	g.procs = append(g.procs, p)
 	return p
 }
 
-// Kill kills every live process in the group, in spawn order, and marks the
-// group so future spawns die immediately. It is idempotent.
+// Kill kills the domain: its live processes, in spawn order, which unwind as
+// Proc.Kill has them, and its events — one pass over the queue drops their
+// pending callbacks, and Reset and Schedule on them do nothing from then on.
+// A process of the group that kills it unwinds at once. Kill is idempotent.
 func (g *Group) Kill() {
+	s := g.sim
 	if g.killed {
 		return
 	}
 	g.killed = true
-	procs := g.procs
-	g.procs = nil
-	for _, p := range procs {
-		p.Kill()
-	}
-}
-
-func (g *Group) procDone(p *Proc) {
-	for i, q := range g.procs {
-		if q == p {
-			g.procs = append(g.procs[:i], g.procs[i+1:]...)
-			return
+	for p := range s.Procs() {
+		if p.group == g {
+			p.Kill()
 		}
+	}
+	if s.compact(g); s.cur != nil && s.cur.group == g {
+		panic(killedPanic{})
 	}
 }

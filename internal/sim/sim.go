@@ -13,6 +13,9 @@
 // the order of (at, seq) in the queue, so which of them pops an entry cannot
 // change what fires next.
 //
+// Processes and events belong to domains (Group), as hardware to partitions:
+// a killed domain's pending work is dropped, and it never acts again.
+//
 // Everything else in this repository — the simulated hardware, the kernels,
 // the replication protocol, and the benchmark workloads — is built on this
 // package.
@@ -25,6 +28,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime/debug"
+	"testing"
 	"time"
 )
 
@@ -50,20 +54,20 @@ func (t Time) String() string { return time.Duration(t).String() }
 // one-shot event; an owner that re-arms — a retransmission timer, a
 // timeslice — keeps one Event (embedded by value if it likes), calls Init
 // once, and arms it with Reset as often as it needs without allocating.
+// Every event belongs to a domain (Group), and never fires once it is dead.
 type Event struct {
-	sim       *Simulation
-	fn        func()
-	at        Time
-	seq       uint64 // sequence number of the pending queue entry, 0 if none
-	cancelled bool
-	bg        bool // the pending entry is background work
-	own       bool // SetBackground: every arming is background work
+	group *Group
+	fn    func()
+	at    Time
+	seq   uint64 // sequence number of the pending queue entry, 0 if none
+	bg    bool   // the pending entry is background work
+	own   bool   // SetBackground: every arming is background work
 }
 
-// Init binds a zero Event to the simulation and to the callback that runs
-// each time it fires. The event starts unarmed.
-func (e *Event) Init(s *Simulation, fn func()) {
-	e.sim = s
+// Init binds a zero Event to its domain and to the callback that runs each
+// time it fires. The event starts unarmed.
+func (e *Event) Init(g *Group, fn func()) {
+	e.group = g
 	e.fn = fn
 }
 
@@ -77,13 +81,10 @@ func (e *Event) Armed() bool { return e.seq != 0 }
 // fired, was already cancelled or was never armed (or even initialised) is
 // a no-op.
 func (e *Event) Cancel() {
-	e.cancelled = true
-	e.sim.disown(&e.seq, e.bg)
+	if e.seq != 0 {
+		e.group.sim.disown(&e.seq, e.bg)
+	}
 }
-
-// Cancelled reports whether Cancel was called on the event since it was
-// last armed.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // SetBackground makes every arming of the event from the next one on
 // background work (Proc.SetBackground), whoever arms it.
@@ -92,13 +93,16 @@ func (e *Event) SetBackground(on bool) { e.own = on }
 // Reset arms the event to fire at now+d, replacing any firing still
 // pending. Like Schedule it draws exactly one sequence number, so an
 // owner that cancels and re-schedules can call Reset instead without
-// moving anything in the event order.
+// moving anything in the event order. In a dead domain it does nothing.
 func (e *Event) Reset(d time.Duration) {
-	e.sim.disown(&e.seq, e.bg)
-	e.cancelled = false
-	e.bg = e.own || e.sim.cur != nil && e.sim.cur.bg
-	e.at = e.sim.now.Add(d)
-	e.seq = e.sim.push(e.at, kindCallback, nil, e)
+	s := e.group.sim
+	if s.Guard("Event.Reset"); e.group.killed {
+		return
+	}
+	s.disown(&e.seq, e.bg)
+	e.bg = e.own || s.cur != nil && s.cur.bg
+	e.at = s.now.Add(d)
+	e.seq = s.push(e.at, kindCallback, nil, e)
 }
 
 // entryKind says what firing a queue entry does.
@@ -159,8 +163,10 @@ type Simulation struct {
 	stopped bool
 	failure any // panic value on its way to Run's caller
 
-	until Time  // the bound of the run in progress; never for Run, which also ends when fg is 0
-	cur   *Proc // the process whose code is executing; nil in the driver and in callbacks
+	until  Time   // the bound of the run in progress; never for Run, which also ends when fg is 0
+	cur    *Proc  // the process whose code is executing; nil in the driver and in callbacks
+	root   *Group // the domain that never dies
+	firing *Group // the domain of the callback firing, nil when none is
 
 	// Unfinished processes in spawn order, linked through Proc.
 	liveHead, liveTail *Proc
@@ -177,8 +183,13 @@ type Simulation struct {
 
 // New returns a simulation whose random source is seeded with seed.
 func New(seed int64) *Simulation {
-	return &Simulation{rng: rand.New(rand.NewSource(seed))}
+	s := &Simulation{rng: rand.New(rand.NewSource(seed))}
+	s.root = &Group{sim: s, name: "root"}
+	return s
 }
+
+// Root returns the domain that never dies: the wire's, the fabric's, the clients'.
+func (s *Simulation) Root() *Group { return s.root }
 
 // Now reports the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
@@ -194,18 +205,37 @@ func (s *Simulation) Pending() int { return len(s.queue) - s.dead }
 func (s *Simulation) Live() int { return s.liveProc }
 
 // Schedule arranges for fn to run at virtual time now+d, on the stack of
-// whoever is running the dispatch loop then. It must not block (a blocking
-// call from a callback panics); to do blocking work, spawn a Proc instead.
-func (s *Simulation) Schedule(d time.Duration, fn func()) *Event {
-	return s.ScheduleAt(s.now.Add(d), fn)
-}
+// whoever is running the dispatch loop then, in the root domain. It must
+// not block (a blocking call from a callback panics): spawn a Proc for that.
+func (s *Simulation) Schedule(d time.Duration, fn func()) *Event { return s.root.Schedule(d, fn) }
 
 // ScheduleAt is like Schedule but takes an absolute instant. Scheduling in
 // the past panics: it would violate causality.
-func (s *Simulation) ScheduleAt(at Time, fn func()) *Event {
-	e := &Event{sim: s, fn: fn, at: at, bg: s.cur != nil && s.cur.bg}
-	e.seq = s.push(at, kindCallback, nil, e)
+func (s *Simulation) ScheduleAt(at Time, fn func()) *Event { return s.root.Schedule(at.Sub(s.now), fn) }
+
+// Schedule is Simulation.Schedule in the group's domain; in a dead one the
+// event it returns is never armed.
+func (g *Group) Schedule(d time.Duration, fn func()) *Event {
+	s := g.sim
+	e := &Event{group: g, fn: fn, at: s.now.Add(d), bg: s.cur != nil && s.cur.bg}
+	if s.Guard("Schedule"); !g.killed {
+		e.seq = s.push(e.at, kindCallback, nil, e)
+	}
 	return e
+}
+
+// Guard panics, in test binaries only, if the code running does so on behalf
+// of a dead domain — a killed group's process unwinding, or its callback
+// running on after the kill — naming call: arming an event, a ring send, a
+// transmit, a driver load. None of that can reach a live domain from a dead one.
+func (s *Simulation) Guard(call string) {
+	g := s.firing
+	if s.cur != nil {
+		g = s.cur.group
+	}
+	if g != nil && g.killed && testing.Testing() {
+		panic(fmt.Sprintf("sim: %s on behalf of dead domain %q", call, g.name))
+	}
 }
 
 // push draws the next sequence number and queues an entry under it. Every
@@ -282,8 +312,7 @@ func (s *Simulation) siftDown(i int) {
 // disown cancels the pending entry whose number the owner keeps in *seq, if
 // there is one (bg is the owner's mark, which is the entry's): the number is
 // zeroed, the entry left in the queue is dead, and the queue is compacted
-// once more than half of it is. The order is total on (at, seq), so which
-// entries the heap still holds cannot change what fires next.
+// once more than half of it is.
 func (s *Simulation) disown(seq *uint64, bg bool) {
 	if *seq == 0 {
 		return
@@ -293,14 +322,27 @@ func (s *Simulation) disown(seq *uint64, bg bool) {
 		s.fg--
 	}
 	s.dead++
-	if s.dead*2 <= len(s.queue) || len(s.queue) < compactMin {
-		return
+	if s.dead*2 > len(s.queue) && len(s.queue) >= compactMin {
+		s.compact(nil)
 	}
+}
+
+// compact rebuilds the queue from its live entries, less (cancelled) the
+// callbacks of g. The order is total on (at, seq), so which entries the
+// heap still holds cannot change what fires next.
+func (s *Simulation) compact(g *Group) {
 	q := s.queue
 	kept := q[:0]
-	for i := range q {
-		if q[i].live() {
-			kept = append(kept, q[i])
+	for _, e := range q {
+		switch {
+		case !e.live():
+		case e.kind == kindCallback && e.ev.group == g:
+			e.ev.seq = 0
+			if !e.bg {
+				s.fg--
+			}
+		default:
+			kept = append(kept, e)
 		}
 	}
 	clear(q[len(kept):])
@@ -354,6 +396,7 @@ func (s *Simulation) run(until Time) error {
 			p = s.dispatch(nil)
 		}
 	}
+	s.firing = nil
 	if f := s.failure; f != nil {
 		s.failure = nil
 		panic(f)
@@ -402,6 +445,7 @@ func (s *Simulation) dispatch(self *Proc) (next *Proc) {
 		switch p := e.p; e.kind {
 		case kindCallback:
 			e.ev.seq = 0
+			s.firing = e.ev.group
 			e.ev.fn()
 		case kindResume:
 			p.resumeSeq = 0

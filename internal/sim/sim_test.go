@@ -53,8 +53,8 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if e.Armed() {
+		t.Error("Armed() = true after Cancel")
 	}
 }
 
@@ -255,8 +255,8 @@ func TestGroupKill(t *testing.T) {
 	if !other.Finished() {
 		t.Error("non-group proc was affected by group kill")
 	}
-	if g.Live() != 0 {
-		t.Errorf("group Live() = %d, want 0", g.Live())
+	if s.Live() != 0 {
+		t.Errorf("Live() = %d, want 0", s.Live())
 	}
 }
 

@@ -32,8 +32,8 @@ type LinkStats struct {
 }
 
 // NIC is a network interface. Its availability follows its kernel device:
-// while the device's driver is not loaded (e.g. during failover reload),
-// received frames are dropped on the floor.
+// while the device's driver is not loaded (its owner dead, or a failover
+// reload under way), received frames are dropped on the floor.
 type NIC struct {
 	host string
 	dev  *kernel.Device
@@ -70,6 +70,9 @@ func (n *NIC) Up() bool {
 // the network keeps nothing of it, so a sender that pools its payloads may
 // reuse this one.
 func (n *NIC) Send(p Packet) bool {
+	if n.link != nil {
+		n.link.sim.Guard("simnet transmit")
+	}
 	if !n.Up() {
 		if n.link != nil {
 			n.link.dirs[n.end].stats.Drops++
@@ -199,7 +202,7 @@ func (l *Link) transmit(end int, p Packet) bool {
 		f, d.spare = d.spare[n-1], d.spare[:n-1]
 	} else {
 		f = &frame{dir: d, dst: l.nics[1-end]}
-		f.ev.Init(l.sim, f.arrive)
+		f.ev.Init(l.sim.Root(), f.arrive)
 	}
 	f.p = p
 	f.ev.Reset(txDone.Add(l.latency).Sub(now))

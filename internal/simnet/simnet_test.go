@@ -137,10 +137,10 @@ func TestNICDownWhileDriverUnloaded(t *testing.T) {
 	s.Schedule(time.Second, func() { client.Send(Packet{Size: 100}) })
 	s.Schedule(6*time.Second, func() { client.Send(Packet{Size: 100}) })
 
-	// Primary dies at 7s; the device goes down until secondary reloads it.
+	// Primary dies at 7s; the device goes down with it until secondary
+	// reloads it.
 	s.Schedule(7*time.Second, func() {
 		k0.Panic("injected", nil)
-		dev.FailDevice()
 		k1.Spawn("failover", func(tk *kernel.Task) {
 			if err := tk.LoadDriver(dev); err != nil {
 				t.Errorf("takeover: %v", err)

@@ -154,14 +154,14 @@ func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryCon
 		cfg.History = newConnTable()
 	}
 	p := &Primary{ns: ns, stack: stack, cfg: cfg.Sync, table: cfg.History, ids: make(map[ConnKey]uint64)}
-	p.out.Init(ns.Kernel().Sim(), p.cfg.FlushInterval, ns.Kernel().Alive)
+	p.out.Init(ns.Kernel().Domain(), p.cfg.FlushInterval)
 	for _, sync := range cfg.Syncs {
 		p.AttachRing(sync)
 	}
 	// The egress gate, ingress backpressure, and state-update callbacks.
 	g := &stabilityGate{ns: ns, prim: p, cfg: cfg.Gate, sim: ns.Kernel().Sim(), acks: make(map[ConnKey]uint64)}
 	g.synced, g.stabled = g.onSynced, g.onStable
-	g.pacer.Init(g.sim, g.release)
+	g.pacer.Init(ns.Kernel().Domain(), g.release)
 	p.gate = g
 	stack.SetEgress(g)
 	stack.SetIngress(p.ingress)

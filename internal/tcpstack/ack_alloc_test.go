@@ -2,15 +2,63 @@
 
 // The race runtime allocates where the plain build does not, and not the
 // same count in every process (about one more per short connection), so
-// this pin is the plain build's: CI's allocation-pins step runs it.
+// the stack's allocation pins are the plain build's: CI's allocation-pins
+// step runs them.
 
 package tcpstack
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/kernel"
 )
+
+// TestEstablishedTransferAllocs pins the steady state: on an established
+// connection with warm free lists, sending and receiving one more
+// MSS-sized write allocates nothing — no segment, no payload, no event, no
+// closure, no buffer growth, and no copy-out (Recv lends its bytes) —
+// through a direct gate and through one that holds every segment, at the
+// default MSS and at stream-failover's 32 KiB.
+func TestEstablishedTransferAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mss  int
+		gate EgressGate
+	}{
+		{"direct", 1448, DirectGate{}},
+		{"held", 1448, &holdGate{delay: 50 * time.Microsecond}},
+		{"mss32k", 32 << 10, DirectGate{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := DefaultParams()
+			params.MSS = tc.mss
+			d := newDriven(t, params, params.MSS, tc.gate)
+			for i := 0; i < 64; i++ {
+				d.step(t)
+			}
+			if n := testing.AllocsPerRun(200, func() { d.step(t) }); n != 0 {
+				t.Errorf("one more MSS-sized write on a warm connection: %v allocs, want 0", n)
+			}
+		})
+	}
+}
+
+// TestShortConnectionAllocs pins web-short's shape — connect, a 10 KiB
+// response, close on both sides, TIME_WAIT — at 27 allocations: what its
+// two fresh Conns, their timers and the client task cost. The receive-out
+// buffers are not in the count: Close gives each back to its stack's free
+// list and the next connection's first Recv takes it up again. (With a
+// copy-out allocated per Recv the count was 36.)
+func TestShortConnectionAllocs(t *testing.T) {
+	sc := newShortConns(t)
+	for i := 0; i < 8; i++ {
+		sc.one(t)
+	}
+	if n := testing.AllocsPerRun(50, func() { sc.one(t) }); n != 27 {
+		t.Errorf("one short connection on warm stacks: %v allocs, want 27", n)
+	}
+}
 
 // TestAckPolicyAllocs pins what the policy costs a whole connection —
 // connect, n 100-byte request/reply exchanges, close on both sides and

@@ -111,7 +111,7 @@ func newConn(s *Stack, key connKey, st connState) *Conn {
 		sndWnd: s.params.RecvBuf,
 		rto:    s.params.RTOMin,
 	}
-	c.timer.Init(s.kern.Sim(), c.onTimer)
+	c.timer.Init(s.kern.Domain(), c.onTimer)
 	c.sndBuf.Init(&s.bufs)
 	c.rcvBuf.Init(&s.bufs)
 	c.rcvOut.Init(&s.bufs)
@@ -184,7 +184,7 @@ func (c *Conn) ackInOrder() {
 			// Bound here, not in newConn: a short connection never delays,
 			// and the method value is an allocation.
 			c.quickAcked++
-			c.delAck.Init(c.stack.kern.Sim(), c.onDelAck)
+			c.delAck.Init(c.stack.kern.Domain(), c.onDelAck)
 		}
 		c.ackOwed = true
 		c.delAck.Reset(delAckTimeout)
@@ -198,10 +198,9 @@ func (c *Conn) clearOwedAck() {
 	}
 }
 
-// onDelAck sends the owed ACK no outgoing segment carried in time; a dead
-// kernel's stack sends nothing.
+// onDelAck sends the owed ACK no outgoing segment carried in time.
 func (c *Conn) onDelAck() {
-	if c.ackOwed && c.stack.kern.Alive() {
+	if c.ackOwed {
 		c.sendAck()
 	}
 }
@@ -250,9 +249,6 @@ func (c *Conn) resetRTO() {
 }
 
 func (c *Conn) onTimer() {
-	if !c.stack.kern.Alive() {
-		c.timer.SetBackground(true) // a dead kernel's stack still retransmits, for nobody
-	}
 	switch c.state {
 	case stateClosed:
 		return
@@ -598,7 +594,7 @@ func (s *Stack) reader() *reader {
 		return r
 	}
 	r := &reader{}
-	r.ev.Init(s.kern.Sim(), r.ready)
+	r.ev.Init(s.kern.Domain(), r.ready)
 	return r
 }
 

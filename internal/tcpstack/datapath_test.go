@@ -39,7 +39,7 @@ func (g *holdGate) Transmit(seg *Segment) {
 		h, g.free = g.free[n-1], g.free[:n-1]
 	} else {
 		h = &heldSeg{g: g}
-		h.ev.Init(g.sim, h.send)
+		h.ev.Init(g.sim.Root(), h.send)
 	}
 	h.seg = seg
 	if g.inGate != nil && len(seg.Data) > 0 {
@@ -380,52 +380,6 @@ func (d *driven) step(t testing.TB) {
 	}
 	if d.received != want {
 		t.Fatalf("client has %d bytes after the step, want %d", d.received, want)
-	}
-}
-
-// TestEstablishedTransferAllocs pins the steady state: on an established
-// connection with warm free lists, sending and receiving one more
-// MSS-sized write allocates nothing — no segment, no payload, no event, no
-// closure, no buffer growth, and no copy-out (Recv lends its bytes) —
-// through a direct gate and through one that holds every segment, at the
-// default MSS and at stream-failover's 32 KiB.
-func TestEstablishedTransferAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mss  int
-		gate EgressGate
-	}{
-		{"direct", 1448, DirectGate{}},
-		{"held", 1448, &holdGate{delay: 50 * time.Microsecond}},
-		{"mss32k", 32 << 10, DirectGate{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			params := DefaultParams()
-			params.MSS = tc.mss
-			d := newDriven(t, params, params.MSS, tc.gate)
-			for i := 0; i < 64; i++ {
-				d.step(t)
-			}
-			if n := testing.AllocsPerRun(200, func() { d.step(t) }); n != 0 {
-				t.Errorf("one more MSS-sized write on a warm connection: %v allocs, want 0", n)
-			}
-		})
-	}
-}
-
-// TestShortConnectionAllocs pins web-short's shape — connect, a 10 KiB
-// response, close on both sides, TIME_WAIT — at 27 allocations: what its
-// two fresh Conns, their timers and the client task cost. The receive-out
-// buffers are not in the count: Close gives each back to its stack's free
-// list and the next connection's first Recv takes it up again. (With a
-// copy-out allocated per Recv the count was 36.)
-func TestShortConnectionAllocs(t *testing.T) {
-	sc := newShortConns(t)
-	for i := 0; i < 8; i++ {
-		sc.one(t)
-	}
-	if n := testing.AllocsPerRun(50, func() { sc.one(t) }); n != 27 {
-		t.Errorf("one short connection on warm stacks: %v allocs, want 27", n)
 	}
 }
 
