@@ -64,7 +64,7 @@ func main() {
 	flag.StringVar(&o.events, "events", "", "write the raw event stream as JSONL to this file (ftdiag input)")
 	flag.StringVar(&o.chaosSpec, "chaos", "", "chaos schedule (preset name or spec)")
 	flag.Int64Var(&o.chaosSeed, "chaos-seed", 42, "seed for the chaos injector's RNG stream")
-	flag.DurationVar(&o.rejoinDelay, "rejoin-delay", 10*time.Second, "partition repair time before a backup rejoins")
+	flag.DurationVar(&o.rejoinDelay, "rejoin-delay", core.DefaultConfig(1).RejoinDelay, "partition repair time before a backup rejoins")
 	flag.StringVar(&o.flight, "flight", "", "write the failover flight-recorder dump to this file")
 	flag.IntVar(&o.shards, "shards", 1, "det-section sequencer shards (1 = the global-mutex total order)")
 	flag.IntVar(&o.replicas, "replicas", 2, "replica-set size: one primary plus n-1 backups on balanced fault domains")

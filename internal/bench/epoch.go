@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/apps/restream"
@@ -119,24 +120,26 @@ func epochPoint(seed int64, uptime time.Duration, epochs bool, tail time.Duratio
 	})
 	sys.InjectPrimaryFailure(uptime, hw.CoreFailStop)
 
-	// Catch-up completion: the first instant after the rejoin at which the
-	// fresh backup's replay head has reached the (still-advancing) live
-	// frontier. Replay drains far faster than the workload records, so a
-	// millisecond poll observes the caught-up state reliably.
+	// Catch-up completion: the first instant the fresh backup, replicated,
+	// has replayed up to the live frontier. A chain of replay-head
+	// subscriptions, each re-armed at the frontier when it fires, finds it
+	// exactly; the fresh backup's first switch-in arms it.
 	var caughtAt sim.Time
-	var poll func()
-	poll = func() {
-		if caughtAt == 0 && sys.State() == core.StateReplicated &&
-			sys.Active().NS.SeqGlobal() == sys.Standby().NS.ReplayHead() {
-			caughtAt = sys.Sim.Now()
+	var chase func()
+	chase = func() {
+		bns, seq := sys.Standby().NS, sys.Active().NS.SeqGlobal()
+		if head := bns.ReplayHead(); head < seq || sys.State() != core.StateReplicated {
+			bns.OnReplayHead(max(seq, head+1), chase)
 			return
 		}
-		if caughtAt == 0 {
-			sys.Sim.Schedule(time.Millisecond, poll)
+		caughtAt = sys.Sim.Now()
+	}
+	sys.Sim.OnSwitch = func(_ sim.Time, proc string) {
+		if strings.HasPrefix(proc, "backup.g1/") {
+			sys.Sim.OnSwitch = nil
+			sys.Sim.Schedule(0, chase)
 		}
 	}
-	sys.Sim.Schedule(uptime+epochRejoinDelay, poll)
-
 	if err := sys.Sim.RunUntil(sim.Time(uptime + epochRejoinDelay + tail)); err != nil {
 		return point, err
 	}

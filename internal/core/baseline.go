@@ -31,20 +31,11 @@ type Baseline struct {
 }
 
 // NewBaseline boots the unreplicated baseline using the config's primary
-// partition shape.
+// partition shape; cfg starts from DefaultConfig.
 func NewBaseline(cfg Config) (*Baseline, error) {
-	if cfg.Profile.Sockets == 0 {
-		cfg.Profile = hw.Opteron6376x4()
-	}
 	nodes := []int{0, 1, 2, 3}
 	if len(cfg.Placement) > 0 {
 		nodes = cfg.Placement[0]
-	}
-	if cfg.Kernel == (kernel.Params{}) {
-		cfg.Kernel = kernel.DefaultParams()
-	}
-	if cfg.TCP.MSS == 0 {
-		cfg.TCP = tcpstack.DefaultParams()
 	}
 	s := sim.New(cfg.Seed)
 	m := hw.New(s, cfg.Profile)

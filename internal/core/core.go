@@ -50,11 +50,16 @@ import (
 	"repro/internal/tcpstack"
 )
 
-// Config describes a deployment.
+// Config describes a deployment. It is the one table of calibrated model
+// constants: Kernel, Replication, TCPRep, TCP, Failure, NICDriverLoadTime
+// and Epochs.PerByteCopyCost price what the paper measures, each default
+// written once, with its source, where DefaultConfig takes it from. New and
+// NewBaseline start from DefaultConfig; validate derives the replica-set
+// topology and cross-checks, and defaults nothing else.
 type Config struct {
 	// Seed drives the simulation's deterministic randomness.
 	Seed int64
-	// Profile is the machine model (default: the paper's 4x Opteron 6376).
+	// Profile is the machine model: the paper's 4x Opteron 6376 (§4).
 	Profile hw.Profile
 	// Replicas is the replica-set size: one recording primary plus
 	// Replicas-1 replaying backups, each on its own NUMA fault domain
@@ -73,28 +78,29 @@ type Config struct {
 	// PrimaryCores/SecondaryCores restrict usable cores (0 = all in the
 	// partition); §4.3 uses a single-core secondary.
 	PrimaryCores, SecondaryCores int
-	// Kernel is the kernel timing model.
+	// Kernel is the kernel timing model (kernel.DefaultParams).
 	Kernel kernel.Params
-	// Replication tunes the record/replay engine.
+	// Replication tunes the record/replay engine and prices it
+	// (replication.DefaultConfig). Its BatchTuples and FlushInterval are
+	// the one flush policy of both streams: the det log and TCP sync.
 	Replication replication.Config
-	// TCPSync tunes logical-state delta batching on the tcprep.sync ring
-	// (zero value selects tcprep.DefaultSyncConfig; set BatchUpdates to 1
-	// to stream every update individually).
-	TCPSync tcprep.SyncConfig
-	// TCP tunes both replicas' TCP stacks.
+	// TCPRep prices TCP-stack replication: the primary's egress gate and
+	// the backup's sync updates (tcprep.DefaultCosts).
+	TCPRep tcprep.Costs
+	// TCP tunes both replicas' TCP stacks (tcpstack.DefaultParams).
 	TCP tcpstack.Params
-	// Failure tunes heart-beat detection.
+	// Failure tunes heart-beat detection (failure.DefaultConfig).
 	Failure failure.Config
 	// NICDriverLoadTime is the Ethernet driver (re)load time that dominates
-	// failover (§4.4).
+	// failover: ~5 s, 99% of the outage (§4.4).
 	NICDriverLoadTime time.Duration
 	// Obs tunes the observability layer. The flight recorder and metrics
 	// are always wired; set Obs.Trace to retain the full event stream for
 	// export (ftsim -trace).
 	Obs obs.Config
 	// RejoinDelay is how long a freed partition stays down after a
-	// failure before the replacement backup boots (repair/reboot time;
-	// 0 selects 10s).
+	// failure before the replacement backup boots (repair/reboot time; the
+	// paper stops at failover, so 10 s is a model choice).
 	RejoinDelay time.Duration
 	// Chaos is the fault-injection schedule driven against this
 	// deployment (empty = none); ChaosSeed seeds the injector's dedicated
@@ -122,14 +128,9 @@ type EpochConfig struct {
 	// recorded since the last cut (0 = interval only).
 	EveryTuples int
 	// PerByteCopyCost models checkpoint copy bandwidth for the pre-copy
-	// passes and the final stop-the-world delta (0 = 1ns/byte, ~1GB/s).
+	// passes and the final stop-the-world delta: 1 ns/B, ~1 GB/s (a model
+	// choice: the paper has no checkpoints).
 	PerByteCopyCost time.Duration
-	// MaxPasses bounds the pre-copy iteration (0 = 4).
-	MaxPasses int
-	// TargetDirtyBytes stops pre-copy once the residual dirty estimate
-	// converges to at most this many bytes (0 = 4KiB) — the pinned
-	// constant that bounds the final pause independent of state size.
-	TargetDirtyBytes int
 }
 
 // DefaultConfig returns the paper's standard deployment: two symmetric
@@ -140,10 +141,12 @@ func DefaultConfig(seed int64) Config {
 		Profile:           hw.Opteron6376x4(),
 		Kernel:            kernel.DefaultParams(),
 		Replication:       replication.DefaultConfig(),
-		TCPSync:           tcprep.DefaultSyncConfig(),
+		TCPRep:            tcprep.DefaultCosts(),
 		TCP:               tcpstack.DefaultParams(),
 		Failure:           failure.DefaultConfig(),
 		NICDriverLoadTime: 5 * time.Second,
+		RejoinDelay:       10 * time.Second,
+		Epochs:            EpochConfig{PerByteCopyCost: time.Nanosecond},
 	}
 }
 
@@ -381,11 +384,11 @@ func build(cfg Config) (*System, error) {
 	}
 
 	pStack := tcpstack.New(kerns[0], "server", cfg.TCP)
-	prim := tcprep.NewPrimary(pns, pStack, tcprep.PrimaryConfig{Syncs: syncs, Sync: cfg.TCPSync})
+	prim := tcprep.NewPrimary(pns, pStack, tcprep.PrimaryConfig{Syncs: syncs, Costs: cfg.TCPRep})
 	prim.Instrument(tr.Scope("primary/tcprep"), tr.Registry())
 	secs := make([]*tcprep.Secondary, n-1)
 	for i := 1; i < n; i++ {
-		secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1], tcprep.SecondaryConfig{})
+		secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1], tcprep.SecondaryConfig{Costs: cfg.TCPRep})
 	}
 
 	genesis := rejoin.Genesis()
@@ -763,14 +766,15 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 	k := surv.Kernel
 	k.Spawn("failover", func(t *kernel.Task) {
 		if err := t.LoadDriver(sys.nic); err != nil {
-			sys.setState(StateFailed)
-			return // the survivor died too; nothing left to fail over to
+			// A survivor that dies meanwhile unwinds from the load's Sleep;
+			// an error means the NIC's owner, the dead recording side, lives.
+			panic(fmt.Sprintf("core: failover driver load: %v", err))
 		}
 		stack := tcpstack.New(k, "server", sys.Cfg.TCP)
 		if sys.serverNIC != nil {
 			stack.Attach(sys.serverNIC)
 		}
-		if err := surv.Sockets.Promote(t, stack); err != nil {
+		if err := surv.Sockets.Promote(stack); err != nil {
 			panic(fmt.Sprintf("core: failover promotion: %v", err))
 		}
 		surv.Stack = stack
@@ -779,7 +783,7 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 		// rejoining backup can be checkpointed later. Same sim instant as
 		// Promote's restore — no segment can slip between them.
 		dp := tcprep.NewPrimary(surv.NS, stack, tcprep.PrimaryConfig{
-			Sync: sys.Cfg.TCPSync, History: surv.TCPSync.Table()})
+			Costs: sys.Cfg.TCPRep, History: surv.TCPSync.Table()})
 		dp.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/tcprep", sys.generation+1)), nil)
 		surv.TCPPrim = dp
 		surv.Sockets.AdoptPrimary(dp)

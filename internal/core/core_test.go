@@ -687,7 +687,8 @@ func TestReplicationServersAreEvents(t *testing.T) {
 }
 
 // TestTCPSyncBatchingCoalesces runs the same echo workload under per-update
-// streaming (BatchUpdates=1) and the default batched sync policy: the
+// streaming (Replication.BatchTuples=1, the one flush policy of both
+// streams) and the default batched policy: the
 // secondary must end up with the identical logical TCP state either way
 // (same synced input bytes, zero divergences), while the batched run ships
 // the update stream in strictly fewer ring transfers and drains at least
@@ -698,9 +699,7 @@ func TestReplicationServersAreEvents(t *testing.T) {
 func TestTCPSyncBatchingCoalesces(t *testing.T) {
 	t.Parallel()
 	run := func(batch int) (*core.System, int, []string) {
-		sys := quietSystem(t, 8, func(c *core.Config) {
-			c.TCPSync = tcprep.SyncConfig{BatchUpdates: batch, FlushInterval: 50 * time.Microsecond}
-		})
+		sys := quietSystem(t, 8, func(c *core.Config) { c.Replication.BatchTuples = batch })
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 		if err != nil {
 			t.Fatal(err)

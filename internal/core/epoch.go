@@ -86,8 +86,8 @@ func (sys *System) cutEpoch(t *kernel.Task, rep *Replica) {
 	pc := &rejoin.PreCopy{
 		Sources:     sys.precopySources(rep),
 		PerByte:     ec.PerByteCopyCost,
-		MaxPasses:   ec.MaxPasses,
-		TargetDirty: ec.TargetDirtyBytes,
+		MaxPasses:   precopyPasses,
+		TargetDirty: precopyTargetDirty,
 	}
 	finalDirty, passes := pc.Run(t)
 
@@ -116,6 +116,11 @@ func (sys *System) cutEpoch(t *kernel.Task, rep *Replica) {
 	note += fmt.Sprintf("stw %dB", finalDirty)
 	sys.scEpoch.EmitNote(obs.EpochCut, 0, int64(cp.Epoch), int64(pause), note)
 }
+
+// The pre-copy bounds: at most precopyPasses passes, stopping once the
+// residual dirty estimate is at most precopyTargetDirty bytes — the pinned
+// constant that bounds the final pause independent of state size.
+const precopyPasses, precopyTargetDirty = 4, 4 << 10
 
 // epochMarkBytes is the marker's own four words (epoch, Seq_global, log
 // index, digest), accounted on top of the checkpoint it carries.

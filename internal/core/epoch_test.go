@@ -102,9 +102,7 @@ func TestEpochKillDuringPreCopy(t *testing.T) {
 	const total = 32 << 20
 	opts := []core.Option{
 		core.WithEpochCheckpoints(time.Second, 0),
-		func(c *core.Config) {
-			c.Epochs.PerByteCopyCost, c.Epochs.MaxPasses, c.Epochs.TargetDirtyBytes = time.Microsecond, 4, 4<<10
-		},
+		func(c *core.Config) { c.Epochs.PerByteCopyCost = time.Microsecond },
 	}
 	sys, h, _ := rejoinRun(t, "kill primary @2500ms", 13, restorableStream, total, opts...)
 	_, base, _ := rejoinRun(t, "", 13, restorableStream, total, opts...)

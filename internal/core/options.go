@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/failure"
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/replication"
 	"repro/internal/tcpstack"
 )
 
@@ -97,18 +94,15 @@ func New(opts ...Option) (*System, error) {
 	return build(cfg)
 }
 
-// validate is the single normalization and cross-check point for every
-// deployment knob.
+// validate derives what depends on more than one knob and cross-checks
+// the rest. It defaults no model constant: New and NewBaseline start from
+// DefaultConfig, so every default is written once.
 //
-// ftvet:knobs — canonical defaulting site. The det-log batching and
-// sharding knobs are resolved by replication.Config.WithBatchDefaults,
-// which validate calls and the engine's constructors call again
-// (idempotent), so a replication.NewPrimary built directly in a unit test
-// gets exactly what a deployment gets.
+// ftvet:knobs — the det-log batching and sharding knobs are resolved by
+// replication.Config.WithBatchDefaults, which validate calls and every
+// namespace calls again (idempotent), so a replication.NewPrimary built
+// directly in a unit test gets exactly what a deployment gets.
 func (cfg Config) validate() (Config, error) {
-	if cfg.Profile.Sockets == 0 {
-		cfg.Profile = hw.Opteron6376x4()
-	}
 	// Replica-set topology: size, quorum, placement.
 	n := cmp.Or(cfg.Replicas, len(cfg.Placement), 2)
 	if n < 2 {
@@ -130,54 +124,19 @@ func (cfg Config) validate() (Config, error) {
 	if cfg.Quorum < 2 || cfg.Quorum > n {
 		return cfg, fmt.Errorf("core: quorum %d out of range [2,%d]", cfg.Quorum, n)
 	}
-	if cfg.Kernel == (kernel.Params{}) {
-		cfg.Kernel = kernel.DefaultParams()
-	}
-	if cfg.Replication.LogRingBytes == 0 {
-		shards := cfg.Replication.DetShards
-		cfg.Replication = replication.DefaultConfig()
-		cfg.Replication.DetShards = shards
-	}
-	// One coalescing policy per stream, normalized once: a batch is at
-	// least one, and a partial batch gets a flush bound so it can never
-	// sit forever. tcprep.NewPrimary normalizes the sync stream's.
+	// One coalescing policy for both streams, normalized once: a batch is
+	// at least one, and a partial batch gets a flush bound so it can never
+	// sit forever. tcprep.NewPrimary reads it from its namespace.
 	cfg.Replication = cfg.Replication.WithBatchDefaults()
-	if cfg.TCP.MSS == 0 {
-		cfg.TCP = tcpstack.DefaultParams()
-	}
-	if cfg.Failure.Interval <= 0 {
-		cfg.Failure = failure.DefaultConfig()
-	}
-	if cfg.Failure.Timeout <= 0 {
-		cfg.Failure.Timeout = 5 * cfg.Failure.Interval
-	}
 	if cfg.Failure.Timeout <= cfg.Failure.Interval {
 		return cfg, fmt.Errorf("core: heartbeat timeout %v must exceed interval %v",
 			cfg.Failure.Timeout, cfg.Failure.Interval)
 	}
-	cfg.NICDriverLoadTime = cmp.Or(cfg.NICDriverLoadTime, 5*time.Second)
-	if cfg.RejoinDelay <= 0 {
-		cfg.RejoinDelay = 10 * time.Second
-	}
-	// Epoch checkpointing truncates the retained history every recorder
-	// keeps. Defaults are normalized here like every other knob.
-	if cfg.Epochs.Enabled {
-		if cfg.Epochs.Interval <= 0 && cfg.Epochs.EveryTuples <= 0 {
-			cfg.Epochs.Interval = 30 * time.Second
-		}
-		if cfg.Epochs.PerByteCopyCost <= 0 {
-			cfg.Epochs.PerByteCopyCost = time.Nanosecond
-		}
-		if cfg.Epochs.MaxPasses <= 0 {
-			cfg.Epochs.MaxPasses = 4
-		}
-		if cfg.Epochs.TargetDirtyBytes <= 0 {
-			cfg.Epochs.TargetDirtyBytes = 4 << 10
-		}
+	if cfg.Epochs.Enabled && cfg.Epochs.Interval <= 0 && cfg.Epochs.EveryTuples <= 0 {
+		cfg.Epochs.Interval = 30 * time.Second
 	}
 	// The recorder counts backup receipts, so its quorum excludes the
-	// primary's own copy. Derived after the Replication defaulting above —
-	// the zero-value reset would wipe it.
+	// primary's own copy.
 	cfg.Replication.CommitQuorum = cfg.Quorum - 1
 	return cfg, nil
 }

@@ -145,7 +145,7 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	})
 	// DeferPull: the backup must seed the checkpoint before consuming
 	// deltas; the sync ring buffers them meanwhile.
-	bsec := tcprep.NewSecondary(bk, tcpSync, tcprep.SecondaryConfig{DeferPull: true})
+	bsec := tcprep.NewSecondary(bk, tcpSync, tcprep.SecondaryConfig{Costs: sys.Cfg.TCPRep, DeferPull: true})
 	// The seed: the survivor's latest checkpoint, which is also the latest
 	// one the new backup holds until it verifies a later boundary itself.
 	cp := surv.lastCP
@@ -180,7 +180,7 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	// log, so the seed carries none — and the transfer copy is sealed over
 	// the filled snapshot.
 	tx := *cp
-	tx.TCP = surv.TCPPrim.SnapshotState()
+	tx.TCP = surv.TCPPrim.SnapshotState(cp.Sends)
 	surv.TCPPrim.AttachRing(tcpSync)
 	tx.Seal()
 	frontier := rejoin.Cut(surv.NS)

@@ -28,7 +28,7 @@ type Config struct {
 
 // DefaultConfig returns the paper-scale heart-beat configuration.
 func DefaultConfig() Config {
-	return Config{Interval: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
+	return Config{Interval: 10 * time.Millisecond, Timeout: 50 * time.Millisecond} // §3.6: model choices, five beats missed
 }
 
 // Detector watches one peer replica from one kernel.

@@ -63,15 +63,15 @@ type Params struct {
 // evaluation machine.
 func DefaultParams() Params {
 	return Params{
-		Quantum:         6 * time.Millisecond,
-		ContextSwitch:   2 * time.Microsecond,
-		WakeBase:        3 * time.Microsecond,
-		IdleThreshold:   time.Millisecond,
-		IdleWakeMin:     50 * time.Microsecond,
-		IdleWakeMax:     15 * time.Millisecond,
-		SyscallCost:     400 * time.Nanosecond,
-		WakePreemptProb: 0.05,
-		FutexFIFO:       true,
+		Quantum:         6 * time.Millisecond,  // CFS's default sched_latency
+		ContextSwitch:   2 * time.Microsecond,  // model choice: a Linux switch is a few µs
+		WakeBase:        3 * time.Microsecond,  // model choice: wake_up_process to a busy core (§4.1)
+		IdleThreshold:   time.Millisecond,      // §4.1: wakes onto idle cores took up to tens of ms
+		IdleWakeMin:     50 * time.Microsecond, // §4.1, as IdleThreshold
+		IdleWakeMax:     15 * time.Millisecond, // §4.1, as IdleThreshold
+		SyscallCost:     400 * time.Nanosecond, // model choice: a syscall round trip
+		WakePreemptProb: 0.05,                  // model choice: CFS's vruntime-gated wakeup preemption
+		FutexFIFO:       true,                  // §3.3: FT-Linux's FIFO futex hand-off
 	}
 }
 

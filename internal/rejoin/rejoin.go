@@ -171,6 +171,7 @@ func (cp *Checkpoint) digest() uint64 {
 		fmt.Fprintf(h, "|c%d/%s:%d y%d i%d r%d a%d f%v g%v ", c.Key.LocalPort,
 			c.Key.RemoteHost, c.Key.RemotePort, c.Sync, c.ISS, c.IRS, c.Acked, c.PeerFin, c.Gone)
 		h.Write(c.In)
+		h.Write(c.Out)
 	}
 	for _, b := range cp.TCP.Binds {
 		fmt.Fprintf(h, "|b%d>%d", b.ID, b.Conn)
@@ -338,7 +339,7 @@ func Send(t *kernel.Task, ring *shm.Ring, cp *Checkpoint) {
 	for i, cs := range cp.TCP.Conns {
 		meta := cs
 		meta.In = nil
-		ring.Send(p, shm.Message{Kind: bulkConn, Size: 64, Ref: &bulkConnMeta{Snap: meta, InLen: len(cs.In)}})
+		ring.Send(p, shm.Message{Kind: bulkConn, Size: 64 + len(cs.Out), Ref: &bulkConnMeta{Snap: meta, InLen: len(cs.In)}})
 		sendChunks(p, ring, bulkChunk, i, cs.In)
 	}
 	ring.Send(p, shm.Message{Kind: bulkBinds, Size: 16 + 24*len(cp.TCP.Binds), Ref: &cp.TCP.Binds})

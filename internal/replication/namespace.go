@@ -123,7 +123,7 @@ func NewPrimary(name string, k *kernel.Kernel, cfg Config, logs, acks []*shm.Rin
 		panic("replication: a primary needs at least one backup's log+ack ring pair")
 	}
 	ns := newNamespace(name, RolePrimary, k, cfg)
-	ns.rec = newRecorder(k, cfg, logs, acks, forkSeed{})
+	ns.rec = newRecorder(k, ns.cfg, logs, acks, forkSeed{})
 	return ns
 }
 
@@ -132,7 +132,7 @@ func NewPrimary(name string, k *kernel.Kernel, cfg Config, logs, acks []*shm.Rin
 // history so a later backup can rejoin.
 func NewSecondary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Namespace {
 	ns := newNamespace(name, RoleSecondary, k, cfg)
-	ns.rep = newReplayer(k, cfg, log, acks)
+	ns.rep = newReplayer(k, ns.cfg, log, acks)
 	ns.rep.ns = ns
 	return ns
 }
@@ -150,10 +150,10 @@ func (ns *Namespace) forkRecorder(seed forkSeed) {
 	ns.role = RolePrimary
 }
 
-// NewLive creates an unreplicated namespace — the stock-Ubuntu baseline
-// configuration, and the mode replicas run in after failover.
+// NewLive creates an unreplicated namespace — the stock-Ubuntu baseline, and
+// the mode replicas run in after failover — under DefaultConfig's policy.
 func NewLive(name string, k *kernel.Kernel) *Namespace {
-	return newNamespace(name, RoleLive, k, Config{})
+	return newNamespace(name, RoleLive, k, DefaultConfig())
 }
 
 func newNamespace(name string, role Role, k *kernel.Kernel, cfg Config) *Namespace {
@@ -161,7 +161,7 @@ func newNamespace(name string, role Role, k *kernel.Kernel, cfg Config) *Namespa
 		name:    name,
 		role:    role,
 		kern:    k,
-		cfg:     cfg,
+		cfg:     cfg.WithBatchDefaults(),
 		threads: make(map[int]*Thread),
 	}
 	ns.lib = pthread.NewLib(k, ns)
@@ -173,6 +173,9 @@ func (ns *Namespace) Name() string { return ns.name }
 
 // Kernel returns the kernel this side runs on.
 func (ns *Namespace) Kernel() *kernel.Kernel { return ns.kern }
+
+// Config returns the engine configuration, batching defaults resolved.
+func (ns *Namespace) Config() Config { return ns.cfg }
 
 // Lib returns the namespace's interposed Pthreads library.
 func (ns *Namespace) Lib() *pthread.Lib { return ns.lib }

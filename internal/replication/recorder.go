@@ -200,12 +200,11 @@ type forkSeed struct {
 
 // newRecorder builds a recorder streaming to one backup per log+ack ring
 // pair. Without any — a fork at the instant of promotion — it starts
-// degraded, recording with no backup links.
+// degraded, recording with no backup links. cfg has its batch defaults.
 func newRecorder(k *kernel.Kernel, cfg Config, logs, acks []*shm.Ring, seed forkSeed) *Recorder {
 	if len(logs) != len(acks) {
 		panic("replication: recorder needs one log+ack ring pair per backup")
 	}
-	cfg = cfg.WithBatchDefaults()
 	if seed.objSeq == nil {
 		seed.objSeq = make(map[uint64]uint64)
 	}

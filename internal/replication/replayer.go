@@ -119,7 +119,7 @@ type Replayer struct {
 func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 	r := &Replayer{
 		kern:    k,
-		cfg:     cfg.WithBatchDefaults(),
+		cfg:     cfg,
 		log:     log,
 		acks:    acks,
 		doms:    make(map[uint64]*domain),

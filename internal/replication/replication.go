@@ -281,11 +281,9 @@ type Config struct {
 // configured.
 const defaultFlushInterval = 50 * time.Microsecond
 
-// WithBatchDefaults normalizes the batching and sharding knobs — the one
-// place their zero values are resolved, for a deployment (core's validate
-// calls it) and for an engine built directly alike: at least one tuple
-// per batch, a flush interval so a buffered tuple can never sit forever,
-// at least one det shard.
+// WithBatchDefaults resolves the batching and sharding knobs' zero values,
+// for core's validate and every namespace alike: at least one tuple per
+// batch and one det shard, a flush interval so no tuple sits forever.
 func (c Config) WithBatchDefaults() Config {
 	c.BatchTuples, c.DetShards = max(c.BatchTuples, 1), max(c.DetShards, 1)
 	if c.FlushInterval <= 0 {
@@ -297,13 +295,13 @@ func (c Config) WithBatchDefaults() Config {
 // DefaultConfig returns the calibrated engine configuration.
 func DefaultConfig() Config {
 	return Config{
-		SectionCost:        8 * time.Microsecond,
-		ReplayDispatchCost: 58 * time.Microsecond,
-		ReplaySectionCost:  3 * time.Microsecond,
-		LogRingBytes:       2 << 20,
-		StrictOutputCommit: true,
-		BatchTuples:        8,
-		FlushInterval:      defaultFlushInterval,
+		SectionCost:        8 * time.Microsecond,  // §3.3: global-mutex section plus tuple write
+		ReplayDispatchCost: 58 * time.Microsecond, // §4.1: the backup's serial dispatch bounds Fig. 4
+		ReplaySectionCost:  3 * time.Microsecond,  // §3.3: a replayed section on its shadow thread
+		LogRingBytes:       2 << 20,               // §4.1: the burst the log buffer absorbs (Fig. 4)
+		StrictOutputCommit: true,                  // §3.5: output waits for the backups' receipt
+		BatchTuples:        8,                     // model choice: the paper streams every tuple (Fig. 5)
+		FlushInterval:      defaultFlushInterval,  // model choice: bounds a partial batch's wait
 	}
 }
 

@@ -62,7 +62,7 @@ type LogicalConn struct {
 	outBase   uint64
 	appClosed bool
 	dataQ     sim.WaitQueue
-	live      *tcpstack.Conn // the real connection after promotion
+	live      *tcpstack.Conn // the real connection: the recording side's, a backup's after promotion
 }
 
 // newConnTable returns an empty table.
@@ -161,7 +161,10 @@ type ConnSnap struct {
 	In []byte
 	// Acked is the client-acknowledged output-stream watermark; output the
 	// rejoining replica regenerates below it is discarded immediately.
-	Acked   uint64
+	Acked uint64
+	// Out is output the seeded replica does not regenerate: the bytes from
+	// Acked up to the checkpoint's send cursor (Primary.SnapshotState).
+	Out     []byte
 	PeerFin bool
 	Gone    bool
 }
@@ -186,7 +189,7 @@ type StateSnap struct {
 func (s StateSnap) Bytes() int {
 	n := 24 * len(s.Binds)
 	for _, c := range s.Conns {
-		n += 64 + len(c.In)
+		n += 64 + len(c.In) + len(c.Out)
 	}
 	return n
 }
@@ -216,6 +219,10 @@ func (t *ConnTable) seed(snap StateSnap) []*LogicalConn {
 		lc.iss, lc.irs = cs.ISS, cs.IRS
 		lc.in.Append(cs.In)
 		lc.acked, lc.peerFin, lc.gone = cs.Acked, cs.PeerFin, cs.Gone
+		if len(cs.Out) > 0 {
+			lc.out.Append(cs.Out)
+			lc.outBase = cs.Acked
+		}
 		recs[i] = lc
 	}
 	for _, b := range snap.Binds {

@@ -32,7 +32,7 @@ func TestSyncDeadlinePublishesOnce(t *testing.T) {
 	w := newSyncWorld(t)
 	defer w.sim.Shutdown()
 	w.prim.Instrument(nil, obs.NewRegistry())
-	interval := w.prim.cfg.FlushInterval
+	interval := w.prim.ns.Config().FlushInterval
 	run := func(until sim.Time) {
 		t.Helper()
 		if err := w.sim.RunUntil(until); err != nil {
@@ -85,7 +85,7 @@ func TestSyncSpillKeepsItsPlace(t *testing.T) {
 	w.prim.onDataIn(w.conn, make([]byte, 1500))
 	w.prim.flushForCommit() // 1596 of 2048 bytes taken, no consumer
 	w.prim.onDataIn(w.conn, make([]byte, 600))
-	if err := w.sim.RunFor(w.prim.cfg.FlushInterval + 10*time.Microsecond); err != nil {
+	if err := w.sim.RunFor(w.prim.ns.Config().FlushInterval + 10*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	if w.ring.Stats().ReserveWaits != 1 {

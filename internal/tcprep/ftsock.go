@@ -334,9 +334,8 @@ func (c *Conn) promoteLocal() {
 
 // Promote installs the post-failover live stack on a secondary's socket
 // layer: logical connections are restored into the stack, listeners are
-// re-opened, and threads parked in awaitLive are released. The kernel task
-// is needed because re-listening executes on the new primary.
-func (s *Sockets) Promote(t *kernel.Task, stack *tcpstack.Stack) error {
+// re-opened, and threads parked in awaitLive are released.
+func (s *Sockets) Promote(stack *tcpstack.Stack) error {
 	if s.sec == nil {
 		return fmt.Errorf("tcprep: Promote on non-secondary socket layer")
 	}

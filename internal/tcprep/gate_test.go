@@ -68,7 +68,7 @@ func newGateWorld(t *testing.T) *gateWorld {
 			c.Kick()
 		}
 	}
-	w.prim = NewPrimary(ns, stack, PrimaryConfig{Syncs: []*shm.Ring{fabric.NewRing("tcprep.sync", 0, 1<<20)}})
+	w.prim = NewPrimary(ns, stack, PrimaryConfig{Syncs: []*shm.Ring{fabric.NewRing("tcprep.sync", 0, 1<<20)}, Costs: DefaultCosts()})
 	return w
 }
 
@@ -154,7 +154,7 @@ func TestGateAbsorbsSupersededPureAck(t *testing.T) {
 				if strings.HasSuffix(d, ":data") {
 					wire += len("data1")
 				}
-				busy = busy.Add(g.cfg.PerSegment + time.Duration(wire)*g.cfg.PerByte)
+				busy = busy.Add(g.cost.PerSegment + time.Duration(wire)*g.cost.PerByte)
 			}
 			if g.busy != busy {
 				t.Errorf("pacer busy until %v, want %v", g.busy, busy)
@@ -211,7 +211,7 @@ func TestDelayedAckWaitsForItsSyncUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := fabric.NewRing("tcprep.sync", 0, 4<<10)
-	prim := NewPrimary(ns, stack, PrimaryConfig{Syncs: []*shm.Ring{ring}})
+	prim := NewPrimary(ns, stack, PrimaryConfig{Syncs: []*shm.Ring{ring}, Costs: DefaultCosts()})
 	for _, c := range conns {
 		prim.onEstablished(c)
 	}

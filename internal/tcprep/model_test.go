@@ -55,6 +55,19 @@ type tableModelWorld struct {
 
 	reuses, refused, drains int
 	merged                  int // data-in updates applied that carried an ack-out's watermark
+	gaps                    int // cursor-seeded promotions of a connection acknowledged short of its cursor
+
+	// sends queues what the application wrote for the primary's app thread
+	// to write into its stack; sending counts those not yet written. cut is
+	// the send cursors of the last drain, an epoch cut's.
+	sends   []modelSend
+	sending int
+	cut     []SendCursor
+}
+
+type modelSend struct {
+	conn *tcpstack.Conn
+	data []byte
 }
 
 // modelRingBytes is small enough that the rings refuse flushes routinely.
@@ -74,17 +87,29 @@ func newTableModelWorld(t *testing.T, seed int64) *tableModelWorld {
 		rng: rand.New(rand.NewSource(seed)), byKey: make(map[ConnKey]*modelConn)}
 	for i := 0; i < 2; i++ {
 		w.rings = append(w.rings, w.fab.NewRing(fmt.Sprintf("sync-%d", i), 0, modelRingBytes))
-		w.secs = append(w.secs, NewSecondary(k, w.rings[i], SecondaryConfig{DeferPull: true}))
+		w.secs = append(w.secs, NewSecondary(k, w.rings[i], SecondaryConfig{Costs: DefaultCosts(), DeferPull: true}))
 	}
-	w.prim = NewPrimary(replication.NewLive("ftns", k), w.stack(0), PrimaryConfig{Syncs: w.rings})
+	w.prim = NewPrimary(replication.NewLive("ftns", k), w.stack(0), PrimaryConfig{Syncs: w.rings, Costs: DefaultCosts()})
 	// The application's accept loop: it binds one connection at a time, from
-	// task context, where the bind's flush may park on a full ring.
+	// task context, where the bind's flush may park on a full ring, and
+	// writes what it sent into the primary's stack, which keeps the unacked.
 	w.prim.ns.Start("app", nil, func(th *replication.Thread) {
 		for {
-			for w.pending == nil {
+			for w.pending == nil && len(w.sends) == 0 {
 				w.bindQ.Wait(th.Task().Proc())
 			}
+			for len(w.sends) > 0 {
+				s := w.sends[0]
+				w.sends = w.sends[1:]
+				if _, err := s.conn.Send(th.Task(), s.data); err != nil {
+					w.t.Errorf("step %d: primary send: %v", w.step, err)
+				}
+				w.sending--
+			}
 			mc := w.pending
+			if mc == nil {
+				continue
+			}
 			w.nextID++
 			mc.bound = w.nextID
 			w.binds = append(w.binds, BindSnap{ID: mc.bound, Conn: w.index(mc)})
@@ -244,6 +269,8 @@ func (w *tableModelWorld) do() {
 			sec.table.binds[mc.bound].appendOut(data)
 		}
 		mc.out = append(mc.out, data...)
+		w.sends, w.sending = append(w.sends, modelSend{mc.conn, data}), w.sending+1
+		w.bindQ.WakeAll(0)
 	case op < 77:
 		mc := w.pick(func(mc *modelConn) bool { return w.accepted(mc) && !mc.appClosed })
 		if mc == nil {
@@ -287,18 +314,25 @@ func (w *tableModelWorld) receive(i, max int) {
 // accepted — what a backup replaying from the seed regenerates.
 func (w *tableModelWorld) attach() {
 	ring := w.fab.NewRing("sync-2", 0, modelRingBytes)
-	sec := w.seeded(ring)
+	sec := w.seeded(ring, nil)
 	w.prim.AttachRing(ring)
 	w.rings, w.secs = append(w.rings, ring), append(w.secs, sec)
 }
 
-func (w *tableModelWorld) seeded(ring *shm.Ring) *Secondary {
-	sec := NewSecondary(w.k, ring, SecondaryConfig{DeferPull: true})
-	sec.Seed(w.prim.SnapshotState())
+// seeded seeds a backup from a snapshot and replays from the send cursors
+// cut (nil: from the start), regenerating only the output after them.
+func (w *tableModelWorld) seeded(ring *shm.Ring, cut []SendCursor) *Secondary {
+	sec := NewSecondary(w.k, ring, SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
+	sec.Seed(w.prim.SnapshotState(cut))
+	sec.SeedOutBase(cut)
+	from := make(map[uint64]uint64)
+	for _, c := range cut {
+		from[c.ID] = c.Sent
+	}
 	for _, mc := range w.conns {
 		if mc.bound != 0 {
 			lc := sec.table.binds[mc.bound]
-			lc.appendOut(mc.out)
+			lc.appendOut(mc.out[from[mc.bound]:])
 			lc.appClosed = mc.appClosed
 		}
 	}
@@ -319,7 +353,7 @@ func (w *tableModelWorld) drain() {
 		for i := range w.secs {
 			w.receive(i, 0)
 		}
-		quiet := w.pending == nil
+		quiet := w.pending == nil && w.sending == 0
 		for i, l := range w.prim.links {
 			quiet = quiet && l.Len() == 0 && l.synced == w.prim.enqueued && w.rings[i].InFlight() == 0 && w.rings[i].Len() == 0
 		}
@@ -331,7 +365,19 @@ func (w *tableModelWorld) drain() {
 		}
 	}
 	w.check()
-	w.promote(w.seeded(w.fab.NewRing("throwaway", 0, modelRingBytes)))
+	w.promote(w.seeded(w.fab.NewRing("throwaway", 0, modelRingBytes), nil))
+	for _, c := range w.cut {
+		if mc := w.conns[w.binds[c.ID-1].Conn]; mc.acked < c.Sent && !(mc.gone && mc.appClosed) {
+			w.gaps++
+		}
+	}
+	w.promote(w.seeded(w.fab.NewRing("epoch", 0, modelRingBytes), w.cut))
+	w.cut = w.cut[:0]
+	for _, mc := range w.conns {
+		if mc.bound != 0 {
+			w.cut = append(w.cut, SendCursor{ID: mc.bound, Sent: uint64(len(mc.out))})
+		}
+	}
 }
 
 // want is the model's snapshot.
@@ -444,7 +490,10 @@ func runTableProgram(t *testing.T, seed int64, steps int) *tableModelWorld {
 // every footprint equal the model's accounting; and a backup seeded from the
 // snapshot promotes into a fresh stack exactly the latest incarnation of each
 // four-tuple, unless it is both reaped and closed by the application, at the
-// model's cursors. At the end the three live backups are promoted the same
+// model's cursors — replaying the output from the start, or, seeded as an
+// epoch checkpoint is, from the send cursors of the previous drain, the
+// snapshot carrying the unacknowledged output written before them from the
+// primary's stack. At the end the three live backups are promoted the same
 // way.
 func TestBackupStateMatchesPrimary(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -452,12 +501,12 @@ func TestBackupStateMatchesPrimary(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			w := runTableProgram(t, seed, 4000)
-			if w.reuses < 20 || w.refused < 20 || w.merged < 20 {
-				t.Errorf("program exercised too little: %d four-tuple reuses, %d refused flushes, %d merged updates applied; want 20 of each",
-					w.reuses, w.refused, w.merged)
+			if w.reuses < 20 || w.refused < 20 || w.merged < 20 || w.gaps < 20 {
+				t.Errorf("program exercised too little: %d four-tuple reuses, %d refused flushes, %d merged updates applied, %d cursor gaps; want 20 of each",
+					w.reuses, w.refused, w.merged, w.gaps)
 			}
-			t.Logf("%d connections, %d binds, %d reuses, %d refused flushes, %d merged updates applied, %d drains",
-				len(w.conns), len(w.binds), w.reuses, w.refused, w.merged, w.drains)
+			t.Logf("%d connections, %d binds, %d reuses, %d refused flushes, %d merged updates applied, %d cursor gaps, %d drains",
+				len(w.conns), len(w.binds), w.reuses, w.refused, w.merged, w.gaps, w.drains)
 		})
 	}
 }

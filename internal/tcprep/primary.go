@@ -25,8 +25,8 @@ import (
 // and whichever backup wins a failover election owns the logical TCP state
 // of every byte the client has seen.
 //
-// Updates are coalesced between output commits, up to
-// SyncConfig.BatchUpdates of them, into the newest pending entry of their
+// Updates are coalesced between output commits, up to the det log's
+// BatchTuples of them, into the newest pending entry of their
 // connection (coalesce), and ship as one vectored ring transfer. Every
 // outgoing segment passes a sync barrier that forces a flush and waits until
 // all previously enqueued updates are on every live ring: buffered updates
@@ -37,7 +37,7 @@ type Primary struct {
 	stack *tcpstack.Stack
 	gate  *stabilityGate
 	links []*syncLink
-	cfg   SyncConfig
+	batch int // updates per vectored transfer: the det log's BatchTuples
 
 	// table is the logical TCP state, updated from the same callbacks that
 	// stream deltas, so a checkpoint cut from it plus the delta stream after
@@ -82,37 +82,24 @@ type syncWaiter struct {
 	fn        func()
 }
 
-// SyncConfig tunes logical-state delta batching on the tcprep.sync ring.
-type SyncConfig struct {
-	// BatchUpdates coalesces up to N updates per vectored transfer (1 and
-	// below: a batch of one, every update sent as it is produced).
-	BatchUpdates int
-	// FlushInterval bounds how long a partially filled batch may sit
-	// buffered when no output commit forces it out sooner (0 selects the
-	// default's).
-	FlushInterval time.Duration
+// Costs is tcprep's part of the calibrated cost model (core.Config.TCPRep).
+// The gate's costs apply only while replication is active: a promoted
+// replica sends at native speed.
+type Costs struct {
+	// PerSegment + PerByte×wire size is the primary's serial bookkeeping per
+	// output packet (Netfilter egress hook, output-commit queue, copy). It
+	// holds bulk transfer at ~85% of Ubuntu's (§4.4; Fig. 8 reads 83%) and
+	// bounds request rates (§4.2).
+	PerSegment, PerByte time.Duration
+	// SyncUpdate is the backup's CPU cost to apply one sync update, the
+	// serial TCP-state maintenance that makes network I/O synchronization
+	// costlier than Pthreads schedule replication (§4.2).
+	SyncUpdate time.Duration
 }
 
-// DefaultSyncConfig returns the calibrated sync batching policy.
-func DefaultSyncConfig() SyncConfig {
-	return SyncConfig{BatchUpdates: 8, FlushInterval: 50 * time.Microsecond}
-}
-
-// GateConfig models the primary's per-packet replication bookkeeping cost:
-// every output packet traverses the Netfilter egress hook and the
-// output-commit queue, paying a fixed per-packet cost plus a per-byte copy
-// cost. This serial path keeps FT-Linux's bulk transfer at ~85% of Ubuntu's
-// (§4.4) and bounds request rates (§4.2); past quick-ACK mode the stack's
-// delayed ACKs let a request's ACK ride its reply through it. It applies only
-// while replication is active: a promoted replica sends at native speed.
-type GateConfig struct {
-	PerSegment time.Duration
-	PerByte    time.Duration
-}
-
-// DefaultGateConfig returns the calibrated egress cost model.
-func DefaultGateConfig() GateConfig {
-	return GateConfig{PerSegment: 20 * time.Microsecond, PerByte: 9 * time.Nanosecond}
+// DefaultCosts returns the calibrated costs; their sources are on the fields.
+func DefaultCosts() Costs {
+	return Costs{PerSegment: 20 * time.Microsecond, PerByte: 9 * time.Nanosecond, SyncUpdate: 25 * time.Microsecond}
 }
 
 // PrimaryConfig wires the primary side of TCP-stack replication.
@@ -126,40 +113,28 @@ type PrimaryConfig struct {
 	// native speed, until AttachRing flips it into streaming mode when a
 	// rejoining backup is ready.
 	Syncs []*shm.Ring
-	// Gate is the egress cost model; zero selects DefaultGateConfig.
-	Gate GateConfig
-	// Sync is the delta batching policy; zero selects DefaultSyncConfig.
-	Sync SyncConfig
+	// Costs prices the egress gate (PerSegment, PerByte).
+	Costs Costs
 	// History is the connection table to continue: a promoted secondary's
 	// (Secondary.Table), so the next rejoin can be checkpointed from it.
 	// Nil starts an empty one.
 	History *ConnTable
 }
 
-// NewPrimary attaches replication to the given stack.
+// NewPrimary attaches replication to the given stack. The delta stream
+// batches by the namespace's det-log policy (replication.Config.BatchTuples,
+// FlushInterval): one flush policy for both streams.
 func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryConfig) *Primary {
-	if cfg.Gate == (GateConfig{}) {
-		cfg.Gate = DefaultGateConfig()
-	}
-	if cfg.Sync == (SyncConfig{}) {
-		cfg.Sync = DefaultSyncConfig()
-	}
-	if cfg.Sync.BatchUpdates < 1 {
-		cfg.Sync.BatchUpdates = 1
-	}
-	if cfg.Sync.FlushInterval <= 0 {
-		cfg.Sync.FlushInterval = DefaultSyncConfig().FlushInterval
-	}
 	if cfg.History == nil {
 		cfg.History = newConnTable()
 	}
-	p := &Primary{ns: ns, stack: stack, cfg: cfg.Sync, table: cfg.History, ids: make(map[ConnKey]uint64)}
-	p.out.Init(ns.Kernel().Domain(), p.cfg.FlushInterval)
+	p := &Primary{ns: ns, stack: stack, batch: ns.Config().BatchTuples, table: cfg.History, ids: make(map[ConnKey]uint64)}
+	p.out.Init(ns.Kernel().Domain(), ns.Config().FlushInterval)
 	for _, sync := range cfg.Syncs {
 		p.AttachRing(sync)
 	}
 	// The egress gate, ingress backpressure, and state-update callbacks.
-	g := &stabilityGate{ns: ns, prim: p, cfg: cfg.Gate, sim: ns.Kernel().Sim(), acks: make(map[ConnKey]uint64)}
+	g := &stabilityGate{ns: ns, prim: p, cost: cfg.Costs, sim: ns.Kernel().Sim(), acks: make(map[ConnKey]uint64)}
 	g.synced, g.stabled = g.onSynced, g.onStable
 	g.pacer.Init(ns.Kernel().Domain(), g.release)
 	p.gate = g
@@ -190,13 +165,23 @@ func (p *Primary) Streaming() bool {
 }
 
 // SnapshotState cuts the logical TCP half of a rejoin checkpoint from the
-// connection table. Call in scheduler context, atomically with AttachRing,
-// so no update lands in both the snapshot and the delta stream.
-func (p *Primary) SnapshotState() StateSnap {
+// connection table. The seeded backup replays from the checkpoint's send
+// cursors (cut; nil for genesis), so a connection's output written before its
+// cursor and not yet acknowledged is copied from its live connection. Call in
+// scheduler context, atomically with AttachRing, so no update lands in both
+// the snapshot and the delta stream.
+func (p *Primary) SnapshotState(cut []SendCursor) StateSnap {
 	snap := p.table.snapshot()
 	for i := range snap.Conns {
 		if cs := &snap.Conns[i]; !cs.Gone {
 			cs.Sync = p.idOf(cs.Key)
+		}
+	}
+	for _, c := range cut {
+		if lc := p.table.binds[c.ID]; lc != nil && lc.live != nil && c.Sent > lc.acked {
+			live := lc.live.Snapshot()
+			base := live.SndUna - lc.iss - 1 // SndData's stream offset
+			snap.Conns[lc.at].Out = live.SndData[lc.acked-base : c.Sent-base]
 		}
 	}
 	return snap
@@ -300,7 +285,7 @@ func (p *Primary) Degrade() {
 type stabilityGate struct {
 	ns   *replication.Namespace
 	prim *Primary
-	cfg  GateConfig
+	cost Costs
 	sim  *sim.Simulation
 
 	held     sim.Log[*tcpstack.Segment] // oldest first; nil once absorbed
@@ -369,7 +354,7 @@ func (g *stabilityGate) release() {
 		if seg.PureAck() && g.acks[segKey(seg)] == g.base-1 {
 			delete(g.acks, segKey(seg)) // sent: nothing left to absorb
 		}
-		g.busy = g.sim.Now().Add(g.cfg.PerSegment + time.Duration(seg.WireSize())*g.cfg.PerByte)
+		g.busy = g.sim.Now().Add(g.cost.PerSegment + time.Duration(seg.WireSize())*g.cost.PerByte)
 		seg.Send()
 	}
 	if g.stable > 0 && !g.pacer.Armed() {
@@ -436,7 +421,7 @@ func (p *Primary) trySync(m shm.Message) {
 			continue
 		}
 		link.Add(m)
-		if link.Len() >= p.cfg.BatchUpdates {
+		if link.Len() >= p.batch {
 			link.TryFlush()
 		}
 	}
@@ -487,6 +472,7 @@ func (p *Primary) flushForCommit() {
 func (p *Primary) onEstablished(c *tcpstack.Conn) {
 	key := keyOf(c)
 	lc := p.table.establish(key, c.ISS(), c.IRS())
+	lc.live = c
 	// The four-tuple crosses once per connection, as the record's own key.
 	m := syncMessage(syncConnMeta, connMetaBytes, p.idOf(key), c.ISS(), c.IRS())
 	m.Ref = &lc.key

@@ -27,6 +27,7 @@ type Secondary struct {
 	pullK, paidK func()
 	q            sim.Log[shm.Message]
 	promoted     bool
+	cost         time.Duration // Costs.SyncUpdate, paid per update
 
 	// Stats.
 	DataBytes int64 // input bytes synced
@@ -36,17 +37,14 @@ type Secondary struct {
 
 // SecondaryConfig tunes the sync-state maintainer.
 type SecondaryConfig struct {
+	// Costs prices the pull loop (SyncUpdate).
+	Costs Costs
 	// DeferPull creates the maintainer without starting the sync pull
 	// loop: a rejoining backup first applies the checkpoint's state
 	// snapshot (Seed) and then calls StartPull to consume the deltas that
 	// queued on the ring meanwhile.
 	DeferPull bool
 }
-
-// syncCost is the per-update CPU cost of the pull loop — the serial
-// TCP-state maintenance path whose expense makes network I/O
-// synchronization costlier than Pthreads schedule replication (§4.2).
-const syncCost = 25 * time.Microsecond
 
 // NewSecondary creates the sync-state maintainer on the secondary kernel
 // and, unless cfg.DeferPull, starts it.
@@ -56,6 +54,7 @@ func NewSecondary(k *kernel.Kernel, sync *shm.Ring, cfg SecondaryConfig) *Second
 		sync:   sync,
 		table:  newConnTable(),
 		bySync: make(map[uint64]*LogicalConn),
+		cost:   cfg.Costs.SyncUpdate,
 	}
 	if !cfg.DeferPull {
 		s.StartPull()
@@ -81,7 +80,7 @@ func (s *Secondary) Conns() int { return len(s.table.conns) }
 func (s *Secondary) Table() *ConnTable { return s.table }
 
 // pull is the puller's loop: it takes every delivered update off the ring
-// at once, pays syncCost for each in turn and applies it (paid), and waits
+// at once, pays Costs.SyncUpdate for each in turn and applies it (paid), and waits
 // for the ring when it has applied them all.
 func (s *Secondary) pull() {
 	if s.q.Len() == 0 {
@@ -96,7 +95,7 @@ func (s *Secondary) pull() {
 			return
 		}
 	}
-	s.puller.ComputeThen(syncCost, s.paidK)
+	s.puller.ComputeThen(s.cost, s.paidK)
 }
 
 // paid applies the update the puller has paid for, the oldest it took off
@@ -257,9 +256,10 @@ func (s *Secondary) Seed(snap StateSnap) {
 // start of delta replay. The snapshot's acked watermark may exceed a
 // cursor (bytes sent after the cut, acknowledged by the snapshot instant);
 // applyTrim already re-applies the watermark as replay appends catch up.
+// One behind a cursor came with the bytes up to it (ConnSnap.Out).
 func (s *Secondary) SeedOutBase(cur []SendCursor) {
 	for _, c := range cur {
-		if lc := s.table.binds[c.ID]; lc != nil && c.Sent > lc.outBase {
+		if lc := s.table.binds[c.ID]; lc != nil && lc.out.Len() == 0 && c.Sent > lc.outBase {
 			lc.outBase = c.Sent
 		}
 	}

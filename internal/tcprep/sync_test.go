@@ -44,8 +44,8 @@ func newSyncWorldRing(tb testing.TB, ringBytes int64) *syncWorld {
 	}
 	w := &syncWorld{sim: s, ring: shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, ringBytes)}
 	stack := tcpstack.New(k, "server", tcpstack.DefaultParams())
-	w.prim = NewPrimary(replication.NewLive("ftns", k), stack, PrimaryConfig{Syncs: []*shm.Ring{w.ring}})
-	w.sec = NewSecondary(k, w.ring, SecondaryConfig{DeferPull: true})
+	w.prim = NewPrimary(replication.NewLive("ftns", k), stack, PrimaryConfig{Syncs: []*shm.Ring{w.ring}, Costs: DefaultCosts()})
+	w.sec = NewSecondary(k, w.ring, SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
 	w.conn, err = stack.Restore(tcpstack.ConnSnapshot{LocalPort: 80,
 		Remote: tcpstack.Addr{Host: "client", Port: 40000}, ISS: 1000, IRS: 2000, SndUna: 1001, RcvNxt: 2001})
 	if err != nil {
@@ -198,7 +198,7 @@ func TestBindOutlivesReap(t *testing.T) {
 		t.Errorf("the binding drew a sync id for a reaped connection")
 	}
 
-	seeded := NewSecondary(w.prim.ns.Kernel(), w.ring, SecondaryConfig{DeferPull: true})
+	seeded := NewSecondary(w.prim.ns.Kernel(), w.ring, SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
 	seeded.Seed(StateSnap{Conns: []ConnSnap{{Key: key, ISS: 1000, IRS: 2000, Gone: true}}})
 	for _, m := range w.buf {
 		seeded.apply(m)
@@ -251,7 +251,7 @@ func TestReusedFourTupleStartsFreshRecord(t *testing.T) {
 			old.gone, inBytes(old), w.sec.table.binds)
 	}
 
-	snap := w.prim.SnapshotState()
+	snap := w.prim.SnapshotState(nil)
 	want := []ConnSnap{
 		{Key: key, ISS: 1000, IRS: 2000, In: []byte("old request"), Acked: 500, PeerFin: true, Gone: true},
 		{Key: key, ISS: 3000, IRS: 4000, Sync: w.prim.ids[key], In: []byte("NEW")},
@@ -261,7 +261,7 @@ func TestReusedFourTupleStartsFreshRecord(t *testing.T) {
 		t.Fatalf("snapshot %+v; want %+v and each bind on its own record", snap, want)
 	}
 
-	seeded := NewSecondary(k, shm.NewFabric(w.sim, time.Microsecond).NewRing("seeded", 0, 1<<20), SecondaryConfig{DeferPull: true})
+	seeded := NewSecondary(k, shm.NewFabric(w.sim, time.Microsecond).NewRing("seeded", 0, 1<<20), SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
 	seeded.Seed(snap)
 	w.prim.onDataIn(c2, []byte(" MORE"))
 	w.deliver(t)
@@ -307,7 +307,7 @@ func BenchmarkSyncUpdate(b *testing.B) {
 
 // TestPromoteMidBatchAppliesEveryUpdate: one sync batch — a connection's
 // announcement, then two data-in updates of three bytes, the first carrying
-// the ack-out it absorbed — lands on a backup whose puller pays syncCost per
+// the ack-out it absorbed — lands on a backup whose puller pays Costs.SyncUpdate per
 // update before applying it, and the backup is promoted 40 µs later, when
 // the puller has applied one and is paying for the merged one. The two it
 // took off the ring and had not applied are the promotion's to apply: all
@@ -324,7 +324,7 @@ func TestPromoteMidBatchAppliesEveryUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, 1<<20)
-	sec := NewSecondary(sk, ring, SecondaryConfig{})
+	sec := NewSecondary(sk, ring, SecondaryConfig{Costs: DefaultCosts()})
 	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 40000}
 	meta := syncMessage(syncConnMeta, connMetaBytes, 1, 1000, 2000)
 	meta.Ref = &key

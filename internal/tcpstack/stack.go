@@ -81,14 +81,14 @@ type Params struct {
 // DefaultParams returns production-like defaults.
 func DefaultParams() Params {
 	return Params{
-		MSS:        1448,
-		SendBuf:    256 << 10,
-		RecvBuf:    256 << 10,
-		RTOMin:     200 * time.Millisecond,
-		RTOMax:     time.Second,
-		TimeWait:   500 * time.Millisecond,
-		SynRetries: 6,
-		SegmentCPU: 2 * time.Microsecond,
+		MSS:        1448,                   // a 1500 B Ethernet MTU less IP, TCP and timestamp headers
+		SendBuf:    256 << 10,              // model choice: a window that fills GigE (§4.4)
+		RecvBuf:    256 << 10,              // as SendBuf
+		RTOMin:     200 * time.Millisecond, // Linux's TCP_RTO_MIN
+		RTOMax:     time.Second,            // model choice, below Linux's 120 s to keep runs short
+		TimeWait:   500 * time.Millisecond, // model choice, below Linux's 60 s to keep runs short
+		SynRetries: 6,                      // Linux's tcp_syn_retries
+		SegmentCPU: 2 * time.Microsecond,   // model choice: a segment's stack traversal
 	}
 }
 
