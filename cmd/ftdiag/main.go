@@ -9,12 +9,14 @@
 //	ftdiag slice -order 1234 trace.jsonl         # causal ancestry of one event
 //	ftdiag windows trace.json > pinned.txt       # a Chrome trace's per-window digests
 //	ftdiag windows trace.json pinned.txt         # the first window that moved
+//	ftdiag reach func.txt pkgs.txt reach.txt     # code no run reached, against its keepers
 //
 // Every analysis is a pure function of the trace bytes: same input, same
 // output, byte for byte. diff exits 1 when a divergence is found (0 when
 // the traces agree, 2 on usage or I/O errors), so CI can assert either
 // outcome without parsing the report; windows, given pinned digests, exits
-// 1 when a window moved.
+// 1 when a window moved, and reach (make reach) when its list and the
+// pinned one differ.
 package main
 
 import (
@@ -55,6 +57,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdSlice(args[1:], stdout, stderr)
 	case "windows":
 		return cmdWindows(args[1:], stdout, stderr)
+	case "reach":
+		return cmdReach(args[1:], stdout, stderr)
 	}
 	fmt.Fprintf(stderr, "ftdiag: unknown subcommand %q\n", args[0])
 	usage(stderr)
@@ -89,6 +93,7 @@ func usage(w io.Writer) {
   ftdiag diff [-json] [-max N] a.jsonl b.jsonl
   ftdiag slice -order N [-max N] trace.jsonl
   ftdiag windows trace.json [pinned.txt]
+  ftdiag reach func.txt pkgs.txt reach.txt
 `)
 }
 

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +17,7 @@ import (
 	"repro/internal/apps/restream"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -20,7 +25,8 @@ import (
 // diag` makes them but smaller: a 1 MiB restream download at seed 1, twice
 // never failed and once with the primary's core failing at 5 ms,
 // mid-download; and a 512 KiB download, whose recorded tuples stop short of
-// the 1 MiB run's.
+// the 1 MiB run's. Beside each it writes the run's Chrome trace, the input
+// of ftdiag windows, under the name ending .json.
 var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 	dir, err := os.MkdirTemp("", "ftdiag-test")
 	if err != nil {
@@ -66,6 +72,16 @@ func writeTrace(path string, failAt time.Duration, total int) error {
 		return err
 	}
 	if err := sys.Obs.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if f, err = os.Create(strings.TrimSuffix(path, "l")); err != nil {
+		return err
+	}
+	if err := sys.Obs.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -153,5 +169,80 @@ func TestAttributeOutputRepeats(t *testing.T) {
 	}
 	if !strings.Contains(outs[2], "commit-wait") {
 		t.Errorf("attribution names no stage:\n%s", outs[2])
+	}
+}
+
+// TestWindowsPinsATrace: ftdiag windows prints a Chrome trace's per-window
+// digests; given them back as the pinned file, the same trace exits 0 and
+// prints nothing, and the trace with the first event of one window moved
+// by a nanosecond exits 1, naming that window and the moved event.
+func TestWindowsPinsATrace(t *testing.T) {
+	trace := strings.TrimSuffix(traces(t)["clean"], "l")
+	status, pinned, stderr := ftdiag("windows", trace)
+	if status != 0 || pinned == "" {
+		t.Fatalf("windows %s: exit status %d, %d bytes\n%s", trace, status, len(pinned), stderr)
+	}
+	if _, again, _ := ftdiag("windows", trace); again != pinned {
+		t.Error("one trace digested twice, two outputs")
+	}
+	pinnedFile := filepath.Join(t.TempDir(), "pinned.windows")
+	if err := os.WriteFile(pinnedFile, []byte(pinned), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, stdout, stderr := ftdiag("windows", trace, pinnedFile); status != 0 || stdout != "" {
+		t.Fatalf("same trace against its own digests: exit status %d\n%s%s", status, stdout, stderr)
+	}
+
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := obs.TraceWindows(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := windows[len(windows)/2]
+	ts := regexp.MustCompile(`"ts":(\d+)\.(\d{3})`).FindStringSubmatch(w.First)
+	if ts == nil {
+		t.Fatalf("no timestamp in %s", w.First)
+	}
+	ns, _ := strconv.Atoi(ts[1] + ts[2])
+	moved := strings.Replace(w.First, ts[0], fmt.Sprintf(`"ts":%d.%03d`, (ns+1)/1000, (ns+1)%1000), 1)
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	movedFile := filepath.Join(t.TempDir(), "moved.json")
+	if err := os.WriteFile(movedFile, []byte(strings.Replace(string(data), w.First, moved, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, stdout, stderr := ftdiag("windows", movedFile, pinnedFile)
+	if status != 1 {
+		t.Fatalf("moved event: exit status %d, want 1\n%s%s", status, stdout, stderr)
+	}
+	if want := fmt.Sprintf("first differing window: pinned %q", w); !strings.Contains(stdout, want) || !strings.Contains(stdout, moved) {
+		t.Errorf("moved event: output does not name window %q and its event %s:\n%s", w, moved, stdout)
+	}
+}
+
+// TestSliceAndCritPath: slice prints the causal ancestry of one event, and
+// attribute -critpath writes the critical-path track as a JSON trace.
+func TestSliceAndCritPath(t *testing.T) {
+	tr := traces(t)
+	status, stdout, stderr := ftdiag("slice", "-order", "100", tr["failed"])
+	if status != 0 || !strings.Contains(stdout, "causal slice of event order=100") {
+		t.Errorf("slice: exit status %d\n%s%s", status, stdout, stderr)
+	}
+	if status, _, stderr := ftdiag("slice", "-order", "999999999", tr["failed"]); status != 2 || !strings.Contains(stderr, "no event with order=999999999") {
+		t.Errorf("slice of a missing event: exit status %d\n%s", status, stderr)
+	}
+	cp := filepath.Join(t.TempDir(), "cp.json")
+	if status, _, stderr := ftdiag("attribute", "-critpath", cp, tr["failed"]); status != 0 {
+		t.Fatalf("attribute -critpath: exit status %d\n%s", status, stderr)
+	}
+	var track struct{ TraceEvents []json.RawMessage }
+	if data, err := os.ReadFile(cp); err != nil || json.Unmarshal(data, &track) != nil || len(track.TraceEvents) == 0 {
+		t.Errorf("critical-path track %s is not a JSON trace with events (read error %v)", cp, err)
 	}
 }

@@ -21,15 +21,19 @@ import (
 // of the table that experiment's entry of experiments.json renders, the
 // record `make experiments` regenerates and CI diffs. The prose can be
 // wrong; the numbers it is about cannot be old. Every experiment has at
-// least one such table.
+// least one such table, and every paper figure's ✅ and ⚠️ marks are its
+// claims' verdicts on the record (checkClaimMarks).
 func TestExperimentsDocMatchesRecord(t *testing.T) {
 	doc := readRepoFile(t, "EXPERIMENTS.md")
 	tables := make(map[string]string) // experiment -> its rendered table
+	reports := make(map[string]*Report)
 	for _, r := range recorded(t) {
 		var b strings.Builder
 		r.Table(&b)
 		tables[r.Exp] = "\n" + b.String()
+		reports[r.Exp] = &r
 	}
+	checkClaimMarks(t, doc, reports)
 	quoted := make(map[string]int)
 	tagged := regexp.MustCompile("(?m)^<!-- ftbench:(\\w+) -->\n```\n((?:.*\n)*?)```$")
 	for _, m := range tagged.FindAllStringSubmatch(doc, -1) {

@@ -375,9 +375,6 @@ func NewInjector(sched Schedule, env Env, seed int64) *Injector {
 	return &Injector{sched: sched, env: env, rng: rand.New(rand.NewSource(seed)), landed: make([]int, len(sched.Kills))}
 }
 
-// Schedule returns the injector's parsed schedule.
-func (inj *Injector) Schedule() Schedule { return inj.sched }
-
 // Start schedules every timed kill. Message-boundary kills and ring faults
 // need no scheduling: the hooks ArmRing installs evaluate them per
 // transfer.

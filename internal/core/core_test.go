@@ -506,104 +506,6 @@ func TestDeterministicEndToEnd(t *testing.T) {
 func kernelUserClass() kmem.PageClass    { return kmem.User }
 func kernelIgnoredClass() kmem.PageClass { return kmem.KernelIgnored }
 
-func TestReplicatedPoll(t *testing.T) {
-	t.Parallel()
-	sys := quietSystem(t, 7)
-	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A poll-driven server: accept two connections, poll over both, serve
-	// whichever becomes readable first. Poll results (which connection,
-	// which order) are recorded and replayed, so both replicas observe the
-	// same readiness even though the secondary has no live sockets.
-	type maskLog struct{ masks []uint64 }
-	logs := map[string]*maskLog{"primary": {}, "secondary": {}}
-	app := func(lg *maskLog) func(*replication.Thread, *tcprep.Sockets) {
-		return func(th *replication.Thread, socks *tcprep.Sockets) {
-			l, err := socks.Listen(th, 80, 8)
-			if err != nil {
-				return
-			}
-			var conns []*tcprep.Conn
-			for i := 0; i < 2; i++ {
-				c, err := l.Accept(th)
-				if err != nil {
-					return
-				}
-				conns = append(conns, c)
-			}
-			served := 0
-			for served < 2 {
-				mask := socks.Poll(th, conns, time.Second)
-				lg.masks = append(lg.masks, mask)
-				for i, c := range conns {
-					if mask&(1<<uint(i)) == 0 {
-						continue
-					}
-					if _, err := c.Recv(th, 128); err != nil {
-						continue
-					}
-					_, _ = c.Send(th, []byte{byte('0' + i)})
-					_ = c.Close(th)
-					conns = append(conns[:i], conns[i+1:]...)
-					served++
-					break
-				}
-			}
-		}
-	}
-	sys.Primary.NS.Start("pollsrv", nil, func(th *replication.Thread) { app(logs["primary"])(th, sys.Primary.Sockets) })
-	sys.Secondary.NS.Start("pollsrv", nil, func(th *replication.Thread) { app(logs["secondary"])(th, sys.Secondary.Sockets) })
-
-	var replies []string
-	client.Kernel.Spawn("client", func(tk *kernel.Task) {
-		var conns []*tcpstack.Conn
-		for i := 0; i < 2; i++ {
-			c, err := client.Stack.Connect(tk, client.ServerAddr(80))
-			if err != nil {
-				t.Errorf("connect: %v", err)
-				return
-			}
-			conns = append(conns, c)
-		}
-		// The SECOND connection speaks first: the poll result must reflect
-		// that order on both replicas.
-		tk.Sleep(5 * time.Millisecond)
-		for _, i := range []int{1, 0} {
-			if _, err := conns[i].Send(tk, []byte("hi")); err != nil {
-				t.Errorf("send: %v", err)
-				return
-			}
-			data, err := conns[i].Recv(tk, 16)
-			if err != nil {
-				t.Errorf("recv: %v", err)
-				return
-			}
-			replies = append(replies, string(data))
-			tk.Sleep(5 * time.Millisecond)
-		}
-	})
-	if err := sys.Sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(replies) != 2 {
-		t.Fatalf("replies = %q", replies)
-	}
-	p, s := logs["primary"].masks, logs["secondary"].masks
-	if len(p) == 0 || len(p) != len(s) {
-		t.Fatalf("poll masks: primary %v secondary %v", p, s)
-	}
-	for i := range p {
-		if p[i] != s[i] {
-			t.Fatalf("poll readiness diverged: primary %v secondary %v", p, s)
-		}
-	}
-	if div := sys.Secondary.NS.Stats().Divergences; div != 0 {
-		t.Errorf("%d replay divergences", div)
-	}
-}
-
 // TestFailoverAtRandomPointsSeedSweep implements the DESIGN.md failure-
 // injection strategy: across several seeds, the primary is killed at a
 // random point of the transfer (sometimes during the handshake, sometimes
@@ -837,6 +739,9 @@ func TestWaitReportsAHang(t *testing.T) {
 			if !found {
 				t.Errorf("hang %v does not name %s's waiter on cond %d", hang.Stuck, side, cond)
 			}
+		}
+		if msg := hang.Error(); !strings.HasPrefix(msg, "core: hang at ") || !strings.Contains(msg, strings.Join(hang.Stuck, "; ")) {
+			t.Errorf("HangError.Error = %q, want the instant and every stuck task", msg)
 		}
 		for _, s := range hang.Stuck {
 			if strings.Contains(s, "ft-spill") {

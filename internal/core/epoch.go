@@ -149,24 +149,18 @@ func cutReplica(rep *Replica, epoch, sent uint64) *rejoin.Checkpoint {
 // connection table, and every restorable app's snapshot state.
 func (sys *System) precopySources(rep *Replica) []rejoin.Source {
 	srcs := []rejoin.Source{rejoin.FuncSource{
-		SourceName: "ftns",
-		Total:      func() int { return rejoin.Cut(rep.NS).Bytes() },
-		Dirty:      func() uint64 { return rep.NS.SeqGlobal() * 32 },
+		Total: func() int { return rejoin.Cut(rep.NS).Bytes() },
+		Dirty: func() uint64 { return rep.NS.SeqGlobal() * 32 },
 	}}
 	if rep.TCPPrim != nil {
 		table := rep.TCPPrim.Table()
-		srcs = append(srcs, rejoin.FuncSource{
-			SourceName: "tcprep",
-			Total:      table.Footprint,
-			Dirty:      table.Dirtied,
-		})
+		srcs = append(srcs, rejoin.FuncSource{Total: table.Footprint, Dirty: table.Dirtied})
 	}
 	for _, a := range rep.apps {
 		a := a
 		srcs = append(srcs, rejoin.FuncSource{
-			SourceName: "app:" + a.name,
-			Total:      func() int { return len(a.state.Snapshot()) },
-			Dirty:      a.state.Dirtied,
+			Total: func() int { return len(a.state.Snapshot()) },
+			Dirty: a.state.Dirtied,
 		})
 	}
 	return srcs

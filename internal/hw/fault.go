@@ -83,21 +83,6 @@ func (m *Machine) InjectAfter(d time.Duration, f Fault) *sim.Event {
 	return m.sim.Schedule(d, func() { m.Inject(f) })
 }
 
-// InjectCoreFailStop injects a fail-stop of the given core.
-func (m *Machine) InjectCoreFailStop(core *Core) {
-	m.Inject(Fault{Kind: CoreFailStop, Node: core.Node.ID, Core: core.ID, Addr: -1})
-}
-
-// InjectMemError injects a memory error at a physical address on the node
-// that owns the address range. corrected selects CE vs DUE.
-func (m *Machine) InjectMemError(node int, addr int64, corrected bool) {
-	kind := MemUncorrected
-	if corrected {
-		kind = MemCorrected
-	}
-	m.Inject(Fault{Kind: kind, Node: node, Core: -1, Addr: addr})
-}
-
 // RandomMemErrorAddr picks a uniformly random physical address on a random
 // node, using the simulation's deterministic RNG. It returns the node and
 // the machine-wide physical address.

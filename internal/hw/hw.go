@@ -159,9 +159,6 @@ func (m *Machine) Profile() Profile { return m.prof }
 // callers must not modify it.
 func (m *Machine) Nodes() []*Node { return m.nodes }
 
-// Node returns the NUMA node with the given ID.
-func (m *Machine) Node(id int) *Node { return m.nodes[id] }
-
 // Cores returns all cores in ID order. The slice is shared; callers must not
 // modify it.
 func (m *Machine) Cores() []*Core { return m.cores }

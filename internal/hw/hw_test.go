@@ -135,9 +135,12 @@ func TestInjectHelpers(t *testing.T) {
 	m := New(s, Opteron6376x4())
 	var got []Fault
 	m.OnFault(func(f Fault) { got = append(got, f) })
-	m.InjectCoreFailStop(m.Cores()[17])
-	m.InjectMemError(3, 123, true)
-	m.InjectMemError(3, 456, false)
+	m.Inject(Fault{Kind: CoreFailStop, Node: m.Cores()[17].Node.ID, Core: m.Cores()[17].ID, Addr: -1})
+	m.InjectAfter(time.Millisecond, Fault{Kind: MemUncorrected, Node: 3, Core: -1, Addr: 456})
+	m.Inject(Fault{Kind: MemCorrected, Node: 3, Core: -1, Addr: 123})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 3 {
 		t.Fatalf("delivered %d faults, want 3", len(got))
 	}
@@ -146,6 +149,9 @@ func TestInjectHelpers(t *testing.T) {
 	}
 	if got[1].Kind != MemCorrected || got[2].Kind != MemUncorrected {
 		t.Errorf("memory fault kinds = %v, %v", got[1].Kind, got[2].Kind)
+	}
+	if got[1].Time != 0 || got[2].Time != sim.Time(time.Millisecond) {
+		t.Errorf("fault times = %v, %v, want 0 and 1ms (stamped at delivery)", got[1].Time, got[2].Time)
 	}
 }
 
@@ -170,6 +176,10 @@ func TestFaultKindString(t *testing.T) {
 	}
 	if FaultKind(99).String() == "" {
 		t.Error("unknown kind printed empty")
+	}
+	f := Fault{Time: sim.Time(time.Millisecond), Kind: MemUncorrected, Node: 3, Core: -1, Addr: 456}
+	if got, want := f.String(), "mem-uncorrected@node3 t=1ms"; got != want {
+		t.Errorf("Fault.String = %q, want %q", got, want)
 	}
 }
 

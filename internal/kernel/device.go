@@ -24,9 +24,6 @@ func NewDevice(name string, loadTime time.Duration) *Device {
 	return &Device{name: name, loadTime: loadTime}
 }
 
-// Name returns the device name.
-func (d *Device) Name() string { return d.name }
-
 // Owner returns the kernel that owns the device, or nil.
 func (d *Device) Owner() *Kernel { return d.owner }
 

@@ -179,9 +179,6 @@ func (k *Kernel) Alive() bool { return k.panicked == nil }
 // PanicReason returns why the kernel died, or nil if it is alive.
 func (k *Kernel) PanicReason() *PanicReason { return k.panicked }
 
-// Now returns the current virtual time — the kernel's gettimeofday.
-func (k *Kernel) Now() sim.Time { return k.sim.Now() }
-
 // ComputeTime reports the total core-nanoseconds consumed by the kernel's
 // tasks, for utilization accounting.
 func (k *Kernel) ComputeTime() time.Duration { return time.Duration(k.computeNS) }

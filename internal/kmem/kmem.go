@@ -74,9 +74,6 @@ func NewAccounting(totalBytes, pageSize int64) *Accounting {
 	return a
 }
 
-// PageSize returns the page size in bytes.
-func (a *Accounting) PageSize() int64 { return a.pageSize }
-
 // TotalBytes reports the total accounted RAM in bytes.
 func (a *Accounting) TotalBytes() int64 { return a.total * a.pageSize }
 

@@ -316,14 +316,6 @@ func (t *Tracer) Scope(name string) *Scope {
 	return sc
 }
 
-// Scopes returns every scope in creation order.
-func (t *Tracer) Scopes() []*Scope {
-	if t == nil {
-		return nil
-	}
-	return t.scopes
-}
-
 // Events returns the retained event stream (empty unless Config.Trace).
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -341,14 +333,6 @@ type Scope struct {
 	flight []Event // bounded ring of the most recent events
 	fpos   int     // next write position
 	fn     int     // events written (saturates at len(flight))
-}
-
-// Name returns the scope name.
-func (sc *Scope) Name() string {
-	if sc == nil {
-		return ""
-	}
-	return sc.name
 }
 
 // Emit records an event with kind-specific numeric attributes.

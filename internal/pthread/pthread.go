@@ -171,12 +171,6 @@ func NewLib(k *kernel.Kernel, det Det) *Lib {
 	return &Lib{kern: k, det: det, opCost: 200 * time.Nanosecond}
 }
 
-// Kernel returns the kernel the library runs on.
-func (l *Lib) Kernel() *kernel.Kernel { return l.kern }
-
-// Det returns the library's deterministic-section provider.
-func (l *Lib) Det() Det { return l.det }
-
 // Cond returns the library's condition variable with the given id, or nil
 // if it has not been created (yet).
 func (l *Lib) Cond(id uint64) *Cond {

@@ -29,14 +29,8 @@ func (l *Lib) NewRWLock() *RWLock {
 	return &RWLock{lib: l, id: l.newID()}
 }
 
-// ID returns the lock's object identifier.
-func (rw *RWLock) ID() uint64 { return rw.id }
-
 // Readers reports the number of active readers.
 func (rw *RWLock) Readers() int { return rw.readers }
-
-// Writer returns the active writer, or nil.
-func (rw *RWLock) Writer() *kernel.Task { return rw.writer }
 
 func (rw *RWLock) canRead() bool {
 	return rw.writer == nil && len(rw.waiters) == 0

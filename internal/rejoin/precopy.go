@@ -21,7 +21,6 @@ import (
 // each pass's dirty set, so sources never track per-page state — a
 // counter bump in each mutator is the whole integration burden.
 type Source interface {
-	Name() string
 	// TotalBytes is the component's current full-copy footprint.
 	TotalBytes() int
 	// DirtyCounter is cumulative bytes dirtied since boot (monotone).
@@ -30,12 +29,10 @@ type Source interface {
 
 // FuncSource adapts plain closures to Source.
 type FuncSource struct {
-	SourceName string
-	Total      func() int
-	Dirty      func() uint64
+	Total func() int
+	Dirty func() uint64
 }
 
-func (f FuncSource) Name() string         { return f.SourceName }
 func (f FuncSource) TotalBytes() int      { return f.Total() }
 func (f FuncSource) DirtyCounter() uint64 { return f.Dirty() }
 

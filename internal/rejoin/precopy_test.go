@@ -31,8 +31,7 @@ func TestPreCopyConverges(t *testing.T) {
 	pk.Spawn("precopy", func(tk *kernel.Task) {
 		pc := &PreCopy{
 			Sources: []Source{FuncSource{
-				SourceName: "state",
-				Total:      func() int { return total },
+				Total: func() int { return total },
 				Dirty: func() uint64 {
 					return uint64(tk.Now()) / uint64(time.Microsecond) * rate
 				},

@@ -158,7 +158,7 @@ func TestTupleMessageRoundTrips(t *testing.T) {
 	const maxFTPid, maxOp = 1<<(64-opBits) - 1, pthread.Op(1<<opBits - 1)
 	for _, tu := range []Tuple{
 		{ThreadSeq: 3, GlobalSeq: 9, ObjSeq: 2, FTPid: 7, Op: maxOp, Obj: 5, Key: 5, Outcome: 1},
-		{ThreadSeq: ^uint64(0), GlobalSeq: 1 << 40, FTPid: maxFTPid, Op: OpPoll, Obj: 12, Key: uint64(OpPoll)<<48 | 12},
+		{ThreadSeq: ^uint64(0), GlobalSeq: 1 << 40, FTPid: maxFTPid, Op: OpSockResult, Obj: 12, Key: uint64(OpSockResult)<<48 | 12},
 		{ThreadSeq: 1, GlobalSeq: 2, ObjSeq: 3, FTPid: 4, Op: pthread.OpCondSignal, Obj: 41, Key: 40, Outcome: 4},
 		{FTPid: 0, Op: pthread.OpCondBroadcast, Obj: 41, Key: 40, Outcome: 3, Data: []byte("payload")},
 	} {

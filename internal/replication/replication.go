@@ -27,7 +27,7 @@
 // program order. Shard count 1 is exactly the paper's global total order.
 //
 // Syscall results the secondary must not recompute (gettimeofday, bytes
-// returned by reads, poll results) travel with their tuple as its outcome
+// returned by reads, socket call results) travel with their tuple as its outcome
 // and payload bytes; the secondary acts on the recorded result. A
 // condition-variable wake-up — a signal, a broadcast, or a timed waiter's
 // timeout — records whom it woke, and the secondary's replayer applies it.
@@ -80,8 +80,6 @@ const (
 	OpSockData
 	// OpSockResult replicates a scalar socket syscall result.
 	OpSockResult
-	// OpPoll replicates poll/epoll readiness results (§3.2).
-	OpPoll
 )
 
 // Message kinds on the replication log ring.

@@ -2,6 +2,7 @@ package replication_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -974,6 +975,9 @@ func checkSectionError(t *testing.T, got any, call string) {
 	}
 	if se.Call != call || se.Op != pthread.OpMutexLock || se.FTPid != 1 || se.Task != "app" {
 		t.Errorf("SectionError = %+v, want call %q inside ft_pid 1's mutex_lock section", *se, call)
+	}
+	if msg := se.Error(); !strings.Contains(msg, `task "app" (ft_pid 1) called `+call+" inside its open") {
+		t.Errorf("SectionError.Error = %q does not name the task, ft_pid and call", msg)
 	}
 }
 

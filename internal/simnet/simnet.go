@@ -49,12 +49,6 @@ func NewNIC(host string, dev *kernel.Device) *NIC {
 	return &NIC{host: host, dev: dev}
 }
 
-// Host returns the host name the NIC belongs to.
-func (n *NIC) Host() string { return n.host }
-
-// Device returns the kernel device backing the NIC, or nil.
-func (n *NIC) Device() *kernel.Device { return n.dev }
-
 // SetRx installs the receive handler (the network stack's entry point).
 // Installing a handler replaces the previous one — exactly what happens
 // when the failover kernel re-attaches the device to its own stack.

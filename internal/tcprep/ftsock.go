@@ -3,7 +3,6 @@ package tcprep
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/replication"
@@ -280,50 +279,6 @@ func (c *Conn) Close(th *replication.Thread) error {
 	return err
 }
 
-// RemoteAddr returns the peer address (primary/live only; on the secondary
-// it is derived from the logical state).
-func (c *Conn) RemoteAddr() tcpstack.Addr {
-	if c.real != nil {
-		return c.real.RemoteAddr()
-	}
-	if c.logical != nil {
-		return tcpstack.Addr{Host: c.logical.key.RemoteHost, Port: c.logical.key.RemotePort}
-	}
-	return tcpstack.Addr{}
-}
-
-// Poll is the interposed poll/epoll (§3.2): it blocks until at least one
-// of the given replicated sockets is readable (or the timeout elapses) and
-// returns a readiness bitmask over items (bit i = items[i] readable). The
-// readiness values are recorded on the primary and replayed on the
-// secondary, which also lets FT-Linux maintain the epoll interest sets
-// needed for unmanaged execution after failover.
-func (s *Sockets) Poll(th *replication.Thread, items []*Conn, timeout time.Duration) uint64 {
-	if len(items) > 64 {
-		panic("tcprep: Poll supports at most 64 items")
-	}
-	return s.ns.SyscallU64(th, replication.OpPoll, uint64(len(items)), func() uint64 {
-		s.awaitLive(th.Task())
-		poller := tcpstack.NewPoller(s.ns.Kernel())
-		for _, c := range items {
-			c.promoteLocal()
-			if c.real != nil {
-				poller.Add(c.real)
-			}
-		}
-		ready := poller.Wait(th.Task(), timeout)
-		var mask uint64
-		for _, r := range ready {
-			for i, c := range items {
-				if c.real != nil && tcpstack.Pollable(c.real) == r {
-					mask |= 1 << uint(i)
-				}
-			}
-		}
-		return mask
-	})
-}
-
 // promoteLocal swaps in the restored live connection after failover (run()
 // paths execute only in live mode, so the logical state is final).
 func (c *Conn) promoteLocal() {
@@ -382,6 +337,3 @@ func (s *Sockets) Promote(stack *tcpstack.Stack) error {
 // bindings — into the connection table while detached, and onto the sync
 // ring once a rejoining backup attaches.
 func (s *Sockets) AdoptPrimary(p *Primary) { s.prim = p }
-
-// Stack returns the live stack (nil on an unpromoted secondary).
-func (s *Sockets) Stack() *tcpstack.Stack { return s.stack }

@@ -24,21 +24,6 @@ const (
 	stateClosed
 )
 
-var stateNames = map[connState]string{
-	stateSynSent:     "SYN_SENT",
-	stateSynRcvd:     "SYN_RCVD",
-	stateEstablished: "ESTABLISHED",
-	stateFinWait1:    "FIN_WAIT_1",
-	stateFinWait2:    "FIN_WAIT_2",
-	stateCloseWait:   "CLOSE_WAIT",
-	stateLastAck:     "LAST_ACK",
-	stateClosing:     "CLOSING",
-	stateTimeWait:    "TIME_WAIT",
-	stateClosed:      "CLOSED",
-}
-
-func (s connState) String() string { return stateNames[s] }
-
 // Linux's ACK policy (RFC 1122 §4.2.3.2, RFC 5681 §4.2): a connection's
 // first quickAcks in-order data segments are acknowledged at once
 // (TCP_MAX_QUICKACKS); after that an ACK is owed until an outgoing segment
@@ -100,7 +85,6 @@ type Conn struct {
 	sendQ    sim.WaitQueue
 	recvQ    sim.WaitQueue // a second concurrent Recv; the first parks on rd
 	rd       *reader
-	pollFns  []func()
 }
 
 func newConn(s *Stack, key connKey, st connState) *Conn {
@@ -123,9 +107,6 @@ func (c *Conn) LocalAddr() Addr { return Addr{Host: c.stack.host, Port: c.key.lo
 
 // RemoteAddr returns the connection's remote address.
 func (c *Conn) RemoteAddr() Addr { return Addr{Host: c.key.remoteHost, Port: c.key.remotePort} }
-
-// State returns the connection state name (for diagnostics and tests).
-func (c *Conn) State() string { return c.state.String() }
 
 // Established reports whether the connection is in ESTABLISHED state.
 func (c *Conn) Established() bool { return c.state == stateEstablished }
@@ -346,7 +327,6 @@ func (c *Conn) handleAck(seg *Segment) {
 		c.rto = c.stack.params.RTOMin
 		c.resetRTO()
 		c.sendQ.WakeAll(0)
-		c.notifyPoll()
 		if c.stack.OnAckIn != nil {
 			c.stack.OnAckIn(c, c.OutAcked())
 		}
@@ -381,7 +361,6 @@ func (c *Conn) handleData(seg *Segment) {
 				c.stack.OnDataIn(c, data)
 			}
 			c.wakeReaders()
-			c.notifyPoll()
 		}
 		if c.rcvNxt == end {
 			c.ackInOrder()
@@ -412,7 +391,6 @@ func (c *Conn) handleFin(seg *Segment) {
 		c.enterTimeWait()
 	}
 	c.wakeReaders()
-	c.notifyPoll()
 	c.sendAck()
 }
 
@@ -437,7 +415,6 @@ func (c *Conn) establish() {
 		c.listener.connReady(c)
 		c.listener = nil
 	}
-	c.notifyPoll()
 }
 
 func (c *Conn) enterTimeWait() {
@@ -457,7 +434,6 @@ func (c *Conn) reap() {
 	c.connectQ.WakeAll(0)
 	c.sendQ.WakeAll(0)
 	c.wakeReaders()
-	c.notifyPoll()
 }
 
 // fail terminates the connection with an error (RST received, timeout).
@@ -666,7 +642,6 @@ func (c *Conn) Close(t *kernel.Task) error {
 	c.finQueued = true
 	c.finSeq = c.dataEnd()
 	c.trySend()
-	c.notifyPoll()
 	return nil
 }
 
@@ -696,9 +671,6 @@ func (c *Conn) OutAcked() uint64 {
 	}
 	return n
 }
-
-// PeerFin reports whether the peer's FIN has been accepted.
-func (c *Conn) PeerFin() bool { return c.peerFin }
 
 // Kick re-arms transmission after a Restore: it retransmits unacknowledged
 // data from sndUna and re-announces the receive window, so both directions

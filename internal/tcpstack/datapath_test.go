@@ -3,6 +3,8 @@ package tcpstack
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,11 +234,15 @@ func TestSendAfterOverfullRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := fmt.Sprintf("restore :%d<->%s:%d: connection already exists", snap.LocalPort, snap.Remote.Host, snap.Remote.Port)
+	if _, err := stack.Restore(snap); err == nil || !strings.Contains(err.Error(), key) {
+		t.Errorf("second Restore of one connection: err = %v, want %q", err, key)
+	}
 	for i := range snap.SndData { // Restore copied
 		snap.SndData[i] = 0xee
 	}
-	if c.PollWritable() {
-		t.Error("over-full connection polls writable")
+	if c.sendRoom() > 0 {
+		t.Errorf("over-full connection has %d bytes of send room", c.sendRoom())
 	}
 	c.Kick()
 	var roomAtAccept int
@@ -266,8 +272,8 @@ func TestSendAfterOverfullRestore(t *testing.T) {
 	if roomAtAccept < 0 {
 		t.Errorf("Send was accepted with the buffer still %d bytes over SendBuf", -roomAtAccept)
 	}
-	if c.BufferedOut() != 0 || !c.PollWritable() {
-		t.Errorf("drained connection: %d bytes buffered, writable=%v", c.BufferedOut(), c.PollWritable())
+	if c.BufferedOut() != 0 || !c.Established() || c.sendRoom() == 0 {
+		t.Errorf("drained connection: %d bytes buffered, established=%v, room=%d", c.BufferedOut(), c.Established(), c.sendRoom())
 	}
 }
 

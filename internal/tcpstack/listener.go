@@ -14,8 +14,6 @@ type Listener struct {
 	backlog int
 	ready   []*Conn // established, waiting for Accept
 	acceptQ sim.WaitQueue
-	closed  bool
-	pollFns []func()
 }
 
 // Listen opens a listening socket on the given port.
@@ -35,15 +33,9 @@ func (s *Stack) Listen(port, backlog int) (*Listener, error) {
 	return l, nil
 }
 
-// Port returns the listening port.
-func (l *Listener) Port() int { return l.port }
-
-// Pending reports established connections waiting to be accepted.
-func (l *Listener) Pending() int { return len(l.ready) }
-
 // handleSYN processes an incoming connection request.
 func (l *Listener) handleSYN(seg *Segment) {
-	if l.closed || len(l.ready) >= l.backlog {
+	if len(l.ready) >= l.backlog {
 		return // silently drop: the client will retransmit its SYN
 	}
 	key := connKey{localPort: l.port, remoteHost: seg.Src.Host, remotePort: seg.Src.Port}
@@ -66,13 +58,8 @@ func (l *Listener) handleSYN(seg *Segment) {
 
 // connReady moves an established connection into the accept queue.
 func (l *Listener) connReady(c *Conn) {
-	if l.closed {
-		c.Abort()
-		return
-	}
 	l.ready = append(l.ready, c)
 	l.acceptQ.WakeOne(0)
-	l.notifyPoll()
 }
 
 // Adopt queues a restored connection for Accept: one that a failed
@@ -83,27 +70,9 @@ func (l *Listener) Adopt(c *Conn) { l.connReady(c) }
 func (l *Listener) Accept(t *kernel.Task) (*Conn, error) {
 	t.Syscall()
 	for len(l.ready) == 0 {
-		if l.closed {
-			return nil, ErrClosed
-		}
 		l.acceptQ.Wait(t.Proc())
 	}
 	c := l.ready[0]
 	l.ready = l.ready[1:]
 	return c, nil
-}
-
-// Close stops accepting; queued-but-unaccepted connections are reset.
-func (l *Listener) Close() {
-	if l.closed {
-		return
-	}
-	l.closed = true
-	delete(l.stack.listeners, l.port)
-	for _, c := range l.ready {
-		c.Abort()
-	}
-	l.ready = nil
-	l.acceptQ.WakeAll(0)
-	l.notifyPoll()
 }

@@ -181,15 +181,6 @@ func New(k *kernel.Kernel, host string, params Params) *Stack {
 	}
 }
 
-// Kernel returns the owning kernel.
-func (s *Stack) Kernel() *kernel.Kernel { return s.kern }
-
-// Host returns the stack's host name.
-func (s *Stack) Host() string { return s.host }
-
-// Params returns the stack's tuning.
-func (s *Stack) Params() Params { return s.params }
-
 // SetIngress installs the Netfilter-style hook called on every segment
 // before the TCP layer; returning false steals the segment.
 func (s *Stack) SetIngress(fn func(*Segment) bool) { s.ingress = fn }
@@ -202,9 +193,6 @@ func (s *Stack) Attach(nic *simnet.NIC) {
 	s.nic = nic
 	nic.SetRx(s.rxPacket)
 }
-
-// NIC returns the attached NIC, or nil.
-func (s *Stack) NIC() *simnet.NIC { return s.nic }
 
 // Conns reports the number of live connections.
 func (s *Stack) Conns() int { return len(s.conns) }

@@ -398,56 +398,6 @@ func TestZeroWindowStallAndResume(t *testing.T) {
 	}
 }
 
-func TestPoller(t *testing.T) {
-	p := newPair(t, 7, DefaultParams())
-	l, _ := p.server.Listen(80, 4)
-	poller := NewPoller(p.serverK)
-	poller.Add(l)
-	var readyAt sim.Time
-	var timedOutFirst bool
-	p.serverK.Spawn("poll", func(tk *kernel.Task) {
-		if ready := poller.Wait(tk, 10*time.Millisecond); ready == nil {
-			timedOutFirst = true
-		}
-		if ready := poller.Wait(tk, -1); len(ready) != 1 || ready[0] != Pollable(l) {
-			t.Errorf("poll ready = %v", ready)
-		}
-		readyAt = tk.Now()
-		c, err := l.Accept(tk)
-		if err != nil {
-			t.Errorf("Accept: %v", err)
-			return
-		}
-		connPoller := NewPoller(p.serverK)
-		connPoller.Add(c)
-		if ready := connPoller.Wait(tk, -1); len(ready) != 1 {
-			t.Error("conn never became readable")
-		}
-		if data, err := c.Recv(tk, 64); err != nil || string(data) != "x" {
-			t.Errorf("Recv = %q, %v", data, err)
-		}
-	})
-	p.clientK.Spawn("client", func(tk *kernel.Task) {
-		tk.Sleep(50 * time.Millisecond)
-		c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80})
-		if err != nil {
-			t.Errorf("Connect: %v", err)
-			return
-		}
-		tk.Sleep(5 * time.Millisecond)
-		_, _ = c.Send(tk, []byte("x"))
-	})
-	if err := p.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !timedOutFirst {
-		t.Error("first poll did not time out")
-	}
-	if readyAt < sim.Time(50*time.Millisecond) {
-		t.Errorf("listener ready at %v, before any client", readyAt)
-	}
-}
-
 // TestRestoreMidTransfer exercises the failover promotion path at stack
 // level: mid-transfer, the server stack is torn away and a fresh stack on a
 // new kernel restores the connection from a snapshot. The client must
@@ -535,7 +485,7 @@ func TestRestoreMidTransfer(t *testing.T) {
 	}
 }
 
-func TestListenerBacklogAndClose(t *testing.T) {
+func TestListenerBacklog(t *testing.T) {
 	p := newPair(t, 9, DefaultParams())
 	l, err := p.server.Listen(80, 1)
 	if err != nil {
@@ -561,10 +511,6 @@ func TestListenerBacklogAndClose(t *testing.T) {
 				return
 			}
 			_ = c.Close(tk)
-		}
-		l.Close()
-		if _, err := l.Accept(tk); !errors.Is(err, ErrClosed) {
-			t.Errorf("Accept after close err = %v, want ErrClosed", err)
 		}
 	})
 	if err := p.sim.Run(); err != nil {
@@ -693,7 +639,6 @@ func TestEphemeralPortsExhausted(t *testing.T) {
 		if errAfter = err; err == nil {
 			ports = append(ports, c.LocalAddr().Port)
 		}
-		l.Close()
 	})
 	if err := p.sim.RunUntil(sim.Time(5 * time.Second)); err != nil {
 		t.Fatal(err)
