@@ -58,10 +58,7 @@ func stalling(total int, stall time.Duration, flip int) func(*replication.Thread
 		if err != nil {
 			return
 		}
-		c, err := l.Accept(th)
-		if err != nil {
-			return
-		}
+		c := l.Accept(th)
 		data := make([]byte, total)
 		restream.Fill(data, 0)
 		if flip >= 0 {
@@ -163,10 +160,7 @@ func pages(n int, served *int) func(*replication.Thread, *tcprep.Sockets) {
 		}
 		resp := make([]byte, n)
 		for {
-			c, err := l.Accept(th)
-			if err != nil {
-				return
-			}
+			c := l.Accept(th)
 			if _, err := c.Recv(th, 4096); err == nil {
 				if _, err := c.Send(th, resp); err == nil {
 					*served++

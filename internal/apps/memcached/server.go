@@ -68,10 +68,7 @@ func RunServer(th *replication.Thread, socks *tcprep.Sockets, cfg ServerConfig, 
 		return
 	}
 	for {
-		c, err := l.Accept(th)
-		if err != nil {
-			return
-		}
+		c := l.Accept(th)
 		t := th.Task()
 		mu.Lock(t)
 		backlog = append(backlog, c)

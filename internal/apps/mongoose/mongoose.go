@@ -82,10 +82,7 @@ func Run(th *replication.Thread, socks *tcprep.Sockets, cfg Config, st *Stats) {
 		return
 	}
 	for {
-		c, err := l.Accept(th)
-		if err != nil {
-			return
-		}
+		c := l.Accept(th)
 		st.Accepted++
 		t := th.Task()
 		if cfg.AcceptCost > 0 {

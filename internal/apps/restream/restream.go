@@ -114,11 +114,7 @@ func (s *Server) Main(th *replication.Thread, socks *tcprep.Sockets) {
 	}
 	var c *tcprep.Conn
 	if s.cid == 0 {
-		nc, err := l.Accept(th)
-		if err != nil {
-			return
-		}
-		c = nc
+		c = l.Accept(th)
 		s.cid = c.ID()
 		s.mut += 8
 	} else {

@@ -50,10 +50,7 @@ func echoApp(port, nRequests int, done *int) func(*replication.Thread, *tcprep.S
 			return
 		}
 		for i := 0; i < nRequests; i++ {
-			c, err := l.Accept(th)
-			if err != nil {
-				return
-			}
+			c := l.Accept(th)
 			data, err := c.Recv(th, 4096)
 			if err != nil {
 				continue
@@ -151,10 +148,7 @@ func TestAcceptAfterClientReset(t *testing.T) {
 			}
 			th.Task().Sleep(20 * time.Millisecond) // both connections are queued, the first already reset
 			for i := 0; i < 2; i++ {
-				c, err := l.Accept(th)
-				if err != nil {
-					return
-				}
+				c := l.Accept(th)
 				data, err := c.Recv(th, 4096)
 				if err != nil {
 					*reset++

@@ -81,3 +81,11 @@ func (ns *Namespace) QuorumNeed() int { return ns.rec.quorumNeed() }
 func (ns *Namespace) ReplayRetained() (tuples int, bytes int64) {
 	return ns.rep.hist.msgs.Len(), ns.rep.hist.bytes
 }
+
+// TupleOf decodes a log-ring message: the tuple it carries, and false for
+// the environment and epoch markers.
+func TupleOf(m shm.Message) (Tuple, bool) { return tupleOf(m), m.Kind == msgTuple }
+
+// RecordWindowBase returns the log index the recording engine's retained
+// history starts at.
+func (ns *Namespace) RecordWindowBase() uint64 { return ns.rec.hist.base }

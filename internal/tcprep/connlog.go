@@ -22,8 +22,12 @@ import (
 // the original backup consumed long ago (§3.7). Rejoin snapshots the
 // recording side's table (snapshot) into the new backup's (seed); at
 // failover the promoted backup's table becomes its detached primary's.
+// Records live in chunks that never move, so a record and the socket handle
+// inside it cost no allocation of their own; a chunk is as large as the
+// table, from one record up to arenaChunk.
 type ConnTable struct {
 	conns     []*LogicalConn
+	arena     []LogicalConn            // the current chunk's unused records
 	byKey     map[ConnKey]*LogicalConn // each four-tuple's latest record
 	binds     map[uint64]*LogicalConn
 	bindOrder []uint64
@@ -34,6 +38,9 @@ type ConnTable struct {
 	bufs streambuf.Pool // backing arrays of the records' windows and lenders
 	slab streambuf.Slab // the records' first input chunks
 }
+
+// arenaChunk caps the records in one chunk of a ConnTable's arena.
+const arenaChunk = 512
 
 // LogicalConn is one incarnation of a replicated connection's logical TCP
 // state. Offsets are 0-based stream offsets; ISS and IRS map them back to
@@ -62,7 +69,10 @@ type LogicalConn struct {
 	outBase   uint64
 	appClosed bool
 	dataQ     sim.WaitQueue
-	live      *tcpstack.Conn // the real connection: the recording side's, a backup's after promotion
+	// live is the real connection — the recording side's, a backup's after
+	// promotion — until it is closed (appClosed, on every side) and reaped.
+	live *tcpstack.Conn
+	h    Conn // the application's socket handle (Listener.Accept)
 }
 
 // newConnTable returns an empty table.
@@ -74,7 +84,12 @@ func newConnTable() *ConnTable {
 }
 
 func (t *ConnTable) add(key ConnKey) *LogicalConn {
-	lc := &LogicalConn{key: key, at: len(t.conns)}
+	if len(t.arena) == 0 {
+		t.arena = make([]LogicalConn, min(max(len(t.conns), 1), arenaChunk))
+	}
+	lc := &t.arena[0]
+	t.arena = t.arena[1:]
+	lc.key, lc.at = key, len(t.conns)
 	lc.in.Init(&t.slab)
 	lc.out.Init(&t.bufs)
 	lc.lent.Init(&t.bufs)
@@ -125,6 +140,18 @@ func (t *ConnTable) peerFinned(lc *LogicalConn) {
 func (t *ConnTable) reaped(lc *LogicalConn) {
 	lc.gone = true
 	t.mut++
+	if lc.appClosed {
+		lc.live = nil
+	}
+}
+
+// closed records the application's close of its connection (Conn.Close).
+func (lc *LogicalConn) closed() {
+	lc.appClosed = true
+	lc.lent.Reclaim()
+	if lc.gone {
+		lc.live = nil
+	}
 }
 
 func (t *ConnTable) bind(id uint64, lc *LogicalConn) {

@@ -25,12 +25,9 @@ type Sockets struct {
 	listeners []*Listener
 	liveQ     sim.WaitQueue
 
-	// sent tracks each replicated connection's cumulative output-stream
-	// bytes, incremented in section-settle order (atomically with the Send
-	// section's exit, like restorable-app state). At any quiesced boundary
-	// it is identical on every replica — the stack's own counters are NOT:
-	// a primary-side send may have reached the stack while its tuple is
-	// still waiting for the det lock behind a quiesced epoch cut.
+	// sent counts each replicated connection's output-stream bytes at its
+	// Send section's exit, so at a quiesced boundary it is identical on
+	// every replica, which the stack's own counters are not.
 	sent map[uint64]uint64
 }
 
@@ -42,11 +39,8 @@ func NewSockets(ns *replication.Namespace, stack *tcpstack.Stack, prim *Primary,
 }
 
 // SendCursor is one replicated connection's cumulative output-stream byte
-// count at a quiesced section boundary. Epoch checkpoints carry the full
-// cursor set: a checkpoint-seeded backup replays the delta log from the
-// epoch cut, so its regenerated output stream starts at these offsets —
-// not at zero like a from-the-start replay — and the logical out-buffer
-// accounting must be seeded to match (Secondary.SeedOutBase).
+// count at a quiesced section boundary. A checkpoint-seeded backup's
+// regenerated output starts at its epoch's cursors (Secondary.SeedOutBase).
 type SendCursor struct {
 	ID   uint64
 	Sent uint64
@@ -66,8 +60,7 @@ func (s *Sockets) SendCursors() []SendCursor {
 }
 
 // SeedSent installs a checkpoint's send cursors on a freshly seeded
-// replica, so its counters continue from the epoch cut exactly where the
-// recording side's did — and its own future boundary digests agree.
+// replica, so its counters continue from the epoch cut as the recording side's do.
 func (s *Sockets) SeedSent(cur []SendCursor) {
 	for _, c := range cur {
 		s.sent[c.ID] = c.Sent
@@ -87,7 +80,7 @@ type Conn struct {
 	socks   *Sockets
 	id      uint64
 	real    *tcpstack.Conn // primary / live / post-promotion
-	logical *LogicalConn   // secondary
+	logical *LogicalConn   // its record, if its side keeps them
 }
 
 // awaitLive blocks a secondary task until failover promotion installs the
@@ -122,38 +115,42 @@ func (s *Sockets) Listen(th *replication.Thread, port, backlog int) (*Listener, 
 	return l, nil
 }
 
-// Accept returns the next replicated connection.
-func (l *Listener) Accept(th *replication.Thread) (*Conn, error) {
+// Accept returns the next replicated connection. Its handle lives in the
+// connection's record; only the unreplicated baseline, which keeps none,
+// allocates one.
+func (l *Listener) Accept(th *replication.Thread) *Conn {
 	s := l.socks
-	c := &Conn{socks: s}
-	res := s.ns.SyscallU64(th, replication.OpSockResult, l.id, func() uint64 {
+	var c *Conn
+	id := s.ns.SyscallU64(th, replication.OpSockResult, l.id, func() uint64 {
 		s.awaitLive(th.Task())
-		if l.real == nil {
-			return encodeRes(0, tcpstack.ErrClosed)
-		}
-		real, err := l.real.Accept(th.Task())
-		if err != nil {
-			return encodeRes(0, err)
+		real := l.real.Accept(th.Task())
+		s.nextID++
+		if s.prim == nil {
+			c = &Conn{socks: s}
+		} else {
+			c = s.prim.bindConn(th, s.nextID, real).handle(s)
 		}
 		c.real = real
-		s.nextID++
-		if s.prim != nil {
-			s.prim.bindConn(th, s.nextID, real)
-		}
 		return s.nextID
 	})
-	if _, err := decodeRes(res); err != nil {
-		return nil, fmt.Errorf("ft accept :%d: %w", l.port, err)
+	s.nextID = max(s.nextID, id)
+	if c == nil { // replayed: the record the recording side bound the id to
+		c = s.sec.bindWait(th.Task(), id).handle(s)
 	}
-	c.id = res
-	s.nextID = max(s.nextID, res)
-	if s.sec != nil && c.real == nil {
-		c.logical = s.sec.bindWait(th.Task(), c.id)
-		if c.logical.live != nil {
-			c.real = c.logical.live
-		}
+	c.id = id
+	return c
+}
+
+// handle returns the record's socket handle, bound to it. A record whose
+// handle an earlier accept took — its four-tuple was reused before its
+// first connection was accepted — gets a fresh one.
+func (lc *LogicalConn) handle(s *Sockets) *Conn {
+	c := &lc.h
+	if c.socks != nil {
+		c = &Conn{}
 	}
-	return c, nil
+	c.socks, c.logical, c.real = s, lc, lc.live
+	return c
 }
 
 // ID returns the replicated socket identifier the listener's accept
@@ -173,9 +170,7 @@ func (c *Conn) ID() uint64 { return c.id }
 // accepted after promotion cannot collide with checkpointed ones.
 func (s *Sockets) AdoptListener(port int, id uint64) *Listener {
 	l := &Listener{socks: s, port: port, id: id}
-	if id > s.nextID {
-		s.nextID = id
-	}
+	s.nextID = max(s.nextID, id)
 	s.listeners = append(s.listeners, l)
 	return l
 }
@@ -187,22 +182,14 @@ func (s *Sockets) AdoptListener(port int, id uint64) *Listener {
 // resumes replayed reads at the application's restored position. Blocks
 // until the checkpoint's bind for id has been seeded.
 func (s *Sockets) AdoptConn(t *kernel.Task, id uint64, consumed int) *Conn {
-	c := &Conn{socks: s, id: id}
-	if id > s.nextID {
-		s.nextID = id
+	s.nextID = max(s.nextID, id)
+	if s.sec == nil {
+		return &Conn{socks: s, id: id}
 	}
-	if s.sec != nil {
-		c.logical = s.sec.bindWait(t, id)
-		if buffered := c.logical.in.Len(); consumed > buffered {
-			consumed = buffered
-		}
-		if consumed > c.logical.inRead {
-			c.logical.inRead = consumed
-		}
-		if c.logical.live != nil {
-			c.real = c.logical.live
-		}
-	}
+	lc := s.sec.bindWait(t, id)
+	lc.inRead = max(lc.inRead, min(consumed, lc.in.Len()))
+	c := lc.handle(s)
+	c.id = id
 	return c
 }
 
@@ -269,11 +256,14 @@ func (c *Conn) Close(th *replication.Thread) error {
 		if c.real == nil {
 			return 0
 		}
-		return encodeRes(0, c.real.Close(th.Task()))
+		err := c.real.Close(th.Task())
+		if c.logical != nil {
+			c.logical.closed() // before the stack can reuse the connection
+		}
+		return encodeRes(0, err)
 	})
 	if c.real == nil && c.logical != nil {
-		c.logical.appClosed = true
-		c.logical.lent.Reclaim()
+		c.logical.closed()
 	}
 	_, err := decodeRes(res)
 	return err

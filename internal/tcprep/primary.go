@@ -12,26 +12,18 @@ import (
 	"repro/internal/tcpstack"
 )
 
-// Primary wires a primary kernel's TCP stack for replication: it installs
-// the output-commit egress gate (stabilityGate), the ingress backpressure
-// hook, and the event callbacks that stream logical-state updates to every
-// backup.
-//
-// The delta stream fans out over one sync ring per backup (syncLink), each
-// buffered and flushed on its own, so a slow backup's full ring never blocks
-// the others. Output waits until every LIVE link has its updates on its
-// ring: the stream rides shared memory with no acknowledgement round trip,
-// so covering every live backup costs no extra latency in the common case,
-// and whichever backup wins a failover election owns the logical TCP state
-// of every byte the client has seen.
-//
-// Updates are coalesced between output commits, up to the det log's
-// BatchTuples of them, into the newest pending entry of their
-// connection (coalesce), and ship as one vectored ring transfer. Every
-// outgoing segment passes a sync barrier that forces a flush and waits until
-// all previously enqueued updates are on every live ring: buffered updates
-// live in private memory and die with the primary, ring messages survive in
-// shared memory (§3.5).
+// Primary wires a primary kernel's TCP stack for replication: the
+// output-commit egress gate (stabilityGate), the ingress backpressure hook,
+// and the callbacks that stream logical-state updates to every backup, over
+// one sync ring each (syncLink), buffered and flushed on its own so a slow
+// backup's full ring never blocks the others. Updates coalesce between
+// output commits, up to the det log's BatchTuples, into the newest pending
+// entry of their connection (coalesce), and ship as one vectored transfer.
+// Every outgoing segment passes a sync barrier that forces a flush and
+// waits until all enqueued updates are on every LIVE ring — buffered
+// updates die with the primary, ring messages survive in shared memory
+// (§3.5) — so whichever backup wins a failover election owns the logical
+// TCP state of every byte the client has seen, at no round trip's cost.
 type Primary struct {
 	ns    *replication.Namespace
 	stack *tcpstack.Stack
@@ -510,15 +502,15 @@ func (p *Primary) onReaped(c *tcpstack.Conn) {
 	delete(p.ids, key)
 }
 
-// bindConn announces the det-log socket ID for an accepted connection.
-// Called from task context, so it may block on the rings; the bind is
-// appended behind any pending updates and flushed immediately so the
-// secondaries' bindWait is never delayed by batching.
-func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) {
+// bindConn announces the det-log socket ID for an accepted connection and
+// returns its record. Called from task context, so it may block on the
+// rings; the bind is appended behind any pending updates and flushed
+// immediately so the secondaries' bindWait is never delayed by batching.
+func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) *LogicalConn {
 	lc := p.table.latest(keyOf(c))
 	p.table.bind(id, lc)
 	if !p.Streaming() {
-		return
+		return lc
 	}
 	// By four-tuple: a connection reaped before the accept has no sync id left.
 	m := syncMessage(syncBind, bindBytes, id, 0, 0)
@@ -530,4 +522,5 @@ func (p *Primary) bindConn(th *replication.Thread, id uint64, c *tcpstack.Conn) 
 			link.Flush(th.Task().Proc())
 		}
 	}
+	return lc
 }

@@ -40,7 +40,8 @@ type promoteRun struct {
 	sent, regen    int    // output the primary wrote, and what the backup regenerated of it
 	closed         bool   // the primary's application closed the served connection
 	resets         []uint64
-	cc, pc         *tcpstack.Conn // the client's connection; the one the promoted side serves
+	cc, pc         *tcpstack.Conn // the client's connection; the one the promoted side serves; nil once reaped
+	ccAcked        uint64         // the request bytes the client saw acknowledged when its connection was reaped
 	bsocks         *Sockets       // the backup's socket layer
 	lst            *Listener      // its listener, adopted as a checkpoint-seeded replica does
 	got, heard     []byte         // what the client read, what the promoted side read
@@ -121,6 +122,11 @@ func runPromote(t *testing.T, net promoteNet, cut int) *promoteRun {
 	toS.SetRx(relay(toC, func() *tcpstack.Conn { return r.serverConn() }))
 	pstack.Attach(r.snic)
 	cstack.Attach(cnic)
+	cstack.OnReaped = func(c *tcpstack.Conn) { // its record is released at the client's Close
+		if c == r.cc {
+			r.ccAcked, r.cc = c.OutAcked(), nil
+		}
+	}
 
 	l, err := pstack.Listen(80, 8)
 	if err != nil {
@@ -130,14 +136,12 @@ func runPromote(t *testing.T, net promoteNet, cut int) *promoteRun {
 		tk := th.Task()
 		tk.Sleep(2 * time.Millisecond) // a reset before accept has happened by now
 		for id := uint64(2); ; id++ {  // the listener is socket 1
-			c, err := l.Accept(tk)
-			if err != nil {
-				return
-			}
-			r.prim.bindConn(th, id, c)
+			c := l.Accept(tk)
+			lc := r.prim.bindConn(th, id, c)
 			r.bsocks.nextID = id // the backup's replayed accept
 			if c.Err() != nil {
 				_ = c.Close(tk)
+				lc.closed()
 				r.resets = append(r.resets, id)
 				r.mirror()
 				continue
@@ -151,6 +155,7 @@ func runPromote(t *testing.T, net promoteNet, cut int) *promoteRun {
 				r.mirror()
 			}
 			_ = c.Close(tk)
+			lc.closed()
 			r.closed = true
 			r.mirror()
 			return
@@ -168,6 +173,7 @@ func runPromote(t *testing.T, net promoteNet, cut int) *promoteRun {
 			return
 		}
 		r.cc = c
+		defer func() { _ = c.Close(tk) }()
 		sent := 0
 		for {
 			data, err := c.Recv(tk, 32<<10)
@@ -179,9 +185,12 @@ func runPromote(t *testing.T, net promoteNet, cut int) *promoteRun {
 				n, _ := c.Send(tk, promoteReq[sent:sent+1<<10])
 				sent += n
 			}
+			if len(r.got) >= promoteBytes { // all of it: a promoted side reads it before it closes
+				n, _ := c.Send(tk, promoteReq[sent:])
+				sent += n
+			}
 		}
 		_, _ = c.Send(tk, promoteReq[sent:])
-		_ = c.Close(tk)
 	})
 	if err := s.RunUntil(sim.Time(10 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -215,13 +224,18 @@ func (r *promoteRun) mirror() {
 // The promoted application serves the connection it had accepted, and every
 // one it accepts from the re-opened listener: it writes the stream up to
 // 64 KiB past what the primary's had written — nowhere past it, if that had
-// closed — closes, and reads the request to its end.
+// closed — reads the whole request, and closes.
 func (r *promoteRun) promote() {
 	r.pk.Panic("promotion cut", nil)
 	r.mirror()
 	r.queued = r.sec.q.Len()
 	stack := tcpstack.New(r.bk, "server", tcpstack.DefaultParams())
 	stack.Attach(r.snic)
+	stack.OnReaped = func(c *tcpstack.Conn) {
+		if c == r.pc {
+			r.pc = nil
+		}
+	}
 	if err := r.bsocks.Promote(stack); err != nil {
 		r.t.Errorf("transfer %d: %v", r.transfers, err) // a sim callback: t.Fatal would hang the run
 		return
@@ -232,19 +246,17 @@ func (r *promoteRun) promote() {
 	serve := func(c *Conn, from int) {
 		r.pc = c.real
 		r.bsocks.ns.Start("promoted", nil, func(th *replication.Thread) {
-			if _, err := c.Send(th, promoteStream[from:r.end]); err == nil {
-				_ = c.Close(th)
-			}
+			_, err := c.Send(th, promoteStream[from:r.end])
 			var heard []byte
-			for {
-				data, err := c.Recv(th, 32<<10)
-				if heard = append(heard, data...); errors.Is(err, tcpstack.EOF) {
-					r.heard = heard
-				}
-				if err != nil {
-					return // a connection the client reset ends here
-				}
+			for err == nil && len(heard) < len(promoteReq) {
+				var data []byte
+				data, err = c.Recv(th, 32<<10)
+				heard = append(heard, data...)
 			}
+			if err == nil { // a connection the client reset fails instead
+				r.heard = heard
+			}
+			_ = c.Close(th)
 		})
 	}
 	if lc := r.sec.table.binds[r.served]; lc != nil && lc.live != nil {
@@ -252,10 +264,7 @@ func (r *promoteRun) promote() {
 	}
 	r.bsocks.ns.Start("promoted-accept", nil, func(th *replication.Thread) {
 		for {
-			c, err := r.lst.Accept(th)
-			if err != nil {
-				return
-			}
+			c := r.lst.Accept(th)
 			serve(c, 0)
 		}
 	})
@@ -268,8 +277,8 @@ func (r *promoteRun) check() string {
 	switch {
 	case !r.eof || !bytes.Equal(r.got, promoteStream[:r.end]):
 		return fmt.Sprintf("client read %d bytes (EOF %v), want the %d of the stream", len(r.got), r.eof, r.end)
-	case r.cc.OutAcked() != uint64(len(promoteReq)):
-		return fmt.Sprintf("client saw %d request bytes acknowledged, want %d", r.cc.OutAcked(), len(promoteReq))
+	case r.cc != nil || r.ccAcked != uint64(len(promoteReq)):
+		return fmt.Sprintf("client saw %d request bytes acknowledged by its connection's end (reaped %v), want %d", r.ccAcked, r.cc == nil, len(promoteReq))
 	case r.cut > 0 && r.transfers >= r.cut && !bytes.Equal(r.heard, promoteReq):
 		return fmt.Sprintf("promoted side read %d request bytes, not the client's %d", len(r.heard), len(promoteReq))
 	}

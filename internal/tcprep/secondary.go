@@ -120,10 +120,8 @@ func (s *Secondary) apply(m shm.Message) {
 		s.bindQ.WakeAll(0)
 		return
 	}
-	// Every id was announced first: by the connection's syncConnMeta, ahead
-	// of this update on the same FIFO ring — an announcement the ring
-	// refuses stays buffered in front of whatever follows it — or by the
-	// snapshot that seeded this replica, before its pull loop started.
+	// Every id was announced first: by its syncConnMeta, ahead on the same
+	// FIFO ring, or by the snapshot that seeded this replica.
 	lc := s.bySync[m.W[0]]
 	switch m.Kind {
 	case syncDataIn:
@@ -145,10 +143,8 @@ func (s *Secondary) apply(m shm.Message) {
 }
 
 // applyTrim discards regenerated output up to the acknowledged watermark.
-// The watermark can run ahead of the replica (an ackOut delta arrives
-// before replay regenerates those bytes — routine for a rejoining backup,
-// which starts with an empty out buffer and a checkpoint watermark), so the
-// trim is re-applied after every appendOut until outBase catches up.
+// The watermark can run ahead of the replay (a rejoining backup's does), so
+// the trim is re-applied after every appendOut until outBase catches up.
 func (lc *LogicalConn) applyTrim() {
 	if lc.acked <= lc.outBase {
 		return
@@ -168,10 +164,8 @@ func (s *Secondary) bindWait(t *kernel.Task, id uint64) *LogicalConn {
 }
 
 // read consumes exactly n synced input bytes, blocking until the sync
-// stream has delivered them (they are guaranteed to arrive: the primary
-// recorded the read only after its stack delivered the bytes), and lends
-// them like tcpstack's Recv. They stay in the stream: a later rejoin
-// replays from the start.
+// stream has delivered them (the primary recorded the read after they
+// arrived), and lends them like tcpstack's Recv. They stay in the stream.
 func (lc *LogicalConn) read(t *kernel.Task, n int) []byte {
 	for lc.in.Len()-lc.inRead < n {
 		lc.dataQ.Wait(t.Proc())
@@ -248,15 +242,11 @@ func (s *Secondary) Seed(snap StateSnap) {
 }
 
 // SeedOutBase aligns each seeded connection's out-buffer base with the
-// epoch checkpoint's send cursors. A checkpoint-seeded backup replays the
-// delta log from the epoch cut, so the first output byte it regenerates
-// sits at the cut's cumulative sent offset — a from-the-start replay's
-// zero base would misattribute every regenerated byte and promote a
-// corrupted stream. Call between Seed (which installs the binds) and the
-// start of delta replay. The snapshot's acked watermark may exceed a
-// cursor (bytes sent after the cut, acknowledged by the snapshot instant);
-// applyTrim already re-applies the watermark as replay appends catch up.
-// One behind a cursor came with the bytes up to it (ConnSnap.Out).
+// epoch checkpoint's send cursors, where the delta replay's first
+// regenerated output byte sits. Call between Seed (which installs the
+// binds) and the start of delta replay. An acked watermark past a cursor
+// is re-applied by applyTrim as replay catches up; one behind it came with
+// the bytes up to it (ConnSnap.Out).
 func (s *Secondary) SeedOutBase(cur []SendCursor) {
 	for _, c := range cur {
 		if lc := s.table.binds[c.ID]; lc != nil && lc.out.Len() == 0 && c.Sent > lc.outBase {

@@ -59,7 +59,7 @@ func newAckWorld(t *testing.T) *ackWorld {
 	p := newPair(t, 21, params)
 	l, _ := p.server.Listen(80, 4)
 	var client *Conn
-	p.serverK.Spawn("server", func(tk *kernel.Task) { _, _ = l.Accept(tk) })
+	p.serverK.Spawn("server", func(tk *kernel.Task) { l.Accept(tk) })
 	p.clientK.Spawn("client", func(tk *kernel.Task) { client, _ = p.client.Connect(tk, Addr{Host: "server", Port: 80}) })
 	if err := p.sim.RunUntil(sim.Time(time.Second)); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,8 @@ func TestRequestReplyPastQuickAck(t *testing.T) {
 	p.client.SetEgress(cli)
 	l, _ := p.server.Listen(80, 4)
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
+		c := l.Accept(tk)
+		var err error
 		for err == nil {
 			var req []byte
 			if req, err = c.Recv(tk, size); err == nil {

@@ -69,10 +69,7 @@ func newShortConns(tb testing.TB) *shortConns {
 	l, _ := sc.p.server.Listen(80, 16)
 	sc.p.serverK.Spawn("server", func(tk *kernel.Task) {
 		for {
-			c, err := l.Accept(tk)
-			if err != nil {
-				return
-			}
+			c := l.Accept(tk)
 			_, _ = c.Recv(tk, 1024)
 			_, _ = c.Send(tk, sc.response)
 			_ = c.Close(tk)

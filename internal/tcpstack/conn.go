@@ -22,6 +22,7 @@ const (
 	stateClosing
 	stateTimeWait
 	stateClosed
+	stateReleased // a record back on the free list, in test binaries
 )
 
 // Linux's ACK policy (RFC 1122 §4.2.3.2, RFC 5681 §4.2): a connection's
@@ -34,7 +35,13 @@ const (
 	delAckTimeout = 40 * time.Millisecond
 )
 
-// Conn is one TCP connection endpoint.
+// Conn is one TCP connection endpoint. Conns are pooled records (DESIGN.md
+// §20), released by the kernel's socket-refcount rule: the record goes back
+// to its stack's free list once its owner has closed it and the state
+// machine has reaped it, whichever comes last. Nothing may use the Conn
+// afterwards; test binaries poison a released record (poisonReleased), so a
+// use panics. A connection that never reaches an owner — one Connect gives
+// up on — is released as it fails.
 type Conn struct {
 	stack *Stack
 	key   connKey
@@ -66,18 +73,21 @@ type Conn struct {
 	rcvOut  streambuf.Lender
 	peerFin bool
 
-	// Retransmission. One timer per connection, re-armed in place; in
-	// TIME_WAIT nothing is left to retransmit and it times the linger.
+	// Retransmission. One timer per record, bound once and re-armed in
+	// place; in TIME_WAIT nothing is left to retransmit and it times the
+	// linger.
 	rto      time.Duration
 	timer    sim.Event
 	synTries int
 
 	// Delayed ACK. quickAcked counts the in-order data segments ACKed at
-	// once, up to quickAcks, then one more once delAck is bound; ackOwed is
-	// set while delAck is armed.
-	quickAcked int
-	ackOwed    bool
-	delAck     sim.Event
+	// once, up to quickAcks; ackOwed is set while delAck is armed. delAck
+	// is bound on the record's first delayed ACK (a short connection never
+	// delays, and the method value is an allocation), then kept.
+	quickAcked  int
+	ackOwed     bool
+	delAck      sim.Event
+	delAckBound bool
 
 	listener *Listener // set while pending accept (server side)
 
@@ -87,19 +97,51 @@ type Conn struct {
 	rd       *reader
 }
 
-func newConn(s *Stack, key connKey, st connState) *Conn {
-	c := &Conn{
-		stack:  s,
-		key:    key,
-		state:  st,
-		sndWnd: s.params.RecvBuf,
-		rto:    s.params.RTOMin,
+// newConn takes a connection record from the stack's free list, or makes
+// one and binds its timer and buffers, which every later connection in the
+// record keeps.
+func (s *Stack) newConn(key connKey, st connState) *Conn {
+	var c *Conn
+	if n := len(s.connFree); n > 0 {
+		c = s.connFree[n-1]
+		s.connFree[n-1] = nil
+		s.connFree = s.connFree[:n-1]
+	} else {
+		c = &Conn{}
+		c.timer.Init(s.kern.Domain(), c.onTimer)
+		c.sndBuf.Init(&s.bufs)
+		c.rcvBuf.Init(&s.bufs)
+		c.rcvOut.Init(&s.bufs)
 	}
-	c.timer.Init(s.kern.Domain(), c.onTimer)
-	c.sndBuf.Init(&s.bufs)
-	c.rcvBuf.Init(&s.bufs)
-	c.rcvOut.Init(&s.bufs)
+	*c = Conn{
+		stack: s, key: key, state: st, sndWnd: s.params.RecvBuf, rto: s.params.RTOMin,
+		timer: c.timer, delAck: c.delAck, delAckBound: c.delAckBound,
+		sndBuf: c.sndBuf, rcvBuf: c.rcvBuf, rcvOut: c.rcvOut,
+		connectQ: c.connectQ, sendQ: c.sendQ, recvQ: c.recvQ,
+	}
 	return c
+}
+
+// release returns the record to the stack's free list: it is closed and
+// reaped, so its timers are disarmed and its queues empty. Buffered bytes
+// go back to the stack's buffer pool.
+func (c *Conn) release() {
+	c.sndBuf.Discard(c.sndBuf.Len())
+	c.rcvBuf.Discard(c.rcvBuf.Len())
+	c.rcvOut.Reclaim()
+	c.stack.connFree = append(c.stack.connFree, c)
+	if poisonReleased {
+		c.state, c.err, c.closed = stateReleased, nil, false
+		c.key = connKey{localPort: -1, remoteHost: "released", remotePort: -1}
+		c.iss, c.irs, c.sndUna, c.sndNxt, c.rcvNxt = 1<<63-1, 1<<63-1, 1<<63-1, 1<<63-1, 1<<63-1
+	}
+}
+
+// live panics on a released record: only test binaries mark one so.
+func (c *Conn) live() {
+	if c.state == stateReleased {
+		panic("tcpstack: use of a released connection")
+	}
 }
 
 // LocalAddr returns the connection's local address.
@@ -161,10 +203,8 @@ func (c *Conn) ackInOrder() {
 	case c.ackOwed:
 		c.sendAck()
 	default:
-		if c.quickAcked == quickAcks {
-			// Bound here, not in newConn: a short connection never delays,
-			// and the method value is an allocation.
-			c.quickAcked++
+		if !c.delAckBound {
+			c.delAckBound = true
 			c.delAck.Init(c.stack.kern.Domain(), c.onDelAck)
 		}
 		c.ackOwed = true
@@ -434,6 +474,9 @@ func (c *Conn) reap() {
 	c.connectQ.WakeAll(0)
 	c.sendQ.WakeAll(0)
 	c.wakeReaders()
+	if c.closed {
+		c.release()
+	}
 }
 
 // fail terminates the connection with an error (RST received, timeout).
@@ -450,6 +493,7 @@ func (c *Conn) fail(err error) {
 // The syscall's cost is paid with the first chunk's segment cost, as one
 // stretch of CPU, or on its own before the call blocks or fails.
 func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
+	c.live()
 	owed := t.Kernel().Params().SyscallCost
 	written := 0
 	for written < len(data) {
@@ -496,6 +540,7 @@ func (c *Conn) segmentCPU(n int) time.Duration {
 // that keeps bytes longer copies them; echoing them straight into Send is
 // fine, because Send copies.
 func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
+	c.live()
 	syscall := t.Kernel().Params().SyscallCost
 	if max <= 0 {
 		t.Busy(syscall)
@@ -618,10 +663,13 @@ func (r *reader) ready() {
 	r.q.WakeOne(busy)
 }
 
-// Close initiates an orderly shutdown: the FIN goes out after all buffered
-// data. Further Sends fail with ErrClosed; Recv continues to drain. The
-// bytes the last Recv lent go back to the stack's free list.
+// Close is the owner's last call on the connection, as close(2) is on a
+// socket: it initiates an orderly shutdown — the FIN goes out after all
+// buffered data — and gives the record up, to be released once the state
+// machine has reaped it. Nothing may use the Conn afterwards. The bytes
+// the last Recv lent go back to the stack's free list.
 func (c *Conn) Close(t *kernel.Task) error {
+	c.live()
 	t.Syscall()
 	c.rcvOut.Reclaim()
 	if c.closed {
@@ -634,9 +682,10 @@ func (c *Conn) Close(t *kernel.Task) error {
 	case stateCloseWait:
 		c.state = stateLastAck
 	case stateSynSent, stateSynRcvd:
-		c.reap()
+		c.reap() // and release
 		return nil
-	default:
+	default: // reaped already
+		c.release()
 		return nil
 	}
 	c.finQueued = true
@@ -647,6 +696,7 @@ func (c *Conn) Close(t *kernel.Task) error {
 
 // Abort terminates the connection immediately, sending an RST.
 func (c *Conn) Abort() {
+	c.live()
 	if c.state == stateClosed {
 		return
 	}
@@ -676,6 +726,7 @@ func (c *Conn) OutAcked() uint64 {
 // data from sndUna and re-announces the receive window, so both directions
 // resynchronize with the peer after failover.
 func (c *Conn) Kick() {
+	c.live()
 	if c.state == stateClosed {
 		return
 	}

@@ -83,9 +83,8 @@ func TestReleasedSegmentIsPoisoned(t *testing.T) {
 	})
 	l, _ := p.server.Listen(80, 4)
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		if c, err := l.Accept(tk); err == nil {
-			_, _ = c.Recv(tk, 64)
-		}
+		c := l.Accept(tk)
+		_, _ = c.Recv(tk, 64)
 	})
 	p.clientK.Spawn("client", func(tk *kernel.Task) {
 		if c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80}); err == nil {
@@ -107,6 +106,110 @@ func TestReleasedSegmentIsPoisoned(t *testing.T) {
 		}
 	}()
 	kept.release()
+}
+
+// TestReleasedConnIsPoisoned pins the connection record's poison-on-release:
+// once a connection is closed by its owner and reaped — the client's at the
+// end of TIME_WAIT, the server's as its FIN is acknowledged — the record is
+// on its stack's free list, scribbled, and every use of the stale *Conn
+// panics instead of acting on whichever connection gets the record next.
+func TestReleasedConnIsPoisoned(t *testing.T) {
+	p := newPair(t, 14, DefaultParams())
+	l, _ := p.server.Listen(80, 4)
+	var client, server *Conn
+	p.serverK.Spawn("server", func(tk *kernel.Task) {
+		server = l.Accept(tk)
+		_, _ = server.Recv(tk, 64) // EOF: the client closed
+		_ = server.Close(tk)
+	})
+	p.clientK.Spawn("client", func(tk *kernel.Task) {
+		var err error
+		if client, err = p.client.Connect(tk, Addr{Host: "server", Port: 80}); err != nil {
+			t.Errorf("Connect: %v", err)
+			return
+		}
+		_ = client.Close(tk)
+	})
+	if err := p.sim.RunUntil(sim.Time(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		c *Conn
+		s *Stack
+	}{{client, p.client}, {server, p.server}} {
+		if side.c.state != stateReleased || side.c.key.remoteHost != "released" {
+			t.Errorf("closed and reaped %v: state %d, want the poisoned record", side.c.key, side.c.state)
+		}
+		if len(side.s.connFree) != 1 || side.s.connFree[0] != side.c || side.s.Conns() != 0 {
+			t.Errorf("stack holds %d conns and %d free records, want the released one alone", side.s.Conns(), len(side.s.connFree))
+		}
+	}
+	for _, use := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Send", func() { _, _ = client.Send(nil, []byte("x")) }},
+		{"Recv", func() { _, _ = client.Recv(nil, 1) }},
+		{"Close", func() { _ = client.Close(nil) }},
+		{"Abort", client.Abort},
+		{"Kick", client.Kick},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released connection did not panic", use.name)
+				}
+			}()
+			use.fn()
+		}()
+	}
+}
+
+// TestConnOutlivesResetUntilClosed pins the other half of the refcount
+// rule: a connection the peer resets is reaped at once, but its record
+// stays its owner's until the owner closes it — Recv keeps returning the
+// reset error, and a connection opened meanwhile gets a record of its own —
+// and the next connection after the Close gets it.
+func TestConnOutlivesResetUntilClosed(t *testing.T) {
+	p := newPair(t, 15, DefaultParams())
+	l, _ := p.server.Listen(80, 4)
+	p.serverK.Spawn("server", func(tk *kernel.Task) {
+		l.Accept(tk).Abort()
+		for {
+			l.Accept(tk)
+		}
+	})
+	var reset, opened, next *Conn
+	var errs []error
+	connect := func(tk *kernel.Task) *Conn {
+		c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80})
+		if err != nil {
+			t.Errorf("Connect: %v", err)
+		}
+		return c
+	}
+	p.clientK.Spawn("client", func(tk *kernel.Task) {
+		reset = connect(tk)
+		_, err := reset.Recv(tk, 10)
+		errs = append(errs, err)
+		opened = connect(tk)
+		_, err = reset.Recv(tk, 10)
+		errs = append(errs, err)
+		_ = reset.Close(tk)
+		next = connect(tk)
+	})
+	if err := p.sim.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 2 || !errors.Is(errs[0], ErrReset) || !errors.Is(errs[1], ErrReset) {
+		t.Errorf("Recv on the reset connection, before and after another connect: %v, want ErrReset twice", errs)
+	}
+	if opened == reset {
+		t.Error("a connection opened before the reset one was closed got its record")
+	}
+	if next != reset {
+		t.Error("the connection opened after the Close did not get the released record")
+	}
 }
 
 // TestGoBackNWithCopiesInFlight is the scenario segment payloads must be
@@ -143,10 +246,7 @@ func TestGoBackNWithCopiesInFlight(t *testing.T) {
 	payload := genPayload(512<<10, 17)
 	l, _ := p.server.Listen(80, 4)
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			return
-		}
+		c := l.Accept(tk)
 		_, _ = c.Send(tk, payload)
 		_ = c.Close(tk)
 	})
@@ -190,7 +290,7 @@ func establishedPair(t *testing.T, seed int64, sent []byte) (*pair, *Conn, ConnS
 	p := newPair(t, seed, DefaultParams())
 	l, _ := p.server.Listen(80, 4)
 	var server, client *Conn
-	p.serverK.Spawn("server", func(tk *kernel.Task) { server, _ = l.Accept(tk) })
+	p.serverK.Spawn("server", func(tk *kernel.Task) { server = l.Accept(tk) })
 	p.clientK.Spawn("client", func(tk *kernel.Task) {
 		c, err := p.client.Connect(tk, Addr{Host: "server", Port: 80})
 		if err != nil {
@@ -358,7 +458,8 @@ func newDriven(t testing.TB, params Params, chunk int, gate EgressGate) *driven 
 	}
 	l, _ := d.p.server.Listen(80, 4)
 	d.p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
+		c := l.Accept(tk)
+		var err error
 		for err == nil {
 			d.kick.Wait(tk.Proc())
 			_, err = c.Send(tk, d.chunk)
@@ -399,11 +500,7 @@ func TestRecvViewPoisonedOnReuse(t *testing.T) {
 	l, _ := p.server.Listen(80, 4)
 	poison := func(n int) []byte { return bytes.Repeat([]byte{0xdb}, n) }
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			t.Errorf("Accept: %v", err)
-			return
-		}
+		c := l.Accept(tk)
 		first, _ := c.Recv(tk, 10)
 		if string(first) != "0123456789" {
 			t.Errorf("first Recv = %q", first)

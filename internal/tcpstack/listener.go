@@ -12,7 +12,8 @@ type Listener struct {
 	stack   *Stack
 	port    int
 	backlog int
-	ready   []*Conn // established, waiting for Accept
+	ready   []*Conn // established, waiting for Accept, from ready[head] on
+	head    int
 	acceptQ sim.WaitQueue
 }
 
@@ -35,11 +36,11 @@ func (s *Stack) Listen(port, backlog int) (*Listener, error) {
 
 // handleSYN processes an incoming connection request.
 func (l *Listener) handleSYN(seg *Segment) {
-	if len(l.ready) >= l.backlog {
+	if len(l.ready)-l.head >= l.backlog {
 		return // silently drop: the client will retransmit its SYN
 	}
 	key := connKey{localPort: l.port, remoteHost: seg.Src.Host, remotePort: seg.Src.Port}
-	c := newConn(l.stack, key, stateSynRcvd)
+	c := l.stack.newConn(key, stateSynRcvd)
 	c.iss = l.stack.allocISS()
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
@@ -66,13 +67,14 @@ func (l *Listener) connReady(c *Conn) {
 // primary's stack had established and its application had not accepted.
 func (l *Listener) Adopt(c *Conn) { l.connReady(c) }
 
-// Accept blocks until a connection is established and returns it.
-func (l *Listener) Accept(t *kernel.Task) (*Conn, error) {
+// Accept blocks until a connection is established and returns it; the
+// caller owns it, and closes it (Conn.Close).
+func (l *Listener) Accept(t *kernel.Task) *Conn {
 	t.Syscall()
-	for len(l.ready) == 0 {
+	for len(l.ready) == l.head {
 		l.acceptQ.Wait(t.Proc())
 	}
-	c := l.ready[0]
-	l.ready = l.ready[1:]
-	return c, nil
+	c := l.ready[l.head]
+	l.ready, l.head = sim.PopFront(l.ready, l.head)
+	return c
 }

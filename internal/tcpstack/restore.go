@@ -55,7 +55,7 @@ func (s *Stack) Restore(cs ConnSnapshot) (*Conn, error) {
 	if _, exists := s.conns[key]; exists {
 		return nil, fmt.Errorf("tcpstack: restore %v: connection already exists", key)
 	}
-	c := newConn(s, key, stateEstablished)
+	c := s.newConn(key, stateEstablished)
 	c.iss = cs.ISS
 	c.irs = cs.IRS
 	c.sndUna = cs.SndUna

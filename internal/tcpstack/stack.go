@@ -127,13 +127,14 @@ type Stack struct {
 	portConns map[int]int // connections per local port, so allocPort need not scan conns
 	nextISS   uint64
 
-	// Free lists (DESIGN.md §20): segment records, the backing arrays of
-	// the connections' send and receive windows, and parked Recvs' readers.
-	// They belong to this stack, so simulations sharing a process share
-	// nothing.
-	segFree []*Segment
-	bufs    streambuf.Pool
-	readers []*reader
+	// Free lists (DESIGN.md §20): segment and connection records, the
+	// backing arrays of the connections' send and receive windows, and
+	// parked Recvs' readers. They belong to this stack, so simulations
+	// sharing a process share nothing.
+	segFree  []*Segment
+	connFree []*Conn
+	bufs     streambuf.Pool
+	readers  []*reader
 
 	// Ephemeral ports are handed out round-robin from [portLo, portHi].
 	portLo, portHi, nextPort int
@@ -288,7 +289,7 @@ func (s *Stack) Connect(t *kernel.Task, dst Addr) (*Conn, error) {
 		return nil, fmt.Errorf("connect %v: %w", dst, err)
 	}
 	key := connKey{localPort: port, remoteHost: dst.Host, remotePort: dst.Port}
-	c := newConn(s, key, stateSynSent)
+	c := s.newConn(key, stateSynSent)
 	c.iss = s.allocISS()
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
 	s.addConn(c)
@@ -297,8 +298,10 @@ func (s *Stack) Connect(t *kernel.Task, dst Addr) (*Conn, error) {
 	for c.state == stateSynSent {
 		c.connectQ.Wait(t.Proc())
 	}
-	if c.err != nil {
-		return nil, fmt.Errorf("connect %v: %w", dst, c.err)
+	if err := c.err; err != nil {
+		c.closed = true // no owner will: the record goes back now
+		c.release()
+		return nil, fmt.Errorf("connect %v: %w", dst, err)
 	}
 	return c, nil
 }

@@ -75,11 +75,7 @@ func TestHandshakeAndEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			t.Errorf("Accept: %v", err)
-			return
-		}
+		c := l.Accept(tk)
 		data, err := c.Recv(tk, 1024)
 		if err != nil {
 			t.Errorf("server Recv: %v", err)
@@ -138,10 +134,9 @@ func TestRecvAfterFINIsIOEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		if c, err := l.Accept(tk); err == nil {
-			_, _ = c.Send(tk, []byte("bye"))
-			_ = c.Close(tk)
-		}
+		c := l.Accept(tk)
+		_, _ = c.Send(tk, []byte("bye"))
+		_ = c.Close(tk)
 	})
 	var got []byte
 	var recvErr error
@@ -180,11 +175,7 @@ func TestRecvOfNothing(t *testing.T) {
 	syscall := kernel.DefaultParams().SyscallCost
 	var got []byte
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			t.Errorf("Accept: %v", err)
-			return
-		}
+		c := l.Accept(tk)
 		nothing := func(when string) {
 			for _, max := range []int{0, -1} {
 				start := tk.Now()
@@ -233,11 +224,7 @@ func TestBulkTransferIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			t.Errorf("Accept: %v", err)
-			return
-		}
+		c := l.Accept(tk)
 		if _, err := c.Send(tk, payload); err != nil {
 			t.Errorf("Send: %v", err)
 		}
@@ -320,10 +307,7 @@ func TestRetransmissionUnderLoss(t *testing.T) {
 	payload := genPayload(256<<10, 3)
 	l, _ := p.server.Listen(80, 4)
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			return
-		}
+		c := l.Accept(tk)
 		_, _ = c.Send(tk, payload)
 		_ = c.Close(tk)
 	})
@@ -362,10 +346,7 @@ func TestZeroWindowStallAndResume(t *testing.T) {
 	payload := genPayload(128<<10, 9)
 	l, _ := p.server.Listen(80, 4)
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			return
-		}
+		c := l.Accept(tk)
 		_, _ = c.Send(tk, payload)
 		_ = c.Close(tk)
 	})
@@ -414,10 +395,7 @@ func TestRestoreMidTransfer(t *testing.T) {
 	var snapped bool
 	var served *Conn
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			return
-		}
+		c := l.Accept(tk)
 		served = c
 		if _, err := c.Send(tk, payload[:half]); err != nil {
 			return
@@ -506,10 +484,7 @@ func TestListenerBacklog(t *testing.T) {
 	}
 	p.serverK.Spawn("acceptor", func(tk *kernel.Task) {
 		for i := 0; i < 3; i++ {
-			c, err := l.Accept(tk)
-			if err != nil {
-				return
-			}
+			c := l.Accept(tk)
 			_ = c.Close(tk)
 		}
 	})
@@ -525,10 +500,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 	p := newPair(t, 10, DefaultParams())
 	l, _ := p.server.Listen(80, 4)
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			return
-		}
+		c := l.Accept(tk)
 		_, _ = c.Recv(tk, 10)
 	})
 	p.clientK.Spawn("client", func(tk *kernel.Task) {
@@ -554,10 +526,7 @@ func TestDeterministicSegments(t *testing.T) {
 		payload := genPayload(64<<10, 1)
 		l, _ := p.server.Listen(80, 4)
 		p.serverK.Spawn("server", func(tk *kernel.Task) {
-			c, err := l.Accept(tk)
-			if err != nil {
-				return
-			}
+			c := l.Accept(tk)
 			_, _ = c.Send(tk, payload)
 			_ = c.Close(tk)
 		})
@@ -602,10 +571,7 @@ func TestEphemeralPortsExhausted(t *testing.T) {
 	}
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
 		for {
-			c, err := l.Accept(tk)
-			if err != nil {
-				return
-			}
+			c := l.Accept(tk)
 			p.serverK.Spawn("conn", func(tk *kernel.Task) {
 				for {
 					if _, err := c.Recv(tk, 1); err != nil {
@@ -690,11 +656,7 @@ func TestSendAndRecvParkOnce(t *testing.T) {
 	})
 	var recvParks, sendParks int
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
-		c, err := l.Accept(tk)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		c := l.Accept(tk)
 		for c.BufferedIn() == 0 {
 			tk.Sleep(10 * time.Microsecond)
 		}
@@ -780,10 +742,7 @@ func TestParkedRecvResumesOnce(t *testing.T) {
 			var gotErr error
 			var returned sim.Time
 			rt = p.serverK.Spawn("server", func(tk *kernel.Task) {
-				if conn, err = l.Accept(tk); err != nil {
-					t.Error(err)
-					return
-				}
+				conn = l.Accept(tk)
 				reader = tk.Proc().Name()
 				for range tc.reads {
 					got, gotErr = conn.Recv(tk, 100)
