@@ -181,6 +181,9 @@ type Replica struct {
 	// here that have not returned.
 	apps  []appInst
 	mains int
+	// resyncing counts the steps a rejoining backup still waits for
+	// (resyncComplete).
+	resyncing int
 	// lastCP is the latest checkpoint this replica holds, never nil: the
 	// genesis checkpoint from boot, then on a backup the last
 	// digest-verified marker payload (or the checkpoint a rejoin seeded it
@@ -656,14 +659,11 @@ func (sys *System) backupDied(surv, dead *Replica) {
 }
 
 // dropBackup detaches a backup that just left the passive list — dead or
-// retired — from the recording side act. Losing the last backup degrades
-// exactly as the two-replica engine did: the namespace keeps recording into
-// the retained history with vacuous output stability, the TCP sync stream
-// stops, and parked output is released.
-// With other backups still live only the departed slot's links are
-// dropped; falling below the commit quorum is surfaced (QuorumLost event,
-// Healthy returning ErrQuorumLost) while the recorder degrades to its
-// all-of-the-living release rule.
+// retired — from the recording side act. Losing the last backup degrades:
+// the namespace records on with vacuous output stability, the TCP sync
+// stream stops, and parked output is released. Otherwise only the slot's
+// links drop; falling below the commit quorum is surfaced (QuorumLost,
+// ErrQuorumLost) while the recorder releases on all-of-the-living.
 func (sys *System) dropBackup(act, gone *Replica) {
 	live := sys.livePassives()
 	if len(live) == 0 {

@@ -13,10 +13,9 @@ import (
 )
 
 // scheduleRejoin books a re-integration attempt on dead's partition after
-// the repair delay: the repaired partition joins the rejoin queue, and
-// the pump starts it when no other resync is running, against whichever
-// replica records then — a failover in the meantime changes the source,
-// not the need. A booking whose slot was refilled meanwhile is dropped.
+// the repair delay: the pump starts it when no other resync is running,
+// against whichever replica records then (a failover changes the source,
+// not the need). A booking whose slot was refilled meanwhile is dropped.
 func (sys *System) scheduleRejoin(dead *Replica) {
 	if len(sys.launches) == 0 {
 		return
@@ -42,10 +41,9 @@ func (sys *System) pumpRejoin() {
 
 // startNextRejoin starts re-integrating the first queued partition that
 // still needs a backup — or fallback when none is queued — and reports
-// whether it started one. A dead recording side (possibly not yet
-// detected) is nothing to resync against, and neither is one whose
-// failover is still under way, with no TCP primary to snapshot yet: the
-// queue is left for the rejoin that failover books once it is live.
+// whether it started one. A dead recording side, or one mid-failover with
+// no TCP primary to snapshot yet, leaves the queue to the rejoin that
+// failover books once it is live.
 func (sys *System) startNextRejoin(fallback *Replica) bool {
 	if sys.active == nil || !sys.active.Kernel.Alive() || sys.active.TCPPrim == nil {
 		return false
@@ -90,17 +88,12 @@ func (sys *System) Rejoin() error {
 }
 
 // startRejoin re-integrates a fresh backup on the dead replica's freed
-// partition (the tentpole §3.7 extension): boot a replacement kernel,
-// create a generation-suffixed ring set, seed the new namespace from the
-// survivor's latest checkpoint — the last verified epoch cut, or the
-// genesis checkpoint when none was ever cut — atomically with snapshotting
-// the logical TCP state and attaching the delta and catch-up streams (that
-// atomicity is what makes snapshot-plus-deltas gapless), bulk-transfer the
-// checkpoint, replay the log retained after it as catch-up while the
-// survivor keeps recording, verify the replay against the survivor's
-// cursors at the attach frontier, and flip back to replicated mode when
-// the backup has caught up. Runs in scheduler context; every step here is
-// non-blocking, so the cut is one atomic instant.
+// partition (§3.7): boot a kernel and a generation-suffixed ring set, seed
+// the namespace from the survivor's latest checkpoint (genesis when none was
+// cut) in the instant the TCP state is snapshotted and the delta and
+// catch-up streams attach, bulk-transfer the checkpoint, replay the retained
+// log after it, and verify the replay at the attach frontier. Runs in
+// scheduler context; nothing here blocks, so the cut is one instant.
 func (sys *System) startRejoin(surv, dead *Replica) {
 	sys.generation++
 	gen := sys.generation
@@ -150,14 +143,15 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	// one the new backup holds until it verifies a later boundary itself.
 	cp := surv.lastCP
 	rep := &Replica{
-		Kernel:  bk,
-		NS:      bns,
-		Sockets: tcprep.NewSockets(bns, nil, nil, bsec),
-		TCPSync: bsec,
-		partIdx: dead.partIdx,
-		scope:   fmt.Sprintf("gen%d/ftns", gen),
-		linkIdx: -1,
-		lastCP:  cp,
+		Kernel:    bk,
+		NS:        bns,
+		Sockets:   tcprep.NewSockets(bns, nil, nil, bsec),
+		TCPSync:   bsec,
+		partIdx:   dead.partIdx,
+		scope:     fmt.Sprintf("gen%d/ftns", gen),
+		linkIdx:   -1,
+		lastCP:    cp,
+		resyncing: 2,
 	}
 	sys.resync = rep
 	sys.passives = append(sys.passives, rep)
@@ -170,15 +164,10 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	}
 
 	// --- the atomic cut -------------------------------------------------
-	// The seed coordinates, the fresh TCP snapshot plus delta-ring attach,
-	// the frontier cut and the catch-up link creation all land in this one
-	// scheduler instant: no byte and no tuple can land in both a snapshot
-	// and a stream, or in neither, and the catch-up stream starts exactly
-	// at the checkpoint's log index (the recorder's retained history
-	// begins at the checkpoint's own marker — at index 0 for genesis). The
-	// TCP state is snapshotted fresh — input bytes never enter the det
-	// log, so the seed carries none — and the transfer copy is sealed over
-	// the filled snapshot.
+	// No byte and no tuple lands in both a snapshot and a stream, or in
+	// neither; the catch-up stream starts at the checkpoint's own marker
+	// (index 0 for genesis). The TCP state is snapshotted fresh — input
+	// bytes never enter the det log — and the copy sealed over it.
 	tx := *cp
 	tx.TCP = surv.TCPPrim.SnapshotState(cp.Sends)
 	surv.TCPPrim.AttachRing(tcpSync)
@@ -186,14 +175,13 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	frontier := rejoin.Cut(surv.NS)
 	bns.SeedCheckpoint(cp.Epoch, cp.SeqGlobal, cp.Sent, cp.Objs, envMap(cp.Env))
 	bns.ResumeFrom(cp.Threads, cp.NextFTPid)
-	rep.linkIdx = surv.NS.AddReplica(log, acks, func() { sys.resyncComplete(gen, rep) })
+	rep.linkIdx = surv.NS.AddReplica(log, acks, func() { sys.resyncComplete(gen, rep, true) })
+	surv.NS.HoldReplica(rep.linkIdx, true)
 	// --------------------------------------------------------------------
 	sys.scLife.EmitNote(obs.CheckpointCut, 0, int64(cp.SeqGlobal), int64(tx.Bytes()),
 		fmt.Sprintf("g%d: epoch %d seed, %d apps, %d conns", gen, cp.Epoch, len(tx.Apps), len(tx.TCP.Conns)))
 
-	surv.Kernel.Spawn("rejoin-send"+sfx, func(t *kernel.Task) {
-		rejoin.Send(t, bulk, &tx)
-	})
+	surv.Kernel.Spawn("rejoin-send"+sfx, func(t *kernel.Task) { rejoin.Send(t, bulk, &tx) })
 	bk.Spawn("rejoin-recv"+sfx, func(t *kernel.Task) {
 		rcp, err := rejoin.Recv(t, bulk)
 		if err != nil {
@@ -212,7 +200,9 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 		bns.OnReplayHead(frontier.SeqGlobal, func() {
 			if verr := frontier.VerifyReplay(bns); verr != nil {
 				sys.abortRejoin(gen, bk, verr)
+				return
 			}
+			sys.resyncComplete(gen, rep, false)
 		})
 		// Start every recorded launch from its snapshot (from scratch when
 		// the seed has none). Each thread adopts its checkpointed identity
@@ -256,16 +246,25 @@ func (sys *System) abortRejoin(gen int, bk *kernel.Kernel, err error) {
 	bk.Panic("rejoin aborted: "+err.Error(), nil)
 }
 
-// resyncComplete flips the pair back to replicated mode; it runs from the
-// recorder's catch-up loop the moment the backup's link drains, which is
-// the quiesced det-section boundary the flip is defined at.
-func (sys *System) resyncComplete(gen int, rep *Replica) {
+// resyncComplete books one of the two steps a rejoin waits for — the
+// catch-up draining (caughtUp: at the quiesced det-section boundary where
+// the link drains) and the replay passing the frontier check, which
+// releases the backup into the quorums — and flips the pair back to
+// replicated at the later of the two.
+func (sys *System) resyncComplete(gen int, rep *Replica, caughtUp bool) {
 	if gen != sys.generation || sys.resync != rep {
 		return
 	}
+	if caughtUp {
+		sys.scLife.EmitNote(obs.CatchupDone, 0, int64(gen), int64(sys.active.NS.SeqGlobal()),
+			fmt.Sprintf("g%d caught up", gen))
+	} else {
+		sys.active.NS.HoldReplica(rep.linkIdx, false)
+	}
+	if rep.resyncing--; rep.resyncing > 0 {
+		return
+	}
 	sys.resync = nil
-	sys.scLife.EmitNote(obs.CatchupDone, 0, int64(gen), int64(sys.active.NS.SeqGlobal()),
-		fmt.Sprintf("g%d caught up", gen))
 	if len(sys.livePassives()) >= sys.Cfg.Replicas-1 {
 		sys.setState(StateReplicated)
 	} else {

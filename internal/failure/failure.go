@@ -64,8 +64,10 @@ func (d *Detector) OnFail(fn func()) { d.onFail = append(d.onFail, fn) }
 // the §4.4 detection half of the failover timeline. Nil disables.
 func (d *Detector) Instrument(sc *obs.Scope) { d.sc = sc }
 
-// Start launches the sender and monitor tasks, background work that never
-// stops, and subscribes to machine-check reports for the peer's partition.
+// Start launches the sender and monitor tasks, background work that stops
+// once the detector fires (the peer it watched is halted: nothing reads its
+// ring any more), and subscribes to machine-check reports for the peer's
+// partition.
 func (d *Detector) Start() {
 	d.kern.Spawn("hb-send", d.sendLoop)
 	d.kern.Spawn("hb-monitor", d.monitorLoop)
@@ -89,7 +91,7 @@ func (d *Detector) Start() {
 
 func (d *Detector) sendLoop(t *kernel.Task) {
 	t.Proc().SetBackground(true)
-	for d.kern.Alive() {
+	for d.kern.Alive() && !d.fired {
 		d.out.TrySend(shm.Message{Kind: 1, Size: 16, W: [7]uint64{uint64(t.Now())}})
 		t.Sleep(d.cfg.Interval)
 	}

@@ -12,10 +12,11 @@ import (
 )
 
 type pair struct {
-	sim    *sim.Simulation
-	mach   *hw.Machine
-	pk, sk *kernel.Kernel
-	pd, sd *failure.Detector
+	sim      *sim.Simulation
+	mach     *hw.Machine
+	pk, sk   *kernel.Kernel
+	pd, sd   *failure.Detector
+	toS, toP *shm.Ring // the primary's heart-beats, the secondary's
 }
 
 func newPair(t *testing.T, cfg failure.Config) *pair {
@@ -43,7 +44,7 @@ func newPair(t *testing.T, cfg failure.Config) *pair {
 	m.OnFault(func(f hw.Fault) { sk.HandleFault(f) })
 	pd.Start()
 	sd.Start()
-	return &pair{sim: s, mach: m, pk: pk, sk: sk, pd: pd, sd: sd}
+	return &pair{sim: s, mach: m, pk: pk, sk: sk, pd: pd, sd: sd, toS: ps, toP: sp2}
 }
 
 func TestNoFalsePositives(t *testing.T) {
@@ -77,6 +78,24 @@ func TestDetectsDeathWithinTimeout(t *testing.T) {
 	}
 	if p.pd.Fired() {
 		t.Error("dead primary's detector fired")
+	}
+}
+
+// TestNoBeatAfterFiring: a detector that has fired sends its halted peer
+// no further heart-beat.
+func TestNoBeatAfterFiring(t *testing.T) {
+	p := newPair(t, failure.DefaultConfig())
+	var sent int64 = -1
+	p.sd.OnFail(func() { sent = p.toP.Stats().Messages })
+	p.sim.Schedule(time.Second, func() { p.pk.Panic("injected", nil) })
+	if err := p.sim.RunUntil(sim.Time(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if sent < 90 {
+		t.Fatalf("the secondary sent %d beats before firing, want ~100", sent)
+	}
+	if got := p.toP.Stats().Messages; got != sent {
+		t.Errorf("the secondary sent %d beats after firing, want none", got-sent)
 	}
 }
 

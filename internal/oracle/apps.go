@@ -1,0 +1,171 @@
+package oracle
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"time"
+
+	"repro/internal/apps/memcached"
+	"repro/internal/apps/mongoose"
+	"repro/internal/apps/pbzip2"
+	"repro/internal/apps/restream"
+	"repro/internal/core"
+	"repro/internal/kernel"
+	"repro/internal/replication"
+	"repro/internal/simnet"
+	"repro/internal/tcprep"
+	"repro/internal/tcpstack"
+)
+
+// App is one workload of the sweeps. Start launches it on a fresh
+// deployment — with workers threads in its pool, where it has one — and its
+// client, if it has one, whose ephemeral ports are narrowed to ports of them
+// when ports > 0. It returns what the run showed the outside world, read
+// once the run is over. Serves marks a server whose mains never return: the
+// run ends when it goes quiet (Sim.Run), and an unfinished client shows in
+// the output instead of as a *core.HangError from Wait. Restorable apps can
+// run with epoch checkpoints.
+type App struct {
+	Name       string
+	Serves     bool
+	Restorable bool
+	Start      func(sys *core.System, workers, ports int) (output func() string, err error)
+}
+
+// Apps are the sweep workloads, by name.
+var Apps = map[string]App{"restream": Restream, "mongoose": Mongoose, "memcached": Memcached, "pbzip2": PBZIP2}
+
+// Run runs a deployment of app to its end: Sim.Run for a server, Wait (a
+// hang is a *core.HangError) otherwise.
+func (app App) Run(sys *core.System) error {
+	if app.Serves {
+		return sys.Sim.Run()
+	}
+	return sys.Wait()
+}
+
+// Restream streams 256 KiB of the restream pattern to one client, which
+// checks every byte against the pattern; its output is the byte count and
+// the stream's FNV-1a hash. It is single-threaded and restorable.
+var Restream = App{"restream", true, true, func(sys *core.System, _, ports int) (func() string, error) {
+	const total = 256 << 10
+	cfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: total}
+	app := core.App{Name: "stream", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
+		restream.New(cfg).Main(th, socks)
+	}}
+	if sys.Cfg.Epochs.Enabled {
+		app = core.App{Name: "stream", State: func() core.AppState { return restream.New(cfg) }}
+	}
+	sys.Run(app)
+	return runClient(sys, ports, func(tk *kernel.Task, client *core.Client, out *strings.Builder) {
+		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
+		h, got, want := fnv.New64a(), 0, make([]byte, 64<<10)
+		for err == nil {
+			var data []byte
+			if data, err = c.Recv(tk, 64<<10); err == nil {
+				restream.Fill(want[:len(data)], got)
+				if !bytes.Equal(data, want[:len(data)]) {
+					fmt.Fprintf(out, "diverged from the pattern at offset %d; ", got)
+				}
+				h.Write(data)
+				got += len(data)
+			}
+		}
+		if !errors.Is(err, tcpstack.EOF) {
+			fmt.Fprintf(out, "error: %v; ", err)
+		}
+		fmt.Fprintf(out, "%d B, fnv %x", got, h.Sum64())
+	})
+}}
+
+// Mongoose serves three sequential 10 KiB page requests.
+var Mongoose = App{"mongoose", true, false, func(sys *core.System, workers, ports int) (func() string, error) {
+	cfg := mongoose.Config{Port: 8080, Workers: workers, PageBytes: 10 << 10, CPULoad: 100 * time.Microsecond, AcceptCost: 300 * time.Microsecond}
+	sys.Run(core.App{Name: "mongoose", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
+		mongoose.Run(th, socks, cfg, &mongoose.Stats{})
+	}})
+	return runClient(sys, ports, func(tk *kernel.Task, client *core.Client, out *strings.Builder) {
+		for range 3 {
+			c, err := client.Stack.Connect(tk, client.ServerAddr(8080))
+			if err != nil {
+				fmt.Fprintf(out, "connect: %v", err)
+				return
+			}
+			_, _ = c.Send(tk, []byte("GET / HTTP/1.0\r\n\r\n"))
+			n, err := 0, error(nil)
+			for data := []byte(nil); err == nil; data, err = c.Recv(tk, 64<<10) {
+				n += len(data)
+			}
+			_ = c.Close(tk)
+			fmt.Fprintf(out, "page %d B, %v; ", n, err)
+		}
+	})
+}}
+
+// Memcached serves one connection 24 alternating sets and gets: past the
+// server's quick-ACK mode each request's ACK rides its reply, so a kill at a
+// transfer between a request and its reply — the log transfer of the
+// request's read, say — finds the primary owing that ACK.
+var Memcached = App{"memcached", true, false, func(sys *core.System, workers, ports int) (func() string, error) {
+	sys.Run(core.App{Name: "memcached", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
+		memcached.RunServer(th, socks, memcached.ServerConfig{Port: 11211, Workers: workers}, &memcached.ServerStats{})
+	}})
+	return runClient(sys, ports, func(tk *kernel.Task, client *core.Client, out *strings.Builder) {
+		c, err := client.Stack.Connect(tk, client.ServerAddr(11211))
+		for i := 0; i < 24 && err == nil; i++ {
+			cmd := fmt.Sprintf("set k%d value-%d\n", i/2, i)
+			if i%2 == 1 {
+				cmd = fmt.Sprintf("get k%d\n", i/2)
+			}
+			var reply []byte
+			if _, err = c.Send(tk, []byte(cmd)); err == nil {
+				reply, err = c.Recv(tk, 4096)
+			}
+			out.Write(reply)
+		}
+		if err != nil {
+			fmt.Fprintf(out, "error: %v", err)
+			return
+		}
+		_, _ = c.Send(tk, []byte("quit\n"))
+		_ = c.Close(tk)
+	})
+}}
+
+// PBZIP2 compresses four 25 KiB blocks; its output is what the replica
+// active at the end wrote.
+var PBZIP2 = App{"pbzip2", false, false, func(sys *core.System, workers, _ int) (func() string, error) {
+	cfg := pbzip2.DefaultConfig()
+	cfg.BlockSize, cfg.MaxBlocks, cfg.Workers, cfg.QueueCap = 25<<10, 4, workers, 4
+	stats := map[*replication.Namespace]*pbzip2.Stats{}
+	sys.Run(core.App{Name: "pbzip2", Main: func(th *replication.Thread, _ *tcprep.Sockets) {
+		st := &pbzip2.Stats{}
+		stats[th.NS()] = st
+		pbzip2.Run(th, cfg, st)
+	}})
+	return func() string {
+		st := stats[sys.Active().NS]
+		if st == nil {
+			return "no run on the active replica"
+		}
+		return fmt.Sprintf("%d blocks, checksum %x (want %x), done %v", st.Blocks, st.Checksum, pbzip2.ExpectChecksum(cfg), st.Done)
+	}, nil
+}}
+
+// runClient attaches a 100 Mb/s client link and runs body on the client
+// machine; the returned output is what body wrote.
+func runClient(sys *core.System, ports int, body func(*kernel.Task, *core.Client, *strings.Builder)) (func() string, error) {
+	client, err := sys.AttachNetwork(simnet.LinkConfig{BitsPerSec: 100e6, Latency: 100 * time.Microsecond})
+	if err != nil {
+		return nil, err
+	}
+	if ports > 0 {
+		client.Stack.SetPortRange(40000, 40000+ports-1)
+	}
+	var out strings.Builder
+	client.Kernel.Spawn("client", func(tk *kernel.Task) { body(tk, client, &out) })
+	return out.String, nil
+}

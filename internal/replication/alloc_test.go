@@ -2,6 +2,7 @@ package replication_test
 
 import (
 	"math/bits"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -139,3 +140,49 @@ func TestSectionsAllocateNothing(t *testing.T) {
 // logChunks is the number of sim.Log chunks holding n retained messages
 // (with epochs off nothing is dropped from a history's front).
 func logChunks(n int) int { return (n + 511) / 512 }
+
+// TestRetainedHistoryAllocBytes pins what a retained tuple costs the host:
+// both replicas keep the whole log for a rejoin, a tuple as its seven words
+// (56 B) in chunks of 512. Over ≥ 4 096 recorded and replayed sections at one
+// det shard and at four, the bytes allocated stay within 56 B per tuple each
+// side retained, plus one chunk of slack per side and its chunk table's
+// growth (24 B per chunk, doubling) — a 128 B message per tuple would not.
+func TestRetainedHistoryAllocBytes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	app := func(root *replication.Thread) {
+		m := root.Lib().NewMutex()
+		for {
+			m.Lock(root.Task())
+			m.Unlock(root.Task())
+			root.Task().Compute(250 * time.Microsecond)
+		}
+	}
+	for _, shards := range []int{1, 4} {
+		cfg := replication.DefaultConfig()
+		cfg.DetShards = shards
+		d := newDuo(t, 1, cfg, true)
+		d.launch(nil, app)
+		if err := d.sim.RunFor(200 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		h0 := [2]int{d.pns.RetainedTuples(), d.sns.RetainedTuples()}
+		s0 := d.sns.Stats().Sections
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for d.sns.Stats().Sections-s0 < 4096 {
+			if err := d.sim.RunFor(50 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		bound := 0
+		for i, n := range [2]int{d.pns.RetainedTuples(), d.sns.RetainedTuples()} {
+			bound += 56*(n-h0[i]+512) + 2*24*logChunks(n)
+		}
+		if got := int(m1.TotalAlloc - m0.TotalAlloc); got > bound {
+			t.Errorf("%d det shards: %d sections allocated %d B, want <= %d (56 B per retained tuple per side)",
+				shards, d.sns.Stats().Sections-s0, got, bound)
+		}
+		d.sim.Shutdown()
+	}
+}

@@ -117,7 +117,7 @@ func BenchmarkReplayGrant(b *testing.B) {
 		bp.log.Send(p, envMessage(nil))
 		for i := uint64(0); i < uint64(b.N); i++ {
 			tu := Tuple{ThreadSeq: i, GlobalSeq: i, ObjSeq: i, FTPid: 1, Op: pthread.OpMutexLock, Obj: 1}
-			bp.log.Send(p, tu.message(0))
+			bp.log.Send(p, tu.message())
 		}
 	})
 	done := 0

@@ -20,7 +20,7 @@ func replayBacklog(t *testing.T, n int, note func()) (*benchPair, *Namespace, *[
 		bp.log.Send(p, envMessage(nil))
 		for i := uint64(0); i < uint64(n); i++ {
 			tu := Tuple{ThreadSeq: i, GlobalSeq: i, ObjSeq: i, FTPid: 1, Op: pthread.OpMutexLock, Obj: 1}
-			bp.log.Send(p, tu.message(0))
+			bp.log.Send(p, tu.message())
 		}
 	})
 	var delivered []sim.Time

@@ -1,13 +1,10 @@
 package replication
 
-import (
-	"repro/internal/shm"
-	"repro/internal/sim"
-)
+import "repro/internal/shm"
 
-func walkedBytes(hist *sim.Log[shm.Message]) (b int64) {
-	for i := 0; i < hist.Len(); i++ {
-		b += int64(hist.At(i).Size)
+func walkedBytes(hist *logWindow) (b int64) {
+	for m := range hist.all() {
+		b += int64(m.Size)
 	}
 	return b
 }
@@ -16,10 +13,10 @@ func walkedBytes(hist *sim.Log[shm.Message]) (b int64) {
 // retained-bytes sum beside the sum walked over the retained history.
 func (ns *Namespace) RetainedSums() (recRunning, recWalked, repRunning, repWalked int64) {
 	if ns.rec != nil {
-		recRunning, recWalked = ns.rec.hist.bytes, walkedBytes(&ns.rec.hist.msgs)
+		recRunning, recWalked = ns.rec.hist.bytes, walkedBytes(&ns.rec.hist)
 	}
 	if ns.rep != nil {
-		repRunning, repWalked = ns.rep.hist.bytes, walkedBytes(&ns.rep.hist.msgs)
+		repRunning, repWalked = ns.rep.hist.bytes, walkedBytes(&ns.rep.hist)
 	}
 	return
 }
@@ -54,8 +51,8 @@ func (ns *Namespace) ReplayWindowBase() uint64 { return ns.rep.hist.base }
 // history in log order: the primary's recorder, or a promoted replica's fork.
 func (ns *Namespace) RecordedTuples() []Tuple {
 	var out []Tuple
-	for i := 0; i < ns.rec.hist.msgs.Len(); i++ {
-		if m := *ns.rec.hist.msgs.At(i); m.Kind == msgTuple {
+	for m := range ns.rec.hist.all() {
+		if m.Kind == msgTuple {
 			out = append(out, tupleOf(m))
 		}
 	}
@@ -79,7 +76,7 @@ func (ns *Namespace) QuorumNeed() int { return ns.rec.quorumNeed() }
 // ReplayRetained returns what a secondary's replayer retains, which
 // promotion hands to the fork.
 func (ns *Namespace) ReplayRetained() (tuples int, bytes int64) {
-	return ns.rep.hist.msgs.Len(), ns.rep.hist.bytes
+	return ns.rep.hist.words.Len(), ns.rep.hist.bytes
 }
 
 // TupleOf decodes a log-ring message: the tuple it carries, and false for

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func flushHarness(t *testing.T, cfg Config) (*sim.Simulation, *shm.Ring, *Record
 // emitN emits n tuples numbered from first, back to back.
 func emitN(rec *Recorder, tk *kernel.Task, first, n int) {
 	for i := first; i < first+n; i++ {
-		rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message(0))
+		rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message())
 	}
 }
 
@@ -51,6 +52,32 @@ func TestDeadlinePublishesPartialBatchOnce(t *testing.T) {
 	if st := log.Stats(); st.Messages != 1 || st.Payloads != 3 || rec.stats.LogBatches != 1 || rec.hBatchFill.Count() != 1 {
 		t.Errorf("after a quiet second: %d transfers / %d payloads, %d batches, %d flush samples; want 1 / 3, 1, 1",
 			st.Messages, st.Payloads, rec.stats.LogBatches, rec.hBatchFill.Count())
+	}
+}
+
+// TestOversizedMessageGetsItsOwnSpan: an epoch marker larger than what is
+// left of the open span's byte budget publishes the tuples written so far
+// and takes a span of its own — claiming one without publishing the other
+// would jam the ring behind the unpublished reservation. The ring then
+// delivers all five messages, in order.
+func TestOversizedMessageGetsItsOwnSpan(t *testing.T) {
+	s, log, rec := flushHarness(t, DefaultConfig())
+	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
+		emitN(rec, tk, 0, 2)
+		rec.emit(tk, epochMessage(&EpochMark{Epoch: 1}, 4<<10))
+		emitN(rec, tk, 2, 2)
+	})
+	var got []int
+	s.Spawn("drain", func(p *sim.Proc) {
+		for range 5 {
+			got = append(got, log.Recv(p).Kind)
+		}
+	})
+	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{msgTuple, msgTuple, msgEpoch, msgTuple, msgTuple}; !slices.Equal(got, want) {
+		t.Errorf("the ring delivered kinds %v, want %v", got, want)
 	}
 }
 
@@ -156,11 +183,11 @@ func TestBatchOfOneIsSend(t *testing.T) {
 		log.OnDelivered(func() { at = append(at, s.Now()) })
 		rec.kern.Spawn("emitter", func(tk *kernel.Task) {
 			for i := 0; i < 40; i++ {
-				tu := Tuple{GlobalSeq: uint64(i)}
+				m := Tuple{GlobalSeq: uint64(i)}.message()
 				if i%5 == 0 {
-					tu.Data = make([]byte, 100)
+					m = epochMessage(&EpochMark{Epoch: uint64(i)}, tupleBytes+100)
 				}
-				send(rec, log, tk, tu.message(0))
+				send(rec, log, tk, m)
 				tk.Sleep(3 * time.Microsecond)
 			}
 		})
@@ -206,7 +233,7 @@ func TestDeadlineForceFlushSameInstant(t *testing.T) {
 	s, log, rec := flushHarness(t, cfg)
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
 		for i := 0; i < 3; i++ {
-			rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message(0))
+			rec.emit(tk, Tuple{GlobalSeq: uint64(i)}.message())
 		}
 		// Sleep to exactly the armed deadline: the deadline and this
 		// wake-up land in the same scheduler instant.
@@ -241,7 +268,7 @@ func TestForceFlushPublishesOpenSpan(t *testing.T) {
 	s, log, _, rec := newRecorderHarness(t, cfg, 64<<10)
 	released := false
 	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
-		rec.emit(tk, Tuple{GlobalSeq: 1}.message(0))
+		rec.emit(tk, Tuple{GlobalSeq: 1}.message())
 		rec.onStable(func() { released = true })
 	})
 	s.Spawn("drain", func(p *sim.Proc) {

@@ -7,16 +7,10 @@ import (
 )
 
 // Instrument attaches an event scope and registers this side's metrics,
-// prefixed by the namespace name. Call it once, right after construction
-// and before the namespace runs; a nil scope/registry leaves the side
-// uninstrumented (every emission degrades to a pointer test).
-//
-// Recorder signals: per-tuple lifecycle events (det-enter/det-exit,
-// tuple-emit, batch-flush, output-held/output-released) plus histograms
-// of output-commit wait, flush batch fill, and the unacked-log lag
-// sampled at each flush — the primary-side view of replay lag.
-// Replayer signals: replay grants, cumulative acks, promotion timeline,
-// plus the received-batch size histogram.
+// prefixed by the namespace name, once, before the namespace runs; a nil
+// scope/registry leaves the side uninstrumented (every emission degrades to
+// a pointer test). The recorder traces each tuple's lifecycle and the
+// replayer its grants, acks and promotion.
 func (ns *Namespace) Instrument(sc *obs.Scope, reg *obs.Registry) {
 	switch {
 	case ns.rec != nil:
@@ -50,7 +44,7 @@ func (r *Recorder) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 	reg.Gauge(name+".quorum.need", func() int64 { return int64(r.quorumNeed()) })
 	// Retained-log footprint: what epoch truncation keeps bounded (and
 	// what grows without bound when epochs are off).
-	reg.Gauge(name+".log.retained.tuples", func() int64 { return int64(r.hist.msgs.Len()) })
+	reg.Gauge(name+".log.retained.tuples", func() int64 { return int64(r.hist.words.Len()) })
 	reg.Gauge(name+".log.retained.bytes", func() int64 { return r.hist.bytes })
 	// Fabric-side sending signals, sampled off the first log ring (the
 	// links are symmetric): how many reservations are open but unpublished
@@ -93,6 +87,6 @@ func (r *Replayer) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 	// boundary when epoch checkpoints are on. Prefixed .replay so the
 	// first backup (which shares the recorder's bare namespace name)
 	// doesn't collide with the recorder's .log.retained gauges.
-	reg.Gauge(name+".replay.retained.tuples", func() int64 { return int64(r.hist.msgs.Len()) })
+	reg.Gauge(name+".replay.retained.tuples", func() int64 { return int64(r.hist.words.Len()) })
 	reg.Gauge(name+".replay.retained.bytes", func() int64 { return r.hist.bytes })
 }

@@ -311,6 +311,14 @@ func (ns *Namespace) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 	return ns.rec.AddReplica(log, acks, onCaughtUp)
 }
 
+// HoldReplica keeps the i-th backup out of the output-commit and epoch
+// quorums, or releases it (a rejoined backup, until its frontier check).
+func (ns *Namespace) HoldReplica(i int, held bool) {
+	ns.rec.replicas[i].held = held
+	ns.rec.fireStable()
+	ns.rec.maybeTruncateEpochs()
+}
+
 // OnReplayHead arms fn to run when the replayer's head reaches seq; the
 // rejoin checkpoint verifier compares cursors exactly at the watermark.
 func (ns *Namespace) OnReplayHead(seq uint64, fn func()) {
@@ -321,14 +329,11 @@ func (ns *Namespace) OnReplayHead(seq uint64, fn func()) {
 }
 
 // ResumeFrom installs an epoch checkpoint's thread-identity table for the
-// restore that follows: the next len(threads) replicated-thread creations
-// (Start for ft_pid 1, then SpawnThread for each subsequent pin, in
-// ascending ft_pid order — the original global assignment order) adopt
-// their checkpointed ft_pid and Seq_thread instead of assigning fresh
-// identity through an OpThreadCreate section. nextFTPid is the
-// checkpoint's assignment high-water mark, restored once the pins drain.
-// A checkpoint without threads (genesis) installs nothing: every thread is
-// then created afresh, through its recorded section.
+// restore that follows: the next len(threads) thread creations (Start for
+// ft_pid 1, then SpawnThread, in ascending ft_pid order — the original
+// assignment order) adopt their checkpointed ft_pid and Seq_thread instead of
+// an OpThreadCreate section; nextFTPid is restored once the pins drain. A
+// checkpoint without threads (genesis) installs nothing.
 func (ns *Namespace) ResumeFrom(threads []SeqCursor, nextFTPid int) {
 	if len(threads) == 0 {
 		return
@@ -428,7 +433,7 @@ func (ns *Namespace) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCur
 // footprint (the ftns.log.retained.* gauges): the recorder's history on
 // a recording side (including a promotion fork), the replayer's on a
 // replaying one.
-func (ns *Namespace) RetainedTuples() int { return ns.retained().msgs.Len() }
+func (ns *Namespace) RetainedTuples() int { return ns.retained().words.Len() }
 
 func (ns *Namespace) RetainedBytes() int64 { return ns.retained().bytes }
 
@@ -495,18 +500,18 @@ func (ns *Namespace) enter(th *Thread, op pthread.Op, obj uint64) {
 	}
 }
 
-// exit closes th's section where enter opened it. out and data are the
-// outcome and payload the section settled; the returned pair is what the
-// caller acts on — the recorded one when the section replayed.
-func (ns *Namespace) exit(th *Thread, out uint64, data []byte) (uint64, []byte) {
+// exit closes th's section where enter opened it. out is the outcome the
+// section settled; the result is what the caller acts on — the recorded
+// one when the section replayed.
+func (ns *Namespace) exit(th *Thread, out uint64) uint64 {
 	th.task.Proc().GuardPark(nil)
 	switch {
 	case th.sec.replay:
 		return ns.rep.exit(th)
 	case th.sec.rec != nil:
-		th.sec.rec.exit(th, out, data)
+		th.sec.rec.exit(th, out)
 	}
-	return out, data
+	return out
 }
 
 // Enter implements pthread.Det.
@@ -521,8 +526,7 @@ func (ns *Namespace) Exit(t *kernel.Task, outcome uint64) uint64 {
 	if ns.role == RoleLive {
 		return outcome
 	}
-	out, _ := ns.exit(ns.ThreadOf(t), outcome, nil)
-	return out
+	return ns.exit(ns.ThreadOf(t), outcome)
 }
 
 // Wakes implements pthread.Det: every side but a replaying one applies its
@@ -544,25 +548,17 @@ func (ns *Namespace) wakeOutcome(op pthread.Op, out uint64) uint64 {
 	return out
 }
 
-// SyscallU64 replicates a syscall returning a scalar.
+// SyscallU64 replicates a syscall returning a scalar (§3.4): executed on
+// the primary (outside the det-section lock — it may block, like accept or
+// read) and recorded; replayed from the log on the secondary, where run
+// executes only after failover promotion (live mode).
 func (ns *Namespace) SyscallU64(th *Thread, op pthread.Op, obj uint64, run func() uint64) uint64 {
-	out, _ := ns.SyscallData(th, op, obj, func() (uint64, []byte) { return run(), nil })
-	return out
-}
-
-// SyscallData replicates a syscall returning a scalar plus payload bytes
-// (e.g. the data delivered by a socket read, §3.4): executed on the primary
-// (outside the det-section lock — it may block, like accept or read) and
-// recorded; replayed from the log on the secondary, where run executes only
-// after failover promotion (live mode).
-func (ns *Namespace) SyscallData(th *Thread, op pthread.Op, obj uint64, run func() (uint64, []byte)) (uint64, []byte) {
 	var v uint64
-	var data []byte
 	if ns.role != RoleSecondary || !ns.rep.enter(th, op, obj) {
-		v, data = run()
+		v = run()
 		ns.enter(th, op, obj)
 	}
-	return ns.exit(th, v, data)
+	return ns.exit(th, v)
 }
 
 // OnStable invokes fn once all log messages sent so far are acknowledged
@@ -623,7 +619,7 @@ func (ns *Namespace) SpawnThread(parent *Thread, name string, fn func(*Thread)) 
 		ns.enter(parent, OpThreadCreate, 0)
 		ns.nextFTPid++
 		ftpid = ns.nextFTPid
-		ns.exit(parent, 0, nil)
+		ns.exit(parent, 0)
 	}
 	th := &Thread{ns: ns, ftpid: ftpid, seq: seq}
 	th.task = ns.kern.Spawn(name, func(t *kernel.Task) { fn(th) })

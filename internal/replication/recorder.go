@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"slices"
+
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/pthread"
@@ -16,18 +18,15 @@ type stableWaiter struct {
 	heldAt    sim.Time // when the wait began, for the commit-stall histogram
 }
 
-// ReplicaWatermark is one backup link's entry in the recorder's
-// per-replica receipt watermark vector: the highest log-message receipt
-// the backup has acknowledged, plus its link state. It is plain data —
-// nothing ever waits on the vector itself (the armable output-commit
-// waiters live in stableQ).
+// ReplicaWatermark is one backup link's entry in the recorder's receipt
+// watermark vector: the highest log-message receipt the backup has
+// acknowledged, plus its link state. Nothing waits on it (stableQ does).
 type ReplicaWatermark struct {
 	// Index is the link's position in construction/AddReplica order — the
 	// same index DropReplica takes.
 	Index int
 	// Watermark is the cumulative receipt acknowledgement: every log
-	// message below it is in the backup's memory (§3.5 receipt, not
-	// processing).
+	// message below it is in the backup's memory (§3.5).
 	Watermark uint64
 	// Dead marks a failed link; Syncing marks a rejoined backup still
 	// replaying retained history, excluded from the output-commit set.
@@ -75,12 +74,11 @@ type replicaLink struct {
 	span shm.Span
 
 	// A syncing link is a rejoined backup still catching up: new emits
-	// append to its backlog behind the retained history, it is excluded
-	// from the output-commit set, and it flips into the broadcast set at
-	// the instant the backlog drains — the quiesced boundary at which the
-	// deployment is replicated again.
-	// backlog[backlogHead:] is still to be sent.
+	// append to its backlog (backlog[backlogHead:] is unsent) behind the
+	// retained history, it is out of the output-commit set, and it joins
+	// the broadcast set the instant the backlog drains.
 	syncing     bool
+	held        bool // out of the commit and epoch quorums until released (Namespace.HoldReplica)
 	backlog     []shm.Message
 	backlogHead int
 }
@@ -107,30 +105,23 @@ func (o *receiptObs) fire() {
 }
 
 // Recorder is the primary-side engine: it serializes deterministic
-// sections under the namespace det-section locks and streams the log. It
-// supports any number of backup replicas (the paper's prototype uses one;
-// §6 sketches the extension to more): the log is broadcast to every
-// backup, and output is stable once the commit quorum of the live
-// caught-up backups has received it (quorumOf) — every one of them when
-// Config.CommitQuorum is 0, the paper's rule.
+// sections under the namespace det-section locks and broadcasts the log to
+// any number of backups (the paper's prototype has one; §6 sketches more).
+// Output is stable once the commit quorum of the live caught-up backups has
+// received it (quorumOf) — every one of them at Config.CommitQuorum 0, the
+// paper's rule.
 //
-// With Config.DetShards == 1 there is a single lock — the namespace-wide
-// global mutex of Figure 3 — and recording is byte-identical to the
-// unsharded engine. With more shards each sequencing object hashes to one
-// lock, sections on different objects run concurrently, and every tuple
-// carries its object's own Seq_obj; GlobalSeq degrades to a Lamport
-// watermark that is still unique and monotone per thread and per object.
+// With Config.DetShards == 1 the one lock is the global mutex of Figure 3.
+// With more, each sequencing object hashes to one lock, sections on
+// different objects run concurrently, and every tuple carries its object's
+// own Seq_obj; GlobalSeq becomes a Lamport watermark, still unique and
+// monotone per thread and per object.
 //
-// Tuples are coalesced per backup — written in place into an open ring
-// reservation (zero-copy) and published as one Commit when the batch
-// fills, when the link's FlushInterval deadline fires, or —
-// unconditionally — when an output-commit waiter registers, so strict
-// output commit never waits on buffering. The batch size is
-// Config.BatchTuples; at one, the paper's configuration, a span
-// fills and commits inside the emit that opened it. Because ring
-// reservation order is publication order, concurrent flushes need no
-// mutual exclusion: a later batch physically cannot overtake an earlier
-// one.
+// Tuples are written in place into each backup's open ring reservation
+// (zero-copy) and published as one Commit when Config.BatchTuples fill it,
+// when the FlushInterval deadline fires, or at once when an output-commit
+// waiter registers. Ring reservation order is publication order, so
+// concurrent flushes need no mutual exclusion.
 type Recorder struct {
 	kern     *kernel.Kernel
 	cfg      Config
@@ -269,7 +260,7 @@ const catchupChunkBytes = 256 << 10
 // for DropReplica.
 func (r *Recorder) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 	link := &replicaLink{acks: acks, syncing: true, base: r.hist.base}
-	link.backlog = r.hist.msgs.AppendTo(nil)
+	link.backlog = slices.AppendSeq(make([]shm.Message, 0, r.hist.words.Len()), r.hist.all())
 	idx := len(r.replicas)
 	r.addLink(link, log)
 	r.kern.Spawn("ft-catchup", func(t *kernel.Task) { r.catchupLoop(t, link, onCaughtUp) })
@@ -334,17 +325,11 @@ func (r *Recorder) drainAcks(link *replicaLink) {
 	}
 }
 
-// ackedAll reports the receipt watermark the output-commit rule exposes.
-// With Config.CommitQuorum 0 it is the minimum over every live caught-up
-// backup — the conservative all-backups rule of §3.5. With CommitQuorum
-// k > 0 it is the k-th-highest receipt watermark among them: any k
-// backups covering a tuple make it stable, so the slowest N−k replicas
-// drop off the commit path. When fewer than k live links remain the rule
-// degrades to all-of-the-living (k = live), never promising more
-// stability than the survivors provide. Syncing links are excluded:
-// while a rejoined backup catches up, output stability is whatever the
-// remaining set provides (vacuous when it is empty — the degraded window
-// the resync exists to close).
+// ackedAll is the receipt watermark output commit releases against: the
+// quorumOf the live caught-up backups' receipts — their minimum at
+// Config.CommitQuorum 0 (§3.5), the k-th highest with k > 0. Syncing links
+// are excluded: while a rejoined backup catches up, stability is whatever
+// the rest provide (vacuous when none is left).
 func (r *Recorder) ackedAll() uint64 {
 	return r.quorumOf(func(l *replicaLink) uint64 { return l.acked }, r.sent)
 }
@@ -355,7 +340,7 @@ func (r *Recorder) ackedAll() uint64 {
 func (r *Recorder) quorumOf(mark func(*replicaLink) uint64, vacuous uint64) uint64 {
 	marks := r.ackScratch[:0]
 	for _, link := range r.replicas {
-		if !link.Dead() && !link.syncing {
+		if !link.Dead() && !link.syncing && !link.held {
 			marks = append(marks, mark(link))
 		}
 	}
@@ -393,10 +378,9 @@ func (r *Recorder) quorumNeed() int {
 	return r.cfg.CommitQuorum
 }
 
-// Watermarks returns the per-replica receipt watermark vector in link
-// (construction/AddReplica) order. Failover election ranks surviving
-// backups by it, and the flight recorder snapshots it into the failover
-// dump so a post-mortem can see exactly how far each loser was behind.
+// Watermarks returns the receipt watermark vector in link order. Failover
+// election ranks surviving backups by it, and the failover flight dump
+// snapshots it to show how far each loser was behind.
 func (r *Recorder) Watermarks() []ReplicaWatermark {
 	out := make([]ReplicaWatermark, 0, len(r.replicas))
 	for i, link := range r.replicas {
@@ -482,7 +466,7 @@ func (r *Recorder) emitSpan(link *replicaLink, m shm.Message) bool {
 }
 
 // openSpan claims a fresh reservation sized for one batch (at least
-// minBytes, so an oversized data tuple gets a span of its own) and arms
+// minBytes, so an epoch marker gets a span of its own) and arms
 // the flush deadline.
 func (r *Recorder) openSpan(link *replicaLink, minBytes int64) bool {
 	n := r.cfg.BatchTuples
@@ -671,19 +655,18 @@ func (r *Recorder) enter(th *Thread, op pthread.Op, obj uint64) {
 }
 
 // exit closes the section enter opened: the tuple — with the section's
-// outcome (a wake-up's, as wakeOutcome records it) and payload bytes (a
-// syscall's) — gets its cursors and is streamed, then the det-section lock
-// is released.
-func (r *Recorder) exit(th *Thread, out uint64, data []byte) {
+// outcome (a wake-up's, as wakeOutcome records it) — gets its cursors and
+// is streamed, then the det-section lock is released.
+func (r *Recorder) exit(th *Thread, out uint64) {
 	sec := th.sec
 	th.sec = section{}
 	t, key := th.task, sec.key
 	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: sec.op, Obj: sec.obj,
-		Key: key, Outcome: th.ns.wakeOutcome(sec.op, out), Data: data}
+		Key: key, Outcome: th.ns.wakeOutcome(sec.op, out)}
 	if len(r.mus) > 1 {
 		r.commitSeqs(th, key, sec.op)
 	}
-	r.emit(t, tu.message(sec.shard))
+	r.emit(t, tu.message())
 	r.noteTuple(th, tu)
 	if len(r.mus) == 1 {
 		r.commitSeqs(th, key, sec.op)
@@ -698,7 +681,7 @@ func (r *Recorder) exit(th *Thread, out uint64, data []byte) {
 // No thread made it; the fork has no backup yet, so emit never blocks.
 func (r *Recorder) recordWake(obj, key, n uint64) {
 	tu := Tuple{GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], Op: pthread.OpCondBroadcast, Obj: obj, Key: key, Outcome: n}
-	r.emit(nil, tu.message(pthread.ShardOf(key, len(r.mus))))
+	r.emit(nil, tu.message())
 	r.commitSeqs(nil, key, tu.Op)
 }
 
@@ -706,7 +689,7 @@ func (r *Recorder) recordWake(obj, key, n uint64) {
 // event carries the full alignment identity <obj, Seq_obj> so the causal
 // layer can pair it with the backup's Replay grant of the same section.
 func (r *Recorder) noteTuple(th *Thread, tu Tuple) {
-	r.sc.EmitDet(obs.TupleEmit, th.ftpid, int64(tu.GlobalSeq), int64(tu.size()), tu.Key, int64(tu.ObjSeq))
+	r.sc.EmitDet(obs.TupleEmit, th.ftpid, int64(tu.GlobalSeq), tupleBytes, tu.Key, int64(tu.ObjSeq))
 	r.cTuples.Inc()
 }
 

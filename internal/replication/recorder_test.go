@@ -160,9 +160,9 @@ func TestTupleMessageRoundTrips(t *testing.T) {
 		{ThreadSeq: 3, GlobalSeq: 9, ObjSeq: 2, FTPid: 7, Op: maxOp, Obj: 5, Key: 5, Outcome: 1},
 		{ThreadSeq: ^uint64(0), GlobalSeq: 1 << 40, FTPid: maxFTPid, Op: OpSockResult, Obj: 12, Key: uint64(OpSockResult)<<48 | 12},
 		{ThreadSeq: 1, GlobalSeq: 2, ObjSeq: 3, FTPid: 4, Op: pthread.OpCondSignal, Obj: 41, Key: 40, Outcome: 4},
-		{FTPid: 0, Op: pthread.OpCondBroadcast, Obj: 41, Key: 40, Outcome: 3, Data: []byte("payload")},
+		{FTPid: 0, Op: pthread.OpCondBroadcast, Obj: 41, Key: 40, Outcome: 3},
 	} {
-		if got := tupleOf(tu.message(1)); !reflect.DeepEqual(got, tu) {
+		if got := tupleOf(tu.message()); !reflect.DeepEqual(got, tu) {
 			t.Errorf("tupleOf(message(%v)) = %v", tu, got)
 		}
 	}
@@ -173,7 +173,7 @@ func TestTupleMessageRoundTrips(t *testing.T) {
 					t.Errorf("message(%v) did not panic", tu)
 				}
 			}()
-			tu.message(0)
+			tu.message()
 		}()
 	}
 }

@@ -256,18 +256,14 @@ func (r *Replayer) enqueue(ln *lane, m shm.Message) {
 	ln.owner.Wake()
 }
 
-// dispatch is a lane owner's loop: it pays the per-message dispatch cost
-// for the lane's head BEFORE delivering (popping) it in paidK — if promotion
-// kills the owner mid-dispatch, the message is still queued and the
-// promotion drain delivers it; popping first would lose a message this
-// replica already acknowledged (§3.5). Lanes progress independently, the
-// replay-side analogue of the recorder's sharded det locks; a grant task
-// with an empty lane parks until receipt routes it a message. At one shard
-// the pull task drains lane 0 before it receives again, so receipt waits
-// for dispatch, the log ring backpressures the primary, and the per-tuple
-// cost (riding wake_up_process to hand turns to shadow threads) bounds the
-// secondary's replay rate — the §4.1 serial-dispatch bottleneck. More
-// shards pay it concurrently, lifting that ceiling by the shard count.
+// dispatch is a lane owner's loop: it pays the dispatch cost for the lane's
+// head BEFORE popping it in paidK, so a promotion that kills the owner
+// mid-dispatch still finds the acknowledged message queued (§3.5). A grant
+// task with an empty lane parks until receipt routes it a message. At one
+// shard the pull task drains lane 0 before it receives again, so the
+// per-tuple cost bounds the replay rate and the log ring backpressures the
+// primary — the §4.1 serial-dispatch bottleneck; more shards pay it
+// concurrently.
 func (r *Replayer) dispatch(ln *lane) {
 	for ln.q.Len() == 0 {
 		if r.cfg.DetShards > 1 {
@@ -312,18 +308,13 @@ func (r *Replayer) track(d *domain) {
 	}
 }
 
-// SeedCheckpoint initializes a fresh replayer from an epoch checkpoint
-// instead of sequence zero: the replay cursors, the per-object duplicate
-// filters, the env mirror, and the receipt count all start at the
-// checkpoint's watermarks, so the first message off the catch-up stream
-// — the checkpoint's own epoch marker — is exactly the next expected log
-// index. Must run before any log message arrives (the core rejoin path
-// calls it in the same atomic instant that cuts the checkpoint and
-// attaches the link). epoch is the checkpoint's epoch number; its marker
-// is retained without re-verification. The env message is the log's first
-// entry, so the env mirror is seeded exactly when the checkpoint's prefix
-// is non-empty: seeding from the all-zero genesis checkpoint leaves the
-// replayer as constructed, waiting for the env off the ring.
+// SeedCheckpoint starts a fresh replayer at an epoch checkpoint: replay
+// cursors, duplicate filters, env mirror and receipt count start at its
+// watermarks, so the first message off the catch-up stream — the epoch's own
+// marker, retained unverified — is the next expected log index. It runs in
+// the instant core cuts the checkpoint and attaches the link, before any
+// message arrives. The env is the log's first entry, so it is seeded only
+// from a non-empty prefix: the genesis checkpoint waits for it off the ring.
 func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCursor, env map[string]string) {
 	r.frontier = seqGlobal
 	r.baseSeqGlobal = seqGlobal
@@ -518,6 +509,9 @@ func (r *Replayer) tryGrantAll() {
 // wait record; the rest lives in th.sec, with the replay cost a grant paid
 // inside the parked thread's one wake-up (paid, not part of the wait).
 func (r *Replayer) park(th *Thread) bool {
+	if th.task.Proc().Killed() {
+		th.task.Sleep(0) // a killed thread's deferred call: its block point unwinds it on
+	}
 	if _, dup := r.waiting[th.ftpid]; dup {
 		panic(fmt.Sprintf("replication: ft_pid %d parked twice", th.ftpid))
 	}
@@ -619,14 +613,14 @@ func (r *Replayer) enter(th *Thread, op pthread.Op, obj uint64) bool {
 	return true
 }
 
-// exit closes a replayed section and returns the recorded outcome and
-// payload: the result of a syscall the secondary must not re-execute.
-func (r *Replayer) exit(th *Thread) (uint64, []byte) {
+// exit closes a replayed section and returns the recorded outcome: the
+// result of a syscall the secondary must not re-execute.
+func (r *Replayer) exit(th *Thread) uint64 {
 	tu := th.sec.tuple
 	th.sec = section{}
 	th.seq++
 	r.sectionDone(tu)
-	return tu.Outcome, tu.Data
+	return tu.Outcome
 }
 
 // Promote switches the replica from replay to live execution after the
@@ -682,10 +676,6 @@ func (r *Replayer) finishPromotion() {
 	// the fork so the retained history stays gapless.
 	hist, n := r.replayedHistory()
 	r.ns.forkRecorder(forkSeed{hist: hist, seqGlobal: n, objSeq: r.objSeqSnapshot()})
-	// The fork owns the history now (Namespace.RetainedTuples reads the
-	// recorder from here on): a second copy would sit here unread for the
-	// rest of the run.
-	r.hist = logWindow{}
 	// A signaler replaying ahead skipped wake-ups whose tuples the dead
 	// primary may never have flushed: wake every waiter left — a spurious
 	// wake-up, which POSIX permits and every waiter loops on — and record
@@ -722,38 +712,40 @@ func (r *Replayer) objSeqSnapshot() map[uint64]uint64 {
 	return out
 }
 
-// replayedHistory returns the executed subset of the retained log — every
-// environment message plus exactly the tuples whose sections replayed —
-// with GlobalSeq renumbered densely in retained (ring) order from the
-// retention window's base. With one sequencing domain and a zero base the
-// replayed set is a prefix and the renumbering is the identity. With
-// per-object domains, sections completed ahead of the frontier would leave
-// holes below the Lamport maximum; dropping unreplayed tuples and
-// renumbering restores a dense, causally consistent order (ring order
-// respects every per-thread and per-object order), so a backup rejoining
-// the fork can replay the history under either domain mapping. Epoch
-// markers are dropped:
-// their digests describe the dead primary's numbering, and the fork's
-// cutter starts a fresh boundary sequence over the renumbered space. It
-// returns the history and the fork's starting GlobalSeq.
+// replayedHistory hands the retained log to the fork, turned in place into
+// its executed subset: every env message and exactly the tuples whose
+// sections replayed, GlobalSeq renumbered densely in ring order from the
+// window's base (the identity at one shard and base zero). Sections done
+// ahead of the Lamport frontier would leave holes; without them the order is
+// dense and causally consistent, so a backup rejoining the fork replays it
+// under either domain mapping. Epoch markers go: their digests describe the
+// dead primary's numbering. It returns the fork's starting GlobalSeq too.
 func (r *Replayer) replayedHistory() (logWindow, uint64) {
-	out, n := logWindow{base: r.hist.base}, r.baseSeqGlobal
-	for i := 0; i < r.hist.msgs.Len(); i++ {
-		m := *r.hist.msgs.At(i)
-		if m.Kind == msgEpoch {
+	h, n, kept := &r.hist, r.baseSeqGlobal, 0
+	side := h.side[:0]
+	h.bytes = 0
+	// A kept message is written back at or below the index being read.
+	for m := range h.all() {
+		switch m.Kind {
+		case msgEpoch:
 			continue
+		case msgTuple:
+			if tu := tupleOf(m); tu.ObjSeq >= r.objDone[tu.Key] {
+				continue // arrived but never replayed: beyond the stable point
+			}
+			m.W[wGlobalSeq] = n
+			n++
+		default:
+			side = append(side, sideMsg{h.base + uint64(kept), m})
 		}
-		if m.Kind != msgTuple {
-			out.append(m)
-			continue
-		}
-		tu := tupleOf(m)
-		if tu.ObjSeq >= r.objDone[tu.Key] {
-			continue // arrived but never replayed: beyond the stable point
-		}
-		m.W[wGlobalSeq] = n
-		n++
-		out.append(m)
+		*h.words.At(kept) = m.W
+		h.bytes += int64(m.Size)
+		kept++
 	}
+	clear(h.side[len(side):])
+	h.side = side
+	h.words.Truncate(kept)
+	out := *h
+	r.hist = logWindow{}
 	return out, n
 }

@@ -26,9 +26,9 @@
 // verification keep a scalar watermark; Seq_thread preserves each thread's
 // program order. Shard count 1 is exactly the paper's global total order.
 //
-// Syscall results the secondary must not recompute (gettimeofday, bytes
-// returned by reads, socket call results) travel with their tuple as its outcome
-// and payload bytes; the secondary acts on the recorded result. A
+// Syscall results the secondary must not recompute (gettimeofday, socket
+// call results) travel with their tuple as its outcome; the secondary acts
+// on the recorded result. A
 // condition-variable wake-up — a signal, a broadcast, or a timed waiter's
 // timeout — records whom it woke, and the secondary's replayer applies it.
 //
@@ -76,7 +76,8 @@ const (
 	OpThreadCreate pthread.Op = 100 + iota
 	// OpGetTimeOfDay replicates clock reads (§3.3).
 	OpGetTimeOfDay
-	// OpSockData replicates a socket syscall result carrying data bytes.
+	// OpSockData replicates the result of a socket call that moves data
+	// (recv, send); the bytes travel on tcprep's sync stream.
 	OpSockData
 	// OpSockResult replicates a scalar socket syscall result.
 	OpSockResult
@@ -127,8 +128,9 @@ type EpochMark struct {
 const tupleBytes = 64
 
 // Tuple is one deterministic-section record: <Seq_thread, Seq_obj, obj_id,
-// ft_pid> plus the Lamport Seq_global watermark, the op metadata and the
-// sequencing key, in one accounted cache line (tupleBytes).
+// ft_pid> plus the Lamport Seq_global watermark, the op metadata, the
+// sequencing key and the outcome, in one accounted cache line (tupleBytes)
+// and seven words of host memory.
 type Tuple struct {
 	ThreadSeq uint64
 	// GlobalSeq is the namespace Lamport clock at emission. With one det
@@ -146,26 +148,26 @@ type Tuple struct {
 	// Outcome is the recorded result of a syscall, or whom a wake-up woke
 	// (wakeOutcome); zero otherwise.
 	Outcome uint64
-	// Data carries payload bytes for data-bearing syscalls (reads).
-	Data []byte
 }
 
-func (tu Tuple) size() int { return tupleBytes + len(tu.Data) }
-
 // message lays the tuple out in a ring message — the eight scalars in the
-// seven words, ft_pid packed above the op's opBits, the payload bytes as the
-// byte view — tagged with its det shard's stream. tupleOf is its inverse.
-func (tu Tuple) message(stream int) shm.Message {
+// seven words, ft_pid packed above the op's opBits. tupleOf is its inverse.
+func (tu Tuple) message() shm.Message {
 	if tu.Op < 0 || tu.Op >= 1<<opBits || tu.FTPid < 0 || tu.FTPid >= 1<<(64-opBits) {
 		panic(fmt.Sprintf("replication: tuple %v does not fit a message", tu))
 	}
-	return shm.Message{Kind: msgTuple, Stream: stream, Size: tu.size(), Data: tu.Data,
-		W: [7]uint64{tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, uint64(tu.FTPid)<<opBits | uint64(tu.Op), tu.Obj, tu.Key, tu.Outcome}}
+	return tupleMessage([7]uint64{tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, uint64(tu.FTPid)<<opBits | uint64(tu.Op), tu.Obj, tu.Key, tu.Outcome})
+}
+
+// tupleMessage is the ring message of a tuple's seven words: every other
+// field of a tuple message is implied.
+func tupleMessage(w [7]uint64) shm.Message {
+	return shm.Message{Kind: msgTuple, Size: tupleBytes, W: w}
 }
 
 func tupleOf(m shm.Message) Tuple {
 	return Tuple{ThreadSeq: m.W[0], GlobalSeq: m.W[1], ObjSeq: m.W[2], FTPid: int(m.W[3] >> opBits),
-		Op: pthread.Op(m.W[3] & (1<<opBits - 1)), Obj: m.W[4], Key: m.W[5], Outcome: m.W[6], Data: m.Data}
+		Op: pthread.Op(m.W[3] & (1<<opBits - 1)), Obj: m.W[4], Key: m.W[5], Outcome: m.W[6]}
 }
 
 // A tuple message holds Seq_global in word wGlobalSeq, and its op in the
@@ -196,8 +198,8 @@ func epochMessage(mark *EpochMark, size int) shm.Message {
 }
 
 func (tu Tuple) String() string {
-	return fmt.Sprintf("<%d,%d,%d,%d> %v obj=%d key=%d out=%d len=%d",
-		tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, tu.FTPid, tu.Op, tu.Obj, tu.Key, tu.Outcome, len(tu.Data))
+	return fmt.Sprintf("<%d,%d,%d,%d> %v obj=%d key=%d out=%d",
+		tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, tu.FTPid, tu.Op, tu.Obj, tu.Key, tu.Outcome)
 }
 
 // seqKey derives a section's sequencing object: a pthread primitive's from

@@ -1,7 +1,6 @@
 package replication_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -311,54 +310,6 @@ func TestGetTimeOfDayReplicated(t *testing.T) {
 	for i := range pTimes {
 		if pTimes[i] != sTimes[i] {
 			t.Fatalf("gettimeofday diverged: %v vs %v", pTimes, sTimes)
-		}
-	}
-}
-
-func TestSyscallDataReplicated(t *testing.T) {
-	// The middle payload overflows the byte budget of the span the first
-	// one opened: the recorder must publish that span before claiming a
-	// span of its own for the big tuple, or the ring jams behind it.
-	payloads := [][]byte{[]byte("hello"), bytes.Repeat([]byte("x"), 1<<10), []byte("bye")}
-	var pData, sData [][]byte
-	d := newDuo(t, 5, replication.DefaultConfig(), true)
-	d.pns.Start("app", nil, func(root *replication.Thread) {
-		for i, p := range payloads {
-			// The "syscall" produces data only meaningful on the primary
-			// (e.g. bytes read from a socket); the secondary must get the
-			// recorded copy.
-			v, data := root.NS().SyscallData(root, replication.OpSockData, 42, func() (uint64, []byte) {
-				return uint64(i + 5), p
-			})
-			if v != uint64(i+5) {
-				t.Errorf("syscall %d value = %d, want %d", i, v, i+5)
-			}
-			pData = append(pData, append([]byte(nil), data...))
-		}
-	})
-	// On the secondary, run() returning different data would expose
-	// non-replication; it must never be called.
-	d.sns.Start("app", nil, func(root *replication.Thread) {
-		for i := range payloads {
-			v, data := root.NS().SyscallData(root, replication.OpSockData, 42, func() (uint64, []byte) {
-				t.Error("secondary executed the syscall locally")
-				return 0, nil
-			})
-			if v != uint64(i+5) {
-				t.Errorf("secondary syscall %d value = %d, want %d", i, v, i+5)
-			}
-			sData = append(sData, append([]byte(nil), data...))
-		}
-	})
-	if err := d.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(pData) != len(payloads) || len(sData) != len(payloads) {
-		t.Fatalf("primary saw %d, secondary %d of %d payloads", len(pData), len(sData), len(payloads))
-	}
-	for i, p := range payloads {
-		if !bytes.Equal(pData[i], p) || !bytes.Equal(sData[i], p) {
-			t.Errorf("payload %d = %.8q / %.8q, want %.8q on both", i, pData[i], sData[i], p)
 		}
 	}
 }
@@ -1008,5 +959,36 @@ func TestEnterInsideSectionPanics(t *testing.T) {
 			th.NS().Enter(th.Task(), pthread.OpMutexTrylock, obj)
 		})
 		checkSectionError(t, got, "Enter")
+	}
+}
+
+// TestHeldReplicaStaysOutOfTheQuorum: a held backup does not count for
+// output commit — the only backup held, stability is vacuous, as while a
+// rejoined backup catches up — and once released, output waits for its
+// receipt again.
+func TestHeldReplicaStaysOutOfTheQuorum(t *testing.T) {
+	d := newDuo(t, 35, replication.DefaultConfig(), true)
+	var gaps []time.Duration
+	app := func(root *replication.Thread) {
+		mx := root.Lib().NewMutex()
+		for _, held := range []bool{true, false} {
+			if root.NS().Recording() {
+				root.NS().HoldReplica(0, held)
+			}
+			mx.Lock(root.Task())
+			mx.Unlock(root.Task())
+			if root.NS().Recording() {
+				at := root.Task().Now()
+				root.NS().OnStable(func() { gaps = append(gaps, d.sim.Now().Sub(at)) })
+			}
+		}
+	}
+	d.pns.Start("app", nil, app)
+	d.sns.Start("app", nil, app)
+	if err := d.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(gaps) != 2 || gaps[0] != 0 || gaps[1] <= 0 {
+		t.Errorf("output released after %v held, then released; want 0, then a receipt's wait", gaps)
 	}
 }

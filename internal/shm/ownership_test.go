@@ -8,12 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestMessageSize pins the message to two cache lines: retained history is
-// a []Message on both replicas, so a fatter message is paid per retained
-// tuple, and every queue between sender and replayer copies it by value.
+// TestMessageSize pins the message at 112 bytes: every ring record, lane
+// queue and catch-up backlog between sender and replayer copies it by
+// value, so a fatter message is paid per queued entry.
 func TestMessageSize(t *testing.T) {
-	if size := unsafe.Sizeof(Message{}); size > 128 {
-		t.Fatalf("Message is %d bytes, want <= 128", size)
+	if size := unsafe.Sizeof(Message{}); size > 112 {
+		t.Fatalf("Message is %d bytes, want <= 112", size)
 	}
 }
 

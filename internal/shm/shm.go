@@ -51,24 +51,21 @@ const headerBytes = 64
 // Data and the reference slot Ref, with one encode/decode pair per kind
 // beside the kind's definition. Size is the accounted footprint in bytes
 // for traffic accounting and back-pressure: part of the modeled system,
-// independent of this representation. Stream labels the logical sub-channel
-// a message belongs to when several sequencer shards multiplex one ring
-// (the ring keeps everything FIFO anyway).
+// independent of this representation.
 //
-// Data is a plain GC-owned slice — retained history aliases it, so the ring
-// never recycles it. Ref is for cold kinds whose content does not fit in
-// words and may only hold pointer-shaped values (a map, a pointer), which an
-// interface stores without allocating. The struct stays within two cache
-// lines (TestMessageSize): every queue copies it by value, and retained
-// history is a []Message on both replicas.
+// Data is a plain GC-owned slice: a receiver may keep it, so the ring never
+// recycles it. Ref is for cold kinds whose content does not fit in words
+// and may only hold pointer-shaped values (a map, a pointer), which an
+// interface stores without allocating. The struct is 112 bytes
+// (TestMessageSize): every ring record, lane queue and catch-up backlog
+// copies it by value. Retained history does not hold Messages: the
+// replication log keeps a tuple as its seven words.
 type Message struct {
-	Kind   int
-	Stream int
-	Size   int
-	SentAt sim.Time
-	W      [7]uint64
-	Data   []byte
-	Ref    any
+	Kind int
+	Size int
+	W    [7]uint64
+	Data []byte
+	Ref  any
 }
 
 // Stats counts traffic through a ring or fabric. Messages counts ring
@@ -158,7 +155,7 @@ func (r *Ring) release(x *xfer) {
 	clear(x.msgs)
 	if poisonReleased {
 		for i := range x.msgs {
-			x.msgs[i] = Message{Kind: -1, Stream: -1, Size: -1, SentAt: -1, W: [7]uint64{1<<64 - 1, 1<<64 - 1}}
+			x.msgs[i] = Message{Kind: -1, Size: -1, W: [7]uint64{1<<64 - 1, 1<<64 - 1}}
 		}
 	}
 	x.msgs = x.msgs[:0]
@@ -447,10 +444,6 @@ func (r *Ring) publish(x *xfer) {
 	var v ChaosVerdict
 	if r.chaos != nil {
 		v = r.chaos(x.msgs)
-	}
-	now := r.sim.Now()
-	for i := range x.msgs {
-		x.msgs[i].SentAt = now
 	}
 	x.doomed = v.Drop
 	r.enqueue(x, false, v.Delay)

@@ -16,15 +16,13 @@ import (
 // full in-order input stream from byte zero, the client-acknowledged output
 // watermark, and the det-log socket bindings.
 //
-// The table always retains: a reaped connection keeps its record and a
-// replayed read keeps the bytes it consumed, because a backup re-integrated
-// after a failure replays the application from its seed and re-reads input
-// the original backup consumed long ago (§3.7). Rejoin snapshots the
-// recording side's table (snapshot) into the new backup's (seed); at
-// failover the promoted backup's table becomes its detached primary's.
-// Records live in chunks that never move, so a record and the socket handle
-// inside it cost no allocation of their own; a chunk is as large as the
-// table, from one record up to arenaChunk.
+// The table always retains — a reaped connection keeps its record, a
+// replayed read the bytes it consumed — because a backup re-integrated after
+// a failure replays the application from its seed (§3.7). Rejoin snapshots
+// the recording side's table into the new backup's (seed); at failover the
+// promoted backup's table becomes its detached primary's. Records live in
+// chunks that never move (as large as the table, up to arenaChunk), so a
+// record and its socket handle cost no allocation of their own.
 type ConnTable struct {
 	conns     []*LogicalConn
 	arena     []LogicalConn            // the current chunk's unused records

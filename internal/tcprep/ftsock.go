@@ -21,9 +21,10 @@ type Sockets struct {
 	prim  *Primary
 	sec   *Secondary
 
-	nextID    uint64
-	listeners []*Listener
-	liveQ     sim.WaitQueue
+	nextID     uint64
+	listeners  []*Listener
+	unaccepted []*LogicalConn // restored at promotion, for a listener on their port
+	liveQ      sim.WaitQueue
 
 	// sent counts each replicated connection's output-stream bytes at its
 	// Send section's exit, so at a quiesced boundary it is identical on
@@ -102,6 +103,7 @@ func (s *Sockets) Listen(th *replication.Thread, port, backlog int) (*Listener, 
 			return encodeRes(0, err)
 		}
 		l.real = real
+		s.adopt(l)
 		s.nextID++
 		l.id = s.nextID
 		return l.id
@@ -287,17 +289,12 @@ func (s *Sockets) Promote(stack *tcpstack.Stack) error {
 	if _, err := s.sec.Promote(stack); err != nil {
 		return err
 	}
-	for _, l := range s.listeners {
-		real, err := stack.Listen(l.port, 0)
-		if err != nil {
-			return fmt.Errorf("tcprep: re-listen :%d: %w", l.port, err)
-		}
-		l.real = real
-	}
 	// A connection the replayed application closed finishes the teardown
 	// whose FINs the dead primary never (visibly) completed. One it has not
 	// accepted — unbound, or bound by an accept it has not replayed — waits
-	// for a live accept, in establishment order, as on the dead primary.
+	// for a live accept, in establishment order, as on the dead primary: on
+	// a replayed listener's port now, or once the live application listens
+	// there (the listen's own section may not have reached this replica).
 	accepted := make(map[*LogicalConn]bool)
 	for _, id := range s.sec.table.bindOrder {
 		if id <= s.nextID {
@@ -310,16 +307,29 @@ func (s *Sockets) Promote(stack *tcpstack.Stack) error {
 		case lc.appClosed:
 			s.ns.Kernel().Spawn("ft-reclose", func(tk *kernel.Task) { _ = conn.Close(tk) })
 		case !accepted[lc]:
-			for _, l := range s.listeners {
-				if l.port == lc.key.LocalPort {
-					l.real.Adopt(conn)
-				}
-			}
+			s.unaccepted = append(s.unaccepted, lc)
 		}
+	}
+	for _, l := range s.listeners {
+		real, err := stack.Listen(l.port, 0)
+		if err != nil {
+			return fmt.Errorf("tcprep: re-listen :%d: %w", l.port, err)
+		}
+		l.real = real
+		s.adopt(l)
 	}
 	s.stack = stack
 	s.liveQ.WakeAll(0)
 	return nil
+}
+
+// adopt queues on l the restored connections on its port no accept took.
+func (s *Sockets) adopt(l *Listener) {
+	for _, lc := range s.unaccepted {
+		if lc.key.LocalPort == l.port {
+			l.real.Adopt(lc.live)
+		}
+	}
 }
 
 // AdoptPrimary installs a recording primary on a promoted socket layer, so

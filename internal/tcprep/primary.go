@@ -19,11 +19,10 @@ import (
 // backup's full ring never blocks the others. Updates coalesce between
 // output commits, up to the det log's BatchTuples, into the newest pending
 // entry of their connection (coalesce), and ship as one vectored transfer.
-// Every outgoing segment passes a sync barrier that forces a flush and
-// waits until all enqueued updates are on every LIVE ring — buffered
-// updates die with the primary, ring messages survive in shared memory
-// (§3.5) — so whichever backup wins a failover election owns the logical
-// TCP state of every byte the client has seen, at no round trip's cost.
+// Every outgoing segment passes a sync barrier that forces a flush and waits
+// until all enqueued updates are on every LIVE ring (ring messages survive
+// the primary, §3.5), so whichever backup wins a failover election owns the
+// logical TCP state of every byte the client has seen.
 type Primary struct {
 	ns    *replication.Namespace
 	stack *tcpstack.Stack
@@ -194,13 +193,11 @@ func (p *Primary) idOf(key ConnKey) uint64 {
 // pre-copy source for epoch checkpoints.
 func (p *Primary) Table() *ConnTable { return p.table }
 
-// AttachRing adds one backup leg to the delta stream: subsequent state
-// updates are synced to the (re)joining backup over the given ring and
-// output commits gate on its sync barrier too. The new link starts at the
-// current enqueued watermark — earlier updates reach the backup through
-// the checkpoint snapshot cut atomically with this call. On a detached
-// (or gone-live) primary that is what flips streaming back on. It returns
-// the link index for DropRing.
+// AttachRing adds one backup leg to the delta stream: later updates reach
+// the (re)joining backup over sync and output commits gate on its barrier
+// too. The link starts at the current enqueued watermark — earlier updates
+// reach the backup in the checkpoint cut in the same instant. On a detached
+// primary this flips streaming back on. It returns the index for DropRing.
 func (p *Primary) AttachRing(sync *shm.Ring) int {
 	link := &syncLink{synced: p.enqueued}
 	p.out.Attach(&link.Outbox, sync, link.TryFlush, func(n int, updates uint64) {
@@ -420,12 +417,11 @@ func (p *Primary) trySync(m shm.Message) {
 }
 
 // coalesce merges an update into the link's newest pending entry when both
-// target the same connection stream: data-in bytes append (one entry per
-// input burst; a tape's view is capacity-limited, so the first append
-// copies), ack-out watermarks replace (they are cumulative), and a data-in
-// absorbs an ack-out, whose watermark it carries in its W[1], applied
-// first. Only the tail entry is considered so the ring order of updates is
-// preserved exactly.
+// target the same connection: data-in bytes append (one entry per input
+// burst; a tape's view is capacity-limited, so the first append copies),
+// ack-out watermarks replace (they are cumulative), and a data-in absorbs an
+// ack-out, carrying its watermark in W[1], applied first. Only the tail is
+// considered, so the ring order of updates is kept.
 func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
 	tail := link.Tail()
 	if tail == nil || tail.W[0] != m.W[0] {

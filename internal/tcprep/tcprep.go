@@ -5,14 +5,12 @@
 // secondary, resolving TCP non-determinism at the points where it becomes
 // observable:
 //
-//   - in-order input bytes are streamed to the secondary as they are
-//     accepted by the primary's stack (so the acknowledgement the client
-//     receives never covers bytes the secondary could lose);
-//   - the byte counts returned by socket syscalls (read/accept/...) are
-//     recorded in the deterministic-section log and replayed;
-//   - output bytes are regenerated by the replica's own live replay of the
-//     application, so only the client-acknowledged output offset needs
-//     synchronizing;
+//   - in-order input bytes are streamed to the secondary as the primary's
+//     stack accepts them (no ACK covers bytes the secondary could lose);
+//   - socket syscall results (read/accept/...) are recorded in the
+//     deterministic-section log and replayed;
+//   - output bytes are regenerated by the replica's own replay of the
+//     application: only the client-acknowledged output offset is synced;
 //   - every outgoing segment passes the output-commit gate (§3.5): it is
 //     released only when the log messages it depends on are acknowledged,
 //     except a pure ACK that a later segment of its connection supersedes,
@@ -24,11 +22,9 @@
 //
 // Deviation from the paper: the paper intercepts raw packets with Netfilter
 // hooks just below the TCP layer; we interpose at the equivalent boundary
-// with stack event callbacks (in-order-data-accepted, output-acked), which
-// carries the same information without re-implementing TCP's duplicate
-// filtering twice. Packet-level backpressure is preserved: the Netfilter
-// ingress hook drops data segments when the sync ring lacks space, so input
-// the secondary cannot hold is never acknowledged to the client.
+// with stack event callbacks (in-order-data-accepted, output-acked), the
+// same information without TCP's duplicate filtering done twice. The
+// ingress hook still drops data segments the sync ring has no room for.
 package tcprep
 
 import (

@@ -313,7 +313,8 @@ func (c *Conn) handleSegment(seg *Segment) {
 		return
 	}
 	if c.state == stateSynSent {
-		if seg.Flags.Has(FlagSYN|FlagACK) && seg.Ack == c.iss+1 {
+		switch {
+		case seg.Flags.Has(FlagSYN|FlagACK) && seg.Ack == c.iss+1:
 			c.irs = seg.Seq
 			c.rcvNxt = c.irs + 1
 			c.sndUna = seg.Ack
@@ -321,6 +322,12 @@ func (c *Conn) handleSegment(seg *Segment) {
 			c.sndWnd = seg.Window
 			c.establish()
 			c.sendAck()
+		case seg.Flags.Has(FlagACK):
+			// It acknowledges something else: the peer still holds an
+			// earlier connection on this four-tuple. Reset that one (RFC
+			// 9293 §3.10.7.3), so the SYN's next retransmission finds the
+			// listener.
+			c.stack.reset(seg)
 		}
 		return
 	}

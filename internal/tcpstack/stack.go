@@ -182,6 +182,10 @@ func New(k *kernel.Kernel, host string, params Params) *Stack {
 	}
 }
 
+// SetPortRange narrows the ephemeral ports Connect hands out to [lo, hi],
+// the first being lo: a narrow range reuses four-tuples soon.
+func (s *Stack) SetPortRange(lo, hi int) { s.portLo, s.portHi, s.nextPort = lo, hi, hi }
+
 // SetIngress installs the Netfilter-style hook called on every segment
 // before the TCP layer; returning false steals the segment.
 func (s *Stack) SetIngress(fn func(*Segment) bool) { s.ingress = fn }
@@ -223,7 +227,11 @@ func (s *Stack) input(seg *Segment) {
 		l.handleSYN(seg)
 		return
 	}
-	// No socket: answer with RST (unless this already is one).
+	s.reset(seg) // no socket
+}
+
+// reset answers seg with a RST, unless it is one.
+func (s *Stack) reset(seg *Segment) {
 	if !seg.Flags.Has(FlagRST) {
 		rst := s.newSegment()
 		rst.Src = Addr{Host: s.host, Port: seg.Dst.Port}
