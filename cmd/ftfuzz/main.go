@@ -1,10 +1,14 @@
 // Command ftfuzz draws kill scenarios and checks each against the
 // correctness ladder's oracle (ROADMAP item 1): the client sees the
-// never-failed run's output, no replica diverges, the run ends replicated at
-// generation 1 or later with every live kernel's cores idle, nothing is
-// traced for a kernel after its death, and an app whose mains return does
-// not hang (a hang is a *core.HangError). Scenario i of seed S is drawn from
-// (S, i) alone, so a failure reproduces from its two numbers:
+// never-failed run's output, no replica diverges, the run ends replicated
+// (at generation 1 or later if a kernel died) with every live kernel's
+// cores idle and every live replica's state digest the active one's,
+// nothing is traced for a kernel after its death, a failover's flight dump
+// is well formed, an app whose mains return does not hang (a hang is a
+// *core.HangError), no simulated process outlives Shutdown, and no code
+// acts on behalf of a dead domain (sim.Simulation.Guard, armed here).
+// Scenario i of seed S is drawn from (S, i) alone, so a failure reproduces
+// from its two numbers:
 //
 //	go run ./cmd/ftfuzz -seed 1 -n 500            # scenarios 0..499
 //	go run ./cmd/ftfuzz -seed 1 -n 100000 -budget 60s
@@ -13,22 +17,32 @@
 // A scenario draws the app and its pool size, the det-shard count, the
 // replica-set size and commit quorum, strict or relaxed output commit,
 // epoch checkpoints (restorable apps only), the client's ephemeral-port
-// range, and one fail-stop kill of the primary or a backup as the n-th log,
-// sync or acks transfer of the never-failed run lands. A fail-stop kill
-// loses no output under relaxed commit either (§3.5: the log ring survives
-// it), so every scenario must reproduce the never-failed output exactly.
+// range, one kill of the primary or a backup as the n-th log, sync or acks
+// transfer of the never-failed run lands — a core fail-stop, a bus error, a
+// coherency loss or a memory error — and what follows it: nothing, a
+// manual Rejoin in place of the delayed one, or the rolling replacement of
+// a backup (Retire) once the set is whole again. Only a coherency loss
+// under relaxed commit may lose output (§3.5), and no more of it than the
+// log ring held in flight; every other scenario must reproduce the
+// never-failed output exactly.
 //
-// It prints a one-line reproducer for the first failing scenario and the
-// scenarios per second at the end, and exits 1 if any scenario failed.
+// The first failing scenario is shrunk greedily, one field at a time, to a
+// minimal one that still fails; ftfuzz prints its one-line reproducer and
+// writes it, with its flight dump, to -found (TestFoundScenariosPass replays
+// every scenario there), prints the scenarios per second at the end, and
+// exits 1 if any scenario failed.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"maps"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -38,11 +52,14 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/oracle"
+	"repro/internal/sim"
 )
 
-// Scenario is one draw: a deployment shape and a kill. Pick chooses the kill
-// boundary among the never-failed run's transfers (see spec).
+// Scenario is one draw: a deployment shape, a kill and what follows it.
+// Pick chooses the kill boundary among the never-failed run's transfers
+// (see spec).
 type Scenario struct {
 	Seed                              int64
 	Index                             int
@@ -52,6 +69,8 @@ type Scenario struct {
 	Ports                             int // client ephemeral ports; 0 is the stack's default range
 	Target                            string
 	Pick                              uint64
+	Kind                              string // the kill's fault kind (chaos: core, mem, bus, coherency)
+	Then                              string // after the kill: "", "rejoin" (manual) or "retire" (a backup)
 }
 
 // Draw returns scenario i of seed s.
@@ -64,6 +83,8 @@ func Draw(s int64, i int) Scenario {
 		Target: []string{"primary", "backup"}[rng.IntN(2)], Pick: rng.Uint64()}
 	sc.Quorum = 2 + rng.IntN(sc.Replicas-1)
 	sc.Epochs = oracle.Apps[sc.App].Restorable && rng.IntN(2) == 0
+	sc.Kind = []string{"core", "core", "core", "mem", "bus", "coherency"}[rng.IntN(6)]
+	sc.Then = []string{"", "", "rejoin", "retire"}[rng.IntN(4)]
 	return sc
 }
 
@@ -96,7 +117,7 @@ func (sc Scenario) spec(transfers map[string]int) string {
 	}
 	class := classes[sc.Pick%uint64(len(classes))]
 	n := 1 + sc.Pick/uint64(len(classes))%uint64(transfers[class])
-	return fmt.Sprintf("kill %s @%s#%d", sc.Target, class, n)
+	return strings.TrimSuffix(fmt.Sprintf("kill %s @%s#%d %s", sc.Target, class, n, sc.Kind), " ")
 }
 
 // Result is one checked scenario: the kill it ran, a digest of what the
@@ -106,6 +127,7 @@ type Result struct {
 	Spec     string
 	Digest   uint64
 	Err      error
+	Flight   *obs.FlightDump // the failover's, if there was one
 }
 
 // Reproducer is the one line that reruns the scenario, with what it drew.
@@ -163,17 +185,27 @@ func (f *Fuzzer) Run(sc Scenario) Result {
 	h := fnv.New64a()
 	h.Write([]byte(output))
 	res.Digest = h.Sum64()
-	switch {
-	case err != nil:
+	if err != nil {
 		res.Err = err
-	case output != c.output:
-		res.Err = fmt.Errorf("the client saw %q, the never-failed run's client %q", output, c.output)
-	default:
-		res.Err = oracle.KilledRun(sys, 1)
+		return res
 	}
-	if sys != nil {
-		sys.Sim.Shutdown()
+	res.Flight = sys.Flight
+	var errs []error
+	// Only a coherency loss under relaxed commit may show the client less
+	// (§3.5), and drop no more log messages than the ring holds in flight.
+	lossy := sc.Kind == "coherency" && !sc.Strict && sys.Fabric.Stats().Dropped <= sys.Cfg.Replication.LogRingBytes/64
+	if output != c.output && !lossy {
+		errs = append(errs, fmt.Errorf("the client saw %q, the never-failed run's client %q", output, c.output))
 	}
+	errs = append(errs, oracle.KilledRun(sys, 1), oracle.DigestsAgree(sys))
+	if sys.Flight != nil {
+		errs = append(errs, oracle.FlightWellFormed(sys.Flight))
+	}
+	sys.Sim.Shutdown()
+	if n := sys.Sim.Live(); n > 0 {
+		errs = append(errs, fmt.Errorf("%d simulated processes outlived Shutdown", n))
+	}
+	res.Err = errors.Join(errs...)
 	return res
 }
 
@@ -191,6 +223,9 @@ func run(sc Scenario, spec string) (sys *core.System, output string, err error) 
 	}
 	out, err := app.Start(sys, sc.Workers, sc.Ports)
 	if err == nil {
+		if spec != "" {
+			after(sc, sys)
+		}
 		err = app.Run(sys)
 	}
 	if err != nil {
@@ -198,6 +233,86 @@ func run(sc Scenario, spec string) (sys *core.System, output string, err error) 
 		return nil, "", err
 	}
 	return sys, out(), nil
+}
+
+// after arms what the scenario does once its kill is delivered, polling
+// every 20 ms of virtual time as background work (it keeps no run going): a
+// manual Rejoin as soon as the set is degraded — before the delayed one,
+// which then finds the slot filled — or the retirement of a backup once the
+// set is whole again.
+func after(sc Scenario, sys *core.System) {
+	if sc.Then == "" {
+		return
+	}
+	var ev sim.Event
+	ev.Init(sys.Sim.Root(), func() {
+		if inj := sys.Injector(); inj != nil && inj.Kills > 0 {
+			switch st := sys.State(); {
+			case sc.Then == "rejoin" && st == core.StateDegraded:
+				if sys.Rejoin() == nil {
+					return
+				}
+			case sc.Then == "retire" && st == core.StateReplicated && len(sys.Backups()) > 0:
+				if sys.Retire(sys.Backups()[0]) == nil {
+					return
+				}
+			}
+		}
+		ev.Reset(20 * time.Millisecond)
+	})
+	ev.SetBackground(true)
+	ev.Reset(20 * time.Millisecond)
+}
+
+// Shrink returns the failing r reduced greedily, one field at a time, to a
+// scenario that still fails: each field is set to its simplest value — the
+// plainest kill, nothing after it, default ports, no epochs, one worker and
+// one shard, two replicas, strict commit — and kept so if the oracle still
+// finds a fault.
+func (f *Fuzzer) Shrink(r Result) Result {
+	steps := []func(*Scenario){
+		func(s *Scenario) { s.Kind = "core" },
+		func(s *Scenario) { s.Then = "" },
+		func(s *Scenario) { s.Ports = 0 },
+		func(s *Scenario) { s.Epochs = false },
+		func(s *Scenario) { s.Workers = 1 },
+		func(s *Scenario) { s.Shards = 1 },
+		func(s *Scenario) { s.Replicas, s.Quorum = 2, 2 },
+		func(s *Scenario) { s.Strict = true },
+	}
+	for _, step := range steps {
+		sc := r.Scenario
+		if step(&sc); sc == r.Scenario {
+			continue
+		}
+		if c := f.Run(sc); c.Err != nil {
+			r = c
+		}
+	}
+	return r
+}
+
+// Save writes the scenario of r as <dir>/seed<S>-<i>.json, the file
+// TestFoundScenariosPass replays, and its flight dump, if it has one, beside
+// it as .flight.txt.
+func Save(dir string, r Result) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	b, err := json.MarshalIndent(r.Scenario, "", "  ")
+	if err != nil {
+		return err
+	}
+	name := filepath.Join(dir, fmt.Sprintf("seed%d-%d", r.Scenario.Seed, r.Scenario.Index))
+	if err := os.WriteFile(name+".json", append(b, '\n'), 0o644); err != nil || r.Flight == nil {
+		return err
+	}
+	fl, err := os.Create(name + ".flight.txt")
+	if err != nil {
+		return err
+	}
+	r.Flight.WriteText(fl)
+	return fl.Close()
 }
 
 // Campaign runs scenarios from..from+n-1 of seed on workers goroutines,
@@ -235,7 +350,9 @@ func main() {
 	n := flag.Int("n", 100, "number of scenarios, 0..n-1")
 	one := flag.Int("i", -1, "run scenario i alone (the reproducer)")
 	budget := flag.Duration("budget", 0, "stop dispatching scenarios after this long (0: none)")
+	found := flag.String("found", "cmd/ftfuzz/testdata/fuzz", "directory the shrunk first failure and its flight dump are written to")
 	flag.Parse()
+	sim.ArmGuards()
 	from, count := 0, *n
 	if *one >= 0 {
 		from, count = *one, 1
@@ -250,6 +367,11 @@ func main() {
 		}
 		if failed++; failed == 1 {
 			fmt.Println(strings.ReplaceAll(r.Reproducer(), "\n", "; "))
+			shrunk := NewFuzzer().Shrink(r)
+			fmt.Println("shrunk:", strings.ReplaceAll(shrunk.Reproducer(), "\n", "; "))
+			if err := Save(*found, shrunk); err != nil {
+				fmt.Fprintln(os.Stderr, "ftfuzz:", err)
+			}
 		}
 	}
 	rate := float64(len(results)) / elapsed.Seconds()

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -49,23 +52,62 @@ func TestSmokeCampaign(t *testing.T) {
 	}
 }
 
-// TestFoundScenariosPass reruns scenarios that failed the oracle when they
-// were found, each with the fault it exposed:
-//   - seed 1, scenario 2: a killed replaying kernel's memcached worker,
-//     unwinding from a parked replayed section, ran its deferred Close into
-//     another one and panicked ("parked twice");
-//   - seed 1, scenario 1498: the primary died after a client connection was
+// TestFoundScenariosPass reruns every scenario in testdata/fuzz: each
+// failed the oracle when it was found, and ftfuzz writes the next one there,
+// shrunk. The first three are draws of seed 1, each with the fault it
+// exposed:
+//   - scenario 2: a killed replaying kernel's memcached worker, unwinding
+//     from a parked replayed section, ran its deferred Close into another
+//     one and panicked ("parked twice");
+//   - scenario 1498: the primary died after a client connection was
 //     announced but before its listen section reached the backup, and the
 //     promoted replica never handed that connection to the listener its
 //     application then opened live: the client waited forever;
-//   - seed 1, scenario 125: a connection whose reap had not reached the
-//     backup was restored, re-closed and held its four-tuple, and the
-//     client, reusing the port (a range of two), ignored its FIN from
-//     SYN-SENT instead of resetting it: the new connection timed out.
+//   - scenario 125: a connection whose reap had not reached the backup was
+//     restored, re-closed and held its four-tuple, and the client, reusing
+//     the port (a range of two), ignored its FIN from SYN-SENT instead of
+//     resetting it: the new connection timed out.
 func TestFoundScenariosPass(t *testing.T) {
-	for _, i := range []int{2, 125, 1498} {
-		if r := NewFuzzer().Run(Draw(1, i)); r.Err != nil {
-			t.Errorf("%s", r.Reproducer())
+	files, err := filepath.Glob("testdata/fuzz/*.json")
+	if err != nil || len(files) < 3 {
+		t.Fatalf("found scenarios %v: %v", files, err)
+	}
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var sc Scenario
+		if err := json.Unmarshal(b, &sc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r := NewFuzzer().Run(sc); r.Err != nil {
+			t.Errorf("%s: %s", name, r.Reproducer())
+		}
+	}
+}
+
+// TestShrinkAndSave: a failing scenario shrinks to the simplest value of
+// every field that keeps it failing — here all of them, since an app the
+// oracle does not know fails every shape — and Save writes it as a file
+// TestFoundScenariosPass reads back.
+func TestShrinkAndSave(t *testing.T) {
+	sc := Scenario{Seed: 9, Index: 4, App: "no-such-app", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
+		Epochs: true, Ports: 2, Target: "backup", Kind: "coherency", Then: "retire"}
+	f := NewFuzzer()
+	r := f.Shrink(f.Run(sc))
+	want := Scenario{Seed: 9, Index: 4, App: "no-such-app", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
+		Strict: true, Target: "backup", Kind: "core"}
+	if r.Err == nil || r.Scenario != want {
+		t.Fatalf("shrunk to %+v (%v), want %+v failing", r.Scenario, r.Err, want)
+	}
+	dir := t.TempDir()
+	if err := Save(dir, r); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "seed9-4.json"))
+	var got Scenario
+	if err != nil || json.Unmarshal(b, &got) != nil || got != want {
+		t.Errorf("saved %s (%v), want %+v", b, err, want)
 	}
 }

@@ -36,7 +36,7 @@ type App struct {
 }
 
 // Apps are the sweep workloads, by name.
-var Apps = map[string]App{"restream": Restream, "mongoose": Mongoose, "memcached": Memcached, "pbzip2": PBZIP2}
+var Apps = map[string]App{"restream": Restream, "mongoose": Mongoose, "memcached": Memcached, "pbzip2": PBZIP2, "condlock": CondLock}
 
 // Run runs a deployment of app to its end: Sim.Run for a server, Wait (a
 // hang is a *core.HangError) otherwise.
@@ -152,6 +152,81 @@ var PBZIP2 = App{"pbzip2", false, false, func(sys *core.System, workers, _ int) 
 			return "no run on the active replica"
 		}
 		return fmt.Sprintf("%d blocks, checksum %x (want %x), done %v", st.Blocks, st.Checksum, pbzip2.ExpectChecksum(cfg), st.Done)
+	}, nil
+}}
+
+// CondLock runs the synchronization the other apps do not: workers take
+// items off a bounded queue under a mutex they try before they block on,
+// waiting for items with timed condition waits that expire as often as
+// they are signaled, and fold each into a total under a reader-writer lock
+// they try for writing, then for reading. Its output, what the replica
+// active at the end counted, is the same however the tries and timeouts
+// fell.
+var CondLock = App{"condlock", false, false, func(sys *core.System, workers, _ int) (func() string, error) {
+	const items = 48
+	type tally struct{ taken, sum int }
+	tallies := map[*replication.Namespace]*tally{}
+	sys.Run(core.App{Name: "condlock", Main: func(th *replication.Thread, _ *tcprep.Sockets) {
+		lib, ns := th.Lib(), th.NS()
+		mu, rw, cond := lib.NewMutex(), lib.NewRWLock(), lib.NewCond()
+		tl := &tally{}
+		tallies[ns] = tl
+		var queue []int
+		produced := 0
+		lock := func(t *kernel.Task) {
+			if !mu.TryLock(t) {
+				mu.Lock(t)
+			}
+		}
+		var ths []*replication.Thread
+		for range workers {
+			ths = append(ths, ns.SpawnThread(th, "taker", func(w *replication.Thread) {
+				t := w.Task()
+				for {
+					lock(t)
+					for len(queue) == 0 && produced < items {
+						cond.TimedWait(t, mu, 150*time.Microsecond)
+					}
+					if len(queue) == 0 {
+						mu.Unlock(t)
+						return
+					}
+					v := queue[0]
+					queue = queue[1:]
+					mu.Unlock(t)
+					t.Compute(20 * time.Microsecond)
+					if !rw.TryWrLock(t) {
+						rw.WrLock(t)
+					}
+					tl.taken, tl.sum = tl.taken+1, tl.sum+v
+					rw.WrUnlock(t)
+					if rw.TryRdLock(t) {
+						rw.RdUnlock(t)
+					}
+				}
+			}))
+		}
+		t := th.Task()
+		for i := 1; i <= items; i++ {
+			t.Compute(time.Duration(40+i%5*60) * time.Microsecond)
+			lock(t)
+			queue, produced = append(queue, i), produced+1
+			cond.Signal(t)
+			mu.Unlock(t)
+		}
+		lock(t)
+		cond.Broadcast(t)
+		mu.Unlock(t)
+		for _, w := range ths {
+			th.Join(w)
+		}
+	}})
+	return func() string {
+		tl := tallies[sys.Active().NS]
+		if tl == nil {
+			return "no run on the active replica"
+		}
+		return fmt.Sprintf("%d items, sum %d", tl.taken, tl.sum)
 	}, nil
 }}
 

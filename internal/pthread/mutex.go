@@ -35,32 +35,40 @@ func (m *Mutex) Owner() *kernel.Task { return m.owner }
 // Lock acquires the mutex for t (pthread_mutex_lock).
 func (m *Mutex) Lock(t *kernel.Task) {
 	m.lib.charge(t)
-	var w *kernel.Waiter
 	m.lib.det.Enter(t, OpMutexLock, m.id)
-	if !m.locked {
-		m.locked = true
-		m.owner = t
-	} else {
-		w = t.Waiter()
-		m.waiters = append(m.waiters, w)
-	}
+	w := m.take(t)
 	m.lib.det.Exit(t, 0)
 	if w != nil {
 		w.Park()
 	}
 }
 
+// take gives the mutex to t, or queues t for it and returns the wait record
+// to park on.
+func (m *Mutex) take(t *kernel.Task) *kernel.Waiter {
+	if !m.locked {
+		m.locked, m.owner = true, t
+		return nil
+	}
+	w := t.Waiter()
+	m.waiters = append(m.waiters, w)
+	return w
+}
+
 // TryLock attempts the lock without blocking (pthread_mutex_trylock),
-// reporting whether it was acquired.
+// reporting whether it was acquired; the result replicates (Lib.acquired).
 func (m *Mutex) TryLock(t *kernel.Task) bool {
 	m.lib.charge(t)
 	m.lib.det.Enter(t, OpMutexTrylock, m.id)
-	ok := !m.locked
+	ok := m.lib.acquired(t, !m.locked)
+	var w *kernel.Waiter
 	if ok {
-		m.locked = true
-		m.owner = t
+		w = m.take(t)
 	}
-	m.lib.det.Exit(t, 0)
+	m.lib.det.Exit(t, outcome(ok))
+	if w != nil {
+		w.Park()
+	}
 	return ok
 }
 

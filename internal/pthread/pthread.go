@@ -116,6 +116,10 @@ type Det interface {
 	// recording or live side, false on a replaying one, whose replayer
 	// applies each recorded wake-up and timeout itself.
 	Wakes() bool
+
+	// Replayed reports the outcome t's open section recorded, if it is
+	// replaying one: a try operation acts on it inside the section.
+	Replayed(t *kernel.Task) (outcome uint64, ok bool)
 }
 
 // SectionError is the panic value of a deterministic section misused at
@@ -150,6 +154,8 @@ func (Passthrough) Exit(_ *kernel.Task, outcome uint64) uint64 { return outcome 
 
 // Wakes reports true: the signaler wakes its waiters.
 func (Passthrough) Wakes() bool { return true }
+
+func (Passthrough) Replayed(*kernel.Task) (uint64, bool) { return 0, false }
 
 // Lib is one process's Pthreads library instance: the analogue of the
 // LD_PRELOAD-ed replacement library, bound to a kernel and a Det.
@@ -189,6 +195,25 @@ func (l *Lib) SetOpCost(d time.Duration) { l.opCost = d }
 
 func (l *Lib) charge(t *kernel.Task) {
 	t.Busy(l.opCost)
+}
+
+// acquired is a try operation's decision inside its section: whether the
+// object is free on a side that decides, the recorded outcome on one that
+// replays — where the primary found it free but the holder here has not
+// unlocked yet (an unlock is no section), the try then waits for it.
+func (l *Lib) acquired(t *kernel.Task, free bool) bool {
+	if out, ok := l.det.Replayed(t); ok {
+		return out != 0
+	}
+	return free
+}
+
+// outcome is a try operation's section outcome: 1 if it acquired.
+func outcome(ok bool) uint64 {
+	if ok {
+		return 1
+	}
+	return 0
 }
 
 func (l *Lib) newID() uint64 {

@@ -112,6 +112,66 @@ func TestMutexTryLock(t *testing.T) {
 	}
 }
 
+// replayDet replays every try operation with one recorded outcome.
+type replayDet struct {
+	Passthrough
+	out uint64
+}
+
+func (d replayDet) Replayed(*kernel.Task) (uint64, bool) { return d.out, true }
+
+// TestTryReplaysTheRecordedOutcome: a replaying side's try operations act
+// on the recorded outcome, not on the object here. A trylock the primary won
+// while the holder here has not unlocked yet waits for that unlock, and one
+// the primary lost fails on a free object, for the mutex and both rwlock
+// tries alike.
+func TestTryReplaysTheRecordedOutcome(t *testing.T) {
+	type lock struct {
+		take, drop func(*kernel.Task)
+		try        func(*kernel.Task) bool
+	}
+	newLocks := func(lib *Lib) []lock {
+		m, rw := lib.NewMutex(), lib.NewRWLock()
+		return []lock{
+			{m.Lock, m.Unlock, m.TryLock},
+			{rw.WrLock, rw.WrUnlock, rw.TryWrLock},
+			{rw.WrLock, rw.WrUnlock, rw.TryRdLock},
+		}
+	}
+	for i := range 3 {
+		s, k, _ := bootLib(t, 1)
+		won := newLocks(NewLib(k, replayDet{out: 1}))[i]
+		var got []string
+		k.Spawn("holder", func(tk *kernel.Task) {
+			won.take(tk)
+			tk.Sleep(time.Millisecond)
+			got = append(got, "unlock")
+			won.drop(tk)
+		})
+		k.Spawn("trier", func(tk *kernel.Task) {
+			tk.Sleep(100 * time.Microsecond)
+			got = append(got, fmt.Sprint("try ", won.try(tk)))
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"unlock", "try true"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("lock %d: a won try on a held lock ran %v, want %v", i, got, want)
+		}
+		s, k, _ = bootLib(t, 1)
+		lost := newLocks(NewLib(k, replayDet{out: 0}))[i]
+		k.Spawn("trier", func(tk *kernel.Task) {
+			if lost.try(tk) {
+				t.Errorf("lock %d: a lost try acquired a free lock", i)
+			}
+			lost.take(tk) // free still: a lost try took nothing
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 	s, k, lib := bootLib(t, 1)
 	m := lib.NewMutex()

@@ -44,44 +44,39 @@ func (rw *RWLock) canWrite() bool {
 // queues behind any waiting writer, so writers do not starve.
 func (rw *RWLock) RdLock(t *kernel.Task) {
 	rw.lib.charge(t)
-	var w *kernel.Waiter
 	rw.lib.det.Enter(t, OpRWRdLock, rw.id)
-	if rw.canRead() {
-		rw.readers++
-	} else {
-		w = t.Waiter()
-		rw.waiters = append(rw.waiters, rwWaiter{w: w})
-	}
+	w := rw.take(t, false)
 	rw.lib.det.Exit(t, 0)
 	if w != nil {
 		w.Park()
 	}
 }
 
-// TryRdLock attempts a read acquisition without blocking
-// (pthread_rwlock_tryrdlock).
-func (rw *RWLock) TryRdLock(t *kernel.Task) bool {
-	rw.lib.charge(t)
-	rw.lib.det.Enter(t, OpRWTryRdLock, rw.id)
-	ok := rw.canRead()
-	if ok {
+// take admits t as a reader or the writer, or queues it and returns the
+// wait record to park on.
+func (rw *RWLock) take(t *kernel.Task, write bool) *kernel.Waiter {
+	switch {
+	case write && rw.canWrite():
+		rw.writer = t
+	case !write && rw.canRead():
 		rw.readers++
+	default:
+		w := t.Waiter()
+		rw.waiters = append(rw.waiters, rwWaiter{w: w, write: write})
+		return w
 	}
-	rw.lib.det.Exit(t, 0)
-	return ok
+	return nil
 }
+
+// TryRdLock attempts a read acquisition without blocking
+// (pthread_rwlock_tryrdlock); the result replicates (Lib.acquired).
+func (rw *RWLock) TryRdLock(t *kernel.Task) bool { return rw.try(t, OpRWTryRdLock, false) }
 
 // WrLock acquires the lock for writing (pthread_rwlock_wrlock).
 func (rw *RWLock) WrLock(t *kernel.Task) {
 	rw.lib.charge(t)
-	var w *kernel.Waiter
 	rw.lib.det.Enter(t, OpRWWrLock, rw.id)
-	if rw.canWrite() {
-		rw.writer = t
-	} else {
-		w = t.Waiter()
-		rw.waiters = append(rw.waiters, rwWaiter{w: w, write: true})
-	}
+	w := rw.take(t, true)
 	rw.lib.det.Exit(t, 0)
 	if w != nil {
 		w.Park()
@@ -89,15 +84,25 @@ func (rw *RWLock) WrLock(t *kernel.Task) {
 }
 
 // TryWrLock attempts a write acquisition without blocking
-// (pthread_rwlock_trywrlock).
-func (rw *RWLock) TryWrLock(t *kernel.Task) bool {
+// (pthread_rwlock_trywrlock); the result replicates (Lib.acquired).
+func (rw *RWLock) TryWrLock(t *kernel.Task) bool { return rw.try(t, OpRWTryWrLock, true) }
+
+func (rw *RWLock) try(t *kernel.Task, op Op, write bool) bool {
 	rw.lib.charge(t)
-	rw.lib.det.Enter(t, OpRWTryWrLock, rw.id)
-	ok := rw.canWrite()
-	if ok {
-		rw.writer = t
+	rw.lib.det.Enter(t, op, rw.id)
+	free := rw.canRead()
+	if write {
+		free = rw.canWrite()
 	}
-	rw.lib.det.Exit(t, 0)
+	ok := rw.lib.acquired(t, free)
+	var w *kernel.Waiter
+	if ok {
+		w = rw.take(t, write)
+	}
+	rw.lib.det.Exit(t, outcome(ok))
+	if w != nil {
+		w.Park()
+	}
 	return ok
 }
 

@@ -15,9 +15,9 @@ import (
 // replicas at once: the section's state lives in the thread, tuples and
 // acks are plain words in pooled ring records, and every waiter is embedded
 // in the task that parks. The one thing that grows is the history both
-// sides retain for a rejoin: a window allocates exactly the sim.Log chunks
-// the two retained logs grew (one per 512 messages), plus a chunk table
-// each time a log's chunk count passes a power of two. Each case runs an
+// sides retain for a rejoin: a window allocates exactly the byte chunks the
+// two retained windows grew, plus a chunk table each time a window's chunk
+// count passes a power of two. Each case runs an
 // endless application on a primary/secondary pair, lets the free lists and
 // queues reach their working size, then measures windows of virtual time
 // holding hundreds of recorded and replayed sections. The applications pace
@@ -115,11 +115,11 @@ func TestSectionsAllocateNothing(t *testing.T) {
 				for range 3 {
 					var want int
 					n := testing.AllocsPerRun(1, func() {
-						h0 := [2]int{d.pns.RetainedTuples(), d.sns.RetainedTuples()}
+						h0 := [2]int{d.pns.RetainedChunks(), d.sns.RetainedChunks()}
 						window()
 						want = 0
-						for i, n := range [2]int{d.pns.RetainedTuples(), d.sns.RetainedTuples()} {
-							c0, c1 := logChunks(h0[i]), logChunks(n)
+						for i, c1 := range [2]int{d.pns.RetainedChunks(), d.sns.RetainedChunks()} {
+							c0 := h0[i]
 							want += c1 - c0 + bits.Len(uint(c1-1)) - bits.Len(uint(c0-1))
 						}
 					})
@@ -137,16 +137,13 @@ func TestSectionsAllocateNothing(t *testing.T) {
 	}
 }
 
-// logChunks is the number of sim.Log chunks holding n retained messages
-// (with epochs off nothing is dropped from a history's front).
-func logChunks(n int) int { return (n + 511) / 512 }
-
 // TestRetainedHistoryAllocBytes pins what a retained tuple costs the host:
-// both replicas keep the whole log for a rejoin, a tuple as its seven words
-// (56 B) in chunks of 512. Over ≥ 4 096 recorded and replayed sections at one
-// det shard and at four, the bytes allocated stay within 56 B per tuple each
-// side retained, plus one chunk of slack per side and its chunk table's
-// growth (24 B per chunk, doubling) — a 128 B message per tuple would not.
+// both replicas keep the whole log for a rejoin, a tuple as a varint record
+// in byte chunks of up to 16 KiB. Over ≥ 4 096 recorded and replayed
+// sections at one det shard and at four, the bytes allocated stay within
+// 16 B per tuple each side retained, plus one 16 KiB chunk of slack per side
+// and its chunk table's growth (32 B per chunk, doubling) — a tuple kept as
+// its seven words (56 B) would not.
 func TestRetainedHistoryAllocBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	app := func(root *replication.Thread) {
@@ -176,11 +173,13 @@ func TestRetainedHistoryAllocBytes(t *testing.T) {
 		}
 		runtime.ReadMemStats(&m1)
 		bound := 0
-		for i, n := range [2]int{d.pns.RetainedTuples(), d.sns.RetainedTuples()} {
-			bound += 56*(n-h0[i]+512) + 2*24*logChunks(n)
+		for i, ns := range [2]*replication.Namespace{d.pns, d.sns} {
+			bound += 16*(ns.RetainedTuples()-h0[i]) + 16<<10 + 2*32*ns.RetainedChunks()
 		}
-		if got := int(m1.TotalAlloc - m0.TotalAlloc); got > bound {
-			t.Errorf("%d det shards: %d sections allocated %d B, want <= %d (56 B per retained tuple per side)",
+		got := int(m1.TotalAlloc - m0.TotalAlloc)
+		t.Logf("%d det shards: %d B for %d + %d retained tuples", shards, got, d.pns.RetainedTuples()-h0[0], d.sns.RetainedTuples()-h0[1])
+		if got > bound {
+			t.Errorf("%d det shards: %d sections allocated %d B, want <= %d (16 B per retained tuple per side)",
 				shards, d.sns.Stats().Sections-s0, got, bound)
 		}
 		d.sim.Shutdown()

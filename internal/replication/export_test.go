@@ -76,8 +76,12 @@ func (ns *Namespace) QuorumNeed() int { return ns.rec.quorumNeed() }
 // ReplayRetained returns what a secondary's replayer retains, which
 // promotion hands to the fork.
 func (ns *Namespace) ReplayRetained() (tuples int, bytes int64) {
-	return ns.rep.hist.words.Len(), ns.rep.hist.bytes
+	return ns.rep.hist.n, ns.rep.hist.bytes
 }
+
+// RetainedChunks returns the number of byte chunks the namespace's retained
+// window holds.
+func (ns *Namespace) RetainedChunks() int { return ns.retained().buf.Chunks() }
 
 // TupleOf decodes a log-ring message: the tuple it carries, and false for
 // the environment and epoch markers.

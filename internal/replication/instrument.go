@@ -44,7 +44,7 @@ func (r *Recorder) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 	reg.Gauge(name+".quorum.need", func() int64 { return int64(r.quorumNeed()) })
 	// Retained-log footprint: what epoch truncation keeps bounded (and
 	// what grows without bound when epochs are off).
-	reg.Gauge(name+".log.retained.tuples", func() int64 { return int64(r.hist.words.Len()) })
+	reg.Gauge(name+".log.retained.tuples", func() int64 { return int64(r.hist.n) })
 	reg.Gauge(name+".log.retained.bytes", func() int64 { return r.hist.bytes })
 	// Fabric-side sending signals, sampled off the first log ring (the
 	// links are symmetric): how many reservations are open but unpublished
@@ -87,6 +87,6 @@ func (r *Replayer) instrument(name string, sc *obs.Scope, reg *obs.Registry) {
 	// boundary when epoch checkpoints are on. Prefixed .replay so the
 	// first backup (which shares the recorder's bare namespace name)
 	// doesn't collide with the recorder's .log.retained gauges.
-	reg.Gauge(name+".replay.retained.tuples", func() int64 { return int64(r.hist.words.Len()) })
+	reg.Gauge(name+".replay.retained.tuples", func() int64 { return int64(r.hist.n) })
 	reg.Gauge(name+".replay.retained.bytes", func() int64 { return r.hist.bytes })
 }

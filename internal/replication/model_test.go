@@ -84,7 +84,12 @@ type modelWorld struct {
 	// The fork's retained history as it went live, and its log index.
 	forkHistory []replication.Tuple
 	forkBase    uint64
-	failed      []string // sim callbacks must not t.Fatal
+	// midCatchup makes every run kill the primary, and the fork cut an
+	// epoch in the instant its rejoining backup attaches: with no other
+	// backup the epoch quorum is vacuous, so the cut is verified while the
+	// backup's catch-up has not read past it.
+	midCatchup bool
+	failed     []string // sim callbacks must not t.Fatal
 }
 
 func (w *modelWorld) fail(format string, args ...any) {
@@ -196,24 +201,29 @@ func (w *modelWorld) cutter(s *modelSide) func(*kernel.Task) {
 		var last uint64
 		for s.finished < len(w.progs) {
 			t.Sleep(time.Duration(200+w.rng.Intn(300)) * time.Microsecond)
-			if s.ns.SeqGlobal() == last {
-				continue
+			if s.ns.SeqGlobal() != last {
+				last = w.cutEpoch(t, s, true)
 			}
-			release := s.ns.Quiesce(t)
-			seq, sent := s.ns.LogWatermark()
-			_, threads := s.ns.Cursors()
-			w.epoch++
-			w.cutSent[w.epoch] = sent
-			w.cut = modelCut{w.epoch, seq, sent, threads, s.ns.ObjCursors(), s.ns.NextFTPid(), s.ns.Env()}
-			digest := stateDigest(s.ns)
-			if w.rng.Intn(6) == 0 { // no backup may verify it, nor truncate at it
-				digest, w.corrupt[w.epoch] = ^digest, true
-			}
-			s.ns.EmitEpoch(t, replication.EpochMark{Epoch: w.epoch, SeqGlobal: seq, Sent: sent, Digest: digest}, 64)
-			release()
-			last = seq
 		}
 	}
+}
+
+// cutEpoch quiesces s and cuts an epoch there, its digest planted wrong at
+// random if mayCorrupt; it returns the cut's Seq_global.
+func (w *modelWorld) cutEpoch(t *kernel.Task, s *modelSide, mayCorrupt bool) uint64 {
+	release := s.ns.Quiesce(t)
+	defer release()
+	seq, sent := s.ns.LogWatermark()
+	_, threads := s.ns.Cursors()
+	w.epoch++
+	w.cutSent[w.epoch] = sent
+	w.cut = modelCut{w.epoch, seq, sent, threads, s.ns.ObjCursors(), s.ns.NextFTPid(), s.ns.Env()}
+	digest := stateDigest(s.ns)
+	if mayCorrupt && w.rng.Intn(6) == 0 { // no backup may verify it, nor truncate at it
+		digest, w.corrupt[w.epoch] = ^digest, true
+	}
+	s.ns.EmitEpoch(t, replication.EpochMark{Epoch: w.epoch, SeqGlobal: seq, Sent: sent, Digest: digest}, 64)
+	return seq
 }
 
 // record makes s a recording side: its cutter runs, and property 4 holds
@@ -284,7 +294,7 @@ func (w *modelWorld) backup(src *modelSide) *modelSide {
 // fresh backup rejoins it from its latest epoch checkpoint.
 func (w *modelWorld) act() {
 	backups := w.links[w.sides[0].ns]
-	if w.rng.Intn(2) == 0 {
+	if w.rng.Intn(2) == 0 && !w.midCatchup {
 		j := w.rng.Intn(len(backups))
 		backups[j].k.Panic("model: backup killed", nil)
 		w.fabric.DropInflight(slices.Index(w.sides, backups[j])) // its acks in flight
@@ -321,6 +331,9 @@ func (w *modelWorld) act() {
 			t.Sleep(100 * time.Microsecond)
 		}
 		w.rejoin(p)
+		if w.midCatchup {
+			w.cutEpoch(t, p, false)
+		}
 	})
 }
 
@@ -351,11 +364,11 @@ func (w *modelWorld) rejoin(s *modelSide) {
 	})
 }
 
-func runReplicationModel(t *testing.T, seed int64, replicas, shards int) *modelWorld {
+func runReplicationModel(t *testing.T, seed int64, replicas, shards int, midCatchup bool) *modelWorld {
 	s := sim.New(seed)
 	t.Cleanup(s.Shutdown)
 	w := &modelWorld{rng: rand.New(rand.NewSource(seed)), sim: s, mach: hw.New(s, hw.Opteron6376x4()),
-		fabric: shm.NewFabric(s, time.Microsecond), cfg: replication.DefaultConfig(),
+		fabric: shm.NewFabric(s, time.Microsecond), cfg: replication.DefaultConfig(), midCatchup: midCatchup,
 		links: map[*replication.Namespace][]*modelSide{}, cutSent: map[uint64]uint64{}, corrupt: map[uint64]bool{}}
 	w.cfg.DetShards = shards
 	if replicas > 2 {
@@ -527,32 +540,46 @@ func (w *modelWorld) check() {
 //     (§3.7);
 //  4. truncation: a recording side truncates only at an epoch its commit
 //     quorum verified, and a backup only at one it verified itself.
+//
+// The cut-mid-catchup cases (N = 2) cut an epoch on the fork in the instant
+// a backup rejoins it: the vacuous quorum verifies the cut before the
+// catch-up has read past it, and the rejoined backup must still receive a
+// gapless stream — the fork holds the truncation back until it has.
 func TestReplicationMatchesReferenceModel(t *testing.T) {
 	for _, replicas := range []int{2, 3} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("n%d-shards%d", replicas, shards), func(t *testing.T) {
-				kills, promotions, rejoins := 0, 0, 0
-				for seed := int64(1); seed <= 12; seed++ {
-					w := runReplicationModel(t, seed, replicas, shards)
-					w.check()
-					if len(w.failed) > 0 {
-						t.Fatalf("seed %d (quorum %d, %d threads): %d failures, the first: %s",
-							seed, w.cfg.CommitQuorum, len(w.progs), len(w.failed), w.failed[0])
-					}
-					switch {
-					case w.promoted == nil:
-						kills++
-					case len(w.links[w.promoted.ns]) > 0:
-						rejoins++
-						fallthrough
-					default:
-						promotions++
-					}
-				}
-				if kills == 0 || promotions == 0 || rejoins == 0 {
-					t.Errorf("%d backup kills, %d promotions, %d rejoins; want each", kills, promotions, rejoins)
-				}
+				modelCases(t, replicas, shards, false)
 			})
 		}
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("n2-shards%d-cut-mid-catchup", shards), func(t *testing.T) {
+			modelCases(t, 2, shards, true)
+		})
+	}
+}
+
+func modelCases(t *testing.T, replicas, shards int, midCatchup bool) {
+	kills, promotions, rejoins := 0, 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		w := runReplicationModel(t, seed, replicas, shards, midCatchup)
+		w.check()
+		if len(w.failed) > 0 {
+			t.Fatalf("seed %d (quorum %d, %d threads): %d failures, the first: %s",
+				seed, w.cfg.CommitQuorum, len(w.progs), len(w.failed), w.failed[0])
+		}
+		switch {
+		case w.promoted == nil:
+			kills++
+		case len(w.links[w.promoted.ns]) > 0:
+			rejoins++
+			fallthrough
+		default:
+			promotions++
+		}
+	}
+	if kills == 0 && !midCatchup || promotions == 0 || rejoins == 0 {
+		t.Errorf("%d backup kills, %d promotions, %d rejoins; want each", kills, promotions, rejoins)
 	}
 }

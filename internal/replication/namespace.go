@@ -138,12 +138,9 @@ func NewSecondary(name string, k *kernel.Kernel, cfg Config, log, acks *shm.Ring
 }
 
 // forkRecorder converts the promoted replica into a recording primary at
-// the instant promotion finishes: the namespace role flips so every
-// subsequent deterministic section dispatches to the fork, which inherits
-// the replayed history, global cursor and divergence count (replay is over:
-// nothing counts one after this). The fork's hot-path metrics are left
-// unregistered — the dead primary's namespace claimed the names — but it
-// shares the replayer's event scope so the flight timeline stays contiguous.
+// the instant promotion finishes: the fork inherits the replayed history,
+// global cursor and divergence count, and the replayer's event scope; its
+// metrics stay unregistered (the dead primary's namespace has the names).
 func (ns *Namespace) forkRecorder(seed forkSeed) {
 	ns.rec = newRecorder(ns.kern, ns.cfg, nil, nil, seed)
 	ns.rec.sc, ns.rec.stats.Divergences = ns.rep.sc, ns.rep.stats.Divergences
@@ -222,10 +219,8 @@ func (ns *Namespace) ReplayHead() uint64 {
 }
 
 // Processed returns the number of log messages this side has ingested off
-// its log ring (acknowledged at receipt, §3.5); zero on non-replaying
-// roles. It is the receipt watermark failover election ranks surviving
-// backups by: everything processed is in this replica's memory and will
-// survive promotion, even if its replay head still lags.
+// its log ring (acknowledged at receipt, §3.5), zero on non-replaying
+// roles: the watermark failover election ranks surviving backups by.
 func (ns *Namespace) Processed() uint64 {
 	if ns.rep != nil {
 		return ns.rep.processed
@@ -251,9 +246,7 @@ type SeqCursor struct {
 }
 
 // Cursors returns the namespace's checkpoint cursor state: the global
-// sequence watermark plus every thread's Seq_thread, sorted by ft_pid
-// (the threads map iterates in arbitrary order; the sort restores a
-// deterministic, comparable view).
+// sequence watermark plus every thread's Seq_thread, sorted by ft_pid.
 func (ns *Namespace) Cursors() (seqGlobal uint64, threads []SeqCursor) {
 	threads = make([]SeqCursor, 0, len(ns.threads))
 	for _, th := range ns.threads {
@@ -269,13 +262,9 @@ func (ns *Namespace) Cursors() (seqGlobal uint64, threads []SeqCursor) {
 	return seqGlobal, threads
 }
 
-// ObjCursors returns the per-object sequencing cursors — each sequencing
-// object's Seq_obj this side has passed — sorted by object key (the cursor
-// maps iterate in arbitrary order; the sort restores a deterministic,
-// comparable view). Together with the Lamport watermark from Cursors they
-// form the sharded checkpoint cut; with one det shard the recorder still
-// maintains them, so checkpoints taken before a WithDetShards change stay
-// verifiable after it.
+// ObjCursors returns each sequencing object's Seq_obj this side has
+// passed, sorted by object key: with the Lamport watermark from Cursors,
+// the sharded checkpoint cut (kept at one det shard too).
 func (ns *Namespace) ObjCursors() []ObjCursor {
 	var m map[uint64]uint64
 	switch {
@@ -300,10 +289,7 @@ func (ns *Namespace) NextFTPid() int { return ns.nextFTPid }
 // Env returns the replicated environment mirror.
 func (ns *Namespace) Env() map[string]string { return ns.env }
 
-// AddReplica wires a fresh backup into a recording namespace and streams
-// the retained history as catch-up. onCaughtUp runs when the backup has
-// received every message ever sent and the link flips into the
-// output-commit set. It returns the link index for DropReplica.
+// AddReplica adds a backup to a recording namespace (Recorder.AddReplica).
 func (ns *Namespace) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
 	if ns.role != RolePrimary {
 		panic("replication: AddReplica on a non-recording namespace")
@@ -368,11 +354,7 @@ func (ns *Namespace) LogWatermark() (seqGlobal, sent uint64) {
 	return ns.rec.seqGlobal, ns.rec.sent
 }
 
-// Quiesce acquires every det-section lock in shard order, freezing the
-// namespace at a section boundary: no replicated thread is mid-section,
-// so the replicated state is exactly a deterministic function of the
-// recorded prefix. The returned func releases the locks in reverse
-// order. This is the epoch cutter's final stop-the-world.
+// Quiesce freezes the namespace at a section boundary (Recorder.quiesce).
 func (ns *Namespace) Quiesce(t *kernel.Task) func() {
 	if ns.rec == nil {
 		return func() {}
@@ -429,11 +411,9 @@ func (ns *Namespace) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCur
 	ns.rep.SeedCheckpoint(epoch, seqGlobal, sent, objs, env)
 }
 
-// RetainedTuples and RetainedBytes report this side's retained tuple-log
-// footprint (the ftns.log.retained.* gauges): the recorder's history on
-// a recording side (including a promotion fork), the replayer's on a
-// replaying one.
-func (ns *Namespace) RetainedTuples() int { return ns.retained().words.Len() }
+// RetainedTuples and RetainedBytes report this side's retained log
+// footprint (the ftns.log.retained.* gauges).
+func (ns *Namespace) RetainedTuples() int { return ns.retained().n }
 
 func (ns *Namespace) RetainedBytes() int64 { return ns.retained().bytes }
 
@@ -533,6 +513,14 @@ func (ns *Namespace) Exit(t *kernel.Task, outcome uint64) uint64 {
 // own wake-ups and timeouts; there the replayer applies the recorded ones
 // (applyWake).
 func (ns *Namespace) Wakes() bool { return ns.role != RoleSecondary }
+
+// Replayed implements pthread.Det.
+func (ns *Namespace) Replayed(t *kernel.Task) (uint64, bool) {
+	if th := ns.threads[t.TID()]; th != nil && th.sec.replay {
+		return th.sec.tuple.Outcome, true
+	}
+	return 0, false
+}
 
 // isWake reports whether op is a wake-up — a signal, a broadcast or a timed
 // waiter's timeout: no shadow thread replays it.

@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"slices"
-
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/pthread"
@@ -47,47 +45,35 @@ type replicaLink struct {
 	acked uint64
 	laneQ uint64 // ReplicaWatermark.Backlog
 
-	// base is the absolute log index of the first message this link's
-	// ring ever carries: zero for a boot-time link, the recorder's
-	// truncation base for a link added after epoch truncation started
-	// dropping history. Ring delivery counts are ring-local, so every
-	// receipt watermark derived from them is offset by base.
+	// base is the log index of the first message the link's ring carries
+	// (the window's base when it was added): ring delivery counts are
+	// ring-local, so receipt watermarks derived from them add it.
 	base uint64
 
 	// epochAcked is the highest epoch boundary this backup has verified
-	// against its replay watermark and truncated its own log at
-	// (msgEpochAck). The primary truncates retained history once a
-	// commit-quorum of backups has acknowledged an epoch.
+	// and truncated its own log at (msgEpochAck).
 	epochAcked uint64
 
-	// span is the link's open zero-copy reservation: emitted tuples are
-	// written straight into the ring's reserved slots and published in one
-	// Commit when the batch fills (or the outbox's deadline, which an open
-	// span arms, or an output commit forces it). The outbox is the spill
-	// path — tuples buffered off-ring when no reservation could be claimed
-	// (ring full). While it is non-empty new tuples must append behind it,
-	// never to a fresh span: the spill was reserved later than nothing, so
-	// writing around it would reorder the log.
-	// The span handle is kept across DropInflight, Drain and abandonLink;
-	// the ring's generation check makes it read closed once its record has
-	// been recycled.
+	// span is the link's open zero-copy reservation, published in one
+	// Commit when the batch fills, the outbox's deadline fires or an
+	// output commit forces it. The outbox is the spill path for tuples no
+	// reservation could take (ring full); while it holds any, new tuples
+	// go behind them, never to a fresh span, or the log would reorder. The
+	// ring's generation check makes a recycled span read closed.
 	span shm.Span
 
-	// A syncing link is a rejoined backup still catching up: new emits
-	// append to its backlog (backlog[backlogHead:] is unsent) behind the
-	// retained history, it is out of the output-commit set, and it joins
-	// the broadcast set the instant the backlog drains.
-	syncing     bool
-	held        bool // out of the commit and epoch quorums until released (Namespace.HoldReplica)
-	backlog     []shm.Message
-	backlogHead int
+	// A syncing link is a rejoined backup still catching up: it reads the
+	// retained window from cur, where new emits land too, it is out of the
+	// output-commit set, and it joins the broadcast set the instant cur
+	// reaches the window's end.
+	syncing bool
+	held    bool // out of the commit and epoch quorums until released (Namespace.HoldReplica)
+	cur     winCursor
 }
 
-// receiptObs is one pending observation of a log-ring delivery: the primary
-// sees the consumer-side slot state one coherency hop after the transfer
-// lands. Several can be in flight inside one hop and each keeps its own
-// place in the event order, so each is a pooled record with its own
-// re-armable event.
+// receiptObs is one pending observation of a log-ring delivery, one
+// coherency hop after it lands: a pooled record with its own re-armable
+// event, since several can be in flight inside one hop.
 type receiptObs struct {
 	r    *Recorder
 	link *replicaLink
@@ -105,23 +91,12 @@ func (o *receiptObs) fire() {
 }
 
 // Recorder is the primary-side engine: it serializes deterministic
-// sections under the namespace det-section locks and broadcasts the log to
-// any number of backups (the paper's prototype has one; §6 sketches more).
-// Output is stable once the commit quorum of the live caught-up backups has
-// received it (quorumOf) — every one of them at Config.CommitQuorum 0, the
-// paper's rule.
-//
-// With Config.DetShards == 1 the one lock is the global mutex of Figure 3.
-// With more, each sequencing object hashes to one lock, sections on
-// different objects run concurrently, and every tuple carries its object's
-// own Seq_obj; GlobalSeq becomes a Lamport watermark, still unique and
-// monotone per thread and per object.
-//
-// Tuples are written in place into each backup's open ring reservation
-// (zero-copy) and published as one Commit when Config.BatchTuples fill it,
-// when the FlushInterval deadline fires, or at once when an output-commit
-// waiter registers. Ring reservation order is publication order, so
-// concurrent flushes need no mutual exclusion.
+// sections under the det-section locks (one: the global mutex of Figure 3)
+// and broadcasts the log to any number of backups (§6). Output is stable
+// once the commit quorum of the live caught-up backups has received it
+// (quorumOf). Tuples are written in place into each backup's open ring
+// reservation and published as one Commit; reservation order is
+// publication order, so concurrent flushes need no mutual exclusion.
 type Recorder struct {
 	kern     *kernel.Kernel
 	cfg      Config
@@ -136,6 +111,8 @@ type Recorder struct {
 	degraded   bool // recording with no caught-up backup
 	hist       logWindow
 	stats      Stats
+
+	heldEpoch, heldSent uint64 // a verified cut a catch-up cursor holds back
 
 	// epochCuts maps a cut epoch number to its truncation base (the
 	// sent watermark at the cut); epochSeen is the latest epoch cut,
@@ -176,13 +153,10 @@ func newShardLocks(k *kernel.Kernel, shards int) []*pthread.Mutex {
 	return mus
 }
 
-// forkSeed is what a recorder starts from. The zero seed is a boot: an
-// empty history, sequence numbers from zero. A promoted replica's fork
-// continues the dead primary's sequence space — seqGlobal plus the
-// per-object cursors — and inherits the replayed history, so a backup
-// rejoined later can catch up from the fork's retention base: zero for a
-// full-history backup, the latest verified epoch boundary for one that
-// truncated at epoch checkpoints.
+// forkSeed is what a recorder starts from: the zero seed is a boot. A
+// promoted replica's fork continues the dead primary's sequence space —
+// seqGlobal plus the per-object cursors — and inherits the replayed
+// history, for a backup rejoined later to catch up from.
 type forkSeed struct {
 	hist      logWindow
 	seqGlobal uint64
@@ -251,44 +225,38 @@ func (r *Recorder) addLink(link *replicaLink, log *shm.Ring) {
 const catchupChunkBytes = 256 << 10
 
 // AddReplica wires a fresh backup into the recorder and streams the
-// retained history to it as catch-up, while recording continues. The link
-// starts in the syncing state — excluded from output commit, fed through
-// its backlog — and joins the broadcast set at the quiesced det-section
-// boundary where the backlog drains empty (the output-commit watermarks
-// of the two sides are equal there: everything sent has been received).
-// onCaughtUp, if non-nil, runs at that flip. It returns the link index
-// for DropReplica.
+// retained window to it from a cursor as catch-up, while recording
+// continues. The link is syncing — out of output commit — until the cursor
+// reaches the window's end, where everything sent has been received; then
+// it joins the broadcast set and onCaughtUp, if non-nil, runs. It returns
+// the link index for DropReplica.
 func (r *Recorder) AddReplica(log, acks *shm.Ring, onCaughtUp func()) int {
-	link := &replicaLink{acks: acks, syncing: true, base: r.hist.base}
-	link.backlog = slices.AppendSeq(make([]shm.Message, 0, r.hist.words.Len()), r.hist.all())
+	link := &replicaLink{acks: acks, syncing: true, base: r.hist.base, cur: r.hist.cursor()}
 	idx := len(r.replicas)
 	r.addLink(link, log)
 	r.kern.Spawn("ft-catchup", func(t *kernel.Task) { r.catchupLoop(t, link, onCaughtUp) })
 	return idx
 }
 
-// catchupLoop drains the syncing link's backlog in bounded vectored
-// chunks. Because new emissions append to the same backlog, draining it
-// empty means the backup has received every message ever sent — at that
-// instant the link flips into the output-commit set atomically (no yield
-// between the last send completing and the flip).
+// catchupLoop streams the window from the syncing link's cursor in bounded
+// vectored chunks, each decoded into one reused batch. New emissions land
+// in the same window, so at its end the backup has every message sent, and
+// the link flips with no yield between the last send and the flip.
 func (r *Recorder) catchupLoop(t *kernel.Task, link *replicaLink, onCaughtUp func()) {
 	p := t.Proc()
-	for link.backlogHead < len(link.backlog) && !link.Dead() {
-		queued := link.backlog[link.backlogHead:]
-		n, bytes := 0, 0
-		for n < len(queued) && bytes < catchupChunkBytes {
-			bytes += queued[n].Size
-			n++
+	batch := make([]shm.Message, 0, min(r.hist.end()-link.cur.at, catchupChunkBytes/tupleBytes))
+	for link.cur.at < r.hist.end() && !link.Dead() {
+		batch = batch[:0]
+		for bytes := 0; link.cur.at < r.hist.end() && bytes < catchupChunkBytes; {
+			batch = append(batch, r.hist.next(&link.cur))
+			bytes += batch[len(batch)-1].Size
 		}
-		link.Ring().SendBatch(p, queued[:n])
+		link.Ring().SendBatch(p, batch)
 		if link.Dead() {
-			return // abandonLink dropped the backlog under the blocked send
+			return // abandonLink killed the link under the blocked send
 		}
-		// New emissions appended while the send was blocked; the queue
-		// slides only now that the batch has been copied out.
-		link.backlog, link.backlogHead = sim.DropFront(link.backlog, link.backlogHead, n)
-		r.noteFlush(n)
+		r.noteFlush(len(batch))
+		r.releaseHeldCut()
 	}
 	if link.Dead() {
 		return
@@ -326,10 +294,7 @@ func (r *Recorder) drainAcks(link *replicaLink) {
 }
 
 // ackedAll is the receipt watermark output commit releases against: the
-// quorumOf the live caught-up backups' receipts — their minimum at
-// Config.CommitQuorum 0 (§3.5), the k-th highest with k > 0. Syncing links
-// are excluded: while a rejoined backup catches up, stability is whatever
-// the rest provide (vacuous when none is left).
+// quorumOf the live caught-up backups' receipts (syncing links excluded).
 func (r *Recorder) ackedAll() uint64 {
 	return r.quorumOf(func(l *replicaLink) uint64 { return l.acked }, r.sent)
 }
@@ -404,13 +369,10 @@ func (r *Recorder) backups() (live, syncing int) {
 	return live, syncing
 }
 
-// emit streams one log message to every live backup: it writes the tuple
-// in place into the link's open ring reservation (zero-copy) and publishes
-// when the batch fills. When no reservation can be claimed (ring full)
-// tuples spill to the link's outbox and a blocking vectored flush
-// throttles the primary to the slowest backup's drain rate. At a batch of
-// one that is Ring.Send: reserve, put and commit here, or — ring full —
-// this task claims its FIFO ticket and blocks in the outbox's Flush.
+// emit retains one log message and streams it to every live backup: into
+// the link's open ring reservation, published when the batch fills, or —
+// ring full — spilled to the link's outbox, whose blocking flush throttles
+// the primary to the slowest backup's drain rate.
 func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 	r.hist.append(m)
 	for _, link := range r.replicas {
@@ -418,10 +380,7 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 			continue
 		}
 		if link.syncing {
-			// Catch-up in progress: queue behind the history so the
-			// backup sees one gapless sequence on one channel.
-			link.backlog = append(link.backlog, m)
-			continue
+			continue // already in the window, behind the link's catch-up cursor
 		}
 		if r.emitSpan(link, m) {
 			continue
@@ -437,10 +396,8 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 }
 
 // emitSpan tries the zero-copy path: write m into the link's open span,
-// claiming a fresh reservation when none is open, and publish once the
-// batch fills. It reports false when the tuple must spill instead — the
-// ring has no room, or earlier work is already queued (spilled tuples or
-// a blocked reservation, which writing around would reorder).
+// claiming one when none is open, and publish once the batch fills. It
+// reports false when m must spill: no room, or spilled tuples queued.
 func (r *Recorder) emitSpan(link *replicaLink, m shm.Message) bool {
 	if link.Len() > 0 {
 		return false
@@ -480,13 +437,9 @@ func (r *Recorder) openSpan(link *replicaLink, minBytes int64) bool {
 	return true
 }
 
-// commitSpan publishes the link's open span as one vectored transfer —
-// the single release-store of the reserve/commit protocol. An empty span
-// releases its reservation without a transfer, which is what makes a
-// flush deadline firing in the same scheduler instant as an output-commit
-// force-flush harmless: whichever runs second finds nothing to send and
-// sends nothing (no empty batch on the wire, no spurious flush sample).
-// Never blocks, so it is safe in scheduler context.
+// commitSpan publishes the link's open span as one vectored transfer. An
+// empty span releases its reservation without a transfer, so a deadline
+// and a force-flush in one instant send one batch. Never blocks.
 func (r *Recorder) commitSpan(link *replicaLink) {
 	sp := link.span
 	link.span = shm.Span{}
@@ -512,10 +465,7 @@ func (r *Recorder) flushLink(link *replicaLink) {
 }
 
 // flushForCommit pushes every buffered tuple toward the backups before an
-// output-commit watermark is armed. A spill buffer handed to the spill
-// server holds nothing up: the waiter's watermark is r.sent, which covers
-// buffered tuples, so output cannot be released before they are genuinely
-// delivered.
+// output-commit watermark (r.sent, covering them) is armed.
 func (r *Recorder) flushForCommit() {
 	for _, link := range r.replicas {
 		if !link.Dead() {
@@ -524,12 +474,9 @@ func (r *Recorder) flushForCommit() {
 	}
 }
 
-// EmitEpoch streams an epoch-checkpoint marker through the ordinary log
-// stream. The caller (the core cutter task) holds every det-section lock,
-// so no tuple can interleave: the marker lands at log position mark.Sent
-// == r.sent, making "everything before the marker" on a backup exactly
-// the prefix the checkpoint replaces. size is the checkpoint's accounted
-// ring footprint.
+// EmitEpoch streams an epoch-checkpoint marker through the log. The caller
+// holds every det-section lock, so the marker lands at log position
+// mark.Sent == r.sent. size is the checkpoint's accounted ring footprint.
 func (r *Recorder) EmitEpoch(t *kernel.Task, mark EpochMark, size int) {
 	if mark.Sent != r.sent {
 		panic("replication: epoch mark not cut at the current log watermark")
@@ -546,11 +493,8 @@ func (r *Recorder) EmitEpoch(t *kernel.Task, mark EpochMark, size int) {
 	r.maybeTruncateEpochs()
 }
 
-// epochAckedAll is the epoch-boundary analogue of ackedAll: the highest
-// epoch a commit-quorum of live caught-up backups has verified-and-
-// truncated (k-th-highest epochAcked), degrading to all-of-the-living,
-// and vacuously the latest cut epoch when no live caught-up backup
-// remains.
+// epochAckedAll is ackedAll for epoch boundaries: the highest epoch the
+// commit quorum has verified, vacuously the latest cut epoch.
 func (r *Recorder) epochAckedAll() uint64 {
 	return r.quorumOf(func(l *replicaLink) uint64 { return l.epochAcked }, r.epochSeen)
 }
@@ -579,16 +523,41 @@ func (r *Recorder) maybeTruncateEpochs() {
 	}
 }
 
-// truncateHistory drops the retained-log prefix below a verified epoch
-// boundary (verifiedSent is the absolute log index of the epoch marker): a
-// checkpoint a quorum of backups holds subsumes it.
+// truncateHistory drops the retained prefix below a verified epoch's marker
+// at log index verifiedSent, or holds the cut while a catch-up cursor is
+// behind it (releaseHeldCut).
 func (r *Recorder) truncateHistory(verifiedEpoch, verifiedSent uint64) {
+	if verifiedSent > r.catchupFloor() {
+		r.heldEpoch, r.heldSent = verifiedEpoch, verifiedSent
+		return
+	}
+	if verifiedSent >= r.heldSent {
+		r.heldEpoch, r.heldSent = 0, 0
+	}
 	moved, ok := r.hist.truncate(verifiedEpoch, verifiedSent, &r.stats, r.sc)
 	if !ok {
 		panic("replication: verified epoch boundary beyond retained history")
 	}
 	if moved && r.onEpochQuorum != nil {
 		r.onEpochQuorum(verifiedEpoch)
+	}
+}
+
+// catchupFloor is the lowest log index a catch-up has yet to read.
+func (r *Recorder) catchupFloor() uint64 {
+	floor := r.hist.end()
+	for _, link := range r.replicas {
+		if link.syncing && !link.Dead() {
+			floor = min(floor, link.cur.at)
+		}
+	}
+	return floor
+}
+
+// releaseHeldCut truncates at the held cut once no cursor is behind it.
+func (r *Recorder) releaseHeldCut() {
+	if r.heldEpoch != 0 && r.heldSent <= r.catchupFloor() {
+		r.truncateHistory(r.heldEpoch, r.heldSent)
 	}
 }
 
@@ -600,13 +569,10 @@ func (r *Recorder) seedEpochs(epoch uint64) {
 	r.epochDone = epoch
 }
 
-// quiesce acquires every det-section lock in shard index order and
-// returns the matching release (reverse order). With all shard locks
-// held no section can be mid-flight: every replicated thread sits at a
-// section boundary, so the replicated state is exactly a deterministic
-// function of the recorded prefix — the property the epoch cutter's
-// final stop-the-world pass relies on. The fixed acquisition order makes
-// concurrent quiescers (cutter vs. rejoin) deadlock-free.
+// quiesce acquires every det-section lock in shard order and returns the
+// release. With all held every replicated thread sits at a section
+// boundary, so the state is a function of the recorded prefix; the fixed
+// order makes concurrent quiescers (cutter, rejoin) deadlock-free.
 func (r *Recorder) quiesce(t *kernel.Task) func() {
 	for _, mu := range r.mus {
 		mu.Lock(t)
@@ -735,6 +701,7 @@ func (r *Recorder) dropReplica(i int) {
 	r.abandonLink(r.replicas[i])
 	r.fireStable()
 	r.maybeTruncateEpochs() // the dead link no longer gates epoch quorum
+	r.releaseHeldCut()      // nor holds a cut back
 	for _, link := range r.replicas {
 		if !link.Dead() {
 			return
@@ -743,13 +710,10 @@ func (r *Recorder) dropReplica(i int) {
 	r.degrade()
 }
 
-// abandonLink marks a link dead and discards its unpublished state: the
-// backlog, its open span — an open reservation on the dead ring would
-// otherwise jam the ring's publication sequence forever, stalling any
-// sender still parked on it — and, killing the outbox, the spill buffer;
-// the kill's drain then unblocks those senders.
+// abandonLink marks a link dead and discards its open span, which would
+// jam the dead ring's publication sequence, and, killing the outbox, the
+// spill buffer, whose drain unblocks the senders parked on it.
 func (r *Recorder) abandonLink(link *replicaLink) {
-	link.backlog, link.backlogHead = nil, 0
 	link.span.Abort()
 	link.span = shm.Span{}
 	link.Kill()

@@ -13,10 +13,8 @@ import (
 )
 
 // headSub is one callback armed to fire when the replay head reaches a
-// global sequence number. While any sub is armed, grants at or past the
-// earliest armed watermark are withheld so the replayed set at fire time
-// is exactly the prefix below it — the property the rejoin checkpoint
-// verifier compares cursor vectors under.
+// global sequence number; grants at or past it wait, so the replayed set
+// at fire time is exactly the prefix below it (grantBarrier).
 type headSub struct {
 	seq uint64
 	fn  func()
@@ -47,12 +45,9 @@ type domain struct {
 
 // Replayer is the secondary-side engine: it pulls the primary's log off the
 // shared-memory ring and delivers deterministic-section turns to shadow
-// threads from one grant table keyed by sequencing domain (see domain).
-// With DetShards > 1 every sequencing object is its own domain, so shadow
-// threads on independent objects replay concurrently; with one shard the
-// whole log is a single domain ordered by Seq_global — the paper's total
-// order. Either way the scalar replay head is the Lamport frontier (every
-// GlobalSeq below it has been replayed).
+// threads from one grant table keyed by sequencing domain: every object its
+// own with DetShards > 1, the whole log in Seq_global order with one (the
+// paper's total order). The replay head is the Lamport frontier.
 type Replayer struct {
 	kern *kernel.Kernel
 	cfg  Config
@@ -308,13 +303,11 @@ func (r *Replayer) track(d *domain) {
 	}
 }
 
-// SeedCheckpoint starts a fresh replayer at an epoch checkpoint: replay
-// cursors, duplicate filters, env mirror and receipt count start at its
-// watermarks, so the first message off the catch-up stream — the epoch's own
-// marker, retained unverified — is the next expected log index. It runs in
-// the instant core cuts the checkpoint and attaches the link, before any
-// message arrives. The env is the log's first entry, so it is seeded only
-// from a non-empty prefix: the genesis checkpoint waits for it off the ring.
+// SeedCheckpoint starts a fresh replayer at an epoch checkpoint, before any
+// message arrives: cursors, duplicate filters, env mirror and receipt count
+// start at its watermarks, so the epoch's own marker is the next expected
+// log index. The env is seeded only from a non-empty prefix: the genesis
+// checkpoint waits for it off the ring.
 func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCursor, env map[string]string) {
 	r.frontier = seqGlobal
 	r.baseSeqGlobal = seqGlobal
@@ -338,12 +331,9 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 	}
 }
 
-// noteEpoch handles one epoch marker off the ring, in ring order. It
-// reports false for a stale duplicate (not retained). A fresh marker is
-// always retained — at exactly the log index the primary cut it at, or
-// replay has silently diverged from the primary's numbering — and, when
-// a verifier is installed, armed for verification at the marker's exact
-// replay frontier.
+// noteEpoch handles one epoch marker off the ring, reporting false for a
+// stale duplicate. A fresh one is retained — at the log index the primary
+// cut it at, or replay diverged — and armed for verification.
 func (r *Replayer) noteEpoch(mark EpochMark) bool {
 	if mark.Epoch <= r.epochSeen {
 		return false
@@ -360,13 +350,10 @@ func (r *Replayer) noteEpoch(mark EpochMark) bool {
 	return true
 }
 
-// verifyEpoch runs at the marker's exact replay frontier (armed via the
-// head-sub grant barrier, so the replayed prefix is quiesced): the
-// verifier recomputes the checkpoint digest from local replayed state,
-// and a match makes the boundary safe to truncate at — everything below
-// it is subsumed by a checkpoint this replica has verified it could have
-// produced itself. The ack tells the primary this backup no longer needs
-// the prefix retained.
+// verifyEpoch runs at the marker's exact replay frontier: the verifier
+// recomputes the checkpoint digest from the replayed state, and a match
+// makes the boundary safe to truncate at; the ack tells the primary this
+// backup no longer needs the prefix.
 func (r *Replayer) verifyEpoch(mark EpochMark) {
 	if r.live || r.primaryDead {
 		return
@@ -425,12 +412,10 @@ func (r *Replayer) noteGrant(th *Thread, tu Tuple) {
 	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), wait, tu.Key, int64(tu.ObjSeq))
 }
 
-// grantBarrier is the earliest armed head watermark: while the rejoin
-// verifier waits at W, no tuple with GlobalSeq >= W may be granted, so
-// the replayed set at frontier == W is exactly [0, W). Deadlock-free: the
-// recorded prefix is closed under per-thread and per-object predecessors
-// (GlobalSeq increases along both orders), so replay below the barrier
-// always makes progress.
+// grantBarrier is the earliest armed head watermark W: no tuple with
+// GlobalSeq >= W is granted, so the replayed set at frontier W is [0, W).
+// The prefix is closed under per-thread and per-object predecessors, so
+// replay below the barrier always progresses.
 func (r *Replayer) grantBarrier() uint64 {
 	w := ^uint64(0)
 	for _, s := range r.headSubs {
@@ -473,10 +458,8 @@ func (r *Replayer) tryGrant(d *domain) {
 }
 
 // applyWake applies a recorded signal, broadcast or timeout to the
-// backup's condition variable — the signaler skipped its call and the
-// waiter armed no timer (pthread.Det.Wakes) — and counts a divergence if it
-// wakes other waiters than the primary did. A timeout dequeues the waiter
-// that recorded it, if a wake-up has not.
+// backup's condition variable (pthread.Det.Wakes), counting a divergence if
+// it wakes other waiters than the primary did.
 func (r *Replayer) applyWake(tu Tuple) {
 	var out uint64
 	if c := r.ns.lib.Cond(tu.Obj); c != nil {
@@ -505,9 +488,7 @@ func (r *Replayer) tryGrantAll() {
 
 // park registers the calling shadow thread and blocks until its turn,
 // reporting true with the granted tuple in th.sec — or false when promotion
-// flushed it to the fork instead. The thread waits on its task's
-// wait record; the rest lives in th.sec, with the replay cost a grant paid
-// inside the parked thread's one wake-up (paid, not part of the wait).
+// flushed it to the fork — and the replay cost the grant paid (paid).
 func (r *Replayer) park(th *Thread) bool {
 	if th.task.Proc().Killed() {
 		th.task.Sleep(0) // a killed thread's deferred call: its block point unwinds it on
@@ -712,40 +693,28 @@ func (r *Replayer) objSeqSnapshot() map[uint64]uint64 {
 	return out
 }
 
-// replayedHistory hands the retained log to the fork, turned in place into
+// replayedHistory hands the retained log to the fork, rewritten in place to
 // its executed subset: every env message and exactly the tuples whose
-// sections replayed, GlobalSeq renumbered densely in ring order from the
-// window's base (the identity at one shard and base zero). Sections done
-// ahead of the Lamport frontier would leave holes; without them the order is
-// dense and causally consistent, so a backup rejoining the fork replays it
-// under either domain mapping. Epoch markers go: their digests describe the
-// dead primary's numbering. It returns the fork's starting GlobalSeq too.
+// sections replayed, GlobalSeq renumbered densely in ring order, so a
+// backup rejoining the fork replays it under either domain mapping. Epoch
+// markers go: their digests describe the dead primary's numbering. It
+// returns the fork's starting GlobalSeq too.
 func (r *Replayer) replayedHistory() (logWindow, uint64) {
-	h, n, kept := &r.hist, r.baseSeqGlobal, 0
-	side := h.side[:0]
-	h.bytes = 0
-	// A kept message is written back at or below the index being read.
-	for m := range h.all() {
+	n := r.baseSeqGlobal
+	r.hist.rewrite(n-1, func(m shm.Message) (shm.Message, bool) {
 		switch m.Kind {
 		case msgEpoch:
-			continue
+			return m, false
 		case msgTuple:
 			if tu := tupleOf(m); tu.ObjSeq >= r.objDone[tu.Key] {
-				continue // arrived but never replayed: beyond the stable point
+				return m, false // arrived but never replayed: beyond the stable point
 			}
 			m.W[wGlobalSeq] = n
 			n++
-		default:
-			side = append(side, sideMsg{h.base + uint64(kept), m})
 		}
-		*h.words.At(kept) = m.W
-		h.bytes += int64(m.Size)
-		kept++
-	}
-	clear(h.side[len(side):])
-	h.side = side
-	h.words.Truncate(kept)
-	out := *h
+		return m, true
+	})
+	out := r.hist
 	r.hist = logWindow{}
 	return out, n
 }

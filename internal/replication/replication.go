@@ -2,41 +2,31 @@
 // Primary-Backup replication of race-free multithreaded applications via
 // record/replay of deterministic sections (§3.2, §3.3).
 //
-// The primary executes the application normally, except that every
-// interposed operation (Pthreads primitives, selected syscalls) runs inside
-// a deterministic section serialized by a namespace-wide global mutex; on
-// leaving the section the primary streams a tuple
+// Every interposed operation (Pthreads primitives, selected syscalls) runs
+// inside a deterministic section serialized by a namespace-wide global
+// mutex; leaving it, the primary streams a tuple
 //
 //	<Seq_thread, Seq_global, ft_pid> (+ op, object, outcome)
 //
-// to the secondary over the shared-memory messaging layer and increments
-// both sequence numbers — the __det_start/__det_end protocol of Figure 3.
-// The secondary replays: each shadow thread's deterministic section blocks
-// until the tuple matching its thread and sequence number is at the head of
-// the log, yielding the primary's total order while unordered code runs in
-// parallel.
+// over the shared-memory messaging layer — the __det_start/__det_end
+// protocol of Figure 3. The secondary's shadow threads each block until the
+// tuple matching their thread and sequence number heads the log, yielding
+// the primary's total order while unordered code runs in parallel.
 //
-// With Config.DetShards > 1 the namespace-wide mutex is sharded into
-// per-object sequencing: every replicated object (mutex, rwlock,
-// condvar+internal-lock pair, replicated syscall class) owns a Seq_obj
-// counter, sections on different objects record concurrently under
-// different shard locks, and the secondary grants turns from a per-object
-// table — independent objects replay in parallel. Seq_global is retained
-// as a Lamport clock so output commit, checkpoint cuts and rejoin
-// verification keep a scalar watermark; Seq_thread preserves each thread's
-// program order. Shard count 1 is exactly the paper's global total order.
+// With Config.DetShards > 1 the global mutex is sharded into per-object
+// sequencing: every replicated object owns a Seq_obj counter, sections on
+// different objects record concurrently, and the secondary grants turns
+// from a per-object table. Seq_global stays a Lamport clock, the scalar
+// watermark output commit, checkpoints and rejoin verification need. One
+// shard is exactly the paper's global total order.
 //
-// Syscall results the secondary must not recompute (gettimeofday, socket
-// call results) travel with their tuple as its outcome; the secondary acts
-// on the recorded result. A
-// condition-variable wake-up — a signal, a broadcast, or a timed waiter's
-// timeout — records whom it woke, and the secondary's replayer applies it.
+// A syscall result the secondary must not recompute, and whom a
+// condition-variable wake-up woke, travel as the tuple's outcome.
 //
-// The package also implements output stability (§3.5): the primary's
-// network output is released only once the secondary has acknowledged every
-// log message the output depends on; the relaxed single-machine mode
-// releases immediately, counting on cache coherency to deliver in-flight
-// messages even across a primary failure.
+// Output stability (§3.5): the primary's network output is released only
+// once the backups have acknowledged every log message it depends on; the
+// relaxed mode releases at once, counting on cache coherency to deliver
+// in-flight messages even across a primary failure.
 package replication
 
 import (
@@ -98,12 +88,9 @@ const (
 )
 
 // EpochMark is the epoch-checkpoint marker the primary emits through the
-// log stream (msgEpoch). It rides the same ordered ring as the tuples it
-// fences: a marker emitted right after a cut at sent-watermark S occupies
-// log position S itself, so "truncate everything before the marker" on a
-// backup drops exactly the S messages the checkpoint replaces — the same
-// count the primary drops from its own history after the epoch-ack
-// quorum.
+// log stream (msgEpoch): cut at sent-watermark S it occupies log position
+// S, so truncating before it drops exactly the S messages the checkpoint
+// replaces, on every side.
 type EpochMark struct {
 	// Epoch is the monotone epoch number (1-based; survives failover).
 	Epoch uint64
@@ -129,8 +116,7 @@ const tupleBytes = 64
 
 // Tuple is one deterministic-section record: <Seq_thread, Seq_obj, obj_id,
 // ft_pid> plus the Lamport Seq_global watermark, the op metadata, the
-// sequencing key and the outcome, in one accounted cache line (tupleBytes)
-// and seven words of host memory.
+// sequencing key and the outcome, in one accounted cache line (tupleBytes).
 type Tuple struct {
 	ThreadSeq uint64
 	// GlobalSeq is the namespace Lamport clock at emission. With one det
@@ -150,19 +136,14 @@ type Tuple struct {
 	Outcome uint64
 }
 
-// message lays the tuple out in a ring message — the eight scalars in the
-// seven words, ft_pid packed above the op's opBits. tupleOf is its inverse.
+// message lays the tuple out in a ring message's seven words, ft_pid packed
+// above the op's opBits. tupleOf is its inverse.
 func (tu Tuple) message() shm.Message {
 	if tu.Op < 0 || tu.Op >= 1<<opBits || tu.FTPid < 0 || tu.FTPid >= 1<<(64-opBits) {
 		panic(fmt.Sprintf("replication: tuple %v does not fit a message", tu))
 	}
-	return tupleMessage([7]uint64{tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq, uint64(tu.FTPid)<<opBits | uint64(tu.Op), tu.Obj, tu.Key, tu.Outcome})
-}
-
-// tupleMessage is the ring message of a tuple's seven words: every other
-// field of a tuple message is implied.
-func tupleMessage(w [7]uint64) shm.Message {
-	return shm.Message{Kind: msgTuple, Size: tupleBytes, W: w}
+	return shm.Message{Kind: msgTuple, Size: tupleBytes, W: [7]uint64{tu.ThreadSeq, tu.GlobalSeq, tu.ObjSeq,
+		uint64(tu.FTPid)<<opBits | uint64(tu.Op), tu.Obj, tu.Key, tu.Outcome}}
 }
 
 func tupleOf(m shm.Message) Tuple {
@@ -204,10 +185,8 @@ func (tu Tuple) String() string {
 
 // seqKey derives a section's sequencing object: a pthread primitive's from
 // its library (pthread.Lib.SeqKey); an extended op folds the op into the
-// key, giving each replicated syscall class (and each socket fd in a class)
-// its own sequencer, and OpThreadCreate one total order, since ft_pid
-// assignment mutates shared namespace state. A colliding key only
-// over-orders — it can never under-order — so the packing is safe.
+// key — a sequencer per syscall class and socket fd, one for
+// OpThreadCreate. A colliding key only over-orders, never under-orders.
 func (ns *Namespace) seqKey(op pthread.Op, obj uint64) uint64 {
 	if op < OpThreadCreate {
 		return ns.lib.SeqKey(op, obj)
@@ -215,9 +194,8 @@ func (ns *Namespace) seqKey(op pthread.Op, obj uint64) uint64 {
 	return uint64(op)<<48 | obj
 }
 
-// ObjCursor is one sequencing object's replication cursor: the Seq_obj its
-// side has reached. The per-object cursor vector plus the Lamport watermark
-// replaces the single global cursor in sharded checkpoints.
+// ObjCursor is the Seq_obj one sequencing object's side has reached: with
+// the Lamport watermark, what a sharded checkpoint holds.
 type ObjCursor struct {
 	Obj uint64
 	Seq uint64
@@ -235,9 +213,8 @@ type Config struct {
 	// ReplaySectionCost is the CPU cost of running one replayed section on
 	// the shadow thread.
 	ReplaySectionCost time.Duration
-	// LogRingBytes is the in-flight log buffer; it absorbs bursts, and its
-	// exhaustion is what drops sustained throughput to the secondary's
-	// replay rate (§4.1).
+	// LogRingBytes is the in-flight log buffer: its exhaustion drops
+	// sustained throughput to the secondary's replay rate (§4.1).
 	LogRingBytes int64
 	// StrictOutputCommit selects waiting for secondary acknowledgements
 	// before releasing network output; false is the §3.5 relaxed mode.
@@ -246,34 +223,24 @@ type Config struct {
 	// diverges (default counts divergences, for the FIFO-futex ablation).
 	PanicOnDivergence bool
 	// BatchTuples is how many log tuples the recorder coalesces per backup
-	// into one vectored ring transfer sharing a single slot header and
-	// delivery event. 1 (and anything below) is the paper's prototype: a
-	// batch of one, every tuple its own transfer. An output-commit waiter
-	// always forces an immediate flush, so strict output-commit latency
-	// never waits on a partially filled batch.
+	// into one vectored ring transfer; 1 is the paper's prototype. An
+	// output-commit waiter always forces a flush, so commit latency never
+	// waits on a partial batch.
 	BatchTuples int
 	// FlushInterval bounds how long a partially filled batch may sit
 	// buffered on the primary before its deadline publishes it (0 selects
 	// defaultFlushInterval).
 	FlushInterval time.Duration
-	// CommitQuorum is the number of backup receipt acknowledgements an
-	// output-commit watermark needs before the output is released. Zero
-	// keeps the conservative all-backups rule (every live, caught-up
-	// backup must have received the log — the paper's §3.5 behavior and
-	// byte-identical to the pre-quorum engine). With k > 0 the recorder
-	// releases output once the k-th-highest receipt watermark among the
-	// live caught-up backups covers the tuple: any k backups suffice, so
-	// one lagging replica no longer sits on the commit path. When fewer
-	// than k backups remain alive the rule degrades to all-of-the-living
-	// — never weaker than what the survivors can actually promise.
+	// CommitQuorum is the number of backup receipts an output needs: zero
+	// is the paper's all-backups rule (§3.5); with k > 0 the k-th-highest
+	// receipt watermark among the live caught-up backups releases it, so
+	// one lagging replica is off the commit path. With fewer than k alive
+	// the rule degrades to all of the living.
 	CommitQuorum int
-	// DetShards is the number of det-section locks the namespace global
-	// mutex is sharded across (<= 1 selects the paper's single global
-	// mutex: one lock on the recorder, one sequencing domain and one
-	// inline dispatch lane on the replayer). With more shards, sections
-	// on different sequencing objects record and replay concurrently;
-	// per-object FIFO hand-off and per-thread program order are
-	// preserved, so race-free applications replay deterministically.
+	// DetShards is the number of det-section locks the global mutex is
+	// sharded across (<= 1: the paper's one mutex, one sequencing domain,
+	// one dispatch lane). With more, sections on different objects record
+	// and replay concurrently, per-object and per-thread order kept.
 	DetShards int
 }
 

@@ -41,9 +41,9 @@ func TestPopFrontKeepsOrderAndArray(t *testing.T) {
 	}
 }
 
-// TestLogMatchesSliceModel drives Append/DropFront/PopFront/Truncate/At
+// TestLogMatchesSliceModel drives Append/DropFront/PopFront/At
 // against a plain slice: same elements at the same indices, no more than two
-// chunks of slack besides the spare, no dropped or truncated element left
+// chunks of slack besides the spare, no dropped element left
 // reachable from the log's chunks, and an empty log that keeps at most one
 // chunk, every slot zero.
 // A chunk released at the front is the spare the next new chunk reuses.
@@ -61,17 +61,6 @@ func TestLogMatchesSliceModel(t *testing.T) {
 				}
 				l.DropFront(n)
 				model = model[n:]
-			case rng.Intn(50) == 0 && len(model) > 0:
-				n := len(model) - rng.Intn(min(len(model), 2*logChunk)+1)
-				l.Truncate(n)
-				model = model[:n]
-				if k := len(l.chunks); k > 0 {
-					for _, p := range l.chunks[k-1][len(l.chunks[k-1]):cap(l.chunks[k-1])] {
-						if p != nil {
-							t.Fatalf("seed %d step %d: a truncated slot still holds its element", seed, step)
-						}
-					}
-				}
 			case rng.Intn(3) == 0 && len(model) > 0:
 				if got := l.PopFront(); got != model[0] {
 					t.Fatalf("seed %d step %d: PopFront = %d, want %d", seed, step, *got, *model[0])

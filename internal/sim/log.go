@@ -119,33 +119,3 @@ func (l *Log[T]) DropFront(n int) {
 	clear(l.chunks[k:])
 	l.chunks = l.chunks[:k]
 }
-
-// Truncate keeps the n oldest elements and drops the rest. Dropped slots are
-// zeroed; a chunk left empty is released, the first to become the spare if
-// there is none, and the first chunk stays.
-func (l *Log[T]) Truncate(n int) {
-	if n < 0 || n > l.n {
-		panic("sim: Log.Truncate out of range")
-	}
-	for l.n > n {
-		last := len(l.chunks) - 1
-		c, lo := l.chunks[last], 0
-		if last == 0 {
-			lo = l.head
-		}
-		k := min(l.n-n, len(c)-lo)
-		clear(c[len(c)-k:])
-		l.chunks[last] = c[:len(c)-k]
-		l.n -= k
-		if last > 0 && k == len(c) {
-			if l.spare == nil {
-				l.spare = c[:0]
-			}
-			l.chunks[last] = nil
-			l.chunks = l.chunks[:last]
-		}
-	}
-	if l.n == 0 && len(l.chunks) > 0 {
-		l.chunks[0], l.head = l.chunks[0][:0], 0
-	}
-}

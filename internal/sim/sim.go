@@ -224,19 +224,27 @@ func (g *Group) Schedule(d time.Duration, fn func()) *Event {
 	return e
 }
 
-// Guard panics, in test binaries only, if the code running does so on behalf
-// of a dead domain — a killed group's process unwinding, or its callback
-// running on after the kill — naming call: arming an event, a ring send, a
-// transmit, a driver load. None of that can reach a live domain from a dead one.
+// Guard panics, in test binaries and once ArmGuards has run, if the code
+// running does so on behalf of a dead domain — a killed group's process
+// unwinding, or its callback running on after the kill — naming call: arming
+// an event, a ring send, a transmit, a driver load. None of that can reach a
+// live domain from a dead one.
 func (s *Simulation) Guard(call string) {
 	g := s.firing
 	if s.cur != nil {
 		g = s.cur.group
 	}
-	if g != nil && g.killed && testing.Testing() {
+	if g != nil && g.killed && guardsArmed {
 		panic(fmt.Sprintf("sim: %s on behalf of dead domain %q", call, g.name))
 	}
 }
+
+var guardsArmed = testing.Testing()
+
+// ArmGuards makes Guard panic outside test binaries too, in every
+// simulation of the process: a fuzzer's oracle. Call it before any
+// simulation runs.
+func ArmGuards() { guardsArmed = true }
 
 // push draws the next sequence number and queues an entry under it. Every
 // ordering decision of the engine is a call to push; nothing else draws a
