@@ -97,7 +97,7 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=1887 replication=2641 tcprep=1501 shm=1124
+LOC_CEILINGS := core=1886 replication=2641 tcprep=1501 shm=1124
 LOC_KERNEL_CEILING := 848
 LOC_BENCH_CEILING := 2078
 LOC_DESIGN_CEILING := 1373

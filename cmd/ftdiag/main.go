@@ -10,13 +10,15 @@
 //	ftdiag windows trace.json > pinned.txt       # a Chrome trace's per-window digests
 //	ftdiag windows trace.json pinned.txt         # the first window that moved
 //	ftdiag reach func.txt pkgs.txt reach.txt     # code no run reached, against its keepers
+//	ftdiag explain found/seed1-17.json           # a saved ftfuzz failure, from its files
 //
 // Every analysis is a pure function of the trace bytes: same input, same
 // output, byte for byte. diff exits 1 when a divergence is found (0 when
 // the traces agree, 2 on usage or I/O errors), so CI can assert either
 // outcome without parsing the report; windows, given pinned digests, exits
 // 1 when a window moved, and reach (make reach) when its list and the
-// pinned one differ.
+// pinned one differ. explain reads the files ftfuzz saves beside a found
+// scenario and exits 2 when one is missing or malformed.
 package main
 
 import (
@@ -59,6 +61,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdWindows(args[1:], stdout, stderr)
 	case "reach":
 		return cmdReach(args[1:], stdout, stderr)
+	case "explain":
+		return cmdExplain(args[1:], stdout, stderr)
 	}
 	fmt.Fprintf(stderr, "ftdiag: unknown subcommand %q\n", args[0])
 	usage(stderr)
@@ -94,6 +98,7 @@ func usage(w io.Writer) {
   ftdiag slice -order N [-max N] trace.jsonl
   ftdiag windows trace.json [pinned.txt]
   ftdiag reach func.txt pkgs.txt reach.txt
+  ftdiag explain found.json
 `)
 }
 

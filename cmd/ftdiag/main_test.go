@@ -71,7 +71,7 @@ func writeTrace(path string, failAt time.Duration, total int) error {
 	if err != nil {
 		return err
 	}
-	if err := sys.Obs.WriteJSONL(f); err != nil {
+	if err := obs.WriteJSONL(f, sys.Obs.Events()); err != nil {
 		f.Close()
 		return err
 	}
@@ -128,7 +128,7 @@ func TestDiffExitCodes(t *testing.T) {
 		{"missing file", []string{"diff", tr["clean"], filepath.Join(t.TempDir(), "no-such.jsonl")}, 2, "no-such.jsonl"},
 		{"bad flag", []string{"diff", "-no-such-flag", tr["clean"], tr["clean2"]}, 2, "flag provided but not defined"},
 		{"one trace", []string{"diff", tr["clean"]}, 2, "exactly two trace files"},
-		{"unknown subcommand", []string{"explain", tr["clean"]}, 2, "unknown subcommand"},
+		{"unknown subcommand", []string{"explode", tr["clean"]}, 2, "unknown subcommand"},
 		{"no subcommand", nil, 2, "usage:"},
 		{"help", []string{"-h"}, 0, ""},
 	} {

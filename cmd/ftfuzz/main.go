@@ -27,13 +27,17 @@
 // never-failed output exactly.
 //
 // The first failing scenario is shrunk greedily, one field at a time, to a
-// minimal one that still fails; ftfuzz prints its one-line reproducer and
-// writes it, with its flight dump, to -found (TestFoundScenariosPass replays
-// every scenario there), prints the scenarios per second at the end, and
-// exits 1 if any scenario failed.
+// minimal one that still fails; ftfuzz writes it to -found with the
+// oracle's finding and the flight dump at the failure, and prints the two
+// commands that take it from there: the subtest of TestFoundScenariosPass
+// that reruns it (TestFoundScenariosPass replays every scenario in
+// testdata/fuzz) and the ftdiag explain that diagnoses it from the saved
+// files alone. It prints the scenarios per second at the end, and exits 1
+// if any scenario failed.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -127,14 +131,30 @@ type Result struct {
 	Spec     string
 	Digest   uint64
 	Err      error
-	Flight   *obs.FlightDump // the failover's, if there was one
+	Flight   *obs.FlightDump // the failover's, else one taken at a failure
 }
 
-// Reproducer is the one line that reruns the scenario, with what it drew.
+// Reproducer is the one line that reruns the drawn scenario, with what it
+// drew.
 func (r Result) Reproducer() string {
-	return fmt.Sprintf("go run ./cmd/ftfuzz -seed %d -i %d  # %s, %q: %v",
-		r.Scenario.Seed, r.Scenario.Index, r.Scenario.shape(), r.Spec, r.Err)
+	return fmt.Sprintf("go run ./cmd/ftfuzz -seed %d -i %d  # %s", r.Scenario.Seed, r.Scenario.Index, r.summary())
 }
+
+func (r Result) summary() string {
+	return fmt.Sprintf("%s, %q: %v", r.Scenario.shape(), r.Spec, r.Err)
+}
+
+// Replay is how to go on from a shrunk failure Save wrote to dir: the
+// subtest that reruns it once the file is in testdata/fuzz, and the ftdiag
+// explain that diagnoses it from the saved files.
+func Replay(dir string, r Result) string {
+	name := r.Scenario.file()
+	return fmt.Sprintf("rerun:   go test ./cmd/ftfuzz -run 'TestFoundScenariosPass/%s$'\nexplain: go run ./cmd/ftdiag explain %s",
+		name, filepath.Join(dir, name+".json"))
+}
+
+// file is the name Save gives the scenario's files, less the extension.
+func (sc Scenario) file() string { return fmt.Sprintf("seed%d-%d", sc.Seed, sc.Index) }
 
 // clean is a never-failed run's output and transfer counts, run once.
 type clean struct {
@@ -142,6 +162,7 @@ type clean struct {
 	output    string
 	transfers map[string]int
 	err       error
+	flight    *obs.FlightDump // at err
 }
 
 // Fuzzer runs scenarios, sharing never-failed runs between scenarios of the
@@ -164,7 +185,7 @@ func (f *Fuzzer) cleanRun(sc Scenario) *clean {
 	f.mu.Unlock()
 	c.once.Do(func() {
 		var sys *core.System
-		if sys, c.output, c.err = run(sc, ""); c.err == nil {
+		if sys, c.output, c.flight, c.err = run(sc, ""); c.err == nil {
 			c.transfers = oracle.Transfers(sys.Obs.Events())
 			sys.Sim.Shutdown()
 		}
@@ -177,16 +198,16 @@ func (f *Fuzzer) Run(sc Scenario) Result {
 	res := Result{Scenario: sc}
 	c := f.cleanRun(sc)
 	if c.err != nil {
-		res.Err = fmt.Errorf("the never-failed run: %w", c.err)
+		res.Err, res.Flight = fmt.Errorf("the never-failed run: %w", c.err), c.flight
 		return res
 	}
 	res.Spec = sc.spec(c.transfers)
-	sys, output, err := run(sc, res.Spec)
+	sys, output, flight, err := run(sc, res.Spec)
 	h := fnv.New64a()
 	h.Write([]byte(output))
 	res.Digest = h.Sum64()
 	if err != nil {
-		res.Err = err
+		res.Err, res.Flight = err, flight
 		return res
 	}
 	res.Flight = sys.Flight
@@ -205,21 +226,28 @@ func (f *Fuzzer) Run(sc Scenario) Result {
 	if n := sys.Sim.Live(); n > 0 {
 		errs = append(errs, fmt.Errorf("%d simulated processes outlived Shutdown", n))
 	}
-	res.Err = errors.Join(errs...)
+	if res.Err = errors.Join(errs...); res.Err != nil && res.Flight == nil {
+		res.Flight = sys.Obs.FlightDump()
+	}
 	return res
 }
 
 // run runs one deployment of the scenario's shape under the chaos schedule
-// spec (empty: never failed) and returns it with its client's output.
-func run(sc Scenario, spec string) (sys *core.System, output string, err error) {
+// spec (empty: never failed) and returns it with its client's output, or
+// the error that ended it with the flight dump at the error: the
+// failover's, or one taken then.
+func run(sc Scenario, spec string) (sys *core.System, output string, flight *obs.FlightDump, err error) {
 	defer func() {
 		if v := recover(); v != nil {
+			if sys != nil {
+				flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
+			}
 			sys, output, err = nil, "", fmt.Errorf("panic: %v", v)
 		}
 	}()
 	app := oracle.Apps[sc.App]
 	if sys, err = oracle.Deploy(spec, sc.options()...); err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
 	out, err := app.Start(sys, sc.Workers, sc.Ports)
 	if err == nil {
@@ -229,10 +257,11 @@ func run(sc Scenario, spec string) (sys *core.System, output string, err error) 
 		err = app.Run(sys)
 	}
 	if err != nil {
+		flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
 		sys.Sim.Shutdown()
-		return nil, "", err
+		return nil, "", flight, err
 	}
-	return sys, out(), nil
+	return sys, out(), nil, nil
 }
 
 // after arms what the scenario does once its kill is delivered, polling
@@ -293,8 +322,9 @@ func (f *Fuzzer) Shrink(r Result) Result {
 }
 
 // Save writes the scenario of r as <dir>/seed<S>-<i>.json, the file
-// TestFoundScenariosPass replays, and its flight dump, if it has one, beside
-// it as .flight.txt.
+// TestFoundScenariosPass replays, and beside it the oracle's finding as
+// .finding.txt and the flight dump, if it has one, as .flight.jsonl: the
+// files ftdiag explain reads.
 func Save(dir string, r Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -303,16 +333,45 @@ func Save(dir string, r Result) error {
 	if err != nil {
 		return err
 	}
-	name := filepath.Join(dir, fmt.Sprintf("seed%d-%d", r.Scenario.Seed, r.Scenario.Index))
-	if err := os.WriteFile(name+".json", append(b, '\n'), 0o644); err != nil || r.Flight == nil {
+	name := filepath.Join(dir, r.Scenario.file())
+	if err := os.WriteFile(name+".json", append(b, '\n'), 0o644); err != nil {
 		return err
 	}
-	fl, err := os.Create(name + ".flight.txt")
+	if err := os.WriteFile(name+".finding.txt", []byte(finding(r.Err)), 0o644); err != nil || r.Flight == nil {
+		return err
+	}
+	fl, err := os.Create(name + ".flight.jsonl")
 	if err != nil {
 		return err
 	}
-	r.Flight.WriteText(fl)
+	if err := obs.WriteJSONL(fl, r.Flight.Events); err != nil {
+		fl.Close()
+		return err
+	}
 	return fl.Close()
+}
+
+// finding renders the oracle's verdict one violated invariant a line, in
+// the order it checked them; a hang's line is followed by one indented line
+// per stuck process, naming what it waits on.
+func finding(err error) string {
+	errs := []error{err}
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		errs = j.Unwrap()
+	}
+	var b strings.Builder
+	for _, e := range errs {
+		var hang *core.HangError
+		if !errors.As(e, &hang) {
+			fmt.Fprintln(&b, strings.ReplaceAll(e.Error(), "\n", "; "))
+			continue
+		}
+		fmt.Fprintf(&b, "hang at %v: an app main has not returned\n", hang.At)
+		for _, s := range hang.Stuck {
+			fmt.Fprintf(&b, "\tstuck %s\n", s)
+		}
+	}
+	return b.String()
 }
 
 // Campaign runs scenarios from..from+n-1 of seed on workers goroutines,
@@ -368,9 +427,11 @@ func main() {
 		if failed++; failed == 1 {
 			fmt.Println(strings.ReplaceAll(r.Reproducer(), "\n", "; "))
 			shrunk := NewFuzzer().Shrink(r)
-			fmt.Println("shrunk:", strings.ReplaceAll(shrunk.Reproducer(), "\n", "; "))
+			fmt.Println("shrunk:", strings.ReplaceAll(shrunk.summary(), "\n", "; "))
 			if err := Save(*found, shrunk); err != nil {
 				fmt.Fprintln(os.Stderr, "ftfuzz:", err)
+			} else {
+				fmt.Println(Replay(*found, shrunk))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -73,24 +74,27 @@ func TestFoundScenariosPass(t *testing.T) {
 		t.Fatalf("found scenarios %v: %v", files, err)
 	}
 	for _, name := range files {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sc Scenario
-		if err := json.Unmarshal(b, &sc); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if r := NewFuzzer().Run(sc); r.Err != nil {
-			t.Errorf("%s: %s", name, r.Reproducer())
-		}
+		t.Run(strings.TrimSuffix(filepath.Base(name), ".json"), func(t *testing.T) {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc Scenario
+			if err := json.Unmarshal(b, &sc); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if r := NewFuzzer().Run(sc); r.Err != nil {
+				t.Errorf("%s: %s", name, r.summary())
+			}
+		})
 	}
 }
 
 // TestShrinkAndSave: a failing scenario shrinks to the simplest value of
 // every field that keeps it failing — here all of them, since an app the
 // oracle does not know fails every shape — and Save writes it as a file
-// TestFoundScenariosPass reads back.
+// TestFoundScenariosPass reads back, with the finding and the flight dump
+// ftdiag explain reads, which the printed commands name.
 func TestShrinkAndSave(t *testing.T) {
 	sc := Scenario{Seed: 9, Index: 4, App: "no-such-app", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
 		Epochs: true, Ports: 2, Target: "backup", Kind: "coherency", Then: "retire"}
@@ -109,5 +113,19 @@ func TestShrinkAndSave(t *testing.T) {
 	var got Scenario
 	if err != nil || json.Unmarshal(b, &got) != nil || got != want {
 		t.Errorf("saved %s (%v), want %+v", b, err, want)
+	}
+	fd, err := os.ReadFile(filepath.Join(dir, "seed9-4.finding.txt"))
+	if err != nil || !strings.HasPrefix(string(fd), "the never-failed run: panic: ") {
+		t.Errorf("saved finding %q (%v), want the never-failed run's panic", fd, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seed9-4.flight.jsonl")); err != nil {
+		t.Error(err)
+	}
+	replay := Replay(dir, r)
+	for _, cmd := range []string{"go test ./cmd/ftfuzz -run 'TestFoundScenariosPass/seed9-4$'",
+		"go run ./cmd/ftdiag explain " + filepath.Join(dir, "seed9-4.json")} {
+		if !strings.Contains(replay, cmd) {
+			t.Errorf("printed %q, want it to name %q", replay, cmd)
+		}
 	}
 }

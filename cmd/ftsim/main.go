@@ -4,7 +4,7 @@
 //
 //	ftsim -size 2147483648 -fail 5s -fault coherency -relaxed
 //	ftsim -chaos kill-rejoin-kill        # preset crash/rejoin cycles
-//	ftsim -chaos "drop hb p0.5 1s..2s; kill primary @3s" -chaos-seed 7
+//	ftsim -chaos "drop hb p0.5 1s..2s; kill primary @3s" -seed 7
 //	ftsim -trace out.json                # Perfetto-loadable timeline
 //
 // Every kill — -fail's or a chaos schedule's — is followed by backup
@@ -17,7 +17,7 @@
 //
 // With -trace the full event stream is retained and written as a Chrome
 // trace-event file (open it at https://ui.perfetto.dev). The trace is
-// deterministic: two runs with the same flags and seeds produce
+// deterministic: two runs with the same flags produce
 // byte-identical files. On runs that kill the primary, the flight
 // recorder's dump (the last events each component saw at the moment of
 // failure) is printed after the timeline.
@@ -33,6 +33,7 @@ import (
 	"repro/internal/apps/restream"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -45,7 +46,6 @@ type options struct {
 	trace       string
 	events      string
 	chaosSpec   string
-	chaosSeed   int64
 	rejoinDelay time.Duration
 	flight      string
 	shards      int
@@ -63,23 +63,24 @@ func main() {
 	flag.StringVar(&o.trace, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
 	flag.StringVar(&o.events, "events", "", "write the raw event stream as JSONL to this file (ftdiag input)")
 	flag.StringVar(&o.chaosSpec, "chaos", "", "chaos schedule (preset name or spec)")
-	flag.Int64Var(&o.chaosSeed, "chaos-seed", 42, "seed for the chaos injector's RNG stream")
 	flag.DurationVar(&o.rejoinDelay, "rejoin-delay", core.DefaultConfig(1).RejoinDelay, "partition repair time before a backup rejoins")
 	flag.StringVar(&o.flight, "flight", "", "write the failover flight-recorder dump to this file")
 	flag.IntVar(&o.shards, "shards", 1, "det-section sequencer shards (1 = the global-mutex total order)")
 	flag.IntVar(&o.replicas, "replicas", 2, "replica-set size: one primary plus n-1 backups on balanced fault domains")
 	flag.IntVar(&o.quorum, "quorum", 0, "output-commit quorum counting the primary (0 = majority of the set)")
 	flag.Parse()
-	if err := run(o); err != nil {
+	if _, err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ftsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
+// run runs the scenario and returns the deployment, shut down, for what it
+// reports once the run is over.
+func run(o options) (*core.System, error) {
 	kind, err := chaos.ParseFaultKind(o.fault)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tcp := core.DefaultConfig(o.seed).TCP
 	tcp.MSS = 32 << 10
@@ -103,22 +104,22 @@ func run(o options) error {
 		}
 		sched, err := chaos.Parse(spec)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("chaos schedule: %s\n", sched)
-		opts = append(opts, func(c *core.Config) { c.Chaos, c.ChaosSeed = sched, o.chaosSeed })
+		opts = append(opts, func(c *core.Config) { c.Chaos = sched })
 	}
 	if o.trace != "" || o.events != "" {
 		opts = append(opts, core.WithTrace())
 	}
 	sys, err := core.New(opts...)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer sys.Sim.Shutdown()
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
-		return err
+		return sys, err
 	}
 	scfg := restream.Config{Port: 80, Chunk: 256 << 10, Total: int(o.size)}
 	sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
@@ -129,7 +130,7 @@ func run(o options) error {
 		sys.InjectPrimaryFailure(o.failAt, kind)
 	}
 	if err := sys.Sim.Run(); err != nil {
-		return err
+		return sys, err
 	}
 	for _, s := range dl.Series {
 		fmt.Printf("t=%5.0fs %8.0f Mb/s\n", s.At.Seconds(), s.Mbps())
@@ -157,11 +158,11 @@ func run(o options) error {
 		if o.flight != "" {
 			f, err := os.Create(o.flight)
 			if err != nil {
-				return err
+				return sys, err
 			}
 			sys.Flight.Tail(200).WriteText(f)
 			if err := f.Close(); err != nil {
-				return err
+				return sys, err
 			}
 			fmt.Printf("wrote flight-recorder dump to %s\n", o.flight)
 		} else {
@@ -172,14 +173,14 @@ func run(o options) error {
 	if o.trace != "" {
 		f, err := os.Create(o.trace)
 		if err != nil {
-			return err
+			return sys, err
 		}
 		if err := sys.Obs.WriteChromeTrace(f); err != nil {
 			f.Close()
-			return err
+			return sys, err
 		}
 		if err := f.Close(); err != nil {
-			return err
+			return sys, err
 		}
 		fmt.Printf("wrote %s (%d events); open it at https://ui.perfetto.dev\n",
 			o.trace, len(sys.Obs.Events()))
@@ -187,26 +188,26 @@ func run(o options) error {
 	if o.events != "" {
 		f, err := os.Create(o.events)
 		if err != nil {
-			return err
+			return sys, err
 		}
-		if err := sys.Obs.WriteJSONL(f); err != nil {
+		if err := obs.WriteJSONL(f, sys.Obs.Events()); err != nil {
 			f.Close()
-			return err
+			return sys, err
 		}
 		if err := f.Close(); err != nil {
-			return err
+			return sys, err
 		}
 		fmt.Printf("wrote %s (%d events); diagnose it with ftdiag\n",
 			o.events, len(sys.Obs.Events()))
 	}
 	if !dl.Complete || dl.Corrupted {
-		return fmt.Errorf("client-visible stream was damaged")
+		return sys, fmt.Errorf("client-visible stream was damaged")
 	}
 	if o.chaosSpec != "" && sys.State() == core.StateFailed {
-		return fmt.Errorf("deployment ended in the failed state")
+		return sys, fmt.Errorf("deployment ended in the failed state")
 	}
 	if err := sys.RejoinErr(); err != nil {
-		return fmt.Errorf("rejoin failed: %w", err)
+		return sys, fmt.Errorf("rejoin failed: %w", err)
 	}
-	return nil
+	return sys, nil
 }

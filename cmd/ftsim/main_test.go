@@ -11,7 +11,7 @@ import (
 
 // defaults are the flag defaults of main.
 func defaults() options {
-	return options{size: 1 << 30, failAt: 3 * time.Second, fault: "core", seed: 1, chaosSeed: 42,
+	return options{size: 1 << 30, failAt: 3 * time.Second, fault: "core", seed: 1,
 		rejoinDelay: 10 * time.Second, shards: 1, replicas: 2}
 }
 
@@ -25,7 +25,7 @@ func TestGoldenScenarioEndsByItself(t *testing.T) {
 	o := defaults()
 	o.size, o.failAt = 8388608, 2*time.Second
 	o.trace, o.flight = filepath.Join(dir, "golden-check.json"), filepath.Join(dir, "flight-golden.txt")
-	if err := run(o); err != nil {
+	if _, err := run(o); err != nil {
 		t.Fatal(err)
 	}
 	pinned, err := os.ReadFile("../../goldens/ftsim-trace.windows")
@@ -52,20 +52,35 @@ func TestChaosPresetEndsByItself(t *testing.T) {
 	o := defaults()
 	o.size, o.chaosSpec = 1<<20, "kill-rejoin-kill"
 	o.flight = filepath.Join(t.TempDir(), "flight-krk.txt")
-	if err := run(o); err != nil {
+	if _, err := run(o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeartbeatStormSuspectsSpuriously: the hb-storm preset provokes a
+// spurious failover before its two kills, so the run ends a generation past
+// them — one promotion per kill, and one for the suspicion.
+func TestHeartbeatStormSuspectsSpuriously(t *testing.T) {
+	o := defaults()
+	o.size, o.chaosSpec = 1<<20, "hb-storm"
+	sys, err := run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kills, g := sys.Injector().Kills, int64(sys.Generation()); g != kills+1 {
+		t.Errorf("generation %d after %d kills, want %d: the storm provoked no spurious failover", g, kills, kills+1)
 	}
 }
 
 func TestRunRejectsUnknownFaultAndChaos(t *testing.T) {
 	bad := defaults()
 	bad.fault = "meteor"
-	if err := run(bad); err == nil {
+	if _, err := run(bad); err == nil {
 		t.Error("-fault meteor accepted")
 	}
 	bad = defaults()
 	bad.chaosSpec = "kill everyone @1s"
-	if err := run(bad); err == nil {
+	if _, err := run(bad); err == nil {
 		t.Error("-chaos \"kill everyone @1s\" accepted")
 	}
 }

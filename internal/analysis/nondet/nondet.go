@@ -4,7 +4,7 @@
 // the application observes flows through the replication layer: clock
 // reads are replicated as gettimeofday tuples precisely so both replicas
 // agree on time (§3.3), thread identity is the replicated ft_pid, and
-// random draws must come from the simulation's seeded source. A direct
+// random draws must come from a simulation domain's seeded stream. A direct
 // time.Now(), os.Getpid(), or math/rand call in replicated code gives
 // the primary and the secondary different values — a silent divergence
 // that surfaces only as a replay mismatch long after the fact.
@@ -16,9 +16,9 @@
 //     (*replication.Thread).Now or the kernel clock (*kernel.Kernel).Now
 //   - os.Getpid — use the replicated thread identity
 //     (*replication.Thread).FTPid
-//   - any package-level use of math/rand — use the simulation's seeded
-//     deterministic source (sim.Simulation.Rand); method calls on a
-//     *rand.Rand obtained from the simulation are sanctioned
+//   - any package-level use of math/rand — use a domain's seeded
+//     deterministic stream (sim.Group.Rand); method calls on a
+//     *rand.Rand obtained from a domain are sanctioned
 //   - map-range iteration whose loop variables escape into ordered
 //     output (append, channel send, string concatenation, or a
 //     send/write/emit-like call, including the zero-copy fabric's
@@ -182,7 +182,7 @@ func checkCallChains(pass *ftvet.Pass, pkg *ftvet.Package, fd *ast.FuncDecl) {
 		case flow.TaintPid:
 			msg = fmt.Sprintf("%s carries the raw process id (%s) into replicated code; use the replicated thread identity (*replication.Thread).FTPid", what, t.Path())
 		case flow.TaintRand:
-			msg = fmt.Sprintf("%s carries a package-level math/rand draw (%s) into replicated code, seeded per process; use the simulation's deterministic source (sim.Simulation.Rand)", what, t.Path())
+			msg = fmt.Sprintf("%s carries a package-level math/rand draw (%s) into replicated code, seeded per process; use a domain's deterministic stream (sim.Group.Rand)", what, t.Path())
 		default:
 			return
 		}
@@ -281,8 +281,8 @@ func checkObsAttrs(pass *ftvet.Pass, pkg *ftvet.Package, call *ast.CallExpr) {
 
 // checkQualified flags pkgname.Ident references into the denied standard
 // library surface. Only qualified identifiers are considered, so a
-// method call on a *rand.Rand value handed out by the simulation is not
-// flagged — that source is seeded identically on both replicas.
+// method call on a *rand.Rand value handed out by a domain is not
+// flagged — that stream is a function of the seed and the domain's name.
 func checkQualified(pass *ftvet.Pass, pkg *ftvet.Package, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
@@ -308,7 +308,7 @@ func checkQualified(pass *ftvet.Pass, pkg *ftvet.Package, sel *ast.SelectorExpr)
 			pass.Report(sel.Pos(), "os.Getpid is not replicated and differs across replicas; use the replicated thread identity (*replication.Thread).FTPid")
 		}
 	case "math/rand", "math/rand/v2":
-		pass.Report(sel.Pos(), "package-level math/rand draws are seeded per process and diverge across replicas; use the simulation's deterministic source (sim.Simulation.Rand)")
+		pass.Report(sel.Pos(), "package-level math/rand draws are seeded per process and diverge across replicas; use a domain's deterministic stream (sim.Group.Rand)")
 	}
 }
 

@@ -135,13 +135,16 @@ func TestWriterNeverStallsUnderBackpressure(t *testing.T) {
 // costs the four queue operations' mutex_locks, the writer's wait, the
 // worker's broadcast that wakes the writer, and — 135 times in 200 — the
 // producer's wait and the signal that wakes it; eight more start and close
-// the run: 1 478 sections. A wake-up that woke nobody used to record one
-// too: 2 280 sections, 11.4 a block, and 1 824 with four workers.
+// the run: 1 478 sections. With four workers the producer waits for room 52
+// times and the writer 148 times, idle workers wait for a block 10 times,
+// woken by 4 broadcasts, and twelve sections start and close the run:
+// 800 + 2×148 + 2×52 + 14 + 12 = 1 226. A wake-up that woke nobody used to
+// record one too: 2 280 sections, 11.4 a block, and 1 824 with four workers.
 func TestPrimarySectionsPerBlock(t *testing.T) {
 	for _, row := range []struct {
 		workers  int
 		sections uint64
-	}{{1, 1478}, {4, 1208}} {
+	}{{1, 1478}, {4, 1226}} {
 		sys, err := core.New(core.WithSeed(1))
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/core"
@@ -136,7 +136,7 @@ func sampleLag(sys *core.System) error {
 // objects and may record and replay concurrently).
 type lockLoop struct {
 	threads, locks, iters int
-	// think draws one round's think time from the simulation's source.
+	// think draws one round's think time from the thread's kernel's stream.
 	think func(*rand.Rand) time.Duration
 	// contend adds a lock/unlock of one extra mutex shared by all threads
 	// on every eighth round: occasional cross-thread contention.
@@ -150,7 +150,7 @@ type lockLoop struct {
 
 // thinkUS draws whole microseconds in [lo, lo+span).
 func thinkUS(lo, span int) func(*rand.Rand) time.Duration {
-	return func(r *rand.Rand) time.Duration { return time.Duration(lo+r.Intn(span)) * time.Microsecond }
+	return func(r *rand.Rand) time.Duration { return time.Duration(lo+r.IntN(span)) * time.Microsecond }
 }
 
 // run is the loop's main thread on one replica.
@@ -170,7 +170,7 @@ func (l lockLoop) run(root *replication.Thread, _ *tcprep.Sockets) {
 		threads = append(threads, root.NS().SpawnThread(root, "w", func(th *replication.Thread) {
 			t := th.Task()
 			for j := 0; j < l.iters; j++ {
-				t.Compute(l.think(t.Kernel().Sim().Rand()))
+				t.Compute(l.think(t.Kernel().Domain().Rand()))
 				mu.Lock(t)
 				t.Compute(2 * time.Microsecond)
 				mu.Unlock(t)

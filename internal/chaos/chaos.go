@@ -27,7 +27,7 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 	"time"
@@ -369,10 +369,10 @@ type Injector struct {
 	landed []int // per kill: the transfers of its class landed so far
 }
 
-// NewInjector builds an injector with its own RNG stream, so probability
-// draws never perturb the workload's deterministic randomness.
-func NewInjector(sched Schedule, env Env, seed int64) *Injector {
-	return &Injector{sched: sched, env: env, rng: rand.New(rand.NewSource(seed)), landed: make([]int, len(sched.Kills))}
+// NewInjector builds an injector that draws from a domain of its own,
+// "chaos", so its probability draws never perturb a kernel's.
+func NewInjector(sched Schedule, env Env) *Injector {
+	return &Injector{sched: sched, env: env, rng: env.Sim.NewGroup("chaos").Rand(), landed: make([]int, len(sched.Kills))}
 }
 
 // Start schedules every timed kill. Message-boundary kills and ring faults
@@ -462,11 +462,13 @@ func (inj *Injector) ArmRing(r *shm.Ring) {
 var Presets = map[string]string{
 	// One failover, then a second kill after the backup has rejoined.
 	"kill-rejoin-kill": "kill primary @2s; kill primary @4m",
-	// A heart-beat storm provoking a spurious-suspicion window before a
-	// real failure. The first kill sits past the default repair delay so
-	// that a storm-induced spurious failover has rejoined by then — a
-	// kill inside the repair window would hit the sole survivor.
-	"hb-storm": "drop hb p0.5 500ms..800ms; kill primary @15s; kill primary @4m30s",
+	// A heart-beat storm provoking a spurious suspicion before a real
+	// failure: inside the lossy stretch every beat is lost for 70 ms, longer
+	// than the detector's 50 ms timeout, so the suspicion does not hang on
+	// the drop draws. The first kill sits past the default repair delay so
+	// that the spurious failover has rejoined by then — a kill inside the
+	// repair window would hit the sole survivor.
+	"hb-storm": "drop hb p0.5 500ms..800ms; drop hb 600ms..670ms; kill primary @15s; kill primary @4m30s",
 	// Duplicated acks and congested log/sync channels around failover.
 	"dup-delay": "dup acks x2 0s..10s; delay log 200us 1s..3s; delay sync 150us 1s..3s; kill primary @2500ms; kill primary @5m",
 }

@@ -164,7 +164,7 @@ func ringEnv(t *testing.T, spec string) (*sim.Simulation, *shm.Fabric, *chaos.In
 		Sim:     s,
 		Machine: m,
 		Victim:  func(chaos.Target) (int, bool) { return 0, false },
-	}, 99)
+	})
 	return s, shm.NewFabric(s, time.Microsecond), inj
 }
 
@@ -263,7 +263,7 @@ func TestInjectorKillSkipsDeadVictim(t *testing.T) {
 			}
 			return 0, false
 		},
-	}, 1)
+	})
 	inj.Start()
 	if err := s.RunUntil(sim.Time(10 * time.Millisecond)); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -319,7 +319,7 @@ func TestInjectorKillsAtNthTransfer(t *testing.T) {
 		Sim:     s,
 		Machine: m,
 		Victim:  func(chaos.Target) (int, bool) { return 2, true },
-	}, 1)
+	})
 	logs := []*shm.Ring{f.NewRing("ftns.log", 0, 1<<20), f.NewRing("ftns.log.g1", 0, 1<<20)}
 	acks := f.NewRing("ftns.acks", 1, 1<<20)
 	var landed []sim.Time // log transfers

@@ -103,10 +103,9 @@ type Config struct {
 	// paper stops at failover, so 10 s is a model choice).
 	RejoinDelay time.Duration
 	// Chaos is the fault-injection schedule driven against this
-	// deployment (empty = none); ChaosSeed seeds the injector's dedicated
-	// RNG stream so probability draws never perturb workload randomness.
-	Chaos     chaos.Schedule
-	ChaosSeed int64
+	// deployment (empty = none); its probability draws come from a domain
+	// of their own, so they never perturb the workload's.
+	Chaos chaos.Schedule
 	// Epochs enables and tunes epoch checkpointing (requires restorable
 	// apps; see WithEpochCheckpoints).
 	Epochs EpochConfig
@@ -475,7 +474,7 @@ func build(cfg Config) (*System, error) {
 			Machine: m,
 			Victim:  sys.victim,
 			Scope:   tr.Scope("chaos"),
-		}, cfg.ChaosSeed)
+		})
 		for _, r := range fabric.Rings() {
 			sys.injector.ArmRing(r)
 		}

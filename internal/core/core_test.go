@@ -519,8 +519,8 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 		got := make([]byte, 0, total)
 		var doneAt sim.Time
 		download(t, client, 80, &got, &doneAt)
-		failAt := time.Duration(10+sys.Sim.Rand().Intn(200)) * time.Millisecond
-		kind := kinds[sys.Sim.Rand().Intn(len(kinds))]
+		failAt := time.Duration(10+sys.Sim.Root().Rand().IntN(200)) * time.Millisecond
+		kind := kinds[sys.Sim.Root().Rand().IntN(len(kinds))]
 		sys.InjectPrimaryFailure(failAt, kind)
 		if err := sys.Sim.Run(); err != nil {
 			t.Fatal(err)

@@ -82,7 +82,7 @@ func WithTCP(p tcpstack.Params) Option {
 // field without a constructor is set with an Option literal:
 //
 //	sys, err := core.New(core.WithSeed(1), func(c *core.Config) {
-//		c.Chaos, c.ChaosSeed = chaos.MustParse("kill primary @2s"), 7
+//		c.Chaos = chaos.MustParse("kill primary @2s")
 //	})
 //	sys.Run(core.App{Name: "srv", Main: func(th, socks) { ... }})
 //	sys.Sim.Run()

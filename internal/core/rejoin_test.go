@@ -58,11 +58,10 @@ func restorableStream(total int) core.App {
 	}}
 }
 
-// withChaos drives the chaos schedule spec against the deployment, its
-// injector seeded with 42.
+// withChaos drives the chaos schedule spec against the deployment.
 func withChaos(spec string) core.Option {
 	sched := chaos.MustParse(spec)
-	return func(c *core.Config) { c.Chaos, c.ChaosSeed = sched, 42 }
+	return func(c *core.Config) { c.Chaos = sched }
 }
 
 // fastNICReload shortens the NIC driver reload that dominates failover

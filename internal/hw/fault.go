@@ -84,11 +84,11 @@ func (m *Machine) InjectAfter(d time.Duration, f Fault) *sim.Event {
 }
 
 // RandomMemErrorAddr picks a uniformly random physical address on a random
-// node, using the simulation's deterministic RNG. It returns the node and
-// the machine-wide physical address.
+// node, drawn from the root domain's stream (the fault strikes the machine,
+// not a kernel). It returns the node and the machine-wide physical address.
 func (m *Machine) RandomMemErrorAddr() (node int, addr int64) {
-	rng := m.sim.Rand()
-	node = rng.Intn(len(m.nodes))
-	off := rng.Int63n(m.nodes[node].Mem)
+	rng := m.sim.Root().Rand()
+	node = rng.IntN(len(m.nodes))
+	off := rng.Int64N(m.nodes[node].Mem)
 	return node, int64(node)*m.prof.MemPerNode + off
 }

@@ -164,6 +164,62 @@ func TestNoIdlePenaltyOnBusyHandoff(t *testing.T) {
 	}
 }
 
+// TestHogLeavesOtherKernelUnmoved is the isolation of two kernels' draws
+// (DESIGN.md §19): a CPU hog added to the primary, which draws idle-exit
+// penalties and wake-preemptions of its own, leaves the secondary's draw
+// sequence and its tasks' end times exactly as they were without it.
+func TestHogLeavesOtherKernelUnmoved(t *testing.T) {
+	const name = "secondary"
+	run := func(hog bool) (ends []sim.Time, next uint64) {
+		s := sim.New(1)
+		defer s.Shutdown()
+		m := hw.New(s, hw.Opteron6376x4())
+		boot := func(name string, node int) *Kernel {
+			part, err := m.NewPartition(name, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := Boot(part, Config{Name: name, Cores: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k
+		}
+		// Sleeps past the idle threshold, more tasks than cores: every
+		// compute draws an idle-exit penalty or a wake-preemption.
+		work := func(k *Kernel, tasks int, compute time.Duration, record bool) {
+			for i := range tasks {
+				k.Spawn("w", func(tk *Task) {
+					for j := range 12 {
+						tk.Sleep(time.Duration(1500+100*i+37*j) * time.Microsecond)
+						tk.Compute(compute)
+					}
+					if record {
+						ends = append(ends, tk.Now())
+					}
+				})
+			}
+		}
+		if p := boot("primary", 0); hog {
+			work(p, 6, 3*time.Millisecond, false)
+		}
+		sec := boot(name, 1)
+		work(sec, 3, 400*time.Microsecond, true)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ends, sec.Domain().Rand().Uint64()
+	}
+	ends, next := run(false)
+	hogEnds, hogNext := run(true)
+	if fmt.Sprint(hogEnds) != fmt.Sprint(ends) || hogNext != next {
+		t.Errorf("with a hog on the primary the secondary's tasks ended at %v, next draw %x; without, %v and %x", hogEnds, hogNext, ends, next)
+	}
+	if first := sim.New(1).NewGroup(name).Rand().Uint64(); next == first {
+		t.Error("the secondary's workload drew nothing")
+	}
+}
+
 // TestWaitRecordGrantBeforePark grants a record before its task parks: the
 // grant is not lost, Park returns at once and no process switch happens.
 func TestWaitRecordGrantBeforePark(t *testing.T) {
@@ -596,7 +652,7 @@ func computeAgainKeepsItsCore(t *testing.T, stackless bool) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return ends, idle, s.Rand().Int63()
+		return ends, idle, k.Domain().Rand().Int64()
 	}
 	ends, idle, next := alone(5)
 	if len(ends) != 5 {
@@ -613,7 +669,7 @@ func computeAgainKeepsItsCore(t *testing.T, stackless bool) {
 		}
 	}
 	if _, _, one := alone(1); one != next {
-		t.Errorf("stackless=%v: back-to-back computes drew from the run's RNG", stackless)
+		t.Errorf("stackless=%v: back-to-back computes drew from the kernel's stream", stackless)
 	}
 
 	// One core: B asks for it while A computes, so B is queued when A's

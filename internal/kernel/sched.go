@@ -161,15 +161,15 @@ func (t *Task) Computing() bool { return t.left > 0 && !t.finished }
 func (t *Task) gone() bool { return t.finished || t.killed || !t.kernel.Alive() }
 
 // Kill terminates the task at its next block point. A stackless task parked
-// with no resume pending gets one now, as a parked process does, and gives
-// back its core from there.
+// with no resume pending, or woken with a delay still to run, resumes now,
+// as a killed process does, and gives back its core from there.
 func (t *Task) Kill() {
 	if t.gone() {
 		return
 	}
 	if t.killed = true; t.proc != nil {
 		t.proc.Kill()
-	} else if t.parked && !t.resume.Armed() {
+	} else if t.parked && !t.resume.Armed() || t.resume.Armed() && t.resume.At() > t.Now() {
 		t.detach()
 		t.parked = false
 		t.resume.Reset(0)
@@ -404,7 +404,7 @@ func (s *scheduler) acquire(t *Task, boost bool) {
 		// gets a core within a context switch rather than a full quantum —
 		// granted with the configured probability, as CFS's vruntime check
 		// only sometimes allows it.
-		if pr := s.k.params.WakePreemptProb; pr > 0 && (pr >= 1 || s.k.sim.Rand().Float64() < pr) {
+		if pr := s.k.params.WakePreemptProb; pr > 0 && (pr >= 1 || s.k.group.Rand().Float64() < pr) {
 			s.preemptBatch()
 		}
 	} else {
@@ -427,7 +427,7 @@ func (s *scheduler) dispatchPenalty(idleFor time.Duration) time.Duration {
 	depth := min(idleFor/20, p.IdleWakeMax-p.IdleWakeMin)
 	pen += p.IdleWakeMin
 	if depth > 0 {
-		pen += time.Duration(s.k.sim.Rand().Int63n(int64(depth)))
+		pen += time.Duration(s.k.group.Rand().Int64N(int64(depth)))
 	}
 	return pen
 }

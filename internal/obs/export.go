@@ -86,16 +86,15 @@ func writeChromeDetArgs(w io.Writer, e Event) {
 	}
 }
 
-// WriteJSONL renders the retained event stream as one JSON object per
-// line — the machine-diffable form of the same deterministic stream.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+// WriteJSONL writes events one JSON object per line, as ReadJSONL reads
+// them — the machine-diffable form of a retained stream (Tracer.Events)
+// or of a flight dump's events.
+func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if t != nil {
-		for _, e := range t.events {
-			if err := enc.Encode(e); err != nil {
-				return err
-			}
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

@@ -49,7 +49,7 @@ func TestJSONLParseBackFidelity(t *testing.T) {
 		t.Fatal("scenario retained no events")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := obs.WriteJSONL(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := obs.ReadJSONL(bytes.NewReader(buf.Bytes()))

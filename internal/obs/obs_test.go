@@ -201,7 +201,7 @@ func TestJSONLRoundTrips(t *testing.T) {
 	tr := obs.New(s, obs.Config{Trace: true})
 	tr.Scope("x").EmitNote(obs.Heartbeat, 0, 9, 0, "beat")
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := obs.WriteJSONL(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var e struct {

@@ -137,7 +137,7 @@ func Deploy(spec string, opts ...core.Option) (*core.System, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts = append(opts, func(c *core.Config) { c.Chaos, c.ChaosSeed = sched, 42 })
+		opts = append(opts, func(c *core.Config) { c.Chaos = sched })
 	}
 	return core.New(opts...)
 }

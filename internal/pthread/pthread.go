@@ -258,5 +258,5 @@ func (l *Lib) pickWaiter(n int) int {
 	if l.fifo() || n == 1 {
 		return 0
 	}
-	return l.kern.Sim().Rand().Intn(n)
+	return l.kern.Domain().Rand().IntN(n)
 }

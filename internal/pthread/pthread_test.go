@@ -566,13 +566,13 @@ func TestMutexExclusionManySeeds(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			k.Spawn("w", func(tk *kernel.Task) {
 				for j := 0; j < 5; j++ {
-					tk.Compute(time.Duration(tk.Kernel().Sim().Rand().Intn(200)) * time.Microsecond)
+					tk.Compute(time.Duration(tk.Kernel().Domain().Rand().IntN(200)) * time.Microsecond)
 					m.Lock(tk)
 					if inCS != 0 {
 						t.Errorf("seed %d: mutual exclusion violated", seed)
 					}
 					inCS++
-					if tk.Kernel().Sim().Rand().Intn(2) == 0 {
+					if tk.Kernel().Domain().Rand().IntN(2) == 0 {
 						c.Signal(tk)
 					}
 					inCS--

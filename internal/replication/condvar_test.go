@@ -252,7 +252,7 @@ func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.D
 	{
 		var pOrder, sOrder []consumption
 		var pDone, sDone bool
-		d := newDuo(t, 5, cfg, true)
+		d := newDuo(t, everyTransferSeed, cfg, true)
 		d.log.OnDelivered(func() { landed = append(landed, d.sim.Now()) })
 		d.pns.Start("app", nil, condVarApp(timeout, &pOrder, &pDone, nil))
 		d.sns.Start("app", nil, condVarApp(timeout, &sOrder, &sDone, nil))
@@ -272,7 +272,7 @@ func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.D
 			if late {
 				kill = fmt.Sprintf("kill primary @%dns", landed[n]-1)
 			}
-			c := promoteAt(t, kill, cfg, 5, false, timeout, kill)
+			c := promoteAt(t, kill, cfg, everyTransferSeed, false, timeout, kill)
 			if c.lost {
 				cuts++
 			}
@@ -283,6 +283,11 @@ func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.D
 	}
 	return cuts, handed
 }
+
+// everyTransferSeed seeds the sweep over every log transfer: at it, one det
+// shard and four alike, some untimed cuts find a woken waiter queued on the
+// backup's held mutex.
+const everyTransferSeed = 8
 
 // tickerSeed seeds the runs beside the ticker thread: at it, one det shard
 // and four alike, a run without promotion's wake-up strands its threads.
@@ -373,7 +378,7 @@ func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ti
 	d := newDuo(t, seed, cfg, true)
 	defer d.sim.Shutdown() // each cut's, not at the end of the sweep
 	inj := chaos.NewInjector(chaos.MustParse(kill), chaos.Env{Sim: d.sim, Machine: d.mach,
-		Victim: func(chaos.Target) (int, bool) { return 0, true }}, 1) // node 0 is the primary's
+		Victim: func(chaos.Target) (int, bool) { return 0, true }}) // node 0 is the primary's
 	inj.ArmRing(d.log)
 	inj.Start()
 	d.mach.OnFault(func(f hw.Fault) { d.pk.HandleFault(f) })

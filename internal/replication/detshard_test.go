@@ -61,7 +61,7 @@ func independentLocksApp(out []*[]int, nIters int) func(*replication.Thread) {
 			i := i
 			threads = append(threads, root.NS().SpawnThread(root, "w", func(th *replication.Thread) {
 				for j := 0; j < nIters; j++ {
-					th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+					th.Task().Compute(time.Duration(th.Task().Kernel().Domain().Rand().IntN(100)) * time.Microsecond)
 					locks[i].Lock(th.Task())
 					*out[i] = append(*out[i], th.FTPid()*1000+j)
 					locks[i].Unlock(th.Task())
@@ -185,7 +185,7 @@ func TestCrossShardCondVarReplay(t *testing.T) {
 			}
 			prod := root.NS().SpawnThread(root, "producer", func(th *replication.Thread) {
 				for j := 0; j < 20; j++ {
-					th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+					th.Task().Compute(time.Duration(th.Task().Kernel().Domain().Rand().IntN(100)) * time.Microsecond)
 					m.Lock(th.Task())
 					queue++
 					c.Signal(th.Task())
@@ -258,7 +258,7 @@ func TestCrossShardCondVarReplayUnderChaos(t *testing.T) {
 			}
 			prod := root.NS().SpawnThread(root, "producer", func(th *replication.Thread) {
 				for j := 0; j < 20; j++ {
-					th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+					th.Task().Compute(time.Duration(th.Task().Kernel().Domain().Rand().IntN(100)) * time.Microsecond)
 					m.Lock(th.Task())
 					queue++
 					c.Signal(th.Task())
@@ -348,7 +348,7 @@ func TestCrossShardCondVarHandOffUnderChaos(t *testing.T) {
 			}
 			threads = append(threads, root.NS().SpawnThread(root, "producer", func(th *replication.Thread) {
 				for j := 0; j < 18; j++ {
-					th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+					th.Task().Compute(time.Duration(th.Task().Kernel().Domain().Rand().IntN(100)) * time.Microsecond)
 					m.Lock(th.Task())
 					acquired(th)
 					queue++

@@ -164,7 +164,7 @@ func (w *modelWorld) worker(s *modelSide, i int) func(*replication.Thread) {
 			if ns.Recording() {
 				w.checkOutputs(ns)
 			}
-			t.Compute(time.Duration(w.sim.Rand().Intn(40)) * time.Microsecond)
+			t.Compute(time.Duration(t.Kernel().Domain().Rand().IntN(40)) * time.Microsecond)
 			ns.Enter(t, pthread.OpSyscall, st.key)
 			s.order[st.key] = append(s.order[st.key], th.FTPid())
 			ns.Exit(t, 0)

@@ -83,7 +83,7 @@ func lockOrderApp(out *[]int, nThreads, nIters int) func(*replication.Thread) {
 				for j := 0; j < nIters; j++ {
 					// Local (unreplicated) timing noise: schedules differ
 					// across replicas; only replay keeps orders equal.
-					th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(300)) * time.Microsecond)
+					th.Task().Compute(time.Duration(th.Task().Kernel().Domain().Rand().IntN(300)) * time.Microsecond)
 					m.Lock(th.Task())
 					// Hold the lock while working so unlock hand-off (the
 					// FIFO-futex path) is actually contended.
@@ -191,7 +191,7 @@ func condVarApp(timeout time.Duration, out *[]consumption, done *bool, handed *f
 		}
 		prod := root.NS().SpawnThread(root, "producer", func(th *replication.Thread) {
 			for j := 0; j < 20; j++ {
-				th.Task().Compute(time.Duration(th.Task().Kernel().Sim().Rand().Intn(100)) * time.Microsecond)
+				th.Task().Compute(time.Duration(th.Task().Kernel().Domain().Rand().IntN(100)) * time.Microsecond)
 				m.Lock(th.Task())
 				acq++
 				for len(queue) > 0 {

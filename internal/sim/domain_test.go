@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -109,5 +111,66 @@ func TestSelfKillUnwindsAtOnce(t *testing.T) {
 	}
 	if !callbackTail {
 		t.Error("the callback stopped at its Kill")
+	}
+}
+
+// TestKillBringsADelayedWakeForward pins Kill on a process whose wake-up is
+// pending with a delay: it unwinds at the kill, not when the wake-up was
+// due, so a dead domain holds no entry in the queue past its death.
+func TestKillBringsADelayedWakeForward(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	g := s.NewGroup("g")
+	var q WaitQueue
+	var unwound Time = -1
+	g.Spawn("waiter", func(p *Proc) {
+		defer func() { unwound = p.Now() }()
+		q.Wait(p)
+		t.Error("the killed waiter ran on past its wake-up")
+	})
+	s.Schedule(time.Microsecond, func() {
+		q.WakeOne(10 * time.Microsecond)
+		g.Kill()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at := Time(time.Microsecond); unwound != at || s.Now() != at || s.Live() != 0 {
+		t.Errorf("waiter unwound at %v, Run ended at %v with %d live; want both at %v and none", unwound, s.Now(), s.Live(), at)
+	}
+}
+
+// TestStreamDependsOnSeedAndName pins each domain's random stream to
+// (seed, name): creating other domains before or after it, or drawing from
+// them in between, leaves its sequence unchanged; another name or another
+// seed gives another sequence.
+func TestStreamDependsOnSeedAndName(t *testing.T) {
+	draws := func(seed int64, name string, others int) []uint64 {
+		s := New(seed)
+		var gs []*Group
+		for i := range others {
+			gs = append(gs, s.NewGroup(fmt.Sprintf("other%d", i)))
+		}
+		g := s.NewGroup(name)
+		gs = append(gs, s.NewGroup("late"))
+		var out []uint64
+		for range 8 {
+			for _, o := range gs {
+				o.Rand().Uint64()
+			}
+			s.Root().Rand().Uint64()
+			out = append(out, g.Rand().Uint64())
+		}
+		return out
+	}
+	want := draws(1, "primary", 0)
+	if got := draws(1, "primary", 3); !slices.Equal(got, want) {
+		t.Errorf("with three more domains drawing, primary drew %v, want %v", got, want)
+	}
+	if got := draws(1, "secondary", 0); slices.Equal(got, want) {
+		t.Error("secondary drew primary's sequence")
+	}
+	if got := draws(2, "primary", 0); slices.Equal(got, want) {
+		t.Error("seed 2 drew seed 1's sequence")
 	}
 }

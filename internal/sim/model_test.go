@@ -562,6 +562,15 @@ func (r *refQueue) kill(i int) {
 	case "queued":
 		r.leaveQueue(i)
 		r.makeRunnable(i, 0)
+	case "runnable":
+		// A delayed wake-up still pending is brought forward to the kill.
+		for _, e := range r.entries {
+			if e.seq == p.resumeSeq && e.at > r.now {
+				r.remove(&p.resumeSeq)
+				r.makeRunnable(i, 0)
+				break
+			}
+		}
 	}
 }
 

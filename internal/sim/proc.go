@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"iter"
+	"math/rand/v2"
 	"runtime/debug"
 	"time"
 )
@@ -57,6 +59,7 @@ type Proc struct {
 	// there is none; zeroing it is how the entry is cancelled.
 	resumeSeq  uint64
 	timeoutSeq uint64
+	resumeAt   Time // when the pending resume of makeRunnable fires
 
 	parked   parkKind
 	timedOut bool       // the last wait ended by its timeout
@@ -225,7 +228,8 @@ func (p *Proc) makeRunnable(d time.Duration) {
 		panic(fmt.Sprintf("sim: process %q made runnable while a resume is already pending", p.name))
 	}
 	p.parked = parkNone
-	p.resumeSeq = p.sim.push(p.sim.now.Add(d), kindResume, p, nil)
+	p.resumeAt = p.sim.now.Add(d)
+	p.resumeSeq = p.sim.push(p.resumeAt, kindResume, p, nil)
 }
 
 // unpark detaches a blocked process from what it is parked on, cancelling
@@ -256,17 +260,19 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// Kill marks the process as killed and, if it is parked, unparks it so it
-// unwinds. A killed process stops at its next block point and never runs
-// user code again. Kill may be called from a callback, the driver or any
-// process; killing the calling process takes effect at its next block
-// point. Kill is idempotent.
+// Kill marks the process as killed and makes it runnable now so it
+// unwinds: if it is parked it is unparked, and a delayed wake-up (or start)
+// still pending is brought forward to the kill. A killed process stops at
+// its next block point and never runs user code again. Kill may be called
+// from a callback, from Run's caller or from any process; killing the
+// calling process takes effect at its next block point. Kill is idempotent.
 func (p *Proc) Kill() {
 	if p.killed || p.finished {
 		return
 	}
 	p.killed = true
-	if p.unpark() {
+	if p.unpark() || p.resumeSeq != 0 && p.resumeAt > p.sim.now {
+		p.sim.disown(&p.resumeSeq, p.bg)
 		p.makeRunnable(0)
 	}
 }
@@ -278,12 +284,21 @@ type Group struct {
 	sim    *Simulation
 	name   string
 	killed bool
+	rng    *rand.Rand
 }
 
-// NewGroup returns an empty domain.
+// NewGroup returns an empty domain. Its random stream is seeded with the
+// simulation's seed and the FNV-64a hash of name, so it is the same whatever
+// other domains exist or draw; names are unique within a simulation.
 func (s *Simulation) NewGroup(name string) *Group {
-	return &Group{sim: s, name: name}
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return &Group{sim: s, name: name, rng: rand.New(rand.NewPCG(uint64(s.seed), h.Sum64()))}
 }
+
+// Rand returns the domain's deterministic random stream: every draw made on
+// the domain's behalf comes from it.
+func (g *Group) Rand() *rand.Rand { return g.rng }
 
 // Killed reports whether the group has been killed.
 func (g *Group) Killed() bool { return g.killed }

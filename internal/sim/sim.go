@@ -14,7 +14,9 @@
 // change what fires next.
 //
 // Processes and events belong to domains (Group), as hardware to partitions:
-// a killed domain's pending work is dropped, and it never acts again.
+// a killed domain's pending work is dropped, and it never acts again. Each
+// domain draws from a random stream of its own, a function of the seed and
+// its name alone, so no domain's draws move another's.
 //
 // Everything else in this repository — the simulated hardware, the kernels,
 // the replication protocol, and the benchmark workloads — is built on this
@@ -25,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"runtime/debug"
 	"testing"
@@ -159,7 +160,7 @@ type Simulation struct {
 	dead    int     // entries in queue that are no longer live
 	fg      int     // live entries that are not background work
 	seq     uint64
-	rng     *rand.Rand
+	seed    int64 // every domain's random stream is split from it
 	stopped bool
 	failure any // panic value on its way to Run's caller
 
@@ -181,10 +182,10 @@ type Simulation struct {
 	OnSwitch func(Time, string)
 }
 
-// New returns a simulation whose random source is seeded with seed.
+// New returns a simulation whose domains' random streams are split from seed.
 func New(seed int64) *Simulation {
-	s := &Simulation{rng: rand.New(rand.NewSource(seed))}
-	s.root = &Group{sim: s, name: "root"}
+	s := &Simulation{seed: seed}
+	s.root = s.NewGroup("root")
 	return s
 }
 
@@ -193,9 +194,6 @@ func (s *Simulation) Root() *Group { return s.root }
 
 // Now reports the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
-
-// Rand returns the simulation's deterministic random source.
-func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // Pending reports the number of scheduled (uncancelled) events.
 func (s *Simulation) Pending() int { return len(s.queue) - s.dead }

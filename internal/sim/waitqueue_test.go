@@ -123,16 +123,16 @@ func TestDeterminism(t *testing.T) {
 			name := string(rune('a' + i))
 			s.Spawn(name, func(p *Proc) {
 				for j := 0; j < 20; j++ {
-					switch p.Sim().Rand().Intn(3) {
+					switch p.Sim().Root().Rand().IntN(3) {
 					case 0:
-						p.Sleep(time.Duration(p.Sim().Rand().Intn(1000)) * time.Microsecond)
+						p.Sleep(time.Duration(p.Sim().Root().Rand().IntN(1000)) * time.Microsecond)
 					case 1:
 						if q.Len() > 0 {
-							q.WakeOne(time.Duration(p.Sim().Rand().Intn(100)) * time.Microsecond)
+							q.WakeOne(time.Duration(p.Sim().Root().Rand().IntN(100)) * time.Microsecond)
 						}
 						p.Sleep(time.Microsecond)
 					case 2:
-						q.WaitTimeout(p, time.Duration(p.Sim().Rand().Intn(2000))*time.Microsecond)
+						q.WaitTimeout(p, time.Duration(p.Sim().Root().Rand().IntN(2000))*time.Microsecond)
 					}
 				}
 			})

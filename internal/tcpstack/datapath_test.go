@@ -229,7 +229,7 @@ func TestGoBackNWithCopiesInFlight(t *testing.T) {
 	gate := &holdGate{sim: p.sim, delay: 3 * time.Millisecond, inGate: make(map[uint64]int)}
 	p.server.SetEgress(gate)
 
-	rng := p.sim.Rand()
+	rng := p.sim.Root().Rand()
 	var highest uint64
 	duplicates := 0
 	p.client.SetIngress(func(seg *Segment) bool {
@@ -240,7 +240,7 @@ func TestGoBackNWithCopiesInFlight(t *testing.T) {
 				highest = seg.Seq + n
 			}
 		}
-		return rng.Intn(20) != 0
+		return rng.IntN(20) != 0
 	})
 
 	payload := genPayload(512<<10, 17)

@@ -302,8 +302,8 @@ func TestConnectTimeout(t *testing.T) {
 func TestRetransmissionUnderLoss(t *testing.T) {
 	p := newPair(t, 5, DefaultParams())
 	// Drop 10% of segments arriving at the client, deterministically.
-	rng := p.sim.Rand()
-	p.client.SetIngress(func(seg *Segment) bool { return rng.Intn(10) != 0 })
+	rng := p.sim.Root().Rand()
+	p.client.SetIngress(func(seg *Segment) bool { return rng.IntN(10) != 0 })
 	payload := genPayload(256<<10, 3)
 	l, _ := p.server.Listen(80, 4)
 	p.serverK.Spawn("server", func(tk *kernel.Task) {
