@@ -71,8 +71,9 @@ experiments:
 
 check: vet lint build race bench golden loc
 
-# The one golden-trace check: a small failover run at the degenerate
-# settings — one det shard, two replicas, epochs off, static batching —
+# The one golden-trace check: a small failover run (scenarios/golden.json:
+# an 8 MiB download, the primary killed at 2 s by its chaos schedule) at the
+# degenerate settings — one det shard, two replicas, epochs off —
 # followed by the rejoin every deployment runs (rejoin is the one failure
 # model, not a setting), must reproduce the trace pinned in
 # goldens/ftsim-trace.windows byte for byte: one digest per process row per
@@ -81,7 +82,7 @@ check: vet lint build race bench golden loc
 # leave it alone. To re-pin after a deliberate change:
 # go run ./cmd/ftdiag windows golden-check.json > goldens/ftsim-trace.windows
 golden:
-	$(GO) run ./cmd/ftsim -size 8388608 -fail 2s -shards 1 -replicas 2 -trace golden-check.json -flight flight-golden.txt
+	$(GO) run ./cmd/ftsim -scenario scenarios/golden.json -trace golden-check.json -flight flight-golden.txt
 	$(GO) run ./cmd/ftdiag windows golden-check.json goldens/ftsim-trace.windows
 
 # Non-test Go lines in the four packages the ROADMAP's "collapse the mode
@@ -97,7 +98,7 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=1886 replication=2641 tcprep=1501 shm=1124
+LOC_CEILINGS := core=1884 replication=2641 tcprep=1501 shm=1124
 LOC_KERNEL_CEILING := 848
 LOC_BENCH_CEILING := 2078
 LOC_DESIGN_CEILING := 1373
@@ -119,16 +120,17 @@ loc:
 # A small failover run with full tracing: writes trace.json (open it at
 # https://ui.perfetto.dev) and prints the flight-recorder dump.
 trace:
-	$(GO) run ./cmd/ftsim -size 33554432 -fail 2s -trace trace.json
+	$(GO) run ./cmd/ftsim -scenario scenarios/failover.json -trace trace.json
 
-# Chaos smoke: each preset schedule kills the primary, lets the freed
-# partition rejoin and resync, then kills again (DESIGN.md §12). Fails
-# if the client-visible stream is damaged, a resync aborts, or the
-# deployment dies; flight-*.txt holds the post-mortem on failure.
+# Chaos smoke: each preset schedule (scenarios/<preset>.json, a 128 MiB
+# download) kills the primary, lets the freed partition rejoin and resync,
+# then kills again (DESIGN.md §12). Fails if the client-visible stream is
+# damaged, a resync aborts, or the deployment dies; flight-*.txt holds the
+# post-mortem on failure.
 chaos:
-	$(GO) run ./cmd/ftsim -size 134217728 -chaos kill-rejoin-kill -flight flight-krk.txt
-	$(GO) run ./cmd/ftsim -size 134217728 -chaos hb-storm -flight flight-hbs.txt
-	$(GO) run ./cmd/ftsim -size 134217728 -chaos dup-delay -flight flight-dd.txt
+	$(GO) run ./cmd/ftsim -scenario scenarios/kill-rejoin-kill.json -flight flight-krk.txt
+	$(GO) run ./cmd/ftsim -scenario scenarios/hb-storm.json -flight flight-hbs.txt
+	$(GO) run ./cmd/ftsim -scenario scenarios/dup-delay.json -flight flight-dd.txt
 
 # Divergence diagnosis demo (DESIGN.md §16): run the same deployment
 # twice — once clean, once with the primary killed mid-stream — and let
@@ -138,8 +140,8 @@ chaos:
 # tuple the kill left unreplayed is named by the flight dump's replay
 # frontier (ftsim -flight).
 diag:
-	$(GO) run ./cmd/ftsim -size 8388608 -events diag-clean.jsonl
-	$(GO) run ./cmd/ftsim -size 8388608 -fail 40ms -events diag-failed.jsonl
+	$(GO) run ./cmd/ftsim -scenario scenarios/diag-clean.json -events diag-clean.jsonl
+	$(GO) run ./cmd/ftsim -scenario scenarios/diag-failed.json -events diag-failed.jsonl
 	$(GO) run ./cmd/ftdiag diff diag-clean.jsonl diag-failed.jsonl
 	$(GO) run ./cmd/ftdiag attribute diag-failed.jsonl
 
@@ -161,12 +163,12 @@ reach:
 	for w in web-short compress kv-mixed-n3 stream-failover; do $$B/benchmark -workload $$w -seconds 2 -tracedir $$O > $$O/$$w.txt; done; \
 	for t in 0 1; do $$B/benchmark -workload compress -seconds 2 -trace $$t > /dev/null; done; \
 	$$B/ftbench -exp all -quick > /dev/null; \
-	for c in kill-rejoin-kill hb-storm dup-delay; do $$B/ftsim -size 134217728 -chaos $$c -flight $$O/flight-$$c.txt > /dev/null; done; \
-	$$B/ftsim -size 33554432 -fail 2s -trace $$O/trace.json > /dev/null; \
-	$$B/ftsim -size 8388608 -fail 2s -shards 1 -replicas 2 -trace $$O/golden-check.json -flight $$O/flight-golden.txt > /dev/null; \
+	for c in kill-rejoin-kill hb-storm dup-delay; do $$B/ftsim -scenario scenarios/$$c.json -flight $$O/flight-$$c.txt > /dev/null; done; \
+	$$B/ftsim -scenario scenarios/failover.json -trace $$O/trace.json > /dev/null; \
+	$$B/ftsim -scenario scenarios/golden.json -trace $$O/golden-check.json -flight $$O/flight-golden.txt > /dev/null; \
 	$$B/ftdiag windows $$O/golden-check.json goldens/ftsim-trace.windows; \
-	$$B/ftsim -size 8388608 -events $$O/diag-clean.jsonl > /dev/null; \
-	$$B/ftsim -size 8388608 -fail 40ms -events $$O/diag-failed.jsonl > /dev/null; \
+	$$B/ftsim -scenario scenarios/diag-clean.json -events $$O/diag-clean.jsonl > /dev/null; \
+	$$B/ftsim -scenario scenarios/diag-failed.json -events $$O/diag-failed.jsonl > /dev/null; \
 	$$B/ftdiag diff $$O/diag-clean.jsonl $$O/diag-failed.jsonl > /dev/null; \
 	$$B/ftdiag attribute $$O/diag-failed.jsonl > /dev/null; \
 	$$B/ftfuzz -seed 1 -n 200 -found $$O/found > /dev/null

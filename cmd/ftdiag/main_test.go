@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/apps/clients"
 	"repro/internal/apps/restream"
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -48,7 +48,11 @@ var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 })
 
 func writeTrace(path string, failAt time.Duration, total int) error {
-	sys, err := core.New(core.WithSeed(1), core.WithTrace())
+	opts := []core.Option{core.WithSeed(1), core.WithTrace()}
+	if failAt > 0 {
+		opts = append(opts, func(c *core.Config) { c.Chaos = chaos.MustParse(fmt.Sprintf("kill primary @%v", failAt)) })
+	}
+	sys, err := core.New(opts...)
 	if err != nil {
 		return err
 	}
@@ -61,9 +65,6 @@ func writeTrace(path string, failAt time.Duration, total int) error {
 	sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
 	var dl clients.DownloadStats
 	clients.Download(client, scfg.Port, int64(scfg.Total), time.Second, &dl)
-	if failAt > 0 {
-		sys.InjectPrimaryFailure(failAt, hw.CoreFailStop)
-	}
 	if err := sys.Sim.Run(); err != nil {
 		return err
 	}

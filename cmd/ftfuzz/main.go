@@ -7,38 +7,33 @@
 // is well formed, an app whose mains return does not hang (a hang is a
 // *core.HangError), no simulated process outlives Shutdown, and no code
 // acts on behalf of a dead domain (sim.Simulation.Guard, armed here).
-// Scenario i of seed S is drawn from (S, i) alone, so a failure reproduces
-// from its two numbers:
+// Scenario i of seed S is drawn from (S, i) alone:
 //
 //	go run ./cmd/ftfuzz -seed 1 -n 500            # scenarios 0..499
 //	go run ./cmd/ftfuzz -seed 1 -n 100000 -budget 60s
 //	go run ./cmd/ftfuzz -seed 1 -i 17             # scenario 17 alone
 //
-// A scenario draws the app and its pool size, the det-shard count, the
-// replica-set size and commit quorum, strict or relaxed output commit,
-// epoch checkpoints (restorable apps only), the client's ephemeral-port
-// range, one kill of the primary or a backup as the n-th log, sync or acks
-// transfer of the never-failed run lands — a core fail-stop, a bus error, a
-// coherency loss or a memory error — and what follows it: nothing, a
-// manual Rejoin in place of the delayed one, or the rolling replacement of
-// a backup (Retire) once the set is whole again. Only a coherency loss
-// under relaxed commit may lose output (§3.5), and no more of it than the
-// log ring held in flight; every other scenario must reproduce the
-// never-failed output exactly.
+// A draw is an oracle.Scenario — the app and its pool size, the det-shard
+// count, the replica-set size and quorum, strict or relaxed commit, epochs
+// (restorable apps only), the client's port range, and a tune event per
+// backup that perturbs its kernel (ROADMAP item 11) — plus one kill of the
+// primary or a backup (a core fail-stop, a bus error, a coherency loss or a
+// memory error) as the n-th log, sync or acks transfer of its never-failed
+// twin lands, and what follows: nothing, a manual Rejoin or a Retire. Only
+// a coherency loss under relaxed commit may lose output (§3.5), and no more
+// than the log ring held in flight.
 //
-// The first failing scenario is shrunk greedily, one field at a time, to a
-// minimal one that still fails; ftfuzz writes it to -found with the
-// oracle's finding and the flight dump at the failure, and prints the two
-// commands that take it from there: the subtest of TestFoundScenariosPass
-// that reruns it (TestFoundScenariosPass replays every scenario in
-// testdata/fuzz) and the ftdiag explain that diagnoses it from the saved
-// files alone. It prints the scenarios per second at the end, and exits 1
-// if any scenario failed.
+// The first failure is shrunk greedily, one field at a time, and written to
+// -found as a scenario with its kill resolved, beside the oracle's finding
+// and the flight dump at the failure. ftfuzz prints the commands that take
+// it from there — rerun: the TestFoundScenariosPass subtest that replays it
+// from testdata/fuzz; explain: ftdiag explain on the saved files; trace:
+// ftsim -scenario <file> -trace <file>.trace.json — then the scenarios per
+// second, and exits 1 if any scenario failed.
 package main
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -56,79 +51,82 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/sim"
 )
 
-// Scenario is one draw: a deployment shape, a kill and what follows it.
-// Pick chooses the kill boundary among the never-failed run's transfers
-// (see spec).
-type Scenario struct {
-	Seed                              int64
-	Index                             int
-	App                               string
-	Workers, Shards, Replicas, Quorum int
-	Strict, Epochs                    bool
-	Ports                             int // client ephemeral ports; 0 is the stack's default range
-	Target                            string
-	Pick                              uint64
-	Kind                              string // the kill's fault kind (chaos: core, mem, bus, coherency)
-	Then                              string // after the kill: "", "rejoin" (manual) or "retire" (a backup)
+// Drawn is one drawn scenario before its kill is resolved: the scenario
+// (its Chaos holds the backups' tunes), and the kill's target and fault
+// kind, with Pick choosing its boundary among the transfers of the
+// scenario's never-failed run (Check).
+type Drawn struct {
+	oracle.Scenario
+	Target, Kind string
+	Pick         uint64
 }
 
-// Draw returns scenario i of seed s.
-func Draw(s int64, i int) Scenario {
+// apps are the apps ftfuzz draws from: every scenario app but download,
+// whose output is a throughput series that no never-failed twin matches.
+var apps = slices.DeleteFunc(slices.Sorted(maps.Keys(oracle.Apps)), func(n string) bool { return n == "download" })
+
+// Draw returns scenario i of seed s. Every backup gets a tune event
+// drawn for it: its wake-preemption probability, context-switch and wake
+// costs, idle-wake bounds, core count and stream salt.
+func Draw(s int64, i int) Drawn {
 	rng := rand.New(rand.NewPCG(uint64(s), uint64(i)))
 	one := func(xs ...int) int { return xs[rng.IntN(len(xs))] }
-	names := slices.Sorted(maps.Keys(oracle.Apps))
-	sc := Scenario{Seed: s, Index: i, App: names[rng.IntN(len(names))], Workers: one(1, 2, 4),
-		Shards: one(1, 4), Replicas: one(2, 3), Strict: rng.IntN(2) == 0, Ports: one(0, 2, 4),
+	d := Drawn{Scenario: oracle.Scenario{Seed: s, Index: i, SimSeed: 1, App: apps[rng.IntN(len(apps))], Workers: one(1, 2, 4),
+		Shards: one(1, 4), Replicas: one(2, 3), Strict: rng.IntN(2) == 0, Ports: one(0, 2, 4)},
 		Target: []string{"primary", "backup"}[rng.IntN(2)], Pick: rng.Uint64()}
-	sc.Quorum = 2 + rng.IntN(sc.Replicas-1)
-	sc.Epochs = oracle.Apps[sc.App].Restorable && rng.IntN(2) == 0
-	sc.Kind = []string{"core", "core", "core", "mem", "bus", "coherency"}[rng.IntN(6)]
-	sc.Then = []string{"", "", "rejoin", "retire"}[rng.IntN(4)]
+	d.Quorum = 2 + rng.IntN(d.Replicas-1)
+	d.Epochs = oracle.Apps[d.App].Restorable && rng.IntN(2) == 0
+	d.Kind = []string{"core", "core", "core", "mem", "bus", "coherency"}[rng.IntN(6)]
+	d.Then = []string{"", "", "rejoin", "retire"}[rng.IntN(4)]
+	str := func(xs ...string) string { return xs[rng.IntN(len(xs))] }
+	var tunes []string
+	for k := 1; k < d.Replicas; k++ {
+		tunes = append(tunes, fmt.Sprintf("tune backup%d preempt %s cs %s wake %s idle %s cores %d salt %d", k,
+			str("0", "0.05", "0.3", "1"), str("1us", "2us", "5us"), str("1us", "3us", "8us"),
+			str("0s..0s", "50us..15ms", "10us..1ms"), one(2, 4, 16), rng.Uint32()))
+	}
+	d.Chaos = strings.Join(tunes, "; ")
+	return d
+}
+
+// twin is a scenario's never-failed twin: its shape and tunes, without its
+// kills or what follows them.
+func twin(sc oracle.Scenario) oracle.Scenario {
+	var keep []string
+	for _, ev := range strings.Split(sc.Chaos, ";") {
+		if f := strings.Fields(ev); len(f) > 0 && f[0] != "kill" {
+			keep = append(keep, strings.Join(f, " "))
+		}
+	}
+	sc.Then, sc.Chaos = "", strings.Join(keep, "; ")
 	return sc
 }
 
-// shape names the deployment without its kill: the key of its never-failed
-// run.
-func (sc Scenario) shape() string {
-	commit := map[bool]string{true: "strict", false: "relaxed"}[sc.Strict]
-	return fmt.Sprintf("%s workers=%d shards=%d replicas=%d quorum=%d %s epochs=%v ports=%d",
-		sc.App, sc.Workers, sc.Shards, sc.Replicas, sc.Quorum, commit, sc.Epochs, sc.Ports)
-}
-
-func (sc Scenario) options() []core.Option {
-	opts := []core.Option{core.WithReplicaSet(sc.Replicas), core.WithDetShards(sc.Shards), func(c *core.Config) {
-		c.Quorum, c.Replication.StrictOutputCommit = sc.Quorum, sc.Strict
-	}}
-	if sc.Epochs {
-		opts = append(opts, core.WithEpochCheckpoints(100*time.Millisecond, 0))
-	}
-	return opts
-}
-
-// spec is the scenario's chaos schedule: its target killed as the n-th
-// transfer of a class the never-failed run has, Pick choosing both.
-func (sc Scenario) spec(transfers map[string]int) string {
+// kill is the draw's kill: its target killed as the n-th transfer of a
+// class the never-failed run has, Pick choosing both.
+func (d Drawn) kill(transfers map[string]int) string {
 	var classes []string
 	for _, c := range []string{chaos.ClassLog, chaos.ClassSync, chaos.ClassAcks} {
 		if transfers[c] > 0 {
 			classes = append(classes, c)
 		}
 	}
-	class := classes[sc.Pick%uint64(len(classes))]
-	n := 1 + sc.Pick/uint64(len(classes))%uint64(transfers[class])
-	return strings.TrimSuffix(fmt.Sprintf("kill %s @%s#%d %s", sc.Target, class, n, sc.Kind), " ")
+	class := classes[d.Pick%uint64(len(classes))]
+	n := 1 + d.Pick/uint64(len(classes))%uint64(transfers[class])
+	return fmt.Sprintf("kill %s @%s#%d %s", d.Target, class, n, d.Kind)
 }
 
-// Result is one checked scenario: the kill it ran, a digest of what the
-// client saw, and the oracle's findings (nil: it passed).
+// Result is one checked scenario: the draw, the scenario it resolved to, a
+// digest of what the client saw, and the oracle's findings (nil: it passed).
 type Result struct {
-	Scenario Scenario
-	Spec     string
+	Draw     Drawn
+	Scenario oracle.Scenario
 	Digest   uint64
 	Err      error
 	Flight   *obs.FlightDump // the failover's, else one taken at a failure
@@ -137,72 +135,69 @@ type Result struct {
 // Reproducer is the one line that reruns the drawn scenario, with what it
 // drew.
 func (r Result) Reproducer() string {
-	return fmt.Sprintf("go run ./cmd/ftfuzz -seed %d -i %d  # %s", r.Scenario.Seed, r.Scenario.Index, r.summary())
+	return fmt.Sprintf("go run ./cmd/ftfuzz -seed %d -i %d  # %s", r.Draw.Seed, r.Draw.Index, r.summary())
 }
 
 func (r Result) summary() string {
-	return fmt.Sprintf("%s, %q: %v", r.Scenario.shape(), r.Spec, r.Err)
+	sc := r.Scenario
+	commit := map[bool]string{true: "strict", false: "relaxed"}[sc.Strict]
+	return fmt.Sprintf("%s workers=%d shards=%d replicas=%d quorum=%d %s epochs=%v ports=%d then=%q, %q: %v",
+		sc.App, sc.Workers, sc.Shards, sc.Replicas, sc.Quorum, commit, sc.Epochs, sc.Ports, sc.Then, sc.Chaos, r.Err)
 }
 
 // Replay is how to go on from a shrunk failure Save wrote to dir: the
-// subtest that reruns it once the file is in testdata/fuzz, and the ftdiag
-// explain that diagnoses it from the saved files.
+// subtest that reruns it once the file is in testdata/fuzz, the ftdiag
+// explain that diagnoses it from the saved files, and the ftsim run that
+// traces it for Perfetto.
 func Replay(dir string, r Result) string {
-	name := r.Scenario.file()
-	return fmt.Sprintf("rerun:   go test ./cmd/ftfuzz -run 'TestFoundScenariosPass/%s$'\nexplain: go run ./cmd/ftdiag explain %s",
-		name, filepath.Join(dir, name+".json"))
+	name := file(r.Scenario)
+	file := filepath.Join(dir, name+".json")
+	return fmt.Sprintf("rerun:   go test ./cmd/ftfuzz -run 'TestFoundScenariosPass/%s$'\nexplain: go run ./cmd/ftdiag explain %s\ntrace:   go run ./cmd/ftsim -scenario %s -trace %s",
+		name, file, file, filepath.Join(dir, name+".trace.json"))
 }
 
-// file is the name Save gives the scenario's files, less the extension.
-func (sc Scenario) file() string { return fmt.Sprintf("seed%d-%d", sc.Seed, sc.Index) }
-
-// clean is a never-failed run's output and transfer counts, run once.
+// clean is a never-failed run: its output and transfer counts, or the
+// error that ended it with the flight dump at the error.
 type clean struct {
-	once      sync.Once
 	output    string
 	transfers map[string]int
 	err       error
-	flight    *obs.FlightDump // at err
+	flight    *obs.FlightDump
 }
 
-// Fuzzer runs scenarios, sharing never-failed runs between scenarios of the
-// same shape.
-type Fuzzer struct {
-	mu    sync.Mutex
-	clean map[string]*clean
-}
-
-// NewFuzzer returns a fuzzer with no never-failed run yet.
-func NewFuzzer() *Fuzzer { return &Fuzzer{clean: map[string]*clean{}} }
-
-func (f *Fuzzer) cleanRun(sc Scenario) *clean {
-	f.mu.Lock()
-	c := f.clean[sc.shape()]
-	if c == nil {
-		c = &clean{}
-		f.clean[sc.shape()] = c
+func cleanRun(sc oracle.Scenario) (c clean) {
+	var sys *core.System
+	if sys, c.output, c.flight, c.err = run(twin(sc)); c.err == nil {
+		c.transfers = oracle.Transfers(sys.Obs.Events())
+		sys.Sim.Shutdown()
+	} else {
+		c.err = fmt.Errorf("the never-failed run: %w", c.err)
 	}
-	f.mu.Unlock()
-	c.once.Do(func() {
-		var sys *core.System
-		if sys, c.output, c.flight, c.err = run(sc, ""); c.err == nil {
-			c.transfers = oracle.Transfers(sys.Obs.Events())
-			sys.Sim.Shutdown()
-		}
-	})
 	return c
 }
 
-// Run checks one scenario against the oracle.
-func (f *Fuzzer) Run(sc Scenario) Result {
-	res := Result{Scenario: sc}
-	c := f.cleanRun(sc)
+// Check resolves the draw's kill against its never-failed twin and checks
+// the scenario it resolves to.
+func Check(d Drawn) Result {
+	c := cleanRun(d.Scenario)
+	sc := d.Scenario
+	if c.err == nil {
+		sc.Chaos = strings.TrimPrefix(sc.Chaos+"; "+d.kill(c.transfers), "; ")
+	}
+	r := check(sc, c)
+	r.Draw = d
+	return r
+}
+
+// Run checks a scenario whose kills are resolved against the oracle.
+func Run(sc oracle.Scenario) Result { return check(sc, cleanRun(sc)) }
+
+func check(sc oracle.Scenario, c clean) Result {
+	res := Result{Scenario: sc, Err: c.err, Flight: c.flight}
 	if c.err != nil {
-		res.Err, res.Flight = fmt.Errorf("the never-failed run: %w", c.err), c.flight
 		return res
 	}
-	res.Spec = sc.spec(c.transfers)
-	sys, output, flight, err := run(sc, res.Spec)
+	sys, output, flight, err := run(sc)
 	h := fnv.New64a()
 	h.Write([]byte(output))
 	res.Digest = h.Sum64()
@@ -211,14 +206,16 @@ func (f *Fuzzer) Run(sc Scenario) Result {
 		return res
 	}
 	res.Flight = sys.Flight
+	kills := sys.Cfg.Chaos.Kills
 	var errs []error
 	// Only a coherency loss under relaxed commit may show the client less
 	// (§3.5), and drop no more log messages than the ring holds in flight.
-	lossy := sc.Kind == "coherency" && !sc.Strict && sys.Fabric.Stats().Dropped <= sys.Cfg.Replication.LogRingBytes/64
+	coherency := slices.ContainsFunc(kills, func(k chaos.Kill) bool { return k.Fault == hw.CoherencyLoss })
+	lossy := coherency && !sc.Strict && sys.Fabric.Stats().Dropped <= sys.Cfg.Replication.LogRingBytes/64
 	if output != c.output && !lossy {
 		errs = append(errs, fmt.Errorf("the client saw %q, the never-failed run's client %q", output, c.output))
 	}
-	errs = append(errs, oracle.KilledRun(sys, 1), oracle.DigestsAgree(sys))
+	errs = append(errs, oracle.KilledRun(sys, len(kills)), oracle.DigestsAgree(sys))
 	if sys.Flight != nil {
 		errs = append(errs, oracle.FlightWellFormed(sys.Flight))
 	}
@@ -232,11 +229,10 @@ func (f *Fuzzer) Run(sc Scenario) Result {
 	return res
 }
 
-// run runs one deployment of the scenario's shape under the chaos schedule
-// spec (empty: never failed) and returns it with its client's output, or
-// the error that ended it with the flight dump at the error: the
-// failover's, or one taken then.
-func run(sc Scenario, spec string) (sys *core.System, output string, flight *obs.FlightDump, err error) {
+// run runs the scenario and returns its deployment with its client's
+// output, or the error that ended it with the flight dump at the error:
+// the failover's, or one taken then.
+func run(sc oracle.Scenario) (sys *core.System, output string, flight *obs.FlightDump, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			if sys != nil {
@@ -245,76 +241,41 @@ func run(sc Scenario, spec string) (sys *core.System, output string, flight *obs
 			sys, output, err = nil, "", fmt.Errorf("panic: %v", v)
 		}
 	}()
-	app := oracle.Apps[sc.App]
-	if sys, err = oracle.Deploy(spec, sc.options()...); err != nil {
+	sys, runs, err := oracle.Deploy(sc)
+	if err != nil {
 		return nil, "", nil, err
 	}
-	out, err := app.Start(sys, sc.Workers, sc.Ports)
-	if err == nil {
-		if spec != "" {
-			after(sc, sys)
-		}
-		err = app.Run(sys)
-	}
-	if err != nil {
+	if output, err = runs(); err != nil {
 		flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
 		sys.Sim.Shutdown()
 		return nil, "", flight, err
 	}
-	return sys, out(), nil, nil
-}
-
-// after arms what the scenario does once its kill is delivered, polling
-// every 20 ms of virtual time as background work (it keeps no run going): a
-// manual Rejoin as soon as the set is degraded — before the delayed one,
-// which then finds the slot filled — or the retirement of a backup once the
-// set is whole again.
-func after(sc Scenario, sys *core.System) {
-	if sc.Then == "" {
-		return
-	}
-	var ev sim.Event
-	ev.Init(sys.Sim.Root(), func() {
-		if inj := sys.Injector(); inj != nil && inj.Kills > 0 {
-			switch st := sys.State(); {
-			case sc.Then == "rejoin" && st == core.StateDegraded:
-				if sys.Rejoin() == nil {
-					return
-				}
-			case sc.Then == "retire" && st == core.StateReplicated && len(sys.Backups()) > 0:
-				if sys.Retire(sys.Backups()[0]) == nil {
-					return
-				}
-			}
-		}
-		ev.Reset(20 * time.Millisecond)
-	})
-	ev.SetBackground(true)
-	ev.Reset(20 * time.Millisecond)
+	return sys, output, nil, nil
 }
 
 // Shrink returns the failing r reduced greedily, one field at a time, to a
 // scenario that still fails: each field is set to its simplest value — the
-// plainest kill, nothing after it, default ports, no epochs, one worker and
-// one shard, two replicas, strict commit — and kept so if the oracle still
-// finds a fault.
-func (f *Fuzzer) Shrink(r Result) Result {
-	steps := []func(*Scenario){
-		func(s *Scenario) { s.Kind = "core" },
-		func(s *Scenario) { s.Then = "" },
-		func(s *Scenario) { s.Ports = 0 },
-		func(s *Scenario) { s.Epochs = false },
-		func(s *Scenario) { s.Workers = 1 },
-		func(s *Scenario) { s.Shards = 1 },
-		func(s *Scenario) { s.Replicas, s.Quorum = 2, 2 },
-		func(s *Scenario) { s.Strict = true },
+// plainest kill, nothing after it, no tunes, default ports, no epochs, one
+// worker and one shard, two replicas, strict commit — and kept so if the
+// oracle still finds a fault.
+func Shrink(r Result) Result {
+	steps := []func(*Drawn){
+		func(d *Drawn) { d.Kind = "core" },
+		func(d *Drawn) { d.Then = "" },
+		func(d *Drawn) { d.Chaos = "" },
+		func(d *Drawn) { d.Ports = 0 },
+		func(d *Drawn) { d.Epochs = false },
+		func(d *Drawn) { d.Workers = 1 },
+		func(d *Drawn) { d.Shards = 1 },
+		func(d *Drawn) { d.Replicas, d.Quorum = 2, 2 },
+		func(d *Drawn) { d.Strict = true },
 	}
 	for _, step := range steps {
-		sc := r.Scenario
-		if step(&sc); sc == r.Scenario {
+		d := r.Draw
+		if step(&d); d == r.Draw {
 			continue
 		}
-		if c := f.Run(sc); c.Err != nil {
+		if c := Check(d); c.Err != nil {
 			r = c
 		}
 	}
@@ -329,12 +290,8 @@ func Save(dir string, r Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(r.Scenario, "", "  ")
-	if err != nil {
-		return err
-	}
-	name := filepath.Join(dir, r.Scenario.file())
-	if err := os.WriteFile(name+".json", append(b, '\n'), 0o644); err != nil {
+	name := filepath.Join(dir, file(r.Scenario))
+	if err := os.WriteFile(name+".json", r.Scenario.JSON(), 0o644); err != nil {
 		return err
 	}
 	if err := os.WriteFile(name+".finding.txt", []byte(finding(r.Err)), 0o644); err != nil || r.Flight == nil {
@@ -350,6 +307,10 @@ func Save(dir string, r Result) error {
 	}
 	return fl.Close()
 }
+
+// file is the name Save gives a found scenario's files, less the extension:
+// its provenance.
+func file(sc oracle.Scenario) string { return fmt.Sprintf("seed%d-%d", sc.Seed, sc.Index) }
 
 // finding renders the oracle's verdict one violated invariant a line, in
 // the order it checked them; a hang's line is followed by one indented line
@@ -377,7 +338,7 @@ func finding(err error) string {
 // Campaign runs scenarios from..from+n-1 of seed on workers goroutines,
 // dispatching no new one once budget (if positive) has passed, and returns
 // the results in index order.
-func (f *Fuzzer) Campaign(seed int64, from, n, workers int, budget time.Duration) []Result {
+func Campaign(seed int64, from, n, workers int, budget time.Duration) []Result {
 	start := time.Now()
 	next := make(chan int)
 	var mu sync.Mutex
@@ -388,7 +349,7 @@ func (f *Fuzzer) Campaign(seed int64, from, n, workers int, budget time.Duration
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				r := f.Run(Draw(seed, i))
+				r := Check(Draw(seed, i))
 				mu.Lock()
 				results = append(results, r)
 				mu.Unlock()
@@ -400,7 +361,7 @@ func (f *Fuzzer) Campaign(seed int64, from, n, workers int, budget time.Duration
 	}
 	close(next)
 	wg.Wait()
-	sort.Slice(results, func(a, b int) bool { return results[a].Scenario.Index < results[b].Scenario.Index })
+	sort.Slice(results, func(a, b int) bool { return results[a].Draw.Index < results[b].Draw.Index })
 	return results
 }
 
@@ -417,7 +378,7 @@ func main() {
 		from, count = *one, 1
 	}
 	start := time.Now()
-	results := NewFuzzer().Campaign(*seed, from, count, runtime.GOMAXPROCS(0), *budget)
+	results := Campaign(*seed, from, count, runtime.GOMAXPROCS(0), *budget)
 	elapsed := time.Since(start)
 	failed := 0
 	for _, r := range results {
@@ -426,7 +387,7 @@ func main() {
 		}
 		if failed++; failed == 1 {
 			fmt.Println(strings.ReplaceAll(r.Reproducer(), "\n", "; "))
-			shrunk := NewFuzzer().Shrink(r)
+			shrunk := Shrink(r)
 			fmt.Println("shrunk:", strings.ReplaceAll(shrunk.summary(), "\n", "; "))
 			if err := Save(*found, shrunk); err != nil {
 				fmt.Fprintln(os.Stderr, "ftfuzz:", err)

@@ -1,28 +1,29 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // TestScenarioIsAFunctionOfSeedAndIndex: scenario i of seed S is the same
 // draw, the same kill and the same client output however often, and in
-// whichever fuzzer, it runs.
+// whichever worker, it runs.
 func TestScenarioIsAFunctionOfSeedAndIndex(t *testing.T) {
 	for _, i := range []int{0, 3, 7} {
 		a, b := Draw(5, i), Draw(5, i)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("Draw(5, %d) = %+v, then %+v", i, a, b)
 		}
-		ra, rb := NewFuzzer().Run(a), NewFuzzer().Run(b)
+		ra, rb := Check(a), Check(b)
 		if ra.Err != nil {
 			t.Fatalf("scenario %d: %v", i, ra.Err)
 		}
-		if ra.Reproducer() != rb.Reproducer() || ra.Digest != rb.Digest || ra.Spec == "" {
+		if ra.Reproducer() != rb.Reproducer() || ra.Digest != rb.Digest || !strings.Contains(ra.Scenario.Chaos, "kill") {
 			t.Errorf("scenario %d ran as %q (client digest %x), then %q (%x)", i, ra.Reproducer(), ra.Digest, rb.Reproducer(), rb.Digest)
 		}
 	}
@@ -34,14 +35,14 @@ func TestScenarioIsAFunctionOfSeedAndIndex(t *testing.T) {
 // TestSmokeCampaign runs scenarios 0..19 of seed 1 on two workers: each
 // passes the oracle, and the results come back in index order.
 func TestSmokeCampaign(t *testing.T) {
-	results := NewFuzzer().Campaign(1, 0, 20, 2, 0)
+	results := Campaign(1, 0, 20, 2, 0)
 	if len(results) != 20 {
 		t.Fatalf("%d results, want 20", len(results))
 	}
 	apps := map[string]bool{}
 	for i, r := range results {
-		if r.Scenario.Index != i {
-			t.Fatalf("result %d is scenario %d", i, r.Scenario.Index)
+		if r.Draw.Index != i {
+			t.Fatalf("result %d is scenario %d", i, r.Draw.Index)
 		}
 		if r.Err != nil {
 			t.Errorf("%s", r.Reproducer())
@@ -55,8 +56,8 @@ func TestSmokeCampaign(t *testing.T) {
 
 // TestFoundScenariosPass reruns every scenario in testdata/fuzz: each
 // failed the oracle when it was found, and ftfuzz writes the next one there,
-// shrunk. The first three are draws of seed 1, each with the fault it
-// exposed:
+// shrunk, with its kill resolved. The first three are draws of seed 1, each
+// with the fault it exposed:
 //   - scenario 2: a killed replaying kernel's memcached worker, unwinding
 //     from a parked replayed section, ran its deferred Close into another
 //     one and panicked ("parked twice");
@@ -68,6 +69,9 @@ func TestSmokeCampaign(t *testing.T) {
 //     restored, re-closed and held its four-tuple, and the client, reusing
 //     the port (a range of two), ignored its FIN from SYN-SENT instead of
 //     resetting it: the new connection timed out.
+//
+// Scenario 2's client output digest is pinned: cmd/ftsim's
+// TestFoundScenarioOpensTraced opens the same file and reads the same one.
 func TestFoundScenariosPass(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/*.json")
 	if err != nil || len(files) < 3 {
@@ -79,51 +83,54 @@ func TestFoundScenariosPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sc Scenario
-			if err := json.Unmarshal(b, &sc); err != nil {
+			sc, err := oracle.ParseScenario(b)
+			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if r := NewFuzzer().Run(sc); r.Err != nil {
+			r := Run(sc)
+			if r.Err != nil {
 				t.Errorf("%s: %s", name, r.summary())
+			}
+			if want := uint64(0xe21c6345eff71b04); filepath.Base(name) == "seed1-2.json" && r.Digest != want {
+				t.Errorf("%s: the client's output digests to %x, want %x", name, r.Digest, want)
 			}
 		})
 	}
 }
 
-// TestShrinkAndSave: a failing scenario shrinks to the simplest value of
-// every field that keeps it failing — here all of them, since an app the
-// oracle does not know fails every shape — and Save writes it as a file
+// TestShrinkAndSave: a failing draw shrinks to the simplest value of every
+// field that keeps it failing — here all of them, since an app the oracle
+// does not know fails every shape — and Save writes it as a file
 // TestFoundScenariosPass reads back, with the finding and the flight dump
 // ftdiag explain reads, which the printed commands name.
 func TestShrinkAndSave(t *testing.T) {
-	sc := Scenario{Seed: 9, Index: 4, App: "no-such-app", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
-		Epochs: true, Ports: 2, Target: "backup", Kind: "coherency", Then: "retire"}
-	f := NewFuzzer()
-	r := f.Shrink(f.Run(sc))
-	want := Scenario{Seed: 9, Index: 4, App: "no-such-app", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
-		Strict: true, Target: "backup", Kind: "core"}
-	if r.Err == nil || r.Scenario != want {
-		t.Fatalf("shrunk to %+v (%v), want %+v failing", r.Scenario, r.Err, want)
+	d := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "no-such-app", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
+		Epochs: true, Ports: 2, Chaos: "tune backup1 salt 3", Then: "retire"}, Target: "backup", Kind: "coherency"}
+	r := Shrink(Check(d))
+	want := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "no-such-app", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
+		Strict: true}, Target: "backup", Kind: "core"}
+	if r.Err == nil || r.Draw != want || r.Scenario != want.Scenario {
+		t.Fatalf("shrunk to %+v as %+v (%v), want %+v failing", r.Draw, r.Scenario, r.Err, want)
 	}
 	dir := t.TempDir()
 	if err := Save(dir, r); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(filepath.Join(dir, "seed9-4.json"))
-	var got Scenario
-	if err != nil || json.Unmarshal(b, &got) != nil || got != want {
-		t.Errorf("saved %s (%v), want %+v", b, err, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := oracle.ParseScenario(b); err != nil || got != want.Scenario {
+		t.Errorf("saved %s (%v), want %+v", b, err, want.Scenario)
 	}
 	fd, err := os.ReadFile(filepath.Join(dir, "seed9-4.finding.txt"))
-	if err != nil || !strings.HasPrefix(string(fd), "the never-failed run: panic: ") {
-		t.Errorf("saved finding %q (%v), want the never-failed run's panic", fd, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "seed9-4.flight.jsonl")); err != nil {
-		t.Error(err)
+	if err != nil || !strings.HasPrefix(string(fd), `the never-failed run: scenario: App "no-such-app" is none of `) {
+		t.Errorf("saved finding %q (%v), want the never-failed run's unknown app", fd, err)
 	}
 	replay := Replay(dir, r)
 	for _, cmd := range []string{"go test ./cmd/ftfuzz -run 'TestFoundScenariosPass/seed9-4$'",
-		"go run ./cmd/ftdiag explain " + filepath.Join(dir, "seed9-4.json")} {
+		"go run ./cmd/ftdiag explain " + filepath.Join(dir, "seed9-4.json"),
+		"go run ./cmd/ftsim -scenario " + filepath.Join(dir, "seed9-4.json") + " -trace " + filepath.Join(dir, "seed9-4.trace.json")} {
 		if !strings.Contains(replay, cmd) {
 			t.Errorf("printed %q, want it to name %q", replay, cmd)
 		}

@@ -21,8 +21,8 @@ import (
 
 	"repro/internal/apps/clients"
 	"repro/internal/apps/restream"
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -42,6 +42,7 @@ func run() error {
 		core.WithReplicaSet(3),                // one primary + two backups on balanced fault domains
 		func(c *core.Config) { c.Quorum = 2 }, // release output on the first backup receipt
 		core.WithTCP(tcp),
+		func(c *core.Config) { c.Chaos = chaos.MustParse("kill primary @6s core") },
 	)
 	if err != nil {
 		return err
@@ -57,7 +58,6 @@ func run() error {
 	clients.Download(client, scfg.Port, int64(scfg.Total), time.Second, &dl)
 
 	fmt.Println("downloading 2 GB; killing the primary at t=6s...")
-	sys.InjectPrimaryFailure(6*time.Second, hw.CoreFailStop)
 
 	if err := sys.Sim.Run(); err != nil {
 		return err

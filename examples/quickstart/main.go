@@ -11,8 +11,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/replication"
 	"repro/internal/tcprep"
 )
@@ -30,10 +30,13 @@ func run() error {
 	// heart-beat failure detection. WithReplicaSet(2) is that two-replica
 	// system; larger sets add more backups on balanced fault domains. After
 	// a failure the survivor keeps recording, and the dead partition
-	// rejoins as a fresh backup once repaired (10s later by default).
+	// rejoins as a fresh backup once repaired (10s later by default). The
+	// chaos schedule kills the primary partition 20ms in: a CPU core
+	// fail-stop, reported by the (simulated) machine-check architecture.
 	sys, err := core.New(
 		core.WithSeed(1),
 		core.WithReplicaSet(2),
+		func(c *core.Config) { c.Chaos = chaos.MustParse("kill primary @20ms core") },
 	)
 	if err != nil {
 		return err
@@ -67,10 +70,7 @@ func run() error {
 			root.NS().Role(), root.Task().Now(), *out)
 	}})
 
-	// Kill the primary partition 20ms in: a CPU core fail-stop, reported
-	// by the (simulated) machine-check architecture.
 	fmt.Println("injecting a core fail-stop on the primary partition at t=20ms...")
-	sys.InjectPrimaryFailure(20*time.Millisecond, hw.CoreFailStop)
 
 	if err := sys.Sim.Run(); err != nil {
 		return err

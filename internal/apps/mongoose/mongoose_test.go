@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/apps/clients"
 	"repro/internal/apps/mongoose"
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/replication"
 	"repro/internal/simnet"
 	"repro/internal/tcprep"
@@ -51,7 +51,7 @@ func TestServesUnderLoadReplicated(t *testing.T) {
 }
 
 func TestServiceSurvivesFailover(t *testing.T) {
-	sys, err := core.New(core.WithSeed(2))
+	sys, err := core.New(core.WithSeed(2), func(c *core.Config) { c.Chaos = chaos.MustParse("kill primary @1s core") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,6 @@ func TestServiceSurvivesFailover(t *testing.T) {
 		Port: mcfg.Port, Concurrency: 5, ResponseBytes: mongoose.PageSize(mcfg),
 		Duration: 15 * time.Second,
 	}, &ab)
-	sys.InjectPrimaryFailure(time.Second, hw.CoreFailStop)
 	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/apps/pbzip2"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -66,7 +67,7 @@ func TestReplicatedOutputsIdentical(t *testing.T) {
 }
 
 func TestSurvivesPrimaryFailureMidCompression(t *testing.T) {
-	sys, err := core.New(core.WithSeed(3))
+	sys, err := core.New(core.WithSeed(3), func(c *core.Config) { c.Chaos = chaos.MustParse("kill primary @100ms core") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,6 @@ func TestSurvivesPrimaryFailureMidCompression(t *testing.T) {
 	var pst, sst pbzip2.Stats
 	sys.Primary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &pst) })
 	sys.Secondary.NS.Start("pbzip2", nil, func(th *replication.Thread) { pbzip2.Run(th, cfg, &sst) })
-	sys.InjectPrimaryFailure(100*time.Millisecond, 0)
 	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/apps/clients"
 	"repro/internal/apps/restream"
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcpstack"
@@ -18,11 +18,11 @@ import (
 // deploy boots a two-replica deployment serving total bytes and starts a
 // verifying download. It returns the Server the State factory built for
 // each replica at launch, primary first.
-func deploy(t *testing.T, seed int64, total int) (*core.System, *clients.DownloadStats, []*restream.Server) {
+func deploy(t *testing.T, seed int64, total int, opts ...core.Option) (*core.System, *clients.DownloadStats, []*restream.Server) {
 	t.Helper()
 	tcp := tcpstack.DefaultParams()
 	tcp.MSS = 32 << 10
-	sys, err := core.New(core.WithSeed(seed), core.WithTCP(tcp))
+	sys, err := core.New(append([]core.Option{core.WithSeed(seed), core.WithTCP(tcp)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +64,8 @@ func TestTransferIntact(t *testing.T) {
 }
 
 func TestTransferSurvivesCoherencyLossFailover(t *testing.T) {
-	sys, dl, _ := deploy(t, 2, 96<<20)
 	// The worst §3.5 case: the fault also loses in-flight log messages.
-	sys.InjectPrimaryFailure(200*time.Millisecond, hw.CoherencyLoss)
+	sys, dl, _ := deploy(t, 2, 96<<20, func(c *core.Config) { c.Chaos = chaos.MustParse("kill primary @200ms coherency") })
 	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}

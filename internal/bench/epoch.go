@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/apps/restream"
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -80,6 +80,7 @@ func epochPoint(seed int64, uptime time.Duration, epochs bool, tail time.Duratio
 		func(c *core.Config) { c.NICDriverLoadTime = time.Millisecond },
 		core.WithRejoinDelay(epochRejoinDelay),
 		core.WithTrace(),
+		func(c *core.Config) { c.Chaos = chaos.MustParse(fmt.Sprintf("kill primary @%v", uptime)) },
 	}
 	if epochs {
 		coreOpts = append(coreOpts, core.WithEpochCheckpoints(epochInterval, 0))
@@ -118,7 +119,6 @@ func epochPoint(seed int64, uptime time.Duration, epochs bool, tail time.Duratio
 		retainedTuples = sys.Active().NS.RetainedTuples()
 		retainedBytes = sys.Active().NS.RetainedBytes()
 	})
-	sys.InjectPrimaryFailure(uptime, hw.CoreFailStop)
 
 	// Catch-up completion: the first instant the fresh backup, replicated,
 	// has replayed up to the live frontier. A chain of replay-head

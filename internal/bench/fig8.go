@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/apps/clients"
 	"repro/internal/apps/restream"
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -34,7 +34,11 @@ func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 		return st
 	}
 	ft := func(killAt time.Duration) (*clients.DownloadStats, *core.System, error) {
-		sys, err := core.New(core.WithSeed(seed), core.WithTCP(cfg.TCP))
+		opts := []core.Option{core.WithSeed(seed), core.WithTCP(cfg.TCP)}
+		if killAt > 0 {
+			opts = append(opts, func(c *core.Config) { c.Chaos = chaos.MustParse(fmt.Sprintf("kill primary @%v", killAt)) })
+		}
+		sys, err := core.New(opts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -44,11 +48,7 @@ func fig8(seed int64, fileSize int64, failAt time.Duration) (Report, error) {
 			return nil, nil, err
 		}
 		sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
-		st := download(client)
-		if killAt > 0 {
-			sys.InjectPrimaryFailure(killAt, hw.CoreFailStop)
-		}
-		return st, sys, sys.Sim.RunUntil(deadline)
+		return download(client), sys, sys.Sim.RunUntil(deadline)
 	}
 
 	// Scenario (a): stock Ubuntu.

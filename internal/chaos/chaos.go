@@ -1,11 +1,13 @@
 // Package chaos drives deterministic fault-injection schedules against a
-// replicated deployment: kernel kills through the hw machine-check path
-// and shared-memory transfer faults (drop, duplicate, delay) through the
-// messaging layer's chaos hook. A schedule is parsed from a compact spec
-// string and replayed with a dedicated seeded RNG, so a run is a pure
-// function of (workload seed, schedule, chaos seed) — the same property
-// the record/replay engine itself is built on, which is what lets the
-// rejoin tests assert byte-identical application output under injection.
+// replicated deployment: kernel kills through the hw machine-check path,
+// shared-memory transfer faults (drop, duplicate, delay) through the
+// messaging layer's chaos hook, and tune events that perturb a backup's
+// kernel at its boot. A schedule is parsed from a compact spec string; its
+// probability draws come from the injector's own domain, "chaos", whose
+// stream the simulation seed keys like every other domain's. So a run is a
+// pure function of (simulation seed, schedule) — the same property the
+// record/replay engine itself is built on, which is what lets the rejoin
+// tests assert byte-identical application output under injection.
 //
 // The fault matrix is validated at parse time, because the messaging
 // faults must stay within what real hardware can produce without breaking
@@ -26,6 +28,8 @@
 package chaos
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"strconv"
@@ -33,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/shm"
 	"repro/internal/sim"
@@ -140,20 +145,45 @@ type RingFault struct {
 	spec     string        // original event text, for traces
 }
 
+// Tune is one `tune backup<k> …` event: what the kernel on backup slot k
+// boots with, at boot and at every rejoin of the slot — scheduling choices
+// the det sections must make irrelevant, varied on purpose.
+type Tune struct {
+	Slot int
+	set  []func(*kernel.Config)
+}
+
 // Schedule is a parsed chaos schedule.
 type Schedule struct {
 	Kills []Kill
 	Rings []RingFault
+	Tunes []Tune
 	src   string
+}
+
+// Tuned returns kc with the schedule's tune events for slot applied, in
+// order.
+func (s Schedule) Tuned(slot int, kc kernel.Config) kernel.Config {
+	for _, t := range s.Tunes {
+		if t.Slot != slot {
+			continue
+		}
+		for _, set := range t.set {
+			set(&kc)
+		}
+	}
+	return kc
 }
 
 // String returns the original spec the schedule was parsed from.
 func (s Schedule) String() string { return s.src }
 
-// Empty reports whether the schedule injects nothing.
+// Empty reports whether the schedule injects nothing (a tune injects no
+// fault).
 func (s Schedule) Empty() bool { return len(s.Kills) == 0 && len(s.Rings) == 0 }
 
-// Parse reads a chaos schedule spec: semicolon-separated events.
+// Parse reads a chaos schedule spec, or the name of one of Presets:
+// semicolon-separated events.
 //
 //	kill primary @2s              fail-stop the recording side at t=2s
 //	kill backup @1s coherency     kill kinds: core, mem, bus, coherency
@@ -162,10 +192,19 @@ func (s Schedule) Empty() bool { return len(s.Kills) == 0 && len(s.Rings) == 0 }
 //	dup acks x2 1s..4s            2 extra copies per ack transfer
 //	drop hb p0.5 1s..2s           drop each beat with probability 0.5
 //	drop hb 1s..1.2s              probability defaults to 1
+//	tune backup1 preempt 0.3 cs 3us wake 4us idle 50us..15ms cores 24 salt 9
+//	                              backup slot 1's kernel: its wake-preemption
+//	                              probability, context-switch and wake costs,
+//	                              idle-wake penalty bounds, cores (within its
+//	                              partition) and a salt folded into its random
+//	                              stream's key; any subset, at boot and rejoin
 //
 // The fault matrix (package comment) is enforced here: invalid
 // op/channel combinations are rejected, not silently ignored.
 func Parse(spec string) (Schedule, error) {
+	if preset, ok := Presets[spec]; ok {
+		spec = preset
+	}
 	sched := Schedule{src: strings.TrimSpace(spec)}
 	for _, ev := range strings.Split(spec, ";") {
 		ev = strings.TrimSpace(ev)
@@ -176,6 +215,8 @@ func Parse(spec string) (Schedule, error) {
 		var err error
 		if f[0] == "kill" {
 			err = sched.parseKill(ev, f[1:])
+		} else if f[0] == "tune" {
+			err = sched.parseTune(ev, f[1:])
 		} else {
 			err = sched.parseRingFault(ev, f)
 		}
@@ -200,16 +241,6 @@ var killKinds = map[string]hw.FaultKind{
 	"mem":       hw.MemUncorrected,
 	"bus":       hw.BusError,
 	"coherency": hw.CoherencyLoss,
-}
-
-// ParseFaultKind maps a kill kind's name (core, mem, bus, coherency) to
-// its hardware fault class — the one vocabulary for schedules and flags.
-func ParseFaultKind(name string) (hw.FaultKind, error) {
-	kind, ok := killKinds[name]
-	if !ok {
-		return 0, fmt.Errorf("unknown fault kind %q (core, mem, bus, coherency)", name)
-	}
-	return kind, nil
 }
 
 func (s *Schedule) parseKill(ev string, f []string) error {
@@ -249,14 +280,68 @@ func (s *Schedule) parseKill(ev string, f []string) error {
 		return fmt.Errorf("chaos: %q: %v", ev, err)
 	}
 	if len(f) == 3 {
-		kind, err := ParseFaultKind(f[2])
-		if err != nil {
-			return fmt.Errorf("chaos: %q: %v", ev, err)
+		kind, ok := killKinds[f[2]]
+		if !ok {
+			return fmt.Errorf("chaos: %q: unknown fault kind %q (core, mem, bus, coherency)", ev, f[2])
 		}
 		k.Fault = kind
 	}
 	s.Kills = append(s.Kills, k)
 	return nil
+}
+
+func (s *Schedule) parseTune(ev string, f []string) error {
+	slot, err := strconv.Atoi(strings.TrimPrefix(f[0], "backup"))
+	if len(f) < 3 || len(f)%2 == 0 || !strings.HasPrefix(f[0], "backup") || err != nil || slot < 1 {
+		return fmt.Errorf("chaos: %q: want `tune backup<k> [preempt <p>] [cs <d>] [wake <d>] [idle <d>..<d>] [cores <n>] [salt <n>]`", ev)
+	}
+	t := Tune{Slot: slot}
+	for i := 1; i < len(f); i += 2 {
+		v := f[i+1]
+		var set func(*kernel.Config)
+		switch f[i] {
+		case "preempt":
+			p, e := strconv.ParseFloat(v, 64)
+			err = cmp.Or(e, bound(p >= 0 && p <= 1))
+			set = func(c *kernel.Config) { c.Params.WakePreemptProb = p }
+		case "cs", "wake":
+			d, e := time.ParseDuration(v)
+			err = cmp.Or(e, bound(d >= 0))
+			if set = func(c *kernel.Config) { c.Params.WakeBase = d }; f[i] == "cs" {
+				set = func(c *kernel.Config) { c.Params.ContextSwitch = d }
+			}
+		case "idle":
+			lo, hi, _ := strings.Cut(v, "..")
+			a, e1 := time.ParseDuration(lo)
+			b, e2 := time.ParseDuration(hi)
+			err = cmp.Or(e1, e2, bound(a >= 0 && b >= a))
+			set = func(c *kernel.Config) { c.Params.IdleWakeMin, c.Params.IdleWakeMax = a, b }
+		case "cores":
+			n, e := strconv.Atoi(v)
+			err = cmp.Or(e, bound(n >= 1))
+			set = func(c *kernel.Config) { c.Cores = n }
+		case "salt":
+			n, e := strconv.ParseUint(v, 10, 64)
+			err = e
+			set = func(c *kernel.Config) { c.Salt = n }
+		default:
+			return fmt.Errorf("chaos: %q: unknown tune %q (preempt, cs, wake, idle, cores, salt)", ev, f[i])
+		}
+		if err != nil {
+			return fmt.Errorf("chaos: %q: bad %s %q", ev, f[i], v)
+		}
+		t.set = append(t.set, set)
+	}
+	s.Tunes = append(s.Tunes, t)
+	return nil
+}
+
+// bound is an error unless ok: a tune value out of its range.
+func bound(ok bool) error {
+	if ok {
+		return nil
+	}
+	return errors.New("out of range")
 }
 
 // allowed is the op x channel fault matrix (package comment).
@@ -457,8 +542,8 @@ func (inj *Injector) ArmRing(r *shm.Ring) {
 	})
 }
 
-// Presets are named example schedules exercising the fault matrix; ftsim
-// -chaos and the CI chaos-smoke job accept them by name.
+// Presets are named example schedules exercising the fault matrix; Parse
+// accepts them by name, so a scenario's Chaos field can name one.
 var Presets = map[string]string{
 	// One failover, then a second kill after the backup has rejoined.
 	"kill-rejoin-kill": "kill primary @2s; kill primary @4m",

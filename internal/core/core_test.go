@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -250,7 +251,8 @@ func download(t *testing.T, client *core.Client, port int, got *[]byte, doneAt *
 
 func TestFailoverTransparentToClient(t *testing.T) {
 	t.Parallel()
-	sys := quietSystem(t, 2, withMSS(16<<10))
+	// Kill the primary mid-transfer with a core fail-stop.
+	sys := quietSystem(t, 2, withMSS(16<<10), withChaos("kill primary @200ms core"))
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +263,6 @@ func TestFailoverTransparentToClient(t *testing.T) {
 	got := make([]byte, 0, total)
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
-
-	// Kill the primary mid-transfer with a core fail-stop.
-	sys.InjectPrimaryFailure(200*time.Millisecond, hw.CoreFailStop)
 
 	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
@@ -299,7 +298,8 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 	// The §3.5 case: the fault disrupts cache coherency, losing the
 	// primary's in-flight log messages. Strict output commit guarantees
 	// the client still observes a consistent stream.
-	sys := quietSystem(t, 3, withMSS(16<<10), func(c *core.Config) { c.Replication.StrictOutputCommit = true })
+	sys := quietSystem(t, 3, withMSS(16<<10), func(c *core.Config) { c.Replication.StrictOutputCommit = true },
+		withChaos("kill primary @100ms coherency"))
 	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,6 @@ func TestFailoverWithCoherencyLoss(t *testing.T) {
 	got := make([]byte, 0, total)
 	var doneAt sim.Time
 	download(t, client, 80, &got, &doneAt)
-	sys.InjectPrimaryFailure(100*time.Millisecond, hw.CoherencyLoss)
 	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -504,12 +503,16 @@ func kernelIgnoredClass() kmem.PageClass { return kmem.KernelIgnored }
 // injection strategy: across several seeds, the primary is killed at a
 // random point of the transfer (sometimes during the handshake, sometimes
 // mid-stream, with varying fault kinds) and the client-visible byte stream
-// must always be complete and intact.
+// must always be complete and intact. The kill is a chaos schedule, so its
+// time and kind are drawn before boot, from a stream of the test's seed.
 func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 	t.Parallel()
-	kinds := []hw.FaultKind{hw.CoreFailStop, hw.BusError, hw.CoherencyLoss}
+	kinds := []string{"core", "bus", "coherency"}
 	for seed := int64(1); seed <= 5; seed++ {
-		sys := quietSystem(t, seed, withMSS(32<<10))
+		rng := rand.New(rand.NewPCG(uint64(seed), 0))
+		failAt := time.Duration(10+rng.IntN(200)) * time.Millisecond
+		kind := kinds[rng.IntN(len(kinds))]
+		sys := quietSystem(t, seed, withMSS(32<<10), withChaos(fmt.Sprintf("kill primary @%v %s", failAt, kind)))
 		client, err := sys.AttachNetwork(simnet.GigabitEthernet())
 		if err != nil {
 			t.Fatal(err)
@@ -519,9 +522,6 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 		got := make([]byte, 0, total)
 		var doneAt sim.Time
 		download(t, client, 80, &got, &doneAt)
-		failAt := time.Duration(10+sys.Sim.Root().Rand().IntN(200)) * time.Millisecond
-		kind := kinds[sys.Sim.Root().Rand().IntN(len(kinds))]
-		sys.InjectPrimaryFailure(failAt, kind)
 		if err := sys.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}

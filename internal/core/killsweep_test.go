@@ -65,23 +65,24 @@ type sweepConfig struct {
 // requests: two replicas at one det shard with strict output commit, and
 // three at four shards with relaxed commit.
 func TestKillAtEveryTransferMongoose(t *testing.T) {
-	killSweep(t, oracle.Mongoose, sweepConfig{2, 1, true}, sweepConfig{3, 4, false})
+	killSweep(t, "mongoose", sweepConfig{2, 1, true}, sweepConfig{3, 4, false})
 }
 
 // TestKillAtEveryTransferPBZIP2 is killSweep over PBZIP2 compressing four
 // blocks: two replicas at four shards, strict; three at one shard, relaxed.
 func TestKillAtEveryTransferPBZIP2(t *testing.T) {
-	killSweep(t, oracle.PBZIP2, sweepConfig{2, 4, true}, sweepConfig{3, 1, false})
+	killSweep(t, "pbzip2", sweepConfig{2, 4, true}, sweepConfig{3, 1, false})
 }
 
 // TestKillAtEveryTransferMemcached is killSweep over memcached serving one
 // connection 24 commands, at two replicas and four shards, strict.
 func TestKillAtEveryTransferMemcached(t *testing.T) {
-	killSweep(t, oracle.Memcached, sweepConfig{2, 4, true})
+	killSweep(t, "memcached", sweepConfig{2, 4, true})
 }
 
-// killSweep runs TestKillAtEveryTransfer's oracle over app at each config:
-// the recording side is killed as each log, sync and acks transfer of the
+// killSweep runs TestKillAtEveryTransfer's oracle over app's scenario at
+// each config, two workers in its pool, deployed by oracle.Deploy: the
+// recording side is killed as each log, sync and acks transfer of the
 // never-failed run lands. At every boundary the world outside sees the
 // never-failed run's output, no replica diverges, the run ends replicated
 // at generation 1 or later with every live kernel's cores idle, and an app
@@ -95,32 +96,29 @@ func TestKillAtEveryTransferMemcached(t *testing.T) {
 // restream's alone. What stands for it here: each rejoined backup replays
 // the whole retained history — the dead primary's acknowledged prefix, then
 // the fork's recording — from its first tuple without a divergence.
-func killSweep(t *testing.T, app oracle.App, configs ...sweepConfig) {
+func killSweep(t *testing.T, app string, configs ...sweepConfig) {
 	t.Parallel()
 	start := time.Now()
 	kills := 0
 	for _, cfg := range configs {
-		opts := []core.Option{core.WithReplicaSet(cfg.replicas), core.WithDetShards(cfg.shards)}
-		if !cfg.strict {
-			opts = append(opts, func(c *core.Config) { c.Replication.StrictOutputCommit = false })
-		}
+		sc := oracle.Scenario{SimSeed: 1, App: app, Workers: 2, Shards: cfg.shards, Replicas: cfg.replicas, Strict: cfg.strict}
 		name := fmt.Sprintf("n%d/shards%d/strict=%v", cfg.replicas, cfg.shards, cfg.strict)
 		t.Run(name, func(t *testing.T) {
-			clean, want := sweepRun(t, app, "", opts)
+			clean, want := sweepRun(t, sc)
 			transfers := oracle.Transfers(clean.Obs.Events())
 			if transfers[chaos.ClassLog] == 0 || transfers[chaos.ClassAcks] == 0 {
 				t.Fatalf("the never-failed run has transfers %v", transfers)
 			}
 			for _, class := range []string{chaos.ClassLog, chaos.ClassSync, chaos.ClassAcks} {
 				for n := 1; n <= transfers[class]; n++ {
-					spec := fmt.Sprintf("kill primary @%s#%d", class, n)
-					sys, got := sweepRun(t, app, spec, opts)
+					sc.Chaos = fmt.Sprintf("kill primary @%s#%d", class, n)
+					sys, got := sweepRun(t, sc)
 					kills++
 					if got != want {
-						t.Errorf("%s: the output is %q, the never-failed run's %q", spec, got, want)
+						t.Errorf("%s: the output is %q, the never-failed run's %q", sc.Chaos, got, want)
 					}
 					if err := oracle.KilledRun(sys, 1); err != nil {
-						t.Errorf("%s: %v", spec, err)
+						t.Errorf("%s: %v", sc.Chaos, err)
 					}
 					sys.Sim.Shutdown() // its parked processes go now, not at the row's end
 				}
@@ -131,23 +129,19 @@ func killSweep(t *testing.T, app oracle.App, configs ...sweepConfig) {
 	t.Logf("%d kills in %v", kills, time.Since(start))
 }
 
-// sweepRun runs one deployment of app, two workers in its pool, under the
-// chaos schedule spec (empty: never failed) and returns it with its output.
-func sweepRun(t *testing.T, app oracle.App, spec string, opts []core.Option) (*core.System, string) {
+// sweepRun runs one scenario and returns its deployment with its output.
+func sweepRun(t *testing.T, sc oracle.Scenario) (*core.System, string) {
 	t.Helper()
-	sys, err := oracle.Deploy(spec, opts...)
+	sys, run, err := oracle.Deploy(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Sim.Shutdown)
-	output, err := app.Start(sys, 2, 0)
-	if err == nil {
-		err = app.Run(sys)
-	}
+	output, err := run()
 	if err != nil {
-		t.Fatalf("%s: %v", spec, err)
+		t.Fatalf("%s: %v", sc.Chaos, err)
 	}
-	return sys, output()
+	return sys, output
 }
 
 // TestKillDuringRejoin is rung (d) of the correctness ladder: kills during

@@ -234,12 +234,9 @@ func TestNWayElectionPromotesMostCaughtUp(t *testing.T) {
 	_, base, _ := nwayDownload(t, total,
 		nwayOpts(27, 3, 2), nil)
 
-	lagAndKill := func(sys *core.System) {
-		lagRing(t, sys, "ftns.log.r2", 500*time.Microsecond)
-		sys.InjectPrimaryFailure(time.Second, 0)
-	}
+	lag := func(sys *core.System) { lagRing(t, sys, "ftns.log.r2", 500*time.Microsecond) }
 	sys, h, _ := nwayDownload(t, total,
-		nwayOpts(27, 3, 2, core.WithTrace()), lagAndKill)
+		nwayOpts(27, 3, 2, core.WithTrace(), withChaos("kill primary @1s")), lag)
 
 	if h != base {
 		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)

@@ -141,11 +141,13 @@ func (cfg Config) validate() (Config, error) {
 	return cfg, nil
 }
 
-// coresFor returns a replica slot's core restriction: the primary keeps
-// its own knob, every backup shares the secondary one.
-func (cfg Config) coresFor(slot int) int {
+// kernelFor is the kernel a replica slot boots, at boot and at every
+// rejoin: the primary keeps its own core knob, every backup shares the
+// secondary one, and the chaos schedule's tune events for the slot apply.
+func (cfg Config) kernelFor(name string, slot int) kernel.Config {
+	kc := kernel.Config{Name: name, Params: cfg.Kernel, Cores: cfg.SecondaryCores}
 	if slot == 0 {
-		return cfg.PrimaryCores
+		kc.Cores = cfg.PrimaryCores
 	}
-	return cfg.SecondaryCores
+	return cfg.Chaos.Tuned(slot, kc)
 }

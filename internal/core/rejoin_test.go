@@ -310,6 +310,7 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 		withMSS(16<<10),
 		fastNICReload,
 		core.WithRejoinDelay(3*time.Second),
+		withChaos("kill primary @2s"),
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -320,7 +321,6 @@ func TestRejoinMidResyncActiveKill(t *testing.T) {
 	}
 	total := 48 << 20
 	sys.Run(plainStream(total))
-	sys.InjectPrimaryFailure(2*time.Second, hw.CoreFailStop)
 
 	// As soon as the resync starts, kill the active side 50 ms in — while
 	// the catch-up replay is still streaming. The watch polls as background

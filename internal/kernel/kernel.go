@@ -19,6 +19,7 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -114,6 +115,8 @@ type Config struct {
 	// unrecoverable kernel memory (text, static data, struct page array).
 	// Zero means a model default of 1.5% of RAM plus 768 MB.
 	BaseKernelMem int64
+	// Salt is folded into the key of the kernel's random stream (0: none).
+	Salt uint64
 }
 
 // Boot starts a kernel on a hardware partition.
@@ -125,18 +128,16 @@ func Boot(part *hw.Partition, cfg Config) (*Kernel, error) {
 		cfg.Params = DefaultParams()
 	}
 	ncores := len(part.Cores())
-	if cfg.Cores > 0 {
-		if cfg.Cores > ncores {
-			return nil, fmt.Errorf("kernel %q: %d cores requested, partition has %d", cfg.Name, cfg.Cores, ncores)
-		}
-		ncores = cfg.Cores
+	if cfg.Cores > ncores {
+		return nil, fmt.Errorf("kernel %q: %d cores requested, partition has %d", cfg.Name, cfg.Cores, ncores)
 	}
+	ncores = cmp.Or(max(cfg.Cores, 0), ncores)
 	s := part.Machine().Sim()
 	k := &Kernel{
 		name:   cfg.Name,
 		sim:    s,
 		part:   part,
-		group:  s.NewGroup(cfg.Name),
+		group:  s.NewGroup(cfg.Name).Salt(cfg.Salt),
 		params: cfg.Params,
 		mem:    kmem.NewAccounting(part.Mem(), part.Machine().Profile().PageSize),
 	}
@@ -223,9 +224,8 @@ func (k *Kernel) HandleFault(f hw.Fault) kmem.Outcome {
 		return kmem.OutcomeKernelPanic
 	case hw.MemUncorrected, hw.MemCorrected:
 		return k.handleMemFault(f)
-	default:
-		return kmem.OutcomeNone
 	}
+	return kmem.OutcomeNone
 }
 
 func (k *Kernel) handleMemFault(f hw.Fault) kmem.Outcome {

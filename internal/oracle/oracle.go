@@ -1,8 +1,8 @@
 // Package oracle is the correctness ladder's oracle (ROADMAP item 1): what a
-// deployment killed anywhere must show against its never-failed twin, and
-// the small workloads the kill sweeps and cmd/ftfuzz run it over. A run is a
-// pure function of its options, so a failure found here reproduces from
-// them alone.
+// deployment killed anywhere must show against its never-failed twin; the
+// Scenario, one run's whole description, which Deploy turns into a deployment
+// for cmd/ftsim, cmd/ftfuzz and the kill sweeps; and the apps it runs. A run
+// is a pure function of its scenario, so a failure reproduces from it alone.
 package oracle
 
 import (
@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/rejoin"
 )
@@ -115,29 +113,4 @@ func Transfers(events []obs.Event) map[string]int {
 		}
 	}
 	return n
-}
-
-// QuietParams are kernel parameters without idle wake-ups, so a run goes
-// quiet once its work is done.
-func QuietParams() kernel.Params {
-	p := kernel.DefaultParams()
-	p.IdleWakeMin, p.IdleWakeMax = 0, 0
-	return p
-}
-
-// Deploy builds a deployment for one sweep or fuzz run: seed 1, quiet
-// kernels, a 1 s NIC driver reload, a 3 s rejoin delay and tracing on, then
-// opts, then the chaos schedule spec (none when empty).
-func Deploy(spec string, opts ...core.Option) (*core.System, error) {
-	opts = append([]core.Option{core.WithSeed(1), core.WithKernelParams(QuietParams()),
-		func(c *core.Config) { c.NICDriverLoadTime = time.Second },
-		core.WithRejoinDelay(3 * time.Second), core.WithTrace()}, opts...)
-	if spec != "" {
-		sched, err := chaos.Parse(spec)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, func(c *core.Config) { c.Chaos = sched })
-	}
-	return core.New(opts...)
 }

@@ -165,9 +165,11 @@ func TestCondWaitSectionInventory(t *testing.T) {
 // instant before transfer n+1 does, when the primary has run as far ahead
 // of its backup as it can. A consumer parked in an untimed wait at the
 // promotion has no section left to replay: it waits for a signal the
-// promoted side records live. Some cuts find a woken waiter queued on the
-// backup's held mutex: a replayed wake-up handed it the mutex, and the
-// holder's unlock grants it once the waiters queued ahead of it had theirs.
+// promoted side records live. A woken waiter queued on the backup's held
+// mutex — a replayed wake-up handed it the mutex, and the holder's unlock
+// grants it once the waiters queued ahead of it had theirs — is a cut the
+// sweep finds only at some seeds, so the untimed rows build it as well
+// (promoteParked).
 //
 // Further cuts fall 1 ns after each effective wake-up's tuple-emit, before
 // the flush that carries it, in a run beside a ticker thread whose
@@ -197,6 +199,7 @@ func TestCondVarPromotionAtEveryLogBoundary(t *testing.T) {
 		cfg.DetShards = shards
 		t.Run(fmt.Sprintf("%d shards untimed", shards), func(t *testing.T) {
 			cuts, handed := promoteAtEveryTransfer(t, cfg, -1)
+			handed += promoteParked(t, cfg)
 			lostWakes := 0 // cuts at which an effective wake-up's tuple died unflushed
 			emits := wakeEmits(t, cfg, tickerSeed, -1)
 			for _, e := range emits {
@@ -252,7 +255,7 @@ func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.D
 	{
 		var pOrder, sOrder []consumption
 		var pDone, sDone bool
-		d := newDuo(t, everyTransferSeed, cfg, true)
+		d := newDuo(t, tickerSeed, cfg, true)
 		d.log.OnDelivered(func() { landed = append(landed, d.sim.Now()) })
 		d.pns.Start("app", nil, condVarApp(timeout, &pOrder, &pDone, nil))
 		d.sns.Start("app", nil, condVarApp(timeout, &sOrder, &sDone, nil))
@@ -272,7 +275,7 @@ func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.D
 			if late {
 				kill = fmt.Sprintf("kill primary @%dns", landed[n]-1)
 			}
-			c := promoteAt(t, kill, cfg, everyTransferSeed, false, timeout, kill)
+			c := promoteAt(t, kill, cfg, tickerSeed, false, timeout, kill)
 			if c.lost {
 				cuts++
 			}
@@ -284,14 +287,74 @@ func promoteAtEveryTransfer(t *testing.T, cfg replication.Config, timeout time.D
 	return cuts, handed
 }
 
-// everyTransferSeed seeds the sweep over every log transfer: at it, one det
-// shard and four alike, some untimed cuts find a woken waiter queued on the
-// backup's held mutex.
-const everyTransferSeed = 8
-
-// tickerSeed seeds the runs beside the ticker thread: at it, one det shard
-// and four alike, a run without promotion's wake-up strands its threads.
+// tickerSeed seeds the sweeps: at it, one det shard and four alike, a run
+// beside the ticker thread without promotion's wake-up strands its threads.
 const tickerSeed = 7
+
+// promoteParked builds the cut a sweep finds only at some seeds: promotion
+// finds a woken waiter queued on the backup's held mutex. The waiter locks
+// the mutex and waits, untimed; 1 ms in, the waker locks it, signals, and
+// holds it through a 5 ms compute. The backup replays the signal, which
+// hands the waiter the mutex its waker still holds, and the primary dies 4
+// ms into the compute, promoting the backup. The probe counts the waiters
+// so queued at the promotion; the waiter then takes the mutex from the
+// waker's unlock, both threads return, and the backup counts no divergence.
+func promoteParked(t *testing.T, cfg replication.Config) (handed int) {
+	t.Helper()
+	var done [2]bool
+	var probe func() int
+	app := func(done *bool, probe *func() int) func(*replication.Thread) {
+		return func(root *replication.Thread) {
+			m, c := root.Lib().NewMutex(), root.Lib().NewCond()
+			var waiter *kernel.Task
+			woken := false
+			if probe != nil {
+				*probe = func() int {
+					if waiter != nil && !woken && m.Owner() != waiter && c.Waiters() == 0 {
+						return 1
+					}
+					return 0
+				}
+			}
+			w := root.NS().SpawnThread(root, "waiter", func(th *replication.Thread) {
+				m.Lock(th.Task())
+				waiter = th.Task()
+				c.Wait(th.Task(), m)
+				woken = true
+				m.Unlock(th.Task())
+			})
+			k := root.NS().SpawnThread(root, "waker", func(th *replication.Thread) {
+				th.Task().Sleep(time.Millisecond)
+				m.Lock(th.Task())
+				c.Signal(th.Task())
+				th.Task().Compute(5 * time.Millisecond)
+				m.Unlock(th.Task())
+			})
+			root.Join(w)
+			root.Join(k)
+			*done = true
+		}
+	}
+	d := newDuo(t, tickerSeed, cfg, true)
+	defer d.sim.Shutdown()
+	d.sim.ScheduleAt(sim.Time(5*time.Millisecond), func() {
+		handed = probe()
+		d.pk.Panic("injected failure", nil)
+		d.sns.Replayer().Promote()
+	})
+	d.pns.Start("app", nil, app(&done[0], nil))
+	d.sns.Start("app", nil, app(&done[1], &probe))
+	if err := d.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if handed != 1 {
+		t.Errorf("promotion found %d woken waiters queued on the held mutex, want the one the cut parks", handed)
+	}
+	if st := d.sns.ReplayStats(); !done[1] || d.sns.Role() != replication.RoleLive || st.Divergences != 0 {
+		t.Errorf("the promoted side returned %v in role %v with %d divergences", done[1], d.sns.Role(), st.Divergences)
+	}
+	return handed
+}
 
 // wakeEmit is the tuple-emit of an effective wake-up or timeout: when, and
 // at which log index (the environment is message 0).

@@ -141,17 +141,20 @@ func TestKillBringsADelayedWakeForward(t *testing.T) {
 }
 
 // TestStreamDependsOnSeedAndName pins each domain's random stream to
-// (seed, name): creating other domains before or after it, or drawing from
-// them in between, leaves its sequence unchanged; another name or another
-// seed gives another sequence.
+// (seed, name, salt): creating other domains before or after it, or drawing
+// from them in between, leaves its sequence unchanged; another name,
+// another seed or a salt gives another sequence, and salt 0 none.
 func TestStreamDependsOnSeedAndName(t *testing.T) {
-	draws := func(seed int64, name string, others int) []uint64 {
+	draws := func(seed int64, name string, others int, salt ...uint64) []uint64 {
 		s := New(seed)
 		var gs []*Group
 		for i := range others {
 			gs = append(gs, s.NewGroup(fmt.Sprintf("other%d", i)))
 		}
 		g := s.NewGroup(name)
+		for _, x := range salt {
+			g.Salt(x)
+		}
 		gs = append(gs, s.NewGroup("late"))
 		var out []uint64
 		for range 8 {
@@ -172,5 +175,12 @@ func TestStreamDependsOnSeedAndName(t *testing.T) {
 	}
 	if got := draws(2, "primary", 0); slices.Equal(got, want) {
 		t.Error("seed 2 drew seed 1's sequence")
+	}
+	if got := draws(1, "primary", 2, 0); !slices.Equal(got, want) {
+		t.Errorf("salt 0 drew %v, want the unsalted %v", got, want)
+	}
+	salted := draws(1, "primary", 0, 9)
+	if got := draws(1, "primary", 3, 9); slices.Equal(salted, want) || !slices.Equal(got, salted) {
+		t.Errorf("salt 9 drew %v, then %v; want one sequence, not the unsalted %v", salted, got, want)
 	}
 }
