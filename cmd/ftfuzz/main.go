@@ -57,10 +57,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Drawn is one drawn scenario before its kill is resolved: the scenario
-// (its Chaos holds the backups' tunes), and the kill's target and fault
-// kind, with Pick choosing its boundary among the transfers of the
-// scenario's never-failed run (Check).
+// Drawn is a draw before its kill is resolved: the scenario, its Chaos the
+// backups' tunes, and the kill's target, fault kind and Pick, which chooses
+// its boundary among the never-failed run's transfers (Check).
 type Drawn struct {
 	oracle.Scenario
 	Target, Kind string
@@ -71,9 +70,8 @@ type Drawn struct {
 // whose output is a throughput series that no never-failed twin matches.
 var apps = slices.DeleteFunc(slices.Sorted(maps.Keys(oracle.Apps)), func(n string) bool { return n == "download" })
 
-// Draw returns scenario i of seed s. Every backup gets a tune event
-// drawn for it: its wake-preemption probability, context-switch and wake
-// costs, idle-wake bounds, core count and stream salt.
+// Draw returns scenario i of seed s; its backups' tunes come from s and its
+// shape alone, so all draws of a shape share one never-failed twin (cleanRun).
 func Draw(s int64, i int) Drawn {
 	rng := rand.New(rand.NewPCG(uint64(s), uint64(i)))
 	one := func(xs ...int) int { return xs[rng.IntN(len(xs))] }
@@ -84,6 +82,9 @@ func Draw(s int64, i int) Drawn {
 	d.Epochs = oracle.Apps[d.App].Restorable && rng.IntN(2) == 0
 	d.Kind = []string{"core", "core", "core", "mem", "bus", "coherency"}[rng.IntN(6)]
 	d.Then = []string{"", "", "rejoin", "retire"}[rng.IntN(4)]
+	h := fnv.New64a() // from here on, one and str draw from the shape's stream
+	fmt.Fprint(h, twin(d.Scenario))
+	rng = rand.New(rand.NewPCG(uint64(s), h.Sum64()))
 	str := func(xs ...string) string { return xs[rng.IntN(len(xs))] }
 	var tunes []string
 	for k := 1; k < d.Replicas; k++ {
@@ -95,16 +96,11 @@ func Draw(s int64, i int) Drawn {
 	return d
 }
 
-// twin is a scenario's never-failed twin: its shape and tunes, without its
-// kills or what follows them.
+// twin is a scenario's never-failed twin: its shape, tunes and ring faults,
+// without its kills, what follows them or its provenance.
 func twin(sc oracle.Scenario) oracle.Scenario {
-	var keep []string
-	for _, ev := range strings.Split(sc.Chaos, ";") {
-		if f := strings.Fields(ev); len(f) > 0 && f[0] != "kill" {
-			keep = append(keep, strings.Join(f, " "))
-		}
-	}
-	sc.Then, sc.Chaos = "", strings.Join(keep, "; ")
+	sched, _ := chaos.Parse(sc.Chaos)
+	sc.Seed, sc.Index, sc.Then, sc.Chaos = 0, 0, "", sched.WithoutKills()
 	return sc
 }
 
@@ -159,40 +155,47 @@ func Replay(dir string, r Result) string {
 // clean is a never-failed run: its output and transfer counts, or the
 // error that ended it with the flight dump at the error.
 type clean struct {
+	once      sync.Once
 	output    string
 	transfers map[string]int
 	err       error
 	flight    *obs.FlightDump
 }
 
-func cleanRun(sc oracle.Scenario) (c clean) {
-	var sys *core.System
-	if sys, c.output, c.flight, c.err = run(twin(sc)); c.err == nil {
+// twins are the never-failed runs made so far, by twin scenario: draws of
+// one shape share one, as do Shrink's steps that keep the twin.
+var twins sync.Map
+
+func cleanRun(sc oracle.Scenario) *clean {
+	v, _ := twins.LoadOrStore(twin(sc), new(clean))
+	c := v.(*clean)
+	c.once.Do(func() {
+		var sys *core.System
+		if sys, c.output, c.flight, c.err = run(twin(sc)); c.err != nil {
+			c.err = fmt.Errorf("the never-failed run: %w", c.err)
+			return
+		}
 		c.transfers = oracle.Transfers(sys.Obs.Events())
 		sys.Sim.Shutdown()
-	} else {
-		c.err = fmt.Errorf("the never-failed run: %w", c.err)
-	}
+	})
 	return c
 }
 
 // Check resolves the draw's kill against its never-failed twin and checks
 // the scenario it resolves to.
 func Check(d Drawn) Result {
-	c := cleanRun(d.Scenario)
 	sc := d.Scenario
-	if c.err == nil {
+	if c := cleanRun(sc); c.err == nil {
 		sc.Chaos = strings.TrimPrefix(sc.Chaos+"; "+d.kill(c.transfers), "; ")
 	}
-	r := check(sc, c)
+	r := Run(sc)
 	r.Draw = d
 	return r
 }
 
 // Run checks a scenario whose kills are resolved against the oracle.
-func Run(sc oracle.Scenario) Result { return check(sc, cleanRun(sc)) }
-
-func check(sc oracle.Scenario, c clean) Result {
+func Run(sc oracle.Scenario) Result {
+	c := cleanRun(sc)
 	res := Result{Scenario: sc, Err: c.err, Flight: c.flight}
 	if c.err != nil {
 		return res

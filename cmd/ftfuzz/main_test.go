@@ -7,8 +7,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/oracle"
+	"repro/internal/replication"
+	"repro/internal/tcprep"
 )
+
+// init adds an app whose main panics once its deployment runs: it fails
+// every shape after Deploy, with a flight dump. Draw never picks it (its
+// apps are fixed before init runs).
+func init() {
+	app := oracle.Apps["condlock"]
+	app.Name, app.Serves = "panics", false
+	app.Start = func(sys *core.System, sc oracle.Scenario) (func() (string, error), error) {
+		sys.Run(core.App{Name: "panics", Main: func(*replication.Thread, *tcprep.Sockets) { panic("planted") }})
+		return func() (string, error) { return "", nil }, nil
+	}
+	oracle.Apps["panics"] = app
+}
 
 // TestScenarioIsAFunctionOfSeedAndIndex: scenario i of seed S is the same
 // draw, the same kill and the same client output however often, and in
@@ -51,6 +67,21 @@ func TestSmokeCampaign(t *testing.T) {
 	}
 	if len(apps) < 3 {
 		t.Errorf("20 scenarios drew apps %v, want at least three", apps)
+	}
+}
+
+// TestTwinDropsKills: a scenario's never-failed twin keeps its shape, its
+// tunes and its ring faults, and drops its kills, what follows them and its
+// provenance, whether the kills are spelled out or a preset names them.
+func TestTwinDropsKills(t *testing.T) {
+	sc := oracle.Scenario{Seed: 3, Index: 8, App: "restream", Replicas: 3, Chaos: "tune backup1 salt 2; kill primary @log#3 core", Then: "rejoin"}
+	if got, want := twin(sc), (oracle.Scenario{App: "restream", Replicas: 3, Chaos: "tune backup1 salt 2"}); got != want {
+		t.Errorf("twin(%+v) = %+v, want %+v", sc, got, want)
+	}
+	for preset, want := range map[string]string{"kill-rejoin-kill": "", "hb-storm": "drop hb p0.5 500ms..800ms; drop hb 600ms..670ms"} {
+		if sc.Chaos = preset; twin(sc).Chaos != want {
+			t.Errorf("the twin of preset %s runs %q, want %q", preset, twin(sc).Chaos, want)
+		}
 	}
 }
 
@@ -99,15 +130,15 @@ func TestFoundScenariosPass(t *testing.T) {
 }
 
 // TestShrinkAndSave: a failing draw shrinks to the simplest value of every
-// field that keeps it failing — here all of them, since an app the oracle
-// does not know fails every shape — and Save writes it as a file
-// TestFoundScenariosPass reads back, with the finding and the flight dump
-// ftdiag explain reads, which the printed commands name.
+// field that keeps it failing — here all of them, since an app that panics
+// fails every shape — and Save writes it as a file TestFoundScenariosPass
+// reads back, with the finding and the flight dump ftdiag explain reads,
+// which the printed commands name.
 func TestShrinkAndSave(t *testing.T) {
-	d := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "no-such-app", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
+	d := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "panics", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
 		Epochs: true, Ports: 2, Chaos: "tune backup1 salt 3", Then: "retire"}, Target: "backup", Kind: "coherency"}
 	r := Shrink(Check(d))
-	want := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "no-such-app", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
+	want := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "panics", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
 		Strict: true}, Target: "backup", Kind: "core"}
 	if r.Err == nil || r.Draw != want || r.Scenario != want.Scenario {
 		t.Fatalf("shrunk to %+v as %+v (%v), want %+v failing", r.Draw, r.Scenario, r.Err, want)
@@ -124,8 +155,11 @@ func TestShrinkAndSave(t *testing.T) {
 		t.Errorf("saved %s (%v), want %+v", b, err, want.Scenario)
 	}
 	fd, err := os.ReadFile(filepath.Join(dir, "seed9-4.finding.txt"))
-	if err != nil || !strings.HasPrefix(string(fd), `the never-failed run: scenario: App "no-such-app" is none of `) {
-		t.Errorf("saved finding %q (%v), want the never-failed run's unknown app", fd, err)
+	if err != nil || !strings.HasPrefix(string(fd), "the never-failed run: panic: ") || !strings.Contains(string(fd), "planted") {
+		t.Errorf("saved finding %q (%v), want the never-failed run's panic", fd, err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "seed9-4.flight.jsonl")); err != nil || fi.Size() == 0 {
+		t.Errorf("saved flight dump %v (%v), want the events up to the panic", fi, err)
 	}
 	replay := Replay(dir, r)
 	for _, cmd := range []string{"go test ./cmd/ftfuzz -run 'TestFoundScenariosPass/seed9-4$'",

@@ -150,6 +150,7 @@ type RingFault struct {
 // the det sections must make irrelevant, varied on purpose.
 type Tune struct {
 	Slot int
+	Salt uint64 // folded into the key of the kernel's random stream (0: none)
 	set  []func(*kernel.Config)
 }
 
@@ -159,11 +160,13 @@ type Schedule struct {
 	Rings []RingFault
 	Tunes []Tune
 	src   string
+	rest  []string // every event but the kills, as written
 }
 
 // Tuned returns kc with the schedule's tune events for slot applied, in
-// order.
-func (s Schedule) Tuned(slot int, kc kernel.Config) kernel.Config {
+// order, and the salt the last of them sets (0: none).
+func (s Schedule) Tuned(slot int, kc kernel.Config) (kernel.Config, uint64) {
+	var salt uint64
 	for _, t := range s.Tunes {
 		if t.Slot != slot {
 			continue
@@ -171,12 +174,28 @@ func (s Schedule) Tuned(slot int, kc kernel.Config) kernel.Config {
 		for _, set := range t.set {
 			set(&kc)
 		}
+		salt = cmp.Or(t.Salt, salt)
 	}
-	return kc
+	return kc, salt
+}
+
+// Boot boots kc on part as replica slot's kernel, tuned (Tuned) and with
+// its random stream salted: at a deployment's boot and at every rejoin.
+func (s Schedule) Boot(part *hw.Partition, slot int, kc kernel.Config) (*kernel.Kernel, error) {
+	kc, salt := s.Tuned(slot, kc)
+	k, err := kernel.Boot(part, kc)
+	if err == nil {
+		k.Domain().Salt(salt)
+	}
+	return k, err
 }
 
 // String returns the original spec the schedule was parsed from.
 func (s Schedule) String() string { return s.src }
+
+// WithoutKills returns the spec less its kill events: what a never-failed
+// twin of the run injects.
+func (s Schedule) WithoutKills() string { return strings.Join(s.rest, "; ") }
 
 // Empty reports whether the schedule injects nothing (a tune injects no
 // fault).
@@ -222,6 +241,9 @@ func Parse(spec string) (Schedule, error) {
 		}
 		if err != nil {
 			return Schedule{}, err
+		}
+		if f[0] != "kill" {
+			sched.rest = append(sched.rest, strings.Join(f, " "))
 		}
 	}
 	return sched, nil
@@ -321,9 +343,8 @@ func (s *Schedule) parseTune(ev string, f []string) error {
 			err = cmp.Or(e, bound(n >= 1))
 			set = func(c *kernel.Config) { c.Cores = n }
 		case "salt":
-			n, e := strconv.ParseUint(v, 10, 64)
-			err = e
-			set = func(c *kernel.Config) { c.Salt = n }
+			t.Salt, err = strconv.ParseUint(v, 10, 64)
+			set = func(*kernel.Config) {}
 		default:
 			return fmt.Errorf("chaos: %q: unknown tune %q (preempt, cs, wake, idle, cores, salt)", ev, f[i])
 		}

@@ -301,7 +301,7 @@ func build(cfg Config) (*System, error) {
 	}
 	kerns := make([]*kernel.Kernel, n)
 	for i := 0; i < n; i++ {
-		if kerns[i], err = kernel.Boot(parts[i], cfg.kernelFor(slotName(i), i)); err != nil {
+		if kerns[i], err = cfg.Chaos.Boot(parts[i], i, cfg.kernelFor(slotName(i), i)); err != nil {
 			return nil, fmt.Errorf("core: boot %s: %w", slotName(i), err)
 		}
 	}
@@ -801,10 +801,9 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 
 // InjectPrimaryFailure kills the primary kernel after delay d with the
 // given fault kind (a fail-stop by default), driving the full detection
-// and failover path. Every other kill is a chaos schedule's (`kill primary
-// @<d> <kind>`, Config.Chaos); this one stays for benchmark's
-// stream-failover workload alone, and goes when that workload kills through
-// a schedule too (ROADMAP item 5(g)).
+// and failover path. Every other kill is a chaos schedule's (Config.Chaos);
+// this one stays for benchmark's stream-failover workload alone, and goes
+// when that workload kills through a schedule too (ROADMAP item 5(g)).
 func (sys *System) InjectPrimaryFailure(d time.Duration, kind hw.FaultKind) {
 	if kind == 0 {
 		kind = hw.CoreFailStop

@@ -142,12 +142,12 @@ func (cfg Config) validate() (Config, error) {
 }
 
 // kernelFor is the kernel a replica slot boots, at boot and at every
-// rejoin: the primary keeps its own core knob, every backup shares the
-// secondary one, and the chaos schedule's tune events for the slot apply.
+// rejoin, untuned (chaos.Schedule.Boot tunes it): the primary keeps its own
+// core knob, every backup shares the secondary one.
 func (cfg Config) kernelFor(name string, slot int) kernel.Config {
 	kc := kernel.Config{Name: name, Params: cfg.Kernel, Cores: cfg.SecondaryCores}
 	if slot == 0 {
 		kc.Cores = cfg.PrimaryCores
 	}
-	return cfg.Chaos.Tuned(slot, kc)
+	return kc
 }

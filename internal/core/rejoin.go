@@ -100,7 +100,7 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	sys.resyncStartAt = sys.Sim.Now()
 
 	freed := dead.Kernel.Partition()
-	bk, err := kernel.Boot(freed, sys.Cfg.kernelFor(fmt.Sprintf("backup.g%d", gen), dead.partIdx))
+	bk, err := sys.Cfg.Chaos.Boot(freed, dead.partIdx, sys.Cfg.kernelFor(fmt.Sprintf("backup.g%d", gen), dead.partIdx))
 	if err != nil {
 		sys.rejoinErr = fmt.Errorf("core: rejoin generation %d: %w", gen, err)
 		sys.scLife.EmitNote(obs.ResyncStart, 0, int64(gen), 0, "boot failed: "+err.Error())

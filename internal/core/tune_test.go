@@ -5,14 +5,15 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // TestTuneAppliesAtBootAndRejoin: a chaos tune event perturbs backup slot
 // 1's kernel at boot and again when the slot rejoins after its kill — its
-// wake preemption, switch and wake costs, idle-wake bounds and core count —
-// while the primary keeps the configured kernel. The perturbed replica
-// replays without a divergence, and the client sees the stream of an
-// untuned run.
+// wake preemption, switch and wake costs, idle-wake bounds and core count,
+// and at boot its stream salt — while the primary keeps the configured
+// kernel. The perturbed replica replays without a divergence, and the
+// client sees the stream of an untuned run.
 func TestTuneAppliesAtBootAndRejoin(t *testing.T) {
 	t.Parallel()
 	const tune = "tune backup1 preempt 0.3 cs 3us wake 4us idle 50us..15ms cores 24 salt 9"
@@ -27,6 +28,10 @@ func TestTuneAppliesAtBootAndRejoin(t *testing.T) {
 	_, want, _ := rejoinRun(t, "", 1, plainStream, 1<<20)
 	sys := quietSystem(t, 1, withChaos(tune))
 	check("at boot", sys.Secondary)
+	k := sys.Secondary.Kernel
+	if k.Domain().Rand().Uint64() == sim.New(1).NewGroup(k.Name()).Rand().Uint64() {
+		t.Errorf("%s draws its unsalted stream, want salt 9 folded in", k.Name())
+	}
 	if p := sys.Primary.Kernel.Params(); p != quietParams() || sys.Primary.Kernel.Cores() != 32 {
 		t.Errorf("the primary boots %d cores with %+v, want the configured kernel", sys.Primary.Kernel.Cores(), p)
 	}

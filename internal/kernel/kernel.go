@@ -19,7 +19,6 @@
 package kernel
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
@@ -115,8 +114,6 @@ type Config struct {
 	// unrecoverable kernel memory (text, static data, struct page array).
 	// Zero means a model default of 1.5% of RAM plus 768 MB.
 	BaseKernelMem int64
-	// Salt is folded into the key of the kernel's random stream (0: none).
-	Salt uint64
 }
 
 // Boot starts a kernel on a hardware partition.
@@ -128,16 +125,18 @@ func Boot(part *hw.Partition, cfg Config) (*Kernel, error) {
 		cfg.Params = DefaultParams()
 	}
 	ncores := len(part.Cores())
-	if cfg.Cores > ncores {
-		return nil, fmt.Errorf("kernel %q: %d cores requested, partition has %d", cfg.Name, cfg.Cores, ncores)
+	if cfg.Cores > 0 {
+		if cfg.Cores > ncores {
+			return nil, fmt.Errorf("kernel %q: %d cores requested, partition has %d", cfg.Name, cfg.Cores, ncores)
+		}
+		ncores = cfg.Cores
 	}
-	ncores = cmp.Or(max(cfg.Cores, 0), ncores)
 	s := part.Machine().Sim()
 	k := &Kernel{
 		name:   cfg.Name,
 		sim:    s,
 		part:   part,
-		group:  s.NewGroup(cfg.Name).Salt(cfg.Salt),
+		group:  s.NewGroup(cfg.Name),
 		params: cfg.Params,
 		mem:    kmem.NewAccounting(part.Mem(), part.Machine().Profile().PageSize),
 	}
@@ -224,8 +223,9 @@ func (k *Kernel) HandleFault(f hw.Fault) kmem.Outcome {
 		return kmem.OutcomeKernelPanic
 	case hw.MemUncorrected, hw.MemCorrected:
 		return k.handleMemFault(f)
+	default:
+		return kmem.OutcomeNone
 	}
-	return kmem.OutcomeNone
 }
 
 func (k *Kernel) handleMemFault(f hw.Fault) kmem.Outcome {
