@@ -11,6 +11,7 @@
 //	ftdiag windows trace.json pinned.txt         # the first window that moved
 //	ftdiag reach func.txt pkgs.txt reach.txt     # code no run reached, against its keepers
 //	ftdiag explain found/seed1-17.json           # a saved ftfuzz failure, from its files
+//	ftdiag pair HEAD~1                           # host cost against a revision (make pair)
 //
 // Every analysis is a pure function of the trace bytes: same input, same
 // output, byte for byte. diff exits 1 when a divergence is found (0 when
@@ -18,7 +19,10 @@
 // outcome without parsing the report; windows, given pinned digests, exits
 // 1 when a window moved, and reach (make reach) when its list and the
 // pinned one differ. explain reads the files ftfuzz saves beside a found
-// scenario and exits 2 when one is missing or malformed.
+// scenario and exits 2 when one is missing or malformed. pair builds a
+// harness at a revision and at the tree and runs them in alternating
+// pairs; unlike the others it runs programs, and its numbers are the
+// host's.
 package main
 
 import (
@@ -63,6 +67,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdReach(args[1:], stdout, stderr)
 	case "explain":
 		return cmdExplain(args[1:], stdout, stderr)
+	case "pair":
+		return cmdPair(args[1:], stdout, stderr)
 	}
 	fmt.Fprintf(stderr, "ftdiag: unknown subcommand %q\n", args[0])
 	usage(stderr)
@@ -99,6 +105,7 @@ func usage(w io.Writer) {
   ftdiag windows trace.json [pinned.txt]
   ftdiag reach func.txt pkgs.txt reach.txt
   ftdiag explain found.json
+  ftdiag pair [-n N] rev [pkg [args...]]
 `)
 }
 

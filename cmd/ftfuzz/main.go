@@ -44,7 +44,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -338,14 +337,23 @@ func finding(err error) string {
 	return b.String()
 }
 
+// Tally is what a campaign keeps: how many scenarios ran and failed, and
+// the failure of lowest index with its flight dump (nil when none failed).
+// Every other result is dropped as it comes in, so a campaign that fails
+// every scenario holds one Result, not one per scenario.
+type Tally struct {
+	Ran, Failed int
+	First       *Result
+}
+
 // Campaign runs scenarios from..from+n-1 of seed on workers goroutines,
-// dispatching no new one once budget (if positive) has passed, and returns
-// the results in index order.
-func Campaign(seed int64, from, n, workers int, budget time.Duration) []Result {
+// dispatching no new one once budget (if positive) has passed, and tallies
+// them.
+func Campaign(seed int64, from, n, workers int, budget time.Duration) Tally {
 	start := time.Now()
 	next := make(chan int)
 	var mu sync.Mutex
-	var results []Result
+	var tally Tally
 	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)
@@ -354,7 +362,11 @@ func Campaign(seed int64, from, n, workers int, budget time.Duration) []Result {
 			for i := range next {
 				r := Check(Draw(seed, i))
 				mu.Lock()
-				results = append(results, r)
+				if tally.Ran++; r.Err != nil {
+					if tally.Failed++; tally.First == nil || i < tally.First.Draw.Index {
+						tally.First = &r
+					}
+				}
 				mu.Unlock()
 			}
 		}()
@@ -364,8 +376,7 @@ func Campaign(seed int64, from, n, workers int, budget time.Duration) []Result {
 	}
 	close(next)
 	wg.Wait()
-	sort.Slice(results, func(a, b int) bool { return results[a].Draw.Index < results[b].Draw.Index })
-	return results
+	return tally
 }
 
 func main() {
@@ -381,28 +392,22 @@ func main() {
 		from, count = *one, 1
 	}
 	start := time.Now()
-	results := Campaign(*seed, from, count, runtime.GOMAXPROCS(0), *budget)
+	tally := Campaign(*seed, from, count, runtime.GOMAXPROCS(0), *budget)
 	elapsed := time.Since(start)
-	failed := 0
-	for _, r := range results {
-		if r.Err == nil {
-			continue
-		}
-		if failed++; failed == 1 {
-			fmt.Println(strings.ReplaceAll(r.Reproducer(), "\n", "; "))
-			shrunk := Shrink(r)
-			fmt.Println("shrunk:", strings.ReplaceAll(shrunk.summary(), "\n", "; "))
-			if err := Save(*found, shrunk); err != nil {
-				fmt.Fprintln(os.Stderr, "ftfuzz:", err)
-			} else {
-				fmt.Println(Replay(*found, shrunk))
-			}
+	if r := tally.First; r != nil {
+		fmt.Println(strings.ReplaceAll(r.Reproducer(), "\n", "; "))
+		shrunk := Shrink(*r)
+		fmt.Println("shrunk:", strings.ReplaceAll(shrunk.summary(), "\n", "; "))
+		if err := Save(*found, shrunk); err != nil {
+			fmt.Fprintln(os.Stderr, "ftfuzz:", err)
+		} else {
+			fmt.Println(Replay(*found, shrunk))
 		}
 	}
-	rate := float64(len(results)) / elapsed.Seconds()
+	rate := float64(tally.Ran) / elapsed.Seconds()
 	fmt.Printf("%d scenarios, %d failed, in %v: %.1f scenarios/s (%.0f per minute)\n",
-		len(results), failed, elapsed.Round(time.Millisecond), rate, 60*rate)
-	if failed > 0 {
+		tally.Ran, tally.Failed, elapsed.Round(time.Millisecond), rate, 60*rate)
+	if tally.Failed > 0 {
 		os.Exit(1)
 	}
 }

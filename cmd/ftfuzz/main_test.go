@@ -49,24 +49,33 @@ func TestScenarioIsAFunctionOfSeedAndIndex(t *testing.T) {
 }
 
 // TestSmokeCampaign runs scenarios 0..19 of seed 1 on two workers: each
-// passes the oracle, and the results come back in index order.
+// passes the oracle, and they draw at least three apps.
 func TestSmokeCampaign(t *testing.T) {
-	results := Campaign(1, 0, 20, 2, 0)
-	if len(results) != 20 {
-		t.Fatalf("%d results, want 20", len(results))
+	tally := Campaign(1, 0, 20, 2, 0)
+	if tally.Ran != 20 || tally.Failed != 0 {
+		t.Fatalf("ran %d, failed %d, want 20 and none", tally.Ran, tally.Failed)
 	}
 	apps := map[string]bool{}
-	for i, r := range results {
-		if r.Draw.Index != i {
-			t.Fatalf("result %d is scenario %d", i, r.Draw.Index)
-		}
-		if r.Err != nil {
-			t.Errorf("%s", r.Reproducer())
-		}
-		apps[r.Scenario.App] = true
+	for i := range 20 {
+		apps[Draw(1, i).App] = true
 	}
 	if len(apps) < 3 {
 		t.Errorf("20 scenarios drew apps %v, want at least three", apps)
+	}
+}
+
+// TestFailingCampaignKeepsOneResult: a campaign in which every scenario
+// fails counts them all and keeps one Result, the lowest index's, with the
+// flight dump its shrink and save need.
+func TestFailingCampaignKeepsOneResult(t *testing.T) {
+	defer func(drawn []string) { apps = drawn }(apps)
+	apps = []string{"panics"}
+	tally := Campaign(5, 3, 8, 2, 0)
+	if tally.Ran != 8 || tally.Failed != 8 {
+		t.Fatalf("ran %d, failed %d, want 8 and 8", tally.Ran, tally.Failed)
+	}
+	if r := tally.First; r == nil || r.Draw.Index != 3 || r.Err == nil || r.Flight == nil {
+		t.Errorf("kept %+v, want scenario 3's failure with its flight dump", r)
 	}
 }
 

@@ -190,7 +190,9 @@ type Replica struct {
 	// replica's retained history begins at lastCP.Sent, so a rejoin seeds a
 	// fresh backup from lastCP and replays that history as the delta — the
 	// whole history while lastCP is still genesis.
-	lastCP *rejoin.Checkpoint
+	lastCP  *rejoin.Checkpoint
+	cutter  rejoin.Cutter   // the epoch cuts it sizes or verifies, then drops
+	sources []rejoin.Source // its pre-copy sources, rebuilt in place each cut
 }
 
 // Slot returns the replica's partition slot in the replica set (0 is the
@@ -643,9 +645,7 @@ func (sys *System) peerFailed(surv, dead *Replica) {
 // backupDied handles one backup's death on the recording side: drop it
 // from the set and, with rejoin, schedule its partition's re-integration.
 func (sys *System) backupDied(surv, dead *Replica) {
-	if !sys.removePassive(dead) {
-		return
-	}
+	sys.removePassive(dead)
 	if sys.resync == dead {
 		sys.resync = nil
 	}

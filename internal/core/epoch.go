@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rejoin"
 	"repro/internal/replication"
+	"repro/internal/tcprep"
 )
 
 // startCutter spawns the epoch cutter on a recording replica's kernel.
@@ -96,7 +97,7 @@ func (sys *System) cutEpoch(t *kernel.Task, rep *Replica) {
 	t.Busy(time.Duration(finalDirty) * ec.PerByteCopyCost)
 	sys.epoch++
 	_, sent := rep.NS.LogWatermark()
-	cp := cutReplica(rep, sys.epoch, sent)
+	cp := cutReplica(rejoin.Cut(rep.NS), rep, sys.epoch, sent)
 	sys.pendingCuts[cp.Epoch] = cp
 	rep.NS.EmitEpoch(t, replication.EpochMark{
 		Epoch:     cp.Epoch,
@@ -126,45 +127,47 @@ const precopyPasses, precopyTargetDirty = 4, 4 << 10
 // index, digest), accounted on top of the checkpoint it carries.
 const epochMarkBytes = 32
 
-// cutReplica captures a replica's replay-verifiable state as the sealed
-// checkpoint of the given epoch boundary: namespace cursors and env,
-// application snapshots in launch order, and the send cursors. The TCP
-// history stays empty; a rejoin snapshots it fresh. The recording side
-// cuts with it and every backup recomputes it from its own replayed
-// state, so the two digests agree exactly when replay has not diverged.
-func cutReplica(rep *Replica, epoch, sent uint64) *rejoin.Checkpoint {
-	cp := rejoin.Cut(rep.NS)
+// cutReplica completes cp, a cut of the replica's namespace, as the sealed
+// checkpoint of an epoch boundary: app snapshots in launch order and the
+// send cursors; the TCP history stays empty (a rejoin snapshots it fresh).
+// The recording side's cut is a checkpoint of its own, which replicas
+// retain; every backup recomputes it in its cutter's scratch, so the two
+// digests agree exactly when replay has not diverged.
+func cutReplica(cp *rejoin.Checkpoint, rep *Replica, epoch, sent uint64) *rejoin.Checkpoint {
 	cp.Epoch, cp.Sent = epoch, sent
 	for _, a := range rep.apps {
 		cp.Apps = append(cp.Apps, rejoin.AppSnap{Name: a.name, Data: a.state.Snapshot()})
 	}
-	cp.Sends = rep.Sockets.SendCursors()
+	cp.Sends = rep.Sockets.SendCursors(cp.Sends)
 	cp.Seal()
 	return cp
 }
 
-// precopySources enumerates the recording replica's state components for
-// the pre-copy engine: the FT-namespace cursor/env state (each det
-// section dirties ~32 bytes of cursor vector), the logical TCP
-// connection table, and every restorable app's snapshot state.
+// precopySources lists, into the slice the replica reuses, its state for
+// the pre-copy engine: the FT-namespace cursor/env state (each det section
+// dirties ~32 bytes of cursor vector), the logical TCP connection table and
+// every restorable app's snapshot, each a Source type, not a closure.
 func (sys *System) precopySources(rep *Replica) []rejoin.Source {
-	srcs := []rejoin.Source{rejoin.FuncSource{
-		Total: func() int { return rejoin.Cut(rep.NS).Bytes() },
-		Dirty: func() uint64 { return rep.NS.SeqGlobal() * 32 },
-	}}
+	srcs := append(rep.sources[:0], nsSource{rep})
 	if rep.TCPPrim != nil {
-		table := rep.TCPPrim.Table()
-		srcs = append(srcs, rejoin.FuncSource{Total: table.Footprint, Dirty: table.Dirtied})
+		srcs = append(srcs, tableSource{rep.TCPPrim.Table()})
 	}
-	for _, a := range rep.apps {
-		a := a
-		srcs = append(srcs, rejoin.FuncSource{
-			Total: func() int { return len(a.state.Snapshot()) },
-			Dirty: a.state.Dirtied,
-		})
+	for i := range rep.apps {
+		srcs = append(srcs, &rep.apps[i])
 	}
+	rep.sources = srcs
 	return srcs
 }
+
+type nsSource struct{ rep *Replica }
+type tableSource struct{ *tcprep.ConnTable }
+
+func (s nsSource) TotalBytes() int         { return s.rep.cutter.Cut(s.rep.NS).Bytes() }
+func (s nsSource) DirtyCounter() uint64    { return s.rep.NS.SeqGlobal() * 32 }
+func (s tableSource) TotalBytes() int      { return s.Footprint() }
+func (s tableSource) DirtyCounter() uint64 { return s.Dirtied() }
+func (a *appInst) TotalBytes() int         { return len(a.state.Snapshot()) }
+func (a *appInst) DirtyCounter() uint64    { return a.state.Dirtied() }
 
 // epochVerifier is the replica-side boundary check, run with replay
 // quiesced at the marker's exact frontier: recompute the checkpoint
@@ -174,7 +177,7 @@ func (sys *System) precopySources(rep *Replica) []rejoin.Source {
 func (sys *System) epochVerifier(rep *Replica) func(replication.EpochMark) bool {
 	return func(mark replication.EpochMark) bool {
 		cp, ok := mark.Payload.(*rejoin.Checkpoint)
-		if !ok || cutReplica(rep, mark.Epoch, mark.Sent).Sum != mark.Digest {
+		if !ok || cutReplica(rep.cutter.Cut(rep.NS), rep, mark.Epoch, mark.Sent).Sum != mark.Digest {
 			return false
 		}
 		rep.lastCP = cp

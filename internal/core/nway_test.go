@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -297,11 +298,16 @@ func TestNWayRollingReplacement(t *testing.T) {
 	if st, g := sys.State(), sys.Generation(); st != core.StateReplicated || g != 2 {
 		t.Fatalf("run ended in state %v at generation %d, want full strength after two rejoins", st, g)
 	}
-	if err := sys.Retire(sys.Backups()[0]); err != nil {
+	held := sys.Backups()
+	before := slices.Clone(held)
+	if err := sys.Retire(held[0]); err != nil {
 		t.Fatalf("Retire: %v", err)
 	}
 	if err := sys.Sim.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(held, before) || slices.Equal(sys.Backups(), before) {
+		t.Error("a Backups slice taken before the retire and its rejoin moved with the membership")
 	}
 	if err := sys.RejoinErr(); err != nil {
 		t.Errorf("rejoin error: %v", err)

@@ -150,7 +150,7 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 		resyncing: 2,
 	}
 	sys.resync = rep
-	sys.passives = append(sys.passives, rep)
+	sys.passives = append(sys.passives[:len(sys.passives):len(sys.passives)], rep) // a new slice: see Backups
 
 	if sys.Cfg.Epochs.Enabled {
 		// The new backup verifies every epoch boundary cut from here on,

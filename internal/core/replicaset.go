@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -15,10 +16,9 @@ import (
 // there.
 
 // Backups returns the current backup replicas (replaying or resyncing),
-// in join order. The slice is a copy.
-func (sys *System) Backups() []*Replica {
-	return append([]*Replica(nil), sys.passives...)
-}
+// in join order: the membership itself, clipped. A membership change builds
+// a new slice, so one already returned keeps reading what it was.
+func (sys *System) Backups() []*Replica { return slices.Clip(sys.passives) }
 
 // Watermarks returns the active recorder's per-backup receipt watermark
 // vector (nil while no side is recording).
@@ -42,15 +42,9 @@ func (sys *System) ReplayDebt() time.Duration {
 // isPassive reports whether rep is a current backup.
 func (sys *System) isPassive(rep *Replica) bool { return slices.Contains(sys.passives, rep) }
 
-// removePassive takes rep out of the backup list, reporting whether it
-// was there (false = a stale notification about an already-handled
-// replica).
-func (sys *System) removePassive(rep *Replica) bool {
-	i := slices.Index(sys.passives, rep)
-	if i >= 0 {
-		sys.passives = slices.Delete(sys.passives, i, i+1)
-	}
-	return i >= 0
+// removePassive takes rep, a current backup, out of the backup list.
+func (sys *System) removePassive(rep *Replica) {
+	sys.passives = slices.DeleteFunc(slices.Clone(sys.passives), func(p *Replica) bool { return p == rep })
 }
 
 // members returns the live replicas: the active side, then the backups.
@@ -75,16 +69,14 @@ func (sys *System) slotFilled(idx int) bool {
 // highest Processed() count loses the least recorded work — and returns
 // the winner (ties to the lowest slot) plus the losers in join order.
 func (sys *System) elect() (winner *Replica, losers []*Replica) {
-	for _, p := range sys.livePassives() {
-		if winner == nil || p.NS.Processed() > winner.NS.Processed() ||
-			p.NS.Processed() == winner.NS.Processed() && p.partIdx < winner.partIdx {
-			winner = p
-		}
-	}
-	if winner == nil {
+	live := sys.livePassives()
+	if len(live) == 0 {
 		return nil, nil
 	}
-	return winner, slices.DeleteFunc(sys.livePassives(), func(p *Replica) bool { return p == winner })
+	winner = slices.MaxFunc(live, func(a, b *Replica) int {
+		return cmp.Or(cmp.Compare(a.NS.Processed(), b.NS.Processed()), cmp.Compare(b.partIdx, a.partIdx))
+	})
+	return winner, slices.DeleteFunc(live, func(p *Replica) bool { return p == winner })
 }
 
 // Retire removes a live backup from the replica set — the old half of a

@@ -79,8 +79,8 @@ func (m *Machine) Inject(f Fault) {
 }
 
 // InjectAfter schedules a fault injection after delay d.
-func (m *Machine) InjectAfter(d time.Duration, f Fault) *sim.Event {
-	return m.sim.Schedule(d, func() { m.Inject(f) })
+func (m *Machine) InjectAfter(d time.Duration, f Fault) {
+	m.sim.Schedule(d, func() { m.Inject(f) })
 }
 
 // RandomMemErrorAddr picks a uniformly random physical address on a random

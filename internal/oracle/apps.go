@@ -187,7 +187,8 @@ var PBZIP2 = App{"pbzip2", false, false, quiet, func(sys *core.System, sc Scenar
 // items off a bounded queue under a mutex they try before they block on,
 // waiting for items with timed condition waits that expire as often as
 // they are signaled, and fold each into a total under a reader-writer lock
-// they try for writing, then for reading. Its output, what the replica
+// they try for writing (holding it across some work, so with two workers
+// or more a WrLock parks), then for reading. Its output, what the replica
 // active at the end counted, is the same however the tries and timeouts
 // fell.
 var CondLock = App{"condlock", false, false, quiet, func(sys *core.System, sc Scenario) (func() (string, error), error) {
@@ -227,6 +228,7 @@ var CondLock = App{"condlock", false, false, quiet, func(sys *core.System, sc Sc
 						rw.WrLock(t)
 					}
 					tl.taken, tl.sum = tl.taken+1, tl.sum+v
+					t.Compute(100 * time.Microsecond) // held across work: another taker's WrLock parks
 					rw.WrUnlock(t)
 					if rw.TryRdLock(t) {
 						rw.RdUnlock(t)

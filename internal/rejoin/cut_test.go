@@ -3,6 +3,7 @@ package rejoin
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -200,5 +201,65 @@ func TestVerifyReplayNamesEachMismatch(t *testing.T) {
 		if !errors.Is(err, ErrChecksumMismatch) || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s mismatch: err = %v, want ErrChecksumMismatch naming %q", tc.field, err, tc.field)
 		}
+	}
+}
+
+// TestCutterReusesOnlyItsOwnBuffers pins a cut's buffer lifetime: a
+// Cutter's next cut writes over its last one's cursor vectors, while a
+// checkpoint from Cut — the kind a replica retains — keeps its cursors and
+// its digest through every later cut of either kind.
+func TestCutterReusesOnlyItsOwnBuffers(t *testing.T) {
+	var c Cutter
+	var kept, scratch *Checkpoint
+	var keptThreads []replication.SeqCursor
+	var keptObjs []replication.ObjCursor
+	s, _, _, _, _, _ := recordedPair(t, func(pns *replication.Namespace, round int) {
+		switch round {
+		case 10:
+			kept = Cut(pns)
+			kept.Seal()
+			keptThreads, keptObjs = slices.Clone(kept.Threads), slices.Clone(kept.Objs)
+			scratch = c.Cut(pns)
+		case 30:
+			again := c.Cut(pns)
+			again.Seal()
+			if again != scratch || &again.Threads[0] != &scratch.Threads[0] || &again.Objs[0] != &scratch.Objs[0] {
+				t.Error("the cutter's second cut did not reuse its first one's buffers")
+			}
+			Cut(pns).Seal()
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if kept == nil || scratch == nil {
+		t.Fatal("no cut taken")
+	}
+	if !slices.Equal(kept.Threads, keptThreads) || !slices.Equal(kept.Objs, keptObjs) {
+		t.Errorf("a retained cut's cursors moved under later cuts: %v %v, want %v %v", kept.Threads, kept.Objs, keptThreads, keptObjs)
+	}
+	if kept.digest() != kept.Sum {
+		t.Error("a retained cut no longer matches its digest")
+	}
+	if slices.Equal(scratch.Threads, keptThreads) {
+		t.Error("the cutter's cut still reads round 10's cursors after its round-30 cut")
+	}
+}
+
+// TestDigestIsPinned: the digest of a checkpoint with every kind of record
+// is the one its text form "e9|s12345|w777|p7|t1:4000|…" has always hashed
+// to, so a change to how it is computed moves no Sum.
+func TestDigestIsPinned(t *testing.T) {
+	cp := testCheckpoint()
+	if cp.Sum != 0xc15d61f739fe147d {
+		t.Errorf("digest %#x, want 0xc15d61f739fe147d", cp.Sum)
+	}
+	c := &cp.TCP.Conns[0]
+	c.Sync, c.ISS, c.PeerFin, c.Out = 5, 1<<63+5, true, []byte("out")
+	if cp.Seal(); cp.Sum != 0x6f52c2bf5fd1006d {
+		t.Errorf("with a synced, finished connection: digest %#x, want 0x6f52c2bf5fd1006d", cp.Sum)
+	}
+	if got := Genesis().Sum; got != 0xc662f1464e955079 {
+		t.Errorf("genesis digest %#x, want 0xc662f1464e955079", got)
 	}
 }

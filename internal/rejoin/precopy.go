@@ -27,15 +27,6 @@ type Source interface {
 	DirtyCounter() uint64
 }
 
-// FuncSource adapts plain closures to Source.
-type FuncSource struct {
-	Total func() int
-	Dirty func() uint64
-}
-
-func (f FuncSource) TotalBytes() int      { return f.Total() }
-func (f FuncSource) DirtyCounter() uint64 { return f.Dirty() }
-
 // PassStat records one pre-copy pass for observability.
 type PassStat struct {
 	// Pass numbers the pass, 1-based; pass 1 is the full copy.
@@ -77,8 +68,11 @@ func (pc *PreCopy) Run(t *kernel.Task) (finalDirty int, passes []PassStat) {
 	}
 	copySet := total
 	dirty := total
+	before, passes := make([]uint64, len(pc.Sources)), make([]PassStat, 0, maxPasses)
 	for pass := 1; pass <= maxPasses; pass++ {
-		before := pc.readCounters()
+		for i, s := range pc.Sources {
+			before[i] = s.DirtyCounter()
+		}
 		t.Compute(time.Duration(copySet) * pc.PerByte)
 		dirtied := pc.dirtiedSince(before)
 		passes = append(passes, PassStat{Pass: pass, Copied: copySet, Dirtied: dirtied})
@@ -92,14 +86,6 @@ func (pc *PreCopy) Run(t *kernel.Task) (finalDirty int, passes []PassStat) {
 		copySet = dirty
 	}
 	return dirty, passes
-}
-
-func (pc *PreCopy) readCounters() []uint64 {
-	c := make([]uint64, len(pc.Sources))
-	for i, s := range pc.Sources {
-		c[i] = s.DirtyCounter()
-	}
-	return c
 }
 
 // dirtiedSince sums per-source dirty deltas, capping each at the

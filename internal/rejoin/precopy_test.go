@@ -25,17 +25,12 @@ func TestPreCopyConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 1 << 20
-	const rate = 100 // dirty bytes per microsecond of virtual time
+	const rate = 100
 	var finalDirty int
 	var passes []PassStat
 	pk.Spawn("precopy", func(tk *kernel.Task) {
 		pc := &PreCopy{
-			Sources: []Source{FuncSource{
-				Total: func() int { return total },
-				Dirty: func() uint64 {
-					return uint64(tk.Now()) / uint64(time.Microsecond) * rate
-				},
-			}},
+			Sources:     []Source{rateSource{tk, total, rate}},
 			PerByte:     time.Nanosecond,
 			MaxPasses:   8,
 			TargetDirty: 4 << 10,
@@ -62,4 +57,16 @@ func TestPreCopyConverges(t *testing.T) {
 	if finalDirty > total/8 {
 		t.Errorf("final dirty residue %d not bounded by the dirty rate (state %d)", finalDirty, total)
 	}
+}
+
+// rateSource is a component of fixed size that the workload dirties at a
+// steady rate bytes per microsecond of virtual time.
+type rateSource struct {
+	tk          *kernel.Task
+	total, rate int
+}
+
+func (r rateSource) TotalBytes() int { return r.total }
+func (r rateSource) DirtyCounter() uint64 {
+	return uint64(r.tk.Now()) / uint64(time.Microsecond) * uint64(r.rate)
 }

@@ -18,7 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/kernel"
@@ -116,65 +118,101 @@ func Genesis() *Checkpoint {
 	return cp
 }
 
-// Cut captures the namespace's cursor and environment state. It must run
-// with the namespace at a section boundary and without yielding; the
-// caller fills in whatever else the cut carries and Seals it.
-func Cut(ns *replication.Namespace) *Checkpoint {
-	seqGlobal, threads := ns.Cursors()
-	return &Checkpoint{
+// A Cutter cuts checkpoints into buffers it owns: each of its cuts writes
+// the cursor vectors, the environment and the app and send lists over the
+// last one's, so a cut that is sized or digested and then dropped — a
+// pre-copy pass measuring the namespace, a backup verifying an epoch
+// marker — allocates nothing once the buffers have grown. A buffer is
+// reused only by the cutter's next cut, so a checkpoint that is retained
+// comes from Cut, whose cutter is its own.
+type Cutter struct{ cp Checkpoint }
+
+// Cut captures the namespace's cursor and environment state over the
+// cutter's last cut and returns it; it is valid until the cutter's next
+// Cut. It must run with the namespace at a section boundary and without
+// yielding; the caller fills in whatever else the cut carries (appending
+// to Apps and Sends, which start empty) and Seals it.
+func (c *Cutter) Cut(ns *replication.Namespace) *Checkpoint {
+	cp := &c.cp
+	seqGlobal, threads := ns.Cursors(cp.Threads)
+	*cp = Checkpoint{
 		SeqGlobal: seqGlobal,
 		NextFTPid: ns.NextFTPid(),
 		Threads:   threads,
-		Objs:      ns.ObjCursors(),
-		Env:       sortedEnv(ns.Env()),
+		Objs:      ns.ObjCursors(cp.Objs),
+		Env:       sortedEnv(ns.Env(), cp.Env),
+		Apps:      cp.Apps[:0],
+		Sends:     cp.Sends[:0],
 	}
+	return cp
 }
 
-func sortedEnv(m map[string]string) []EnvEntry {
-	// ftvet:nondet collect-then-sort: map iteration feeds a sorted slice.
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Cut is Cutter.Cut with a cutter of its own: the checkpoint owns its
+// buffers, and the caller may retain it.
+func Cut(ns *replication.Namespace) *Checkpoint { return new(Cutter).Cut(ns) }
+
+// sortedEnv writes m's bindings over env's array in key order.
+func sortedEnv(m map[string]string, env []EnvEntry) []EnvEntry {
+	env = env[:0]
+	for k, v := range m { // ftvet:nondet collect-then-sort
+		env = append(env, EnvEntry{Key: k, Value: v})
 	}
-	sort.Strings(keys)
-	env := make([]EnvEntry, 0, len(keys))
-	for _, k := range keys {
-		env = append(env, EnvEntry{Key: k, Value: m[k]})
-	}
+	slices.SortFunc(env, func(a, b EnvEntry) int { return strings.Compare(a.Key, b.Key) })
 	return env
 }
 
 // Seal computes the digest once the checkpoint's fields are final.
 func (cp *Checkpoint) Seal() { cp.Sum = cp.digest() }
 
-// digest is the FNV-1a checksum over the checkpoint's logical content.
+// digest is the FNV-1a checksum over the checkpoint's logical content:
+// "e<epoch>|s<Seq_global>|w<sent>|p<next ft_pid>", then one record per
+// thread, object, env binding, app, send cursor, connection and binding,
+// numbers in decimal. Each record is formatted into a buffer on the stack
+// and hashed, so digesting allocates nothing.
 func (cp *Checkpoint) digest() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "e%d|s%d|w%d|p%d", cp.Epoch, cp.SeqGlobal, cp.Sent, cp.NextFTPid)
+	var arr [128]byte
+	b := append(arr[:0], 'e')
+	b = strconv.AppendUint(b, cp.Epoch, 10)
+	b = strconv.AppendUint(append(b, "|s"...), cp.SeqGlobal, 10)
+	b = strconv.AppendUint(append(b, "|w"...), cp.Sent, 10)
+	b = strconv.AppendInt(append(b, "|p"...), int64(cp.NextFTPid), 10)
+	h.Write(b)
 	for _, t := range cp.Threads {
-		fmt.Fprintf(h, "|t%d:%d", t.FTPid, t.Seq)
+		b = strconv.AppendInt(append(arr[:0], "|t"...), int64(t.FTPid), 10)
+		h.Write(strconv.AppendUint(append(b, ':'), t.Seq, 10))
 	}
 	for _, o := range cp.Objs {
-		fmt.Fprintf(h, "|o%d:%d", o.Obj, o.Seq)
+		b = strconv.AppendUint(append(arr[:0], "|o"...), o.Obj, 10)
+		h.Write(strconv.AppendUint(append(b, ':'), o.Seq, 10))
 	}
 	for _, e := range cp.Env {
-		fmt.Fprintf(h, "|e%s=%s", e.Key, e.Value)
+		h.Write(append(append(append(append(arr[:0], "|e"...), e.Key...), '='), e.Value...))
 	}
 	for _, a := range cp.Apps {
-		fmt.Fprintf(h, "|a%s:%d:", a.Name, len(a.Data))
+		b = append(append(arr[:0], "|a"...), a.Name...)
+		h.Write(append(strconv.AppendInt(append(b, ':'), int64(len(a.Data)), 10), ':'))
 		h.Write(a.Data)
 	}
 	for _, c := range cp.Sends {
-		fmt.Fprintf(h, "|u%d:%d", c.ID, c.Sent)
+		b = strconv.AppendUint(append(arr[:0], "|u"...), c.ID, 10)
+		h.Write(strconv.AppendUint(append(b, ':'), c.Sent, 10))
 	}
 	for _, c := range cp.TCP.Conns {
-		fmt.Fprintf(h, "|c%d/%s:%d y%d i%d r%d a%d f%v g%v ", c.Key.LocalPort,
-			c.Key.RemoteHost, c.Key.RemotePort, c.Sync, c.ISS, c.IRS, c.Acked, c.PeerFin, c.Gone)
+		b = strconv.AppendInt(append(arr[:0], "|c"...), int64(c.Key.LocalPort), 10)
+		b = strconv.AppendInt(append(append(append(b, '/'), c.Key.RemoteHost...), ':'), int64(c.Key.RemotePort), 10)
+		b = strconv.AppendUint(append(b, " y"...), c.Sync, 10)
+		b = strconv.AppendUint(append(b, " i"...), c.ISS, 10)
+		b = strconv.AppendUint(append(b, " r"...), c.IRS, 10)
+		b = strconv.AppendUint(append(b, " a"...), c.Acked, 10)
+		b = strconv.AppendBool(append(b, " f"...), c.PeerFin)
+		h.Write(append(strconv.AppendBool(append(b, " g"...), c.Gone), ' '))
 		h.Write(c.In)
 		h.Write(c.Out)
 	}
-	for _, b := range cp.TCP.Binds {
-		fmt.Fprintf(h, "|b%d>%d", b.ID, b.Conn)
+	for _, bs := range cp.TCP.Binds {
+		b = strconv.AppendUint(append(arr[:0], "|b"...), bs.ID, 10)
+		h.Write(strconv.AppendInt(append(b, '>'), int64(bs.Conn), 10))
 	}
 	return h.Sum64()
 }
@@ -196,42 +234,40 @@ func (cp *Checkpoint) Bytes() int {
 // watermark — via ns.OnReplayHead(cp.SeqGlobal, ...) — so the comparison
 // happens exactly at the cut boundary.
 func (cp *Checkpoint) VerifyReplay(ns *replication.Namespace) error {
-	seqGlobal, threads := ns.Cursors()
-	if seqGlobal != cp.SeqGlobal {
+	got := Cut(ns)
+	if got.SeqGlobal != cp.SeqGlobal {
 		return fmt.Errorf("%w: Seq_global %d, checkpoint %d",
-			ErrChecksumMismatch, seqGlobal, cp.SeqGlobal)
+			ErrChecksumMismatch, got.SeqGlobal, cp.SeqGlobal)
 	}
-	if got := ns.NextFTPid(); got != cp.NextFTPid {
+	if got.NextFTPid != cp.NextFTPid {
 		return fmt.Errorf("%w: next ft_pid %d, checkpoint %d",
-			ErrChecksumMismatch, got, cp.NextFTPid)
+			ErrChecksumMismatch, got.NextFTPid, cp.NextFTPid)
 	}
-	if len(threads) != len(cp.Threads) {
+	if len(got.Threads) != len(cp.Threads) {
 		return fmt.Errorf("%w: %d thread cursors, checkpoint %d",
-			ErrChecksumMismatch, len(threads), len(cp.Threads))
+			ErrChecksumMismatch, len(got.Threads), len(cp.Threads))
 	}
-	for i, t := range threads {
+	for i, t := range got.Threads {
 		if t != cp.Threads[i] {
 			return fmt.Errorf("%w: ft_pid %d at Seq_thread %d, checkpoint <%d,%d>",
 				ErrChecksumMismatch, t.FTPid, t.Seq, cp.Threads[i].FTPid, cp.Threads[i].Seq)
 		}
 	}
-	objs := ns.ObjCursors()
-	if len(objs) != len(cp.Objs) {
+	if len(got.Objs) != len(cp.Objs) {
 		return fmt.Errorf("%w: %d object cursors, checkpoint %d",
-			ErrChecksumMismatch, len(objs), len(cp.Objs))
+			ErrChecksumMismatch, len(got.Objs), len(cp.Objs))
 	}
-	for i, o := range objs {
+	for i, o := range got.Objs {
 		if o != cp.Objs[i] {
 			return fmt.Errorf("%w: object %d at Seq_obj %d, checkpoint <%d,%d>",
 				ErrChecksumMismatch, o.Obj, o.Seq, cp.Objs[i].Obj, cp.Objs[i].Seq)
 		}
 	}
-	env := sortedEnv(ns.Env())
-	if len(env) != len(cp.Env) {
+	if len(got.Env) != len(cp.Env) {
 		return fmt.Errorf("%w: %d env entries, checkpoint %d",
-			ErrChecksumMismatch, len(env), len(cp.Env))
+			ErrChecksumMismatch, len(got.Env), len(cp.Env))
 	}
-	for i, e := range env {
+	for i, e := range got.Env {
 		if e != cp.Env[i] {
 			return fmt.Errorf("%w: env %s=%q, checkpoint %s=%q",
 				ErrChecksumMismatch, e.Key, e.Value, cp.Env[i].Key, cp.Env[i].Value)

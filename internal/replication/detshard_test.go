@@ -448,8 +448,8 @@ func TestShardedCursorsAgreeAtCompletion(t *testing.T) {
 	if err := d.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pObjs := d.pns.ObjCursors()
-	sObjs := d.sns.ObjCursors()
+	pObjs := d.pns.ObjCursors(nil)
+	sObjs := d.sns.ObjCursors(nil)
 	if len(pObjs) == 0 {
 		t.Fatal("primary reported no object cursors")
 	}

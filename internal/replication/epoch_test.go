@@ -18,12 +18,12 @@ import (
 // the recorded state at the epoch boundary.
 func stateDigest(ns *replication.Namespace) uint64 {
 	h := fnv.New64a()
-	seq, threads := ns.Cursors()
+	seq, threads := ns.Cursors(nil)
 	fmt.Fprintf(h, "s%d", seq)
 	for _, c := range threads {
 		fmt.Fprintf(h, "|t%d:%d", c.FTPid, c.Seq)
 	}
-	for _, o := range ns.ObjCursors() {
+	for _, o := range ns.ObjCursors(nil) {
 		fmt.Fprintf(h, "|o%d:%d", o.Obj, o.Seq)
 	}
 	return h.Sum64()

@@ -214,10 +214,10 @@ func (w *modelWorld) cutEpoch(t *kernel.Task, s *modelSide, mayCorrupt bool) uin
 	release := s.ns.Quiesce(t)
 	defer release()
 	seq, sent := s.ns.LogWatermark()
-	_, threads := s.ns.Cursors()
+	_, threads := s.ns.Cursors(nil)
 	w.epoch++
 	w.cutSent[w.epoch] = sent
-	w.cut = modelCut{w.epoch, seq, sent, threads, s.ns.ObjCursors(), s.ns.NextFTPid(), s.ns.Env()}
+	w.cut = modelCut{w.epoch, seq, sent, threads, s.ns.ObjCursors(nil), s.ns.NextFTPid(), s.ns.Env()}
 	digest := stateDigest(s.ns)
 	if mayCorrupt && w.rng.Intn(6) == 0 { // no backup may verify it, nor truncate at it
 		digest, w.corrupt[w.epoch] = ^digest, true
@@ -355,7 +355,7 @@ func (w *modelWorld) rejoin(s *modelSide) {
 	w.links[s.ns] = append(w.links[s.ns], r)
 	s.ns.AddReplica(r.log, r.acks, nil)
 	r.ns.Start("app", nil, w.app(r))
-	seq, _ := s.ns.Cursors()
+	seq, _ := s.ns.Cursors(nil)
 	digest := stateDigest(s.ns)
 	r.ns.OnReplayHead(seq, func() {
 		if r.frontier = stateDigest(r.ns) == digest; !r.frontier {

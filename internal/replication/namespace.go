@@ -1,8 +1,9 @@
 package replication
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/kernel"
@@ -245,14 +246,14 @@ type SeqCursor struct {
 	Seq   uint64
 }
 
-// Cursors returns the namespace's checkpoint cursor state: the global
-// sequence watermark plus every thread's Seq_thread, sorted by ft_pid.
-func (ns *Namespace) Cursors() (seqGlobal uint64, threads []SeqCursor) {
-	threads = make([]SeqCursor, 0, len(ns.threads))
+// Cursors returns the checkpoint cursor state: the Seq_global watermark and
+// every thread's Seq_thread by ft_pid, written over buf's array.
+func (ns *Namespace) Cursors(buf []SeqCursor) (seqGlobal uint64, threads []SeqCursor) {
+	threads = slices.Grow(buf[:0], len(ns.threads))
 	for _, th := range ns.threads {
 		threads = append(threads, SeqCursor{FTPid: th.ftpid, Seq: th.seq})
 	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i].FTPid < threads[j].FTPid })
+	slices.SortFunc(threads, func(a, b SeqCursor) int { return cmp.Compare(a.FTPid, b.FTPid) })
 	switch {
 	case ns.rec != nil:
 		seqGlobal = ns.rec.seqGlobal
@@ -262,10 +263,10 @@ func (ns *Namespace) Cursors() (seqGlobal uint64, threads []SeqCursor) {
 	return seqGlobal, threads
 }
 
-// ObjCursors returns each sequencing object's Seq_obj this side has
-// passed, sorted by object key: with the Lamport watermark from Cursors,
-// the sharded checkpoint cut (kept at one det shard too).
-func (ns *Namespace) ObjCursors() []ObjCursor {
+// ObjCursors writes over buf's array each sequencing object's Seq_obj this
+// side has passed, sorted by object key: with the Lamport watermark from
+// Cursors, the sharded checkpoint cut (kept at one det shard too).
+func (ns *Namespace) ObjCursors(buf []ObjCursor) []ObjCursor {
 	var m map[uint64]uint64
 	switch {
 	case ns.rec != nil:
@@ -273,11 +274,11 @@ func (ns *Namespace) ObjCursors() []ObjCursor {
 	case ns.rep != nil:
 		m = ns.rep.objDone
 	}
-	out := make([]ObjCursor, 0, len(m))
+	out := slices.Grow(buf[:0], len(m))
 	for k, v := range m { // ftvet:nondet collect-then-sort
 		out = append(out, ObjCursor{Obj: k, Seq: v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj < out[j].Obj })
+	slices.SortFunc(out, func(a, b ObjCursor) int { return cmp.Compare(a.Obj, b.Obj) })
 	return out
 }
 
@@ -324,8 +325,7 @@ func (ns *Namespace) ResumeFrom(threads []SeqCursor, nextFTPid int) {
 	if len(threads) == 0 {
 		return
 	}
-	pins := append([]SeqCursor(nil), threads...)
-	sort.Slice(pins, func(i, j int) bool { return pins[i].FTPid < pins[j].FTPid })
+	pins := slices.SortedFunc(slices.Values(threads), func(a, b SeqCursor) int { return cmp.Compare(a.FTPid, b.FTPid) })
 	ns.resume = &resumeState{pins: pins, finalNext: nextFTPid}
 }
 

@@ -81,6 +81,14 @@ func TestBlockingAllocatesNothing(t *testing.T) {
 			var q WaitQueue
 			return victims(s, q.Wait)
 		}},
+		{"Schedule+fire", func(s *Simulation) func() {
+			fn := func() {}
+			return func() { s.Schedule(time.Millisecond, fn); s.RunFor(time.Millisecond) }
+		}},
+		{"Schedule+Cancel", func(s *Simulation) func() {
+			fn := func() {}
+			return func() { s.Schedule(time.Millisecond, fn).Cancel() }
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,6 +104,59 @@ func TestBlockingAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStaleShotCancelsNothing: a one-shot's record is reused by the next
+// Schedule once its arming is over, and the old Shot then touches nothing —
+// not the new arming, which still fires, nor the queue's count.
+func TestStaleShotCancelsNothing(t *testing.T) {
+	for _, end := range []string{"fired", "cancelled"} {
+		t.Run(end, func(t *testing.T) {
+			s := New(1)
+			var fired []string
+			stale := s.Schedule(time.Millisecond, func() { fired = append(fired, "old") })
+			if end == "fired" {
+				s.RunFor(time.Millisecond)
+			} else {
+				stale.Cancel()
+			}
+			fresh := s.Schedule(time.Millisecond, func() { fired = append(fired, "new") })
+			if fresh.ev != stale.ev {
+				t.Fatal("the second Schedule did not reuse the freed record")
+			}
+			stale.Cancel()
+			if stale.Armed() || !fresh.Armed() || s.Pending() != 1 {
+				t.Errorf("after the stale Cancel: stale armed %v, fresh armed %v, %d pending; want false, true, 1", stale.Armed(), fresh.Armed(), s.Pending())
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := "[old new]"
+			if end == "cancelled" {
+				want = "[new]"
+			}
+			if fmt.Sprint(fired) != want {
+				t.Errorf("fired %v, want %v", fired, want)
+			}
+		})
+	}
+}
+
+// TestFreedShotFiringPanics: in a test binary a freed one-shot record is
+// poisoned, so an engine fault that frees a record whose arming is still
+// queued is named when the arming fires, instead of running whatever the
+// record holds then.
+func TestFreedShotFiringPanics(t *testing.T) {
+	s := New(1)
+	h := s.Schedule(time.Millisecond, func() { t.Error("the freed record ran its callback") })
+	s.free(h.ev) // the fault: freed with its arming still live
+	defer func() {
+		if r := recover(); fmt.Sprint(r) != "sim: a freed one-shot event fired" {
+			t.Errorf("Run panicked with %v, want the freed-record panic", r)
+		}
+	}()
+	s.Run()
+	t.Error("Run returned")
 }
 
 func TestEventReset(t *testing.T) {

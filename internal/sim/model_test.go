@@ -230,7 +230,7 @@ type engineWorld struct {
 	procs       []*Proc
 	queues      []WaitQueue
 	timers      []Event
-	shots       []*Event
+	shots       []Shot
 	fires       int
 	compactions int
 	hold        int    // the process last switched in, -1 at the start of a step

@@ -51,18 +51,43 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a callback scheduled on the simulation. Schedule returns a
-// one-shot event; an owner that re-arms — a retransmission timer, a
-// timeslice — keeps one Event (embedded by value if it likes), calls Init
-// once, and arms it with Reset as often as it needs without allocating.
-// Every event belongs to a domain (Group), and never fires once it is dead.
+// Event is a callback scheduled on the simulation. An owner that re-arms —
+// a retransmission timer, a timeslice — keeps one Event (embedded by value
+// if it likes), calls Init once, and arms it with Reset as often as it
+// needs without allocating. Schedule arms a one-shot record instead, taken
+// from the simulation's free list, and returns its Shot. Every event
+// belongs to a domain (Group), and never fires once it is dead.
 type Event struct {
-	group *Group
-	fn    func()
-	at    Time
-	seq   uint64 // sequence number of the pending queue entry, 0 if none
-	bg    bool   // the pending entry is background work
-	own   bool   // SetBackground: every arming is background work
+	group   *Group
+	fn      func()
+	at      Time
+	seq     uint64 // sequence number of the pending queue entry, 0 if none
+	bg      bool   // the pending entry is background work
+	own     bool   // SetBackground: every arming is background work
+	oneShot bool   // a Schedule record: freed when it fires, is cancelled or its domain dies
+}
+
+// Shot is the handle Schedule returns: the one-shot record and the
+// sequence number it was armed under. A record goes back on the free list
+// once its arming is over and its next arming draws a new number, so a
+// Shot whose arming has fired, was cancelled or died with its domain reads
+// unarmed and cancels nothing, whatever its record does since.
+type Shot struct {
+	ev  *Event
+	seq uint64
+}
+
+// Armed reports whether the arming is still pending.
+func (h Shot) Armed() bool { return h.ev != nil && h.ev.seq == h.seq }
+
+// Cancel prevents the arming from firing and frees its record; once the
+// arming is over it is a no-op.
+func (h Shot) Cancel() {
+	if h.Armed() {
+		s := h.ev.group.sim
+		s.disown(&h.ev.seq, h.ev.bg)
+		s.free(h.ev)
+	}
 }
 
 // Init binds a zero Event to its domain and to the callback that runs each
@@ -169,6 +194,8 @@ type Simulation struct {
 	root   *Group // the domain that never dies
 	firing *Group // the domain of the callback firing, nil when none is
 
+	spare []*Event // freed one-shot records, reused last in, first out
+
 	// Unfinished processes in spawn order, linked through Proc.
 	liveHead, liveTail *Proc
 	liveProc           int
@@ -205,22 +232,45 @@ func (s *Simulation) Live() int { return s.liveProc }
 // Schedule arranges for fn to run at virtual time now+d, on the stack of
 // whoever is running the dispatch loop then, in the root domain. It must
 // not block (a blocking call from a callback panics): spawn a Proc for that.
-func (s *Simulation) Schedule(d time.Duration, fn func()) *Event { return s.root.Schedule(d, fn) }
+func (s *Simulation) Schedule(d time.Duration, fn func()) Shot { return s.root.Schedule(d, fn) }
 
 // ScheduleAt is like Schedule but takes an absolute instant. Scheduling in
 // the past panics: it would violate causality.
-func (s *Simulation) ScheduleAt(at Time, fn func()) *Event { return s.root.Schedule(at.Sub(s.now), fn) }
+func (s *Simulation) ScheduleAt(at Time, fn func()) Shot { return s.root.Schedule(at.Sub(s.now), fn) }
 
-// Schedule is Simulation.Schedule in the group's domain; in a dead one the
-// event it returns is never armed.
-func (g *Group) Schedule(d time.Duration, fn func()) *Event {
+// Schedule is Simulation.Schedule in the group's domain; in a dead one
+// nothing is armed and the Shot is the zero one.
+func (g *Group) Schedule(d time.Duration, fn func()) Shot {
 	s := g.sim
-	e := &Event{group: g, fn: fn, at: s.now.Add(d), bg: s.cur != nil && s.cur.bg}
-	if s.Guard("Schedule"); !g.killed {
-		e.seq = s.push(e.at, kindCallback, nil, e)
+	if s.Guard("Schedule"); g.killed {
+		return Shot{}
 	}
-	return e
+	var e *Event
+	if n := len(s.spare); n > 0 {
+		e, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		e = &Event{oneShot: true}
+	}
+	e.group, e.fn, e.at, e.bg = g, fn, s.now.Add(d), s.cur != nil && s.cur.bg
+	e.seq = s.push(e.at, kindCallback, nil, e)
+	return Shot{e, e.seq}
 }
+
+// free puts a one-shot record whose arming is over back on the free list.
+// Its callback is dropped, so the record keeps nothing alive; in test
+// binaries it becomes one that panics, so an engine fault that fires a
+// freed record is named instead of running another arming's callback.
+func (s *Simulation) free(e *Event) {
+	e.fn = freedFn
+	s.spare = append(s.spare, e)
+}
+
+var freedFn = func() func() {
+	if !testing.Testing() {
+		return nil
+	}
+	return func() { panic("sim: a freed one-shot event fired") }
+}()
 
 // Guard panics, in test binaries and once ArmGuards has run, if the code
 // running does so on behalf of a dead domain — a killed group's process
@@ -347,6 +397,9 @@ func (s *Simulation) compact(g *Group) {
 			if !e.bg {
 				s.fg--
 			}
+			if e.ev.oneShot {
+				s.free(e.ev)
+			}
 		default:
 			kept = append(kept, e)
 		}
@@ -450,9 +503,13 @@ func (s *Simulation) dispatch(self *Proc) (next *Proc) {
 		s.now = e.at
 		switch p := e.p; e.kind {
 		case kindCallback:
-			e.ev.seq = 0
-			s.firing = e.ev.group
-			e.ev.fn()
+			ev, fn := e.ev, e.ev.fn
+			ev.seq = 0
+			s.firing = ev.group
+			if ev.oneShot { // freed first: a callback that re-schedules itself reuses it
+				s.free(ev)
+			}
+			fn()
 		case kindResume:
 			p.resumeSeq = 0
 			p.parked = parkNone

@@ -1,8 +1,9 @@
 package tcprep
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/replication"
@@ -47,16 +48,15 @@ type SendCursor struct {
 	Sent uint64
 }
 
-// SendCursors snapshots every replicated connection's cumulative sent
-// count, sorted by socket ID. Call with the namespace quiesced at a
-// section boundary; the result is deterministic across replicas and is
-// folded into the epoch checkpoint digest.
-func (s *Sockets) SendCursors() []SendCursor {
-	cur := make([]SendCursor, 0, len(s.sent))
+// SendCursors writes over buf's array every replicated connection's sent
+// count, sorted by socket ID. Call it at a quiesced section boundary: the
+// result is the same on every replica and folded into the epoch digest.
+func (s *Sockets) SendCursors(buf []SendCursor) []SendCursor {
+	cur := slices.Grow(buf[:0], len(s.sent))
 	for id, n := range s.sent {
 		cur = append(cur, SendCursor{ID: id, Sent: n})
 	}
-	sort.Slice(cur, func(i, j int) bool { return cur[i].ID < cur[j].ID })
+	slices.SortFunc(cur, func(a, b SendCursor) int { return cmp.Compare(a.ID, b.ID) })
 	return cur
 }
 
