@@ -15,8 +15,8 @@
 //
 // A draw is an oracle.Scenario — the app and its pool size, the det-shard
 // count, the replica-set size and quorum, strict or relaxed commit, epochs
-// (restorable apps only), the client's port range, and a tune event per
-// backup that perturbs its kernel (ROADMAP item 11) — plus one kill of the
+// (restorable apps only) and the client's port range, run at simulation
+// seed S, which keys every kernel's random stream — plus one kill of the
 // primary or a backup (a core fail-stop, a bus error, a coherency loss or a
 // memory error) as the n-th log, sync or acks transfer of its never-failed
 // twin lands, and what follows: nothing, a manual Rejoin or a Retire. Only
@@ -56,9 +56,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Drawn is a draw before its kill is resolved: the scenario, its Chaos the
-// backups' tunes, and the kill's target, fault kind and Pick, which chooses
-// its boundary among the never-failed run's transfers (Check).
+// Drawn is a draw before its kill is resolved: the scenario, and the kill's
+// target, fault kind and Pick, which chooses its boundary among the
+// never-failed run's transfers (Check).
 type Drawn struct {
 	oracle.Scenario
 	Target, Kind string
@@ -69,33 +69,22 @@ type Drawn struct {
 // whose output is a throughput series that no never-failed twin matches.
 var apps = slices.DeleteFunc(slices.Sorted(maps.Keys(oracle.Apps)), func(n string) bool { return n == "download" })
 
-// Draw returns scenario i of seed s; its backups' tunes come from s and its
-// shape alone, so all draws of a shape share one never-failed twin (cleanRun).
+// Draw returns scenario i of seed s, run at simulation seed s: all draws of
+// a shape share one never-failed twin (cleanRun).
 func Draw(s int64, i int) Drawn {
 	rng := rand.New(rand.NewPCG(uint64(s), uint64(i)))
 	one := func(xs ...int) int { return xs[rng.IntN(len(xs))] }
-	d := Drawn{Scenario: oracle.Scenario{Seed: s, Index: i, SimSeed: 1, App: apps[rng.IntN(len(apps))], Workers: one(1, 2, 4),
+	d := Drawn{Scenario: oracle.Scenario{Seed: s, Index: i, SimSeed: s, App: apps[rng.IntN(len(apps))], Workers: one(1, 2, 4),
 		Shards: one(1, 4), Replicas: one(2, 3), Strict: rng.IntN(2) == 0, Ports: one(0, 2, 4)},
 		Target: []string{"primary", "backup"}[rng.IntN(2)], Pick: rng.Uint64()}
 	d.Quorum = 2 + rng.IntN(d.Replicas-1)
 	d.Epochs = oracle.Apps[d.App].Restorable && rng.IntN(2) == 0
 	d.Kind = []string{"core", "core", "core", "mem", "bus", "coherency"}[rng.IntN(6)]
 	d.Then = []string{"", "", "rejoin", "retire"}[rng.IntN(4)]
-	h := fnv.New64a() // from here on, one and str draw from the shape's stream
-	fmt.Fprint(h, twin(d.Scenario))
-	rng = rand.New(rand.NewPCG(uint64(s), h.Sum64()))
-	str := func(xs ...string) string { return xs[rng.IntN(len(xs))] }
-	var tunes []string
-	for k := 1; k < d.Replicas; k++ {
-		tunes = append(tunes, fmt.Sprintf("tune backup%d preempt %s cs %s wake %s idle %s cores %d salt %d", k,
-			str("0", "0.05", "0.3", "1"), str("1us", "2us", "5us"), str("1us", "3us", "8us"),
-			str("0s..0s", "50us..15ms", "10us..1ms"), one(2, 4, 16), rng.Uint32()))
-	}
-	d.Chaos = strings.Join(tunes, "; ")
 	return d
 }
 
-// twin is a scenario's never-failed twin: its shape, tunes and ring faults,
+// twin is a scenario's never-failed twin: its shape and ring faults,
 // without its kills, what follows them or its provenance.
 func twin(sc oracle.Scenario) oracle.Scenario {
 	sched, _ := chaos.Parse(sc.Chaos)
@@ -257,14 +246,13 @@ func run(sc oracle.Scenario) (sys *core.System, output string, flight *obs.Fligh
 
 // Shrink returns the failing r reduced greedily, one field at a time, to a
 // scenario that still fails: each field is set to its simplest value — the
-// plainest kill, nothing after it, no tunes, default ports, no epochs, one
-// worker and one shard, two replicas, strict commit — and kept so if the
-// oracle still finds a fault.
+// plainest kill, nothing after it, default ports, no epochs, one worker and
+// one shard, two replicas, strict commit — and kept so if the oracle still
+// finds a fault.
 func Shrink(r Result) Result {
 	steps := []func(*Drawn){
 		func(d *Drawn) { d.Kind = "core" },
 		func(d *Drawn) { d.Then = "" },
-		func(d *Drawn) { d.Chaos = "" },
 		func(d *Drawn) { d.Ports = 0 },
 		func(d *Drawn) { d.Epochs = false },
 		func(d *Drawn) { d.Workers = 1 },

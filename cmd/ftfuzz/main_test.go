@@ -48,6 +48,29 @@ func TestScenarioIsAFunctionOfSeedAndIndex(t *testing.T) {
 	}
 }
 
+// TestDrawIsPinned: a draw is the shape, kill and what follows that seed S
+// has always drawn for index i, run at simulation seed S with no chaos
+// beyond its kill; a change to Draw that moves any field moves every
+// scenario index a campaign or a saved file names.
+func TestDrawIsPinned(t *testing.T) {
+	sc := func(s int64, i int, app string, workers, shards, replicas, quorum int, strict bool, ports int, epochs bool, then string) oracle.Scenario {
+		return oracle.Scenario{Seed: s, Index: i, SimSeed: s, App: app, Workers: workers, Shards: shards, Replicas: replicas,
+			Quorum: quorum, Strict: strict, Ports: ports, Epochs: epochs, Then: then}
+	}
+	for _, want := range []Drawn{
+		{sc(1, 1, "restream", 1, 1, 2, 2, false, 4, true, "rejoin"), "primary", "core", 1952627761515405933},
+		{sc(1, 2, "pbzip2", 2, 1, 2, 2, true, 0, false, "retire"), "backup", "core", 8289669384274456462},
+		{sc(1, 20, "condlock", 4, 1, 3, 2, false, 0, false, ""), "primary", "core", 918469213867676436},
+		{sc(2, 2, "condlock", 4, 1, 3, 3, false, 4, false, "retire"), "primary", "coherency", 10793670043345227523},
+		{sc(3, 4, "restream", 4, 4, 3, 2, true, 4, true, "rejoin"), "backup", "core", 353380615205641355},
+		{sc(6, 2, "mongoose", 2, 4, 2, 2, false, 4, false, ""), "backup", "mem", 17123901299739081092},
+	} {
+		if got := Draw(want.Seed, want.Index); got != want {
+			t.Errorf("Draw(%d, %d) = %+v, want %+v", want.Seed, want.Index, got, want)
+		}
+	}
+}
+
 // TestSmokeCampaign runs scenarios 0..19 of seed 1 on two workers: each
 // passes the oracle, and they draw at least three apps.
 func TestSmokeCampaign(t *testing.T) {
@@ -80,11 +103,12 @@ func TestFailingCampaignKeepsOneResult(t *testing.T) {
 }
 
 // TestTwinDropsKills: a scenario's never-failed twin keeps its shape, its
-// tunes and its ring faults, and drops its kills, what follows them and its
-// provenance, whether the kills are spelled out or a preset names them.
+// simulation seed and its ring faults, and drops its kills, what follows
+// them and its provenance, whether the kills are spelled out or a preset
+// names them.
 func TestTwinDropsKills(t *testing.T) {
-	sc := oracle.Scenario{Seed: 3, Index: 8, App: "restream", Replicas: 3, Chaos: "tune backup1 salt 2; kill primary @log#3 core", Then: "rejoin"}
-	if got, want := twin(sc), (oracle.Scenario{App: "restream", Replicas: 3, Chaos: "tune backup1 salt 2"}); got != want {
+	sc := oracle.Scenario{Seed: 3, Index: 8, SimSeed: 3, App: "restream", Replicas: 3, Chaos: "delay log 200us 0s..5s; kill primary @log#3 core", Then: "rejoin"}
+	if got, want := twin(sc), (oracle.Scenario{SimSeed: 3, App: "restream", Replicas: 3, Chaos: "delay log 200us 0s..5s"}); got != want {
 		t.Errorf("twin(%+v) = %+v, want %+v", sc, got, want)
 	}
 	for preset, want := range map[string]string{"kill-rejoin-kill": "", "hb-storm": "drop hb p0.5 500ms..800ms; drop hb 600ms..670ms"} {
@@ -139,16 +163,17 @@ func TestFoundScenariosPass(t *testing.T) {
 }
 
 // TestShrinkAndSave: a failing draw shrinks to the simplest value of every
-// field that keeps it failing — here all of them, since an app that panics
-// fails every shape — and Save writes it as a file TestFoundScenariosPass
-// reads back, with the finding and the flight dump ftdiag explain reads,
-// which the printed commands name.
+// drawn field that keeps it failing — here all of them, since an app that
+// panics fails every shape; its ring fault, which Draw never sets, stays —
+// and Save writes it as a file TestFoundScenariosPass reads back, with the
+// finding (the app's panic) and the flight dump ftdiag explain reads, which
+// the printed commands name.
 func TestShrinkAndSave(t *testing.T) {
-	d := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "panics", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
-		Epochs: true, Ports: 2, Chaos: "tune backup1 salt 3", Then: "retire"}, Target: "backup", Kind: "coherency"}
+	d := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 9, App: "panics", Workers: 4, Shards: 4, Replicas: 3, Quorum: 3,
+		Epochs: true, Ports: 2, Chaos: "delay log 200us 0s..5s", Then: "retire"}, Target: "backup", Kind: "coherency"}
 	r := Shrink(Check(d))
-	want := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 1, App: "panics", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
-		Strict: true}, Target: "backup", Kind: "core"}
+	want := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 9, App: "panics", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
+		Strict: true, Chaos: "delay log 200us 0s..5s"}, Target: "backup", Kind: "core"}
 	if r.Err == nil || r.Draw != want || r.Scenario != want.Scenario {
 		t.Fatalf("shrunk to %+v as %+v (%v), want %+v failing", r.Draw, r.Scenario, r.Err, want)
 	}
@@ -164,7 +189,7 @@ func TestShrinkAndSave(t *testing.T) {
 		t.Errorf("saved %s (%v), want %+v", b, err, want.Scenario)
 	}
 	fd, err := os.ReadFile(filepath.Join(dir, "seed9-4.finding.txt"))
-	if err != nil || !strings.HasPrefix(string(fd), "the never-failed run: panic: ") || !strings.Contains(string(fd), "planted") {
+	if err != nil || !strings.HasPrefix(string(fd), "the never-failed run: panic: ") || !strings.Contains(string(fd), "panicked: planted") {
 		t.Errorf("saved finding %q (%v), want the never-failed run's panic", fd, err)
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "seed9-4.flight.jsonl")); err != nil || fi.Size() == 0 {

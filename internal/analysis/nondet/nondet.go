@@ -19,6 +19,9 @@
 //   - any package-level use of math/rand — use a domain's seeded
 //     deterministic stream (sim.Group.Rand); method calls on a
 //     *rand.Rand obtained from a domain are sanctioned
+//   - a go statement — the goroutine's interleaving is the Go runtime's,
+//     not the seed's; spawn a replicated thread
+//     (replication.Namespace.SpawnThread)
 //   - map-range iteration whose loop variables escape into ordered
 //     output (append, channel send, string concatenation, or a
 //     send/write/emit-like call, including the zero-copy fabric's
@@ -88,7 +91,7 @@ func sanctionedObs(path string) bool {
 var Analyzer = &ftvet.Analyzer{
 	Name: "nondet",
 	Doc: "flag raw nondeterminism (time.Now, time.Since, os.Getpid, math/rand, " +
-		"order-escaping map ranges) in replicated packages; replicated code must " +
+		"go statements, order-escaping map ranges) in replicated packages; replicated code must " +
 		"use the sanctioned wrappers so both replicas observe identical values (§3.3)",
 	Run: run,
 }
@@ -120,6 +123,10 @@ func run(pass *ftvet.Pass) error {
 			case *ast.SelectorExpr:
 				if replicated {
 					checkQualified(pass, pkg, n)
+				}
+			case *ast.GoStmt:
+				if replicated {
+					pass.Report(n.Go, "a go statement in replicated code runs a goroutine the Go runtime schedules, not the seed, so its interleaving diverges across replicas; spawn a replicated thread (replication.Namespace.SpawnThread)")
 				}
 			case *ast.CallExpr:
 				// In replicated packages checkQualified already flags every

@@ -60,3 +60,9 @@ func fabric(m map[string]int, sp shm.Span) {
 		commitTuple(v)
 	}
 }
+
+// spawn: a goroutine's interleaving is the Go runtime's, not the seed's.
+func spawn(ch chan int) int {
+	go func() { ch <- 1 }() // want "a go statement in replicated code"
+	return <-ch
+}

@@ -21,3 +21,10 @@ func order(m map[string]int) []string {
 	}
 	return keys
 }
+
+// spawn is tooling's business: outside the replicated set a goroutine is
+// not flagged.
+func spawn(ch chan int) int {
+	go func() { ch <- 1 }()
+	return <-ch
+}

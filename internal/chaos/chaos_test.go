@@ -100,6 +100,7 @@ func TestParseRejectsFaultMatrix(t *testing.T) {
 		"kill nobody @2s",
 		"kill primary @2s gamma",
 		"frob log 0s..1s",
+		"tune backup1 salt 9",
 		"delay log 0s..1s",
 		"delay nowhere 200us 0s..1s",
 		"dup acks x0 0s..1s",

@@ -117,11 +117,11 @@ type Config struct {
 // rejoin's seed advances from genesis to the latest verified cut — its
 // delta replay one epoch long, flat in uptime, instead of the whole
 // history.
+//
+// Epochs are on when Interval or EveryTuples is positive (Enabled).
 type EpochConfig struct {
-	// Enabled turns the cutter on (WithEpochCheckpoints sets it).
-	Enabled bool
-	// Interval cuts an epoch every so much virtual time (0 with
-	// EveryTuples 0 defaults to 30s).
+	// Interval cuts an epoch every so much virtual time (0 = tuple count
+	// only).
 	Interval time.Duration
 	// EveryTuples additionally cuts once this many tuples have been
 	// recorded since the last cut (0 = interval only).
@@ -131,6 +131,9 @@ type EpochConfig struct {
 	// choice: the paper has no checkpoints).
 	PerByteCopyCost time.Duration
 }
+
+// Enabled reports whether the recording side cuts epochs at all.
+func (ec EpochConfig) Enabled() bool { return ec.Interval > 0 || ec.EveryTuples > 0 }
 
 // DefaultConfig returns the paper's standard deployment: two symmetric
 // partitions of 32 cores / 64 GB each.
@@ -303,7 +306,7 @@ func build(cfg Config) (*System, error) {
 	}
 	kerns := make([]*kernel.Kernel, n)
 	for i := 0; i < n; i++ {
-		if kerns[i], err = cfg.Chaos.Boot(parts[i], i, cfg.kernelFor(slotName(i), i)); err != nil {
+		if kerns[i], err = kernel.Boot(parts[i], cfg.kernelFor(slotName(i), i)); err != nil {
 			return nil, fmt.Errorf("core: boot %s: %w", slotName(i), err)
 		}
 	}
@@ -440,7 +443,7 @@ func build(cfg Config) (*System, error) {
 	// boundary verifier on every backup, quorum tracking for truncation.
 	// With epochs off none of this exists and the engine's execution —
 	// and its trace — is byte-identical to the previous one.
-	if cfg.Epochs.Enabled {
+	if cfg.Epochs.Enabled() {
 		sys.pendingCuts = make(map[uint64]*rejoin.Checkpoint)
 		sys.scEpoch = tr.Scope("epoch")
 		sys.hPause = tr.Registry().Histogram("ftns.epoch.pause", "ns")
@@ -615,7 +618,7 @@ func (sys *System) Run(app App) {
 	if app.Main == nil && app.State == nil {
 		panic("core: Run: app.Main is nil")
 	}
-	if sys.Cfg.Epochs.Enabled && app.State == nil {
+	if sys.Cfg.Epochs.Enabled() && app.State == nil {
 		// Epoch truncation discards the log prefix a from-the-start
 		// replay would need; only snapshot-restorable apps can rejoin.
 		panic("core: Run: epoch checkpoints require a restorable app (set App.State)")
@@ -783,7 +786,7 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 		dp.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/tcprep", sys.generation+1)), nil)
 		surv.TCPPrim = dp
 		surv.Sockets.AdoptPrimary(dp)
-		if sys.Cfg.Epochs.Enabled {
+		if sys.Cfg.Epochs.Enabled() {
 			// The promoted fork continues the dead primary's epoch
 			// sequence; its retained history is already truncated at the
 			// survivor's last verified boundary, and surv.lastCP carries

@@ -53,11 +53,10 @@ func WithRejoinDelay(d time.Duration) Option {
 // itself uses iterative pre-copy, so its stop-the-world pause is bounded
 // by the workload's dirty rate, not by state size.
 //
-// Requires restorable apps: every Run app must set App.State. Pass
-// interval 0 with everyTuples 0 for the 30s default.
+// Requires restorable apps: every Run app must set App.State. Interval 0
+// with everyTuples 0 leaves epochs off.
 func WithEpochCheckpoints(interval time.Duration, everyTuples int) Option {
 	return func(c *Config) {
-		c.Epochs.Enabled = true
 		c.Epochs.Interval = interval
 		c.Epochs.EveryTuples = everyTuples
 	}
@@ -132,9 +131,6 @@ func (cfg Config) validate() (Config, error) {
 		return cfg, fmt.Errorf("core: heartbeat timeout %v must exceed interval %v",
 			cfg.Failure.Timeout, cfg.Failure.Interval)
 	}
-	if cfg.Epochs.Enabled && cfg.Epochs.Interval <= 0 && cfg.Epochs.EveryTuples <= 0 {
-		cfg.Epochs.Interval = 30 * time.Second
-	}
 	// The recorder counts backup receipts, so its quorum excludes the
 	// primary's own copy.
 	cfg.Replication.CommitQuorum = cfg.Quorum - 1
@@ -142,8 +138,8 @@ func (cfg Config) validate() (Config, error) {
 }
 
 // kernelFor is the kernel a replica slot boots, at boot and at every
-// rejoin, untuned (chaos.Schedule.Boot tunes it): the primary keeps its own
-// core knob, every backup shares the secondary one.
+// rejoin: the primary keeps its own core knob, every backup shares the
+// secondary one.
 func (cfg Config) kernelFor(name string, slot int) kernel.Config {
 	kc := kernel.Config{Name: name, Params: cfg.Kernel, Cores: cfg.SecondaryCores}
 	if slot == 0 {

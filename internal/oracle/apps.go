@@ -84,7 +84,7 @@ var Restream = App{"restream", true, true, quiet, func(sys *core.System, sc Scen
 	app := core.App{Name: "stream", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
 		restream.New(cfg).Main(th, socks)
 	}}
-	if sys.Cfg.Epochs.Enabled {
+	if sys.Cfg.Epochs.Enabled() {
 		app = core.App{Name: "stream", State: func() core.AppState { return restream.New(cfg) }}
 	}
 	sys.Run(app)

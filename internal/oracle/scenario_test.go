@@ -12,7 +12,7 @@ import (
 // 1, one worker and one shard, two replicas, strict commit.
 func TestScenarioRoundTrips(t *testing.T) {
 	sc := oracle.Scenario{Seed: 4, Index: 17, SimSeed: 9, App: "memcached", Workers: 2, Shards: 4, Replicas: 3, Quorum: 3,
-		Epochs: true, Ports: 2, Chaos: "tune backup2 salt 5; kill backup @log#7 bus", Then: "retire"}
+		Epochs: true, Ports: 2, Chaos: "delay log 200us 0s..5s; kill backup @log#7 bus", Then: "retire"}
 	got, err := oracle.ParseScenario(sc.JSON())
 	if err != nil || got != sc {
 		t.Errorf("%s read back as %+v (%v)", sc.JSON(), got, err)

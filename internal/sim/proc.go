@@ -284,7 +284,6 @@ type Group struct {
 	sim    *Simulation
 	name   string
 	killed bool
-	key    uint64 // FNV-64a of name: the stream's key
 	rng    *rand.Rand
 }
 
@@ -294,18 +293,7 @@ type Group struct {
 func (s *Simulation) NewGroup(name string) *Group {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	key := h.Sum64()
-	return &Group{sim: s, name: name, key: key, rng: rand.New(rand.NewPCG(uint64(s.seed), key))}
-}
-
-// Salt reseeds a domain that has drawn nothing yet with salt folded into its
-// stream's key, and returns it; salt 0 leaves the stream as it is. A run
-// salts a domain to vary, on purpose, draws its outcome must not depend on.
-func (g *Group) Salt(salt uint64) *Group {
-	if salt != 0 {
-		g.rng = rand.New(rand.NewPCG(uint64(g.sim.seed), g.key^salt))
-	}
-	return g
+	return &Group{sim: s, name: name, rng: rand.New(rand.NewPCG(uint64(s.seed), h.Sum64()))}
 }
 
 // Rand returns the domain's deterministic random stream: every draw made on
