@@ -12,6 +12,7 @@
 //	ftdiag reach func.txt pkgs.txt reach.txt     # code no run reached, against its keepers
 //	ftdiag explain found/seed1-17.json           # a saved ftfuzz failure, from its files
 //	ftdiag pair HEAD~1                           # host cost against a revision (make pair)
+//	ftdiag plants testdata/plants                # re-plant each bug, run its finders (make plants)
 //
 // Every analysis is a pure function of the trace bytes: same input, same
 // output, byte for byte. diff exits 1 when a divergence is found (0 when
@@ -21,8 +22,9 @@
 // pinned one differ. explain reads the files ftfuzz saves beside a found
 // scenario and exits 2 when one is missing or malformed. pair builds a
 // harness at a revision and at the tree and runs them in alternating
-// pairs; unlike the others it runs programs, and its numbers are the
-// host's.
+// pairs, and plants applies each plant patch to a copy of HEAD and runs
+// the tests and tools its header names; unlike the others they run
+// programs, and their times are the host's.
 package main
 
 import (
@@ -69,6 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdExplain(args[1:], stdout, stderr)
 	case "pair":
 		return cmdPair(args[1:], stdout, stderr)
+	case "plants":
+		return cmdPlants(args[1:], stdout, stderr)
 	}
 	fmt.Fprintf(stderr, "ftdiag: unknown subcommand %q\n", args[0])
 	usage(stderr)
@@ -106,6 +110,7 @@ func usage(w io.Writer) {
   ftdiag reach func.txt pkgs.txt reach.txt
   ftdiag explain found.json
   ftdiag pair [-n N] rev [pkg [args...]]
+  ftdiag plants dir
 `)
 }
 

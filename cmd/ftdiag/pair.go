@@ -43,7 +43,7 @@ func cmdPair(args []string, stdout, stderr io.Writer) int {
 			workloads = append(workloads, []string{"--workload", w, "--seed", "1", "--seconds", "10", "--trace", "0"})
 		}
 	}
-	parent, err := checkout(fs.Arg(0))
+	parent, err := checkout(pairDir, fs.Arg(0))
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -73,16 +73,16 @@ func cmdPair(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// checkout extracts rev under pairDir, once per commit, and returns the
-// directory. It is a plain export (git archive), so it leaves nothing in
-// the repository's own git state.
-func checkout(rev string) (string, error) {
+// checkout extracts rev under dir, once per commit, and returns the
+// directory it is in. It is a plain export (git archive), so it leaves
+// nothing in the repository's own git state.
+func checkout(dir, rev string) (string, error) {
 	out, err := exec.Command("git", "rev-parse", "--verify", rev+"^{commit}").Output()
 	if err != nil {
 		return "", fmt.Errorf("revision %q: %v", rev, err)
 	}
 	sha := strings.TrimSpace(string(out))
-	dir := filepath.Join(pairDir, sha[:12])
+	dir = filepath.Join(dir, sha[:12])
 	if _, err := os.Stat(dir); err == nil {
 		return dir, nil
 	}

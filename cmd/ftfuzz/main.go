@@ -1,12 +1,6 @@
 // Command ftfuzz draws kill scenarios and checks each against the
-// correctness ladder's oracle (ROADMAP item 1): the client sees the
-// never-failed run's output, no replica diverges, the run ends replicated
-// (at generation 1 or later if a kernel died) with every live kernel's
-// cores idle and every live replica's state digest the active one's,
-// nothing is traced for a kernel after its death, a failover's flight dump
-// is well formed, an app whose mains return does not hang (a hang is a
-// *core.HangError), no simulated process outlives Shutdown, and no code
-// acts on behalf of a dead domain (sim.Simulation.Guard, armed here).
+// correctness ladder's oracle (ROADMAP item 1), oracle.Check, with
+// sim.Simulation.Guard armed: no code may act on behalf of a dead domain.
 // Scenario i of seed S is drawn from (S, i) alone:
 //
 //	go run ./cmd/ftfuzz -seed 1 -n 500            # scenarios 0..499
@@ -19,9 +13,7 @@
 // seed S, which keys every kernel's random stream — plus one kill of the
 // primary or a backup (a core fail-stop, a bus error, a coherency loss or a
 // memory error) as the n-th log, sync or acks transfer of its never-failed
-// twin lands, and what follows: nothing, a manual Rejoin or a Retire. Only
-// a coherency loss under relaxed commit may lose output (§3.5), and no more
-// than the log ring held in flight.
+// twin lands, and what follows: nothing, a manual Rejoin or a Retire.
 //
 // The first failure is shrunk greedily, one field at a time, and written to
 // -found as a scenario with its kill resolved, beside the oracle's finding
@@ -33,11 +25,9 @@
 package main
 
 import (
-	"cmp"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"math/rand/v2"
 	"os"
@@ -50,7 +40,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/sim"
@@ -70,7 +59,7 @@ type Drawn struct {
 var apps = slices.DeleteFunc(slices.Sorted(maps.Keys(oracle.Apps)), func(n string) bool { return n == "download" })
 
 // Draw returns scenario i of seed s, run at simulation seed s: all draws of
-// a shape share one never-failed twin (cleanRun).
+// a shape share one never-failed twin (oracle.Twin).
 func Draw(s int64, i int) Drawn {
 	rng := rand.New(rand.NewPCG(uint64(s), uint64(i)))
 	one := func(xs ...int) int { return xs[rng.IntN(len(xs))] }
@@ -82,14 +71,6 @@ func Draw(s int64, i int) Drawn {
 	d.Kind = []string{"core", "core", "core", "mem", "bus", "coherency"}[rng.IntN(6)]
 	d.Then = []string{"", "", "rejoin", "retire"}[rng.IntN(4)]
 	return d
-}
-
-// twin is a scenario's never-failed twin: its shape and ring faults,
-// without its kills, what follows them or its provenance.
-func twin(sc oracle.Scenario) oracle.Scenario {
-	sched, _ := chaos.Parse(sc.Chaos)
-	sc.Seed, sc.Index, sc.Then, sc.Chaos = 0, 0, "", sched.WithoutKills()
-	return sc
 }
 
 // kill is the draw's kill: its target killed as the n-th transfer of a
@@ -106,14 +87,11 @@ func (d Drawn) kill(transfers map[string]int) string {
 	return fmt.Sprintf("kill %s @%s#%d %s", d.Target, class, n, d.Kind)
 }
 
-// Result is one checked scenario: the draw, the scenario it resolved to, a
-// digest of what the client saw, and the oracle's findings (nil: it passed).
+// Result is one checked scenario: the draw and what oracle.Check found of
+// the scenario it resolved to.
 type Result struct {
-	Draw     Drawn
-	Scenario oracle.Scenario
-	Digest   uint64
-	Err      error
-	Flight   *obs.FlightDump // the failover's, else one taken at a failure
+	Draw Drawn
+	oracle.Result
 }
 
 // Reproducer is the one line that reruns the drawn scenario, with what it
@@ -140,108 +118,14 @@ func Replay(dir string, r Result) string {
 		name, file, file, filepath.Join(dir, name+".trace.json"))
 }
 
-// clean is a never-failed run: its output and transfer counts, or the
-// error that ended it with the flight dump at the error.
-type clean struct {
-	once      sync.Once
-	output    string
-	transfers map[string]int
-	err       error
-	flight    *obs.FlightDump
-}
-
-// twins are the never-failed runs made so far, by twin scenario: draws of
-// one shape share one, as do Shrink's steps that keep the twin.
-var twins sync.Map
-
-func cleanRun(sc oracle.Scenario) *clean {
-	v, _ := twins.LoadOrStore(twin(sc), new(clean))
-	c := v.(*clean)
-	c.once.Do(func() {
-		var sys *core.System
-		if sys, c.output, c.flight, c.err = run(twin(sc)); c.err != nil {
-			c.err = fmt.Errorf("the never-failed run: %w", c.err)
-			return
-		}
-		c.transfers = oracle.Transfers(sys.Obs.Events())
-		sys.Sim.Shutdown()
-	})
-	return c
-}
-
 // Check resolves the draw's kill against its never-failed twin and checks
 // the scenario it resolves to.
 func Check(d Drawn) Result {
 	sc := d.Scenario
-	if c := cleanRun(sc); c.err == nil {
-		sc.Chaos = strings.TrimPrefix(sc.Chaos+"; "+d.kill(c.transfers), "; ")
+	if transfers, err := oracle.TwinTransfers(sc); err == nil {
+		sc.Chaos = strings.TrimPrefix(sc.Chaos+"; "+d.kill(transfers), "; ")
 	}
-	r := Run(sc)
-	r.Draw = d
-	return r
-}
-
-// Run checks a scenario whose kills are resolved against the oracle.
-func Run(sc oracle.Scenario) Result {
-	c := cleanRun(sc)
-	res := Result{Scenario: sc, Err: c.err, Flight: c.flight}
-	if c.err != nil {
-		return res
-	}
-	sys, output, flight, err := run(sc)
-	h := fnv.New64a()
-	h.Write([]byte(output))
-	res.Digest = h.Sum64()
-	if err != nil {
-		res.Err, res.Flight = err, flight
-		return res
-	}
-	res.Flight = sys.Flight
-	kills := sys.Cfg.Chaos.Kills
-	var errs []error
-	// Only a coherency loss under relaxed commit may show the client less
-	// (§3.5), and drop no more log messages than the ring holds in flight.
-	coherency := slices.ContainsFunc(kills, func(k chaos.Kill) bool { return k.Fault == hw.CoherencyLoss })
-	lossy := coherency && !sc.Strict && sys.Fabric.Stats().Dropped <= sys.Cfg.Replication.LogRingBytes/64
-	if output != c.output && !lossy {
-		errs = append(errs, fmt.Errorf("the client saw %q, the never-failed run's client %q", output, c.output))
-	}
-	errs = append(errs, oracle.KilledRun(sys, len(kills)), oracle.DigestsAgree(sys))
-	if sys.Flight != nil {
-		errs = append(errs, oracle.FlightWellFormed(sys.Flight))
-	}
-	sys.Sim.Shutdown()
-	if n := sys.Sim.Live(); n > 0 {
-		errs = append(errs, fmt.Errorf("%d simulated processes outlived Shutdown", n))
-	}
-	if res.Err = errors.Join(errs...); res.Err != nil && res.Flight == nil {
-		res.Flight = sys.Obs.FlightDump()
-	}
-	return res
-}
-
-// run runs the scenario and returns its deployment with its client's
-// output, or the error that ended it with the flight dump at the error:
-// the failover's, or one taken then.
-func run(sc oracle.Scenario) (sys *core.System, output string, flight *obs.FlightDump, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			if sys != nil {
-				flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
-			}
-			sys, output, err = nil, "", fmt.Errorf("panic: %v", v)
-		}
-	}()
-	sys, runs, err := oracle.Deploy(sc)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	if output, err = runs(); err != nil {
-		flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
-		sys.Sim.Shutdown()
-		return nil, "", flight, err
-	}
-	return sys, output, nil, nil
+	return Result{d, oracle.Check(sc)}
 }
 
 // Shrink returns the failing r reduced greedily, one field at a time, to a

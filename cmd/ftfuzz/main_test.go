@@ -102,22 +102,6 @@ func TestFailingCampaignKeepsOneResult(t *testing.T) {
 	}
 }
 
-// TestTwinDropsKills: a scenario's never-failed twin keeps its shape, its
-// simulation seed and its ring faults, and drops its kills, what follows
-// them and its provenance, whether the kills are spelled out or a preset
-// names them.
-func TestTwinDropsKills(t *testing.T) {
-	sc := oracle.Scenario{Seed: 3, Index: 8, SimSeed: 3, App: "restream", Replicas: 3, Chaos: "delay log 200us 0s..5s; kill primary @log#3 core", Then: "rejoin"}
-	if got, want := twin(sc), (oracle.Scenario{SimSeed: 3, App: "restream", Replicas: 3, Chaos: "delay log 200us 0s..5s"}); got != want {
-		t.Errorf("twin(%+v) = %+v, want %+v", sc, got, want)
-	}
-	for preset, want := range map[string]string{"kill-rejoin-kill": "", "hb-storm": "drop hb p0.5 500ms..800ms; drop hb 600ms..670ms"} {
-		if sc.Chaos = preset; twin(sc).Chaos != want {
-			t.Errorf("the twin of preset %s runs %q, want %q", preset, twin(sc).Chaos, want)
-		}
-	}
-}
-
 // TestFoundScenariosPass reruns every scenario in testdata/fuzz: each
 // failed the oracle when it was found, and ftfuzz writes the next one there,
 // shrunk, with its kill resolved. The first three are draws of seed 1, each
@@ -151,7 +135,7 @@ func TestFoundScenariosPass(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			r := Run(sc)
+			r := Result{Result: oracle.Check(sc)}
 			if r.Err != nil {
 				t.Errorf("%s: %s", name, r.summary())
 			}

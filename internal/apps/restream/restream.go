@@ -138,18 +138,16 @@ func (s *Server) Main(th *replication.Thread, socks *tcprep.Sockets) {
 	s.mut++
 }
 
-// Snapshot serializes the replicated state (called with the namespace
-// quiesced at a section boundary).
-func (s *Server) Snapshot() []byte {
-	b := make([]byte, 33)
-	binary.LittleEndian.PutUint64(b[0:], s.lid)
-	binary.LittleEndian.PutUint64(b[8:], s.cid)
-	binary.LittleEndian.PutUint64(b[16:], uint64(s.off))
-	binary.LittleEndian.PutUint64(b[24:], s.mut)
-	if s.done {
-		b[32] = 1
+// AppendSnapshot appends the serialized replicated state to dst (called
+// with the namespace quiesced at a section boundary).
+func (s *Server) AppendSnapshot(dst []byte) []byte {
+	for _, v := range []uint64{s.lid, s.cid, uint64(s.off), s.mut} {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
-	return b
+	if s.done {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
 // Restore rebuilds the state from a Snapshot before Main starts on a

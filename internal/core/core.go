@@ -561,11 +561,11 @@ type App struct {
 type AppState interface {
 	// Main is the app body, exactly like App.Main.
 	Main(*replication.Thread, *tcprep.Sockets)
-	// Snapshot serializes the app's replicated state. It is called with
-	// the namespace quiesced at a section boundary and must not enter a
-	// det section or yield.
-	Snapshot() []byte
-	// Restore rebuilds the state from a Snapshot before Main starts on
+	// AppendSnapshot appends the app's replicated state, serialized, to
+	// dst. It is called with the namespace quiesced at a section boundary
+	// and must not enter a det section or yield.
+	AppendSnapshot(dst []byte) []byte
+	// Restore rebuilds the state from a snapshot before Main starts on
 	// a checkpoint-seeded backup.
 	Restore(data []byte)
 	// Dirtied is a monotone cumulative count of state bytes mutated
@@ -589,7 +589,10 @@ type appLaunch struct {
 type appInst struct {
 	name  string
 	state AppState
+	buf   []byte // the last snapshot: pre-copy sizes the app by it
 }
+
+func (a *appInst) snapshot() []byte { a.buf = a.state.AppendSnapshot(a.buf[:0]); return a.buf }
 
 // startOn starts a recorded launch on a replica. A restorable app gets a
 // fresh instance, restored from its snapshot in snaps when there is one;

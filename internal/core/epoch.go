@@ -13,7 +13,7 @@ package core
 // workload's dirty rate — not by state size.
 
 import (
-	"fmt"
+	"bytes"
 	"time"
 
 	"repro/internal/kernel"
@@ -110,12 +110,8 @@ func (sys *System) cutEpoch(t *kernel.Task, rep *Replica) {
 	release()
 
 	sys.hPause.Observe(int64(pause))
-	note := ""
-	for _, ps := range passes {
-		note += fmt.Sprintf("p%d %dB>%dB; ", ps.Pass, ps.Copied, ps.Dirtied)
-	}
-	note += fmt.Sprintf("stw %dB", finalDirty)
-	sys.scEpoch.EmitNote(obs.EpochCut, 0, int64(cp.Epoch), int64(pause), note)
+	var note [128]byte
+	sys.scEpoch.EmitNote(obs.EpochCut, 0, int64(cp.Epoch), int64(pause), string(rejoin.AppendNote(note[:0], passes, finalDirty)))
 }
 
 // The pre-copy bounds: at most precopyPasses passes, stopping once the
@@ -135,8 +131,8 @@ const epochMarkBytes = 32
 // digests agree exactly when replay has not diverged.
 func cutReplica(cp *rejoin.Checkpoint, rep *Replica, epoch, sent uint64) *rejoin.Checkpoint {
 	cp.Epoch, cp.Sent = epoch, sent
-	for _, a := range rep.apps {
-		cp.Apps = append(cp.Apps, rejoin.AppSnap{Name: a.name, Data: a.state.Snapshot()})
+	for i := range rep.apps {
+		cp.Apps = append(cp.Apps, rejoin.AppSnap{Name: rep.apps[i].name, Data: bytes.Clone(rep.apps[i].snapshot())})
 	}
 	cp.Sends = rep.Sockets.SendCursors(cp.Sends)
 	cp.Seal()
@@ -166,7 +162,7 @@ func (s nsSource) TotalBytes() int         { return s.rep.cutter.Cut(s.rep.NS).B
 func (s nsSource) DirtyCounter() uint64    { return s.rep.NS.SeqGlobal() * 32 }
 func (s tableSource) TotalBytes() int      { return s.Footprint() }
 func (s tableSource) DirtyCounter() uint64 { return s.Dirtied() }
-func (a *appInst) TotalBytes() int         { return len(a.state.Snapshot()) }
+func (a *appInst) TotalBytes() int         { return len(a.snapshot()) }
 func (a *appInst) DirtyCounter() uint64    { return a.state.Dirtied() }
 
 // epochVerifier is the replica-side boundary check, run with replay

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,51 +15,18 @@ import (
 	"repro/internal/sim"
 )
 
-// TestKillAtEveryTransfer kills the recording side at every message
-// boundary of a 256 KiB download from the restream server, at two replicas,
-// one det shard and strict output commit: as each log, sync and acks
-// transfer of the never-failed run lands (kill primary @<class>#n). A sync
-// transfer carries data-in updates that absorbed the ack-out before them.
-// At every boundary the client receives the never-failed run's bytes, the
-// tuple orders diff clean with no divergence on any replica, the run ends
-// replicated at generation 1 or later with every live kernel's cores idle,
-// nothing is traced for the dead kernel after its death, and Wait reports
-// no hang (rejoinRun fails the test on the first two and the last).
-func TestKillAtEveryTransfer(t *testing.T) {
-	t.Parallel()
-	const total = 256 << 10
-	clean, want, _ := rejoinRun(t, "", 1, plainStream, total, core.WithTrace())
-	transfers := oracle.Transfers(clean.Obs.Events())
-	start := time.Now()
-	kills := 0
-	for _, class := range []string{chaos.ClassLog, chaos.ClassSync, chaos.ClassAcks} {
-		if transfers[class] == 0 {
-			t.Fatalf("the never-failed run has no %s transfers", class)
-		}
-		for n := 1; n <= transfers[class]; n++ {
-			spec := fmt.Sprintf("kill primary @%s#%d", class, n)
-			t.Run(spec, func(t *testing.T) {
-				sys, got, _ := rejoinRun(t, spec, 1, plainStream, total, core.WithTrace())
-				kills++
-				if got != want {
-					t.Errorf("the client's stream hashes to %x, the never-failed run's to %x", got, want)
-				}
-				if d := causal.DiffTraces(clean.Obs.Events(), sys.Obs.Events(), 0); d != nil {
-					t.Errorf("the tuple orders diverge: %s", d.Summary())
-				}
-				if err := oracle.KilledRun(sys, 1); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-	}
-	t.Logf("%d kills (%v transfers) in %v", kills, transfers, time.Since(start))
-}
-
 // sweepConfig is one deployment shape of a kill sweep.
 type sweepConfig struct {
 	replicas, shards int
 	strict           bool
+}
+
+// TestKillAtEveryTransfer is the kill sweep's restream row: a 256 KiB
+// stream at two replicas, one det shard and strict output commit. A sync
+// transfer carries data-in updates that absorbed the ack-out before them.
+func TestKillAtEveryTransfer(t *testing.T) {
+	t.Parallel()
+	sweep(t, "restream", sweepConfig{2, 1, true})
 }
 
 // TestKillAtEveryTransferMongoose is killSweep over Mongoose serving three
@@ -80,68 +48,58 @@ func TestKillAtEveryTransferMemcached(t *testing.T) {
 	killSweep(t, "memcached", sweepConfig{2, 4, true})
 }
 
-// killSweep runs TestKillAtEveryTransfer's oracle over app's scenario at
-// each config, two workers in its pool, deployed by oracle.Deploy: the
-// recording side is killed as each log, sync and acks transfer of the
-// never-failed run lands. At every boundary the world outside sees the
-// never-failed run's output, no replica diverges, the run ends replicated
-// at generation 1 or later with every live kernel's cores idle, and an app
-// whose mains return does not hang. A fail-stop kill loses no output under
-// relaxed commit either: the log ring's contents survive it.
-//
-// These apps are multithreaded, so the tuple order the promoted fork
-// records on with is a live schedule and may differ from the never-failed
-// run's (a parked worker woken by promotion records a spurious wake-up,
-// which the app's wait loop absorbs); the oracle's tuple-order diff is
-// restream's alone. What stands for it here: each rejoined backup replays
-// the whole retained history — the dead primary's acknowledged prefix, then
-// the fork's recording — from its first tuple without a divergence.
+// killSweep sweeps app's scenario at each config, one subtest a config.
 func killSweep(t *testing.T, app string, configs ...sweepConfig) {
 	t.Parallel()
-	start := time.Now()
-	kills := 0
 	for _, cfg := range configs {
-		sc := oracle.Scenario{SimSeed: 1, App: app, Workers: 2, Shards: cfg.shards, Replicas: cfg.replicas, Strict: cfg.strict}
-		name := fmt.Sprintf("n%d/shards%d/strict=%v", cfg.replicas, cfg.shards, cfg.strict)
-		t.Run(name, func(t *testing.T) {
-			clean, want := sweepRun(t, sc)
-			transfers := oracle.Transfers(clean.Obs.Events())
-			if transfers[chaos.ClassLog] == 0 || transfers[chaos.ClassAcks] == 0 {
-				t.Fatalf("the never-failed run has transfers %v", transfers)
-			}
-			for _, class := range []string{chaos.ClassLog, chaos.ClassSync, chaos.ClassAcks} {
-				for n := 1; n <= transfers[class]; n++ {
-					sc.Chaos = fmt.Sprintf("kill primary @%s#%d", class, n)
-					sys, got := sweepRun(t, sc)
-					kills++
-					if got != want {
-						t.Errorf("%s: the output is %q, the never-failed run's %q", sc.Chaos, got, want)
-					}
-					if err := oracle.KilledRun(sys, 1); err != nil {
-						t.Errorf("%s: %v", sc.Chaos, err)
-					}
-					sys.Sim.Shutdown() // its parked processes go now, not at the row's end
-				}
-			}
-			t.Logf("%v transfers", transfers)
-		})
+		t.Run(fmt.Sprintf("n%d/shards%d/strict=%v", cfg.replicas, cfg.shards, cfg.strict), func(t *testing.T) { sweep(t, app, cfg) })
 	}
-	t.Logf("%d kills in %v", kills, time.Since(start))
 }
 
-// sweepRun runs one scenario and returns its deployment with its output.
-func sweepRun(t *testing.T, sc oracle.Scenario) (*core.System, string) {
-	t.Helper()
-	sys, run, err := oracle.Deploy(sc)
-	if err != nil {
-		t.Fatal(err)
+// sweep kills the recording side of app's scenario at cfg, two workers in
+// its pool, as each log, sync and acks transfer of the never-failed run
+// lands (kill primary @<class>#n), one subtest a kill, and each run passes
+// oracle.Check, item 1's whole oracle. A fail-stop kill loses no output
+// under relaxed commit either: the log ring's contents survive it.
+//
+// restream is single-threaded, so the promoted fork records on in the
+// never-failed run's tuple order, and its row also diffs the two. A
+// multithreaded app's fork records a live schedule that may differ (a
+// parked worker woken by promotion records a spurious wake-up, which the
+// app's wait loop absorbs); what stands for the diff there is that each
+// rejoined backup replays the whole retained history — the dead primary's
+// acknowledged prefix, then the fork's recording — without a divergence.
+func sweep(t *testing.T, app string, cfg sweepConfig) {
+	start := time.Now()
+	sc := oracle.Scenario{SimSeed: 1, App: app, Workers: 2, Shards: cfg.shards, Replicas: cfg.replicas, Strict: cfg.strict}
+	clean := oracle.Check(sc)
+	if clean.Err != nil {
+		t.Fatalf("the never-failed run: %v", clean.Err)
 	}
-	t.Cleanup(sys.Sim.Shutdown)
-	output, err := run()
-	if err != nil {
-		t.Fatalf("%s: %v", sc.Chaos, err)
+	transfers := oracle.Transfers(clean.Sys.Obs.Events())
+	if transfers[chaos.ClassLog] == 0 || transfers[chaos.ClassAcks] == 0 {
+		t.Fatalf("the never-failed run has transfers %v", transfers)
 	}
-	return sys, output
+	kills := 0
+	for _, class := range []string{chaos.ClassLog, chaos.ClassSync, chaos.ClassAcks} {
+		for n := 1; n <= transfers[class]; n++ {
+			sc.Chaos = fmt.Sprintf("kill primary @%s#%d", class, n)
+			t.Run(sc.Chaos, func(t *testing.T) {
+				kills++
+				r := oracle.Check(sc)
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				if app != "restream" {
+					return
+				}
+				if d := causal.DiffTraces(clean.Sys.Obs.Events(), r.Sys.Obs.Events(), 0); d != nil {
+					t.Errorf("the tuple orders diverge: %s", d.Summary())
+				}
+			})
+		}
+	}
+	t.Logf("%d kills (%v transfers) in %v", kills, transfers, time.Since(start))
 }
 
 // TestKillDuringRejoin is rung (d) of the correctness ladder: kills during
@@ -194,28 +152,11 @@ func TestKillDuringRejoin(t *testing.T) {
 			if got != want {
 				t.Errorf("%s: the client's stream hashes to %x, the never-failed run's to %x", label, got, want)
 			}
-			if inj := sys.Injector(); inj.Kills != 2 {
-				t.Errorf("%s: %d kills delivered, want 2", label, inj.Kills)
-			}
-			if err := sys.RejoinErr(); err != nil {
-				t.Errorf("%s: rejoin error: %v", label, err)
-			}
-			if err := sys.Healthy(); err != nil {
-				t.Errorf("%s: not healthy at the end: %v", label, err)
+			if err := errors.Join(oracle.KilledRun(sys, 2), oracle.DigestsAgree(sys), sys.RejoinErr(), sys.Healthy()); err != nil {
+				t.Errorf("%s: %v", label, err)
 			}
 			if last := lastRejoinDone(sys); last < lastKill(sys) {
 				t.Errorf("%s: no rejoin completed after the second kill", label)
-			}
-			if err := oracle.SilentAfterDeath(sys.Obs.Events()); err != nil {
-				t.Errorf("%s: %v", label, err)
-			}
-			for _, rep := range append([]*core.Replica{sys.Active()}, sys.Backups()...) {
-				if d := rep.NS.Stats().Divergences; d != 0 {
-					t.Errorf("%s: %d divergences on %s", label, d, rep.Kernel.Name())
-				}
-				if k := rep.Kernel; k.Alive() && k.IdleCores() != k.Cores() {
-					t.Errorf("%s: %s has %d of %d cores idle once quiet", label, k.Name(), k.IdleCores(), k.Cores())
-				}
 			}
 			sys.Sim.Shutdown()
 		}

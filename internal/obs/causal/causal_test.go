@@ -269,6 +269,37 @@ func TestDiffCappedSliceEndsWithDivergentEvent(t *testing.T) {
 	}
 }
 
+// TestDiffReRecordedTail: a dead primary's tuples past the promoted
+// replayer's head, which its fork records again, are no divergence; the
+// same tuples re-recorded in another order are one, and ReplayDiffScoped
+// still reads the dead primary's whole stream.
+func TestDiffReRecordedTail(t *testing.T) {
+	tuple := func(order uint64, scope string, seq int64) obs.Event {
+		return ev(order, int64(100*order), scope, obs.TupleEmit, 1, seq, 64, 7, seq)
+	}
+	var clean, killed []obs.Event
+	for i := range 4 {
+		clean = append(clean, tuple(uint64(i+1), "primary/ftns", int64(i)))
+	}
+	killed = append(killed, clean[:3]...) // tuple 2 is never replayed
+	killed = append(killed,
+		ev(4, 400, "backup1/ftns", obs.Replay, 1, 0, 0, 7, 0),
+		ev(5, 500, "backup1/ftns", obs.Replay, 1, 1, 0, 7, 1),
+		ev(6, 600, "backup1/ftns", obs.Promote, 0, 2, 0, 0, 0),
+		ev(7, 700, "backup1/ftns", obs.Unreplicated, 0, 2, 0, 0, 0),
+		tuple(8, "gen1/ftns", 2), tuple(9, "gen1/ftns", 3))
+	if d := DiffTraces(clean, killed, 0); d != nil {
+		t.Errorf("a re-recorded tail diverges: %s", d.Summary())
+	}
+	if d := ReplayDiffScoped(killed, "backup1/ftns"); d == nil || d.A.Seq != 2 {
+		t.Errorf("the replay frontier is %+v, want the dead primary's unreplayed tuple 2", d)
+	}
+	killed[7].Seq, killed[7].OSeq, killed[8].Seq, killed[8].OSeq = 3, 3, 2, 2
+	if d := DiffTraces(clean, killed, 0); d == nil || d.Class != ClassTupleMismatch || d.Index != 2 {
+		t.Errorf("a reordered tail diffs as %+v, want a mismatch at tuple #2", d)
+	}
+}
+
 func TestReplayDiffFrontier(t *testing.T) {
 	// Recorded two tuples, backup granted only the first.
 	events := []obs.Event{

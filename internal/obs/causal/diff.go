@@ -3,6 +3,7 @@ package causal
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
@@ -144,21 +145,42 @@ func recordedStream(events []obs.Event) []int {
 	return out
 }
 
+// survivingStream is recordedStream less the tuples a promotion discarded.
+// A promoted replica forks at its replay head, which its Unreplicated event
+// (after its Promote, in the same scope) carries, and records on from there:
+// the dead recorder's tuples at or past that head were never replayed, and
+// the fork records them again.
+func survivingStream(events []obs.Event) []int {
+	var out []int
+	promoted := map[string]bool{}
+	for i, e := range events {
+		switch {
+		case e.Kind == obs.TupleEmit:
+			out = append(out, i)
+		case e.Kind == obs.Promote:
+			promoted[e.Scope] = true
+		case e.Kind == obs.Unreplicated && promoted[e.Scope]:
+			out = slices.DeleteFunc(out, func(j int) bool { return events[j].Seq >= e.Seq })
+		}
+	}
+	return out
+}
+
 // tupleIdentity is the alignment key: the full sequencing identity of a
 // recorded section, independent of which scope (generation) recorded it.
 func tupleIdentity(e obs.Event) TupleRef {
 	return TupleRef{TID: e.TID, Seq: e.Seq, Obj: e.Obj, OSeq: e.OSeq}
 }
 
-// DiffTraces aligns two same-seed traces on their recorded det tuple
-// orders and returns the first divergence, or nil when the streams agree
+// DiffTraces aligns two same-seed traces on their surviving recorded det
+// tuple orders (survivingStream) and returns the first divergence, or nil when the streams agree
 // over their full common extent and have equal length. The divergent
 // event's causal slice — at most max events, 0 for DefaultSliceEvents,
 // always ending with the divergent event — is computed in the trace that
 // contains it (B when both do — B is conventionally the suspect/failed
 // run).
 func DiffTraces(a, b []obs.Event, max int) *Divergence {
-	sa, sb := recordedStream(a), recordedStream(b)
+	sa, sb := survivingStream(a), survivingStream(b)
 	n := len(sa)
 	if len(sb) < n {
 		n = len(sb)

@@ -1,21 +1,149 @@
-// Package oracle is the correctness ladder's oracle (ROADMAP item 1): what a
-// deployment killed anywhere must show against its never-failed twin; the
-// Scenario, one run's whole description, which Deploy turns into a deployment
-// for cmd/ftsim, cmd/ftfuzz and the kill sweeps; and the apps it runs. A run
-// is a pure function of its scenario, so a failure reproduces from it alone.
+// Package oracle is the correctness ladder's oracle (ROADMAP item 1): Check,
+// what a deployment killed anywhere must show against its never-failed twin,
+// which cmd/ftfuzz and the kill sweeps both call; the Scenario, one run's
+// whole description, which Deploy turns into a deployment for cmd/ftsim and
+// Check; and the apps it runs. A run is a pure function of its scenario, so
+// a failure reproduces from it alone.
 package oracle
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/rejoin"
 )
+
+// Result is one checked scenario: a digest of what the client saw, the
+// oracle's findings (nil: it passed), the flight dump — the failover's, else
+// one taken at a failure — and the deployment, shut down, when the run
+// finished.
+type Result struct {
+	Scenario Scenario
+	Sys      *core.System
+	Digest   uint64
+	Err      error
+	Flight   *obs.FlightDump
+}
+
+// Check runs the scenario, whose kills are resolved, and checks it against
+// its never-failed twin: the client sees the twin's output — only a
+// coherency loss under relaxed commit may show it less (§3.5), and drop no
+// more log messages than the ring holds in flight — and KilledRun,
+// DigestsAgree and FlightWellFormed hold; no simulated process outlives
+// Shutdown, and a panic, a hang (a *core.HangError) or a failed twin is a
+// finding.
+func Check(sc Scenario) Result {
+	c := cleanRun(sc)
+	res := Result{Scenario: sc, Err: c.err, Flight: c.flight}
+	if c.err != nil {
+		return res
+	}
+	sys, output, flight, err := run(sc)
+	h := fnv.New64a()
+	h.Write([]byte(output))
+	res.Digest = h.Sum64()
+	if err != nil {
+		res.Err, res.Flight = err, flight
+		return res
+	}
+	res.Sys, res.Flight = sys, sys.Flight
+	kills := sys.Cfg.Chaos.Kills
+	var errs []error
+	coherency := slices.ContainsFunc(kills, func(k chaos.Kill) bool { return k.Fault == hw.CoherencyLoss })
+	lossy := coherency && !sc.Strict && sys.Fabric.Stats().Dropped <= sys.Cfg.Replication.LogRingBytes/64
+	if output != c.output && !lossy {
+		errs = append(errs, fmt.Errorf("the client saw %q, the never-failed run's client %q", output, c.output))
+	}
+	errs = append(errs, KilledRun(sys, len(kills)), DigestsAgree(sys))
+	if sys.Flight != nil {
+		errs = append(errs, FlightWellFormed(sys.Flight))
+	}
+	sys.Sim.Shutdown()
+	if n := sys.Sim.Live(); n > 0 {
+		errs = append(errs, fmt.Errorf("%d simulated processes outlived Shutdown", n))
+	}
+	if res.Err = errors.Join(errs...); res.Err != nil && res.Flight == nil {
+		res.Flight = sys.Obs.FlightDump()
+	}
+	return res
+}
+
+// Twin is a scenario's never-failed twin: its shape and ring faults,
+// without its kills, what follows them or its provenance.
+func Twin(sc Scenario) Scenario {
+	sched, _ := chaos.Parse(sc.Chaos)
+	sc.Seed, sc.Index, sc.Then, sc.Chaos = 0, 0, "", sched.WithoutKills()
+	return sc
+}
+
+// TwinTransfers returns the never-failed twin's ring transfers by chaos
+// class — the boundaries a kill can name — or the error that ended it.
+func TwinTransfers(sc Scenario) (map[string]int, error) {
+	c := cleanRun(sc)
+	return c.transfers, c.err
+}
+
+// clean is a never-failed run: its output and transfer counts, or the
+// error that ended it with the flight dump at the error.
+type clean struct {
+	once      sync.Once
+	output    string
+	transfers map[string]int
+	err       error
+	flight    *obs.FlightDump
+}
+
+// twins are the never-failed runs made so far, by twin scenario: every
+// scenario of one shape shares one.
+var twins sync.Map
+
+func cleanRun(sc Scenario) *clean {
+	v, _ := twins.LoadOrStore(Twin(sc), new(clean))
+	c := v.(*clean)
+	c.once.Do(func() {
+		var sys *core.System
+		if sys, c.output, c.flight, c.err = run(Twin(sc)); c.err != nil {
+			c.err = fmt.Errorf("the never-failed run: %w", c.err)
+			return
+		}
+		c.transfers = Transfers(sys.Obs.Events())
+		sys.Sim.Shutdown()
+	})
+	return c
+}
+
+// run runs the scenario and returns its deployment with its client's
+// output, or the error that ended it with the flight dump at the error:
+// the failover's, or one taken then.
+func run(sc Scenario) (sys *core.System, output string, flight *obs.FlightDump, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			if sys != nil {
+				flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
+			}
+			sys, output, err = nil, "", fmt.Errorf("panic: %v", v)
+		}
+	}()
+	sys, runs, err := Deploy(sc)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	if output, err = runs(); err != nil {
+		flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
+		sys.Sim.Shutdown()
+		return nil, "", flight, err
+	}
+	return sys, output, nil, nil
+}
 
 // KilledRun checks a finished run that chaos killed kills times: every kill
 // was delivered, the run ends replicated — at generation 1 or later if a

@@ -57,3 +57,19 @@ func TestDeployRejects(t *testing.T) {
 		t.Errorf("the valid scenario ran to %q (%v)", out, err)
 	}
 }
+
+// TestTwinDropsKills: a scenario's never-failed twin keeps its shape, its
+// simulation seed and its ring faults, and drops its kills, what follows
+// them and its provenance, whether the kills are spelled out or a preset
+// names them.
+func TestTwinDropsKills(t *testing.T) {
+	sc := oracle.Scenario{Seed: 3, Index: 8, SimSeed: 3, App: "restream", Replicas: 3, Chaos: "delay log 200us 0s..5s; kill primary @log#3 core", Then: "rejoin"}
+	if got, want := oracle.Twin(sc), (oracle.Scenario{SimSeed: 3, App: "restream", Replicas: 3, Chaos: "delay log 200us 0s..5s"}); got != want {
+		t.Errorf("Twin(%+v) = %+v, want %+v", sc, got, want)
+	}
+	for preset, want := range map[string]string{"kill-rejoin-kill": "", "hb-storm": "drop hb p0.5 500ms..800ms; drop hb 600ms..670ms"} {
+		if sc.Chaos = preset; oracle.Twin(sc).Chaos != want {
+			t.Errorf("the twin of preset %s runs %q, want %q", preset, oracle.Twin(sc).Chaos, want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package rejoin
 // epoch cuts cheap enough to take frequently.
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/kernel"
@@ -36,6 +37,18 @@ type PassStat struct {
 	// Dirtied is the bytes the workload dirtied while the pass ran —
 	// the next pass's copy set.
 	Dirtied int
+}
+
+// AppendNote appends the epoch cut's trace note to dst — each pass as
+// "p<n> <copied>B><dirtied>B; ", then the final stop-the-world copy as
+// "stw <bytes>B" — without allocating beyond dst's growth.
+func AppendNote(dst []byte, passes []PassStat, finalDirty int) []byte {
+	for _, ps := range passes {
+		dst = strconv.AppendInt(append(dst, 'p'), int64(ps.Pass), 10)
+		dst = strconv.AppendInt(append(dst, ' '), int64(ps.Copied), 10)
+		dst = append(strconv.AppendInt(append(dst, "B>"...), int64(ps.Dirtied), 10), "B; "...)
+	}
+	return append(strconv.AppendInt(append(dst, "stw "...), int64(finalDirty), 10), 'B')
 }
 
 // PreCopy drives converging copy passes over a set of sources.

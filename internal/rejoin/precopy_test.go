@@ -1,6 +1,7 @@
 package rejoin
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -69,4 +70,24 @@ type rateSource struct {
 func (r rateSource) TotalBytes() int { return r.total }
 func (r rateSource) DirtyCounter() uint64 {
 	return uint64(r.tk.Now()) / uint64(time.Microsecond) * uint64(r.rate)
+}
+
+// TestAppendNoteIsTheSprintfNote: the epoch cut's note is the bytes the
+// cutter wrote with fmt.Sprintf before, whatever the passes, and rendering
+// it into a buffer with room allocates nothing.
+func TestAppendNoteIsTheSprintfNote(t *testing.T) {
+	for _, passes := range [][]PassStat{nil, {{1, 4096, 0}}, {{1, 1 << 20, 70000}, {2, 70000, 9000}, {3, 9000, 300}}} {
+		want := ""
+		for _, ps := range passes {
+			want += fmt.Sprintf("p%d %dB>%dB; ", ps.Pass, ps.Copied, ps.Dirtied)
+		}
+		want += fmt.Sprintf("stw %dB", 300)
+		if got := AppendNote(nil, passes, 300); string(got) != want {
+			t.Errorf("AppendNote(%v) = %q, want %q", passes, got, want)
+		}
+		buf := make([]byte, 0, 128)
+		if n := testing.AllocsPerRun(10, func() { AppendNote(buf, passes, 300) }); n != 0 {
+			t.Errorf("AppendNote(%v) into a 128-byte buffer: %v allocations, want 0", passes, n)
+		}
+	}
 }

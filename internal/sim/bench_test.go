@@ -99,21 +99,6 @@ func BenchmarkScheduleFire(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCancel schedules a one-shot callback and cancels it, the
-// life of a timer that never fires; compaction is in the figure.
-func BenchmarkScheduleCancel(b *testing.B) {
-	s := New(1)
-	for i := 0; i < 1000; i++ {
-		s.Schedule(time.Hour+time.Duration(i), func() {})
-	}
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Second, fn).Cancel()
-	}
-}
-
 // BenchmarkEventReset re-arms one owned event, the retransmission-timer
 // pattern: each Reset cancels the pending firing and queues another.
 func BenchmarkEventReset(b *testing.B) {

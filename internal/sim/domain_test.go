@@ -22,7 +22,7 @@ func TestDomainDeath(t *testing.T) {
 		rootTimer.Init(s.Root(), func() { fired["root timer"] = true })
 		timer.Reset(2 * time.Millisecond)
 		rootTimer.Reset(2 * time.Millisecond)
-		shot := g.Schedule(3*time.Millisecond, func() { fired["shot"] = true })
+		g.Schedule(3*time.Millisecond, func() { fired["shot"] = true })
 		s.Schedule(time.Millisecond, g.Kill)
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -30,8 +30,8 @@ func TestDomainDeath(t *testing.T) {
 		if fired["timer"] || fired["shot"] || !fired["root timer"] {
 			t.Errorf("fired %v, want the root timer's alone", fired)
 		}
-		if timer.Armed() || shot.Armed() || s.Pending() != 0 {
-			t.Errorf("after the kill: timer armed %v, shot armed %v, %d pending", timer.Armed(), shot.Armed(), s.Pending())
+		if timer.Armed() || s.Pending() != 0 {
+			t.Errorf("after the kill: timer armed %v, %d pending", timer.Armed(), s.Pending())
 		}
 	})
 	t.Run("stops holding Run open", func(t *testing.T) {
@@ -57,9 +57,9 @@ func TestDomainDeath(t *testing.T) {
 		g.Kill()
 		seq := s.seq
 		e.Reset(time.Millisecond)
-		shot := g.Schedule(time.Millisecond, func() { t.Error("a dead domain's one-shot fired") })
-		if e.Armed() || shot.Armed() || s.Pending() != 0 || s.seq != seq {
-			t.Errorf("armed %v/%v, %d pending, %d sequence numbers drawn; want nothing", e.Armed(), shot.Armed(), s.Pending(), s.seq-seq)
+		g.Schedule(time.Millisecond, func() { t.Error("a dead domain's one-shot fired") })
+		if e.Armed() || s.Pending() != 0 || s.seq != seq {
+			t.Errorf("armed %v, %d pending, %d sequence numbers drawn; want nothing", e.Armed(), s.Pending(), s.seq-seq)
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)

@@ -49,11 +49,10 @@ const (
 	opWakeIndex                 // queue a, index b, delay d
 	opWakeAll                   // queue a, delay d
 	opSchedule                  // a one-shot callback after d
-	opCancelShot                // cancel one-shot number a (mod how many exist)
 	opReset                     // re-arm timer a to fire after d
 	opCancel                    // cancel timer a
 	opKill                      // kill process a
-	opBurst                     // schedule a one-shots far out, cancel most at once
+	opBurst                     // schedule a one-shots far out
 	opWakeHolder                // wake everyone on the queue the holder is parked on, delay d
 	opKillHolder                // kill the holder
 	opStop                      // Stop: the step ends before anything else is popped
@@ -149,7 +148,6 @@ type world interface {
 	logf(format string, args ...any)
 	wake(q, index int, all bool, d time.Duration) string
 	schedule(d time.Duration)
-	cancelShot(i int)
 	reset(timer int, d time.Duration)
 	cancel(timer int)
 	kill(proc int)
@@ -170,8 +168,6 @@ func apply(w world, pg *program, o op) {
 		w.logf("wakeall q%d -> %s", o.a%pg.queues, w.wake(o.a%pg.queues, 0, true, o.d))
 	case opSchedule:
 		w.schedule(o.d)
-	case opCancelShot:
-		w.cancelShot(o.a)
 	case opReset:
 		w.reset(o.a%pg.timers, o.d)
 	case opCancel:
@@ -197,11 +193,6 @@ func apply(w world, pg *program, o op) {
 	case opBurst:
 		for i := 0; i < o.a; i++ {
 			w.schedule(time.Second + time.Duration(i%7)*time.Millisecond)
-		}
-		for i := 0; i < o.a; i++ {
-			if i%5 != 0 {
-				w.cancelShot(-1 - i) // counted back from the newest
-			}
 		}
 	}
 }
@@ -230,7 +221,7 @@ type engineWorld struct {
 	procs       []*Proc
 	queues      []WaitQueue
 	timers      []Event
-	shots       []Shot
+	shots       int
 	fires       int
 	compactions int
 	hold        int    // the process last switched in, -1 at the start of a step
@@ -275,12 +266,13 @@ func (w *engineWorld) wake(q, index int, all bool, d time.Duration) string {
 }
 
 func (w *engineWorld) schedule(d time.Duration) {
-	id := 100 + len(w.shots)
+	id := 100 + w.shots
+	w.shots++
 	g := w.s.Root()
 	if inGroup(id) {
 		g = w.g
 	}
-	w.shots = append(w.shots, g.Schedule(d, func() { w.fired(id) }))
+	g.Schedule(d, func() { w.fired(id) })
 }
 
 // cancelled wraps every cancelling call: only compaction shrinks the queue
@@ -290,12 +282,6 @@ func (w *engineWorld) cancelled(cancel func()) {
 	cancel()
 	if len(w.s.queue) < before {
 		w.compactions++
-	}
-}
-
-func (w *engineWorld) cancelShot(i int) {
-	if n := len(w.shots); n > 0 {
-		w.cancelled(w.shots[((i%n)+n)%n].Cancel)
 	}
 }
 
@@ -531,12 +517,6 @@ func (r *refQueue) schedule(d time.Duration) {
 	id := len(r.shots) - 1
 	if !inGroup(id) || !r.gDead {
 		r.shots[id] = r.insert(d, "shot", id)
-	}
-}
-
-func (r *refQueue) cancelShot(i int) {
-	if n := len(r.shots); n > 0 {
-		r.remove(&r.shots[((i%n)+n)%n])
 	}
 }
 

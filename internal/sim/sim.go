@@ -55,7 +55,7 @@ func (t Time) String() string { return time.Duration(t).String() }
 // a retransmission timer, a timeslice — keeps one Event (embedded by value
 // if it likes), calls Init once, and arms it with Reset as often as it
 // needs without allocating. Schedule arms a one-shot record instead, taken
-// from the simulation's free list, and returns its Shot. Every event
+// from the simulation's free list; nothing can cancel it. Every event
 // belongs to a domain (Group), and never fires once it is dead.
 type Event struct {
 	group   *Group
@@ -64,30 +64,7 @@ type Event struct {
 	seq     uint64 // sequence number of the pending queue entry, 0 if none
 	bg      bool   // the pending entry is background work
 	own     bool   // SetBackground: every arming is background work
-	oneShot bool   // a Schedule record: freed when it fires, is cancelled or its domain dies
-}
-
-// Shot is the handle Schedule returns: the one-shot record and the
-// sequence number it was armed under. A record goes back on the free list
-// once its arming is over and its next arming draws a new number, so a
-// Shot whose arming has fired, was cancelled or died with its domain reads
-// unarmed and cancels nothing, whatever its record does since.
-type Shot struct {
-	ev  *Event
-	seq uint64
-}
-
-// Armed reports whether the arming is still pending.
-func (h Shot) Armed() bool { return h.ev != nil && h.ev.seq == h.seq }
-
-// Cancel prevents the arming from firing and frees its record; once the
-// arming is over it is a no-op.
-func (h Shot) Cancel() {
-	if h.Armed() {
-		s := h.ev.group.sim
-		s.disown(&h.ev.seq, h.ev.bg)
-		s.free(h.ev)
-	}
+	oneShot bool   // a Schedule record: freed when it fires or its domain dies
 }
 
 // Init binds a zero Event to its domain and to the callback that runs each
@@ -232,18 +209,18 @@ func (s *Simulation) Live() int { return s.liveProc }
 // Schedule arranges for fn to run at virtual time now+d, on the stack of
 // whoever is running the dispatch loop then, in the root domain. It must
 // not block (a blocking call from a callback panics): spawn a Proc for that.
-func (s *Simulation) Schedule(d time.Duration, fn func()) Shot { return s.root.Schedule(d, fn) }
+func (s *Simulation) Schedule(d time.Duration, fn func()) { s.root.Schedule(d, fn) }
 
 // ScheduleAt is like Schedule but takes an absolute instant. Scheduling in
 // the past panics: it would violate causality.
-func (s *Simulation) ScheduleAt(at Time, fn func()) Shot { return s.root.Schedule(at.Sub(s.now), fn) }
+func (s *Simulation) ScheduleAt(at Time, fn func()) { s.root.Schedule(at.Sub(s.now), fn) }
 
 // Schedule is Simulation.Schedule in the group's domain; in a dead one
-// nothing is armed and the Shot is the zero one.
-func (g *Group) Schedule(d time.Duration, fn func()) Shot {
+// nothing is armed.
+func (g *Group) Schedule(d time.Duration, fn func()) {
 	s := g.sim
 	if s.Guard("Schedule"); g.killed {
-		return Shot{}
+		return
 	}
 	var e *Event
 	if n := len(s.spare); n > 0 {
@@ -253,7 +230,6 @@ func (g *Group) Schedule(d time.Duration, fn func()) Shot {
 	}
 	e.group, e.fn, e.at, e.bg = g, fn, s.now.Add(d), s.cur != nil && s.cur.bg
 	e.seq = s.push(e.at, kindCallback, nil, e)
-	return Shot{e, e.seq}
 }
 
 // free puts a one-shot record whose arming is over back on the free list.

@@ -45,8 +45,10 @@ func TestScheduleTieBrokenByInsertion(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	e := s.Schedule(time.Millisecond, func() { fired = true })
-	s.Schedule(time.Microsecond, func() { e.Cancel() })
+	var e Event
+	e.Init(s.Root(), func() { fired = true })
+	e.Reset(time.Millisecond)
+	s.Schedule(time.Microsecond, e.Cancel)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
