@@ -13,20 +13,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps/clients"
-	"repro/internal/apps/restream"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/simnet"
+	"repro/internal/oracle"
 )
 
 // traceFiles writes the JSONL event streams ftdiag reads, the way `make
-// diag` makes them but smaller: a 1 MiB restream download at seed 1, twice
-// never failed and once with the primary's core failing at 5 ms,
-// mid-download; and a 512 KiB download, whose recorded tuples stop short of
-// the 1 MiB run's. Beside each it writes the run's Chrome trace, the input
-// of ftdiag windows, under the name ending .json.
+// diag` makes them but smaller: the download scenario (oracle.Download, the
+// system as shipped) of 1 MiB at seed 1, twice never failed and once with
+// the primary's core failing at 5 ms, mid-download; and of 512 KiB, whose
+// recorded tuples stop short of the 1 MiB run's. Beside each it writes the
+// run's Chrome trace, the input of ftdiag windows, under the name ending
+// .json.
 var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 	dir, err := os.MkdirTemp("", "ftdiag-test")
 	if err != nil {
@@ -36,7 +34,7 @@ var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 	for _, run := range []struct {
 		name   string
 		failAt time.Duration
-		total  int
+		total  int64
 	}{{"clean", 0, 1 << 20}, {"clean2", 0, 1 << 20}, {"failed", 5 * time.Millisecond, 1 << 20}, {"short", 0, 512 << 10}} {
 		path := filepath.Join(dir, run.name+".jsonl")
 		if err := writeTrace(path, run.failAt, run.total); err != nil {
@@ -47,25 +45,17 @@ var traceFiles = sync.OnceValues(func() (map[string]string, error) {
 	return files, nil
 })
 
-func writeTrace(path string, failAt time.Duration, total int) error {
-	opts := []core.Option{core.WithSeed(1), core.WithTrace()}
+func writeTrace(path string, failAt time.Duration, total int64) error {
+	sc := oracle.Scenario{SimSeed: 1, App: "download", Size: total, Workers: 1, Shards: 1, Replicas: 2, Strict: true}
 	if failAt > 0 {
-		opts = append(opts, func(c *core.Config) { c.Chaos = chaos.MustParse(fmt.Sprintf("kill primary @%v", failAt)) })
+		sc.Chaos = fmt.Sprintf("kill primary @%v", failAt)
 	}
-	sys, err := core.New(opts...)
+	sys, run, err := oracle.Deploy(sc, core.WithTrace())
 	if err != nil {
 		return err
 	}
 	defer sys.Sim.Shutdown()
-	client, err := sys.AttachNetwork(simnet.GigabitEthernet())
-	if err != nil {
-		return err
-	}
-	scfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: total}
-	sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(scfg) }})
-	var dl clients.DownloadStats
-	clients.Download(client, scfg.Port, int64(scfg.Total), time.Second, &dl)
-	if err := sys.Sim.Run(); err != nil {
+	if _, err := run(); err != nil {
 		return err
 	}
 	f, err := os.Create(path)

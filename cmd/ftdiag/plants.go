@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"time"
@@ -22,23 +23,39 @@ const plantsDir = ".bench_build/plants"
 // finderKinds are the matrix's columns, in order: what may find a plant.
 var finderKinds = []string{"ftvet", "test", "golden", "chaos", "ftfuzz"}
 
-// plant is one re-planted bug: a patch whose header names it, the time its
-// finders may take together, and each finder, a kind and its arguments:
+// plant is one re-planted bug and its row of DESIGN.md §10's table: a
+// patch whose header gives its title with its bug class and path, the time
+// its finders may take together, each finder — a kind and its arguments,
+// then optionally a mark, B (it saw the bug itself) or n (only a pinned
+// number moved), and a note — and, where the row gives one, the reason a
+// kind names no finder:
 //
 //	# `Mutex.Lock` parks inside its section (park inside a section, hot path)
 //	# budget 5m
-//	# find ftvet
-//	# find test <package> <go test -run pattern>
-//	# find golden
-//	# find chaos <preset>
-//	# find ftfuzz <seed> <scenarios>
+//	# find ftvet [<mark>] [<note>]
+//	# find test <package> <go test -run pattern> [<mark>] [<note>]
+//	# find golden …
+//	# find chaos <preset> …
+//	# find ftfuzz <seed> <scenarios> …
+//	# none <kind> <reason>
 //
 // Everything from the first line that is not a comment on is the diff.
 type plant struct {
-	name, title, patch string
-	budget             time.Duration
-	finds              [][]string
+	name, title, class, path, patch string
+	budget                          time.Duration
+	finds                           []finder
+	none                            map[string]string // why a kind names no finder, by kind
 }
+
+// finder is one check a plant credits: its kind and arguments, then its
+// mark, B or n, and its note.
+type finder struct {
+	args       []string
+	mark, note string
+}
+
+// titleRE splits a plant's title from its bug class and path.
+var titleRE = regexp.MustCompile(`^(.+) \(([^,()]+), ((?:hot|cold) path[^()]*)\)$`)
 
 // readPlant reads a plant's header from its patch file.
 func readPlant(path string) (plant, error) {
@@ -47,30 +64,51 @@ func readPlant(path string) (plant, error) {
 		return plant{}, err
 	}
 	defer f.Close()
-	p := plant{name: strings.TrimSuffix(filepath.Base(path), ".patch"), patch: path}
+	p := plant{name: strings.TrimSuffix(filepath.Base(path), ".patch"), patch: path, none: map[string]string{}}
 	args := map[string]int{"ftvet": 0, "test": 2, "golden": 0, "chaos": 1, "ftfuzz": 2}
 	for sc := bufio.NewScanner(f); sc.Scan() && strings.HasPrefix(sc.Text(), "# "); {
 		line := strings.TrimPrefix(sc.Text(), "# ")
 		switch word, rest, _ := strings.Cut(line, " "); {
 		case p.title == "":
-			p.title = line
+			m := titleRE.FindStringSubmatch(line)
+			if m == nil {
+				return plant{}, fmt.Errorf("%s: title %q does not end in (<bug class>, <hot or cold> path)", path, line)
+			}
+			p.title, p.class, p.path = m[1], m[2], m[3]
 		case word == "budget":
 			if p.budget, err = time.ParseDuration(rest); err != nil {
 				return plant{}, fmt.Errorf("%s: %v", path, err)
 			}
 		case word == "find":
-			find := strings.Fields(rest)
+			fields := strings.Fields(rest)
 			kind, _, _ := strings.Cut(rest, " ")
-			if n, ok := args[kind]; !ok || len(find) != n+1 {
+			n, ok := args[kind]
+			if !ok || len(fields) <= n {
 				return plant{}, fmt.Errorf("%s: finder %q is none of ftvet, test <pkg> <pattern>, golden, chaos <preset>, ftfuzz <seed> <n>", path, rest)
 			}
+			find, tail := finder{args: fields[:n+1]}, fields[n+1:]
+			if len(tail) > 0 && (tail[0] == "B" || tail[0] == "n") {
+				find.mark, tail = tail[0], tail[1:]
+			}
+			find.note = strings.Join(tail, " ")
 			p.finds = append(p.finds, find)
+		case word == "none":
+			kind, reason, _ := strings.Cut(rest, " ")
+			if _, ok := args[kind]; !ok || reason == "" {
+				return plant{}, fmt.Errorf("%s: none %q wants a finder kind and a reason", path, rest)
+			}
+			p.none[kind] = reason
 		default:
 			return plant{}, fmt.Errorf("%s: header line %q", path, line)
 		}
 	}
 	if p.budget <= 0 || len(p.finds) == 0 {
 		return plant{}, fmt.Errorf("%s: a plant needs a budget and at least one finder", path)
+	}
+	for _, find := range p.finds {
+		if p.none[find.args[0]] != "" {
+			return plant{}, fmt.Errorf("%s: a %s finder is named and its kind said to name none", path, find.args[0])
+		}
 	}
 	return p, nil
 }
@@ -122,9 +160,9 @@ func cmdPlants(args []string, stdout, stderr io.Writer) int {
 		for _, kind := range finderKinds {
 			var col []bool
 			for i, find := range p.finds {
-				if find[0] == kind {
+				if find.args[0] == kind {
 					if col = append(col, found[i]); !found[i] {
-						missed = append(missed, p.name+": "+strings.Join(find, " "))
+						missed = append(missed, p.name+": "+strings.Join(find.args, " "))
 					}
 				}
 			}
@@ -188,7 +226,7 @@ func replant(base string, p plant) ([]bool, error) {
 	found := make([]bool, len(p.finds))
 	for i, find := range p.finds {
 		var err error
-		switch arg := find[1:]; find[0] {
+		switch arg := find.args[1:]; find.args[0] {
 		case "ftvet":
 			_, err = goIn(ctx, dir, "run", "./cmd/ftvet", "./...")
 		case "test":

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/rejoin"
 	"repro/internal/replication"
 	"repro/internal/tcprep"
@@ -57,14 +58,26 @@ func TestAbortedRejoinDegradesAndRetries(t *testing.T) {
 	const total = 32 << 20
 	restores := 0
 	var planted *kernel.Kernel
-	app := func(total int) core.App {
-		return core.App{Name: "stream", State: func() core.AppState {
-			srv := restream.New(restream.Config{Port: 80, Chunk: 64 << 10, Total: total})
-			return &strayOnRestore{Server: srv, restores: &restores, kern: &planted}
-		}}
-	}
-	sys, _, states := rejoinRun(t, "kill backup @1s", 3, app, total,
+	sys, err := core.New(core.WithSeed(3), oracle.Restream.Config, withMSS(16<<10), withChaos("kill backup @1s"),
 		core.WithEpochCheckpoints(100*time.Millisecond, 0), core.WithRejoinDelay(500*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(core.App{Name: "stream", State: func() core.AppState {
+		srv := restream.New(restream.Config{Port: 80, Chunk: 64 << 10, Total: total})
+		return &strayOnRestore{Server: srv, restores: &restores, kern: &planted}
+	}})
+	out, err := oracle.StreamClient(sys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	seen, _ := out()
+	if err := checkStream(sys, seen, total); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := sys.RejoinErr(); !errors.Is(err, rejoin.ErrChecksumMismatch) || !strings.Contains(err.Error(), "ft_pid") {
 		t.Errorf("rejoin error %v, want the frontier's ft_pid mismatch", err)
@@ -74,7 +87,7 @@ func TestAbortedRejoinDegradesAndRetries(t *testing.T) {
 	}
 	want := []core.LifecycleState{core.StateReplicated, core.StateDegraded, core.StateResyncing,
 		core.StateDegraded, core.StateResyncing, core.StateReplicated}
-	if !reflect.DeepEqual(states, want) {
+	if states := lifecycleStates(sys); !reflect.DeepEqual(states, want) {
 		t.Errorf("lifecycle states = %v, want %v", states, want)
 	}
 	var notes []string

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/replication"
 	"repro/internal/tcprep"
 )
@@ -39,7 +40,7 @@ func TestReplayDebtIsMeasured(t *testing.T) {
 	if short <= 0 || long < short*3/2 {
 		t.Errorf("hot-object debt %v over 2000 rounds and %v over 4000; want it to grow with the run", short, long)
 	}
-	sys, _, _ := rejoinRun(t, "", 1, plainStream, 1<<20)
+	sys, _ := stream(t, oracle.Scenario{SimSeed: 1, Size: 1 << 20}, nil)
 	if debt, one := sys.ReplayDebt(), sys.Cfg.Replication.ReplayDispatchCost; debt > one {
 		t.Errorf("restream debt %v, want at most one dispatch (%v)", debt, one)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 )
 
 // TestShardedRejoinUnderChaos re-runs the double-kill resync under the
@@ -14,20 +15,18 @@ import (
 // and the ring's FIFO delay clamp.
 func TestShardedRejoinUnderChaos(t *testing.T) {
 	t.Parallel()
-	spec := "dup acks x2 0s..8s; delay log 150us 1s..3s; delay sync 100us 1s..3s; kill primary @2500ms; kill primary @10s"
-	sys, h, _ := rejoinRun(t, spec, 11, plainStream, rejoinStreamTotal, core.WithDetShards(4))
+	sc := oracle.Scenario{SimSeed: 11, Size: rejoinStreamTotal, Shards: 4}
+	_, base := stream(t, sc, nil)
+	sc.Chaos = "dup acks x2 0s..8s; delay log 150us 1s..3s; delay sync 100us 1s..3s; kill primary @2500ms; kill primary @10s"
+	sys, out := stream(t, sc, nil)
+	if out != base {
+		t.Errorf("the client saw %q, the never-failed same-seed run's client %q", out, base)
+	}
 	if err := sys.RejoinErr(); err != nil {
 		t.Errorf("rejoin error: %v", err)
 	}
-	if st := sys.State(); st != core.StateReplicated {
-		t.Errorf("end state = %v, want replicated", st)
-	}
 	if g := sys.Generation(); g < 2 {
 		t.Errorf("generation = %d, want >= 2", g)
-	}
-	_, base, _ := rejoinRun(t, "", 11, plainStream, rejoinStreamTotal, core.WithDetShards(4))
-	if h != base {
-		t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
 	}
 }
 

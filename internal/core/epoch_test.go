@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 )
 
 // TestEpochBoundsRetention is the tentpole's retention claim at the
@@ -13,12 +14,11 @@ import (
 // bounded tail; the identical epochs-off run retains the entire history.
 func TestEpochBoundsRetention(t *testing.T) {
 	t.Parallel()
-	const total = 16 << 20
-	on, hOn, _ := rejoinRun(t, "", 5, restorableStream, total,
-		core.WithEpochCheckpoints(300*time.Millisecond, 0))
-	off, hOff, _ := rejoinRun(t, "", 5, restorableStream, total)
-	if hOn != hOff {
-		t.Errorf("epochs-on stream hash %x != epochs-off hash %x", hOn, hOff)
+	sc := oracle.Scenario{SimSeed: 5, Size: 16 << 20}
+	on, outOn := stream(t, sc, nil, core.WithEpochCheckpoints(300*time.Millisecond, 0))
+	off, outOff := stream(t, sc, nil)
+	if outOn != outOff {
+		t.Errorf("the epochs-on run's client saw %q, the epochs-off run's %q", outOn, outOff)
 	}
 
 	ps := on.Active().NS.Stats()
@@ -66,24 +66,19 @@ func TestEpochRejoinRacesConcurrentCut(t *testing.T) {
 	// keeps tuples — and 50 ms epoch markers — flowing across and past the
 	// resync window, while the post-resync tail (paced by output commit to
 	// the fresh backup) still finishes well inside the deadline.
-	const total = 48 << 20
-	opts := []core.Option{core.WithEpochCheckpoints(50*time.Millisecond, 0)}
-	sys, h, _ := rejoinRun(t, "kill primary @2s", 9, restorableStream, total, opts...)
-	_, base, _ := rejoinRun(t, "", 9, restorableStream, total, opts...)
-	if h != base {
-		t.Errorf("stream hash %x != never-failed baseline %x", h, base)
+	sc := oracle.Scenario{SimSeed: 9, Size: 48 << 20}
+	every := core.WithEpochCheckpoints(50*time.Millisecond, 0)
+	_, base := stream(t, sc, nil, every)
+	sc.Chaos = "kill primary @2s"
+	sys, out := stream(t, sc, nil, every)
+	if out != base {
+		t.Errorf("the client saw %q, the never-failed baseline's client %q", out, base)
 	}
 	if g := sys.Generation(); g != 1 {
 		t.Errorf("generation = %d, want 1", g)
 	}
-	if st := sys.State(); st != core.StateReplicated {
-		t.Errorf("end state = %v, want replicated", st)
-	}
 	if err := sys.RejoinErr(); err != nil {
 		t.Errorf("rejoin error: %v", err)
-	}
-	if d := sys.Standby().NS.Stats().Divergences; d != 0 {
-		t.Errorf("rejoined backup recorded %d divergences", d)
 	}
 	// The post-rejoin backup must itself have resumed verifying and
 	// truncating: retention stays bounded across generations.
@@ -99,26 +94,18 @@ func TestEpochRejoinRacesConcurrentCut(t *testing.T) {
 // produce the never-failed byte stream from replayed state alone.
 func TestEpochKillDuringPreCopy(t *testing.T) {
 	t.Parallel()
-	const total = 32 << 20
+	sc := oracle.Scenario{SimSeed: 13, Size: 32 << 20}
 	opts := []core.Option{
 		core.WithEpochCheckpoints(time.Second, 0),
 		func(c *core.Config) { c.Epochs.PerByteCopyCost = time.Microsecond },
 	}
-	sys, h, _ := rejoinRun(t, "kill primary @2500ms", 13, restorableStream, total, opts...)
-	_, base, _ := rejoinRun(t, "", 13, restorableStream, total, opts...)
-	if h != base {
-		t.Errorf("stream hash %x != never-failed baseline %x", h, base)
-	}
-	if inj := sys.Injector(); inj.Kills < 1 {
-		t.Fatalf("injector delivered %d kills, want 1", inj.Kills)
-	}
-	if st := sys.State(); st != core.StateReplicated {
-		t.Errorf("end state = %v, want replicated", st)
+	_, base := stream(t, sc, nil, opts...)
+	sc.Chaos = "kill primary @2500ms"
+	sys, out := stream(t, sc, nil, opts...)
+	if out != base {
+		t.Errorf("the client saw %q, the never-failed baseline's client %q", out, base)
 	}
 	if err := sys.RejoinErr(); err != nil {
 		t.Errorf("rejoin error: %v", err)
-	}
-	if d := sys.Active().NS.Stats().Divergences; d != 0 {
-		t.Errorf("promoted replica recorded %d divergences", d)
 	}
 }

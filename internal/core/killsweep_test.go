@@ -103,27 +103,26 @@ func sweep(t *testing.T, app string, cfg sweepConfig) {
 }
 
 // TestKillDuringRejoin is rung (d) of the correctness ladder: kills during
-// a checkpoint-seeded rejoin (restorableStream with epoch checkpoints every
-// 100 ms) of the partition freed by `kill primary @250ms`, which starts
-// 100 ms after the failover while the 6 MiB download still runs, at one
-// det shard and four. It
-// kills the rejoining backup as each bulk transfer of its seed lands; the
-// survivor as each log transfer of the delta replay that follows lands,
-// from the rejoin's start until the new backup has replayed up to the
-// attach frontier; and, at three replicas, the new primary as each bulk
-// transfer lands — back to back with the first kill. Each run has item 1's
-// oracle, and ends healthy with no rejoin error after a later rejoin that
-// completes.
+// a checkpoint-seeded rejoin (the restream download with epoch checkpoints
+// every 100 ms) of the partition freed by `kill primary @250ms`, which
+// starts 100 ms after the failover while the 6 MiB download still runs, at
+// one det shard and four. It kills the rejoining backup as each bulk
+// transfer of its seed lands; the survivor as each log transfer of the
+// delta replay that follows lands, from the rejoin's start until the new
+// backup has replayed up to the attach frontier; and, at three replicas,
+// the new primary as each bulk transfer lands — back to back with the
+// first kill. Each run passes stream's checks, item 1's oracle, and ends
+// healthy with no rejoin error after a later rejoin that completes.
 func TestKillDuringRejoin(t *testing.T) {
 	t.Parallel()
-	const total = 6 << 20
 	start := time.Now()
 	kills := 0
+	opts := []core.Option{core.WithEpochCheckpoints(100*time.Millisecond, 0), core.WithRejoinDelay(100 * time.Millisecond)}
 	for _, shards := range []int{1, 4} {
-		opts := []core.Option{core.WithEpochCheckpoints(100*time.Millisecond, 0), core.WithDetShards(shards),
-			core.WithRejoinDelay(100 * time.Millisecond), core.WithTrace()}
-		_, want, _ := rejoinRun(t, "", 1, restorableStream, total, opts...)
-		first, _, _ := rejoinRun(t, "kill primary @250ms", 1, restorableStream, total, opts...)
+		sc := oracle.Scenario{SimSeed: 1, Size: 6 << 20, Shards: shards}
+		_, want := stream(t, sc, nil, opts...)
+		sc.Chaos = "kill primary @250ms"
+		first, _ := stream(t, sc, nil, opts...)
 		if seeds := seedEpochs(first); len(seeds) != 1 || seeds[0] == 0 {
 			t.Fatalf("shards=%d: the rejoin seeded from epochs %v, want one verified cut", shards, seeds)
 		}
@@ -142,17 +141,17 @@ func TestKillDuringRejoin(t *testing.T) {
 			specs = append(specs, fmt.Sprintf("kill primary @250ms; kill primary @bulk#%d n=3", n))
 		}
 		for _, spec := range specs {
-			extra := opts
+			sc.Chaos, sc.Replicas = spec, 2
 			if s, ok := strings.CutSuffix(spec, " n=3"); ok {
-				spec, extra = s, append(opts[:len(opts):len(opts)], core.WithReplicaSet(3))
+				sc.Chaos, sc.Replicas = s, 3
 			}
-			label := fmt.Sprintf("shards=%d: %s (N=%d)", shards, spec, 2+len(extra)-len(opts))
-			sys, got, _ := rejoinRun(t, spec, 1, restorableStream, total, extra...)
+			label := fmt.Sprintf("shards=%d: %s (N=%d)", shards, sc.Chaos, sc.Replicas)
+			sys, got := stream(t, sc, nil, opts...)
 			kills++
 			if got != want {
-				t.Errorf("%s: the client's stream hashes to %x, the never-failed run's to %x", label, got, want)
+				t.Errorf("%s: the client saw %q, the never-failed run's client %q", label, got, want)
 			}
-			if err := errors.Join(oracle.KilledRun(sys, 2), oracle.DigestsAgree(sys), sys.RejoinErr(), sys.Healthy()); err != nil {
+			if err := errors.Join(sys.RejoinErr(), sys.Healthy()); err != nil {
 				t.Errorf("%s: %v", label, err)
 			}
 			if last := lastRejoinDone(sys); last < lastKill(sys) {

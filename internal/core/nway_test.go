@@ -1,36 +1,19 @@
 package core_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/apps/restream"
 	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/shm"
 	"repro/internal/sim"
-	"repro/internal/tcpstack"
 )
-
-// nwayOpts is the common quiet deployment for replica-set tests.
-func nwayOpts(seed int64, n, q int, extra ...core.Option) []core.Option {
-	opts := []core.Option{
-		core.WithSeed(seed),
-		core.WithKernelParams(quietParams()),
-		withMSS(16 << 10),
-		fastNICReload,
-		core.WithReplicaSet(n),
-		func(c *core.Config) { c.Quorum = q },
-	}
-	return append(opts, extra...)
-}
 
 // lagRing adds fixed delivery latency to one named ring — a per-link lag
 // no chaos schedule can express (schedules match whole channel classes).
@@ -47,63 +30,6 @@ func lagRing(t *testing.T, sys *core.System, name string, d time.Duration) {
 	t.Fatalf("ring %q not found", name)
 }
 
-// nwayDownload streams total patterned bytes through an n-replica
-// deployment, runs until its work is done, and returns the system, the
-// received-stream hash, and the virtual time the last byte arrived.
-func nwayDownload(t *testing.T, total int, opts []core.Option,
-	after func(sys *core.System)) (*core.System, uint64, sim.Time) {
-	t.Helper()
-	sys, err := core.New(opts...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	client, err := sys.AttachNetwork(slowLAN())
-	if err != nil {
-		t.Fatalf("attach network: %v", err)
-	}
-	sys.Run(plainStream(total))
-	if after != nil {
-		after(sys)
-	}
-	h := fnv.New64a()
-	got := 0
-	var doneAt sim.Time
-	client.Kernel.Spawn("wget", func(tk *kernel.Task) {
-		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		want := make([]byte, 256<<10)
-		for {
-			data, err := c.Recv(tk, 256<<10)
-			if errors.Is(err, tcpstack.EOF) {
-				break
-			}
-			if err != nil {
-				t.Errorf("recv after %d bytes: %v", got, err)
-				return
-			}
-			restream.Fill(want[:len(data)], got)
-			if !bytes.Equal(data, want[:len(data)]) {
-				t.Errorf("stream diverged from the deterministic pattern at offset %d", got)
-				return
-			}
-			h.Write(data)
-			got += len(data)
-		}
-		doneAt = tk.Now()
-	})
-	if err := sys.Sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got != total {
-		t.Fatalf("client received %d of %d bytes by the end of the run at %v (state %v, rejoinErr %v)",
-			got, total, sys.Sim.Now(), sys.State(), sys.RejoinErr())
-	}
-	return sys, h.Sum64(), doneAt
-}
-
 // TestNWayQuorumCommitProceedsWithLaggedBackup is the tentpole's commit
 // rule: with N=3 and quorum 2, a backup whose log deliveries (and so its
 // receipt watermark) lag by 300µs per transfer must not slow output
@@ -114,7 +40,6 @@ func nwayDownload(t *testing.T, total int, opts []core.Option,
 // commit-wait histogram directly.
 func TestNWayQuorumCommitProceedsWithLaggedBackup(t *testing.T) {
 	t.Parallel()
-	const total = 4 << 20
 	lag := func(sys *core.System) { lagRing(t, sys, "ftns.log.r2", 300*time.Microsecond) }
 
 	commitWait := func(sys *core.System) float64 {
@@ -126,13 +51,13 @@ func TestNWayQuorumCommitProceedsWithLaggedBackup(t *testing.T) {
 		t.Fatal("no ftns.commit.wait samples")
 		return 0
 	}
-	sys2, h2, _ := nwayDownload(t, total,
-		nwayOpts(21, 3, 2), lag)
-	sys3, h3, _ := nwayDownload(t, total,
-		nwayOpts(21, 3, 3), lag)
+	sc := oracle.Scenario{SimSeed: 21, Size: 4 << 20, Replicas: 3, Quorum: 2}
+	sys2, out2 := stream(t, sc, lag)
+	sc.Quorum = 3
+	sys3, out3 := stream(t, sc, lag)
 
-	if h2 != h3 {
-		t.Errorf("stream hash differs across quorum settings: %x vs %x", h2, h3)
+	if out2 != out3 {
+		t.Errorf("the client's stream differs across quorum settings: %q vs %q", out2, out3)
 	}
 	w2, w3 := commitWait(sys2), commitWait(sys3)
 	if w2 >= w3 {
@@ -155,17 +80,15 @@ func healthAt(at time.Duration, st *core.LifecycleState, err *error) func(*core.
 // same-seed run byte for byte.
 func TestNWayBackupKillStaysAtQuorum(t *testing.T) {
 	t.Parallel()
-	const total = 8 << 20
-	_, base, _ := nwayDownload(t, total,
-		nwayOpts(23, 3, 2), nil)
+	sc := oracle.Scenario{SimSeed: 23, Size: 8 << 20, Replicas: 3, Quorum: 2}
+	_, base := stream(t, sc, nil)
 	var st core.LifecycleState
 	var err error
-	sys, h, _ := nwayDownload(t, total,
-		nwayOpts(23, 3, 2,
-			withChaos("kill backup1 @1s")), healthAt(2*time.Second, &st, &err))
+	sc.Chaos = "kill backup1 @1s"
+	sys, out := stream(t, sc, healthAt(2*time.Second, &st, &err))
 
-	if h != base {
-		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
+	if out != base {
+		t.Errorf("the client saw %q, the never-failed same-seed run's client %q", out, base)
 	}
 	if sys.ReplicaSet[1].Kernel.Alive() {
 		t.Error("backup slot 1 should be dead")
@@ -193,12 +116,10 @@ func TestNWayBackupKillStaysAtQuorum(t *testing.T) {
 // fallback keeps the stream flowing and byte-correct.
 func TestNWayQuorumLossSurfaced(t *testing.T) {
 	t.Parallel()
-	const total = 8 << 20
 	var st core.LifecycleState
 	var err error
-	sys, _, _ := nwayDownload(t, total,
-		nwayOpts(25, 3, 3, core.WithTrace(),
-			withChaos("kill backup2 @1s")), healthAt(2*time.Second, &st, &err))
+	sys, _ := stream(t, oracle.Scenario{SimSeed: 25, Size: 8 << 20, Replicas: 3, Quorum: 3, Chaos: "kill backup2 @1s"},
+		healthAt(2*time.Second, &st, &err))
 
 	if st != core.StateDegraded {
 		t.Errorf("state after the kill = %v, want degraded", st)
@@ -231,16 +152,15 @@ func TestNWayQuorumLossSurfaced(t *testing.T) {
 // the never-failed run.
 func TestNWayElectionPromotesMostCaughtUp(t *testing.T) {
 	t.Parallel()
-	const total = 8 << 20
-	_, base, _ := nwayDownload(t, total,
-		nwayOpts(27, 3, 2), nil)
+	sc := oracle.Scenario{SimSeed: 27, Size: 8 << 20, Replicas: 3, Quorum: 2}
+	_, base := stream(t, sc, nil)
 
 	lag := func(sys *core.System) { lagRing(t, sys, "ftns.log.r2", 500*time.Microsecond) }
-	sys, h, _ := nwayDownload(t, total,
-		nwayOpts(27, 3, 2, core.WithTrace(), withChaos("kill primary @1s")), lag)
+	sc.Chaos = "kill primary @1s"
+	sys, out := stream(t, sc, lag)
 
-	if h != base {
-		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
+	if out != base {
+		t.Errorf("the client saw %q, the never-failed same-seed run's client %q", out, base)
 	}
 	if got := sys.Active(); got != sys.ReplicaSet[1] {
 		t.Fatalf("active replica slot = %d, want the caught-up slot 1", got.Slot())
@@ -282,18 +202,13 @@ func TestNWayElectionPromotesMostCaughtUp(t *testing.T) {
 // never-failed same-seed run byte for byte.
 func TestNWayRollingReplacement(t *testing.T) {
 	t.Parallel()
-	const total = 24 << 20
-	opts := func(spec string) []core.Option {
-		o := nwayOpts(29, 3, 2, core.WithRejoinDelay(2*time.Second))
-		if spec != "" {
-			o = append(o, withChaos(spec))
-		}
-		return o
-	}
-	_, base, _ := nwayDownload(t, total, opts(""), nil)
-	sys, h, _ := nwayDownload(t, total, opts("kill primary @2s"), nil)
-	if h != base {
-		t.Errorf("stream hash %x != never-failed same-seed hash %x", h, base)
+	sc := oracle.Scenario{SimSeed: 29, Size: 24 << 20, Replicas: 3, Quorum: 2}
+	repair := core.WithRejoinDelay(2 * time.Second)
+	_, base := stream(t, sc, nil, repair)
+	sc.Chaos = "kill primary @2s"
+	sys, out := stream(t, sc, nil, repair)
+	if out != base {
+		t.Errorf("the client saw %q, the never-failed same-seed run's client %q", out, base)
 	}
 	if st, g := sys.State(), sys.Generation(); st != core.StateReplicated || g != 2 {
 		t.Fatalf("run ended in state %v at generation %d, want full strength after two rejoins", st, g)
@@ -328,10 +243,7 @@ func TestNWayRollingReplacement(t *testing.T) {
 // TestNWayRetireErrors pins the rolling-replacement error surface.
 func TestNWayRetireErrors(t *testing.T) {
 	t.Parallel()
-	sys, err := core.New(nwayOpts(31, 3, 2)...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	sys := quietSystem(t, 31, core.WithReplicaSet(3))
 	if err := sys.Retire(nil); !errors.Is(err, core.ErrReplicaRetired) {
 		t.Errorf("Retire(nil) = %v, want ErrReplicaRetired", err)
 	}
@@ -360,11 +272,7 @@ func TestNWayRetireErrors(t *testing.T) {
 // no resyncing state — and leave the failover to the detectors.
 func TestRejoinRefusesDeadActive(t *testing.T) {
 	t.Parallel()
-	sys, err := core.New(nwayOpts(33, 3, 2,
-		withChaos("kill backup2 @1s"))...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	sys := quietSystem(t, 33, core.WithReplicaSet(3), withChaos("kill backup2 @1s"))
 	done := 0
 	sys.Run(core.App{Name: "echo", Main: echoApp(80, 1, &done)})
 	var rerr error
@@ -391,12 +299,10 @@ func TestRejoinRefusesDeadActive(t *testing.T) {
 // without a single divergence.
 func TestShardsAcrossReplicaSets(t *testing.T) {
 	t.Parallel()
-	const total = 2 << 20
 	for _, n := range []int{2, 3} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("replicas=%d/shards=%d", n, shards), func(t *testing.T) {
-				sys, _, _ := nwayDownload(t, total,
-					nwayOpts(33, n, 2, core.WithDetShards(shards)), nil)
+				sys, _ := stream(t, oracle.Scenario{SimSeed: 33, Size: 2 << 20, Replicas: n, Quorum: 2, Shards: shards}, nil)
 				if got := len(sys.Backups()); got != n-1 {
 					t.Fatalf("backup count = %d, want %d", got, n-1)
 				}
@@ -438,10 +344,7 @@ func TestReplicaSetValidation(t *testing.T) {
 		t.Error("2-domain placement for 3 replicas accepted, want error")
 	}
 	for n, wantQ := range map[int]int{2: 2, 3: 2, 4: 3, 5: 3} {
-		sys, err := core.New(nwayOpts(1, n, 0)...)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		sys := quietSystem(t, 1, core.WithReplicaSet(n))
 		if sys.Cfg.Quorum != wantQ {
 			t.Errorf("n=%d: default quorum = %d, want majority %d", n, sys.Cfg.Quorum, wantQ)
 		}

@@ -1,25 +1,21 @@
 package core_test
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/apps/restream"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/replication"
+	"repro/internal/oracle"
 	"repro/internal/sim"
-	"repro/internal/simnet"
-	"repro/internal/tcprep"
-	"repro/internal/tcpstack"
 )
 
 func quietParams() kernel.Params {
@@ -28,35 +24,10 @@ func quietParams() kernel.Params {
 	return p
 }
 
-// slowLAN throttles the client link so a multi-failure timeline fits in a
-// stream that is still small enough to verify byte by byte.
-func slowLAN() simnet.LinkConfig {
-	return simnet.LinkConfig{BitsPerSec: 100e6, Latency: 100 * time.Microsecond}
-}
-
 // Output-commit pacing (not the link) bounds the simulated stream at
 // roughly 2 MB/s, so 64 MiB keeps the transfer alive past a second kill
 // at t=15s while finishing well inside the run window.
 const rejoinStreamTotal = 64 << 20
-
-// plainStream and restorableStream are the two launches of the same
-// restream server: a plain Main that a rejoined backup replays from its
-// first section — the non-State launch path — and the restorable app epoch
-// checkpoints require (a backup seeded from a cut resumes it from its
-// snapshot). plainStream builds a fresh Server on every start, one per
-// replica and per rejoin: a shared one would race on the offset.
-func plainStream(total int) core.App {
-	cfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: total}
-	return core.App{Name: "stream", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
-		restream.New(cfg).Main(th, socks)
-	}}
-}
-
-func restorableStream(total int) core.App {
-	return core.App{Name: "stream", State: func() core.AppState {
-		return restream.New(restream.Config{Port: 80, Chunk: 64 << 10, Total: total})
-	}}
-}
 
 // withChaos drives the chaos schedule spec against the deployment.
 func withChaos(spec string) core.Option {
@@ -64,77 +35,42 @@ func withChaos(spec string) core.Option {
 	return func(c *core.Config) { c.Chaos = sched }
 }
 
-// fastNICReload shortens the NIC driver reload that dominates failover
-// from 5 s to 1 s.
-func fastNICReload(c *core.Config) { c.NICDriverLoadTime = time.Second }
-
-// rejoinRun boots a deployment via the functional-options API, streams
-// total patterned bytes from app to a client under the given chaos
-// schedule (empty = fault-free baseline), verifies every received chunk
-// against the deterministic pattern as it arrives, runs until the
-// deployment's work is done — a run that goes quiet with an app main stuck
-// fails with Wait's *core.HangError — and returns the system, the FNV-1a
-// hash of the received stream, and every lifecycle state the system passed
-// through, in order. Callers pass WithEpochCheckpoints, WithDetShards and
-// the like through extra.
-func rejoinRun(t *testing.T, spec string, seed int64, app func(total int) core.App, total int, extra ...core.Option) (*core.System, uint64, []core.LifecycleState) {
+// stream deploys sc's restream download of sc.Size bytes (which must be
+// set) through oracle.Deploy — two replicas and one det shard unless sc
+// sets them, and always strict output commit, the shipped default — with
+// 16 KiB segments and extra, hands the system to prepare, if any, before
+// it runs, runs it and fails unless checkStream passes. It returns the
+// system and the client's output: the byte count and the stream's hash.
+func stream(t *testing.T, sc oracle.Scenario, prepare func(*core.System), extra ...core.Option) (*core.System, string) {
 	t.Helper()
-	opts := []core.Option{
-		core.WithSeed(seed),
-		core.WithKernelParams(quietParams()),
-		withMSS(16 << 10),
-		fastNICReload,
-		core.WithRejoinDelay(3 * time.Second),
-	}
-	opts = append(opts, extra...)
-	if spec != "" {
-		opts = append(opts, withChaos(spec))
-	}
-	sys, err := core.New(opts...)
+	sc.App, sc.Replicas, sc.Shards, sc.Strict = "restream", cmp.Or(sc.Replicas, 2), cmp.Or(sc.Shards, 1), true
+	sys, run, err := oracle.Deploy(sc, append([]core.Option{withMSS(16 << 10)}, extra...)...)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatal(err)
 	}
-	client, err := sys.AttachNetwork(slowLAN())
+	if prepare != nil {
+		prepare(sys)
+	}
+	out, err := run()
+	if err == nil {
+		err = checkStream(sys, out, sc.Size)
+	}
 	if err != nil {
-		t.Fatalf("attach network: %v", err)
+		t.Fatalf("chaos %q: %v", sc.Chaos, err)
 	}
-	sys.Run(app(total))
+	return sys, out
+}
 
-	h := fnv.New64a()
-	got := 0
-	client.Kernel.Spawn("wget", func(tk *kernel.Task) {
-		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		want := make([]byte, 256<<10)
-		for {
-			data, err := c.Recv(tk, 256<<10)
-			if errors.Is(err, tcpstack.EOF) {
-				return
-			}
-			if err != nil {
-				t.Errorf("recv after %d bytes: %v", got, err)
-				return
-			}
-			restream.Fill(want[:len(data)], got)
-			if !bytes.Equal(data, want[:len(data)]) {
-				t.Errorf("stream diverged from never-failed pattern at offset %d", got)
-				return
-			}
-			h.Write(data)
-			got += len(data)
-		}
-	})
-	if err := sys.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+// checkStream checks a finished download: its client read all total bytes
+// of the pattern — a short stream names the tasks a hang left stuck
+// (Wait) — and the run passes oracle.KilledRun, which counts every kill of
+// its chaos schedule delivered, and oracle.DigestsAgree.
+func checkStream(sys *core.System, out string, total int64) error {
+	if !strings.HasPrefix(out, fmt.Sprintf("%d B, ", total)) {
+		return errors.Join(fmt.Errorf("the client saw %q, want all %d bytes of the pattern (state %v, rejoin error %v)",
+			out, total, sys.State(), sys.RejoinErr()), sys.Wait())
 	}
-	if got != total {
-		t.Fatalf("client received %d of %d bytes by the end of the run at %v (state %v, rejoinErr %v)",
-			got, total, sys.Sim.Now(), sys.State(), sys.RejoinErr())
-	}
-	return sys, h.Sum64(), lifecycleStates(sys)
+	return errors.Join(oracle.KilledRun(sys, len(sys.Cfg.Chaos.Kills)), oracle.DigestsAgree(sys))
 }
 
 // lifecycleStates returns every lifecycle state of a run, in order, read
@@ -203,14 +139,13 @@ func TestRejoinSecondFailureAfterResync(t *testing.T) {
 	}
 	rows := []struct {
 		name   string
-		app    func(int) core.App
 		opts   []core.Option
 		shards []int
 		seeded [2]bool // whether each rejoin must seed from an epoch > 0
 	}{
-		{"epochs-off", plainStream, nil, []int{1, 4}, [2]bool{false, false}},
-		{"epochs-on", restorableStream, epochs(500 * time.Millisecond), []int{1, 4}, [2]bool{true, true}},
-		{"first-kill-before-first-cut", restorableStream, epochs(3 * time.Second), []int{1}, [2]bool{false, true}},
+		{"epochs-off", nil, []int{1, 4}, [2]bool{false, false}},
+		{"epochs-on", epochs(500 * time.Millisecond), []int{1, 4}, [2]bool{true, true}},
+		{"first-kill-before-first-cut", epochs(3 * time.Second), []int{1}, [2]bool{false, true}},
 	}
 	wantStates := []core.LifecycleState{
 		core.StateReplicated,
@@ -219,21 +154,18 @@ func TestRejoinSecondFailureAfterResync(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			_, base, _ := rejoinRun(t, "", 7, row.app, rejoinStreamTotal, row.opts...)
+			_, base := stream(t, oracle.Scenario{SimSeed: 7, Size: rejoinStreamTotal}, nil, row.opts...)
 			for _, shards := range row.shards {
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					sys, h, states := rejoinRun(t, "kill primary @2s; kill primary @10s", 7,
-						row.app, rejoinStreamTotal, append(row.opts[:len(row.opts):len(row.opts)], core.WithDetShards(shards))...)
-					if h != base {
-						t.Errorf("chaos-run stream hash %x != never-failed same-seed hash %x", h, base)
+					sys, out := stream(t, oracle.Scenario{SimSeed: 7, Size: rejoinStreamTotal, Shards: shards,
+						Chaos: "kill primary @2s; kill primary @10s"}, nil, row.opts...)
+					if out != base {
+						t.Errorf("the client saw %q, the never-failed same-seed run's client %q", out, base)
 					}
-					if err := sys.RejoinErr(); err != nil {
-						t.Errorf("rejoin error: %v", err)
+					if err := errors.Join(sys.RejoinErr(), sys.Healthy()); err != nil {
+						t.Errorf("rejoin error or unhealthy end: %v", err)
 					}
-					if err := sys.Healthy(); err != nil {
-						t.Errorf("end state not healthy: %v", err)
-					}
-					if !reflect.DeepEqual(states, wantStates) {
+					if states := lifecycleStates(sys); !reflect.DeepEqual(states, wantStates) {
 						t.Errorf("lifecycle states = %v, want %v", states, wantStates)
 					}
 					seeds := seedEpochs(sys)
@@ -243,18 +175,6 @@ func TestRejoinSecondFailureAfterResync(t *testing.T) {
 					for i, epoch := range seeds {
 						if (epoch > 0) != row.seeded[i] {
 							t.Errorf("rejoin %d seeded from epoch %d, want epoch>0 = %v", i+1, epoch, row.seeded[i])
-						}
-					}
-					// Both survivors spent time replaying as a secondary; neither
-					// may have seen a single replay mismatch — including at the
-					// epoch boundaries, where the digest check would have killed
-					// the replica on any deviation from the recorded state.
-					for _, rep := range []*core.Replica{sys.Active(), sys.Standby()} {
-						if rep == nil || !rep.Kernel.Alive() {
-							t.Fatal("active or standby replica missing at end")
-						}
-						if d := rep.NS.Stats().Divergences; d != 0 {
-							t.Errorf("slot %d recorded %d divergences", rep.Slot(), d)
 						}
 					}
 				})
@@ -270,7 +190,7 @@ func TestRejoinSecondFailureAfterResync(t *testing.T) {
 // — and checks each against the same never-failed same-seed baseline.
 func TestRejoinChaosSchedules(t *testing.T) {
 	t.Parallel()
-	_, base, _ := rejoinRun(t, "", 11, plainStream, rejoinStreamTotal)
+	_, base := stream(t, oracle.Scenario{SimSeed: 11, Size: rejoinStreamTotal}, nil)
 	schedules := map[string]string{
 		"double-kill": "kill primary @2s; kill primary @10s",
 		"hb-storm":    "drop hb p0.5 500ms..800ms; kill primary @6s; kill primary @15s",
@@ -278,21 +198,15 @@ func TestRejoinChaosSchedules(t *testing.T) {
 	}
 	for name, spec := range schedules {
 		t.Run(name, func(t *testing.T) {
-			sys, h, states := rejoinRun(t, spec, 11, plainStream, rejoinStreamTotal)
-			if h != base {
-				t.Errorf("stream hash %x != never-failed baseline %x", h, base)
+			sys, out := stream(t, oracle.Scenario{SimSeed: 11, Size: rejoinStreamTotal, Chaos: spec}, nil)
+			if out != base {
+				t.Errorf("the client saw %q, the never-failed baseline's client %q", out, base)
 			}
 			if g := sys.Generation(); g < 2 {
 				t.Errorf("generation = %d, want >= 2", g)
 			}
-			if st := sys.State(); st != core.StateReplicated {
-				t.Errorf("end state = %v, want replicated (states %v)", st, states)
-			}
 			if err := sys.RejoinErr(); err != nil {
 				t.Errorf("rejoin error: %v", err)
-			}
-			if inj := sys.Injector(); inj.Kills < 2 {
-				t.Errorf("injector delivered %d kills, want >= 2", inj.Kills)
 			}
 		})
 	}
@@ -304,79 +218,26 @@ func TestRejoinChaosSchedules(t *testing.T) {
 // the stream unchanged; the freed partition then rejoins again.
 func TestRejoinMidResyncActiveKill(t *testing.T) {
 	t.Parallel()
-	sys, err := core.New(
-		core.WithSeed(3),
-		core.WithKernelParams(quietParams()),
-		withMSS(16<<10),
-		fastNICReload,
-		core.WithRejoinDelay(3*time.Second),
-		withChaos("kill primary @2s"),
-	)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	client, err := sys.AttachNetwork(slowLAN())
-	if err != nil {
-		t.Fatalf("attach network: %v", err)
-	}
-	total := 48 << 20
-	sys.Run(plainStream(total))
-
 	// As soon as the resync starts, kill the active side 50 ms in — while
 	// the catch-up replay is still streaming. The watch polls as background
 	// work, so it never holds the run open; the kill it arms does.
 	killed := false
-	sys.Sim.SpawnAfter("watch", 2*time.Millisecond, func(p *sim.Proc) {
-		p.SetBackground(true)
-		for sys.State() != core.StateResyncing {
-			p.Sleep(2 * time.Millisecond)
-		}
-		p.SetBackground(false)
-		killed = true
-		node := sys.Active().Kernel.Partition().Nodes()[0].ID
-		p.Sleep(50 * time.Millisecond)
-		sys.Machine.Inject(hw.Fault{Kind: hw.CoreFailStop, Node: node, Core: -1, Addr: -1})
-	})
-
-	h := fnv.New64a()
-	got := 0
-	client.Kernel.Spawn("wget", func(tk *kernel.Task) {
-		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		want := make([]byte, 256<<10)
-		for {
-			data, err := c.Recv(tk, 256<<10)
-			if errors.Is(err, tcpstack.EOF) {
-				return
+	watch := func(sys *core.System) {
+		sys.Sim.SpawnAfter("watch", 2*time.Millisecond, func(p *sim.Proc) {
+			p.SetBackground(true)
+			for sys.State() != core.StateResyncing {
+				p.Sleep(2 * time.Millisecond)
 			}
-			if err != nil {
-				t.Errorf("recv after %d bytes: %v", got, err)
-				return
-			}
-			restream.Fill(want[:len(data)], got)
-			if !bytes.Equal(data, want[:len(data)]) {
-				t.Errorf("stream diverged at offset %d after mid-resync promotion", got)
-				return
-			}
-			h.Write(data)
-			got += len(data)
-		}
-	})
-	if err := sys.Sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+			p.SetBackground(false)
+			killed = true
+			node := sys.Active().Kernel.Partition().Nodes()[0].ID
+			p.Sleep(50 * time.Millisecond)
+			sys.Machine.Inject(hw.Fault{Kind: hw.CoreFailStop, Node: node, Core: -1, Addr: -1})
+		})
 	}
+	sys, _ := stream(t, oracle.Scenario{SimSeed: 3, Size: 48 << 20, Chaos: "kill primary @2s"}, watch)
 	if !killed {
 		t.Fatal("never observed StateResyncing to inject the second failure")
-	}
-	if got != total {
-		t.Fatalf("client received %d of %d bytes (state %v, rejoinErr %v)",
-			got, total, sys.State(), sys.RejoinErr())
-	}
-	if st := sys.State(); st != core.StateReplicated {
-		t.Errorf("end state = %v, want replicated", st)
 	}
 	if g := sys.Generation(); g != 2 {
 		t.Errorf("generation = %d, want 2", g)

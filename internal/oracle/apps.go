@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -75,20 +76,20 @@ var Download = App{"download", true, true, func(c *core.Config) { c.TCP.MSS = 32
 	}, nil
 }}
 
-// Restream streams 256 KiB of the restream pattern to one client, which
-// checks every byte against the pattern; its output is the byte count and
-// the stream's FNV-1a hash. It is single-threaded and restorable.
+// Restream streams Size bytes of the restream pattern, 256 KiB when Size is
+// 0, to one StreamClient. It is single-threaded and restorable.
 var Restream = App{"restream", true, true, quiet, func(sys *core.System, sc Scenario) (func() (string, error), error) {
-	const total = 256 << 10
-	cfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: total}
-	app := core.App{Name: "stream", Main: func(th *replication.Thread, socks *tcprep.Sockets) {
-		restream.New(cfg).Main(th, socks)
-	}}
-	if sys.Cfg.Epochs.Enabled() {
-		app = core.App{Name: "stream", State: func() core.AppState { return restream.New(cfg) }}
-	}
-	sys.Run(app)
-	return runClient(sys, sc.Ports, func(tk *kernel.Task, client *core.Client, out *strings.Builder) {
+	cfg := restream.Config{Port: 80, Chunk: 64 << 10, Total: int(cmp.Or(sc.Size, 256<<10))}
+	sys.Run(core.App{Name: "stream", State: func() core.AppState { return restream.New(cfg) }})
+	return StreamClient(sys, sc.Ports)
+}}
+
+// StreamClient runs a client of the restream server on port 80 that checks
+// every byte against the pattern. Its output is the byte count and the
+// stream's FNV-1a hash, after a note of each divergence from the pattern
+// and of an error other than the stream's end.
+func StreamClient(sys *core.System, ports int) (func() (string, error), error) {
+	return runClient(sys, ports, func(tk *kernel.Task, client *core.Client, out *strings.Builder) {
 		c, err := client.Stack.Connect(tk, client.ServerAddr(80))
 		h, got, want := fnv.New64a(), 0, make([]byte, 64<<10)
 		for err == nil {
@@ -107,7 +108,7 @@ var Restream = App{"restream", true, true, quiet, func(sys *core.System, sc Scen
 		}
 		fmt.Fprintf(out, "%d B, fnv %x", got, h.Sum64())
 	})
-}}
+}
 
 // Mongoose serves three sequential 10 KiB page requests.
 var Mongoose = App{"mongoose", true, false, quiet, func(sys *core.System, sc Scenario) (func() (string, error), error) {

@@ -24,7 +24,8 @@ type Scenario struct {
 	Index   int   `json:",omitempty"`
 	SimSeed int64
 	App     string
-	// Size is the download app's file size in bytes.
+	// Size is the bytes the download and restream apps stream; restream
+	// streams 256 KiB when it is 0.
 	Size                              int64 `json:",omitempty"`
 	Workers, Shards, Replicas, Quorum int   // Quorum 0: a majority of the set
 	Strict, Epochs                    bool
