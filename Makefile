@@ -10,9 +10,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# ftvet enforces the two FT invariants go vet cannot see and no runtime
-# check catches in every schedule: determinism of replicated code and a
-# cycle-free lock order. The rest are runtime checks. See DESIGN.md §10.
+# ftvet enforces the one FT invariant go vet cannot see and no runtime
+# check catches in every schedule: determinism of replicated code. The
+# rest, a cycle-free lock order among them, are runtime checks. See
+# DESIGN.md §10.
 lint:
 	$(GO) run ./cmd/ftvet ./...
 
@@ -118,7 +119,7 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=1876 replication=2641 tcprep=1501 shm=1124
+LOC_CEILINGS := core=1876 replication=2638 tcprep=1501 shm=1124
 LOC_KERNEL_CEILING := 848
 LOC_BENCH_CEILING := 2078
 LOC_DESIGN_CEILING := 1372

@@ -19,8 +19,8 @@ import (
 func readPlants(t *testing.T) []plant {
 	t.Helper()
 	paths, err := filepath.Glob("../../testdata/plants/*.patch")
-	if err != nil || len(paths) != 21 {
-		t.Fatalf("plants %v (%v), want DESIGN.md §10's 21", paths, err)
+	if err != nil || len(paths) != 23 {
+		t.Fatalf("plants %v (%v), want DESIGN.md §10's 23", paths, err)
 	}
 	var plants []plant
 	for _, path := range paths {

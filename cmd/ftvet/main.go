@@ -1,13 +1,12 @@
-// Command ftvet is the FT-Linux static checker: it runs the two rules no
-// runtime check enforces — nondet (no wall clock, pid, process-seeded
-// rand or map-iteration order reaching replicated code, directly or
-// through helpers) and lockorder (no lock-acquisition cycle) — over the
-// module and exits non-zero on findings, mirroring `go vet` usage:
+// Command ftvet is the FT-Linux static checker: it runs the one rule no
+// runtime check enforces — nondet: no wall clock, pid, process-seeded rand
+// or map-iteration order reaching replicated code, directly or through
+// helpers — over the module and exits non-zero on findings, mirroring
+// `go vet` usage:
 //
 //	go run ./cmd/ftvet ./...             # whole module (the default)
 //	go run ./cmd/ftvet ./internal/tcprep ./internal/replication
-//	go run ./cmd/ftvet -list             # describe the analyzers
-//	go run ./cmd/ftvet -run nondet       # subset by name
+//	go run ./cmd/ftvet -list             # describe the analyzer
 //	go run ./cmd/ftvet -format=sarif ./... > ftvet.sarif
 //	go run ./cmd/ftvet -callgraph ./internal/replication
 //	go run ./cmd/ftvet -summary ./internal/shm
@@ -28,9 +27,10 @@
 // as a standalone command instead of a -vettool plugin.
 //
 // The other FT rules — a deterministic section neither parks nor nests,
-// a waiter is armed only after a flush, truncation waits for a verified
-// boundary — are enforced at run time; DESIGN.md §10 records the mutation
-// audit that showed which check catches what.
+// the lock order has no cycle (pthread.LockOrderError), a waiter is armed
+// only after a flush, truncation waits for a verified boundary — are
+// enforced at run time; DESIGN.md §10 records the mutation audit that
+// showed which check catches what.
 package main
 
 import (
@@ -43,16 +43,15 @@ import (
 
 	"repro/internal/analysis/flow"
 	"repro/internal/analysis/ftvet"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nondet"
 )
 
-// All is the registered analyzer suite.
-var All = []*ftvet.Analyzer{nondet.Analyzer, lockorder.Analyzer}
+// All is the registered analyzer suite: the SARIF rules and the names an
+// //ftvet:allow may give.
+var All = []*ftvet.Analyzer{nondet.Analyzer}
 
 func main() {
 	list := flag.Bool("list", false, "describe the registered analyzers and exit")
-	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	format := flag.String("format", "text", "output format: text or sarif")
 	verbose := flag.Bool("v", false, "print per-analyzer timing to stderr")
 	callgraph := flag.Bool("callgraph", false, "dump the resolved call graph instead of running analyzers")
@@ -64,23 +63,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	analyzers := All
-	if *run != "" {
-		byName := map[string]*ftvet.Analyzer{}
-		for _, a := range All {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*run, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "ftvet: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	root, module, err := findModule()
@@ -116,14 +98,7 @@ func main() {
 		return
 	}
 
-	// Subset runs still pass the full registry as the known-analyzer
-	// set, so an //ftvet:allow naming an analyzer outside this run is
-	// accepted rather than flagged as a typo.
-	known := make([]string, len(All))
-	for i, a := range All {
-		known[i] = a.Name
-	}
-	diags, timings, err := ftvet.RunTimed(loader.Fset, pkgs, analyzers, known)
+	diags, timings, err := ftvet.RunTimed(loader.Fset, pkgs, All)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -133,7 +108,7 @@ func main() {
 		for _, tm := range timings {
 			perAnalyzer[tm.Analyzer] += tm.Elapsed
 		}
-		for _, a := range analyzers {
+		for _, a := range All {
 			fmt.Fprintf(os.Stderr, "ftvet: %-12s %v over %d package(s)\n",
 				a.Name, perAnalyzer[a.Name].Round(time.Millisecond), len(pkgs))
 		}

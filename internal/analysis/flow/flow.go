@@ -4,9 +4,8 @@
 //
 // An intra-procedural check goes blind the moment a violation is wrapped
 // in one helper call: a time.Now() hidden behind `func stamp() int64`, a
-// map range collected by a helper and emitted by its caller, a lock cycle
-// whose two acquisitions live in different functions. flow closes that
-// hole with three layers:
+// map range collected by a helper and emitted by its caller. flow closes
+// that hole with three layers:
 //
 //   - a call graph: one edge per call whose target is a function or
 //     concrete method declared in the analyzed tree, plus type-set-bounded
@@ -14,11 +13,10 @@
 //     fans out to every concrete type declared in the tree that implements
 //     it (the tree is a closed world);
 //
-//   - per-function summaries (summary.go, taint.go, locks.go) iterated to
-//     fixpoint over Tarjan SCCs in bottom-up (reverse topological) order,
-//     so recursion converges: which taints a function's results carry
-//     (wall-clock, pid, rand draws, map-iteration order) and which locks
-//     it may transitively acquire;
+//   - per-function summaries (summary.go, taint.go) iterated to fixpoint
+//     over Tarjan SCCs in bottom-up (reverse topological) order, so
+//     recursion converges: which taints a function's results carry
+//     (wall-clock, pid, rand draws, map-iteration order);
 //
 //   - diagnostic traces: every taint carries the call chain back to its
 //     source, so nondet reports source → hop → … → sink with a position
@@ -27,10 +25,9 @@
 // The graph is built once per ftvet.Run and shared via Pass.Shared (see
 // Of). Everything here is conservative in the same direction as the
 // analyzers themselves: unresolvable calls (function values, out-of-tree
-// callees) contribute no edges, no taint and no locks, so the engine adds
-// findings only along chains it can actually prove. Taint crosses static
-// edges only; lock sets cross dispatch edges too, because a deadlock
-// through any implementation is still a deadlock.
+// callees) contribute no edges and no taint, so the engine adds findings
+// only along chains it can actually prove. Taint crosses static edges
+// only.
 package flow
 
 import (

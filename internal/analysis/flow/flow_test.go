@@ -21,7 +21,6 @@ func buildFixtureGraph(t *testing.T) *flow.Graph {
 	for _, p := range []string{
 		"repro/internal/timeutil",
 		"repro/internal/apps/interfix",
-		"repro/internal/lockiface",
 	} {
 		pkg, err := loader.Load(p)
 		if err != nil {
@@ -75,56 +74,45 @@ func TestTaintSummaries(t *testing.T) {
 
 // TestEffectSummariesAndSCC checks the component machinery every summary
 // rides on: mutual recursion converges with a callee's effect (here, a
-// lock acquisition) visible on both members of the cycle, and components
-// are numbered bottom-up.
+// clock read) visible on both members of the cycle, and components are
+// numbered bottom-up.
 func TestEffectSummariesAndSCC(t *testing.T) {
 	g := buildFixtureGraph(t)
 
-	ping, pong := node(t, g, "lockiface", "ping"), node(t, g, "lockiface", "pong")
-	if ping.SCC != pong.SCC {
-		t.Errorf("ping (SCC %d) and pong (SCC %d) should share a component", ping.SCC, pong.SCC)
+	outer, inner := node(t, g, "timeutil", "Backoff"), node(t, g, "timeutil", "backoff")
+	if outer.SCC != inner.SCC {
+		t.Errorf("Backoff (SCC %d) and backoff (SCC %d) should share a component", outer.SCC, inner.SCC)
 	}
-	for _, n := range []*flow.Node{ping, pong} {
-		if _, ok := n.Sum.Locks["lockiface.D.a"]; !ok {
-			t.Errorf("recursive fixpoint lost pong's lock in %s's set %v", n.Fn.Name(), n.Sum.Locks)
+	for _, n := range []*flow.Node{outer, inner} {
+		if len(n.Sum.ResultTaints) == 0 || n.Sum.ResultTaints[0].Kind != flow.TaintClock {
+			t.Errorf("recursive fixpoint lost backoff's clock taint in %s's summary %+v", n.Fn.Name(), n.Sum.ResultTaints)
 		}
 	}
 	// Bottom-up ordering: a callee's component precedes its caller's.
-	forward := node(t, g, "lockiface", "forward")
-	if lockB := node(t, g, "lockiface", "lockB"); lockB.SCC >= forward.SCC {
-		t.Errorf("callee lockB (SCC %d) must be summarized before caller forward (SCC %d)", lockB.SCC, forward.SCC)
+	if now, stamp := node(t, g, "timeutil", "now"), node(t, g, "timeutil", "Stamp"); now.SCC >= stamp.SCC {
+		t.Errorf("callee now (SCC %d) must be summarized before caller Stamp (SCC %d)", now.SCC, stamp.SCC)
 	}
-	if park := node(t, g, "lockiface", "park"); park.SCC >= node(t, g, "lockiface", "reverse").SCC {
-		t.Errorf("dispatch callee park must be summarized before caller reverse")
+	if impl := node(t, g, "interfix", "now"); impl.SCC >= node(t, g, "interfix", "tickGood").SCC {
+		t.Errorf("dispatch callee counter.now must be summarized before caller tickGood")
 	}
 }
 
-func TestLockSummariesAndDispatch(t *testing.T) {
+// TestDispatchResolvesToImplementations checks that a call through an
+// interface is an edge marked Dynamic to every implementation declared in
+// the tree: here the one, counter.now.
+func TestDispatchResolvesToImplementations(t *testing.T) {
 	g := buildFixtureGraph(t)
 
-	forward := node(t, g, "lockiface", "forward")
-	for _, id := range []string{"lockiface.D.a", "lockiface.D.b"} {
-		if _, ok := forward.Sum.Locks[id]; !ok {
-			t.Errorf("forward transitive lock set %v missing %q", forward.Sum.Locks, id)
-		}
-	}
-
-	// reverse only reaches D.a through the interface: the lock set must
-	// cross the dynamic edge, and the edge itself must be marked Dynamic.
-	reverse := node(t, g, "lockiface", "reverse")
-	if _, ok := reverse.Sum.Locks["lockiface.D.a"]; !ok {
-		t.Errorf("reverse lock set %v missing the dispatch-acquired lockiface.D.a", reverse.Sum.Locks)
-	}
-	foundDynamic := false
-	for _, e := range reverse.Out {
-		if e.Dynamic && e.Callee.Fn.Name() == "park" {
-			foundDynamic = true
+	found := false
+	for _, e := range node(t, g, "interfix", "tickGood").Out {
+		if e.Dynamic && e.Callee.Fn.Name() == "now" {
+			found = true
 			if len(g.CalleesAt(e.Site)) != 1 {
-				t.Errorf("park dispatch resolved to %d candidates, want exactly aParker", len(g.CalleesAt(e.Site)))
+				t.Errorf("now dispatch resolved to %d candidates, want exactly counter.now", len(g.CalleesAt(e.Site)))
 			}
 		}
 	}
-	if !foundDynamic {
-		t.Error("no dynamic edge from reverse to aParker.park: dispatch resolution is broken")
+	if !found {
+		t.Error("no dynamic edge from tickGood to counter.now: dispatch resolution is broken")
 	}
 }

@@ -24,11 +24,6 @@ type Summary struct {
 	// ResultTaints lists the nondeterminism taints any result value may
 	// carry (see taint.go).
 	ResultTaints []Taint
-
-	// Locks maps every lock the function may (transitively) acquire to
-	// the first acquisition site, including interface-dispatched calls
-	// and calls inside function literals (see locks.go).
-	Locks map[string]token.Pos
 }
 
 // shortName renders a function compactly for traces: Recv.Name for
@@ -62,13 +57,13 @@ func prependHop(name string, pos token.Pos, via []Hop) []Hop {
 
 // summarize drives the bottom-up fixpoint: SCCs are processed callees-
 // first, and each component iterates until its members' summaries stop
-// changing (recursion converges because taints and lock sets only grow).
+// changing (recursion converges because taints only grow).
 func (g *Graph) summarize() {
 	for _, scc := range g.sccs {
 		for iter := 0; iter < 32; iter++ {
 			changed := false
 			for _, n := range scc {
-				s := &Summary{ResultTaints: g.FuncEnv(n).resultTaints, Locks: g.lockSet(n)}
+				s := &Summary{ResultTaints: g.FuncEnv(n).resultTaints}
 				if fingerprint(s) != fingerprint(n.Sum) {
 					changed = true
 				}
@@ -91,7 +86,5 @@ func fingerprint(s *Summary) string {
 	for _, t := range s.ResultTaints {
 		fmt.Fprintf(&b, "t%d@%d;", t.Kind, t.Source)
 	}
-	// Lock sets only grow, so their size is a complete change key.
-	fmt.Fprintf(&b, "L%d", len(s.Locks))
 	return b.String()
 }

@@ -25,7 +25,7 @@ func a() {
 	_ = 1 //ftvet:allow nondet: fixture waiver with a reason
 }
 
-//ftvet:allow lockorder: standalone form covers the next line
+//ftvet:allow nondet: standalone form covers the next line
 func b() {}
 
 func c() {
@@ -34,7 +34,7 @@ func c() {
 }
 `
 	fset, _, pkgs := allowFixture(t, src)
-	known := map[string]bool{"nondet": true, "lockorder": true}
+	known := map[string]bool{"nondet": true}
 
 	marks, malformed := collectAllows(fset, pkgs, known)
 	if len(marks) != 2 {
@@ -80,7 +80,7 @@ func a() {
 		{Analyzer: "nondet", Pos: pos(4), Message: "same line"},
 		{Analyzer: "nondet", Pos: pos(6), Message: "line below standalone"},
 		{Analyzer: "nondet", Pos: pos(7), Message: "uncovered"},
-		{Analyzer: "lockorder", Pos: pos(4), Message: "other analyzer not covered"},
+		{Analyzer: "ftvet", Pos: pos(4), Message: "other analyzer not covered"},
 	}
 	out := filterAllows(fset, diags, marks)
 	if len(out) != 2 {

@@ -3,18 +3,18 @@
 // vocabulary (Analyzer, Pass, Diagnostic) plus a module-aware package
 // loader built on go/types' source importer.
 //
-// The framework exists because the FT-Linux reproduction depends on
-// invariants the Go compiler cannot see and no runtime check catches in
-// every schedule: determinism of replicated code (§3.3) and a cycle-free
-// lock-acquisition order. Each is an Analyzer; cmd/ftvet is the
-// multichecker that runs them; `//ftvet:allow` (see allow.go) is the
+// The framework exists because the FT-Linux reproduction depends on an
+// invariant the Go compiler cannot see and no runtime check catches in
+// every schedule: determinism of replicated code (§3.3). It is an
+// Analyzer; cmd/ftvet runs it; `//ftvet:allow` (see allow.go) is the
 // audited escape hatch. The FT rules a runtime check does enforce — the
-// deterministic-section discipline, flush before output commit (§3.5),
-// truncation at a verified boundary — have no analyzer (DESIGN.md §10).
+// deterministic-section discipline, a cycle-free lock order, flush before
+// output commit (§3.5), truncation at a verified boundary — have no
+// analyzer (DESIGN.md §10).
 //
 // golang.org/x/tools is not vendored (the module has no dependencies), so
-// the subset of its API reproduced here is exactly what the two FT
-// analyzers need, nothing more.
+// the subset of its API reproduced here is exactly what the FT analyzer
+// needs, nothing more.
 package ftvet
 
 import (
@@ -35,11 +35,6 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by `ftvet -list`.
 	Doc string
 
-	// Module, when true, runs the analyzer once over the entire package
-	// set (Pass.All) instead of once per package — required by whole-
-	// program checks such as the lock-acquisition graph.
-	Module bool
-
 	// Run executes the analyzer on a pass, reporting findings via
 	// Pass.Report/Reportf.
 	Run func(*Pass) error
@@ -53,14 +48,12 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Pass carries one analyzer execution over one package (or, for Module
-// analyzers, over the whole set).
+// Pass carries one analyzer execution over one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 
-	// Pkg is the package under analysis. For Module analyzers it is nil
-	// and All holds every loaded package instead.
+	// Pkg is the package under analysis.
 	Pkg *Package
 
 	// All is the full package set of the run (always populated).

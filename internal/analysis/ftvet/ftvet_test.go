@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"repro/internal/analysis/ftvet"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nondet"
 )
 
-var suite = []*ftvet.Analyzer{nondet.Analyzer, lockorder.Analyzer}
+var suite = []*ftvet.Analyzer{nondet.Analyzer}
 
-// TestRepoClean runs the full analyzer suite over the repository
-// itself, so a regression that reintroduces a nondeterminism source or a
-// lock-order cycle fails `go test` as well as `make lint`. It doubles as
+// TestRepoClean runs the analyzer suite over the repository itself, so a
+// regression that reintroduces a nondeterminism source fails `go test` as
+// well as `make lint`. It doubles as
 // the analyzer runtime budget:
 // load + full interprocedural run must stay under 60s so the fixpoint
 // engine cannot quietly regress CI (per-analyzer timings print with -v).
@@ -33,7 +32,7 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; loader is missing most of the tree", len(pkgs))
 	}
-	diags, timings, err := ftvet.RunTimed(loader.Fset, pkgs, suite, nil)
+	diags, timings, err := ftvet.RunTimed(loader.Fset, pkgs, suite)
 	if err != nil {
 		t.Fatal(err)
 	}

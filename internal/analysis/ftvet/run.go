@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Timing records one analyzer execution for the runtime budget: Pkg is
-// empty for Module analyzers (one run over the whole set).
+// Timing records one analyzer execution over one package, for the runtime
+// budget.
 type Timing struct {
 	Analyzer string
 	Pkg      string
@@ -16,44 +16,27 @@ type Timing struct {
 }
 
 // Run executes the analyzers over the package set and returns the
-// surviving diagnostics: per-package analyzers run once per package,
-// Module analyzers once over the whole set; //ftvet:allow marks are
-// applied afterwards, and malformed allow comments are appended as
-// findings of the pseudo-analyzer "ftvet".
+// surviving diagnostics: each analyzer runs once per package;
+// //ftvet:allow marks are applied afterwards, and malformed allow comments
+// are appended as findings of the pseudo-analyzer "ftvet".
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(fset, pkgs, analyzers, nil)
+	diags, _, err := RunTimed(fset, pkgs, analyzers)
 	return diags, err
 }
 
 // RunTimed is Run plus per-execution timings (the analyzer runtime
-// budget) and an explicit registry of known analyzer names for
-// //ftvet:allow validation. known lets a subset run (-run nondet) still
-// accept allows naming the other registered analyzers: an allow is only
-// "unknown" (and diagnosed) when its name is in no registry at all —
-// that is how a typo'd allow, which suppresses nothing, is kept from
-// rotting silently. A nil known falls back to the analyzers being run.
-func RunTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, known []string) ([]Diagnostic, []Timing, error) {
+// budget). An //ftvet:allow naming none of the analyzers run is diagnosed
+// as unknown: that is how a typo'd allow, which suppresses nothing, is
+// kept from rotting silently.
+func RunTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
 	var diags []Diagnostic
 	var timings []Timing
 	knownSet := map[string]bool{}
 	for _, a := range analyzers {
 		knownSet[a.Name] = true
 	}
-	for _, name := range known {
-		knownSet[name] = true
-	}
 	shared := NewShared()
 	for _, a := range analyzers {
-		if a.Module {
-			pass := &Pass{Analyzer: a, Fset: fset, All: pkgs, Shared: shared, diags: &diags}
-			start := time.Now()
-			err := a.Run(pass)
-			timings = append(timings, Timing{Analyzer: a.Name, Elapsed: time.Since(start)})
-			if err != nil {
-				return nil, timings, fmt.Errorf("ftvet: %s: %w", a.Name, err)
-			}
-			continue
-		}
 		for _, pkg := range pkgs {
 			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, All: pkgs, Shared: shared, diags: &diags}
 			start := time.Now()

@@ -19,63 +19,27 @@ func runFixture(t *testing.T, src string) (*token.FileSet, []*Package) {
 	return fset, []*Package{{Path: "p", Files: []*ast.File{f}}}
 }
 
-// TestRunTimedKnownRegistry pins the subset-run allow semantics: an
-// allow naming an analyzer that is registered but not part of this run
-// is accepted when the caller passes the full registry (the -run nondet
-// case), and diagnosed as unknown when it truly is in no registry.
+// TestRunTimedKnownRegistry pins the allow semantics: an allow naming an
+// analyzer of the run is accepted, and one naming no analyzer of the run
+// is diagnosed as unknown.
 func TestRunTimedKnownRegistry(t *testing.T) {
 	const src = `package p
 
 func f() {
-	_ = 1 //ftvet:allow lockorder: waiver for an analyzer not in this run
+	_ = 1 //ftvet:allow nondet: waiver for the analyzer run
+	_ = 2 //ftvet:allow other: waiver for no analyzer of this run
 }
 `
 	fset, pkgs := runFixture(t, src)
 	noop := &Analyzer{Name: "nondet", Doc: "noop", Run: func(pass *Pass) error { return nil }}
-
-	// Full registry passed: the lockorder allow is known, nothing fires.
-	diags, timings, err := RunTimed(fset, pkgs, []*Analyzer{noop}, []string{"nondet", "lockorder"})
+	diags, timings, err := RunTimed(fset, pkgs, []*Analyzer{noop})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Errorf("allow for a registered-but-not-run analyzer was diagnosed: %+v", diags)
 	}
 	if len(timings) != 1 || timings[0].Analyzer != "nondet" || timings[0].Pkg != "p" {
 		t.Errorf("timings = %+v, want one per-package entry for nondet", timings)
 	}
-
-	// No registry: only the analyzers being run are known, so the same
-	// allow is a typo-shaped unknown and must be diagnosed.
-	diags, _, err = RunTimed(fset, pkgs, []*Analyzer{noop}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "ftvet" {
-		t.Fatalf("diags = %+v, want one ftvet unknown-analyzer finding", diags)
-	}
-}
-
-// TestRunTimedModuleTiming checks Module analyzers record one run-wide
-// timing entry (empty Pkg) and share diagnostics sorting with the rest.
-func TestRunTimedModuleTiming(t *testing.T) {
-	fset, pkgs := runFixture(t, "package p\n")
-	ran := 0
-	mod := &Analyzer{Name: "mod", Doc: "module-wide", Module: true, Run: func(pass *Pass) error {
-		ran++
-		if len(pass.All) != 1 || pass.Pkg != nil {
-			t.Errorf("module pass shape wrong: All=%d Pkg=%v", len(pass.All), pass.Pkg)
-		}
-		return nil
-	}}
-	_, timings, err := RunTimed(fset, pkgs, []*Analyzer{mod}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Errorf("module analyzer ran %d times, want once for the whole set", ran)
-	}
-	if len(timings) != 1 || timings[0].Pkg != "" {
-		t.Errorf("timings = %+v, want one entry with an empty Pkg", timings)
+	if len(diags) != 1 || diags[0].Analyzer != "ftvet" || fset.Position(diags[0].Pos).Line != 5 {
+		t.Fatalf("diags = %+v, want one ftvet unknown-analyzer finding, on line 5", diags)
 	}
 }

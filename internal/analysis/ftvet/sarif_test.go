@@ -37,7 +37,7 @@ func source() {}
 				{Pos: sourcePos, Note: "time.Now — the nondeterminism source"},
 			},
 		},
-		{Analyzer: "lockorder", Pos: sourcePos, Message: "lock-order cycle"},
+		{Analyzer: "other", Pos: sourcePos, Message: "another finding"},
 	}
 }
 
@@ -45,7 +45,7 @@ func TestWriteSARIF(t *testing.T) {
 	fset, root, diags := sarifFixture(t)
 	analyzers := []*Analyzer{
 		{Name: "nondet", Doc: "nondeterminism sources"},
-		{Name: "lockorder", Doc: "lock ordering"},
+		{Name: "other", Doc: "another analyzer"},
 	}
 	var buf bytes.Buffer
 	if err := WriteSARIF(&buf, fset, root, analyzers, diags); err != nil {
@@ -67,7 +67,7 @@ func TestWriteSARIF(t *testing.T) {
 	}
 	// One rule per registered analyzer plus the ftvet pseudo-rule.
 	if len(run.Tool.Driver.Rules) != 3 {
-		t.Errorf("got %d rules, want 3 (nondet, lockorder, ftvet)", len(run.Tool.Driver.Rules))
+		t.Errorf("got %d rules, want 3 (nondet, other, ftvet)", len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 2 {
 		t.Fatalf("got %d results, want 2", len(run.Results))

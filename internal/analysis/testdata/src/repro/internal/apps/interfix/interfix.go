@@ -54,6 +54,17 @@ func (r *rec) sortedGood(m map[string]int, ch chan string) {
 	ch <- ks[0]
 }
 
+// clock is the dispatch indirection: tickGood only sees the interface, so
+// its edge to counter.now exists through type-set-bounded resolution
+// alone. The implementation reads no source, so nothing is reported.
+type clock interface{ now() int64 }
+
+type counter struct{ n int64 }
+
+func (c *counter) now() int64 { c.n++; return c.n }
+
+func (r *rec) tickGood(c clock) { r.log = append(r.log, c.now()) }
+
 // sortHereGood re-sorts the tainted slice locally before emitting: the
 // collect-then-sort idiom discharges the map-order taint at the caller.
 func (r *rec) sortHereGood(m map[string]int, ch chan string) {

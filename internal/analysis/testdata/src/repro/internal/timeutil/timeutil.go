@@ -17,6 +17,18 @@ func Stamp() int64 { return now() }
 
 func now() int64 { return time.Now().UnixNano() }
 
+// Backoff and backoff recurse into each other and only backoff reads the
+// clock: their shared component must converge with the clock taint in
+// both summaries.
+func Backoff(n int) int64 {
+	if n > 0 {
+		return backoff(n - 1)
+	}
+	return 0
+}
+
+func backoff(n int) int64 { return time.Now().UnixNano() + Backoff(n) }
+
 // ID returns the raw process id.
 func ID() int { return os.Getpid() }
 

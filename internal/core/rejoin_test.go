@@ -70,7 +70,7 @@ func checkStream(sys *core.System, out string, total int64) error {
 		return errors.Join(fmt.Errorf("the client saw %q, want all %d bytes of the pattern (state %v, rejoin error %v)",
 			out, total, sys.State(), sys.RejoinErr()), sys.Wait())
 	}
-	return errors.Join(oracle.KilledRun(sys, len(sys.Cfg.Chaos.Kills)), oracle.DigestsAgree(sys))
+	return errors.Join(oracle.KilledRun(sys, len(sys.Cfg.Chaos.Kills)), oracle.DigestsAgree(sys), oracle.CommitSafe(sys), oracle.CommitLive(sys))
 }
 
 // lifecycleStates returns every lifecycle state of a run, in order, read

@@ -90,7 +90,8 @@ const (
 	// recording side whose last backup died, or a promoted one (RoleLive).
 	Unreplicated
 	// OutputHeld/OutputReleased bracket an output-commit stall
-	// (Seq = watermark; Arg on release = wait in ns).
+	// (Seq = watermark; Arg on release = wait in ns). tcprep traces a
+	// segment held at its sync barrier as an OutputHeld alone.
 	OutputHeld
 	OutputReleased
 	// KernelPanic is a kernel dying (Note = cause).
@@ -150,6 +151,9 @@ const (
 	// backup after digest verification at the replay frontier (Seq =
 	// epoch number, Arg = tuples dropped).
 	EpochTruncate
+	// LockCycle is a lock-order cycle closed in a replica's app locks
+	// (Seq = locks in the cycle, Note = the pthread.LockOrderError).
+	LockCycle
 )
 
 var kindNames = [...]string{
@@ -188,6 +192,7 @@ var kindNames = [...]string{
 	QuorumLost:     "quorum-lost",
 	EpochCut:       "epoch-cut",
 	EpochTruncate:  "epoch-truncate",
+	LockCycle:      "lock-cycle",
 }
 
 // kindByName is the inverse of kindNames, built once for ParseKind.

@@ -38,9 +38,9 @@ type Result struct {
 // its never-failed twin: the client sees the twin's output — only a
 // coherency loss under relaxed commit may show it less (§3.5), and drop no
 // more log messages than the ring holds in flight — and KilledRun,
-// DigestsAgree and FlightWellFormed hold; no simulated process outlives
-// Shutdown, and a panic, a hang (a *core.HangError) or a failed twin is a
-// finding.
+// DigestsAgree, CommitSafe, CommitLive and FlightWellFormed hold; no
+// simulated process outlives Shutdown, and a panic, a hang (a
+// *core.HangError) or a failed twin is a finding.
 func Check(sc Scenario) Result {
 	c := cleanRun(sc)
 	res := Result{Scenario: sc, Err: c.err, Flight: c.flight}
@@ -63,7 +63,7 @@ func Check(sc Scenario) Result {
 	if output != c.output && !lossy {
 		errs = append(errs, fmt.Errorf("the client saw %q, the never-failed run's client %q", output, c.output))
 	}
-	errs = append(errs, KilledRun(sys, len(kills)), DigestsAgree(sys))
+	errs = append(errs, KilledRun(sys, len(kills)), DigestsAgree(sys), CommitSafe(sys), CommitLive(sys))
 	if sys.Flight != nil {
 		errs = append(errs, FlightWellFormed(sys.Flight))
 	}
@@ -138,6 +138,7 @@ func run(sc Scenario) (sys *core.System, output string, flight *obs.FlightDump, 
 		return nil, "", nil, err
 	}
 	if output, err = runs(); err != nil {
+		err = errors.Join(err, lockCycles(sys))
 		flight = cmp.Or(sys.Flight, sys.Obs.FlightDump())
 		sys.Sim.Shutdown()
 		return nil, "", flight, err
@@ -148,9 +149,10 @@ func run(sc Scenario) (sys *core.System, output string, flight *obs.FlightDump, 
 // KilledRun checks a finished run that chaos killed kills times: every kill
 // was delivered, the run ends replicated — at generation 1 or later if a
 // kernel died (a memory error outside the kernel's pages kills nothing) —
-// no replica diverged, every live kernel's cores are idle once it is quiet,
-// and nothing is traced for a kernel after its death. The client's output
-// is the caller's to compare. It returns every finding, joined, or nil.
+// no replica diverged nor recorded a lock-order cycle, every live kernel's
+// cores are idle once it is quiet, and nothing is traced for a kernel after
+// its death. The client's output is the caller's to compare. It returns
+// every finding, joined, or nil.
 func KilledRun(sys *core.System, kills int) error {
 	var errs []error
 	if n := injected(sys); n != int64(kills) {
@@ -168,7 +170,19 @@ func KilledRun(sys *core.System, kills int) error {
 			errs = append(errs, fmt.Errorf("%s has %d of %d cores idle once quiet", k.Name(), k.IdleCores(), k.Cores()))
 		}
 	}
-	return errors.Join(append(errs, SilentAfterDeath(sys.Obs.Events()))...)
+	return errors.Join(append(errs, lockCycles(sys), SilentAfterDeath(sys.Obs.Events()))...)
+}
+
+// lockCycles returns, as an error, the lock-order cycles each replica's
+// apps recorded (pthread.LockOrderError): a hang they explain names them.
+func lockCycles(sys *core.System) error {
+	var errs []error
+	for _, rep := range append([]*core.Replica{sys.Active()}, sys.Backups()...) {
+		if n := rep.NS.Stats().LockCycles; n != 0 {
+			errs = append(errs, fmt.Errorf("%d lock-order cycles on %s, the first: %w", n, rep.Kernel.Name(), rep.NS.Lib().LockCycles()[0]))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // DigestsAgree checks that every live replica of a quiet run holds the

@@ -98,6 +98,10 @@ func (c *Cond) TimedWait(t *kernel.Task, m *Mutex, d time.Duration) bool {
 
 func (c *Cond) wait(t *kernel.Task, m *Mutex, op Op, d time.Duration) bool {
 	c.lib.charge(t)
+	// m leaves t's held set for the wait: whatever dequeues it takes m
+	// back for t (Mutex.handTo), the promotion that wakes it inside its
+	// own section included.
+	c.lib.order.release(t, m.id)
 	det := c.lib.det
 	cw := c.lib.newCVWaiter(t, m)
 	c.mu = m
@@ -107,7 +111,7 @@ func (c *Cond) wait(t *kernel.Task, m *Mutex, op Op, d time.Duration) bool {
 		cw.timer.Reset(d)
 	}
 	det.Exit(t, 0)
-	m.Unlock(t)
+	m.unlock(t)
 	cw.w.Park()
 	if m.owner != t {
 		// The timer ended the park. A wake-up may have dequeued the wait

@@ -35,6 +35,7 @@ func (m *Mutex) Owner() *kernel.Task { return m.owner }
 // Lock acquires the mutex for t (pthread_mutex_lock).
 func (m *Mutex) Lock(t *kernel.Task) {
 	m.lib.charge(t)
+	m.lib.order.take(t, m.id, false)
 	m.lib.det.Enter(t, OpMutexLock, m.id)
 	w := m.take(t)
 	m.lib.det.Exit(t, 0)
@@ -63,6 +64,7 @@ func (m *Mutex) TryLock(t *kernel.Task) bool {
 	ok := m.lib.acquired(t, !m.locked)
 	var w *kernel.Waiter
 	if ok {
+		m.lib.order.take(t, m.id, true)
 		w = m.take(t)
 	}
 	m.lib.det.Exit(t, outcome(ok))
@@ -76,8 +78,9 @@ func (m *Mutex) TryLock(t *kernel.Task) bool {
 // that dequeued w from a condition variable (wait morphing): at once if the
 // mutex is free, else behind the tasks already queued, for Unlock to grant
 // in turn. Either way the task wakes owning the mutex, so its wait records
-// no mutex_lock.
+// no mutex_lock, and the locks it still holds get edges into the mutex.
 func (m *Mutex) handTo(w *kernel.Waiter) {
+	m.lib.order.take(w.Task(), m.id, false)
 	if m.locked {
 		m.waiters = append(m.waiters, w)
 		return
@@ -92,6 +95,13 @@ func (m *Mutex) handTo(w *kernel.Waiter) {
 // one of them: the queue head under FIFO hand-off, an arbitrary waiter
 // under the stock-futex ablation.
 func (m *Mutex) Unlock(t *kernel.Task) {
+	m.lib.order.release(t, m.id)
+	m.unlock(t)
+}
+
+// unlock is Unlock but for the lock-order record, which a condition wait
+// updates itself.
+func (m *Mutex) unlock(t *kernel.Task) {
 	if m.owner != t {
 		panic(fmt.Sprintf("pthread: unlock of mutex %d by non-owner %q", m.id, t.Name()))
 	}

@@ -166,6 +166,7 @@ type Lib struct {
 	nextID uint64
 	cvFree []*cvWaiter // ended condition waits, reused by the next Cond.wait
 	conds  []*Cond     // every condition variable, in id order (Cond)
+	order  lockOrder
 }
 
 // NewLib creates a Pthreads library on kernel k interposed by det. A nil

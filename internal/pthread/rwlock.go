@@ -29,6 +29,9 @@ func (l *Lib) NewRWLock() *RWLock {
 	return &RWLock{lib: l, id: l.newID()}
 }
 
+// ID returns the lock's object identifier.
+func (rw *RWLock) ID() uint64 { return rw.id }
+
 // Readers reports the number of active readers.
 func (rw *RWLock) Readers() int { return rw.readers }
 
@@ -44,6 +47,7 @@ func (rw *RWLock) canWrite() bool {
 // queues behind any waiting writer, so writers do not starve.
 func (rw *RWLock) RdLock(t *kernel.Task) {
 	rw.lib.charge(t)
+	rw.lib.order.take(t, rw.id, false)
 	rw.lib.det.Enter(t, OpRWRdLock, rw.id)
 	w := rw.take(t, false)
 	rw.lib.det.Exit(t, 0)
@@ -75,6 +79,7 @@ func (rw *RWLock) TryRdLock(t *kernel.Task) bool { return rw.try(t, OpRWTryRdLoc
 // WrLock acquires the lock for writing (pthread_rwlock_wrlock).
 func (rw *RWLock) WrLock(t *kernel.Task) {
 	rw.lib.charge(t)
+	rw.lib.order.take(t, rw.id, false)
 	rw.lib.det.Enter(t, OpRWWrLock, rw.id)
 	w := rw.take(t, true)
 	rw.lib.det.Exit(t, 0)
@@ -97,6 +102,7 @@ func (rw *RWLock) try(t *kernel.Task, op Op, write bool) bool {
 	ok := rw.lib.acquired(t, free)
 	var w *kernel.Waiter
 	if ok {
+		rw.lib.order.take(t, rw.id, true)
 		w = rw.take(t, write)
 	}
 	rw.lib.det.Exit(t, outcome(ok))
@@ -113,6 +119,7 @@ func (rw *RWLock) RdUnlock(t *kernel.Task) {
 		panic(fmt.Sprintf("pthread: rwlock %d read-unlock with no readers", rw.id))
 	}
 	rw.lib.charge(t)
+	rw.lib.order.release(t, rw.id)
 	rw.readers--
 	if rw.readers == 0 {
 		rw.promote()
@@ -126,6 +133,7 @@ func (rw *RWLock) WrUnlock(t *kernel.Task) {
 		panic(fmt.Sprintf("pthread: rwlock %d write-unlock by non-writer %q", rw.id, t.Name()))
 	}
 	rw.lib.charge(t)
+	rw.lib.order.release(t, rw.id)
 	rw.writer = nil
 	rw.promote()
 }

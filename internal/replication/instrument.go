@@ -4,14 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/pthread"
 )
 
 // Instrument attaches an event scope and registers this side's metrics,
 // prefixed by the namespace name, once, before the namespace runs; a nil
 // scope/registry leaves the side uninstrumented (every emission degrades to
 // a pointer test). The recorder traces each tuple's lifecycle and the
-// replayer its grants, acks and promotion.
+// replayer its grants, acks and promotion; either side, each lock-order
+// cycle its apps' locks close.
 func (ns *Namespace) Instrument(sc *obs.Scope, reg *obs.Registry) {
+	ns.lib.OnLockCycle(func(e *pthread.LockOrderError) { sc.EmitNote(obs.LockCycle, 0, int64(len(e.Cycle)-1), 0, e.Error()) })
 	switch {
 	case ns.rec != nil:
 		ns.rec.instrument(ns.name, sc, reg)

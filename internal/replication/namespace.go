@@ -397,7 +397,7 @@ func (ns *Namespace) OnEpochQuorum(fn func(epoch uint64)) {
 // recorder, so its first cut continues the dead primary's sequence.
 func (ns *Namespace) SeedEpochs(epoch uint64) {
 	if ns.rec != nil {
-		ns.rec.seedEpochs(epoch)
+		ns.rec.epochSeen, ns.rec.epochDone = epoch, epoch
 	}
 }
 
@@ -447,14 +447,15 @@ func (ns *Namespace) DropReplica(i int) {
 }
 
 // Stats returns this side's replication statistics.
-func (ns *Namespace) Stats() Stats {
+func (ns *Namespace) Stats() (s Stats) {
 	switch {
 	case ns.rec != nil:
-		return ns.rec.stats
+		s = ns.rec.stats
 	case ns.rep != nil:
-		return ns.rep.stats
+		s = ns.rep.stats
 	}
-	return Stats{}
+	s.LockCycles = uint64(len(ns.lib.LockCycles()))
+	return s
 }
 
 // ThreadOf returns the Thread owning a kernel task. It panics for tasks

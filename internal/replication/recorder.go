@@ -561,14 +561,6 @@ func (r *Recorder) releaseHeldCut() {
 	}
 }
 
-// seedEpochs initializes the epoch counters on a recorder forked at
-// promotion, so the new primary's first cut continues the dead primary's
-// epoch sequence instead of restarting at 1.
-func (r *Recorder) seedEpochs(epoch uint64) {
-	r.epochSeen = epoch
-	r.epochDone = epoch
-}
-
 // quiesce acquires every det-section lock in shard order and returns the
 // release. With all held every replicated thread sits at a section
 // boundary, so the state is a function of the recorded prefix; the fixed

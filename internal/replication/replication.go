@@ -282,4 +282,5 @@ type Stats struct {
 	Duplicates   uint64 // stale log messages discarded by the replayer (injected duplicates)
 	EpochCuts    uint64 // epoch checkpoint markers emitted (primary)
 	LogTruncated uint64 // retained log messages dropped at verified epoch boundaries
+	LockCycles   uint64 // lock-order cycles the apps' locks closed (pthread.Lib.LockCycles)
 }

@@ -236,8 +236,7 @@ func (p *Primary) kill(link *syncLink) {
 	link.synced = p.enqueued
 }
 
-// Instrument attaches an event scope (sync-ring flushes, going live)
-// and registers the sync-batch-size histogram. Nil arguments disable.
+// Instrument attaches an event scope and the sync-batch histogram (nil: off).
 func (p *Primary) Instrument(sc *obs.Scope, reg *obs.Registry) {
 	p.sc = sc
 	p.hSyncBatch = reg.Histogram("tcprep.sync.batch", "updates")
@@ -372,8 +371,8 @@ func (p *Primary) ingress(seg *tcpstack.Segment) bool {
 
 // syncBarrier runs fn once every sync update enqueued so far is on every
 // live ring, forcing an immediate flush (output commit must never wait out
-// a FlushInterval). Runs in segment/scheduler context; fn fires inline in
-// the common case where the forced flushes are admitted at once.
+// a FlushInterval): inline in segment context when the flushes are admitted
+// at once; a wait, which a full ring makes, is traced as an OutputHeld.
 func (p *Primary) syncBarrier(fn func()) {
 	if !p.Streaming() {
 		fn()
@@ -384,6 +383,7 @@ func (p *Primary) syncBarrier(fn func()) {
 		fn()
 		return
 	}
+	p.sc.Emit(obs.OutputHeld, 0, int64(p.enqueued), 0)
 	p.barrierQ.Append(syncWaiter{watermark: p.enqueued, fn: fn})
 }
 
