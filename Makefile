@@ -79,7 +79,7 @@ pair:
 # longer applies or builds, or a finder that misses, fails the target.
 # Commit first: the plants are applied to HEAD, not to the working tree.
 plants:
-	$(GO) run ./cmd/ftdiag plants testdata/plants
+	$(GO) run ./cmd/ftdiag plants testdata/plants/*.patch
 
 # The checked-in measurements: experiments.json, every ftbench report at
 # seed 1 (paper figures at -quick size), the record EXPERIMENTS.md quotes
@@ -119,7 +119,7 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=1876 replication=2638 tcprep=1501 shm=1124
+LOC_CEILINGS := core=1875 replication=2638 tcprep=1501 shm=1124
 LOC_KERNEL_CEILING := 848
 LOC_BENCH_CEILING := 2078
 LOC_DESIGN_CEILING := 1372

@@ -12,7 +12,7 @@
 //	ftdiag reach func.txt pkgs.txt reach.txt     # code no run reached, against its keepers
 //	ftdiag explain found/seed1-17.json           # a saved ftfuzz failure, from its files
 //	ftdiag pair HEAD~1                           # host cost against a revision (make pair)
-//	ftdiag plants testdata/plants                # re-plant each bug, run its finders (make plants)
+//	ftdiag plants testdata/plants/*.patch        # re-plant each bug, run its finders (make plants)
 //
 // Every analysis is a pure function of the trace bytes: same input, same
 // output, byte for byte. diff exits 1 when a divergence is found (0 when
@@ -110,7 +110,7 @@ func usage(w io.Writer) {
   ftdiag reach func.txt pkgs.txt reach.txt
   ftdiag explain found.json
   ftdiag pair [-n N] rev [pkg [args...]]
-  ftdiag plants dir
+  ftdiag plants patch-or-dir...
 `)
 }
 

@@ -113,7 +113,8 @@ func readPlant(path string) (plant, error) {
 	return p, nil
 }
 
-// cmdPlants (make plants) re-plants each bug of dir into a copy of HEAD,
+// cmdPlants (make plants) re-plants each bug its arguments name — patch
+// files, or directories of them (plantPaths) — into a copy of HEAD,
 // extracted under .bench_build/plants with git archive, builds it, runs the
 // finders its header names within its budget and prints the found/missed
 // matrix, one column per kind of finder. A finder finds its plant by
@@ -126,9 +127,9 @@ func cmdPlants(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return parseStatus(err)
 	}
-	paths, _ := filepath.Glob(filepath.Join(fs.Arg(0), "*.patch"))
-	if fs.NArg() != 1 || len(paths) == 0 {
-		return fail(stderr, errors.New("plants wants a directory of plant patches"))
+	paths := plantPaths(fs.Args())
+	if len(paths) == 0 {
+		return fail(stderr, errors.New("plants wants plant patches, or directories of them"))
 	}
 	var plants []plant
 	for _, path := range paths {
@@ -178,6 +179,22 @@ func cmdPlants(args []string, stdout, stderr io.Writer) int {
 		status = 1
 	}
 	return status
+}
+
+// plantPaths returns the plant patches args name, in order: each argument
+// that is a directory stands for its *.patch files, any other for itself.
+// CI passes a slice of testdata/plants/*.patch, make plants all of it.
+func plantPaths(args []string) []string {
+	var paths []string
+	for _, arg := range args {
+		if fi, err := os.Stat(arg); err == nil && fi.IsDir() {
+			in, _ := filepath.Glob(filepath.Join(arg, "*.patch"))
+			paths = append(paths, in...)
+			continue
+		}
+		paths = append(paths, arg)
+	}
+	return paths
 }
 
 // cell renders one column of a plant's row: "-" where no finder of the kind

@@ -19,8 +19,8 @@ import (
 func readPlants(t *testing.T) []plant {
 	t.Helper()
 	paths, err := filepath.Glob("../../testdata/plants/*.patch")
-	if err != nil || len(paths) != 23 {
-		t.Fatalf("plants %v (%v), want DESIGN.md §10's 23", paths, err)
+	if err != nil || len(paths) != 24 {
+		t.Fatalf("plants %v (%v), want DESIGN.md §10's 24", paths, err)
 	}
 	var plants []plant
 	for _, path := range paths {
@@ -43,6 +43,28 @@ func TestPlantsApplyToTheTree(t *testing.T) {
 		if out, err := exec.Command("patch", "-p1", "--dry-run", "-s", "-d", "../..", "-i", abs).CombinedOutput(); err != nil {
 			t.Errorf("%s does not apply: %v\n%s", p.name, err, out)
 		}
+	}
+}
+
+// TestPlantPathsSelectTheirFiles: plants runs exactly the patches its
+// arguments name — a file list, as CI passes its slice of the plants — and a
+// directory stands for every patch in it; a name that is no plant fails
+// before anything is built.
+func TestPlantPathsSelectTheirFiles(t *testing.T) {
+	all, err := filepath.Glob("../../testdata/plants/*.patch")
+	if err != nil || len(all) < 10 {
+		t.Fatalf("plants %v (%v)", all, err)
+	}
+	slice := []string{all[9], all[1], all[5]}
+	if got := plantPaths(slice); !reflect.DeepEqual(got, slice) {
+		t.Errorf("plantPaths(%v) = %v, want the files as given", slice, got)
+	}
+	if got := plantPaths([]string{"../../testdata/plants", all[0]}); !reflect.DeepEqual(got, append(all[:len(all):len(all)], all[0])) {
+		t.Errorf("plantPaths(dir, %s) = %v, want every plant, then the file", all[0], got)
+	}
+	var out, errOut strings.Builder
+	if code := cmdPlants([]string{all[0], filepath.Join(t.TempDir(), "none.patch")}, &out, &errOut); code == 0 || !strings.Contains(errOut.String(), "none.patch") {
+		t.Errorf("plants with a missing patch exited %d, printing %q, want an error naming it", code, errOut.String())
 	}
 }
 

@@ -10,10 +10,12 @@
 // A draw is an oracle.Scenario — the app and its pool size, the det-shard
 // count, the replica-set size and quorum, strict or relaxed commit, epochs
 // (restorable apps only) and the client's port range, run at simulation
-// seed S, which keys every kernel's random stream — plus one kill of the
-// primary or a backup (a core fail-stop, a bus error, a coherency loss or a
-// memory error) as the n-th log, sync or acks transfer of its never-failed
-// twin lands, and what follows: nothing, a manual Rejoin or a Retire.
+// seed S, which keys every kernel's random stream — at most one ring fault
+// from the matrix chaos.Parse accepts, which the never-failed twin keeps,
+// plus one kill of the primary or a backup (a core fail-stop, a coherency
+// loss or a hang, which only missed heart-beats and the peer's IPI halt
+// end) as the n-th log, sync or acks transfer of its twin lands, and what
+// follows: nothing, a manual Rejoin or a Retire.
 //
 // The first failure is shrunk greedily, one field at a time, and written to
 // -found as a scenario with its kill resolved, beside the oracle's finding
@@ -68,23 +70,49 @@ func Draw(s int64, i int) Drawn {
 		Target: []string{"primary", "backup"}[rng.IntN(2)], Pick: rng.Uint64()}
 	d.Quorum = 2 + rng.IntN(d.Replicas-1)
 	d.Epochs = oracle.Apps[d.App].Restorable && rng.IntN(2) == 0
-	d.Kind = []string{"core", "core", "core", "mem", "bus", "coherency"}[rng.IntN(6)]
+	d.Kind = []string{"core", "core", "coherency", "hang"}[rng.IntN(4)]
 	d.Then = []string{"", "", "rejoin", "retire"}[rng.IntN(4)]
+	d.Chaos = ringFault(rng)
 	return d
 }
 
+// ringFault draws a scenario's ring fault, or none: a delay on acks,
+// heart-beats or bulk transfers or a dup on acks or heart-beats for the
+// whole run, or heart-beats lost from the start, half the time for longer
+// than the detector's timeout, which halts a live replica. The kill lands
+// while the set is whole (kill), so the halt and the kill never share a
+// repair window. A delay on log or sync transfers is not drawn: it fails
+// runs that no kill explains (ROADMAP item 17).
+func ringFault(rng *rand.Rand) string {
+	switch rng.IntN(8) {
+	case 0:
+		class := []string{chaos.ClassAcks, chaos.ClassHB, chaos.ClassBulk}[rng.IntN(3)]
+		return fmt.Sprintf("delay %s %s 0s..10s", class, []string{"50us", "1ms"}[rng.IntN(2)])
+	case 1:
+		return fmt.Sprintf("dup %s x%d 0s..10s", []string{chaos.ClassAcks, chaos.ClassHB}[rng.IntN(2)], 1+rng.IntN(2))
+	case 2, 3:
+		return fmt.Sprintf("drop hb 0s..%s", []string{"30ms", "70ms"}[rng.IntN(2)])
+	}
+	return ""
+}
+
 // kill is the draw's kill: its target killed as the n-th transfer of a
-// class the never-failed run has, Pick choosing both.
-func (d Drawn) kill(transfers map[string]int) string {
+// class the never-failed run has while its set is whole, Pick choosing
+// both; "" when it has none, and a halt its ring fault caused is the run's
+// one failure.
+func (d Drawn) kill(transfers map[string][]int) string {
 	var classes []string
 	for _, c := range []string{chaos.ClassLog, chaos.ClassSync, chaos.ClassAcks} {
-		if transfers[c] > 0 {
+		if len(transfers[c]) > 0 {
 			classes = append(classes, c)
 		}
 	}
+	if len(classes) == 0 {
+		return ""
+	}
 	class := classes[d.Pick%uint64(len(classes))]
-	n := 1 + d.Pick/uint64(len(classes))%uint64(transfers[class])
-	return fmt.Sprintf("kill %s @%s#%d %s", d.Target, class, n, d.Kind)
+	ns := transfers[class]
+	return fmt.Sprintf("kill %s @%s#%d %s", d.Target, class, ns[d.Pick/uint64(len(classes))%uint64(len(ns))], d.Kind)
 }
 
 // Result is one checked scenario: the draw and what oracle.Check found of
@@ -123,18 +151,19 @@ func Replay(dir string, r Result) string {
 func Check(d Drawn) Result {
 	sc := d.Scenario
 	if transfers, err := oracle.TwinTransfers(sc); err == nil {
-		sc.Chaos = strings.TrimPrefix(sc.Chaos+"; "+d.kill(transfers), "; ")
+		sc.Chaos = strings.Trim(sc.Chaos+"; "+d.kill(transfers), "; ")
 	}
 	return Result{d, oracle.Check(sc)}
 }
 
 // Shrink returns the failing r reduced greedily, one field at a time, to a
-// scenario that still fails: each field is set to its simplest value — the
-// plainest kill, nothing after it, default ports, no epochs, one worker and
-// one shard, two replicas, strict commit — and kept so if the oracle still
-// finds a fault.
+// scenario that still fails: each field is set to its simplest value — no
+// ring fault, the plainest kill, nothing after it, default ports, no
+// epochs, one worker and one shard, two replicas, strict commit — and kept
+// so if the oracle still finds a fault.
 func Shrink(r Result) Result {
 	steps := []func(*Drawn){
+		func(d *Drawn) { d.Chaos = "" },
 		func(d *Drawn) { d.Kind = "core" },
 		func(d *Drawn) { d.Then = "" },
 		func(d *Drawn) { d.Ports = 0 },

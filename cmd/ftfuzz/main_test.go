@@ -48,22 +48,24 @@ func TestScenarioIsAFunctionOfSeedAndIndex(t *testing.T) {
 	}
 }
 
-// TestDrawIsPinned: a draw is the shape, kill and what follows that seed S
-// has always drawn for index i, run at simulation seed S with no chaos
-// beyond its kill; a change to Draw that moves any field moves every
-// scenario index a campaign or a saved file names.
+// TestDrawIsPinned: a draw is the shape, ring fault, kill and what follows
+// that seed S has always drawn for index i, run at simulation seed S; a
+// change to Draw that moves any field moves every scenario index a campaign
+// or a saved file names.
 func TestDrawIsPinned(t *testing.T) {
-	sc := func(s int64, i int, app string, workers, shards, replicas, quorum int, strict bool, ports int, epochs bool, then string) oracle.Scenario {
+	sc := func(s int64, i int, app string, workers, shards, replicas, quorum int, strict bool, ports int, epochs bool, chaos, then string) oracle.Scenario {
 		return oracle.Scenario{Seed: s, Index: i, SimSeed: s, App: app, Workers: workers, Shards: shards, Replicas: replicas,
-			Quorum: quorum, Strict: strict, Ports: ports, Epochs: epochs, Then: then}
+			Quorum: quorum, Strict: strict, Ports: ports, Epochs: epochs, Chaos: chaos, Then: then}
 	}
 	for _, want := range []Drawn{
-		{sc(1, 1, "restream", 1, 1, 2, 2, false, 4, true, "rejoin"), "primary", "core", 1952627761515405933},
-		{sc(1, 2, "pbzip2", 2, 1, 2, 2, true, 0, false, "retire"), "backup", "core", 8289669384274456462},
-		{sc(1, 20, "condlock", 4, 1, 3, 2, false, 0, false, ""), "primary", "core", 918469213867676436},
-		{sc(2, 2, "condlock", 4, 1, 3, 3, false, 4, false, "retire"), "primary", "coherency", 10793670043345227523},
-		{sc(3, 4, "restream", 4, 4, 3, 2, true, 4, true, "rejoin"), "backup", "core", 353380615205641355},
-		{sc(6, 2, "mongoose", 2, 4, 2, 2, false, 4, false, ""), "backup", "mem", 17123901299739081092},
+		{sc(1, 1, "restream", 1, 1, 2, 2, false, 4, true, "", "rejoin"), "primary", "core", 1952627761515405933},
+		{sc(1, 2, "pbzip2", 2, 1, 2, 2, true, 0, false, "drop hb 0s..70ms", "retire"), "backup", "core", 8289669384274456462},
+		{sc(1, 3, "mongoose", 4, 1, 2, 2, true, 0, false, "delay acks 50us 0s..10s", ""), "backup", "hang", 15902799205909178868},
+		{sc(1, 4, "condlock", 1, 4, 2, 2, true, 4, false, "", ""), "backup", "hang", 9224098247540530994},
+		{sc(1, 20, "condlock", 4, 1, 3, 2, false, 0, false, "", ""), "primary", "core", 918469213867676436},
+		{sc(2, 2, "condlock", 4, 1, 3, 3, false, 4, false, "", "retire"), "primary", "coherency", 10793670043345227523},
+		{sc(3, 4, "restream", 4, 4, 3, 2, true, 4, true, "drop hb 0s..70ms", "rejoin"), "backup", "core", 353380615205641355},
+		{sc(6, 2, "mongoose", 2, 4, 2, 2, false, 4, false, "drop hb 0s..30ms", ""), "backup", "coherency", 17123901299739081092},
 	} {
 		if got := Draw(want.Seed, want.Index); got != want {
 			t.Errorf("Draw(%d, %d) = %+v, want %+v", want.Seed, want.Index, got, want)
@@ -147,9 +149,8 @@ func TestFoundScenariosPass(t *testing.T) {
 }
 
 // TestShrinkAndSave: a failing draw shrinks to the simplest value of every
-// drawn field that keeps it failing — here all of them, since an app that
-// panics fails every shape; its ring fault, which Draw never sets, stays —
-// and Save writes it as a file TestFoundScenariosPass reads back, with the
+// drawn field that keeps it failing — here all of them, its ring fault
+// first, since an app that panics fails every shape — and Save writes it as a file TestFoundScenariosPass reads back, with the
 // finding (the app's panic) and the flight dump ftdiag explain reads, which
 // the printed commands name.
 func TestShrinkAndSave(t *testing.T) {
@@ -157,7 +158,7 @@ func TestShrinkAndSave(t *testing.T) {
 		Epochs: true, Ports: 2, Chaos: "delay log 200us 0s..5s", Then: "retire"}, Target: "backup", Kind: "coherency"}
 	r := Shrink(Check(d))
 	want := Drawn{Scenario: oracle.Scenario{Seed: 9, Index: 4, SimSeed: 9, App: "panics", Workers: 1, Shards: 1, Replicas: 2, Quorum: 2,
-		Strict: true, Chaos: "delay log 200us 0s..5s"}, Target: "backup", Kind: "core"}
+		Strict: true}, Target: "backup", Kind: "core"}
 	if r.Err == nil || r.Draw != want || r.Scenario != want.Scenario {
 		t.Fatalf("shrunk to %+v as %+v (%v), want %+v failing", r.Draw, r.Scenario, r.Err, want)
 	}

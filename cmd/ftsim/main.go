@@ -74,7 +74,7 @@ func run(o options) (*core.System, string, error) {
 		fmt.Printf("last failure declared at %v; failover complete at %v\n", sys.FailedAt, sys.LiveAt)
 	}
 	if inj := sys.Injector(); inj != nil {
-		fmt.Printf("chaos: %d kills, %d transfer faults injected\n", inj.Kills, inj.Injected)
+		fmt.Printf("chaos: %d kills, %d transfer faults injected\n", len(inj.Victims), inj.Injected)
 	}
 	fmt.Printf("lifecycle: state=%v generation=%d", sys.State(), sys.Generation())
 	if err := sys.RejoinErr(); err != nil {

@@ -71,7 +71,7 @@ func TestHeartbeatStormSuspectsSpuriously(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kills, g := sys.Injector().Kills, int64(sys.Generation()); g != kills+1 {
+	if kills, g := len(sys.Injector().Victims), sys.Generation(); g != kills+1 {
 		t.Errorf("generation %d after %d kills, want %d: the storm provoked no spurious failover", g, kills, kills+1)
 	}
 }

@@ -1,7 +1,10 @@
 // Package chaos drives deterministic fault-injection schedules against a
-// replicated deployment: kernel kills through the hw machine-check path
-// and shared-memory transfer faults (drop, duplicate, delay) through the
-// messaging layer's chaos hook. A schedule is parsed from a compact spec
+// replicated deployment: kernel kills and shared-memory transfer faults
+// (drop, duplicate, delay) through the messaging layer's chaos hook. A kill
+// takes one of the paper's two detection paths (§3.6): a core fail-stop or
+// a coherency loss is a machine check, which fails over at once; a hang
+// stops the victim's cores and raises none, so only missed heart-beats and
+// the peer's IPI halt end it. A schedule is parsed from a compact spec
 // string; its probability draws come from the injector's own domain,
 // "chaos", whose stream the simulation seed keys like every other
 // domain's. So a run is a pure function of (simulation seed, schedule) —
@@ -35,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/shm"
 	"repro/internal/sim"
@@ -119,16 +123,33 @@ func ClassOf(name string) string {
 	return ""
 }
 
-// Kill is one scheduled kernel kill, delivered as a hardware fault: at
-// virtual time At or, with Class set, the instant the N-th transfer of that
-// channel class lands at its receiver — a message boundary, counted over
-// the whole run, every ring generation of the class included.
+// Kind is how a kill strikes its victim. Core and Coherency raise a machine
+// check: a core fail-stop, which takes the whole kernel down (§2.3), or a
+// coherency loss, which may lose the victim's in-flight messages (§3.5).
+// Hang stops the victim's domain, as cores that stop executing: none of its
+// tasks or events runs again, no machine check is raised, and the kernel
+// lives until a peer's heart-beat timeout halts it by IPI.
+type Kind string
+
+const (
+	Core      Kind = "core"
+	Coherency Kind = "coherency"
+	Hang      Kind = "hang"
+)
+
+// machineChecks are the hardware faults the machine-check kinds raise.
+var machineChecks = map[Kind]hw.FaultKind{Core: hw.CoreFailStop, Coherency: hw.CoherencyLoss}
+
+// Kill is one scheduled kernel kill: at virtual time At or, with Class set,
+// the instant the N-th transfer of that channel class lands at its receiver
+// — a message boundary, counted over the whole run, every ring generation
+// of the class included.
 type Kill struct {
 	At     time.Duration
 	Class  string
 	N      int
 	Target Target
-	Fault  hw.FaultKind
+	Kind   Kind
 }
 
 // RingFault is one windowed transfer-fault rule on a channel class.
@@ -164,7 +185,7 @@ func (s Schedule) Empty() bool { return len(s.Kills) == 0 && len(s.Rings) == 0 }
 // semicolon-separated events.
 //
 //	kill primary @2s              fail-stop the recording side at t=2s
-//	kill backup @1s coherency     kill kinds: core, mem, bus, coherency
+//	kill backup @1s coherency     kill kinds: core (the default), coherency, hang
 //	kill primary @log#3           as the 3rd log transfer lands (log, acks, sync, bulk)
 //	delay log 200us 0s..5s        +200µs per log transfer in [0s,5s)
 //	dup acks x2 1s..4s            2 extra copies per ack transfer
@@ -209,18 +230,11 @@ func MustParse(spec string) Schedule {
 	return s
 }
 
-var killKinds = map[string]hw.FaultKind{
-	"core":      hw.CoreFailStop,
-	"mem":       hw.MemUncorrected,
-	"bus":       hw.BusError,
-	"coherency": hw.CoherencyLoss,
-}
-
 func (s *Schedule) parseKill(ev string, f []string) error {
 	if len(f) < 2 || len(f) > 3 {
 		return fmt.Errorf("chaos: %q: want `kill <primary|backup|backup<k>> @<time>|@<class>#<n> [kind]`", ev)
 	}
-	k := Kill{Fault: hw.CoreFailStop}
+	k := Kill{Kind: Core}
 	switch {
 	case f[0] == "primary":
 		k.Target = TargetPrimary
@@ -253,11 +267,9 @@ func (s *Schedule) parseKill(ev string, f []string) error {
 		return fmt.Errorf("chaos: %q: %v", ev, err)
 	}
 	if len(f) == 3 {
-		kind, ok := killKinds[f[2]]
-		if !ok {
-			return fmt.Errorf("chaos: %q: unknown fault kind %q (core, mem, bus, coherency)", ev, f[2])
+		if k.Kind = Kind(f[2]); k.Kind != Hang && machineChecks[k.Kind] == 0 {
+			return fmt.Errorf("chaos: %q: unknown kill kind %q (core, coherency, hang)", ev, f[2])
 		}
-		k.Fault = kind
 	}
 	s.Kills = append(s.Kills, k)
 	return nil
@@ -349,14 +361,13 @@ func (s *Schedule) parseRingFault(ev string, f []string) error {
 }
 
 // Env is what the injector needs from the system under test. Victim
-// resolves a kill target to the NUMA node of the kernel currently holding
-// that role (ok=false when no such kernel is alive — the kill is skipped,
-// matching a fault striking already-dead hardware).
+// resolves a kill target to the kernel currently holding that role (nil
+// when no such kernel is alive — the kill is skipped, matching a fault
+// striking already-dead hardware).
 type Env struct {
-	Sim     *sim.Simulation
-	Machine *hw.Machine
-	Victim  func(t Target) (node int, ok bool)
-	Scope   *obs.Scope
+	Sim    *sim.Simulation
+	Victim func(t Target) *kernel.Kernel
+	Scope  *obs.Scope
 }
 
 // Injector replays one schedule against one deployment.
@@ -365,10 +376,10 @@ type Injector struct {
 	env   Env
 	rng   *rand.Rand
 
-	// Injected counts transfer faults actually applied; Kills counts
-	// kill events delivered.
+	// Injected counts transfer faults actually applied; Victims are the
+	// kernels the delivered kills struck, in order.
 	Injected int64
-	Kills    int64
+	Victims  []*kernel.Kernel
 
 	landed []int // per kill: the transfers of its class landed so far
 }
@@ -390,19 +401,41 @@ func (inj *Injector) Start() {
 	}
 }
 
-// kill delivers one kill to its target's current holder, if any.
+// kill delivers one kill to its target's current holder, if any: a machine
+// check on the victim's first node, or a hang. A hang holds the run open
+// until its victim is halted, for at most holdHung: the victim's tasks stop,
+// its heart-beat sender among them, and what finds it — the peer's monitor
+// — is background work.
 func (inj *Injector) kill(k Kill) {
-	node, ok := inj.env.Victim(k.Target)
-	if !ok {
-		inj.env.Scope.EmitNote(obs.ChaosInject, 0, inj.Kills, 0,
+	victim := inj.env.Victim(k.Target)
+	if victim == nil {
+		inj.env.Scope.EmitNote(obs.ChaosInject, 0, int64(len(inj.Victims)), 0,
 			fmt.Sprintf("kill %s: no live victim", k.Target))
 		return
 	}
-	inj.Kills++
-	inj.env.Scope.EmitNote(obs.ChaosInject, 0, inj.Kills, int64(node),
-		fmt.Sprintf("kill %s (%s) node=%d", k.Target, k.Fault, node))
-	inj.env.Machine.Inject(hw.Fault{Kind: k.Fault, Node: node, Core: -1, Addr: -1})
+	inj.Victims = append(inj.Victims, victim)
+	node := victim.Partition().Nodes()[0].ID
+	fault, what := machineChecks[k.Kind], string(k.Kind)
+	if fault != 0 {
+		what = fault.String()
+	}
+	inj.env.Scope.EmitNote(obs.ChaosInject, 0, int64(len(inj.Victims)), int64(node),
+		fmt.Sprintf("kill %s (%s) node=%d", k.Target, what, node))
+	if k.Kind == Hang {
+		hold := new(sim.Event)
+		hold.Init(inj.env.Sim.Root(), func() {})
+		hold.Reset(holdHung)
+		victim.OnPanic(func(kernel.PanicReason) { hold.Cancel() })
+		victim.Domain().Hang()
+		return
+	}
+	victim.Partition().Machine().Inject(hw.Fault{Kind: fault, Node: node, Core: -1, Addr: -1})
 }
+
+// holdHung bounds how long a hang holds the run open: far past any
+// heart-beat timeout, so a run ends with its victim alive only if nothing
+// halts it.
+const holdHung = 10 * time.Second
 
 // ArmRing installs the hooks a ring's channel class needs: a delivery
 // count for each message-boundary kill on the class, and the

@@ -7,25 +7,27 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/shm"
 	"repro/internal/sim"
 )
 
 // TestParseKills pins both kill forms: at a virtual time, and at a message
-// boundary — the n-th transfer of a log, acks, sync or bulk channel. A
-// boundary kill on the heart-beat channel, on an unknown one, or with a
-// count below 1 is rejected.
+// boundary — the n-th transfer of a log, acks, sync or bulk channel — and
+// the three kill kinds. A boundary kill on the heart-beat channel, on an
+// unknown one, or with a count below 1 is rejected, and so is a kind that is
+// none of core, coherency and hang, with an error naming the three.
 func TestParseKills(t *testing.T) {
 	for _, row := range []struct {
 		spec string
 		want chaos.Kill
 	}{
-		{"kill primary @2s", chaos.Kill{At: 2 * time.Second, Target: chaos.TargetPrimary, Fault: hw.CoreFailStop}},
-		{"kill backup @1500ms coherency", chaos.Kill{At: 1500 * time.Millisecond, Target: chaos.TargetBackup, Fault: hw.CoherencyLoss}},
-		{"kill primary @log#3", chaos.Kill{Class: chaos.ClassLog, N: 3, Target: chaos.TargetPrimary, Fault: hw.CoreFailStop}},
-		{"kill backup @acks#1 mem", chaos.Kill{Class: chaos.ClassAcks, N: 1, Target: chaos.TargetBackup, Fault: hw.MemUncorrected}},
-		{"kill backup2 @sync#12", chaos.Kill{Class: chaos.ClassSync, N: 12, Target: chaos.TargetBackupSlot(2), Fault: hw.CoreFailStop}},
-		{"kill primary @bulk#2 coherency", chaos.Kill{Class: chaos.ClassBulk, N: 2, Target: chaos.TargetPrimary, Fault: hw.CoherencyLoss}},
+		{"kill primary @2s", chaos.Kill{At: 2 * time.Second, Target: chaos.TargetPrimary, Kind: chaos.Core}},
+		{"kill backup @1500ms coherency", chaos.Kill{At: 1500 * time.Millisecond, Target: chaos.TargetBackup, Kind: chaos.Coherency}},
+		{"kill primary @log#3", chaos.Kill{Class: chaos.ClassLog, N: 3, Target: chaos.TargetPrimary, Kind: chaos.Core}},
+		{"kill backup @acks#1 hang", chaos.Kill{Class: chaos.ClassAcks, N: 1, Target: chaos.TargetBackup, Kind: chaos.Hang}},
+		{"kill backup2 @sync#12 core", chaos.Kill{Class: chaos.ClassSync, N: 12, Target: chaos.TargetBackupSlot(2), Kind: chaos.Core}},
+		{"kill primary @bulk#2 coherency", chaos.Kill{Class: chaos.ClassBulk, N: 2, Target: chaos.TargetPrimary, Kind: chaos.Coherency}},
 	} {
 		s, err := chaos.Parse(row.spec)
 		if err != nil {
@@ -47,6 +49,11 @@ func TestParseKills(t *testing.T) {
 	} {
 		if _, err := chaos.Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted, want error", bad)
+		}
+	}
+	for _, bad := range []string{"kill primary @1s mem", "kill backup @log#2 bus", "kill primary @1s Hang"} {
+		if _, err := chaos.Parse(bad); err == nil || !strings.Contains(err.Error(), "(core, coherency, hang)") {
+			t.Errorf("Parse(%q): %v, want an error naming the three kinds", bad, err)
 		}
 	}
 }
@@ -160,11 +167,9 @@ func TestPresetsParse(t *testing.T) {
 func ringEnv(t *testing.T, spec string) (*sim.Simulation, *shm.Fabric, *chaos.Injector) {
 	t.Helper()
 	s := sim.New(1)
-	m := hw.New(s, hw.Opteron6376x4())
 	inj := chaos.NewInjector(chaos.MustParse(spec), chaos.Env{
-		Sim:     s,
-		Machine: m,
-		Victim:  func(chaos.Target) (int, bool) { return 0, false },
+		Sim:    s,
+		Victim: func(chaos.Target) *kernel.Kernel { return nil },
 	})
 	return s, shm.NewFabric(s, time.Microsecond), inj
 }
@@ -249,28 +254,25 @@ func TestInjectorDelayKeepsFIFO(t *testing.T) {
 // TestInjectorKillSkipsDeadVictim: a kill whose role has no live holder is
 // skipped, like a fault striking already-dead hardware.
 func TestInjectorKillSkipsDeadVictim(t *testing.T) {
-	s := sim.New(1)
-	m := hw.New(s, hw.Opteron6376x4())
+	s, m, k := bootVictim(t, 3)
 	faults := 0
 	m.OnFault(func(hw.Fault) { faults++ })
-	alive := true
 	inj := chaos.NewInjector(chaos.MustParse("kill primary @1ms; kill primary @2ms"), chaos.Env{
-		Sim:     s,
-		Machine: m,
-		Victim: func(chaos.Target) (int, bool) {
-			if alive {
-				alive = false
-				return 3, true
+		Sim: s,
+		Victim: func(chaos.Target) *kernel.Kernel {
+			if k.Alive() {
+				k.Panic("killed", nil)
+				return k
 			}
-			return 0, false
+			return nil
 		},
 	})
 	inj.Start()
 	if err := s.RunUntil(sim.Time(10 * time.Millisecond)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if inj.Kills != 1 {
-		t.Errorf("Kills = %d, want 1 (second victim was already dead)", inj.Kills)
+	if len(inj.Victims) != 1 {
+		t.Errorf("%d victims, want 1 (second victim was already dead)", len(inj.Victims))
 	}
 	if faults != 1 {
 		t.Errorf("machine saw %d faults, want 1", faults)
@@ -280,7 +282,7 @@ func TestInjectorKillSkipsDeadVictim(t *testing.T) {
 // TestParseBackupSlotKills pins the slot-addressed kill targets the
 // N-way replica set adds: `backup<k>` kills the backup holding slot k.
 func TestParseBackupSlotKills(t *testing.T) {
-	s, err := chaos.Parse("kill backup2 @1s; kill backup1 @2s mem")
+	s, err := chaos.Parse("kill backup2 @1s; kill backup1 @2s hang")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -290,8 +292,8 @@ func TestParseBackupSlotKills(t *testing.T) {
 	if k := s.Kills[0]; k.Target != chaos.TargetBackupSlot(2) || k.At != time.Second {
 		t.Errorf("kill[0] = %+v, want backup2 @1s", k)
 	}
-	if k := s.Kills[1]; k.Target != chaos.TargetBackupSlot(1) || k.Fault != hw.MemUncorrected {
-		t.Errorf("kill[1] = %+v, want backup1 @2s mem", k)
+	if k := s.Kills[1]; k.Target != chaos.TargetBackupSlot(1) || k.Kind != chaos.Hang {
+		t.Errorf("kill[1] = %+v, want backup1 @2s hang", k)
 	}
 	if slot, any := chaos.TargetBackup.BackupSlot(); !any || slot != 0 {
 		t.Errorf("TargetBackup.BackupSlot() = %d,%v, want any", slot, any)
@@ -313,13 +315,11 @@ func TestParseBackupSlotKills(t *testing.T) {
 // the n-th transfer of its class lands — counted across ring generations,
 // and blind to other classes' transfers — and never again.
 func TestInjectorKillsAtNthTransfer(t *testing.T) {
-	s := sim.New(1)
-	m := hw.New(s, hw.Opteron6376x4())
+	s, m, k := bootVictim(t, 2)
 	f := shm.NewFabric(s, time.Microsecond)
 	inj := chaos.NewInjector(chaos.MustParse("kill primary @log#3"), chaos.Env{
-		Sim:     s,
-		Machine: m,
-		Victim:  func(chaos.Target) (int, bool) { return 2, true },
+		Sim:    s,
+		Victim: func(chaos.Target) *kernel.Kernel { return k },
 	})
 	logs := []*shm.Ring{f.NewRing("ftns.log", 0, 1<<20), f.NewRing("ftns.log.g1", 0, 1<<20)}
 	acks := f.NewRing("ftns.acks", 1, 1<<20)
@@ -347,7 +347,63 @@ func TestInjectorKillsAtNthTransfer(t *testing.T) {
 	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(landed) != 4 || len(faults) != 1 || faults[0] != landed[2] || inj.Kills != 1 {
-		t.Errorf("log transfers landed at %v, faults at %v, %d kills; want one, as the third landed", landed, faults, inj.Kills)
+	if len(landed) != 4 || len(faults) != 1 || faults[0] != landed[2] || len(inj.Victims) != 1 {
+		t.Errorf("log transfers landed at %v, faults at %v, %d victims; want one, as the third landed", landed, faults, len(inj.Victims))
+	}
+}
+
+// bootVictim boots a kernel on one node of a fresh machine: a kill's
+// victim.
+func bootVictim(t *testing.T, node int) (*sim.Simulation, *hw.Machine, *kernel.Kernel) {
+	t.Helper()
+	s := sim.New(1)
+	m := hw.New(s, hw.Opteron6376x4())
+	part, err := m.NewPartition("victim", node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernel.Boot(part, kernel.Config{Name: "victim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, m, k
+}
+
+// TestInjectorHangStopsVictim: a hang raises no machine check and stops
+// its victim's tasks, which stays alive, and it holds the run open until
+// the victim is halted — at a peer's IPI, say — or, if nothing halts it,
+// for ten seconds.
+func TestInjectorHangStopsVictim(t *testing.T) {
+	for _, halt := range []bool{true, false} {
+		s, m, k := bootVictim(t, 1)
+		m.OnFault(func(f hw.Fault) { t.Errorf("a hang raised %v", f) })
+		inj := chaos.NewInjector(chaos.MustParse("kill primary @1ms hang"), chaos.Env{
+			Sim:    s,
+			Victim: func(chaos.Target) *kernel.Kernel { return k },
+		})
+		inj.Start()
+		var ticks []sim.Time
+		k.Spawn("ticker", func(task *kernel.Task) {
+			task.Proc().SetBackground(true)
+			for {
+				ticks = append(ticks, task.Now())
+				task.Sleep(300 * time.Microsecond)
+			}
+		})
+		alive := false
+		s.Schedule(50*time.Millisecond, func() {
+			if alive = k.Alive(); halt {
+				k.Panic("forcibly halted by peer IPI", nil)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		end := map[bool]sim.Time{true: sim.Time(50 * time.Millisecond), false: sim.Time(time.Millisecond + 10*time.Second)}[halt]
+		if len(ticks) != 4 || !alive || s.Now() != end || len(inj.Victims) != 1 || k.Alive() == halt {
+			t.Errorf("halt=%v: ticks at %v, alive at 50ms %v, run ended at %v, alive at its end %v; want 4 ticks, alive, the end at %v",
+				halt, ticks, alive, s.Now(), k.Alive(), end)
+		}
+		s.Shutdown()
 	}
 }

@@ -472,10 +472,9 @@ func build(cfg Config) (*System, error) {
 	// are armed at creation) and schedule the kills.
 	if !cfg.Chaos.Empty() {
 		sys.injector = chaos.NewInjector(cfg.Chaos, chaos.Env{
-			Sim:     s,
-			Machine: m,
-			Victim:  sys.victim,
-			Scope:   tr.Scope("chaos"),
+			Sim:    s,
+			Victim: sys.victim,
+			Scope:  tr.Scope("chaos"),
 		})
 		for _, r := range fabric.Rings() {
 			sys.injector.ArmRing(r)
@@ -511,10 +510,10 @@ func (sys *System) hookKernel(k *kernel.Kernel) {
 	})
 }
 
-// victim resolves a chaos kill target to a NUMA node by current role: the
+// victim resolves a chaos kill target to a live kernel by current role: the
 // recording side, the first live backup, or the backup holding a specific
 // replica-set slot.
-func (sys *System) victim(t chaos.Target) (int, bool) {
+func (sys *System) victim(t chaos.Target) *kernel.Kernel {
 	var rep *Replica
 	if t == chaos.TargetPrimary {
 		rep = sys.active
@@ -528,9 +527,9 @@ func (sys *System) victim(t chaos.Target) (int, bool) {
 		}
 	}
 	if rep == nil || !rep.Kernel.Alive() {
-		return 0, false
+		return nil
 	}
-	return rep.Kernel.Partition().Nodes()[0].ID, true
+	return rep.Kernel
 }
 
 // Injector returns the chaos injector, or nil when no schedule is armed.

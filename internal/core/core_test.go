@@ -415,7 +415,7 @@ func kernelIgnoredClass() kmem.PageClass { return kmem.KernelIgnored }
 // time and kind are drawn before boot, from a stream of the test's seed.
 func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 	t.Parallel()
-	kinds := []string{"core", "bus", "coherency"}
+	kinds := []string{"core", "hang", "coherency"}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewPCG(uint64(seed), 0))
 		failAt := time.Duration(10+rng.IntN(200)) * time.Millisecond
@@ -423,6 +423,33 @@ func TestFailoverAtRandomPointsSeedSweep(t *testing.T) {
 		sys, _ := stream(t, oracle.Scenario{SimSeed: seed, Size: 16 << 20, Chaos: fmt.Sprintf("kill primary @%v %s", failAt, kind)}, nil,
 			withMSS(32<<10))
 		wantRejoined(t, sys, fmt.Sprintf("seed %d (%v at %v)", seed, kind, failAt))
+	}
+}
+
+// TestHangIsDetectedByHeartbeats: a hang of the recording side raises no
+// machine check, so only the backup's heart-beat timeout finds it — within
+// the detector's timeout plus one interval of the hang, plus the delay a
+// ring fault adds to each heart-beat — and its IPI halts the victim. The run
+// is held open until the halt, so it fails over and rejoins instead of
+// going quiet with the victim alive.
+func TestHangIsDetectedByHeartbeats(t *testing.T) {
+	t.Parallel()
+	for _, row := range []struct {
+		chaos string
+		delay time.Duration
+	}{
+		{"kill primary @log#3 hang", 0},
+		{"delay hb 30ms 0s..10s; kill primary @log#3 hang", 30 * time.Millisecond},
+	} {
+		sys, _ := stream(t, oracle.Scenario{SimSeed: 1, Size: 1 << 20, Chaos: row.chaos}, nil)
+		cfg, victim := sys.Cfg.Failure, sys.Injector().Victims[0]
+		if d := sys.FailedAt.Sub(lastKill(sys)); d <= 0 || d > cfg.Timeout+cfg.Interval+row.delay {
+			t.Errorf("%s: detected %v after the hang, want within (0, %v]", row.chaos, d, cfg.Timeout+cfg.Interval+row.delay)
+		}
+		if r := victim.PanicReason(); r == nil || r.Fault != nil || !strings.Contains(r.Cause, "IPI") {
+			t.Errorf("%s: %s died of %+v, want the peer's IPI halt", row.chaos, victim.Name(), r)
+		}
+		wantRejoined(t, sys, row.chaos)
 	}
 }
 

@@ -74,15 +74,15 @@ func sweep(t *testing.T, app string, cfg sweepConfig) {
 	sc := oracle.Scenario{SimSeed: 1, App: app, Workers: 2, Shards: cfg.shards, Replicas: cfg.replicas, Strict: cfg.strict}
 	clean := oracle.Check(sc)
 	if clean.Err != nil {
-		t.Fatalf("the never-failed run: %v", clean.Err)
+		t.Fatal(clean.Err) // oracle.Check names the never-failed run
 	}
 	transfers := oracle.Transfers(clean.Sys.Obs.Events())
-	if transfers[chaos.ClassLog] == 0 || transfers[chaos.ClassAcks] == 0 {
+	if len(transfers[chaos.ClassLog]) == 0 || len(transfers[chaos.ClassAcks]) == 0 {
 		t.Fatalf("the never-failed run has transfers %v", transfers)
 	}
 	kills := 0
 	for _, class := range []string{chaos.ClassLog, chaos.ClassSync, chaos.ClassAcks} {
-		for n := 1; n <= transfers[class]; n++ {
+		for _, n := range transfers[class] {
 			sc.Chaos = fmt.Sprintf("kill primary @%s#%d", class, n)
 			t.Run(sc.Chaos, func(t *testing.T) {
 				kills++
@@ -99,7 +99,7 @@ func sweep(t *testing.T, app string, cfg sweepConfig) {
 			})
 		}
 	}
-	t.Logf("%d kills (%v transfers) in %v", kills, transfers, time.Since(start))
+	t.Logf("%d kills in %v", kills, time.Since(start))
 }
 
 // TestKillDuringRejoin is rung (d) of the correctness ladder: kills during

@@ -63,14 +63,14 @@ func stream(t *testing.T, sc oracle.Scenario, prepare func(*core.System), extra 
 
 // checkStream checks a finished download: its client read all total bytes
 // of the pattern — a short stream names the tasks a hang left stuck
-// (Wait) — and the run passes oracle.KilledRun, which counts every kill of
-// its chaos schedule delivered, and oracle.DigestsAgree.
+// (Wait) — and the run passes oracle.KilledRun, which finds every victim of
+// its chaos schedule dead, and oracle.DigestsAgree.
 func checkStream(sys *core.System, out string, total int64) error {
 	if !strings.HasPrefix(out, fmt.Sprintf("%d B, ", total)) {
 		return errors.Join(fmt.Errorf("the client saw %q, want all %d bytes of the pattern (state %v, rejoin error %v)",
 			out, total, sys.State(), sys.RejoinErr()), sys.Wait())
 	}
-	return errors.Join(oracle.KilledRun(sys, len(sys.Cfg.Chaos.Kills)), oracle.DigestsAgree(sys), oracle.CommitSafe(sys), oracle.CommitLive(sys))
+	return errors.Join(oracle.KilledRun(sys), oracle.DigestsAgree(sys), oracle.CommitSafe(sys), oracle.CommitLive(sys))
 }
 
 // lifecycleStates returns every lifecycle state of a run, in order, read

@@ -117,35 +117,28 @@ func TestMCAShortCircuitsTimeout(t *testing.T) {
 	}
 }
 
+// TestIPIHaltsSlowPeer: a primary that hangs — its domain stops, heart-beat
+// sender and all, and no machine check is raised — is still alive when the
+// secondary's timeout suspects it, which halts it by IPI within the timeout
+// plus one interval of the hang; its own detector never fires.
 func TestIPIHaltsSlowPeer(t *testing.T) {
 	cfg := failure.DefaultConfig()
 	p := newPair(t, cfg)
-	// Cut only the primary's OUTGOING heart-beats (a "slow" primary whose
-	// kernel still lives): kill its sender tasks by panicking... instead,
-	// simulate by killing just the heart-beat tasks via a fresh pair where
-	// the primary never starts its detector. Build manually:
-	s := sim.New(2)
-	m := hw.New(s, hw.Opteron6376x4())
-	pp, _ := m.NewPartition("p", 0, 1, 2, 3)
-	sp, _ := m.NewPartition("s", 4, 5, 6, 7)
-	pk, _ := kernel.Boot(pp, kernel.Config{Name: "primary"})
-	sk, _ := kernel.Boot(sp, kernel.Config{Name: "secondary"})
-	fabric := shm.NewFabric(s, pp.CrossLatency(sp))
-	ps := fabric.NewRing("hb.ps", 0, 16<<10)
-	sp2 := fabric.NewRing("hb.sp", 1, 16<<10)
-	sd := failure.New(sk, pk, sp2, ps, cfg)
-	sd.Start() // the primary sends no heart-beats at all
-	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
+	var failedAt sim.Time
+	aliveAtSuspicion := false
+	p.sd.OnFail(func() { failedAt = p.sim.Now() })
+	p.sim.Schedule(time.Second, p.pk.Domain().Hang)
+	p.sim.Schedule(time.Second+cfg.Timeout-cfg.Interval, func() { aliveAtSuspicion = p.pk.Alive() })
+	if err := p.sim.RunUntil(sim.Time(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if !sd.Fired() {
-		t.Fatal("silent peer not detected")
+	if !p.sd.Fired() || !aliveAtSuspicion {
+		t.Fatalf("hung peer detected %v, alive until its timeout %v; want both", p.sd.Fired(), aliveAtSuspicion)
 	}
-	if pk.Alive() {
-		t.Error("suspected peer was not forcibly halted by IPI")
+	if r := p.pk.PanicReason(); r == nil || r.Fault != nil || p.sd.IPIs != 1 || p.pd.Fired() {
+		t.Errorf("the hung peer died of %+v after %d IPIs, its detector fired %v; want one IPI halt and no firing", r, p.sd.IPIs, p.pd.Fired())
 	}
-	if sd.IPIs != 1 {
-		t.Errorf("IPIs = %d, want 1", sd.IPIs)
+	if detect := failedAt.Sub(sim.Time(time.Second)); detect <= 0 || detect > cfg.Timeout+cfg.Interval {
+		t.Errorf("detection latency %v, want within (0, %v]", detect, cfg.Timeout+cfg.Interval)
 	}
-	_ = p
 }

@@ -23,8 +23,6 @@ const (
 	// harmless unless errors arrive so fast the kernel is bombarded by
 	// exceptions (the 10%-of-2% unresponsive servers of Meza et al., §2.2).
 	MemCorrected
-	// BusError is a detected interconnect/bus fault confined to one node.
-	BusError
 	// CoherencyLoss is a fault that disrupts cache coherency for a node's
 	// outstanding writes: in-flight inter-replica messages from that node
 	// may be lost (§3.5). The paper conjectures this case is rare.
@@ -35,7 +33,6 @@ var faultKindNames = map[FaultKind]string{
 	CoreFailStop:   "core-fail-stop",
 	MemUncorrected: "mem-uncorrected",
 	MemCorrected:   "mem-corrected",
-	BusError:       "bus-error",
 	CoherencyLoss:  "coherency-loss",
 }
 

@@ -5,8 +5,8 @@
 // The model follows the paper's evaluation machine — four AMD Opteron 6376
 // processors, 64 cores, 128 GB of RAM split in 8 equally-sized NUMA nodes —
 // and the paper's fault taxonomy (§2.1): core fail-stop, detected-but-
-// uncorrected memory errors, correctable memory errors, bus errors, and
-// cache-coherency disruption.
+// uncorrected memory errors, correctable memory errors and cache-coherency
+// disruption.
 package hw
 
 import (

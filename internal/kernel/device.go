@@ -28,8 +28,8 @@ func NewDevice(name string, loadTime time.Duration) *Device {
 func (d *Device) Owner() *Kernel { return d.owner }
 
 // Loaded reports whether the owner's driver is operational: loaded, and its
-// kernel alive — a dead owner's driver stopped with it.
-func (d *Device) Loaded() bool { return d.loaded && d.owner.Alive() }
+// kernel alive and running — a dead or hung owner's driver stopped with it.
+func (d *Device) Loaded() bool { return d.loaded && d.owner.Alive() && !d.owner.group.Hung() }
 
 // Preload marks the device as owned and operational without spending load
 // time — boot-time driver initialization that predates the measurement

@@ -216,9 +216,9 @@ func (k *Kernel) HandleFault(f hw.Fault) kmem.Outcome {
 		return kmem.OutcomeNone
 	}
 	switch f.Kind {
-	case hw.CoreFailStop, hw.BusError, hw.CoherencyLoss:
+	case hw.CoreFailStop, hw.CoherencyLoss:
 		// A core fail-stop takes down the whole kernel (§2.3, Shalev et
-		// al.); we treat a detected bus error or coherency loss the same way.
+		// al.); we treat a detected coherency loss the same way.
 		k.Panic(f.Kind.String(), &f)
 		return kmem.OutcomeKernelPanic
 	case hw.MemUncorrected, hw.MemCorrected:

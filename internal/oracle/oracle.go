@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/rejoin"
 )
@@ -58,12 +57,12 @@ func Check(sc Scenario) Result {
 	res.Sys, res.Flight = sys, sys.Flight
 	kills := sys.Cfg.Chaos.Kills
 	var errs []error
-	coherency := slices.ContainsFunc(kills, func(k chaos.Kill) bool { return k.Fault == hw.CoherencyLoss })
+	coherency := slices.ContainsFunc(kills, func(k chaos.Kill) bool { return k.Kind == chaos.Coherency })
 	lossy := coherency && !sc.Strict && sys.Fabric.Stats().Dropped <= sys.Cfg.Replication.LogRingBytes/64
 	if output != c.output && !lossy {
 		errs = append(errs, fmt.Errorf("the client saw %q, the never-failed run's client %q", output, c.output))
 	}
-	errs = append(errs, KilledRun(sys, len(kills)), DigestsAgree(sys), CommitSafe(sys), CommitLive(sys))
+	errs = append(errs, KilledRun(sys), DigestsAgree(sys), CommitSafe(sys), CommitLive(sys))
 	if sys.Flight != nil {
 		errs = append(errs, FlightWellFormed(sys.Flight))
 	}
@@ -85,9 +84,9 @@ func Twin(sc Scenario) Scenario {
 	return sc
 }
 
-// TwinTransfers returns the never-failed twin's ring transfers by chaos
-// class — the boundaries a kill can name — or the error that ended it.
-func TwinTransfers(sc Scenario) (map[string]int, error) {
+// TwinTransfers returns the never-failed twin's Transfers — the boundaries
+// a kill can name — or the error that ended it.
+func TwinTransfers(sc Scenario) (map[string][]int, error) {
 	c := cleanRun(sc)
 	return c.transfers, c.err
 }
@@ -97,7 +96,7 @@ func TwinTransfers(sc Scenario) (map[string]int, error) {
 type clean struct {
 	once      sync.Once
 	output    string
-	transfers map[string]int
+	transfers map[string][]int
 	err       error
 	flight    *obs.FlightDump
 }
@@ -146,17 +145,21 @@ func run(sc Scenario) (sys *core.System, output string, flight *obs.FlightDump, 
 	return sys, output, nil, nil
 }
 
-// KilledRun checks a finished run that chaos killed kills times: every kill
-// was delivered, the run ends replicated — at generation 1 or later if a
-// kernel died (a memory error outside the kernel's pages kills nothing) —
-// no replica diverged nor recorded a lock-order cycle, every live kernel's
-// cores are idle once it is quiet, and nothing is traced for a kernel after
-// its death. The client's output is the caller's to compare. It returns
-// every finding, joined, or nil.
-func KilledRun(sys *core.System, kills int) error {
+// KilledRun checks a finished run that chaos struck: every delivered kill's
+// victim is dead at the end — a hang's halted by a peer's IPI — the run ends
+// replicated, at generation 1 or later if a kernel died, no replica diverged
+// nor recorded a lock-order cycle, every live kernel's cores are idle once
+// it is quiet, and nothing is traced for a kernel after its death. The
+// client's output is the caller's to compare. It returns every finding,
+// joined, or nil.
+func KilledRun(sys *core.System) error {
 	var errs []error
-	if n := injected(sys); n != int64(kills) {
-		errs = append(errs, fmt.Errorf("%d kills delivered, want %d", n, kills))
+	if inj := sys.Injector(); inj != nil {
+		for _, k := range inj.Victims {
+			if k.Alive() {
+				errs = append(errs, fmt.Errorf("%s, a kill's victim, is alive at the end", k.Name()))
+			}
+		}
 	}
 	died := slices.ContainsFunc(sys.Obs.Events(), func(e obs.Event) bool { return e.Kind == obs.KernelPanic })
 	if g, st := sys.Generation(), sys.State(); died && g < 1 || st != core.StateReplicated {
@@ -219,13 +222,6 @@ func FlightWellFormed(d *obs.FlightDump) error {
 	return nil
 }
 
-func injected(sys *core.System) int64 {
-	if inj := sys.Injector(); inj != nil {
-		return inj.Kills
-	}
-	return 0
-}
-
 // SilentAfterDeath returns the first trace event attributed to a kernel
 // after its KernelPanic, as an error: one in the kernel's own scope or in its
 // namespace's, which share the kernel's slot prefix (primary/kernel and
@@ -245,14 +241,24 @@ func SilentAfterDeath(events []obs.Event) error {
 	return nil
 }
 
-// Transfers counts a traced run's ring transfers by chaos class: the
-// boundaries a `kill <target> @<class>#n` can name.
-func Transfers(events []obs.Event) map[string]int {
-	n := map[string]int{}
+// Transfers returns, by chaos class, the numbers n of a traced run's ring
+// transfers that land while its replica set is whole: the boundaries at
+// which a `kill <target> @<class>#n` is the one failure of its repair
+// window. A run whose ring faults halt a replica (a stretch of lost
+// heart-beats) is whole before the halt and again once a rejoin repairs it.
+func Transfers(events []obs.Event) map[string][]int {
+	n, at := map[string]int{}, map[string][]int{}
+	whole := true
 	for _, e := range events {
-		if e.Kind == obs.RingDeliver {
-			n[chaos.ClassOf(strings.TrimPrefix(e.Scope, "shm/"))]++
+		switch e.Kind {
+		case obs.StateChange:
+			whole = core.LifecycleState(e.Seq) == core.StateReplicated
+		case obs.RingDeliver:
+			class := chaos.ClassOf(strings.TrimPrefix(e.Scope, "shm/"))
+			if n[class]++; whole {
+				at[class] = append(at[class], n[class])
+			}
 		}
 	}
-	return n
+	return at
 }

@@ -104,14 +104,19 @@ func Deploy(sc Scenario, opts ...core.Option) (sys *core.System, run func() (str
 }
 
 // after arms what follows the first kill, polling every 20 ms of virtual
-// time as background work (it keeps no run going): a manual Rejoin as soon
-// as the set is degraded — before the delayed one, which then finds the
-// slot filled — or the retirement of a backup once the set is whole again.
+// time, once the kill's victim is dead — a hang's only at its IPI halt: a
+// manual Rejoin as soon as the set is degraded — before the delayed one,
+// which then finds the slot filled — or the retirement of a backup once the
+// set is whole again. The poll is background work (it keeps no run going)
+// but while a retirement waits for a repair under way, which would
+// otherwise end the run.
 func after(then string, sys *core.System) {
 	var ev sim.Event
 	ev.Init(sys.Sim.Root(), func() {
-		if inj := sys.Injector(); inj != nil && inj.Kills > 0 {
-			switch st := sys.State(); {
+		if inj := sys.Injector(); inj != nil && len(inj.Victims) > 0 && !inj.Victims[0].Alive() {
+			st := sys.State()
+			ev.SetBackground(then != "retire" || st == core.StateReplicated || st == core.StateFailed)
+			switch {
 			case then == "rejoin" && st == core.StateDegraded:
 				if sys.Rejoin() == nil {
 					return

@@ -12,7 +12,7 @@ import (
 // 1, one worker and one shard, two replicas, strict commit.
 func TestScenarioRoundTrips(t *testing.T) {
 	sc := oracle.Scenario{Seed: 4, Index: 17, SimSeed: 9, App: "memcached", Workers: 2, Shards: 4, Replicas: 3, Quorum: 3,
-		Epochs: true, Ports: 2, Chaos: "delay log 200us 0s..5s; kill backup @log#7 bus", Then: "retire"}
+		Epochs: true, Ports: 2, Chaos: "delay log 200us 0s..5s; kill backup @log#7 hang", Then: "retire"}
 	got, err := oracle.ParseScenario(sc.JSON())
 	if err != nil || got != sc {
 		t.Errorf("%s read back as %+v (%v)", sc.JSON(), got, err)
@@ -71,5 +71,35 @@ func TestTwinDropsKills(t *testing.T) {
 		if sc.Chaos = preset; oracle.Twin(sc).Chaos != want {
 			t.Errorf("the twin of preset %s runs %q, want %q", preset, oracle.Twin(sc).Chaos, want)
 		}
+	}
+}
+
+// TestKilledRunWantsEveryVictimDead: a hang that nothing halts — both
+// replicas of a pair hung at once, so no heart-beat monitor runs — holds
+// the run open, then ends it with its victims alive, and KilledRun names
+// each; a halted hang passes.
+func TestKilledRunWantsEveryVictimDead(t *testing.T) {
+	for _, row := range []struct {
+		chaos string
+		alive []string
+	}{
+		{"kill primary @log#3 hang; kill backup @log#3 hang", []string{"primary", "secondary"}},
+		{"kill primary @log#3 hang", nil},
+	} {
+		sys, run, err := oracle.Deploy(oracle.Scenario{SimSeed: 1, App: "condlock", Workers: 1, Shards: 1, Replicas: 2, Strict: true, Chaos: row.chaos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run() // a hang nothing halts ends in a *core.HangError
+		err = oracle.KilledRun(sys)
+		for _, k := range row.alive {
+			if err == nil || !strings.Contains(err.Error(), k+", a kill's victim, is alive at the end") {
+				t.Errorf("%s: KilledRun = %v, want %s named alive", row.chaos, err, k)
+			}
+		}
+		if row.alive == nil && err != nil {
+			t.Errorf("%s: KilledRun = %v, want nil", row.chaos, err)
+		}
+		sys.Sim.Shutdown()
 	}
 }

@@ -440,8 +440,8 @@ func promoteAt(t *testing.T, name string, cfg replication.Config, seed int64, ti
 	var c cut
 	d := newDuo(t, seed, cfg, true)
 	defer d.sim.Shutdown() // each cut's, not at the end of the sweep
-	inj := chaos.NewInjector(chaos.MustParse(kill), chaos.Env{Sim: d.sim, Machine: d.mach,
-		Victim: func(chaos.Target) (int, bool) { return 0, true }}) // node 0 is the primary's
+	inj := chaos.NewInjector(chaos.MustParse(kill), chaos.Env{Sim: d.sim,
+		Victim: func(chaos.Target) *kernel.Kernel { return d.pk }})
 	inj.ArmRing(d.log)
 	inj.Start()
 	d.mach.OnFault(func(f hw.Fault) { d.pk.HandleFault(f) })

@@ -140,6 +140,48 @@ func TestKillBringsADelayedWakeForward(t *testing.T) {
 	}
 }
 
+// TestHungDomainRunsNothingUntilKilled pins Group.Hang: a hung domain's
+// processes are not switched in again, whether asleep, woken by another
+// domain or timing out, and its events do not fire, while it is not killed
+// and the rest of the simulation runs on; a later Kill unwinds each of its
+// processes at once.
+func TestHungDomainRunsNothingUntilKilled(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	g := s.NewGroup("g")
+	var q, timed WaitQueue
+	ran, unwound := map[string]bool{}, map[string]Time{}
+	for name, block := range map[string]func(p *Proc){
+		"sleeper": func(p *Proc) { p.Sleep(2 * time.Millisecond) },
+		"waiter":  func(p *Proc) { q.Wait(p) },
+		"timer":   func(p *Proc) { timed.WaitTimeout(p, 2*time.Millisecond) },
+	} {
+		g.Spawn(name, func(p *Proc) {
+			defer func() { unwound[name] = p.Now() }()
+			block(p)
+			ran[name] = true
+		})
+	}
+	var e Event
+	e.Init(g, func() { ran["event"] = true })
+	e.Reset(2 * time.Millisecond)
+	g.Schedule(2*time.Millisecond, func() { ran["shot"] = true })
+	s.Schedule(time.Millisecond, g.Hang)
+	s.Schedule(3*time.Millisecond, func() { q.WakeOne(0) })
+	s.Schedule(5*time.Millisecond, func() {
+		if g.Killed() || len(ran) != 0 || len(unwound) != 0 {
+			t.Errorf("hung for 4ms: killed %v, ran %v, unwound %v; want nothing", g.Killed(), ran, unwound)
+		}
+		g.Kill()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at := Time(5 * time.Millisecond); len(ran) != 0 || len(unwound) != 3 || unwound["sleeper"] != at || s.Live() != 0 {
+		t.Errorf("ran %v, unwound %v, %d live; want every process unwound at %v and nothing else run", ran, unwound, s.Live(), at)
+	}
+}
+
 // TestStreamDependsOnSeedAndName pins each domain's random stream to
 // (seed, name): creating other domains before or after it, or drawing from
 // them in between, leaves its sequence unchanged; another name or another

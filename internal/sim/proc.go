@@ -33,6 +33,7 @@ const (
 	parkNone  parkKind = iota // running, runnable, or not yet started
 	parkSleep                 // in Sleep: its pending resume is the wake-up
 	parkQueue                 // on p.queue, with or without a timeout
+	parkHung                  // its resume came while its domain hung
 )
 
 // Proc is a simulated process: a coroutine that runs under the simulation
@@ -242,6 +243,7 @@ func (p *Proc) unpark() bool {
 	case parkQueue:
 		p.queue.unlink(p)
 		p.sim.disown(&p.timeoutSeq, p.bg)
+	case parkHung:
 	default:
 		return false
 	}
@@ -281,10 +283,10 @@ func (p *Proc) Kill() {
 // together, as a hardware partition halts. What belongs to no partition
 // lives in the root domain (Simulation.Root), which never dies.
 type Group struct {
-	sim    *Simulation
-	name   string
-	killed bool
-	rng    *rand.Rand
+	sim          *Simulation
+	name         string
+	killed, hung bool
+	rng          *rand.Rand
 }
 
 // NewGroup returns an empty domain. Its random stream is seeded with the
@@ -316,6 +318,15 @@ func (g *Group) SpawnAfter(name string, d time.Duration, fn func(p *Proc)) *Proc
 	}
 	return p
 }
+
+// Hang stops the domain without killing it, as a partition whose cores stop
+// executing: from then on none of its processes is switched in and none of
+// its events fires, but nothing unwinds and Killed stays false, until Kill
+// ends it.
+func (g *Group) Hang() { g.hung = true }
+
+// Hung reports whether the group has been hung.
+func (g *Group) Hung() bool { return g.hung }
 
 // Kill kills the domain: its live processes, in spawn order, which unwind as
 // Proc.Kill has them, and its events — one pass over the queue drops their

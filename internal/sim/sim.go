@@ -485,11 +485,15 @@ func (s *Simulation) dispatch(self *Proc) (next *Proc) {
 			if ev.oneShot { // freed first: a callback that re-schedules itself reuses it
 				s.free(ev)
 			}
-			fn()
+			if !ev.group.hung {
+				fn()
+			}
 		case kindResume:
 			p.resumeSeq = 0
 			p.parked = parkNone
-			if !p.finished {
+			if p.group != nil && p.group.hung && !p.killed {
+				p.parked = parkHung // Kill makes it runnable again
+			} else if !p.finished {
 				return p
 			}
 		case kindTimeout:
