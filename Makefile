@@ -10,10 +10,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# ftvet enforces the one FT invariant go vet cannot see and no runtime
-# check catches in every schedule: determinism of replicated code. The
-# rest, a cycle-free lock order among them, are runtime checks. See
-# DESIGN.md §10.
+# ftvet runs its one checker, nondet (internal/analysis/nondet), on the
+# one FT invariant go vet cannot see and no runtime check catches in every
+# schedule: determinism of replicated code. The rest, a cycle-free lock
+# order among them, are runtime checks. See DESIGN.md §10.
 lint:
 	$(GO) run ./cmd/ftvet ./...
 
@@ -119,10 +119,10 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=1875 replication=2638 tcprep=1501 shm=1124
+LOC_CEILINGS := core=1875 replication=2633 tcprep=1501 shm=1124
 LOC_KERNEL_CEILING := 848
 LOC_BENCH_CEILING := 2078
-LOC_DESIGN_CEILING := 1372
+LOC_DESIGN_CEILING := 1371
 
 loc:
 	@count() { for d; do ls $$d/*.go; done | grep -v _test.go | xargs cat | wc -l; }; total=0; over=0; \

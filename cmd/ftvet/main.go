@@ -6,7 +6,6 @@
 //
 //	go run ./cmd/ftvet ./...             # whole module (the default)
 //	go run ./cmd/ftvet ./internal/tcprep ./internal/replication
-//	go run ./cmd/ftvet -list             # describe the analyzer
 //	go run ./cmd/ftvet -format=sarif ./... > ftvet.sarif
 //	go run ./cmd/ftvet -callgraph ./internal/replication
 //	go run ./cmd/ftvet -summary ./internal/shm
@@ -15,16 +14,17 @@
 // 2.1.0 with -format=sarif, for CI annotation upload). The
 // -callgraph and -summary flags dump the interprocedural engine's
 // resolved call edges and per-function summaries instead of
-// running the analyzers — the artifacts for debugging a surprising
-// multi-hop trace. Suppressions use the audited escape
-// hatch documented in internal/analysis/ftvet:
+// checking — the artifacts for debugging a surprising multi-hop
+// trace. Suppressions use the audited escape hatch documented in
+// internal/analysis/ftvet:
 //
-//	//ftvet:allow <analyzer>: <justification>
+//	//ftvet:allow nondet: <justification>
 //
-// The analyzers are built on the in-repo framework (internal/analysis/
-// ftvet) rather than golang.org/x/tools/go/analysis, which is not
-// vendorable in this offline container; for the same reason ftvet runs
-// as a standalone command instead of a -vettool plugin.
+// The checker (internal/analysis/nondet) is built on the in-repo loader
+// (internal/analysis/ftvet) rather than golang.org/x/tools/go/analysis,
+// because the module has no dependencies; for the same reason ftvet runs
+// as a standalone command instead of a -vettool plugin. Exit status: 0
+// clean, 1 findings, 2 a usage or load error.
 //
 // The other FT rules — a deterministic section neither parks nor nests,
 // the lock order has no cycle (pthread.LockOrderError), a waiter is armed
@@ -34,53 +34,63 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/analysis/flow"
 	"repro/internal/analysis/ftvet"
 	"repro/internal/analysis/nondet"
 )
 
-// All is the registered analyzer suite: the SARIF rules and the names an
-// //ftvet:allow may give.
-var All = []*ftvet.Analyzer{nondet.Analyzer}
-
 func main() {
-	list := flag.Bool("list", false, "describe the registered analyzers and exit")
-	format := flag.String("format", "text", "output format: text or sarif")
-	verbose := flag.Bool("v", false, "print per-analyzer timing to stderr")
-	callgraph := flag.Bool("callgraph", false, "dump the resolved call graph instead of running analyzers")
-	summary := flag.Bool("summary", false, "dump per-function taint summaries instead of running analyzers")
-	flag.Parse()
-
-	if *list {
-		for _, a := range All {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	root, module, err := findModule()
+	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftvet:", err)
 		os.Exit(2)
+	}
+	os.Exit(run(wd, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is ftvet with its arguments, in the module enclosing dir; it returns
+// the exit status.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("ftvet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	format := flags.String("format", "text", "output format: text or sarif")
+	callgraph := flags.Bool("callgraph", false, "dump the resolved call graph instead of checking")
+	summary := flags.Bool("summary", false, "dump per-function taint summaries instead of checking")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(stderr, "ftvet: unknown format %q (want text or sarif)\n", *format)
+		return 2
+	}
+
+	root, module, err := findModule(dir)
+	if err != nil {
+		fmt.Fprintln(stderr, "ftvet:", err)
+		return 2
 	}
 	loader := ftvet.NewLoader(root, module)
 	pkgs, err := loader.LoadAll()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftvet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ftvet:", err)
+		return 2
 	}
-	if args := flag.Args(); len(args) > 0 && !(len(args) == 1 && (args[0] == "./..." || args[0] == "all")) {
-		pkgs = filterPackages(pkgs, args, module, root)
+	if args := flags.Args(); len(args) > 0 && !(len(args) == 1 && (args[0] == "./..." || args[0] == "all")) {
+		pkgs = filterPackages(pkgs, args, module)
 		if len(pkgs) == 0 {
-			fmt.Fprintln(os.Stderr, "ftvet: no packages match the given patterns")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "ftvet: no packages match the given patterns")
+			return 2
 		}
 	}
 
@@ -90,59 +100,35 @@ func main() {
 		// but only functions defined in listed packages get nodes.
 		g := flow.Build(loader.Fset, pkgs)
 		if *callgraph {
-			g.DumpCallGraph(os.Stdout)
+			g.DumpCallGraph(stdout)
 		}
 		if *summary {
-			g.DumpSummaries(os.Stdout)
+			g.DumpSummaries(stdout)
 		}
-		return
+		return 0
 	}
 
-	diags, timings, err := ftvet.RunTimed(loader.Fset, pkgs, All)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *verbose {
-		perAnalyzer := map[string]time.Duration{}
-		for _, tm := range timings {
-			perAnalyzer[tm.Analyzer] += tm.Elapsed
-		}
-		for _, a := range All {
-			fmt.Fprintf(os.Stderr, "ftvet: %-12s %v over %d package(s)\n",
-				a.Name, perAnalyzer[a.Name].Round(time.Millisecond), len(pkgs))
-		}
-	}
-
-	n := len(diags)
-	switch *format {
-	case "text":
-		n = ftvet.Print(os.Stdout, loader.Fset, diags)
-	case "sarif":
+	diags := nondet.Check(loader.Fset, pkgs)
+	if *format == "sarif" {
 		// Always emit a well-formed log, even when clean, so a CI upload
 		// step has a file to consume on every run.
-		err = ftvet.WriteSARIF(os.Stdout, loader.Fset, root, All, diags)
-	default:
-		fmt.Fprintf(os.Stderr, "ftvet: unknown format %q (want text or sarif)\n", *format)
-		os.Exit(2)
+		if err := ftvet.WriteSARIF(stdout, loader.Fset, root, nondet.Name, nondet.Doc, diags); err != nil {
+			fmt.Fprintln(stderr, "ftvet:", err)
+			return 2
+		}
+	} else {
+		ftvet.Print(stdout, loader.Fset, diags)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftvet:", err)
-		os.Exit(2)
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "ftvet: %d finding(s)\n", len(diags))
+		return 1
 	}
-	if n > 0 {
-		fmt.Fprintf(os.Stderr, "ftvet: %d finding(s)\n", n)
-		os.Exit(1)
-	}
+	return 0
 }
 
-// findModule locates the enclosing go.mod and returns its directory and
-// module path.
-func findModule() (root, module string, err error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
+// findModule locates the go.mod enclosing dir and returns its directory
+// and module path.
+func findModule(dir string) (root, module string, err error) {
 	for {
 		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 		if err == nil {
@@ -164,7 +150,7 @@ func findModule() (root, module string, err error) {
 // filterPackages keeps packages matching go-style patterns: ./x,
 // ./x/... (relative to root), or full import paths, with "..." matching
 // any suffix.
-func filterPackages(pkgs []*ftvet.Package, patterns []string, module, root string) []*ftvet.Package {
+func filterPackages(pkgs []*ftvet.Package, patterns []string, module string) []*ftvet.Package {
 	match := func(path string) bool {
 		for _, pat := range patterns {
 			pat = strings.TrimSuffix(pat, "/")

@@ -1,6 +1,6 @@
-// Package analysistest runs ftvet analyzers over golden fixture packages
-// under a testdata/src tree, mirroring the x/tools package of the same
-// name: fixture lines carry trailing
+// Package analysistest runs nondet, ftvet's checker, over golden fixture
+// packages under a testdata/src tree, mirroring the x/tools package of the
+// same name: fixture lines carry trailing
 //
 //	// want "regexp"
 //
@@ -25,13 +25,14 @@ import (
 	"testing"
 
 	"repro/internal/analysis/ftvet"
+	"repro/internal/analysis/nondet"
 )
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
-// Run loads each fixture package and applies the analyzer, comparing
-// diagnostics against the fixtures' want comments.
-func Run(t *testing.T, testdata string, a *ftvet.Analyzer, paths ...string) {
+// Run loads each fixture package and checks them together with
+// nondet.Check, comparing diagnostics against the fixtures' want comments.
+func Run(t *testing.T, testdata string, paths ...string) {
 	t.Helper()
 	loader := ftvet.NewLoader(testdata+"/src", "")
 	var pkgs []*ftvet.Package
@@ -42,11 +43,7 @@ func Run(t *testing.T, testdata string, a *ftvet.Analyzer, paths ...string) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags, err := ftvet.Run(loader.Fset, pkgs, []*ftvet.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	check(t, loader.Fset, pkgs, diags)
+	check(t, loader.Fset, pkgs, nondet.Check(loader.Fset, pkgs))
 }
 
 type wantKey struct {
@@ -90,7 +87,7 @@ func check(t *testing.T, fset *token.FileSet, pkgs []*ftvet.Package, diags []ftv
 			}
 		}
 		if !matched {
-			t.Errorf("%s:%d: unexpected diagnostic: %s [%s]", pos.Filename, pos.Line, d.Message, d.Analyzer)
+			t.Errorf("%s:%d: unexpected diagnostic: %s [%s]", pos.Filename, pos.Line, d.Message, d.Rule)
 		}
 	}
 	for k, res := range wants {

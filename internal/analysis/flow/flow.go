@@ -1,4 +1,4 @@
-// Package flow is the interprocedural engine under the ftvet analyzers:
+// Package flow is the interprocedural engine under nondet, ftvet's checker:
 // a call graph over the loaded package set plus per-function summaries
 // computed bottom-up over strongly connected components.
 //
@@ -16,15 +16,15 @@
 //   - per-function summaries (summary.go, taint.go) iterated to fixpoint
 //     over Tarjan SCCs in bottom-up (reverse topological) order, so
 //     recursion converges: which taints a function's results carry
-//     (wall-clock, pid, rand draws, map-iteration order);
+//     (wall-clock, pid, rand draws — the sources of taint.go's one table,
+//     which nondet reads too — and map-iteration order);
 //
 //   - diagnostic traces: every taint carries the call chain back to its
 //     source, so nondet reports source → hop → … → sink with a position
 //     per hop.
 //
-// The graph is built once per ftvet.Run and shared via Pass.Shared (see
-// Of). Everything here is conservative in the same direction as the
-// analyzers themselves: unresolvable calls (function values, out-of-tree
+// nondet.Check builds the graph once per check. Everything here is
+// conservative in the same direction as the checker itself: unresolvable calls (function values, out-of-tree
 // callees) contribute no edges and no taint, so the engine adds findings
 // only along chains it can actually prove. Taint crosses static edges
 // only.
@@ -81,15 +81,6 @@ type Graph struct {
 
 	// callees indexes resolution results per call site.
 	callees map[*ast.CallExpr][]*Node
-}
-
-// Of returns the run-wide graph for the pass, building it on first use
-// and memoizing it in Pass.Shared.
-func Of(pass *ftvet.Pass) *Graph {
-	if pass.Shared == nil {
-		return Build(pass.Fset, pass.All)
-	}
-	return pass.Shared.Get("flow.graph", func() any { return Build(pass.Fset, pass.All) }).(*Graph)
 }
 
 // Build constructs the call graph over the package set and computes all

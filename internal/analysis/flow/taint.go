@@ -122,9 +122,9 @@ func (g *Graph) FuncEnv(n *Node) *TaintEnv {
 }
 
 // ExprTaints returns every taint syntactically reachable in e: direct
-// denylist sources, tainted variables, and calls to functions whose
-// summaries carry result taints. Function literals are opaque (they run
-// later, if at all).
+// sources (but no seeded rand.New*), tainted variables, and calls to
+// functions whose summaries carry result taints. Function literals are
+// opaque (they run later, if at all).
 func (env *TaintEnv) ExprTaints(e ast.Expr) []Taint {
 	if e == nil {
 		return nil
@@ -139,8 +139,10 @@ func (env *TaintEnv) ExprTaints(e ast.Expr) []Taint {
 				out = append(out, env.vars[obj]...)
 			}
 		case *ast.SelectorExpr:
-			if t := qualifiedTaint(env.n.Pkg, x); t != nil {
-				out = append(out, *t)
+			if t, ok := Source(env.n.Pkg, x); ok {
+				if !t.seeded() {
+					out = append(out, t)
+				}
 				return false
 			}
 		case *ast.CallExpr:
@@ -260,40 +262,45 @@ func (env *TaintEnv) returnStmt(ret *ast.ReturnStmt) {
 	}
 }
 
-// qualifiedTaint recognizes the denylist sources as qualified
-// identifiers: time.Now/Since, os.Getpid, and package-level math/rand
-// names. rand.New* is excluded — constructing a seeded source is exactly
-// the sanctioned pattern (sim hands out deterministic *rand.Rand
-// values); only the process-seeded package-level draws diverge.
-func qualifiedTaint(pkg *ftvet.Package, sel *ast.SelectorExpr) *Taint {
+// sources is the one table of nondeterminism sources, which nondet
+// reports where replicated code names one and the engine carries out of
+// a helper that returns one: package path, then name, then the taint it
+// starts; the name "" stands for every name of its package.
+var sources = map[string]map[string]TaintKind{
+	"time":         {"Now": TaintClock, "Since": TaintClock},
+	"os":           {"Getpid": TaintPid},
+	"math/rand":    {"": TaintRand},
+	"math/rand/v2": {"": TaintRand},
+}
+
+// Source looks a qualified identifier up in sources and returns the
+// taint it starts, Desc naming it ("time.Now", "rand.Intn").
+func Source(pkg *ftvet.Package, sel *ast.SelectorExpr) (Taint, bool) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
-		return nil
+		return Taint{}, false
 	}
 	if _, isPkg := pkg.ObjectOf(id).(*types.PkgName); !isPkg {
-		return nil
+		return Taint{}, false
 	}
 	obj := pkg.ObjectOf(sel.Sel)
 	if obj == nil || obj.Pkg() == nil {
-		return nil
+		return Taint{}, false
 	}
-	switch obj.Pkg().Path() {
-	case "time":
-		switch obj.Name() {
-		case "Now", "Since":
-			return &Taint{Kind: TaintClock, Source: sel.Pos(), Desc: "time." + obj.Name()}
-		}
-	case "os":
-		if obj.Name() == "Getpid" {
-			return &Taint{Kind: TaintPid, Source: sel.Pos(), Desc: "os.Getpid"}
-		}
-	case "math/rand", "math/rand/v2":
-		if !strings.HasPrefix(obj.Name(), "New") {
-			return &Taint{Kind: TaintRand, Source: sel.Pos(), Desc: "rand." + obj.Name()}
-		}
+	names := sources[obj.Pkg().Path()]
+	kind, ok := names[obj.Name()]
+	if !ok {
+		kind, ok = names[""]
 	}
-	return nil
+	return Taint{Kind: kind, Source: sel.Pos(), Desc: obj.Pkg().Name() + "." + obj.Name()}, ok
 }
+
+// seeded reports whether t names a rand.New* constructor. It is the one
+// place the two readers of sources differ: a seeded stream is what sim
+// hands out (sim.Group.Rand), so a helper that builds and returns one
+// carries no taint, while nondet still reports a rand.New* written in
+// replicated code, which takes its stream from its domain instead.
+func (t Taint) seeded() bool { return t.Kind == TaintRand && strings.HasPrefix(t.Desc, "rand.New") }
 
 // dedupTaints sorts and uniques a taint list by (kind, source), keeping
 // the first (shortest-trace, since callers prepend) entry, and caps it.

@@ -34,9 +34,7 @@ func c() {
 }
 `
 	fset, _, pkgs := allowFixture(t, src)
-	known := map[string]bool{"nondet": true}
-
-	marks, malformed := collectAllows(fset, pkgs, known)
+	marks, malformed := collectAllows(fset, pkgs, "nondet")
 	if len(marks) != 2 {
 		t.Fatalf("got %d valid marks, want 2: %+v", len(marks), marks)
 	}
@@ -45,8 +43,8 @@ func c() {
 	}
 	var msgs []string
 	for _, d := range malformed {
-		if d.Analyzer != "ftvet" {
-			t.Errorf("malformed allow reported under %q, want the ftvet pseudo-analyzer", d.Analyzer)
+		if d.Rule != "ftvet" {
+			t.Errorf("malformed allow reported under %q, want the ftvet pseudo-rule", d.Rule)
 		}
 		msgs = append(msgs, d.Message)
 	}
@@ -69,7 +67,7 @@ func a() {
 }
 `
 	fset, f, pkgs := allowFixture(t, src)
-	marks, malformed := collectAllows(fset, pkgs, map[string]bool{"nondet": true})
+	marks, malformed := collectAllows(fset, pkgs, "nondet")
 	if len(malformed) != 0 {
 		t.Fatalf("unexpected malformed allows: %+v", malformed)
 	}
@@ -77,18 +75,36 @@ func a() {
 		return fset.File(f.Pos()).LineStart(line)
 	}
 	diags := []Diagnostic{
-		{Analyzer: "nondet", Pos: pos(4), Message: "same line"},
-		{Analyzer: "nondet", Pos: pos(6), Message: "line below standalone"},
-		{Analyzer: "nondet", Pos: pos(7), Message: "uncovered"},
-		{Analyzer: "ftvet", Pos: pos(4), Message: "other analyzer not covered"},
+		{Rule: "nondet", Pos: pos(4), Message: "same line"},
+		{Rule: "nondet", Pos: pos(6), Message: "line below standalone"},
+		{Rule: "nondet", Pos: pos(7), Message: "uncovered"},
+		{Rule: "ftvet", Pos: pos(4), Message: "other rule not covered"},
 	}
 	out := filterAllows(fset, diags, marks)
 	if len(out) != 2 {
 		t.Fatalf("got %d surviving diagnostics, want 2: %+v", len(out), out)
 	}
 	for _, d := range out {
-		if d.Message != "uncovered" && d.Message != "other analyzer not covered" {
+		if d.Message != "uncovered" && d.Message != "other rule not covered" {
 			t.Errorf("wrong diagnostic survived: %+v", d)
 		}
+	}
+}
+
+// TestApplyAllowsKnownRule pins the allow semantics a check finishes with:
+// an allow naming the checked rule is accepted, and one naming any other
+// rule is diagnosed as unknown.
+func TestApplyAllowsKnownRule(t *testing.T) {
+	const src = `package p
+
+func f() {
+	_ = 1 //ftvet:allow nondet: waiver for the rule checked
+	_ = 2 //ftvet:allow other: waiver for no rule of this check
+}
+`
+	fset, _, pkgs := allowFixture(t, src)
+	diags := ApplyAllows(fset, pkgs, "nondet", nil)
+	if len(diags) != 1 || diags[0].Rule != "ftvet" || fset.Position(diags[0].Pos).Line != 5 {
+		t.Fatalf("diags = %+v, want one ftvet unknown-analyzer finding, on line 5", diags)
 	}
 }

@@ -1,20 +1,19 @@
-// Package ftvet is the analysis framework behind cmd/ftvet: a minimal,
-// dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus a module-aware package
-// loader built on go/types' source importer.
+// Package ftvet is the toolkit under cmd/ftvet's one checker,
+// internal/analysis/nondet: a module-aware package loader built on
+// go/types' source importer, the Diagnostic a finding is, the
+// `//ftvet:allow` escape hatch (allow.go) and the text and SARIF
+// renderings of the findings.
 //
-// The framework exists because the FT-Linux reproduction depends on an
+// The checker exists because the FT-Linux reproduction depends on an
 // invariant the Go compiler cannot see and no runtime check catches in
-// every schedule: determinism of replicated code (§3.3). It is an
-// Analyzer; cmd/ftvet runs it; `//ftvet:allow` (see allow.go) is the
-// audited escape hatch. The FT rules a runtime check does enforce — the
-// deterministic-section discipline, a cycle-free lock order, flush before
-// output commit (§3.5), truncation at a verified boundary — have no
-// analyzer (DESIGN.md §10).
+// every schedule: determinism of replicated code (§3.3). The FT rules a
+// runtime check does enforce — the deterministic-section discipline, a
+// cycle-free lock order, flush before output commit (§3.5), truncation at
+// a verified boundary — have no static check (DESIGN.md §10).
 //
 // golang.org/x/tools is not vendored (the module has no dependencies), so
-// the subset of its API reproduced here is exactly what the FT analyzer
-// needs, nothing more.
+// the loader and the vocabulary here are written for this one checker,
+// nothing more.
 package ftvet
 
 import (
@@ -22,23 +21,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io"
 	"sort"
-	"sync"
 )
-
-// Analyzer describes one invariant checker, mirroring analysis.Analyzer.
-type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //ftvet:allow comments. It must be a valid identifier.
-	Name string
-
-	// Doc is the one-paragraph description shown by `ftvet -list`.
-	Doc string
-
-	// Run executes the analyzer on a pass, reporting findings via
-	// Pass.Report/Reportf.
-	Run func(*Pass) error
-}
 
 // Package is one loaded, type-checked package.
 type Package struct {
@@ -46,49 +31,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-}
-
-// Pass carries one analyzer execution over one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-
-	// Pkg is the package under analysis.
-	Pkg *Package
-
-	// All is the full package set of the run (always populated).
-	All []*Package
-
-	// Shared is the run-wide cross-analyzer cache. Whole-program
-	// artifacts that several analyzers consume — the call graph and the
-	// function summaries of internal/analysis/flow — are built once per
-	// Run and memoized here, keyed by name.
-	Shared *Shared
-
-	diags *[]Diagnostic
-}
-
-// Shared memoizes run-wide artifacts across analyzers and packages. One
-// Shared is created per Run and handed to every Pass.
-type Shared struct {
-	mu   sync.Mutex
-	vals map[string]any
-}
-
-// NewShared returns an empty run-wide cache (exported for tests and
-// debug tooling that construct passes by hand).
-func NewShared() *Shared { return &Shared{vals: map[string]any{}} }
-
-// Get returns the cached value under key, building it on first use.
-func (s *Shared) Get(key string, build func() any) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.vals[key]; ok {
-		return v
-	}
-	v := build()
-	s.vals[key] = v
-	return v
 }
 
 // TraceStep is one hop of an interprocedural diagnostic trace: where
@@ -101,9 +43,11 @@ type TraceStep struct {
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Analyzer string
-	Pos      token.Pos
-	Message  string
+	// Rule is the checker's name, or "ftvet" for a malformed
+	// //ftvet:allow.
+	Rule    string
+	Pos     token.Pos
+	Message string
 
 	// Trace, when non-empty, is the interprocedural path behind the
 	// finding, source first. Text output folds it into the message; the
@@ -112,23 +56,22 @@ type Diagnostic struct {
 	Trace []TraceStep
 }
 
-// Report records a finding at pos.
-func (p *Pass) Report(pos token.Pos, msg string) {
-	*p.diags = append(*p.diags, Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: msg})
+// Print writes diagnostics in the canonical file:line:col format used by
+// go vet, returning the number printed. Interprocedural traces follow
+// the finding as indented hop lines.
+func Print(w io.Writer, fset *token.FileSet, diags []Diagnostic) int {
+	for _, d := range diags {
+		p := fset.Position(d.Pos)
+		fmt.Fprintf(w, "%s:%d:%d: %s [%s]\n", p.Filename, p.Line, p.Column, d.Message, d.Rule)
+		for _, h := range d.Trace {
+			hp := fset.Position(h.Pos)
+			fmt.Fprintf(w, "\t%s:%d:%d: %s\n", hp.Filename, hp.Line, hp.Column, h.Note)
+		}
+	}
+	return len(diags)
 }
 
-// Reportf records a formatted finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(pos, fmt.Sprintf(format, args...))
-}
-
-// ReportTrace records a finding carrying an interprocedural trace
-// (source hop first).
-func (p *Pass) ReportTrace(pos token.Pos, msg string, trace []TraceStep) {
-	*p.diags = append(*p.diags, Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: msg, Trace: trace})
-}
-
-// TypeOf returns the type of e in the pass's package, or nil.
+// TypeOf returns the type of e in the package, or nil.
 func (pkg *Package) TypeOf(e ast.Expr) types.Type {
 	if tv, ok := pkg.Info.Types[e]; ok {
 		return tv.Type
@@ -163,8 +106,8 @@ func (pkg *Package) CalleeFunc(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// sortDiags orders diagnostics by file position, then analyzer name, so
-// output and golden comparisons are deterministic.
+// sortDiags orders diagnostics by file position, then rule, so output
+// and golden comparisons are deterministic.
 func sortDiags(fset *token.FileSet, diags []Diagnostic) {
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
@@ -177,6 +120,6 @@ func sortDiags(fset *token.FileSet, diags []Diagnostic) {
 		if pi.Column != pj.Column {
 			return pi.Column < pj.Column
 		}
-		return diags[i].Analyzer < diags[j].Analyzer
+		return diags[i].Rule < diags[j].Rule
 	})
 }

@@ -10,14 +10,11 @@ import (
 	"repro/internal/analysis/nondet"
 )
 
-var suite = []*ftvet.Analyzer{nondet.Analyzer}
-
-// TestRepoClean runs the analyzer suite over the repository itself, so a
-// regression that reintroduces a nondeterminism source fails `go test` as
-// well as `make lint`. It doubles as
-// the analyzer runtime budget:
-// load + full interprocedural run must stay under 60s so the fixpoint
-// engine cannot quietly regress CI (per-analyzer timings print with -v).
+// TestRepoClean runs nondet over the repository itself, so a regression
+// that reintroduces a nondeterminism source fails `go test` as well as
+// `make lint`. It doubles as the checker's runtime budget: load + full
+// interprocedural check must stay under 60s so the fixpoint engine cannot
+// quietly regress CI.
 func TestRepoClean(t *testing.T) {
 	root, err := filepath.Abs("../../..")
 	if err != nil {
@@ -32,32 +29,22 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; loader is missing most of the tree", len(pkgs))
 	}
-	diags, timings, err := ftvet.RunTimed(loader.Fset, pkgs, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := nondet.Check(loader.Fset, pkgs)
 	elapsed := time.Since(start)
-	perAnalyzer := map[string]time.Duration{}
-	for _, tm := range timings {
-		perAnalyzer[tm.Analyzer] += tm.Elapsed
-	}
-	for _, a := range suite {
-		t.Logf("%-12s %v", a.Name, perAnalyzer[a.Name].Round(time.Millisecond))
-	}
 	t.Logf("load + scan of %d packages: %v", len(pkgs), elapsed.Round(time.Millisecond))
 	if elapsed > 60*time.Second {
 		t.Errorf("full-repo scan took %v, over the 60s runtime budget", elapsed)
 	}
 	for _, d := range diags {
 		p := loader.Fset.Position(d.Pos)
-		t.Errorf("%s:%d:%d: %s [%s]", p.Filename, p.Line, p.Column, d.Message, d.Analyzer)
+		t.Errorf("%s:%d:%d: %s [%s]", p.Filename, p.Line, p.Column, d.Message, d.Rule)
 	}
 }
 
 // TestNondetCatchesPlantedClock proves the acceptance criterion that a
 // time.Now() planted in a replicated app package is caught: it builds a
-// scratch module whose only file mirrors internal/apps/pbzip2 and runs
-// the suite over it.
+// scratch module whose only file mirrors internal/apps/pbzip2 and checks
+// it.
 func TestNondetCatchesPlantedClock(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "internal", "apps", "pbzip2")
@@ -78,13 +65,10 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := ftvet.Run(loader.Fset, pkgs, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := nondet.Check(loader.Fset, pkgs)
 	found := false
 	for _, d := range diags {
-		if d.Analyzer == "nondet" {
+		if d.Rule == nondet.Name {
 			found = true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -92,30 +93,23 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// WriteSARIF renders diagnostics as a SARIF 2.1.0 log with one rule per
-// registered analyzer (plus the "ftvet" pseudo-rule for malformed allow
-// directives), paths relative to root. Interprocedural traces become
-// relatedLocations, source hop first.
-func WriteSARIF(w io.Writer, fset *token.FileSet, root string, analyzers []*Analyzer, diags []Diagnostic) error {
+// WriteSARIF renders diagnostics as a SARIF 2.1.0 log with two rules —
+// the checker's, named rule and described by doc, and the "ftvet"
+// pseudo-rule of malformed allow directives — and paths relative to
+// root. Interprocedural traces become relatedLocations, source hop first.
+func WriteSARIF(w io.Writer, fset *token.FileSet, root, rule, doc string, diags []Diagnostic) error {
 	driver := sarifDriver{Name: "ftvet"}
-	ruleIdx := map[string]int{}
-	addRule := func(id, short, full string) {
-		if _, ok := ruleIdx[id]; ok {
-			return
-		}
-		ruleIdx[id] = len(driver.Rules)
+	for _, r := range [][3]string{
+		{rule, rule + ": FT-invariant analyzer", doc},
+		{"ftvet", "malformed //ftvet:allow directive", "the //ftvet:allow escape hatch requires a known analyzer name and a justification"},
+	} {
 		driver.Rules = append(driver.Rules, sarifRule{
-			ID:               id,
-			ShortDescription: sarifText{Text: short},
-			FullDescription:  sarifText{Text: full},
+			ID:               r[0],
+			ShortDescription: sarifText{Text: r[1]},
+			FullDescription:  sarifText{Text: r[2]},
 			DefaultConfig:    sarifCfg{Level: "error"},
 		})
 	}
-	for _, a := range analyzers {
-		addRule(a.Name, a.Name+": FT-invariant analyzer", a.Doc)
-	}
-	addRule("ftvet", "malformed //ftvet:allow directive",
-		"the //ftvet:allow escape hatch requires a known analyzer name and a justification")
 
 	loc := func(pos token.Pos, msg string) sarifLocation {
 		p := fset.Position(pos)
@@ -131,12 +125,9 @@ func WriteSARIF(w io.Writer, fset *token.FileSet, root string, analyzers []*Anal
 
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		// A diagnostic from an analyzer outside the registry (possible
-		// when callers hand-craft diagnostics) still needs a rule entry.
-		addRule(d.Analyzer, d.Analyzer, d.Analyzer)
 		r := sarifResult{
-			RuleID:    d.Analyzer,
-			RuleIndex: ruleIdx[d.Analyzer],
+			RuleID:    d.Rule,
+			RuleIndex: slices.IndexFunc(driver.Rules, func(r sarifRule) bool { return r.ID == d.Rule }),
 			Level:     "error",
 			Message:   sarifText{Text: d.Message},
 			Locations: []sarifLocation{loc(d.Pos, "")},

@@ -10,7 +10,7 @@ import (
 )
 
 // sarifFixture builds a two-finding diagnostic list (one with an
-// interprocedural trace) over a real parsed file, so positions resolve.
+// interprocedural trace, one of the ftvet pseudo-rule) over a real parsed file, so positions resolve.
 func sarifFixture(t *testing.T) (*token.FileSet, string, []Diagnostic) {
 	t.Helper()
 	const src = `package p
@@ -30,25 +30,21 @@ func source() {}
 	sourcePos := f.Decls[1].Pos() // line 5
 	return fset, root, []Diagnostic{
 		{
-			Analyzer: "nondet",
-			Pos:      sinkPos,
-			Message:  "wall clock reaches replicated state",
+			Rule:    "nondet",
+			Pos:     sinkPos,
+			Message: "wall clock reaches replicated state",
 			Trace: []TraceStep{
 				{Pos: sourcePos, Note: "time.Now — the nondeterminism source"},
 			},
 		},
-		{Analyzer: "other", Pos: sourcePos, Message: "another finding"},
+		{Rule: "ftvet", Pos: sourcePos, Message: "malformed ftvet:allow"},
 	}
 }
 
 func TestWriteSARIF(t *testing.T) {
 	fset, root, diags := sarifFixture(t)
-	analyzers := []*Analyzer{
-		{Name: "nondet", Doc: "nondeterminism sources"},
-		{Name: "other", Doc: "another analyzer"},
-	}
 	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, fset, root, analyzers, diags); err != nil {
+	if err := WriteSARIF(&buf, fset, root, "nondet", "nondeterminism sources", diags); err != nil {
 		t.Fatal(err)
 	}
 	var log sarifLog
@@ -65,12 +61,15 @@ func TestWriteSARIF(t *testing.T) {
 	if run.Tool.Driver.Name != "ftvet" {
 		t.Errorf("driver name = %q, want ftvet", run.Tool.Driver.Name)
 	}
-	// One rule per registered analyzer plus the ftvet pseudo-rule.
-	if len(run.Tool.Driver.Rules) != 3 {
-		t.Errorf("got %d rules, want 3 (nondet, other, ftvet)", len(run.Tool.Driver.Rules))
+	// The checker's rule plus the ftvet pseudo-rule.
+	if len(run.Tool.Driver.Rules) != 2 {
+		t.Errorf("got %d rules, want 2 (nondet, ftvet)", len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 2 {
 		t.Fatalf("got %d results, want 2", len(run.Results))
+	}
+	if r := run.Results[1]; r.RuleID != "ftvet" || run.Tool.Driver.Rules[r.RuleIndex].ID != "ftvet" {
+		t.Errorf("second result rule = %q (index %d), want a consistent ftvet binding", r.RuleID, r.RuleIndex)
 	}
 	r := run.Results[0]
 	if r.RuleID != "nondet" || run.Tool.Driver.Rules[r.RuleIndex].ID != "nondet" {

@@ -1,4 +1,5 @@
-// Package nondet flags raw nondeterminism sources in replicated code.
+// Package nondet flags raw nondeterminism sources in replicated code. It
+// is cmd/ftvet's one checker: Check runs it over a package set.
 //
 // The record/replay protocol only works if every nondeterministic input
 // the application observes flows through the replication layer: clock
@@ -16,9 +17,9 @@
 //     (*replication.Thread).Now or the kernel clock (*kernel.Kernel).Now
 //   - os.Getpid — use the replicated thread identity
 //     (*replication.Thread).FTPid
-//   - any package-level use of math/rand — use a domain's seeded
-//     deterministic stream (sim.Group.Rand); method calls on a
-//     *rand.Rand obtained from a domain are sanctioned
+//   - any package-level use of math/rand, rand.New* included — use a
+//     domain's seeded deterministic stream (sim.Group.Rand); method
+//     calls on a *rand.Rand obtained from a domain are sanctioned
 //   - a go statement — the goroutine's interleaving is the Go runtime's,
 //     not the seed's; spawn a replicated thread
 //     (replication.Namespace.SpawnThread)
@@ -87,13 +88,36 @@ func sanctionedObs(path string) bool {
 	return path == obsPath || path == causalPath
 }
 
-// Analyzer is the nondet pass.
-var Analyzer = &ftvet.Analyzer{
-	Name: "nondet",
-	Doc: "flag raw nondeterminism (time.Now, time.Since, os.Getpid, math/rand, " +
-		"go statements, order-escaping map ranges) in replicated packages; replicated code must " +
-		"use the sanctioned wrappers so both replicas observe identical values (§3.3)",
-	Run: run,
+// Name is the rule nondet reports under and an //ftvet:allow names.
+const Name = "nondet"
+
+// Doc describes the rule (the SARIF log's rule description).
+const Doc = "flag raw nondeterminism (time.Now, time.Since, os.Getpid, math/rand, " +
+	"go statements, order-escaping map ranges) in replicated packages; replicated code must " +
+	"use the sanctioned wrappers so both replicas observe identical values (§3.3)"
+
+// Check runs nondet over pkgs, with the interprocedural engine built once
+// over the whole set, and returns the findings that no //ftvet:allow
+// covers, malformed allows among them, sorted by position.
+func Check(fset *token.FileSet, pkgs []*ftvet.Package) []ftvet.Diagnostic {
+	c := &checker{g: flow.Build(fset, pkgs)}
+	for _, pkg := range pkgs {
+		c.pkg = pkg
+		c.check()
+	}
+	return ftvet.ApplyAllows(fset, pkgs, Name, c.diags)
+}
+
+// checker carries one Check: the engine, the package being walked and
+// the findings so far.
+type checker struct {
+	g     *flow.Graph
+	pkg   *ftvet.Package
+	diags []ftvet.Diagnostic
+}
+
+func (c *checker) report(pos token.Pos, msg string, trace []ftvet.TraceStep) {
+	c.diags = append(c.diags, ftvet.Diagnostic{Rule: Name, Pos: pos, Message: msg, Trace: trace})
 }
 
 // Replicated reports whether a package path is subject to the nondet
@@ -111,29 +135,29 @@ func Replicated(path string) bool {
 	return false
 }
 
-func run(pass *ftvet.Pass) error {
-	pkg := pass.Pkg
+func (c *checker) check() {
+	pkg := c.pkg
 	replicated := Replicated(pkg.Path)
 	if sanctionedObs(pkg.Path) {
-		return nil // the sinks themselves; their determinism is covered by their tests
+		return // the sinks themselves; their determinism is covered by their tests
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if replicated {
-					checkQualified(pass, pkg, n)
+					c.checkQualified(n)
 				}
 			case *ast.GoStmt:
 				if replicated {
-					pass.Report(n.Go, "a go statement in replicated code runs a goroutine the Go runtime schedules, not the seed, so its interleaving diverges across replicas; spawn a replicated thread (replication.Namespace.SpawnThread)")
+					c.report(n.Go, "a go statement in replicated code runs a goroutine the Go runtime schedules, not the seed, so its interleaving diverges across replicas; spawn a replicated thread (replication.Namespace.SpawnThread)", nil)
 				}
 			case *ast.CallExpr:
 				// In replicated packages checkQualified already flags every
 				// time.Now/Since; the obs-argument check covers the rest of
 				// the tree, where wall-clock reads are otherwise legal.
 				if !replicated {
-					checkObsAttrs(pass, pkg, n)
+					c.checkObsAttrs(n)
 				}
 			}
 			return true
@@ -148,14 +172,13 @@ func run(pass *ftvet.Pass) error {
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if rs, ok := n.(*ast.RangeStmt); ok {
-					checkMapRange(pass, pkg, rs, fd.Body)
+					c.checkMapRange(rs, fd.Body)
 				}
 				return true
 			})
-			checkCallChains(pass, pkg, fd)
+			c.checkCallChains(fd)
 		}
 	}
-	return nil
 }
 
 // checkCallChains is the interprocedural layer: nondeterminism that
@@ -173,13 +196,14 @@ func run(pass *ftvet.Pass) error {
 //
 // Sources inside replicated packages are not re-reported through calls:
 // checkQualified already flags them where they occur.
-func checkCallChains(pass *ftvet.Pass, pkg *ftvet.Package, fd *ast.FuncDecl) {
-	g := flow.Of(pass)
-	node := g.NodeOf(funcObj(pkg, fd))
+func (c *checker) checkCallChains(fd *ast.FuncDecl) {
+	pkg := c.pkg
+	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+	node := c.g.NodeOf(fn)
 	if node == nil {
 		return
 	}
-	env := g.FuncEnv(node)
+	env := c.g.FuncEnv(node)
 
 	reportTaint := func(pos token.Pos, t flow.Taint, what string) {
 		var msg string
@@ -193,7 +217,7 @@ func checkCallChains(pass *ftvet.Pass, pkg *ftvet.Package, fd *ast.FuncDecl) {
 		default:
 			return
 		}
-		pass.ReportTrace(pos, msg, t.Trace())
+		c.report(pos, msg, t.Trace())
 	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -224,7 +248,7 @@ func checkCallChains(pass *ftvet.Pass, pkg *ftvet.Package, fd *ast.FuncDecl) {
 			for _, a := range n.Args {
 				for _, t := range env.ExprTaints(a) {
 					if t.Kind == flow.TaintMapOrder && len(t.Via) > 0 {
-						pass.ReportTrace(n.Pos(),
+						c.report(n.Pos(),
 							fmt.Sprintf("map iteration order from a helper (%s) escapes into replicated output via %s and diverges across replicas (Go randomizes map order per process); sort before emitting", t.Path(), name),
 							t.Trace())
 						return true
@@ -234,7 +258,7 @@ func checkCallChains(pass *ftvet.Pass, pkg *ftvet.Package, fd *ast.FuncDecl) {
 		case *ast.SendStmt:
 			for _, t := range env.ExprTaints(n.Value) {
 				if t.Kind == flow.TaintMapOrder && len(t.Via) > 0 {
-					pass.ReportTrace(n.Pos(),
+					c.report(n.Pos(),
 						fmt.Sprintf("map iteration order from a helper (%s) escapes into replicated output via a channel send and diverges across replicas (Go randomizes map order per process); sort before emitting", t.Path()),
 						t.Trace())
 					return true
@@ -245,85 +269,59 @@ func checkCallChains(pass *ftvet.Pass, pkg *ftvet.Package, fd *ast.FuncDecl) {
 	})
 }
 
-// funcObj returns the types.Func for a declaration.
-func funcObj(pkg *ftvet.Package, fd *ast.FuncDecl) *types.Func {
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	return fn
-}
-
 // checkObsAttrs diagnoses wall-clock values smuggled into the arguments
 // of an obs call: trace attributes must derive from simulation state so
 // same-seed traces stay byte-identical. Applied outside the replicated
 // packages (inside them, checkQualified flags the same calls anywhere).
-func checkObsAttrs(pass *ftvet.Pass, pkg *ftvet.Package, call *ast.CallExpr) {
+func (c *checker) checkObsAttrs(call *ast.CallExpr) {
+	pkg := c.pkg
 	fn := pkg.CalleeFunc(call)
 	if fn == nil || fn.Pkg() == nil || !sanctionedObs(fn.Pkg().Path()) {
 		return
 	}
 	for _, a := range call.Args {
 		ast.Inspect(a, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if _, isPkg := pkg.ObjectOf(id).(*types.PkgName); !isPkg {
-				return true
-			}
-			obj := pkg.ObjectOf(sel.Sel)
-			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
-				return true
-			}
-			switch obj.Name() {
-			case "Now", "Since":
-				pass.Report(sel.Pos(), "time."+obj.Name()+" in an obs trace attribute: wall-clock values differ per run and break byte-reproducible traces; derive attributes from the virtual clock (sim.Simulation.Now)")
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if t, ok := flow.Source(pkg, sel); ok && t.Kind == flow.TaintClock {
+					c.report(sel.Pos(), t.Desc+" in an obs trace attribute: wall-clock values differ per run and break byte-reproducible traces; derive attributes from the virtual clock (sim.Simulation.Now)", nil)
+				}
 			}
 			return true
 		})
 	}
 }
 
-// checkQualified flags pkgname.Ident references into the denied standard
-// library surface. Only qualified identifiers are considered, so a
-// method call on a *rand.Rand value handed out by a domain is not
-// flagged — that stream is a function of the seed and the domain's name.
-func checkQualified(pass *ftvet.Pass, pkg *ftvet.Package, sel *ast.SelectorExpr) {
-	id, ok := sel.X.(*ast.Ident)
+// checkQualified flags a pkgname.Ident reference to one of flow's sources,
+// rand.New* included (see flow.Source). Only qualified identifiers are
+// considered, so a method call on a *rand.Rand value handed out by a
+// domain is not flagged — that stream is a function of the seed and the
+// domain's name.
+func (c *checker) checkQualified(sel *ast.SelectorExpr) {
+	t, ok := flow.Source(c.pkg, sel)
 	if !ok {
 		return
 	}
-	if _, isPkg := pkg.ObjectOf(id).(*types.PkgName); !isPkg {
-		return
-	}
-	obj := pkg.ObjectOf(sel.Sel)
-	if obj == nil || obj.Pkg() == nil {
-		return
-	}
-	switch obj.Pkg().Path() {
-	case "time":
-		switch obj.Name() {
-		case "Now":
-			pass.Report(sel.Pos(), "time.Now in replicated code reads the local clock and diverges across replicas; use the replicated gettimeofday (*replication.Thread).Now or the kernel clock (*kernel.Kernel).Now (§3.3)")
-		case "Since":
-			pass.Report(sel.Pos(), "time.Since reads the local clock and diverges across replicas; compute deltas from the replicated clock (*replication.Thread).Now (§3.3)")
+	var msg string
+	switch t.Kind {
+	case flow.TaintClock:
+		msg = "time.Now in replicated code reads the local clock and diverges across replicas; use the replicated gettimeofday (*replication.Thread).Now or the kernel clock (*kernel.Kernel).Now (§3.3)"
+		if t.Desc == "time.Since" {
+			msg = "time.Since reads the local clock and diverges across replicas; compute deltas from the replicated clock (*replication.Thread).Now (§3.3)"
 		}
-	case "os":
-		if obj.Name() == "Getpid" {
-			pass.Report(sel.Pos(), "os.Getpid is not replicated and differs across replicas; use the replicated thread identity (*replication.Thread).FTPid")
-		}
-	case "math/rand", "math/rand/v2":
-		pass.Report(sel.Pos(), "package-level math/rand draws are seeded per process and diverge across replicas; use a domain's deterministic stream (sim.Group.Rand)")
+	case flow.TaintPid:
+		msg = "os.Getpid is not replicated and differs across replicas; use the replicated thread identity (*replication.Thread).FTPid"
+	case flow.TaintRand:
+		msg = "package-level math/rand draws are seeded per process and diverge across replicas; use a domain's deterministic stream (sim.Group.Rand)"
 	}
+	c.report(sel.Pos(), msg, nil)
 }
 
 // checkMapRange flags map iteration whose loop variables flow into an
 // ordered sink, making the (randomized) iteration order observable.
 // body is the enclosing function body, used to recognize the
 // collect-then-sort idiom.
-func checkMapRange(pass *ftvet.Pass, pkg *ftvet.Package, rs *ast.RangeStmt, body *ast.BlockStmt) {
+func (c *checker) checkMapRange(rs *ast.RangeStmt, body *ast.BlockStmt) {
+	pkg := c.pkg
 	t := pkg.TypeOf(rs.X)
 	if t == nil {
 		return
@@ -355,7 +353,7 @@ func checkMapRange(pass *ftvet.Pass, pkg *ftvet.Package, rs *ast.RangeStmt, body
 		return found
 	}
 	report := func(sink string) {
-		pass.Reportf(rs.For, "map iteration order escapes into replicated output via %s and diverges across replicas (Go randomizes map order per process); iterate a sorted key slice instead", sink)
+		c.report(rs.For, fmt.Sprintf("map iteration order escapes into replicated output via %s and diverges across replicas (Go randomizes map order per process); iterate a sorted key slice instead", sink), nil)
 	}
 	flagged := false
 	ast.Inspect(rs.Body, func(n ast.Node) bool {

@@ -13,7 +13,7 @@ func TestNondet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysistest.Run(t, td, nondet.Analyzer,
+	analysistest.Run(t, td,
 		"repro/internal/apps/nondetfix", // positive: replicated package
 		"repro/internal/notrep",         // negative: outside the replicated set
 		"repro/internal/obstrace",       // positive: wall clock smuggled into obs attributes

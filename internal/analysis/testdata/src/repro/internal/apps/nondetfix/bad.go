@@ -30,6 +30,14 @@ func draw() int {
 	return rand.Intn(6) // want "package-level math/rand"
 }
 
+// seeded: a rand.New* written in replicated code is reported — the code
+// takes its stream from its domain — though one a helper returns is not
+// (interfix.seededGood).
+func seeded() int {
+	src := rand.NewSource(1) // want "package-level math/rand"
+	return rand.New(src).Intn(6) // want "package-level math/rand"
+}
+
 func emit(m map[string]int, s *sink, ch chan string) {
 	for k := range m { // want "via append"
 		s.out = append(s.out, k)

@@ -35,6 +35,9 @@ func ID() int { return os.Getpid() }
 // Jitter draws from the process-seeded package-level rand.
 func Jitter() int64 { return rand.Int63() }
 
+// Seeded builds a seeded stream, as sim does: its result carries no taint.
+func Seeded(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
 // Keys returns the keys of m in (randomized) map-iteration order.
 func Keys(m map[string]int) []string {
 	var out []string

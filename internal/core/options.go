@@ -31,7 +31,7 @@ func WithReplicaSet(n int) Option {
 // across n per-object sequencer locks on both replicas: sections on
 // different sequencing objects (mutexes, condvars, replicated syscall
 // classes) record and replay concurrently. n <= 1 selects the paper's
-// single global mutex and reproduces the unsharded engine byte for byte.
+// single global mutex.
 func WithDetShards(n int) Option {
 	return func(c *Config) { c.Replication.DetShards = n }
 }

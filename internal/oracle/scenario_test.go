@@ -103,3 +103,14 @@ func TestKilledRunWantsEveryVictimDead(t *testing.T) {
 		sys.Sim.Shutdown()
 	}
 }
+
+// TestDelayedLogCommitsLive: with every log transfer delayed and no kill,
+// a held output is released once its watermark is published. The
+// recorder counts a message before a full batch publishes it, so the
+// batch-flush watermark CommitLive reads is what the ring published.
+func TestDelayedLogCommitsLive(t *testing.T) {
+	sc := oracle.Scenario{SimSeed: 1, App: "memcached", Workers: 2, Shards: 4, Replicas: 2, Strict: true, Chaos: "delay log 1ms 0s..10s"}
+	if res := oracle.Check(sc); res.Err != nil {
+		t.Error(res.Err)
+	}
+}

@@ -372,9 +372,12 @@ func (r *Recorder) backups() (live, syncing int) {
 // emit retains one log message and streams it to every live backup: into
 // the link's open ring reservation, published when the batch fills, or —
 // ring full — spilled to the link's outbox, whose blocking flush throttles
-// the primary to the slowest backup's drain rate.
+// the primary to the slowest backup's drain rate. The message is counted
+// first, so a flush it triggers traces the watermark it publishes.
 func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 	r.hist.append(m)
+	r.sent++
+	r.stats.LogMessages++
 	for _, link := range r.replicas {
 		if link.Dead() {
 			continue
@@ -391,8 +394,6 @@ func (r *Recorder) emit(t *kernel.Task, m shm.Message) {
 			link.Flush(t.Proc())
 		}
 	}
-	r.sent++
-	r.stats.LogMessages++
 }
 
 // emitSpan tries the zero-copy path: write m into the link's open span,
@@ -577,11 +578,10 @@ func (r *Recorder) quiesce(t *kernel.Task) func() {
 }
 
 // commitSeqs advances one section's cursors — all but Seq_thread for a
-// wake-up, which no shadow thread replays. Sharded, the advance happens
-// BEFORE the emit's first possible yield, so a concurrent section on
-// another shard can never observe a half-advanced cursor state (and
-// GlobalSeq stays unique); unsharded, the advance stays after the emit,
-// preserving the exact pre-sharding execution byte for byte.
+// wake-up, which no shadow thread replays. The advance happens BEFORE the
+// emit's first possible yield, so a concurrent section on another shard
+// can never observe a half-advanced cursor state (and GlobalSeq stays
+// unique).
 func (r *Recorder) commitSeqs(th *Thread, key uint64, op pthread.Op) {
 	if !isWake(op) {
 		th.seq++
@@ -621,14 +621,9 @@ func (r *Recorder) exit(th *Thread, out uint64) {
 	t, key := th.task, sec.key
 	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: sec.op, Obj: sec.obj,
 		Key: key, Outcome: th.ns.wakeOutcome(sec.op, out)}
-	if len(r.mus) > 1 {
-		r.commitSeqs(th, key, sec.op)
-	}
+	r.commitSeqs(th, key, sec.op)
 	r.emit(t, tu.message())
 	r.noteTuple(th, tu)
-	if len(r.mus) == 1 {
-		r.commitSeqs(th, key, sec.op)
-	}
 	r.cShardSec(sec.shard).Inc()
 	r.sc.EmitDet(obs.DetExit, th.ftpid, int64(tu.GlobalSeq), 0, key, int64(tu.ObjSeq))
 	r.mus[sec.shard].Unlock(t)
@@ -639,8 +634,8 @@ func (r *Recorder) exit(th *Thread, out uint64) {
 // No thread made it; the fork has no backup yet, so emit never blocks.
 func (r *Recorder) recordWake(obj, key, n uint64) {
 	tu := Tuple{GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], Op: pthread.OpCondBroadcast, Obj: obj, Key: key, Outcome: n}
-	r.emit(nil, tu.message())
 	r.commitSeqs(nil, key, tu.Op)
+	r.emit(nil, tu.message())
 }
 
 // noteTuple records one emitted tuple's lifecycle event and count. The
