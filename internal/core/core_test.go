@@ -457,10 +457,10 @@ func TestHangIsDetectedByHeartbeats(t *testing.T) {
 // a deployment switches in. A server that only receives or only computes is
 // an event chain, not a process: the recorder's acks receivers (ft-ack), the
 // backup's receipt and replay dispatch (ft-replay at one shard, the ft-grant
-// lanes at four) and its TCP-state maintainer (tcprep-sync). An N = 3
-// deployment serving a download at one and at four det shards switches none
-// of them in, while each backup replays the download's sections and applies
-// its sync updates.
+// lanes at four), its TCP-state maintainer (tcprep-sync) and every heart-beat
+// sender and monitor (hb-send, hb-monitor). An N = 3 deployment serving a
+// download at one and at four det shards switches none of them in, while
+// each backup replays the download's sections and applies its sync updates.
 func TestReplicationServersAreEvents(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{1, 4} {
@@ -478,7 +478,7 @@ func TestReplicationServersAreEvents(t *testing.T) {
 					shards, b.Slot(), st.Sections, st.Divergences, b.TCPSync.Updates)
 			}
 		}
-		for _, name := range []string{"ft-ack", "ft-replay", "ft-grant", "tcprep-sync"} {
+		for _, name := range []string{"ft-ack", "ft-replay", "ft-grant", "tcprep-sync", "hb-send", "hb-monitor"} {
 			if n := switches[name]; n != 0 {
 				t.Errorf("shards=%d: %s switched in %d times, want never", shards, name, n)
 			}

@@ -6,7 +6,8 @@
 // that was merely slow cannot come back and contend), then reports the
 // failure. Hardware machine-check reports (MCA/AER) short-circuit the
 // timeout: a detected fault on the peer's partition triggers failover
-// immediately.
+// immediately. Sender and monitor are background events of the kernel's
+// domain, drawing where the tasks they replaced did (DESIGN.md §19).
 package failure
 
 import (
@@ -16,15 +17,12 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/shm"
+	"repro/internal/sim"
 )
 
-// Config tunes the detector.
-type Config struct {
-	// Interval between heart-beats.
-	Interval time.Duration
-	// Timeout without heart-beats before the peer is suspected.
-	Timeout time.Duration
-}
+// Config tunes the detector: Interval between heart-beats, Timeout without
+// one before the peer is suspected.
+type Config struct{ Interval, Timeout time.Duration }
 
 // DefaultConfig returns the paper-scale heart-beat configuration.
 func DefaultConfig() Config {
@@ -33,15 +31,18 @@ func DefaultConfig() Config {
 
 // Detector watches one peer replica from one kernel.
 type Detector struct {
-	kern *kernel.Kernel
-	peer *kernel.Kernel
-	out  *shm.Ring // our heart-beats to the peer
-	in   *shm.Ring // the peer's heart-beats to us
-	cfg  Config
+	kern, peer *kernel.Kernel
+	out, in    *shm.Ring // our heart-beats to the peer, the peer's to us
+	cfg        Config
 
 	onFail []func()
 	fired  bool
 	sc     *obs.Scope
+
+	// The sender's beat; the monitor's wake-up (the in ring's receiver
+	// event) and the timer that ends its wait, timedOut if it did.
+	beat, wake, timer sim.Event
+	timedOut          bool
 
 	// Beats counts heart-beats received, IPIs the forcible halts sent.
 	Beats, IPIs int64
@@ -52,67 +53,67 @@ func New(kern, peer *kernel.Kernel, out, in *shm.Ring, cfg Config) *Detector {
 	if cfg.Interval == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Detector{kern: kern, peer: peer, out: out, in: in, cfg: cfg}
+	d := &Detector{kern: kern, peer: peer, out: out, in: in, cfg: cfg}
+	d.beat.Init(kern.Domain(), d.send)
+	d.wake.Init(kern.Domain(), d.monitor)
+	d.timer.Init(kern.Domain(), func() {
+		if d.timedOut = !d.wake.Armed(); d.timedOut { // else a delivery ended the wait first
+			d.wake.Reset(0)
+		}
+	})
+	return d
 }
 
 // OnFail registers a callback fired (once) when the peer is declared
 // failed. Callbacks run in task context and may block.
 func (d *Detector) OnFail(fn func()) { d.onFail = append(d.onFail, fn) }
 
-// Instrument attaches an event scope: received beats, the miss that
-// starts suspicion, the IPI halt, and the failover trigger are traced —
-// the §4.4 detection half of the failover timeline. Nil disables.
+// Instrument traces received beats, the miss, the IPI halt and the failover
+// trigger (§4.4's detection half) on sc. Nil disables.
 func (d *Detector) Instrument(sc *obs.Scope) { d.sc = sc }
 
-// Start launches the sender and monitor tasks, background work that stops
-// once the detector fires (the peer it watched is halted: nothing reads its
-// ring any more), and subscribes to machine-check reports for the peer's
-// partition.
+// Start launches the sender and the monitor, each first firing (foreground)
+// where its task first ran, and subscribes to the peer's machine checks.
 func (d *Detector) Start() {
-	d.kern.Spawn("hb-send", d.sendLoop)
-	d.kern.Spawn("hb-monitor", d.monitorLoop)
+	d.kern.SkipTIDs(2)
+	d.beat.Reset(0)
+	d.wake.Reset(0)
+	d.beat.SetBackground(true) // and, by it, the beats' deliveries
+	d.wake.SetBackground(true) // and, by it, the timer
+	d.in.OnReceive(&d.wake)
 	d.kern.Partition().Machine().OnFault(func(f hw.Fault) {
-		// MCA report for hardware the peer owns: fail over immediately
-		// rather than waiting out the heart-beat timeout.
-		if !d.kern.Alive() || d.fired || !d.peer.Partition().Owns(f.Node) {
-			return
+		// Fail over at once on a fault of the peer's hardware, unless it is
+		// correctable or a DUE the peer survived: heart-beats judge those.
+		if d.kern.Alive() && d.peer.Partition().Owns(f.Node) && f.Kind != hw.MemCorrected &&
+			(f.Kind != hw.MemUncorrected || !d.peer.Alive()) {
+			d.declareFailed()
 		}
-		if f.Kind == hw.MemCorrected {
-			return // correctable: the peer handles it and lives
-		}
-		if f.Kind == hw.MemUncorrected && d.peer.Alive() {
-			// A DUE is fatal to the peer only if it struck kernel memory;
-			// if the peer survived, keep relying on heart-beats.
-			return
-		}
-		d.declareFailed()
 	})
 }
 
-func (d *Detector) sendLoop(t *kernel.Task) {
-	t.Proc().SetBackground(true)
-	for d.kern.Alive() && !d.fired {
-		d.out.TrySend(shm.Message{Kind: 1, Size: 16, W: [7]uint64{uint64(t.Now())}})
-		t.Sleep(d.cfg.Interval)
+// send beats every Interval until the detector fires.
+func (d *Detector) send() {
+	if !d.fired {
+		d.out.TrySend(shm.Message{Kind: 1, Size: 16, W: [7]uint64{uint64(d.kern.Sim().Now())}})
+		d.beat.Reset(d.cfg.Interval)
 	}
 }
 
-func (d *Detector) monitorLoop(t *kernel.Task) {
-	t.Proc().SetBackground(true)
-	for {
-		if _, ok := d.in.RecvTimeout(t.Proc(), d.cfg.Timeout); ok {
-			d.Beats++
-			d.sc.Emit(obs.Heartbeat, 0, d.Beats, 0)
-			continue
-		}
-		if d.fired {
-			return
-		}
-		// No heart-beat within the timeout: halt the peer via IPI in case
-		// it is only slow, then declare it failed.
+// monitor runs where a task in the in ring's RecvTimeout would resume: it
+// counts the beats delivered and waits Timeout for the next. A wait that
+// timed out with none ends it, halting the peer via IPI in case it is only
+// slow and declaring it failed unless the detector already fired.
+func (d *Detector) monitor() {
+	for ; d.in.Len() > 0; d.timedOut = false {
+		d.in.TryRecv()
+		d.Beats++
+		d.sc.Emit(obs.Heartbeat, 0, d.Beats, 0)
+	}
+	if !d.timedOut {
+		d.timer.Reset(d.cfg.Timeout)
+	} else if d.in.OnReceive(nil); !d.fired {
 		d.sc.Emit(obs.HeartbeatMiss, 0, d.Beats, int64(d.cfg.Timeout))
 		d.declareFailed()
-		return
 	}
 }
 
@@ -137,9 +138,7 @@ func (d *Detector) declareFailed() {
 	})
 }
 
-// Fired reports whether this detector has declared its peer failed — on a
-// heart-beat timeout or a fatal machine-check report for the peer's
-// hardware — halting the peer if it still ran and starting failover. It
-// never resets. A detector watches one pairing for one generation; whether
-// the deployment as a whole is degraded is core.System.State's to report.
+// Fired reports whether this detector has declared its peer failed, on a
+// heart-beat time-out or a fatal machine check, for this pairing and
+// generation; it never resets (core.System.State reports the deployment's).
 func (d *Detector) Fired() bool { return d.fired }

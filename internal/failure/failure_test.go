@@ -7,6 +7,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/shm"
 	"repro/internal/sim"
 )
@@ -17,11 +18,19 @@ type pair struct {
 	pk, sk   *kernel.Kernel
 	pd, sd   *failure.Detector
 	toS, toP *shm.Ring // the primary's heart-beats, the secondary's
+	tr       *obs.Tracer
 }
 
-func newPair(t *testing.T, cfg failure.Config) *pair {
+func newPair(t *testing.T, cfg failure.Config) *pair { return newPairWith(t, cfg, false) }
+
+// newPairWith is newPair with the detectors' events traced if traced.
+func newPairWith(t *testing.T, cfg failure.Config, traced bool) *pair {
 	t.Helper()
 	s := sim.New(1)
+	var tr *obs.Tracer
+	if traced {
+		tr = obs.New(s, obs.Config{Trace: true})
+	}
 	m := hw.New(s, hw.Opteron6376x4())
 	pp, _ := m.NewPartition("p", 0, 1, 2, 3)
 	sp, _ := m.NewPartition("s", 4, 5, 6, 7)
@@ -40,11 +49,13 @@ func newPair(t *testing.T, cfg failure.Config) *pair {
 	sp2 := fabric.NewRing("hb.sp", 1, 16<<10)
 	pd := failure.New(pk, sk, ps, sp2, cfg)
 	sd := failure.New(sk, pk, sp2, ps, cfg)
+	pd.Instrument(tr.Scope("primary/detector"))
+	sd.Instrument(tr.Scope("secondary/detector"))
 	m.OnFault(func(f hw.Fault) { pk.HandleFault(f) })
 	m.OnFault(func(f hw.Fault) { sk.HandleFault(f) })
 	pd.Start()
 	sd.Start()
-	return &pair{sim: s, mach: m, pk: pk, sk: sk, pd: pd, sd: sd, toS: ps, toP: sp2}
+	return &pair{sim: s, mach: m, pk: pk, sk: sk, pd: pd, sd: sd, toS: ps, toP: sp2, tr: tr}
 }
 
 func TestNoFalsePositives(t *testing.T) {

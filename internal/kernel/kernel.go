@@ -19,6 +19,7 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -121,9 +122,7 @@ func Boot(part *hw.Partition, cfg Config) (*Kernel, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("kernel: empty name")
 	}
-	if cfg.Params == (Params{}) {
-		cfg.Params = DefaultParams()
-	}
+	cfg.Params = cmp.Or(cfg.Params, DefaultParams())
 	ncores := len(part.Cores())
 	if cfg.Cores > 0 {
 		if cfg.Cores > ncores {
@@ -141,10 +140,7 @@ func Boot(part *hw.Partition, cfg Config) (*Kernel, error) {
 		mem:    kmem.NewAccounting(part.Mem(), part.Machine().Profile().PageSize),
 	}
 	k.sched = newScheduler(k, ncores)
-	base := cfg.BaseKernelMem
-	if base == 0 {
-		base = part.Mem()*15/1000 + 768<<20
-	}
+	base := cmp.Or(cfg.BaseKernelMem, part.Mem()*15/1000+768<<20)
 	if err := k.mem.Alloc(kmem.KernelIgnored, base); err != nil {
 		return nil, fmt.Errorf("kernel %q: boot reservation: %w", cfg.Name, err)
 	}

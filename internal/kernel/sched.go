@@ -104,6 +104,10 @@ func (k *Kernel) newTask(name string) *Task {
 	return t
 }
 
+// SkipTIDs draws the next n thread IDs, as n spawns would, for work run as
+// events of the kernel's domain instead: every later task keeps its ID.
+func (k *Kernel) SkipTIDs(n int) { k.nextTID += n }
+
 // Spawn starts fn as a new kernel task. The task dies with the kernel.
 func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	t := k.newTask(name)

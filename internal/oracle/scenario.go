@@ -109,13 +109,14 @@ func Deploy(sc Scenario, opts ...core.Option) (sys *core.System, run func() (str
 // which then finds the slot filled — or the retirement of a backup once the
 // set is whole again. The poll is background work (it keeps no run going)
 // but while a retirement waits for a repair under way, which would
-// otherwise end the run.
+// otherwise end the run, and while it acts: what a Rejoin or Retire arms is
+// foreground.
 func after(then string, sys *core.System) {
 	var ev sim.Event
 	ev.Init(sys.Sim.Root(), func() {
 		if inj := sys.Injector(); inj != nil && len(inj.Victims) > 0 && !inj.Victims[0].Alive() {
 			st := sys.State()
-			ev.SetBackground(then != "retire" || st == core.StateReplicated || st == core.StateFailed)
+			ev.SetBackground(false)
 			switch {
 			case then == "rejoin" && st == core.StateDegraded:
 				if sys.Rejoin() == nil {
@@ -126,6 +127,7 @@ func after(then string, sys *core.System) {
 					return
 				}
 			}
+			ev.SetBackground(then != "retire" || st == core.StateReplicated || st == core.StateFailed)
 		}
 		ev.Reset(20 * time.Millisecond)
 	})

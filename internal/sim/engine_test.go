@@ -173,6 +173,50 @@ func TestEventResetFromOwnCallback(t *testing.T) {
 	}
 }
 
+// A background event's callback arms background work, one-shots and
+// resets alike, as a background process's code does: Run ends with both
+// pending. The mark is the event's own (a one-shot has none), read as the
+// callback runs, so a one-shot's callback, or one that clears its event's
+// mark first, arms foreground work.
+func TestBackgroundCallbackArmsBackground(t *testing.T) {
+	s := New(1)
+	var log []string
+	note := func(what string) func() { return func() { log = append(log, what) } }
+	var bg, re, clears Event
+	re.Init(s.Root(), note("reset"))
+	bg.Init(s.Root(), func() {
+		s.Schedule(time.Second, func() {
+			note("shot")()
+			s.Schedule(time.Second, note("shot's shot"))
+		})
+		re.Reset(time.Second)
+	})
+	clears.Init(s.Root(), func() {
+		clears.SetBackground(false)
+		s.Schedule(time.Second, note("cleared's shot"))
+	})
+	bg.SetBackground(true)
+	bg.Reset(0)
+	s.Schedule(time.Millisecond, func() {}) // foreground: Run reaches bg's firing
+	if err := s.Run(); err != nil || len(log) != 0 || s.Pending() != 2 {
+		t.Fatalf("Run: %v, fired %v with %d pending; want nothing fired, the shot and the reset pending", err, log, s.Pending())
+	}
+	if err := s.RunUntil(Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil || strings.Join(log, ",") != "shot,reset,shot's shot" {
+		t.Fatalf("Run: %v, fired %v; want the shot's shot too", err, log)
+	}
+	clears.SetBackground(true)
+	clears.Reset(0)
+	if err := s.RunUntil(s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil || log[len(log)-1] != "cleared's shot" {
+		t.Errorf("Run: %v, fired %v; want the cleared callback's shot last", err, log)
+	}
+}
+
 func TestMadeRunnableTwicePanics(t *testing.T) {
 	s := New(1)
 	p := s.Spawn("p", func(p *Proc) {}) // Spawn queued its first resume

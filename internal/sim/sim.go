@@ -90,7 +90,8 @@ func (e *Event) Cancel() {
 }
 
 // SetBackground makes every arming of the event from the next one on
-// background work (Proc.SetBackground), whoever arms it.
+// background work (Proc.SetBackground), whoever arms it, and, while it is
+// on, what the event's callback arms, as a background process's code does.
 func (e *Event) SetBackground(on bool) { e.own = on }
 
 // Reset arms the event to fire at now+d, replacing any firing still
@@ -103,7 +104,7 @@ func (e *Event) Reset(d time.Duration) {
 		return
 	}
 	s.disown(&e.seq, e.bg)
-	e.bg = e.own || s.cur != nil && s.cur.bg
+	e.bg = e.own || s.background()
 	e.at = s.now.Add(d)
 	e.seq = s.push(e.at, kindCallback, nil, e)
 }
@@ -170,6 +171,7 @@ type Simulation struct {
 	cur    *Proc  // the process whose code is executing; nil in the driver and in callbacks
 	root   *Group // the domain that never dies
 	firing *Group // the domain of the callback firing, nil when none is
+	owner  *Event // the event whose callback fired last (a one-shot is never marked)
 
 	spare []*Event // freed one-shot records, reused last in, first out
 
@@ -228,8 +230,17 @@ func (g *Group) Schedule(d time.Duration, fn func()) {
 	} else {
 		e = &Event{oneShot: true}
 	}
-	e.group, e.fn, e.at, e.bg = g, fn, s.now.Add(d), s.cur != nil && s.cur.bg
+	e.group, e.fn, e.at, e.bg = g, fn, s.now.Add(d), s.background()
 	e.seq = s.push(e.at, kindCallback, nil, e)
+}
+
+// background reports whether what the running code arms is background
+// work: a process's mark, or in a callback its event's (Event.SetBackground).
+func (s *Simulation) background() bool {
+	if s.cur != nil {
+		return s.cur.bg
+	}
+	return s.owner != nil && s.owner.own
 }
 
 // free puts a one-shot record whose arming is over back on the free list.
@@ -431,7 +442,7 @@ func (s *Simulation) run(until Time) error {
 			p = s.dispatch(nil)
 		}
 	}
-	s.firing = nil
+	s.firing, s.owner = nil, nil
 	if f := s.failure; f != nil {
 		s.failure = nil
 		panic(f)
@@ -481,7 +492,7 @@ func (s *Simulation) dispatch(self *Proc) (next *Proc) {
 		case kindCallback:
 			ev, fn := e.ev, e.ev.fn
 			ev.seq = 0
-			s.firing = ev.group
+			s.firing, s.owner = ev.group, ev
 			if ev.oneShot { // freed first: a callback that re-schedules itself reuses it
 				s.free(ev)
 			}
