@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-sim bench-tcpstack bench-shm bench-replication experiments check golden loc trace chaos diag reach pair plants
+.PHONY: all build fmt vet lint test race bench bench-sim bench-tcpstack bench-shm bench-replication experiments check golden loc trace chaos diag reach pair plants
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# gofmt over the tracked Go files outside testdata/ (the analyzer fixtures
+# there are parsed as written): a file it would reformat fails the target.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v 'testdata/')); \
+	[ -z "$$out" ] || { echo "gofmt would reformat:" >&2; echo "$$out" >&2; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -90,7 +96,7 @@ plants:
 experiments:
 	$(GO) run ./cmd/ftbench -exp all -quick -json experiments.json
 
-check: vet lint build race bench golden loc
+check: fmt vet lint build race bench golden loc
 
 # The one golden-trace check: a small failover run (scenarios/golden.json:
 # an 8 MiB download, the primary killed at 2 s by its chaos schedule) at the
@@ -119,7 +125,7 @@ golden:
 # ceiling, so the series cannot drift up silently. A PR that shrinks a package lowers
 # its ceiling to the number it reaches; raising one needs a reason in the
 # PR text.
-LOC_CEILINGS := core=1875 replication=2633 tcprep=1501 shm=1124
+LOC_CEILINGS := core=1875 replication=2633 tcprep=1457 shm=1124
 LOC_KERNEL_CEILING := 848
 LOC_BENCH_CEILING := 2078
 LOC_DESIGN_CEILING := 1371

@@ -19,8 +19,8 @@ import (
 func readPlants(t *testing.T) []plant {
 	t.Helper()
 	paths, err := filepath.Glob("../../testdata/plants/*.patch")
-	if err != nil || len(paths) != 30 {
-		t.Fatalf("plants %v (%v), want DESIGN.md §10's 30", paths, err)
+	if err != nil || len(paths) != 34 {
+		t.Fatalf("plants %v (%v), want DESIGN.md §10's 34", paths, err)
 	}
 	var plants []plant
 	for _, path := range paths {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -119,5 +120,12 @@ func TestUnknownFormat(t *testing.T) {
 	root := module(t, map[string]string{"internal/apps/kv/kv.go": cleanApp})
 	if code, out, _ := vet(root, "-format=xml"); code != 2 || out != "" {
 		t.Errorf("exit %d, stdout %q; want 2 and nothing printed", code, out)
+	}
+}
+
+func TestUnknownFlag(t *testing.T) {
+	root := module(t, map[string]string{"internal/apps/kv/kv.go": cleanApp})
+	if code, out, errs := vet(root, "-strict", "./..."); code != 2 || out != "" || !strings.Contains(errs, "-strict") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 2, nothing printed and the flag named", code, out, errs)
 	}
 }

@@ -388,11 +388,12 @@ func build(cfg Config) (*System, error) {
 	}
 
 	pStack := tcpstack.New(kerns[0], "server", cfg.TCP)
-	prim := tcprep.NewPrimary(pns, pStack, tcprep.PrimaryConfig{Syncs: syncs, Costs: cfg.TCPRep})
+	prim := tcprep.NewPrimary(pns, pStack, syncs, cfg.TCPRep, nil)
 	prim.Instrument(tr.Scope("primary/tcprep"), tr.Registry())
 	secs := make([]*tcprep.Secondary, n-1)
 	for i := 1; i < n; i++ {
-		secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1], tcprep.SecondaryConfig{Costs: cfg.TCPRep})
+		secs[i-1] = tcprep.NewSecondary(kerns[i], syncs[i-1], cfg.TCPRep)
+		secs[i-1].StartPull()
 	}
 
 	genesis := rejoin.Genesis()
@@ -783,8 +784,7 @@ func (sys *System) failoverTo(surv, dead *Replica, losers []*Replica) {
 		// carries on the promoted backup's connection table, so a
 		// rejoining backup can be checkpointed later. Same sim instant as
 		// Promote's restore — no segment can slip between them.
-		dp := tcprep.NewPrimary(surv.NS, stack, tcprep.PrimaryConfig{
-			Costs: sys.Cfg.TCPRep, History: surv.TCPSync.Table()})
+		dp := tcprep.NewPrimary(surv.NS, stack, nil, sys.Cfg.TCPRep, surv.TCPSync.Table())
 		dp.Instrument(sys.Obs.Scope(fmt.Sprintf("gen%d/tcprep", sys.generation+1)), nil)
 		surv.TCPPrim = dp
 		surv.Sockets.AdoptPrimary(dp)

@@ -132,9 +132,9 @@ func (sys *System) startRejoin(surv, dead *Replica) {
 	sys.Obs.Registry().Gauge(fmt.Sprintf("replay.lag%s", sfx), func() int64 {
 		return int64(surv.NS.SeqGlobal()) - int64(bns.ReplayHead())
 	})
-	// DeferPull: the backup must seed the checkpoint before consuming
+	// Not pulling yet: the backup must seed the checkpoint before consuming
 	// deltas; the sync ring buffers them meanwhile.
-	bsec := tcprep.NewSecondary(bk, tcpSync, tcprep.SecondaryConfig{Costs: sys.Cfg.TCPRep, DeferPull: true})
+	bsec := tcprep.NewSecondary(bk, tcpSync, sys.Cfg.TCPRep)
 	// The seed: the survivor's latest checkpoint, which is also the latest
 	// one the new backup holds until it verifies a later boundary itself.
 	cp := surv.lastCP

@@ -169,6 +169,43 @@ func TestKilledBackupUnblocksSpillServer(t *testing.T) {
 	}
 }
 
+// TestKilledBackupUnblocksCatchup: a rejoining backup dies while the
+// catch-up task is parked on its full ring with the history's second chunk.
+// The drain releases the task, which stops at once: the batch it was
+// carrying is not booked — not as a batch, not as a flush sample, not as a
+// lag observation — and, this backup being the last, the recorder's
+// degrade leaves the drained ring alone rather than draining it again
+// under the released send.
+func TestKilledBackupUnblocksCatchup(t *testing.T) {
+	cfg := DefaultConfig()
+	s, _, _, rec := newRecorderHarness(t, cfg, 64<<10)
+	rec.instrument("ftns", nil, obs.NewRegistry())
+	rec.dropReplica(0) // degraded: it records on, retaining the history
+	fabric := shm.NewFabric(s, time.Microsecond)
+	log := fabric.NewRing("log.rejoin", 0, catchupChunkBytes+4<<10) // one chunk and no more
+	var before flushCounts
+	done := false
+	rec.kern.Spawn("emitter", func(tk *kernel.Task) {
+		emitN(rec, tk, 0, 2*catchupChunkBytes/tupleBytes)
+		idx := rec.AddReplica(log, fabric.NewRing("acks.rejoin", 1, 64<<10), nil)
+		tk.Sleep(time.Millisecond)
+		if log.Stats().ReserveWaits != 1 || rec.stats.LogBatches != 1 {
+			t.Errorf("%d reservations waiting, %d batches booked; want the catch-up parked on its second chunk",
+				log.Stats().ReserveWaits, rec.stats.LogBatches)
+		}
+		before = countFlushes(rec, log)
+		rec.dropReplica(idx)
+		done = true
+	})
+	if err := s.Run(); err != nil { // to an empty queue
+		t.Fatal(err)
+	}
+	after := countFlushes(rec, log)
+	if !done || after.batches != before.batches || after.fills != before.fills || after.lags != before.lags {
+		t.Errorf("emitter finished = %v; booked after the drop: %+v, before it %+v", done, after, before)
+	}
+}
+
 // TestBatchOfOneIsSend: at BatchTuples = 1 the recorder's one path — span,
 // spill, the outbox's blocking flush — puts on the ring exactly what a bare
 // Ring.Send per tuple does: the same transfers, the same bytes, delivered at

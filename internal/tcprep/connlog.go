@@ -46,7 +46,8 @@ const arenaChunk = 512
 type LogicalConn struct {
 	key      ConnKey
 	iss, irs uint64
-	at       int // index in ConnTable.conns
+	at       int    // index in ConnTable.conns
+	sync     uint64 // the recording side's sync id (Primary.idOf); 0: none drawn
 
 	in      streambuf.Tape // the full in-order input stream
 	acked   uint64         // client-acknowledged output-stream watermark

@@ -19,6 +19,18 @@ func (w *syncWorld) flushes() flushes {
 
 func (f flushes) plus(n int64) flushes { return flushes{f.transfers + n, f.counted + n, f.sampled + n} }
 
+// hold puts a pure ACK of the world's connection through the primary's
+// output-commit path as if its stack had sent it: the sync barrier
+// force-flushes, and the ACK leaves the gate once every update enqueued
+// before it is on the ring (the live namespace commits at once).
+func (w *syncWorld) hold() {
+	var segs []*tcpstack.Segment
+	w.prim.stack.SetEgress(capture{&segs})
+	w.conn.Kick()
+	w.prim.stack.SetEgress(w.prim)
+	w.prim.hold(segs[0])
+}
+
 // The outbox's own behaviour — the deadline an event that fires once, the
 // no-op after a kill or a kernel death, the spill server's FIFO ticket — is
 // checked in internal/shm (TestOutbox*). What stays here is the sync
@@ -55,7 +67,7 @@ func TestSyncDeadlinePublishesOnce(t *testing.T) {
 	// deadline expires; one scheduled from that instant runs after the flush.
 	for _, hops := range []int{0, 3} {
 		before, start = w.flushes(), w.sim.Now()
-		barrier := func() { w.prim.syncBarrier(func() {}) }
+		barrier := w.hold
 		for i := 0; i < hops; i++ {
 			next := barrier
 			barrier = func() { w.sim.Schedule(0, next) }
@@ -92,9 +104,8 @@ func TestSyncSpillKeepsItsPlace(t *testing.T) {
 		t.Fatalf("after the deadline: %d reservations waiting; want the spill server blocked on the ring", w.ring.Stats().ReserveWaits)
 	}
 	w.prim.onPeerFin(w.conn)
-	released := false
-	w.prim.syncBarrier(func() { released = true })
-	if released {
+	w.hold()
+	if w.prim.held.Len() == 0 {
 		t.Fatal("sync barrier released output ahead of updates the ring has not taken")
 	}
 	var kinds, sizes []int
@@ -110,7 +121,7 @@ func TestSyncSpillKeepsItsPlace(t *testing.T) {
 	if len(kinds) != 3 || kinds[0] != syncDataIn || sizes[0] != 1500 || kinds[1] != syncDataIn || sizes[1] != 600 || kinds[2] != syncPeerFin {
 		t.Errorf("consumer saw kinds %v with payloads %v; want data-in 1500, data-in 600, peer-fin", kinds, sizes)
 	}
-	if !released {
+	if w.prim.held.Len() != 0 {
 		t.Error("barrier still holding output once the ring drained")
 	}
 }
@@ -126,22 +137,21 @@ func TestDroppedRingUnblocksSyncSpillServer(t *testing.T) {
 	w.prim.onDataIn(w.conn, make([]byte, 1500))
 	w.prim.flushForCommit()
 	w.prim.onDataIn(w.conn, make([]byte, 600))
-	released := false
-	w.prim.syncBarrier(func() { released = true }) // refused: straight to the spill server
+	w.hold() // refused: straight to the spill server
 	if err := w.sim.RunFor(10 * time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	if released || w.ring.Stats().ReserveWaits != 1 {
-		t.Fatalf("barrier released = %v, %d reservations waiting; want output held behind a blocked spill server", released, w.ring.Stats().ReserveWaits)
+	if w.prim.held.Len() == 0 || w.ring.Stats().ReserveWaits != 1 {
+		t.Fatalf("%d segments held, %d reservations waiting; want output held behind a blocked spill server", w.prim.held.Len(), w.ring.Stats().ReserveWaits)
 	}
 	before, payloads := w.flushes(), w.ring.Stats().Payloads
 	w.prim.DropRing(0)
 	if err := w.sim.RunFor(time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if !released || w.ring.OpenSpans() != 0 || w.prim.Streaming() {
-		t.Errorf("barrier released = %v, %d spans open on the dead ring, streaming = %v; want true, none, false",
-			released, w.ring.OpenSpans(), w.prim.Streaming())
+	if w.prim.held.Len() != 0 || w.ring.OpenSpans() != 0 || w.prim.Streaming() {
+		t.Errorf("%d segments held, %d spans open on the dead ring, streaming = %v; want none, none, false",
+			w.prim.held.Len(), w.ring.OpenSpans(), w.prim.Streaming())
 	}
 	if got := w.flushes(); got != before || w.ring.Stats().Payloads != payloads || w.prim.links[0].synced != w.prim.enqueued {
 		t.Errorf("after the drop: %+v with %d payloads on the ring, synced %d of %d; want %+v with %d, and the dead link level with enqueued",

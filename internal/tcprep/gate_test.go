@@ -68,7 +68,7 @@ func newGateWorld(t *testing.T) *gateWorld {
 			c.Kick()
 		}
 	}
-	w.prim = NewPrimary(ns, stack, PrimaryConfig{Syncs: []*shm.Ring{fabric.NewRing("tcprep.sync", 0, 1<<20)}, Costs: DefaultCosts()})
+	w.prim = NewPrimary(ns, stack, []*shm.Ring{fabric.NewRing("tcprep.sync", 0, 1<<20)}, DefaultCosts(), nil)
 	return w
 }
 
@@ -128,7 +128,7 @@ func TestGateAbsorbsSupersededPureAck(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			w := newGateWorld(t)
 			defer w.sim.Shutdown()
-			g := w.prim.gate
+			g := w.prim
 			g.Transmit(w.seg(3, "data"))
 			for _, s := range row.in {
 				g.Transmit(w.seg(s.port, s.kind))
@@ -211,7 +211,7 @@ func TestDelayedAckWaitsForItsSyncUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := fabric.NewRing("tcprep.sync", 0, 4<<10)
-	prim := NewPrimary(ns, stack, PrimaryConfig{Syncs: []*shm.Ring{ring}, Costs: DefaultCosts()})
+	prim := NewPrimary(ns, stack, []*shm.Ring{ring}, DefaultCosts(), nil)
 	for _, c := range conns {
 		prim.onEstablished(c)
 	}
@@ -246,10 +246,9 @@ func TestDelayedAckWaitsForItsSyncUpdate(t *testing.T) {
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	g := prim.gate
-	if acked != 2001+quick || g.held.Len() != 1 || !(*g.held.At(0)).PureAck() || (*g.held.At(0)).Ack != 2001+quick+1 {
+	if acked != 2001+quick || prim.held.Len() != 1 || !prim.held.At(0).seg.PureAck() || prim.held.At(0).seg.Ack != 2001+quick+1 {
 		t.Fatalf("client holds ACK %d and the gate holds %d segments; want %d, and the pure ACK of the last byte held",
-			acked, g.held.Len(), 2001+quick)
+			acked, prim.held.Len(), 2001+quick)
 	}
 	var updateAt sim.Time // when a backup took the last byte's update off the ring
 	s.Spawn("backup", func(p *sim.Proc) {

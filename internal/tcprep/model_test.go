@@ -87,9 +87,9 @@ func newTableModelWorld(t *testing.T, seed int64) *tableModelWorld {
 		rng: rand.New(rand.NewSource(seed)), byKey: make(map[ConnKey]*modelConn)}
 	for i := 0; i < 2; i++ {
 		w.rings = append(w.rings, w.fab.NewRing(fmt.Sprintf("sync-%d", i), 0, modelRingBytes))
-		w.secs = append(w.secs, NewSecondary(k, w.rings[i], SecondaryConfig{Costs: DefaultCosts(), DeferPull: true}))
+		w.secs = append(w.secs, NewSecondary(k, w.rings[i], DefaultCosts()))
 	}
-	w.prim = NewPrimary(replication.NewLive("ftns", k), w.stack(0), PrimaryConfig{Syncs: w.rings, Costs: DefaultCosts()})
+	w.prim = NewPrimary(replication.NewLive("ftns", k), w.stack(0), w.rings, DefaultCosts(), nil)
 	// The application's accept loop: it binds one connection at a time, from
 	// task context, where the bind's flush may park on a full ring, and
 	// writes what it sent into the primary's stack, which keeps the unacked.
@@ -322,7 +322,7 @@ func (w *tableModelWorld) attach() {
 // seeded seeds a backup from a snapshot and replays from the send cursors
 // cut (nil: from the start), regenerating only the output after them.
 func (w *tableModelWorld) seeded(ring *shm.Ring, cut []SendCursor) *Secondary {
-	sec := NewSecondary(w.k, ring, SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
+	sec := NewSecondary(w.k, ring, DefaultCosts())
 	sec.Seed(w.prim.SnapshotState(cut))
 	sec.SeedOutBase(cut)
 	from := make(map[uint64]uint64)

@@ -12,39 +12,55 @@ import (
 	"repro/internal/tcpstack"
 )
 
-// Primary wires a primary kernel's TCP stack for replication: the
-// output-commit egress gate (stabilityGate), the ingress backpressure hook,
-// and the callbacks that stream logical-state updates to every backup, over
-// one sync ring each (syncLink), buffered and flushed on its own so a slow
-// backup's full ring never blocks the others. Updates coalesce between
-// output commits, up to the det log's BatchTuples, into the newest pending
-// entry of their connection (coalesce), and ship as one vectored transfer.
-// Every outgoing segment passes a sync barrier that forces a flush and waits
-// until all enqueued updates are on every LIVE ring (ring messages survive
-// the primary, §3.5), so whichever backup wins a failover election owns the
-// logical TCP state of every byte the client has seen.
+// Primary wires a primary kernel's TCP stack for replication: it is the
+// stack's output-commit egress gate and ingress backpressure hook, and its
+// callbacks stream logical-state updates to every backup, over one sync ring
+// each (syncLink), buffered and flushed on its own so a slow backup's full
+// ring never blocks the others. Updates coalesce between output commits, up
+// to the det log's BatchTuples, into the newest pending entry of their
+// connection (coalesce), and ship as one vectored transfer.
+//
+// An outgoing segment is released only once (a) every update enqueued
+// before it is on every LIVE ring (ring messages survive the primary, §3.5)
+// — the sync barrier, so whichever backup wins a failover election owns the
+// logical TCP state of every byte the client has seen — and (b) the det-log
+// output-commit rule holds (Namespace.OnStable: all-backup receipt, the
+// configured quorum, or at once under relaxed commit). Both watermarks only
+// grow, so segments pass both in the order they entered: one FIFO holds
+// them, each with the sync watermark it waits for, a cursor marks those
+// past the barrier (handed to OnStable), and a count the stable ones.
+// While replication is active one pacer event sends the stable ones, each
+// at the start of its per-packet bookkeeping cost. A pure ACK still held
+// when a later segment of its connection enters is absorbed: dropped at no
+// cost, because the later segment carries a cumulative ACK at least as high
+// and a newer window.
 type Primary struct {
 	ns    *replication.Namespace
 	stack *tcpstack.Stack
-	gate  *stabilityGate
+	sim   *sim.Simulation
 	links []*syncLink
 	batch int // updates per vectored transfer: the det log's BatchTuples
+	cost  Costs
 
 	// table is the logical TCP state, updated from the same callbacks that
 	// stream deltas, so a checkpoint cut from it plus the delta stream after
 	// AttachRing reconstructs the complete state.
-	table *ConnTable
-
-	// ids names every connection the stack still holds by a dense sync id,
-	// drawn on first sight, forgotten at reap. A backup learns an id from
-	// the connection's syncConnMeta or from the snapshot that seeded it.
-	ids      map[ConnKey]uint64
-	lastSync uint64
+	table    *ConnTable
+	lastSync uint64 // the last sync id drawn (idOf)
 
 	out shm.Outboxes // the links' outboxes, in link order, and their spill server
 
-	enqueued uint64              // logical updates accepted for syncing
-	barrierQ sim.Log[syncWaiter] // output segments waiting for the sync watermark, oldest first
+	enqueued uint64 // logical updates accepted for syncing
+
+	held     sim.Log[heldSeg]   // outgoing segments, oldest first
+	base     uint64             // the entry index of held's first segment
+	passed   int                // the oldest held segments past the sync barrier
+	stable   int                // the oldest of those that are stable
+	pacer    sim.Event          // sends them
+	busy     sim.Time           // the pacer pays for its last send until then
+	acks     map[ConnKey]uint64 // each connection's held pure ACK, by entry index
+	absorbed int64              // pure ACKs dropped
+	stabled  func()             // p.onStable, bound once
 
 	// SyncFlushes counts vectored transfers pushed onto the sync rings.
 	SyncFlushes int64
@@ -67,10 +83,11 @@ type syncLink struct {
 	synced uint64
 }
 
-// syncWaiter is an output segment waiting for the sync watermark.
-type syncWaiter struct {
-	watermark uint64
-	fn        func()
+// heldSeg is an outgoing segment (nil once absorbed) and the sync
+// watermark it waits for: the updates enqueued when it entered.
+type heldSeg struct {
+	seg    *tcpstack.Segment
+	synced uint64
 }
 
 // Costs is tcprep's part of the calibrated cost model (core.Config.TCPRep).
@@ -93,43 +110,33 @@ func DefaultCosts() Costs {
 	return Costs{PerSegment: 20 * time.Microsecond, PerByte: 9 * time.Nanosecond, SyncUpdate: 25 * time.Microsecond}
 }
 
-// PrimaryConfig wires the primary side of TCP-stack replication.
-type PrimaryConfig struct {
-	// Syncs is one sync ring per backup, in the same link order as the
-	// det-log fan-out (replica-set slot order), so link indices agree with
-	// the recorder's and DropRing can be driven from the same failure
-	// notification. With no rings the primary is detached — a promoted or
-	// degraded kernel recording without a backup: callbacks maintain the
-	// connection table but nothing is streamed and output is released at
-	// native speed, until AttachRing flips it into streaming mode when a
-	// rejoining backup is ready.
-	Syncs []*shm.Ring
-	// Costs prices the egress gate (PerSegment, PerByte).
-	Costs Costs
-	// History is the connection table to continue: a promoted secondary's
-	// (Secondary.Table), so the next rejoin can be checkpointed from it.
-	// Nil starts an empty one.
-	History *ConnTable
-}
-
-// NewPrimary attaches replication to the given stack. The delta stream
-// batches by the namespace's det-log policy (replication.Config.BatchTuples,
+// NewPrimary attaches replication to the given stack. syncs is one sync
+// ring per backup, in the same link order as the det-log fan-out
+// (replica-set slot order), so link indices agree with the recorder's and
+// DropRing can be driven from the same failure notification. With no rings
+// the primary is detached — a promoted or degraded kernel recording without
+// a backup: callbacks maintain the connection table but nothing is streamed
+// and output is released at native speed, until AttachRing flips it into
+// streaming mode when a rejoining backup is ready. costs prices the egress
+// gate (PerSegment, PerByte). history is the connection table to continue:
+// a promoted secondary's (Secondary.Table), so the next rejoin can be
+// checkpointed from it; nil starts an empty one. The delta stream batches
+// by the namespace's det-log policy (replication.Config.BatchTuples,
 // FlushInterval): one flush policy for both streams.
-func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, cfg PrimaryConfig) *Primary {
-	if cfg.History == nil {
-		cfg.History = newConnTable()
+func NewPrimary(ns *replication.Namespace, stack *tcpstack.Stack, syncs []*shm.Ring, costs Costs, history *ConnTable) *Primary {
+	if history == nil {
+		history = newConnTable()
 	}
-	p := &Primary{ns: ns, stack: stack, batch: ns.Config().BatchTuples, table: cfg.History, ids: make(map[ConnKey]uint64)}
+	p := &Primary{ns: ns, stack: stack, sim: ns.Kernel().Sim(), batch: ns.Config().BatchTuples, cost: costs,
+		table: history, acks: make(map[ConnKey]uint64)}
 	p.out.Init(ns.Kernel().Domain(), ns.Config().FlushInterval)
-	for _, sync := range cfg.Syncs {
+	for _, sync := range syncs {
 		p.AttachRing(sync)
 	}
 	// The egress gate, ingress backpressure, and state-update callbacks.
-	g := &stabilityGate{ns: ns, prim: p, cost: cfg.Costs, sim: ns.Kernel().Sim(), acks: make(map[ConnKey]uint64)}
-	g.synced, g.stabled = g.onSynced, g.onStable
-	g.pacer.Init(ns.Kernel().Domain(), g.release)
-	p.gate = g
-	stack.SetEgress(g)
+	p.stabled = p.onStable
+	p.pacer.Init(ns.Kernel().Domain(), p.release)
+	stack.SetEgress(p)
 	stack.SetIngress(p.ingress)
 	stack.OnOpen, stack.OnDataIn, stack.OnAckIn = p.onEstablished, p.onDataIn, p.onAckIn
 	stack.OnPeerFin, stack.OnReaped = p.onPeerFin, p.onReaped
@@ -163,9 +170,9 @@ func (p *Primary) Streaming() bool {
 // the snapshot and the delta stream.
 func (p *Primary) SnapshotState(cut []SendCursor) StateSnap {
 	snap := p.table.snapshot()
-	for i := range snap.Conns {
-		if cs := &snap.Conns[i]; !cs.Gone {
-			cs.Sync = p.idOf(cs.Key)
+	for i, lc := range p.table.conns {
+		if !lc.gone {
+			snap.Conns[i].Sync = p.idOf(lc)
 		}
 	}
 	for _, c := range cut {
@@ -178,15 +185,15 @@ func (p *Primary) SnapshotState(cut []SendCursor) StateSnap {
 	return snap
 }
 
-// idOf returns the connection's sync id, drawing one on first sight.
-func (p *Primary) idOf(key ConnKey) uint64 {
-	id, ok := p.ids[key]
-	if !ok {
+// idOf returns the connection's dense sync id, drawing one on first sight;
+// onReaped forgets it. A backup learns an id from the connection's
+// syncConnMeta or from the snapshot that seeded it.
+func (p *Primary) idOf(lc *LogicalConn) uint64 {
+	if lc.sync == 0 {
 		p.lastSync++
-		id = p.lastSync
-		p.ids[key] = id
+		lc.sync = p.lastSync
 	}
-	return id
+	return lc.sync
 }
 
 // Table returns the logical TCP state; its Footprint and Dirtied make it a
@@ -205,7 +212,7 @@ func (p *Primary) AttachRing(sync *shm.Ring) int {
 		p.SyncFlushes++
 		p.sc.Emit(obs.SyncFlush, 0, int64(link.synced), int64(n))
 		p.hSyncBatch.Observe(int64(n))
-		p.fireBarrier()
+		p.advance()
 	})
 	p.links = append(p.links, link)
 	return len(p.links) - 1
@@ -225,7 +232,7 @@ func (p *Primary) DropRing(i int) {
 		return
 	}
 	p.kill(p.links[i])
-	p.fireBarrier()
+	p.advance()
 }
 
 // kill marks a link dead: what it buffered is discarded, its watermark
@@ -255,98 +262,88 @@ func (p *Primary) Degrade() {
 			p.kill(link)
 		}
 	}
-	p.fireBarrier()
+	p.advance()
 }
-
-// stabilityGate releases outgoing segments only once (a) every sync-ring
-// update enqueued so far is on every live backup's ring — the sync barrier
-// that keeps batching from letting output outrun the logical-state stream
-// — and (b) the det-log output-commit rule is satisfied (§3.5: all-backup
-// receipt, or the configured quorum; with relaxed output commit the
-// namespace releases immediately). Both watermarks only grow, so segments
-// turn stable in the order they entered: the gate holds them in one FIFO,
-// and each callback marks the oldest not yet stable. While replication is
-// active, one pacer event sends the stable ones, each at the start of its
-// per-packet bookkeeping cost. A pure ACK still held when a later segment
-// of its connection enters is absorbed: dropped at no cost, because the
-// later segment carries a cumulative ACK at least as high and a newer window.
-type stabilityGate struct {
-	ns   *replication.Namespace
-	prim *Primary
-	cost Costs
-	sim  *sim.Simulation
-
-	held     sim.Log[*tcpstack.Segment] // oldest first; nil once absorbed
-	base     uint64                     // the entry index of held's first segment
-	stable   int                        // the oldest held segments that are stable
-	pacer    sim.Event                  // sends them
-	busy     sim.Time                   // the pacer pays for its last send until then
-	acks     map[ConnKey]uint64         // each connection's held pure ACK, by entry index
-	absorbed int64                      // pure ACKs dropped
-
-	synced, stabled func() // g.onSynced, g.onStable
-}
-
-var _ tcpstack.EgressGate = (*stabilityGate)(nil)
 
 // Transmit implements tcpstack.EgressGate.
-func (g *stabilityGate) Transmit(seg *tcpstack.Segment) {
-	if !g.ns.Recording() || !g.prim.Streaming() {
+func (p *Primary) Transmit(seg *tcpstack.Segment) {
+	if !p.ns.Recording() || !p.Streaming() {
 		// Not replicating (or recording detached, with no backup to
 		// outrun): native-speed release, no bookkeeping cost.
 		seg.Send()
 		return
 	}
+	p.hold(seg)
+}
+
+// hold queues an outgoing segment behind the sync barrier, forcing a flush
+// first (output commit must never wait out a FlushInterval); a segment the
+// flush leaves uncovered, which a full ring makes, is traced as an
+// OutputHeld.
+func (p *Primary) hold(seg *tcpstack.Segment) {
 	if !seg.Probe {
 		// Any later segment that acknowledges supersedes the held pure ACK,
 		// but a SYN or an RST may start a new connection on the four-tuple.
 		key := segKey(seg)
-		if i, ok := g.acks[key]; ok {
+		if i, ok := p.acks[key]; ok {
 			if seg.Flags.Has(tcpstack.FlagACK) && seg.Flags&(tcpstack.FlagSYN|tcpstack.FlagRST) == 0 {
-				ack := g.held.At(int(i - g.base))
-				(*ack).Drop()
-				*ack = nil
-				g.absorbed++
+				ack := p.held.At(int(i - p.base))
+				ack.seg.Drop()
+				ack.seg = nil
+				p.absorbed++
 			}
-			delete(g.acks, key)
+			delete(p.acks, key)
 		}
 		if seg.PureAck() {
-			g.acks[key] = g.base + uint64(g.held.Len())
+			p.acks[key] = p.base + uint64(p.held.Len())
 		}
 	}
-	g.held.Append(seg)
-	g.prim.syncBarrier(g.synced)
+	p.flushForCommit()
+	p.held.Append(heldSeg{seg: seg, synced: p.enqueued})
+	if p.minSynced() < p.enqueued {
+		p.sc.Emit(obs.OutputHeld, 0, int64(p.enqueued), 0)
+	}
+	p.advance()
 }
 
 func segKey(seg *tcpstack.Segment) ConnKey {
 	return ConnKey{LocalPort: seg.Src.Port, RemoteHost: seg.Dst.Host, RemotePort: seg.Dst.Port}
 }
 
-func (g *stabilityGate) onSynced() { g.ns.OnStable(g.stabled) }
+// advance moves the barrier cursor over every held segment the sync
+// watermark now covers, handing each to the det log's output commit.
+func (p *Primary) advance() {
+	synced := p.minSynced()
+	for p.passed < p.held.Len() && p.held.At(p.passed).synced <= synced {
+		p.passed++
+		p.ns.OnStable(p.stabled)
+	}
+}
 
-func (g *stabilityGate) onStable() {
-	g.stable++
-	g.release()
+func (p *Primary) onStable() {
+	p.stable++
+	p.release()
 }
 
 // release sends the stable segments the pacer is free for — an absorbed
 // one is free — and arms the pacer for the rest.
-func (g *stabilityGate) release() {
-	for g.stable > 0 && g.sim.Now() >= g.busy {
-		seg := g.held.PopFront()
-		g.stable--
-		g.base++
+func (p *Primary) release() {
+	for p.stable > 0 && p.sim.Now() >= p.busy {
+		seg := p.held.PopFront().seg
+		p.passed--
+		p.stable--
+		p.base++
 		if seg == nil {
 			continue
 		}
-		if seg.PureAck() && g.acks[segKey(seg)] == g.base-1 {
-			delete(g.acks, segKey(seg)) // sent: nothing left to absorb
+		if seg.PureAck() && p.acks[segKey(seg)] == p.base-1 {
+			delete(p.acks, segKey(seg)) // sent: nothing left to absorb
 		}
-		g.busy = g.sim.Now().Add(g.cost.PerSegment + time.Duration(seg.WireSize())*g.cost.PerByte)
+		p.busy = p.sim.Now().Add(p.cost.PerSegment + time.Duration(seg.WireSize())*p.cost.PerByte)
 		seg.Send()
 	}
-	if g.stable > 0 && !g.pacer.Armed() {
-		g.pacer.Reset(g.busy.Sub(g.sim.Now()))
+	if p.stable > 0 && !p.pacer.Armed() {
+		p.pacer.Reset(p.busy.Sub(p.sim.Now()))
 	}
 }
 
@@ -367,31 +364,6 @@ func (p *Primary) ingress(seg *tcpstack.Segment) bool {
 		}
 	}
 	return true
-}
-
-// syncBarrier runs fn once every sync update enqueued so far is on every
-// live ring, forcing an immediate flush (output commit must never wait out
-// a FlushInterval): inline in segment context when the flushes are admitted
-// at once; a wait, which a full ring makes, is traced as an OutputHeld.
-func (p *Primary) syncBarrier(fn func()) {
-	if !p.Streaming() {
-		fn()
-		return
-	}
-	p.flushForCommit()
-	if p.minSynced() >= p.enqueued {
-		fn()
-		return
-	}
-	p.sc.Emit(obs.OutputHeld, 0, int64(p.enqueued), 0)
-	p.barrierQ.Append(syncWaiter{watermark: p.enqueued, fn: fn})
-}
-
-func (p *Primary) fireBarrier() {
-	synced := p.minSynced()
-	for p.barrierQ.Len() > 0 && p.barrierQ.At(0).watermark <= synced {
-		p.barrierQ.PopFront().fn()
-	}
 }
 
 // trySync accepts a state update without blocking (callbacks run in segment
@@ -447,8 +419,7 @@ func (p *Primary) coalesce(link *syncLink, m shm.Message) bool {
 }
 
 // flushForCommit pushes every live link's pending buffer out without
-// blocking; barrier waiters keep output held until every live leg has
-// caught up.
+// blocking; held output waits until every live leg has caught up.
 func (p *Primary) flushForCommit() {
 	for _, link := range p.links {
 		if !link.Dead() {
@@ -462,7 +433,7 @@ func (p *Primary) onEstablished(c *tcpstack.Conn) {
 	lc := p.table.establish(key, c.ISS(), c.IRS())
 	lc.live = c
 	// The four-tuple crosses once per connection, as the record's own key.
-	m := syncMessage(syncConnMeta, connMetaBytes, p.idOf(key), c.ISS(), c.IRS())
+	m := syncMessage(syncConnMeta, connMetaBytes, p.idOf(lc), c.ISS(), c.IRS())
 	m.Ref = &lc.key
 	p.trySync(m)
 }
@@ -470,32 +441,29 @@ func (p *Primary) onEstablished(c *tcpstack.Conn) {
 // onDataIn retains the segment's bytes and syncs the table's view of them,
 // which outlives the segment and is never written again.
 func (p *Primary) onDataIn(c *tcpstack.Conn, data []byte) {
-	key := keyOf(c)
-	lc := p.table.latest(key)
-	m := syncMessage(syncDataIn, dataInBytes+len(data), p.idOf(key), 0, 0)
+	lc := p.table.latest(keyOf(c))
+	m := syncMessage(syncDataIn, dataInBytes+len(data), p.idOf(lc), 0, 0)
 	m.Data = p.table.dataIn(lc, data)
 	p.trySync(m)
 }
 
 func (p *Primary) onAckIn(c *tcpstack.Conn, acked uint64) {
-	key := keyOf(c)
-	p.table.ackOut(p.table.latest(key), acked)
-	p.trySync(syncMessage(syncAckOut, ackOutBytes, p.idOf(key), acked, 0))
+	lc := p.table.latest(keyOf(c))
+	p.table.ackOut(lc, acked)
+	p.trySync(syncMessage(syncAckOut, ackOutBytes, p.idOf(lc), acked, 0))
 }
 
 func (p *Primary) onPeerFin(c *tcpstack.Conn) {
-	key := keyOf(c)
-	p.table.peerFinned(p.table.latest(key))
-	p.trySync(syncMessage(syncPeerFin, peerFinBytes, p.idOf(key), 0, 0))
+	lc := p.table.latest(keyOf(c))
+	p.table.peerFinned(lc)
+	p.trySync(syncMessage(syncPeerFin, peerFinBytes, p.idOf(lc), 0, 0))
 }
 
 func (p *Primary) onReaped(c *tcpstack.Conn) {
-	key := keyOf(c)
-	if lc := p.table.byKey[key]; lc != nil {
-		p.table.reaped(lc)
-	}
-	p.trySync(syncMessage(syncGone, goneBytes, p.idOf(key), 0, 0))
-	delete(p.ids, key)
+	lc := p.table.latest(keyOf(c))
+	p.table.reaped(lc)
+	p.trySync(syncMessage(syncGone, goneBytes, p.idOf(lc), 0, 0))
+	lc.sync = 0
 }
 
 // bindConn announces the det-log socket ID for an accepted connection and

@@ -84,8 +84,9 @@ func runPromote(t *testing.T, net promoteNet, cut int) *promoteRun {
 		[]*shm.Ring{fabric.NewRing("ftns.acks", 1, 64<<10)})
 	ring := fabric.NewRing("tcprep.sync", 0, 256<<10)
 	pstack, cstack := tcpstack.New(r.pk, "server", tcpstack.DefaultParams()), tcpstack.New(ck, "client", tcpstack.DefaultParams())
-	r.prim = NewPrimary(ns, pstack, PrimaryConfig{Syncs: []*shm.Ring{ring}, Costs: DefaultCosts()})
-	r.sec = NewSecondary(r.bk, ring, SecondaryConfig{Costs: DefaultCosts()})
+	r.prim = NewPrimary(ns, pstack, []*shm.Ring{ring}, DefaultCosts(), nil)
+	r.sec = NewSecondary(r.bk, ring, DefaultCosts())
+	r.sec.StartPull()
 	r.bsocks = NewSockets(replication.NewLive("ftns", r.bk), nil, nil, r.sec)
 	r.lst = r.bsocks.AdoptListener(80, 1)
 	ring.OnDelivered(func() {
@@ -276,13 +277,23 @@ func (r *promoteRun) promote() {
 func (r *promoteRun) check() string {
 	switch {
 	case !r.eof || !bytes.Equal(r.got, promoteStream[:r.end]):
-		return fmt.Sprintf("client read %d bytes (EOF %v), want the %d of the stream", len(r.got), r.eof, r.end)
+		return fmt.Sprintf("client read %d bytes (EOF %v), want the %d of the stream: %s", len(r.got), r.eof, r.end, firstDiff(r.got, promoteStream[:r.end]))
 	case r.cc != nil || r.ccAcked != uint64(len(promoteReq)):
 		return fmt.Sprintf("client saw %d request bytes acknowledged by its connection's end (reaped %v), want %d", r.ccAcked, r.cc == nil, len(promoteReq))
 	case r.cut > 0 && r.transfers >= r.cut && !bytes.Equal(r.heard, promoteReq):
-		return fmt.Sprintf("promoted side read %d request bytes, not the client's %d", len(r.heard), len(promoteReq))
+		return fmt.Sprintf("promoted side read %d request bytes, the client sent %d: %s", len(r.heard), len(promoteReq), firstDiff(r.heard, promoteReq))
 	}
 	return ""
+}
+
+// firstDiff names the first offset at which got departs from want.
+func firstDiff(got, want []byte) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("they first differ at offset %d", i)
+		}
+	}
+	return fmt.Sprintf("they agree up to offset %d, where one ends", min(len(got), len(want)))
 }
 
 // TestPromoteAfterAnySyncPrefix is the other half of the FT-TCP model: for a

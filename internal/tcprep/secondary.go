@@ -35,35 +35,22 @@ type Secondary struct {
 	Batches   int64 // vectored deliveries drained (more than one update at once)
 }
 
-// SecondaryConfig tunes the sync-state maintainer.
-type SecondaryConfig struct {
-	// Costs prices the pull loop (SyncUpdate).
-	Costs Costs
-	// DeferPull creates the maintainer without starting the sync pull
-	// loop: a rejoining backup first applies the checkpoint's state
-	// snapshot (Seed) and then calls StartPull to consume the deltas that
-	// queued on the ring meanwhile.
-	DeferPull bool
-}
-
-// NewSecondary creates the sync-state maintainer on the secondary kernel
-// and, unless cfg.DeferPull, starts it.
-func NewSecondary(k *kernel.Kernel, sync *shm.Ring, cfg SecondaryConfig) *Secondary {
-	s := &Secondary{
+// NewSecondary creates the sync-state maintainer on the secondary kernel;
+// costs prices its pull loop (SyncUpdate). StartPull starts it.
+func NewSecondary(k *kernel.Kernel, sync *shm.Ring, costs Costs) *Secondary {
+	return &Secondary{
 		kern:   k,
 		sync:   sync,
 		table:  newConnTable(),
 		bySync: make(map[uint64]*LogicalConn),
-		cost:   cfg.Costs.SyncUpdate,
+		cost:   costs.SyncUpdate,
 	}
-	if !cfg.DeferPull {
-		s.StartPull()
-	}
-	return s
 }
 
-// StartPull starts consuming the sync ring. It is a no-op if the pull loop
-// is already running or the maintainer has been promoted.
+// StartPull starts consuming the sync ring: a booting backup's at once, a
+// rejoining backup's once it has applied the checkpoint's state snapshot
+// (Seed), the ring buffering the deltas that queue meanwhile. It is a no-op
+// if the pull loop is already running or the maintainer has been promoted.
 func (s *Secondary) StartPull() {
 	if s.puller != nil || s.promoted {
 		return
@@ -76,7 +63,7 @@ func (s *Secondary) StartPull() {
 func (s *Secondary) Conns() int { return len(s.table.conns) }
 
 // Table returns the backup's logical TCP state. A promoted backup hands it
-// to the detached primary that keeps recording (PrimaryConfig.History).
+// to the detached primary that keeps recording (NewPrimary's history).
 func (s *Secondary) Table() *ConnTable { return s.table }
 
 // pull is the puller's loop: it takes every delivered update off the ring

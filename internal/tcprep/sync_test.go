@@ -44,8 +44,8 @@ func newSyncWorldRing(tb testing.TB, ringBytes int64) *syncWorld {
 	}
 	w := &syncWorld{sim: s, ring: shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, ringBytes)}
 	stack := tcpstack.New(k, "server", tcpstack.DefaultParams())
-	w.prim = NewPrimary(replication.NewLive("ftns", k), stack, PrimaryConfig{Syncs: []*shm.Ring{w.ring}, Costs: DefaultCosts()})
-	w.sec = NewSecondary(k, w.ring, SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
+	w.prim = NewPrimary(replication.NewLive("ftns", k), stack, []*shm.Ring{w.ring}, DefaultCosts(), nil)
+	w.sec = NewSecondary(k, w.ring, DefaultCosts())
 	w.conn, err = stack.Restore(tcpstack.ConnSnapshot{LocalPort: 80,
 		Remote: tcpstack.Addr{Host: "client", Port: 40000}, ISS: 1000, IRS: 2000, SndUna: 1001, RcvNxt: 2001})
 	if err != nil {
@@ -183,8 +183,9 @@ func TestBindOutlivesReap(t *testing.T) {
 	key := keyOf(w.conn)
 	w.prim.onReaped(w.conn)
 	w.deliver(t)
-	if !w.lc.gone || len(w.sec.bySync) != 0 || len(w.prim.ids) != 0 {
-		t.Fatalf("after the reap: gone=%v, backup knows %d ids, primary %d", w.lc.gone, len(w.sec.bySync), len(w.prim.ids))
+	prec := w.prim.table.byKey[key]
+	if !w.lc.gone || len(w.sec.bySync) != 0 || prec.sync != 0 {
+		t.Fatalf("after the reap: gone=%v, backup knows %d ids, primary holds id %d", w.lc.gone, len(w.sec.bySync), prec.sync)
 	}
 	w.prim.ns.Start("app", nil, func(th *replication.Thread) { w.prim.bindConn(th, 7, w.conn) })
 	if err := w.sim.RunFor(time.Millisecond); err != nil {
@@ -194,11 +195,11 @@ func TestBindOutlivesReap(t *testing.T) {
 	if got := w.sec.table.binds[7]; got != w.lc {
 		t.Errorf("binding of socket 7 on the backup = %+v; want the reaped connection %v", got, key)
 	}
-	if len(w.prim.ids) != 0 {
+	if prec.sync != 0 {
 		t.Errorf("the binding drew a sync id for a reaped connection")
 	}
 
-	seeded := NewSecondary(w.prim.ns.Kernel(), w.ring, SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
+	seeded := NewSecondary(w.prim.ns.Kernel(), w.ring, DefaultCosts())
 	seeded.Seed(StateSnap{Conns: []ConnSnap{{Key: key, ISS: 1000, IRS: 2000, Gone: true}}})
 	for _, m := range w.buf {
 		seeded.apply(m)
@@ -254,14 +255,14 @@ func TestReusedFourTupleStartsFreshRecord(t *testing.T) {
 	snap := w.prim.SnapshotState(nil)
 	want := []ConnSnap{
 		{Key: key, ISS: 1000, IRS: 2000, In: []byte("old request"), Acked: 500, PeerFin: true, Gone: true},
-		{Key: key, ISS: 3000, IRS: 4000, Sync: w.prim.ids[key], In: []byte("NEW")},
+		{Key: key, ISS: 3000, IRS: 4000, Sync: w.prim.table.byKey[key].sync, In: []byte("NEW")},
 	}
-	if !reflect.DeepEqual(snap.Conns, want) || w.prim.ids[key] == 0 ||
+	if !reflect.DeepEqual(snap.Conns, want) || want[1].Sync == 0 ||
 		!reflect.DeepEqual(snap.Binds, []BindSnap{{ID: 1, Conn: 0}, {ID: 2, Conn: 1}}) {
 		t.Fatalf("snapshot %+v; want %+v and each bind on its own record", snap, want)
 	}
 
-	seeded := NewSecondary(k, shm.NewFabric(w.sim, time.Microsecond).NewRing("seeded", 0, 1<<20), SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
+	seeded := NewSecondary(k, shm.NewFabric(w.sim, time.Microsecond).NewRing("seeded", 0, 1<<20), DefaultCosts())
 	seeded.Seed(snap)
 	w.prim.onDataIn(c2, []byte(" MORE"))
 	w.deliver(t)
@@ -324,7 +325,8 @@ func TestPromoteMidBatchAppliesEveryUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := shm.NewFabric(s, time.Microsecond).NewRing("tcprep.sync", 0, 1<<20)
-	sec := NewSecondary(sk, ring, SecondaryConfig{Costs: DefaultCosts()})
+	sec := NewSecondary(sk, ring, DefaultCosts())
+	sec.StartPull()
 	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 40000}
 	meta := syncMessage(syncConnMeta, connMetaBytes, 1, 1000, 2000)
 	meta.Ref = &key

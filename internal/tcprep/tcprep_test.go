@@ -182,7 +182,7 @@ func TestPromoteCopiesLogicalBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := shm.NewFabric(s, time.Microsecond).NewRing("sync", 0, 1<<20)
-	sec := NewSecondary(k, ring, SecondaryConfig{Costs: DefaultCosts(), DeferPull: true})
+	sec := NewSecondary(k, ring, DefaultCosts())
 
 	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 40000}
 	in, out := []byte("unread input the client was acked for"), []byte("regenerated output the client has not acked")
